@@ -29,7 +29,7 @@ fn scan(c: &mut Criterion) {
     for size in [16usize, 128, 1024] {
         let (ca, cb, j, net) = setup();
         let mut list = ListMem::new(net.n_joins());
-        let mut hash = HashMem::new(HashMemConfig { buckets: 256 });
+        let mut hash = HashMem::new(HashMemConfig { buckets: 256 }, net.n_joins());
         for i in 0..size {
             let w = Wme::new(cb, vec![Value::Int(i as i64)], i as u64 + 1);
             list.insert_right(&j, list.right_key(&j, &w), w.clone());
@@ -80,8 +80,8 @@ fn delete_search(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("hash", size), &size, |b, &size| {
             b.iter_with_setup(
                 || {
-                    let (_ca, cb, j, _net) = setup();
-                    let mut m = HashMem::new(HashMemConfig { buckets: 256 });
+                    let (_ca, cb, j, net) = setup();
+                    let mut m = HashMem::new(HashMemConfig { buckets: 256 }, net.n_joins());
                     for i in 0..size {
                         let w = Wme::new(cb, vec![Value::Int(i as i64)], i as u64 + 1);
                         m.insert_right(&j, m.right_key(&j, &w), w);

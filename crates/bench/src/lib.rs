@@ -111,7 +111,7 @@ pub fn record_trace_with_lines(w: &Workload, lines: usize) -> Result<RunTrace> {
     let mut eng = engine::EngineBuilder::from_source(&w.source)?
         .trace(lines, sink.clone())
         .build()?;
-    load_setup(&mut eng, w)?;
+    workloads::load_setup(&mut eng, w)?;
     eng.run(w.max_cycles)?;
     if let Err(e) = (w.validate)(&eng) {
         return Err(ops5::Ops5Error::Runtime(format!(
@@ -121,26 +121,6 @@ pub fn record_trace_with_lines(w: &Workload, lines: usize) -> Result<RunTrace> {
     }
     let trace = sink.lock().unwrap().clone();
     Ok(trace)
-}
-
-/// Loads a workload's initial working memory into an engine.
-fn load_setup(eng: &mut Engine, w: &Workload) -> Result<()> {
-    for wme in &w.setup {
-        let sets: Vec<(String, ops5::Value)> = wme
-            .sets
-            .iter()
-            .map(|(a, v)| {
-                let val = match v {
-                    workloads::SetupVal::Sym(s) => eng.sym(s),
-                    workloads::SetupVal::Int(i) => ops5::Value::Int(*i),
-                };
-                (a.clone(), val)
-            })
-            .collect();
-        let refs: Vec<(&str, ops5::Value)> = sets.iter().map(|(a, v)| (a.as_str(), *v)).collect();
-        eng.make_wme(&wme.class, &refs)?;
-    }
-    Ok(())
 }
 
 /// Simulates a trace at one configuration.

@@ -123,7 +123,7 @@ pub trait TokenMem {
     ) -> ScanStats;
 
     /// Not-node left activation: count matching right WMEs.
-    fn count_right(&self, j: &JoinNode, key: u64, token: &Token) -> (u32, u64, bool);
+    fn count_right(&self, j: &JoinNode, key: u64, token: &Token) -> (u32, ScanStats);
 
     /// Entries stored network-wide in the join's left memory — the
     /// emptiness gate for right-activation unlinking. 0 means any left
@@ -282,14 +282,18 @@ impl TokenMem for ListMem {
         }
     }
 
-    fn count_right(&self, j: &JoinNode, _key: u64, token: &Token) -> (u32, u64, bool) {
+    fn count_right(&self, j: &JoinNode, _key: u64, token: &Token) -> (u32, ScanStats) {
         let mem = &self.right[j.id as usize];
         let ops = j.resolve_left(token);
         let n = mem
             .iter()
             .filter(|w| j.passes_resolved(&ops, token, w))
             .count() as u32;
-        (n, mem.len() as u64, !mem.is_empty())
+        let scan = ScanStats {
+            examined: mem.len() as u64,
+            nonempty: !mem.is_empty(),
+        };
+        (n, scan)
     }
 
     fn left_count(&self, j: &JoinNode) -> u32 {
@@ -321,6 +325,17 @@ struct HashRightEntry {
     wme: WmeRef,
 }
 
+/// One line: the same-index buckets of the left and the right table, side
+/// by side. An activation touches both — it inserts into or removes from
+/// one and scans the other — and the table is one allocation: as two
+/// half-size ones, glibc handed the pair back to the OS whenever a served
+/// session closed and the next `OPEN` faulted ~160 pages in again.
+#[derive(Default)]
+struct HashLine {
+    left: Vec<HashLeftEntry>,
+    right: Vec<HashRightEntry>,
+}
+
 /// vs2 memories: the two global hash tables of §3.2.
 ///
 /// A "line" is the pair of same-index buckets of the left and right tables;
@@ -329,10 +344,9 @@ struct HashRightEntry {
 /// covered by the join's equality tests. Each entry stores its key, so
 /// probes compare one cached word before touching token identity.
 pub struct HashMem {
-    left: Vec<Vec<HashLeftEntry>>,
-    right: Vec<Vec<HashRightEntry>>,
+    lines: Vec<HashLine>,
     mask: u64,
-    /// Per-join entry counts (indexed by join id, grown on demand): the
+    /// Per-join entry counts, one slot per join of the network: the
     /// buckets interleave joins, so per-join emptiness must be maintained,
     /// not derived.
     left_counts: Vec<u32>,
@@ -340,12 +354,8 @@ pub struct HashMem {
 }
 
 #[inline]
-fn bump(counts: &mut Vec<u32>, join: u32, delta: i32) {
-    let idx = join as usize;
-    if counts.len() <= idx {
-        counts.resize(idx + 1, 0);
-    }
-    let c = &mut counts[idx];
+fn bump(counts: &mut [u32], join: u32, delta: i32) {
+    let c = &mut counts[join as usize];
     if delta > 0 {
         *c += 1;
     } else {
@@ -355,14 +365,15 @@ fn bump(counts: &mut Vec<u32>, join: u32, delta: i32) {
 }
 
 impl HashMem {
-    pub fn new(cfg: HashMemConfig) -> HashMem {
+    /// Tables for a network of `n_joins` joins (join ids index the per-join
+    /// counters directly, as they index [`ListMem`]'s vectors).
+    pub fn new(cfg: HashMemConfig, n_joins: usize) -> HashMem {
         let n = cfg.buckets.next_power_of_two().max(2);
         HashMem {
-            left: (0..n).map(|_| Vec::new()).collect(),
-            right: (0..n).map(|_| Vec::new()).collect(),
+            lines: (0..n).map(|_| HashLine::default()).collect(),
             mask: (n - 1) as u64,
-            left_counts: Vec::new(),
-            right_counts: Vec::new(),
+            left_counts: vec![0; n_joins],
+            right_counts: vec![0; n_joins],
         }
     }
 
@@ -374,7 +385,7 @@ impl HashMem {
     }
 
     pub fn n_lines(&self) -> usize {
-        self.left.len()
+        self.lines.len()
     }
 }
 
@@ -393,7 +404,7 @@ impl TokenMem for HashMem {
 
     fn insert_left(&mut self, j: &JoinNode, key: u64, token: Token, neg_count: u32) {
         let b = self.line_of(key);
-        self.left[b].push(HashLeftEntry {
+        self.lines[b].left.push(HashLeftEntry {
             join: j.id,
             key,
             token,
@@ -404,7 +415,7 @@ impl TokenMem for HashMem {
 
     fn remove_left(&mut self, j: &JoinNode, key: u64, token: &Token) -> Removed<u32> {
         let b = self.line_of(key);
-        let mem = &mut self.left[b];
+        let mem = &mut self.lines[b].left;
         let mut examined = 0u64;
         for i in 0..mem.len() {
             let e = &mem[i];
@@ -429,7 +440,7 @@ impl TokenMem for HashMem {
 
     fn insert_right(&mut self, j: &JoinNode, key: u64, wme: WmeRef) {
         let b = self.line_of(key);
-        self.right[b].push(HashRightEntry {
+        self.lines[b].right.push(HashRightEntry {
             join: j.id,
             key,
             wme,
@@ -439,7 +450,7 @@ impl TokenMem for HashMem {
 
     fn remove_right(&mut self, j: &JoinNode, key: u64, wme: &Wme) -> Removed<()> {
         let b = self.line_of(key);
-        let mem = &mut self.right[b];
+        let mem = &mut self.lines[b].right;
         let mut examined = 0u64;
         for i in 0..mem.len() {
             let e = &mem[i];
@@ -470,7 +481,7 @@ impl TokenMem for HashMem {
         out: &mut Vec<WmeRef>,
     ) -> ScanStats {
         out.clear();
-        let mem = &self.right[self.line_of(key)];
+        let mem = &self.lines[self.line_of(key)].right;
         let ops = j.resolve_left(token);
         let mut examined = 0u64;
         for e in mem {
@@ -490,7 +501,7 @@ impl TokenMem for HashMem {
 
     fn scan_left(&self, j: &JoinNode, key: u64, wme: &Wme, out: &mut Vec<Token>) -> ScanStats {
         out.clear();
-        let mem = &self.left[self.line_of(key)];
+        let mem = &self.lines[self.line_of(key)].left;
         let mut examined = 0u64;
         for e in mem {
             if e.join != j.id {
@@ -517,7 +528,7 @@ impl TokenMem for HashMem {
     ) -> ScanStats {
         out.clear();
         let b = self.line_of(key);
-        let mem = &mut self.left[b];
+        let mem = &mut self.lines[b].left;
         let mut examined = 0u64;
         for e in mem.iter_mut() {
             if e.join != j.id {
@@ -545,8 +556,8 @@ impl TokenMem for HashMem {
         }
     }
 
-    fn count_right(&self, j: &JoinNode, key: u64, token: &Token) -> (u32, u64, bool) {
-        let mem = &self.right[self.line_of(key)];
+    fn count_right(&self, j: &JoinNode, key: u64, token: &Token) -> (u32, ScanStats) {
+        let mem = &self.lines[self.line_of(key)].right;
         let ops = j.resolve_left(token);
         let mut n = 0u32;
         let mut examined = 0u64;
@@ -559,20 +570,26 @@ impl TokenMem for HashMem {
                 n += 1;
             }
         }
-        (n, examined, examined > 0)
+        let scan = ScanStats {
+            examined,
+            nonempty: examined > 0,
+        };
+        (n, scan)
     }
 
     fn left_count(&self, j: &JoinNode) -> u32 {
-        self.left_counts.get(j.id as usize).copied().unwrap_or(0)
+        self.left_counts[j.id as usize]
     }
 
     fn right_count(&self, j: &JoinNode) -> u32 {
-        self.right_counts.get(j.id as usize).copied().unwrap_or(0)
+        self.right_counts[j.id as usize]
     }
 
     fn total_entries(&self) -> usize {
-        self.left.iter().map(Vec::len).sum::<usize>()
-            + self.right.iter().map(Vec::len).sum::<usize>()
+        self.lines
+            .iter()
+            .map(|l| l.left.len() + l.right.len())
+            .sum()
     }
 }
 
@@ -640,7 +657,7 @@ mod tests {
 
     #[test]
     fn hash_mem_basics() {
-        let mut mem = HashMem::new(HashMemConfig { buckets: 8 });
+        let mut mem = HashMem::new(HashMemConfig { buckets: 8 }, 1);
         run_common(&mut mem);
     }
 
@@ -652,7 +669,7 @@ mod tests {
         let j = net.join(0).clone();
 
         let mut list = ListMem::new(net.n_joins());
-        let mut hash = HashMem::new(HashMemConfig { buckets: 256 });
+        let mut hash = HashMem::new(HashMemConfig { buckets: 256 }, net.n_joins());
 
         // 100 right wmes with distinct join values.
         for i in 0..100 {
@@ -686,7 +703,7 @@ mod tests {
 
         let ca = prog.symbols.intern("a");
         let cb = prog.symbols.intern("b");
-        let mut mem = HashMem::new(HashMemConfig { buckets: 8 });
+        let mut mem = HashMem::new(HashMemConfig { buckets: 8 }, net2.n_joins());
         let tok = Token::single(Wme::new(ca, vec![Value::Int(1)], 1));
         mem.insert_left(&j, mem.left_key(&j, &tok), tok.clone(), 0);
 
@@ -718,7 +735,7 @@ mod tests {
         let j = net.join(0).clone();
         for mem in [
             Box::new(ListMem::new(net.n_joins())) as Box<dyn TokenMem>,
-            Box::new(HashMem::new(HashMemConfig { buckets: 8 })),
+            Box::new(HashMem::new(HashMemConfig { buckets: 8 }, net.n_joins())),
         ]
         .iter_mut()
         {
@@ -751,7 +768,7 @@ mod tests {
         let j = net.join(0).clone();
         let mut prog = prog;
         let cb = prog.symbols.intern("b");
-        let mut mem = HashMem::new(HashMemConfig { buckets: 256 });
+        let mut mem = HashMem::new(HashMemConfig { buckets: 256 }, net.n_joins());
         for i in 0..50 {
             let w = Wme::new(cb, vec![Value::Int(i)], i as u64 + 1);
             mem.insert_right(&j, mem.right_key(&j, &w), w);

@@ -6,7 +6,7 @@
 //! activations, exactly the task structure the parallel matcher distributes
 //! across match processes.
 
-use crate::memory::{HashMem, HashMemConfig, ListMem, TokenMem};
+use crate::memory::{HashMem, HashMemConfig, ListMem, ScanStats, TokenMem};
 use crate::network::{AlphaSucc, JoinId, Network, Succ};
 use crate::token::Token;
 use ops5::{
@@ -82,54 +82,102 @@ impl BufferedProfile {
     }
 }
 
+/// What the kernel counts: [`MatchStats`] plus the optional per-join
+/// profile. One field of the matcher, so an activation can book its work
+/// while it holds a node borrowed from `net`.
+struct Tally {
+    stats: MatchStats,
+    /// `None` (the default) keeps the hot path free of recording.
+    profile: Option<BufferedProfile>,
+}
+
+impl Tally {
+    #[inline]
+    fn join_activation(&mut self, join: JoinId) {
+        self.stats.activations += 1;
+        self.stats.join_activations += 1;
+        if let Some(p) = &mut self.profile {
+            p.record_activation(join as usize);
+        }
+    }
+
+    /// An activation whose opposite memory is empty network-wide: the scan
+    /// would examine nothing and emit nothing, so none is made. `unlinking`
+    /// only selects which counter the activation lands in.
+    #[inline]
+    fn null(&mut self, unlinking: bool) {
+        if unlinking {
+            self.stats.null_skipped += 1;
+        } else {
+            self.stats.null_activations += 1;
+        }
+    }
+
+    /// A left activation's scan of the right memory.
+    #[inline]
+    fn scan_from_left(&mut self, join: JoinId, scan: ScanStats) {
+        self.stats.opp_tokens_left += scan.examined;
+        self.stats.opp_nonempty_left += scan.nonempty as u64;
+        if let Some(p) = &mut self.profile {
+            p.record_scan(join as usize, scan.examined);
+        }
+    }
+
+    /// A right activation's scan of the left memory.
+    #[inline]
+    fn scan_from_right(&mut self, join: JoinId, scan: ScanStats) {
+        self.stats.opp_tokens_right += scan.examined;
+        self.stats.opp_nonempty_right += scan.nonempty as u64;
+        if let Some(p) = &mut self.profile {
+            p.record_scan(join as usize, scan.examined);
+        }
+    }
+}
+
 /// Sequential Rete matcher over a pluggable memory implementation.
 pub struct SeqMatcher<M: TokenMem> {
     net: Arc<Network>,
     mem: M,
     agenda: Vec<Task>,
     out: Vec<CsChange>,
-    stats: MatchStats,
+    tally: Tally,
     delta: StatsDeltaTracker,
     /// Reusable scan buffers: a steady-state activation allocates nothing.
     scratch_wmes: Vec<WmeRef>,
     scratch_tokens: Vec<Token>,
-    /// Per-join activation/scan profile; `None` (the default) keeps the
-    /// hot path free of recording.
-    profile: Option<BufferedProfile>,
+}
+
+impl<M: TokenMem> SeqMatcher<M> {
+    fn over(net: Arc<Network>, mem: M) -> Self {
+        SeqMatcher {
+            net,
+            mem,
+            agenda: Vec::new(),
+            out: Vec::new(),
+            tally: Tally {
+                stats: MatchStats::default(),
+                profile: None,
+            },
+            delta: StatsDeltaTracker::default(),
+            scratch_wmes: Vec::new(),
+            scratch_tokens: Vec::new(),
+        }
+    }
 }
 
 impl SeqMatcher<ListMem> {
     /// vs1: linear-list memories.
     pub fn vs1(net: Arc<Network>) -> Self {
         let mem = ListMem::new(net.n_joins());
-        SeqMatcher {
-            net,
-            mem,
-            agenda: Vec::new(),
-            out: Vec::new(),
-            stats: MatchStats::default(),
-            delta: StatsDeltaTracker::default(),
-            scratch_wmes: Vec::new(),
-            scratch_tokens: Vec::new(),
-            profile: None,
-        }
+        SeqMatcher::over(net, mem)
     }
 }
 
 impl SeqMatcher<HashMem> {
     /// vs2: global hash-table memories.
     pub fn vs2(net: Arc<Network>, cfg: HashMemConfig) -> Self {
-        SeqMatcher {
-            net,
-            mem: HashMem::new(cfg),
-            agenda: Vec::new(),
-            out: Vec::new(),
-            stats: MatchStats::default(),
-            delta: StatsDeltaTracker::default(),
-            scratch_wmes: Vec::new(),
-            scratch_tokens: Vec::new(),
-            profile: None,
-        }
+        let mem = HashMem::new(cfg, net.n_joins());
+        SeqMatcher::over(net, mem)
     }
 }
 
@@ -164,199 +212,113 @@ fn push_succs(agenda: &mut Vec<Task>, succs: &[Succ], token: &Token, sign: Sign)
 }
 
 impl<M: TokenMem + Send> SeqMatcher<M> {
+    /// One node activation. The node is borrowed from the shared network
+    /// for the whole activation — `net`, `mem`, `agenda`, `tally` and the
+    /// scratch buffers are disjoint fields — and nothing here allocates
+    /// beyond what the memories and the agenda have to keep.
     fn run_task(&mut self, task: Task) {
+        let unlinking = self.net.options.unlinking;
         match task {
             Task::Left { join, sign, token } => {
-                self.stats.activations += 1;
-                self.stats.join_activations += 1;
-                if let Some(p) = &mut self.profile {
-                    p.record_activation(join as usize);
-                }
-                let unlink = self.net.options.unlinking;
-                let j = self.net.join(join).clone();
+                self.tally.join_activation(join);
+                let j = self.net.join(join);
                 // One key per activation: the same key addresses the remove
                 // or insert and the opposite-memory scan.
-                let key = self.mem.left_key(&j, &token);
-                // Unlinking gate: with the join's right memory globally
-                // empty the opposite-memory scan is a null activation —
-                // skip it (own-side insert/remove still runs). The gate
-                // only suppresses work that would have produced nothing.
-                let opp_empty = self.mem.right_count(&j) == 0;
-                if !j.negated {
-                    match sign {
-                        Sign::Plus => self.mem.insert_left(&j, key, token.clone(), 0),
-                        Sign::Minus => {
-                            let r = self.mem.remove_left(&j, key, &token);
-                            self.stats.same_tokens_left += r.examined;
-                            self.stats.same_searches_left += 1;
-                            debug_assert!(
-                                r.entry.is_some(),
-                                "sequential delete must find its token"
-                            );
+                let key = self.mem.left_key(j, &token);
+                let opp_empty = self.mem.right_count(j) == 0;
+                match (j.negated, sign) {
+                    (false, _) => {
+                        match sign {
+                            Sign::Plus => self.mem.insert_left(j, key, token.clone(), 0),
+                            Sign::Minus => {
+                                let r = self.mem.remove_left(j, key, &token);
+                                self.tally.stats.same_tokens_left += r.examined;
+                                self.tally.stats.same_searches_left += 1;
+                                debug_assert!(
+                                    r.entry.is_some(),
+                                    "sequential delete must find its token"
+                                );
+                            }
                         }
-                    }
-                    if unlink && opp_empty {
-                        self.stats.null_skipped += 1;
-                    } else {
                         if opp_empty {
-                            self.stats.null_activations += 1;
-                        }
-                        let scan = self.mem.scan_right(&j, key, &token, &mut self.scratch_wmes);
-                        self.stats.opp_tokens_left += scan.examined;
-                        if let Some(p) = &mut self.profile {
-                            p.record_scan(join as usize, scan.examined);
-                        }
-                        if scan.nonempty {
-                            self.stats.opp_nonempty_left += 1;
-                        }
-                        for w in self.scratch_wmes.drain(..) {
-                            push_succs(&mut self.agenda, &j.succs, &token.extended(w), sign);
+                            self.tally.null(unlinking);
+                        } else {
+                            let scan = self.mem.scan_right(j, key, &token, &mut self.scratch_wmes);
+                            self.tally.scan_from_left(join, scan);
+                            for w in self.scratch_wmes.drain(..) {
+                                push_succs(&mut self.agenda, &j.succs, &token.extended(w), sign);
+                            }
                         }
                     }
-                } else {
-                    match sign {
-                        Sign::Plus => {
-                            let n = if unlink && opp_empty {
-                                self.stats.null_skipped += 1;
-                                0
-                            } else {
-                                if opp_empty {
-                                    self.stats.null_activations += 1;
-                                }
-                                let (n, examined, nonempty) = self.mem.count_right(&j, key, &token);
-                                self.stats.opp_tokens_left += examined;
-                                if let Some(p) = &mut self.profile {
-                                    p.record_scan(join as usize, examined);
-                                }
-                                if nonempty {
-                                    self.stats.opp_nonempty_left += 1;
-                                }
-                                n
-                            };
-                            self.mem.insert_left(&j, key, token.clone(), n);
-                            if n == 0 {
-                                push_succs(&mut self.agenda, &j.succs, &token, Sign::Plus);
-                            }
+                    (true, Sign::Plus) => {
+                        // No right WME at all: the count is 0 without looking.
+                        let n = if opp_empty {
+                            self.tally.null(unlinking);
+                            0
+                        } else {
+                            let (n, scan) = self.mem.count_right(j, key, &token);
+                            self.tally.scan_from_left(join, scan);
+                            n
+                        };
+                        self.mem.insert_left(j, key, token.clone(), n);
+                        if n == 0 {
+                            push_succs(&mut self.agenda, &j.succs, &token, Sign::Plus);
                         }
-                        Sign::Minus => {
-                            let r = self.mem.remove_left(&j, key, &token);
-                            self.stats.same_tokens_left += r.examined;
-                            self.stats.same_searches_left += 1;
-                            if let Some(neg_count) = r.entry {
-                                if neg_count == 0 {
-                                    push_succs(&mut self.agenda, &j.succs, &token, Sign::Minus);
-                                }
-                            }
+                    }
+                    (true, Sign::Minus) => {
+                        let r = self.mem.remove_left(j, key, &token);
+                        self.tally.stats.same_tokens_left += r.examined;
+                        self.tally.stats.same_searches_left += 1;
+                        if r.entry == Some(0) {
+                            push_succs(&mut self.agenda, &j.succs, &token, Sign::Minus);
                         }
                     }
                 }
             }
             Task::Right { join, sign, wme } => {
-                self.stats.activations += 1;
-                self.stats.join_activations += 1;
-                if let Some(p) = &mut self.profile {
-                    p.record_activation(join as usize);
-                }
-                let unlink = self.net.options.unlinking;
-                let j = self.net.join(join).clone();
-                let key = self.mem.right_key(&j, &wme);
-                // Unlinking gate, mirrored: an empty left memory means no
-                // token can pair with (or be count-adjusted by) this WME.
-                let opp_empty = self.mem.left_count(&j) == 0;
-                if !j.negated {
-                    match sign {
-                        Sign::Plus => self.mem.insert_right(&j, key, wme.clone()),
-                        Sign::Minus => {
-                            let r = self.mem.remove_right(&j, key, &wme);
-                            self.stats.same_tokens_right += r.examined;
-                            self.stats.same_searches_right += 1;
-                            debug_assert!(r.entry.is_some(), "sequential delete must find its wme");
-                        }
+                self.tally.join_activation(join);
+                let j = self.net.join(join);
+                let key = self.mem.right_key(j, &wme);
+                // An empty left memory means no token can pair with (or be
+                // count-adjusted by) this WME.
+                let opp_empty = self.mem.left_count(j) == 0;
+                match sign {
+                    Sign::Plus => self.mem.insert_right(j, key, wme.clone()),
+                    Sign::Minus => {
+                        let r = self.mem.remove_right(j, key, &wme);
+                        self.tally.stats.same_tokens_right += r.examined;
+                        self.tally.stats.same_searches_right += 1;
+                        debug_assert!(r.entry.is_some(), "sequential delete must find its wme");
                     }
-                    if unlink && opp_empty {
-                        self.stats.null_skipped += 1;
-                    } else {
-                        if opp_empty {
-                            self.stats.null_activations += 1;
-                        }
-                        let scan = self.mem.scan_left(&j, key, &wme, &mut self.scratch_tokens);
-                        self.stats.opp_tokens_right += scan.examined;
-                        if let Some(p) = &mut self.profile {
-                            p.record_scan(join as usize, scan.examined);
-                        }
-                        if scan.nonempty {
-                            self.stats.opp_nonempty_right += 1;
-                        }
-                        for t in self.scratch_tokens.drain(..) {
-                            push_succs(&mut self.agenda, &j.succs, &t.extended(wme.clone()), sign);
-                        }
+                }
+                if opp_empty {
+                    self.tally.null(unlinking);
+                } else if !j.negated {
+                    let scan = self.mem.scan_left(j, key, &wme, &mut self.scratch_tokens);
+                    self.tally.scan_from_right(join, scan);
+                    for t in self.scratch_tokens.drain(..) {
+                        push_succs(&mut self.agenda, &j.succs, &t.extended(wme.clone()), sign);
                     }
                 } else {
-                    match sign {
-                        Sign::Plus => {
-                            self.mem.insert_right(&j, key, wme.clone());
-                            if unlink && opp_empty {
-                                self.stats.null_skipped += 1;
-                            } else {
-                                if opp_empty {
-                                    self.stats.null_activations += 1;
-                                }
-                                let scan = self.mem.adjust_left_counts(
-                                    &j,
-                                    key,
-                                    &wme,
-                                    1,
-                                    &mut self.scratch_tokens,
-                                );
-                                self.stats.opp_tokens_right += scan.examined;
-                                if let Some(p) = &mut self.profile {
-                                    p.record_scan(join as usize, scan.examined);
-                                }
-                                if scan.nonempty {
-                                    self.stats.opp_nonempty_right += 1;
-                                }
-                                for t in self.scratch_tokens.drain(..) {
-                                    // 0→1: those tokens just lost their support.
-                                    push_succs(&mut self.agenda, &j.succs, &t, Sign::Minus);
-                                }
-                            }
-                        }
-                        Sign::Minus => {
-                            let r = self.mem.remove_right(&j, key, &wme);
-                            self.stats.same_tokens_right += r.examined;
-                            self.stats.same_searches_right += 1;
-                            if unlink && opp_empty {
-                                self.stats.null_skipped += 1;
-                            } else {
-                                if opp_empty {
-                                    self.stats.null_activations += 1;
-                                }
-                                let scan = self.mem.adjust_left_counts(
-                                    &j,
-                                    key,
-                                    &wme,
-                                    -1,
-                                    &mut self.scratch_tokens,
-                                );
-                                self.stats.opp_tokens_right += scan.examined;
-                                if let Some(p) = &mut self.profile {
-                                    p.record_scan(join as usize, scan.examined);
-                                }
-                                if scan.nonempty {
-                                    self.stats.opp_nonempty_right += 1;
-                                }
-                                for t in self.scratch_tokens.drain(..) {
-                                    // 1→0: those tokens regained satisfaction.
-                                    push_succs(&mut self.agenda, &j.succs, &t, Sign::Plus);
-                                }
-                            }
-                        }
+                    // Not-node: a new blocker takes the support of the tokens
+                    // it moves 0→1, a removed one returns it to those it
+                    // moves 1→0.
+                    let delta = match sign {
+                        Sign::Plus => 1,
+                        Sign::Minus => -1,
+                    };
+                    let scan =
+                        self.mem
+                            .adjust_left_counts(j, key, &wme, delta, &mut self.scratch_tokens);
+                    self.tally.scan_from_right(join, scan);
+                    for t in self.scratch_tokens.drain(..) {
+                        push_succs(&mut self.agenda, &j.succs, &t, sign.flip());
                     }
                 }
             }
             Task::Terminal { prod, sign, token } => {
-                self.stats.activations += 1;
-                self.stats.cs_changes += 1;
+                self.tally.stats.activations += 1;
+                self.tally.stats.cs_changes += 1;
                 let inst = Instantiation {
                     prod,
                     wmes: token.wme_vec(),
@@ -390,40 +352,42 @@ impl<M: TokenMem + Send> Matcher for SeqMatcher<M> {
     fn submit(&mut self, batch: &ChangeBatch) {
         // Pairs already annihilated inside the batch never reach the
         // network; account for them like the parallel matcher does.
-        self.stats.conjugate_pairs += batch.annihilated();
+        self.tally.stats.conjugate_pairs += batch.annihilated();
+        // `drain` needs `&mut self` between changes, so the alpha walk reads
+        // the network through its own handle: one refcount bump per batch.
+        let net = Arc::clone(&self.net);
         for (class, group) in batch.groups() {
             // One grouped constant-test task per class (§3.1): the
             // pattern chain for the class is resolved once per *group*,
             // then every change in the group is tested against it.
-            self.stats.alpha_activations += 1;
-            self.stats.wme_changes += group.len() as u64;
-            let pats: Vec<_> = self.net.patterns_for_class(class).to_vec();
+            self.tally.stats.alpha_activations += 1;
+            self.tally.stats.wme_changes += group.len() as u64;
+            let pats = net.patterns_for_class(class);
             for change in group {
-                let wme = &change.wme;
-                for &pid in &pats {
-                    let pat = self.net.pattern(pid);
+                let (wme, sign) = (&change.wme, change.sign);
+                for &pid in pats {
+                    let pat = net.pattern(pid);
                     if !pat.tests.iter().all(|t| t.passes(wme)) {
                         continue;
                     }
-                    let succs: Vec<AlphaSucc> = pat.succs.clone();
-                    for succ in succs {
-                        match succ {
-                            AlphaSucc::JoinLeft(j) => self.agenda.push(Task::Left {
-                                join: j,
-                                sign: change.sign,
+                    for succ in &pat.succs {
+                        self.agenda.push(match *succ {
+                            AlphaSucc::JoinLeft(join) => Task::Left {
+                                join,
+                                sign,
                                 token: Token::single(wme.clone()),
-                            }),
-                            AlphaSucc::JoinRight(j) => self.agenda.push(Task::Right {
-                                join: j,
-                                sign: change.sign,
+                            },
+                            AlphaSucc::JoinRight(join) => Task::Right {
+                                join,
+                                sign,
                                 wme: wme.clone(),
-                            }),
-                            AlphaSucc::Terminal(p) => self.agenda.push(Task::Terminal {
-                                prod: p,
-                                sign: change.sign,
+                            },
+                            AlphaSucc::Terminal(prod) => Task::Terminal {
+                                prod,
+                                sign,
                                 token: Token::single(wme.clone()),
-                            }),
-                        }
+                            },
+                        });
                     }
                 }
                 // Each change's beta cascade completes before the next
@@ -437,22 +401,22 @@ impl<M: TokenMem + Send> Matcher for SeqMatcher<M> {
 
     fn quiesce(&mut self) -> QuiesceReport {
         debug_assert!(self.agenda.is_empty());
-        if let Some(p) = &mut self.profile {
+        if let Some(p) = &mut self.tally.profile {
             p.flush();
         }
         QuiesceReport {
             cs_changes: std::mem::take(&mut self.out),
-            stats_delta: self.delta.take(self.stats),
+            stats_delta: self.delta.take(self.tally.stats),
             phase: None,
         }
     }
 
     fn stats(&self) -> MatchStats {
-        self.stats
+        self.tally.stats
     }
 
     fn reset_stats(&mut self) {
-        self.stats = MatchStats::default();
+        self.tally.stats = MatchStats::default();
         self.delta.reset();
     }
 
@@ -461,13 +425,13 @@ impl<M: TokenMem + Send> Matcher for SeqMatcher<M> {
     }
 
     fn enable_obs(&mut self, _registry: &Arc<obs::Registry>) {
-        if self.profile.is_none() {
-            self.profile = Some(BufferedProfile::new(self.net.n_joins()));
+        if self.tally.profile.is_none() {
+            self.tally.profile = Some(BufferedProfile::new(self.net.n_joins()));
         }
     }
 
     fn node_profile(&self) -> Option<Arc<obs::NodeProfile>> {
-        self.profile.as_ref().map(|p| p.shared.clone())
+        self.tally.profile.as_ref().map(|p| p.shared.clone())
     }
 }
 

@@ -1,0 +1,143 @@
+//! Allocation budget of the sequential activation kernel.
+//!
+//! Most of a rule program's activations are null (Weaver: 97%), and a null
+//! activation is the paper's few-dozen-instruction case, so the budget is
+//! exact: a null right activation allocates nothing, a null left activation
+//! allocates its one-WME token node and nothing else. The allocator below
+//! counts per thread, so concurrently running tests cannot disturb it.
+
+use ops5::{ChangeBatch, Matcher, Program, Sign, Value, Wme, WmeChange, WmeRef};
+use rete::seq::{boxed_vs1, boxed_vs2};
+use rete::{HashMemConfig, Network};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the allocator also runs while a thread's TLS is torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// `a` opens three productions (left input of a positive join twice, of a
+/// not-node once); `b` and `c` only ever arrive on right inputs.
+const SRC: &str = "
+(p pos (a ^x <v>) (b ^y <v>) --> (halt))
+(p neg (a ^x <v>) - (c ^y <v>) (b ^y <v>) --> (halt))
+(p two (a ^x <v>) (b ^y <v>) (c ^y <v>) --> (halt))
+";
+
+const PAIRS: u64 = 200;
+
+struct Measured {
+    allocs: u64,
+    join_activations: u64,
+    null_activations: u64,
+    cs_changes: u64,
+}
+
+/// Streams add/remove pairs of `wmes` (one change per submit, quiesced each
+/// time) and counts the allocations made inside `submit` + `quiesce` after
+/// a warm-up lap has sized the agenda and the memory lines.
+fn stream(m: &mut dyn Matcher, wmes: &[WmeRef]) -> Measured {
+    let batches: Vec<ChangeBatch> = wmes
+        .iter()
+        .flat_map(|w| [Sign::Plus, Sign::Minus].map(|sign| (sign, w.clone())))
+        .map(|(sign, wme)| ChangeBatch::single(WmeChange { sign, wme }))
+        .collect();
+    let lap = |m: &mut dyn Matcher| -> u64 {
+        let mut allocs = 0;
+        for b in &batches {
+            let before = ALLOCS.with(Cell::get);
+            m.submit(b);
+            m.quiesce();
+            allocs += ALLOCS.with(Cell::get) - before;
+        }
+        allocs
+    };
+    lap(m);
+    m.reset_stats();
+    let mut allocs = 0;
+    for _ in 0..PAIRS {
+        allocs += lap(m);
+    }
+    let s = m.stats();
+    Measured {
+        allocs,
+        join_activations: s.join_activations,
+        null_activations: s.null_activations,
+        cs_changes: s.cs_changes,
+    }
+}
+
+fn matchers(net: &Arc<Network>) -> Vec<Box<dyn Matcher>> {
+    vec![
+        boxed_vs1(net.clone()),
+        boxed_vs2(net.clone(), HashMemConfig::default()),
+    ]
+}
+
+#[test]
+fn null_activations_stay_within_their_allocation_budget() {
+    let mut prog = Program::from_source(SRC).unwrap();
+    let net = Arc::new(Network::compile(&prog).unwrap());
+    let [a, b, c] = ["a", "b", "c"].map(|s| prog.symbols.intern(s));
+    let wme = |class, v: i64, tag: u64| Wme::new(class, vec![Value::Int(v)], tag);
+
+    // Right inputs with every left memory empty: `b` enters three positive
+    // joins, `c` a positive join and the not-node.
+    let rights = [wme(b, 1, 1), wme(c, 1, 2), wme(b, 2, 3), wme(c, 2, 4)];
+    for mut m in matchers(&net) {
+        let r = stream(m.as_mut(), &rights);
+        assert!(r.join_activations >= 2 * PAIRS * rights.len() as u64);
+        assert_eq!(r.null_activations, r.join_activations, "{}", m.name());
+        assert_eq!(r.cs_changes, 0);
+        assert_eq!(
+            r.allocs,
+            0,
+            "{}: null right activations allocated",
+            m.name()
+        );
+    }
+
+    // Left inputs with every right memory empty. The not-node passes its
+    // token on (nothing blocks it), into one more null left activation.
+    let lefts = [wme(a, 1, 10), wme(a, 2, 11)];
+    for mut m in matchers(&net) {
+        let r = stream(m.as_mut(), &lefts);
+        assert_eq!(r.join_activations, 2 * PAIRS * lefts.len() as u64 * 4);
+        assert_eq!(r.cs_changes, 0);
+        // Three alpha successors build a `Token::single` each; the token the
+        // not-node forwards is the one it received.
+        assert_eq!(
+            r.allocs,
+            2 * PAIRS * lefts.len() as u64 * 3,
+            "{}: a null left activation costs exactly its token node",
+            m.name()
+        );
+    }
+}

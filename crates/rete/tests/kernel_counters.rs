@@ -1,0 +1,275 @@
+//! Golden counters for the sequential activation kernel.
+//!
+//! vs1/vs2 are the baseline every other matcher and every table is read
+//! against, so a kernel change must leave the *work* it reports exactly
+//! where it was: all of [`MatchStats`] and, for vs2, the conflict-set
+//! changes of every quiescence in emission order. The literals below were
+//! captured on the commit before the borrowed kernel landed; on a mismatch
+//! the test prints the whole measured table in the layout of [`GOLDEN`].
+//! Only change a row together with a reason the counter should have moved.
+
+use engine::{ActStrategy, EngineBuilder};
+use ops5::{ChangeBatch, CsChange, MatchStats, Matcher, QuiesceReport};
+use rete::{HashMemConfig, Network, NetworkOptions};
+use std::sync::{Arc, Mutex};
+use workloads::{tourney, weaver, SetupVal, Workload};
+
+/// Exercises all four not-node arms (left/right x add/remove) with both
+/// empty and populated opposite memories, beside a positive three-CE chain.
+const NEGATED: &str = "
+(literalize item id state)
+(literalize lock id)
+(literalize done id)
+(p claim (item ^id <i> ^state new) - (lock ^id <i>) - (done ^id <i>)
+  --> (make lock ^id <i>) (modify 1 ^state held))
+(p release (item ^id <i> ^state held) (lock ^id <i>) - (done ^id <i>)
+  --> (remove 2) (make done ^id <i>) (modify 1 ^state idle))
+(p retire (item ^id <i> ^state idle) - (lock ^id <i>) (done ^id <i>)
+  --> (remove 1) (remove 3))
+(p steal (item ^id <i> ^state new) (lock ^id <i>)
+  --> (remove 2))
+";
+
+fn programs() -> Vec<Workload> {
+    let mut setup = Vec::new();
+    for id in 1..=6 {
+        setup.push(workloads::SetupWme::new(
+            "item",
+            &[("id", SetupVal::Int(id)), ("state", SetupVal::sym("new"))],
+        ));
+        if id % 2 == 0 {
+            // Pre-existing blockers: `claim` starts blocked, `steal` unblocks.
+            setup.push(workloads::SetupWme::new(
+                "lock",
+                &[("id", SetupVal::Int(id))],
+            ));
+        }
+    }
+    vec![
+        weaver::workload(weaver::WeaverConfig {
+            width: 5,
+            height: 4,
+            kinds: 2,
+            nets: 2,
+            blocked_pct: 5,
+            seed: 17,
+        }),
+        tourney::workload(tourney::TourneyConfig {
+            teams: 6,
+            variant: tourney::Variant::Pathological,
+        }),
+        Workload {
+            name: "negated".into(),
+            source: NEGATED.into(),
+            setup,
+            max_cycles: 1000,
+            validate: Box::new(|_| Ok(())),
+        },
+    ]
+}
+
+/// FNV-1a over every quiescence's CS changes, in emission order, with a
+/// separator per quiescence; plus the number of quiescences.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct CsDigest {
+    hash: u64,
+    quiescences: u64,
+}
+
+impl CsDigest {
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.hash = (self.hash ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+}
+
+struct Recorded {
+    inner: Box<dyn Matcher>,
+    digest: Arc<Mutex<CsDigest>>,
+}
+
+impl Matcher for Recorded {
+    fn submit(&mut self, batch: &ChangeBatch) {
+        self.inner.submit(batch)
+    }
+
+    fn quiesce(&mut self) -> QuiesceReport {
+        let r = self.inner.quiesce();
+        let mut d = self.digest.lock().unwrap();
+        d.quiescences += 1;
+        d.word(u64::MAX);
+        for c in &r.cs_changes {
+            let (sign, inst) = match c {
+                CsChange::Insert(i) => (1, i),
+                CsChange::Remove(i) => (2, i),
+            };
+            d.word(sign);
+            d.word(inst.prod.0 as u64);
+            for w in &inst.wmes {
+                d.word(w.timetag);
+            }
+        }
+        r
+    }
+
+    fn stats(&self) -> MatchStats {
+        self.inner.stats()
+    }
+
+    fn reset_stats(&mut self) {
+        self.inner.reset_stats()
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+const COLUMNS: usize = 16;
+
+fn columns(s: &MatchStats) -> [u64; COLUMNS] {
+    [
+        s.wme_changes,
+        s.activations,
+        s.alpha_activations,
+        s.join_activations,
+        s.null_activations,
+        s.null_skipped,
+        s.opp_tokens_left,
+        s.opp_nonempty_left,
+        s.opp_tokens_right,
+        s.opp_nonempty_right,
+        s.same_tokens_left,
+        s.same_searches_left,
+        s.same_tokens_right,
+        s.same_searches_right,
+        s.cs_changes,
+        s.conjugate_pairs,
+    ]
+}
+
+fn run(w: &Workload, vs2: bool, unlinking: bool) -> ([u64; COLUMNS], CsDigest) {
+    let digest = Arc::new(Mutex::new(CsDigest {
+        hash: 0xcbf2_9ce4_8422_2325,
+        quiescences: 0,
+    }));
+    let sink = digest.clone();
+    let factory = move |net: Arc<Network>| -> Box<dyn Matcher> {
+        let inner = if vs2 {
+            rete::seq::boxed_vs2(net, HashMemConfig::default())
+        } else {
+            rete::seq::boxed_vs1(net)
+        };
+        Box::new(Recorded {
+            inner,
+            digest: sink,
+        })
+    };
+    // Everything an environment knob could re-point is pinned: the matcher
+    // (factory), the network options and the act strategy.
+    let mut eng = EngineBuilder::from_source(&w.source)
+        .expect("parse")
+        .custom_matcher(factory)
+        .network_options(NetworkOptions {
+            sharing: false,
+            unlinking,
+        })
+        .act_strategy(ActStrategy::Serial)
+        .build()
+        .expect("build");
+    workloads::load_setup(&mut eng, w).expect("setup");
+    eng.run(w.max_cycles).expect("run");
+    (w.validate)(&eng).expect("workload validates");
+    let stats = columns(&eng.match_stats());
+    let d = *digest.lock().unwrap();
+    (stats, d)
+}
+
+/// One row per (program, matcher, unlinking), columns as in [`columns`].
+type Row = (&'static str, &'static str, bool, [u64; COLUMNS]);
+
+#[rustfmt::skip]
+const GOLDEN: &[Row] = &[
+    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs1", false, [361, 8844, 295, 8593, 5840, 0, 32244, 1525, 1848, 1133, 4656, 871, 30024, 2843, 251, 0]),
+    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs1", true, [361, 8844, 295, 8593, 0, 5840, 32244, 1525, 1848, 1133, 4656, 871, 30024, 2843, 251, 0]),
+    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs2", false, [361, 8844, 295, 8593, 5840, 0, 1114, 771, 792, 792, 872, 871, 10137, 2843, 251, 0]),
+    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs2", true, [361, 8844, 295, 8593, 0, 5840, 1114, 771, 792, 792, 872, 871, 10137, 2843, 251, 0]),
+    ("tourney(6 teams, pathological)", "vs1", false, [263, 3065, 137, 2081, 288, 0, 5435, 1048, 477, 192, 4099, 844, 447, 168, 984, 0]),
+    ("tourney(6 teams, pathological)", "vs1", true, [263, 3065, 137, 2081, 0, 288, 5435, 1048, 477, 192, 4099, 844, 447, 168, 984, 0]),
+    ("tourney(6 teams, pathological)", "vs2", false, [263, 3065, 137, 2081, 288, 0, 1839, 708, 305, 164, 1546, 844, 447, 168, 984, 0]),
+    ("tourney(6 teams, pathological)", "vs2", true, [263, 3065, 137, 2081, 0, 288, 1839, 708, 305, 164, 1546, 844, 447, 168, 984, 0]),
+    ("negated", "vs1", false, [66, 258, 54, 198, 81, 0, 60, 40, 144, 50, 90, 45, 90, 54, 60, 0]),
+    ("negated", "vs1", true, [66, 258, 54, 198, 0, 81, 60, 40, 144, 50, 90, 45, 90, 54, 60, 0]),
+    ("negated", "vs2", false, [66, 258, 54, 198, 81, 0, 24, 24, 30, 30, 45, 45, 54, 54, 60, 0]),
+    ("negated", "vs2", true, [66, 258, 54, 198, 0, 81, 24, 24, 30, 30, 45, 45, 54, 54, 60, 0]),
+];
+
+/// vs2's CS-change digest per program; identical with unlinking off and on
+/// (the gate only suppresses scans that find nothing).
+#[rustfmt::skip]
+const GOLDEN_CS: &[(&str, CsDigest)] = &[
+    ("weaver(5x4x2, 2 nets, 2 kinds)", CsDigest { hash: 0xacbedc7a38366a7f, quiescences: 114 }),
+    ("tourney(6 teams, pathological)", CsDigest { hash: 0xe008df502d996622, quiescences: 67 }),
+    ("negated", CsDigest { hash: 0x9c0a1214e086afc5, quiescences: 22 }),
+];
+
+#[test]
+fn counters_and_cs_order_match_the_parent_commit() {
+    let mut rows: Vec<(String, &'static str, bool, [u64; COLUMNS])> = Vec::new();
+    let mut digests: Vec<(String, CsDigest)> = Vec::new();
+    for w in programs() {
+        for (label, vs2) in [("vs1", false), ("vs2", true)] {
+            let mut per_gate = Vec::new();
+            for unlinking in [false, true] {
+                let (stats, d) = run(&w, vs2, unlinking);
+                rows.push((w.name.clone(), label, unlinking, stats));
+                per_gate.push(d);
+            }
+            assert_eq!(
+                per_gate[0], per_gate[1],
+                "{} {label}: unlinking changed the CS-change sequence",
+                w.name
+            );
+            if vs2 {
+                digests.push((w.name.clone(), per_gate[0]));
+            }
+        }
+    }
+    let mut table = String::from("const GOLDEN: &[Row] = &[\n");
+    for (name, label, unlinking, stats) in &rows {
+        table += &format!("    ({name:?}, {label:?}, {unlinking}, {stats:?}),\n");
+    }
+    table += "];\nconst GOLDEN_CS: &[(&str, CsDigest)] = &[\n";
+    for (name, d) in &digests {
+        table += &format!(
+            "    ({name:?}, CsDigest {{ hash: {:#x}, quiescences: {} }}),\n",
+            d.hash, d.quiescences
+        );
+    }
+    table += "];";
+    let same_rows = rows.len() == GOLDEN.len()
+        && rows
+            .iter()
+            .zip(GOLDEN)
+            .all(|(a, b)| a.0 == b.0 && a.1 == b.1 && a.2 == b.2 && a.3 == b.3);
+    let same_cs = digests.len() == GOLDEN_CS.len()
+        && digests
+            .iter()
+            .zip(GOLDEN_CS)
+            .all(|(a, b)| a.0 == b.0 && a.1 == b.1);
+    assert!(
+        same_rows && same_cs,
+        "kernel counters moved; measured:\n{table}"
+    );
+    // The programs must actually reach the arms the kernel special-cases.
+    for (name, label, unlinking, s) in &rows {
+        let (null, skipped, cs) = (s[4], s[5], s[14]);
+        assert!(cs > 0, "{name} {label}: no conflict-set change");
+        if *unlinking {
+            assert!(skipped > 0 && null == 0, "{name} {label}: gate unused");
+        } else {
+            assert!(null > 0 && skipped == 0, "{name} {label}: no null work");
+        }
+    }
+}

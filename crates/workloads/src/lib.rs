@@ -162,8 +162,15 @@ pub fn build_engine_obs(
         b = b.network_options(o);
     }
     let mut eng = b.build()?;
+    load_setup(&mut eng, w)?;
+    Ok(eng)
+}
+
+/// Asserts the workload's initial working memory into an engine built from
+/// its source (for callers that need their own [`EngineBuilder`] settings).
+pub fn load_setup(eng: &mut Engine, w: &Workload) -> Result<()> {
     for wme in &w.setup {
-        let sets: Vec<(String, Value)> = wme
+        let sets: Vec<(&str, Value)> = wme
             .sets
             .iter()
             .map(|(a, v)| {
@@ -171,13 +178,12 @@ pub fn build_engine_obs(
                     SetupVal::Sym(s) => eng.sym(s),
                     SetupVal::Int(i) => Value::Int(*i),
                 };
-                (a.clone(), val)
+                (a.as_str(), val)
             })
             .collect();
-        let set_refs: Vec<(&str, Value)> = sets.iter().map(|(a, v)| (a.as_str(), *v)).collect();
-        eng.make_wme(&wme.class, &set_refs)?;
+        eng.make_wme(&wme.class, &sets)?;
     }
-    Ok(eng)
+    Ok(())
 }
 
 /// Runs a workload to completion and validates the outcome. Returns the
