@@ -111,7 +111,7 @@ pub fn record_trace_with_lines(w: &Workload, lines: usize) -> Result<RunTrace> {
     let mut eng = engine::EngineBuilder::from_source(&w.source)?
         .trace(lines, sink.clone())
         .build()?;
-    workloads::load_setup(&mut eng, w)?;
+    workloads::load_setup(&mut eng, &w.setup)?;
     eng.run(w.max_cycles)?;
     if let Err(e) = (w.validate)(&eng) {
         return Err(ops5::Ops5Error::Runtime(format!(

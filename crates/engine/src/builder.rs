@@ -4,7 +4,10 @@
 //! (lisp interpreter baseline, vs1 linear memories, vs2 hash memories, and
 //! the parallel PSM-E matcher); [`EngineBuilder`] is the single construction
 //! path that picks between them, replacing the old scatter of ad-hoc
-//! `Engine::vs1` / `Engine::vs2` / `Engine::with_matcher` call sites:
+//! `Engine::vs1` / `Engine::vs2` / `Engine::with_matcher` call sites.
+//! Building is two steps — compile the program into an immutable
+//! [`CompiledProgram`] (skipped when the builder was handed one), then
+//! instantiate an engine from it:
 //!
 //! ```
 //! use engine::{EngineBuilder, MatcherKind};
@@ -21,8 +24,9 @@
 //! ```
 
 use crate::act::ActStrategy;
+use crate::compiled::CompiledProgram;
 use crate::interp::Engine;
-use ops5::{Matcher, Program, Result, Strategy};
+use ops5::{Matcher, Ops5Error, Program, Result, Strategy};
 use psm::trace::{RunTrace, TraceMatcher};
 use rete::network::Network;
 use std::sync::{Arc, Mutex};
@@ -89,13 +93,20 @@ impl MatcherKind {
     pub const NAMES: &'static [&'static str] = &["vs1", "vs2", "lisp", "psm", "col"];
 }
 
+/// What a builder starts from: a parsed program it still has to compile,
+/// or an already-compiled one to instantiate from.
+enum Source {
+    Parsed(Program),
+    Compiled(Arc<CompiledProgram>),
+}
+
 /// Builder for [`Engine`]: program + matcher choice + interpreter knobs.
 ///
 /// Defaults: vs2 matcher with the default hash-memory config, the program's
 /// own `(strategy ...)` directive (LEX if absent), no write echoing, fired
 /// log kept.
 pub struct EngineBuilder {
-    program: Program,
+    source: Source,
     matcher: MatcherKind,
     matcher_set: bool,
     strategy: Option<Strategy>,
@@ -113,8 +124,10 @@ pub struct EngineBuilder {
 /// Reads the `OPS5_NETWORK_SHARING` / `OPS5_NETWORK_UNLINKING` environment
 /// knobs (any of `1`, `true`, `on`, `yes`, case-insensitive, enables). This
 /// is how CI runs the whole test suite in the tuned configuration without
-/// touching call sites.
-fn options_from_env() -> rete::NetworkOptions {
+/// touching call sites. Public for hosts that compile a
+/// [`CompiledProgram`] themselves and want the process-wide options a
+/// plain [`EngineBuilder::build`] would have used.
+pub fn network_options_from_env() -> rete::NetworkOptions {
     fn flag(name: &str) -> bool {
         std::env::var(name)
             .map(|v| matches!(v.to_ascii_lowercase().as_str(), "1" | "true" | "on" | "yes"))
@@ -129,8 +142,21 @@ fn options_from_env() -> rete::NetworkOptions {
 impl EngineBuilder {
     /// Starts a builder from an already-parsed program.
     pub fn new(program: Program) -> EngineBuilder {
+        EngineBuilder::with_source(Source::Parsed(program))
+    }
+
+    /// Starts a builder from a shared compiled program: [`build`]
+    /// (Self::build) skips parse and compile and only instantiates. The
+    /// network options are the artefact's; asking for different ones via
+    /// [`network_options`](Self::network_options) makes `build` fail
+    /// rather than silently recompile or run on a mismatched network.
+    pub fn from_compiled(compiled: Arc<CompiledProgram>) -> EngineBuilder {
+        EngineBuilder::with_source(Source::Compiled(compiled))
+    }
+
+    fn with_source(source: Source) -> EngineBuilder {
         EngineBuilder {
-            program,
+            source,
             matcher: MatcherKind::default(),
             matcher_set: false,
             strategy: None,
@@ -252,12 +278,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Compiles the network, installs the matcher, and returns the engine.
+    /// Compiles the program (unless the builder was handed a
+    /// [`CompiledProgram`]), instantiates an engine from it around the
+    /// chosen matcher, and returns the engine.
     pub fn build(self) -> Result<Engine> {
-        let mut program = self.program;
-        if let Some(s) = self.strategy {
-            program.strategy = s;
-        }
         // The `OPS5_MATCHER` environment knob re-points builders that kept
         // the default matcher (no explicit `.matcher()` call, no custom
         // factory), the same CI lever as the network-option knobs. A typo'd
@@ -293,43 +317,55 @@ impl EngineBuilder {
             }
             _ => self.act,
         };
-        let opts = match self.network_options {
-            Some(o) => o,
-            // Pin the trace matcher to the paper-faithful defaults unless
-            // the caller opted in explicitly: the simulator tables must not
-            // shift under a CI-wide environment override.
-            None if matches!(matcher, MatcherKind::Trace { .. }) && self.factory.is_none() => {
-                rete::NetworkOptions::default()
-            }
-            None => options_from_env(),
-        };
-        let mut eng = if let Some(factory) = self.factory {
-            Engine::with_matcher(program, opts, factory)?
-        } else {
-            match matcher {
-                MatcherKind::Vs1 => Engine::with_matcher(program, opts, rete::seq::boxed_vs1)?,
-                MatcherKind::Vs2(cfg) => {
-                    Engine::with_matcher(program, opts, move |net| rete::seq::boxed_vs2(net, cfg))?
+        let compiled = match self.source {
+            Source::Compiled(c) => match self.network_options {
+                Some(asked) if asked != c.options() => {
+                    return Err(Ops5Error::Runtime(format!(
+                        "network options {asked:?} requested of a program compiled with {:?}",
+                        c.options()
+                    )))
                 }
-                MatcherKind::Lisp => {
-                    // The lisp matcher works from the parsed program (names),
-                    // not the compiled network; only unlinking applies.
-                    let prog2 = program.clone();
-                    Engine::with_matcher(program, opts, move |_net| {
-                        lispsim::LispEngineMatcher::boxed_with(&prog2, opts)
-                    })?
-                }
-                MatcherKind::Psm(cfg) => Engine::with_matcher(program, opts, move |net| {
-                    psm::ParMatcher::boxed(net, cfg)
-                })?,
-                MatcherKind::Col => Engine::with_matcher(program, opts, rete::colmatch::boxed_col)?,
-                MatcherKind::Trace { buckets, sink } => {
-                    Engine::with_matcher(program, opts, move |net| {
-                        Box::new(TraceMatcher::new(net, buckets, sink)) as Box<dyn Matcher>
-                    })?
-                }
+                _ => c,
+            },
+            Source::Parsed(program) => {
+                let opts = match self.network_options {
+                    Some(o) => o,
+                    // Pin the trace matcher to the paper-faithful defaults
+                    // unless the caller opted in explicitly: the simulator
+                    // tables must not shift under a CI-wide environment
+                    // override.
+                    None if matches!(matcher, MatcherKind::Trace { .. })
+                        && self.factory.is_none() =>
+                    {
+                        rete::NetworkOptions::default()
+                    }
+                    None => network_options_from_env(),
+                };
+                Arc::new(CompiledProgram::compile(program, opts)?)
             }
         };
+        let net = compiled.network().clone();
+        let installed: Box<dyn Matcher> = match (self.factory, matcher) {
+            (Some(factory), _) => factory(net),
+            (None, MatcherKind::Vs1) => rete::seq::boxed_vs1(net),
+            (None, MatcherKind::Vs2(cfg)) => rete::seq::boxed_vs2(net, cfg),
+            // The lisp matcher works from the parsed program (names), not
+            // the compiled network; only unlinking applies.
+            (None, MatcherKind::Lisp) => {
+                lispsim::LispEngineMatcher::boxed_with(compiled.program(), compiled.options())
+            }
+            (None, MatcherKind::Psm(cfg)) => psm::ParMatcher::boxed(net, cfg),
+            (None, MatcherKind::Col) => rete::colmatch::boxed_col(net),
+            (None, MatcherKind::Trace { buckets, sink }) => {
+                Box::new(TraceMatcher::new(net, buckets, sink))
+            }
+        };
+        let mut eng = Engine::with_matcher(compiled, installed);
+        // The strategy only steers conflict resolution, never the compiled
+        // network, so an override is per engine.
+        if let Some(s) = self.strategy {
+            eng.prog.strategy = s;
+        }
         eng.echo_writes = self.echo_writes;
         eng.keep_fired_log = self.keep_fired_log;
         eng.limits = self.limits;

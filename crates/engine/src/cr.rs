@@ -107,7 +107,7 @@ mod tests {
         }
     }
 
-    fn prods(n: usize, extra_tests_on_last: bool) -> Vec<Production> {
+    fn prods(n: usize, extra_tests_on_last: bool) -> std::sync::Arc<Vec<Production>> {
         // Build n productions; the last one optionally more specific.
         let mut src = String::new();
         for i in 0..n {

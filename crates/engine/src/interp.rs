@@ -1,13 +1,14 @@
 //! The recognize-act interpreter — the paper's control process.
 
 use crate::act::{self, ActStats, ActStrategy};
+use crate::compiled::CompiledProgram;
 use crate::cr;
 use crate::cs::ConflictSet;
-use crate::rhs::{self, RhsEffect, RhsProgram};
+use crate::rhs::{self, RhsEffect};
 use crate::wm::WorkingMemory;
 use ops5::{
-    ActFootprints, ChangeBatch, Instantiation, Matcher, Ops5Error, PhaseNanos, ProdId, Program,
-    Result, Sign, SymbolId, Value, WmeChange, WmeRef,
+    ChangeBatch, Instantiation, Matcher, Ops5Error, PhaseNanos, ProdId, Program, Result, Sign,
+    SymbolId, Value, WmeChange, WmeRef,
 };
 use rete::network::Network;
 use std::sync::Arc;
@@ -51,14 +52,19 @@ pub struct RunResult {
     pub reason: StopReason,
 }
 
-/// The OPS5 interpreter: working memory + conflict set + a match engine.
+/// The OPS5 interpreter: working memory + conflict set + a match engine,
+/// instantiated from a shared [`CompiledProgram`].
 pub struct Engine {
+    /// This engine's view of the program: its own symbol and class tables
+    /// (cloned from the compiled program's, then extended as the engine
+    /// interns symbols and auto-extends classes) over the shared
+    /// productions.
     pub prog: Program,
-    net: Arc<Network>,
+    /// The shared immutable half: network, RHS code, act footprints.
+    compiled: Arc<CompiledProgram>,
     pub(crate) matcher: Box<dyn Matcher>,
     pub(crate) wm: WorkingMemory,
     pub(crate) cs: ConflictSet,
-    rhs: Vec<RhsProgram>,
     pub(crate) halted: bool,
     pub(crate) cycles: u64,
     pub(crate) fired_log: Vec<(ProdId, Vec<u64>)>,
@@ -83,9 +89,6 @@ pub struct Engine {
     act: ActStrategy,
     /// Always-on act-phase counters (see [`ActStats`]).
     act_stats: ActStats,
-    /// Static act footprints, computed lazily on the first switch to
-    /// [`ActStrategy::Parallel`].
-    footprints: Option<Arc<ActFootprints>>,
 }
 
 /// The engine's slice of the observability layer: a per-engine registry
@@ -113,29 +116,22 @@ impl EngineObs {
 }
 
 impl Engine {
-    /// The one low-level constructor: compile the network with explicit
-    /// options, install the matcher the factory builds. Crate-internal —
-    /// every caller goes through [`crate::builder::EngineBuilder`], the
-    /// single public construction path (its `custom_matcher` hook covers
-    /// matchers this crate does not know about).
+    /// The one low-level constructor: instantiate an engine from the shared
+    /// compiled program around an already-built matcher. The per-engine
+    /// part is exactly a clone of the parse-time symbol and class tables
+    /// (the productions behind `prog` are shared). Crate-internal — every
+    /// caller goes through [`crate::builder::EngineBuilder`], the single
+    /// public construction path.
     pub(crate) fn with_matcher(
-        prog: Program,
-        options: rete::NetworkOptions,
-        make_matcher: impl FnOnce(Arc<Network>) -> Box<dyn Matcher>,
-    ) -> Result<Engine> {
-        let net = Arc::new(Network::compile_with(&prog, options)?);
-        let classes = prog.classes.clone();
-        let mut rhs = Vec::with_capacity(prog.productions.len());
-        for p in &prog.productions {
-            rhs.push(rhs::compile_rhs(p, &prog.symbols, |c| classes.arity(c))?);
-        }
-        Ok(Engine {
-            matcher: make_matcher(net.clone()),
-            net,
-            prog,
+        compiled: Arc<CompiledProgram>,
+        matcher: Box<dyn Matcher>,
+    ) -> Engine {
+        Engine {
+            prog: compiled.program().clone(),
+            compiled,
+            matcher,
             wm: WorkingMemory::new(),
             cs: ConflictSet::new(),
-            rhs,
             halted: false,
             cycles: 0,
             fired_log: Vec::new(),
@@ -149,12 +145,16 @@ impl Engine {
             obs: None,
             act: ActStrategy::Serial,
             act_stats: ActStats::default(),
-            footprints: None,
-        })
+        }
+    }
+
+    /// The shared compiled program this engine was instantiated from.
+    pub fn compiled(&self) -> &Arc<CompiledProgram> {
+        &self.compiled
     }
 
     pub fn network(&self) -> &Arc<Network> {
-        &self.net
+        self.compiled.network()
     }
 
     /// Turn on the observability layer: creates this engine's metrics
@@ -228,8 +228,10 @@ impl Engine {
     /// `Parallel` is serial-equivalent by construction, so mixing
     /// strategies over an engine's lifetime changes nothing observable.
     pub fn set_act_strategy(&mut self, act: ActStrategy) {
-        if matches!(act, ActStrategy::Parallel { .. }) && self.footprints.is_none() {
-            self.footprints = Some(Arc::new(ActFootprints::new(&self.prog)));
+        if matches!(act, ActStrategy::Parallel { .. }) {
+            // Computed once per compiled program, here rather than inside
+            // the first grouped cycle.
+            self.compiled.footprints();
         }
         self.act = act;
     }
@@ -476,7 +478,7 @@ impl Engine {
     }
 
     fn fire(&mut self, inst: &Instantiation) -> Result<()> {
-        let code = self.rhs[inst.prod.index()].clone();
+        let code = &self.compiled.rhs[inst.prod.index()];
         let wm = &mut self.wm;
         let line = &mut self.line;
         let output = &mut self.output;
@@ -488,7 +490,7 @@ impl Engine {
         // the matcher walks each class's alpha chain once per firing.
         let mut batch = ChangeBatch::new();
 
-        let halted = rhs::execute(&code, inst, &mut self.prog.symbols, |effect| {
+        let halted = rhs::execute(code, inst, &mut self.prog.symbols, |effect| {
             if err.is_some() {
                 return;
             }
@@ -550,20 +552,14 @@ impl Engine {
         self.act_stats.match_passes += 1;
         let t_match = t_start.map(|_| Instant::now());
 
-        let fps = match &self.footprints {
-            Some(f) => f.clone(),
-            None => {
-                let f = Arc::new(ActFootprints::new(&self.prog));
-                self.footprints = Some(f.clone());
-                f
-            }
-        };
+        let compiled = self.compiled.clone();
+        let fps = compiled.footprints();
         let rejects_before = self.act_stats.interference_rejects;
         let group = act::select_group(
             self.prog.strategy,
             self.cs.candidates(),
             &self.prog.productions,
-            &fps,
+            fps,
             cap,
             &mut self.act_stats,
         );
@@ -593,7 +589,7 @@ impl Engine {
                     (0..n).map(|_| self.prog.symbols.gensym()).collect()
                 })
                 .collect();
-            let evals = act::eval_group(&self.rhs, &group, &pre, &self.prog.symbols);
+            let evals = act::eval_group(&compiled.rhs, &group, &pre, &self.prog.symbols);
 
             // Merge in conflict-set order: timetags, refraction marks, the
             // fired log, the journal, and `write` output land exactly as k

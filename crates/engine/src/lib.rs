@@ -15,10 +15,14 @@
 //!
 //! Construct engines with [`EngineBuilder`]; it selects between all four of
 //! the paper's match engines (vs1, vs2, the lisp baseline, PSM-E) plus the
-//! trace recorder.
+//! trace recorder. Everything derived from the source text alone — AST,
+//! Rete network, RHS code — lives in one immutable [`CompiledProgram`];
+//! hosts that open many engines on one program compile it once and hand
+//! the builder the shared artefact.
 
 pub mod act;
 pub mod builder;
+pub mod compiled;
 pub mod cr;
 pub mod cs;
 pub mod interp;
@@ -27,7 +31,8 @@ pub mod state;
 pub mod wm;
 
 pub use act::{ActStats, ActStrategy};
-pub use builder::{EngineBuilder, MatcherKind};
+pub use builder::{network_options_from_env, EngineBuilder, MatcherKind};
+pub use compiled::CompiledProgram;
 pub use cr::order_dominates;
 pub use cs::ConflictSet;
 pub use interp::{Engine, EngineLimits, RunResult, StopReason};

@@ -162,7 +162,7 @@ pub fn program_fingerprint(prog: &Program) -> u64 {
     };
     eat(&SNAPSHOT_VERSION.to_le_bytes());
     eat(format!("{:?}", prog.strategy).as_bytes());
-    for p in &prog.productions {
+    for p in prog.productions.iter() {
         eat(prog.symbols.name(p.name).as_bytes());
         eat(&(p.lhs.len() as u64).to_le_bytes());
         eat(&(p.rhs.len() as u64).to_le_bytes());

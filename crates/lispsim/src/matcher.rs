@@ -126,7 +126,7 @@ impl LispMatcher {
     /// `unlinking` flag applies to the interpreted matcher).
     pub fn new_with(prog: &Program, options: rete::NetworkOptions) -> LispMatcher {
         let mut prods = Vec::with_capacity(prog.productions.len());
-        for p in &prog.productions {
+        for p in prog.productions.iter() {
             let mut conds = Vec::new();
             for ce in &p.lhs {
                 let info = prog.classes.info(ce.class);

@@ -28,6 +28,7 @@ use crate::program::{Program, Strategy};
 use crate::symbol::SymbolId;
 use crate::value::{ArithOp, Pred, Value};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 struct Parser<'a> {
     toks: Vec<Token>,
@@ -193,7 +194,7 @@ impl<'a> Parser<'a> {
                 other => return self.err(format!("expected RHS action or ')', found {other:?}")),
             }
         }
-        self.prog.productions.push(Production { name, lhs, rhs });
+        Arc::make_mut(&mut self.prog.productions).push(Production { name, lhs, rhs });
         Ok(())
     }
 

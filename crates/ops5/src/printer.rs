@@ -256,7 +256,7 @@ pub fn print_program(prog: &Program) -> String {
         }
         s.push_str(")\n");
     }
-    for p in &prog.productions {
+    for p in prog.productions.iter() {
         s.push_str(&print_production(p, &prog.symbols, &prog.classes));
     }
     s

@@ -4,6 +4,7 @@ use crate::ast::Production;
 use crate::error::{Ops5Error, Result};
 use crate::symbol::{SymbolId, SymbolTable};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Dense production identifier (index into `Program::productions`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -123,11 +124,16 @@ pub struct StartupWme {
 
 /// A parsed OPS5 program: symbol table, class layouts, productions,
 /// startup working memory, and the conflict-resolution strategy.
+///
+/// The productions are immutable once parsed and shared between clones
+/// (every engine instantiated from one compiled program holds the same
+/// AST); the symbol and class tables are per clone, because a running
+/// engine interns symbols and auto-extends class layouts.
 #[derive(Debug, Clone)]
 pub struct Program {
     pub symbols: SymbolTable,
     pub classes: ClassTable,
-    pub productions: Vec<Production>,
+    pub productions: Arc<Vec<Production>>,
     /// Top-level `(make ...)` forms, in source order.
     pub startup: Vec<StartupWme>,
     pub strategy: Strategy,
@@ -144,7 +150,7 @@ impl Program {
         Program {
             symbols: SymbolTable::new(),
             classes: ClassTable::new(),
-            productions: Vec::new(),
+            productions: Arc::new(Vec::new()),
             startup: Vec::new(),
             strategy: Strategy::Lex,
         }

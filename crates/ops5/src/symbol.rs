@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A 4-byte handle to an interned symbol.
 ///
@@ -36,10 +37,14 @@ impl SymbolId {
 
 /// A string interner. Owned by the control thread; match threads only ever
 /// see `SymbolId`s.
+///
+/// Each name is stored once and shared between the two directions of the
+/// map, so cloning a table (one clone per engine instantiated from a shared
+/// compiled program) copies pointers, not bytes.
 #[derive(Debug, Clone)]
 pub struct SymbolTable {
-    by_name: HashMap<String, SymbolId>,
-    names: Vec<String>,
+    by_name: HashMap<Arc<str>, SymbolId>,
+    names: Vec<Arc<str>>,
     gensym_counter: u64,
 }
 
@@ -68,8 +73,9 @@ impl SymbolTable {
             return id;
         }
         let id = SymbolId(self.names.len() as u32);
-        self.names.push(name.to_string());
-        self.by_name.insert(name.to_string(), id);
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(name.clone());
+        self.by_name.insert(name, id);
         id
     }
 
@@ -99,7 +105,7 @@ impl SymbolTable {
         loop {
             self.gensym_counter += 1;
             let name = format!("g{}", self.gensym_counter);
-            if !self.by_name.contains_key(&name) {
+            if !self.by_name.contains_key(name.as_str()) {
                 return self.intern(&name);
             }
         }
@@ -143,6 +149,25 @@ mod tests {
         assert_eq!(t.name(g), "g2");
         let g2 = t.gensym();
         assert_eq!(t.name(g2), "g3");
+    }
+
+    #[test]
+    fn clone_shares_name_storage_and_diverges_independently() {
+        let mut a = SymbolTable::new();
+        let goal = a.intern("goal");
+        let mut b = a.clone();
+        // One allocation per name, shared by both maps of both tables.
+        assert!(Arc::ptr_eq(&a.names[goal.index()], &b.names[goal.index()]));
+        let (key, _) = b.by_name.get_key_value("goal").unwrap();
+        assert!(Arc::ptr_eq(key, &a.names[goal.index()]));
+        // The clones extend the same prefix, each on its own.
+        let xa = a.intern("only-a");
+        let xb = b.intern("only-b");
+        assert_eq!(xa, xb, "both take the next free id");
+        assert_eq!(a.name(xa), "only-a");
+        assert_eq!(b.name(xb), "only-b");
+        assert_eq!(a.get("only-b"), None);
+        assert_eq!(a.gensym(), b.gensym(), "gensym counters are per table");
     }
 
     #[test]

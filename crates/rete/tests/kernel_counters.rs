@@ -178,7 +178,7 @@ fn run(w: &Workload, vs2: bool, unlinking: bool) -> ([u64; COLUMNS], CsDigest) {
         .act_strategy(ActStrategy::Serial)
         .build()
         .expect("build");
-    workloads::load_setup(&mut eng, w).expect("setup");
+    workloads::load_setup(&mut eng, &w.setup).expect("setup");
     eng.run(w.max_cycles).expect("run");
     (w.validate)(&eng).expect("workload validates");
     let stats = columns(&eng.match_stats());

@@ -9,8 +9,11 @@
 //! Layers, bottom up:
 //!
 //! * [`registry`] — named program profiles (`programs/*.ops` + the
-//!   generated Rubik workload); each `OPEN` builds a fresh, fully
-//!   independent [`engine::Engine`] (own symbol table, network, matcher).
+//!   generated Rubik workload). A program is parsed and compiled once, on
+//!   its first `OPEN`/`RESTORE`, into a shared immutable
+//!   [`engine::CompiledProgram`]; each session instantiates its own
+//!   [`engine::Engine`] from it (own symbol and class tables, matcher
+//!   memories, working memory) over the one shared network.
 //! * [`session`] — the command executor around one engine. Ingestion is
 //!   staged: `ASSERT`/`RETRACT` take effect in working memory immediately
 //!   but reach the matcher as **one [`ops5::ChangeBatch`] per `RUN`**, the

@@ -1,70 +1,108 @@
 //! The program registry: named production-system profiles a session can be
 //! opened on.
 //!
-//! A [`ProgramSpec`] is source plus initial working memory; building one
-//! yields a fresh, independent [`Engine`] (own symbol table, own network,
-//! own matcher threads). [`Registry::with_builtins`] loads every `*.ops`
-//! file from a corpus directory under its file stem, plus the generated
-//! `rubik` workload, so the server's sessions exercise both hand-written
-//! corpus programs and the paper's benchmark generator.
+//! A [`ProgramSpec`] is source plus initial working memory. The first
+//! build of a spec parses and compiles it into one shared, immutable
+//! [`CompiledProgram`] (AST, Rete network, RHS code); every build —
+//! that one included — then *instantiates* an independent [`Engine`] from
+//! the artefact: its own symbol and class tables, matcher memories, working
+//! memory and conflict set over the shared network. The registry is fixed
+//! when the server binds, so the cache is bounded by the corpus; inline
+//! `OPEN -` programs get a throw-away spec and are never cached.
+//! [`Registry::with_builtins`] loads every `*.ops` file from a corpus
+//! directory under its file stem, plus the generated `rubik` workload, so
+//! the server's sessions exercise both hand-written corpus programs and the
+//! paper's benchmark generator.
 
-use engine::{ActStrategy, Engine, EngineBuilder, EngineLimits, MatcherKind};
-use ops5::{Result, Value};
+use engine::{ActStrategy, CompiledProgram, Engine, EngineBuilder, EngineLimits, MatcherKind};
+use ops5::{Program, Result};
 use std::collections::BTreeMap;
 use std::path::Path;
-use workloads::{SetupVal, SetupWme};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+use workloads::SetupWme;
 
 /// A named program profile: OPS5 source plus initial working memory.
 pub struct ProgramSpec {
     pub source: String,
     pub setup: Vec<SetupWme>,
+    /// Parse + compile result, filled by the first build (never at
+    /// registration: an unused corpus file costs nothing). A failure is
+    /// cached like a success, so the Nth `OPEN` of a broken program answers
+    /// exactly what the first did.
+    compiled: OnceLock<Result<Arc<CompiledProgram>>>,
+    /// How many times this spec was parsed + compiled: 0 or 1.
+    compiles: AtomicU64,
 }
 
 impl ProgramSpec {
-    pub fn from_source(source: impl Into<String>) -> ProgramSpec {
+    pub fn new(source: impl Into<String>, setup: Vec<SetupWme>) -> ProgramSpec {
         ProgramSpec {
             source: source.into(),
-            setup: Vec::new(),
+            setup,
+            compiled: OnceLock::new(),
+            compiles: AtomicU64::new(0),
         }
     }
 
-    /// Builds a fresh engine for this spec: parse, compile, install the
-    /// matcher, load the source's startup forms, then the setup WMEs.
+    pub fn from_source(source: impl Into<String>) -> ProgramSpec {
+        ProgramSpec::new(source, Vec::new())
+    }
+
+    /// The shared compiled program, parsed and compiled on first use with
+    /// the process-wide network options. Threads racing on a never-built
+    /// spec all wait for the one compile and share its result.
+    fn compiled(&self) -> Result<Arc<CompiledProgram>> {
+        self.compiled
+            .get_or_init(|| {
+                self.compiles.fetch_add(1, Ordering::Relaxed);
+                let program = Program::from_source(&self.source)?;
+                CompiledProgram::compile(program, engine::network_options_from_env()).map(Arc::new)
+            })
+            .clone()
+    }
+
+    /// Times this spec was parsed + compiled (the
+    /// `serve_program_compiles_total` metric): 0 before the first build,
+    /// 1 ever after, however many sessions were opened on it.
+    pub fn compiles(&self) -> u64 {
+        self.compiles.load(Ordering::Relaxed)
+    }
+
+    /// A builder that instantiates from the shared compiled program.
     /// `act` pins the act strategy; `None` keeps the builder default (and
     /// with it the `OPS5_ACT` environment knob).
+    fn builder(
+        &self,
+        kind: MatcherKind,
+        limits: EngineLimits,
+        act: Option<ActStrategy>,
+    ) -> Result<EngineBuilder> {
+        let b = EngineBuilder::from_compiled(self.compiled()?)
+            .matcher(kind)
+            .limits(limits);
+        Ok(match act {
+            Some(act) => b.act_strategy(act),
+            None => b,
+        })
+    }
+
+    /// Builds a fresh engine for this spec: instantiate from the compiled
+    /// program, install the matcher, load the source's startup forms, then
+    /// the setup WMEs.
     pub fn build(
         &self,
         kind: MatcherKind,
         limits: EngineLimits,
         act: Option<ActStrategy>,
     ) -> Result<Engine> {
-        let mut b = EngineBuilder::from_source(&self.source)?
-            .matcher(kind)
-            .limits(limits);
-        if let Some(act) = act {
-            b = b.act_strategy(act);
-        }
-        let mut eng = b.build()?;
+        let mut eng = self.builder(kind, limits, act)?.build()?;
         eng.load_startup()?;
-        for wme in &self.setup {
-            let sets: Vec<(String, Value)> = wme
-                .sets
-                .iter()
-                .map(|(a, v)| {
-                    let val = match v {
-                        SetupVal::Sym(s) => eng.sym(s),
-                        SetupVal::Int(i) => Value::Int(*i),
-                    };
-                    (a.clone(), val)
-                })
-                .collect();
-            let set_refs: Vec<(&str, Value)> = sets.iter().map(|(a, v)| (a.as_str(), *v)).collect();
-            eng.make_wme(&wme.class, &set_refs)?;
-        }
+        workloads::load_setup(&mut eng, &self.setup)?;
         Ok(eng)
     }
 
-    /// Builds a *bare* engine: parse, compile, install the matcher — but do
+    /// Builds a *bare* engine: instantiate and install the matcher — but do
     /// NOT load startup forms or setup WMEs. This is the `RESTORE` path:
     /// the snapshot carries every WME (startup and setup included), so
     /// loading them here would double them up.
@@ -74,13 +112,7 @@ impl ProgramSpec {
         limits: EngineLimits,
         act: Option<ActStrategy>,
     ) -> Result<Engine> {
-        let mut b = EngineBuilder::from_source(&self.source)?
-            .matcher(kind)
-            .limits(limits);
-        if let Some(act) = act {
-            b = b.act_strategy(act);
-        }
-        b.build()
+        self.builder(kind, limits, act)?.build()
     }
 }
 
@@ -120,13 +152,7 @@ impl Registry {
             scramble_len: 5,
             plan: workloads::rubik::PlanMode::Inverse,
         });
-        reg.insert(
-            "rubik",
-            ProgramSpec {
-                source: rubik.source,
-                setup: rubik.setup,
-            },
-        );
+        reg.insert("rubik", ProgramSpec::new(rubik.source, rubik.setup));
         reg
     }
 
@@ -140,6 +166,11 @@ impl Registry {
 
     pub fn names(&self) -> Vec<&str> {
         self.specs.keys().map(|s| s.as_str()).collect()
+    }
+
+    /// Every program with its spec, in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &ProgramSpec)> {
+        self.specs.iter().map(|(name, spec)| (name.as_str(), spec))
     }
 }
 

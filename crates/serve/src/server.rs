@@ -959,6 +959,14 @@ pub(crate) fn render_metrics(shared: &Shared) -> String {
             }
         });
     }
+    // How often each registry program was parsed + compiled: 1 from its
+    // first `OPEN`/`RESTORE` on, however many sessions followed.
+    snap.metrics
+        .extend(shared.registry.iter().map(|(name, spec)| obs::MetricValue {
+            name: "serve_program_compiles_total".to_string(),
+            labels: vec![("program".to_string(), name.to_string())],
+            data: obs::MetricData::Counter(spec.compiles()),
+        }));
     let mut out = String::new();
     snap.render_prometheus(&mut out);
     out

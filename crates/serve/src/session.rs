@@ -319,12 +319,17 @@ impl Session {
             None => self.kind.clone(),
         };
         let snap = self.engine.snapshot();
-        let mut next = EngineBuilder::new(self.engine.prog.clone())
+        let mut next = EngineBuilder::from_compiled(self.engine.compiled().clone())
             .matcher(kind.clone())
             .limits(self.engine.limits)
             .act_strategy(self.engine.act_strategy())
             .build()
             .map_err(|e| e.to_string())?;
+        // The successor continues this session's tables, not the
+        // parse-time ones: the gensym counter and every symbol interned
+        // since `OPEN` carry over (both only ever extend the compiled
+        // program's table, so ids still agree with the shared network).
+        next.prog = self.engine.prog.clone();
         next.restore(&snap).map_err(|e| e.to_string())?;
         if self.engine.journal().is_some() {
             next.enable_journal();

@@ -162,14 +162,14 @@ pub fn build_engine_obs(
         b = b.network_options(o);
     }
     let mut eng = b.build()?;
-    load_setup(&mut eng, w)?;
+    load_setup(&mut eng, &w.setup)?;
     Ok(eng)
 }
 
-/// Asserts the workload's initial working memory into an engine built from
+/// Asserts a workload's initial working memory into an engine built from
 /// its source (for callers that need their own [`EngineBuilder`] settings).
-pub fn load_setup(eng: &mut Engine, w: &Workload) -> Result<()> {
-    for wme in &w.setup {
+pub fn load_setup(eng: &mut Engine, setup: &[SetupWme]) -> Result<()> {
+    for wme in setup {
         let sets: Vec<(&str, Value)> = wme
             .sets
             .iter()

@@ -761,3 +761,203 @@ fn served_run_budget_counts_parallel_group_members() {
         "firing logs diverged across act strategies"
     );
 }
+
+/// A throw-away corpus directory holding exactly the given programs.
+fn corpus_dir(tag: &str, files: &[(&str, &str)]) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("serve-test-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for (stem, src) in files {
+        std::fs::write(dir.join(format!("{stem}.ops")), src).unwrap();
+    }
+    dir
+}
+
+/// The value of an unlabelled-by-session counter row in a `METRICS?` body.
+fn compiles_of(metrics: &[String], program: &str) -> u64 {
+    let row = format!("serve_program_compiles_total{{program=\"{program}\"}} ");
+    let hits: Vec<&String> = metrics.iter().filter(|l| l.starts_with(&row)).collect();
+    assert_eq!(hits.len(), 1, "one row for {program}: {hits:?}");
+    hits[0][row.len()..].parse().unwrap()
+}
+
+/// Ten `OPEN`s of one program, plus a `RESTORE` and a `MIGRATE`, on either
+/// front-end: the program is parsed and compiled exactly once, and an
+/// unopened program not at all.
+#[test]
+fn a_program_compiles_once_however_many_sessions_open_it() {
+    for front_end in [FrontEnd::Reactor, FrontEnd::Threads] {
+        let cfg = ServeConfig {
+            workers: 2,
+            queue_depth: 512,
+            programs_dir: Some("programs".into()),
+            obs: ObsConfig::enabled(),
+            front_end,
+            ..ServeConfig::default()
+        };
+        let handle = Server::bind("127.0.0.1:0", cfg).unwrap().spawn();
+        let mut c = serve::Client::connect(handle.addr).unwrap();
+        let before = c.metrics().unwrap().expect_lines().unwrap();
+        assert_eq!(compiles_of(&before, "hanoi"), 0, "bind compiles nothing");
+
+        let mut snapshot = Vec::new();
+        for i in 0..10 {
+            let matcher = ["vs1", "vs2", "col", "psm", "lisp"][i % 5];
+            c.open("hanoi", Some(matcher)).unwrap().expect_ok().unwrap();
+            c.run(7).unwrap().expect_ok().unwrap();
+            snapshot = c.snapshot().unwrap().expect_lines().unwrap();
+            c.close().unwrap().expect_ok().unwrap();
+        }
+        c.restore("hanoi", Some("col"), &snapshot.join("\n"))
+            .unwrap()
+            .expect_ok()
+            .unwrap();
+        c.migrate(Some("vs2")).unwrap().expect_ok().unwrap();
+        c.run(1000).unwrap().expect_ok().unwrap();
+        c.close().unwrap().expect_ok().unwrap();
+
+        let after = c.metrics().unwrap().expect_lines().unwrap();
+        assert_eq!(compiles_of(&after, "hanoi"), 1, "{front_end:?}");
+        assert_eq!(compiles_of(&after, "blocks"), 0, "{front_end:?}");
+        let total: u64 = after
+            .iter()
+            .filter(|l| l.starts_with("serve_program_compiles_total{"))
+            .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+            .sum();
+        assert_eq!(total, 1, "one distinct program opened");
+        c.shutdown().unwrap().expect_ok().unwrap();
+        handle.join().unwrap();
+    }
+}
+
+/// A registry program that does not parse answers the same `ERR` on the
+/// first and every later `OPEN`/`RESTORE`, on both front-ends, and leaves
+/// its neighbours usable.
+#[test]
+fn a_broken_registry_program_answers_the_same_error_every_time() {
+    let dir = corpus_dir(
+        "broken",
+        &[
+            ("broken", "(p oops (a ^x 1) -->"),
+            (
+                "fine",
+                "(literalize a x)\n(make a ^x 1)\n(p r (a ^x 1) --> (halt))",
+            ),
+        ],
+    );
+    let mut per_front_end = Vec::new();
+    for front_end in [FrontEnd::Reactor, FrontEnd::Threads] {
+        let cfg = ServeConfig {
+            workers: 2,
+            programs_dir: Some(dir.clone()),
+            obs: ObsConfig::enabled(),
+            front_end,
+            ..ServeConfig::default()
+        };
+        let handle = Server::bind("127.0.0.1:0", cfg).unwrap().spawn();
+        let mut c = serve::Client::connect(handle.addr).unwrap();
+        let mut errs = Vec::new();
+        for _ in 0..3 {
+            match c.open("broken", None).unwrap() {
+                serve::ClientReply::Err(msg) => errs.push(msg),
+                other => panic!("expected ERR, got {other:?}"),
+            }
+        }
+        match c.restore("broken", None, "ops5-snapshot v1\nend").unwrap() {
+            serve::ClientReply::Err(msg) => errs.push(msg),
+            other => panic!("expected ERR, got {other:?}"),
+        }
+        assert!(errs[0].contains("parse error"), "{}", errs[0]);
+        assert!(errs.iter().all(|e| *e == errs[0]), "{errs:?}");
+        c.open("fine", None).unwrap().expect_ok().unwrap();
+        let ran = c.run(10).unwrap().expect_ok().unwrap();
+        assert!(ran.contains("cycles=1 reason=halt"), "{ran}");
+        c.close().unwrap().expect_ok().unwrap();
+        let metrics = c.metrics().unwrap().expect_lines().unwrap();
+        assert_eq!(compiles_of(&metrics, "broken"), 1, "failure is cached");
+        assert_eq!(compiles_of(&metrics, "fine"), 1);
+        per_front_end.push(errs.swap_remove(0));
+        c.shutdown().unwrap().expect_ok().unwrap();
+        handle.join().unwrap();
+    }
+    assert_eq!(per_front_end[0], per_front_end[1]);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Two live sessions on one cached registry program, interleaved command
+/// by command, each asserting symbols the other never sees (in opposite
+/// orders) and drawing `bind` gensyms: every reply equals that of a solo
+/// session on the same source opened inline (`OPEN -`, never cached), on
+/// all five matchers.
+#[test]
+fn sessions_of_one_cached_program_do_not_see_each_other() {
+    const SRC: &str = "(literalize item name tag)
+(p label (item ^name <n> ^tag nil) --> (bind <g>) (modify 1 ^tag <g>) (write <n> <g> (crlf)))";
+    let dir = corpus_dir("isolation", &[("labels", SRC)]);
+    let cfg = ServeConfig {
+        workers: 2,
+        queue_depth: 512,
+        programs_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let handle = Server::bind("127.0.0.1:0", cfg).unwrap().spawn();
+    let addr = handle.addr;
+
+    let script = |names: &[&str]| -> Vec<String> {
+        let mut lines: Vec<String> = names
+            .iter()
+            .map(|n| format!("ASSERT item ^name {n}"))
+            .collect();
+        lines.extend(["RUN 2", "ASSERT item ^name late", "RUN 100"].map(String::from));
+        lines.extend(["WM?", "FIRED?", "SNAPSHOT?"].map(String::from));
+        lines
+    };
+    let a_script = script(&["alpha", "beta", "gamma"]);
+    let b_script = script(&["gamma", "omega", "beta", "alpha"]);
+
+    for matcher in ["vs1", "vs2", "col", "psm", "lisp"] {
+        let solo = |lines: &[String]| -> Vec<serve::ClientReply> {
+            let mut c = serve::Client::connect(addr).unwrap();
+            c.open_source(SRC, Some(matcher))
+                .unwrap()
+                .expect_ok()
+                .unwrap();
+            let replies = lines.iter().map(|l| c.request(l).unwrap()).collect();
+            c.close().unwrap().expect_ok().unwrap();
+            replies
+        };
+        let (want_a, want_b) = (solo(&a_script), solo(&b_script));
+        assert!(
+            matches!(&want_a[a_script.len() - 3], serve::ClientReply::Multi { lines, .. }
+                if lines.iter().any(|l| l.contains("^name late ^tag g3"))),
+            "{:?}",
+            want_a[a_script.len() - 3]
+        );
+
+        let mut a = serve::Client::connect(addr).unwrap();
+        let mut b = serve::Client::connect(addr).unwrap();
+        a.open("labels", Some(matcher))
+            .unwrap()
+            .expect_ok()
+            .unwrap();
+        b.open("labels", Some(matcher))
+            .unwrap()
+            .expect_ok()
+            .unwrap();
+        let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
+        for i in 0..a_script.len().max(b_script.len()) {
+            if let Some(l) = a_script.get(i) {
+                got_a.push(a.request(l).unwrap());
+            }
+            if let Some(l) = b_script.get(i) {
+                got_b.push(b.request(l).unwrap());
+            }
+        }
+        assert_eq!(got_a, want_a, "{matcher}: session A");
+        assert_eq!(got_b, want_b, "{matcher}: session B");
+        a.close().unwrap().expect_ok().unwrap();
+        b.close().unwrap().expect_ok().unwrap();
+    }
+    std::mem::forget(handle);
+    let _ = std::fs::remove_dir_all(dir);
+}
