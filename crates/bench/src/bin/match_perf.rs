@@ -13,11 +13,11 @@
 //! pushes through the match, then replays it re-chunked into batches of 64
 //! into fresh vs2 and col matchers — the collection-oriented workload the
 //! columnar matcher is built for. It always runs on the benchmark-size
-//! programs (the claim is about 600-rule networks; on the smoke grid vs2's
-//! per-activation cost is too small for columns to win back). Under
-//! `--smoke` it gates on col beating vs2 per-change on Weaver at batch-64
-//! and on absolute allocation budgets per change; rows land in
-//! `BENCH_match.json` under `"col_batch"`.
+//! programs (the claim is about 600-rule networks, where one alpha pattern
+//! feeds hundreds of joins and col's shared right memories store a WME
+//! once). Under `--smoke` it gates on col being at least 5x vs2 per-change
+//! on Weaver at batch-64 and on absolute allocation budgets per change;
+//! rows land in `BENCH_match.json` under `"col_batch"`.
 //!
 //! `--profile` adds the observability pass: every workload x matcher pair is
 //! re-run twice — metrics disabled (baseline) and enabled — reporting the
@@ -128,6 +128,7 @@ struct ReteRow {
     joins: usize,
     shared_prefixes: usize,
     memory_nodes: usize,
+    right_memories: usize,
     join_acts: u64,
     null_acts: u64,
     null_skipped: u64,
@@ -151,6 +152,7 @@ fn rete_config_row(w: &Workload, config: &'static str, options: rete::NetworkOpt
         joins: summary.joins,
         shared_prefixes: summary.shared_prefixes,
         memory_nodes: summary.memory_nodes,
+        right_memories: summary.right_memories,
         join_acts: s.join_activations,
         null_acts: s.null_activations,
         null_skipped: s.null_skipped,
@@ -188,19 +190,28 @@ fn rete_comparison(w: &Workload, smoke: bool) {
         ),
     ];
     println!(
-        "{:<13} {:>7} {:>8} {:>8} {:>12} {:>11} {:>12} {:>9}",
-        "CONFIG", "joins", "shared", "mems", "join-acts", "null-acts", "null-skip", "wall(s)"
+        "{:<13} {:>7} {:>8} {:>8} {:>9} {:>12} {:>11} {:>12} {:>9}",
+        "CONFIG",
+        "joins",
+        "shared",
+        "mems",
+        "col-rmems",
+        "join-acts",
+        "null-acts",
+        "null-skip",
+        "wall(s)"
     );
     let rows: Vec<ReteRow> = configs
         .iter()
         .map(|(name, opts)| {
             let r = rete_config_row(w, name, *opts);
             println!(
-                "{:<13} {:>7} {:>8} {:>8} {:>12} {:>11} {:>12} {:>9.3}",
+                "{:<13} {:>7} {:>8} {:>8} {:>9} {:>12} {:>11} {:>12} {:>9.3}",
                 r.config,
                 r.joins,
                 r.shared_prefixes,
                 r.memory_nodes,
+                r.right_memories,
                 r.join_acts,
                 r.null_acts,
                 r.null_skipped,
@@ -216,7 +227,7 @@ fn rete_comparison(w: &Workload, smoke: bool) {
         json.push_str(&format!(
             "    {{\"config\": \"{}\", \"sharing\": {}, \"unlinking\": {}, \
              \"joins\": {}, \"shared_prefixes\": {}, \"memory_nodes\": {}, \
-             \"join_activations\": {}, \"null_activations\": {}, \
+             \"col_right_memories\": {}, \"join_activations\": {}, \"null_activations\": {}, \
              \"null_skipped\": {}, \"wall_s\": {:.6}}}{}\n",
             r.config,
             r.options.sharing,
@@ -224,6 +235,7 @@ fn rete_comparison(w: &Workload, smoke: bool) {
             r.joins,
             r.shared_prefixes,
             r.memory_nodes,
+            r.right_memories,
             r.join_acts,
             r.null_acts,
             r.null_skipped,
@@ -375,15 +387,21 @@ struct ColBatchRow {
 
 const COL_BATCH: usize = 64;
 const COL_REPS: usize = 5;
+/// Weaver's 2562 joins read 125 right memories and 97.6% of its right
+/// activations are null, so col (one insert per memory, dead readers not
+/// visited) measures ~25x vs2 there; 5x leaves room for a noisy CI host.
+const COL_WEAVER_MIN_SPEEDUP: f64 = 5.0;
 
 /// The batched replay's programs and the allocations per change each
 /// matcher may make on them (harness included), as `(program, workload,
-/// vs2 budget, col budget)`. The counts are deterministic: col's are its
-/// values when it landed, vs2's Weaver budget is what the borrowed
-/// activation kernel left of the 1438 the cloning one made.
+/// vs2 budget, col budget)`. The counts are deterministic: col's are what
+/// it makes with shared right memories (Weaver 16.48, down from 311.16 with
+/// one right memory per join; Tourney 197.14) plus a small margin, vs2's
+/// Weaver budget is what the borrowed activation kernel left of the 1438
+/// the cloning one made.
 type ColBatchProgram = (&'static str, fn() -> Workload, Option<f64>, f64);
 const COL_BATCH_PROGRAMS: [ColBatchProgram; 2] = [
-    ("Weaver", bench::weaver_bench, Some(64.0), 312.0),
+    ("Weaver", bench::weaver_bench, Some(64.0), 18.0),
     ("Tourney", bench::tourney_bench, None, 198.0),
 ];
 
@@ -426,8 +444,8 @@ fn col_batch_row(
 /// Batched-replay comparison: vs2 vs col on the recorded benchmark-size
 /// Weaver and Tourney change streams at batch-64 — the set-at-a-time
 /// workload the columnar matcher targets. Under `--smoke` gates on col
-/// strictly beating vs2 per-change on Weaver and on both matchers staying
-/// inside the budgets of [`COL_BATCH_PROGRAMS`].
+/// being at least [`COL_WEAVER_MIN_SPEEDUP`]x vs2 per-change on Weaver and
+/// on both matchers staying inside the budgets of [`COL_BATCH_PROGRAMS`].
 fn col_batch_comparison(smoke: bool) -> Vec<ColBatchRow> {
     bench::header("Batched replay: vs2 vs col (recorded change streams, batch-64)");
     println!(
@@ -481,9 +499,9 @@ fn col_batch_comparison(smoke: bool) -> Vec<ColBatchRow> {
         if smoke {
             if name == "Weaver" {
                 assert!(
-                    speedup > 1.0,
-                    "col must beat vs2 per-change on Weaver at batch-{COL_BATCH} \
-                     (got {speedup:.2}x)"
+                    speedup >= COL_WEAVER_MIN_SPEEDUP,
+                    "col must be >= {COL_WEAVER_MIN_SPEEDUP}x vs2 per-change on Weaver \
+                     at batch-{COL_BATCH} (got {speedup:.2}x)"
                 );
             }
             for (row, budget) in [(vs2, vs2_budget), (col, Some(col_budget))] {

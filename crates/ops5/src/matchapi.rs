@@ -307,13 +307,19 @@ pub struct MatchStats {
 
     /// Two-input (join) node activations: every Left/Right task delivered
     /// to a join, whether or not its scan was performed. With beta-prefix
-    /// sharing this is the counter that shrinks.
+    /// sharing this is the counter that shrinks. `col` counts a right
+    /// change once per reader of the shared right memory it entered, run or
+    /// not, so the number stays comparable with the per-join matchers'.
     pub join_activations: u64,
     /// Join activations *performed* whose opposite memory was empty
     /// network-wide (null activations). With unlinking these become
     /// `null_skipped` instead.
     pub null_activations: u64,
-    /// Opposite-memory scans skipped by the unlinking emptiness gate.
+    /// Opposite-memory scans skipped because that memory was empty: by the
+    /// unlinking emptiness gate, and — for `col`, whatever `unlinking`
+    /// says — every right activation of a join whose left memory is empty.
+    /// `col` keeps the right memory for the alpha pattern, not for the
+    /// join, so such a join is never run at all.
     pub null_skipped: u64,
 }
 

@@ -6,35 +6,47 @@
 //! the same [`ChangeBatch`] groups set-at-a-time instead, the Hiperfact
 //! "Rete as in-memory fact tables" framing:
 //!
-//! * **Columnar memories.** Each join's left and right memory is a private
-//!   power-of-two table of *lines* in struct-of-arrays layout: one
-//!   `Vec<Value>` column per join test holding the operand that side
-//!   contributes, plus one [`Row`] array carrying the per-entry header
-//!   (join key, identity tag, not-node counter, liveness) together with
-//!   the token/WME handle — merged into a single array so an insert, the
-//!   dominant operation on null-heavy workloads, touches one allocation.
-//!   Entries land on the line their join-test key hashes to; a scan is a
-//!   tight loop over the dense row array that evaluates value columns
-//!   only on key match — no token-chain walks per candidate and no
-//!   per-key map probes. A line splits (the table doubles) when its live
-//!   population exceeds [`LINE_TARGET`] *and* it holds more than one
-//!   distinct key (doubling cannot shorten a single-key line; tracked
-//!   O(1) via `key0`/`mixed`), so scans stay short as memories grow.
+//! * **Each WME stored once.** The paper folds a memory node into the
+//!   two-input node below it and shares none (§3.1, footnote 6), so a WME
+//!   passing an alpha pattern with 829 join successors is copied 829 times.
+//!   Here the right memories belong to the *network*, one per (alpha
+//!   pattern, equality signature) — [`RightMemSpec`], computed by the
+//!   compiler — and every join or not-node with that right input reads the
+//!   one table. Its key hashes the signature's field values and nothing
+//!   else, so a (memory, change) pair has one key whoever reads it; the
+//!   left memories, still one per join, hash their side of the same tests
+//!   the same way ([`JoinNode::shared_key`]).
+//! * **Dead joins are never visited.** A reader whose left memory is empty
+//!   cannot pair with anything, so a right change retires it as
+//!   `null_skipped` without running it. That is Doorenbos right-unlinking,
+//!   and sharing is what makes it safe with no relink replay: the memory
+//!   is maintained for the pattern, not for the join, so a join whose left
+//!   memory comes alive later scans a table that was kept up all along.
+//! * **Columnar memories.** A memory is a power-of-two table of *lines*:
+//!   one [`Row`] array carrying the per-entry header (key, identity tag,
+//!   not-node counter, liveness) together with the token/WME handle —
+//!   merged into a single array so an insert touches one allocation — and,
+//!   in left memories, one `Vec<Value>` column per join test holding the
+//!   token's operand (right entries are read through their `WmeRef`: a
+//!   shared memory serves joins with different tests). Entries land on the
+//!   line their key hashes to; a scan is a tight loop over the dense row
+//!   array that evaluates tests only on key match. A line splits (the
+//!   table doubles) when its live population exceeds [`LINE_TARGET`] *and*
+//!   it holds more than one distinct key (doubling cannot shorten a
+//!   single-key line; tracked O(1) via `key0`/`mixed`).
 //! * **Set-at-a-time sweep.** A submit walks the batch pattern-major: per
-//!   (class, pattern) it computes the passing change subset once, then
-//!   feeds it to each successor. Right-side successors run *eagerly* —
-//!   maintain the right memory and scan the left line in place — which is
-//!   sound because left memories are only mutated afterwards, so eager
-//!   right deltas see exactly the pre-batch left state the sequential
-//!   two-pass order requires; a group-level `left_live == 0` check
-//!   retires the dominant null case for a whole passing set at once.
-//!   Left-side deltas (alpha tokens and join emissions) are queued per
-//!   join and the join is flagged in a bitset worklist; a single
-//!   ascending sweep then drains each flagged join's deltas against the
-//!   settled post-batch right memory (the compiler guarantees successors
-//!   are forward, so emissions only mark bits ahead of the cursor). Every
-//!   (left, right) pair is counted exactly once, and downstream joins
-//!   receive their deltas before the sweep reaches them.
+//!   (class, pattern) it computes the passing change subset once, applies
+//!   it to each of the pattern's right memories, and runs *pass 1* — each
+//!   right change against the left line — for the live readers only. That
+//!   is sound because left memories are only mutated afterwards, so pass 1
+//!   sees exactly the pre-batch left state the sequential two-pass order
+//!   requires. Left-side deltas (alpha tokens and join emissions) are
+//!   queued per join and the join is flagged in a bitset worklist; a
+//!   single ascending sweep (*pass 2*) then drains each flagged join's
+//!   deltas against the settled post-batch right memory (the compiler
+//!   guarantees successors are forward, so emissions only mark bits ahead
+//!   of the cursor). Every (left, right) pair is counted exactly once, and
+//!   downstream joins receive their deltas before the sweep reaches them.
 //! * **Tombstone deletes + inline compaction.** Deletes mark the liveness
 //!   flag and compact the line in place once tombstones reach
 //!   [`COMPACT_TOMBSTONE_RATIO`] of its entries, so columns stay dense
@@ -47,7 +59,7 @@
 //! re-entry impossible, so the support of any instantiation changes
 //! monotonically inside a batch.
 
-use crate::network::{AlphaSucc, JoinNode, Network, Succ, MAX_RESOLVED_TESTS};
+use crate::network::{AlphaSucc, JoinNode, Network, RightMemSpec, Succ, MAX_RESOLVED_TESTS};
 use crate::token::Token;
 use ops5::{
     ChangeBatch, CsChange, Instantiation, MatchStats, Matcher, QuiesceReport, Sign,
@@ -81,7 +93,8 @@ struct Row<H> {
 
 /// One hash line of a columnar memory: parallel arrays, one slot per entry.
 struct Bucket<H> {
-    /// One column per join test: the operand this side contributes.
+    /// Left memories: one column per join test, the token-side operand.
+    /// Right memories have none.
     cols: Box<[Vec<Value>]>,
     rows: Vec<Row<H>>,
     dead: usize,
@@ -159,11 +172,12 @@ impl<H> Bucket<H> {
     }
 }
 
-/// One side (left or right) of one join's memory: a power-of-two line
-/// table indexed by the low bits of the join-test key. Starts empty,
-/// materializes one line on first insert, and doubles whenever the line an
-/// insert landed on exceeds [`LINE_TARGET`] live entries — small memories
-/// stay a single dense line, large ones keep scans bounded.
+/// One memory — a join's left side, or a shared right memory: a
+/// power-of-two line table indexed by the low bits of the entry key.
+/// Starts empty, materializes one line on first insert, and doubles
+/// whenever the line an insert landed on exceeds [`LINE_TARGET`] live
+/// entries — small memories stay a single dense line, large ones keep
+/// scans bounded.
 struct SideMem<H> {
     lines: Vec<Bucket<H>>,
     ncols: usize,
@@ -203,14 +217,35 @@ impl<H> SideMem<H> {
         }
     }
 
-    /// The line an insert for `key` goes to, materializing the table.
-    #[inline]
-    fn line_for_insert(&mut self, key: u64) -> &mut Bucket<H> {
+    /// Append an entry (its columns first) to the line `key` hashes to,
+    /// materializing the table and splitting an overfull mixed line.
+    fn insert(
+        &mut self,
+        key: u64,
+        tag: u64,
+        neg: u32,
+        handle: H,
+        cols: impl Iterator<Item = Value>,
+    ) {
         if self.lines.is_empty() {
             self.lines.push(Bucket::new(self.ncols));
         }
         let i = self.idx(key);
-        &mut self.lines[i]
+        let b = &mut self.lines[i];
+        b.note_key(key);
+        for (c, v) in b.cols.iter_mut().zip(cols) {
+            c.push(v);
+        }
+        b.rows.push(Row {
+            key,
+            tag,
+            neg,
+            alive: true,
+            handle,
+        });
+        if b.live() > LINE_TARGET && b.mixed {
+            self.grow();
+        }
     }
 
     /// Double the line count, redistributing live entries by key.
@@ -238,6 +273,15 @@ impl<H> SideMem<H> {
 
 type LeftMem = SideMem<Token>;
 type RightMem = SideMem<WmeRef>;
+
+/// Live entries across `mems`, and the worst `dead / len` of their lines.
+fn occupancy<H>(mems: &[SideMem<H>]) -> (usize, f64) {
+    let lines = mems.iter().flat_map(|m| m.lines.iter());
+    lines.fold((0, 0.0f64), |(live, worst), b| {
+        let ratio = b.dead as f64 / b.len().max(1) as f64;
+        (live + b.live(), worst.max(ratio))
+    })
+}
 
 /// Locally-buffered per-join profile (same rationale as the sequential
 /// matcher's: plain increments on the hot path, one atomic fold per
@@ -289,14 +333,6 @@ impl ScanHist {
         self.sums[b] += v;
     }
 
-    /// Record `n` identical observations at once (group-level fast paths).
-    #[inline]
-    fn record_n(&mut self, v: u64, n: u64) {
-        let b = obs::bucket_index(v);
-        self.counts[b] += n;
-        self.sums[b] += v * n;
-    }
-
     fn flush(&mut self) {
         for b in 0..obs::N_BUCKETS {
             if self.counts[b] != 0 {
@@ -311,9 +347,11 @@ impl ScanHist {
 /// The columnar set-at-a-time matcher.
 pub struct ColMatcher {
     net: Arc<Network>,
+    /// One left memory per join.
     left: Vec<LeftMem>,
+    /// One right memory per [`RightMemSpec`] of the network.
     right: Vec<RightMem>,
-    /// Per-join live entry counts (the unlinking emptiness gates).
+    /// Live entry counts: per join (left), per right memory (right).
     left_live: Vec<u32>,
     right_live: Vec<u32>,
     /// Signed per-join left-input deltas for the current sweep: alpha-
@@ -329,6 +367,9 @@ pub struct ColMatcher {
     /// cursor. Submits never pay for the hundreds of joins a small batch
     /// doesn't touch, and marking is a branch-free word OR.
     dirty: Vec<u64>,
+    /// Scratch of the alpha walk, kept across submits so a small batch
+    /// does not pay for it: the memory key of each passing change.
+    keys: Vec<u64>,
     out: Vec<CsChange>,
     stats: MatchStats,
     delta: StatsDeltaTracker,
@@ -376,88 +417,25 @@ fn emit(
     }
 }
 
-/// The delta's join-test operands, resolved once before the line scan.
-enum Resolved {
-    Inline([Value; MAX_RESOLVED_TESTS]),
-    /// More tests than the inline capacity: per-candidate fallback.
-    Overflow,
-}
-
+/// Do all tests pass for entry `i` of a left line against right delta `w`?
+/// Column values are the token-side operands; `rvals` the WME side,
+/// resolved once per scan (`None`: more tests than the inline capacity).
 #[inline]
-fn resolve_right(j: &JoinNode, wme: &WmeRef) -> Resolved {
-    if j.tests.len() > MAX_RESOLVED_TESTS {
-        return Resolved::Overflow;
-    }
-    let mut vals = [Value::Int(0); MAX_RESOLVED_TESTS];
-    for (v, t) in vals.iter_mut().zip(j.tests.iter()) {
-        *v = wme.field(t.right_field);
-    }
-    Resolved::Inline(vals)
-}
-
-#[inline]
-fn resolve_left(j: &JoinNode, token: &Token) -> Resolved {
-    if j.tests.len() > MAX_RESOLVED_TESTS {
-        return Resolved::Overflow;
-    }
-    let mut vals = [Value::Int(0); MAX_RESOLVED_TESTS];
-    for (v, t) in vals.iter_mut().zip(j.tests.iter()) {
-        *v = token.value(t.left_ce, t.left_field);
-    }
-    Resolved::Inline(vals)
-}
-
-/// Do all tests pass for entry `i` of a left line against a right delta?
-/// Column values are the token-side operands; `rvals` the WME side.
-#[inline]
-fn left_entry_passes(j: &JoinNode, b: &Bucket<Token>, i: usize, r: &Resolved, w: &WmeRef) -> bool {
-    match r {
-        Resolved::Inline(rvals) => j
+fn left_entry_passes(
+    j: &JoinNode,
+    b: &Bucket<Token>,
+    i: usize,
+    rvals: &Option<[Value; MAX_RESOLVED_TESTS]>,
+    w: &WmeRef,
+) -> bool {
+    match rvals {
+        Some(rvals) => j
             .tests
             .iter()
             .zip(rvals.iter())
             .enumerate()
             .all(|(k, (t, rv))| t.pred.eval(*rv, b.cols[k][i])),
-        Resolved::Overflow => j.passes(&b.rows[i].handle, w),
-    }
-}
-
-/// Do all tests pass for entry `i` of a right line against a left delta?
-/// Column values are the WME-side operands; `lvals` the token side.
-#[inline]
-fn right_entry_passes(
-    j: &JoinNode,
-    b: &Bucket<WmeRef>,
-    i: usize,
-    r: &Resolved,
-    token: &Token,
-) -> bool {
-    match r {
-        Resolved::Inline(lvals) => j
-            .tests
-            .iter()
-            .zip(lvals.iter())
-            .enumerate()
-            .all(|(k, (t, lv))| t.pred.eval(b.cols[k][i], *lv)),
-        Resolved::Overflow => j.passes(token, &b.rows[i].handle),
-    }
-}
-
-fn insert_left_entry(mem: &mut LeftMem, j: &JoinNode, key: u64, token: Token, neg: u32) {
-    let b = mem.line_for_insert(key);
-    b.note_key(key);
-    for (k, t) in j.tests.iter().enumerate() {
-        b.cols[k].push(token.value(t.left_ce, t.left_field));
-    }
-    b.rows.push(Row {
-        key,
-        tag: token.identity_hash(),
-        neg,
-        alive: true,
-        handle: token,
-    });
-    if b.live() > LINE_TARGET && b.mixed {
-        mem.grow();
+        None => j.passes(&b.rows[i].handle, w),
     }
 }
 
@@ -481,24 +459,6 @@ fn remove_left_entry(mem: &mut LeftMem, key: u64, token: &Token) -> (Option<u32>
         }
     }
     (None, examined)
-}
-
-fn insert_right_entry(mem: &mut RightMem, j: &JoinNode, key: u64, wme: WmeRef) {
-    let b = mem.line_for_insert(key);
-    b.note_key(key);
-    for (k, t) in j.tests.iter().enumerate() {
-        b.cols[k].push(wme.field(t.right_field));
-    }
-    b.rows.push(Row {
-        key,
-        tag: wme.timetag,
-        neg: 0,
-        alive: true,
-        handle: wme,
-    });
-    if b.live() > LINE_TARGET && b.mixed {
-        mem.grow();
-    }
 }
 
 fn remove_right_entry(mem: &mut RightMem, key: u64, timetag: u64) -> (bool, u64) {
@@ -526,14 +486,18 @@ fn remove_right_entry(mem: &mut RightMem, key: u64, timetag: u64) -> (bool, u64)
 impl ColMatcher {
     pub fn new(net: Arc<Network>) -> ColMatcher {
         let n = net.n_joins();
-        let ncols = |jid: usize| net.join(jid as u32).tests.len();
         ColMatcher {
-            left: (0..n).map(|j| SideMem::new(ncols(j))).collect(),
-            right: (0..n).map(|j| SideMem::new(ncols(j))).collect(),
+            left: net
+                .joins
+                .iter()
+                .map(|j| SideMem::new(j.tests.len()))
+                .collect(),
+            right: net.right_mems.iter().map(|_| SideMem::new(0)).collect(),
             left_live: vec![0; n],
-            right_live: vec![0; n],
+            right_live: vec![0; net.right_mems.len()],
             left_deltas: (0..n).map(|_| Vec::new()).collect(),
             dirty: vec![0u64; n.div_ceil(64)],
+            keys: Vec::new(),
             out: Vec::new(),
             stats: MatchStats::default(),
             delta: StatsDeltaTracker::default(),
@@ -549,264 +513,173 @@ impl ColMatcher {
 
     /// Live entries stored across all memories (invariant checks in tests).
     pub fn memory_entries(&self) -> usize {
-        self.left
-            .iter()
-            .flat_map(|m| m.lines.iter())
-            .map(Bucket::live)
-            .sum::<usize>()
-            + self
-                .right
-                .iter()
-                .flat_map(|m| m.lines.iter())
-                .map(Bucket::live)
-                .sum::<usize>()
+        occupancy(&self.left).0 + occupancy(&self.right).0
     }
 
     /// The worst tombstone ratio across all lines. The compaction policy
     /// keeps this strictly below [`COMPACT_TOMBSTONE_RATIO`] after every
     /// operation; the compaction proptest asserts it at quiescence.
     pub fn max_tombstone_ratio(&self) -> f64 {
-        let mut max = 0.0f64;
-        for b in self.left.iter().flat_map(|m| m.lines.iter()) {
-            if b.len() > 0 {
-                max = max.max(b.dead as f64 / b.len() as f64);
-            }
-        }
-        for b in self.right.iter().flat_map(|m| m.lines.iter()) {
-            if b.len() > 0 {
-                max = max.max(b.dead as f64 / b.len() as f64);
-            }
-        }
-        max
+        occupancy(&self.left).1.max(occupancy(&self.right).1)
     }
 
-    /// Pass 1 for a whole passing set against one join. The left memory —
-    /// and with it `left_live` — is frozen for the entire alpha walk, so
-    /// one emptiness check covers the whole set: the overwhelmingly common
-    /// all-null case maintains the right memory in a tight loop and folds
-    /// the per-activation bookkeeping into single adds.
-    fn right_group(&mut self, j: &JoinNode, unlink: bool, group: &[WmeChange], passing: &[u32]) {
-        let jid = j.id as usize;
-        let n = passing.len() as u64;
-        if self.left_live[jid] == 0 {
-            self.stats.activations += n;
-            self.stats.join_activations += n;
-            if let Some(p) = &mut self.profile {
-                p.acts[jid] += n;
-            }
-            let mem = &mut self.right[jid];
-            for &ci in passing {
-                let change = &group[ci as usize];
-                let key = j.right_key(&change.wme);
-                match change.sign {
-                    Sign::Plus => {
-                        insert_right_entry(mem, j, key, change.wme.clone());
-                        self.right_live[jid] += 1;
-                    }
-                    Sign::Minus => {
-                        let (found, examined) = remove_right_entry(mem, key, change.wme.timetag);
-                        self.stats.same_tokens_right += examined;
-                        self.stats.same_searches_right += 1;
-                        debug_assert!(found, "col delete must find its wme");
-                        self.right_live[jid] -= 1;
-                    }
-                }
-            }
-            if unlink {
-                self.stats.null_skipped += n;
-            } else {
-                self.stats.null_activations += n;
-                if let Some(h) = &mut self.scan_hist {
-                    h.record_n(0, n);
-                }
-            }
-            return;
+    /// Books one performed opposite-memory scan of join `jid`.
+    #[inline]
+    fn note_scan(&mut self, jid: usize, examined: u64, right_activation: bool) {
+        let (tokens, nonempty) = if right_activation {
+            (
+                &mut self.stats.opp_tokens_right,
+                &mut self.stats.opp_nonempty_right,
+            )
+        } else {
+            (
+                &mut self.stats.opp_tokens_left,
+                &mut self.stats.opp_nonempty_left,
+            )
+        };
+        *tokens += examined;
+        *nonempty += (examined > 0) as u64;
+        if let Some(p) = &mut self.profile {
+            p.scans[jid] += examined;
         }
+        if let Some(h) = &mut self.scan_hist {
+            h.record(examined);
+        }
+    }
+
+    /// A pattern's passing set against one of its right memories: apply
+    /// every change to the memory once, then run pass 1 for the readers
+    /// that can pair with anything. The left memories — and with them
+    /// `left_live` — are frozen for the entire alpha walk, so one check
+    /// per reader covers the whole set; a reader with an empty left memory
+    /// is not activated at all and costs one add. `keys` is scratch: the
+    /// memory key of each passing change, shared by every reader.
+    fn right_group(
+        &mut self,
+        net: &Network,
+        spec: &RightMemSpec,
+        mid: usize,
+        group: &[WmeChange],
+        passing: &[u32],
+        keys: &mut Vec<u64>,
+    ) {
+        keys.clear();
         for &ci in passing {
             let change = &group[ci as usize];
-            self.right_delta(j, unlink, change.sign, &change.wme);
+            let (w, key) = (&change.wme, spec.key(&change.wme));
+            keys.push(key);
+            match change.sign {
+                Sign::Plus => {
+                    self.right[mid].insert(key, w.timetag, 0, w.clone(), std::iter::empty());
+                    self.right_live[mid] += 1;
+                }
+                Sign::Minus => {
+                    let (found, examined) =
+                        remove_right_entry(&mut self.right[mid], key, w.timetag);
+                    self.stats.same_tokens_right += examined;
+                    self.stats.same_searches_right += 1;
+                    debug_assert!(found, "col delete must find its wme");
+                    self.right_live[mid] -= 1;
+                }
+            }
+        }
+        let n = passing.len() as u64;
+        let delivered = n * spec.readers.len() as u64;
+        self.stats.activations += delivered;
+        self.stats.join_activations += delivered;
+        if let Some(p) = &mut self.profile {
+            for &jid in &spec.readers {
+                p.acts[jid as usize] += n;
+            }
+        }
+        for &jid in &spec.readers {
+            if self.left_live[jid as usize] == 0 {
+                self.stats.null_skipped += n;
+                continue;
+            }
+            let j = net.join(jid);
+            for (&ci, &key) in passing.iter().zip(keys.iter()) {
+                let change = &group[ci as usize];
+                self.right_delta(j, key, change.sign, &change.wme);
+            }
         }
     }
 
     /// Pass 1 of the two-pass split: one right (alpha) delta against the
-    /// pre-batch left memory. Called eagerly from the alpha walk — left
-    /// memories are only mutated by the pass-2 sweep, which runs after the
-    /// whole alpha walk, so the left memory seen here *is* the pre-batch
-    /// one. Together with pass 2 (left deltas against the post-batch right
+    /// pre-batch left memory. Called from the alpha walk — left memories
+    /// are only mutated by the pass-2 sweep, which runs after the whole
+    /// alpha walk, so the left memory seen here *is* the pre-batch one.
+    /// Together with pass 2 (left deltas against the post-batch right
     /// memory) every (left, right) pair is counted exactly once: a pair
     /// where both sides changed this batch is seen only by pass 2, a pair
-    /// whose right side was deleted only by pass 1.
-    fn right_delta(&mut self, j: &JoinNode, unlink: bool, sign: Sign, w: &WmeRef) {
+    /// whose right side was deleted only by pass 1. A positive join emits
+    /// each pair; a not-node adjusts the frozen entries' blocker counters
+    /// and emits each 0-boundary crossing.
+    fn right_delta(&mut self, j: &JoinNode, key: u64, sign: Sign, w: &WmeRef) {
         let jid = j.id as usize;
-        {
-            self.stats.activations += 1;
-            self.stats.join_activations += 1;
-            if let Some(p) = &mut self.profile {
-                p.acts[jid] += 1;
-            }
-            let key = j.right_key(w);
-            let opp_live = self.left_live[jid];
-            if !j.negated {
-                match sign {
-                    Sign::Plus => {
-                        insert_right_entry(&mut self.right[jid], j, key, w.clone());
-                        self.right_live[jid] += 1;
-                    }
-                    Sign::Minus => {
-                        let (found, examined) =
-                            remove_right_entry(&mut self.right[jid], key, w.timetag);
-                        self.stats.same_tokens_right += examined;
-                        self.stats.same_searches_right += 1;
-                        debug_assert!(found, "col delete must find its wme");
-                        self.right_live[jid] -= 1;
-                    }
+        let mut examined = 0u64;
+        if let Some(b) = self.left[jid].line_mut(key) {
+            let rvals = (j.tests.len() <= MAX_RESOLVED_TESTS).then(|| {
+                let mut vals = [Value::Int(0); MAX_RESOLVED_TESTS];
+                for (v, t) in vals.iter_mut().zip(j.tests.iter()) {
+                    *v = w.field(t.right_field);
                 }
-                if unlink && opp_live == 0 {
-                    self.stats.null_skipped += 1;
-                    return;
+                vals
+            });
+            for i in 0..b.len() {
+                let m = &b.rows[i];
+                if !m.alive {
+                    continue;
                 }
-                if opp_live == 0 {
-                    // Null fast path: zero live entries opposite means any
-                    // line scan would examine nothing — record the empty
-                    // scan and skip the memory access.
-                    self.stats.null_activations += 1;
-                    if let Some(h) = &mut self.scan_hist {
-                        h.record(0);
-                    }
-                    return;
+                examined += 1;
+                if m.key != key || !left_entry_passes(j, b, i, &rvals, w) {
+                    continue;
                 }
-                let mut examined = 0u64;
-                if let Some(b) = self.left[jid].line(key) {
-                    let r = resolve_right(j, w);
-                    for i in 0..b.len() {
-                        let m = &b.rows[i];
-                        if !m.alive {
-                            continue;
+                let m = &mut b.rows[i];
+                let (sign, token) = if !j.negated {
+                    (sign, m.handle.extended(w.clone()))
+                } else {
+                    let crossed = match sign {
+                        Sign::Plus => {
+                            m.neg += 1;
+                            m.neg == 1
                         }
-                        examined += 1;
-                        if m.key == key && left_entry_passes(j, b, i, &r, w) {
-                            emit(
-                                &j.succs,
-                                sign,
-                                &b.rows[i].handle.extended(w.clone()),
-                                &mut self.left_deltas,
-                                &mut self.dirty,
-                                &mut self.out,
-                                &mut self.stats,
-                            );
+                        Sign::Minus => {
+                            debug_assert!(m.neg > 0, "not-node counter underflow");
+                            m.neg -= 1;
+                            m.neg == 0
                         }
+                    };
+                    if !crossed {
+                        continue;
                     }
-                }
-                self.stats.opp_tokens_right += examined;
-                if examined > 0 {
-                    self.stats.opp_nonempty_right += 1;
-                }
-                if let Some(p) = &mut self.profile {
-                    p.scans[jid] += examined;
-                }
-                if let Some(h) = &mut self.scan_hist {
-                    h.record(examined);
-                }
-            } else {
-                // Not-node blocker delta: adjust the frozen left entry
-                // set's counters, emitting each 0-boundary crossing.
-                match sign {
-                    Sign::Plus => {
-                        insert_right_entry(&mut self.right[jid], j, key, w.clone());
-                        self.right_live[jid] += 1;
-                    }
-                    Sign::Minus => {
-                        let (found, examined) =
-                            remove_right_entry(&mut self.right[jid], key, w.timetag);
-                        self.stats.same_tokens_right += examined;
-                        self.stats.same_searches_right += 1;
-                        debug_assert!(found, "col delete must find its blocker");
-                        self.right_live[jid] -= 1;
-                    }
-                }
-                if unlink && opp_live == 0 {
-                    self.stats.null_skipped += 1;
-                    return;
-                }
-                if opp_live == 0 {
-                    // Null fast path: zero live entries opposite means any
-                    // line scan would examine nothing — record the empty
-                    // scan and skip the memory access.
-                    self.stats.null_activations += 1;
-                    if let Some(h) = &mut self.scan_hist {
-                        h.record(0);
-                    }
-                    return;
-                }
-                let mut examined = 0u64;
-                if let Some(b) = self.left[jid].line_mut(key) {
-                    let r = resolve_right(j, w);
-                    for i in 0..b.len() {
-                        let m = &b.rows[i];
-                        if !m.alive {
-                            continue;
-                        }
-                        examined += 1;
-                        if m.key != key || !left_entry_passes(j, b, i, &r, w) {
-                            continue;
-                        }
-                        match sign {
-                            Sign::Plus => {
-                                b.rows[i].neg += 1;
-                                if b.rows[i].neg == 1 {
-                                    emit(
-                                        &j.succs,
-                                        Sign::Minus,
-                                        &b.rows[i].handle,
-                                        &mut self.left_deltas,
-                                        &mut self.dirty,
-                                        &mut self.out,
-                                        &mut self.stats,
-                                    );
-                                }
-                            }
-                            Sign::Minus => {
-                                debug_assert!(b.rows[i].neg > 0, "not-node counter underflow");
-                                b.rows[i].neg -= 1;
-                                if b.rows[i].neg == 0 {
-                                    emit(
-                                        &j.succs,
-                                        Sign::Plus,
-                                        &b.rows[i].handle,
-                                        &mut self.left_deltas,
-                                        &mut self.dirty,
-                                        &mut self.out,
-                                        &mut self.stats,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-                self.stats.opp_tokens_right += examined;
-                if examined > 0 {
-                    self.stats.opp_nonempty_right += 1;
-                }
-                if let Some(p) = &mut self.profile {
-                    p.scans[jid] += examined;
-                }
-                if let Some(h) = &mut self.scan_hist {
-                    h.record(examined);
-                }
+                    (sign.flip(), m.handle.clone())
+                };
+                emit(
+                    &j.succs,
+                    sign,
+                    &token,
+                    &mut self.left_deltas,
+                    &mut self.dirty,
+                    &mut self.out,
+                    &mut self.stats,
+                );
             }
         }
+        self.note_scan(jid, examined, true);
     }
 
     /// Pass 2 of the two-pass split: the join's accumulated left deltas
     /// (alpha 1-WME tokens and upstream emissions), in emission order,
-    /// against the post-batch (settled) right memory.
+    /// against the post-batch (settled) right memory it shares.
     fn process_join(&mut self, net: &Network, jid: usize) {
         let j = net.join(jid as u32);
+        let mid = j.right_mem as usize;
         let unlink = net.options.unlinking;
         let mut ldeltas = std::mem::take(&mut self.left_deltas[jid]);
         // The sweep never mutates right memories, so the opposite-side live
         // count is invariant across every delta queued for this join.
-        let opp_live = self.right_live[jid];
+        let opp_live = self.right_live[mid];
         let n = ldeltas.len() as u64;
         self.stats.activations += n;
         self.stats.join_activations += n;
@@ -814,144 +687,85 @@ impl ColMatcher {
             p.acts[jid] += n;
         }
         for (sign, t) in ldeltas.drain(..) {
-            let key = j.left_key(&t);
-            if !j.negated {
-                match sign {
-                    Sign::Plus => {
-                        insert_left_entry(&mut self.left[jid], j, key, t.clone(), 0);
-                        self.left_live[jid] += 1;
-                    }
-                    Sign::Minus => {
-                        let (found, examined) = remove_left_entry(&mut self.left[jid], key, &t);
-                        self.stats.same_tokens_left += examined;
-                        self.stats.same_searches_left += 1;
-                        debug_assert!(found.is_some(), "col delete must find its token");
-                        self.left_live[jid] -= 1;
-                    }
-                }
-                if unlink && opp_live == 0 {
-                    self.stats.null_skipped += 1;
-                    continue;
-                }
-                if opp_live == 0 {
-                    // Null fast path: zero live entries opposite means any
-                    // line scan would examine nothing — record the empty
-                    // scan and skip the memory access.
-                    self.stats.null_activations += 1;
-                    if let Some(h) = &mut self.scan_hist {
-                        h.record(0);
+            let key = j.shared_key(&t);
+            if sign == Sign::Minus {
+                let (neg, examined) = remove_left_entry(&mut self.left[jid], key, &t);
+                self.stats.same_tokens_left += examined;
+                self.stats.same_searches_left += 1;
+                debug_assert!(neg.is_some(), "col delete must find its token");
+                self.left_live[jid] -= 1;
+                if j.negated {
+                    // The stored count says whether the token was passed on.
+                    if neg == Some(0) {
+                        emit(
+                            &j.succs,
+                            Sign::Minus,
+                            &t,
+                            &mut self.left_deltas,
+                            &mut self.dirty,
+                            &mut self.out,
+                            &mut self.stats,
+                        );
                     }
                     continue;
                 }
-                let mut examined = 0u64;
-                if let Some(b) = self.right[jid].line(key) {
-                    let r = resolve_left(j, &t);
-                    for i in 0..b.len() {
-                        let m = &b.rows[i];
-                        if !m.alive {
-                            continue;
-                        }
-                        examined += 1;
-                        if m.key == key && right_entry_passes(j, b, i, &r, &t) {
-                            emit(
-                                &j.succs,
-                                sign,
-                                &t.extended(b.rows[i].handle.clone()),
-                                &mut self.left_deltas,
-                                &mut self.dirty,
-                                &mut self.out,
-                                &mut self.stats,
-                            );
-                        }
-                    }
-                }
-                self.stats.opp_tokens_left += examined;
-                if examined > 0 {
-                    self.stats.opp_nonempty_left += 1;
-                }
-                if let Some(p) = &mut self.profile {
-                    p.scans[jid] += examined;
-                }
+            }
+            // Scan the settled right memory: a positive join emits each
+            // match, a not-node counts its blockers and the token joins
+            // with the final count directly.
+            let mut blockers = 0u32;
+            if opp_live == 0 && unlink {
+                self.stats.null_skipped += 1;
+            } else if opp_live == 0 {
+                // Null fast path: zero live entries opposite means any
+                // line scan would examine nothing — record the empty
+                // scan and skip the memory access.
+                self.stats.null_activations += 1;
                 if let Some(h) = &mut self.scan_hist {
-                    h.record(examined);
+                    h.record(0);
                 }
             } else {
-                match sign {
-                    Sign::Plus => {
-                        // Count blockers in the settled right memory; the
-                        // token joins with its final count directly.
-                        let n = if unlink && opp_live == 0 {
-                            self.stats.null_skipped += 1;
-                            0
-                        } else if opp_live == 0 {
-                            // Null fast path, same as the positive joins.
-                            self.stats.null_activations += 1;
-                            if let Some(h) = &mut self.scan_hist {
-                                h.record(0);
-                            }
-                            0
-                        } else {
-                            let mut n = 0u32;
-                            let mut examined = 0u64;
-                            if let Some(b) = self.right[jid].line(key) {
-                                let r = resolve_left(j, &t);
-                                for i in 0..b.len() {
-                                    let m = &b.rows[i];
-                                    if !m.alive {
-                                        continue;
-                                    }
-                                    examined += 1;
-                                    if m.key == key && right_entry_passes(j, b, i, &r, &t) {
-                                        n += 1;
-                                    }
-                                }
-                            }
-                            self.stats.opp_tokens_left += examined;
-                            if examined > 0 {
-                                self.stats.opp_nonempty_left += 1;
-                            }
-                            if let Some(p) = &mut self.profile {
-                                p.scans[jid] += examined;
-                            }
-                            if let Some(h) = &mut self.scan_hist {
-                                h.record(examined);
-                            }
-                            n
-                        };
-                        insert_left_entry(&mut self.left[jid], j, key, t.clone(), n);
-                        self.left_live[jid] += 1;
-                        if n == 0 {
-                            emit(
-                                &j.succs,
-                                Sign::Plus,
-                                &t,
-                                &mut self.left_deltas,
-                                &mut self.dirty,
-                                &mut self.out,
-                                &mut self.stats,
-                            );
+                let mut examined = 0u64;
+                if let Some(b) = self.right[mid].line(key) {
+                    let ops = j.resolve_left(&t);
+                    for m in b.rows.iter().filter(|m| m.alive) {
+                        examined += 1;
+                        if m.key != key || !j.passes_resolved(&ops, &t, &m.handle) {
+                            continue;
                         }
-                    }
-                    Sign::Minus => {
-                        let (neg, examined) = remove_left_entry(&mut self.left[jid], key, &t);
-                        self.stats.same_tokens_left += examined;
-                        self.stats.same_searches_left += 1;
-                        self.left_live[jid] -= 1;
-                        match neg {
-                            Some(0) => emit(
-                                &j.succs,
-                                Sign::Minus,
-                                &t,
-                                &mut self.left_deltas,
-                                &mut self.dirty,
-                                &mut self.out,
-                                &mut self.stats,
-                            ),
-                            Some(_) => {}
-                            None => debug_assert!(false, "col delete must find its token"),
+                        if j.negated {
+                            blockers += 1;
+                            continue;
                         }
+                        emit(
+                            &j.succs,
+                            sign,
+                            &t.extended(m.handle.clone()),
+                            &mut self.left_deltas,
+                            &mut self.dirty,
+                            &mut self.out,
+                            &mut self.stats,
+                        );
                     }
                 }
+                self.note_scan(jid, examined, false);
+            }
+            if sign == Sign::Plus {
+                if j.negated && blockers == 0 {
+                    emit(
+                        &j.succs,
+                        Sign::Plus,
+                        &t,
+                        &mut self.left_deltas,
+                        &mut self.dirty,
+                        &mut self.out,
+                        &mut self.stats,
+                    );
+                }
+                let cols = j.tests.iter().map(|c| t.value(c.left_ce, c.left_field));
+                let tag = t.identity_hash();
+                self.left[jid].insert(key, tag, blockers, t.clone(), cols);
+                self.left_live[jid] += 1;
             }
         }
         self.left_deltas[jid] = ldeltas;
@@ -962,16 +776,16 @@ impl Matcher for ColMatcher {
     fn submit(&mut self, batch: &ChangeBatch) {
         self.stats.conjugate_pairs += batch.annihilated();
         let net = self.net.clone();
-        let unlink = net.options.unlinking;
         // Alpha network, whole batch, pattern-major: the group's passing
-        // changes are resolved once per pattern, then each successor
-        // consumes the whole set while its join state is cache-hot. Right
-        // deltas run pass 1 in place (left memories stay untouched until
-        // the sweep); left deltas and emissions queue on their join for
-        // the pass-2 sweep. Per-join delta order stays submission order —
-        // only interleaving across joins changes, which folding cannot
-        // observe.
+        // changes are resolved once per pattern, then each right memory
+        // and each successor consumes the whole set while its state is
+        // cache-hot. Right deltas run pass 1 in place (left memories stay
+        // untouched until the sweep); left deltas and emissions queue on
+        // their join for the pass-2 sweep. Per-join delta order stays
+        // submission order — only interleaving across joins changes,
+        // which folding cannot observe.
         let mut passing: Vec<u32> = Vec::new();
+        let mut keys = std::mem::take(&mut self.keys);
         let mut singles: Vec<Option<Token>> = Vec::new();
         for (class, group) in batch.groups() {
             self.stats.alpha_activations += 1;
@@ -995,6 +809,10 @@ impl Matcher for ColMatcher {
                 if passing.is_empty() {
                     continue;
                 }
+                for &mid in &pat.right_mems {
+                    let spec = &net.right_mems[mid as usize];
+                    self.right_group(&net, spec, mid as usize, group, &passing, &mut keys);
+                }
                 for succ in &pat.succs {
                     match *succ {
                         AlphaSucc::JoinLeft(j) => {
@@ -1007,9 +825,8 @@ impl Matcher for ColMatcher {
                             }
                             mark(&mut self.dirty, j);
                         }
-                        AlphaSucc::JoinRight(j) => {
-                            self.right_group(net.join(j), unlink, group, &passing);
-                        }
+                        // Served through the pattern's right memories above.
+                        AlphaSucc::JoinRight(_) => {}
                         AlphaSucc::Terminal(p) => {
                             for &ci in &passing {
                                 let change = &group[ci as usize];
@@ -1029,6 +846,7 @@ impl Matcher for ColMatcher {
                 }
             }
         }
+        self.keys = keys;
         // One forward sweep over the dirty joins in ascending id order
         // (topological, so every join's delta set is complete when the
         // sweep reaches it; emissions only set bits ahead of the cursor,
@@ -1291,6 +1109,134 @@ mod tests {
         assert_eq!(cs.len(), 1, "exactly one Remove: {cs:?}");
         assert!(matches!(cs[0], CsChange::Remove(_)));
         assert_eq!(m.memory_entries(), 0);
+    }
+
+    /// One test-free `b` pattern read under three signatures (`[y]`,
+    /// `[y u]`, `[]`) by five joins, one of them a not-node.
+    const SHARED_B: &str = "(literalize a x z) (literalize b y u) (literalize c x)
+         (p p1 (a ^x <v>) (b ^y <v>) --> (halt))
+         (p p2 (a ^x <v> ^z <w>) (b ^y <v> ^u <w>) --> (halt))
+         (p p3 (a ^x <v>) (b ^y <q>) --> (halt))
+         (p p4 (a ^x <v>) - (b ^y <v>) --> (halt))
+         (p p5 (c ^x <v>) (b ^y <v>) --> (halt))";
+
+    #[test]
+    fn a_wme_is_stored_once_per_signature_not_per_join() {
+        let (mut prog, net) = net_of(SHARED_B);
+        assert_eq!((net.n_joins(), net.right_mems.len()), (5, 3));
+        let mut m = ColMatcher::new(net);
+        let b1 = wme(&mut prog, "b", vec![Value::Int(1), Value::Int(2)], 1);
+        m.submit(&ChangeBatch::single(change(Sign::Plus, b1.clone())));
+        assert_eq!(m.memory_entries(), 3, "one row per signature");
+        // No left memory is alive: all five readers retire unvisited.
+        assert_eq!(m.stats().join_activations, 5);
+        assert_eq!(m.stats().null_skipped, 5);
+        assert_eq!(m.stats().same_searches_right, 0);
+        m.submit(&ChangeBatch::single(change(Sign::Minus, b1)));
+        assert_eq!(m.memory_entries(), 0);
+        assert_eq!(m.stats().same_searches_right, 3, "one search per memory");
+        assert!(m.quiesce().cs_changes.is_empty());
+
+        let b =
+            |prog: &mut Program, y, u, tag| wme(prog, "b", vec![Value::Int(y), Value::Int(u)], tag);
+        let a1 = wme(&mut prog, "a", vec![Value::Int(1), Value::Int(2)], 10);
+        let a2 = wme(&mut prog, "a", vec![Value::Int(3), Value::Int(2)], 11);
+        let c1 = wme(&mut prog, "c", vec![Value::Int(1)], 12);
+        let (b12, b13, b32) = (
+            b(&mut prog, 1, 2, 20),
+            b(&mut prog, 1, 3, 21),
+            b(&mut prog, 3, 2, 22),
+        );
+        assert_agrees(
+            SHARED_B,
+            &[
+                vec![
+                    change(Sign::Plus, a1.clone()),
+                    change(Sign::Plus, b12.clone()),
+                ],
+                vec![
+                    change(Sign::Plus, b13.clone()),
+                    change(Sign::Plus, c1.clone()),
+                ],
+                vec![
+                    change(Sign::Plus, a2.clone()),
+                    change(Sign::Minus, b12.clone()),
+                ],
+                vec![change(Sign::Plus, b32.clone()), change(Sign::Minus, a1)],
+                vec![change(Sign::Minus, b13), change(Sign::Minus, c1)],
+                vec![change(Sign::Minus, a2), change(Sign::Minus, b32)],
+            ],
+        );
+    }
+
+    #[test]
+    fn a_reader_that_comes_alive_late_scans_the_shared_memory() {
+        // The relink case: `b`s arrive and leave while every reader's left
+        // memory is empty (no reader is run), then the token arrives, pairs
+        // with exactly the survivors, and leaves again.
+        let (mut prog, net) = net_of(SHARED_B);
+        let bs: Vec<WmeRef> = (0..6)
+            .map(|i| {
+                wme(
+                    &mut prog,
+                    "b",
+                    vec![Value::Int(i % 2), Value::Int(2)],
+                    i as u64 + 1,
+                )
+            })
+            .collect();
+        let a = wme(&mut prog, "a", vec![Value::Int(1), Value::Int(2)], 10);
+        let cycles = [
+            bs.iter().map(|w| change(Sign::Plus, w.clone())).collect(),
+            vec![
+                change(Sign::Minus, bs[1].clone()),
+                change(Sign::Minus, bs[2].clone()),
+            ],
+            vec![change(Sign::Plus, a.clone())],
+            vec![change(Sign::Minus, bs[3].clone())],
+            vec![change(Sign::Minus, a.clone())],
+            vec![change(Sign::Plus, bs[1].clone())],
+            vec![change(Sign::Plus, a)],
+        ];
+        assert_agrees(SHARED_B, &cycles);
+        let mut m = ColMatcher::new(net);
+        for cycle in &cycles[..2] {
+            m.submit(&cycle.iter().cloned().collect());
+        }
+        let s = m.stats();
+        assert_eq!(s.join_activations, 5 * 8);
+        assert_eq!((s.null_skipped, s.null_activations), (5 * 8, 0));
+        assert_eq!(s.opp_tokens_right + s.opp_nonempty_right, 0);
+        m.submit(&cycles[2].iter().cloned().collect());
+        // p1 and p2: b3 b5 each; p3: b0 b3 b4 b5; p4 stays blocked.
+        assert_eq!(m.quiesce().cs_changes.len(), 8);
+    }
+
+    #[test]
+    fn blocker_shared_by_a_not_node_and_a_positive_join() {
+        let src = "(p pos (a ^x <v>) (b ^y <v>) --> (halt))
+                   (p neg (a ^x <v>) - (b ^y <v>) --> (halt))";
+        let (mut prog, net) = net_of(src);
+        assert_eq!(net.right_mems.len(), 1);
+        let wa = wme(&mut prog, "a", vec![Value::Int(1)], 1);
+        let wb = wme(&mut prog, "b", vec![Value::Int(1)], 2);
+        let wb2 = wme(&mut prog, "b", vec![Value::Int(1)], 3);
+        assert_agrees(
+            src,
+            &[
+                vec![
+                    change(Sign::Plus, wb.clone()),
+                    change(Sign::Plus, wa.clone()),
+                ],
+                vec![change(Sign::Minus, wb.clone())],
+                vec![
+                    change(Sign::Plus, wb.clone()),
+                    change(Sign::Plus, wb2.clone()),
+                ],
+                vec![change(Sign::Minus, wb2)],
+                vec![change(Sign::Minus, wa), change(Sign::Minus, wb)],
+            ],
+        );
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //!   (*vs2*, §3.2), organised in "lines" (pairs of same-index buckets).
 //! * [`seq`] — the sequential matcher over either memory kind, instrumented
 //!   with the Table 4-1/4-2/4-3 statistics.
-//! * [`colmatch`] — the columnar set-at-a-time matcher (*col*): per-join
+//! * [`colmatch`] — the columnar set-at-a-time matcher (*col*):
 //!   value-bucketed struct-of-arrays memories scanned a whole batch at a
-//!   time, with tombstone deletes and inline compaction.
+//!   time, with tombstone deletes and inline compaction. Left memories are
+//!   per join; right memories are shared, one per alpha pattern and
+//!   equality signature, so each WME is stored once.
 //! * [`dot`] — Graphviz/ASCII rendering of the network (Figure 2-2).
 
 pub mod colmatch;
@@ -37,7 +39,7 @@ pub use colmatch::ColMatcher;
 pub use memory::{HashMemConfig, MemoryKind};
 pub use network::{
     AlphaPatternId, AlphaSucc, EqSpec, JoinId, JoinNode, JoinTest, Network, NetworkOptions,
-    NetworkSummary, Succ,
+    NetworkSummary, RightMemId, RightMemSpec, Succ,
 };
 pub use seq::SeqMatcher;
 pub use token::Token;

@@ -12,6 +12,12 @@
 //!   footnote 6). Negated condition elements compile to not-nodes, which are
 //!   join nodes with a per-left-token match counter.
 //!
+//! Beside the paper's per-join memories the compiler also records which
+//! joins *could* read one right memory: [`RightMemSpec`] groups the right
+//! inputs of an alpha pattern by the fields their equality tests hash
+//! ([`JoinNode::right_mem`]). The paper matchers ignore it (footnote 6
+//! stands for them); `col` stores each WME once per group.
+//!
 //! With [`NetworkOptions::sharing`] enabled (off by default — the paper's
 //! configuration keeps the chains linear), identical join-chain *prefixes*
 //! are deduped across productions exactly like alpha patterns, turning the
@@ -31,6 +37,7 @@ use ops5::{Ops5Error, Pred, ProdId, Program, SymbolId, Value, Wme};
 
 pub type JoinId = u32;
 pub type AlphaPatternId = u32;
+pub type RightMemId = u32;
 
 /// One constant-test-node test, pre-compiled to a field index.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -81,6 +88,33 @@ pub struct AlphaPattern {
     pub class: SymbolId,
     pub tests: Box<[AlphaTest]>,
     pub succs: Vec<AlphaSucc>,
+    /// The shared right memories this pattern's passing WMEs are stored in
+    /// (one per distinct equality signature among its `JoinRight` successors).
+    pub right_mems: Vec<RightMemId>,
+}
+
+/// A right memory shared by every join whose right input is the same alpha
+/// pattern hashed on the same fields. Entries are keyed by
+/// [`RightMemSpec::key`], which — unlike [`JoinNode::right_key`] — leaves
+/// the join id out, so one stored WME serves all `readers`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RightMemSpec {
+    pub pattern: AlphaPatternId,
+    /// The signature: `eq_specs[..].right_field` of every reader, in order.
+    pub fields: Box<[u16]>,
+    /// The joins and not-nodes reading this memory, ascending.
+    pub readers: Vec<JoinId>,
+}
+
+impl RightMemSpec {
+    /// Hash key of a WME stored in this memory. Equal to
+    /// [`JoinNode::shared_key`] of any token it can pair with at a reader.
+    #[inline]
+    pub fn key(&self, wme: &Wme) -> u64 {
+        self.fields
+            .iter()
+            .fold(0, |h, &f| hash_value(h, wme.field(f)))
+    }
 }
 
 /// An inter-element test: `wme.field(right_field) PRED token[left_ce].field(left_field)`.
@@ -125,7 +159,15 @@ pub struct JoinNode {
     pub left_len: u16,
     pub tests: Box<[JoinTest]>,
     pub eq_specs: Box<[EqSpec]>,
+    /// The shared right memory whose signature is this join's `eq_specs`
+    /// right fields (read by `col` only).
+    pub right_mem: RightMemId,
     pub succs: Vec<Succ>,
+}
+
+/// The equality signature a right memory is keyed on.
+fn right_sig(eq_specs: &[EqSpec]) -> impl Iterator<Item = u16> + Clone + '_ {
+    eq_specs.iter().map(|s| s.right_field)
 }
 
 #[inline]
@@ -224,6 +266,14 @@ impl JoinNode {
         h
     }
 
+    /// Join-id-free key of a left token: the key space of `right_mem`.
+    #[inline]
+    pub fn shared_key(&self, token: &Token) -> u64 {
+        self.eq_specs.iter().fold(0, |h, s| {
+            hash_value(h, token.value(s.left_ce, s.left_field))
+        })
+    }
+
     /// Length of tokens this join emits.
     #[inline]
     pub fn out_len(&self) -> u16 {
@@ -261,8 +311,12 @@ pub struct NetworkSummary {
     pub joins: usize,
     /// Join constructions that reused an existing join (0 with sharing off).
     pub shared_prefixes: usize,
-    /// Coalesced token memories: one left + one right memory per join.
+    /// The paper matchers' coalesced token memories: one left + one right
+    /// memory per join (footnote 6: not shared across productions).
     pub memory_nodes: usize,
+    /// Right memories `col` keeps instead of one per join: one per
+    /// (alpha pattern, equality signature).
+    pub right_memories: usize,
     pub terminals: usize,
 }
 
@@ -270,12 +324,13 @@ impl std::fmt::Display for NetworkSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "network: {} classes, {} alpha patterns, {} joins ({} shared prefixes), {} memory nodes, {} terminals",
+            "network: {} classes, {} alpha patterns, {} joins ({} shared prefixes), {} memory nodes ({} right memories under col), {} terminals",
             self.classes,
             self.alpha_patterns,
             self.joins,
             self.shared_prefixes,
             self.memory_nodes,
+            self.right_memories,
             self.terminals
         )
     }
@@ -287,6 +342,8 @@ pub struct Network {
     pub patterns: Vec<AlphaPattern>,
     by_class: FxHashMap<SymbolId, Vec<AlphaPatternId>>,
     pub joins: Vec<JoinNode>,
+    /// Shared right memories, indexed by [`JoinNode::right_mem`].
+    pub right_mems: Vec<RightMemSpec>,
     /// Positive-CE count per production (instantiation length).
     pub prod_sizes: Vec<u16>,
     /// Production names (for traces and dot output).
@@ -331,6 +388,7 @@ impl Network {
             joins: self.joins.len(),
             shared_prefixes: self.shared_prefixes,
             memory_nodes: 2 * self.joins.len(),
+            right_memories: self.right_mems.len(),
             terminals: self.prod_sizes.len(),
         }
     }
@@ -352,11 +410,18 @@ impl Network {
                         )),
                         _ => {}
                     },
-                    AlphaSucc::JoinRight(j) => {
-                        if self.joins.get(j as usize).is_none() {
-                            errs.push(format!("alpha {} -> missing join {j}", pat.id));
+                    AlphaSucc::JoinRight(j) => match self.joins.get(j as usize) {
+                        None => errs.push(format!("alpha {} -> missing join {j}", pat.id)),
+                        Some(join) => {
+                            let mem = self.right_mems.get(join.right_mem as usize);
+                            if mem.map(|m| m.pattern) != Some(pat.id) {
+                                errs.push(format!(
+                                    "alpha {} feeds right of join {j}, whose right memory is not the pattern's",
+                                    pat.id
+                                ));
+                            }
                         }
-                    }
+                    },
                     AlphaSucc::Terminal(p) => match self.prod_sizes.get(p.index()) {
                         None => errs.push(format!("alpha {} -> missing prod {p:?}", pat.id)),
                         Some(&sz) => {
@@ -370,6 +435,36 @@ impl Network {
                     },
                 }
             }
+        }
+        // Every join reads exactly one right memory, of its own signature.
+        for (mid, m) in self.right_mems.iter().enumerate() {
+            if !self.patterns[m.pattern as usize]
+                .right_mems
+                .contains(&(mid as RightMemId))
+                || !m.readers.windows(2).all(|w| w[0] < w[1])
+            {
+                errs.push(format!("right memory {mid}: unlisted or readers unsorted"));
+            }
+            for &r in &m.readers {
+                let ok = self.joins.get(r as usize).is_some_and(|j| {
+                    j.right_mem as usize == mid
+                        && m.fields.iter().copied().eq(right_sig(&j.eq_specs))
+                });
+                if !ok {
+                    errs.push(format!(
+                        "right memory {mid}: reader {r} missing, elsewhere or of another signature"
+                    ));
+                }
+            }
+        }
+        if self
+            .right_mems
+            .iter()
+            .map(|m| m.readers.len())
+            .sum::<usize>()
+            != self.joins.len()
+        {
+            errs.push("right memories do not list every join once".to_string());
         }
         for j in &self.joins {
             for t in j.tests.iter() {
@@ -456,6 +551,7 @@ impl Network {
             patterns: Vec::new(),
             by_class: FxHashMap::default(),
             joins: Vec::new(),
+            right_mems: Vec::new(),
             prod_sizes: Vec::with_capacity(prog.productions.len()),
             prod_names: Vec::with_capacity(prog.productions.len()),
             options,
@@ -497,9 +593,42 @@ impl Network {
             class,
             tests: tests.clone().into_boxed_slice(),
             succs: Vec::new(),
+            right_mems: Vec::new(),
         });
         self.by_class.entry(class).or_default().push(id);
         dedup.insert((class, tests), id);
+        id
+    }
+
+    /// The shared right memory of `pat` with `eq_specs`' signature, created
+    /// on first use; registers `reader`. A pattern has a handful of
+    /// signatures at most, so the search is a short linear one.
+    fn intern_right_mem(
+        &mut self,
+        pat: AlphaPatternId,
+        reader: JoinId,
+        eq_specs: &[EqSpec],
+    ) -> RightMemId {
+        let fields = right_sig(eq_specs);
+        let mems = &self.patterns[pat as usize].right_mems;
+        let found = mems.iter().copied().find(|&m| {
+            self.right_mems[m as usize]
+                .fields
+                .iter()
+                .copied()
+                .eq(fields.clone())
+        });
+        let id = found.unwrap_or_else(|| {
+            let id = self.right_mems.len() as RightMemId;
+            self.right_mems.push(RightMemSpec {
+                pattern: pat,
+                fields: fields.collect(),
+                readers: Vec::new(),
+            });
+            self.patterns[pat as usize].right_mems.push(id);
+            id
+        });
+        self.right_mems[id as usize].readers.push(reader);
         id
     }
 
@@ -655,6 +784,7 @@ impl Network {
                                     right_field: t.right_field,
                                 })
                                 .collect();
+                            let right_mem = self.intern_right_mem(pat, join_id, &eq_specs);
                             let node = JoinNode {
                                 id: join_id,
                                 prod: prod_id,
@@ -663,6 +793,7 @@ impl Network {
                                 left_len: pos_count,
                                 tests: join_tests.into_boxed_slice(),
                                 eq_specs: eq_specs.into_boxed_slice(),
+                                right_mem,
                                 // Filled once the next element is seen.
                                 succs: Vec::new(),
                             };
@@ -823,6 +954,11 @@ mod tests {
         let tok = Token::single(wa);
         assert_eq!(j.left_key(&tok), j.right_key(&wb));
         assert_ne!(j.left_key(&tok), j.right_key(&wb2));
+        // The shared-memory key space: same agreement, no join id in it.
+        let mem = &net.right_mems[j.right_mem as usize];
+        assert_eq!((mem.readers.as_slice(), &*mem.fields), (&[0][..], &[0][..]));
+        assert_eq!(j.shared_key(&tok), mem.key(&wb));
+        assert_ne!(j.shared_key(&tok), mem.key(&wb2));
         assert!(j.passes(&tok, &wb));
         assert!(!j.passes(&tok, &wb2));
     }

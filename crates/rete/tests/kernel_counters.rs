@@ -7,6 +7,11 @@
 //! captured on the commit before the borrowed kernel landed; on a mismatch
 //! the test prints the whole measured table in the layout of [`GOLDEN`].
 //! Only change a row together with a reason the counter should have moved.
+//!
+//! The `col` rows pin the same columns for the columnar matcher, captured
+//! when its right memories became shared: `same_searches_right` counts one
+//! delete search per right *memory*, and a right activation of a reader
+//! with an empty left memory is `null_skipped` with unlinking off as well.
 
 use engine::{ActStrategy, EngineBuilder};
 use ops5::{ChangeBatch, CsChange, MatchStats, Matcher, QuiesceReport};
@@ -149,17 +154,17 @@ fn columns(s: &MatchStats) -> [u64; COLUMNS] {
     ]
 }
 
-fn run(w: &Workload, vs2: bool, unlinking: bool) -> ([u64; COLUMNS], CsDigest) {
+fn run(w: &Workload, matcher: &'static str, unlinking: bool) -> ([u64; COLUMNS], CsDigest) {
     let digest = Arc::new(Mutex::new(CsDigest {
         hash: 0xcbf2_9ce4_8422_2325,
         quiescences: 0,
     }));
     let sink = digest.clone();
     let factory = move |net: Arc<Network>| -> Box<dyn Matcher> {
-        let inner = if vs2 {
-            rete::seq::boxed_vs2(net, HashMemConfig::default())
-        } else {
-            rete::seq::boxed_vs1(net)
+        let inner = match matcher {
+            "vs1" => rete::seq::boxed_vs1(net),
+            "vs2" => rete::seq::boxed_vs2(net, HashMemConfig::default()),
+            _ => rete::colmatch::boxed_col(net),
         };
         Box::new(Recorded {
             inner,
@@ -195,14 +200,20 @@ const GOLDEN: &[Row] = &[
     ("weaver(5x4x2, 2 nets, 2 kinds)", "vs1", true, [361, 8844, 295, 8593, 0, 5840, 32244, 1525, 1848, 1133, 4656, 871, 30024, 2843, 251, 0]),
     ("weaver(5x4x2, 2 nets, 2 kinds)", "vs2", false, [361, 8844, 295, 8593, 5840, 0, 1114, 771, 792, 792, 872, 871, 10137, 2843, 251, 0]),
     ("weaver(5x4x2, 2 nets, 2 kinds)", "vs2", true, [361, 8844, 295, 8593, 0, 5840, 1114, 771, 792, 792, 872, 871, 10137, 2843, 251, 0]),
+    ("weaver(5x4x2, 2 nets, 2 kinds)", "col", false, [361, 8898, 295, 8593, 93, 5743, 9257, 1555, 1686, 1105, 871, 871, 359, 244, 305, 0]),
+    ("weaver(5x4x2, 2 nets, 2 kinds)", "col", true, [361, 8898, 295, 8593, 0, 5836, 9257, 1555, 1686, 1105, 871, 871, 359, 244, 305, 0]),
     ("tourney(6 teams, pathological)", "vs1", false, [263, 3065, 137, 2081, 288, 0, 5435, 1048, 477, 192, 4099, 844, 447, 168, 984, 0]),
     ("tourney(6 teams, pathological)", "vs1", true, [263, 3065, 137, 2081, 0, 288, 5435, 1048, 477, 192, 4099, 844, 447, 168, 984, 0]),
     ("tourney(6 teams, pathological)", "vs2", false, [263, 3065, 137, 2081, 288, 0, 1839, 708, 305, 164, 1546, 844, 447, 168, 984, 0]),
     ("tourney(6 teams, pathological)", "vs2", true, [263, 3065, 137, 2081, 0, 288, 1839, 708, 305, 164, 1546, 844, 447, 168, 984, 0]),
+    ("tourney(6 teams, pathological)", "col", false, [263, 3065, 137, 2081, 98, 184, 4061, 1045, 575, 201, 2152, 844, 118, 99, 984, 0]),
+    ("tourney(6 teams, pathological)", "col", true, [263, 3065, 137, 2081, 0, 282, 4061, 1045, 575, 201, 2152, 844, 118, 99, 984, 0]),
     ("negated", "vs1", false, [66, 258, 54, 198, 81, 0, 60, 40, 144, 50, 90, 45, 90, 54, 60, 0]),
     ("negated", "vs1", true, [66, 258, 54, 198, 0, 81, 60, 40, 144, 50, 90, 45, 90, 54, 60, 0]),
     ("negated", "vs2", false, [66, 258, 54, 198, 81, 0, 24, 24, 30, 30, 45, 45, 54, 54, 60, 0]),
     ("negated", "vs2", true, [66, 258, 54, 198, 0, 81, 24, 24, 30, 30, 45, 45, 54, 54, 60, 0]),
+    ("negated", "col", false, [66, 258, 54, 198, 29, 46, 54, 34, 156, 62, 90, 45, 15, 15, 60, 0]),
+    ("negated", "col", true, [66, 258, 54, 198, 0, 75, 54, 34, 156, 62, 90, 45, 15, 15, 60, 0]),
 ];
 
 /// vs2's CS-change digest per program; identical with unlinking off and on
@@ -219,10 +230,10 @@ fn counters_and_cs_order_match_the_parent_commit() {
     let mut rows: Vec<(String, &'static str, bool, [u64; COLUMNS])> = Vec::new();
     let mut digests: Vec<(String, CsDigest)> = Vec::new();
     for w in programs() {
-        for (label, vs2) in [("vs1", false), ("vs2", true)] {
+        for label in ["vs1", "vs2", "col"] {
             let mut per_gate = Vec::new();
             for unlinking in [false, true] {
-                let (stats, d) = run(&w, vs2, unlinking);
+                let (stats, d) = run(&w, label, unlinking);
                 rows.push((w.name.clone(), label, unlinking, stats));
                 per_gate.push(d);
             }
@@ -231,7 +242,7 @@ fn counters_and_cs_order_match_the_parent_commit() {
                 "{} {label}: unlinking changed the CS-change sequence",
                 w.name
             );
-            if vs2 {
+            if label == "vs2" {
                 digests.push((w.name.clone(), per_gate[0]));
             }
         }
@@ -269,7 +280,44 @@ fn counters_and_cs_order_match_the_parent_commit() {
         if *unlinking {
             assert!(skipped > 0 && null == 0, "{name} {label}: gate unused");
         } else {
-            assert!(null > 0 && skipped == 0, "{name} {label}: no null work");
+            // Only col skips without the gate: the dead readers of a right
+            // memory are never run.
+            let skips = skipped > 0;
+            assert!(
+                null > 0 && skips == (*label == "col"),
+                "{name} {label}: no null work"
+            );
         }
     }
+}
+
+/// The network the ledger's `weaver` workload compiles: 2562 joins read 125
+/// right memories (the test-free `wave` pattern alone feeds 829 joins from
+/// 3), each join's memory has exactly its own equality signature, and
+/// `validate` notices when one does not.
+#[test]
+fn benchmark_weaver_joins_share_125_right_memories() {
+    let prog = ops5::Program::from_source(&weaver::generate_source(36)).expect("parse");
+    let mut net = Network::compile_with(&prog, NetworkOptions::default()).expect("compile");
+    assert_eq!((net.n_joins(), net.right_mems.len()), (2562, 125));
+    assert_eq!(net.summary().right_memories, 125);
+    for j in &net.joins {
+        let sig: Vec<u16> = j.eq_specs.iter().map(|s| s.right_field).collect();
+        assert_eq!(
+            *net.right_mems[j.right_mem as usize].fields, *sig,
+            "{}",
+            j.id
+        );
+    }
+    let widest = net.patterns.iter().map(|p| p.succs.len()).max();
+    let wave = net.patterns.iter().find(|p| Some(p.succs.len()) == widest);
+    assert_eq!(
+        wave.map(|p| (p.succs.len(), p.right_mems.len())),
+        Some((829, 3))
+    );
+    assert_eq!(net.validate(), Vec::<String>::new());
+
+    // Any other memory belongs to another pattern or signature.
+    net.joins[0].right_mem ^= 1;
+    assert!(!net.validate().is_empty());
 }

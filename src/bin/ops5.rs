@@ -261,7 +261,7 @@ fn main() -> ExitCode {
             s.avg_opp_right()
         );
         eprintln!(
-            "  join activations: {} ({} null, {} skipped by unlinking)",
+            "  join activations: {} ({} null, {} not scanned: opposite memory empty)",
             s.join_activations, s.null_activations, s.null_skipped
         );
     }

@@ -79,6 +79,50 @@ fn gen_program() -> impl Strategy<Value = GenProgram> {
     })
 }
 
+/// Like [`gen_program`], but every production's second CE is the *same*
+/// alpha pattern — test-free `c0` — joined under a varying equality
+/// signature (which fields, in which order) and sign, so the productions
+/// share right memories by construction instead of by accident. Each field
+/// gets its own variable: a repeated one would add an intra-element test
+/// and split the pattern.
+fn gen_shared_ce_program() -> impl Strategy<Value = GenProgram> {
+    proptest::collection::vec(
+        (
+            gen_ce(false),
+            (0u8..8, 0u8..3, any::<bool>(), any::<bool>()),
+            proptest::collection::vec((gen_ce(false), any::<bool>()), 0..2),
+        ),
+        2..5,
+    )
+    .prop_map(|prods| GenProgram {
+        prods: prods
+            .into_iter()
+            .map(|(first, (mask, rot, reversed, negated), rest)| {
+                let mut tests: Vec<(u8, GenTest)> = (0u8..3)
+                    .filter(|f| mask & (1 << f) != 0)
+                    .map(|f| (f, GenTest::Var((f + rot) % 3)))
+                    .collect();
+                if reversed {
+                    tests.reverse();
+                }
+                let mut lhs = vec![
+                    first,
+                    GenCe {
+                        class: 0,
+                        negated,
+                        tests,
+                    },
+                ];
+                for (mut ce, neg) in rest {
+                    ce.negated = neg;
+                    lhs.push(ce);
+                }
+                lhs
+            })
+            .collect(),
+    })
+}
+
 /// Renders the generated program as OPS5 source. Variables appearing in only
 /// one place are still legal; VarNe tests against variables that end up
 /// unbound would be compile errors, so every production pre-binds all three
@@ -121,6 +165,37 @@ fn render(prog: &GenProgram) -> String {
 /// A random WME stream: adds, and removes of previously-added elements.
 fn gen_stream() -> impl Strategy<Value = Vec<(u8, [u8; 3], bool)>> {
     proptest::collection::vec((0u8..3, [0u8..4, 0u8..4, 0u8..4], any::<bool>()), 1..25)
+}
+
+/// The change stream a [`gen_stream`] draw stands for: adds, and removes of
+/// live elements.
+fn build_changes(prog: &Program, stream: &[(u8, [u8; 3], bool)]) -> Vec<WmeChange> {
+    let mut live: Vec<WmeRef> = Vec::new();
+    let mut changes = Vec::new();
+    let mut tag = 1u64;
+    for (class, fields, remove) in stream {
+        if *remove && !live.is_empty() {
+            let w = live.swap_remove((*class as usize) % live.len());
+            changes.push(WmeChange {
+                sign: Sign::Minus,
+                wme: w,
+            });
+        } else {
+            let cs = prog.symbols.get(&format!("c{class}")).unwrap();
+            let w = Wme::new(
+                cs,
+                fields.iter().map(|&v| Value::Int(v as i64)).collect(),
+                tag,
+            );
+            tag += 1;
+            live.push(w.clone());
+            changes.push(WmeChange {
+                sign: Sign::Plus,
+                wme: w,
+            });
+        }
+    }
+    changes
 }
 
 type CsState = BTreeSet<(u32, Vec<u64>)>;
@@ -191,26 +266,7 @@ proptest! {
         let prog = Program::from_source(&src).expect("generated source parses");
         let net = Arc::new(Network::compile(&prog).expect("network compiles"));
 
-        // Build the change stream: adds, and removes of live elements.
-        let mut live: Vec<WmeRef> = Vec::new();
-        let mut changes = Vec::new();
-        let mut tag = 1u64;
-        for (class, fields, remove) in &stream {
-            if *remove && !live.is_empty() {
-                let w = live.swap_remove((*class as usize) % live.len());
-                changes.push(WmeChange { sign: Sign::Minus, wme: w });
-            } else {
-                let cs = prog.symbols.get(&format!("c{class}")).unwrap();
-                let w = Wme::new(
-                    cs,
-                    fields.iter().map(|&v| Value::Int(v as i64)).collect(),
-                    tag,
-                );
-                tag += 1;
-                live.push(w.clone());
-                changes.push(WmeChange { sign: Sign::Plus, wme: w });
-            }
-        }
+        let changes = build_changes(&prog, &stream);
 
         let mut vs1 = rete::seq::boxed_vs1(net.clone());
         let reference = final_cs(vs1.as_mut(), &changes);
@@ -322,25 +378,7 @@ proptest! {
         let prog = Program::from_source(&src).expect("generated source parses");
         let net = Arc::new(Network::compile(&prog).expect("network compiles"));
 
-        let mut live: Vec<WmeRef> = Vec::new();
-        let mut changes = Vec::new();
-        let mut tag = 1u64;
-        for (class, fields, remove) in &stream {
-            if *remove && !live.is_empty() {
-                let w = live.swap_remove((*class as usize) % live.len());
-                changes.push(WmeChange { sign: Sign::Minus, wme: w });
-            } else {
-                let cs = prog.symbols.get(&format!("c{class}")).unwrap();
-                let w = Wme::new(
-                    cs,
-                    fields.iter().map(|&v| Value::Int(v as i64)).collect(),
-                    tag,
-                );
-                tag += 1;
-                live.push(w.clone());
-                changes.push(WmeChange { sign: Sign::Plus, wme: w });
-            }
-        }
+        let changes = build_changes(&prog, &stream);
 
         type MatcherFactory = Box<dyn Fn() -> Box<dyn Matcher>>;
         let factories: Vec<(&str, MatcherFactory)> = vec![
@@ -385,6 +423,49 @@ proptest! {
     }
 
     #[test]
+    fn col_shared_right_memories_agree_with_vs1(
+        genp in gen_shared_ce_program(),
+        stream in gen_stream(),
+        chunk_lens in proptest::collection::vec(1usize..6, 1..8),
+    ) {
+        // One common second CE across all productions: col keeps one right
+        // memory per distinct signature and every production reads it. Under
+        // arbitrary chunking its CS history must equal vs1's per-change one,
+        // on the paper network and on the shared-prefix + unlinking one.
+        let src = render(&genp);
+        let prog = Program::from_source(&src).expect("generated source parses");
+        let net = Arc::new(Network::compile(&prog).expect("network compiles"));
+        let c0 = net.patterns.iter().find(|p| p.tests.is_empty() && !p.right_mems.is_empty());
+        let shared = c0.expect("the common CE compiles to one test-free pattern");
+        let mut sigs: Vec<Vec<u16>> = net.joins.iter()
+            .filter(|j| net.right_mems[j.right_mem as usize].pattern == shared.id)
+            .map(|j| j.eq_specs.iter().map(|s| s.right_field).collect())
+            .collect();
+        sigs.sort();
+        sigs.dedup();
+        prop_assert_eq!(shared.right_mems.len(), sigs.len(), "one memory per signature");
+
+        let changes = build_changes(&prog, &stream);
+
+        let mut vs1 = rete::seq::boxed_vs1(net.clone());
+        let reference = chunked_cs_history(vs1.as_mut(), &changes, &chunk_lens, false);
+        let mut col = rete::colmatch::boxed_col(net.clone());
+        prop_assert_eq!(
+            chunked_cs_history(col.as_mut(), &changes, &chunk_lens, true),
+            reference.clone(),
+            "col disagrees with vs1"
+        );
+        let opts = rete::NetworkOptions { sharing: true, unlinking: true };
+        let tuned = Arc::new(Network::compile_with(&prog, opts).expect("tuned network compiles"));
+        let mut colt = rete::colmatch::boxed_col(tuned);
+        prop_assert_eq!(
+            chunked_cs_history(colt.as_mut(), &changes, &chunk_lens, true),
+            reference,
+            "tuned col disagrees with vs1"
+        );
+    }
+
+    #[test]
     fn printer_roundtrip_preserves_semantics(genp in gen_program(), stream in gen_stream()) {
         // parse → print → reparse must give a semantically identical
         // program: same final conflict set on the same WME stream.
@@ -425,25 +506,7 @@ proptest! {
         let prog = Program::from_source(&src).expect("generated source parses");
         let net = Arc::new(Network::compile(&prog).expect("network compiles"));
 
-        let mut live: Vec<WmeRef> = Vec::new();
-        let mut changes = Vec::new();
-        let mut tag = 1u64;
-        for (class, fields, remove) in &stream {
-            if *remove && !live.is_empty() {
-                let w = live.swap_remove((*class as usize) % live.len());
-                changes.push(WmeChange { sign: Sign::Minus, wme: w });
-            } else {
-                let cs = prog.symbols.get(&format!("c{class}")).unwrap();
-                let w = Wme::new(
-                    cs,
-                    fields.iter().map(|&v| Value::Int(v as i64)).collect(),
-                    tag,
-                );
-                tag += 1;
-                live.push(w.clone());
-                changes.push(WmeChange { sign: Sign::Plus, wme: w });
-            }
-        }
+        let changes = build_changes(&prog, &stream);
 
         let mut col = rete::ColMatcher::new(net.clone());
         let mut i = 0;
