@@ -1,18 +1,16 @@
 //! `serve_load` — closed-loop load generator for the serve layer.
 //!
-//! Default mode runs the same closed-loop workload against **both**
-//! connection front-ends — `threads` (two OS threads per connection) and
-//! `reactor` (one epoll thread for all connections) — and gates each on
-//! zero divergences: N concurrent connections x M iterations, each
-//! iteration opening a session from the corpus rotation, running it to
-//! halt in chunked `RUN`s, and diffing the firing log against a direct
+//! Default mode runs a closed-loop workload against an in-process server
+//! and gates on zero divergences: N concurrent connections x M iterations,
+//! each iteration opening a session from the corpus rotation, running it
+//! to halt in chunked `RUN`s, and diffing the firing log against a direct
 //! in-process engine run of the same program. Backpressure is exercised
 //! both ways (`BUSY` retry under a deliberately small run queue, and an
-//! `OVERLOADED` saturation probe per front-end).
+//! `OVERLOADED` saturation probe).
 //!
 //! `--high-concurrency` adds two more phases:
 //!
-//! * **reactor-hc** — spawns `ops5-serve --front-end reactor` as a child
+//! * **reactor-hc** — spawns `ops5-serve` as a child
 //!   process (the fd budget wants its own process), establishes
 //!   `--hc-connections` (default 10000) concurrent connections from a
 //!   single nonblocking driver thread, confirms concurrency by scraping
@@ -43,7 +41,6 @@
 //! ```text
 //! Usage: serve_load [--connections N] [--iterations M] [--workers W]
 //!                   [--programs DIR] [--json PATH]
-//!                   [--front-end threads|reactor|both]
 //!                   [--high-concurrency] [--hc-connections N]
 //!                   [--routed-connections N] [--backend-bin PATH]
 //!                   [--kill-recover] [--matchers vs1,vs2,lisp,psm,col]
@@ -51,9 +48,7 @@
 //! ```
 
 use reactor::{Events, Interest, LineBuf, Poll, Token, WriteBuf};
-use serve::{
-    Client, ClientReply, FrontEnd, Registry, Router, RouterConfig, ServeConfig, Server, Session,
-};
+use serve::{Client, ClientReply, Registry, Router, RouterConfig, ServeConfig, Server, Session};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -73,7 +68,6 @@ struct Opts {
     kill_recover: bool,
     priorities: bool,
     matchers: Vec<String>,
-    front_end: String,
     high_concurrency: bool,
     hc_connections: usize,
     routed_connections: usize,
@@ -93,7 +87,6 @@ fn parse_args() -> Result<Opts, String> {
             .iter()
             .map(|s| s.to_string())
             .collect(),
-        front_end: "both".into(),
         high_concurrency: false,
         hc_connections: 10_000,
         routed_connections: 64,
@@ -111,15 +104,6 @@ fn parse_args() -> Result<Opts, String> {
             "--kill-recover" => o.kill_recover = true,
             "--priorities" => o.priorities = true,
             "--matchers" => o.matchers = val()?.split(',').map(|s| s.to_string()).collect(),
-            "--front-end" => {
-                o.front_end = val()?;
-                if !matches!(o.front_end.as_str(), "threads" | "reactor" | "both") {
-                    return Err(format!(
-                        "--front-end wants threads|reactor|both, got `{}`",
-                        o.front_end
-                    ));
-                }
-            }
             "--high-concurrency" => o.high_concurrency = true,
             "--hc-connections" => o.hc_connections = val()?.parse().map_err(|e| format!("{e}"))?,
             "--routed-connections" => {
@@ -419,20 +403,15 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx]
 }
 
-/// One closed-loop run against an in-process server using the given
-/// front-end. Returns (JSON row, divergence count).
+/// One closed-loop run against an in-process server. Returns (JSON row,
+/// divergence count).
 fn closed_loop(
     opts: &Opts,
     corpus: &[&'static str],
     refs: &Arc<HashMap<String, Vec<String>>>,
-    front_end: FrontEnd,
 ) -> (String, u64) {
-    let mode = match front_end {
-        FrontEnd::Threads => "threads",
-        FrontEnd::Reactor => "reactor",
-    };
     eprintln!(
-        "serve_load[{mode}]: {} connections x {} iterations over {corpus:?}",
+        "serve_load[reactor]: {} connections x {} iterations over {corpus:?}",
         opts.connections, opts.iterations
     );
 
@@ -445,7 +424,6 @@ fn closed_loop(
         max_cycles_per_run: 10_000,
         matcher: serve::matcher_kind("psm").unwrap(),
         programs_dir: Some(opts.programs.clone()),
-        front_end,
         ..ServeConfig::default()
     };
     let run_queue_cap = cfg.run_queue_cap;
@@ -521,7 +499,7 @@ fn closed_loop(
     let busy = n.busy_retries.load(Ordering::Relaxed);
     let divergences = n.divergences.load(Ordering::Relaxed);
 
-    println!("== serve_load [{mode}] ==");
+    println!("== serve_load [reactor] ==");
     println!("sessions {sessions}  commands {commands}  cycles {cycles}  elapsed {elapsed:.2}s");
     println!(
         "throughput: {:.0} commands/s, {:.0} cycles/s, {:.1} sessions/s",
@@ -534,7 +512,7 @@ fn closed_loop(
     println!("divergences: {divergences}");
 
     let row = format!(
-        "{{\"mode\": \"{mode}\",\n   \
+        "{{\"mode\": \"reactor\",\n   \
          \"config\": {{\"connections\": {}, \"iterations\": {}, \"workers\": {}, \
          \"queue_depth\": 8, \"run_queue_cap\": {}, \"matcher\": \"psm\"}},\n   \
          \"totals\": {{\"sessions\": {sessions}, \"commands\": {commands}, \"cycles\": {cycles}, \
@@ -605,7 +583,7 @@ fn backend_bin(opts: &Opts) -> Result<PathBuf, String> {
     ))
 }
 
-/// Spawns an `ops5-serve --front-end reactor` child and parses its listen
+/// Spawns an `ops5-serve` child and parses its listen
 /// (and optionally metrics) address off stderr.
 fn spawn_backend(bin: &Path, opts: &Opts, with_metrics: bool) -> Result<BackendProc, String> {
     let mut cmd = Command::new(bin);
@@ -615,8 +593,6 @@ fn spawn_backend(bin: &Path, opts: &Opts, with_metrics: bool) -> Result<BackendP
         .arg(&opts.programs)
         .arg("--workers")
         .arg(opts.workers.to_string())
-        .arg("--front-end")
-        .arg("reactor")
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::piped());
@@ -1600,18 +1576,8 @@ fn main() {
         return;
     }
 
-    let mut rows: Vec<String> = Vec::new();
-    let mut total_divergences = 0u64;
-    let fronts: &[FrontEnd] = match opts.front_end.as_str() {
-        "threads" => &[FrontEnd::Threads],
-        "reactor" => &[FrontEnd::Reactor],
-        _ => &[FrontEnd::Threads, FrontEnd::Reactor],
-    };
-    for fe in fronts {
-        let (row, div) = closed_loop(&opts, &corpus, &refs, *fe);
-        rows.push(row);
-        total_divergences += div;
-    }
+    let (row, mut total_divergences) = closed_loop(&opts, &corpus, &refs);
+    let mut rows = vec![row];
 
     if opts.high_concurrency {
         match backend_bin(&opts) {

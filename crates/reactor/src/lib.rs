@@ -1,23 +1,25 @@
 //! # reactor — a vendored, dependency-free epoll shim
 //!
-//! The serve tier's original front-end spent two OS threads per connection;
-//! the paper's whole point is that threads are the scarce resource and work
-//! should be multiplexed onto few of them. This crate is the missing
-//! substrate: a readiness-polled event loop API in the shape of `mio`
-//! (`Poll`/`Token`/`Interest`/`Events` + a cross-thread `Waker`), built
-//! directly on raw `epoll`/`eventfd` syscalls because the build environment
-//! has no crates registry (the same reason `crossbeam`/`proptest` are
-//! vendored as API-subset shims).
+//! The paper's whole point is that processes are the scarce resource and
+//! work should be multiplexed onto few of them; a server that spends two OS
+//! threads per connection does the opposite. This crate is the substrate
+//! for one thread serving every connection: a readiness-polled event loop
+//! API in the shape of `mio` (`Poll`/`Token`/`Interest`/`Events` + a
+//! cross-thread `Waker`), built directly on raw `epoll`/`eventfd` syscalls
+//! because the build environment has no crates registry (the same reason
+//! `crossbeam`/`proptest` are vendored as API-subset shims).
 //!
 //! On top of the selector sit the two buffers every nonblocking line-
 //! protocol server needs: [`LineBuf`] (incremental line extraction across
 //! arbitrary read boundaries) and [`WriteBuf`] (buffered writes with carry,
-//! so a slow client costs memory — which the serve layer bounds — instead
-//! of a blocked thread).
+//! so a slow client costs memory instead of a blocked thread). Neither
+//! buffer bounds itself: how long a line or how large a backlog may get is
+//! protocol policy, set by the `serve` crate's request framer and
+//! connection core.
 //!
-//! Consumers in this workspace: the `serve` crate's reactor front-end (one
-//! I/O thread for all connections), the `ops5-router` session-sharding
-//! proxy, and `bench`'s `serve_load --high-concurrency` driver (10k+
+//! Consumers in this workspace: the `serve` crate's reactor (one I/O thread
+//! driving every connection's socket-free core), the `ops5-router`
+//! session-sharding proxy, and `bench`'s `serve_load --high-concurrency` driver (10k+
 //! nonblocking client connections from a single thread).
 
 mod buf;

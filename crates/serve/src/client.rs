@@ -8,45 +8,13 @@
 //! request order, with `BUSY`/`OVERLOADED` taking the rejected request's
 //! place).
 
+use crate::protocol::{Reply, ReplyFramer};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-/// A parsed reply, mirroring [`crate::protocol::Reply`] from the wire side.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ClientReply {
-    Ok(String),
-    Multi { head: String, lines: Vec<String> },
-    Err(String),
-    Busy(String),
-    Overloaded(String),
-}
-
-impl ClientReply {
-    pub fn is_ok(&self) -> bool {
-        matches!(self, ClientReply::Ok(_) | ClientReply::Multi { .. })
-    }
-
-    /// True for the two backpressure rejections.
-    pub fn is_backpressure(&self) -> bool {
-        matches!(self, ClientReply::Busy(_) | ClientReply::Overloaded(_))
-    }
-
-    /// Unwraps `OK <payload>`, turning anything else into an error string.
-    pub fn expect_ok(self) -> Result<String, String> {
-        match self {
-            ClientReply::Ok(s) => Ok(s),
-            other => Err(format!("expected OK, got {other:?}")),
-        }
-    }
-
-    /// Unwraps a multi-line reply's body lines.
-    pub fn expect_lines(self) -> Result<Vec<String>, String> {
-        match self {
-            ClientReply::Multi { lines, .. } => Ok(lines),
-            other => Err(format!("expected multi-line reply, got {other:?}")),
-        }
-    }
-}
+/// A reply as the client sees it: the server's own [`Reply`], read back off
+/// the wire.
+pub type ClientReply = Reply;
 
 /// One protocol connection.
 pub struct Client {
@@ -86,27 +54,10 @@ impl Client {
 
     /// Reads one reply (single- or multi-line).
     pub fn read_reply(&mut self) -> io::Result<ClientReply> {
-        let head = self.read_line()?;
-        let (tag, rest) = match head.split_once(' ') {
-            Some((t, r)) => (t, r.to_string()),
-            None => (head.as_str(), String::new()),
-        };
-        match tag {
-            "OK" => Ok(ClientReply::Ok(rest)),
-            "ERR" => Ok(ClientReply::Err(rest)),
-            "BUSY" => Ok(ClientReply::Busy(rest)),
-            "OVERLOADED" => Ok(ClientReply::Overloaded(rest)),
-            _ => {
-                // Multi-line reply: `<KIND> <n>` then n lines then END.
-                let mut lines = Vec::new();
-                loop {
-                    let l = self.read_line()?;
-                    if l == "END" {
-                        break;
-                    }
-                    lines.push(l);
-                }
-                Ok(ClientReply::Multi { head, lines })
+        let mut framer = ReplyFramer::new();
+        loop {
+            if let Some(reply) = framer.push(self.read_line()?) {
+                return Ok(reply);
             }
         }
     }

@@ -22,21 +22,28 @@
 //!   (one command per pop) and two-level backpressure: a full per-session
 //!   inbox replies `OVERLOADED`, a saturated global run queue replies
 //!   `BUSY`. Shutdown drains every queued command before workers exit.
-//! * [`server`] — the TCP front-end (`std::net` only): line protocol,
-//!   reply ordering under pipelining, graceful `SHUTDOWN`. Two
-//!   interchangeable connection front-ends implement it: the default
-//!   single-threaded epoll reactor ([`server_nb`], over the vendored
-//!   `reactor` crate) and the original thread-per-connection design
-//!   (`--front-end threads`), kept as the differential baseline.
+//! * [`protocol`] — the wire grammar, and the two framers that are the only
+//!   code knowing where a request ([`protocol::Framer`]) or a reply
+//!   ([`protocol::ReplyFramer`]) starts and ends. Both are socket-free: bytes
+//!   or lines in, decisions out.
+//! * `conn` — the socket-free connection core over the request framer: the
+//!   session slot, reply ordering under pipelining, and every per-connection
+//!   bound. Bytes in become pool submissions and direct replies; completions
+//!   in become ordered bytes out.
+//! * [`server`] — configuration, shared state, session construction, the
+//!   metrics exposition, and (in `server_nb`) the single epoll thread that
+//!   drives every connection core over the vendored `reactor` crate.
 //! * [`router`] — `ops5-router`: a consistent-hash session-sharding proxy
 //!   that spreads sessions across several `ops5-serve` backends and
-//!   live-migrates them (`SNAPSHOT?`/`RESTORE`) when a backend drains.
+//!   live-migrates them (`SNAPSHOT?`/`RESTORE`) when a backend drains. It
+//!   frames client requests and backend replies with the same two framers.
 //! * [`client`] — a blocking client used by `bench`'s `serve_load` harness
 //!   and the integration tests.
 //!
 //! See [`protocol`] for the wire grammar.
 
 pub mod client;
+mod conn;
 pub mod pool;
 pub mod protocol;
 pub mod registry;
@@ -50,7 +57,7 @@ pub use pool::{Pool, PoolStats, Priority, SessionSlot, SubmitOutcome};
 pub use protocol::{parse_line, Line, Reply};
 pub use registry::{matcher_kind, ProgramSpec, Registry};
 pub use router::{Router, RouterConfig, RouterHandle};
-pub use server::{FrontEnd, ServeConfig, Server, ServerHandle};
+pub use server::{ServeConfig, Server, ServerHandle};
 pub use session::{BatchItem, Command, Exec, Session};
 
 #[cfg(test)]

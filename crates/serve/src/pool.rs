@@ -90,16 +90,16 @@ const AGE_PROMOTE: u32 = 32;
 
 /// Where a worker should deliver a command's reply.
 ///
-/// The thread front-end hands each command a one-shot channel whose
-/// receiver sits in the per-connection writer queue; the reactor front-end
-/// has no thread to block on a receiver, so its replies are pushed onto a
-/// shared [`Completions`] queue tagged with (connection, sequence) and the
-/// reactor thread is woken to route them into the connection's ordered
-/// reply slots.
+/// The connection core has no thread to block on a receiver, so its
+/// replies are pushed onto a shared [`Completions`] queue tagged with
+/// (connection, sequence) and the reactor thread is woken to route them
+/// into the connection's ordered reply slots.
 pub enum ReplyTx {
-    /// One-shot channel (thread front-end, tests).
+    /// One-shot channel, for callers that own a thread to wait on: the
+    /// tests and the ledger's pool-hop layer. No connection uses it.
     Channel(mpsc::SyncSender<Reply>),
-    /// Reactor completion: queue + (connection id, per-connection sequence).
+    /// Connection-core completion: queue + (connection id, per-connection
+    /// sequence).
     Completion {
         queue: Arc<Completions>,
         conn: u64,
@@ -119,35 +119,31 @@ impl ReplyTx {
     }
 }
 
-/// The reactor's completion queue: worker threads push finished replies
-/// here and wake the (single) reactor thread, which drains the queue and
-/// slots each reply into its connection's ordered pending list.
+/// The completion queue: worker threads push finished replies here and
+/// wake the one thread that drives the connections, which drains the queue
+/// and hands each reply to its connection's core.
 pub struct Completions {
     q: Mutex<Vec<(u64, u64, Reply)>>,
-    waker: reactor::Waker,
+    wake: Box<dyn Fn() + Send + Sync>,
 }
 
 impl Completions {
-    pub fn new(waker: reactor::Waker) -> Completions {
+    /// `wake` is called after every push, from the pushing thread.
+    pub fn new(wake: impl Fn() + Send + Sync + 'static) -> Completions {
         Completions {
             q: Mutex::new(Vec::new()),
-            waker,
+            wake: Box::new(wake),
         }
     }
 
     pub fn push(&self, conn: u64, seq: u64, reply: Reply) {
         self.q.lock().unwrap().push((conn, seq, reply));
-        let _ = self.waker.wake();
+        (self.wake)();
     }
 
-    /// Takes everything queued so far (reactor thread only).
+    /// Takes everything queued so far (driving thread only).
     pub fn drain(&self) -> Vec<(u64, u64, Reply)> {
         std::mem::take(&mut *self.q.lock().unwrap())
-    }
-
-    /// Resets the underlying eventfd after its readiness event fired.
-    pub fn drain_waker(&self) {
-        self.waker.drain();
     }
 }
 

@@ -38,8 +38,41 @@
 //! (server-wide run queue saturated — retry later) and `OVERLOADED ...`
 //! (this session's command queue is full — drain replies first).
 //! Multi-line replies open with `<KIND> <count>` and close with `END`.
+//!
+//! **Framing is a pure function of the bytes.** Where a request starts and
+//! ends never depends on server state: [`Framer`] is the only code that
+//! knows it, and the server's connection core and `ops5-router` both run
+//! it, so they cannot disagree on how many replies a byte stream draws.
+//!
+//! * `OPEN -`, `RESTORE` and `BATCH` open a body. An `OPEN -` body runs to
+//!   the first line reading `END` in any case; a `RESTORE` body to the
+//!   first exact-case `END` (the snapshot's own terminator is lowercase
+//!   `end` and stays in the body). Both are consumed unconditionally, and
+//!   whatever is wrong with the request — a session already open, an
+//!   unknown matcher or `PRIO=` class, a bad program — is the one `ERR`
+//!   answered at the terminator. (Before PR 15 a refused `OPEN -` answered
+//!   at its first line and left its body to be parsed as commands.)
+//! * A `BATCH` body is `ASSERT`/`RETRACT` lines up to `END`; blank lines
+//!   are skipped but counted, so errors name the line the client sent. The
+//!   first line that is neither aborts the batch with one `ERR` and the
+//!   rest of the body, its `END` included, is read as top-level requests.
+//! * Outside a body a blank line is ignored and draws no reply.
+//! * A line longer than [`MAX_LINE_BYTES`] draws `ERR line too long;
+//!   closing` and the connection is closed; a body larger than
+//!   [`MAX_BODY_BYTES`] is consumed to its terminator as usual and draws
+//!   `ERR <verb> body too large`.
 
+use crate::session::{BatchItem, Command};
+use reactor::LineBuf;
 use std::fmt;
+use std::io;
+
+/// Longest request line accepted, terminator excluded.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Largest `OPEN -`, `RESTORE` or `BATCH` body accepted, counting every body
+/// line and its newline.
+pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 
 /// One parsed request line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -200,6 +233,311 @@ pub fn parse_line(line: &str) -> Result<Line, String> {
     }
 }
 
+/// Where the state of an `OPEN`ed session comes from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Origin {
+    /// `OPEN <program>`: the registry program's own startup forms.
+    Registry,
+    /// `OPEN -`: the OPS5 source collected up to `END`.
+    Inline(String),
+    /// `RESTORE <program>`: the body collected up to `END` — snapshot text,
+    /// then any change-log tail.
+    Snapshot(String),
+}
+
+/// One complete request, as the connection layer acts on it: bodies are
+/// collected, `BATCH` is assembled, and everything that can be decided from
+/// the bytes alone has been.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Request {
+    /// `OPEN` or `RESTORE` (an inline `OPEN -` has the program name `-`).
+    Open {
+        program: String,
+        matcher: Option<String>,
+        prio: Option<String>,
+        origin: Origin,
+    },
+    /// A command for the open session's inbox.
+    Session(Command),
+    Prio(String),
+    Cancel,
+    Metrics,
+    Shutdown,
+    /// The bytes did not frame a valid request: an unparsable line, a stray
+    /// `END`, an aborted `BATCH`, an oversized body. Answered `ERR <text>`.
+    Invalid(String),
+}
+
+/// What [`Framer::next_frame`] made of the input.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Framed {
+    /// One line consumed. `request` is `Some` when the line completes a
+    /// request, which then draws exactly one reply; `None` when it is part
+    /// of a body still open, or a blank line outside one.
+    Line {
+        line: String,
+        request: Option<Request>,
+    },
+    /// A line exceeds [`MAX_LINE_BYTES`]. Nothing after it can be framed:
+    /// answer `ERR line too long; closing` and close.
+    TooLong,
+}
+
+/// The body a [`Framer`] is inside.
+#[derive(Default)]
+enum Body {
+    #[default]
+    None,
+    /// An `OPEN -` body, or (`restore`) a `RESTORE` body.
+    Text {
+        restore: bool,
+        program: String,
+        matcher: Option<String>,
+        prio: Option<String>,
+        text: String,
+    },
+    /// `line_no` counts every line after `BATCH`, blank ones included.
+    Batch {
+        items: Vec<BatchItem>,
+        line_no: usize,
+    },
+}
+
+/// Request framing without a socket: bytes in, [`Framed`] decisions out.
+/// The result does not depend on how the bytes were split across
+/// [`feed`](Framer::feed) calls.
+#[derive(Default)]
+pub struct Framer {
+    buf: LineBuf,
+    body: Body,
+    /// Bytes of the open body so far, held against [`MAX_BODY_BYTES`]. Past
+    /// the cap the body is still consumed but no longer kept.
+    body_bytes: usize,
+}
+
+impl Framer {
+    pub fn new() -> Framer {
+        Framer::default()
+    }
+
+    pub fn feed(&mut self, bytes: &[u8]) {
+        self.buf.extend(bytes);
+    }
+
+    /// One read from `r` into the buffer; see [`LineBuf::read_from`].
+    pub fn read_from(&mut self, r: &mut impl io::Read) -> io::Result<usize> {
+        self.buf.read_from(r)
+    }
+
+    /// Bytes received but not yet framed.
+    pub fn buffered(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// True between requests: no body is open.
+    pub fn at_top(&self) -> bool {
+        matches!(self.body, Body::None)
+    }
+
+    /// Frames the next buffered line; `None` until a whole line is there.
+    pub fn next_frame(&mut self) -> Option<Framed> {
+        match self.buf.next_line() {
+            Some(line) if line.len() <= MAX_LINE_BYTES => {
+                let request = self.line(&line);
+                Some(Framed::Line { line, request })
+            }
+            Some(_) => Some(Framed::TooLong),
+            // One byte of slack for the `\r` of a `\r\n` still to come, so
+            // the verdict is the same however the line was delivered.
+            None if self.buf.len() > MAX_LINE_BYTES + 1 => Some(Framed::TooLong),
+            None => None,
+        }
+    }
+
+    fn line(&mut self, line: &str) -> Option<Request> {
+        match std::mem::take(&mut self.body) {
+            Body::None => self.top(line),
+            Body::Text {
+                restore,
+                program,
+                matcher,
+                prio,
+                mut text,
+            } => {
+                // `RESTORE` wants the exact case: the snapshot text's own
+                // terminator is a lowercase `end` and belongs to the body.
+                let ends = match restore {
+                    true => line.trim() == "END",
+                    false => line.trim().eq_ignore_ascii_case("END"),
+                };
+                if !ends {
+                    if self.fits(line) {
+                        text.push_str(line);
+                        text.push('\n');
+                    }
+                    self.body = Body::Text {
+                        restore,
+                        program,
+                        matcher,
+                        prio,
+                        text,
+                    };
+                    return None;
+                }
+                let (verb, origin) = match restore {
+                    true => ("RESTORE", Origin::Snapshot(text)),
+                    false => ("OPEN", Origin::Inline(text)),
+                };
+                let request = Request::Open {
+                    program,
+                    matcher,
+                    prio,
+                    origin,
+                };
+                Some(self.close_body(verb, request))
+            }
+            Body::Batch {
+                mut items,
+                mut line_no,
+            } => {
+                line_no += 1;
+                let fits = self.fits(line);
+                let request = if line.trim().is_empty() {
+                    None
+                } else {
+                    match parse_line(line) {
+                        Ok(Line::Assert(body)) => {
+                            if fits {
+                                items.push(BatchItem::Assert {
+                                    line: line_no,
+                                    body,
+                                });
+                            }
+                            None
+                        }
+                        Ok(Line::Retract(tag)) => {
+                            if fits {
+                                items.push(BatchItem::Retract { line: line_no, tag });
+                            }
+                            None
+                        }
+                        Ok(Line::End) => {
+                            Some(Request::Session(Command::Batch(std::mem::take(&mut items))))
+                        }
+                        // The abort rule: the batch ends at its first bad
+                        // line, and what follows — its `END` included — is
+                        // read as top-level requests.
+                        Ok(other) => Some(Request::Invalid(format!(
+                            "BATCH line {line_no}: only ASSERT/RETRACT allowed, got {other:?}"
+                        ))),
+                        Err(e) => Some(Request::Invalid(format!("BATCH line {line_no}: {e}"))),
+                    }
+                };
+                match request {
+                    Some(r) => Some(self.close_body("BATCH", r)),
+                    None => {
+                        self.body = Body::Batch { items, line_no };
+                        None
+                    }
+                }
+            }
+        }
+    }
+
+    /// A line outside any body. The match is exhaustive on purpose: a new
+    /// verb has to be given a framing here before the crate compiles.
+    fn top(&mut self, line: &str) -> Option<Request> {
+        if line.trim().is_empty() {
+            return None;
+        }
+        let parsed = match parse_line(line) {
+            Ok(l) => l,
+            Err(e) => return Some(Request::Invalid(e)),
+        };
+        Some(match parsed {
+            Line::Open {
+                program,
+                matcher,
+                prio,
+            } => {
+                if program == "-" {
+                    return self.open_body(false, program, matcher, prio);
+                }
+                Request::Open {
+                    program,
+                    matcher,
+                    prio,
+                    origin: Origin::Registry,
+                }
+            }
+            Line::Restore {
+                program,
+                matcher,
+                prio,
+            } => return self.open_body(true, program, matcher, prio),
+            Line::BatchStart => {
+                self.body = Body::Batch {
+                    items: Vec::new(),
+                    line_no: 0,
+                };
+                return None;
+            }
+            Line::End => Request::Invalid("END outside BATCH".into()),
+            Line::Prio(class) => Request::Prio(class),
+            Line::Cancel => Request::Cancel,
+            Line::Metrics => Request::Metrics,
+            Line::Shutdown => Request::Shutdown,
+            Line::Assert(body) => Request::Session(Command::Assert(body)),
+            Line::Retract(tag) => Request::Session(Command::Retract(tag)),
+            Line::Run(n) => Request::Session(Command::Run(n)),
+            Line::Cs => Request::Session(Command::Cs),
+            Line::Wm(class) => Request::Session(Command::Wm(class)),
+            Line::Stats => Request::Session(Command::Stats),
+            Line::Fired => Request::Session(Command::Fired),
+            Line::Snapshot => Request::Session(Command::Snapshot),
+            Line::Migrate(m) => Request::Session(Command::Migrate(m)),
+            Line::Close => Request::Session(Command::Close),
+        })
+    }
+
+    /// Enters an `OPEN -` or (`restore`) `RESTORE` body; no reply is owed
+    /// until it ends.
+    fn open_body(
+        &mut self,
+        restore: bool,
+        program: String,
+        matcher: Option<String>,
+        prio: Option<String>,
+    ) -> Option<Request> {
+        self.body = Body::Text {
+            restore,
+            program,
+            matcher,
+            prio,
+            text: String::new(),
+        };
+        None
+    }
+
+    /// Counts one body line; false once the body is over the cap.
+    fn fits(&mut self, line: &str) -> bool {
+        self.body_bytes = self.body_bytes.saturating_add(line.len() + 1);
+        self.body_bytes <= MAX_BODY_BYTES
+    }
+
+    /// The body just ended: `request`, unless the body outgrew the cap.
+    fn close_body(&mut self, verb: &str, request: Request) -> Request {
+        let bytes = std::mem::take(&mut self.body_bytes);
+        if bytes > MAX_BODY_BYTES {
+            Request::Invalid(format!(
+                "{verb} body too large ({bytes} bytes, max {MAX_BODY_BYTES})"
+            ))
+        } else {
+            request
+        }
+    }
+}
+
 /// One reply, ready to serialize. The `Busy`/`Overloaded` variants are the
 /// protocol's backpressure signals and are never folded into `Err`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -219,6 +557,27 @@ impl Reply {
     pub fn is_ok(&self) -> bool {
         matches!(self, Reply::Ok(_) | Reply::Multi { .. })
     }
+
+    /// True for the two backpressure rejections.
+    pub fn is_backpressure(&self) -> bool {
+        matches!(self, Reply::Busy(_) | Reply::Overloaded(_))
+    }
+
+    /// Unwraps `OK <payload>`, turning anything else into an error string.
+    pub fn expect_ok(self) -> Result<String, String> {
+        match self {
+            Reply::Ok(s) => Ok(s),
+            other => Err(format!("expected OK, got {other:?}")),
+        }
+    }
+
+    /// Unwraps a multi-line reply's body lines.
+    pub fn expect_lines(self) -> Result<Vec<String>, String> {
+        match self {
+            Reply::Multi { lines, .. } => Ok(lines),
+            other => Err(format!("expected multi-line reply, got {other:?}")),
+        }
+    }
 }
 
 impl fmt::Display for Reply {
@@ -236,6 +595,56 @@ impl fmt::Display for Reply {
             Reply::Busy(s) => writeln!(f, "BUSY {s}"),
             Reply::Overloaded(s) => writeln!(f, "OVERLOADED {s}"),
         }
+    }
+}
+
+/// Reply framing, the inverse of [`Reply`]'s `Display`: reply lines in,
+/// whole replies out. A multi-line head declares its body length
+/// (`SNAPSHOT <n>`, `METRICS <n>`, ...), so the body is counted, not scanned:
+/// a body line that happens to read `END` cannot end the reply early. Only a
+/// head with no parsable count falls back to scanning for `END`.
+#[derive(Default)]
+pub struct ReplyFramer {
+    head: Option<String>,
+    declared: Option<usize>,
+    lines: Vec<String>,
+}
+
+impl ReplyFramer {
+    pub fn new() -> ReplyFramer {
+        ReplyFramer::default()
+    }
+
+    /// Takes the next reply line (terminator stripped); returns the reply
+    /// it completes, if any.
+    pub fn push(&mut self, line: String) -> Option<Reply> {
+        if self.head.is_none() {
+            let (tag, rest) = line.split_once(' ').unwrap_or((&line, ""));
+            let single = match tag {
+                "OK" => Reply::Ok,
+                "ERR" => Reply::Err,
+                "BUSY" => Reply::Busy,
+                "OVERLOADED" => Reply::Overloaded,
+                _ => {
+                    self.declared = rest.split_whitespace().next().and_then(|n| n.parse().ok());
+                    self.head = Some(line);
+                    return None;
+                }
+            };
+            return Some(single(rest.to_string()));
+        }
+        let terminator = match self.declared {
+            Some(n) => self.lines.len() == n,
+            None => line == "END",
+        };
+        if !terminator {
+            self.lines.push(line);
+            return None;
+        }
+        Some(Reply::Multi {
+            head: self.head.take()?,
+            lines: std::mem::take(&mut self.lines),
+        })
     }
 }
 
@@ -366,5 +775,268 @@ mod tests {
             lines: vec!["p1 1 2".into(), "p2 3".into()],
         };
         assert_eq!(m.to_string(), "CS 2\np1 1 2\np2 3\nEND\n");
+    }
+
+    /// Every frame a script yields when delivered in `cuts`-sized pieces
+    /// (cycled); `TooLong` is terminal, as it is for a connection.
+    fn frames(script: &[u8], cuts: &[usize]) -> Vec<Framed> {
+        let mut framer = Framer::new();
+        let mut out = Vec::new();
+        let mut cuts = cuts.iter().cycle();
+        let mut rest = script;
+        while !rest.is_empty() {
+            let n = (*cuts.next().unwrap()).min(rest.len());
+            framer.feed(&rest[..n]);
+            rest = &rest[n..];
+            while let Some(f) = framer.next_frame() {
+                let stop = f == Framed::TooLong;
+                out.push(f);
+                if stop {
+                    return out;
+                }
+            }
+        }
+        out
+    }
+
+    fn requests(script: &str) -> Vec<Request> {
+        frames(script.as_bytes(), &[usize::MAX])
+            .into_iter()
+            .filter_map(|f| match f {
+                Framed::Line { request, .. } => request,
+                Framed::TooLong => panic!("line too long"),
+            })
+            .collect()
+    }
+
+    fn invalid(r: &Request) -> &str {
+        match r {
+            Request::Invalid(e) => e,
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+    }
+
+    /// The wire change of PR 15: an `OPEN -` body is consumed up to `END`
+    /// whatever the head line says, so a refused inline open draws one reply
+    /// and the next request is framed as itself — here and in the router.
+    #[test]
+    fn open_inline_body_is_consumed_unconditionally() {
+        let got = requests("OPEN - nosuch PRIO=frob\n(a)\n\n(b)\nend\nSTATS?\n");
+        assert_eq!(
+            got,
+            vec![
+                Request::Open {
+                    program: "-".into(),
+                    matcher: Some("nosuch".into()),
+                    prio: Some("frob".into()),
+                    origin: Origin::Inline("(a)\n\n(b)\n".into()),
+                },
+                Request::Session(Command::Stats),
+            ]
+        );
+    }
+
+    #[test]
+    fn restore_body_keeps_the_lowercase_end() {
+        let got = requests("RESTORE adder col\nops5-snapshot v1\nend\n+ 1 a\nEnd\nEND\nCLOSE\n");
+        assert_eq!(
+            got,
+            vec![
+                Request::Open {
+                    program: "adder".into(),
+                    matcher: Some("col".into()),
+                    prio: None,
+                    origin: Origin::Snapshot("ops5-snapshot v1\nend\n+ 1 a\nEnd\n".into()),
+                },
+                Request::Session(Command::Close),
+            ]
+        );
+        // `RESTORE -` is a RESTORE of a program called `-`, not an OPEN.
+        let got = requests("RESTORE -\nend\nEND\n");
+        assert!(
+            matches!(&got[..], [Request::Open { origin: Origin::Snapshot(b), .. }] if b == "end\n"),
+            "{got:?}"
+        );
+    }
+
+    #[test]
+    fn batch_counts_blank_lines_and_aborts_at_the_first_bad_line() {
+        let got = requests("BATCH\nASSERT a ^x 1\n\nRETRACT 7\nEND\n");
+        assert_eq!(
+            got,
+            vec![Request::Session(Command::Batch(vec![
+                BatchItem::Assert {
+                    line: 1,
+                    body: "a ^x 1".into()
+                },
+                BatchItem::Retract { line: 3, tag: 7 },
+            ]))]
+        );
+        // The abort rule: one ERR for the batch, then its END is a stray.
+        let got = requests("BATCH\nASSERT a ^x 1\n\nRUN 1\nASSERT a ^x 2\nEND\n");
+        assert_eq!(got.len(), 3, "{got:?}");
+        assert!(invalid(&got[0]).starts_with("BATCH line 3: only ASSERT/RETRACT"));
+        assert_eq!(got[1], Request::Session(Command::Assert("a ^x 2".into())));
+        assert_eq!(invalid(&got[2]), "END outside BATCH");
+        let got = requests("BATCH\nRETRACT nope\n");
+        assert!(invalid(&got[0]).starts_with("BATCH line 1: RETRACT needs"));
+    }
+
+    /// A line is too long exactly when it is longer than the cap, however
+    /// it arrives and whichever terminator it carries.
+    #[test]
+    fn line_length_bound() {
+        for (extra, eol, too_long) in [(0, "\n", false), (0, "\r\n", false), (1, "\n", true)] {
+            let mut script = "WM? ".to_string();
+            script.push_str(&"x".repeat(MAX_LINE_BYTES - 4 + extra));
+            script.push_str(eol);
+            script.push_str("CLOSE\n");
+            for cuts in [&[usize::MAX][..], &[4096], &[1]] {
+                let got = frames(script.as_bytes(), cuts);
+                if too_long {
+                    assert_eq!(got, vec![Framed::TooLong], "{extra} {eol:?} {cuts:?}");
+                } else {
+                    assert_eq!(got.len(), 2, "{extra} {eol:?} {cuts:?}");
+                    assert!(!got.contains(&Framed::TooLong));
+                }
+            }
+        }
+        // No terminator at all: the verdict does not wait for one.
+        let flood = vec![b'x'; MAX_LINE_BYTES + 2];
+        assert_eq!(frames(&flood, &[4096]), vec![Framed::TooLong]);
+    }
+
+    /// An oversized body is consumed to its terminator like any other and
+    /// answered once; the request after it is framed as itself.
+    #[test]
+    fn body_size_bound_keeps_framing_in_sync() {
+        let line = format!("ASSERT a ^x {}\n", "7".repeat(1000));
+        let lines = MAX_BODY_BYTES / line.len() + 1;
+        for (head, verb) in [
+            ("OPEN - vs2", "OPEN"),
+            ("RESTORE a", "RESTORE"),
+            ("BATCH", "BATCH"),
+        ] {
+            let mut script = format!("{head}\n");
+            script.push_str(&line.repeat(lines));
+            script.push_str("END\nSTATS?\n");
+            let got = requests(&script);
+            assert_eq!(got.len(), 2, "{verb}");
+            assert!(
+                invalid(&got[0]).starts_with(&format!("{verb} body too large")),
+                "{}",
+                invalid(&got[0])
+            );
+            assert_eq!(got[1], Request::Session(Command::Stats));
+        }
+        // An oversized batch still ends at its first bad line.
+        let mut script = "BATCH\n".to_string();
+        script.push_str(&line.repeat(lines));
+        script.push_str("RUN 1\nEND\n");
+        let got = requests(&script);
+        assert!(invalid(&got[0]).starts_with("BATCH body too large"));
+        assert_eq!(invalid(&got[1]), "END outside BATCH");
+    }
+
+    /// Request pieces the chunking property draws scripts from: every verb,
+    /// every body kind, and the framing edge cases.
+    const PIECES: &[&str] = &[
+        "OPEN blocks vs2 PRIO=high",
+        "OPEN -\n(literalize a x)\n\n(p r (a ^x 1) --> (halt))\nEND",
+        "OPEN - nosuch PRIO=frob\n(literalize a x)\nRUN 1\nend",
+        "OPEN - a b c\n(literalize a x)\nEND",
+        "RESTORE blocks col\nops5-snapshot v1 fp=0 clock=1\nwm 1 a ^x 1\nend\n+ 2 a ^x 2\nEnd\n\nEND",
+        "restore blocks\nend\nEND",
+        "BATCH\nASSERT a ^x 1\n\nRETRACT 3\nEND",
+        "BATCH\nASSERT a ^x 1\nRUN 1\nASSERT a ^x 2\nEND",
+        "BATCH\n\nRETRACT nope\nEND",
+        "batch\nend",
+        "END",
+        "",
+        "   ",
+        "ASSERT a ^x 1 ^y 2",
+        "RETRACT 7",
+        "RUN 5",
+        "RUN x",
+        "CS?",
+        "WM?",
+        "WM? a",
+        "STATS?",
+        "METRICS?",
+        "FIRED?",
+        "SNAPSHOT?",
+        "MIGRATE psm",
+        "PRIO batch",
+        "CANCEL",
+        "CLOSE",
+        "SHUTDOWN",
+        "NOSUCHVERB",
+        "caf\u{e9} \u{1f600}",
+    ];
+
+    proptest::proptest! {
+        /// Chunking as a property of the core, no sockets: a script fed
+        /// under any chunking — 1-byte included — frames exactly as it does
+        /// fed whole. Scripts mix `\n` and `\r\n` and may stop mid-request.
+        #[test]
+        fn framing_is_chunking_invariant(
+            script in proptest::collection::vec((0usize..PIECES.len(), 0usize..2), 1..24),
+            cuts in proptest::collection::vec(1usize..48, 1..32),
+            keep in 0usize..101,
+        ) {
+            let mut text = String::new();
+            for (piece, crlf) in script {
+                let eol = if crlf == 1 { "\r\n" } else { "\n" };
+                for line in PIECES[piece].split('\n') {
+                    text.push_str(line);
+                    text.push_str(eol);
+                }
+            }
+            let bytes = &text.as_bytes()[..text.len() * keep / 100];
+            let whole = frames(bytes, &[usize::MAX]);
+            proptest::prop_assert_eq!(&frames(bytes, &cuts), &whole);
+            proptest::prop_assert_eq!(&frames(bytes, &[1]), &whole);
+        }
+    }
+
+    #[test]
+    fn reply_framer_inverts_display() {
+        let replies = vec![
+            Reply::Ok("17".into()),
+            Reply::Ok(String::new()),
+            Reply::Err("nope".into()),
+            Reply::Busy("run queue full; retry".into()),
+            Reply::Overloaded("full".into()),
+            Reply::Multi {
+                head: "CS 0".into(),
+                lines: Vec::new(),
+            },
+            // A body line that reads `END` is counted, not taken for the
+            // terminator.
+            Reply::Multi {
+                head: "WM 3".into(),
+                lines: vec!["1: (a ^x END)".into(), "END".into(), "OK 3".into()],
+            },
+            Reply::Ok("after".into()),
+        ];
+        let wire: String = replies.iter().map(Reply::to_string).collect();
+        let mut framer = ReplyFramer::new();
+        let got: Vec<Reply> = wire
+            .lines()
+            .filter_map(|l| framer.push(l.to_string()))
+            .collect();
+        // `OK` with an empty payload serializes as `OK ` and reads back so.
+        assert_eq!(got, replies);
+        // A head that declares no count falls back to the terminator scan.
+        let mut framer = ReplyFramer::new();
+        assert_eq!(framer.push("LEGACY".into()), None);
+        assert_eq!(framer.push("a".into()), None);
+        assert_eq!(
+            framer.push("END".into()),
+            Some(Reply::Multi {
+                head: "LEGACY".into(),
+                lines: vec!["a".into()]
+            })
+        );
     }
 }

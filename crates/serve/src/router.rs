@@ -11,10 +11,13 @@
 //! The router is a line-level proxy on a single reactor thread. For each
 //! client connection it tracks just enough protocol state to stay honest:
 //!
-//! * client→backend framing (`OPEN -`/`BATCH`/`RESTORE` bodies) and a
-//!   count of requests in flight, mirroring the server's own framing;
-//! * backend→client reply framing (single-line `OK`/`ERR`/`BUSY`/
-//!   `OVERLOADED` vs multi-line…`END`), which is how in-flight drops;
+//! * client→backend request framing and a count of requests in flight. The
+//!   router runs the server's own [`Framer`] over the client's bytes, so
+//!   "this line completes a request, which draws exactly one reply" is
+//!   decided by the same code on both sides of the relay; the router just
+//!   forwards each framed line as it goes;
+//! * backend→client reply framing ([`ReplyFramer`]), which is how in-flight
+//!   drops;
 //! * the session's registry program and matcher, sniffed from the `OPEN`/
 //!   `RESTORE` the client sent (confirmed against the backend's `OK`), so
 //!   the session can be reconstructed elsewhere.
@@ -43,7 +46,8 @@
 //! down a shared backend); `ADMIN SHUTDOWN` stops the router and forwards
 //! the shutdown to every live backend.
 
-use crate::protocol::{parse_line, Line};
+use crate::protocol::{Framed, Framer, Origin, Reply, ReplyFramer, Request};
+use crate::session::Command;
 use reactor::{Events, Interest, LineBuf, Poll, Token, Waker, WriteBuf};
 use std::collections::VecDeque;
 use std::io::{self, Write};
@@ -65,7 +69,8 @@ const TICK: Duration = Duration::from_millis(100);
 const MIGRATE_IO: Duration = Duration::from_secs(5);
 /// After `ADMIN SHUTDOWN`, how long pairs get to flush.
 const STOP_GRACE: Duration = Duration::from_secs(5);
-/// Per-direction buffer cap; a flooding peer past this is cut off.
+/// Per-direction buffer cap: past it a write buffer's peer is cut off, and
+/// the client's read side is paused until the backlog is routed.
 const BUF_CAP: usize = 4 * 1024 * 1024;
 
 /// 64-bit FNV-1a, the ring's hash. Stable across processes and runs.
@@ -367,29 +372,6 @@ struct MigDone {
     result: Result<(TcpStream, LineBuf), String>,
 }
 
-/// Client→backend framing, mirroring the server's body modes so request
-/// counting stays in sync even across multi-line commands.
-enum CMode {
-    Top,
-    OpenBody,
-    RestoreBody,
-    BatchBody,
-}
-
-/// Backend→client reply framing.
-#[derive(Clone, Copy)]
-enum RMode {
-    Idle,
-    /// Inside a multi-line reply. Every multi-line head declares its body
-    /// length (`SNAPSHOT <n>`, `METRICS <n>`, …), so `remaining` counts
-    /// down to the `END` terminator instead of scanning for it — a body
-    /// line that happens to equal `END` cannot desync the framing. `None`
-    /// falls back to the terminator scan for a head with no parsable count.
-    Multi {
-        remaining: Option<usize>,
-    },
-}
-
 /// What an in-flight request will tell us when its reply lands.
 enum Tag {
     /// `OPEN`/`RESTORE`: on `OK`, a session exists; `Some` carries the
@@ -427,13 +409,14 @@ struct Pair {
     key: u64,
     kind: PairKind,
     client: TcpStream,
-    c_rd: LineBuf,
+    /// Client→backend request framing (and the client's read buffer).
+    framer: Framer,
     c_wr: WriteBuf,
     c_interest: Interest,
     backend: Option<Backend>,
     backend_idx: usize,
-    c_mode: CMode,
-    r_mode: RMode,
+    /// Backend→client reply framing.
+    replies: ReplyFramer,
     /// Requests forwarded whose replies have not yet fully returned.
     in_flight: u64,
     tags: VecDeque<Tag>,
@@ -444,7 +427,7 @@ struct Pair {
     /// Set by `DRAIN`; cleared when the session lands on a live backend.
     migrate_pending: bool,
     /// A helper thread is rebuilding the backend elsewhere; input waits
-    /// in `c_rd` until the result comes back through the waker.
+    /// in `framer` until the result comes back through the waker.
     migrating: bool,
     /// Client half-closed its write side: read no more, but keep routing
     /// the lines already buffered and flush their replies before closing.
@@ -463,13 +446,12 @@ impl Pair {
             key,
             kind: PairKind::New,
             client,
-            c_rd: LineBuf::new(),
+            framer: Framer::new(),
             c_wr: WriteBuf::new(),
             c_interest: Interest::READABLE,
             backend: None,
             backend_idx: usize::MAX,
-            c_mode: CMode::Top,
-            r_mode: RMode::Idle,
+            replies: ReplyFramer::new(),
             in_flight: 0,
             tags: VecDeque::new(),
             session_open: false,
@@ -500,10 +482,10 @@ impl Pair {
 /// Drains readable client bytes into the pair's line buffer.
 fn client_read(pair: &mut Pair) {
     for _ in 0..8 {
-        if pair.c_rd.len() > BUF_CAP {
+        if pair.framer.buffered() > BUF_CAP {
             break;
         }
-        match pair.c_rd.read_from(&mut pair.client) {
+        match pair.framer.read_from(&mut pair.client) {
             Ok(0) => {
                 // Client finished sending. Commands already buffered
                 // still execute and their replies still flush — a
@@ -561,42 +543,8 @@ fn backend_read(pair: &mut Pair) {
         }
         pair.c_wr.push(line.as_bytes());
         pair.c_wr.push(b"\n");
-        match pair.r_mode {
-            RMode::Idle => {
-                let single = ["OK", "ERR", "BUSY", "OVERLOADED"]
-                    .iter()
-                    .any(|p| line == *p || line.starts_with(&format!("{p} ")));
-                if single {
-                    complete_reply(pair, &line);
-                } else {
-                    let declared = line
-                        .split_whitespace()
-                        .nth(1)
-                        .and_then(|t| t.parse::<usize>().ok());
-                    pair.r_mode = RMode::Multi {
-                        remaining: declared,
-                    };
-                }
-            }
-            RMode::Multi { remaining } => match remaining {
-                Some(0) => {
-                    // All declared body lines consumed: this line is the
-                    // END terminator.
-                    pair.r_mode = RMode::Idle;
-                    complete_reply(pair, "");
-                }
-                Some(n) => {
-                    pair.r_mode = RMode::Multi {
-                        remaining: Some(n - 1),
-                    };
-                }
-                None => {
-                    if line == "END" {
-                        pair.r_mode = RMode::Idle;
-                        complete_reply(pair, "");
-                    }
-                }
-            },
+        if let Some(reply) = pair.replies.push(line) {
+            complete_reply(pair, &reply);
         }
     }
     if pair.backend_gone {
@@ -608,9 +556,9 @@ fn backend_read(pair: &mut Pair) {
 
 /// Bookkeeping when one full reply has been relayed: the in-flight count
 /// drops and the oldest tag resolves session state.
-fn complete_reply(pair: &mut Pair, first_line: &str) {
+fn complete_reply(pair: &mut Pair, reply: &Reply) {
     pair.in_flight = pair.in_flight.saturating_sub(1);
-    let ok = first_line.starts_with("OK");
+    let ok = matches!(reply, Reply::Ok(_));
     match pair.tags.pop_front() {
         Some(Tag::Open(info)) => {
             if ok {
@@ -637,10 +585,7 @@ fn service_pair(pairs: &mut [Option<Pair>], idx: usize, state: &mut State, poll:
             return;
         };
         if matches!(pair.kind, PairKind::New) {
-            let Some(line) = pair.c_rd.next_line() else {
-                if pair.client_eof {
-                    pair.stop_input = true;
-                }
+            let Some((line, request)) = next_line(pair) else {
                 return;
             };
             if line.trim().eq_ignore_ascii_case("ADMIN") {
@@ -651,7 +596,7 @@ fn service_pair(pairs: &mut [Option<Pair>], idx: usize, state: &mut State, poll:
                 if !connect_backend(pair, idx, state, poll) {
                     return;
                 }
-                route_line(pair, line);
+                route(pair, line, request);
             }
         }
     }
@@ -671,7 +616,7 @@ fn service_pair(pairs: &mut [Option<Pair>], idx: usize, state: &mut State, poll:
                     return;
                 }
                 if pair.migrate_pending {
-                    let at_top = matches!(pair.c_mode, CMode::Top);
+                    let at_top = pair.framer.at_top();
                     if at_top && pair.in_flight == 0 {
                         // Safe point: hand the backend to a helper thread
                         // (or resolve trivially) before routing more.
@@ -687,19 +632,16 @@ fn service_pair(pairs: &mut [Option<Pair>], idx: usize, state: &mut State, poll:
                     // command completes — holding its terminator would
                     // deadlock the drain against the backend's reply.
                 }
-                let Some(line) = pair.c_rd.next_line() else {
-                    if pair.client_eof {
-                        pair.stop_input = true;
-                    }
+                let Some((line, request)) = next_line(pair) else {
                     return;
                 };
-                route_line(pair, line);
+                route(pair, line, request);
             }
             PairKind::Admin => {
-                let Some(line) = pair.c_rd.next_line() else {
-                    if pair.client_eof {
-                        pair.stop_input = true;
-                    }
+                // The admin dialect only borrows the line splitting (and
+                // its length bound); what the framer makes of the line is
+                // not its business.
+                let Some((line, _)) = next_line(pair) else {
                     return;
                 };
                 admin_line(pairs, idx, state, poll, line);
@@ -760,89 +702,59 @@ fn open_backend(addr: SocketAddr) -> io::Result<Backend> {
     })
 }
 
-/// Forwards one client line to the backend, keeping framing, the
-/// in-flight count, and the session sniff in step with what the server
-/// will do with it.
-fn route_line(pair: &mut Pair, line: String) {
-    let trimmed = line.trim().to_string();
-    match pair.c_mode {
-        CMode::Top => {
-            if trimmed.is_empty() {
-                forward(pair, &line);
-                return;
-            }
-            match parse_line(&trimmed) {
-                Ok(Line::Shutdown) => {
-                    // One tenant must not kill every session on a shared
-                    // backend. (Router-originated reply: safe only because
-                    // a well-behaved client has drained earlier replies;
-                    // a pipelined SHUTDOWN may see it early.)
-                    pair.reply("ERR SHUTDOWN not allowed through router (use ADMIN)");
-                    return;
-                }
-                Ok(Line::Open {
-                    program, matcher, ..
-                }) => {
-                    pair.in_flight += 1;
-                    if program == "-" {
-                        pair.tags.push_back(Tag::Open(None));
-                        pair.c_mode = CMode::OpenBody;
-                    } else {
-                        pair.tags
-                            .push_back(Tag::Open(Some(SessionInfo { program, matcher })));
-                    }
-                }
-                Ok(Line::Restore {
-                    program, matcher, ..
-                }) => {
-                    pair.in_flight += 1;
-                    pair.tags
-                        .push_back(Tag::Open(Some(SessionInfo { program, matcher })));
-                    pair.c_mode = CMode::RestoreBody;
-                }
-                Ok(Line::BatchStart) => {
-                    pair.in_flight += 1;
-                    pair.tags.push_back(Tag::Other);
-                    pair.c_mode = CMode::BatchBody;
-                }
-                Ok(Line::Close) => {
-                    pair.in_flight += 1;
-                    pair.tags.push_back(Tag::Close);
-                }
-                // Everything else — session commands, END outside BATCH,
-                // unparsable lines — draws exactly one reply.
-                Ok(_) | Err(_) => {
-                    pair.in_flight += 1;
-                    pair.tags.push_back(Tag::Other);
-                }
-            }
-            forward(pair, &line);
+/// The next framed client line, if a whole one is buffered. Winds the
+/// pair down when the client is done sending, or has sent a line over the
+/// protocol's length cap. (That `ERR` is router-originated, so like the
+/// `SHUTDOWN` refusal it can overtake replies still in flight.)
+fn next_line(pair: &mut Pair) -> Option<(String, Option<Request>)> {
+    match pair.framer.next_frame() {
+        Some(Framed::Line { line, request }) => Some((line, request)),
+        Some(Framed::TooLong) => {
+            pair.reply("ERR line too long; closing");
+            pair.stop_input = true;
+            None
         }
-        CMode::OpenBody => {
-            if trimmed.eq_ignore_ascii_case("END") {
-                pair.c_mode = CMode::Top;
+        None => {
+            if pair.client_eof {
+                pair.stop_input = true;
             }
-            forward(pair, &line);
-        }
-        CMode::RestoreBody => {
-            if trimmed == "END" {
-                pair.c_mode = CMode::Top;
-            }
-            forward(pair, &line);
-        }
-        CMode::BatchBody => {
-            if !trimmed.is_empty() {
-                match parse_line(&trimmed) {
-                    Ok(Line::Assert(_)) | Ok(Line::Retract(_)) => {}
-                    // END closes the batch; anything else aborts it on the
-                    // server (early ERR), so framing returns to top level
-                    // either way.
-                    Ok(_) | Err(_) => pair.c_mode = CMode::Top,
-                }
-            }
-            forward(pair, &line);
+            None
         }
     }
+}
+
+/// Forwards one client line to the backend. `request` is what the line
+/// completed, by the same framing the backend will apply to it: each
+/// complete request is one reply owed, so the in-flight count and the
+/// session sniff stay in step with the server by construction.
+fn route(pair: &mut Pair, line: String, request: Option<Request>) {
+    let tag = match request {
+        // Part of a body still open, or a blank line: no reply owed.
+        None => None,
+        Some(Request::Shutdown) => {
+            // One tenant must not kill every session on a shared
+            // backend. (Router-originated reply: safe only because
+            // a well-behaved client has drained earlier replies;
+            // a pipelined SHUTDOWN may see it early.)
+            pair.reply("ERR SHUTDOWN not allowed through router (use ADMIN)");
+            return;
+        }
+        // An inline program has no registry name to RESTORE from.
+        Some(Request::Open {
+            origin: Origin::Inline(_),
+            ..
+        }) => Some(Tag::Open(None)),
+        Some(Request::Open {
+            program, matcher, ..
+        }) => Some(Tag::Open(Some(SessionInfo { program, matcher }))),
+        Some(Request::Session(Command::Close)) => Some(Tag::Close),
+        Some(_) => Some(Tag::Other),
+    };
+    if let Some(tag) = tag {
+        pair.in_flight += 1;
+        pair.tags.push_back(tag);
+    }
+    forward(pair, &line);
 }
 
 fn forward(pair: &mut Pair, line: &str) {
@@ -974,11 +886,14 @@ fn admin_line(
     }
 }
 
-/// Reads one line from a blocking stream through a [`LineBuf`].
-fn blocking_line(stream: &mut TcpStream, buf: &mut LineBuf) -> Result<String, String> {
+/// Reads one whole reply from a blocking stream through a [`LineBuf`].
+fn blocking_reply(stream: &mut TcpStream, buf: &mut LineBuf) -> Result<Reply, String> {
+    let mut framer = ReplyFramer::new();
     loop {
-        if let Some(l) = buf.next_line() {
-            return Ok(l);
+        while let Some(line) = buf.next_line() {
+            if let Some(reply) = framer.push(line) {
+                return Ok(reply);
+            }
         }
         match buf.read_from(stream) {
             Ok(0) => return Err("backend closed mid-reply".into()),
@@ -997,7 +912,7 @@ fn blocking_line(stream: &mut TcpStream, buf: &mut LineBuf) -> Result<String, St
 /// down — losing state silently would be worse than losing the
 /// connection loudly.
 fn try_migrate(pair: &mut Pair, idx: usize, state: &mut State, poll: &Poll) -> bool {
-    if pair.in_flight > 0 || !matches!(pair.c_mode, CMode::Top) || pair.migrating {
+    if pair.in_flight > 0 || !pair.framer.at_top() || pair.migrating {
         return false;
     }
     let Some(target) = state
@@ -1068,22 +983,14 @@ fn migrate_conversation(
         old_stream
             .write_all(b"SNAPSHOT?\n")
             .map_err(|e| format!("snapshot request: {e}"))?;
-        let head = blocking_line(&mut old_stream, &mut old_rd)?;
-        if !head.starts_with("SNAPSHOT") {
-            return Err(format!("unexpected SNAPSHOT? reply: {head}"));
-        }
-        let mut body = Vec::new();
-        loop {
-            let l = blocking_line(&mut old_stream, &mut old_rd)?;
-            if l == "END" {
-                break;
-            }
-            body.push(l);
-        }
+        let body = match blocking_reply(&mut old_stream, &mut old_rd)? {
+            Reply::Multi { head, lines } if head.starts_with("SNAPSHOT") => lines,
+            other => return Err(format!("unexpected SNAPSHOT? reply: {other:?}")),
+        };
         old_stream
             .write_all(b"CLOSE\n")
             .map_err(|e| format!("close request: {e}"))?;
-        let _ = blocking_line(&mut old_stream, &mut old_rd)?;
+        blocking_reply(&mut old_stream, &mut old_rd)?;
         Some(body)
     } else {
         None
@@ -1111,9 +1018,9 @@ fn migrate_conversation(
         payload.push_str("END\n");
         ns.write_all(payload.as_bytes())
             .map_err(|e| format!("restore request: {e}"))?;
-        let reply = blocking_line(&mut ns, &mut nrd)?;
-        if !reply.starts_with("OK") {
-            return Err(format!("restore rejected: {reply}"));
+        match blocking_reply(&mut ns, &mut nrd)? {
+            Reply::Ok(_) => {}
+            other => return Err(format!("restore rejected: {other:?}")),
         }
     }
     ns.set_nonblocking(true)
@@ -1148,7 +1055,7 @@ fn pump_pair(pair: &mut Pair, idx: usize, poll: &Poll) {
         return;
     }
     let mut want = Interest::NONE;
-    if !pair.stop_input && !pair.client_eof && pair.c_rd.len() <= BUF_CAP {
+    if !pair.stop_input && !pair.client_eof && pair.framer.buffered() <= BUF_CAP {
         want = want | Interest::READABLE;
     }
     if !pair.c_wr.is_empty() {

@@ -1,43 +1,25 @@
-//! The reactor front-end: one thread owns accept, read, and write for
-//! every connection.
+//! The reactor: one thread owns accept, read, and write for every
+//! connection.
 //!
-//! Where the thread front-end spends two OS threads per connection, this
-//! module multiplexes all of them over a single epoll loop (the vendored
-//! [`reactor`] crate). Each connection is a small state machine:
+//! This is the paper's premise applied to connections — processes are the
+//! scarce resource, so work is multiplexed onto few of them: all sockets
+//! share a single epoll loop (the vendored [`reactor`] crate). The module is
+//! a pure I/O driver. Each socket is paired with a [`Conn`], the socket-free
+//! connection core that owns framing, the session, reply ordering and every
+//! bound; the driver moves bytes between the two, routes pool completions
+//! (woken through a [`reactor::Waker`]) to the core they belong to, and
+//! keeps each socket's epoll interest in step with what its core waits on.
 //!
-//! * [`reactor::LineBuf`] reassembles lines across arbitrary read
-//!   boundaries, and [`Mode`] tracks multi-line framing (`OPEN -` bodies,
-//!   `BATCH`…`END`, `RESTORE`…`END`) exactly as the thread front-end's
-//!   reader does, so a command split anywhere — even mid-body — parses
-//!   identically.
-//! * Replies must arrive in request order under pipelining even though
-//!   commands execute on pool workers. Every request reserves a slot in
-//!   the connection's `pending` queue *before* it is submitted; direct
-//!   replies (and pool rejections) fill their slot immediately, worker
-//!   replies come back through the shared [`Completions`] queue tagged
-//!   with (connection id, sequence) and a [`reactor::Waker`] kick. Only
-//!   the queue's *front* run of filled slots is flushed, which is the
-//!   whole ordering argument.
-//! * A slow client costs memory, not a thread — and the memory is capped:
-//!   once the outbound buffer reaches [`ServeConfig::write_buf_cap`]
-//!   (checked before each append, so one oversized reply still goes out),
-//!   the connection is sent a final `ERR overloaded` and closed — or
-//!   force-closed after [`OVERLOAD_GRACE`] if the client never reads even
-//!   that, so a stalled peer cannot pin the fd and buffer indefinitely.
-//!
-//! Backpressure is unchanged from the thread front-end: the pool's
-//! per-session inbox (`OVERLOADED`) and global run queue (`BUSY`) answer
-//! through the same reserved slot, so the two front-ends are
-//! byte-identical on the wire.
-//!
-//! [`ServeConfig::write_buf_cap`]: crate::server::ServeConfig::write_buf_cap
+//! The one policy that needs a clock lives here: a connection the core has
+//! declared overloaded gets [`OVERLOAD_GRACE`] to drain its final `ERR`
+//! and is then force-closed, so a peer that never reads cannot pin the fd
+//! and buffer indefinitely.
 
-use crate::pool::{Completions, ReplyTx, SessionSlot, SubmitOutcome};
-use crate::protocol::{parse_line, Line, Reply};
-use crate::server::{self, Shared};
-use crate::session::{BatchItem, Command};
-use reactor::{Events, Interest, LineBuf, Poll, Token, Waker, WriteBuf};
-use std::collections::{HashMap, VecDeque};
+use crate::conn::Conn;
+use crate::pool::Completions;
+use crate::server::Shared;
+use reactor::{Events, Interest, Poll, Token, Waker};
+use std::collections::HashMap;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -56,10 +38,8 @@ const TICK: Duration = Duration::from_millis(100);
 /// After `SHUTDOWN`, how long connections get to flush queued replies.
 const DRAIN_GRACE: Duration = Duration::from_secs(10);
 /// How long an overloaded connection gets to drain its final
-/// `ERR overloaded` before being force-closed — the reactor's analogue of
-/// the thread front-end's `WRITE_STALL` write timeout. Without it, a
-/// client that never reads pins the fd and up to `write_buf_cap` bytes
-/// forever.
+/// `ERR overloaded` before being force-closed. Without it, a client that
+/// never reads pins the fd and up to `write_buf_cap` bytes forever.
 const OVERLOAD_GRACE: Duration = Duration::from_secs(5);
 /// How often the loop sweeps for expired overload deadlines.
 const OVERLOAD_SCAN: Duration = Duration::from_millis(500);
@@ -67,117 +47,16 @@ const OVERLOAD_SCAN: Duration = Duration::from_millis(500);
 /// data re-fires under level triggering, so this is fairness, not loss.
 const READS_PER_EVENT: usize = 8;
 
-/// Multi-line framing state, mirroring the thread front-end's nested read
-/// loops. `Lines` is the top level; the body modes collect until their
-/// terminator.
-enum Mode {
-    Lines,
-    /// `OPEN -` inline program body (terminator: case-insensitive `END`).
-    /// The matcher is resolved at the `OPEN` line, as the thread front-end
-    /// does, so a bad matcher never enters body mode.
-    OpenBody {
-        program: String,
-        kind: engine::MatcherKind,
-        prio: Option<crate::pool::Priority>,
-        src: String,
-    },
-    /// `RESTORE` body (terminator: exact-case `END`; the snapshot's own
-    /// lowercase `end` stays in the body). Collected unconditionally —
-    /// checks happen at the terminator, matching the thread front-end.
-    RestoreBody {
-        program: String,
-        matcher: Option<String>,
-        prio: Option<String>,
-        lines: Vec<String>,
-    },
-    /// `BATCH` body. `line_no` counts every line after `BATCH` (blanks
-    /// included) for error positions. A bad line aborts the batch
-    /// immediately: the rest of the body parses as top-level commands,
-    /// exactly like the thread front-end's early `break`.
-    BatchBody {
-        items: Vec<BatchItem>,
-        line_no: usize,
-    },
-}
-
-/// One reply slot in a connection's ordered queue. Slot *i* (from the
-/// front) answers request `first_seq + i`.
-enum PendingSlot {
-    /// Command in flight on a pool worker.
-    Waiting,
-    /// Reply ready to flush (direct answers, rejections, completions).
-    Filled(Reply),
-}
-
-struct Conn {
-    /// Process-unique id; completions are tagged with it so replies for a
-    /// closed connection are recognizably stale and dropped.
-    id: u64,
+/// One accepted socket and the core that speaks the protocol on it.
+struct Sock {
     stream: TcpStream,
-    rd: LineBuf,
-    wr: WriteBuf,
+    conn: Conn,
     interest: Interest,
-    mode: Mode,
-    slot: Option<Arc<SessionSlot>>,
-    pending: VecDeque<PendingSlot>,
-    /// Sequence number of `pending.front()`.
-    first_seq: u64,
-    /// Sequence number the next request will take.
-    next_seq: u64,
-    /// No further input is parsed (EOF, `SHUTDOWN`, or server drain);
-    /// the connection closes once `pending` and `wr` empty out.
-    stop_input: bool,
-    /// Hard failure: close without flushing.
+    /// Hard I/O failure: close without flushing.
     dead: bool,
-    /// Slow client: final `ERR overloaded` queued, replies dropped.
-    overloaded: bool,
-    /// When `overloaded` was set plus [`OVERLOAD_GRACE`]: the connection
-    /// is force-closed if the final `ERR` has not flushed by then.
+    /// Set when the core declares the connection overloaded: it is
+    /// force-closed if the final `ERR` has not flushed by then.
     overload_deadline: Option<Instant>,
-}
-
-impl Conn {
-    fn new(id: u64, stream: TcpStream) -> Conn {
-        Conn {
-            id,
-            stream,
-            rd: LineBuf::new(),
-            wr: WriteBuf::new(),
-            interest: Interest::READABLE,
-            mode: Mode::Lines,
-            slot: None,
-            pending: VecDeque::new(),
-            first_seq: 0,
-            next_seq: 0,
-            stop_input: false,
-            dead: false,
-            overloaded: false,
-            overload_deadline: None,
-        }
-    }
-
-    /// Queues an immediately-known reply in order.
-    fn direct(&mut self, reply: Reply) {
-        self.next_seq += 1;
-        self.pending.push_back(PendingSlot::Filled(reply));
-    }
-
-    /// Fills the slot for request `seq`, if it still exists.
-    fn fill(&mut self, seq: u64, reply: Reply) {
-        if seq < self.first_seq {
-            return;
-        }
-        if let Some(slot) = self.pending.get_mut((seq - self.first_seq) as usize) {
-            *slot = PendingSlot::Filled(reply);
-        }
-    }
-
-    /// Done: everything flushed (or the connection is beyond saving).
-    fn finished(&self) -> bool {
-        self.dead
-            || (self.overloaded && self.wr.is_empty())
-            || (self.stop_input && self.pending.is_empty() && self.wr.is_empty())
-    }
 }
 
 /// The reactor loop. Returns after `SHUTDOWN` once every connection has
@@ -188,10 +67,16 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()>
     listener.set_nonblocking(true)?;
     let poll = Poll::new()?;
     poll.register(listener.as_raw_fd(), LISTENER, Interest::READABLE)?;
-    let completions = Arc::new(Completions::new(Waker::new(&poll, WAKER)?));
+    let waker = Arc::new(Waker::new(&poll, WAKER)?);
+    let completions = Arc::new(Completions::new({
+        let waker = waker.clone();
+        move || {
+            let _ = waker.wake();
+        }
+    }));
 
     let mut events = Events::with_capacity(1024);
-    let mut conns: Vec<Option<Conn>> = Vec::new();
+    let mut conns: Vec<Option<Sock>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut by_id: HashMap<u64, usize> = HashMap::new();
     let mut next_id: u64 = 1;
@@ -243,23 +128,29 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()>
                         let id = next_id;
                         next_id += 1;
                         by_id.insert(id, idx);
-                        conns[idx] = Some(Conn::new(id, stream));
+                        conns[idx] = Some(Sock {
+                            stream,
+                            conn: Conn::new(id),
+                            interest: Interest::READABLE,
+                            dead: false,
+                            overload_deadline: None,
+                        });
                         if let Some(c) = &shared.counters {
                             c.accepts.inc();
                             c.connections_open.add(1);
                         }
                     }
                 }
-                WAKER => completions.drain_waker(),
+                WAKER => waker.drain(),
                 Token(t) => {
                     let idx = t - CONN_BASE;
-                    let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else {
+                    let Some(sock) = conns.get_mut(idx).and_then(Option::as_mut) else {
                         continue;
                     };
-                    if ev.is_readable() && !conn.stop_input && !conn.dead {
+                    if ev.is_readable() && sock.conn.wants_read() && !sock.dead {
                         let mut eof = false;
                         for _ in 0..READS_PER_EVENT {
-                            match conn.rd.read_from(&mut conn.stream) {
+                            match sock.conn.read_from(&mut sock.stream) {
                                 Ok(0) => {
                                     eof = true;
                                     break;
@@ -275,18 +166,17 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()>
                                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                                 Err(_) => {
-                                    conn.dead = true;
+                                    sock.dead = true;
                                     break;
                                 }
                             }
                         }
-                        if !conn.dead {
+                        if !sock.dead {
                             // Complete lines received before EOF still
-                            // execute (the thread front-end does the same:
-                            // buffered lines drain before EOF is seen).
-                            process(conn, shared, &completions);
+                            // execute.
+                            sock.conn.process(shared, &completions);
                             if eof {
-                                conn.stop_input = true;
+                                sock.conn.close_input();
                             }
                         }
                     }
@@ -295,11 +185,11 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()>
             }
         }
 
-        // Route worker replies into their connections' reply slots.
+        // Route worker replies to the cores that are waiting for them.
         for (cid, seq, reply) in completions.drain() {
             if let Some(&idx) = by_id.get(&cid) {
-                if let Some(conn) = conns[idx].as_mut() {
-                    conn.fill(seq, reply);
+                if let Some(sock) = conns[idx].as_mut() {
+                    sock.conn.complete(seq, reply, shared);
                     touched.push(idx);
                 }
             }
@@ -310,8 +200,8 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()>
         if draining.is_none() && shared.stop.load(Ordering::SeqCst) {
             draining = Some(Instant::now());
             for (idx, c) in conns.iter_mut().enumerate() {
-                if let Some(conn) = c {
-                    conn.stop_input = true;
+                if let Some(sock) = c {
+                    sock.conn.close_input();
                     touched.push(idx);
                 }
             }
@@ -324,12 +214,9 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()>
         if now >= next_overload_scan {
             next_overload_scan = now + OVERLOAD_SCAN;
             for (idx, c) in conns.iter_mut().enumerate() {
-                if let Some(conn) = c {
-                    if conn
-                        .overload_deadline
-                        .is_some_and(|d| now > d && !conn.wr.is_empty())
-                    {
-                        conn.dead = true;
+                if let Some(sock) = c {
+                    if sock.overload_deadline.is_some_and(|d| now > d) {
+                        sock.dead = true;
                         touched.push(idx);
                     }
                 }
@@ -337,13 +224,13 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()>
         }
 
         for idx in touched {
-            let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else {
+            let Some(sock) = conns.get_mut(idx).and_then(Option::as_mut) else {
                 continue;
             };
-            pump(conn, idx, shared, &poll);
-            if conn.finished() {
-                let _ = poll.deregister(conn.stream.as_raw_fd());
-                by_id.remove(&conn.id);
+            pump(sock, idx, shared, &poll);
+            if sock.dead || sock.conn.finished() {
+                let _ = poll.deregister(sock.stream.as_raw_fd());
+                by_id.remove(&sock.conn.id);
                 if let Some(c) = &shared.counters {
                     c.connections_open.add(-1);
                 }
@@ -363,352 +250,38 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()>
     Ok(())
 }
 
-/// Consumes every complete line buffered on the connection, advancing the
-/// framing state machine and queueing commands/replies.
-fn process(conn: &mut Conn, shared: &Arc<Shared>, completions: &Arc<Completions>) {
-    while !conn.stop_input {
-        let Some(line) = conn.rd.next_line() else {
-            break;
-        };
-        match std::mem::replace(&mut conn.mode, Mode::Lines) {
-            Mode::Lines => handle_line(conn, shared, completions, line),
-            Mode::OpenBody {
-                program,
-                kind,
-                prio,
-                mut src,
-            } => {
-                if line.trim().eq_ignore_ascii_case("END") {
-                    match server::open_session(shared, &program, kind, prio, Some(src)) {
-                        Ok((slot, ok)) => {
-                            conn.slot = Some(slot);
-                            conn.direct(ok);
-                        }
-                        Err(e) => conn.direct(e),
-                    }
-                } else {
-                    src.push_str(&line);
-                    src.push('\n');
-                    conn.mode = Mode::OpenBody {
-                        program,
-                        kind,
-                        prio,
-                        src,
-                    };
-                }
-            }
-            Mode::RestoreBody {
-                program,
-                matcher,
-                prio,
-                mut lines,
-            } => {
-                if line.trim() == "END" {
-                    if conn.slot.is_some() {
-                        conn.direct(Reply::Err("session already open (CLOSE first)".into()));
-                    } else {
-                        match server::resolve_matcher(shared, matcher.as_deref()).and_then(|kind| {
-                            server::resolve_priority(prio.as_deref()).map(|p| (kind, p))
-                        }) {
-                            Ok((kind, p)) => {
-                                match server::restore_session(shared, &program, kind, p, &lines) {
-                                    Ok((slot, ok)) => {
-                                        conn.slot = Some(slot);
-                                        conn.direct(ok);
-                                    }
-                                    Err(e) => conn.direct(e),
-                                }
-                            }
-                            Err(e) => conn.direct(Reply::Err(e)),
-                        }
-                    }
-                } else {
-                    lines.push(line);
-                    conn.mode = Mode::RestoreBody {
-                        program,
-                        matcher,
-                        prio,
-                        lines,
-                    };
-                }
-            }
-            Mode::BatchBody {
-                mut items,
-                mut line_no,
-            } => {
-                line_no += 1;
-                if line.trim().is_empty() {
-                    conn.mode = Mode::BatchBody { items, line_no };
-                    continue;
-                }
-                match parse_line(&line) {
-                    Ok(Line::Assert(body)) => {
-                        items.push(BatchItem::Assert {
-                            line: line_no,
-                            body,
-                        });
-                        conn.mode = Mode::BatchBody { items, line_no };
-                    }
-                    Ok(Line::Retract(tag)) => {
-                        items.push(BatchItem::Retract { line: line_no, tag });
-                        conn.mode = Mode::BatchBody { items, line_no };
-                    }
-                    Ok(Line::End) => {
-                        if conn.slot.is_some() {
-                            submit_cmd(conn, shared, completions, Command::Batch(items));
-                        } else {
-                            conn.direct(Reply::Err("no open session".into()));
-                        }
-                    }
-                    Ok(other) => conn.direct(Reply::Err(format!(
-                        "BATCH line {line_no}: only ASSERT/RETRACT allowed, got {other:?}"
-                    ))),
-                    Err(e) => conn.direct(Reply::Err(format!("BATCH line {line_no}: {e}"))),
-                }
-            }
-        }
-    }
-}
-
-/// Top-level (non-body) command dispatch; mirrors the thread front-end's
-/// `conn_loop` arm for arm.
-fn handle_line(
-    conn: &mut Conn,
-    shared: &Arc<Shared>,
-    completions: &Arc<Completions>,
-    line: String,
-) {
-    if line.trim().is_empty() {
-        return;
-    }
-    let parsed = match parse_line(&line) {
-        Ok(l) => l,
-        Err(e) => {
-            conn.direct(Reply::Err(e));
-            return;
-        }
-    };
-    match parsed {
-        Line::Open {
-            program,
-            matcher,
-            prio,
-        } => {
-            if conn.slot.is_some() {
-                conn.direct(Reply::Err("session already open (CLOSE first)".into()));
-                // An inline body would follow; we cannot know, so leave it
-                // to parse as commands and fail loudly.
-                return;
-            }
-            let kind = match server::resolve_matcher(shared, matcher.as_deref()) {
-                Ok(k) => k,
-                Err(e) => {
-                    conn.direct(Reply::Err(e));
-                    return;
-                }
-            };
-            let prio = match server::resolve_priority(prio.as_deref()) {
-                Ok(p) => p,
-                Err(e) => {
-                    conn.direct(Reply::Err(e));
-                    return;
-                }
-            };
-            if program == "-" {
-                conn.mode = Mode::OpenBody {
-                    program,
-                    kind,
-                    prio,
-                    src: String::new(),
-                };
-            } else {
-                match server::open_session(shared, &program, kind, prio, None) {
-                    Ok((slot, ok)) => {
-                        conn.slot = Some(slot);
-                        conn.direct(ok);
-                    }
-                    Err(e) => conn.direct(e),
-                }
-            }
-        }
-        Line::Restore {
-            program,
-            matcher,
-            prio,
-        } => {
-            conn.mode = Mode::RestoreBody {
-                program,
-                matcher,
-                prio,
-                lines: Vec::new(),
-            };
-        }
-        Line::BatchStart => {
-            conn.mode = Mode::BatchBody {
-                items: Vec::new(),
-                line_no: 0,
-            };
-        }
-        Line::End => conn.direct(Reply::Err("END outside BATCH".into())),
-        Line::Metrics => {
-            let reply = server::metrics_reply(shared);
-            conn.direct(reply);
-        }
-        Line::Shutdown => {
-            conn.direct(Reply::Ok("shutting down".into()));
-            shared.stop.store(true, Ordering::SeqCst);
-            // Pipelined commands after SHUTDOWN are discarded, as in the
-            // thread front-end (its reader breaks immediately).
-            conn.stop_input = true;
-        }
-        // Scheduling controls: answered inline so they bypass the session's
-        // inbox — a CANCEL must work precisely when that inbox is backed up.
-        Line::Prio(class) => {
-            if let Some(slot) = &conn.slot {
-                let reply = match server::resolve_priority(Some(&class)) {
-                    Ok(Some(p)) => {
-                        slot.set_priority(p);
-                        Reply::Ok(format!("prio={}", p.name()))
-                    }
-                    Ok(None) => unreachable!("Some in, Some out"),
-                    Err(e) => Reply::Err(e),
-                };
-                conn.direct(reply);
-            } else {
-                conn.direct(Reply::Err("no open session".into()));
-            }
-        }
-        Line::Cancel => {
-            if let Some(slot) = &conn.slot {
-                let n = slot.cancel();
-                conn.direct(Reply::Ok(format!("cancelled pending={n}")));
-            } else {
-                conn.direct(Reply::Err("no open session".into()));
-            }
-        }
-        Line::Close => {
-            // Release the slot only once the pool has the command: a
-            // rejected CLOSE (`BUSY`) must leave the session open so the
-            // client's retry still has something to close.
-            if conn.slot.is_some() {
-                if submit_cmd(conn, shared, completions, Command::Close) {
-                    conn.slot = None;
-                }
-            } else {
-                conn.direct(Reply::Err("no open session".into()));
-            }
-        }
-        session_cmd => {
-            let cmd = match session_cmd {
-                Line::Assert(body) => Command::Assert(body),
-                Line::Retract(tag) => Command::Retract(tag),
-                Line::Run(n) => Command::Run(n),
-                Line::Cs => Command::Cs,
-                Line::Wm(class) => Command::Wm(class),
-                Line::Stats => Command::Stats,
-                Line::Fired => Command::Fired,
-                Line::Snapshot => Command::Snapshot,
-                Line::Migrate(m) => Command::Migrate(m),
-                // Open/Restore/BatchStart/End/Metrics/Shutdown/Close
-                // handled above.
-                _ => unreachable!(),
-            };
-            if conn.slot.is_some() {
-                submit_cmd(conn, shared, completions, cmd);
-            } else {
-                conn.direct(Reply::Err("no open session".into()));
-            }
-        }
-    }
-}
-
-/// Reserves the next reply slot, then submits; a rejection fills the slot
-/// on the spot so ordering holds. Returns whether the pool accepted.
-fn submit_cmd(
-    conn: &mut Conn,
-    shared: &Arc<Shared>,
-    completions: &Arc<Completions>,
-    cmd: Command,
-) -> bool {
-    let slot = conn.slot.clone().expect("caller checked for open session");
-    let seq = conn.next_seq;
-    conn.next_seq += 1;
-    conn.pending.push_back(PendingSlot::Waiting);
-    let tx = ReplyTx::Completion {
-        queue: completions.clone(),
-        conn: conn.id,
-        seq,
-    };
-    let reject = match shared.pool.submit(&slot, cmd, tx) {
-        SubmitOutcome::Accepted => return true,
-        SubmitOutcome::Busy => Reply::Busy("run queue full; retry".into()),
-        SubmitOutcome::Overloaded => Reply::Overloaded("session queue full; drain replies".into()),
-        SubmitOutcome::ShuttingDown => Reply::Err("server shutting down".into()),
-    };
-    conn.fill(seq, reject);
-    false
-}
-
-/// Moves the front run of filled replies into the write buffer (enforcing
-/// the slow-client cap), flushes what the socket accepts, and keeps the
-/// epoll interest in sync with what the connection actually waits on.
-/// `idx` is the connection's slab index (its token is `idx + CONN_BASE`).
-fn pump(conn: &mut Conn, idx: usize, shared: &Arc<Shared>, poll: &Poll) {
-    while let Some(PendingSlot::Filled(_)) = conn.pending.front() {
-        if conn.overloaded {
-            conn.pending.clear();
-            break;
-        }
-        if conn.wr.len() >= shared.cfg.write_buf_cap {
-            // The client is not reading. Drop what it has not earned,
-            // leave a diagnostic, and close once the buffer drains.
-            if let Some(c) = &shared.counters {
-                c.slow_client_closes.inc();
-            }
-            conn.overloaded = true;
-            conn.overload_deadline = Some(Instant::now() + OVERLOAD_GRACE);
-            conn.stop_input = true;
-            conn.pending.clear();
-            conn.wr.push(
-                Reply::Err("overloaded: outbound buffer full; closing".into())
-                    .to_string()
-                    .as_bytes(),
-            );
-            break;
-        }
-        let Some(PendingSlot::Filled(reply)) = conn.pending.pop_front() else {
-            unreachable!("front was Filled");
-        };
-        conn.first_seq += 1;
-        conn.wr.push(reply.to_string().as_bytes());
-    }
-
-    if !conn.wr.is_empty() && !conn.dead {
-        match conn.wr.write_to(&mut conn.stream) {
+/// Flushes what the socket accepts and keeps the epoll interest in sync
+/// with what the connection actually waits on. `idx` is the connection's
+/// slab index (its token is `idx + CONN_BASE`).
+fn pump(sock: &mut Sock, idx: usize, shared: &Shared, poll: &Poll) {
+    if sock.conn.wants_write() && !sock.dead {
+        match sock.conn.write_to(&mut sock.stream) {
             Ok(n) => {
                 if let Some(c) = &shared.counters {
                     c.write_bytes.add(n as u64);
                 }
             }
-            Err(_) => conn.dead = true,
+            Err(_) => sock.dead = true,
         }
     }
-
-    if conn.dead || conn.finished() {
+    if sock.dead || sock.conn.finished() {
         return;
     }
+    if sock.conn.is_overloaded() && sock.overload_deadline.is_none() {
+        sock.overload_deadline = Some(Instant::now() + OVERLOAD_GRACE);
+    }
     let mut want = Interest::NONE;
-    if !conn.stop_input {
+    if sock.conn.wants_read() {
         want = want | Interest::READABLE;
     }
-    if !conn.wr.is_empty() {
+    if sock.conn.wants_write() {
         want = want | Interest::WRITABLE;
     }
-    if want != conn.interest
+    if want != sock.interest
         && poll
-            .reregister(conn.stream.as_raw_fd(), Token(idx + CONN_BASE), want)
+            .reregister(sock.stream.as_raw_fd(), Token(idx + CONN_BASE), want)
             .is_ok()
     {
-        conn.interest = want;
+        sock.interest = want;
     }
 }

@@ -23,14 +23,9 @@
 //!   --matcher vs1|vs2|lisp|psm   default session matcher (default vs2)
 //!   --act serial|parallel[:k]    act-phase strategy for session engines
 //!                            (default: serial, or the OPS5_ACT env knob)
-//!   --front-end threads|reactor  connection front-end (default reactor:
-//!                            one epoll thread owns all sockets; threads =
-//!                            the original two-threads-per-connection mode)
-//!   --write-buf N            per-connection outbound buffer cap in bytes
-//!                            before a slow client is disconnected
-//!                            (reactor; default 262144)
-//!   --max-pending N          per-connection queued-reply cap before a slow
-//!                            client is disconnected (threads; default 4096)
+//!   --write-buf N            per-connection cap in bytes on replies not
+//!                            yet written to the socket, before a slow
+//!                            client is disconnected (default 262144)
 //!   --metrics                enable the observability layer (METRICS?)
 //!   --metrics-port P         also serve GET /metrics on 127.0.0.1:P
 //!                            (0 = ephemeral; implies --metrics)
@@ -99,14 +94,9 @@ fn parse_args() -> Result<(String, ServeConfig), String> {
                     format!("--act {name} is not serial, parallel, or parallel:<max_group>")
                 })?)
             }
-            "--front-end" => cfg.front_end = next_val(&mut args, "--front-end")?.parse()?,
             "--write-buf" => {
                 cfg.write_buf_cap =
                     parse(next_val(&mut args, "--write-buf")?, "--write-buf")? as usize
-            }
-            "--max-pending" => {
-                cfg.max_pending_replies =
-                    parse(next_val(&mut args, "--max-pending")?, "--max-pending")? as usize
             }
             "--metrics" => cfg.obs = ObsConfig::enabled(),
             "--durability-dir" => {

@@ -341,3 +341,81 @@ fn half_closed_client_still_receives_pipelined_replies() {
     router.join().unwrap();
     b0.join().unwrap();
 }
+
+/// Regression: a refused inline open (`OPEN - <unknown matcher>`) used to be
+/// answered at its first line, leaving the program body to be parsed as
+/// commands — several replies for what the router had counted as one
+/// request, so its in-flight count (the thing `DRAIN` picks its safe point
+/// from) and its session sniff went out of step. Server and router now run
+/// the same framer: the body is consumed to `END`, one `ERR` comes back, the
+/// next request is answered as itself, and a drain finds a clean safe point.
+#[test]
+fn refused_inline_open_draws_one_reply_and_drains_cleanly() {
+    let b0 = backend();
+    let b1 = backend();
+    let router = Router::bind("127.0.0.1:0", RouterConfig::new(vec![b0.addr, b1.addr]))
+        .unwrap()
+        .spawn();
+    let addr: SocketAddr = router.addr;
+
+    let mut c = Client::connect(addr).unwrap();
+    for l in [
+        "OPEN - nosuch",
+        "(literalize a x)",
+        "(p r (a ^x 1) --> (halt))",
+        "RUN 1",
+        "END",
+        "STATS?",
+    ] {
+        c.send_line(l).unwrap();
+    }
+    match c.read_reply().unwrap() {
+        serve::ClientReply::Err(msg) => assert!(msg.contains("unknown matcher"), "{msg}"),
+        other => panic!("expected ERR, got {other:?}"),
+    }
+    match c.read_reply().unwrap() {
+        serve::ClientReply::Err(msg) => assert_eq!(msg, "no open session"),
+        other => panic!("expected ERR, got {other:?}"),
+    }
+    // Exactly two replies: the next thing on the wire answers the next
+    // request, not a leftover body line.
+    let ok = c.open("blocks", Some("psm")).unwrap().expect_ok().unwrap();
+    assert!(ok.contains("program=blocks"), "{ok}");
+    c.run(30).unwrap().expect_ok().unwrap();
+
+    let mut admin = Client::connect(addr).unwrap();
+    admin.request("ADMIN").unwrap().expect_ok().unwrap();
+    let ring = admin.request("RING?").unwrap().expect_lines().unwrap();
+    let on = if ring_field(&ring, 0, "pairs") == Some(1) {
+        0
+    } else {
+        1
+    };
+    assert_eq!(ring_field(&ring, on, "sessions"), Some(1), "{ring:?}");
+    admin
+        .request(&format!("DRAIN {on}"))
+        .unwrap()
+        .expect_ok()
+        .unwrap();
+    let after = wait_for_drain(&mut admin, on);
+    assert_eq!(ring_field(&after, on, "pairs"), Some(0), "{after:?}");
+    let stats = admin.request("STATS?").unwrap().expect_lines().unwrap();
+    assert!(stats.contains(&"migrations 1".to_string()), "{stats:?}");
+    assert!(
+        stats.contains(&"migration_failures 0".to_string()),
+        "{stats:?}"
+    );
+
+    let fired = run_to_completion(&mut c);
+    assert_eq!(
+        fired,
+        reference_fired("blocks"),
+        "diverged across the drain"
+    );
+    c.close().unwrap().expect_ok().unwrap();
+
+    admin.request("SHUTDOWN").unwrap().expect_ok().unwrap();
+    router.join().unwrap();
+    b0.join().unwrap();
+    b1.join().unwrap();
+}

@@ -3,13 +3,14 @@
 
 use parallel_ops5::prelude::*;
 use proptest::prelude::*;
-use serve::{matcher_kind, FrontEnd, Registry, ServeConfig, Server};
+use serve::protocol::ReplyFramer;
+use serve::{matcher_kind, BatchItem, Command, Registry, ServeConfig, Server, Session};
 use std::net::SocketAddr;
 use std::sync::OnceLock;
 
 /// One shared server for the whole test binary (leaked; the process exit
 /// reaps it). Deep inboxes: these tests exercise semantics, not
-/// backpressure. Uses the default (reactor) front-end.
+/// backpressure.
 fn server_addr() -> SocketAddr {
     static SERVER: OnceLock<SocketAddr> = OnceLock::new();
     *SERVER.get_or_init(|| {
@@ -17,25 +18,6 @@ fn server_addr() -> SocketAddr {
             workers: 2,
             queue_depth: 512,
             programs_dir: Some("programs".into()),
-            ..ServeConfig::default()
-        };
-        let handle = Server::bind("127.0.0.1:0", cfg).unwrap().spawn();
-        let addr = handle.addr;
-        std::mem::forget(handle);
-        addr
-    })
-}
-
-/// A second shared server on the legacy thread-per-connection front-end,
-/// so every cross-front-end test can diff the two reply streams.
-fn threads_server_addr() -> SocketAddr {
-    static SERVER: OnceLock<SocketAddr> = OnceLock::new();
-    *SERVER.get_or_init(|| {
-        let cfg = ServeConfig {
-            workers: 2,
-            queue_depth: 512,
-            programs_dir: Some("programs".into()),
-            front_end: FrontEnd::Threads,
             ..ServeConfig::default()
         };
         let handle = Server::bind("127.0.0.1:0", cfg).unwrap().spawn();
@@ -309,9 +291,10 @@ fn metrics_roundtrip_and_endpoint_scrape() {
 
 /// Writes `bytes` to a raw socket in `chunk`-sized pieces with small
 /// pauses (forcing the server to see arbitrary partial-line read
-/// boundaries), then reads exactly `expected` framed replies.
+/// boundaries), then reads exactly `expected` framed replies, each rendered
+/// back to its wire text.
 fn drive_raw(addr: SocketAddr, bytes: &[u8], chunk: usize, expected: usize) -> Vec<String> {
-    use std::io::{Read, Write};
+    use std::io::{BufRead, BufReader, Write};
     let mut s = std::net::TcpStream::connect(addr).unwrap();
     s.set_nodelay(true).unwrap();
     s.set_read_timeout(Some(std::time::Duration::from_secs(30)))
@@ -320,44 +303,23 @@ fn drive_raw(addr: SocketAddr, bytes: &[u8], chunk: usize, expected: usize) -> V
         s.write_all(piece).unwrap();
         std::thread::sleep(std::time::Duration::from_micros(300));
     }
-    let mut buf = Vec::new();
+    let mut lines = BufReader::new(s).lines();
+    let mut framer = ReplyFramer::new();
     let mut replies = Vec::new();
-    let mut cur: Vec<String> = Vec::new();
-    let mut scan = 0usize;
     while replies.len() < expected {
-        // Pull complete lines out of what has arrived so far.
-        while let Some(nl) = buf[scan..].iter().position(|&b| b == b'\n') {
-            let line = String::from_utf8_lossy(&buf[scan..scan + nl])
-                .trim_end_matches('\r')
-                .to_string();
-            scan += nl + 1;
-            let first = cur.is_empty();
-            cur.push(line);
-            let done = if first {
-                let head = cur.last().unwrap();
-                ["OK", "ERR", "BUSY", "OVERLOADED"]
-                    .iter()
-                    .any(|p| head == p || head.starts_with(&format!("{p} ")))
-            } else {
-                cur.last().unwrap() == "END"
-            };
-            if done {
-                replies.push(std::mem::take(&mut cur).join("\n"));
-            }
+        let line = lines
+            .next()
+            .unwrap_or_else(|| panic!("EOF after {} of {expected} replies", replies.len()))
+            .unwrap();
+        if let Some(reply) = framer.push(line) {
+            replies.push(reply.to_string());
         }
-        if replies.len() >= expected {
-            break;
-        }
-        let mut tmp = [0u8; 4096];
-        let n = s.read(&mut tmp).unwrap();
-        assert!(n > 0, "EOF after {} of {expected} replies", replies.len());
-        buf.extend_from_slice(&tmp[..n]);
     }
     replies
 }
 
 /// Replaces the per-connection session id so reply streams from different
-/// connections (and servers) compare equal.
+/// connections compare equal.
 fn normalize_session_ids(replies: &[String]) -> Vec<String> {
     replies
         .iter()
@@ -374,18 +336,35 @@ fn normalize_session_ids(replies: &[String]) -> Vec<String> {
         .collect()
 }
 
-/// The satellite test: a script covering an inline `OPEN -` body, a
-/// `BATCH` body (including a mid-body parse error), and every common
-/// verb, delivered at byte granularities that split lines, bodies, and
-/// even UTF-8-safe ASCII tokens across reads. All chunkings on both
-/// front-ends must produce the identical reply stream.
+/// Runs `script` against the shared server unfragmented and at 1-, 3-, 7-
+/// and 4096-byte write granularity — splitting lines, bodies and tokens
+/// across reads — and requires every reply stream to equal `reference`.
+/// The chunking property itself is proved without sockets
+/// (`serve::protocol`'s `framing_is_chunking_invariant`); this is the one
+/// place it is checked through the epoll driver and real `read(2)`s.
+fn assert_every_chunking_matches(script: &str, reference: &[String]) {
+    for chunk in [script.len(), 1, 3, 7, 4096] {
+        let replies = drive_raw(server_addr(), script.as_bytes(), chunk, reference.len());
+        assert_eq!(
+            normalize_session_ids(&replies),
+            reference,
+            "reply stream diverged at {chunk}-byte writes"
+        );
+    }
+}
+
+/// A script covering an inline `OPEN -` body, a `BATCH` body (including a
+/// mid-body parse error), and every common verb. The reference is not
+/// another server: it is an in-process [`Session`] executing the commands
+/// the script should frame to, with the connection-level replies spelled
+/// out, so a framing bug cannot hide by being consistent.
 #[test]
-fn fragmented_writes_parse_identically_on_both_front_ends() {
-    let script = "OPEN - vs2\n\
-        (literalize a x y)\n\
+fn fragmented_writes_parse_identically_at_every_chunking() {
+    const SRC: &str = "(literalize a x y)\n\
         (literalize b x y)\n\
-        (p join (a ^x <x> ^y <y>) (b ^x <x>) --> (halt))\n\
-        end\n\
+        (p join (a ^x <x> ^y <y>) (b ^x <x>) --> (halt))\n";
+    let script = format!(
+        "OPEN - vs2\n{SRC}end\n\
         ASSERT a ^x 1 ^y 2\n\
         BATCH\n\
         ASSERT a ^x 2 ^y 1\n\
@@ -399,47 +378,53 @@ fn fragmented_writes_parse_identically_on_both_front_ends() {
         CS?\n\
         WM? a\n\
         NOSUCHVERB\n\
-        CLOSE\n";
-    // Replies: OPEN, ASSERT, BATCH, BATCH-error, stray END, RUN, CS?,
-    // WM?, parse error, CLOSE.
-    let expected = 10;
-    let mut streams = Vec::new();
-    for addr in [server_addr(), threads_server_addr()] {
-        for chunk in [1usize, 3, 7, 4096] {
-            let replies = drive_raw(addr, script.as_bytes(), chunk, expected);
-            assert!(
-                replies[0].starts_with("OK session "),
-                "OPEN reply: {}",
-                replies[0]
-            );
-            assert!(
-                replies[3].starts_with("ERR BATCH line 2:"),
-                "batch abort reply: {}",
-                replies[3]
-            );
-            assert!(
-                replies[4].contains("END outside BATCH"),
-                "stray END reply: {}",
-                replies[4]
-            );
-            streams.push(normalize_session_ids(&replies));
-        }
-    }
-    for s in &streams[1..] {
-        assert_eq!(
-            s, &streams[0],
-            "reply stream diverged across chunkings/front-ends"
-        );
-    }
+        CLOSE\n"
+    );
+
+    let kind = matcher_kind("vs2").unwrap();
+    let engine = EngineBuilder::from_source(SRC)
+        .unwrap()
+        .matcher(kind.clone())
+        .build()
+        .unwrap();
+    let mut session = Session::new(
+        0,
+        "-",
+        engine,
+        kind,
+        ServeConfig::default().max_cycles_per_run,
+    );
+    let mut exec = |cmd: Command| session.execute(cmd).to_string();
+    let assert = |line, body: &str| BatchItem::Assert {
+        line,
+        body: body.into(),
+    };
+    let reference = vec![
+        "OK session N program=- matcher=vs2\n".to_string(),
+        exec(Command::Assert("a ^x 1 ^y 2".into())),
+        exec(Command::Batch(vec![
+            assert(1, "a ^x 2 ^y 1"),
+            assert(2, "b ^x 1 ^y 0"),
+        ])),
+        // The second batch aborts at its bad line; its END is then a stray.
+        "ERR BATCH line 2: only ASSERT/RETRACT allowed, got Run(1)\n".to_string(),
+        "ERR END outside BATCH\n".to_string(),
+        exec(Command::Run(0)),
+        exec(Command::Cs),
+        exec(Command::Wm(Some("a".into()))),
+        "ERR unknown request `NOSUCHVERB`\n".to_string(),
+        exec(Command::Close),
+    ];
+    assert!(reference[6].starts_with("CS 1\n"), "{}", reference[6]);
+    assert_every_chunking_matches(&script, &reference);
 }
 
 /// `RESTORE` bodies (snapshot text, which itself contains a lowercase
-/// `end` terminator line) survive arbitrary read boundaries on both
-/// front-ends, and the restored sessions behave identically.
+/// `end` terminator line) survive arbitrary read boundaries, and the
+/// restored session answers exactly like an in-process [`Session::restore`]
+/// of the same snapshot.
 #[test]
-fn fragmented_restore_parses_identically_on_both_front_ends() {
-    // Capture a mid-run snapshot once, from a session on the reactor
-    // server.
+fn fragmented_restore_parses_identically_at_every_chunking() {
     let mut c = serve::Client::connect(server_addr()).unwrap();
     c.open("blocks", Some("vs2")).unwrap().expect_ok().unwrap();
     c.run(5).unwrap().expect_ok().unwrap();
@@ -452,29 +437,37 @@ fn fragmented_restore_parses_identically_on_both_front_ends() {
         script.push('\n');
     }
     script.push_str("END\nRUN 0\nFIRED?\nCLOSE\n");
-    let expected = 4; // RESTORE, RUN, FIRED?, CLOSE
 
-    let mut streams = Vec::new();
-    for addr in [server_addr(), threads_server_addr()] {
-        for chunk in [7usize, 64, 997] {
-            let replies = drive_raw(addr, script.as_bytes(), chunk, expected);
-            assert!(
-                replies[0].starts_with("OK session ") && replies[0].contains("replayed="),
-                "RESTORE reply: {}",
-                replies[0]
-            );
-            streams.push(normalize_session_ids(&replies));
-        }
-    }
-    for s in &streams[1..] {
-        assert_eq!(
-            s, &streams[0],
-            "restore stream diverged across chunkings/front-ends"
-        );
-    }
+    let kind = matcher_kind("vs2").unwrap();
+    let engine = Registry::with_builtins(Some("programs".as_ref()))
+        .get("blocks")
+        .unwrap()
+        .build_empty(kind.clone(), Default::default(), None)
+        .unwrap();
+    let (mut session, replayed) = Session::restore(
+        0,
+        "blocks",
+        engine,
+        kind,
+        ServeConfig::default().max_cycles_per_run,
+        &snapshot.join("\n"),
+        "",
+    )
+    .unwrap();
+    assert_eq!(replayed, 0);
+    let cycles = session.engine().cycles();
+    let mut exec = |cmd: Command| session.execute(cmd).to_string();
+    let reference = vec![
+        format!("OK session N program=blocks matcher=vs2 replayed=0 cycles={cycles}\n"),
+        exec(Command::Run(0)),
+        exec(Command::Fired),
+        exec(Command::Close),
+    ];
+    assert!(cycles > 0 && !reference[2].starts_with("FIRED 0\n"));
+    assert_every_chunking_matches(&script, &reference);
 }
 
-/// The reactor front-end's slow-client guard: a connection that floods
+/// The slow-client guard: a connection that floods
 /// commands without ever reading replies is eventually cut off with a
 /// final `ERR overloaded` instead of buffering without bound.
 #[test]
@@ -553,7 +546,7 @@ fn slow_client_is_disconnected_with_final_error() {
     handle.join().unwrap();
 }
 
-/// Regression: an overloaded reactor connection whose client *never*
+/// Regression: an overloaded connection whose client *never*
 /// reads must be force-closed after the overload grace period — it must
 /// not keep WRITABLE-only interest and pin the fd plus up to
 /// `write_buf_cap` bytes indefinitely. The close arrives as a reset
@@ -781,58 +774,53 @@ fn compiles_of(metrics: &[String], program: &str) -> u64 {
     hits[0][row.len()..].parse().unwrap()
 }
 
-/// Ten `OPEN`s of one program, plus a `RESTORE` and a `MIGRATE`, on either
-/// front-end: the program is parsed and compiled exactly once, and an
-/// unopened program not at all.
+/// Ten `OPEN`s of one program, plus a `RESTORE` and a `MIGRATE`: the program
+/// is parsed and compiled exactly once, and an unopened program not at all.
 #[test]
 fn a_program_compiles_once_however_many_sessions_open_it() {
-    for front_end in [FrontEnd::Reactor, FrontEnd::Threads] {
-        let cfg = ServeConfig {
-            workers: 2,
-            queue_depth: 512,
-            programs_dir: Some("programs".into()),
-            obs: ObsConfig::enabled(),
-            front_end,
-            ..ServeConfig::default()
-        };
-        let handle = Server::bind("127.0.0.1:0", cfg).unwrap().spawn();
-        let mut c = serve::Client::connect(handle.addr).unwrap();
-        let before = c.metrics().unwrap().expect_lines().unwrap();
-        assert_eq!(compiles_of(&before, "hanoi"), 0, "bind compiles nothing");
+    let cfg = ServeConfig {
+        workers: 2,
+        queue_depth: 512,
+        programs_dir: Some("programs".into()),
+        obs: ObsConfig::enabled(),
+        ..ServeConfig::default()
+    };
+    let handle = Server::bind("127.0.0.1:0", cfg).unwrap().spawn();
+    let mut c = serve::Client::connect(handle.addr).unwrap();
+    let before = c.metrics().unwrap().expect_lines().unwrap();
+    assert_eq!(compiles_of(&before, "hanoi"), 0, "bind compiles nothing");
 
-        let mut snapshot = Vec::new();
-        for i in 0..10 {
-            let matcher = ["vs1", "vs2", "col", "psm", "lisp"][i % 5];
-            c.open("hanoi", Some(matcher)).unwrap().expect_ok().unwrap();
-            c.run(7).unwrap().expect_ok().unwrap();
-            snapshot = c.snapshot().unwrap().expect_lines().unwrap();
-            c.close().unwrap().expect_ok().unwrap();
-        }
-        c.restore("hanoi", Some("col"), &snapshot.join("\n"))
-            .unwrap()
-            .expect_ok()
-            .unwrap();
-        c.migrate(Some("vs2")).unwrap().expect_ok().unwrap();
-        c.run(1000).unwrap().expect_ok().unwrap();
+    let mut snapshot = Vec::new();
+    for i in 0..10 {
+        let matcher = ["vs1", "vs2", "col", "psm", "lisp"][i % 5];
+        c.open("hanoi", Some(matcher)).unwrap().expect_ok().unwrap();
+        c.run(7).unwrap().expect_ok().unwrap();
+        snapshot = c.snapshot().unwrap().expect_lines().unwrap();
         c.close().unwrap().expect_ok().unwrap();
-
-        let after = c.metrics().unwrap().expect_lines().unwrap();
-        assert_eq!(compiles_of(&after, "hanoi"), 1, "{front_end:?}");
-        assert_eq!(compiles_of(&after, "blocks"), 0, "{front_end:?}");
-        let total: u64 = after
-            .iter()
-            .filter(|l| l.starts_with("serve_program_compiles_total{"))
-            .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
-            .sum();
-        assert_eq!(total, 1, "one distinct program opened");
-        c.shutdown().unwrap().expect_ok().unwrap();
-        handle.join().unwrap();
     }
+    c.restore("hanoi", Some("col"), &snapshot.join("\n"))
+        .unwrap()
+        .expect_ok()
+        .unwrap();
+    c.migrate(Some("vs2")).unwrap().expect_ok().unwrap();
+    c.run(1000).unwrap().expect_ok().unwrap();
+    c.close().unwrap().expect_ok().unwrap();
+
+    let after = c.metrics().unwrap().expect_lines().unwrap();
+    assert_eq!(compiles_of(&after, "hanoi"), 1);
+    assert_eq!(compiles_of(&after, "blocks"), 0);
+    let total: u64 = after
+        .iter()
+        .filter(|l| l.starts_with("serve_program_compiles_total{"))
+        .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+        .sum();
+    assert_eq!(total, 1, "one distinct program opened");
+    c.shutdown().unwrap().expect_ok().unwrap();
+    handle.join().unwrap();
 }
 
 /// A registry program that does not parse answers the same `ERR` on the
-/// first and every later `OPEN`/`RESTORE`, on both front-ends, and leaves
-/// its neighbours usable.
+/// first and every later `OPEN`/`RESTORE`, and leaves its neighbours usable.
 #[test]
 fn a_broken_registry_program_answers_the_same_error_every_time() {
     let dir = corpus_dir(
@@ -845,42 +833,36 @@ fn a_broken_registry_program_answers_the_same_error_every_time() {
             ),
         ],
     );
-    let mut per_front_end = Vec::new();
-    for front_end in [FrontEnd::Reactor, FrontEnd::Threads] {
-        let cfg = ServeConfig {
-            workers: 2,
-            programs_dir: Some(dir.clone()),
-            obs: ObsConfig::enabled(),
-            front_end,
-            ..ServeConfig::default()
-        };
-        let handle = Server::bind("127.0.0.1:0", cfg).unwrap().spawn();
-        let mut c = serve::Client::connect(handle.addr).unwrap();
-        let mut errs = Vec::new();
-        for _ in 0..3 {
-            match c.open("broken", None).unwrap() {
-                serve::ClientReply::Err(msg) => errs.push(msg),
-                other => panic!("expected ERR, got {other:?}"),
-            }
-        }
-        match c.restore("broken", None, "ops5-snapshot v1\nend").unwrap() {
+    let cfg = ServeConfig {
+        workers: 2,
+        programs_dir: Some(dir.clone()),
+        obs: ObsConfig::enabled(),
+        ..ServeConfig::default()
+    };
+    let handle = Server::bind("127.0.0.1:0", cfg).unwrap().spawn();
+    let mut c = serve::Client::connect(handle.addr).unwrap();
+    let mut errs = Vec::new();
+    for _ in 0..3 {
+        match c.open("broken", None).unwrap() {
             serve::ClientReply::Err(msg) => errs.push(msg),
             other => panic!("expected ERR, got {other:?}"),
         }
-        assert!(errs[0].contains("parse error"), "{}", errs[0]);
-        assert!(errs.iter().all(|e| *e == errs[0]), "{errs:?}");
-        c.open("fine", None).unwrap().expect_ok().unwrap();
-        let ran = c.run(10).unwrap().expect_ok().unwrap();
-        assert!(ran.contains("cycles=1 reason=halt"), "{ran}");
-        c.close().unwrap().expect_ok().unwrap();
-        let metrics = c.metrics().unwrap().expect_lines().unwrap();
-        assert_eq!(compiles_of(&metrics, "broken"), 1, "failure is cached");
-        assert_eq!(compiles_of(&metrics, "fine"), 1);
-        per_front_end.push(errs.swap_remove(0));
-        c.shutdown().unwrap().expect_ok().unwrap();
-        handle.join().unwrap();
     }
-    assert_eq!(per_front_end[0], per_front_end[1]);
+    match c.restore("broken", None, "ops5-snapshot v1\nend").unwrap() {
+        serve::ClientReply::Err(msg) => errs.push(msg),
+        other => panic!("expected ERR, got {other:?}"),
+    }
+    assert!(errs[0].contains("parse error"), "{}", errs[0]);
+    assert!(errs.iter().all(|e| *e == errs[0]), "{errs:?}");
+    c.open("fine", None).unwrap().expect_ok().unwrap();
+    let ran = c.run(10).unwrap().expect_ok().unwrap();
+    assert!(ran.contains("cycles=1 reason=halt"), "{ran}");
+    c.close().unwrap().expect_ok().unwrap();
+    let metrics = c.metrics().unwrap().expect_lines().unwrap();
+    assert_eq!(compiles_of(&metrics, "broken"), 1, "failure is cached");
+    assert_eq!(compiles_of(&metrics, "fine"), 1);
+    c.shutdown().unwrap().expect_ok().unwrap();
+    handle.join().unwrap();
     let _ = std::fs::remove_dir_all(dir);
 }
 
