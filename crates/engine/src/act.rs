@@ -41,7 +41,7 @@
 
 use crate::cr;
 use crate::rhs::{self, RhsEffect, RhsProgram};
-use ops5::{ActFootprints, Instantiation, Production, Result, Strategy, SymbolId, SymbolTable};
+use ops5::{ActFootprints, Instantiation, Result, Strategy, SymbolId, SymbolTable, WmeRef};
 
 /// How the act phase fires the conflict set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -136,7 +136,7 @@ fn retract_tags(inst: &Instantiation, fps: &ActFootprints) -> Vec<u64> {
 pub(crate) fn select_group<'a>(
     strategy: Strategy,
     candidates: impl Iterator<Item = &'a Instantiation>,
-    prods: &[Production],
+    specificity: &[u32],
     fps: &ActFootprints,
     cap: usize,
     stats: &mut ActStats,
@@ -147,7 +147,7 @@ pub(crate) fn select_group<'a>(
     }
     // Dominant instantiation first: `order_dominates(b, a) == Less` iff `a`
     // fires before `b`.
-    ordered.sort_unstable_by(|a, b| cr::order_dominates(strategy, b, a, prods));
+    ordered.sort_unstable_by(|a, b| cr::order_dominates(strategy, b, a, specificity));
 
     let mut group: Vec<Instantiation> = Vec::new();
     let mut sel_tags: Vec<u64> = Vec::new(); // WMEs matched by selected members
@@ -162,7 +162,11 @@ pub(crate) fn select_group<'a>(
         if !group.is_empty() {
             // Doomed: a selected member retracts a WME this candidate
             // matched, so serial execution destroys it before its turn.
-            if cand.wmes.iter().any(|w| sel_retracts.contains(&w.timetag)) {
+            if cand
+                .wmes
+                .iter_back()
+                .any(|w| sel_retracts.contains(&w.timetag))
+            {
                 stats.doomed_skips += 1;
                 continue;
             }
@@ -181,7 +185,7 @@ pub(crate) fn select_group<'a>(
                 break;
             }
         }
-        sel_tags.extend(cand.wmes.iter().map(|w| w.timetag));
+        sel_tags.extend(cand.wmes.iter_back().map(|w| w.timetag));
         sel_retracts.extend(retract_tags(cand, fps));
         sel_makes.extend_from_slice(&fp.make_classes);
         let closes = fps.fertile[cand.prod.index()] || fp.has_halt;
@@ -203,34 +207,28 @@ pub(crate) type EvalOut = (Vec<RhsEffect>, Result<bool>);
 /// accumulates idle act workers.
 const MAX_EVAL_WORKERS: usize = 4;
 
-fn eval_one(
-    rhs: &[RhsProgram],
-    inst: &Instantiation,
-    pre: &[SymbolId],
-    syms: &SymbolTable,
-) -> EvalOut {
+fn eval_one(rhs: &RhsProgram, wmes: &[WmeRef], pre: &[SymbolId], syms: &SymbolTable) -> EvalOut {
     let mut fx = Vec::new();
-    let res = rhs::execute_prealloc(&rhs[inst.prod.index()], inst, syms, pre, |e| fx.push(e));
+    let res = rhs::execute_prealloc(rhs, wmes, syms, pre, |e| fx.push(e));
     (fx, res)
 }
 
 /// Evaluates every group member's RHS concurrently against the immutable
-/// symbol table, with gensyms pre-interned per member. Results come back
-/// indexed like `group` (conflict-set order) for the serial-order merge.
+/// symbol table, with gensyms pre-interned per member. `wmes[i]` is member
+/// `i`'s matched WMEs (its token walked once). Results come back indexed
+/// like `group` (conflict-set order) for the serial-order merge.
 pub(crate) fn eval_group(
     rhs: &[RhsProgram],
     group: &[Instantiation],
+    wmes: &[Vec<WmeRef>],
     pre: &[Vec<SymbolId>],
     syms: &SymbolTable,
 ) -> Vec<EvalOut> {
     let n = group.len();
     let workers = n.min(MAX_EVAL_WORKERS);
+    let eval = |i: usize| eval_one(&rhs[group[i].prod.index()], &wmes[i], &pre[i], syms);
     if workers <= 1 {
-        return group
-            .iter()
-            .zip(pre)
-            .map(|(inst, pre)| eval_one(rhs, inst, pre, syms))
-            .collect();
+        return (0..n).map(eval).collect();
     }
     let mut out: Vec<Option<EvalOut>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
@@ -239,12 +237,12 @@ pub(crate) fn eval_group(
             handles.push(scope.spawn(move || {
                 (stripe..n)
                     .step_by(workers)
-                    .map(|i| (i, eval_one(rhs, &group[i], &pre[i], syms)))
+                    .map(|i| (i, eval(i)))
                     .collect::<Vec<_>>()
             }));
         }
         for i in (0..n).step_by(workers) {
-            out[i] = Some(eval_one(rhs, &group[i], &pre[i], syms));
+            out[i] = Some(eval(i));
         }
         for h in handles {
             for (i, r) in h.join().expect("act eval worker panicked") {

@@ -521,18 +521,17 @@ mod tests {
             );
             let name = eng.matcher().name().to_string();
             let snap = eng.obs_registry().expect("registry present").snapshot();
-            let hist: Vec<_> = snap
-                .metrics
-                .iter()
-                .filter(|m| m.name == "engine_match_ns")
-                .collect();
-            assert_eq!(hist.len(), 1, "{name}: one match-phase histogram");
-            match &hist[0].data {
-                obs::MetricData::Histogram(h) => {
-                    h.validate().unwrap();
-                    assert_eq!(h.count, 4, "{name}: one sample per recognize-act cycle");
+            // The match phase and, inside it, the conflict-set fold.
+            for phase in ["engine_match_ns", "engine_fold_ns"] {
+                let hist: Vec<_> = snap.metrics.iter().filter(|m| m.name == phase).collect();
+                assert_eq!(hist.len(), 1, "{name}: one {phase} histogram");
+                match &hist[0].data {
+                    obs::MetricData::Histogram(h) => {
+                        h.validate().unwrap();
+                        assert_eq!(h.count, 4, "{name}: one sample per recognize-act cycle");
+                    }
+                    other => panic!("unexpected metric shape {other:?}"),
                 }
-                other => panic!("unexpected metric shape {other:?}"),
             }
             let phase = eng.last_phase().expect("phase recorded");
             assert!(phase.match_ns > 0, "{name}: match phase took time");

@@ -4,7 +4,8 @@
 //! PSM-E runs one control process and k match processes over "a single
 //! shared Rete network", and compiles RHSs "once, at load time" (§3, §3.3).
 //! [`CompiledProgram`] is that load-time product: the parsed program, the
-//! Rete network, the RHS threaded code, and the static act footprints. It is
+//! Rete network, the RHS threaded code, each production's specificity, and
+//! the static act footprints. It is
 //! `Send + Sync` and never mutated after construction, so one
 //! `Arc<CompiledProgram>` can back any number of engines on any threads.
 //!
@@ -30,6 +31,8 @@ pub struct CompiledProgram {
     program: Program,
     net: Arc<Network>,
     pub(crate) rhs: Arc<[RhsProgram]>,
+    /// Conflict resolution's tie-breaker, per production.
+    pub(crate) specificity: Box<[u32]>,
     footprints: OnceLock<ActFootprints>,
 }
 
@@ -51,6 +54,7 @@ impl CompiledProgram {
             .map(|p| rhs::compile_rhs(p, &program.symbols, |c| program.classes.arity(c)))
             .collect::<Result<Arc<[RhsProgram]>>>()?;
         Ok(CompiledProgram {
+            specificity: crate::cr::specificities(&program.productions),
             program,
             net,
             rhs,

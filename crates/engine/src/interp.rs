@@ -96,6 +96,8 @@ pub struct Engine {
 struct EngineObs {
     registry: Arc<obs::Registry>,
     match_ns: Arc<obs::Histogram>,
+    /// The conflict-set fold's share of `match_ns`, one sample per cycle.
+    fold_ns: Arc<obs::Histogram>,
     resolve_ns: Arc<obs::Histogram>,
     act_ns: Arc<obs::Histogram>,
     firings: Arc<obs::Counter>,
@@ -170,6 +172,7 @@ impl Engine {
         self.matcher.enable_obs(&registry);
         self.obs = Some(EngineObs {
             match_ns: registry.histogram("engine_match_ns", vec![]),
+            fold_ns: registry.histogram("engine_fold_ns", vec![]),
             resolve_ns: registry.histogram("engine_resolve_ns", vec![]),
             act_ns: registry.histogram("engine_act_ns", vec![]),
             firings: registry.counter("engine_firings_total", vec![]),
@@ -398,11 +401,24 @@ impl Engine {
     /// Returns the match statistics accumulated since the previous quiesce.
     pub fn settle(&mut self) -> ops5::MatchStats {
         let t0 = self.obs.as_ref().map(|_| Instant::now());
-        self.flush_staged();
-        let report = self.matcher.quiesce();
-        self.cs.apply_all(report.cs_changes);
+        let stats_delta = self.match_phase();
         if let (Some(t0), Some(o)) = (t0, self.obs.as_mut()) {
             o.match_ns.record(t0.elapsed().as_nanos() as u64);
+        }
+        stats_delta
+    }
+
+    /// The match phase every cycle starts with: ship what is staged, wait
+    /// for the matcher, fold its conflict-set deltas in. With observability
+    /// on, the fold is clocked on its own (`engine_fold_ns`), so the phase's
+    /// `engine_match_ns` splits into waiting for the matcher and folding.
+    fn match_phase(&mut self) -> ops5::MatchStats {
+        self.flush_staged();
+        let report = self.matcher.quiesce();
+        let t_fold = self.obs.as_ref().map(|_| Instant::now());
+        self.cs.apply_all(report.cs_changes);
+        if let (Some(t), Some(o)) = (t_fold, self.obs.as_ref()) {
+            o.fold_ns.record(t.elapsed().as_nanos() as u64);
         }
         report.stats_delta
     }
@@ -421,23 +437,24 @@ impl Engine {
         }
         // Phase clock marks (all `None` unless observability is enabled).
         let t_start = self.obs.as_ref().map(|_| Instant::now());
-        self.flush_staged();
-        let report = self.matcher.quiesce();
-        self.cs.apply_all(report.cs_changes);
+        self.match_phase();
         self.act_stats.match_passes += 1;
         let t_match = t_start.map(|_| Instant::now());
+        // The one chain walk of this firing: refraction wants the token,
+        // the fired log and the RHS want to index its WMEs.
         let winner = cr::select(
             self.prog.strategy,
             self.cs.candidates(),
-            &self.prog.productions,
-        );
-        if let Some(w) = &winner {
-            self.record_firing(w);
+            &self.compiled.specificity,
+        )
+        .map(|w| (w.clone(), w.wmes.wme_vec()));
+        if let Some((w, wmes)) = &winner {
+            self.record_firing(w, wmes);
             self.act_stats.groups += 1;
         }
         let t_resolve = t_start.map(|_| Instant::now());
         let fire_result = match &winner {
-            Some(w) => self.fire(w),
+            Some((w, wmes)) => self.fire(w.prod, wmes),
             None => Ok(()),
         };
         if let (Some(t0), Some(t1), Some(t2)) = (t_start, t_match, t_resolve) {
@@ -454,31 +471,31 @@ impl Engine {
             }
         }
         fire_result?;
-        Ok(winner)
+        Ok(winner.map(|(w, _)| w))
     }
 
     /// Refraction-marks, counts, logs, and journals one firing — everything
     /// about a firing except its effects. Shared by the serial and grouped
     /// act paths; called in conflict-set order, so the fired log and the
     /// durability journal are identical under both.
-    fn record_firing(&mut self, w: &Instantiation) {
+    fn record_firing(&mut self, w: &Instantiation, wmes: &[WmeRef]) {
         self.cs.mark_fired(w);
         self.cycles += 1;
         self.act_stats.fired += 1;
         if self.keep_fired_log {
             self.fired_log
-                .push((w.prod, w.wmes.iter().map(|w| w.timetag).collect()));
+                .push((w.prod, wmes.iter().map(|w| w.timetag).collect()));
         }
         if let Some(j) = self.journal.as_mut() {
             j.push(crate::state::LogRecord::Fire {
                 prod: self.prog.prod_name(w.prod).to_string(),
-                tags: w.wmes.iter().map(|w| w.timetag).collect(),
+                tags: wmes.iter().map(|w| w.timetag).collect(),
             });
         }
     }
 
-    fn fire(&mut self, inst: &Instantiation) -> Result<()> {
-        let code = &self.compiled.rhs[inst.prod.index()];
+    fn fire(&mut self, prod: ProdId, wmes: &[WmeRef]) -> Result<()> {
+        let code = &self.compiled.rhs[prod.index()];
         let wm = &mut self.wm;
         let line = &mut self.line;
         let output = &mut self.output;
@@ -490,7 +507,7 @@ impl Engine {
         // the matcher walks each class's alpha chain once per firing.
         let mut batch = ChangeBatch::new();
 
-        let halted = rhs::execute(code, inst, &mut self.prog.symbols, |effect| {
+        let halted = rhs::execute(code, wmes, &mut self.prog.symbols, |effect| {
             if err.is_some() {
                 return;
             }
@@ -546,9 +563,7 @@ impl Engine {
     /// halt flag and the cycle budget and has folded both into `cap`.
     fn step_group(&mut self, cap: usize) -> Result<u64> {
         let t_start = self.obs.as_ref().map(|_| Instant::now());
-        self.flush_staged();
-        let report = self.matcher.quiesce();
-        self.cs.apply_all(report.cs_changes);
+        self.match_phase();
         self.act_stats.match_passes += 1;
         let t_match = t_start.map(|_| Instant::now());
 
@@ -558,7 +573,7 @@ impl Engine {
         let group = act::select_group(
             self.prog.strategy,
             self.cs.candidates(),
-            &self.prog.productions,
+            &compiled.specificity,
             fps,
             cap,
             &mut self.act_stats,
@@ -589,13 +604,14 @@ impl Engine {
                     (0..n).map(|_| self.prog.symbols.gensym()).collect()
                 })
                 .collect();
-            let evals = act::eval_group(&compiled.rhs, &group, &pre, &self.prog.symbols);
+            let wmes: Vec<Vec<WmeRef>> = group.iter().map(|w| w.wmes.wme_vec()).collect();
+            let evals = act::eval_group(&compiled.rhs, &group, &wmes, &pre, &self.prog.symbols);
 
             // Merge in conflict-set order: timetags, refraction marks, the
             // fired log, the journal, and `write` output land exactly as k
             // serial firings would — but the matcher sees one batch.
-            'members: for (w, (fx, res)) in group.iter().zip(evals) {
-                self.record_firing(w);
+            'members: for ((w, wmes), (fx, res)) in group.iter().zip(&wmes).zip(evals) {
+                self.record_firing(w, wmes);
                 fired += 1;
                 for effect in fx {
                     match effect {

@@ -26,6 +26,8 @@ pub mod compiled;
 pub mod cr;
 pub mod cs;
 pub mod interp;
+#[cfg(test)]
+mod resolve_model;
 pub mod rhs;
 pub mod state;
 pub mod wm;

@@ -10,7 +10,7 @@
 
 use ops5::ast::{Action, Production, RhsExpr, WriteItem};
 use ops5::value::ArithOp;
-use ops5::{Instantiation, Ops5Error, Result, SymbolId, SymbolTable, Value, WmeRef};
+use ops5::{Ops5Error, Result, SymbolId, SymbolTable, Value, WmeRef};
 use rete::fxhash::FxHashMap;
 
 /// One threaded-code instruction.
@@ -244,18 +244,21 @@ impl GensymSource<'_> {
     }
 }
 
-/// Interprets a compiled RHS for one instantiation.
+/// Interprets a compiled RHS for one instantiation, given as the slice of
+/// its matched WMEs in CE order (the engine walks the instantiation's token
+/// once per firing; the code below indexes it once per binding).
 ///
 /// Effects are delivered to `sink` in order, which lets the engine pipeline
 /// WME changes into the matcher the moment they are computed. Returns `true`
-/// if a `halt` was executed.
+/// if a `halt` was executed. Code that names a CE the instantiation does
+/// not have is a runtime error from every opcode, never a panic.
 pub fn execute(
     prog: &RhsProgram,
-    inst: &Instantiation,
+    wmes: &[WmeRef],
     syms: &mut SymbolTable,
     sink: impl FnMut(RhsEffect),
 ) -> Result<bool> {
-    execute_core(prog, inst, &mut GensymSource::Table(syms), sink)
+    execute_core(prog, wmes, &mut GensymSource::Table(syms), sink)
 }
 
 /// [`execute`] against an immutable symbol table, drawing gensyms from a
@@ -263,14 +266,14 @@ pub fn execute(
 /// group members can be evaluated concurrently.
 pub fn execute_prealloc(
     prog: &RhsProgram,
-    inst: &Instantiation,
+    wmes: &[WmeRef],
     syms: &SymbolTable,
     gensyms: &[SymbolId],
     sink: impl FnMut(RhsEffect),
 ) -> Result<bool> {
     execute_core(
         prog,
-        inst,
+        wmes,
         &mut GensymSource::Pre {
             syms,
             pre: gensyms,
@@ -282,10 +285,14 @@ pub fn execute_prealloc(
 
 fn execute_core(
     prog: &RhsProgram,
-    inst: &Instantiation,
+    wmes: &[WmeRef],
     gensyms: &mut GensymSource<'_>,
     mut sink: impl FnMut(RhsEffect),
 ) -> Result<bool> {
+    let matched = |ce: u16, what: &str| {
+        wmes.get(ce as usize)
+            .ok_or_else(|| Ops5Error::Runtime(format!("{what} references missing CE")))
+    };
     let mut stack: Vec<Value> = Vec::with_capacity(8);
     let mut locals: Vec<Value> = vec![Value::NIL; prog.n_locals as usize];
     let mut buf: Vec<Value> = Vec::new();
@@ -296,11 +303,7 @@ fn execute_core(
         match instr {
             Instr::PushConst(v) => stack.push(*v),
             Instr::PushBinding { ce, field } => {
-                let w = inst
-                    .wmes
-                    .get(*ce as usize)
-                    .ok_or_else(|| Ops5Error::Runtime("binding references missing CE".into()))?;
-                stack.push(w.field(*field));
+                stack.push(matched(*ce, "binding")?.field(*field));
             }
             Instr::PushLocal(i) => stack.push(locals[*i as usize]),
             Instr::Arith(op) => {
@@ -317,10 +320,7 @@ fn execute_core(
                 buf.resize(*arity as usize, Value::NIL);
             }
             Instr::BeginFromCe { ce, arity } => {
-                let w = inst
-                    .wmes
-                    .get(*ce as usize)
-                    .ok_or_else(|| Ops5Error::Runtime("modify references missing CE".into()))?;
+                let w = matched(*ce, "modify")?;
                 buf_class = w.class;
                 buf.clear();
                 buf.extend_from_slice(&w.fields);
@@ -341,7 +341,7 @@ fn execute_core(
                 });
             }
             Instr::EmitModify { ce } => {
-                let w = inst.wmes[*ce as usize].clone();
+                let w = matched(*ce, "modify")?.clone();
                 sink(RhsEffect::Remove { wme: w });
                 sink(RhsEffect::Make {
                     class: buf_class,
@@ -349,7 +349,7 @@ fn execute_core(
                 });
             }
             Instr::RemoveCe { ce } => {
-                let w = inst.wmes[*ce as usize].clone();
+                let w = matched(*ce, "remove")?.clone();
                 sink(RhsEffect::Remove { wme: w });
             }
             Instr::StoreLocal(i) => {
@@ -377,7 +377,7 @@ fn stack_underflow() -> Ops5Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ops5::{ProdId, Program, Wme};
+    use ops5::{Program, Wme};
 
     fn setup(src: &str) -> (Program, RhsProgram) {
         let prog = Program::from_source(src).unwrap();
@@ -388,12 +388,8 @@ mod tests {
     }
 
     fn run(prog: &mut Program, rhs: &RhsProgram, wmes: Vec<WmeRef>) -> (Vec<RhsEffect>, bool) {
-        let inst = Instantiation {
-            prod: ProdId(0),
-            wmes,
-        };
         let mut fx = Vec::new();
-        let halted = execute(rhs, &inst, &mut prog.symbols, |e| fx.push(e)).unwrap();
+        let halted = execute(rhs, &wmes, &mut prog.symbols, |e| fx.push(e)).unwrap();
         (fx, halted)
     }
 
@@ -494,11 +490,36 @@ mod tests {
         let (mut prog, rhs) = setup("(p q (a ^x <v>) --> (make b ^y (compute 1 // 0)))");
         let ca = prog.symbols.get("a").unwrap();
         let w = Wme::new(ca, vec![Value::Int(5)], 1);
-        let inst = Instantiation {
-            prod: ProdId(0),
-            wmes: vec![w],
-        };
-        let r = execute(&rhs, &inst, &mut prog.symbols, |_| {});
+        let r = execute(&rhs, &[w], &mut prog.symbols, |_| {});
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn every_ce_opcode_fails_closed_on_a_short_instantiation() {
+        // Hand-assembled code naming CE 1 of a one-WME instantiation: what
+        // a compiler bug or a token cut short would hand the interpreter.
+        let a = SymbolId(1);
+        let w = Wme::new(a, vec![Value::Int(5)], 1);
+        let begin = Instr::BeginFromCe { ce: 0, arity: 1 };
+        let cases: [(&str, Vec<Instr>); 4] = [
+            ("binding", vec![Instr::PushBinding { ce: 1, field: 0 }]),
+            ("modify", vec![Instr::BeginFromCe { ce: 1, arity: 1 }]),
+            ("modify", vec![begin, Instr::EmitModify { ce: 1 }]),
+            ("remove", vec![Instr::RemoveCe { ce: 1 }]),
+        ];
+        for (what, code) in cases {
+            let rhs = RhsProgram { code, n_locals: 0 };
+            let mut syms = SymbolTable::new();
+            let mut fx = Vec::new();
+            let err = execute(&rhs, std::slice::from_ref(&w), &mut syms, |e| fx.push(e))
+                .expect_err("missing CE must be an error");
+            assert_eq!(
+                err.to_string(),
+                Ops5Error::Runtime(format!("{what} references missing CE")).to_string()
+            );
+            assert!(fx.is_empty(), "no effect before the error: {fx:?}");
+            let pre = execute_prealloc(&rhs, &[], &syms, &[], |_| {});
+            assert!(pre.is_err(), "{what}: the pure variant shares the check");
+        }
     }
 }

@@ -542,7 +542,7 @@ impl ChangeLog {
                         .step()?
                         .ok_or_else(|| at(format!("log fires `{prod}` but engine is quiescent")))?;
                     let got = eng.prog.prod_name(inst.prod);
-                    let got_tags: Vec<u64> = inst.wmes.iter().map(|w| w.timetag).collect();
+                    let got_tags = inst.wmes.timetags();
                     if got != prod || &got_tags != tags {
                         return Err(at(format!(
                             "divergence: log fires `{prod} {tags:?}`, engine fired `{got} {got_tags:?}`"

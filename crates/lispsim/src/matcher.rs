@@ -471,7 +471,7 @@ impl LispMatcher {
                     self.stats.cs_changes += 1;
                     let inst = Instantiation {
                         prod: ProdId(prod as u32),
-                        wmes: token.wmes.wme_vec(),
+                        wmes: token.wmes,
                     };
                     self.out.push(match sign {
                         Sign::Plus => CsChange::Insert(inst),

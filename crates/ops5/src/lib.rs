@@ -25,12 +25,14 @@
 pub mod ast;
 pub mod error;
 pub mod footprint;
+pub mod fxhash;
 pub mod lexer;
 pub mod matchapi;
 pub mod parser;
 pub mod printer;
 pub mod program;
 pub mod symbol;
+pub mod token;
 pub mod value;
 pub mod wire;
 pub mod wme;
@@ -44,5 +46,6 @@ pub use matchapi::{
 };
 pub use program::{ClassInfo, ClassTable, ProdId, Program, Strategy};
 pub use symbol::{SymbolId, SymbolTable};
+pub use token::Token;
 pub use value::{Pred, Value};
 pub use wme::{Wme, WmeRef};

@@ -9,11 +9,14 @@
 //! (`quiesce`) before conflict resolution — exactly the structure of §3.1 of
 //! the paper.
 
+use crate::fxhash;
 use crate::program::ProdId;
 use crate::symbol::SymbolId;
+use crate::token::Token;
 use crate::wme::WmeRef;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::{Add, AddAssign, Sub};
 
 /// Add or delete, the paper's `+`/`−` token tags.
@@ -232,33 +235,41 @@ impl FromIterator<WmeChange> for ChangeBatch {
 }
 
 /// A satisfied production instance: the production plus the WMEs matched by
-/// its positive condition elements, in CE order.
+/// its positive condition elements, in CE order — the very token that
+/// reached the production's terminal node, shared with the match memories
+/// rather than copied out of them.
 #[derive(Debug, Clone)]
 pub struct Instantiation {
     pub prod: ProdId,
-    pub wmes: Vec<WmeRef>,
+    pub wmes: Token,
 }
 
 impl Instantiation {
     /// Identity key: production + matched timetags. Two instantiations are
-    /// the same iff they fire the same rule on the same elements.
+    /// the same iff they fire the same rule on the same elements. Allocates;
+    /// tables key on the instantiation itself (`Hash`/`Eq` below).
     pub fn key(&self) -> (ProdId, Vec<u64>) {
-        (self.prod, self.wmes.iter().map(|w| w.timetag).collect())
+        (self.prod, self.wmes.timetags())
     }
 }
 
 impl PartialEq for Instantiation {
     fn eq(&self, other: &Self) -> bool {
-        self.prod == other.prod
-            && self.wmes.len() == other.wmes.len()
-            && self
-                .wmes
-                .iter()
-                .zip(&other.wmes)
-                .all(|(a, b)| a.timetag == b.timetag)
+        self.prod == other.prod && self.wmes.same_wmes(&other.wmes)
     }
 }
 impl Eq for Instantiation {}
+
+/// One word: the token's cached identity hash mixed with the production.
+/// Equal instantiations hash equal because the cached hash is a function of
+/// the timetag sequence alone; unequal ones that collide are told apart by
+/// `Eq`, which walks the chains.
+impl Hash for Instantiation {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(fxhash::mix(self.wmes.identity_hash(), self.prod.0 as u64));
+    }
+}
 
 /// A conflict-set delta emitted by the match phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -505,18 +516,32 @@ mod tests {
         let w2 = Wme::new(SymbolId(1), vec![Value::Int(1)], 11);
         let a = Instantiation {
             prod: ProdId(0),
-            wmes: vec![w1],
+            wmes: Token::single(w1),
         };
         let b = Instantiation {
             prod: ProdId(0),
-            wmes: vec![w1b],
+            wmes: Token::single(w1b),
         };
         let c = Instantiation {
             prod: ProdId(0),
-            wmes: vec![w2],
+            wmes: Token::single(w2),
         };
         assert_eq!(a, b);
         assert_ne!(a, c);
+        let word = |i: &Instantiation| {
+            let mut h = fxhash::FxHasher::default();
+            i.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(word(&a), word(&b));
+        assert_eq!(a.key(), (ProdId(0), vec![10]));
+        // Same elements under another production: a different instantiation.
+        let d = Instantiation {
+            prod: ProdId(1),
+            wmes: a.wmes.clone(),
+        };
+        assert_ne!(a, d);
+        assert_ne!(word(&a), word(&d));
     }
 
     #[test]

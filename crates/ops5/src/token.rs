@@ -7,6 +7,12 @@
 //! timetags — structurally equal WMEs created at different times are
 //! different elements.
 //!
+//! The token that reaches a terminal node *is* the instantiation (the
+//! paper's word for a full match), so the type lives here, beside
+//! [`Instantiation`](crate::Instantiation), and the matchers hand it to the
+//! conflict set as it stands: no copy into a vector, and the conflict set
+//! keys on the hash cached below.
+//!
 //! Representation: a parent-linked persistent list. Each join output shares
 //! its parent's chain and allocates exactly one [`TokenNode`], so
 //! `extended()` is O(1) instead of O(depth) — the paper's point that match
@@ -17,8 +23,11 @@
 //! every memory probe reads the cached word.
 
 use crate::fxhash;
-use ops5::{Value, WmeRef};
+use crate::value::Value;
+use crate::wme::WmeRef;
+use std::cmp::Ordering;
 use std::fmt;
+use std::ops::Index;
 use std::sync::Arc;
 
 /// One link in a token chain: the most recent WME plus the shared parent.
@@ -32,6 +41,13 @@ struct TokenNode {
 }
 
 /// An ordered list of matched WMEs (positive condition elements only).
+///
+/// Reads like a slice of [`WmeRef`] (`len`, `get`, `first`, `[i]`, `iter`,
+/// `for w in &token`), but the chain is linked back to front: `last_wme` and
+/// [`iter_back`](Token::iter_back) are O(1) per element, an index walks
+/// `len - 1 - i` links and the front-to-back [`iter`](Token::iter) an index
+/// per element. Code that visits every WME more than once per token (an RHS
+/// firing) takes [`wme_vec`](Token::wme_vec) once instead.
 #[derive(Clone)]
 pub struct Token {
     node: Option<Arc<TokenNode>>,
@@ -96,10 +112,31 @@ impl Token {
         self.node.as_deref().map(|n| &n.wme)
     }
 
-    /// Collects the WMEs front-to-back (instantiation construction — the
-    /// cold path; hot paths address CEs through [`Token::wme`]).
+    /// The WME bound to positive CE `idx`, `None` past the end.
+    #[inline]
+    pub fn get(&self, idx: usize) -> Option<&WmeRef> {
+        (idx < self.len()).then(|| self.wme(idx as u16))
+    }
+
+    /// The WME bound to the first CE (MEA's goal element).
+    #[inline]
+    pub fn first(&self) -> Option<&WmeRef> {
+        self.get(0)
+    }
+
+    /// Iterates the WMEs front to back (CE order).
+    pub fn iter(&self) -> Iter<'_> {
+        Iter {
+            token: self,
+            next: 0,
+        }
+    }
+
+    /// Collects the WMEs front-to-back: one chain walk, for a reader that
+    /// then indexes freely (one RHS firing).
     pub fn wme_vec(&self) -> Vec<WmeRef> {
-        let mut v: Vec<WmeRef> = self.iter_back().cloned().collect();
+        let mut v = Vec::with_capacity(self.len());
+        v.extend(self.iter_back().cloned());
         v.reverse();
         v
     }
@@ -140,24 +177,46 @@ impl Token {
     }
 
     pub fn timetags(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.iter_back().map(|w| w.timetag).collect();
+        let mut v = Vec::with_capacity(self.len());
+        v.extend(self.iter_back().map(|w| w.timetag));
         v.reverse();
         v
     }
 
-    /// Iterates the chain back-to-front (most recent WME first).
-    fn iter_back(&self) -> TokenIter<'_> {
-        TokenIter {
+    /// Compares the timetag sequences as `timetags().cmp(&other.timetags())`
+    /// would (lexicographic from the front, a proper prefix is `Less`)
+    /// without materialising either. The chains link back to front, so the
+    /// walk aligns the two at the shorter length and keeps the difference
+    /// nearest the front.
+    pub fn cmp_timetags(&self, other: &Token) -> Ordering {
+        let (la, lb) = (self.len(), other.len());
+        let a = self.iter_back().skip(la.saturating_sub(lb));
+        let b = other.iter_back().skip(lb.saturating_sub(la));
+        let mut ord = la.cmp(&lb);
+        for (x, y) in a.zip(b) {
+            if x.timetag != y.timetag {
+                ord = x.timetag.cmp(&y.timetag);
+            }
+        }
+        ord
+    }
+
+    /// Iterates the chain back-to-front (most recent WME first): the cheap
+    /// direction, for readers that do not care about CE order.
+    #[inline]
+    pub fn iter_back(&self) -> IterBack<'_> {
+        IterBack {
             node: self.node.as_deref(),
         }
     }
 }
 
-struct TokenIter<'a> {
+/// Back-to-front iterator over a token's WMEs; see [`Token::iter_back`].
+pub struct IterBack<'a> {
     node: Option<&'a TokenNode>,
 }
 
-impl<'a> Iterator for TokenIter<'a> {
+impl<'a> Iterator for IterBack<'a> {
     type Item = &'a WmeRef;
 
     #[inline]
@@ -165,6 +224,53 @@ impl<'a> Iterator for TokenIter<'a> {
         let n = self.node?;
         self.node = n.parent.as_deref();
         Some(&n.wme)
+    }
+}
+
+/// Front-to-back iterator over a token's WMEs; see [`Token::iter`].
+pub struct Iter<'a> {
+    token: &'a Token,
+    next: usize,
+}
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = &'a WmeRef;
+
+    fn next(&mut self) -> Option<&'a WmeRef> {
+        let w = self.token.get(self.next)?;
+        self.next += 1;
+        Some(w)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.token.len() - self.next;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
+impl<'a> IntoIterator for &'a Token {
+    type Item = &'a WmeRef;
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+impl Index<usize> for Token {
+    type Output = WmeRef;
+
+    fn index(&self, idx: usize) -> &WmeRef {
+        self.get(idx).expect("token index out of range")
+    }
+}
+
+impl FromIterator<WmeRef> for Token {
+    /// Builds the token whose WMEs are `iter`'s, in order.
+    fn from_iter<I: IntoIterator<Item = WmeRef>>(iter: I) -> Token {
+        iter.into_iter().fold(Token::empty(), |t, w| t.extended(w))
     }
 }
 
@@ -184,7 +290,8 @@ impl fmt::Debug for Token {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ops5::{SymbolId, Value, Wme};
+    use crate::symbol::SymbolId;
+    use crate::wme::Wme;
 
     fn wme(tag: u64) -> WmeRef {
         Wme::new(SymbolId(1), vec![Value::Int(tag as i64)], tag)
@@ -241,6 +348,64 @@ mod tests {
         let tags: Vec<u64> = t.wme_vec().iter().map(|w| w.timetag).collect();
         assert_eq!(tags, vec![1, 2, 3]);
         assert_eq!(t.timetags(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn reads_like_a_slice() {
+        let t = Token::single(wme(4)).extended(wme(9)).extended(wme(6));
+        let front: Vec<u64> = t.iter().map(|w| w.timetag).collect();
+        assert_eq!(front, vec![4, 9, 6]);
+        assert_eq!(t.iter().len(), 3);
+        let back: Vec<u64> = t.iter_back().map(|w| w.timetag).collect();
+        assert_eq!(back, vec![6, 9, 4]);
+        let mut by_ref = Vec::new();
+        for w in &t {
+            by_ref.push(w.timetag);
+        }
+        assert_eq!(by_ref, front);
+        assert_eq!(t.first().unwrap().timetag, 4);
+        assert_eq!(t.get(1).unwrap().timetag, 9);
+        assert_eq!(t[2].timetag, 6);
+        assert!(t.get(3).is_none());
+        assert!(Token::empty().first().is_none());
+        assert_eq!(Token::empty().iter().count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "token index out of range")]
+    fn index_past_the_end_panics() {
+        let _ = &Token::single(wme(1))[1];
+    }
+
+    #[test]
+    fn collect_round_trips() {
+        let t = Token::single(wme(3)).extended(wme(1)).extended(wme(2));
+        let u: Token = t.wme_vec().into_iter().collect();
+        assert!(u.same_wmes(&t));
+        assert_eq!(u.identity_hash(), t.identity_hash());
+        let none: Token = Vec::<WmeRef>::new().into_iter().collect();
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn cmp_timetags_is_vec_cmp() {
+        let seqs: [&[u64]; 8] = [
+            &[],
+            &[1],
+            &[2],
+            &[1, 2],
+            &[2, 1],
+            &[1, 2, 3],
+            &[1, 3, 2],
+            &[7, 2, 3],
+        ];
+        for a in seqs {
+            for b in seqs {
+                let ta: Token = a.iter().map(|&t| wme(t)).collect();
+                let tb: Token = b.iter().map(|&t| wme(t)).collect();
+                assert_eq!(ta.cmp_timetags(&tb), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

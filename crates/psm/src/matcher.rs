@@ -7,7 +7,7 @@ use crate::stats::{AtomicMatchStats, ContentionReport, ContentionStats};
 use crate::steal::StealScheduler;
 use crate::sync::SpinLock;
 use ops5::{
-    ChangeBatch, CsChange, Instantiation, MatchStats, Matcher, ProdId, QuiesceReport, Sign,
+    ChangeBatch, CsChange, Instantiation, MatchStats, Matcher, QuiesceReport, Sign,
     StatsDeltaTracker, WmeRef,
 };
 use rete::fxhash::FxHashMap;
@@ -57,8 +57,6 @@ impl Default for PsmConfig {
         }
     }
 }
-
-type InstKey = (ProdId, Vec<u64>);
 
 /// The active scheduling implementation.
 enum Work {
@@ -186,10 +184,10 @@ struct Shared {
     lines: Box<[LineLock]>,
     mask: u64,
     scheme: LockScheme,
-    /// Net conflict-set deltas for the current match phase: key → (net
-    /// count, a representative instantiation). Net counting makes the output
-    /// independent of task interleaving.
-    cs_acc: SpinLock<FxHashMap<InstKey, (i32, Instantiation)>>,
+    /// Net conflict-set deltas for the current match phase: instantiation →
+    /// net count. Net counting makes the output independent of task
+    /// interleaving.
+    cs_acc: SpinLock<FxHashMap<Instantiation, i32>>,
     /// Global per-join memory sizes across all hash lines — the left/right
     /// unlinking gates. Updated with relaxed atomics while the owning line's
     /// lock is held, driven by the line outcome (count a left token only on
@@ -530,7 +528,7 @@ impl Matcher for ParMatcher {
         }
         let mut acc = self.shared.cs_acc.lock();
         let mut out = Vec::with_capacity(acc.len());
-        for (_k, (net, inst)) in acc.drain() {
+        for (inst, net) in acc.drain() {
             match net.signum() {
                 1 => out.push(CsChange::Insert(inst)),
                 -1 => out.push(CsChange::Remove(inst)),
@@ -893,21 +891,33 @@ fn process_task(shared: &Shared, task: ParTask, ctx: &mut Ctx, scratch: &mut Scr
         ParTask::Terminal { prod, sign, token } => {
             shared.stats.activations.fetch_add(1, Ordering::Relaxed);
             shared.stats.cs_changes.fetch_add(1, Ordering::Relaxed);
-            let inst = Instantiation {
-                prod,
-                wmes: token.wme_vec(),
-            };
-            let key = inst.key();
-            let mut acc = shared.cs_acc.lock();
-            let entry = acc.entry(key.clone()).or_insert_with(|| (0, inst));
-            entry.0 += match sign {
+            let inst = Instantiation { prod, wmes: token };
+            let delta = match sign {
                 Sign::Plus => 1,
                 Sign::Minus => -1,
             };
-            if entry.0 == 0 {
-                acc.remove(&key);
-            }
+            // Every terminal task of every match process serialises on this
+            // one lock, so nothing is built under it (the key is the token
+            // the task already holds, hashed from its cached word) and
+            // nothing is freed under it: a cancelled pair leaves the map as
+            // `cancelled` and drops, with `inst`, after the unlock.
+            let mut acc = shared.cs_acc.lock();
+            let cancelled = match acc.get_mut(&inst) {
+                Some(net) => {
+                    *net += delta;
+                    if *net == 0 {
+                        acc.remove_entry(&inst)
+                    } else {
+                        None
+                    }
+                }
+                None => {
+                    acc.insert(inst, delta);
+                    None
+                }
+            };
             drop(acc);
+            drop(cancelled);
             shared.sched.task_done();
         }
     }
@@ -1420,7 +1430,7 @@ fn record_opp_right(shared: &Shared, j: &JoinNode, examined: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ops5::{Program, Value, Wme, WmeChange};
+    use ops5::{ProdId, Program, Value, Wme, WmeChange};
     use std::time::Duration;
 
     fn configs() -> Vec<PsmConfig> {

@@ -406,7 +406,7 @@ fn emit(
                 stats.cs_changes += 1;
                 let inst = Instantiation {
                     prod: p,
-                    wmes: token.wme_vec(),
+                    wmes: token.clone(),
                 };
                 out.push(match sign {
                     Sign::Plus => CsChange::Insert(inst),
@@ -834,7 +834,7 @@ impl Matcher for ColMatcher {
                                 self.stats.cs_changes += 1;
                                 let inst = Instantiation {
                                     prod: p,
-                                    wmes: vec![change.wme.clone()],
+                                    wmes: Token::single(change.wme.clone()),
                                 };
                                 self.out.push(match change.sign {
                                     Sign::Plus => CsChange::Insert(inst),

@@ -29,11 +29,9 @@
 
 pub mod colmatch;
 pub mod dot;
-pub mod fxhash;
 pub mod memory;
 pub mod network;
 pub mod seq;
-pub mod token;
 
 pub use colmatch::ColMatcher;
 pub use memory::{HashMemConfig, MemoryKind};
@@ -41,5 +39,7 @@ pub use network::{
     AlphaPatternId, AlphaSucc, EqSpec, JoinId, JoinNode, JoinTest, Network, NetworkOptions,
     NetworkSummary, RightMemId, RightMemSpec, Succ,
 };
+// Tokens and the Fx mix live in `ops5` (an instantiation is a token);
+// re-exported so `rete::token::Token` and `rete::fxhash` keep resolving.
+pub use ops5::{fxhash, token, Token};
 pub use seq::SeqMatcher;
-pub use token::Token;

@@ -319,10 +319,7 @@ impl<M: TokenMem + Send> SeqMatcher<M> {
             Task::Terminal { prod, sign, token } => {
                 self.tally.stats.activations += 1;
                 self.tally.stats.cs_changes += 1;
-                let inst = Instantiation {
-                    prod,
-                    wmes: token.wme_vec(),
-                };
+                let inst = Instantiation { prod, wmes: token };
                 self.out.push(match sign {
                     Sign::Plus => CsChange::Insert(inst),
                     Sign::Minus => CsChange::Remove(inst),

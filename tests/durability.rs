@@ -303,3 +303,58 @@ proptest! {
         }
     }
 }
+
+/// A conflict set of Tourney's size survives a snapshot cut entry for entry:
+/// the fired key of the snapshot finds its re-derived entry among thousands
+/// (restore reaches it through the table, not by scanning them), and
+/// refraction then holds on the restored side as on the uninterrupted one.
+///
+/// Every Tourney firing modifies its own support, so no fired entry of the
+/// program proper outlives its cycle. The observer rule appended here fires
+/// once on a WME staged mid-run (the newest element, so it wins the next
+/// resolve) and changes nothing: its instantiation stays, refracted.
+#[test]
+fn tourney_sized_conflict_set_survives_a_snapshot_cut() {
+    // 24 teams, the benchmark's size: a round opens on 552 ordered pairs x
+    // 12 courts and still offers 3800 candidates two pairings in.
+    let w = workloads::tourney::workload(workloads::tourney::TourneyConfig {
+        teams: 24,
+        ..Default::default()
+    });
+    let src = format!(
+        "{}(literalize probe n)\n(p probe-seen (probe ^n <n>) --> (write probe <n> (crlf)))\n",
+        w.source
+    );
+    let kinds = kinds();
+    for (i, (name, kind)) in kinds.iter().enumerate() {
+        let mut a = build(&src, kind);
+        workloads::load_setup(&mut a, &w.setup).expect("setup loads");
+        assert_eq!(a.run(2).expect("run").cycles, 2);
+        let probe = a.prog.symbols.get("probe").expect("class interned");
+        a.stage(probe, vec![Value::Int(7)]).expect("stage");
+        assert_eq!(a.run(1).expect("run").cycles, 1);
+        assert_eq!(a.output().last().map(String::as_str), Some("probe 7"));
+
+        let text = a.snapshot().to_text();
+        let snap = Snapshot::parse(&text).expect("snapshot text parses");
+        assert_eq!(snap.fired_cs.len(), 1, "{name}: {:?}", snap.fired_cs);
+        assert_eq!(snap.fired_cs[0].0, "probe-seen");
+
+        let (name_b, kind_b) = &kinds[(i + 1) % kinds.len()];
+        let mut b = build(&src, kind_b);
+        b.restore(&snap).expect("restore");
+        let cs = a.conflict_set();
+        assert!(cs.len() >= 1000, "{name}: {} entries", cs.len());
+        assert_eq!(b.conflict_set().sorted_keys(), cs.sorted_keys());
+        assert_eq!(b.conflict_set().fired_keys(), cs.fired_keys());
+
+        // The probe's instantiation still dominates every candidate; only
+        // refraction keeps it from firing again.
+        for eng in [&mut a, &mut b] {
+            assert_eq!(eng.run(5).expect("run").cycles, 5);
+            eng.settle();
+            assert_eq!(eng.output().iter().filter(|l| *l == "probe 7").count(), 1);
+        }
+        assert_eq!(state_sig(&a), state_sig(&b), "{name} -> {name_b}");
+    }
+}
