@@ -14,12 +14,18 @@
 //!   nodes are shared across productions (the paper's Figure 2-2 sharing);
 //!   memory nodes are coalesced into the two-input nodes below them (§3.1)
 //!   and are *not* shared between productions (paper footnote 6: sharing is
-//!   impossible in the parallel implementation).
-//! * [`memory`] — token memories: per-join linear lists (*vs1*) and the two
-//!   global hash tables holding all left/right tokens for the whole network
+//!   impossible in the parallel implementation). The compiler also records
+//!   which joins could read one right memory; the sequential matchers and
+//!   `col` do, the parallel and trace matchers and lispsim do not.
+//! * [`memory`] — token memories: linear lists (*vs1*) and the two global
+//!   hash tables holding all left/right tokens for the whole network
 //!   (*vs2*, §3.2), organised in "lines" (pairs of same-index buckets).
+//!   Left memories are per join; right memories are the network's shared
+//!   ones ([`RightMemSpec`]), so each WME is stored once.
 //! * [`seq`] — the sequential matcher over either memory kind, instrumented
-//!   with the Table 4-1/4-2/4-3 statistics.
+//!   with the Table 4-1/4-2/4-3 statistics. A WME change is applied to each
+//!   right memory once and only the readers with a non-empty left memory
+//!   are activated.
 //! * [`colmatch`] — the columnar set-at-a-time matcher (*col*):
 //!   value-bucketed struct-of-arrays memories scanned a whole batch at a
 //!   time, with tombstone deletes and inline compaction. Left memories are

@@ -1,37 +1,51 @@
-//! Token memories: per-join linear lists (*vs1*) and the two global hash
-//! tables (*vs2*).
+//! Token memories: linear lists (*vs1*) and the two global hash tables
+//! (*vs2*).
 //!
 //! The matcher sees one interface, [`TokenMem`]; the two implementations
 //! reproduce the paper's uniprocessor versions:
 //!
-//! * [`ListMem`] — vs1: every join keeps its left tokens and right WMEs in
-//!   plain vectors, "just as uniprocessor lisp implementations do". Every
-//!   scan examines the entire opposite memory; every delete searches the
-//!   entire same memory.
+//! * [`ListMem`] — vs1: left tokens and right WMEs are kept in plain
+//!   vectors, "just as uniprocessor lisp implementations do". Every scan
+//!   examines the entire opposite memory; every delete searches the entire
+//!   same memory.
 //! * [`HashMem`] — vs2: two global hash tables hold all left tokens and all
-//!   right WMEs for the whole network. The key covers the join id and the
-//!   values under the join's equality tests, so a scan only examines the
+//!   right WMEs for the whole network. The key covers the memory's id and
+//!   the values under the equality tests, so a scan only examines the
 //!   entries of one bucket (a "line"). Joins without equality tests (the
-//!   cross-product case) hash on the join id alone and degenerate to the
-//!   list behaviour — the Tourney pathology.
+//!   cross-product case) hash on the id alone and degenerate to the list
+//!   behaviour — the Tourney pathology.
 //!
-//! Hot-path contract: the caller computes the activation's bucket key once
-//! (via [`TokenMem::left_key`]/[`TokenMem::right_key`]) and threads it
-//! through every operation of that activation, so vs2 hashes once per
-//! activation instead of once per operation. Scans append matches into a
+//! The two sides are not symmetric. A **left** memory belongs to its join,
+//! as in the paper (the memory node is folded into the two-input node below
+//! it, §3.1), and its hash key is [`JoinNode::left_key`]/`right_key` — the
+//! line geometry psm, `psm::trace` and the tables share. A **right** memory
+//! belongs to the *network*: one per [`RightMemSpec`] (alpha pattern ×
+//! equality signature), read by every join with that right input, so a WME
+//! is stored once however many joins can pair with it. That departs from
+//! footnote 6 (memories are not shared) for vs1/vs2 only; psm, `psm::trace`
+//! and lispsim keep one right memory per join and are the references the
+//! differential suites compare against. A right entry's key is
+//! [`RightMemSpec::key`] mixed with the memory id; a left activation
+//! probes with [`JoinNode::shared_key`] mixed the same way
+//! ([`TokenMem::probe_key`]).
+//!
+//! Hot-path contract: the caller computes a line's key once and threads it
+//! through every operation on that line, so vs2 hashes once per line
+//! touched instead of once per operation. Scans append matches into a
 //! caller-owned scratch buffer instead of allocating a fresh `Vec`, so a
 //! steady-state node activation performs no heap allocation in the memory
 //! layer. Every operation still reports how many tokens it *examined*, the
 //! raw data for Tables 4-2 and 4-3.
 
-use crate::network::JoinNode;
+use crate::fxhash;
+use crate::network::{JoinId, JoinNode, Network, RightMemId, RightMemSpec};
 use crate::token::Token;
 use ops5::{Wme, WmeRef};
 
 /// Which memory implementation a matcher uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoryKind {
-    /// vs1 — per-join linear lists.
+    /// vs1 — linear lists.
     List,
     /// vs2 — global left/right hash tables.
     Hash(HashMemConfig),
@@ -73,21 +87,29 @@ pub struct Removed<T> {
 
 /// Storage interface shared by vs1 and vs2.
 ///
-/// `key` arguments are the activation's bucket key, computed once via
-/// [`TokenMem::left_key`] (left activations) or [`TokenMem::right_key`]
-/// (right activations) and reused for the removes, inserts, and scans of
-/// that activation. [`ListMem`] has no buckets and returns 0.
+/// `key` arguments address one line and are computed once per line touched:
+/// [`TokenMem::left_key`] / [`TokenMem::right_key`] give the line of a
+/// join's *left* memory from either side, [`TokenMem::store_key`] /
+/// [`TokenMem::probe_key`] the line of a shared *right* memory from either
+/// side. [`ListMem`] has no buckets and returns 0.
 pub trait TokenMem {
     /// The canonical matcher-variant name this memory kind implements
     /// ("vs1" for linear lists, "vs2" for the hashed lines). Surfaced as
     /// `SeqMatcher::name()` so every matcher kind reports a distinct name.
     fn kind_name(&self) -> &'static str;
 
-    /// Bucket key for a token entering this join's left memory.
+    /// Left-memory key of a token entering this join's left memory.
     fn left_key(&self, j: &JoinNode, token: &Token) -> u64;
 
-    /// Bucket key for a WME entering this join's right memory.
+    /// Left-memory key of the tokens `wme` can pair with at this join.
     fn right_key(&self, j: &JoinNode, wme: &Wme) -> u64;
+
+    /// Right-memory key of a WME entering memory `mem`.
+    fn store_key(&self, mem: RightMemId, spec: &RightMemSpec, wme: &Wme) -> u64;
+
+    /// Right-memory key of the WMEs `token` can pair with at this join
+    /// (in `j.right_mem`).
+    fn probe_key(&self, j: &JoinNode, token: &Token) -> u64;
 
     /// Insert a token into the join's left memory. `neg_count` is the
     /// matching-WME counter for not-nodes (0 for positive joins).
@@ -97,12 +119,13 @@ pub trait TokenMem {
     /// stored `neg_count`.
     fn remove_left(&mut self, j: &JoinNode, key: u64, token: &Token) -> Removed<u32>;
 
-    fn insert_right(&mut self, j: &JoinNode, key: u64, wme: WmeRef);
+    /// Store a WME in a shared right memory: once, whoever reads it.
+    fn insert_right(&mut self, mem: RightMemId, key: u64, wme: WmeRef);
 
-    fn remove_right(&mut self, j: &JoinNode, key: u64, wme: &Wme) -> Removed<()>;
+    fn remove_right(&mut self, mem: RightMemId, key: u64, wme: &Wme) -> Removed<()>;
 
-    /// Right-memory WMEs pairing with `token` under the join tests,
-    /// appended to `out` (cleared first).
+    /// WMEs of the join's right memory pairing with `token` under the join
+    /// tests, appended to `out` (cleared first). `key` is a `probe_key`.
     fn scan_right(&self, j: &JoinNode, key: u64, token: &Token, out: &mut Vec<WmeRef>)
         -> ScanStats;
 
@@ -122,17 +145,18 @@ pub trait TokenMem {
         out: &mut Vec<Token>,
     ) -> ScanStats;
 
-    /// Not-node left activation: count matching right WMEs.
+    /// Not-node left activation: count matching right WMEs. `key` is a
+    /// `probe_key`.
     fn count_right(&self, j: &JoinNode, key: u64, token: &Token) -> (u32, ScanStats);
 
-    /// Entries stored network-wide in the join's left memory — the
-    /// emptiness gate for right-activation unlinking. 0 means any left
-    /// scan of this join is a null activation.
-    fn left_count(&self, j: &JoinNode) -> u32;
+    /// Entries stored network-wide in the join's left memory. 0 means no
+    /// token can pair with a WME entering or leaving its right memory: the
+    /// reader is dead and its right activation is never run.
+    fn left_count(&self, join: JoinId) -> u32;
 
-    /// Entries stored network-wide in the join's right memory — the
-    /// emptiness gate for left-activation unlinking.
-    fn right_count(&self, j: &JoinNode) -> u32;
+    /// Entries stored network-wide in a right memory — the emptiness gate
+    /// of its readers' left activations.
+    fn right_count(&self, mem: RightMemId) -> u32;
 
     /// Total stored entries (diagnostics / invariant checks).
     fn total_entries(&self) -> usize;
@@ -145,17 +169,17 @@ struct ListLeftEntry {
     neg_count: u32,
 }
 
-/// vs1 memories: one vector pair per join.
+/// vs1 memories: one vector per join (left) and per right memory (right).
 pub struct ListMem {
     left: Vec<Vec<ListLeftEntry>>,
     right: Vec<Vec<WmeRef>>,
 }
 
 impl ListMem {
-    pub fn new(n_joins: usize) -> ListMem {
+    pub fn new(net: &Network) -> ListMem {
         ListMem {
-            left: (0..n_joins).map(|_| Vec::new()).collect(),
-            right: (0..n_joins).map(|_| Vec::new()).collect(),
+            left: (0..net.n_joins()).map(|_| Vec::new()).collect(),
+            right: net.right_mems.iter().map(|_| Vec::new()).collect(),
         }
     }
 }
@@ -170,6 +194,14 @@ impl TokenMem for ListMem {
     }
 
     fn right_key(&self, _j: &JoinNode, _wme: &Wme) -> u64 {
+        0
+    }
+
+    fn store_key(&self, _mem: RightMemId, _spec: &RightMemSpec, _wme: &Wme) -> u64 {
+        0
+    }
+
+    fn probe_key(&self, _j: &JoinNode, _token: &Token) -> u64 {
         0
     }
 
@@ -194,12 +226,12 @@ impl TokenMem for ListMem {
         }
     }
 
-    fn insert_right(&mut self, j: &JoinNode, _key: u64, wme: WmeRef) {
-        self.right[j.id as usize].push(wme);
+    fn insert_right(&mut self, mem: RightMemId, _key: u64, wme: WmeRef) {
+        self.right[mem as usize].push(wme);
     }
 
-    fn remove_right(&mut self, j: &JoinNode, _key: u64, wme: &Wme) -> Removed<()> {
-        let mem = &mut self.right[j.id as usize];
+    fn remove_right(&mut self, mem: RightMemId, _key: u64, wme: &Wme) -> Removed<()> {
+        let mem = &mut self.right[mem as usize];
         for (i, w) in mem.iter().enumerate() {
             if w.timetag == wme.timetag {
                 mem.swap_remove(i);
@@ -223,7 +255,7 @@ impl TokenMem for ListMem {
         out: &mut Vec<WmeRef>,
     ) -> ScanStats {
         out.clear();
-        let mem = &self.right[j.id as usize];
+        let mem = &self.right[j.right_mem as usize];
         let ops = j.resolve_left(token);
         for w in mem {
             if j.passes_resolved(&ops, token, w) {
@@ -283,7 +315,7 @@ impl TokenMem for ListMem {
     }
 
     fn count_right(&self, j: &JoinNode, _key: u64, token: &Token) -> (u32, ScanStats) {
-        let mem = &self.right[j.id as usize];
+        let mem = &self.right[j.right_mem as usize];
         let ops = j.resolve_left(token);
         let n = mem
             .iter()
@@ -296,12 +328,12 @@ impl TokenMem for ListMem {
         (n, scan)
     }
 
-    fn left_count(&self, j: &JoinNode) -> u32 {
-        self.left[j.id as usize].len() as u32
+    fn left_count(&self, join: JoinId) -> u32 {
+        self.left[join as usize].len() as u32
     }
 
-    fn right_count(&self, j: &JoinNode) -> u32 {
-        self.right[j.id as usize].len() as u32
+    fn right_count(&self, mem: RightMemId) -> u32 {
+        self.right[mem as usize].len() as u32
     }
 
     fn total_entries(&self) -> usize {
@@ -320,16 +352,15 @@ struct HashLeftEntry {
 }
 
 struct HashRightEntry {
-    join: u32,
+    mem: RightMemId,
     key: u64,
     wme: WmeRef,
 }
 
 /// One line: the same-index buckets of the left and the right table, side
-/// by side. An activation touches both — it inserts into or removes from
-/// one and scans the other — and the table is one allocation: as two
-/// half-size ones, glibc handed the pair back to the OS whenever a served
-/// session closed and the next `OPEN` faulted ~160 pages in again.
+/// by side, so the table is one allocation: as two half-size ones, glibc
+/// handed the pair back to the OS whenever a served session closed and the
+/// next `OPEN` faulted ~160 pages in again.
 #[derive(Default)]
 struct HashLine {
     left: Vec<HashLeftEntry>,
@@ -338,42 +369,44 @@ struct HashLine {
 
 /// vs2 memories: the two global hash tables of §3.2.
 ///
-/// A "line" is the pair of same-index buckets of the left and right tables;
-/// any single node activation touches exactly one line. The bucket index of
-/// an entry is `key & mask`, where the key hashes the join id and the values
-/// covered by the join's equality tests. Each entry stores its key, so
-/// probes compare one cached word before touching token identity.
+/// A "line" is the pair of same-index buckets of the left and right tables.
+/// The bucket index of an entry is `key & mask`. A left entry's key hashes
+/// its join's id and the token's values under the join's equality tests; a
+/// right entry's key hashes its memory's id and the WME's values under the
+/// memory's signature, so the readers of a shared memory all find it on the
+/// one line. Each entry stores its key, so probes compare one cached word
+/// before touching token identity.
 pub struct HashMem {
     lines: Vec<HashLine>,
     mask: u64,
-    /// Per-join entry counts, one slot per join of the network: the
-    /// buckets interleave joins, so per-join emptiness must be maintained,
-    /// not derived.
+    /// Entry counts per join (left) and per right memory (right): the
+    /// buckets interleave memories, so emptiness must be maintained, not
+    /// derived.
     left_counts: Vec<u32>,
     right_counts: Vec<u32>,
 }
 
 #[inline]
-fn bump(counts: &mut [u32], join: u32, delta: i32) {
-    let c = &mut counts[join as usize];
+fn bump(counts: &mut [u32], id: u32, delta: i32) {
+    let c = &mut counts[id as usize];
     if delta > 0 {
         *c += 1;
     } else {
-        debug_assert!(*c > 0, "memory count underflow for join {join}");
+        debug_assert!(*c > 0, "memory count underflow for memory {id}");
         *c -= 1;
     }
 }
 
 impl HashMem {
-    /// Tables for a network of `n_joins` joins (join ids index the per-join
-    /// counters directly, as they index [`ListMem`]'s vectors).
-    pub fn new(cfg: HashMemConfig, n_joins: usize) -> HashMem {
+    /// Tables for `net` (join ids and right-memory ids index the counters
+    /// directly, as they index [`ListMem`]'s vectors).
+    pub fn new(cfg: HashMemConfig, net: &Network) -> HashMem {
         let n = cfg.buckets.next_power_of_two().max(2);
         HashMem {
             lines: (0..n).map(|_| HashLine::default()).collect(),
             mask: (n - 1) as u64,
-            left_counts: vec![0; n_joins],
-            right_counts: vec![0; n_joins],
+            left_counts: vec![0; net.n_joins()],
+            right_counts: vec![0; net.right_mems.len()],
         }
     }
 
@@ -400,6 +433,14 @@ impl TokenMem for HashMem {
 
     fn right_key(&self, j: &JoinNode, wme: &Wme) -> u64 {
         j.right_key(wme)
+    }
+
+    fn store_key(&self, mem: RightMemId, spec: &RightMemSpec, wme: &Wme) -> u64 {
+        fxhash::mix(spec.key(wme), mem as u64)
+    }
+
+    fn probe_key(&self, j: &JoinNode, token: &Token) -> u64 {
+        fxhash::mix(j.shared_key(token), j.right_mem as u64)
     }
 
     fn insert_left(&mut self, j: &JoinNode, key: u64, token: Token, neg_count: u32) {
@@ -438,29 +479,25 @@ impl TokenMem for HashMem {
         }
     }
 
-    fn insert_right(&mut self, j: &JoinNode, key: u64, wme: WmeRef) {
+    fn insert_right(&mut self, mem: RightMemId, key: u64, wme: WmeRef) {
         let b = self.line_of(key);
-        self.lines[b].right.push(HashRightEntry {
-            join: j.id,
-            key,
-            wme,
-        });
-        bump(&mut self.right_counts, j.id, 1);
+        self.lines[b].right.push(HashRightEntry { mem, key, wme });
+        bump(&mut self.right_counts, mem, 1);
     }
 
-    fn remove_right(&mut self, j: &JoinNode, key: u64, wme: &Wme) -> Removed<()> {
+    fn remove_right(&mut self, mem: RightMemId, key: u64, wme: &Wme) -> Removed<()> {
         let b = self.line_of(key);
-        let mem = &mut self.lines[b].right;
+        let line = &mut self.lines[b].right;
         let mut examined = 0u64;
-        for i in 0..mem.len() {
-            let e = &mem[i];
-            if e.join != j.id {
+        for i in 0..line.len() {
+            let e = &line[i];
+            if e.mem != mem {
                 continue;
             }
             examined += 1;
             if e.key == key && e.wme.timetag == wme.timetag {
-                mem.swap_remove(i);
-                bump(&mut self.right_counts, j.id, -1);
+                line.swap_remove(i);
+                bump(&mut self.right_counts, mem, -1);
                 return Removed {
                     entry: Some(()),
                     examined,
@@ -481,11 +518,11 @@ impl TokenMem for HashMem {
         out: &mut Vec<WmeRef>,
     ) -> ScanStats {
         out.clear();
-        let mem = &self.lines[self.line_of(key)].right;
+        let line = &self.lines[self.line_of(key)].right;
         let ops = j.resolve_left(token);
         let mut examined = 0u64;
-        for e in mem {
-            if e.join != j.id {
+        for e in line {
+            if e.mem != j.right_mem {
                 continue;
             }
             examined += 1;
@@ -557,12 +594,12 @@ impl TokenMem for HashMem {
     }
 
     fn count_right(&self, j: &JoinNode, key: u64, token: &Token) -> (u32, ScanStats) {
-        let mem = &self.lines[self.line_of(key)].right;
+        let line = &self.lines[self.line_of(key)].right;
         let ops = j.resolve_left(token);
         let mut n = 0u32;
         let mut examined = 0u64;
-        for e in mem {
-            if e.join != j.id {
+        for e in line {
+            if e.mem != j.right_mem {
                 continue;
             }
             examined += 1;
@@ -577,12 +614,12 @@ impl TokenMem for HashMem {
         (n, scan)
     }
 
-    fn left_count(&self, j: &JoinNode) -> u32 {
-        self.left_counts[j.id as usize]
+    fn left_count(&self, join: JoinId) -> u32 {
+        self.left_counts[join as usize]
     }
 
-    fn right_count(&self, j: &JoinNode) -> u32 {
-        self.right_counts[j.id as usize]
+    fn right_count(&self, mem: RightMemId) -> u32 {
+        self.right_counts[mem as usize]
     }
 
     fn total_entries(&self) -> usize {
@@ -605,60 +642,65 @@ mod tests {
         (prog, net)
     }
 
-    fn run_common(mem: &mut dyn TokenMem) {
+    fn both(net: &Network, buckets: usize) -> [Box<dyn TokenMem>; 2] {
+        [
+            Box::new(ListMem::new(net)),
+            Box::new(HashMem::new(HashMemConfig { buckets }, net)),
+        ]
+    }
+
+    /// Stores `w` in the right memory join `j` reads.
+    fn store(mem: &mut dyn TokenMem, net: &Network, j: &JoinNode, w: &WmeRef) -> u64 {
+        let spec = &net.right_mems[j.right_mem as usize];
+        let key = mem.store_key(j.right_mem, spec, w);
+        mem.insert_right(j.right_mem, key, w.clone());
+        key
+    }
+
+    #[test]
+    fn insert_scan_remove_on_both_kinds() {
         let (mut prog, net) = setup();
         let ca = prog.symbols.intern("a");
         let cb = prog.symbols.intern("b");
-        let j = net.join(0).clone();
+        let j = net.join(0);
+        for mut mem in both(&net, 8) {
+            let mem = mem.as_mut();
+            let wa = Wme::new(ca, vec![Value::Int(1)], 1);
+            let wb1 = Wme::new(cb, vec![Value::Int(1)], 2);
+            let wb2 = Wme::new(cb, vec![Value::Int(2)], 3);
+            let tok = Token::single(wa);
 
-        let wa = Wme::new(ca, vec![Value::Int(1)], 1);
-        let wb1 = Wme::new(cb, vec![Value::Int(1)], 2);
-        let wb2 = Wme::new(cb, vec![Value::Int(2)], 3);
-        let tok = Token::single(wa);
+            let lk = mem.left_key(j, &tok);
+            mem.insert_left(j, lk, tok.clone(), 0);
+            store(mem, &net, j, &wb1);
+            let k2 = store(mem, &net, j, &wb2);
 
-        let lk = mem.left_key(&j, &tok);
-        mem.insert_left(&j, lk, tok.clone(), 0);
-        mem.insert_right(&j, mem.right_key(&j, &wb1), wb1.clone());
-        mem.insert_right(&j, mem.right_key(&j, &wb2), wb2.clone());
+            // Left scan finds only the matching wme.
+            let mut wmes = Vec::new();
+            let s = mem.scan_right(j, mem.probe_key(j, &tok), &tok, &mut wmes);
+            assert_eq!(wmes.len(), 1);
+            assert_eq!(wmes[0].timetag, 2);
+            assert!(s.nonempty);
 
-        // Left scan finds only the matching wme.
-        let mut wmes = Vec::new();
-        let s = mem.scan_right(&j, lk, &tok, &mut wmes);
-        assert_eq!(wmes.len(), 1);
-        assert_eq!(wmes[0].timetag, 2);
-        assert!(s.nonempty);
+            // Right scan from the matching wme finds the token.
+            let mut toks = Vec::new();
+            mem.scan_left(j, mem.right_key(j, &wb1), &wb1, &mut toks);
+            assert_eq!(toks.len(), 1);
+            // Right scan from the non-matching wme finds nothing.
+            mem.scan_left(j, mem.right_key(j, &wb2), &wb2, &mut toks);
+            assert_eq!(toks.len(), 0);
 
-        // Right scan from the matching wme finds the token.
-        let mut toks = Vec::new();
-        mem.scan_left(&j, mem.right_key(&j, &wb1), &wb1, &mut toks);
-        assert_eq!(toks.len(), 1);
-        // Right scan from the non-matching wme finds nothing.
-        mem.scan_left(&j, mem.right_key(&j, &wb2), &wb2, &mut toks);
-        assert_eq!(toks.len(), 0);
+            // Delete the token; second delete fails.
+            let r = mem.remove_left(j, lk, &tok);
+            assert_eq!(r.entry, Some(0));
+            let r = mem.remove_left(j, lk, &tok);
+            assert!(r.entry.is_none());
 
-        // Delete the token; second delete fails.
-        let r = mem.remove_left(&j, lk, &tok);
-        assert_eq!(r.entry, Some(0));
-        let r = mem.remove_left(&j, lk, &tok);
-        assert!(r.entry.is_none());
-
-        // Delete a right wme.
-        let r = mem.remove_right(&j, mem.right_key(&j, &wb2), &wb2);
-        assert!(r.entry.is_some());
-        assert_eq!(mem.total_entries(), 1);
-    }
-
-    #[test]
-    fn list_mem_basics() {
-        let (_, net) = setup();
-        let mut mem = ListMem::new(net.n_joins());
-        run_common(&mut mem);
-    }
-
-    #[test]
-    fn hash_mem_basics() {
-        let mut mem = HashMem::new(HashMemConfig { buckets: 8 }, 1);
-        run_common(&mut mem);
+            // Delete a right wme.
+            let r = mem.remove_right(j.right_mem, k2, &wb2);
+            assert!(r.entry.is_some());
+            assert_eq!(mem.total_entries(), 1);
+        }
     }
 
     #[test]
@@ -666,22 +708,20 @@ mod tests {
         let (mut prog, net) = setup();
         let ca = prog.symbols.intern("a");
         let cb = prog.symbols.intern("b");
-        let j = net.join(0).clone();
-
-        let mut list = ListMem::new(net.n_joins());
-        let mut hash = HashMem::new(HashMemConfig { buckets: 256 }, net.n_joins());
+        let j = net.join(0);
+        let [mut list, mut hash] = both(&net, 256);
 
         // 100 right wmes with distinct join values.
         for i in 0..100 {
             let w = Wme::new(cb, vec![Value::Int(i)], 10 + i as u64);
-            list.insert_right(&j, list.right_key(&j, &w), w.clone());
-            hash.insert_right(&j, hash.right_key(&j, &w), w);
+            store(list.as_mut(), &net, j, &w);
+            store(hash.as_mut(), &net, j, &w);
         }
         let tok = Token::single(Wme::new(ca, vec![Value::Int(5)], 1));
         let mut out = Vec::new();
-        let sl = list.scan_right(&j, list.left_key(&j, &tok), &tok, &mut out);
+        let sl = list.scan_right(j, list.probe_key(j, &tok), &tok, &mut out);
         assert_eq!(out.len(), 1);
-        let sh = hash.scan_right(&j, hash.left_key(&j, &tok), &tok, &mut out);
+        let sh = hash.scan_right(j, hash.probe_key(j, &tok), &tok, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(sl.examined, 100, "vs1 examines the whole opposite memory");
         assert!(
@@ -691,92 +731,128 @@ mod tests {
         );
     }
 
+    /// One stored WME serves every reader of its memory, under each
+    /// reader's own tests; a memory of another signature never sees it.
+    #[test]
+    fn a_right_entry_is_shared_by_the_readers_of_its_memory() {
+        let mut prog = Program::from_source(
+            "(p p1 (a ^x <v>) (b ^y <v>) --> (halt))
+             (p p2 (c ^x <v> ^k <w>) (b ^y <v> ^z > <w>) --> (halt))
+             (p p3 (a ^x <v>) (b ^z <v>) --> (halt))",
+        )
+        .unwrap();
+        let net = Network::compile(&prog).unwrap();
+        let [ca, cb, cc] = ["a", "b", "c"].map(|s| prog.symbols.intern(s));
+        let (j1, j2, j3) = (net.join(0), net.join(1), net.join(2));
+        assert_eq!(j1.right_mem, j2.right_mem, "same pattern, same signature");
+        assert_ne!(j1.right_mem, j3.right_mem, "another signature");
+        for mut mem in both(&net, 8) {
+            let mem = mem.as_mut();
+            // Both pass p1's test (y = v); only `hi` passes p2's z > w too.
+            let hi = Wme::new(cb, vec![Value::Int(1), Value::Int(7)], 1);
+            let lo = Wme::new(cb, vec![Value::Int(1), Value::Int(0)], 2);
+            let key = store(mem, &net, j1, &hi);
+            store(mem, &net, j1, &lo);
+            assert_eq!(mem.total_entries(), 2);
+            assert_eq!(mem.right_count(j1.right_mem), 2);
+            assert_eq!(mem.right_count(j3.right_mem), 0);
+
+            let ta = Token::single(Wme::new(ca, vec![Value::Int(1)], 3));
+            let tc = Token::single(Wme::new(cc, vec![Value::Int(1), Value::Int(1)], 4));
+            let mut out = Vec::new();
+            mem.scan_right(j1, mem.probe_key(j1, &ta), &ta, &mut out);
+            assert_eq!(out.len(), 2, "{}: p1 reads both", mem.kind_name());
+            mem.scan_right(j2, mem.probe_key(j2, &tc), &tc, &mut out);
+            assert_eq!(out.len(), 1, "{}: p2 applies its own test", mem.kind_name());
+            assert_eq!(out[0].timetag, 1);
+            let (n, _) = mem.count_right(j2, mem.probe_key(j2, &tc), &tc);
+            assert_eq!(n, 1);
+
+            assert!(mem.remove_right(j1.right_mem, key, &hi).entry.is_some());
+            assert_eq!(mem.total_entries(), 1);
+            mem.scan_right(j2, mem.probe_key(j2, &tc), &tc, &mut out);
+            assert!(out.is_empty(), "one remove retires it for every reader");
+        }
+    }
+
     #[test]
     fn neg_count_transitions() {
         // Not-node counters: insert two matching right wmes, remove them.
-        let (mut prog, _) = setup();
-        // Build a negated join by hand: reuse join 0's tests but negated.
-        let prog2 = Program::from_source("(p q (a ^x <v>) - (b ^y <v>) --> (halt))").unwrap();
-        let net2 = Network::compile(&prog2).unwrap();
-        let j = net2.join(0).clone();
+        let mut prog = Program::from_source("(p q (a ^x <v>) - (b ^y <v>) --> (halt))").unwrap();
+        let net = Network::compile(&prog).unwrap();
+        let j = net.join(0);
         assert!(j.negated);
 
         let ca = prog.symbols.intern("a");
         let cb = prog.symbols.intern("b");
-        let mut mem = HashMem::new(HashMemConfig { buckets: 8 }, net2.n_joins());
+        let mut mem = HashMem::new(HashMemConfig { buckets: 8 }, &net);
         let tok = Token::single(Wme::new(ca, vec![Value::Int(1)], 1));
-        mem.insert_left(&j, mem.left_key(&j, &tok), tok.clone(), 0);
+        mem.insert_left(j, mem.left_key(j, &tok), tok.clone(), 0);
 
         let wb = Wme::new(cb, vec![Value::Int(1)], 2);
         let wb2 = Wme::new(cb, vec![Value::Int(1)], 3);
-        let kb = mem.right_key(&j, &wb);
-        let kb2 = mem.right_key(&j, &wb2);
+        let kb = mem.right_key(j, &wb);
+        let kb2 = mem.right_key(j, &wb2);
 
         let mut crossed = Vec::new();
         // 0 -> 1 crossing reported once.
-        mem.adjust_left_counts(&j, kb, &wb, 1, &mut crossed);
+        mem.adjust_left_counts(j, kb, &wb, 1, &mut crossed);
         assert_eq!(crossed.len(), 1);
         // 1 -> 2: no crossing.
-        mem.adjust_left_counts(&j, kb2, &wb2, 1, &mut crossed);
+        mem.adjust_left_counts(j, kb2, &wb2, 1, &mut crossed);
         assert_eq!(crossed.len(), 0);
         // 2 -> 1: no crossing.
-        mem.adjust_left_counts(&j, kb2, &wb2, -1, &mut crossed);
+        mem.adjust_left_counts(j, kb2, &wb2, -1, &mut crossed);
         assert_eq!(crossed.len(), 0);
         // 1 -> 0: crossing.
-        mem.adjust_left_counts(&j, kb, &wb, -1, &mut crossed);
+        mem.adjust_left_counts(j, kb, &wb, -1, &mut crossed);
         assert_eq!(crossed.len(), 1);
     }
 
     #[test]
-    fn per_join_counts_track_inserts_and_removes() {
+    fn counts_track_inserts_and_removes() {
         let (mut prog, net) = setup();
         let ca = prog.symbols.intern("a");
         let cb = prog.symbols.intern("b");
-        let j = net.join(0).clone();
-        for mem in [
-            Box::new(ListMem::new(net.n_joins())) as Box<dyn TokenMem>,
-            Box::new(HashMem::new(HashMemConfig { buckets: 8 }, net.n_joins())),
-        ]
-        .iter_mut()
-        {
-            assert_eq!(mem.left_count(&j), 0);
-            assert_eq!(mem.right_count(&j), 0);
+        let j = net.join(0);
+        for mut mem in both(&net, 8) {
+            let mem = mem.as_mut();
+            assert_eq!(mem.left_count(j.id), 0);
+            assert_eq!(mem.right_count(j.right_mem), 0);
             let tok = Token::single(Wme::new(ca, vec![Value::Int(1)], 1));
-            let lk = mem.left_key(&j, &tok);
-            mem.insert_left(&j, lk, tok.clone(), 0);
-            assert_eq!(mem.left_count(&j), 1);
+            let lk = mem.left_key(j, &tok);
+            mem.insert_left(j, lk, tok.clone(), 0);
+            assert_eq!(mem.left_count(j.id), 1);
             let wb = Wme::new(cb, vec![Value::Int(1)], 2);
-            let rk = mem.right_key(&j, &wb);
-            mem.insert_right(&j, rk, wb.clone());
-            mem.insert_right(&j, rk, wb.clone());
-            assert_eq!(mem.right_count(&j), 2);
-            mem.remove_right(&j, rk, &wb);
-            assert_eq!(mem.right_count(&j), 1);
-            mem.remove_left(&j, lk, &tok);
-            assert_eq!(mem.left_count(&j), 0);
+            let rk = store(mem, &net, j, &wb);
+            store(mem, &net, j, &wb);
+            assert_eq!(mem.right_count(j.right_mem), 2);
+            mem.remove_right(j.right_mem, rk, &wb);
+            assert_eq!(mem.right_count(j.right_mem), 1);
+            mem.remove_left(j, lk, &tok);
+            assert_eq!(mem.left_count(j.id), 0);
             // A failed remove must not disturb the count.
-            mem.remove_left(&j, lk, &tok);
-            assert_eq!(mem.left_count(&j), 0);
+            mem.remove_left(j, lk, &tok);
+            assert_eq!(mem.left_count(j.id), 0);
         }
     }
 
     #[test]
     fn cross_product_join_shares_one_line() {
         // No eq tests: every token of the join lands in the same line.
-        let prog = Program::from_source("(p q (a ^x <v>) (b ^y <w>) --> (halt))").unwrap();
+        let mut prog = Program::from_source("(p q (a ^x <v>) (b ^y <w>) --> (halt))").unwrap();
         let net = Network::compile(&prog).unwrap();
-        let j = net.join(0).clone();
-        let mut prog = prog;
+        let j = net.join(0);
         let cb = prog.symbols.intern("b");
-        let mut mem = HashMem::new(HashMemConfig { buckets: 256 }, net.n_joins());
+        let mut mem = HashMem::new(HashMemConfig { buckets: 256 }, &net);
         for i in 0..50 {
             let w = Wme::new(cb, vec![Value::Int(i)], i as u64 + 1);
-            mem.insert_right(&j, mem.right_key(&j, &w), w);
+            store(&mut mem, &net, j, &w);
         }
         let ca = prog.symbols.intern("a");
         let tok = Token::single(Wme::new(ca, vec![Value::Int(0)], 100));
         let mut out = Vec::new();
-        let s = mem.scan_right(&j, mem.left_key(&j, &tok), &tok, &mut out);
+        let s = mem.scan_right(j, mem.probe_key(j, &tok), &tok, &mut out);
         assert_eq!(out.len(), 50, "cross-product matches everything");
         assert_eq!(
             s.examined, 50,

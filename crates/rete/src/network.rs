@@ -15,8 +15,10 @@
 //! Beside the paper's per-join memories the compiler also records which
 //! joins *could* read one right memory: [`RightMemSpec`] groups the right
 //! inputs of an alpha pattern by the fields their equality tests hash
-//! ([`JoinNode::right_mem`]). The paper matchers ignore it (footnote 6
-//! stands for them); `col` stores each WME once per group.
+//! ([`JoinNode::right_mem`]). psm, `psm::trace` and lispsim ignore it
+//! (footnote 6 stands for them, and for the tables and traces built on
+//! them); vs1, vs2 and `col` store each WME once per group and never run
+//! a reader whose left memory is empty.
 //!
 //! With [`NetworkOptions::sharing`] enabled (off by default — the paper's
 //! configuration keeps the chains linear), identical join-chain *prefixes*
@@ -160,7 +162,8 @@ pub struct JoinNode {
     pub tests: Box<[JoinTest]>,
     pub eq_specs: Box<[EqSpec]>,
     /// The shared right memory whose signature is this join's `eq_specs`
-    /// right fields (read by `col` only).
+    /// right fields (read by vs1, vs2 and `col`; psm, `psm::trace` and
+    /// lispsim keep a private one per join).
     pub right_mem: RightMemId,
     pub succs: Vec<Succ>,
 }
@@ -311,11 +314,12 @@ pub struct NetworkSummary {
     pub joins: usize,
     /// Join constructions that reused an existing join (0 with sharing off).
     pub shared_prefixes: usize,
-    /// The paper matchers' coalesced token memories: one left + one right
-    /// memory per join (footnote 6: not shared across productions).
+    /// The paper's coalesced token memories: one left + one right memory
+    /// per join (footnote 6: not shared across productions) — what psm,
+    /// `psm::trace` and lispsim keep.
     pub memory_nodes: usize,
-    /// Right memories `col` keeps instead of one per join: one per
-    /// (alpha pattern, equality signature).
+    /// Right memories vs1, vs2 and `col` keep instead of one per join: one
+    /// per (alpha pattern, equality signature).
     pub right_memories: usize,
     pub terminals: usize,
 }
@@ -324,7 +328,7 @@ impl std::fmt::Display for NetworkSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "network: {} classes, {} alpha patterns, {} joins ({} shared prefixes), {} memory nodes ({} right memories under col), {} terminals",
+            "network: {} classes, {} alpha patterns, {} joins ({} shared prefixes), {} memory nodes ({} shared right memories), {} terminals",
             self.classes,
             self.alpha_patterns,
             self.joins,

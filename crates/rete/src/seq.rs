@@ -5,9 +5,37 @@
 //! stack; each activation updates the memories and schedules successor
 //! activations, exactly the task structure the parallel matcher distributes
 //! across match processes.
+//!
+//! Where it departs from the paper: a right memory belongs to the network,
+//! not to a join ([`Network::right_mems`], one per alpha pattern × equality
+//! signature), so a WME change is stored **once** per memory and only the
+//! readers that can pair with something are activated. Per change:
+//!
+//! 1. the passing patterns' alpha-direct left tokens and terminals go to the
+//!    *bottom* of the agenda;
+//! 2. every right memory of a passing pattern takes the change, all its
+//!    readers are booked as join activations, the ones whose left memory is
+//!    empty are retired as `null_skipped`, and the live ones run their
+//!    right activation in ascending join order — no own-side insert, against
+//!    left memories nothing of this change has touched yet;
+//! 3. the agenda drains.
+//!
+//! That order is what makes one shared memory equivalent to a private one
+//! per join. Every right activation of a change runs before any left
+//! activation of it and sees the change already applied, so a pair whose
+//! two sides arrive in the same change (a self-join; a join downstream of
+//! another reader of the same memory) is found by the left activation and
+//! only by it. The stack pops the highest reader's emissions first and the
+//! alpha-direct tokens last, so whatever a right activation sent below a
+//! join gets there before anything this change sends through the join's
+//! left input: a not-node that lets a token through because its blocker is
+//! leaving, when the token is leaving too, passes the `+` on before the `-`.
+//! It is the per-join kernel's result with the right activations taken in
+//! descending join order — successors are always forward, so a reader's
+//! left memory cannot change before its turn — and every dead one dropped.
 
 use crate::memory::{HashMem, HashMemConfig, ListMem, ScanStats, TokenMem};
-use crate::network::{AlphaSucc, JoinId, Network, Succ};
+use crate::network::{AlphaPatternId, AlphaSucc, JoinId, Network, RightMemId, Succ};
 use crate::token::Token;
 use ops5::{
     ChangeBatch, CsChange, Instantiation, MatchStats, Matcher, ProdId, QuiesceReport, Sign,
@@ -15,18 +43,14 @@ use ops5::{
 };
 use std::sync::Arc;
 
-/// One schedulable unit of match work (§3.1: a node activation).
+/// One schedulable unit of match work (§3.1: a node activation). Right
+/// activations never wait on the agenda: they run as their memory changes.
 #[derive(Debug, Clone)]
 pub enum Task {
     Left {
         join: JoinId,
         sign: Sign,
         token: Token,
-    },
-    Right {
-        join: JoinId,
-        sign: Sign,
-        wme: WmeRef,
     },
     Terminal {
         prod: ProdId,
@@ -83,8 +107,8 @@ impl BufferedProfile {
 }
 
 /// What the kernel counts: [`MatchStats`] plus the optional per-join
-/// profile. One field of the matcher, so an activation can book its work
-/// while it holds a node borrowed from `net`.
+/// profile. One field of the kernel, so an activation can book its work
+/// while it holds a node borrowed from the network.
 struct Tally {
     stats: MatchStats,
     /// `None` (the default) keeps the hot path free of recording.
@@ -101,7 +125,19 @@ impl Tally {
         }
     }
 
-    /// An activation whose opposite memory is empty network-wide: the scan
+    /// A memory change delivered to all of its readers, dead ones included.
+    #[inline]
+    fn right_activations(&mut self, readers: &[JoinId]) {
+        self.stats.activations += readers.len() as u64;
+        self.stats.join_activations += readers.len() as u64;
+        if let Some(p) = &mut self.profile {
+            for &join in readers {
+                p.record_activation(join as usize);
+            }
+        }
+    }
+
+    /// A left activation whose right memory is empty network-wide: the scan
     /// would examine nothing and emit nothing, so none is made. `unlinking`
     /// only selects which counter the activation lands in.
     #[inline]
@@ -134,33 +170,46 @@ impl Tally {
     }
 }
 
-/// Sequential Rete matcher over a pluggable memory implementation.
-pub struct SeqMatcher<M: TokenMem> {
-    net: Arc<Network>,
+/// Everything a match mutates. The network it walks is passed in, so
+/// [`SeqMatcher`] lends out `net` and `kernel` as two disjoint fields and a
+/// submit never touches the `Arc`'s count — a cache line every session of
+/// one compiled program shares.
+struct Kernel<M> {
     mem: M,
     agenda: Vec<Task>,
     out: Vec<CsChange>,
     tally: Tally,
-    delta: StatsDeltaTracker,
+    /// The live readers of the change in flight (step 2), ascending.
+    live: Vec<JoinId>,
     /// Reusable scan buffers: a steady-state activation allocates nothing.
     scratch_wmes: Vec<WmeRef>,
     scratch_tokens: Vec<Token>,
+}
+
+/// Sequential Rete matcher over a pluggable memory implementation.
+pub struct SeqMatcher<M: TokenMem> {
+    net: Arc<Network>,
+    kernel: Kernel<M>,
+    delta: StatsDeltaTracker,
 }
 
 impl<M: TokenMem> SeqMatcher<M> {
     fn over(net: Arc<Network>, mem: M) -> Self {
         SeqMatcher {
             net,
-            mem,
-            agenda: Vec::new(),
-            out: Vec::new(),
-            tally: Tally {
-                stats: MatchStats::default(),
-                profile: None,
+            kernel: Kernel {
+                mem,
+                agenda: Vec::new(),
+                out: Vec::new(),
+                tally: Tally {
+                    stats: MatchStats::default(),
+                    profile: None,
+                },
+                live: Vec::new(),
+                scratch_wmes: Vec::new(),
+                scratch_tokens: Vec::new(),
             },
             delta: StatsDeltaTracker::default(),
-            scratch_wmes: Vec::new(),
-            scratch_tokens: Vec::new(),
         }
     }
 }
@@ -168,7 +217,7 @@ impl<M: TokenMem> SeqMatcher<M> {
 impl SeqMatcher<ListMem> {
     /// vs1: linear-list memories.
     pub fn vs1(net: Arc<Network>) -> Self {
-        let mem = ListMem::new(net.n_joins());
+        let mem = ListMem::new(&net);
         SeqMatcher::over(net, mem)
     }
 }
@@ -176,7 +225,7 @@ impl SeqMatcher<ListMem> {
 impl SeqMatcher<HashMem> {
     /// vs2: global hash-table memories.
     pub fn vs2(net: Arc<Network>, cfg: HashMemConfig) -> Self {
-        let mem = HashMem::new(cfg, net.n_joins());
+        let mem = HashMem::new(cfg, &net);
         SeqMatcher::over(net, mem)
     }
 }
@@ -191,9 +240,9 @@ pub fn boxed_vs2(net: Arc<Network>, cfg: HashMemConfig) -> Box<dyn Matcher> {
 }
 
 /// Schedules a join output to every successor (free function so scan-buffer
-/// drains can push while the buffer is borrowed from `self`). With sharing
-/// off every join has exactly one successor; with it on a shared join fans
-/// the token out to each consumer (token clones are `Arc` bumps).
+/// drains can push while the buffer is borrowed from the kernel). With
+/// sharing off every join has exactly one successor; with it on a shared
+/// join fans the token out to each consumer (token clones are `Arc` bumps).
 fn push_succs(agenda: &mut Vec<Task>, succs: &[Succ], token: &Token, sign: Sign) {
     for succ in succs {
         match *succ {
@@ -211,21 +260,114 @@ fn push_succs(agenda: &mut Vec<Task>, succs: &[Succ], token: &Token, sign: Sign)
     }
 }
 
-impl<M: TokenMem + Send> SeqMatcher<M> {
-    /// One node activation. The node is borrowed from the shared network
-    /// for the whole activation — `net`, `mem`, `agenda`, `tally` and the
-    /// scratch buffers are disjoint fields — and nothing here allocates
-    /// beyond what the memories and the agenda have to keep.
-    fn run_task(&mut self, task: Task) {
-        let unlinking = self.net.options.unlinking;
+impl<M: TokenMem> Kernel<M> {
+    /// One WME change against its class's patterns, start to quiescence
+    /// (module docs, steps 1-3).
+    fn change(&mut self, net: &Network, pats: &[AlphaPatternId], wme: &WmeRef, sign: Sign) {
+        debug_assert!(self.agenda.is_empty() && self.live.is_empty());
+        for &pid in pats {
+            let pat = net.pattern(pid);
+            if !pat.tests.iter().all(|t| t.passes(wme)) {
+                continue;
+            }
+            for succ in &pat.succs {
+                match *succ {
+                    AlphaSucc::JoinLeft(join) => self.agenda.push(Task::Left {
+                        join,
+                        sign,
+                        token: Token::single(wme.clone()),
+                    }),
+                    // Served through the pattern's right memories below.
+                    AlphaSucc::JoinRight(_) => {}
+                    AlphaSucc::Terminal(prod) => self.agenda.push(Task::Terminal {
+                        prod,
+                        sign,
+                        token: Token::single(wme.clone()),
+                    }),
+                }
+            }
+            for &mem in &pat.right_mems {
+                self.store(net, mem, wme, sign);
+            }
+        }
+        // Each memory lists its readers in ascending order, so this only
+        // has work to do when live readers come from several memories.
+        self.live.sort_unstable();
+        for i in 0..self.live.len() {
+            self.right_activation(net, self.live[i], wme, sign);
+        }
+        self.live.clear();
+        while let Some(task) = self.agenda.pop() {
+            self.run_task(net, task);
+        }
+    }
+
+    /// Applies a change to one right memory, once, and sorts its readers
+    /// into the dead (retired here, never run: with an empty left memory a
+    /// reader has nothing to pair or count-adjust) and the live.
+    fn store(&mut self, net: &Network, mem: RightMemId, wme: &WmeRef, sign: Sign) {
+        let spec = &net.right_mems[mem as usize];
+        let key = self.mem.store_key(mem, spec, wme);
+        match sign {
+            Sign::Plus => self.mem.insert_right(mem, key, wme.clone()),
+            Sign::Minus => {
+                let r = self.mem.remove_right(mem, key, wme);
+                self.tally.stats.same_tokens_right += r.examined;
+                self.tally.stats.same_searches_right += 1;
+                debug_assert!(r.entry.is_some(), "sequential delete must find its wme");
+            }
+        }
+        self.tally.right_activations(&spec.readers);
+        let mut dead = 0;
+        for &join in &spec.readers {
+            if self.mem.left_count(join) == 0 {
+                dead += 1;
+            } else {
+                self.live.push(join);
+            }
+        }
+        self.tally.stats.null_skipped += dead;
+    }
+
+    /// The right activation of a live reader: the change is already in (or
+    /// out of) the memory it shares, so only the left scan remains.
+    fn right_activation(&mut self, net: &Network, join: JoinId, wme: &WmeRef, sign: Sign) {
+        let j = net.join(join);
+        let key = self.mem.right_key(j, wme);
+        if !j.negated {
+            let scan = self.mem.scan_left(j, key, wme, &mut self.scratch_tokens);
+            self.tally.scan_from_right(join, scan);
+            for t in self.scratch_tokens.drain(..) {
+                push_succs(&mut self.agenda, &j.succs, &t.extended(wme.clone()), sign);
+            }
+        } else {
+            // Not-node: a new blocker takes the support of the tokens it
+            // moves 0→1, a removed one returns it to those it moves 1→0.
+            let delta = match sign {
+                Sign::Plus => 1,
+                Sign::Minus => -1,
+            };
+            let scan = self
+                .mem
+                .adjust_left_counts(j, key, wme, delta, &mut self.scratch_tokens);
+            self.tally.scan_from_right(join, scan);
+            for t in self.scratch_tokens.drain(..) {
+                push_succs(&mut self.agenda, &j.succs, &t, sign.flip());
+            }
+        }
+    }
+
+    /// One left or terminal activation. The node is borrowed from the
+    /// network for the whole activation and nothing here allocates beyond
+    /// what the memories and the agenda have to keep.
+    fn run_task(&mut self, net: &Network, task: Task) {
+        let unlinking = net.options.unlinking;
         match task {
             Task::Left { join, sign, token } => {
                 self.tally.join_activation(join);
-                let j = self.net.join(join);
-                // One key per activation: the same key addresses the remove
-                // or insert and the opposite-memory scan.
+                let j = net.join(join);
                 let key = self.mem.left_key(j, &token);
-                let opp_empty = self.mem.right_count(j) == 0;
+                let opp_empty = self.mem.right_count(j.right_mem) == 0;
                 match (j.negated, sign) {
                     (false, _) => {
                         match sign {
@@ -243,7 +385,10 @@ impl<M: TokenMem + Send> SeqMatcher<M> {
                         if opp_empty {
                             self.tally.null(unlinking);
                         } else {
-                            let scan = self.mem.scan_right(j, key, &token, &mut self.scratch_wmes);
+                            let probe = self.mem.probe_key(j, &token);
+                            let scan =
+                                self.mem
+                                    .scan_right(j, probe, &token, &mut self.scratch_wmes);
                             self.tally.scan_from_left(join, scan);
                             for w in self.scratch_wmes.drain(..) {
                                 push_succs(&mut self.agenda, &j.succs, &token.extended(w), sign);
@@ -256,7 +401,8 @@ impl<M: TokenMem + Send> SeqMatcher<M> {
                             self.tally.null(unlinking);
                             0
                         } else {
-                            let (n, scan) = self.mem.count_right(j, key, &token);
+                            let probe = self.mem.probe_key(j, &token);
+                            let (n, scan) = self.mem.count_right(j, probe, &token);
                             self.tally.scan_from_left(join, scan);
                             n
                         };
@@ -269,50 +415,10 @@ impl<M: TokenMem + Send> SeqMatcher<M> {
                         let r = self.mem.remove_left(j, key, &token);
                         self.tally.stats.same_tokens_left += r.examined;
                         self.tally.stats.same_searches_left += 1;
+                        debug_assert!(r.entry.is_some(), "sequential delete must find its token");
                         if r.entry == Some(0) {
                             push_succs(&mut self.agenda, &j.succs, &token, Sign::Minus);
                         }
-                    }
-                }
-            }
-            Task::Right { join, sign, wme } => {
-                self.tally.join_activation(join);
-                let j = self.net.join(join);
-                let key = self.mem.right_key(j, &wme);
-                // An empty left memory means no token can pair with (or be
-                // count-adjusted by) this WME.
-                let opp_empty = self.mem.left_count(j) == 0;
-                match sign {
-                    Sign::Plus => self.mem.insert_right(j, key, wme.clone()),
-                    Sign::Minus => {
-                        let r = self.mem.remove_right(j, key, &wme);
-                        self.tally.stats.same_tokens_right += r.examined;
-                        self.tally.stats.same_searches_right += 1;
-                        debug_assert!(r.entry.is_some(), "sequential delete must find its wme");
-                    }
-                }
-                if opp_empty {
-                    self.tally.null(unlinking);
-                } else if !j.negated {
-                    let scan = self.mem.scan_left(j, key, &wme, &mut self.scratch_tokens);
-                    self.tally.scan_from_right(join, scan);
-                    for t in self.scratch_tokens.drain(..) {
-                        push_succs(&mut self.agenda, &j.succs, &t.extended(wme.clone()), sign);
-                    }
-                } else {
-                    // Not-node: a new blocker takes the support of the tokens
-                    // it moves 0→1, a removed one returns it to those it
-                    // moves 1→0.
-                    let delta = match sign {
-                        Sign::Plus => 1,
-                        Sign::Minus => -1,
-                    };
-                    let scan =
-                        self.mem
-                            .adjust_left_counts(j, key, &wme, delta, &mut self.scratch_tokens);
-                    self.tally.scan_from_right(join, scan);
-                    for t in self.scratch_tokens.drain(..) {
-                        push_succs(&mut self.agenda, &j.succs, &t, sign.flip());
                     }
                 }
             }
@@ -327,13 +433,9 @@ impl<M: TokenMem + Send> SeqMatcher<M> {
             }
         }
     }
+}
 
-    fn drain(&mut self) {
-        while let Some(t) = self.agenda.pop() {
-            self.run_task(t);
-        }
-    }
-
+impl<M: TokenMem> SeqMatcher<M> {
     /// Direct access to the network (tests, tooling).
     pub fn network(&self) -> &Arc<Network> {
         &self.net
@@ -341,94 +443,67 @@ impl<M: TokenMem + Send> SeqMatcher<M> {
 
     /// Total memory entries (invariant checks in tests).
     pub fn memory_entries(&self) -> usize {
-        self.mem.total_entries()
+        self.kernel.mem.total_entries()
     }
 }
 
 impl<M: TokenMem + Send> Matcher for SeqMatcher<M> {
     fn submit(&mut self, batch: &ChangeBatch) {
+        let (net, k) = (&*self.net, &mut self.kernel);
         // Pairs already annihilated inside the batch never reach the
         // network; account for them like the parallel matcher does.
-        self.tally.stats.conjugate_pairs += batch.annihilated();
-        // `drain` needs `&mut self` between changes, so the alpha walk reads
-        // the network through its own handle: one refcount bump per batch.
-        let net = Arc::clone(&self.net);
+        k.tally.stats.conjugate_pairs += batch.annihilated();
         for (class, group) in batch.groups() {
             // One grouped constant-test task per class (§3.1): the
             // pattern chain for the class is resolved once per *group*,
             // then every change in the group is tested against it.
-            self.tally.stats.alpha_activations += 1;
-            self.tally.stats.wme_changes += group.len() as u64;
+            k.tally.stats.alpha_activations += 1;
+            k.tally.stats.wme_changes += group.len() as u64;
             let pats = net.patterns_for_class(class);
+            // Each change's cascade completes before the next change's
+            // begins: the sequential memories rely on the
+            // one-change-at-a-time discipline (no conjugate-pair parking
+            // here, unlike the parallel matcher).
             for change in group {
-                let (wme, sign) = (&change.wme, change.sign);
-                for &pid in pats {
-                    let pat = net.pattern(pid);
-                    if !pat.tests.iter().all(|t| t.passes(wme)) {
-                        continue;
-                    }
-                    for succ in &pat.succs {
-                        self.agenda.push(match *succ {
-                            AlphaSucc::JoinLeft(join) => Task::Left {
-                                join,
-                                sign,
-                                token: Token::single(wme.clone()),
-                            },
-                            AlphaSucc::JoinRight(join) => Task::Right {
-                                join,
-                                sign,
-                                wme: wme.clone(),
-                            },
-                            AlphaSucc::Terminal(prod) => Task::Terminal {
-                                prod,
-                                sign,
-                                token: Token::single(wme.clone()),
-                            },
-                        });
-                    }
-                }
-                // Each change's beta cascade completes before the next
-                // change's begins: the sequential memories rely on the
-                // one-change-at-a-time discipline (no conjugate-pair
-                // parking here, unlike the parallel matcher).
-                self.drain();
+                k.change(net, pats, &change.wme, change.sign);
             }
         }
     }
 
     fn quiesce(&mut self) -> QuiesceReport {
-        debug_assert!(self.agenda.is_empty());
-        if let Some(p) = &mut self.tally.profile {
+        let k = &mut self.kernel;
+        debug_assert!(k.agenda.is_empty());
+        if let Some(p) = &mut k.tally.profile {
             p.flush();
         }
         QuiesceReport {
-            cs_changes: std::mem::take(&mut self.out),
-            stats_delta: self.delta.take(self.tally.stats),
+            cs_changes: std::mem::take(&mut k.out),
+            stats_delta: self.delta.take(k.tally.stats),
             phase: None,
         }
     }
 
     fn stats(&self) -> MatchStats {
-        self.tally.stats
+        self.kernel.tally.stats
     }
 
     fn reset_stats(&mut self) {
-        self.tally.stats = MatchStats::default();
+        self.kernel.tally.stats = MatchStats::default();
         self.delta.reset();
     }
 
     fn name(&self) -> &'static str {
-        self.mem.kind_name()
+        self.kernel.mem.kind_name()
     }
 
     fn enable_obs(&mut self, _registry: &Arc<obs::Registry>) {
-        if self.tally.profile.is_none() {
-            self.tally.profile = Some(BufferedProfile::new(self.net.n_joins()));
+        if self.kernel.tally.profile.is_none() {
+            self.kernel.tally.profile = Some(BufferedProfile::new(self.net.n_joins()));
         }
     }
 
     fn node_profile(&self) -> Option<Arc<obs::NodeProfile>> {
-        self.tally.profile.as_ref().map(|p| p.shared.clone())
+        self.kernel.tally.profile.as_ref().map(|p| p.shared.clone())
     }
 }
 
@@ -659,11 +734,13 @@ mod tests {
         assert!(m1.stats().opp_tokens_left > m2.stats().opp_tokens_left * 3);
     }
 
-    /// Unlinking gate lifecycle: a join whose opposite memory is empty
-    /// skips its scans (unlinked), starts scanning again the moment the
-    /// memory becomes non-empty (relinked), and survives a conjugate
-    /// add/delete pair that empties the memory again — producing exactly
-    /// the CS changes of an unlinking-off matcher throughout.
+    /// Unlinking gate lifecycle: a left activation whose right memory is
+    /// empty skips its scan (unlinked), scans again the moment the memory
+    /// becomes non-empty (relinked), and survives a conjugate add/delete
+    /// pair that empties the memory again — producing exactly the CS changes
+    /// of an unlinking-off matcher throughout. The option only moves *left*
+    /// nulls between the two counters: a right change never runs a reader
+    /// whose left memory is empty, gate or no gate.
     #[test]
     fn unlinking_gate_relinks_after_conjugate_add_delete() {
         let src = "(p q (a ^x <v>) (b ^y <v>) --> (halt))";
@@ -702,34 +779,45 @@ mod tests {
             let b = format!("{:?}", m_off.quiesce().cs_changes);
             assert_eq!(a, b, "CS divergence at step {label}");
         };
+        let nulls = |m: &SeqMatcher<HashMem>| (m.stats().null_skipped, m.stats().null_activations);
 
-        // Left memory empty: the right activation for wa's join is gated.
-        step(&mut m_on, &mut m_off, Sign::Plus, &wb, "add b (unlinked)");
-        assert_eq!(m_on.stats().null_skipped, 1);
-        assert_eq!(m_on.stats().null_activations, 0);
+        // Right memory empty: both left activations are gated.
+        step(&mut m_on, &mut m_off, Sign::Plus, &wa, "add a (unlinked)");
+        step(
+            &mut m_on,
+            &mut m_off,
+            Sign::Minus,
+            &wa,
+            "remove a (unlinked)",
+        );
+        assert_eq!((nulls(&m_on), nulls(&m_off)), ((2, 0), (0, 2)));
+        // Left memory empty: the reader is dead, whatever the option says.
+        step(
+            &mut m_on,
+            &mut m_off,
+            Sign::Plus,
+            &wb,
+            "add b (dead reader)",
+        );
+        assert_eq!((nulls(&m_on), nulls(&m_off)), ((3, 0), (1, 2)));
         // Non-empty right memory: the gate must relink and find the pair.
         step(&mut m_on, &mut m_off, Sign::Plus, &wa, "add a (relinked)");
-        assert_eq!(m_on.stats().null_skipped, 1, "relinked scan performed");
+        assert_eq!(nulls(&m_on), (3, 0), "relinked scan performed");
         // Conjugate pair through the (now populated) join.
         step(&mut m_on, &mut m_off, Sign::Plus, &wb2, "conjugate add");
         step(&mut m_on, &mut m_off, Sign::Minus, &wb2, "conjugate delete");
-        // Empty the left memory again; b's retract is gated once more.
+        // Empty the left memory again; b's retract finds its reader dead.
         step(&mut m_on, &mut m_off, Sign::Minus, &wa, "remove a");
         step(
             &mut m_on,
             &mut m_off,
             Sign::Minus,
             &wb,
-            "remove b (unlinked)",
+            "remove b (dead reader)",
         );
-        assert!(m_on.stats().null_skipped > 1);
-        assert_eq!(
-            m_on.stats().null_activations,
-            0,
-            "unlinking leaves no null activation performed"
-        );
-        assert_eq!(m_off.stats().null_skipped, 0);
-        assert!(m_off.stats().null_activations > 0);
+        assert_eq!((nulls(&m_on), nulls(&m_off)), ((4, 0), (2, 2)));
+        assert_eq!(m_on.stats().join_activations, 8);
+        assert_eq!(m_off.stats().join_activations, 8);
         assert_eq!(m_on.memory_entries(), 0);
         assert_eq!(m_off.memory_entries(), 0);
     }
@@ -748,6 +836,266 @@ mod tests {
             del(m.as_mut(), wa1);
             let cs = m.quiesce().cs_changes;
             assert_eq!(cs.len(), 1, "only the instantiation with wa1 retracts");
+        }
+    }
+
+    // ---- One shared right memory per signature: the ordering hazards ----
+
+    type Step = (Sign, WmeRef);
+    /// A folded conflict set: (production, timetags) of each instantiation.
+    type Folded = std::collections::BTreeSet<(u32, Vec<u64>)>;
+
+    /// Feeds `steps` one change per quiescence and returns the folded
+    /// conflict set after each. `strict`: an insert of a present
+    /// instantiation or a remove of an absent one panics — a pair emitted or
+    /// retracted twice, or a `-t` overtaking its `+t`, trips that.
+    fn fold_history(m: &mut dyn Matcher, steps: &[Step], strict: bool) -> Vec<Folded> {
+        let mut state = Folded::new();
+        let mut history = Vec::new();
+        for (i, (sign, w)) in steps.iter().enumerate() {
+            m.submit(&ChangeBatch::single(WmeChange {
+                sign: *sign,
+                wme: w.clone(),
+            }));
+            for c in m.quiesce().cs_changes {
+                let (insert, inst) = match c {
+                    CsChange::Insert(i) => (true, i),
+                    CsChange::Remove(i) => (false, i),
+                };
+                let (p, tags) = inst.key();
+                let key = (p.0, tags);
+                let in_turn = if insert {
+                    state.insert(key.clone())
+                } else {
+                    state.remove(&key)
+                };
+                assert!(
+                    in_turn || !strict,
+                    "{} step {i}: {} {key:?} out of turn",
+                    m.name(),
+                    if insert { "insert of" } else { "remove of" }
+                );
+            }
+            history.push(state.clone());
+        }
+        history
+    }
+
+    /// Drives `steps` through vs1 and vs2 (debug assertions on: a delete
+    /// must find its token; strict fold) and through lispsim, the per-join
+    /// reference: the folded conflict sets must agree after every change.
+    /// Returns vs1's and vs2's final memory populations.
+    fn fold_against_lispsim(src: &str, prog: &Program, steps: &[Step]) -> [usize; 2] {
+        let net = Arc::new(Network::compile(prog).unwrap());
+        let mut vs1 = SeqMatcher::vs1(net.clone());
+        let mut vs2 = SeqMatcher::vs2(net, HashMemConfig { buckets: 16 });
+        let reference = fold_history(
+            lispsim::LispEngineMatcher::boxed(prog).as_mut(),
+            steps,
+            false,
+        );
+        assert_eq!(fold_history(&mut vs1, steps, true), reference, "vs1: {src}");
+        assert_eq!(fold_history(&mut vs2, steps, true), reference, "vs2: {src}");
+        [vs1.memory_entries(), vs2.memory_entries()]
+    }
+
+    fn ints(prog: &mut Program, class: &str, vals: &[i64], tag: u64) -> WmeRef {
+        wme(
+            prog,
+            class,
+            vals.iter().map(|&v| Value::Int(v)).collect(),
+            tag,
+        )
+    }
+
+    /// Adds `wmes` in order, then removes them in order, then adds and
+    /// removes them in reverse: every WME meets every other from both sides.
+    fn churn(wmes: &[WmeRef]) -> Vec<Step> {
+        let fwd = wmes.iter().cloned();
+        let rev = wmes.iter().rev().cloned();
+        (fwd.clone().map(|w| (Sign::Plus, w)))
+            .chain(fwd.map(|w| (Sign::Minus, w)))
+            .chain(rev.clone().map(|w| (Sign::Plus, w)))
+            .chain(rev.map(|w| (Sign::Minus, w)))
+            .collect()
+    }
+
+    /// Hazard 1 — a self-join. One WME enters the left input and the right
+    /// memory of the same join in one change. The memory takes it first and
+    /// the left activation runs after every right activation, so the pair
+    /// (w, w) is the left activation's alone: emitted once, retracted once.
+    #[test]
+    fn a_self_join_pairs_a_wme_with_itself_exactly_once() {
+        let src = "(p q (a ^x <v>) (a ^x <v>) --> (halt))";
+        let mut prog = Program::from_source(src).unwrap();
+        let ws = [
+            ints(&mut prog, "a", &[1], 1),
+            ints(&mut prog, "a", &[1], 2),
+            ints(&mut prog, "a", &[2], 3),
+        ];
+        assert_eq!(fold_against_lispsim(src, &prog, &churn(&ws)), [0, 0]);
+
+        let mut m = SeqMatcher::vs2(net_of(src).1, HashMemConfig { buckets: 16 });
+        add(&mut m, ws[0].clone());
+        let cs = m.quiesce().cs_changes;
+        assert_eq!(cs.len(), 1, "(w, w) once: {cs:?}");
+        add(&mut m, ws[1].clone());
+        assert_eq!(m.quiesce().cs_changes.len(), 3, "(1,2) (2,1) (2,2)");
+        del(&mut m, ws[0].clone());
+        assert_eq!(m.quiesce().cs_changes.len(), 3, "(1,1) (1,2) (2,1)");
+    }
+
+    /// Hazard 2 — a reader downstream of another reader of the same memory.
+    /// J2 reads the memory J1 reads; J1's emission reaches J2's left input
+    /// in the same change that put the WME into their memory. J2's right
+    /// activation must already be over by then (it would pair the WME with
+    /// the token J1 just sent, and so would the token's left activation).
+    #[test]
+    fn a_reader_downstream_of_another_reader_emits_each_pair_once() {
+        let src = "(p q (a ^x <v>) (b ^y <v>) (b ^y <v>) --> (halt))";
+        let mut prog = Program::from_source(src).unwrap();
+        let net = Network::compile(&prog).unwrap();
+        assert_eq!((net.n_joins(), net.right_mems.len()), (2, 1));
+        let ws = [
+            ints(&mut prog, "a", &[1], 1),
+            ints(&mut prog, "b", &[1], 2),
+            ints(&mut prog, "b", &[1], 3),
+            ints(&mut prog, "b", &[2], 4),
+            ints(&mut prog, "a", &[2], 5),
+        ];
+        assert_eq!(fold_against_lispsim(src, &prog, &churn(&ws)), [0, 0]);
+
+        for mut m in both(src).2 {
+            add(m.as_mut(), ws[0].clone());
+            add(m.as_mut(), ws[1].clone());
+            let cs = m.quiesce().cs_changes;
+            assert_eq!(cs.len(), 1, "{}: (a, b, b) once: {cs:?}", m.name());
+            add(m.as_mut(), ws[2].clone());
+            assert_eq!(m.quiesce().cs_changes.len(), 3);
+            del(m.as_mut(), ws[1].clone());
+            let cs = m.quiesce().cs_changes;
+            assert_eq!(cs.len(), 3, "{}: each retracted once: {cs:?}", m.name());
+            assert!(cs.iter().all(|c| matches!(c, CsChange::Remove(_))));
+        }
+    }
+
+    /// Hazard 3 — a not-node whose blocker is the token's own WME. Removing
+    /// it unblocks the token (right activation: `+t` below the not-node)
+    /// and deletes it (left activation: `-t`). The `+t` must reach the
+    /// downstream join first, or the `-t` finds nothing and the `+t` stays
+    /// behind for good.
+    #[test]
+    fn a_blocker_that_is_its_own_token_passes_plus_before_minus() {
+        let src = "(p q (a ^x <v>) - (a ^y <v>) (c ^z <v>) --> (halt))";
+        let mut prog = Program::from_source(src).unwrap();
+        let own = ints(&mut prog, "a", &[1, 1], 1); // blocks itself
+        let free = ints(&mut prog, "a", &[1, 2], 2); // blocked by `own` only
+        let other = ints(&mut prog, "a", &[2, 2], 3); // blocked by itself and `free`
+        let c1 = ints(&mut prog, "c", &[1], 4);
+        let c2 = ints(&mut prog, "c", &[2], 5);
+        let ws = [c1.clone(), own.clone(), free, other, c2];
+        assert_eq!(fold_against_lispsim(src, &prog, &churn(&ws)), [0, 0]);
+
+        for mut m in both(src).2 {
+            add(m.as_mut(), c1.clone());
+            add(m.as_mut(), own.clone());
+            assert!(m.quiesce().cs_changes.is_empty(), "blocked by itself");
+            del(m.as_mut(), own.clone());
+            let cs = m.quiesce().cs_changes;
+            assert!(
+                matches!(&cs[..], [CsChange::Insert(i), CsChange::Remove(r)] if i.key() == r.key()),
+                "{}: transient +t then -t: {cs:?}",
+                m.name()
+            );
+            del(m.as_mut(), c1.clone());
+            assert!(m.quiesce().cs_changes.is_empty(), "nothing left behind");
+        }
+    }
+
+    /// Hazard 3, one level down: the token comes from a join, not from the
+    /// alpha network, so the `-t` is the tail of another reader's right
+    /// activation. `p0` makes the not-node's memory the older one, so its
+    /// readers are met first; the kernel still has to send the upstream
+    /// join's emissions through after the not-node's.
+    #[test]
+    fn a_blocker_inside_its_token_passes_plus_before_minus() {
+        let src = "(literalize b y z)
+             (p p0 (x ^q <v>) (b ^z <v>) --> (halt))
+             (p p1 (a ^x <v>) (b ^y <v>) - (b ^z <v>) (c ^w <v>) --> (halt))";
+        let mut prog = Program::from_source(src).unwrap();
+        let net = Network::compile(&prog).unwrap();
+        let (upstream, not_node) = (net.join(1), net.join(2));
+        assert!(not_node.negated && not_node.right_mem < upstream.right_mem);
+        let a = ints(&mut prog, "a", &[1], 1);
+        let c = ints(&mut prog, "c", &[1], 2);
+        let own = ints(&mut prog, "b", &[1, 1], 3); // joins `a`, then blocks (a, own)
+        let free = ints(&mut prog, "b", &[1, 2], 4); // joins `a`, blocks nothing
+        let ws = [a.clone(), c.clone(), own.clone(), free];
+        assert_eq!(fold_against_lispsim(src, &prog, &churn(&ws)), [0, 0]);
+
+        for mut m in both(src).2 {
+            add(m.as_mut(), a.clone());
+            add(m.as_mut(), c.clone());
+            add(m.as_mut(), own.clone());
+            assert!(m.quiesce().cs_changes.is_empty(), "blocked by its own b");
+            del(m.as_mut(), own.clone());
+            let cs = m.quiesce().cs_changes;
+            assert!(
+                matches!(&cs[..], [CsChange::Insert(i), CsChange::Remove(r)] if i.key() == r.key()),
+                "{}: transient +t then -t: {cs:?}",
+                m.name()
+            );
+        }
+    }
+
+    /// The relink case (col's twin): `b`s arrive and leave while every
+    /// reader's left memory is empty — stored once per signature, no reader
+    /// run — then the token arrives, pairs with exactly the survivors, and
+    /// leaves again.
+    #[test]
+    fn a_reader_that_comes_alive_late_scans_the_shared_memory() {
+        // One test-free `b` pattern read under three signatures (`[y]`,
+        // `[y u]`, `[]`) by five joins, one of them a not-node.
+        let src = "(literalize a x z) (literalize b y u) (literalize c x)
+             (p p1 (a ^x <v>) (b ^y <v>) --> (halt))
+             (p p2 (a ^x <v> ^z <w>) (b ^y <v> ^u <w>) --> (halt))
+             (p p3 (a ^x <v>) (b ^y <q>) --> (halt))
+             (p p4 (a ^x <v>) - (b ^y <v>) --> (halt))
+             (p p5 (c ^x <v>) (b ^y <v>) --> (halt))";
+        let (mut prog, net) = net_of(src);
+        assert_eq!((net.n_joins(), net.right_mems.len()), (5, 3));
+        let bs: Vec<WmeRef> = (0..6)
+            .map(|i| ints(&mut prog, "b", &[i % 2, 2], i as u64 + 1))
+            .collect();
+        let a = ints(&mut prog, "a", &[1, 2], 10);
+        let mut steps: Vec<Step> = bs.iter().map(|w| (Sign::Plus, w.clone())).collect();
+        steps.extend([
+            (Sign::Minus, bs[1].clone()),
+            (Sign::Minus, bs[2].clone()),
+            (Sign::Plus, a.clone()),
+            (Sign::Minus, bs[3].clone()),
+            (Sign::Minus, a.clone()),
+            (Sign::Plus, bs[1].clone()),
+            (Sign::Plus, a.clone()),
+        ]);
+        // b0 b1 b4 b5 under three signatures, `a` in four left memories.
+        assert_eq!(fold_against_lispsim(src, &prog, &steps), [16, 16]);
+
+        for mut m in both(src).2 {
+            for (sign, w) in &steps[..8] {
+                m.submit(&ChangeBatch::single(WmeChange {
+                    sign: *sign,
+                    wme: w.clone(),
+                }));
+            }
+            let s = m.stats();
+            assert_eq!(s.join_activations, 5 * 8);
+            assert_eq!((s.null_skipped, s.null_activations), (5 * 8, 0));
+            assert_eq!(s.same_searches_right, 2 * 3, "one search per memory");
+            assert_eq!(s.opp_tokens_right + s.opp_nonempty_right, 0);
+            add(m.as_mut(), a.clone());
+            // p1 and p2: b3 b5 each; p3: b0 b3 b4 b5; p4 stays blocked.
+            assert_eq!(m.quiesce().cs_changes.len(), 8, "{}", m.name());
         }
     }
 }

@@ -12,6 +12,20 @@
 //! when its right memories became shared: `same_searches_right` counts one
 //! delete search per right *memory*, and a right activation of a reader
 //! with an empty left memory is `null_skipped` with unlinking off as well.
+//!
+//! vs1/vs2 were re-pinned once, when their right memories became the
+//! network's shared ones too (one per alpha pattern x equality signature
+//! instead of one per join). Exactly four columns moved, on all three
+//! programs, for the reason col's did: a reader with an empty left memory
+//! is retired without being run, so right nulls leave `null_activations`
+//! for `null_skipped` whatever the unlinking option says (smoke Weaver
+//! 5840/0 -> 125/5715; the 125 are left nulls, still the option's to move),
+//! and a WME is searched for once per memory, not once per join
+//! (`same_searches_right` 2843 -> 244, 168 -> 99, 54 -> 15, col's numbers;
+//! `same_tokens_right` with it). The other twelve columns, every col row
+//! and all three CS-order digests are the parent's: the kernel takes a
+//! change's right activations in descending join order, which is the order
+//! the per-join agenda popped them in.
 
 use engine::{ActStrategy, EngineBuilder};
 use ops5::{ChangeBatch, CsChange, MatchStats, Matcher, QuiesceReport};
@@ -196,22 +210,22 @@ type Row = (&'static str, &'static str, bool, [u64; COLUMNS]);
 
 #[rustfmt::skip]
 const GOLDEN: &[Row] = &[
-    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs1", false, [361, 8844, 295, 8593, 5840, 0, 32244, 1525, 1848, 1133, 4656, 871, 30024, 2843, 251, 0]),
-    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs1", true, [361, 8844, 295, 8593, 0, 5840, 32244, 1525, 1848, 1133, 4656, 871, 30024, 2843, 251, 0]),
-    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs2", false, [361, 8844, 295, 8593, 5840, 0, 1114, 771, 792, 792, 872, 871, 10137, 2843, 251, 0]),
-    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs2", true, [361, 8844, 295, 8593, 0, 5840, 1114, 771, 792, 792, 872, 871, 10137, 2843, 251, 0]),
+    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs1", false, [361, 8844, 295, 8593, 125, 5715, 32244, 1525, 1848, 1133, 4656, 871, 2174, 244, 251, 0]),
+    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs1", true, [361, 8844, 295, 8593, 0, 5840, 32244, 1525, 1848, 1133, 4656, 871, 2174, 244, 251, 0]),
+    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs2", false, [361, 8844, 295, 8593, 125, 5715, 1114, 771, 792, 792, 872, 871, 674, 244, 251, 0]),
+    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs2", true, [361, 8844, 295, 8593, 0, 5840, 1114, 771, 792, 792, 872, 871, 674, 244, 251, 0]),
     ("weaver(5x4x2, 2 nets, 2 kinds)", "col", false, [361, 8898, 295, 8593, 93, 5743, 9257, 1555, 1686, 1105, 871, 871, 359, 244, 305, 0]),
     ("weaver(5x4x2, 2 nets, 2 kinds)", "col", true, [361, 8898, 295, 8593, 0, 5836, 9257, 1555, 1686, 1105, 871, 871, 359, 244, 305, 0]),
-    ("tourney(6 teams, pathological)", "vs1", false, [263, 3065, 137, 2081, 288, 0, 5435, 1048, 477, 192, 4099, 844, 447, 168, 984, 0]),
-    ("tourney(6 teams, pathological)", "vs1", true, [263, 3065, 137, 2081, 0, 288, 5435, 1048, 477, 192, 4099, 844, 447, 168, 984, 0]),
-    ("tourney(6 teams, pathological)", "vs2", false, [263, 3065, 137, 2081, 288, 0, 1839, 708, 305, 164, 1546, 844, 447, 168, 984, 0]),
-    ("tourney(6 teams, pathological)", "vs2", true, [263, 3065, 137, 2081, 0, 288, 1839, 708, 305, 164, 1546, 844, 447, 168, 984, 0]),
+    ("tourney(6 teams, pathological)", "vs1", false, [263, 3065, 137, 2081, 95, 193, 5435, 1048, 477, 192, 4099, 844, 249, 99, 984, 0]),
+    ("tourney(6 teams, pathological)", "vs1", true, [263, 3065, 137, 2081, 0, 288, 5435, 1048, 477, 192, 4099, 844, 249, 99, 984, 0]),
+    ("tourney(6 teams, pathological)", "vs2", false, [263, 3065, 137, 2081, 95, 193, 1839, 708, 305, 164, 1546, 844, 249, 99, 984, 0]),
+    ("tourney(6 teams, pathological)", "vs2", true, [263, 3065, 137, 2081, 0, 288, 1839, 708, 305, 164, 1546, 844, 249, 99, 984, 0]),
     ("tourney(6 teams, pathological)", "col", false, [263, 3065, 137, 2081, 98, 184, 4061, 1045, 575, 201, 2152, 844, 118, 99, 984, 0]),
     ("tourney(6 teams, pathological)", "col", true, [263, 3065, 137, 2081, 0, 282, 4061, 1045, 575, 201, 2152, 844, 118, 99, 984, 0]),
-    ("negated", "vs1", false, [66, 258, 54, 198, 81, 0, 60, 40, 144, 50, 90, 45, 90, 54, 60, 0]),
-    ("negated", "vs1", true, [66, 258, 54, 198, 0, 81, 60, 40, 144, 50, 90, 45, 90, 54, 60, 0]),
-    ("negated", "vs2", false, [66, 258, 54, 198, 81, 0, 24, 24, 30, 30, 45, 45, 54, 54, 60, 0]),
-    ("negated", "vs2", true, [66, 258, 54, 198, 0, 81, 24, 24, 30, 30, 45, 45, 54, 54, 60, 0]),
+    ("negated", "vs1", false, [66, 258, 54, 198, 23, 58, 60, 40, 144, 50, 90, 45, 24, 15, 60, 0]),
+    ("negated", "vs1", true, [66, 258, 54, 198, 0, 81, 60, 40, 144, 50, 90, 45, 24, 15, 60, 0]),
+    ("negated", "vs2", false, [66, 258, 54, 198, 23, 58, 24, 24, 30, 30, 45, 45, 15, 15, 60, 0]),
+    ("negated", "vs2", true, [66, 258, 54, 198, 0, 81, 24, 24, 30, 30, 45, 45, 15, 15, 60, 0]),
     ("negated", "col", false, [66, 258, 54, 198, 29, 46, 54, 34, 156, 62, 90, 45, 15, 15, 60, 0]),
     ("negated", "col", true, [66, 258, 54, 198, 0, 75, 54, 34, 156, 62, 90, 45, 15, 15, 60, 0]),
 ];
@@ -280,13 +294,9 @@ fn counters_and_cs_order_match_the_parent_commit() {
         if *unlinking {
             assert!(skipped > 0 && null == 0, "{name} {label}: gate unused");
         } else {
-            // Only col skips without the gate: the dead readers of a right
-            // memory are never run.
-            let skips = skipped > 0;
-            assert!(
-                null > 0 && skips == (*label == "col"),
-                "{name} {label}: no null work"
-            );
+            // Left nulls are performed without the gate; the dead readers of
+            // a right memory are never run, gate or no gate.
+            assert!(null > 0 && skipped > 0, "{name} {label}: no null work");
         }
     }
 }

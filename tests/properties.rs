@@ -224,10 +224,38 @@ fn final_cs(m: &mut dyn Matcher, changes: &[WmeChange]) -> CsState {
     set
 }
 
+/// `changes` cut into chunks of the (cycled) `chunk_lens` sizes.
+fn chunks<'a>(changes: &'a [WmeChange], chunk_lens: &[usize]) -> Vec<&'a [WmeChange]> {
+    let mut out = Vec::new();
+    let mut rest = changes;
+    for n in chunk_lens.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (chunk, tail) = rest.split_at((*n).clamp(1, rest.len()));
+        out.push(chunk);
+        rest = tail;
+    }
+    out
+}
+
+/// Submits one chunk — as a whole `ChangeBatch` if `batched`, else one
+/// single-change `submit` per change — quiesces, and folds the conflict-set
+/// changes into `set`.
+fn feed_chunk(m: &mut dyn Matcher, chunk: &[WmeChange], batched: bool, set: &mut CsState) {
+    if batched {
+        m.submit(&chunk.iter().cloned().collect());
+    } else {
+        for c in chunk {
+            m.submit(&ChangeBatch::single(c.clone()));
+        }
+    }
+    apply_cs(set, m.quiesce().cs_changes);
+}
+
 /// Feeds `changes` in chunks of the (cycled) `chunk_lens` sizes, quiescing
-/// at every chunk boundary. `batched` picks whole-`ChangeBatch` submission
-/// vs one single-change `submit` per change with the same quiesce points. Returns the
-/// net conflict-set state observed after each quiesce.
+/// at every chunk boundary. Returns the net conflict-set state observed
+/// after each quiesce.
 fn chunked_cs_history(
     m: &mut dyn Matcher,
     changes: &[WmeChange],
@@ -235,26 +263,13 @@ fn chunked_cs_history(
     batched: bool,
 ) -> Vec<CsState> {
     let mut set = BTreeSet::new();
-    let mut history = Vec::new();
-    let mut i = 0;
-    let mut ci = 0;
-    while i < changes.len() {
-        let n = chunk_lens[ci % chunk_lens.len()].max(1);
-        ci += 1;
-        let chunk = &changes[i..(i + n).min(changes.len())];
-        i += n;
-        if batched {
-            let batch: ChangeBatch = chunk.iter().cloned().collect();
-            m.submit(&batch);
-        } else {
-            for c in chunk {
-                m.submit(&ChangeBatch::single(c.clone()));
-            }
-        }
-        apply_cs(&mut set, m.quiesce().cs_changes);
-        history.push(set.clone());
-    }
-    history
+    chunks(changes, chunk_lens)
+        .into_iter()
+        .map(|chunk| {
+            feed_chunk(m, chunk, batched, &mut set);
+            set.clone()
+        })
+        .collect()
 }
 
 proptest! {
@@ -423,15 +438,18 @@ proptest! {
     }
 
     #[test]
-    fn col_shared_right_memories_agree_with_vs1(
+    fn shared_right_memories_agree_with_a_per_join_reference(
         genp in gen_shared_ce_program(),
         stream in gen_stream(),
         chunk_lens in proptest::collection::vec(1usize..6, 1..8),
     ) {
-        // One common second CE across all productions: col keeps one right
-        // memory per distinct signature and every production reads it. Under
-        // arbitrary chunking its CS history must equal vs1's per-change one,
-        // on the paper network and on the shared-prefix + unlinking one.
+        // One common second CE across all productions: vs1, vs2 and col keep
+        // one right memory per distinct signature and every production reads
+        // it. Under arbitrary chunking their CS history must equal the
+        // per-change one of lispsim, which keeps footnote 6's private right
+        // memory per join — on the paper network and on the shared-prefix +
+        // unlinking one — and all three must hold the same number of entries
+        // after every chunk: each WME once per signature, not once per join.
         let src = render(&genp);
         let prog = Program::from_source(&src).expect("generated source parses");
         let net = Arc::new(Network::compile(&prog).expect("network compiles"));
@@ -447,22 +465,27 @@ proptest! {
 
         let changes = build_changes(&prog, &stream);
 
-        let mut vs1 = rete::seq::boxed_vs1(net.clone());
-        let reference = chunked_cs_history(vs1.as_mut(), &changes, &chunk_lens, false);
-        let mut col = rete::colmatch::boxed_col(net.clone());
-        prop_assert_eq!(
-            chunked_cs_history(col.as_mut(), &changes, &chunk_lens, true),
-            reference.clone(),
-            "col disagrees with vs1"
-        );
+        let mut lisp = lispsim::LispEngineMatcher::boxed(&prog);
+        let reference = chunked_cs_history(lisp.as_mut(), &changes, &chunk_lens, false);
+
         let opts = rete::NetworkOptions { sharing: true, unlinking: true };
         let tuned = Arc::new(Network::compile_with(&prog, opts).expect("tuned network compiles"));
-        let mut colt = rete::colmatch::boxed_col(tuned);
-        prop_assert_eq!(
-            chunked_cs_history(colt.as_mut(), &changes, &chunk_lens, true),
-            reference,
-            "tuned col disagrees with vs1"
-        );
+        for (label, net) in [("paper", net), ("tuned", tuned)] {
+            let mut vs1 = rete::SeqMatcher::vs1(net.clone());
+            let mut vs2 = rete::SeqMatcher::vs2(net.clone(), HashMemConfig { buckets: 16 });
+            let mut col = rete::ColMatcher::new(net);
+            let mut sets = [BTreeSet::new(), BTreeSet::new(), BTreeSet::new()];
+            for (i, chunk) in chunks(&changes, &chunk_lens).into_iter().enumerate() {
+                feed_chunk(&mut vs1, chunk, true, &mut sets[0]);
+                feed_chunk(&mut vs2, chunk, true, &mut sets[1]);
+                feed_chunk(&mut col, chunk, true, &mut sets[2]);
+                for (name, set) in ["vs1", "vs2", "col"].iter().zip(&sets) {
+                    prop_assert_eq!(set, &reference[i], "{} {} disagrees with lispsim at chunk {}", label, name, i);
+                }
+                prop_assert_eq!(vs1.memory_entries(), col.memory_entries(), "{} vs1 entries, chunk {}", label, i);
+                prop_assert_eq!(vs2.memory_entries(), col.memory_entries(), "{} vs2 entries, chunk {}", label, i);
+            }
+        }
     }
 
     #[test]
