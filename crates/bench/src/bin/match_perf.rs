@@ -88,6 +88,10 @@ struct Row {
     allocs: u64,
     alloc_bytes: u64,
     allocs_per_change: f64,
+    /// Constant tests evaluated and shared-memory readers looked at, per
+    /// change (vs1, vs2 and col count them; the others report 0).
+    alpha_tests_per_change: f64,
+    readers_visited_per_change: f64,
 }
 
 fn benchmark(program: &'static str, w: &Workload, choice: &MatcherChoice) -> Row {
@@ -119,6 +123,8 @@ fn benchmark(program: &'static str, w: &Workload, choice: &MatcherChoice) -> Row
         allocs,
         alloc_bytes: b1 - b0,
         allocs_per_change: allocs as f64 / changes as f64,
+        alpha_tests_per_change: stats.alpha_tests as f64 / changes as f64,
+        readers_visited_per_change: stats.readers_visited as f64 / changes as f64,
     }
 }
 
@@ -134,6 +140,8 @@ struct ReteRow {
     join_acts: u64,
     null_acts: u64,
     null_skipped: u64,
+    alpha_tests: u64,
+    readers_visited: u64,
     wall_s: f64,
 }
 
@@ -158,6 +166,8 @@ fn rete_config_row(w: &Workload, config: &'static str, options: rete::NetworkOpt
         join_acts: s.join_activations,
         null_acts: s.null_activations,
         null_skipped: s.null_skipped,
+        alpha_tests: s.alpha_tests,
+        readers_visited: s.readers_visited,
         wall_s: wall.as_secs_f64(),
     }
 }
@@ -192,7 +202,7 @@ fn rete_comparison(w: &Workload, smoke: bool) {
         ),
     ];
     println!(
-        "{:<13} {:>7} {:>8} {:>8} {:>9} {:>12} {:>11} {:>12} {:>9}",
+        "{:<13} {:>7} {:>8} {:>8} {:>9} {:>12} {:>11} {:>12} {:>11} {:>12} {:>9}",
         "CONFIG",
         "joins",
         "shared",
@@ -201,6 +211,8 @@ fn rete_comparison(w: &Workload, smoke: bool) {
         "join-acts",
         "null-acts",
         "null-skip",
+        "alpha-tests",
+        "readers-seen",
         "wall(s)"
     );
     let rows: Vec<ReteRow> = configs
@@ -208,7 +220,7 @@ fn rete_comparison(w: &Workload, smoke: bool) {
         .map(|(name, opts)| {
             let r = rete_config_row(w, name, *opts);
             println!(
-                "{:<13} {:>7} {:>8} {:>8} {:>9} {:>12} {:>11} {:>12} {:>9.3}",
+                "{:<13} {:>7} {:>8} {:>8} {:>9} {:>12} {:>11} {:>12} {:>11} {:>12} {:>9.3}",
                 r.config,
                 r.joins,
                 r.shared_prefixes,
@@ -217,6 +229,8 @@ fn rete_comparison(w: &Workload, smoke: bool) {
                 r.join_acts,
                 r.null_acts,
                 r.null_skipped,
+                r.alpha_tests,
+                r.readers_visited,
                 r.wall_s
             );
             r
@@ -230,7 +244,8 @@ fn rete_comparison(w: &Workload, smoke: bool) {
             "    {{\"config\": \"{}\", \"sharing\": {}, \"unlinking\": {}, \
              \"joins\": {}, \"shared_prefixes\": {}, \"memory_nodes\": {}, \
              \"right_memories\": {}, \"join_activations\": {}, \"null_activations\": {}, \
-             \"null_skipped\": {}, \"wall_s\": {:.6}}}{}\n",
+             \"null_skipped\": {}, \"alpha_tests\": {}, \"readers_visited\": {}, \
+             \"wall_s\": {:.6}}}{}\n",
             r.config,
             r.options.sharing,
             r.options.unlinking,
@@ -241,6 +256,8 @@ fn rete_comparison(w: &Workload, smoke: bool) {
             r.join_acts,
             r.null_acts,
             r.null_skipped,
+            r.alpha_tests,
+            r.readers_visited,
             r.wall_s,
             if i + 1 == rows.len() { "" } else { "," }
         ));
@@ -966,7 +983,7 @@ fn main() {
         "Match-perf suite"
     });
     println!(
-        "{:<8} {:<6} {:>9} {:>8} {:>9} {:>11} {:>11} {:>11} {:>10} {:>11} {:>12}",
+        "{:<8} {:<6} {:>9} {:>8} {:>9} {:>11} {:>11} {:>11} {:>10} {:>11} {:>12} {:>10} {:>12}",
         "PROGRAM",
         "ENGINE",
         "wall(s)",
@@ -977,7 +994,9 @@ fn main() {
         "join-acts",
         "null-acts",
         "allocs",
-        "allocs/chg"
+        "allocs/chg",
+        "tests/chg",
+        "readers/chg"
     );
 
     let mut rows: Vec<Row> = Vec::new();
@@ -985,7 +1004,7 @@ fn main() {
         for choice in matchers() {
             let row = benchmark(name, w, &choice);
             println!(
-                "{:<8} {:<6} {:>9.3} {:>8} {:>9} {:>11.2} {:>11.1} {:>11} {:>10} {:>11} {:>12.1}",
+                "{:<8} {:<6} {:>9.3} {:>8} {:>9} {:>11.2} {:>11.1} {:>11} {:>10} {:>11} {:>12.1} {:>10.2} {:>12.2}",
                 row.program,
                 row.matcher,
                 row.wall_s,
@@ -996,7 +1015,9 @@ fn main() {
                 row.join_acts,
                 row.null_acts,
                 row.allocs,
-                row.allocs_per_change
+                row.allocs_per_change,
+                row.alpha_tests_per_change,
+                row.readers_visited_per_change
             );
             rows.push(row);
         }

@@ -332,6 +332,17 @@ pub struct MatchStats {
     /// `col` keeps the right memory for the alpha pattern, not for the
     /// join, so such a join is never run at all.
     pub null_skipped: u64,
+
+    /// Constant tests evaluated in the alpha network (a pattern's chain
+    /// stops at its first failing test). Counted by vs1, vs2 and `col`;
+    /// psm, `psm::trace` and lispsim leave it 0.
+    pub alpha_tests: u64,
+    /// Readers of a shared right memory looked at when a change was stored
+    /// in it, dead or live — the part of a right store that scales with the
+    /// network instead of the change. Counted by vs1, vs2 and `col` (`col`
+    /// looks once per batch group, not once per change); psm, `psm::trace`
+    /// and lispsim keep one right memory per join and leave it 0.
+    pub readers_visited: u64,
 }
 
 impl MatchStats {
@@ -368,7 +379,8 @@ macro_rules! for_each_stat {
             opp_tokens_left, opp_nonempty_left, opp_tokens_right, opp_nonempty_right,
             same_tokens_left, same_searches_left, same_tokens_right, same_searches_right,
             cs_changes, conjugate_pairs,
-            join_activations, null_activations, null_skipped
+            join_activations, null_activations, null_skipped,
+            alpha_tests, readers_visited
         }
     };
 }

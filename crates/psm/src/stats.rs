@@ -44,6 +44,8 @@ impl AtomicMatchStats {
             join_activations: g(&self.join_activations),
             null_activations: g(&self.null_activations),
             null_skipped: g(&self.null_skipped),
+            // `alpha_tests`, `readers_visited`: vs1/vs2/col only.
+            ..MatchStats::default()
         }
     }
 

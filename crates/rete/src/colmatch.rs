@@ -587,6 +587,7 @@ impl ColMatcher {
         let delivered = n * spec.readers.len() as u64;
         self.stats.activations += delivered;
         self.stats.join_activations += delivered;
+        self.stats.readers_visited += spec.readers.len() as u64;
         if let Some(p) = &mut self.profile {
             for &jid in &spec.readers {
                 p.acts[jid as usize] += n;
@@ -802,7 +803,7 @@ impl Matcher for ColMatcher {
                 let pat = net.pattern(pid);
                 passing.clear();
                 for (ci, change) in group.iter().enumerate() {
-                    if pat.tests.iter().all(|t| t.passes(&change.wme)) {
+                    if pat.passes(&change.wme, &mut self.stats.alpha_tests) {
                         passing.push(ci as u32);
                     }
                 }

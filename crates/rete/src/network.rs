@@ -95,6 +95,19 @@ pub struct AlphaPattern {
     pub right_mems: Vec<RightMemId>,
 }
 
+impl AlphaPattern {
+    /// Runs the constant-test chain on `wme`, stopping at the first failing
+    /// test, and adds the tests it evaluated to `evaluated`
+    /// ([`ops5::MatchStats::alpha_tests`]).
+    #[inline]
+    pub fn passes(&self, wme: &Wme, evaluated: &mut u64) -> bool {
+        self.tests.iter().all(|t| {
+            *evaluated += 1;
+            t.passes(wme)
+        })
+    }
+}
+
 /// A right memory shared by every join whose right input is the same alpha
 /// pattern hashed on the same fields. Entries are keyed by
 /// [`RightMemSpec::key`], which — unlike [`JoinNode::right_key`] — leaves

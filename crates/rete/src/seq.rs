@@ -267,7 +267,7 @@ impl<M: TokenMem> Kernel<M> {
         debug_assert!(self.agenda.is_empty() && self.live.is_empty());
         for &pid in pats {
             let pat = net.pattern(pid);
-            if !pat.tests.iter().all(|t| t.passes(wme)) {
+            if !pat.passes(wme, &mut self.tally.stats.alpha_tests) {
                 continue;
             }
             for succ in &pat.succs {
@@ -318,6 +318,7 @@ impl<M: TokenMem> Kernel<M> {
             }
         }
         self.tally.right_activations(&spec.readers);
+        self.tally.stats.readers_visited += spec.readers.len() as u64;
         let mut dead = 0;
         for &join in &spec.readers {
             if self.mem.left_count(join) == 0 {
