@@ -17,9 +17,12 @@
 //! joins and the shared right memories vs2 and col both read store a WME
 //! once). Under `--smoke` it gates on what is deterministic: the two
 //! matchers' folded conflict sets agree, each stays inside an absolute
-//! allocation budget per change, and vs2 performs at most 1 % of Weaver's
-//! join activations as null ones (dead readers are retired, not run);
-//! rows land in `BENCH_match.json` under `"col_batch"`.
+//! allocation budget per change, vs2 performs at most 1 % of Weaver's
+//! join activations as null ones (dead readers are retired, not run) and
+//! looks at no more readers than 2 % of them (dead readers are not even
+//! visited), and a Rubik change evaluates at most 4 constant tests (the
+//! class's constant index, not the chain of all its patterns); rows land
+//! in `BENCH_match.json` under `"col_batch"`.
 //!
 //! `--profile` adds the observability pass: every workload x matcher pair is
 //! re-run twice — metrics disabled (baseline) and enabled — reporting the
@@ -404,6 +407,7 @@ struct ColBatchRow {
     fold_sig: u64,
     join_acts: u64,
     null_acts: u64,
+    readers_visited: u64,
 }
 
 const COL_BATCH: usize = 64;
@@ -415,13 +419,24 @@ const COL_REPS: usize = 5;
 /// activations, 0.44 %. (This gate used to be "col >= 5x vs2 per change",
 /// a wall-clock ratio that encoded vs2's per-join right memories.)
 const VS2_WEAVER_MAX_NULL_SHARE: f64 = 0.01;
+/// The readers a right store looks at are the ones linked to its memory —
+/// left memory non-empty — so on Weaver they are 0.98 % of the join
+/// activations booked (4.88 of 500.0 per change); walking
+/// `RightMemSpec::readers` to find them read 98.2 % (490.8).
+const VS2_WEAVER_MAX_VISITED_SHARE: f64 = 0.02;
+/// A Rubik change is dispatched through its class's constant index and
+/// evaluates 0.95 constant tests (the smoke scramble: 0.96); the linear
+/// chain evaluated 50.6 to find the 1.02 patterns that pass.
+const VS2_RUBIK_MAX_ALPHA_TESTS_PER_CHANGE: f64 = 4.0;
 
 /// The batched replay's programs and the allocations per change each
 /// matcher may make on them (harness included), as `(program, workload,
 /// vs2 budget, col budget)`. The counts are deterministic. Weaver's are
 /// what the two matchers make with shared right memories plus a small
-/// margin: vs2 13.01 + 2 (31.02 with one right memory per join, 1438
-/// before the borrowed kernel), col 15.94 (311.16 with one right memory
+/// margin: vs2 8.88 + 2 (13.01 while every alpha-direct successor built
+/// its own one-WME token and the table was a fixed 16 384 lines, each
+/// allocating on first use; 31.02 with one right memory per join, 1438
+/// before the borrowed kernel), col 15.92 (311.16 with one right memory
 /// per join). Tourney's are the measured 140.29 (vs2) and 106.76 (col)
 /// plus two: 60 and 45 conflict-set changes per change at this batch size,
 /// each the terminal's own token (260.82 and 197.14 while it was copied
@@ -430,7 +445,7 @@ const VS2_WEAVER_MAX_NULL_SHARE: f64 = 0.01;
 /// `key()`.
 type ColBatchProgram = (&'static str, fn() -> Workload, f64, f64);
 const COL_BATCH_PROGRAMS: [ColBatchProgram; 2] = [
-    ("Weaver", bench::weaver_bench, 15.01, 18.0),
+    ("Weaver", bench::weaver_bench, 10.88, 18.0),
     ("Tourney", bench::tourney_bench, 142.4, 108.8),
 ];
 
@@ -471,6 +486,7 @@ fn col_batch_row(
         fold_sig,
         join_acts: stats.join_activations,
         null_acts: stats.null_activations,
+        readers_visited: stats.readers_visited,
     }
 }
 
@@ -540,6 +556,15 @@ fn col_batch_comparison(smoke: bool) -> Vec<ColBatchRow> {
                     vs2.null_acts,
                     vs2.join_acts,
                     100.0 * share
+                );
+                let visited = vs2.readers_visited as f64 / vs2.join_acts.max(1) as f64;
+                assert!(
+                    visited <= VS2_WEAVER_MAX_VISITED_SHARE,
+                    "vs2 looked at {} readers for Weaver's {} join activations \
+                     ({:.2} %): a right store must not walk its dead readers",
+                    vs2.readers_visited,
+                    vs2.join_acts,
+                    100.0 * visited
                 );
             }
             for (row, budget) in [(vs2, vs2_budget), (col, col_budget)] {
@@ -1021,6 +1046,18 @@ fn main() {
             );
             rows.push(row);
         }
+    }
+
+    if smoke {
+        let rubik = rows
+            .iter()
+            .find(|r| (r.program, r.matcher) == ("Rubik", "vs2"));
+        let tests = rubik.expect("a Rubik vs2 row").alpha_tests_per_change;
+        assert!(
+            tests <= VS2_RUBIK_MAX_ALPHA_TESTS_PER_CHANGE,
+            "vs2 evaluated {tests:.2} constant tests per Rubik change: the \
+             alpha network must be looked up, not walked"
+        );
     }
 
     println!();

@@ -1,7 +1,7 @@
 //! Working memory: the set of live WMEs plus the timetag clock.
 
+use ops5::fxhash::FxHashMap;
 use ops5::{SymbolId, Value, Wme, WmeRef};
-use std::collections::HashMap;
 
 /// The database of temporary assertions (§2.1).
 ///
@@ -10,14 +10,15 @@ use std::collections::HashMap;
 /// conflict resolution.
 #[derive(Default)]
 pub struct WorkingMemory {
-    live: HashMap<u64, WmeRef>,
+    /// Keyed by the timetags this clock assigns: no SipHash.
+    live: FxHashMap<u64, WmeRef>,
     next_timetag: u64,
 }
 
 impl WorkingMemory {
     pub fn new() -> Self {
         WorkingMemory {
-            live: HashMap::new(),
+            live: FxHashMap::default(),
             next_timetag: 1,
         }
     }

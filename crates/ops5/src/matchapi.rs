@@ -9,12 +9,11 @@
 //! (`quiesce`) before conflict resolution — exactly the structure of §3.1 of
 //! the paper.
 
-use crate::fxhash;
+use crate::fxhash::{self, FxHashMap};
 use crate::program::ProdId;
 use crate::symbol::SymbolId;
 use crate::token::Token;
 use crate::wme::WmeRef;
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Add, AddAssign, Sub};
@@ -86,10 +85,11 @@ pub struct WmeChange {
 pub struct ChangeBatch {
     /// Per-class groups in first-appearance order of the class.
     groups: Vec<(SymbolId, Vec<WmeChange>)>,
-    /// Class → index into `groups`.
-    class_index: HashMap<SymbolId, usize>,
+    /// Class → index into `groups`. Both maps are keyed by ids this
+    /// program assigns (interned classes, engine timetags): no SipHash.
+    class_index: FxHashMap<SymbolId, usize>,
     /// Timetag → (group, position) of a pending add, for annihilation.
-    pending_adds: HashMap<u64, (usize, usize)>,
+    pending_adds: FxHashMap<u64, (usize, usize)>,
     /// Conjugate pairs cancelled inside this batch.
     annihilated: u64,
     /// Live changes across all groups.
@@ -121,8 +121,8 @@ impl ChangeBatch {
     pub fn single(change: WmeChange) -> ChangeBatch {
         ChangeBatch {
             groups: vec![(change.wme.class, vec![change])],
-            class_index: HashMap::new(),
-            pending_adds: HashMap::new(),
+            class_index: FxHashMap::default(),
+            pending_adds: FxHashMap::default(),
             annihilated: 0,
             len: 1,
         }

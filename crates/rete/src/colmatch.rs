@@ -10,18 +10,20 @@
 //!   two-input node below it and shares none (§3.1, footnote 6), so a WME
 //!   passing an alpha pattern with 829 join successors is copied 829 times.
 //!   Here the right memories belong to the *network*, one per (alpha
-//!   pattern, equality signature) — [`RightMemSpec`], computed by the
-//!   compiler — and every join or not-node with that right input reads the
-//!   one table. Its key hashes the signature's field values and nothing
-//!   else, so a (memory, change) pair has one key whoever reads it; the
-//!   left memories, still one per join, hash their side of the same tests
-//!   the same way ([`JoinNode::shared_key`]).
-//! * **Dead joins are never visited.** A reader whose left memory is empty
-//!   cannot pair with anything, so a right change retires it as
-//!   `null_skipped` without running it. That is Doorenbos right-unlinking,
-//!   and sharing is what makes it safe with no relink replay: the memory
-//!   is maintained for the pattern, not for the join, so a join whose left
-//!   memory comes alive later scans a table that was kept up all along.
+//!   pattern, equality signature) — [`crate::network::RightMemSpec`],
+//!   computed by the compiler — and every join or not-node with that right
+//!   input reads the one table. Its key hashes the signature's field values
+//!   and nothing else, so a (memory, change) pair has one key whoever reads
+//!   it; the left memories, still one per join, hash their side of the same
+//!   tests the same way ([`JoinNode::shared_key`]).
+//! * **Dead joins are never looked at.** A reader whose left memory is
+//!   empty cannot pair with anything, so it is not on its right memory's
+//!   linked list (`readers::LinkedReaders`, the structure vs1/vs2 use): a
+//!   right change runs the linked readers and retires the rest as
+//!   `null_skipped` by subtraction. That is Doorenbos right-unlinking, and sharing is what
+//!   makes it safe with no relink replay: the memory is maintained for the
+//!   pattern, not for the join, so a join whose left memory comes alive
+//!   later scans a table that was kept up all along.
 //! * **Columnar memories.** A memory is a power-of-two table of *lines*:
 //!   one [`Row`] array carrying the per-entry header (key, identity tag,
 //!   not-node counter, liveness) together with the token/WME handle —
@@ -35,12 +37,14 @@
 //!   it holds more than one distinct key (doubling cannot shorten a
 //!   single-key line; tracked O(1) via `key0`/`mixed`).
 //! * **Set-at-a-time sweep.** A submit walks the batch pattern-major: per
-//!   (class, pattern) it computes the passing change subset once, applies
-//!   it to each of the pattern's right memories, and runs *pass 1* — each
-//!   right change against the left line — for the live readers only. That
-//!   is sound because left memories are only mutated afterwards, so pass 1
-//!   sees exactly the pre-batch left state the sequential two-pass order
-//!   requires. Left-side deltas (alpha tokens and join emissions) are
+//!   class it buckets the group's changes by candidate pattern (the
+//!   class's constant index, [`ClassPatterns::candidates`]), then sweeps
+//!   the patterns ascending: per pattern it computes the passing change
+//!   subset once, applies it to each of the pattern's right memories, and
+//!   runs *pass 1* — each right change against the left line — for the
+//!   linked readers only. That is sound because left memories are only
+//!   mutated afterwards, so pass 1 sees exactly the pre-batch left state
+//!   the sequential two-pass order requires. Left-side deltas (alpha tokens and join emissions) are
 //!   queued per join and the join is flagged in a bitset worklist; a
 //!   single ascending sweep (*pass 2*) then drains each flagged join's
 //!   deltas against the settled post-batch right memory (the compiler
@@ -59,7 +63,11 @@
 //! re-entry impossible, so the support of any instantiation changes
 //! monotonically inside a batch.
 
-use crate::network::{AlphaSucc, JoinNode, Network, RightMemSpec, Succ, MAX_RESOLVED_TESTS};
+use crate::network::{
+    AlphaSucc, ClassPatterns, JoinId, JoinNode, Network, RightMemId, Succ, MAX_RESOLVED_TESTS,
+};
+use crate::profile::BufferedProfile;
+use crate::readers::LinkedReaders;
 use crate::token::Token;
 use ops5::{
     ChangeBatch, CsChange, Instantiation, MatchStats, Matcher, QuiesceReport, Sign,
@@ -283,40 +291,6 @@ fn occupancy<H>(mems: &[SideMem<H>]) -> (usize, f64) {
     })
 }
 
-/// Locally-buffered per-join profile (same rationale as the sequential
-/// matcher's: plain increments on the hot path, one atomic fold per
-/// quiesce).
-struct BufferedProfile {
-    shared: Arc<obs::NodeProfile>,
-    acts: Vec<u64>,
-    scans: Vec<u64>,
-}
-
-impl BufferedProfile {
-    fn new(n_joins: usize) -> BufferedProfile {
-        BufferedProfile {
-            shared: Arc::new(obs::NodeProfile::new(n_joins)),
-            acts: vec![0; n_joins],
-            scans: vec![0; n_joins],
-        }
-    }
-
-    fn flush(&mut self) {
-        for (join, n) in self.acts.iter_mut().enumerate() {
-            if *n != 0 {
-                self.shared.record_activations(join, *n);
-                *n = 0;
-            }
-        }
-        for (join, n) in self.scans.iter_mut().enumerate() {
-            if *n != 0 {
-                self.shared.record_scan(join, *n);
-                *n = 0;
-            }
-        }
-    }
-}
-
 /// Locally-buffered bucket scan-length histogram, folded into the shared
 /// `col_bucket_scan_len` instrument at quiesce.
 struct ScanHist {
@@ -354,6 +328,8 @@ pub struct ColMatcher {
     /// Live entry counts: per join (left), per right memory (right).
     left_live: Vec<u32>,
     right_live: Vec<u32>,
+    /// Per right memory, the readers with `left_live != 0`.
+    linked: LinkedReaders,
     /// Signed per-join left-input deltas for the current sweep: alpha-
     /// produced 1-WME tokens and upstream join emissions, in emission
     /// order. Right (alpha) deltas are not queued — they are processed
@@ -368,13 +344,28 @@ pub struct ColMatcher {
     /// doesn't touch, and marking is a branch-free word OR.
     dirty: Vec<u64>,
     /// Scratch of the alpha walk, kept across submits so a small batch
-    /// does not pay for it: the memory key of each passing change.
-    keys: Vec<u64>,
+    /// does not pay for it.
+    alpha: AlphaScratch,
     out: Vec<CsChange>,
     stats: MatchStats,
     delta: StatsDeltaTracker,
     profile: Option<BufferedProfile>,
     scan_hist: Option<ScanHist>,
+}
+
+/// Scratch of one class group's alpha walk.
+#[derive(Default)]
+struct AlphaScratch {
+    /// `(pattern << 32) | change index` of every (change, candidate
+    /// pattern) pair of the group; sorted, the pattern-major sweep order.
+    candidates: Vec<u64>,
+    /// Indices of the group's changes passing the pattern in hand.
+    passing: Vec<u32>,
+    /// Their keys in the right memory in hand, shared by every reader.
+    keys: Vec<u64>,
+    /// One 1-WME token per change of the group, shared across every first
+    /// join it feeds (token clones are `Arc` bumps).
+    singles: Vec<Option<Token>>,
 }
 
 /// Flag join `j` as having pending deltas.
@@ -495,9 +486,10 @@ impl ColMatcher {
             right: net.right_mems.iter().map(|_| SideMem::new(0)).collect(),
             left_live: vec![0; n],
             right_live: vec![0; net.right_mems.len()],
+            linked: LinkedReaders::new(&net),
             left_deltas: (0..n).map(|_| Vec::new()).collect(),
             dirty: vec![0u64; n.div_ceil(64)],
-            keys: Vec::new(),
+            alpha: AlphaScratch::default(),
             out: Vec::new(),
             stats: MatchStats::default(),
             delta: StatsDeltaTracker::default(),
@@ -514,6 +506,19 @@ impl ColMatcher {
     /// Live entries stored across all memories (invariant checks in tests).
     pub fn memory_entries(&self) -> usize {
         occupancy(&self.left).0 + occupancy(&self.right).0
+    }
+
+    /// Per right memory, the readers linked to it, and the live entries of
+    /// one join's left memory (counted, not read off `left_live`): tests
+    /// hold the lists to the filter they replaced.
+    #[doc(hidden)]
+    pub fn linked_readers(&self) -> &[Vec<JoinId>] {
+        self.linked.lists()
+    }
+
+    #[doc(hidden)]
+    pub fn left_entries(&self, join: JoinId) -> u32 {
+        occupancy(std::slice::from_ref(&self.left[join as usize])).0 as u32
     }
 
     /// The worst tombstone ratio across all lines. The compaction policy
@@ -540,7 +545,7 @@ impl ColMatcher {
         *tokens += examined;
         *nonempty += (examined > 0) as u64;
         if let Some(p) = &mut self.profile {
-            p.scans[jid] += examined;
+            p.scan(jid as JoinId, examined);
         }
         if let Some(h) = &mut self.scan_hist {
             h.record(examined);
@@ -549,20 +554,22 @@ impl ColMatcher {
 
     /// A pattern's passing set against one of its right memories: apply
     /// every change to the memory once, then run pass 1 for the readers
-    /// that can pair with anything. The left memories — and with them
-    /// `left_live` — are frozen for the entire alpha walk, so one check
-    /// per reader covers the whole set; a reader with an empty left memory
-    /// is not activated at all and costs one add. `keys` is scratch: the
-    /// memory key of each passing change, shared by every reader.
+    /// linked to it. The left memories — and with them `left_live` and the
+    /// linked lists, which only `process_join` updates — are frozen for the
+    /// entire alpha walk, so the list read here is the filter
+    /// `readers.filter(left_live != 0)` for every change of the set: same
+    /// readers, same ascending order. A dead reader is not looked at; the
+    /// dead are retired by count. `keys` is scratch: the memory key of each
+    /// passing change, shared by every reader.
     fn right_group(
         &mut self,
         net: &Network,
-        spec: &RightMemSpec,
-        mid: usize,
+        mem: RightMemId,
         group: &[WmeChange],
         passing: &[u32],
         keys: &mut Vec<u64>,
     ) {
+        let (mid, spec) = (mem as usize, &net.right_mems[mem as usize]);
         keys.clear();
         for &ci in passing {
             let change = &group[ci as usize];
@@ -583,22 +590,24 @@ impl ColMatcher {
                 }
             }
         }
+        debug_assert!(
+            self.linked
+                .is_the_filter(net, mem, |j| self.left_live[j as usize] != 0),
+            "memory {mem}: linked readers are not the live ones"
+        );
         let n = passing.len() as u64;
-        let delivered = n * spec.readers.len() as u64;
-        self.stats.activations += delivered;
-        self.stats.join_activations += delivered;
-        self.stats.readers_visited += spec.readers.len() as u64;
+        let (readers, linked) = (spec.readers.len() as u64, self.linked.of(mem).len());
+        self.stats.activations += n * readers;
+        self.stats.join_activations += n * readers;
+        self.stats.null_skipped += n * (readers - linked as u64);
+        self.stats.readers_visited += linked as u64;
         if let Some(p) = &mut self.profile {
-            for &jid in &spec.readers {
-                p.acts[jid as usize] += n;
-            }
+            p.right_stores(mem, n);
         }
-        for &jid in &spec.readers {
-            if self.left_live[jid as usize] == 0 {
-                self.stats.null_skipped += n;
-                continue;
-            }
-            let j = net.join(jid);
+        // Pass 1 mutates no left memory's population, so the list cannot
+        // change under the loop; indexing keeps `self` free for the call.
+        for i in 0..linked {
+            let j = net.join(self.linked.of(mem)[i]);
             for (&ci, &key) in passing.iter().zip(keys.iter()) {
                 let change = &group[ci as usize];
                 self.right_delta(j, key, change.sign, &change.wme);
@@ -670,6 +679,89 @@ impl ColMatcher {
         self.note_scan(jid, examined, true);
     }
 
+    /// The alpha walk of one class group. Each change asks the class's
+    /// constant index for its candidate patterns; the (pattern, change)
+    /// pairs, sorted, are the pattern-major sweep: patterns ascending, each
+    /// running its test list on its candidate changes only, in submission
+    /// order.
+    fn alpha_group(
+        &mut self,
+        net: &Network,
+        patterns: &ClassPatterns,
+        group: &[WmeChange],
+        scratch: &mut AlphaScratch,
+    ) {
+        let AlphaScratch {
+            candidates,
+            passing,
+            keys,
+            singles,
+        } = scratch;
+        candidates.clear();
+        for (ci, change) in group.iter().enumerate() {
+            debug_assert!(
+                net.index_covers(&change.wme),
+                "alpha index dropped a pattern"
+            );
+            let of = patterns.candidates(&change.wme);
+            candidates.extend(of.map(|pid| (pid as u64) << 32 | ci as u64));
+        }
+        candidates.sort_unstable();
+        singles.clear();
+        singles.resize(group.len(), None);
+        for of_pattern in candidates.chunk_by(|a, b| a >> 32 == b >> 32) {
+            let pat = net.pattern((of_pattern[0] >> 32) as u32);
+            passing.clear();
+            for &pair in of_pattern {
+                let ci = pair as u32;
+                if pat.passes(&group[ci as usize].wme, &mut self.stats.alpha_tests) {
+                    passing.push(ci);
+                }
+            }
+            if passing.is_empty() {
+                continue;
+            }
+            for &mem in &pat.right_mems {
+                self.right_group(net, mem, group, passing, keys);
+            }
+            for succ in &pat.succs {
+                match *succ {
+                    AlphaSucc::JoinLeft(j) => {
+                        for &ci in passing.iter() {
+                            let change = &group[ci as usize];
+                            let t = singles[ci as usize]
+                                .get_or_insert_with(|| Token::single(change.wme.clone()))
+                                .clone();
+                            self.left_deltas[j as usize].push((change.sign, t));
+                        }
+                        mark(&mut self.dirty, j);
+                    }
+                    // Served through the pattern's right memories above.
+                    AlphaSucc::JoinRight(_) => {}
+                    AlphaSucc::Terminal(p) => {
+                        for &ci in passing.iter() {
+                            let change = &group[ci as usize];
+                            self.stats.activations += 1;
+                            self.stats.cs_changes += 1;
+                            let inst = Instantiation {
+                                prod: p,
+                                wmes: singles[ci as usize]
+                                    .get_or_insert_with(|| Token::single(change.wme.clone()))
+                                    .clone(),
+                            };
+                            self.out.push(match change.sign {
+                                Sign::Plus => CsChange::Insert(inst),
+                                Sign::Minus => CsChange::Remove(inst),
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        // The tokens go where they were sent; the scratch keeps no handle.
+        singles.clear();
+    }
+
     /// Pass 2 of the two-pass split: the join's accumulated left deltas
     /// (alpha 1-WME tokens and upstream emissions), in emission order,
     /// against the post-batch (settled) right memory it shares.
@@ -685,7 +777,7 @@ impl ColMatcher {
         self.stats.activations += n;
         self.stats.join_activations += n;
         if let Some(p) = &mut self.profile {
-            p.acts[jid] += n;
+            p.activations(j.id, n);
         }
         for (sign, t) in ldeltas.drain(..) {
             let key = j.shared_key(&t);
@@ -695,6 +787,9 @@ impl ColMatcher {
                 self.stats.same_searches_left += 1;
                 debug_assert!(neg.is_some(), "col delete must find its token");
                 self.left_live[jid] -= 1;
+                if self.left_live[jid] == 0 {
+                    self.linked.unlink(j);
+                }
                 if j.negated {
                     // The stored count says whether the token was passed on.
                     if neg == Some(0) {
@@ -767,6 +862,9 @@ impl ColMatcher {
                 let tag = t.identity_hash();
                 self.left[jid].insert(key, tag, blockers, t.clone(), cols);
                 self.left_live[jid] += 1;
+                if self.left_live[jid] == 1 {
+                    self.linked.link(j);
+                }
             }
         }
         self.left_deltas[jid] = ldeltas;
@@ -785,69 +883,15 @@ impl Matcher for ColMatcher {
         // their join for the pass-2 sweep. Per-join delta order stays
         // submission order — only interleaving across joins changes,
         // which folding cannot observe.
-        let mut passing: Vec<u32> = Vec::new();
-        let mut keys = std::mem::take(&mut self.keys);
-        let mut singles: Vec<Option<Token>> = Vec::new();
+        let mut alpha = std::mem::take(&mut self.alpha);
         for (class, group) in batch.groups() {
             self.stats.alpha_activations += 1;
             self.stats.wme_changes += group.len() as u64;
-            let pats = net.patterns_for_class(class);
-            if pats.is_empty() {
-                continue;
-            }
-            // One 1-WME token per change, shared across every first join
-            // it feeds (token clones are `Arc` bumps).
-            singles.clear();
-            singles.resize(group.len(), None);
-            for &pid in pats {
-                let pat = net.pattern(pid);
-                passing.clear();
-                for (ci, change) in group.iter().enumerate() {
-                    if pat.passes(&change.wme, &mut self.stats.alpha_tests) {
-                        passing.push(ci as u32);
-                    }
-                }
-                if passing.is_empty() {
-                    continue;
-                }
-                for &mid in &pat.right_mems {
-                    let spec = &net.right_mems[mid as usize];
-                    self.right_group(&net, spec, mid as usize, group, &passing, &mut keys);
-                }
-                for succ in &pat.succs {
-                    match *succ {
-                        AlphaSucc::JoinLeft(j) => {
-                            for &ci in &passing {
-                                let change = &group[ci as usize];
-                                let t = singles[ci as usize]
-                                    .get_or_insert_with(|| Token::single(change.wme.clone()))
-                                    .clone();
-                                self.left_deltas[j as usize].push((change.sign, t));
-                            }
-                            mark(&mut self.dirty, j);
-                        }
-                        // Served through the pattern's right memories above.
-                        AlphaSucc::JoinRight(_) => {}
-                        AlphaSucc::Terminal(p) => {
-                            for &ci in &passing {
-                                let change = &group[ci as usize];
-                                self.stats.activations += 1;
-                                self.stats.cs_changes += 1;
-                                let inst = Instantiation {
-                                    prod: p,
-                                    wmes: Token::single(change.wme.clone()),
-                                };
-                                self.out.push(match change.sign {
-                                    Sign::Plus => CsChange::Insert(inst),
-                                    Sign::Minus => CsChange::Remove(inst),
-                                });
-                            }
-                        }
-                    }
-                }
+            if let Some(patterns) = net.class_patterns(class) {
+                self.alpha_group(&net, patterns, group, &mut alpha);
             }
         }
-        self.keys = keys;
+        self.alpha = alpha;
         // One forward sweep over the dirty joins in ascending id order
         // (topological, so every join's delta set is complete when the
         // sweep reaches it; emissions only set bits ahead of the cursor,
@@ -869,7 +913,7 @@ impl Matcher for ColMatcher {
     fn quiesce(&mut self) -> QuiesceReport {
         debug_assert!(self.left_deltas.iter().all(Vec::is_empty));
         if let Some(p) = &mut self.profile {
-            p.flush();
+            p.flush(&self.net);
         }
         if let Some(h) = &mut self.scan_hist {
             h.flush();
@@ -896,7 +940,7 @@ impl Matcher for ColMatcher {
 
     fn enable_obs(&mut self, registry: &Arc<obs::Registry>) {
         if self.profile.is_none() {
-            self.profile = Some(BufferedProfile::new(self.net.n_joins()));
+            self.profile = Some(BufferedProfile::new(&self.net));
         }
         if self.scan_hist.is_none() {
             self.scan_hist = Some(ScanHist {
@@ -1211,6 +1255,46 @@ mod tests {
         m.submit(&cycles[2].iter().cloned().collect());
         // p1 and p2: b3 b5 each; p3: b0 b3 b4 b5; p4 stays blocked.
         assert_eq!(m.quiesce().cs_changes.len(), 8);
+    }
+
+    /// A reader goes dead → live → dead inside one batch. Pass 1 reads the
+    /// frozen pre-batch lists (`+c` finds J1 dead and is right: the token it
+    /// could pair with arrives in pass 2, which scans the settled memory);
+    /// pass 2 links J1 for `+(a, b)` and unlinks it for `-(a, b)` in one
+    /// `process_join`, so the next batch's `+c` looks at nobody.
+    #[test]
+    fn a_reader_goes_dead_live_dead_inside_one_batch() {
+        let src = "(p q (a ^x <v>) (b ^y <v>) (c ^z <v>) --> (halt))";
+        let (mut prog, net) = net_of(src);
+        assert_eq!((net.n_joins(), net.right_mems.len()), (2, 2));
+        let mut w = |class, tag| wme(&mut prog, class, vec![Value::Int(1)], tag);
+        let (a1, b1, c1, c2) = (w("a", 1), w("b", 2), w("c", 3), w("c", 4));
+
+        let mut m = ColMatcher::new(net);
+        m.submit(&ChangeBatch::single(change(Sign::Plus, a1.clone())));
+        assert_eq!(m.linked_readers(), [vec![0], vec![]]);
+        let batch: ChangeBatch = [
+            change(Sign::Plus, b1),
+            change(Sign::Plus, c1),
+            change(Sign::Minus, a1),
+        ]
+        .into_iter()
+        .collect();
+        m.submit(&batch);
+        let mut state = std::collections::BTreeSet::new();
+        let cs = m.quiesce().cs_changes;
+        assert_eq!(cs.len(), 2, "+(a, b, c) then -(a, b, c): {cs:?}");
+        assert!(fold_keys(&mut state, cs).is_empty());
+        let live = crate::readers::live_readers(m.network(), |j| m.left_entries(j) != 0);
+        assert_eq!(m.linked_readers(), live);
+        assert_eq!(m.linked_readers(), [vec![], vec![]]);
+        // J0 ran for `+b`; `+c` met J1 dead, in this batch and the next.
+        let s = m.stats();
+        assert_eq!((s.readers_visited, s.null_skipped), (1, 1));
+        m.submit(&ChangeBatch::single(change(Sign::Plus, c2)));
+        let s = m.stats();
+        assert_eq!((s.readers_visited, s.null_skipped), (1, 2));
+        assert!(m.quiesce().cs_changes.is_empty());
     }
 
     #[test]

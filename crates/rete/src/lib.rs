@@ -15,17 +15,19 @@
 //!   memory nodes are coalesced into the two-input nodes below them (§3.1)
 //!   and are *not* shared between productions (paper footnote 6: sharing is
 //!   impossible in the parallel implementation). The compiler also records
-//!   which joins could read one right memory; the sequential matchers and
-//!   `col` do, the parallel and trace matchers and lispsim do not.
+//!   which joins could read one right memory, and indexes each class's
+//!   patterns on the constant they test; the sequential matchers and `col`
+//!   use both, the parallel and trace matchers and lispsim neither.
 //! * [`memory`] — token memories: linear lists (*vs1*) and the two global
 //!   hash tables holding all left/right tokens for the whole network
-//!   (*vs2*, §3.2), organised in "lines" (pairs of same-index buckets).
+//!   (*vs2*, §3.2), organised in "lines" (pairs of same-index buckets) and
+//!   sized by their population unless a fixed line count is asked for.
 //!   Left memories are per join; right memories are the network's shared
 //!   ones ([`RightMemSpec`]), so each WME is stored once.
 //! * [`seq`] — the sequential matcher over either memory kind, instrumented
 //!   with the Table 4-1/4-2/4-3 statistics. A WME change is applied to each
-//!   right memory once and only the readers with a non-empty left memory
-//!   are activated.
+//!   right memory once and only the readers linked to it — the ones with a
+//!   non-empty left memory — are looked at.
 //! * [`colmatch`] — the columnar set-at-a-time matcher (*col*):
 //!   value-bucketed struct-of-arrays memories scanned a whole batch at a
 //!   time, with tombstone deletes and inline compaction. Left memories are
@@ -37,15 +39,19 @@ pub mod colmatch;
 pub mod dot;
 pub mod memory;
 pub mod network;
+mod profile;
+mod readers;
 pub mod seq;
 
 pub use colmatch::ColMatcher;
 pub use memory::{HashMemConfig, MemoryKind};
 pub use network::{
-    AlphaPatternId, AlphaSucc, EqSpec, JoinId, JoinNode, JoinTest, Network, NetworkOptions,
-    NetworkSummary, RightMemId, RightMemSpec, Succ,
+    AlphaPatternId, AlphaSucc, ClassPatterns, EqSpec, JoinId, JoinNode, JoinTest, Network,
+    NetworkOptions, NetworkSummary, RightMemId, RightMemSpec, Succ,
 };
 // Tokens and the Fx mix live in `ops5` (an instantiation is a token);
 // re-exported so `rete::token::Token` and `rete::fxhash` keep resolving.
 pub use ops5::{fxhash, token, Token};
+#[doc(hidden)]
+pub use readers::live_readers;
 pub use seq::SeqMatcher;

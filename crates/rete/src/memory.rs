@@ -13,7 +13,10 @@
 //!   the values under the equality tests, so a scan only examines the
 //!   entries of one bucket (a "line"). Joins without equality tests (the
 //!   cross-product case) hash on the id alone and degenerate to the list
-//!   behaviour — the Tourney pathology.
+//!   behaviour — the Tourney pathology. The paper fixes the table's size;
+//!   by default this one is sized by what is in it (it starts at the size
+//!   of the network and doubles under a constant load), and an explicit
+//!   line count ([`HashMemConfig`]) is the paper's fixed table.
 //!
 //! The two sides are not symmetric. A **left** memory belongs to its join,
 //! as in the paper (the memory node is folded into the two-input node below
@@ -52,21 +55,37 @@ pub enum MemoryKind {
 }
 
 /// Configuration for the global hash tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HashMemConfig {
-    /// Bucket count per table; rounded up to a power of two.
+    /// Lines (bucket pairs) of the table, rounded up to a power of two and
+    /// fixed for the matcher's life. 0, the default, sizes the table by its
+    /// population instead: it starts from the size of the network and
+    /// doubles whenever it holds more than [`LOAD`] entries per line.
     pub buckets: usize,
 }
 
-impl Default for HashMemConfig {
-    fn default() -> Self {
-        // "Two large hash tables which hold all the tokens for the entire
-        // network": with hundreds of rules the tables hold tens of
-        // thousands of entries, and bucket sharing between joins costs
-        // skip-scans, so size generously.
-        HashMemConfig { buckets: 16384 }
-    }
+impl HashMemConfig {
+    /// The paper's vs2: "two large hash tables which hold all the tokens
+    /// for the entire network", one fixed size for every program. What the
+    /// table binaries and the geometry-pinned goldens run on.
+    pub const PAPER: HashMemConfig = HashMemConfig { buckets: 16384 };
 }
+
+/// Entries (left tokens + right WMEs) per line beyond which a table sized
+/// by its population doubles. A line is two vectors scanned front to back,
+/// so a handful of entries costs less than the cache miss of reaching a
+/// line of their own: over fixed sizes, `ablation_buckets` (best of 7)
+/// reads Weaver fastest at 1024–4096 lines — 1.6–6.3 entries per line at its
+/// peak of 6419 — and 8–24 % slower at 16 Ki and 64 Ki, with Rubik (368
+/// entries) and Tourney (peak 1720) flat from 256 lines up (EXPERIMENTS.md,
+/// "A change costs what it touches").
+pub const LOAD: usize = 4;
+
+/// A table sized by its population starts with one line per join and per
+/// right memory (rounded up to a power of two), within these bounds: a
+/// 2-rule session allocates 16 lines, not 16 384, and a 2562-join network
+/// grows past 1024 only if its population does.
+const START_LINES: std::ops::RangeInclusive<usize> = 16..=1024;
 
 /// Work counters of a scan of the opposite memory (matches go into the
 /// caller's scratch buffer).
@@ -376,6 +395,15 @@ struct HashLine {
 /// memory's signature, so the readers of a shared memory all find it on the
 /// one line. Each entry stores its key, so probes compare one cached word
 /// before touching token identity.
+///
+/// With growth on (the default) the table doubles when its population
+/// passes [`LOAD`] entries per line, splitting every line on the next bit
+/// of the stored keys, and never shrinks: a program that retracts and
+/// rebuilds its memories every cycle (Tourney) pays for each size once.
+/// Doubling pulls apart keys that shared a line; it cannot shorten a line
+/// whose entries share one key (Tourney's id-only cross products), at any
+/// size. Callers hold keys, never line indices, so a growth between two
+/// operations of one activation is invisible to them.
 pub struct HashMem {
     lines: Vec<HashLine>,
     mask: u64,
@@ -384,6 +412,10 @@ pub struct HashMem {
     /// derived.
     left_counts: Vec<u32>,
     right_counts: Vec<u32>,
+    /// Entries stored, and the population at which the table next doubles
+    /// (`usize::MAX`: a fixed table).
+    entries: usize,
+    grow_above: usize,
 }
 
 #[inline]
@@ -401,24 +433,59 @@ impl HashMem {
     /// Tables for `net` (join ids and right-memory ids index the counters
     /// directly, as they index [`ListMem`]'s vectors).
     pub fn new(cfg: HashMemConfig, net: &Network) -> HashMem {
-        let n = cfg.buckets.next_power_of_two().max(2);
+        let grows = cfg.buckets == 0;
+        let n = if grows {
+            let memories = net.n_joins() + net.right_mems.len();
+            memories.clamp(*START_LINES.start(), *START_LINES.end())
+        } else {
+            cfg.buckets.max(2)
+        }
+        .next_power_of_two();
         HashMem {
             lines: (0..n).map(|_| HashLine::default()).collect(),
             mask: (n - 1) as u64,
             left_counts: vec![0; net.n_joins()],
             right_counts: vec![0; net.right_mems.len()],
+            entries: 0,
+            grow_above: if grows { n * LOAD } else { usize::MAX },
         }
     }
 
-    /// Line index for a key — exposed so the parallel matcher and the
-    /// Multimax simulator use identical line geometry.
     #[inline]
-    pub fn line_of(&self, key: u64) -> usize {
+    fn line_of(&self, key: u64) -> usize {
         (key & self.mask) as usize
     }
 
-    pub fn n_lines(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn n_lines(&self) -> usize {
         self.lines.len()
+    }
+
+    /// Books one stored entry; past the load, doubles the table.
+    #[inline]
+    fn stored(&mut self) {
+        self.entries += 1;
+        if self.entries > self.grow_above {
+            self.grow();
+        }
+    }
+
+    /// Line `i` of `n` splits into `i` and `i + n` on bit `n` of each
+    /// entry's stored key, both halves keeping their entries' order.
+    #[cold]
+    fn grow(&mut self) {
+        let n = self.lines.len();
+        self.lines.resize_with(2 * n, HashLine::default);
+        let (low, high) = self.lines.split_at_mut(n);
+        let bit = n as u64;
+        for (from, to) in low.iter_mut().zip(high) {
+            to.left
+                .extend(from.left.extract_if(.., |e| e.key & bit != 0));
+            to.right
+                .extend(from.right.extract_if(.., |e| e.key & bit != 0));
+        }
+        self.mask = (2 * n - 1) as u64;
+        self.grow_above = 2 * n * LOAD;
     }
 }
 
@@ -452,6 +519,7 @@ impl TokenMem for HashMem {
             neg_count,
         });
         bump(&mut self.left_counts, j.id, 1);
+        self.stored();
     }
 
     fn remove_left(&mut self, j: &JoinNode, key: u64, token: &Token) -> Removed<u32> {
@@ -467,6 +535,7 @@ impl TokenMem for HashMem {
             if e.key == key && e.token.same_wmes(token) {
                 let e = mem.swap_remove(i);
                 bump(&mut self.left_counts, j.id, -1);
+                self.entries -= 1;
                 return Removed {
                     entry: Some(e.neg_count),
                     examined,
@@ -483,6 +552,7 @@ impl TokenMem for HashMem {
         let b = self.line_of(key);
         self.lines[b].right.push(HashRightEntry { mem, key, wme });
         bump(&mut self.right_counts, mem, 1);
+        self.stored();
     }
 
     fn remove_right(&mut self, mem: RightMemId, key: u64, wme: &Wme) -> Removed<()> {
@@ -498,6 +568,7 @@ impl TokenMem for HashMem {
             if e.key == key && e.wme.timetag == wme.timetag {
                 line.swap_remove(i);
                 bump(&mut self.right_counts, mem, -1);
+                self.entries -= 1;
                 return Removed {
                     entry: Some(()),
                     examined,
@@ -623,10 +694,10 @@ impl TokenMem for HashMem {
     }
 
     fn total_entries(&self) -> usize {
-        self.lines
-            .iter()
-            .map(|l| l.left.len() + l.right.len())
-            .sum()
+        let lines = self.lines.iter();
+        let stored = lines.map(|l| l.left.len() + l.right.len()).sum();
+        debug_assert_eq!(self.entries, stored);
+        stored
     }
 }
 

@@ -5,7 +5,12 @@
 //! * the **alpha network**: per-class lists of *alpha patterns*, each a flat
 //!   array of constant/intra-element tests with pre-resolved field indices.
 //!   Identical patterns are shared across condition elements and productions
-//!   (the constant-test-node sharing visible in Figure 2-2);
+//!   (the constant-test-node sharing visible in Figure 2-2). Beside the
+//!   list the compiler builds a discrimination index per class
+//!   ([`ClassPatterns`]: the patterns hashed on the constant they compare
+//!   one field with), so vs1, vs2 and `col` look a change's candidate
+//!   patterns up instead of walking the class; psm and `psm::trace` walk
+//!   the list, the chain the trace cost model charges for;
 //! * the **beta network**: one chain of coalesced memory/two-input
 //!   [`JoinNode`]s per production (memory nodes are folded into the join
 //!   below them, §3.1, and are not shared across productions — paper
@@ -17,8 +22,10 @@
 //! inputs of an alpha pattern by the fields their equality tests hash
 //! ([`JoinNode::right_mem`]). psm, `psm::trace` and lispsim ignore it
 //! (footnote 6 stands for them, and for the tables and traces built on
-//! them); vs1, vs2 and `col` store each WME once per group and never run
-//! a reader whose left memory is empty.
+//! them); vs1, vs2 and `col` store each WME once per group and never look
+//! at a reader whose left memory is empty (each keeps the live ones on a
+//! linked list per memory; the network itself is immutable and shared by
+//! every session of a compiled program).
 //!
 //! With [`NetworkOptions::sharing`] enabled (off by default — the paper's
 //! configuration keeps the chains linear), identical join-chain *prefixes*
@@ -129,6 +136,103 @@ impl RightMemSpec {
         self.fields
             .iter()
             .fold(0, |h, &f| hash_value(h, wme.field(f)))
+    }
+}
+
+/// The alpha patterns of one class, and the discrimination index over them.
+///
+/// The patterns of a class mostly tell themselves apart by the constant one
+/// field is compared with (Rubik: 50 patterns per change evaluated to find
+/// the one that passes), so the compiler picks the field most of them test
+/// with `= constant` and hashes those patterns on the constant. A change
+/// then looks its own value of that field up and runs the full test lists
+/// of the patterns under it plus the `residual` ones — the patterns with no
+/// such test, which any value can pass. [`Value`]'s `Eq`/`Hash` are
+/// variant-exact exactly as [`Pred::Eq`] is (`1` never finds `1.0`), and an
+/// absent field reads as `nil` on both sides, so the candidates are a
+/// superset of the passing patterns. psm and `psm::trace` walk `all`, the
+/// paper's linear constant-test chain.
+#[derive(Debug, Clone, Default)]
+pub struct ClassPatterns {
+    /// Every pattern of the class, ascending.
+    all: Vec<AlphaPatternId>,
+    /// The indexed field (unused while `by_const` is empty).
+    field: u16,
+    /// Patterns testing `field = constant`, by constant; each list ascending.
+    by_const: FxHashMap<Value, Vec<AlphaPatternId>>,
+    /// Patterns without such a test, ascending.
+    residual: Vec<AlphaPatternId>,
+}
+
+impl ClassPatterns {
+    /// The patterns `wme` can pass, ascending: agenda order — and with it
+    /// conflict-set change order — is that of the linear chain.
+    #[inline]
+    pub fn candidates(&self, wme: &Wme) -> Candidates<'_> {
+        let hit = self.by_const.get(&wme.field(self.field));
+        Candidates {
+            indexed: hit.map_or(&[], Vec::as_slice),
+            residual: &self.residual,
+        }
+    }
+
+    /// Picks the field most patterns test with `= constant` (the lowest
+    /// such field on a tie) and files every pattern under its constant or
+    /// as residual. A pattern testing the field against two constants can
+    /// pass neither; it is filed under the first and fails its chain there.
+    fn build_index(&mut self, patterns: &[AlphaPattern]) {
+        let const_on = |pid: AlphaPatternId, field: u16| {
+            let tests = patterns[pid as usize].tests.iter();
+            tests
+                .filter(|t| t.field == field)
+                .find_map(|t| match t.kind {
+                    AlphaTestKind::Pred(Pred::Eq, c) => Some(c),
+                    _ => None,
+                })
+        };
+        let mut fields: Vec<u16> = (self.all.iter())
+            .flat_map(|&pid| patterns[pid as usize].tests.iter().map(|t| t.field))
+            .collect();
+        fields.sort_unstable();
+        fields.dedup();
+        let users = |&f: &u16| {
+            self.all
+                .iter()
+                .filter(|&&p| const_on(p, f).is_some())
+                .count()
+        };
+        // `max_by_key` keeps the last maximum: reversed, the lowest field.
+        let best = fields.iter().rev().max_by_key(|f| users(f));
+        self.field = best.copied().unwrap_or(0);
+        for &pid in &self.all {
+            match const_on(pid, self.field) {
+                Some(c) => self.by_const.entry(c).or_default().push(pid),
+                None => self.residual.push(pid),
+            }
+        }
+    }
+}
+
+/// [`ClassPatterns::candidates`]: two ascending lists merged.
+pub struct Candidates<'a> {
+    indexed: &'a [AlphaPatternId],
+    residual: &'a [AlphaPatternId],
+}
+
+impl Iterator for Candidates<'_> {
+    type Item = AlphaPatternId;
+
+    #[inline]
+    fn next(&mut self) -> Option<AlphaPatternId> {
+        let from = match (self.indexed.first(), self.residual.first()) {
+            (Some(a), Some(b)) if a < b => &mut self.indexed,
+            (_, Some(_)) => &mut self.residual,
+            (Some(_), None) => &mut self.indexed,
+            (None, None) => return None,
+        };
+        let (&first, rest) = from.split_first()?;
+        *from = rest;
+        Some(first)
     }
 }
 
@@ -309,10 +413,16 @@ impl JoinNode {
 ///   the way alpha patterns are already deduped. Joins become
 ///   multi-successor nodes and the beta layer turns into a DAG.
 /// * `unlinking` — matchers skip the opposite-memory scan of a two-input
-///   activation when that memory is globally empty (a *null activation*),
-///   the effect of Doorenbos-style left/right unlinking expressed as an
-///   emptiness gate rather than physical successor-list surgery (which the
-///   parallel matcher could not do safely under per-line locks).
+///   activation when that memory is globally empty (a *null activation*)
+///   and book it as `null_skipped`: Doorenbos-style unlinking expressed as
+///   an emptiness gate, which is all the parallel matcher can do safely
+///   under per-line locks. For vs1, vs2 and `col` the option only moves
+///   *left* nulls between the two counters. Their right-unlinking is
+///   physical and unconditional: each matcher keeps, per shared right
+///   memory, the list of readers whose left memory is non-empty, a join
+///   links and unlinks itself as that memory fills and empties, and a
+///   right store never visits the rest — per matcher, with the compiled
+///   network untouched.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetworkOptions {
     pub sharing: bool,
@@ -357,7 +467,7 @@ impl std::fmt::Display for NetworkSummary {
 #[derive(Debug, Clone)]
 pub struct Network {
     pub patterns: Vec<AlphaPattern>,
-    by_class: FxHashMap<SymbolId, Vec<AlphaPatternId>>,
+    by_class: FxHashMap<SymbolId, ClassPatterns>,
     pub joins: Vec<JoinNode>,
     /// Shared right memories, indexed by [`JoinNode::right_mem`].
     pub right_mems: Vec<RightMemSpec>,
@@ -373,10 +483,32 @@ pub struct Network {
 }
 
 impl Network {
-    /// Alpha patterns whose class matches the WME's class.
+    /// Alpha patterns whose class matches the WME's class: the linear
+    /// constant-test chain psm and `psm::trace` walk.
     #[inline]
     pub fn patterns_for_class(&self, class: SymbolId) -> &[AlphaPatternId] {
-        self.by_class.get(&class).map_or(&[], |v| v.as_slice())
+        self.by_class.get(&class).map_or(&[], |c| c.all.as_slice())
+    }
+
+    /// The indexed patterns of a class (`None`: no production mentions it).
+    /// vs1, vs2 and `col` dispatch through [`ClassPatterns::candidates`].
+    #[inline]
+    pub fn class_patterns(&self, class: SymbolId) -> Option<&ClassPatterns> {
+        self.by_class.get(&class)
+    }
+
+    /// Is every pattern `wme` passes among its candidates? What makes the
+    /// index equivalent to the linear chain; vs1, vs2 and `col` assert it
+    /// on every change in debug builds.
+    pub fn index_covers(&self, wme: &Wme) -> bool {
+        let Some(class) = self.class_patterns(wme.class) else {
+            return true;
+        };
+        let mut candidates = class.candidates(wme);
+        let mut passing =
+            (class.all.iter().copied()).filter(|&pid| self.pattern(pid).passes(wme, &mut 0));
+        // Both ascend, so one pass over the candidates finds them all.
+        passing.all(|pid| candidates.any(|c| c == pid))
     }
 
     #[inline]
@@ -587,6 +719,9 @@ impl Network {
             net.prod_sizes.push(prod.positive_ces() as u16);
             net.compile_production(prog, prod_id, &mut alpha_dedup, &mut join_dedup)?;
         }
+        for class in net.by_class.values_mut() {
+            class.build_index(&net.patterns);
+        }
         debug_assert!(
             net.validate().is_empty(),
             "invalid network: {:?}",
@@ -612,7 +747,7 @@ impl Network {
             succs: Vec::new(),
             right_mems: Vec::new(),
         });
-        self.by_class.entry(class).or_default().push(id);
+        self.by_class.entry(class).or_default().all.push(id);
         dedup.insert((class, tests), id);
         id
     }
@@ -1151,5 +1286,179 @@ mod tests {
         let cb = prog.symbols.intern("zz");
         assert_eq!(net.patterns_for_class(ca).len(), 1);
         assert_eq!(net.patterns_for_class(cb).len(), 0);
+    }
+    // ---- The class's constant index against the linear chain ----
+
+    /// What `wme` passes, by walking every pattern of its class (psm's way)
+    /// and by running the index's candidates only.
+    fn passing_both_ways(net: &Network, wme: &Wme) -> [Vec<AlphaPatternId>; 2] {
+        let passes = |pid: &AlphaPatternId| net.pattern(*pid).passes(wme, &mut 0);
+        let linear = net.patterns_for_class(wme.class).iter().copied();
+        let indexed = net.class_patterns(wme.class).map(|c| c.candidates(wme));
+        [
+            linear.filter(passes).collect(),
+            indexed.into_iter().flatten().filter(passes).collect(),
+        ]
+    }
+
+    #[test]
+    fn the_index_is_variant_exact_and_reads_absent_fields_as_nil() {
+        let mut prog = Program::from_source(
+            "(p int (c ^x 1) --> (halt))
+             (p float (c ^x 1.0) --> (halt))
+             (p unset (c ^x nil) --> (halt))
+             (p other (c ^y 1) --> (halt))
+             (p any (c) --> (halt))",
+        )
+        .unwrap();
+        let net = Network::compile(&prog).unwrap();
+        let c = prog.symbols.intern("c");
+        let candidates = |fields: Vec<Value>| -> Vec<AlphaPatternId> {
+            let w = Wme::new(c, fields, 1);
+            assert!(net.index_covers(&w));
+            net.class_patterns(c).unwrap().candidates(&w).collect()
+        };
+        // `x` is the indexed field (three users against `y`'s one); `other`
+        // and `any` are residual and candidates of every change.
+        assert_eq!(candidates(vec![Value::Int(1)]), [0, 3, 4]);
+        assert_eq!(candidates(vec![Value::Float(1.0)]), [1, 3, 4]);
+        assert_eq!(candidates(vec![Value::NIL]), [2, 3, 4]);
+        assert_eq!(candidates(vec![]), [2, 3, 4], "absent reads as nil");
+        assert_eq!(candidates(vec![Value::Int(2), Value::Int(1)]), [3, 4]);
+        assert!(net.class_patterns(prog.symbols.intern("zz")).is_none());
+    }
+
+    use proptest::prelude::*;
+
+    /// One generated constant test on field `f{0}`.
+    #[derive(Debug, Clone)]
+    enum GenTest {
+        /// `^f PRED const`, all seven predicates.
+        Pred(u8, u8, GenConst),
+        /// `^f << c1 c2 .. >>`
+        Disj(u8, Vec<GenConst>),
+        /// `^f <v> ^g PRED <v>`: an intra-element comparison.
+        FieldCmp(u8, u8, u8),
+    }
+
+    /// A constant: the same magnitude as an `Int` and as a `Float`, a
+    /// symbol, or `nil`.
+    #[derive(Debug, Clone, Copy)]
+    enum GenConst {
+        Int(u8),
+        Float(u8),
+        Sym(u8),
+        Nil,
+    }
+
+    const PREDS: [&str; 7] = ["=", "<>", "<", "<=", ">", ">=", "<=>"];
+
+    fn gen_const() -> impl Strategy<Value = GenConst> {
+        prop_oneof![
+            (0u8..3).prop_map(GenConst::Int),
+            (0u8..3).prop_map(GenConst::Float),
+            (0u8..2).prop_map(GenConst::Sym),
+            (0u8..1).prop_map(|_| GenConst::Nil),
+        ]
+    }
+
+    fn gen_alpha_test() -> impl Strategy<Value = GenTest> {
+        prop_oneof![
+            // `=` gets an arm of its own: it is what the index is built from.
+            (0u8..4, gen_const()).prop_map(|(f, c)| GenTest::Pred(f, 0, c)),
+            (0u8..4, 0u8..7, gen_const()).prop_map(|(f, p, c)| GenTest::Pred(f, p, c)),
+            (0u8..4, proptest::collection::vec(gen_const(), 1..4))
+                .prop_map(|(f, cs)| GenTest::Disj(f, cs)),
+            (0u8..4, 0u8..4, 0u8..7).prop_map(|(f, g, p)| GenTest::FieldCmp(f, g, p)),
+        ]
+    }
+
+    fn render_const(c: GenConst) -> String {
+        match c {
+            GenConst::Int(i) => format!("{i}"),
+            GenConst::Float(i) => format!("{i}.0"),
+            GenConst::Sym(i) => format!("s{i}"),
+            GenConst::Nil => "nil".to_string(),
+        }
+    }
+
+    /// Single-CE productions: every CE is an alpha pattern with a terminal.
+    /// Attributes are not literalized, so a class's layout grows as later
+    /// productions mention new ones and short WMEs read the rest as `nil`.
+    fn render_patterns(patterns: &[(u8, Vec<GenTest>)]) -> String {
+        let mut src = String::new();
+        for (i, (class, tests)) in patterns.iter().enumerate() {
+            src += &format!("(p p{i} (c{class}");
+            for (k, t) in tests.iter().enumerate() {
+                src += &match t {
+                    GenTest::Pred(f, p, c) => {
+                        format!(" ^f{f} {} {}", PREDS[*p as usize], render_const(*c))
+                    }
+                    GenTest::Disj(f, cs) => {
+                        let cs: Vec<String> = cs.iter().map(|c| render_const(*c)).collect();
+                        format!(" ^f{f} << {} >>", cs.join(" "))
+                    }
+                    GenTest::FieldCmp(f, g, p) => {
+                        format!(" ^f{f} <v{k}> ^f{g} {} <v{k}>", PREDS[*p as usize])
+                    }
+                };
+            }
+            src += ") --> (halt))\n";
+        }
+        src
+    }
+
+    proptest! {
+        /// Random classes and patterns over every kind of constant test,
+        /// random WMEs over `Int`/`Float` of equal magnitude, symbols, `nil`
+        /// and absent fields: the index's candidates contain every passing
+        /// pattern, running them yields the linear chain's passing set in
+        /// its order, and a pattern filed under a constant is offered only
+        /// to a change carrying exactly that constant.
+        #[test]
+        fn alpha_index_agrees_with_the_linear_chain(
+            patterns in proptest::collection::vec(
+                (0u8..2, proptest::collection::vec(gen_alpha_test(), 0..4)),
+                1..14,
+            ),
+            wmes in proptest::collection::vec(
+                (0u8..2, proptest::collection::vec(gen_const(), 0..5)),
+                1..24,
+            ),
+        ) {
+            let mut prog = Program::from_source(&render_patterns(&patterns)).expect("parses");
+            let net = Network::compile(&prog).expect("compiles");
+            for (tag, (class, fields)) in wmes.iter().enumerate() {
+                let class = prog.symbols.intern(&format!("c{class}"));
+                let fields = fields.iter().map(|c| match *c {
+                    GenConst::Int(i) => Value::Int(i as i64),
+                    GenConst::Float(i) => Value::Float(i as f64),
+                    GenConst::Sym(i) => Value::Sym(prog.symbols.intern(&format!("s{i}"))),
+                    GenConst::Nil => Value::NIL,
+                });
+                let w = Wme::new(class, fields.collect(), tag as u64 + 1);
+                let [linear, indexed] = passing_both_ways(&net, &w);
+                prop_assert_eq!(&linear, &indexed, "{:?}", w);
+                prop_assert!(net.index_covers(&w));
+                let Some(cp) = net.class_patterns(class) else {
+                    prop_assert!(linear.is_empty());
+                    continue;
+                };
+                let candidates: Vec<AlphaPatternId> = cp.candidates(&w).collect();
+                prop_assert!(candidates.windows(2).all(|p| p[0] < p[1]), "{:?}", candidates);
+                // Exactly the residual ones plus those whose `= constant`
+                // on the indexed field this WME satisfies: `1` is not `1.0`.
+                let v = w.field(cp.field);
+                let filed_under_v = cp.all.iter().filter(|&&pid| {
+                    let on_field = net.pattern(pid).tests.iter().filter(|t| t.field == cp.field);
+                    let mut consts = on_field.filter_map(|t| match t.kind {
+                        AlphaTestKind::Pred(Pred::Eq, c) => Some(c),
+                        _ => None,
+                    });
+                    consts.next().is_some_and(|c| Pred::Eq.eval(v, c))
+                });
+                prop_assert_eq!(candidates.len(), cp.residual.len() + filed_under_v.count());
+            }
+        }
     }
 }

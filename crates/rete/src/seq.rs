@@ -11,14 +11,19 @@
 //! signature), so a WME change is stored **once** per memory and only the
 //! readers that can pair with something are activated. Per change:
 //!
+//! 0. the change's candidate patterns come out of the class's constant
+//!    index ([`ClassPatterns::candidates`](crate::network::ClassPatterns),
+//!    ascending, as the linear chain met them) and run their test lists;
 //! 1. the passing patterns' alpha-direct left tokens and terminals go to the
 //!    *bottom* of the agenda;
-//! 2. every right memory of a passing pattern takes the change, all its
-//!    readers are booked as join activations, the ones whose left memory is
-//!    empty are retired as `null_skipped`, and the live ones run their
-//!    right activation in ascending join order — no own-side insert, against
-//!    left memories nothing of this change has touched yet;
-//! 3. the agenda drains.
+//! 2. every right memory of a passing pattern takes the change and books
+//!    all its readers as join activations; the ones *linked* to it — left
+//!    memory non-empty, `readers::LinkedReaders` — run their right activation in
+//!    ascending join order (no own-side insert, against left memories
+//!    nothing of this change has touched yet) and the rest are retired as
+//!    `null_skipped` by subtraction, never looked at;
+//! 3. the agenda drains, and a join whose left memory goes 0 → 1 or 1 → 0
+//!    links or unlinks itself.
 //!
 //! That order is what makes one shared memory equivalent to a private one
 //! per join. Every right activation of a change runs before any left
@@ -33,9 +38,18 @@
 //! It is the per-join kernel's result with the right activations taken in
 //! descending join order — successors are always forward, so a reader's
 //! left memory cannot change before its turn — and every dead one dropped.
+//!
+//! The same order is why the linked list of a memory *is* the filter
+//! `readers.filter(left_count != 0)` it replaced, at the moment a store
+//! reads it: left memories, and so the lists, only change in step 3, and
+//! step 2 of a change is over before its step 3 begins and after the
+//! previous change's has ended. Same set, same ascending order, same
+//! counters; debug builds assert it on every store.
 
-use crate::memory::{HashMem, HashMemConfig, ListMem, ScanStats, TokenMem};
-use crate::network::{AlphaPatternId, AlphaSucc, JoinId, Network, RightMemId, Succ};
+use crate::memory::{HashMem, HashMemConfig, ListMem, Removed, ScanStats, TokenMem};
+use crate::network::{AlphaSucc, ClassPatterns, JoinId, JoinNode, Network, RightMemId, Succ};
+use crate::profile::BufferedProfile;
+use crate::readers::LinkedReaders;
 use crate::token::Token;
 use ops5::{
     ChangeBatch, CsChange, Instantiation, MatchStats, Matcher, ProdId, QuiesceReport, Sign,
@@ -59,53 +73,6 @@ pub enum Task {
     },
 }
 
-/// Locally-buffered per-join profile. The hot path does plain `u64`
-/// increments; the buffered counts fold into the shared atomic
-/// [`obs::NodeProfile`] once per quiesce. On null-activation-dominated
-/// workloads an activation does so little work that even one relaxed RMW
-/// per record costs several percent of wall, and the sequential matcher
-/// has no concurrent readers mid-cycle to serve.
-struct BufferedProfile {
-    shared: Arc<obs::NodeProfile>,
-    acts: Vec<u64>,
-    scans: Vec<u64>,
-}
-
-impl BufferedProfile {
-    fn new(n_joins: usize) -> BufferedProfile {
-        BufferedProfile {
-            shared: Arc::new(obs::NodeProfile::new(n_joins)),
-            acts: vec![0; n_joins],
-            scans: vec![0; n_joins],
-        }
-    }
-
-    #[inline]
-    fn record_activation(&mut self, join: usize) {
-        self.acts[join] += 1;
-    }
-
-    #[inline]
-    fn record_scan(&mut self, join: usize, examined: u64) {
-        self.scans[join] += examined;
-    }
-
-    fn flush(&mut self) {
-        for (join, n) in self.acts.iter_mut().enumerate() {
-            if *n != 0 {
-                self.shared.record_activations(join, *n);
-                *n = 0;
-            }
-        }
-        for (join, n) in self.scans.iter_mut().enumerate() {
-            if *n != 0 {
-                self.shared.record_scan(join, *n);
-                *n = 0;
-            }
-        }
-    }
-}
-
 /// What the kernel counts: [`MatchStats`] plus the optional per-join
 /// profile. One field of the kernel, so an activation can book its work
 /// while it holds a node borrowed from the network.
@@ -121,19 +88,20 @@ impl Tally {
         self.stats.activations += 1;
         self.stats.join_activations += 1;
         if let Some(p) = &mut self.profile {
-            p.record_activation(join as usize);
+            p.activations(join, 1);
         }
     }
 
-    /// A memory change delivered to all of its readers, dead ones included.
+    /// A memory change delivered to all `readers` of `mem`: the `linked`
+    /// ones will run, the dead rest is retired here without being visited.
     #[inline]
-    fn right_activations(&mut self, readers: &[JoinId]) {
-        self.stats.activations += readers.len() as u64;
-        self.stats.join_activations += readers.len() as u64;
+    fn right_store(&mut self, mem: RightMemId, readers: usize, linked: usize) {
+        self.stats.activations += readers as u64;
+        self.stats.join_activations += readers as u64;
+        self.stats.null_skipped += (readers - linked) as u64;
+        self.stats.readers_visited += linked as u64;
         if let Some(p) = &mut self.profile {
-            for &join in readers {
-                p.record_activation(join as usize);
-            }
+            p.right_stores(mem, 1);
         }
     }
 
@@ -155,7 +123,7 @@ impl Tally {
         self.stats.opp_tokens_left += scan.examined;
         self.stats.opp_nonempty_left += scan.nonempty as u64;
         if let Some(p) = &mut self.profile {
-            p.record_scan(join as usize, scan.examined);
+            p.scan(join, scan.examined);
         }
     }
 
@@ -165,7 +133,7 @@ impl Tally {
         self.stats.opp_tokens_right += scan.examined;
         self.stats.opp_nonempty_right += scan.nonempty as u64;
         if let Some(p) = &mut self.profile {
-            p.record_scan(join as usize, scan.examined);
+            p.scan(join, scan.examined);
         }
     }
 }
@@ -176,6 +144,9 @@ impl Tally {
 /// one compiled program shares.
 struct Kernel<M> {
     mem: M,
+    /// Per right memory, the readers whose left memory in `mem` is
+    /// non-empty.
+    linked: LinkedReaders,
     agenda: Vec<Task>,
     out: Vec<CsChange>,
     tally: Tally,
@@ -196,9 +167,9 @@ pub struct SeqMatcher<M: TokenMem> {
 impl<M: TokenMem> SeqMatcher<M> {
     fn over(net: Arc<Network>, mem: M) -> Self {
         SeqMatcher {
-            net,
             kernel: Kernel {
                 mem,
+                linked: LinkedReaders::new(&net),
                 agenda: Vec::new(),
                 out: Vec::new(),
                 tally: Tally {
@@ -209,6 +180,7 @@ impl<M: TokenMem> SeqMatcher<M> {
                 scratch_wmes: Vec::new(),
                 scratch_tokens: Vec::new(),
             },
+            net,
             delta: StatsDeltaTracker::default(),
         }
     }
@@ -262,10 +234,18 @@ fn push_succs(agenda: &mut Vec<Task>, succs: &[Succ], token: &Token, sign: Sign)
 
 impl<M: TokenMem> Kernel<M> {
     /// One WME change against its class's patterns, start to quiescence
-    /// (module docs, steps 1-3).
-    fn change(&mut self, net: &Network, pats: &[AlphaPatternId], wme: &WmeRef, sign: Sign) {
+    /// (module docs, steps 0-3).
+    fn change(&mut self, net: &Network, class: &ClassPatterns, wme: &WmeRef, sign: Sign) {
         debug_assert!(self.agenda.is_empty() && self.live.is_empty());
-        for &pid in pats {
+        debug_assert!(net.index_covers(wme), "alpha index dropped a pattern");
+        // One 1-WME token per change, shared by every alpha-direct
+        // successor it feeds (token clones are `Arc` bumps).
+        let mut token: Option<Token> = None;
+        let mut single = || {
+            let token = token.get_or_insert_with(|| Token::single(wme.clone()));
+            token.clone()
+        };
+        for pid in class.candidates(wme) {
             let pat = net.pattern(pid);
             if !pat.passes(wme, &mut self.tally.stats.alpha_tests) {
                 continue;
@@ -275,14 +255,14 @@ impl<M: TokenMem> Kernel<M> {
                     AlphaSucc::JoinLeft(join) => self.agenda.push(Task::Left {
                         join,
                         sign,
-                        token: Token::single(wme.clone()),
+                        token: single(),
                     }),
                     // Served through the pattern's right memories below.
                     AlphaSucc::JoinRight(_) => {}
                     AlphaSucc::Terminal(prod) => self.agenda.push(Task::Terminal {
                         prod,
                         sign,
-                        token: Token::single(wme.clone()),
+                        token: single(),
                     }),
                 }
             }
@@ -302,9 +282,10 @@ impl<M: TokenMem> Kernel<M> {
         }
     }
 
-    /// Applies a change to one right memory, once, and sorts its readers
-    /// into the dead (retired here, never run: with an empty left memory a
-    /// reader has nothing to pair or count-adjust) and the live.
+    /// Applies a change to one right memory, once, and queues the readers
+    /// linked to it. The dead ones — with an empty left memory a reader has
+    /// nothing to pair or count-adjust — are not on the list, and are
+    /// retired by count without being looked at.
     fn store(&mut self, net: &Network, mem: RightMemId, wme: &WmeRef, sign: Sign) {
         let spec = &net.right_mems[mem as usize];
         let key = self.mem.store_key(mem, spec, wme);
@@ -317,17 +298,36 @@ impl<M: TokenMem> Kernel<M> {
                 debug_assert!(r.entry.is_some(), "sequential delete must find its wme");
             }
         }
-        self.tally.right_activations(&spec.readers);
-        self.tally.stats.readers_visited += spec.readers.len() as u64;
-        let mut dead = 0;
-        for &join in &spec.readers {
-            if self.mem.left_count(join) == 0 {
-                dead += 1;
-            } else {
-                self.live.push(join);
-            }
+        debug_assert!(
+            self.linked
+                .is_the_filter(net, mem, |j| self.mem.left_count(j) != 0),
+            "memory {mem}: linked readers are not the live ones"
+        );
+        let linked = self.linked.of(mem);
+        self.tally
+            .right_store(mem, spec.readers.len(), linked.len());
+        self.live.extend_from_slice(linked);
+    }
+
+    /// Stores a token in `j`'s left memory; the first one links `j` to its
+    /// right memory.
+    fn insert_left(&mut self, j: &JoinNode, key: u64, token: Token, neg_count: u32) {
+        self.mem.insert_left(j, key, token, neg_count);
+        if self.mem.left_count(j.id) == 1 {
+            self.linked.link(j);
         }
-        self.tally.stats.null_skipped += dead;
+    }
+
+    /// Takes a token out of `j`'s left memory; the last one unlinks `j`.
+    fn remove_left(&mut self, j: &JoinNode, key: u64, token: &Token) -> Removed<u32> {
+        let r = self.mem.remove_left(j, key, token);
+        self.tally.stats.same_tokens_left += r.examined;
+        self.tally.stats.same_searches_left += 1;
+        debug_assert!(r.entry.is_some(), "sequential delete must find its token");
+        if r.entry.is_some() && self.mem.left_count(j.id) == 0 {
+            self.linked.unlink(j);
+        }
+        r
     }
 
     /// The right activation of a live reader: the change is already in (or
@@ -372,15 +372,9 @@ impl<M: TokenMem> Kernel<M> {
                 match (j.negated, sign) {
                     (false, _) => {
                         match sign {
-                            Sign::Plus => self.mem.insert_left(j, key, token.clone(), 0),
+                            Sign::Plus => self.insert_left(j, key, token.clone(), 0),
                             Sign::Minus => {
-                                let r = self.mem.remove_left(j, key, &token);
-                                self.tally.stats.same_tokens_left += r.examined;
-                                self.tally.stats.same_searches_left += 1;
-                                debug_assert!(
-                                    r.entry.is_some(),
-                                    "sequential delete must find its token"
-                                );
+                                self.remove_left(j, key, &token);
                             }
                         }
                         if opp_empty {
@@ -407,16 +401,13 @@ impl<M: TokenMem> Kernel<M> {
                             self.tally.scan_from_left(join, scan);
                             n
                         };
-                        self.mem.insert_left(j, key, token.clone(), n);
+                        self.insert_left(j, key, token.clone(), n);
                         if n == 0 {
                             push_succs(&mut self.agenda, &j.succs, &token, Sign::Plus);
                         }
                     }
                     (true, Sign::Minus) => {
-                        let r = self.mem.remove_left(j, key, &token);
-                        self.tally.stats.same_tokens_left += r.examined;
-                        self.tally.stats.same_searches_left += 1;
-                        debug_assert!(r.entry.is_some(), "sequential delete must find its token");
+                        let r = self.remove_left(j, key, &token);
                         if r.entry == Some(0) {
                             push_succs(&mut self.agenda, &j.succs, &token, Sign::Minus);
                         }
@@ -446,6 +437,18 @@ impl<M: TokenMem> SeqMatcher<M> {
     pub fn memory_entries(&self) -> usize {
         self.kernel.mem.total_entries()
     }
+
+    /// Per right memory, the readers linked to it, and the entries of one
+    /// join's left memory: tests hold the lists to the filter they replaced.
+    #[doc(hidden)]
+    pub fn linked_readers(&self) -> &[Vec<JoinId>] {
+        self.kernel.linked.lists()
+    }
+
+    #[doc(hidden)]
+    pub fn left_entries(&self, join: JoinId) -> u32 {
+        self.kernel.mem.left_count(join)
+    }
 }
 
 impl<M: TokenMem + Send> Matcher for SeqMatcher<M> {
@@ -456,17 +459,19 @@ impl<M: TokenMem + Send> Matcher for SeqMatcher<M> {
         k.tally.stats.conjugate_pairs += batch.annihilated();
         for (class, group) in batch.groups() {
             // One grouped constant-test task per class (§3.1): the
-            // pattern chain for the class is resolved once per *group*,
-            // then every change in the group is tested against it.
+            // class's patterns are resolved once per *group*, then every
+            // change in the group is dispatched through their index.
             k.tally.stats.alpha_activations += 1;
             k.tally.stats.wme_changes += group.len() as u64;
-            let pats = net.patterns_for_class(class);
+            let Some(patterns) = net.class_patterns(class) else {
+                continue;
+            };
             // Each change's cascade completes before the next change's
             // begins: the sequential memories rely on the
             // one-change-at-a-time discipline (no conjugate-pair parking
             // here, unlike the parallel matcher).
             for change in group {
-                k.change(net, pats, &change.wme, change.sign);
+                k.change(net, patterns, &change.wme, change.sign);
             }
         }
     }
@@ -475,7 +480,7 @@ impl<M: TokenMem + Send> Matcher for SeqMatcher<M> {
         let k = &mut self.kernel;
         debug_assert!(k.agenda.is_empty());
         if let Some(p) = &mut k.tally.profile {
-            p.flush();
+            p.flush(&self.net);
         }
         QuiesceReport {
             cs_changes: std::mem::take(&mut k.out),
@@ -499,7 +504,7 @@ impl<M: TokenMem + Send> Matcher for SeqMatcher<M> {
 
     fn enable_obs(&mut self, _registry: &Arc<obs::Registry>) {
         if self.kernel.tally.profile.is_none() {
-            self.kernel.tally.profile = Some(BufferedProfile::new(self.net.n_joins()));
+            self.kernel.tally.profile = Some(BufferedProfile::new(&self.net));
         }
     }
 
@@ -846,10 +851,29 @@ mod tests {
     /// A folded conflict set: (production, timetags) of each instantiation.
     type Folded = std::collections::BTreeSet<(u32, Vec<u64>)>;
 
+    /// Folds one quiescence's changes into `state`. `strict`: an insert of a
+    /// present instantiation or a remove of an absent one panics — a pair
+    /// emitted or retracted twice, or a `-t` overtaking its `+t`, trips that.
+    fn fold_into(state: &mut Folded, cs: Vec<CsChange>, strict: bool, at: &str) {
+        for c in cs {
+            let (insert, inst) = match c {
+                CsChange::Insert(i) => (true, i),
+                CsChange::Remove(i) => (false, i),
+            };
+            let (p, tags) = inst.key();
+            let key = (p.0, tags);
+            let in_turn = if insert {
+                state.insert(key.clone())
+            } else {
+                state.remove(&key)
+            };
+            let what = if insert { "insert of" } else { "remove of" };
+            assert!(in_turn || !strict, "{at}: {what} {key:?} out of turn");
+        }
+    }
+
     /// Feeds `steps` one change per quiescence and returns the folded
-    /// conflict set after each. `strict`: an insert of a present
-    /// instantiation or a remove of an absent one panics — a pair emitted or
-    /// retracted twice, or a `-t` overtaking its `+t`, trips that.
+    /// conflict set after each ([`fold_into`]'s `strict`).
     fn fold_history(m: &mut dyn Matcher, steps: &[Step], strict: bool) -> Vec<Folded> {
         let mut state = Folded::new();
         let mut history = Vec::new();
@@ -858,25 +882,8 @@ mod tests {
                 sign: *sign,
                 wme: w.clone(),
             }));
-            for c in m.quiesce().cs_changes {
-                let (insert, inst) = match c {
-                    CsChange::Insert(i) => (true, i),
-                    CsChange::Remove(i) => (false, i),
-                };
-                let (p, tags) = inst.key();
-                let key = (p.0, tags);
-                let in_turn = if insert {
-                    state.insert(key.clone())
-                } else {
-                    state.remove(&key)
-                };
-                assert!(
-                    in_turn || !strict,
-                    "{} step {i}: {} {key:?} out of turn",
-                    m.name(),
-                    if insert { "insert of" } else { "remove of" }
-                );
-            }
+            let at = format!("{} step {i}", m.name());
+            fold_into(&mut state, m.quiesce().cs_changes, strict, &at);
             history.push(state.clone());
         }
         history
@@ -1098,5 +1105,127 @@ mod tests {
             // p1 and p2: b3 b5 each; p3: b0 b3 b4 b5; p4 stays blocked.
             assert_eq!(m.quiesce().cs_changes.len(), 8, "{}", m.name());
         }
+    }
+
+    // ---- Linked readers and the table that grows ----
+
+    /// A reader goes dead → live → dead inside one batch: `+b` makes the
+    /// upstream join emit into J1's empty left memory, `+c` arrives in the
+    /// memory J1 reads, `-a` takes the token out again. J1 must be on its
+    /// memory's list exactly while it holds the token — linked before the
+    /// next change's right store, not when the batch is over — or `+c` never
+    /// meets `(a, b)` and the `-` that follows retracts what was never
+    /// asserted.
+    #[test]
+    fn a_reader_goes_dead_live_dead_inside_one_batch() {
+        fn check<M: TokenMem + Send>(mut m: SeqMatcher<M>, prog: &mut Program) {
+            let a1 = ints(prog, "a", &[1], 1);
+            let (b1, c1, c2) = (
+                ints(prog, "b", &[1], 2),
+                ints(prog, "c", &[1], 3),
+                ints(prog, "c", &[1], 4),
+            );
+            add(&mut m, a1.clone());
+            assert_eq!(m.linked_readers(), [vec![0], vec![]]);
+            let mut batch = ChangeBatch::new();
+            batch.add(b1);
+            batch.add(c1);
+            batch.delete(a1);
+            m.submit(&batch);
+            let cs = m.quiesce().cs_changes;
+            assert!(
+                matches!(&cs[..], [CsChange::Insert(i), CsChange::Remove(r)]
+                    if i.key() == r.key() && i.wmes.len() == 3),
+                "{}: +c must find J1 linked: {cs:?}",
+                m.name()
+            );
+            let live = crate::readers::live_readers(m.network(), |j| m.left_entries(j) != 0);
+            assert_eq!(m.linked_readers(), live);
+            assert_eq!(m.linked_readers(), [vec![], vec![]], "{}", m.name());
+            // J0 ran for `+b`, J1 for `+c`; nobody is looked at for `+c2`.
+            assert_eq!(m.stats().readers_visited, 2);
+            let skipped = m.stats().null_skipped;
+            add(&mut m, c2);
+            let s = m.stats();
+            assert_eq!((s.readers_visited, s.null_skipped), (2, skipped + 1));
+            assert!(m.quiesce().cs_changes.is_empty());
+        }
+        let src = "(p q (a ^x <v>) (b ^y <v>) (c ^z <v>) --> (halt))";
+        let (mut prog, net) = net_of(src);
+        assert_eq!((net.n_joins(), net.right_mems.len()), (2, 2));
+        check(SeqMatcher::vs1(net.clone()), &mut prog);
+        check(
+            SeqMatcher::vs2(net.clone(), HashMemConfig::default()),
+            &mut prog,
+        );
+        check(
+            SeqMatcher::vs2(net, HashMemConfig { buckets: 16 }),
+            &mut prog,
+        );
+    }
+
+    /// vs2 sized by its population against vs2 at a fixed 16 and at the
+    /// paper's 16 384 lines, and lispsim: a Tourney-shaped program (a cross
+    /// product, an equality join and a not-node off one first CE) fed and
+    /// then drained in chunks. After every chunk the folded conflict sets
+    /// are identical and the three tables hold the same number of entries;
+    /// the growing one doubles at least three times on the way up, and
+    /// every line it splits keeps each of its entries exactly once.
+    #[test]
+    fn a_table_that_doubles_mid_run_agrees_with_the_fixed_ones() {
+        let src = "(p cross (a ^x <v>) (b ^y <w>) --> (halt))
+             (p equal (a ^x <v>) (c ^z <v>) --> (halt))
+             (p alone (a ^x <v>) - (b ^y <v>) (c ^z <> <v>) --> (halt))";
+        let (mut prog, net) = net_of(src);
+        let mut tag = 0;
+        let mut wmes = Vec::new();
+        for i in 0..40 {
+            for class in ["a", "b", "c"] {
+                tag += 1;
+                wmes.push(ints(&mut prog, class, &[i % 7], tag));
+            }
+        }
+        let steps: Vec<Step> = (wmes.iter().map(|w| (Sign::Plus, w.clone())))
+            .chain(wmes.iter().rev().map(|w| (Sign::Minus, w.clone())))
+            .collect();
+
+        let grown = HashMemConfig::default();
+        let mut vs2 = [grown, HashMemConfig { buckets: 16 }, HashMemConfig::PAPER]
+            .map(|cfg| SeqMatcher::vs2(net.clone(), cfg));
+        let mut lisp = lispsim::LispEngineMatcher::boxed(&prog);
+        let start = vs2[0].kernel.mem.n_lines();
+        assert_eq!((start, vs2[1].kernel.mem.n_lines()), (16, 16));
+        let mut sets = vec![Folded::new(); 4];
+        let mut peak = 0;
+        for (i, chunk) in steps.chunks(7).enumerate() {
+            let batch: ChangeBatch = (chunk.iter())
+                .map(|(sign, wme)| WmeChange {
+                    sign: *sign,
+                    wme: wme.clone(),
+                })
+                .collect();
+            let ms = vs2.iter_mut().map(|m| m as &mut dyn Matcher);
+            for (k, (m, set)) in ms.chain([lisp.as_mut()]).zip(&mut sets).enumerate() {
+                m.submit(&batch);
+                // lispsim is the reference; the three vs2 fold strictly.
+                fold_into(set, m.quiesce().cs_changes, k < 3, &format!("chunk {i}"));
+            }
+            assert!(
+                sets.iter().all(|s| *s == sets[3]),
+                "chunk {i}: folds differ"
+            );
+            let entries = vs2.each_ref().map(|m| m.memory_entries());
+            assert!(
+                entries.iter().all(|&n| n == entries[0]),
+                "chunk {i}: {entries:?}"
+            );
+            peak = peak.max(entries[0]);
+        }
+        // The third doubling is the one at four times the starting load.
+        assert!(peak > 4 * crate::memory::LOAD * start, "peak {peak}");
+        // Drained: nothing left, and the table keeps the size it grew to.
+        assert_eq!(vs2.each_ref().map(|m| m.memory_entries()), [0, 0, 0]);
+        assert!(vs2[0].kernel.mem.n_lines() >= 8 * start);
+        assert_eq!(vs2[1].kernel.mem.n_lines(), 16);
     }
 }

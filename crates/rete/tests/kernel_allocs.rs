@@ -4,8 +4,8 @@
 //! activation is the paper's few-dozen-instruction case, so the budget is
 //! exact: a null right activation allocates nothing (its reader is retired
 //! as `null_skipped` without being run, and the WME is stored once however
-//! many readers its memory has), a null left activation allocates its
-//! one-WME token node and nothing else. The allocator below counts per
+//! many readers its memory has), and the null left activations of a change
+//! allocate the one-WME token node they share and nothing else. The allocator below counts per
 //! thread, so concurrently running tests cannot disturb it.
 
 use ops5::{ChangeBatch, Matcher, Program, Sign, Value, Wme, WmeChange, WmeRef};
@@ -19,16 +19,18 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(bytes: usize) {
     // `try_with`: the allocator also runs while a thread's TLS is torn down.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -37,7 +39,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -133,12 +135,14 @@ fn null_activations_stay_within_their_allocation_budget() {
         let r = stream(m.as_mut(), &lefts);
         assert_eq!(r.join_activations, 2 * PAIRS * lefts.len() as u64 * 4);
         assert_eq!(r.cs_changes, 0);
-        // Three alpha successors build a `Token::single` each; the token the
-        // not-node forwards is the one it received.
+        // The three alpha successors share the change's one `Token::single`;
+        // the token the not-node forwards is the one it received. Linking
+        // and unlinking the four joins moves ids inside lists the warm-up
+        // lap has sized.
         assert_eq!(
             r.allocs,
-            2 * PAIRS * lefts.len() as u64 * 3,
-            "{}: a null left activation costs exactly its token node",
+            2 * PAIRS * lefts.len() as u64,
+            "{}: a change's null left activations cost exactly its one token node",
             m.name()
         );
     }
@@ -185,4 +189,48 @@ fn a_wme_entering_a_memory_with_50_dead_readers_allocates_at_most_its_line_slot(
         assert_eq!((s.null_skipped, s.null_activations), (2 * 64 * READERS, 0));
         assert_eq!(s.same_searches_right, 64, "one delete search per memory");
     }
+}
+
+/// A small program's session is not its vs2 table (ROADMAP, one-kernel
+/// decision (a)): building a vs2 matcher over the 2-rule `fibonacci`, loading
+/// its start state and dropping it allocates at most twice the bytes col does.
+/// At the fixed 16 384 lines it was 768 KiB against col's few hundred bytes.
+#[test]
+fn a_fibonacci_vs2_session_allocates_within_twice_cols_bytes() {
+    let src = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../programs/fibonacci.ops"
+    ))
+    .unwrap();
+    let prog = Program::from_source(&src).unwrap();
+    let net = Arc::new(Network::compile(&prog).unwrap());
+    let startup: ChangeBatch = (prog.startup.iter().zip(1..))
+        .map(|(s, tag)| {
+            let mut fields = vec![Value::NIL; prog.classes.arity(s.class) as usize];
+            for &(f, v) in &s.sets {
+                fields[f as usize] = v;
+            }
+            WmeChange {
+                sign: Sign::Plus,
+                wme: Wme::new(s.class, fields, tag),
+            }
+        })
+        .collect();
+    assert!(!startup.is_empty());
+    let session_bytes = |make: &dyn Fn() -> Box<dyn Matcher>| {
+        let before = BYTES.with(Cell::get);
+        let mut m = make();
+        m.submit(&startup);
+        m.quiesce();
+        drop(m);
+        BYTES.with(Cell::get) - before
+    };
+    let vs2 = session_bytes(&|| boxed_vs2(net.clone(), HashMemConfig::default()));
+    let col = session_bytes(&|| rete::colmatch::boxed_col(net.clone()));
+    assert!(vs2 <= 2 * col, "vs2 {vs2} B against col {col} B");
+    let paper = session_bytes(&|| boxed_vs2(net.clone(), HashMemConfig::PAPER));
+    assert!(
+        paper > 700 << 10,
+        "the fixed table this replaced: {paper} B"
+    );
 }

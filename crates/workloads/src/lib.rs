@@ -117,7 +117,9 @@ impl MatcherChoice {
     pub fn kind(&self) -> MatcherKind {
         match self.clone() {
             MatcherChoice::Vs1 => MatcherKind::Vs1,
-            MatcherChoice::Vs2 => MatcherKind::Vs2(rete::HashMemConfig::default()),
+            // The paper's vs2: the table binaries reproduce its fixed
+            // 16 384-line table, not one sized by its population.
+            MatcherChoice::Vs2 => MatcherKind::Vs2(rete::HashMemConfig::PAPER),
             MatcherChoice::Lisp => MatcherKind::Lisp,
             MatcherChoice::Psm(cfg) => MatcherKind::Psm(cfg),
             MatcherChoice::Col => MatcherKind::Col,

@@ -450,6 +450,9 @@ proptest! {
         // memory per join — on the paper network and on the shared-prefix +
         // unlinking one — and all three must hold the same number of entries
         // after every chunk: each WME once per signature, not once per join.
+        // And after every chunk, adds and removes alike, each matcher's
+        // linked reader lists are the filter they replaced: per right
+        // memory, the readers whose left memory is non-empty, ascending.
         let src = render(&genp);
         let prog = Program::from_source(&src).expect("generated source parses");
         let net = Arc::new(Network::compile(&prog).expect("network compiles"));
@@ -484,6 +487,10 @@ proptest! {
                 }
                 prop_assert_eq!(vs1.memory_entries(), col.memory_entries(), "{} vs1 entries, chunk {}", label, i);
                 prop_assert_eq!(vs2.memory_entries(), col.memory_entries(), "{} vs2 entries, chunk {}", label, i);
+                let net = col.network();
+                prop_assert_eq!(vs1.linked_readers(), rete::live_readers(net, |j| vs1.left_entries(j) != 0), "{} vs1 lists, chunk {}", label, i);
+                prop_assert_eq!(vs2.linked_readers(), rete::live_readers(net, |j| vs2.left_entries(j) != 0), "{} vs2 lists, chunk {}", label, i);
+                prop_assert_eq!(col.linked_readers(), rete::live_readers(net, |j| col.left_entries(j) != 0), "{} col lists, chunk {}", label, i);
             }
         }
     }
