@@ -243,6 +243,8 @@ pub struct PoolStats {
     pub preempted: u64,
     /// Inbox entries fast-failed by `CANCEL`.
     pub cancelled: u64,
+    /// Commands executed on the submitting thread instead of a worker.
+    pub inline: u64,
 }
 
 /// The three per-class run queues plus the weighted-dequeue state.
@@ -324,6 +326,7 @@ struct PoolInner {
     rejected_overloaded: AtomicU64,
     preempted: AtomicU64,
     cancelled: AtomicU64,
+    inline: AtomicU64,
     /// Scheduling observability, present when the server runs with obs
     /// enabled.
     obs: Option<PoolObs>,
@@ -339,6 +342,8 @@ struct PoolObs {
     preemptions: Arc<obs::Counter>,
     cancelled: Arc<obs::Counter>,
     slice_ns: Arc<obs::Histogram>,
+    /// Condvar notifies: one per session put on a run queue.
+    notifies: Arc<obs::Counter>,
 }
 
 impl PoolObs {
@@ -352,6 +357,7 @@ impl PoolObs {
             preemptions: registry.counter("serve_preemptions_total", Vec::new()),
             cancelled: registry.counter("serve_cancelled_total", Vec::new()),
             slice_ns: registry.histogram("serve_run_slice_ns", Vec::new()),
+            notifies: registry.counter("serve_pool_notify_total", Vec::new()),
         }
     }
 }
@@ -414,6 +420,7 @@ impl Pool {
             rejected_overloaded: AtomicU64::new(0),
             preempted: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
+            inline: AtomicU64::new(0),
             obs: registry.map(PoolObs::new),
         });
         let workers = (0..workers.max(1))
@@ -471,6 +478,7 @@ impl Pool {
         runq.push(class, slot.clone());
         if let Some(o) = &self.inner.obs {
             o.runq_depth[class as usize].add(1);
+            o.notifies.inc();
         }
         drop(runq);
         drop(inbox);
@@ -485,6 +493,7 @@ impl Pool {
             rejected_overloaded: self.inner.rejected_overloaded.load(Ordering::Relaxed),
             preempted: self.inner.preempted.load(Ordering::Relaxed),
             cancelled: self.inner.cancelled.load(Ordering::Relaxed),
+            inline: self.inner.inline.load(Ordering::Relaxed),
         }
     }
 
@@ -598,6 +607,7 @@ fn worker_loop(inner: &PoolInner) {
             runq.push(class, slot.clone());
             if let Some(o) = &inner.obs {
                 o.runq_depth[class as usize].add(1);
+                o.notifies.inc();
             }
             drop(runq);
             drop(inbox);

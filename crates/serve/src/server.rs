@@ -14,7 +14,7 @@
 use crate::pool::{Pool, PoolStats, Priority, SessionSlot};
 use crate::protocol::{Origin, Reply};
 use crate::registry::{matcher_kind, ProgramSpec, Registry};
-use crate::session::Session;
+use crate::session::{JournalCounters, Session};
 use engine::{EngineLimits, MatcherKind};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -126,6 +126,19 @@ pub(crate) struct ConnCounters {
     pub(crate) write_bytes: Arc<obs::Counter>,
     /// Reactor poll returns that delivered at least one event.
     pub(crate) wakeups: Arc<obs::Counter>,
+    /// Syscalls the reactor thread makes, one counter each: every return of
+    /// `epoll_wait` (timeouts included), every `epoll_ctl`, every call into
+    /// a client socket's `read`/`write`, and the completion waker's eventfd
+    /// (written by whichever thread finished a command, read by the
+    /// reactor).
+    pub(crate) epoll_waits: Arc<obs::Counter>,
+    pub(crate) epoll_ctls: Arc<obs::Counter>,
+    pub(crate) read_calls: Arc<obs::Counter>,
+    pub(crate) write_calls: Arc<obs::Counter>,
+    pub(crate) eventfd_writes: Arc<obs::Counter>,
+    pub(crate) eventfd_reads: Arc<obs::Counter>,
+    /// Syscalls on session journals; every durable session gets a clone.
+    pub(crate) journal: JournalCounters,
     /// Connections closed because the client fell too far behind.
     pub(crate) slow_client_closes: Arc<obs::Counter>,
 }
@@ -138,6 +151,13 @@ impl ConnCounters {
             read_bytes: reg.counter("reactor_read_bytes_total", Vec::new()),
             write_bytes: reg.counter("reactor_write_bytes_total", Vec::new()),
             wakeups: reg.counter("reactor_wakeups_total", Vec::new()),
+            epoll_waits: reg.counter("reactor_epoll_wait_total", Vec::new()),
+            epoll_ctls: reg.counter("reactor_epoll_ctl_total", Vec::new()),
+            read_calls: reg.counter("reactor_read_calls_total", Vec::new()),
+            write_calls: reg.counter("reactor_write_calls_total", Vec::new()),
+            eventfd_writes: reg.counter("reactor_eventfd_write_total", Vec::new()),
+            eventfd_reads: reg.counter("reactor_eventfd_read_total", Vec::new()),
+            journal: JournalCounters::new(reg),
             slow_client_closes: reg.counter("serve_slow_client_closes_total", Vec::new()),
         }
     }
@@ -359,6 +379,9 @@ pub(crate) fn open_session(
         }
     };
     session.set_run_slice(cfg.run_slice_cycles);
+    if let Some(c) = &shared.counters {
+        session.count_journal(c.journal.clone());
+    }
     if let Some(dir) = &cfg.durability_dir {
         session
             .attach_durability(dir, cfg.checkpoint_every)

@@ -66,11 +66,23 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()>
     let _ = reactor::raise_nofile_limit(65536);
     listener.set_nonblocking(true)?;
     let poll = Poll::new()?;
+    let counters = shared.counters.as_ref();
+    let epoll_ctl = || {
+        if let Some(c) = counters {
+            c.epoll_ctls.inc();
+        }
+    };
+    epoll_ctl();
     poll.register(listener.as_raw_fd(), LISTENER, Interest::READABLE)?;
+    epoll_ctl();
     let waker = Arc::new(Waker::new(&poll, WAKER)?);
     let completions = Arc::new(Completions::new({
         let waker = waker.clone();
+        let writes = counters.map(|c| c.eventfd_writes.clone());
         move || {
+            if let Some(w) = &writes {
+                w.inc();
+            }
             let _ = waker.wake();
         }
     }));
@@ -85,8 +97,9 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()>
 
     loop {
         poll.poll(&mut events, Some(TICK))?;
-        if !events.is_empty() {
-            if let Some(c) = &shared.counters {
+        if let Some(c) = counters {
+            c.epoll_waits.inc();
+            if !events.is_empty() {
                 c.wakeups.inc();
             }
         }
@@ -114,6 +127,7 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()>
                             conns.push(None);
                             conns.len() - 1
                         });
+                        epoll_ctl();
                         if poll
                             .register(
                                 stream.as_raw_fd(),
@@ -141,7 +155,12 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()>
                         }
                     }
                 }
-                WAKER => waker.drain(),
+                WAKER => {
+                    if let Some(c) = counters {
+                        c.eventfd_reads.inc();
+                    }
+                    waker.drain()
+                }
                 Token(t) => {
                     let idx = t - CONN_BASE;
                     let Some(sock) = conns.get_mut(idx).and_then(Option::as_mut) else {
@@ -150,6 +169,9 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()>
                     if ev.is_readable() && sock.conn.wants_read() && !sock.dead {
                         let mut eof = false;
                         for _ in 0..READS_PER_EVENT {
+                            if let Some(c) = counters {
+                                c.read_calls.inc();
+                            }
                             match sock.conn.read_from(&mut sock.stream) {
                                 Ok(0) => {
                                     eof = true;
@@ -229,6 +251,7 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()>
             };
             pump(sock, idx, shared, &poll);
             if sock.dead || sock.conn.finished() {
+                epoll_ctl();
                 let _ = poll.deregister(sock.stream.as_raw_fd());
                 by_id.remove(&sock.conn.id);
                 if let Some(c) = &shared.counters {
@@ -255,6 +278,9 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()>
 /// slab index (its token is `idx + CONN_BASE`).
 fn pump(sock: &mut Sock, idx: usize, shared: &Shared, poll: &Poll) {
     if sock.conn.wants_write() && !sock.dead {
+        if let Some(c) = &shared.counters {
+            c.write_calls.inc();
+        }
         match sock.conn.write_to(&mut sock.stream) {
             Ok(n) => {
                 if let Some(c) = &shared.counters {
@@ -277,11 +303,16 @@ fn pump(sock: &mut Sock, idx: usize, shared: &Shared, poll: &Poll) {
     if sock.conn.wants_write() {
         want = want | Interest::WRITABLE;
     }
-    if want != sock.interest
-        && poll
-            .reregister(sock.stream.as_raw_fd(), Token(idx + CONN_BASE), want)
+    if want != sock.interest {
+        if let Some(c) = &shared.counters {
+            c.epoll_ctls.inc();
+        }
+        let token = Token(idx + CONN_BASE);
+        if poll
+            .reregister(sock.stream.as_raw_fd(), token, want)
             .is_ok()
-    {
-        sock.interest = want;
+        {
+            sock.interest = want;
+        }
     }
 }

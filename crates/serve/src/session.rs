@@ -14,6 +14,7 @@ use ops5::wire;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// One staged change inside a `BATCH ... END` block. `line` is the 1-based
 /// position of the item within the batch body (counting every line sent
@@ -102,6 +103,27 @@ pub struct Session {
     run_slice: u64,
     closed: bool,
     durability: Option<Durability>,
+    journal_counters: Option<JournalCounters>,
+}
+
+/// The syscalls a session's journal makes, counted into the server's
+/// registry (`journal_*_total` on `/metrics`): `fstat`s and `write`s of the
+/// log, and every `fsync` a checkpoint issues (snapshot file and directory).
+#[derive(Clone)]
+pub(crate) struct JournalCounters {
+    fstat: Arc<obs::Counter>,
+    write: Arc<obs::Counter>,
+    fsync: Arc<obs::Counter>,
+}
+
+impl JournalCounters {
+    pub(crate) fn new(reg: &Arc<obs::Registry>) -> JournalCounters {
+        JournalCounters {
+            fstat: reg.counter("journal_fstat_total", Vec::new()),
+            write: reg.counter("journal_write_total", Vec::new()),
+            fsync: reg.counter("journal_fsync_total", Vec::new()),
+        }
+    }
 }
 
 /// Per-session durable state on disk: a checkpoint snapshot plus an
@@ -152,7 +174,13 @@ impl Session {
             run_slice: 0,
             closed: false,
             durability: None,
+            journal_counters: None,
         }
+    }
+
+    /// Counts this session's journal syscalls into `counters`.
+    pub(crate) fn count_journal(&mut self, counters: JournalCounters) {
+        self.journal_counters = Some(counters);
     }
 
     /// Sets the preemption slice: `RUN` executes in sub-runs of at most
@@ -232,6 +260,11 @@ impl Session {
         let Some(d) = self.durability.as_mut() else {
             return Ok(());
         };
+        let fsynced = || {
+            if let Some(c) = &self.journal_counters {
+                c.fsync.inc();
+            }
+        };
         let snap = Self::snap_path(&d.dir, self.id);
         let tmp = snap.with_extension("snap.tmp");
         {
@@ -239,11 +272,13 @@ impl Session {
             f.write_all(text.as_bytes())?;
             // The rename below only orders the *name*; without this a
             // crash can leave a named-but-truncated snapshot.
+            fsynced();
             f.sync_all()?;
         }
         fs::rename(&tmp, &snap)?;
         // Make the rename itself durable before the log is dropped.
         if let Ok(dirf) = File::open(&d.dir) {
+            fsynced();
             let _ = dirf.sync_all();
         }
         // Only now is the old lineage superseded: truncate the log (still
@@ -285,6 +320,10 @@ impl Session {
         // The handle is append-mode, so `end` is where this write lands;
         // rolling a failure back with `set_len` leaves the next attempt
         // appending at the restored end — no partial lines, no holes.
+        if let Some(c) = &self.journal_counters {
+            c.fstat.inc();
+            c.write.inc();
+        }
         let end = d.log.metadata()?.len();
         match d.log.write_all(buf.as_bytes()).and_then(|()| d.log.flush()) {
             Ok(()) => {

@@ -943,3 +943,159 @@ fn sessions_of_one_cached_program_do_not_see_each_other() {
     std::mem::forget(handle);
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// The value of an unlabelled counter row in a `METRICS?` body.
+fn counter_of(metrics: &[String], name: &str) -> u64 {
+    let row = format!("{name} ");
+    let hits: Vec<&String> = metrics.iter().filter(|l| l.starts_with(&row)).collect();
+    assert_eq!(hits.len(), 1, "one row for {name}: {hits:?}");
+    hits[0][row.len()..].parse().unwrap()
+}
+
+/// One request per `write`, one framed reply back: a client whose syscalls
+/// the server's counters can be held against ([`serve::Client`] sends a
+/// line and its newline as two segments).
+struct RawClient {
+    stream: std::net::TcpStream,
+    lines: std::io::Lines<std::io::BufReader<std::net::TcpStream>>,
+}
+
+impl RawClient {
+    fn connect(addr: SocketAddr) -> RawClient {
+        use std::io::BufRead;
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let timeout = std::time::Duration::from_secs(30);
+        stream.set_read_timeout(Some(timeout)).unwrap();
+        let lines = std::io::BufReader::new(stream.try_clone().unwrap()).lines();
+        RawClient { stream, lines }
+    }
+
+    fn request(&mut self, wire: &str) -> serve::Reply {
+        use std::io::Write;
+        self.stream.write_all(wire.as_bytes()).unwrap();
+        let mut framer = ReplyFramer::new();
+        loop {
+            let line = self.lines.next().expect("a reply, not EOF").unwrap();
+            if let Some(reply) = framer.push(line) {
+                return reply;
+            }
+        }
+    }
+
+    fn ok(&mut self, wire: &str) -> String {
+        self.request(wire).expect_ok().unwrap()
+    }
+
+    fn metrics(&mut self) -> Vec<String> {
+        match self.request("METRICS?\n") {
+            serve::Reply::Multi { lines, .. } => lines,
+            other => panic!("METRICS?: {other:?}"),
+        }
+    }
+}
+
+/// The ledger's serve-steady iteration (a `BATCH` of tickets, `RUN 64` to
+/// quiescence, `WM?`, `STATS?`, an audit `ASSERT`, a `RETRACT` of the one
+/// before) on a durable session, held against the server's own syscall
+/// counters: what one command costs in thread hand-offs and journal
+/// syscalls, as exact counts.
+#[test]
+fn a_steady_conversation_costs_what_the_counters_say() {
+    const SRC: &str = "(literalize ticket id severity)
+        (literalize queue name depth)
+        (p escalate (ticket ^id <i> ^severity 0) --> (modify 1 ^severity 2))
+        (p route (ticket ^id <i> ^severity { <s> > 0 < 9 }) (queue ^name all ^depth <d>)
+           --> (remove 1) (modify 2 ^depth (compute <d> + 1)))
+        (make queue ^name all ^depth 0)";
+    let state = std::env::temp_dir().join(format!("serve-steady-state-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state);
+    let cfg = ServeConfig {
+        workers: 1,
+        programs_dir: Some(corpus_dir("steady", &[("steady", SRC)])),
+        durability_dir: Some(state.clone()),
+        // No checkpoint inside the measured window.
+        checkpoint_every: 1_000_000,
+        obs: ObsConfig::enabled(),
+        run_slice_cycles: 0,
+        ..ServeConfig::default()
+    };
+    let handle = Server::bind("127.0.0.1:0", cfg).unwrap().spawn();
+    let mut c = RawClient::connect(handle.addr);
+    c.ok("OPEN steady vs2\n");
+
+    // (bounded commands, commands that run the matcher, journal appends)
+    let (mut bounded, mut runs, mut appends) = (0u64, 0u64, 0u64);
+    let mut audit: Option<String> = None;
+    let mut id = 0;
+    let before = c.metrics();
+    for it in 0..16 {
+        let mut batch = "BATCH\n".to_string();
+        for _ in 0..8 {
+            id += 1;
+            batch.push_str(&format!("ASSERT ticket ^id {id} ^severity {}\n", id % 4));
+        }
+        batch.push_str("END\n");
+        assert!(c.ok(&batch).starts_with("8 "));
+        loop {
+            let run = c.ok("RUN 64\n");
+            runs += 1;
+            // A run that fired nothing journals nothing.
+            appends += u64::from(!run.starts_with("cycles=0 "));
+            if !run.contains("reason=limit") {
+                break;
+            }
+        }
+        assert!(matches!(
+            c.request("WM? ticket\n"),
+            serve::Reply::Multi { .. }
+        ));
+        assert!(c.ok("STATS?\n").contains("durability=ok"));
+        id += 1;
+        let tag = c.ok(&format!("ASSERT ticket ^id {id} ^severity 9\n"));
+        bounded += 4;
+        appends += 2;
+        if let Some(old) = audit.replace(tag) {
+            c.ok(&format!("RETRACT {old}\n"));
+            bounded += 1;
+            appends += 1;
+        }
+        if it % 8 == 7 {
+            assert!(matches!(c.request("FIRED?\n"), serve::Reply::Multi { .. }));
+            bounded += 1;
+        }
+    }
+    let after = c.metrics();
+    let delta = |name: &str| counter_of(&after, name) - counter_of(&before, name);
+
+    // Every command crosses to a worker and back: one condvar notify to
+    // hand it over, one eventfd write (and the reactor's read of it) to
+    // hand the reply back.
+    assert_eq!(delta("serve_pool_notify_total"), bounded + runs);
+    assert_eq!(delta("reactor_eventfd_write_total"), bounded + runs);
+    assert_eq!(delta("reactor_eventfd_read_total"), bounded + runs);
+    // A journal append is an `fstat` and a `write`; nothing checkpoints.
+    assert_eq!(delta("journal_write_total"), appends);
+    assert_eq!(delta("journal_fstat_total"), appends);
+    assert_eq!(delta("journal_fsync_total"), 0);
+    // One read and one write of the socket per command (the closing
+    // `METRICS?` included), and no interest change on a connection that
+    // never backs up.
+    let commands = bounded + runs + 1;
+    assert_eq!(delta("reactor_read_calls_total"), commands);
+    assert_eq!(delta("reactor_write_calls_total"), commands);
+    assert_eq!(delta("reactor_epoll_ctl_total"), 0);
+    // `epoll_wait` returns once for the request and once for the
+    // completion; an idle tick on a stalled host may add a few.
+    let waits = delta("reactor_epoll_wait_total");
+    let expected = 2 * (bounded + runs) + 1;
+    assert!(
+        (expected..expected + 8).contains(&waits),
+        "{waits} vs {expected}"
+    );
+
+    c.ok("CLOSE\n");
+    c.ok("SHUTDOWN\n");
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&state);
+}
