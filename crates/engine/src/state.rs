@@ -28,6 +28,7 @@
 use crate::interp::Engine;
 use ops5::{ChangeBatch, Ops5Error, Program, Result, Sign, SymbolTable, Value, Wme};
 use std::collections::HashSet;
+use std::fmt::Write as _;
 
 /// Current snapshot format version (the `v1` in the header line).
 pub const SNAPSHOT_VERSION: u32 = 1;
@@ -58,12 +59,13 @@ impl SnapVal {
     }
 
     /// Token form: `i:<dec>`, `f:<bits-hex>`, `s:<name>`.
-    fn encode(&self) -> String {
-        match self {
-            SnapVal::Int(i) => format!("i:{i}"),
-            SnapVal::Float(f) => format!("f:{:016x}", f.to_bits()),
-            SnapVal::Sym(name) => format!("s:{name}"),
-        }
+    fn encode(&self, out: &mut String) {
+        // Writing to a `String` cannot fail.
+        let _ = match self {
+            SnapVal::Int(i) => write!(out, "i:{i}"),
+            SnapVal::Float(f) => write!(out, "f:{:016x}", f.to_bits()),
+            SnapVal::Sym(name) => write!(out, "s:{name}"),
+        };
     }
 
     fn decode(tok: &str) -> Result<SnapVal> {
@@ -96,13 +98,8 @@ impl SnapWme {
         }
     }
 
-    fn encode(&self) -> String {
-        let mut s = format!("{} {}", self.tag, self.class);
-        for f in &self.fields {
-            s.push(' ');
-            s.push_str(&f.encode());
-        }
-        s
+    fn encode(&self, out: &mut String) {
+        encode_wme(self.tag, &self.class, &self.fields, out);
     }
 
     fn decode(body: &str) -> Result<SnapWme> {
@@ -120,15 +117,23 @@ impl SnapWme {
     }
 }
 
+/// `<tag> <class> <vals...>`: the body of a snapshot WME line and of a
+/// log `+` record.
+fn encode_wme(tag: u64, class: &str, fields: &[SnapVal], out: &mut String) {
+    let _ = write!(out, "{tag} {class}");
+    for f in fields {
+        out.push(' ');
+        f.encode(out);
+    }
+}
+
 /// A production firing or refraction key: production name + matched
 /// timetags.
-fn encode_key(prod: &str, tags: &[u64]) -> String {
-    let mut s = prod.to_string();
+fn encode_key(prod: &str, tags: &[u64], out: &mut String) {
+    out.push_str(prod);
     for t in tags {
-        s.push(' ');
-        s.push_str(&t.to_string());
+        let _ = write!(out, " {t}");
     }
-    s
 }
 
 fn decode_key(body: &str) -> Result<(String, Vec<u64>)> {
@@ -256,7 +261,7 @@ impl Snapshot {
         );
         for w in &self.wm {
             out.push_str("w ");
-            out.push_str(&w.encode());
+            w.encode(&mut out);
             out.push('\n');
         }
         for (sign, w) in &self.staged {
@@ -264,17 +269,17 @@ impl Snapshot {
                 Sign::Plus => "s + ",
                 Sign::Minus => "s - ",
             });
-            out.push_str(&w.encode());
+            w.encode(&mut out);
             out.push('\n');
         }
         for (p, tags) in &self.fired_cs {
             out.push_str("f ");
-            out.push_str(&encode_key(p, tags));
+            encode_key(p, tags, &mut out);
             out.push('\n');
         }
         for (p, tags) in &self.fired_log {
             out.push_str("l ");
-            out.push_str(&encode_key(p, tags));
+            encode_key(p, tags, &mut out);
             out.push('\n');
         }
         for o in &self.output {
@@ -412,21 +417,23 @@ impl LogRecord {
         }
     }
 
-    /// Wire form: `+ <tag> <class> <vals...>` / `- <tag>` /
-    /// `! <prod> <tags...>`.
-    pub fn to_line(&self) -> String {
+    /// Appends the record's line, newline included, to `out`. Wire form:
+    /// `+ <tag> <class> <vals...>` / `- <tag>` / `! <prod> <tags...>`.
+    pub fn write_line(&self, out: &mut String) {
         match self {
             LogRecord::Stage { tag, class, fields } => {
-                let w = SnapWme {
-                    tag: *tag,
-                    class: class.clone(),
-                    fields: fields.clone(),
-                };
-                format!("+ {}", w.encode())
+                out.push_str("+ ");
+                encode_wme(*tag, class, fields, out);
             }
-            LogRecord::StageRetract { tag } => format!("- {tag}"),
-            LogRecord::Fire { prod, tags } => format!("! {}", encode_key(prod, tags)),
+            LogRecord::StageRetract { tag } => {
+                let _ = write!(out, "- {tag}");
+            }
+            LogRecord::Fire { prod, tags } => {
+                out.push_str("! ");
+                encode_key(prod, tags, out);
+            }
         }
+        out.push('\n');
     }
 
     pub fn parse(line: &str) -> Result<LogRecord> {
@@ -485,8 +492,7 @@ impl ChangeLog {
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         for r in &self.records {
-            out.push_str(&r.to_line());
-            out.push('\n');
+            r.write_line(&mut out);
         }
         out
     }

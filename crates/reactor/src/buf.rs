@@ -84,6 +84,9 @@ impl LineBuf {
     }
 }
 
+/// Capacity a drained [`WriteBuf`] keeps.
+const KEEP: usize = 16 * 1024;
+
 /// Write-side buffer: append whole replies, flush as far as the kernel
 /// accepts, carry the tail.
 #[derive(Default)]
@@ -139,8 +142,19 @@ impl WriteBuf {
         if self.pos == self.buf.len() && self.pos > 4096 {
             self.buf.clear();
             self.pos = 0;
+            // One large reply must not pin its size for the connection's
+            // life.
+            self.buf.shrink_to(KEEP);
         }
         Ok(total)
+    }
+}
+
+/// Lets a reply be formatted straight into the buffer (`write!`).
+impl std::fmt::Write for WriteBuf {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.push(s.as_bytes());
+        Ok(())
     }
 }
 

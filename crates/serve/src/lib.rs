@@ -206,14 +206,15 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(50));
 
         // ...and fill the (capacity-1) run queue with a second session's
-        // pending command, pipelined so this thread does not block on it.
+        // pending command (a `RUN`: it always waits for a worker),
+        // pipelined so this thread does not block on it.
         let mut filler = Client::connect(handle.addr).unwrap();
         filler
             .open_source(spin, Some("vs2"))
             .unwrap()
             .expect_ok()
             .unwrap();
-        filler.send_line("ASSERT c ^n 0").unwrap();
+        filler.send_line("RUN 1").unwrap();
         std::thread::sleep(std::time::Duration::from_millis(50));
 
         // CLOSE now gets BUSY; the retry must find the session still open.

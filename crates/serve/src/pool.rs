@@ -1,12 +1,31 @@
-//! The worker pool: a fixed set of threads executing session commands.
+//! The worker pool: a fixed set of threads executing session commands, and
+//! the one rule for who executes a session's next command.
 //!
 //! Scheduling is actor-style. Each session owns an inbox (a bounded command
-//! queue) and appears at most once on the run queues; a worker pops a
-//! session, executes *one* command (or one *slice* of a long `RUN` — see
-//! below), and requeues the session only if its inbox still has work. One
-//! command per pop keeps a long-running session from starving the rest —
-//! combined with the per-command cycle clamp in
-//! [`crate::session::Session`], every unit of worker work is bounded.
+//! queue) and a `scheduled` claim that at most one thread holds: while it is
+//! held, that thread alone executes the session's commands and everything
+//! submitted meanwhile queues in the inbox. A worker takes the claim with
+//! the session it pops off a run queue, executes *one* command (or one
+//! *slice* of a long `RUN` — see below), and requeues the session only if
+//! its inbox still has work. One command per pop keeps a long-running
+//! session from starving the rest — combined with the per-command cycle
+//! clamp in [`crate::session::Session`], every unit of worker work is
+//! bounded.
+//!
+//! **Run to completion where the bytes are.** Handing a command to a worker
+//! costs more than most commands do (a condvar notify out, an eventfd write
+//! and a second `epoll_wait` return back, against ~3 µs of staging). So a
+//! [bounded](Command::is_bounded) command — a staging write, whose work is
+//! proportional to the bytes of the request and touches no matcher — is
+//! executed by the thread that submits it
+//! (`Pool::run_or_submit`) when nothing is waiting: the session is
+//! unscheduled, every run queue is empty, the pool is not draining and the
+//! session's journal is not degraded. That thread takes the same claim a
+//! worker would and goes through the same `run_one`, so per-session order,
+//! metrics, panic containment and the journal contract are one code path;
+//! anything that runs the matcher (`RUN`, `CS?`), reads the session
+//! (`WM?`, `FIRED?`, `STATS?`), rebuilds the engine or closes the session
+//! always goes to a worker.
 //!
 //! **Priority classes.** The run queue is three queues, one per
 //! [`Priority`] class (`high`/`normal`/`batch`), chosen at
@@ -28,6 +47,12 @@
 //! engine, cutting the run at its next slice boundary. The session itself
 //! stays open and resumable.
 //!
+//! **Panics.** A command that panics inside the engine is caught where it
+//! executes: it answers `ERR`, its session is poisoned (every later command
+//! answers `ERR session poisoned`; `CLOSE` still releases it) and the
+//! thread that ran it — a worker, or the one thread every connection
+//! depends on — carries on. `serve_session_panics_total` counts them.
+//!
 //! Backpressure is explicit and two-level:
 //! * inbox full → [`SubmitOutcome::Overloaded`] — *this session* is behind;
 //! * the session's class run-queue at capacity → [`SubmitOutcome::Busy`] —
@@ -39,7 +64,7 @@
 //! mid-cycle.
 
 use crate::protocol::Reply;
-use crate::session::{Command, Exec, Session};
+use crate::session::{Command, Exec, Session, POISONED};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -160,6 +185,14 @@ pub enum SubmitOutcome {
     ShuttingDown,
 }
 
+/// Where [`Pool::run_or_submit`] left a command.
+pub(crate) enum Submitted {
+    /// Executed on the calling thread: its reply.
+    Ran(Reply),
+    /// Went through [`Pool::submit`].
+    Queued(SubmitOutcome),
+}
+
 /// One queued inbox command. `seq` is the inbox's enqueue sequence; a
 /// [`SessionSlot::cancel`] snapshots the sequence so entries stamped below
 /// the watermark fast-fail instead of executing. A sliced `RUN`'s
@@ -173,8 +206,10 @@ struct Entry {
 
 struct Inbox {
     q: VecDeque<Entry>,
-    /// True while the slot sits on a run queue (or is being executed with
-    /// a requeue check still owed). At most one run-queue entry per session.
+    /// The session's claim: true while the slot sits on a run queue or a
+    /// thread (a worker, or a submitter running a bounded command itself)
+    /// is executing one of its commands with the requeue check still owed.
+    /// At most one run-queue entry and one executing thread per session.
     scheduled: bool,
     /// Sequence stamped on the next enqueued entry.
     enq_seq: u64,
@@ -188,6 +223,12 @@ pub struct SessionSlot {
     prio: AtomicU8,
     inbox: Mutex<Inbox>,
     session: Mutex<Session>,
+    /// [`Session::durability_degraded`] as of the last step the pool
+    /// executed: a degraded session's next journal sync may cut a
+    /// checkpoint, whose `fsync`s belong on a worker. Written by the holder
+    /// of the `scheduled` claim before it takes the inbox lock to give the
+    /// claim up, read under that lock, hence `Relaxed`.
+    degraded: AtomicBool,
 }
 
 impl SessionSlot {
@@ -201,6 +242,7 @@ impl SessionSlot {
                 enq_seq: 0,
                 cancel_before: 0,
             }),
+            degraded: AtomicBool::new(session.durability_degraded()),
             session: Mutex::new(session),
         })
     }
@@ -344,6 +386,10 @@ struct PoolObs {
     slice_ns: Arc<obs::Histogram>,
     /// Condvar notifies: one per session put on a run queue.
     notifies: Arc<obs::Counter>,
+    /// Commands executed on the submitting thread.
+    inline: Arc<obs::Counter>,
+    /// Commands that panicked and poisoned their session.
+    panics: Arc<obs::Counter>,
 }
 
 impl PoolObs {
@@ -358,6 +404,8 @@ impl PoolObs {
             cancelled: registry.counter("serve_cancelled_total", Vec::new()),
             slice_ns: registry.histogram("serve_run_slice_ns", Vec::new()),
             notifies: registry.counter("serve_pool_notify_total", Vec::new()),
+            inline: registry.counter("serve_inline_total", Vec::new()),
+            panics: registry.counter("serve_session_panics_total", Vec::new()),
         }
     }
 }
@@ -486,6 +534,53 @@ impl Pool {
         SubmitOutcome::Accepted
     }
 
+    /// [`submit`](Self::submit) for a [bounded](Command::is_bounded) command
+    /// and a caller that would otherwise only wait for the completion: when
+    /// nothing is waiting anywhere, the command runs to completion here,
+    /// under the same `scheduled` claim a worker would hold.
+    ///
+    /// "Nothing waiting" is decided under the inbox lock: the session is
+    /// unscheduled (so its inbox is empty and per-session order holds —
+    /// whatever is pipelined behind this command queues as ever), every
+    /// class's run queue is empty (so no queued session, of any class, is
+    /// overtaken), the pool is not draining, and the session is not
+    /// degraded. Otherwise the command is submitted as usual.
+    pub(crate) fn run_or_submit(
+        &self,
+        slot: &Arc<SessionSlot>,
+        cmd: Command,
+        reply_tx: ReplyTx,
+    ) -> Submitted {
+        let claimed = {
+            let mut inbox = slot.inbox.lock().unwrap();
+            let idle = !inbox.scheduled
+                && !self.inner.stop.load(Ordering::SeqCst)
+                && !slot.degraded.load(Ordering::Relaxed)
+                && self.inner.runq.lock().unwrap().is_empty();
+            idle.then(|| {
+                debug_assert!(inbox.q.is_empty(), "unscheduled with work queued");
+                inbox.scheduled = true;
+                inbox.enq_seq += 1;
+                inbox.enq_seq - 1
+            })
+        };
+        let Some(seq) = claimed else {
+            return Submitted::Queued(self.submit(slot, cmd, reply_tx));
+        };
+        let entry = Entry { cmd, reply_tx, seq };
+        match run_one(&self.inner, slot, Some(entry)) {
+            Some((_, reply)) => {
+                self.inner.inline.fetch_add(1, Ordering::Relaxed);
+                if let Some(o) = &self.inner.obs {
+                    o.inline.inc();
+                }
+                Submitted::Ran(reply)
+            }
+            // Yielded: the rest of it is a worker's, and so is the reply.
+            None => Submitted::Queued(SubmitOutcome::Accepted),
+        }
+    }
+
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             executed: self.inner.executed.load(Ordering::Relaxed),
@@ -539,81 +634,127 @@ fn worker_loop(inner: &PoolInner) {
         if let Some(o) = &inner.obs {
             o.runq_depth[class as usize].add(-1);
         }
-        // Pop one entry; the cancel watermark is read under the same lock
-        // so a concurrent CANCEL either covers this entry or a later one,
-        // never a torn in-between.
-        let next = {
+        if let Some((reply_tx, reply)) = run_one(inner, &slot, None) {
+            // A vanished reader is not the session's problem.
+            reply_tx.send(reply);
+        }
+    }
+}
+
+/// One unit of a session's work, on the thread that holds the session's
+/// `scheduled` claim: a worker that popped the slot off a run queue
+/// (`owned` is `None`: the unit is the inbox's head), or the submitting
+/// thread that found the session idle ([`Pool::run_or_submit`]; the unit is
+/// `owned`, which never sat in the inbox). Executes one step, then gives
+/// the claim up or puts the session back on its run queue, and returns the
+/// finished reply with the route its submitter gave it — `None` when a
+/// `RUN` yielded at a slice boundary. The claim is settled *before* the
+/// caller delivers the reply, so whoever has read a session's reply finds
+/// the session idle (or queued), never mid-hand-back.
+fn run_one(
+    inner: &PoolInner,
+    slot: &Arc<SessionSlot>,
+    owned: Option<Entry>,
+) -> Option<(ReplyTx, Reply)> {
+    let next = match owned {
+        // Never in the inbox, so no CANCEL has seen it.
+        Some(entry) => Some((entry, false)),
+        // The cancel watermark is read under the same lock as the pop, so a
+        // concurrent CANCEL either covers this entry or a later one, never
+        // a torn in-between.
+        None => {
             let mut inbox = slot.inbox.lock().unwrap();
             let cancel_before = inbox.cancel_before;
             inbox.q.pop_front().map(|e| {
                 let cancelled = e.seq < cancel_before;
                 (e, cancelled)
             })
-        };
-        if let Some((entry, cancelled)) = next {
-            if cancelled {
-                inner.cancelled.fetch_add(1, Ordering::Relaxed);
-                if let Some(o) = &inner.obs {
-                    o.cancelled.inc();
-                }
-                entry.reply_tx.send(Reply::Err("cancelled".into()));
-            } else {
-                let kind = entry.cmd.label();
-                let was_slice = matches!(entry.cmd, Command::RunSlice { .. });
-                let t0 = inner.obs.as_ref().map(|_| std::time::Instant::now());
-                let exec = slot.session.lock().unwrap().execute_step(entry.cmd);
-                let yielded = matches!(exec, Exec::Yield(_));
-                if let (Some(o), Some(t0)) = (&inner.obs, t0) {
-                    let ns = t0.elapsed().as_nanos() as u64;
-                    o.cmd_latency.record(kind, ns);
-                    if was_slice || yielded {
-                        o.slice_ns.record(ns);
-                    }
-                }
-                match exec {
-                    Exec::Done(reply) => {
-                        inner.executed.fetch_add(1, Ordering::Relaxed);
-                        // A vanished reader is not the session's problem.
-                        entry.reply_tx.send(reply);
-                    }
-                    Exec::Yield(cont) => {
-                        // Slice boundary: the continuation keeps the reply
-                        // slot and the original sequence (so CANCEL still
-                        // covers it) and goes back on the inbox *front* —
-                        // no other command of this session can interleave
-                        // into the middle of the run.
-                        inner.preempted.fetch_add(1, Ordering::Relaxed);
-                        if let Some(o) = &inner.obs {
-                            o.preemptions.inc();
-                        }
-                        slot.inbox.lock().unwrap().q.push_front(Entry {
-                            cmd: cont,
-                            reply_tx: entry.reply_tx,
-                            seq: entry.seq,
-                        });
-                    }
-                }
-            }
         }
-        // Requeue while work remains; drain continues past `stop`. The
-        // requeue path is exempt from the run-queue cap — a scheduled
-        // session must always be able to finish its inbox.
-        let mut inbox = slot.inbox.lock().unwrap();
-        if inbox.q.is_empty() {
-            inbox.scheduled = false;
-        } else {
-            let class = slot.priority();
-            let mut runq = inner.runq.lock().unwrap();
-            runq.push(class, slot.clone());
+    };
+    let finished = next.and_then(|(entry, cancelled)| {
+        if cancelled {
+            inner.cancelled.fetch_add(1, Ordering::Relaxed);
             if let Some(o) = &inner.obs {
-                o.runq_depth[class as usize].add(1);
-                o.notifies.inc();
+                o.cancelled.inc();
             }
-            drop(runq);
-            drop(inbox);
-            inner.cv.notify_one();
+            return Some((entry.reply_tx, Reply::Err("cancelled".into())));
         }
+        let kind = entry.cmd.label();
+        let was_slice = matches!(entry.cmd, Command::RunSlice { .. });
+        let t0 = inner.obs.as_ref().map(|_| std::time::Instant::now());
+        let exec = execute_caught(inner, slot, entry.cmd);
+        let yielded = matches!(exec, Exec::Yield(_));
+        if let (Some(o), Some(t0)) = (&inner.obs, t0) {
+            let ns = t0.elapsed().as_nanos() as u64;
+            o.cmd_latency.record(kind, ns);
+            if was_slice || yielded {
+                o.slice_ns.record(ns);
+            }
+        }
+        match exec {
+            Exec::Done(reply) => {
+                inner.executed.fetch_add(1, Ordering::Relaxed);
+                Some((entry.reply_tx, reply))
+            }
+            Exec::Yield(cont) => {
+                // Slice boundary: the continuation keeps the reply
+                // slot and the original sequence (so CANCEL still
+                // covers it) and goes back on the inbox *front* —
+                // no other command of this session can interleave
+                // into the middle of the run.
+                inner.preempted.fetch_add(1, Ordering::Relaxed);
+                if let Some(o) = &inner.obs {
+                    o.preemptions.inc();
+                }
+                slot.inbox.lock().unwrap().q.push_front(Entry {
+                    cmd: cont,
+                    reply_tx: entry.reply_tx,
+                    seq: entry.seq,
+                });
+                None
+            }
+        }
+    });
+    // Requeue while work remains; drain continues past `stop`. The
+    // requeue path is exempt from the run-queue cap — a scheduled
+    // session must always be able to finish its inbox.
+    let mut inbox = slot.inbox.lock().unwrap();
+    if inbox.q.is_empty() {
+        inbox.scheduled = false;
+    } else {
+        let class = slot.priority();
+        let mut runq = inner.runq.lock().unwrap();
+        runq.push(class, slot.clone());
+        if let Some(o) = &inner.obs {
+            o.runq_depth[class as usize].add(1);
+            o.notifies.inc();
+        }
+        drop(runq);
+        drop(inbox);
+        inner.cv.notify_one();
     }
+    finished
+}
+
+/// [`Session::execute_step`] with a panic kept inside the session: the
+/// thread (a pool worker, or the one thread every connection depends on)
+/// survives, the command is answered `ERR`, and the session is poisoned so
+/// nothing touches its half-updated engine again.
+fn execute_caught(inner: &PoolInner, slot: &SessionSlot, cmd: Command) -> Exec {
+    // The unwind stops inside the guard's scope, so the mutex is never
+    // poisoned and `with_session` keeps working.
+    let mut session = slot.session.lock().expect("panics are caught under it");
+    let step = std::panic::AssertUnwindSafe(|| session.execute_step(cmd));
+    let exec = std::panic::catch_unwind(step).unwrap_or_else(|_| {
+        session.poison();
+        if let Some(o) = &inner.obs {
+            o.panics.inc();
+        }
+        Exec::Done(Reply::Err(POISONED.into()))
+    });
+    let degraded = session.durability_degraded();
+    slot.degraded.store(degraded, Ordering::Relaxed);
+    exec
 }
 
 #[cfg(test)]
@@ -896,5 +1037,101 @@ mod tests {
         // The session survives: post-cancel submissions execute normally.
         let rx = submit_ok(&pool, &s, Command::Assert("item ^n 9".into()));
         assert!(rx.recv().unwrap().is_ok());
+    }
+
+    /// Runs `f` with the pool's only worker wedged for exactly as long as
+    /// `f` runs, no timing involved: the test holds `on`'s session mutex,
+    /// the worker pops `on`'s `RUN` and blocks on that mutex. When `f` is
+    /// entered the run queues are empty and `on` is scheduled with an empty
+    /// inbox — the state of a session whose command a worker is executing.
+    fn with_worker_wedged<R>(pool: &Pool, on: &Arc<SessionSlot>, f: impl FnOnce() -> R) -> R {
+        let (r, rx) = on.with_session(|_| {
+            let rx = submit_ok(pool, on, Command::Run(1));
+            while !pool.inner.runq.lock().unwrap().is_empty() {
+                std::thread::yield_now();
+            }
+            (f(), rx)
+        });
+        assert!(rx.recv().unwrap().is_ok());
+        r
+    }
+
+    fn try_inline(pool: &Pool, slot: &Arc<SessionSlot>, cmd: Command) -> Result<Reply, Reply> {
+        let (tx, rx) = mpsc::sync_channel(1);
+        match pool.run_or_submit(slot, cmd, ReplyTx::Channel(tx)) {
+            Submitted::Ran(reply) => Ok(reply),
+            Submitted::Queued(SubmitOutcome::Accepted) => Err(rx.recv().unwrap()),
+            Submitted::Queued(other) => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// Nothing waiting anywhere: the command runs on the calling thread —
+    /// even with every worker busy, since no *queued* session is overtaken.
+    #[test]
+    fn a_bounded_command_on_an_idle_session_runs_on_the_calling_thread() {
+        let pool = Pool::new(1, 64, 64, None);
+        let s = slot(1);
+        let reply = try_inline(&pool, &s, Command::Assert("item ^n 1".into()));
+        assert_eq!(reply, Ok(Reply::Ok("1".into())));
+        let busy = spinner(2);
+        with_worker_wedged(&pool, &busy, || {
+            assert!(try_inline(&pool, &s, Command::Stats).is_ok());
+        });
+        let stats = pool.stats();
+        assert_eq!((stats.inline, stats.executed), (2, 3));
+    }
+
+    /// A session queued for a worker — of any class — is not overtaken by
+    /// a bounded command of another session: with a `high` session waiting
+    /// for the wedged worker, the command queues behind it. (Mutant: drop
+    /// the run-queue check and it runs at once.)
+    #[test]
+    fn a_bounded_command_does_not_overtake_a_queued_session() {
+        let pool = Pool::new(1, 64, 64, None);
+        let (busy, hi, third) = (spinner(1), slot(2), slot(3));
+        hi.set_priority(Priority::High);
+        let (hi_rx, third_rx) = with_worker_wedged(&pool, &busy, || {
+            let hi_rx = submit_ok(&pool, &hi, Command::Cs);
+            let (tx, rx) = mpsc::sync_channel(1);
+            let outcome = pool.run_or_submit(&third, Command::Stats, ReplyTx::Channel(tx));
+            assert!(matches!(
+                outcome,
+                Submitted::Queued(SubmitOutcome::Accepted)
+            ));
+            assert!(rx.try_recv().is_err(), "ran ahead of the high session");
+            (hi_rx, rx)
+        });
+        assert!(hi_rx.recv().unwrap().is_ok());
+        assert!(third_rx.recv().unwrap().is_ok());
+        assert_eq!(pool.stats().inline, 0);
+    }
+
+    /// While a worker holds a session's claim, that session's next command
+    /// queues behind it instead of running here — and does not block the
+    /// submitting thread on the session either. (Mutant: ignore
+    /// `scheduled` and the submitter waits for the worker's command.)
+    #[test]
+    fn a_command_behind_a_running_one_is_never_run_inline() {
+        let pool = Arc::new(Pool::new(1, 64, 64, None));
+        let s = slot(1);
+        let second = with_worker_wedged(&pool, &s, || {
+            let (pool, s) = (pool.clone(), s.clone());
+            let (done_tx, done_rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let (tx, rx) = mpsc::sync_channel(1);
+                let queued = matches!(
+                    pool.run_or_submit(&s, Command::Stats, ReplyTx::Channel(tx)),
+                    Submitted::Queued(SubmitOutcome::Accepted)
+                );
+                done_tx.send((queued, rx)).unwrap();
+            });
+            done_rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("the submitter must not wait for the running command")
+        });
+        let (queued, rx) = second;
+        assert!(queued);
+        assert!(rx.recv().unwrap().is_ok());
+        assert_eq!(pool.stats().inline, 0);
     }
 }

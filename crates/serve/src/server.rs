@@ -435,6 +435,10 @@ pub(crate) fn render_metrics(shared: &Shared) -> String {
     };
     for slot in slots {
         slot.with_session(|s| {
+            // A poisoned engine is never read again, not even for metrics.
+            if s.is_poisoned() {
+                return;
+            }
             let sid = s.id.to_string();
             let engine = s.engine();
             let matcher = engine.matcher().name().to_string();

@@ -12,7 +12,7 @@ use crate::protocol::Reply;
 use engine::{ChangeLog, Engine, EngineBuilder, LogRecord, MatcherKind, Snapshot, StopReason};
 use ops5::wire;
 use std::fs::{self, File, OpenOptions};
-use std::io::Write as _;
+use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -73,6 +73,31 @@ impl Command {
             Command::Close => "close",
         }
     }
+
+    /// True for the staging writes: their work is bounded by the bytes of
+    /// their own request, they answer in one line, and they call into no
+    /// matcher (the matcher sees nothing until `RUN`). Such a command may
+    /// execute on the thread that framed it (see [`crate::pool`]).
+    /// Everything else always goes to a worker, so a stall of the
+    /// submitting thread never grows with a program's cycles or a
+    /// session's size: what runs the matcher, rebuilds the engine or ends
+    /// the session, and the reads — `WM?` and `FIRED?` answer with the
+    /// whole working memory and with every cycle the session ever ran,
+    /// `STATS?` reads the matcher's counters.
+    pub fn is_bounded(&self) -> bool {
+        match self {
+            Command::Assert(_) | Command::Retract(_) | Command::Batch(_) => true,
+            Command::Run(_)
+            | Command::RunSlice { .. }
+            | Command::Cs
+            | Command::Wm(_)
+            | Command::Stats
+            | Command::Fired
+            | Command::Snapshot
+            | Command::Migrate(_)
+            | Command::Close => false,
+        }
+    }
 }
 
 /// The outcome of one execution step. Most commands finish in one step; a
@@ -102,13 +127,19 @@ pub struct Session {
     /// at most this many cycles, yielding between slices (0 = off).
     run_slice: u64,
     closed: bool,
+    /// A command panicked part-way through: the engine is in no known state
+    /// and is never touched again. Everything answers `ERR session
+    /// poisoned` except `CLOSE`, which still releases the session.
+    poisoned: bool,
     durability: Option<Durability>,
     journal_counters: Option<JournalCounters>,
 }
 
 /// The syscalls a session's journal makes, counted into the server's
-/// registry (`journal_*_total` on `/metrics`): `fstat`s and `write`s of the
-/// log, and every `fsync` a checkpoint issues (snapshot file and directory).
+/// registry (`journal_*_total` on `/metrics`): `write`s of the log, every
+/// `fsync` a checkpoint issues (snapshot file and directory), and under
+/// `fstat` every time an append had to ask the kernel for the log's length
+/// — zero unless a rollback itself failed.
 #[derive(Clone)]
 pub(crate) struct JournalCounters {
     fstat: Arc<obs::Counter>,
@@ -127,9 +158,10 @@ impl JournalCounters {
 }
 
 /// Per-session durable state on disk: a checkpoint snapshot plus an
-/// append-only change/firing log of everything since. The log is flushed
-/// after every executed command, so a killed worker loses at most the
-/// command that was in flight.
+/// append-only change/firing log of everything since. A command's records
+/// are appended with one `write` before its reply is produced (or parked in
+/// `pending` and the session flagged degraded), so a killed process loses at
+/// most the command that was in flight. Only a checkpoint `fsync`s.
 struct Durability {
     dir: PathBuf,
     /// Firings between checkpoints; reaching it rewrites the snapshot and
@@ -138,6 +170,15 @@ struct Durability {
     /// Append-mode handle (so a failed write can be rolled back with
     /// `set_len` and the retry still lands at the true end of file).
     log: File,
+    /// Length of the log file: where the next append lands and what a
+    /// failed one is rolled back to. Read when the handle is opened on
+    /// whatever a previous incarnation left, zeroed where a checkpoint
+    /// truncates, advanced by every append; never asked of the kernel per
+    /// command.
+    end: u64,
+    /// The serialized records of one append, reused from command to
+    /// command.
+    buf: String,
     fires_since: u64,
     /// Journal records drained from the engine but not yet durably on
     /// disk. A failed log write parks them here instead of losing them;
@@ -147,6 +188,13 @@ struct Durability {
     /// `durability=degraded`. Cleared by the next successful sync.
     degraded: bool,
 }
+
+/// What a poisoned session answers, and what the command that poisoned it
+/// is told.
+pub(crate) const POISONED: &str = "session poisoned: a command panicked; CLOSE it";
+
+/// Capacity the journal's serialization buffer keeps between appends.
+const JOURNAL_BUF_KEEP: usize = 4096;
 
 fn reason_str(r: StopReason) -> &'static str {
     match r {
@@ -173,6 +221,7 @@ impl Session {
             max_cycles_per_run: max_cycles_per_run.max(1),
             run_slice: 0,
             closed: false,
+            poisoned: false,
             durability: None,
             journal_counters: None,
         }
@@ -236,14 +285,19 @@ impl Session {
         // incarnation stays valid until the fresh checkpoint below has
         // durably replaced it (`checkpoint` truncates, and only after the
         // snapshot rename is on disk).
-        let log = OpenOptions::new()
+        let mut log = OpenOptions::new()
             .create(true)
             .append(true)
             .open(Self::log_path(dir, self.id))?;
+        // If the checkpoint below fails, the session keeps appending to the
+        // records already here.
+        let end = log.seek(SeekFrom::End(0))?;
         self.durability = Some(Durability {
             dir: dir.to_path_buf(),
             checkpoint_every: checkpoint_every.max(1),
             log,
+            end,
+            buf: String::new(),
             fires_since: 0,
             pending: Vec::new(),
             degraded: false,
@@ -290,6 +344,7 @@ impl Session {
             .open(Self::log_path(&d.dir, self.id))?;
         log.set_len(0)?;
         d.log = log;
+        d.end = 0;
         d.fires_since = 0;
         d.pending.clear();
         self.engine.clear_journal();
@@ -312,21 +367,21 @@ impl Session {
         if d.pending.is_empty() {
             return Ok(());
         }
-        let mut buf = String::new();
+        d.buf.clear();
+        // One large `BATCH` must not pin its megabyte for the session's life.
+        d.buf.shrink_to(JOURNAL_BUF_KEEP);
         for r in &d.pending {
-            buf.push_str(&r.to_line());
-            buf.push('\n');
+            r.write_line(&mut d.buf);
         }
-        // The handle is append-mode, so `end` is where this write lands;
-        // rolling a failure back with `set_len` leaves the next attempt
-        // appending at the restored end — no partial lines, no holes.
         if let Some(c) = &self.journal_counters {
-            c.fstat.inc();
             c.write.inc();
         }
-        let end = d.log.metadata()?.len();
-        match d.log.write_all(buf.as_bytes()).and_then(|()| d.log.flush()) {
+        // The handle is append-mode, so `d.end` is where this write lands;
+        // rolling a failure back with `set_len` leaves the next attempt
+        // appending at the restored end — no partial lines, no holes.
+        match d.log.write_all(d.buf.as_bytes()) {
             Ok(()) => {
+                d.end += d.buf.len() as u64;
                 let fires = d
                     .pending
                     .iter()
@@ -341,7 +396,16 @@ impl Session {
                 Ok(())
             }
             Err(e) => {
-                let _ = d.log.set_len(end);
+                if d.log.set_len(d.end).is_err() {
+                    // The tail is unknown now; the rollback after this one
+                    // must not cut into acknowledged records.
+                    if let Some(c) = &self.journal_counters {
+                        c.fstat.inc();
+                    }
+                    if let Ok(len) = d.log.seek(SeekFrom::End(0)) {
+                        d.end = len;
+                    }
+                }
                 Err(e)
             }
         }
@@ -394,6 +458,24 @@ impl Session {
         self.closed
     }
 
+    /// Marks the session after a command panicked inside it (the pool
+    /// catches the unwind): see the `poisoned` field.
+    pub(crate) fn poison(&mut self) {
+        self.poisoned = true;
+    }
+
+    pub(crate) fn is_poisoned(&self) -> bool {
+        self.poisoned
+    }
+
+    /// Fault injection: replaces the journal's log handle (`/dev/full`
+    /// makes every append fail) and returns the old one.
+    #[cfg(test)]
+    pub(crate) fn swap_log(&mut self, log: File) -> File {
+        let d = self.durability.as_mut().expect("a durable session");
+        std::mem::replace(&mut d.log, log)
+    }
+
     /// Direct engine access for differential checks in tests and the load
     /// harness.
     pub fn engine(&self) -> &Engine {
@@ -432,7 +514,9 @@ impl Session {
     /// stay buffered until a later sync succeeds.
     pub fn execute_step(&mut self, cmd: Command) -> Exec {
         let exec = self.dispatch_exec(cmd);
-        if self.sync_durability().is_err() {
+        // A poisoned engine's journal may hold half a command: the log
+        // stays at the last command that completed.
+        if !self.poisoned && self.sync_durability().is_err() {
             if let Some(d) = self.durability.as_mut() {
                 d.degraded = true;
             }
@@ -443,6 +527,15 @@ impl Session {
     fn dispatch_exec(&mut self, cmd: Command) -> Exec {
         if self.closed {
             return Exec::Done(Reply::Err("session is closed".into()));
+        }
+        if self.poisoned {
+            return Exec::Done(match cmd {
+                Command::Close => {
+                    self.closed = true;
+                    Reply::Ok("closed poisoned".into())
+                }
+                _ => Reply::Err(POISONED.into()),
+            });
         }
         match cmd {
             Command::Run(n) => {

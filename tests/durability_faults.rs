@@ -206,3 +206,103 @@ fn stale_snapshot_tmp_is_ignored_and_replaced() {
 
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// `RLIMIT_FSIZE` as a disk that fills up mid-append: a `write` that would
+/// cross the limit is cut short at it, the next one fails with `EFBIG`.
+/// The limit is per process, so it is only ever set far above anything the
+/// other tests in this binary write (a few hundred bytes each), and
+/// `SIGXFSZ`, whose default action kills the process, is ignored first.
+#[cfg(target_os = "linux")]
+mod file_size_limit {
+    #[repr(C)]
+    struct Rlimit {
+        cur: u64,
+        max: u64,
+    }
+
+    const RLIMIT_FSIZE: i32 = 1;
+    const SIGXFSZ: i32 = 25;
+    const SIG_IGN: usize = 1;
+
+    extern "C" {
+        fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
+        fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+
+    /// Runs `f` with files limited to `bytes`, then restores the soft limit.
+    pub fn with<R>(bytes: u64, f: impl FnOnce() -> R) -> R {
+        let mut lim = Rlimit { cur: 0, max: 0 };
+        // SAFETY: plain libc calls on a struct laid out as `struct rlimit`
+        // (two 64-bit words on Linux); ignoring a signal installs no handler.
+        unsafe {
+            signal(SIGXFSZ, SIG_IGN);
+            assert_eq!(getrlimit(RLIMIT_FSIZE, &mut lim), 0);
+            let cut = Rlimit {
+                cur: bytes,
+                max: lim.max,
+            };
+            assert_eq!(setrlimit(RLIMIT_FSIZE, &cut), 0);
+        }
+        let r = f();
+        // SAFETY: as above; the soft limit goes back to what it was.
+        unsafe { assert_eq!(setrlimit(RLIMIT_FSIZE, &lim), 0) };
+        r
+    }
+}
+
+/// The journal tracks the end of its log instead of asking the kernel
+/// before every append, so the tracked end has to survive the one path
+/// that depends on it: an append that fails part-way is rolled back to it,
+/// and the retry lands where the failed one began. Twice over, with
+/// successful appends in between: a tracked end that a success did not
+/// advance would cut acknowledged records off in the second rollback, and
+/// a rollback that did nothing would leave half a record mid-log.
+#[cfg(target_os = "linux")]
+#[test]
+fn failed_append_rolls_back_to_the_tracked_end_and_the_retry_loses_nothing() {
+    let dir = tmp_dir("append");
+    let log_path = Session::log_path(&dir, 11);
+
+    let mut s = fresh_session(11);
+    // Huge checkpoint_every: everything after attach lives in the log.
+    s.attach_durability(&dir, 1_000_000).unwrap();
+    // Far past any file another test of this binary writes.
+    let items: Vec<i64> = (0..2000).collect();
+    seed(&mut s, &items);
+    ok(&mut s, Command::Run(3));
+    assert!(fs::metadata(&log_path).unwrap().len() > 32 * 1024);
+
+    for round in 0..2 {
+        let before = fs::read(&log_path).unwrap();
+        // Room for the first few bytes of the next record only.
+        file_size_limit::with(before.len() as u64 + 5, || {
+            let tag = ok(&mut s, Command::Assert(format!("item ^n {}", 9000 + round)));
+            assert!(tag.parse::<u64>().is_ok(), "reply clobbered: {tag}");
+            assert!(s.durability_degraded());
+            // (`assert!`, not `assert_eq!`: a failure should not print 40 KB.)
+            assert!(
+                fs::read(&log_path).unwrap() == before,
+                "the partial append was not rolled back"
+            );
+        });
+        // The disk has room again: the next sync carries the parked record.
+        ok(&mut s, Command::Run(2));
+        assert!(!s.durability_degraded());
+        assert!(ok(&mut s, Command::Stats).contains("durability=ok"));
+        let after = fs::read(&log_path).unwrap();
+        assert!(after.starts_with(&before) && after.len() > before.len());
+    }
+
+    // What is on disk parses as a log and replays to the live session.
+    let text = fs::read_to_string(&log_path).unwrap();
+    let log = engine::ChangeLog::parse(&text).expect("no torn record in the log");
+    assert!(log.len() > items.len());
+    let (mut back, replayed) = recover(&dir, 11);
+    assert_eq!(replayed, log.len());
+    assert_eq!(fired(&mut back), fired(&mut s));
+    let wm = |s: &mut Session| s.execute(Command::Wm(None)).to_string();
+    assert_eq!(wm(&mut back), wm(&mut s));
+
+    let _ = fs::remove_dir_all(&dir);
+}
