@@ -433,20 +433,23 @@ const VS2_RUBIK_MAX_ALPHA_TESTS_PER_CHANGE: f64 = 4.0;
 /// matcher may make on them (harness included), as `(program, workload,
 /// vs2 budget, col budget)`. The counts are deterministic. Weaver's are
 /// what the two matchers make with shared right memories plus a small
-/// margin: vs2 8.88 + 2 (13.01 while every alpha-direct successor built
-/// its own one-WME token and the table was a fixed 16 384 lines, each
-/// allocating on first use; 31.02 with one right memory per join, 1438
-/// before the borrowed kernel), col 15.92 (311.16 with one right memory
-/// per join). Tourney's are the measured 140.29 (vs2) and 106.76 (col)
-/// plus two: 60 and 45 conflict-set changes per change at this batch size,
-/// each the terminal's own token (260.82 and 197.14 while it was copied
-/// into a vector, two allocations per conflict-set change more); what is
-/// left per conflict-set change is its token node and this harness's
-/// `key()`.
+/// margin: vs2 7.13 + 2 (8.88 while a batch was taken as written; 13.01
+/// while every alpha-direct successor built its own one-WME token and the
+/// table was a fixed 16 384 lines, each allocating on first use; 31.02
+/// with one right memory per join, 1438 before the borrowed kernel), col
+/// 15.92 (311.16 with one right memory per join). Tourney's are the
+/// measured 46.38 (vs2) and 106.67 (col) plus two: 20 and 45 conflict-set
+/// changes per change at this batch size, each the terminal's own token
+/// (260.82 and 197.14 while it was copied into a vector, two allocations
+/// per conflict-set change more); what is left per conflict-set change is
+/// its token node and this harness's `key()`. vs2 read 140.11 and 60
+/// conflict-set changes per change until it took a batch's retractions
+/// first: 64 changes merged from several firings hold the transients one
+/// firing's batch does not.
 type ColBatchProgram = (&'static str, fn() -> Workload, f64, f64);
 const COL_BATCH_PROGRAMS: [ColBatchProgram; 2] = [
-    ("Weaver", bench::weaver_bench, 10.88, 18.0),
-    ("Tourney", bench::tourney_bench, 142.4, 108.8),
+    ("Weaver", bench::weaver_bench, 9.13, 18.0),
+    ("Tourney", bench::tourney_bench, 48.4, 108.8),
 ];
 
 /// Measures one matcher replaying `stream` at `COL_BATCH`, best-of-`COL_REPS`

@@ -502,9 +502,13 @@ impl Engine {
         let echo = self.echo_writes;
         let mut err: Option<Ops5Error> = None;
         // One firing ships one batch: RHS effects accumulate here and reach
-        // the matcher in a single `submit`, so a `modify`'s delete/add pair
-        // of an untouched WME annihilates before the network sees tokens and
-        // the matcher walks each class's alpha chain once per firing.
+        // the matcher in a single `submit`. A `modify` is still two changes
+        // (its add carries a new timetag, so the pair never annihilates;
+        // only a `make` the same RHS `remove`s does). What the batch buys:
+        // the matcher resolves each class's patterns once per firing, and
+        // it sees the firing's changes as a *set* whose order is its own
+        // (`Matcher::submit`) — vs1/vs2 retract before they assert, so what
+        // an early action would derive and a later one retract is not built.
         let mut batch = ChangeBatch::new();
 
         let halted = rhs::execute(code, wmes, &mut self.prog.symbols, |effect| {

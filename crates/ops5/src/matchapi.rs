@@ -71,14 +71,19 @@ pub struct WmeChange {
 ///    one batch entry drives one alpha-chain walk: a matcher visits the
 ///    constant-test patterns of a class once per *group*, not once per
 ///    change — the paper's "small groups of constant-test node
-///    activations constitute a task". Groups preserve the first-appearance
-///    order of classes; changes within a group preserve submission order
-///    (except when an annihilation back-fills a hole).
-/// 3. **Coalescing requires distinct elements.** Reordering across groups
-///    is sound because changes to *distinct* WMEs commute in the final
-///    match state; changes to the *same* WME are exactly the
-///    add-then-delete pairs rule 1 removes. Callers must not push the same
-///    signed change twice (the engine's working memory guards this).
+///    activations constitute a task". Groups list classes by first
+///    appearance and a group its changes as pushed (except where an
+///    annihilation back-fills a hole): how the batch is stored, not an
+///    order a matcher owes anyone — rule 3.
+/// 3. **A batch is a set.** After rule 1 it holds changes to *distinct*
+///    WMEs, and those commute in the final match state; that is what made
+///    regrouping by class sound, and it makes every other order sound too.
+///    The order in which a batch's changes reach the network is the
+///    matcher's ([`Matcher::submit`] lists who does what); what is common
+///    to all of them is the folded conflict set after `quiesce`. Callers
+///    must not push the same signed change twice, nor the delete of a WME
+///    ahead of its add (the engine's working memory guards both: a timetag
+///    is issued once and removed once).
 ///
 /// [`annihilated`]: ChangeBatch::annihilated
 #[derive(Debug, Clone, Default)]
@@ -114,10 +119,12 @@ impl ChangeBatch {
     /// annihilation — neither can apply to a lone change.
     ///
     /// The returned batch is intended for immediate submission. Pushing
-    /// further changes onto it stays *semantically* correct (the flattened
-    /// change order is preserved), but a second change of the same class
-    /// lands in a fresh group and a conjugate delete is not annihilated;
-    /// use [`from_change`](Self::from_change) when the batch will grow.
+    /// further changes onto it keeps the flattened change order, but a
+    /// second change of the same class lands in a fresh group and a
+    /// conjugate delete is not annihilated — the batch then names one WME
+    /// twice, which a matcher that picks its own order (rule 3) must never
+    /// be handed. Use [`from_change`](Self::from_change) when the batch
+    /// will grow.
     pub fn single(change: WmeChange) -> ChangeBatch {
         ChangeBatch {
             groups: vec![(change.wme.class, vec![change])],
@@ -477,6 +484,21 @@ pub struct QuiesceReport {
 pub trait Matcher: Send {
     /// Feed a batch of WME changes into the network. May return
     /// immediately.
+    ///
+    /// A batch is a *set* of changes to distinct WMEs ([`ChangeBatch`],
+    /// rule 3) and the order inside it is the matcher's: vs1 and vs2 take
+    /// every retraction, then every assertion, one change at a time; col
+    /// makes one pattern-major sweep; psm runs the changes in parallel
+    /// under conjugate pairs; lispsim and `psm::trace` take them as
+    /// written, which is the paper's order and the reference. What all of
+    /// them owe is the same folded conflict set *with its fired flags*
+    /// after [`quiesce`](Self::quiesce): an instantiation leaves the set
+    /// only because one of its WMEs was retracted (timetags are never
+    /// reissued) or a blocker was asserted (whose retraction in the same
+    /// batch would have annihilated in `push`); neither can be undone
+    /// inside the batch, so what is in the set before and after a batch is
+    /// never removed inside it, whatever the order. Order only decides
+    /// which transient instantiations get built and retracted on the way.
     fn submit(&mut self, batch: &ChangeBatch);
 
     /// Block until the match phase completes; drain and return the

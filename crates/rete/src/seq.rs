@@ -9,7 +9,26 @@
 //! Where it departs from the paper: a right memory belongs to the network,
 //! not to a join ([`Network::right_mems`], one per alpha pattern × equality
 //! signature), so a WME change is stored **once** per memory and only the
-//! readers that can pair with something are activated. Per change:
+//! readers that can pair with something are activated. And a batch is
+//! taken as the *set* it is ([`ChangeBatch`]), not in the order the RHS
+//! wrote it:
+//!
+//! −1. `submit` dispatches every retraction of the batch (all classes, group
+//!    order, order within a group kept) before any assertion, each change
+//!    alone through steps 0-3. The paper's `modify` is "a delete followed by
+//!    an add", so a firing that modifies the k WMEs it matched would, as
+//!    written, tear down and rebuild the chain below each CE in turn, k
+//!    times, for an instantiation its last action retracts anyway. With the
+//!    deletes first the chain comes down once and whatever goes up is built
+//!    from WMEs that stay. The folded conflict set, fired flags included, is
+//!    the same in any order: an instantiation leaves the set only because
+//!    one of its WMEs was retracted (timetags are never reissued) or a
+//!    blocker was asserted (whose retraction in the same batch would have
+//!    annihilated in `push`), and neither can be undone inside the batch, so
+//!    what is in the set before and after a batch is never removed inside
+//!    it. Order only decides which transients get built.
+//!
+//! Then, per change:
 //!
 //! 0. the change's candidate patterns come out of the class's constant
 //!    index ([`ClassPatterns::candidates`](crate::network::ClassPatterns),
@@ -457,21 +476,25 @@ impl<M: TokenMem + Send> Matcher for SeqMatcher<M> {
         // Pairs already annihilated inside the batch never reach the
         // network; account for them like the parallel matcher does.
         k.tally.stats.conjugate_pairs += batch.annihilated();
-        for (class, group) in batch.groups() {
-            // One grouped constant-test task per class (§3.1): the
-            // class's patterns are resolved once per *group*, then every
-            // change in the group is dispatched through their index.
-            k.tally.stats.alpha_activations += 1;
-            k.tally.stats.wme_changes += group.len() as u64;
-            let Some(patterns) = net.class_patterns(class) else {
-                continue;
-            };
-            // Each change's cascade completes before the next change's
-            // begins: the sequential memories rely on the
-            // one-change-at-a-time discipline (no conjugate-pair parking
-            // here, unlike the parallel matcher).
-            for change in group {
-                k.change(net, patterns, &change.wme, change.sign);
+        // Step −1: the batch's retractions, then its assertions.
+        for pass in [Sign::Minus, Sign::Plus] {
+            for (class, group) in batch.groups() {
+                if pass == Sign::Minus {
+                    // One grouped constant-test task per class (§3.1),
+                    // booked once whatever the group's signs are.
+                    k.tally.stats.alpha_activations += 1;
+                    k.tally.stats.wme_changes += group.len() as u64;
+                }
+                let Some(patterns) = net.class_patterns(class) else {
+                    continue;
+                };
+                // Each change's cascade completes before the next change's
+                // begins: the sequential memories rely on the
+                // one-change-at-a-time discipline (no conjugate-pair parking
+                // here, unlike the parallel matcher).
+                for change in group.iter().filter(|c| c.sign == pass) {
+                    k.change(net, patterns, &change.wme, pass);
+                }
             }
         }
     }
@@ -1109,13 +1132,19 @@ mod tests {
 
     // ---- Linked readers and the table that grows ----
 
-    /// A reader goes dead → live → dead inside one batch: `+b` makes the
-    /// upstream join emit into J1's empty left memory, `+c` arrives in the
-    /// memory J1 reads, `-a` takes the token out again. J1 must be on its
-    /// memory's list exactly while it holds the token — linked before the
-    /// next change's right store, not when the batch is over — or `+c` never
-    /// meets `(a, b)` and the `-` that follows retracts what was never
-    /// asserted.
+    /// A reader goes dead → live inside one batch and live → dead inside the
+    /// next. `[+b, +c]`: `+b` makes the upstream join emit into J1's empty
+    /// left memory and `+c` arrives in the memory J1 reads. `[-a, -c]`: `-a`
+    /// takes the token out again and `-c` leaves the memory J1 no longer
+    /// reads. J1 must be on its memory's list exactly while it holds the
+    /// token — linked before the *next change's* right store, not when the
+    /// batch is over. Two same-sign batches, because `submit` takes a
+    /// batch's retractions first: `[+b, +c, -a]` as one batch runs `-a`
+    /// before anything is built and derives nothing.
+    ///
+    /// Kills "link (or unlink) deferred to the end of `submit`": `+c` never
+    /// meets `(a, b)`, so no `Insert`, and the `-a` that follows retracts
+    /// what was never asserted; `-c` finds J1 still listed and visits it.
     #[test]
     fn a_reader_goes_dead_live_dead_inside_one_batch() {
         fn check<M: TokenMem + Send>(mut m: SeqMatcher<M>, prog: &mut Program) {
@@ -1127,11 +1156,18 @@ mod tests {
             );
             add(&mut m, a1.clone());
             assert_eq!(m.linked_readers(), [vec![0], vec![]]);
-            let mut batch = ChangeBatch::new();
-            batch.add(b1);
-            batch.add(c1);
-            batch.delete(a1);
-            m.submit(&batch);
+            let mut asserts = ChangeBatch::new();
+            asserts.add(b1);
+            asserts.add(c1.clone());
+            m.submit(&asserts);
+            assert_eq!(m.linked_readers(), [vec![0], vec![1]], "{}", m.name());
+            // J0 ran for `+b`, J1 for `+c`.
+            assert_eq!(m.stats().readers_visited, 2);
+            let skipped = m.stats().null_skipped;
+            let mut retracts = ChangeBatch::new();
+            retracts.delete(a1);
+            retracts.delete(c1);
+            m.submit(&retracts);
             let cs = m.quiesce().cs_changes;
             assert!(
                 matches!(&cs[..], [CsChange::Insert(i), CsChange::Remove(r)]
@@ -1142,12 +1178,13 @@ mod tests {
             let live = crate::readers::live_readers(m.network(), |j| m.left_entries(j) != 0);
             assert_eq!(m.linked_readers(), live);
             assert_eq!(m.linked_readers(), [vec![], vec![]], "{}", m.name());
-            // J0 ran for `+b`, J1 for `+c`; nobody is looked at for `+c2`.
-            assert_eq!(m.stats().readers_visited, 2);
-            let skipped = m.stats().null_skipped;
-            add(&mut m, c2);
+            // `-a` emptied J1 before `-c` reached its memory; nobody is
+            // looked at for `-c`, nor for `+c2`.
             let s = m.stats();
             assert_eq!((s.readers_visited, s.null_skipped), (2, skipped + 1));
+            add(&mut m, c2);
+            let s = m.stats();
+            assert_eq!((s.readers_visited, s.null_skipped), (2, skipped + 2));
             assert!(m.quiesce().cs_changes.is_empty());
         }
         let src = "(p q (a ^x <v>) (b ^y <v>) (c ^z <v>) --> (halt))";

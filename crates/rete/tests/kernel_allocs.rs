@@ -8,7 +8,7 @@
 //! allocate the one-WME token node they share and nothing else. The allocator below counts per
 //! thread, so concurrently running tests cannot disturb it.
 
-use ops5::{ChangeBatch, Matcher, Program, Sign, Value, Wme, WmeChange, WmeRef};
+use ops5::{ChangeBatch, CsChange, Matcher, Program, Sign, Value, Wme, WmeChange, WmeRef};
 use rete::seq::{boxed_vs1, boxed_vs2};
 use rete::{HashMemConfig, Network};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -233,4 +233,80 @@ fn a_fibonacci_vs2_session_allocates_within_twice_cols_bytes() {
         paper > 700 << 10,
         "the fixed table this replaced: {paper} B"
     );
+}
+
+/// The Rubik shape at depth k: one production over a control element and
+/// k - 1 slots, each CE passed by exactly one WME, and a firing that
+/// modifies all k of them, slots first and the control element last, as one
+/// batch in RHS order. Retractions go first, so the chain comes down once
+/// (`-slot 1`), every other slot change meets a dead reader, and only
+/// `+turn` builds: 4k - 4 join activations, one `Remove` and one `Insert`,
+/// and two token nodes per level. Taken as written the batch rebuilds the
+/// chain below each CE in turn, (k + 2)(k - 1) join activations and 2k
+/// conflict-set changes, which fails every bound below from k = 4 on.
+#[test]
+fn a_firing_that_modifies_all_it_matched_costs_its_depth_not_its_square() {
+    for k in [4u64, 8, 16] {
+        let mut src = String::from(
+            "(literalize turn n)\n(literalize slot pos holds)\n(p rotate (turn ^n <n>)",
+        );
+        for pos in 1..k {
+            src += &format!(" (slot ^pos {pos} ^holds <h{pos}>)");
+        }
+        src += " --> (halt))";
+        let mut prog = Program::from_source(&src).unwrap();
+        let net = Arc::new(Network::compile(&prog).unwrap());
+        assert_eq!(net.n_joins() as u64, k - 1);
+        let [turn, slot] = ["turn", "slot"].map(|s| prog.symbols.intern(s));
+        for mut m in matchers(&net) {
+            let mut tag = 0;
+            let mut fresh = |class, vals: &[i64]| {
+                tag += 1;
+                Wme::new(class, vals.iter().map(|&v| Value::Int(v)).collect(), tag)
+            };
+            let mut live: Vec<WmeRef> = vec![fresh(turn, &[0])];
+            live.extend((1..k as i64).map(|pos| fresh(slot, &[pos, pos])));
+            m.submit(&live.iter().cloned().map(plus).collect());
+            assert_eq!(m.quiesce().cs_changes.len(), 1);
+
+            // Two firings size the agenda and the lines; the third is measured.
+            for firing in 0..3 {
+                let mut batch = ChangeBatch::new();
+                for ce in (1..k as usize).chain([0]) {
+                    let new = match ce {
+                        0 => fresh(turn, &[firing + 1]),
+                        _ => fresh(slot, &[ce as i64, firing]),
+                    };
+                    batch.delete(std::mem::replace(&mut live[ce], new.clone()));
+                    batch.add(new);
+                }
+                assert_eq!(batch.len() as u64, 2 * k);
+                m.reset_stats();
+                let before = ALLOCS.with(Cell::get);
+                m.submit(&batch);
+                let cs = m.quiesce().cs_changes;
+                let allocs = ALLOCS.with(Cell::get) - before;
+                if firing < 2 {
+                    continue;
+                }
+                let at = format!("{} at depth {k}", m.name());
+                assert!(
+                    matches!(&cs[..], [CsChange::Remove(r), CsChange::Insert(i)]
+                        if r.wmes.len() as u64 == k && i.wmes.len() as u64 == k),
+                    "{at}: {cs:?}"
+                );
+                let s = m.stats();
+                assert_eq!(s.cs_changes, 2, "{at}");
+                assert!(s.join_activations <= 4 * k, "{at}: {s:?}");
+                assert!(allocs <= 3 * k, "{at}: {allocs} allocations");
+            }
+        }
+    }
+}
+
+fn plus(wme: WmeRef) -> WmeChange {
+    WmeChange {
+        sign: Sign::Plus,
+        wme,
+    }
 }

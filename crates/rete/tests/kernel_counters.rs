@@ -42,28 +42,52 @@
 //! entries — and with it `same_tokens_*` and the CS-change order the digests
 //! hash — depends on which memories share a line, i.e. on the geometry. The
 //! folded conflict set, every `opp_*` counter and every firing do not.
+//!
+//! vs1/vs2 were re-pinned a third time when `SeqMatcher::submit` began to
+//! take a batch's retractions before its assertions, and the fourth program
+//! (the Rubik shape: 8 chained single-WME CEs, all modified by the firing,
+//! the control element last) was added with it so the table shows the
+//! effect and not only its absence. What moved is the work spent on tokens
+//! a firing used to derive and retract again inside its own batch, which
+//! are no longer derived; every col row, every `quiescences` count and the
+//! columns `wme_changes`, `alpha_activations`, `conjugate_pairs` and
+//! `alpha_tests` are the parent's.
+//! - carousel (measured on the parent with this file's fourth program):
+//!   `activations` 438 -> 158, `join_activations` 357 -> 147, `cs_changes`
+//!   81 -> 11 (one `Insert` at set-up, then one `Remove` + one `Insert` per
+//!   firing instead of 8 + 8), left scans and delete searches 279/140 ->
+//!   64/35, `readers_visited` 71 -> 6. The chain comes down once per firing
+//!   (`-slot 1`), every other slot change finds its reader dead
+//!   (`null_skipped` 6 -> 71), `-turn` meets an emptied right memory (the one
+//!   left null per firing: `null_activations` 1 -> 6), and only `+turn`
+//!   builds. In the sixteen work columns the parent's vs1/vs2 row was
+//!   col's, which reads as it did. Digest moved.
+//! - negated: `cs_changes` 60 -> 48 — six instantiations of `steal`, asserted
+//!   by `claim`'s `make lock` while the item is still `new` and retracted by
+//!   the `modify 1` that follows — and `activations` 258 -> 246 with them.
+//!   `join_activations` is 198 on both (a dead reader is booked too): two
+//!   right activations find their reader dead (`readers_visited` 50 -> 48,
+//!   `null_skipped` 58 -> 60) and two left ones an empty right memory
+//!   (`null_activations` 23 -> 25). Digest moved.
+//! - Weaver: 14 transient tokens, none of which reached a terminal:
+//!   `join_activations` 8593 -> 8565 (14 `+` and 14 `-` left activations),
+//!   `same_searches_left` 871 -> 857, `readers_visited` 1133 -> 1094 (39
+//!   right activations now find their reader dead: `null_skipped`
+//!   5715 -> 5754), `null_activations` 125 -> 109, the `opp_*` columns by
+//!   what those activations scanned. `cs_changes` 251 and the digest did
+//!   not move: no firing of this Weaver emitted a transient.
+//! - Tourney: 28 right activations that used to run and find their line
+//!   empty (vs2) or scan tokens of other keys (vs1: `opp_tokens_right`
+//!   477 -> 305, `opp_nonempty_right` 192 -> 164) meet a reader whose token
+//!   has already been retracted: `readers_visited` 192 -> 164, `null_skipped`
+//!   193 -> 221. Every other column, `cs_changes` 984 and the digest stand:
+//!   `count`'s re-derivation after each firing is needed in any order.
 
 use engine::{ActStrategy, EngineBuilder};
 use ops5::{ChangeBatch, CsChange, MatchStats, Matcher, QuiesceReport};
 use rete::{HashMemConfig, Network, NetworkOptions};
 use std::sync::{Arc, Mutex};
-use workloads::{tourney, weaver, SetupVal, Workload};
-
-/// Exercises all four not-node arms (left/right x add/remove) with both
-/// empty and populated opposite memories, beside a positive three-CE chain.
-const NEGATED: &str = "
-(literalize item id state)
-(literalize lock id)
-(literalize done id)
-(p claim (item ^id <i> ^state new) - (lock ^id <i>) - (done ^id <i>)
-  --> (make lock ^id <i>) (modify 1 ^state held))
-(p release (item ^id <i> ^state held) (lock ^id <i>) - (done ^id <i>)
-  --> (remove 2) (make done ^id <i>) (modify 1 ^state idle))
-(p retire (item ^id <i> ^state idle) - (lock ^id <i>) (done ^id <i>)
-  --> (remove 1) (remove 3))
-(p steal (item ^id <i> ^state new) (lock ^id <i>)
-  --> (remove 2))
-";
+use workloads::{synth, tourney, weaver, SetupVal, Workload};
 
 fn programs() -> Vec<Workload> {
     let mut setup = Vec::new();
@@ -95,11 +119,14 @@ fn programs() -> Vec<Workload> {
         }),
         Workload {
             name: "negated".into(),
-            source: NEGATED.into(),
+            source: synth::NEGATED.into(),
             setup,
             max_cycles: 1000,
             validate: Box::new(|_| Ok(())),
         },
+        // The Rubik shape: 8 chained single-WME CEs, every one modified by
+        // the firing, the control element last.
+        synth::carousel(8, 5),
     ]
 }
 
@@ -240,24 +267,30 @@ type Row = (
 
 #[rustfmt::skip]
 const GOLDEN: &[Row] = &[
-    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs1", false, [361, 8844, 295, 8593, 125, 5715, 32244, 1525, 1848, 1133, 4656, 871, 2174, 244, 251, 0], [367, 1133]),
-    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs1", true, [361, 8844, 295, 8593, 0, 5840, 32244, 1525, 1848, 1133, 4656, 871, 2174, 244, 251, 0], [367, 1133]),
-    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs2", false, [361, 8844, 295, 8593, 125, 5715, 1114, 771, 792, 792, 872, 871, 674, 244, 251, 0], [367, 1133]),
-    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs2", true, [361, 8844, 295, 8593, 0, 5840, 1114, 771, 792, 792, 872, 871, 674, 244, 251, 0], [367, 1133]),
+    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs1", false, [361, 8816, 295, 8565, 109, 5754, 32205, 1513, 1809, 1094, 4642, 857, 2174, 244, 251, 0], [367, 1094]),
+    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs1", true, [361, 8816, 295, 8565, 0, 5863, 32205, 1513, 1809, 1094, 4642, 857, 2174, 244, 251, 0], [367, 1094]),
+    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs2", false, [361, 8816, 295, 8565, 109, 5754, 1100, 757, 778, 778, 858, 857, 674, 244, 251, 0], [367, 1094]),
+    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs2", true, [361, 8816, 295, 8565, 0, 5863, 1100, 757, 778, 778, 858, 857, 674, 244, 251, 0], [367, 1094]),
     ("weaver(5x4x2, 2 nets, 2 kinds)", "col", false, [361, 8898, 295, 8593, 93, 5743, 9257, 1555, 1686, 1105, 871, 871, 359, 244, 305, 0], [367, 875]),
     ("weaver(5x4x2, 2 nets, 2 kinds)", "col", true, [361, 8898, 295, 8593, 0, 5836, 9257, 1555, 1686, 1105, 871, 871, 359, 244, 305, 0], [367, 875]),
-    ("tourney(6 teams, pathological)", "vs1", false, [263, 3065, 137, 2081, 95, 193, 5435, 1048, 477, 192, 4099, 844, 249, 99, 984, 0], [203, 192]),
-    ("tourney(6 teams, pathological)", "vs1", true, [263, 3065, 137, 2081, 0, 288, 5435, 1048, 477, 192, 4099, 844, 249, 99, 984, 0], [203, 192]),
-    ("tourney(6 teams, pathological)", "vs2", false, [263, 3065, 137, 2081, 95, 193, 1839, 708, 305, 164, 1546, 844, 249, 99, 984, 0], [203, 192]),
-    ("tourney(6 teams, pathological)", "vs2", true, [263, 3065, 137, 2081, 0, 288, 1839, 708, 305, 164, 1546, 844, 249, 99, 984, 0], [203, 192]),
+    ("tourney(6 teams, pathological)", "vs1", false, [263, 3065, 137, 2081, 95, 221, 5435, 1048, 305, 164, 4099, 844, 249, 99, 984, 0], [203, 164]),
+    ("tourney(6 teams, pathological)", "vs1", true, [263, 3065, 137, 2081, 0, 316, 5435, 1048, 305, 164, 4099, 844, 249, 99, 984, 0], [203, 164]),
+    ("tourney(6 teams, pathological)", "vs2", false, [263, 3065, 137, 2081, 95, 221, 1839, 708, 305, 164, 1546, 844, 249, 99, 984, 0], [203, 164]),
+    ("tourney(6 teams, pathological)", "vs2", true, [263, 3065, 137, 2081, 0, 316, 1839, 708, 305, 164, 1546, 844, 249, 99, 984, 0], [203, 164]),
     ("tourney(6 teams, pathological)", "col", false, [263, 3065, 137, 2081, 98, 184, 4061, 1045, 575, 201, 2152, 844, 118, 99, 984, 0], [203, 156]),
     ("tourney(6 teams, pathological)", "col", true, [263, 3065, 137, 2081, 0, 282, 4061, 1045, 575, 201, 2152, 844, 118, 99, 984, 0], [203, 156]),
-    ("negated", "vs1", false, [66, 258, 54, 198, 23, 58, 60, 40, 144, 50, 90, 45, 24, 15, 60, 0], [36, 50]),
-    ("negated", "vs1", true, [66, 258, 54, 198, 0, 81, 60, 40, 144, 50, 90, 45, 24, 15, 60, 0], [36, 50]),
-    ("negated", "vs2", false, [66, 258, 54, 198, 23, 58, 24, 24, 30, 30, 45, 45, 15, 15, 60, 0], [36, 50]),
-    ("negated", "vs2", true, [66, 258, 54, 198, 0, 81, 24, 24, 30, 30, 45, 45, 15, 15, 60, 0], [36, 50]),
+    ("negated", "vs1", false, [66, 246, 54, 198, 25, 60, 54, 38, 132, 48, 90, 45, 24, 15, 48, 0], [36, 48]),
+    ("negated", "vs1", true, [66, 246, 54, 198, 0, 85, 54, 38, 132, 48, 90, 45, 24, 15, 48, 0], [36, 48]),
+    ("negated", "vs2", false, [66, 246, 54, 198, 25, 60, 18, 18, 18, 18, 45, 45, 15, 15, 48, 0], [36, 48]),
+    ("negated", "vs2", true, [66, 246, 54, 198, 0, 85, 18, 18, 18, 18, 45, 45, 15, 15, 48, 0], [36, 48]),
     ("negated", "col", false, [66, 258, 54, 198, 29, 46, 54, 34, 156, 62, 90, 45, 15, 15, 60, 0], [36, 62]),
     ("negated", "col", true, [66, 258, 54, 198, 0, 75, 54, 34, 156, 62, 90, 45, 15, 15, 60, 0], [36, 62]),
+    ("synth-carousel(8 CEs, 5 turns)", "vs1", false, [88, 158, 18, 147, 6, 71, 64, 64, 6, 6, 35, 35, 35, 35, 11, 0], [99, 6]),
+    ("synth-carousel(8 CEs, 5 turns)", "vs1", true, [88, 158, 18, 147, 0, 77, 64, 64, 6, 6, 35, 35, 35, 35, 11, 0], [99, 6]),
+    ("synth-carousel(8 CEs, 5 turns)", "vs2", false, [88, 158, 18, 147, 6, 71, 64, 64, 6, 6, 35, 35, 35, 35, 11, 0], [99, 6]),
+    ("synth-carousel(8 CEs, 5 turns)", "vs2", true, [88, 158, 18, 147, 0, 77, 64, 64, 6, 6, 35, 35, 35, 35, 11, 0], [99, 6]),
+    ("synth-carousel(8 CEs, 5 turns)", "col", false, [88, 438, 18, 357, 1, 6, 279, 279, 71, 71, 140, 140, 35, 35, 81, 0], [99, 36]),
+    ("synth-carousel(8 CEs, 5 turns)", "col", true, [88, 438, 18, 357, 0, 7, 279, 279, 71, 71, 140, 140, 35, 35, 81, 0], [99, 36]),
 ];
 
 /// vs2's CS-change digest per program; identical with unlinking off and on
@@ -266,7 +299,8 @@ const GOLDEN: &[Row] = &[
 const GOLDEN_CS: &[(&str, CsDigest)] = &[
     ("weaver(5x4x2, 2 nets, 2 kinds)", CsDigest { hash: 0xacbedc7a38366a7f, quiescences: 114 }),
     ("tourney(6 teams, pathological)", CsDigest { hash: 0xe008df502d996622, quiescences: 67 }),
-    ("negated", CsDigest { hash: 0x9c0a1214e086afc5, quiescences: 22 }),
+    ("negated", CsDigest { hash: 0x4954e9356e0baa65, quiescences: 22 }),
+    ("synth-carousel(8 CEs, 5 turns)", CsDigest { hash: 0xbb09e5a53c681956, quiescences: 6 }),
 ];
 
 #[test]

@@ -2,8 +2,9 @@
 //!
 //! These isolate single phenomena the paper discusses: cross-product joins
 //! (hash-line serialization), wide independent matches (best-case
-//! parallelism), long dependency chains (no parallelism), and memory-size
-//! scaling (vs1 vs vs2 gap).
+//! parallelism), long dependency chains (no parallelism), memory-size
+//! scaling (vs1 vs vs2 gap), and the firing that modifies everything it
+//! matched (what the order inside a batch costs).
 
 use crate::{SetupVal, SetupWme, Workload};
 use engine::Engine;
@@ -171,6 +172,73 @@ pub fn fat_memories(keys: usize, per_key: usize) -> Workload {
     }
 }
 
+/// Exercises all four not-node arms (left/right x add/remove) with both
+/// empty and populated opposite memories, beside a positive three-CE chain.
+pub const NEGATED: &str = "
+(literalize item id state)
+(literalize lock id)
+(literalize done id)
+(p claim (item ^id <i> ^state new) - (lock ^id <i>) - (done ^id <i>)
+  --> (make lock ^id <i>) (modify 1 ^state held))
+(p release (item ^id <i> ^state held) (lock ^id <i>) - (done ^id <i>)
+  --> (remove 2) (make done ^id <i>) (modify 1 ^state idle))
+(p retire (item ^id <i> ^state idle) - (lock ^id <i>) (done ^id <i>)
+  --> (remove 1) (remove 3))
+(p steal (item ^id <i> ^state new) (lock ^id <i>)
+  --> (remove 2))
+";
+
+/// The Rubik idiom at a chosen depth: one production matches a control
+/// element and `k - 1` slots, each through a CE only that slot passes,
+/// rotates what the slots hold (one `modify` per slot, CEs 2..k in order)
+/// and modifies the control element last. As written every `modify` but
+/// the last rebuilds the chain below its CE for an instantiation the last
+/// one retracts.
+pub fn carousel(k: usize, turns: usize) -> Workload {
+    assert!(k >= 3, "a control element and at least two slots");
+    let slots = k - 1;
+    let mut source = String::from("(p rotate\n  (turn ^n <n> ^limit > <n>)\n");
+    for pos in 1..=slots {
+        source += &format!("  (slot ^pos {pos} ^holds <h{pos}>)\n");
+    }
+    source += "  -->\n";
+    for pos in 1..=slots {
+        let from = if pos == 1 { slots } else { pos - 1 };
+        source += &format!("  (modify {} ^holds <h{from}>)\n", pos + 1);
+    }
+    source += "  (modify 1 ^n (compute <n> + 1)))
+(p done
+  (turn ^n <n> ^limit <n>)
+  -->
+  (write carousel done (crlf))
+  (halt))";
+    // The control element first and the slots last-to-first: every join
+    // meets an empty opposite memory once on the way in.
+    let mut setup = vec![SetupWme::new(
+        "turn",
+        &[
+            ("n", SetupVal::Int(0)),
+            ("limit", SetupVal::Int(turns as i64)),
+        ],
+    )];
+    for pos in (1..=slots).rev() {
+        setup.push(SetupWme::new(
+            "slot",
+            &[
+                ("pos", SetupVal::Int(pos as i64)),
+                ("holds", SetupVal::Int(pos as i64)),
+            ],
+        ));
+    }
+    Workload {
+        name: format!("synth-carousel({k} CEs, {turns} turns)"),
+        source,
+        setup,
+        max_cycles: turns as u64 + 10,
+        validate: expect_output("carousel done"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,6 +266,16 @@ mod tests {
         let (_e, res) = run_workload(&w, &MatcherChoice::Vs1).unwrap();
         assert_eq!(res.reason, engine::StopReason::Halt);
         assert_eq!(res.cycles, 26);
+    }
+
+    #[test]
+    fn carousel_turns_and_halts() {
+        let w = carousel(6, 7);
+        let (e, res) = run_workload(&w, &MatcherChoice::Vs2).unwrap();
+        assert_eq!(res.reason, engine::StopReason::Halt);
+        assert_eq!(res.cycles, 8, "7 turns + done");
+        // Each firing: k deletes and k adds, in one batch.
+        assert_eq!(e.match_stats().wme_changes, 6 + 7 * 12);
     }
 
     #[test]

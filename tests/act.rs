@@ -90,7 +90,14 @@ fn assert_equivalent(src: &str, kind: MatcherKind, max_cycles: u64, label: &str)
 /// be byte-identical.
 #[test]
 fn corpus_parallel_act_equals_serial_on_all_matchers() {
-    for name in ["blocks", "fibonacci", "monkey", "hanoi", "triage"] {
+    for name in [
+        "blocks",
+        "fibonacci",
+        "monkey",
+        "hanoi",
+        "triage",
+        "carousel",
+    ] {
         let src = std::fs::read_to_string(format!("programs/{name}.ops")).expect("read corpus");
         for kind in five_matchers() {
             let label = format!("{name}/{}", kind.name());

@@ -116,14 +116,35 @@ fn synthetic_fat_memories_firings_identical() {
     assert_all_engines_agree(synth::fat_memories(6, 12));
 }
 
-/// The `programs/` corpus (the server's session profiles) must also fire
-/// identically everywhere. These load their startup forms from source,
-/// unlike the generated workloads above.
+/// The Rubik idiom at two depths: a firing that modifies every WME it
+/// matched, the control element last. vs1 and vs2 take its retractions
+/// first, col sweeps it pattern-major, the rest take it as written.
+#[test]
+fn synthetic_carousel_firings_identical() {
+    assert_all_engines_agree(synth::carousel(4, 6));
+    assert_all_engines_agree(synth::carousel(9, 5));
+}
+
+/// The `programs/` corpus (the server's session profiles). `carousel` is
+/// the multi-modify program: every firing of `rotate` is a batch whose
+/// order the matchers disagree on.
+const CORPUS: [&str; 6] = [
+    "blocks",
+    "fibonacci",
+    "monkey",
+    "hanoi",
+    "triage",
+    "carousel",
+];
+
+/// The corpus must also fire identically everywhere, and leave the same
+/// working memory and `write` output behind. These load their startup forms
+/// from source, unlike the generated workloads above.
 #[test]
 fn corpus_programs_identical_on_all_matchers() {
-    for name in ["blocks", "fibonacci", "monkey", "hanoi", "triage"] {
+    for name in CORPUS {
         let src = std::fs::read_to_string(format!("programs/{name}.ops")).expect("read corpus");
-        let log = |choice: &MatcherChoice| -> Vec<(u32, Vec<u64>)> {
+        let log = |choice: &MatcherChoice| {
             let mut eng = EngineBuilder::from_source(&src)
                 .expect("parse")
                 .matcher(choice.kind())
@@ -131,18 +152,20 @@ fn corpus_programs_identical_on_all_matchers() {
                 .expect("build");
             eng.load_startup().expect("startup");
             eng.run(100_000).expect("run");
-            eng.fired_log()
-                .iter()
+            let fired: Vec<(u32, Vec<u64>)> = (eng.fired_log().iter())
                 .map(|(p, tags)| (p.0, tags.clone()))
-                .collect()
+                .collect();
+            let mut wm: Vec<String> = eng.wm().iter().map(|w| format!("{w:?}")).collect();
+            wm.sort();
+            (fired, wm, eng.output().to_vec())
         };
         let reference = log(&MatcherChoice::Vs2);
-        assert!(!reference.is_empty(), "{name} did nothing");
+        assert!(!reference.0.is_empty(), "{name} did nothing");
         for choice in all_choices() {
             assert_eq!(
                 log(&choice),
                 reference,
-                "firing log mismatch: {name} under {}",
+                "firing log, working memory or output mismatch: {name} under {}",
                 choice.label()
             );
         }
@@ -155,7 +178,7 @@ fn corpus_programs_identical_on_all_matchers() {
 /// memory-level divergence that conflict resolution happens to hide.
 #[test]
 fn corpus_cs_history_identical_on_all_matchers() {
-    for name in ["blocks", "fibonacci", "monkey", "hanoi", "triage"] {
+    for name in CORPUS {
         let src = std::fs::read_to_string(format!("programs/{name}.ops")).expect("read corpus");
         let history = |choice: &MatcherChoice| -> Vec<u8> {
             let mut eng = EngineBuilder::from_source(&src)
@@ -204,7 +227,7 @@ fn corpus_cs_history_identical_with_sharing_and_unlinking() {
         sharing: true,
         unlinking: true,
     };
-    for name in ["blocks", "fibonacci", "monkey", "hanoi", "triage"] {
+    for name in CORPUS {
         let src = std::fs::read_to_string(format!("programs/{name}.ops")).expect("read corpus");
         let history = |choice: &MatcherChoice, options: NetworkOptions| -> Vec<u8> {
             let mut eng = EngineBuilder::from_source(&src)

@@ -225,7 +225,7 @@ fn final_cs(m: &mut dyn Matcher, changes: &[WmeChange]) -> CsState {
 }
 
 /// `changes` cut into chunks of the (cycled) `chunk_lens` sizes.
-fn chunks<'a>(changes: &'a [WmeChange], chunk_lens: &[usize]) -> Vec<&'a [WmeChange]> {
+fn chunks<'a, T>(changes: &'a [T], chunk_lens: &[usize]) -> Vec<&'a [T]> {
     let mut out = Vec::new();
     let mut rest = changes;
     for n in chunk_lens.iter().cycle() {
@@ -270,6 +270,83 @@ fn chunked_cs_history(
             set.clone()
         })
         .collect()
+}
+
+/// One recorded input for [`a_batch_is_a_set_whose_order_is_the_matchers`]:
+/// per batch, changes to distinct WMEs of `synth::NEGATED`'s classes in the
+/// order an RHS might have written them. A delete only ever names a WME
+/// that was live when its batch began, so no order of a batch puts a delete
+/// before its own add.
+fn negated_batches(
+    prog: &Program,
+    stream: &[(u8, u8, u8, bool)],
+    chunk_lens: &[usize],
+) -> Vec<Vec<WmeChange>> {
+    let class = |name: &str| prog.symbols.get(name).unwrap();
+    let states = ["new", "held", "idle"].map(|s| Value::Sym(class(s)));
+    let mut live: Vec<WmeRef> = Vec::new();
+    let mut batches = Vec::new();
+    let mut tag = 0;
+    for chunk in chunks(stream, chunk_lens) {
+        let mut batch = Vec::new();
+        let mut added = Vec::new();
+        for &(kind, id, state, remove) in chunk {
+            if remove && !live.is_empty() {
+                let wme = live.swap_remove(id as usize % live.len());
+                batch.push(WmeChange {
+                    sign: Sign::Minus,
+                    wme,
+                });
+                continue;
+            }
+            let id = Value::Int(id as i64 % 3);
+            tag += 1;
+            let wme = match kind % 4 {
+                0 | 1 => Wme::new(class("item"), vec![id, states[state as usize % 3]], tag),
+                2 => Wme::new(class("lock"), vec![id], tag),
+                _ => Wme::new(class("done"), vec![id], tag),
+            };
+            added.push(wme.clone());
+            batch.push(WmeChange {
+                sign: Sign::Plus,
+                wme,
+            });
+        }
+        live.extend(added);
+        batches.push(batch);
+    }
+    batches
+}
+
+/// How an executor hands a recorded batch to its matcher.
+#[derive(Debug, Clone, Copy)]
+enum Order {
+    /// One `submit` per change, as written: the paper's order.
+    Singles,
+    /// One `ChangeBatch`, pushed as written.
+    AsWritten,
+    /// One `ChangeBatch`, every assertion pushed before any retraction.
+    AssertsFirst,
+    /// One `ChangeBatch`, pushed in a seeded shuffle.
+    Shuffled(u64),
+}
+
+impl Order {
+    fn submit(self, m: &mut dyn Matcher, batch: &[WmeChange]) {
+        let mut changes = batch.to_vec();
+        match self {
+            Order::Singles => {
+                for c in changes {
+                    m.submit(&ChangeBatch::single(c));
+                }
+                return;
+            }
+            Order::AsWritten => {}
+            Order::AssertsFirst => changes.sort_by_key(|c| c.sign == Sign::Minus),
+            Order::Shuffled(seed) => workloads::rng::SplitMix64::new(seed).shuffle(&mut changes),
+        }
+        m.submit(&changes.into_iter().collect());
+    }
 }
 
 proptest! {
@@ -491,6 +568,80 @@ proptest! {
                 prop_assert_eq!(vs1.linked_readers(), rete::live_readers(net, |j| vs1.left_entries(j) != 0), "{} vs1 lists, chunk {}", label, i);
                 prop_assert_eq!(vs2.linked_readers(), rete::live_readers(net, |j| vs2.left_entries(j) != 0), "{} vs2 lists, chunk {}", label, i);
                 prop_assert_eq!(col.linked_readers(), rete::live_readers(net, |j| col.left_entries(j) != 0), "{} col lists, chunk {}", label, i);
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_is_a_set_whose_order_is_the_matchers(
+        stream in proptest::collection::vec((0u8..4, 0u8..12, 0u8..3, any::<bool>()), 1..40),
+        chunk_lens in proptest::collection::vec(1usize..8, 1..6),
+        fire in proptest::collection::vec(0usize..64, 1..6),
+        seed in any::<u64>(),
+    ) {
+        // One recorded input, N executors (`Matcher::submit`'s contract): a
+        // batch is a set of changes to distinct WMEs and the order inside it
+        // is the matcher's, so vs1, vs2, col and lispsim, each fed the batch
+        // as written, assertions first, in three shuffles and as the paper's
+        // stream of single changes, must fold to the same conflict set
+        // *with the same fired flags* after every quiesce. Between batches
+        // one candidate fires (refraction); what was fired before a batch and
+        // is present after it was never removed inside it, in any order, so
+        // it is still fired. `NEGATED` puts all four not-node arms and a
+        // positive chain under every order.
+        //
+        // Kills, in `SeqMatcher::submit`: "skip the second pass" (nothing is
+        // ever asserted) and "take a group's retractions only when its first
+        // change is one" (a shuffle that opens a group with an assertion
+        // loses the group's retractions).
+        let prog = Program::from_source(workloads::synth::NEGATED).expect("parses");
+        let net = Arc::new(Network::compile(&prog).expect("network compiles"));
+        let batches = negated_batches(&prog, &stream, &chunk_lens);
+
+        let orders = [
+            Order::Singles,
+            Order::AsWritten,
+            Order::AssertsFirst,
+            Order::Shuffled(seed),
+            Order::Shuffled(seed ^ 0x9e37_79b9),
+            Order::Shuffled(seed.rotate_left(17) + 1),
+        ];
+        let mut executors: Vec<(String, Order, Box<dyn Matcher>, engine::ConflictSet)> = Vec::new();
+        for order in orders {
+            // lispsim as written, one change at a time, is the reference.
+            let ms: [(&str, Box<dyn Matcher>); 4] = [
+                ("lisp", lispsim::LispEngineMatcher::boxed(&prog)),
+                ("vs1", rete::seq::boxed_vs1(net.clone())),
+                ("vs2", rete::seq::boxed_vs2(net.clone(), HashMemConfig { buckets: 16 })),
+                ("col", rete::colmatch::boxed_col(net.clone())),
+            ];
+            for (name, m) in ms {
+                executors.push((format!("{name} {order:?}"), order, m, engine::ConflictSet::new()));
+            }
+        }
+
+        for (i, batch) in batches.iter().enumerate() {
+            let fired_before = executors[0].3.fired_keys();
+            for (_, order, m, cs) in &mut executors {
+                order.submit(m.as_mut(), batch);
+                cs.apply_all(m.quiesce().cs_changes);
+            }
+            let keys = executors[0].3.sorted_keys();
+            let fired = executors[0].3.fired_keys();
+            for key in fired_before.iter().filter(|k| keys.contains(k)) {
+                prop_assert!(fired.contains(key), "batch {}: {:?} lost its fired flag", i, key);
+            }
+            for (name, _, _, cs) in &executors[1..] {
+                prop_assert_eq!(cs.sorted_keys(), keys.clone(), "{} after batch {}: {:?}", name, i, batch);
+                prop_assert_eq!(cs.fired_keys(), fired.clone(), "{} fired after batch {}: {:?}", name, i, batch);
+            }
+            // Conflict resolution is not under test: any candidate will do.
+            let candidates: Vec<_> = keys.into_iter().filter(|k| !fired.contains(k)).collect();
+            if !candidates.is_empty() {
+                let winner = &candidates[fire[i % fire.len()] % candidates.len()];
+                for (name, _, _, cs) in &mut executors {
+                    prop_assert!(cs.mark_fired_key(winner), "{}: {:?} not present", name, winner);
+                }
             }
         }
     }
