@@ -37,10 +37,17 @@ impl std::hash::Hasher for FxHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.hash = mix(self.hash, u64::from_le_bytes(buf));
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            let word = u64::from_le_bytes(chunk.try_into().expect("chunks of 8"));
+            self.hash = mix(self.hash, word);
+        }
+        // The tail as a zero-padded little-endian word, assembled in
+        // registers: most keys hashed this way are names of a few bytes.
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            let word = tail.iter().rev().fold(0, |w, b| w << 8 | *b as u64);
+            self.hash = mix(self.hash, word);
         }
     }
 

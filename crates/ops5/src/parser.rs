@@ -20,53 +20,121 @@
 //! Attribute names are resolved to field indices against the program's class
 //! table during parsing; `modify`/`remove` indices are validated to refer to
 //! positive condition elements and rewritten to 1-based positive-CE indices.
+//!
+//! The parser pulls tokens from the [`Lexer`] with one token of look-ahead
+//! and copies none: a token borrows its text from the source. **Where it
+//! interns is observable** — `Value::Sym(id)` feeds every memory key
+//! downstream, so hash-line populations and conflict-set order follow the
+//! ids — and fixed: a symbol is interned when the grammar consumes it as a
+//! name or a constant (production and class names, `^attr`s, `<var>`s,
+//! symbolic constants), in source order, and never as a keyword (`p`,
+//! `literalize`, `make`, `compute`, `crlf`, `lex`, ...). `tests/golden.rs`
+//! pins the resulting id order for the corpus and the generated programs.
 
 use crate::ast::*;
 use crate::error::{Ops5Error, Result};
-use crate::lexer::{lex, PredTok, TokKind, Token};
-use crate::program::{Program, Strategy};
+use crate::fxhash::FxBuildHasher;
+use crate::lexer::{Lexer, PredTok, TokKind, Token};
+use crate::program::{Program, StartupWme, Strategy};
 use crate::symbol::SymbolId;
 use crate::value::{ArithOp, Pred, Value};
 use std::collections::HashSet;
 use std::sync::Arc;
 
-struct Parser<'a> {
-    toks: Vec<Token>,
-    pos: usize,
-    prog: &'a mut Program,
+/// Operators plus nested `(compute` forms one RHS expression may hold. An
+/// expression is a tree of boxes that is parsed, dropped and evaluated by
+/// recursion, so its depth has to be bounded by something smaller than a
+/// thread's stack.
+const MAX_EXPR_NODES: u32 = 256;
+
+/// Scratch stacks the AST's vectors are filled on. None nests inside itself,
+/// so each is empty whenever its vector starts; [`exact`] moves the elements
+/// out into a vector allocated once, at its final size.
+#[derive(Default)]
+struct Scratch {
+    lhs: Vec<CondElem>,
+    tests: Vec<(u16, AttrTest)>,
+    conj: Vec<ValueTest>,
+    disj: Vec<Value>,
+    rhs: Vec<Action>,
+    sets: Vec<(u16, RhsExpr)>,
+    items: Vec<WriteItem>,
+    startup: Vec<(u16, Value)>,
+}
+
+fn exact<T>(scratch: &mut Vec<T>) -> Vec<T> {
+    let mut v = Vec::with_capacity(scratch.len());
+    v.append(scratch);
+    v
+}
+
+struct Parser<'s, 'p> {
+    lexer: Lexer<'s>,
+    /// The one token of look-ahead.
+    tok: Token<'s>,
+    /// The first lexical error met; the look-ahead reads `Eof` from there on.
+    lex_err: Option<Ops5Error>,
+    prog: &'p mut Program,
+    /// Variables visible to the RHS of the production being parsed.
+    bound: HashSet<SymbolId, FxBuildHasher>,
+    /// Operators and nested computes of the RHS expression being parsed.
+    expr_nodes: u32,
+    scratch: Scratch,
 }
 
 pub fn parse_into(prog: &mut Program, src: &str) -> Result<()> {
-    let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0, prog };
-    p.program()
+    let kind = TokKind::Eof;
+    let mut p = Parser {
+        lexer: Lexer::new(src),
+        tok: Token { kind, at: 0 },
+        lex_err: None,
+        prog,
+        bound: HashSet::default(),
+        expr_nodes: 0,
+        scratch: Scratch::default(),
+    };
+    p.tok = p.lex();
+    let parsed = p.program();
+    // A lexical error anywhere in the source outranks a parse error before
+    // it, as when the whole source was lexed first: read on to the end.
+    while p.tok.kind != TokKind::Eof {
+        p.tok = p.lex();
+    }
+    match p.lex_err {
+        Some(e) => Err(e),
+        None => parsed,
+    }
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> &TokKind {
-        &self.toks[self.pos].kind
+impl<'s> Parser<'s, '_> {
+    fn lex(&mut self) -> Token<'s> {
+        self.lexer.next_token().unwrap_or_else(|e| {
+            self.lex_err = Some(e);
+            Token {
+                kind: TokKind::Eof,
+                ..self.tok
+            }
+        })
     }
 
-    fn here(&self) -> (u32, u32) {
-        let t = &self.toks[self.pos.min(self.toks.len() - 1)];
-        (t.line, t.col)
+    fn peek(&self) -> TokKind<'s> {
+        self.tok.kind
     }
 
-    fn bump(&mut self) -> TokKind {
-        let k = self.toks[self.pos].kind.clone();
-        if self.pos < self.toks.len() - 1 {
-            self.pos += 1;
+    fn bump(&mut self) -> TokKind<'s> {
+        let k = self.tok.kind;
+        if k != TokKind::Eof {
+            self.tok = self.lex();
         }
         k
     }
 
+    /// An error at the look-ahead token (after a `bump`, the token that
+    /// follows the one complained about).
     fn err<T>(&self, msg: impl Into<String>) -> Result<T> {
-        let (line, col) = self.here();
-        Err(Ops5Error::Parse {
-            line,
-            col,
-            msg: msg.into(),
-        })
+        let (line, col) = self.lexer.line_col(self.tok.at);
+        let msg = msg.into();
+        Err(Ops5Error::Parse { line, col, msg })
     }
 
     fn expect_lparen(&mut self) -> Result<()> {
@@ -83,9 +151,13 @@ impl<'a> Parser<'a> {
         }
     }
 
+    fn intern(&mut self, name: &str) -> SymbolId {
+        self.prog.symbols.intern(name)
+    }
+
     fn sym(&mut self) -> Result<SymbolId> {
         match self.bump() {
-            TokKind::Sym(s) => Ok(self.prog.symbols.intern(&s)),
+            TokKind::Sym(s) => Ok(self.intern(s)),
             other => self.err(format!("expected symbol, found {other:?}")),
         }
     }
@@ -106,7 +178,7 @@ impl<'a> Parser<'a> {
             TokKind::Sym(s) => s,
             other => return self.err(format!("expected form head, found {other:?}")),
         };
-        match head.as_str() {
+        match head {
             "literalize" => {
                 let class = self.sym()?;
                 let mut attrs = Vec::new();
@@ -122,7 +194,7 @@ impl<'a> Parser<'a> {
                     TokKind::Sym(s) => s,
                     other => return self.err(format!("expected lex|mea, found {other:?}")),
                 };
-                self.prog.strategy = match s.as_str() {
+                self.prog.strategy = match s {
                     "lex" => Strategy::Lex,
                     "mea" => Strategy::Mea,
                     _ => return self.err(format!("unknown strategy {s}")),
@@ -137,7 +209,6 @@ impl<'a> Parser<'a> {
 
     fn production(&mut self) -> Result<()> {
         let name = self.sym()?;
-        let mut lhs: Vec<CondElem> = Vec::new();
         loop {
             match self.peek() {
                 TokKind::Arrow => {
@@ -148,10 +219,11 @@ impl<'a> Parser<'a> {
                     self.bump();
                     let mut ce = self.cond_elem()?;
                     ce.negated = true;
-                    lhs.push(ce);
+                    self.scratch.lhs.push(ce);
                 }
                 TokKind::LParen => {
-                    lhs.push(self.cond_elem()?);
+                    let ce = self.cond_elem()?;
+                    self.scratch.lhs.push(ce);
                 }
                 other => {
                     return self.err(format!(
@@ -160,6 +232,7 @@ impl<'a> Parser<'a> {
                 }
             }
         }
+        let lhs = exact(&mut self.scratch.lhs);
         if lhs.is_empty() {
             return self.err("production has no condition elements");
         }
@@ -168,14 +241,14 @@ impl<'a> Parser<'a> {
         }
 
         // Variables visible to the RHS: those bound in positive CEs.
-        let mut bound: HashSet<SymbolId> = HashSet::new();
+        self.bound.clear();
         for ce in lhs.iter().filter(|ce| !ce.negated) {
             for (_, t) in &ce.tests {
                 if let AttrTest::Conj(ts) = t {
                     for vt in ts {
                         if let TestAtom::Var(v) = vt.atom {
                             if vt.pred.is_eq() {
-                                bound.insert(v);
+                                self.bound.insert(v);
                             }
                         }
                     }
@@ -183,39 +256,41 @@ impl<'a> Parser<'a> {
             }
         }
 
-        let mut rhs = Vec::new();
         loop {
             match self.peek() {
                 TokKind::RParen => {
                     self.bump();
                     break;
                 }
-                TokKind::LParen => self.action(&lhs, &mut bound, &mut rhs)?,
+                TokKind::LParen => self.action(&lhs)?,
                 other => return self.err(format!("expected RHS action or ')', found {other:?}")),
             }
         }
+        let rhs = exact(&mut self.scratch.rhs);
         Arc::make_mut(&mut self.prog.productions).push(Production { name, lhs, rhs });
         Ok(())
+    }
+
+    /// `^attr` of `class`, the look-ahead: the attribute's field index.
+    fn field(&mut self, class: SymbolId, attr: &str) -> Result<u16> {
+        self.bump();
+        let attr = self.intern(attr);
+        self.prog.classes.resolve(class, attr)
     }
 
     /// Top-level `(make class ^attr const ...)`: initial working memory.
     fn startup_make(&mut self) -> Result<()> {
         let class = self.sym()?;
-        let mut sets = Vec::new();
         loop {
             match self.peek() {
                 TokKind::RParen => {
                     self.bump();
                     break;
                 }
-                TokKind::Attr(_) => {
-                    let attr = match self.bump() {
-                        TokKind::Attr(a) => self.prog.symbols.intern(&a),
-                        _ => unreachable!(),
-                    };
-                    let field = self.prog.classes.resolve(class, attr)?;
+                TokKind::Attr(a) => {
+                    let field = self.field(class, a)?;
                     let v = self.const_value()?;
-                    sets.push((field, v));
+                    self.scratch.startup.push((field, v));
                 }
                 other => {
                     return self.err(format!(
@@ -224,30 +299,24 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        self.prog
-            .startup
-            .push(crate::program::StartupWme { class, sets });
+        let sets = exact(&mut self.scratch.startup);
+        self.prog.startup.push(StartupWme { class, sets });
         Ok(())
     }
 
     fn cond_elem(&mut self) -> Result<CondElem> {
         self.expect_lparen()?;
         let class = self.sym()?;
-        let mut tests = Vec::new();
         loop {
             match self.peek() {
                 TokKind::RParen => {
                     self.bump();
                     break;
                 }
-                TokKind::Attr(_) => {
-                    let attr = match self.bump() {
-                        TokKind::Attr(a) => self.prog.symbols.intern(&a),
-                        _ => unreachable!(),
-                    };
-                    let field = self.prog.classes.resolve(class, attr)?;
+                TokKind::Attr(a) => {
+                    let field = self.field(class, a)?;
                     let test = self.lhs_value()?;
-                    tests.push((field, test));
+                    self.scratch.tests.push((field, test));
                 }
                 other => {
                     return self.err(format!(
@@ -259,7 +328,7 @@ impl<'a> Parser<'a> {
         Ok(CondElem {
             class,
             negated: false,
-            tests,
+            tests: exact(&mut self.scratch.tests),
         })
     }
 
@@ -267,35 +336,27 @@ impl<'a> Parser<'a> {
         match self.peek() {
             TokKind::LBrace => {
                 self.bump();
-                let mut ts = Vec::new();
-                loop {
-                    if matches!(self.peek(), TokKind::RBrace) {
-                        self.bump();
-                        break;
-                    }
-                    ts.push(self.value_test()?);
+                while self.peek() != TokKind::RBrace {
+                    let vt = self.value_test()?;
+                    self.scratch.conj.push(vt);
                 }
-                if ts.is_empty() {
+                self.bump();
+                if self.scratch.conj.is_empty() {
                     return self.err("empty conjunction {}");
                 }
-                Ok(AttrTest::Conj(ts))
+                Ok(AttrTest::Conj(exact(&mut self.scratch.conj)))
             }
             TokKind::LDisj => {
                 self.bump();
-                let mut vs = Vec::new();
-                loop {
-                    match self.peek() {
-                        TokKind::RDisj => {
-                            self.bump();
-                            break;
-                        }
-                        _ => vs.push(self.const_value()?),
-                    }
+                while self.peek() != TokKind::RDisj {
+                    let v = self.const_value()?;
+                    self.scratch.disj.push(v);
                 }
-                if vs.is_empty() {
+                self.bump();
+                if self.scratch.disj.is_empty() {
                     return self.err("empty disjunction << >>");
                 }
-                Ok(AttrTest::Disj(vs))
+                Ok(AttrTest::Disj(exact(&mut self.scratch.disj)))
             }
             _ => Ok(AttrTest::Conj(vec![self.value_test()?])),
         }
@@ -304,7 +365,6 @@ impl<'a> Parser<'a> {
     fn value_test(&mut self) -> Result<ValueTest> {
         let pred = match self.peek() {
             TokKind::Pred(p) => {
-                let p = *p;
                 self.bump();
                 match p {
                     PredTok::Eq => Pred::Eq,
@@ -318,19 +378,25 @@ impl<'a> Parser<'a> {
             }
             _ => Pred::Eq,
         };
-        let atom = match self.bump() {
-            TokKind::Var(v) => TestAtom::Var(self.prog.symbols.intern(&v)),
-            TokKind::Sym(s) => TestAtom::Const(Value::Sym(self.prog.symbols.intern(&s))),
-            TokKind::Int(i) => TestAtom::Const(Value::Int(i)),
-            TokKind::Float(x) => TestAtom::Const(Value::Float(x)),
-            other => return self.err(format!("expected test atom, found {other:?}")),
+        let atom = match self.peek() {
+            TokKind::Var(v) => {
+                self.bump();
+                TestAtom::Var(self.intern(v))
+            }
+            TokKind::Sym(_) | TokKind::Int(_) | TokKind::Float(_) => {
+                TestAtom::Const(self.const_value()?)
+            }
+            other => {
+                self.bump();
+                return self.err(format!("expected test atom, found {other:?}"));
+            }
         };
         Ok(ValueTest { pred, atom })
     }
 
     fn const_value(&mut self) -> Result<Value> {
         match self.bump() {
-            TokKind::Sym(s) => Ok(Value::Sym(self.prog.symbols.intern(&s))),
+            TokKind::Sym(s) => Ok(Value::Sym(self.intern(s))),
             TokKind::Int(i) => Ok(Value::Int(i)),
             TokKind::Float(x) => Ok(Value::Float(x)),
             other => self.err(format!("expected constant, found {other:?}")),
@@ -354,24 +420,18 @@ impl<'a> Parser<'a> {
         Ok((pos, lhs[idx].class))
     }
 
-    fn action(
-        &mut self,
-        lhs: &[CondElem],
-        bound: &mut HashSet<SymbolId>,
-        out: &mut Vec<Action>,
-    ) -> Result<()> {
+    fn action(&mut self, lhs: &[CondElem]) -> Result<()> {
         self.expect_lparen()?;
         let head = match self.bump() {
             TokKind::Sym(s) => s,
             other => return self.err(format!("expected action head, found {other:?}")),
         };
-        match head.as_str() {
+        let action = match head {
             "make" => {
                 let class = self.sym()?;
-                let sets = self.rhs_sets(class, bound)?;
+                let sets = self.rhs_sets(class)?;
                 self.expect_rparen()?;
-                out.push(Action::Make { class, sets });
-                Ok(())
+                Action::Make { class, sets }
             }
             "modify" => {
                 let k = match self.bump() {
@@ -380,11 +440,10 @@ impl<'a> Parser<'a> {
                         return self.err(format!("expected CE index after modify, found {other:?}"))
                     }
                 };
-                let (pos, class) = self.resolve_ce_index(lhs, k, "modify")?;
-                let sets = self.rhs_sets(class, bound)?;
+                let (ce, class) = self.resolve_ce_index(lhs, k, "modify")?;
+                let sets = self.rhs_sets(class)?;
                 self.expect_rparen()?;
-                out.push(Action::Modify { ce: pos, sets });
-                Ok(())
+                Action::Modify { ce, sets }
             }
             "remove" => {
                 // OPS5 remove takes one or more CE indices; desugar into one
@@ -392,13 +451,10 @@ impl<'a> Parser<'a> {
                 let mut any = false;
                 loop {
                     match self.peek() {
-                        TokKind::Int(_) => {
-                            let k = match self.bump() {
-                                TokKind::Int(i) => i,
-                                _ => unreachable!(),
-                            };
-                            let (pos, _) = self.resolve_ce_index(lhs, k, "remove")?;
-                            out.push(Action::Remove { ce: pos });
+                        TokKind::Int(k) => {
+                            self.bump();
+                            let (ce, _) = self.resolve_ce_index(lhs, k, "remove")?;
+                            self.scratch.rhs.push(Action::Remove { ce });
                             any = true;
                         }
                         TokKind::RParen => {
@@ -414,88 +470,73 @@ impl<'a> Parser<'a> {
                 if !any {
                     return self.err("remove needs at least one CE index");
                 }
-                Ok(())
+                return Ok(());
             }
             "write" => {
-                let mut items = Vec::new();
                 loop {
-                    match self.peek() {
-                        TokKind::RParen => {
-                            self.bump();
-                            break;
-                        }
+                    let item = match self.peek() {
+                        TokKind::RParen => break,
                         TokKind::LParen => {
                             self.bump();
                             match self.bump() {
-                                TokKind::Sym(s) if s == "crlf" => {}
+                                TokKind::Sym("crlf") => {}
                                 other => {
                                     return self.err(format!("expected (crlf), found {other:?}"))
                                 }
                             }
                             self.expect_rparen()?;
-                            items.push(WriteItem::Crlf);
+                            WriteItem::Crlf
                         }
-                        TokKind::Var(_) => {
-                            let v = match self.bump() {
-                                TokKind::Var(v) => self.prog.symbols.intern(&v),
-                                _ => unreachable!(),
-                            };
-                            self.check_bound(v, bound)?;
-                            items.push(WriteItem::Value(RhsValue::Var(v)));
-                        }
-                        _ => items.push(WriteItem::Value(RhsValue::Const(self.const_value()?))),
-                    }
+                        TokKind::Var(v) => WriteItem::Value(RhsValue::Var(self.bound_var(v)?)),
+                        _ => WriteItem::Value(RhsValue::Const(self.const_value()?)),
+                    };
+                    self.scratch.items.push(item);
                 }
-                out.push(Action::Write { items });
-                Ok(())
+                self.bump();
+                let items = exact(&mut self.scratch.items);
+                Action::Write { items }
             }
             "bind" => {
                 let var = match self.bump() {
-                    TokKind::Var(v) => self.prog.symbols.intern(&v),
+                    TokKind::Var(v) => self.intern(v),
                     other => {
                         return self.err(format!("expected <var> after bind, found {other:?}"))
                     }
                 };
-                let expr = if matches!(self.peek(), TokKind::RParen) {
+                let expr = if self.peek() == TokKind::RParen {
                     None
                 } else {
-                    Some(self.rhs_expr(bound)?)
+                    Some(self.rhs_expr()?)
                 };
                 self.expect_rparen()?;
-                bound.insert(var);
-                out.push(Action::Bind { var, expr });
-                Ok(())
+                self.bound.insert(var);
+                Action::Bind { var, expr }
             }
             "halt" => {
                 self.expect_rparen()?;
-                out.push(Action::Halt);
-                Ok(())
+                Action::Halt
             }
-            other => self.err(format!("unknown RHS action {other}")),
-        }
+            other => return self.err(format!("unknown RHS action {other}")),
+        };
+        self.scratch.rhs.push(action);
+        Ok(())
     }
 
-    fn rhs_sets(
-        &mut self,
-        class: SymbolId,
-        bound: &HashSet<SymbolId>,
-    ) -> Result<Vec<(u16, RhsExpr)>> {
-        let mut sets = Vec::new();
-        while let TokKind::Attr(_) = self.peek() {
-            let attr = match self.bump() {
-                TokKind::Attr(a) => self.prog.symbols.intern(&a),
-                _ => unreachable!(),
-            };
-            let field = self.prog.classes.resolve(class, attr)?;
-            let expr = self.rhs_expr(bound)?;
-            sets.push((field, expr));
+    fn rhs_sets(&mut self, class: SymbolId) -> Result<Vec<(u16, RhsExpr)>> {
+        while let TokKind::Attr(a) = self.peek() {
+            let field = self.field(class, a)?;
+            let expr = self.rhs_expr()?;
+            self.scratch.sets.push((field, expr));
         }
-        Ok(sets)
+        Ok(exact(&mut self.scratch.sets))
     }
 
-    fn check_bound(&self, v: SymbolId, bound: &HashSet<SymbolId>) -> Result<()> {
-        if bound.contains(&v) {
-            Ok(())
+    /// `<v>`, the look-ahead, as an RHS reference: it must be bound.
+    fn bound_var(&mut self, v: &str) -> Result<SymbolId> {
+        self.bump();
+        let v = self.intern(v);
+        if self.bound.contains(&v) {
+            Ok(v)
         } else {
             self.err(format!(
                 "variable <{}> is not bound in the LHS",
@@ -504,69 +545,66 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn rhs_expr(&mut self, bound: &HashSet<SymbolId>) -> Result<RhsExpr> {
+    /// One whole RHS expression (an attribute's value, a `bind`'s).
+    fn rhs_expr(&mut self) -> Result<RhsExpr> {
+        self.expr_nodes = 0;
+        self.rhs_operand()
+    }
+
+    /// Counts one operator or nested compute of the expression being parsed.
+    fn expr_node(&mut self) -> Result<()> {
+        self.expr_nodes += 1;
+        if self.expr_nodes > MAX_EXPR_NODES {
+            return self.err(format!(
+                "expression has more than {MAX_EXPR_NODES} operators and nested computes"
+            ));
+        }
+        Ok(())
+    }
+
+    fn rhs_operand(&mut self) -> Result<RhsExpr> {
         match self.peek() {
             TokKind::LParen => {
                 self.bump();
                 match self.bump() {
-                    TokKind::Sym(s) if s == "compute" => {}
+                    TokKind::Sym("compute") => {}
                     other => return self.err(format!("expected (compute ...), found {other:?}")),
                 }
-                let e = self.compute_body(bound)?;
+                self.expr_node()?;
+                let e = self.compute_body()?;
                 self.expect_rparen()?;
                 Ok(e)
             }
-            TokKind::Var(_) => {
-                let v = match self.bump() {
-                    TokKind::Var(v) => self.prog.symbols.intern(&v),
-                    _ => unreachable!(),
-                };
-                self.check_bound(v, bound)?;
-                Ok(RhsExpr::Var(v))
-            }
+            TokKind::Var(v) => Ok(RhsExpr::Var(self.bound_var(v)?)),
             _ => Ok(RhsExpr::Const(self.const_value()?)),
         }
     }
 
     /// `operand (op operand)*`, left-associative. Operators are the symbols
     /// `+`, `*`, `//`, `\\` and the `Minus` token.
-    fn compute_body(&mut self, bound: &HashSet<SymbolId>) -> Result<RhsExpr> {
-        let mut acc = self.compute_operand(bound)?;
+    fn compute_body(&mut self) -> Result<RhsExpr> {
+        let mut acc = self.compute_operand()?;
         loop {
             let op = match self.peek() {
-                TokKind::Minus => Some(ArithOp::Sub),
-                TokKind::Sym(s) => match s.as_str() {
-                    "+" => Some(ArithOp::Add),
-                    "*" => Some(ArithOp::Mul),
-                    "//" => Some(ArithOp::Div),
-                    "\\\\" | "\\" => Some(ArithOp::Mod),
-                    _ => None,
-                },
-                _ => None,
+                TokKind::Minus => ArithOp::Sub,
+                TokKind::Sym("+") => ArithOp::Add,
+                TokKind::Sym("*") => ArithOp::Mul,
+                TokKind::Sym("//") => ArithOp::Div,
+                TokKind::Sym("\\\\" | "\\") => ArithOp::Mod,
+                _ => return Ok(acc),
             };
-            match op {
-                Some(op) => {
-                    self.bump();
-                    let rhs = self.compute_operand(bound)?;
-                    acc = RhsExpr::Arith(op, Box::new(acc), Box::new(rhs));
-                }
-                None => return Ok(acc),
-            }
+            self.bump();
+            self.expr_node()?;
+            let rhs = self.compute_operand()?;
+            acc = RhsExpr::Arith(op, Box::new(acc), Box::new(rhs));
         }
     }
 
-    fn compute_operand(&mut self, bound: &HashSet<SymbolId>) -> Result<RhsExpr> {
+    fn compute_operand(&mut self) -> Result<RhsExpr> {
         match self.peek() {
-            TokKind::Var(_) => {
-                let v = match self.bump() {
-                    TokKind::Var(v) => self.prog.symbols.intern(&v),
-                    _ => unreachable!(),
-                };
-                self.check_bound(v, bound)?;
-                Ok(RhsExpr::Var(v))
+            TokKind::Var(_) | TokKind::Int(_) | TokKind::Float(_) | TokKind::LParen => {
+                self.rhs_operand()
             }
-            TokKind::Int(_) | TokKind::Float(_) => Ok(RhsExpr::Const(self.const_value()?)),
-            TokKind::LParen => self.rhs_expr(bound),
             other => self.err(format!("expected compute operand, found {other:?}")),
         }
     }

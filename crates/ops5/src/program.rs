@@ -2,8 +2,8 @@
 
 use crate::ast::Production;
 use crate::error::{Ops5Error, Result};
+use crate::fxhash::FxHashMap;
 use crate::symbol::{SymbolId, SymbolTable};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Dense production identifier (index into `Program::productions`).
@@ -30,7 +30,7 @@ pub enum Strategy {
 pub struct ClassInfo {
     /// Attribute names in field order.
     pub attrs: Vec<SymbolId>,
-    index: HashMap<SymbolId, u16>,
+    index: FxHashMap<SymbolId, u16>,
 }
 
 impl ClassInfo {
@@ -60,7 +60,7 @@ impl ClassInfo {
 /// class layout, which is how most small OPS5 programs are written.
 #[derive(Debug, Clone, Default)]
 pub struct ClassTable {
-    classes: HashMap<SymbolId, ClassInfo>,
+    classes: FxHashMap<SymbolId, ClassInfo>,
     /// When false, referencing an undeclared attribute is an error.
     pub auto_extend: bool,
 }
@@ -68,7 +68,7 @@ pub struct ClassTable {
 impl ClassTable {
     pub fn new() -> Self {
         ClassTable {
-            classes: HashMap::new(),
+            classes: FxHashMap::default(),
             auto_extend: true,
         }
     }

@@ -6,7 +6,7 @@
 //! hashing work on the id, never the string, mirroring the paper's
 //! "compiled" representation where symbols are machine words.
 
-use std::collections::HashMap;
+use crate::fxhash::FxHashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -40,10 +40,12 @@ impl SymbolId {
 ///
 /// Each name is stored once and shared between the two directions of the
 /// map, so cloning a table (one clone per engine instantiated from a shared
-/// compiled program) copies pointers, not bytes.
+/// compiled program) copies pointers, not bytes. Names are hashed with the
+/// crate's Fx mix: interning is most of what a parse does per token, and a
+/// name is a few bytes.
 #[derive(Debug, Clone)]
 pub struct SymbolTable {
-    by_name: HashMap<Arc<str>, SymbolId>,
+    by_name: FxHashMap<Arc<str>, SymbolId>,
     names: Vec<Arc<str>>,
     gensym_counter: u64,
 }
@@ -58,7 +60,7 @@ impl SymbolTable {
     /// Creates a table with `nil` pre-interned as [`SymbolId::NIL`].
     pub fn new() -> Self {
         let mut t = SymbolTable {
-            by_name: HashMap::new(),
+            by_name: FxHashMap::default(),
             names: Vec::new(),
             gensym_counter: 0,
         };

@@ -8,24 +8,21 @@
 //! the compiled network tests.
 
 use crate::error::{Ops5Error, Result};
+use crate::lexer::{literal, TokKind};
 use crate::program::ClassTable;
 use crate::symbol::{SymbolId, SymbolTable};
 use crate::value::Value;
 use crate::wme::Wme;
 
-/// Parses one value token: integer, float, or (interned) symbol.
+/// Parses one value token: integer, float, or (interned) symbol, by the
+/// source lexer's own rule ([`literal`]), so a constant in a rule and the
+/// same text asserted by a client are the same value.
 pub fn parse_value(token: &str, symbols: &mut SymbolTable) -> Value {
-    if let Ok(i) = token.parse::<i64>() {
-        return Value::Int(i);
+    match literal(token) {
+        TokKind::Int(i) => Value::Int(i),
+        TokKind::Float(x) => Value::Float(x),
+        _ => Value::Sym(symbols.intern(token)),
     }
-    // Only accept floats that unambiguously look numeric, so symbols like
-    // `1.2.3` or `-` stay symbols.
-    if token.contains('.') {
-        if let Ok(f) = token.parse::<f64>() {
-            return Value::Float(f);
-        }
-    }
-    Value::Sym(symbols.intern(token))
 }
 
 /// Parses a `class ^attr value ^attr value ...` WME body into the class

@@ -17,7 +17,7 @@ mod common;
 use ops5::printer::print_program;
 use ops5::{Program, Strategy};
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::Path;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -75,10 +75,6 @@ fn identity(prog: &Program) -> String {
     s
 }
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/{name}.txt"))
-}
-
 #[test]
 fn a_parse_produces_what_the_goldens_hold() {
     let update = std::env::var_os("OPS5_UPDATE_GOLDEN").is_some();
@@ -86,7 +82,7 @@ fn a_parse_produces_what_the_goldens_hold() {
     for (name, src) in common::programs() {
         let prog = Program::from_source(&src).expect("corpus parses");
         let now = identity(&prog);
-        let path = golden_path(&name);
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/{name}.txt"));
         if update {
             std::fs::write(&path, &now).expect("write golden");
             continue;
@@ -199,19 +195,19 @@ const MALFORMED: &[(&str, &str)] = &[
     ("(p x (a ^b |two\nlines|) -->\n  (oops))", "parse error at 3:8: unknown RHS action oops"),
     ("(p x (a ^b 1) --> (halt))\n\n\n", "ok"),
     ("(p x (a ^b 1) --> (halt))\n\n\n(", "parse error at 4:2: expected form head, found Eof"),
-    ("(make a ^b 99999999999999999999)", "lex error at 1:12: bad int 99999999999999999999: number too large to fit in target type"),
-    ("(make a ^b -99999999999999999999)", "lex error at 1:12: bad int -99999999999999999999: number too small to fit in target type"),
-    ("(make a ^b 1.5e-3)", "lex error at 1:12: bad float 1.5e: invalid float literal"),
-    ("(make a ^b 1e5)", "parse error at 1:13: expected ^attr or ')' in top-level make, found Sym(\"e5\")"),
-    ("(make a ^b 12x12)", "parse error at 1:14: expected ^attr or ')' in top-level make, found Sym(\"x12\")"),
-    ("(make a ^b 1.2.3)", "parse error at 1:15: expected ^attr or ')' in top-level make, found Sym(\".3\")"),
-    ("(make a ^b +5)", "ok, made [(0, Sym(sym#3))]"),
-    ("(make a ^b -5x)", "parse error at 1:14: expected ^attr or ')' in top-level make, found Sym(\"x\")"),
+    ("(make a ^b 99999999999999999999)", "ok, made [(0, Sym(sym#3))]"),
+    ("(make a ^b -99999999999999999999)", "ok, made [(0, Sym(sym#3))]"),
+    ("(make a ^b 1.5e-3)", "ok, made [(0, Float(0.0015))]"),
+    ("(make a ^b 1e5)", "ok, made [(0, Sym(sym#3))]"),
+    ("(make a ^b 12x12)", "ok, made [(0, Sym(sym#3))]"),
+    ("(make a ^b 1.2.3)", "ok, made [(0, Sym(sym#3))]"),
+    ("(make a ^b +5)", "ok, made [(0, Int(5))]"),
+    ("(make a ^b -5x)", "ok, made [(0, Sym(sym#3))]"),
     ("(make a ^b 3.)", "ok, made [(0, Float(3.0))]"),
-    ("(make a ^b .5)", "ok, made [(0, Sym(sym#3))]"),
+    ("(make a ^b .5)", "ok, made [(0, Float(0.5))]"),
     ("(make a ^b - 5)", "parse error at 1:14: expected constant, found Minus"),
-    ("(p x (a ^b 12x12) --> (halt))", "parse error at 1:14: expected ^attr or ')' in condition element, found Sym(\"x12\")"),
-    ("(p x (a ^b <v>) --> (make a ^b (compute <v> +5)))", "parse error at 1:47: expected ')', found Sym(\"+5\")"),
+    ("(p x (a ^b 12x12) --> (halt))", "ok"),
+    ("(p x (a ^b <v>) --> (make a ^b (compute <v> +5)))", "parse error at 1:47: expected ')', found Int(5)"),
     ("(p x (a ^b <v>) --> (make a ^b (compute <v> -5)))", "parse error at 1:47: expected ')', found Int(-5)"),
 ];
 

@@ -1,9 +1,10 @@
 //! What `Program::from_source` asks of the allocator, per program.
 //!
-//! Parsing is most of turning a source into a runnable engine (`setup_s` on
-//! the ledger's `weaver`), and most of parsing used to be the allocator: one
+//! Parsing was most of turning a source into a runnable engine (`setup_s` on
+//! the ledger's `weaver`), and much of parsing was the allocator: one
 //! `String` per token grown a `char` at a time, cloned again on every
-//! `bump()`. These counts are the deterministic half of that claim: they
+//! `bump()`. The lexer is now a cursor whose tokens borrow from the source,
+//! and these counts are the deterministic half of that claim: they
 //! depend on the source and the front end only, so they repeat exactly, in
 //! debug and release alike. The allocator below counts per thread, so
 //! concurrently running tests cannot disturb it.
@@ -13,6 +14,7 @@
 
 mod common;
 
+use ops5::lexer::{Lexer, TokKind};
 use ops5::Program;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -50,26 +52,37 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// (program, tokens, allocations, bytes requested) of one `from_source`.
-/// Recorded at 7543973, the `Peekable<Chars>` lexer and cloning parser:
-/// 1.5–1.9 allocations and 100–190 bytes per token.
+/// What is left is the AST (one allocation per vector and per box, each at
+/// its final size), one `Arc<str>` per distinct symbol, and the growth of
+/// the symbol and class tables and of the parser's scratch stacks, which is
+/// why the small programs sit above the large ones. At 7543973 (the
+/// `Peekable<Chars>` lexer and the cloning parser) the same rows read
+/// 1.5–1.9 allocations and 100–190 bytes per token: `weaver12` 72 832
+/// allocations and 6 963 856 bytes, `rubik` 9 234 and 944 918, `blocks` 279
+/// and 28 520.
 const PINNED: &[(&str, usize, u64, u64)] = &[
-    ("weaver12", 40669, 72832, 6963856), // 1.79 per token
-    ("weaver6", 13669, 24514, 1893520),  // 1.79 per token
-    ("rubik", 5763, 9234, 944918),       // 1.60 per token
-    ("tourney", 275, 496, 58524),        // 1.80 per token
-    ("tourney_fixed", 293, 533, 59660),  // 1.82 per token
-    ("blocks", 150, 279, 28520),         // 1.86 per token
-    ("carousel", 264, 450, 53365),       // 1.70 per token
-    ("fibonacci", 85, 161, 14575),       // 1.89 per token
-    ("hanoi", 179, 310, 28799),          // 1.73 per token
-    ("monkey", 615, 1098, 111058),       // 1.79 per token
-    ("triage", 292, 438, 51958),         // 1.50 per token
-    ("steady", 157, 273, 28478),         // 1.74 per token
+    ("weaver12", 40669, 15054, 967364), // 0.37 per token
+    ("weaver6", 13669, 5114, 330356),   // 0.37 per token
+    ("rubik", 5763, 1995, 120208),      // 0.35 per token
+    ("tourney", 275, 151, 12728),       // 0.55 per token
+    ("tourney_fixed", 293, 160, 13688), // 0.55 per token
+    ("blocks", 150, 78, 6628),          // 0.52 per token
+    ("carousel", 264, 120, 8872),       // 0.45 per token
+    ("fibonacci", 85, 51, 4096),        // 0.60 per token
+    ("hanoi", 179, 85, 6948),           // 0.47 per token
+    ("monkey", 615, 254, 18896),        // 0.41 per token
+    ("triage", 292, 84, 7056),          // 0.29 per token
+    ("steady", 157, 81, 5692),          // 0.52 per token
 ];
 
 /// Tokens in `src`, the closing `Eof` included.
 fn tokens(src: &str) -> usize {
-    ops5::lexer::lex(src).expect("corpus lexes").len()
+    let mut lexer = Lexer::new(src);
+    let mut n = 1;
+    while lexer.next_token().expect("corpus lexes").kind != TokKind::Eof {
+        n += 1;
+    }
+    n
 }
 
 fn measure(src: &str) -> (u64, u64) {

@@ -745,3 +745,190 @@ proptest! {
         prop_assert_eq!(par.parked_tokens(), 0);
     }
 }
+
+// ---------------------------------------------------------------------------
+// The language front end fails closed (ROADMAP 6.2): whatever bytes reach
+// `Program::from_source`, it answers `Ok` or a positioned `Lex`/`Parse`
+// error. 2000 cases each in release (CI's Match-perf smoke job), a tenth of
+// that in the debug run of tier 1.
+// ---------------------------------------------------------------------------
+
+const FRONT_END_CASES: u32 = if cfg!(debug_assertions) { 200 } else { 2000 };
+
+/// The sources the mutations start from: the corpus, the ledger's program
+/// and the three generated workloads at the ledger's sizes.
+fn front_end_sources() -> Vec<String> {
+    let mut sources: Vec<String> = [
+        "blocks",
+        "carousel",
+        "fibonacci",
+        "hanoi",
+        "monkey",
+        "triage",
+    ]
+    .iter()
+    .map(|name| format!("programs/{name}.ops"))
+    .chain(["ledger/steady.ops".to_string()])
+    .map(|path| std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}")))
+    .collect();
+    sources.push(workloads::weaver::generate_source(36));
+    sources.push(workloads::rubik::generate_source());
+    sources.push(workloads::tourney::generate_source(
+        workloads::tourney::Variant::Pathological,
+    ));
+    sources.push(workloads::tourney::generate_source(
+        workloads::tourney::Variant::Fixed,
+    ));
+    sources
+}
+
+/// `from_source(src)` is `Ok`, or an error of the front end's two kinds on a
+/// line the source has.
+fn assert_fails_closed(src: &str) {
+    let lines = src.matches('\n').count() as u32 + 1;
+    match Program::from_source(src) {
+        Ok(_) => {}
+        Err(ops5::Ops5Error::Lex { line, col, .. } | ops5::Ops5Error::Parse { line, col, .. }) => {
+            assert!(
+                (1..=lines).contains(&line) && col >= 1,
+                "{line}:{col} of {lines} lines"
+            );
+        }
+        Err(other) => panic!("not a front-end error: {other}"),
+    }
+}
+
+/// Text that opens, closes or continues some form of the grammar, to be
+/// spliced in where a mutation lands.
+const SPLICES: [&str; 16] = [
+    "(",
+    ")",
+    "{",
+    "}",
+    "<<",
+    ">>",
+    "<",
+    ">",
+    "|",
+    "^",
+    "-->",
+    "-",
+    ";",
+    "(compute ",
+    "é",
+    "\r\n",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(FRONT_END_CASES))]
+
+    #[test]
+    fn arbitrary_bytes_fail_closed(
+        bytes in proptest::collection::vec(any::<u8>(), 0..400),
+        text in "\\PC*",
+        soup in "[()p\\-<>=^ a-z0-9{}|;.+\n]*",
+    ) {
+        assert_fails_closed(&String::from_utf8_lossy(&bytes));
+        assert_fails_closed(&text);
+        assert_fails_closed(&soup);
+    }
+
+    #[test]
+    fn mutated_programs_fail_closed(
+        which in any::<usize>(),
+        mutations in proptest::collection::vec((0u8..4, any::<usize>(), any::<u8>()), 1..5),
+    ) {
+        thread_local! {
+            static SOURCES: Vec<String> = front_end_sources();
+        }
+        let mut bytes = SOURCES.with(|s| s[which % s.len()].clone().into_bytes());
+        for (kind, at, byte) in mutations {
+            let at = at % (bytes.len() + 1);
+            match kind {
+                0 => bytes.truncate(at),
+                1 if at < bytes.len() => bytes[at] ^= byte | 1,
+                2 => bytes.insert(at, byte),
+                _ => {
+                    let splice = SPLICES[byte as usize % SPLICES.len()];
+                    bytes.splice(at..at, splice.bytes());
+                }
+            }
+        }
+        assert_fails_closed(&String::from_utf8_lossy(&bytes));
+    }
+}
+
+/// Nesting 10^5 deep is refused or parsed without recursing that deep, and
+/// in time linear in the input: four times the depth runs here too, and a
+/// quadratic front end would not come back from it.
+#[test]
+fn deep_nesting_fails_closed_without_recursion() {
+    for depth in [100_000, 400_000] {
+        for open in ["(", "{", "<<", "<", "|", "- ", "(compute ", "(compute 1 + "] {
+            let nest = open.repeat(depth);
+            assert_fails_closed(&nest);
+            assert_fails_closed(&format!("(p x (a ^b {nest}"));
+            assert_fails_closed(&format!("(p x (a ^b <v>) --> (make a ^b {nest}"));
+            assert_fails_closed(&format!("(p x (a ^b <v>) --> (bind <w> {nest}"));
+        }
+        // One flat expression of `depth` operators would parse by iteration
+        // into a tree that deep, which nothing downstream could walk.
+        let chain = format!(
+            "(p x (a ^b <v>) --> (make a ^b (compute <v>{})))",
+            " + 1".repeat(depth)
+        );
+        assert!(Program::from_source(&chain).is_err());
+    }
+    // What real programs nest stays legal.
+    let legal = format!(
+        "(p x (a ^b <v>) --> (make a ^b {}<v>{}))",
+        "(compute 1 + ".repeat(40),
+        ")".repeat(40)
+    );
+    Program::from_source(&legal).expect("forty nested computes parse");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(FRONT_END_CASES))]
+
+    /// One definition of a value literal (ROADMAP 6.4): a delimiter-free run
+    /// is the same value as a constant in a rule and as a value on the wire,
+    /// and both follow the rule as the wire always stated it. A leading `-`
+    /// not followed by a digit is the parser's (negation or subtraction).
+    #[test]
+    fn a_literal_reads_the_same_in_a_rule_and_on_the_wire(
+        run in "[0-9+\\-.eExa_]{1,12}",
+        wide in "[0-9a-z+\\-.*/?!:&$%_é中]{1,8}",
+    ) {
+        for run in [run, wide] {
+            let digit_next = run.as_bytes().get(1).is_some_and(u8::is_ascii_digit);
+            if run.starts_with('-') && !digit_next {
+                continue;
+            }
+            let mut wire_syms = ops5::SymbolTable::new();
+            let on_wire = ops5::wire::parse_value(&run, &mut wire_syms);
+            let stated = if let Ok(i) = run.parse::<i64>() {
+                Value::Int(i)
+            } else if let (true, Ok(x)) = (run.contains('.'), run.parse::<f64>()) {
+                Value::Float(x)
+            } else {
+                Value::Sym(wire_syms.get(&run).expect("the wire interned it"))
+            };
+            // `Value`'s equality is variant-exact; compare floats by bits.
+            let same = |a: Value, b: Value| match (a, b) {
+                (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+                _ => a == b,
+            };
+            prop_assert!(same(on_wire, stated), "{run}: wire {on_wire:?}, stated {stated:?}");
+
+            let prog = Program::from_source(&format!("(make c ^f {run})"))
+                .unwrap_or_else(|e| panic!("{run}: {e}"));
+            let in_rule = prog.startup[0].sets[0].1;
+            let named = |v: Value, syms: &ops5::SymbolTable| match v {
+                Value::Sym(s) => format!("sym {}", syms.name(s)),
+                other => format!("{other:?}"),
+            };
+            prop_assert_eq!(named(in_rule, &prog.symbols), named(on_wire, &wire_syms), "{}", run);
+        }
+    }
+}
