@@ -1,20 +1,23 @@
-//! Shared harness for the table-regeneration binaries.
+//! The paper's evaluation section, regenerated.
 //!
-//! Each `src/bin/table_4_*.rs` binary regenerates one table of the paper's
-//! evaluation section against the three rebuilt benchmark programs. The
-//! binaries print rows in the paper's layout so EXPERIMENTS.md can place
-//! them side by side with the original numbers.
+//! [`tables`] holds one function per table of the paper (and per ablation
+//! beyond it); the `tables` binary prints them. This root module is the
+//! harness they share: the three rebuilt benchmark programs, the engine
+//! configuration every table runs on, and the trace/simulation plumbing of
+//! the Multimax tables.
 //!
-//! Benchmark configurations live here so every table measures the same
-//! three programs; the sizes are chosen to finish in seconds per engine in
+//! The benchmark sizes are chosen to finish in seconds per engine in
 //! release builds while producing match profiles (memory sizes,
 //! cross-products, WME-change counts) in the paper's regime.
 
-use engine::Engine;
+pub mod tables;
+
+use engine::{ActStrategy, Engine, EngineBuilder, MatcherKind};
 use multimax::{simulate, SimConfig, SimResult};
 use ops5::Result;
 use psm::line::LockScheme;
 use psm::trace::RunTrace;
+use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use workloads::{rubik, tourney, weaver, MatcherChoice, Workload};
@@ -74,19 +77,36 @@ pub fn programs() -> Vec<ProgramEntry> {
     ]
 }
 
-/// Runs a workload under a matcher, returning wall-clock time and the
-/// engine (for statistics).
-pub fn timed_run(w: &Workload, choice: &MatcherChoice) -> Result<(Duration, Engine)> {
-    let mut eng = workloads::build_engine(w, choice)?;
+/// Builds `w` on `kind` in the paper's configuration, whatever the
+/// environment says: the matcher is explicit, the network has no prefix
+/// sharing and no unlinking, and the act phase fires one instantiation per
+/// cycle. (Each of the three settings opts the builder out of its `OPS5_*`
+/// knob.)
+pub(crate) fn paper_engine(w: &Workload, kind: MatcherKind) -> Result<Engine> {
+    let mut eng = EngineBuilder::from_source(&w.source)?
+        .matcher(kind)
+        .network_options(rete::NetworkOptions::default())
+        .act_strategy(ActStrategy::Serial)
+        .build()?;
+    workloads::load_setup(&mut eng, &w.setup)?;
+    Ok(eng)
+}
+
+/// Runs `eng` to completion and checks the workload's outcome.
+fn run_validated(w: &Workload, eng: &mut Engine) -> Result<Duration> {
     let started = Instant::now();
     eng.run(w.max_cycles)?;
     let elapsed = started.elapsed();
-    if let Err(e) = (w.validate)(&eng) {
-        return Err(ops5::Ops5Error::Runtime(format!(
-            "{} failed validation: {e}",
-            w.name
-        )));
-    }
+    (w.validate)(eng)
+        .map_err(|e| ops5::Ops5Error::Runtime(format!("{} failed validation: {e}", w.name)))?;
+    Ok(elapsed)
+}
+
+/// Runs a workload under a matcher, returning wall-clock time and the
+/// engine (for statistics).
+pub fn timed_run(w: &Workload, choice: &MatcherChoice) -> Result<(Duration, Engine)> {
+    let mut eng = paper_engine(w, choice.kind())?;
+    let elapsed = run_validated(w, &mut eng)?;
     Ok((elapsed, eng))
 }
 
@@ -108,17 +128,11 @@ pub fn record_trace(w: &Workload) -> Result<RunTrace> {
 /// Records a trace with an explicit hash-line count.
 pub fn record_trace_with_lines(w: &Workload, lines: usize) -> Result<RunTrace> {
     let sink = Arc::new(Mutex::new(RunTrace::default()));
-    let mut eng = engine::EngineBuilder::from_source(&w.source)?
-        .trace(lines, sink.clone())
-        .build()?;
-    workloads::load_setup(&mut eng, &w.setup)?;
-    eng.run(w.max_cycles)?;
-    if let Err(e) = (w.validate)(&eng) {
-        return Err(ops5::Ops5Error::Runtime(format!(
-            "{} failed validation during trace: {e}",
-            w.name
-        )));
-    }
+    let kind = MatcherKind::Trace {
+        buckets: lines,
+        sink: sink.clone(),
+    };
+    run_validated(w, &mut paper_engine(w, kind)?)?;
     let trace = sink.lock().unwrap().clone();
     Ok(trace)
 }
@@ -128,29 +142,16 @@ pub fn sim(trace: &RunTrace, procs: usize, queues: usize, scheme: LockScheme) ->
     simulate(trace, &SimConfig::new(procs, queues, scheme))
 }
 
-/// Speed-up of `procs` match processes relative to one (same queue count
-/// and lock scheme as configured per column, uniprocessor with 1 queue).
-pub fn speedup(
-    trace: &RunTrace,
-    uni: &SimResult,
-    procs: usize,
-    queues: usize,
-    scheme: LockScheme,
-) -> f64 {
-    let r = sim(trace, procs, queues, scheme);
-    uni.match_time as f64 / r.match_time as f64
-}
-
 /// Formats seconds with millisecond precision.
 pub fn secs(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
 }
 
-/// Prints a table header in the paper's style.
-pub fn header(title: &str) {
-    println!();
-    println!("{title}");
-    println!("{}", "-".repeat(title.len().min(78)));
+/// Writes a table header in the paper's style.
+pub fn header(out: &mut dyn Write, title: &str) -> io::Result<()> {
+    writeln!(out)?;
+    writeln!(out, "{title}")?;
+    writeln!(out, "{}", "-".repeat(title.len().min(78)))
 }
 
 #[cfg(test)]

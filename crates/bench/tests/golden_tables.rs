@@ -1,51 +1,47 @@
 //! The deterministic tables, byte for byte.
 //!
-//! Tables 4-3, 4-5..4-9 and `tourney_fix` print counters and simulated
-//! Multimax times only: no wall clock, no host dependence. ROADMAP items 1
-//! and 4 gate on them staying "byte-identical"; this test is that gate. Each
-//! binary's stdout is compared with `tests/golden/<bin>.txt`, captured at
-//! a809a15 (the parent of the PR that made vs1/vs2 take a batch's
-//! retractions first — none of the seven moved with it: 4-3 counts delete
-//! searches, which no order changes, and 4-5..4-9 replay `psm::trace`,
-//! which takes a batch as written).
+//! Tables 4-3, 4-5..4-9, `tourney_fix`, `hw_scheduler` and
+//! `ablation_overhead` print counters and simulated Multimax times only: no
+//! wall clock, no host dependence. ROADMAP items 1 and 4 gate on them
+//! staying "byte-identical"; this test is that gate. Each table function's
+//! output is compared with `tests/golden/<name>.txt`. The first seven were
+//! captured at a809a15 (the parent of the PR that made vs1/vs2 take a
+//! batch's retractions first — none of the seven moved with it: 4-3 counts
+//! delete searches, which no order changes, and 4-5..4-9 replay
+//! `psm::trace`, which takes a batch as written); the two ablations at
+//! 9e2cd57, from the binaries the table functions replaced.
 //!
 //! Tables 4-1, 4-2 and 4-4 are not here: 4-1 and 4-4 print wall-clock
 //! seconds, and 4-2's linear-memory cells are vs1's scan lengths, which a
 //! kernel change may move with a reason (EXPERIMENTS.md records each).
 //!
-//! To re-pin a table: `cargo run --release -p bench --bin <bin> >
-//! crates/bench/tests/golden/<bin>.txt`, in the same commit as the reason.
+//! The tables build every engine on the paper's configuration in code, so
+//! this test runs them in-process under whatever `OPS5_*` knobs the suite
+//! around it has set.
+//!
+//! To re-pin a table: `cargo run --release -p bench --bin tables -- <name> >
+//! crates/bench/tests/golden/<name>.txt`, in the same commit as the reason.
 
-use std::process::Command;
+use bench::tables::{self, Table};
 
-fn check(bin: &str, exe: &str, golden: &str) {
-    let mut cmd = Command::new(exe);
-    // The tables are defined on the paper-faithful defaults, whatever knob
-    // the test matrix has set for the suite around them.
-    for (key, _) in std::env::vars_os() {
-        if key.to_string_lossy().starts_with("OPS5_") {
-            cmd.env_remove(key);
-        }
-    }
-    let out = cmd
-        .output()
-        .unwrap_or_else(|e| panic!("failed to run {exe}: {e}"));
-    assert!(out.status.success(), "{bin} failed: {:?}", out.status);
-    let stdout = String::from_utf8(out.stdout).expect("utf-8 table");
+fn check(name: &str, table: Table, golden: &str) {
+    let mut out = Vec::new();
+    table(&mut out).expect("write to a Vec");
+    let now = String::from_utf8(out).expect("utf-8 table");
     assert!(
-        stdout == golden,
-        "{bin}: stdout differs from tests/golden/{bin}.txt\nnow:\n{stdout}\ngolden:\n{golden}"
+        now == golden,
+        "{name}: output differs from tests/golden/{name}.txt\nnow:\n{now}\ngolden:\n{golden}"
     );
 }
 
 macro_rules! golden {
-    ($($bin:ident),*) => {$(
+    ($($name:ident),*) => {$(
         #[test]
-        fn $bin() {
+        fn $name() {
             check(
-                stringify!($bin),
-                env!(concat!("CARGO_BIN_EXE_", stringify!($bin))),
-                include_str!(concat!("golden/", stringify!($bin), ".txt")),
+                stringify!($name),
+                tables::$name,
+                include_str!(concat!("golden/", stringify!($name), ".txt")),
             );
         }
     )*};
@@ -58,5 +54,7 @@ golden!(
     table_4_7,
     table_4_8,
     table_4_9,
-    tourney_fix
+    tourney_fix,
+    hw_scheduler,
+    ablation_overhead
 );

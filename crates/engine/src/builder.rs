@@ -533,6 +533,20 @@ mod tests {
                     other => panic!("unexpected metric shape {other:?}"),
                 }
             }
+            // Every histogram any layer registered is internally consistent,
+            // and col's scan-length one has samples: it is what says whether
+            // the value index partitions the memories.
+            for (hist, h) in snap.histograms() {
+                h.validate()
+                    .unwrap_or_else(|e| panic!("{name}: {hist}: {e}"));
+            }
+            if name == "col" {
+                let scans = snap
+                    .histograms()
+                    .find(|(hist, _)| *hist == "col_bucket_scan_len")
+                    .map(|(_, h)| h.count);
+                assert!(scans > Some(0), "col recorded no bucket scans");
+            }
             let phase = eng.last_phase().expect("phase recorded");
             assert!(phase.match_ns > 0, "{name}: match phase took time");
             // Rete matchers also carry a per-join-node profile with every

@@ -18,9 +18,8 @@
 //! connection core.
 //!
 //! Consumers in this workspace: the `serve` crate's reactor (one I/O thread
-//! driving every connection's socket-free core), the `ops5-router`
-//! session-sharding proxy, and `bench`'s `serve_load --high-concurrency` driver (10k+
-//! nonblocking client connections from a single thread).
+//! driving every connection's socket-free core) and the `ops5-router`
+//! session-sharding proxy.
 
 mod buf;
 mod poll;

@@ -67,14 +67,15 @@ pub struct HashMemConfig {
 impl HashMemConfig {
     /// The paper's vs2: "two large hash tables which hold all the tokens
     /// for the entire network", one fixed size for every program. What the
-    /// table binaries and the geometry-pinned goldens run on.
+    /// paper's tables (`bench::tables`) and the geometry-pinned goldens run
+    /// on.
     pub const PAPER: HashMemConfig = HashMemConfig { buckets: 16384 };
 }
 
 /// Entries (left tokens + right WMEs) per line beyond which a table sized
 /// by its population doubles. A line is two vectors scanned front to back,
 /// so a handful of entries costs less than the cache miss of reaching a
-/// line of their own: over fixed sizes, `ablation_buckets` (best of 7)
+/// line of their own: over fixed sizes, the `ablation_buckets` table (best of 7)
 /// reads Weaver fastest at 1024–4096 lines — 1.6–6.3 entries per line at its
 /// peak of 6419 — and 8–24 % slower at 16 Ki and 64 Ki, with Rubik (368
 /// entries) and Tourney (peak 1720) flat from 256 lines up (EXPERIMENTS.md,

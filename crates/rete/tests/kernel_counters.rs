@@ -83,11 +83,11 @@
 //!   193 -> 221. Every other column, `cs_changes` 984 and the digest stand:
 //!   `count`'s re-derivation after each firing is needed in any order.
 
-use engine::{ActStrategy, EngineBuilder};
+use engine::{ActStrategy, EngineBuilder, MatcherKind};
 use ops5::{ChangeBatch, CsChange, MatchStats, Matcher, QuiesceReport};
 use rete::{HashMemConfig, Network, NetworkOptions};
 use std::sync::{Arc, Mutex};
-use workloads::{synth, tourney, weaver, SetupVal, Workload};
+use workloads::{rubik, synth, tourney, weaver, SetupVal, Workload};
 
 fn programs() -> Vec<Workload> {
     let mut setup = Vec::new();
@@ -363,6 +363,76 @@ fn counters_and_cs_order_match_the_parent_commit() {
             assert!(null > 0 && skipped > 0, "{name} {label}: no null work");
         }
     }
+}
+
+/// vs2 on the paper's table and serial act, network options as given.
+fn vs2_stats(w: &Workload, options: NetworkOptions) -> MatchStats {
+    let mut eng = EngineBuilder::from_source(&w.source)
+        .expect("parse")
+        .matcher(MatcherKind::Vs2(HashMemConfig::PAPER))
+        .network_options(options)
+        .act_strategy(ActStrategy::Serial)
+        .build()
+        .expect("build");
+    workloads::load_setup(&mut eng, &w.setup).expect("setup");
+    eng.run(w.max_cycles).expect("run");
+    (w.validate)(&eng).expect("workload validates");
+    eng.match_stats()
+}
+
+/// A Rubik change is dispatched through its class's constant index, not
+/// the chain of every pattern of its class (which evaluated 50.6 constant
+/// tests per change to find the 1.02 that pass). Measured on this
+/// 12-move scramble: 0.955 per change (553 tests, 579 changes); on the
+/// 100-move benchmark cube 0.95. The bound is the benchmark-size gate's.
+#[test]
+fn a_rubik_change_evaluates_at_most_four_constant_tests() {
+    let w = rubik::workload(rubik::RubikConfig {
+        seed: 2026,
+        scramble_len: 12,
+        plan: rubik::PlanMode::Inverse,
+    });
+    let s = vs2_stats(&w, NetworkOptions::default());
+    let per_change = s.alpha_tests as f64 / s.wme_changes as f64;
+    assert!(
+        per_change <= 4.0,
+        "vs2 evaluated {per_change:.2} constant tests per Rubik change: the \
+         alpha network must be looked up, not walked"
+    );
+}
+
+/// Beta-prefix sharing plus unlinking cut Weaver's join activations by at
+/// least a fifth. Measured on this 6x6 grid: 23.2 % (68 153 -> 52 350);
+/// the 5x4 grid of [`programs`] reads 20.7 %, too close to the bound to
+/// gate on. That unlinking removes every performed null activation is
+/// [`GOLDEN`]'s `unlinking = true` rows.
+#[test]
+fn sharing_and_unlinking_cut_weaver_join_activations_by_a_fifth() {
+    let w = weaver::workload(weaver::WeaverConfig {
+        width: 6,
+        height: 6,
+        kinds: 12,
+        nets: 3,
+        blocked_pct: 8,
+        seed: 42,
+    });
+    let base = vs2_stats(&w, NetworkOptions::default());
+    let tuned = vs2_stats(
+        &w,
+        NetworkOptions {
+            sharing: true,
+            unlinking: true,
+        },
+    );
+    let cut = 1.0 - tuned.join_activations as f64 / base.join_activations as f64;
+    assert!(
+        cut >= 0.20,
+        "sharing + unlinking cut Weaver's join activations by {:.1} % ({} -> {}), \
+         not by a fifth",
+        100.0 * cut,
+        base.join_activations,
+        tuned.join_activations
+    );
 }
 
 /// The network the ledger's `weaver` workload compiles: 2562 joins read 125

@@ -37,8 +37,7 @@
 //!   that spreads sessions across several `ops5-serve` backends and
 //!   live-migrates them (`SNAPSHOT?`/`RESTORE`) when a backend drains. It
 //!   frames client requests and backend replies with the same two framers.
-//! * [`client`] — a blocking client used by `bench`'s `serve_load` harness
-//!   and the integration tests.
+//! * [`client`] — a blocking client used by the integration tests.
 //!
 //! See [`protocol`] for the wire grammar.
 

@@ -117,7 +117,7 @@ impl MatcherChoice {
     pub fn kind(&self) -> MatcherKind {
         match self.clone() {
             MatcherChoice::Vs1 => MatcherKind::Vs1,
-            // The paper's vs2: the table binaries reproduce its fixed
+            // The paper's vs2: the tables reproduce its fixed
             // 16 384-line table, not one sized by its population.
             MatcherChoice::Vs2 => MatcherKind::Vs2(rete::HashMemConfig::PAPER),
             MatcherChoice::Lisp => MatcherKind::Lisp,
@@ -133,37 +133,12 @@ impl MatcherChoice {
 
 /// Builds an engine for a workload: parses the source, compiles the network,
 /// installs the chosen matcher, and loads the initial working memory.
+/// The network options and the act phase are the builder's, so the
+/// `OPS5_*` environment knobs apply.
 pub fn build_engine(w: &Workload, choice: &MatcherChoice) -> Result<Engine> {
-    build_engine_with(w, choice, None)
-}
-
-/// [`build_engine`] with explicit network compile options (beta-prefix
-/// sharing / unlinking); `None` keeps the builder's default resolution
-/// (environment knobs for non-trace matchers).
-pub fn build_engine_with(
-    w: &Workload,
-    choice: &MatcherChoice,
-    options: Option<rete::NetworkOptions>,
-) -> Result<Engine> {
-    build_engine_obs(w, choice, options, obs::ObsConfig::default())
-}
-
-/// [`build_engine_with`] plus an observability configuration — the profiling
-/// harnesses build the same engine twice, instruments off and on, to measure
-/// overhead.
-pub fn build_engine_obs(
-    w: &Workload,
-    choice: &MatcherChoice,
-    options: Option<rete::NetworkOptions>,
-    obs_cfg: obs::ObsConfig,
-) -> Result<Engine> {
-    let mut b = EngineBuilder::from_source(&w.source)?
+    let mut eng = EngineBuilder::from_source(&w.source)?
         .matcher(choice.kind())
-        .obs(obs_cfg);
-    if let Some(o) = options {
-        b = b.network_options(o);
-    }
-    let mut eng = b.build()?;
+        .build()?;
     load_setup(&mut eng, &w.setup)?;
     Ok(eng)
 }

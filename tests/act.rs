@@ -109,32 +109,33 @@ fn corpus_parallel_act_equals_serial_on_all_matchers() {
 /// Triage is the grouping showcase: remove-only route rules are infertile
 /// and pairwise independent, so groups actually form — and each group
 /// costs one match pass and one submit where serial pays one per firing.
+/// On vs2 and on col: grouping is the act phase's, whatever matches.
 #[test]
 fn triage_groups_and_cuts_match_passes() {
     let src = std::fs::read_to_string("programs/triage.ops").expect("read corpus");
-    let serial = observe(&src, MatcherKind::default(), ActStrategy::Serial, 100_000).unwrap();
-    let parallel = observe(
-        &src,
-        MatcherKind::default(),
-        ActStrategy::parallel(),
-        100_000,
-    )
-    .unwrap();
-    let (s, p) = (serial.stats, parallel.stats);
-    assert_eq!(p.fired, s.fired);
-    assert!(p.mean_group_size() > 1.5, "triage should group: {:?}", p);
-    assert!(
-        p.match_passes < s.match_passes,
-        "grouping must cut match passes: parallel {} vs serial {}",
-        p.match_passes,
-        s.match_passes
-    );
-    assert!(
-        p.act_submits < s.act_submits,
-        "grouping must cut submits: parallel {} vs serial {}",
-        p.act_submits,
-        s.act_submits
-    );
+    for kind in [MatcherKind::default(), MatcherKind::Col] {
+        let name = kind.name();
+        let serial = observe(&src, kind.clone(), ActStrategy::Serial, 100_000).unwrap();
+        let parallel = observe(&src, kind, ActStrategy::parallel(), 100_000).unwrap();
+        let (s, p) = (serial.stats, parallel.stats);
+        assert_eq!(p.fired, s.fired, "{name}");
+        assert!(
+            p.mean_group_size() > 1.5,
+            "{name}: triage should group: {p:?}"
+        );
+        assert!(
+            p.match_passes < s.match_passes,
+            "{name}: grouping must cut match passes: parallel {} vs serial {}",
+            p.match_passes,
+            s.match_passes
+        );
+        assert!(
+            p.act_submits < s.act_submits,
+            "{name}: grouping must cut submits: parallel {} vs serial {}",
+            p.act_submits,
+            s.act_submits
+        );
+    }
 }
 
 /// Hand-written interference: `kill` retracts the WME `keep` matched, and

@@ -4,9 +4,19 @@
 //! parking a *directory* at the snapshot's tmp path — `File::create`
 //! fails on it regardless of uid.
 
-use serve::{matcher_kind, Command, ProgramSpec, Reply, Session};
+use serve::{
+    matcher_kind, Client, Command, ProgramSpec, Registry, Reply, ServeConfig, Server, Session,
+};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
+
+/// Held by the tests that write more than a few hundred bytes: the
+/// file-size limit one of them sets is per process.
+fn big_writes() -> MutexGuard<'static, ()> {
+    static DISK: Mutex<()> = Mutex::new(());
+    DISK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 const SRC: &str = "(literalize item n)
                    (literalize sum total)
@@ -261,6 +271,7 @@ mod file_size_limit {
 #[cfg(target_os = "linux")]
 #[test]
 fn failed_append_rolls_back_to_the_tracked_end_and_the_retry_loses_nothing() {
+    let _disk = big_writes();
     let dir = tmp_dir("append");
     let log_path = Session::log_path(&dir, 11);
 
@@ -304,5 +315,103 @@ fn failed_append_rolls_back_to_the_tracked_end_and_the_retry_loses_nothing() {
     let wm = |s: &mut Session| s.execute(Command::Wm(None)).to_string();
     assert_eq!(wm(&mut back), wm(&mut s));
 
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `RUN` until the session stops for a reason of its own.
+fn run_to_end(c: &mut Client) {
+    for _ in 0..400 {
+        let payload = c.run(2000).unwrap().expect_ok().unwrap();
+        if !payload.contains("reason=limit") && !payload.contains("reason=settled") {
+            return;
+        }
+    }
+    panic!("the session never stopped");
+}
+
+/// The kill/restart path over a real socket, on every corpus program and
+/// matcher: a durable session runs two `RUN 4`s (every program but `blocks`,
+/// which fires 3 times, is cut mid-run), its connection drops without
+/// `CLOSE`, and a `RESTORE` of what is on disk answers `FIRED?` with the
+/// dropped session's firings and, run to the end, exactly as a direct run
+/// of the program does. None of these programs fires 32 times, so what is
+/// recovered is the snapshot written at `OPEN` plus a log holding every
+/// firing since; a mid-run checkpoint is
+/// `failed_checkpoint_degrades_then_recovers_with_zero_lost_records`'s.
+#[test]
+fn a_session_dropped_mid_run_recovers_over_the_wire() {
+    let _disk = big_writes();
+    let dir = tmp_dir("wire");
+    let cfg = ServeConfig {
+        workers: 2,
+        durability_dir: Some(dir.clone()),
+        checkpoint_every: 32,
+        programs_dir: Some("programs".into()),
+        ..ServeConfig::default()
+    };
+    let handle = Server::bind("127.0.0.1:0", cfg).unwrap().spawn();
+    let reg = Registry::with_builtins(Some("programs".as_ref()));
+    for program in ["blocks", "fibonacci", "monkey", "hanoi", "rubik"] {
+        for matcher in ["vs1", "vs2", "lisp", "psm", "col"] {
+            let at = format!("{program}/{matcher}");
+            let mut eng = reg
+                .get(program)
+                .unwrap()
+                .build(matcher_kind(matcher).unwrap(), Default::default(), None)
+                .unwrap();
+            eng.run(400_000).unwrap();
+            let reference: Vec<String> = eng
+                .fired_log()
+                .iter()
+                .map(|(p, tags)| {
+                    let t: Vec<String> = tags.iter().map(|x| x.to_string()).collect();
+                    format!("{} {}", eng.prog.prod_name(*p), t.join(" "))
+                })
+                .collect();
+
+            // Every completed command's records are on disk before its reply.
+            let (id, ran): (u64, usize) = {
+                let mut doomed = Client::connect(handle.addr).unwrap();
+                let opened = doomed.open(program, Some(matcher)).unwrap();
+                let opened = opened.expect_ok().unwrap();
+                let mut ran = 0;
+                for _ in 0..2 {
+                    let payload = doomed.run(4).unwrap().expect_ok().unwrap();
+                    let cycles = payload
+                        .split_whitespace()
+                        .find_map(|kv| kv.strip_prefix("cycles="))
+                        .unwrap();
+                    ran += cycles.parse::<usize>().unwrap();
+                    if !payload.contains("reason=limit") {
+                        break;
+                    }
+                }
+                let id = opened.split_whitespace().nth(1).unwrap().parse().unwrap();
+                (id, ran)
+            };
+            let snap = fs::read_to_string(Session::snap_path(&dir, id)).unwrap();
+            let log = fs::read_to_string(Session::log_path(&dir, id)).unwrap();
+
+            let mut c = Client::connect(handle.addr).unwrap();
+            c.restore(program, Some(matcher), &format!("{snap}{log}"))
+                .unwrap()
+                .expect_ok()
+                .unwrap_or_else(|e| panic!("{at}: {e}"));
+            // The restored session resumes where the dropped one stopped.
+            let resumed = c.fired().unwrap().expect_lines().unwrap();
+            assert!(
+                resumed[..] == reference[..ran],
+                "{at}: restored {} firings, the dropped session had {ran}",
+                resumed.len()
+            );
+            run_to_end(&mut c);
+            let fired = c.fired().unwrap().expect_lines().unwrap();
+            assert!(fired == reference, "{at}: the recovered run diverged");
+            c.close().unwrap().expect_ok().unwrap();
+        }
+    }
+    let mut c = Client::connect(handle.addr).unwrap();
+    c.shutdown().unwrap().expect_ok().unwrap();
+    handle.join().unwrap();
     let _ = fs::remove_dir_all(&dir);
 }

@@ -79,7 +79,7 @@ fn served_corpus_matches_direct_runs() {
 }
 
 /// Several concurrent connections of mixed corpus programs, all equal to
-/// their direct references — the in-test miniature of `serve_load`.
+/// their direct references.
 #[test]
 fn concurrent_mixed_sessions_all_agree() {
     let addr = server_addr();
@@ -1008,8 +1008,16 @@ impl RawClient {
     }
 
     fn request(&mut self, wire: &str) -> serve::Reply {
+        self.send(wire);
+        self.reply()
+    }
+
+    fn send(&mut self, wire: &str) {
         use std::io::Write;
         self.stream.write_all(wire.as_bytes()).unwrap();
+    }
+
+    fn reply(&mut self) -> serve::Reply {
         let mut framer = ReplyFramer::new();
         loop {
             let line = self.lines.next().expect("a reply, not EOF").unwrap();
@@ -1154,4 +1162,83 @@ fn a_steady_conversation_costs_what_the_counters_say() {
     c.ok("SHUTDOWN\n");
     handle.join().unwrap();
     let _ = std::fs::remove_dir_all(&state);
+}
+
+/// Many connections at once: `CROWD` clients connect to one server before
+/// any of them sends a byte (`serve_connections_open` must read `CROWD`),
+/// then all run the same micro session in lockstep, every connection with
+/// a request in flight at each step. Every reply stream must equal the one
+/// the session draws alone, byte for byte (session ids aside). `CROWD`
+/// stays well under a default limit of 1024 open files: the test process
+/// holds both ends of every connection.
+#[test]
+fn a_crowd_of_connections_each_draws_the_reply_stream_of_one() {
+    const CROWD: usize = 256;
+    const SCRIPT: [&str; 7] = [
+        "OPEN - vs2\n(literalize ping n)\n(p pong (ping ^n <n>) --> (remove 1))\nEND\n",
+        "ASSERT ping ^n 1\n",
+        "ASSERT ping ^n 2\n",
+        "ASSERT ping ^n 3\n",
+        "RUN 10\n",
+        "FIRED?\n",
+        "CLOSE\n",
+    ];
+    let cfg = ServeConfig {
+        workers: 2,
+        obs: ObsConfig::enabled(),
+        ..ServeConfig::default()
+    };
+    let handle = Server::bind("127.0.0.1:0", cfg).unwrap().spawn();
+    let reference: Vec<String> = {
+        let mut alone = RawClient::connect(handle.addr);
+        let replies: Vec<String> = SCRIPT
+            .iter()
+            .map(|r| alone.request(r).to_string())
+            .collect();
+        normalize_session_ids(&replies)
+    };
+
+    let mut crowd: Vec<RawClient> = (0..CROWD)
+        .map(|_| RawClient::connect(handle.addr))
+        .collect();
+    // The reference connection's close may still be on its way.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    loop {
+        let open = counter_of(&crowd[0].metrics(), "serve_connections_open");
+        if open == CROWD as u64 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "serve_connections_open reads {open} with {CROWD} clients connected"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+
+    let mut streams = vec![Vec::new(); CROWD];
+    for request in SCRIPT {
+        for c in &mut crowd {
+            c.send(request);
+        }
+        for (c, stream) in crowd.iter_mut().zip(&mut streams) {
+            let mut reply = c.reply();
+            while reply.is_backpressure() {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                reply = c.request(request);
+            }
+            stream.push(reply.to_string());
+        }
+    }
+    for (i, stream) in streams.iter().enumerate() {
+        assert_eq!(
+            normalize_session_ids(stream),
+            reference,
+            "connection {i} diverged"
+        );
+    }
+
+    drop(crowd);
+    let mut c = RawClient::connect(handle.addr);
+    c.ok("SHUTDOWN\n");
+    handle.join().unwrap();
 }
