@@ -82,9 +82,17 @@
 //!   has already been retracted: `readers_visited` 192 -> 164, `null_skipped`
 //!   193 -> 221. Every other column, `cs_changes` 984 and the digest stand:
 //!   `count`'s re-derivation after each firing is needed in any order.
+//!
+//! [`GOLDEN_TRACE`] pins `psm::trace`'s recorder on the same four programs:
+//! its eighteen columns and an FNV-1a digest of every recorded task and
+//! every cycle's roots, which is what the Multimax simulator replays. It
+//! keeps footnote 6's per-join memories and its own line geometry, so its
+//! rows are compared with nothing but themselves. Unlinking moves only
+//! `null_activations`/`null_skipped`; the trace is the same either way.
 
 use engine::{ActStrategy, EngineBuilder, MatcherKind};
 use ops5::{ChangeBatch, CsChange, MatchStats, Matcher, QuiesceReport};
+use psm::trace::{RunTrace, TaskKind, TaskRecord};
 use rete::{HashMemConfig, Network, NetworkOptions};
 use std::sync::{Arc, Mutex};
 use workloads::{rubik, synth, tourney, weaver, SetupVal, Workload};
@@ -363,6 +371,140 @@ fn counters_and_cs_order_match_the_parent_commit() {
             assert!(null > 0 && skipped > 0, "{name} {label}: no null work");
         }
     }
+}
+
+/// FNV-1a over a recorded trace: every field of every [`TaskRecord`] and
+/// every cycle's root ids, with a separator per cycle; plus the task count.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct TraceDigest {
+    hash: u64,
+    tasks: u64,
+}
+
+fn trace_digest(trace: &RunTrace) -> TraceDigest {
+    let mut d = CsDigest {
+        hash: 0xcbf2_9ce4_8422_2325,
+        quiescences: 0,
+    };
+    d.word(trace.n_lines as u64);
+    for c in &trace.cycles {
+        d.word(u64::MAX);
+        for &r in &c.roots {
+            d.word(r as u64);
+        }
+        d.word(u64::MAX - 1);
+        for t in &c.tasks {
+            let TaskRecord {
+                id,
+                parent,
+                kind,
+                line,
+                examined,
+                same_examined,
+                emitted,
+                alpha_tests,
+                group,
+            } = *t;
+            let kind = match kind {
+                TaskKind::Root => 0,
+                TaskKind::Left { negated } => 1 + negated as u64,
+                TaskKind::Right { negated } => 3 + negated as u64,
+                TaskKind::Terminal => 5,
+            };
+            for w in [
+                id as u64,
+                parent.map_or(u64::MAX, |p| p as u64),
+                kind,
+                line as u64,
+                examined as u64,
+                same_examined as u64,
+                emitted as u64,
+                alpha_tests as u64,
+                group as u64,
+            ] {
+                d.word(w);
+            }
+        }
+    }
+    TraceDigest {
+        hash: d.hash,
+        tasks: trace.total_tasks() as u64,
+    }
+}
+
+/// The trace recorder on the paper's line count, serial act, network
+/// options as given: all eighteen counter columns and the trace's digest.
+fn trace_run(w: &Workload, unlinking: bool) -> (Measured, TraceDigest) {
+    let sink = Arc::new(Mutex::new(RunTrace::default()));
+    let mut eng = EngineBuilder::from_source(&w.source)
+        .expect("parse")
+        .matcher(MatcherKind::Trace {
+            buckets: HashMemConfig::PAPER.buckets,
+            sink: sink.clone(),
+        })
+        .network_options(NetworkOptions {
+            sharing: false,
+            unlinking,
+        })
+        .act_strategy(ActStrategy::Serial)
+        .build()
+        .expect("build");
+    workloads::load_setup(&mut eng, &w.setup).expect("setup");
+    eng.run(w.max_cycles).expect("run");
+    (w.validate)(&eng).expect("workload validates");
+    let stats = columns(&eng.match_stats());
+    let d = trace_digest(&sink.lock().unwrap());
+    (stats, d)
+}
+
+/// One row per (program, unlinking): columns as in [`columns`], then the
+/// digest of the recorded trace.
+type TraceRow = (
+    &'static str,
+    bool,
+    [u64; COLUMNS],
+    [u64; TOUCHED],
+    TraceDigest,
+);
+
+#[rustfmt::skip]
+const GOLDEN_TRACE: &[TraceRow] = &[
+    ("weaver(5x4x2, 2 nets, 2 kinds)", false, [361, 8844, 295, 8593, 5840, 0, 1114, 771, 792, 792, 871, 871, 10137, 2843, 251, 0], [0, 0], TraceDigest { hash: 0x9b7a3b66cfbfdc97, tasks: 9139 }),
+    ("weaver(5x4x2, 2 nets, 2 kinds)", true, [361, 8844, 295, 8593, 0, 5840, 1114, 771, 792, 792, 871, 871, 10137, 2843, 251, 0], [0, 0], TraceDigest { hash: 0x9b7a3b66cfbfdc97, tasks: 9139 }),
+    ("tourney(6 teams, pathological)", false, [263, 3065, 137, 2081, 289, 0, 1824, 707, 320, 164, 1505, 844, 447, 168, 984, 0], [0, 0], TraceDigest { hash: 0xe8fde6645681ab99, tasks: 3202 }),
+    ("tourney(6 teams, pathological)", true, [263, 3065, 137, 2081, 0, 289, 1824, 707, 320, 164, 1505, 844, 447, 168, 984, 0], [0, 0], TraceDigest { hash: 0xe8fde6645681ab99, tasks: 3202 }),
+    ("negated", false, [66, 258, 54, 198, 81, 0, 24, 24, 30, 30, 45, 45, 54, 54, 60, 0], [0, 0], TraceDigest { hash: 0xa613ebe94116fb9a, tasks: 312 }),
+    ("negated", true, [66, 258, 54, 198, 0, 81, 24, 24, 30, 30, 45, 45, 54, 54, 60, 0], [0, 0], TraceDigest { hash: 0xa613ebe94116fb9a, tasks: 312 }),
+    ("synth-carousel(8 CEs, 5 turns)", false, [88, 438, 18, 357, 7, 0, 279, 279, 71, 71, 140, 140, 35, 35, 81, 0], [0, 0], TraceDigest { hash: 0x73a5ca925c3fe462, tasks: 456 }),
+    ("synth-carousel(8 CEs, 5 turns)", true, [88, 438, 18, 357, 0, 7, 279, 279, 71, 71, 140, 140, 35, 35, 81, 0], [0, 0], TraceDigest { hash: 0x73a5ca925c3fe462, tasks: 456 }),
+];
+
+/// The trace recorder feeds every simulated table (4-5..4-9), so its work
+/// and the task graph it records are pinned like the kernel's: the same
+/// four programs, unlinking off and on.
+#[test]
+fn trace_counters_and_task_graph_match_the_parent_commit() {
+    let mut rows = Vec::new();
+    for w in programs() {
+        for unlinking in [false, true] {
+            let (stats, d) = trace_run(&w, unlinking);
+            rows.push((w.name.clone(), unlinking, stats, d));
+        }
+    }
+    let mut table = String::from("const GOLDEN_TRACE: &[TraceRow] = &[\n");
+    for (name, unlinking, (stats, touched), d) in &rows {
+        table += &format!(
+            "    ({name:?}, {unlinking}, {stats:?}, {touched:?}, TraceDigest {{ hash: {:#x}, tasks: {} }}),\n",
+            d.hash, d.tasks
+        );
+    }
+    table += "];";
+    let same = rows.len() == GOLDEN_TRACE.len()
+        && rows
+            .iter()
+            .zip(GOLDEN_TRACE)
+            .all(|(a, b)| (a.0.as_str(), a.1, a.2, a.3) == (b.0, b.1, (b.2, b.3), b.4));
+    assert!(same, "trace counters moved; measured:\n{table}");
 }
 
 /// vs2 on the paper's table and serial act, network options as given.
