@@ -25,6 +25,11 @@
 //! a `−` token arriving before its `+` parks on the line's extra-deletes
 //! list; when the `+` arrives, both annihilate without propagating.
 //!
+//! The node activation over a line is written once (the private `walk`
+//! module), generic over how the line is held — the simple lock, an MRSW
+//! entry, or the trace's exclusive line — and over its effects: atomic
+//! counters and the shared queues, or plain counters and the trace's FIFO.
+//!
 //! The [`trace`] module records a deterministic task trace (task graph,
 //! per-task work counters, hash-line footprint) that the `multimax` crate
 //! replays on a simulated Encore Multimax to regenerate the paper's
@@ -34,14 +39,13 @@ pub mod line;
 pub mod matcher;
 pub mod queue;
 pub mod stats;
-pub mod steal;
 pub mod sync;
 pub mod trace;
+mod walk;
 
 pub use line::{LineLock, LockScheme, ParLine, Side};
-pub use matcher::{ParMatcher, PsmConfig, PsmProbe, SchedulerKind};
+pub use matcher::{ParMatcher, PsmConfig, PsmProbe};
 pub use queue::{Scheduler, TaskCount};
 pub use stats::ContentionStats;
-pub use steal::StealScheduler;
 pub use sync::{RwSpinLock, SpinLock};
 pub use trace::{CycleTrace, RunTrace, TaskKind, TaskRecord, TraceMatcher};

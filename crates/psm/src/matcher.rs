@@ -1,34 +1,21 @@
 //! The parallel match engine: k match processes cooperating through shared
 //! task queues and the global token hash tables (§3.1–3.2).
 
-use crate::line::{LineLock, LockScheme, MinusOutcome, ParLine, PlusOutcome, Side};
+use crate::line::{LineLock, LockScheme, ParLine, Side};
 use crate::queue::{ParTask, Scheduler};
 use crate::stats::{AtomicMatchStats, ContentionReport, ContentionStats};
-use crate::steal::StealScheduler;
-use crate::sync::SpinLock;
+use crate::sync::{SpinGuard, SpinLock};
+use crate::walk::{self, Effects, Line, Scratch};
 use ops5::{
     ChangeBatch, CsChange, Instantiation, MatchStats, Matcher, QuiesceReport, Sign,
-    StatsDeltaTracker, WmeRef,
+    StatsDeltaTracker,
 };
 use rete::fxhash::FxHashMap;
-use rete::network::{AlphaSucc, JoinNode, Network, Succ};
-use rete::token::Token;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use rete::network::{JoinNode, Network};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// Task-scheduling implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// The paper's design: 1..n shared deques behind TTAS spin locks.
-    #[default]
-    SpinQueues,
-    /// Modern extension: per-worker crossbeam deques with work stealing
-    /// (the software descendant of the hardware task scheduler the paper
-    /// left as future work).
-    WorkStealing,
-}
 
 /// Parallel matcher configuration — the axes varied in Tables 4-5..4-9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,14 +23,11 @@ pub struct PsmConfig {
     /// Number of match processes (the "k" in "1+k").
     pub match_processes: usize,
     /// Number of task queues (1 for Table 4-5, up to 8 for Table 4-6).
-    /// Ignored under `SchedulerKind::WorkStealing`.
     pub queues: usize,
     /// Hash-line lock scheme (simple vs MRSW, Table 4-8).
     pub lock_scheme: LockScheme,
     /// Hash-table lines (bucket pairs); rounded up to a power of two.
     pub buckets: usize,
-    /// Scheduling implementation.
-    pub scheduler: SchedulerKind,
 }
 
 impl Default for PsmConfig {
@@ -53,88 +37,6 @@ impl Default for PsmConfig {
             queues: 2,
             lock_scheme: LockScheme::Simple,
             buckets: 1024,
-            scheduler: SchedulerKind::SpinQueues,
-        }
-    }
-}
-
-/// The active scheduling implementation.
-enum Work {
-    Spin(Scheduler),
-    Steal(Box<StealScheduler>),
-}
-
-/// Per-thread scheduling context: the round-robin push cursor (spin
-/// queues) and the local deque (work stealing; `None` on the control
-/// thread).
-struct Ctx {
-    cursor: usize,
-    local: Option<crossbeam::deque::Worker<ParTask>>,
-}
-
-/// Per-worker reusable scan buffers: a steady-state activation performs no
-/// heap allocation for its match lists. Kept separate from [`Ctx`] so a
-/// drain of one buffer can run concurrently with queue pushes through `ctx`.
-#[derive(Default)]
-struct Scratch {
-    wmes: Vec<WmeRef>,
-    tokens: Vec<Token>,
-}
-
-impl Work {
-    fn push(&self, task: ParTask, ctx: &mut Ctx) {
-        match self {
-            Work::Spin(s) => s.push(task, &mut ctx.cursor),
-            Work::Steal(s) => s.push(task, ctx.local.as_ref()),
-        }
-    }
-
-    fn push_requeue(&self, task: ParTask, ctx: &mut Ctx) {
-        match self {
-            Work::Spin(s) => s.push_requeue(task, &mut ctx.cursor),
-            Work::Steal(s) => s.push_requeue(task, ctx.local.as_ref()),
-        }
-    }
-
-    fn pop(&self, ctx: &Ctx, home: usize) -> Option<ParTask> {
-        match self {
-            Work::Spin(s) => s.pop(home),
-            Work::Steal(s) => s.pop(ctx.local.as_ref().expect("worker has a local deque")),
-        }
-    }
-
-    fn task_done(&self) {
-        match self {
-            Work::Spin(s) => s.task_done(),
-            Work::Steal(s) => s.task_done(),
-        }
-    }
-
-    fn quiescent(&self) -> bool {
-        match self {
-            Work::Spin(s) => s.quiescent(),
-            Work::Steal(s) => s.quiescent(),
-        }
-    }
-
-    fn task_count(&self) -> i64 {
-        match self {
-            Work::Spin(s) => s.task_count().value(),
-            Work::Steal(s) => s.task_count().value(),
-        }
-    }
-
-    fn contention(&self) -> (u64, u64) {
-        match self {
-            Work::Spin(s) => s.contention(),
-            // crossbeam deques are lock-free; no spin metric exists.
-            Work::Steal(_) => (0, 0),
-        }
-    }
-
-    fn reset_contention(&self) {
-        if let Work::Spin(s) = self {
-            s.reset_contention();
         }
     }
 }
@@ -152,9 +54,9 @@ struct Parker {
     /// two things holds: the pusher's sleeper-load saw the registration
     /// (and its notify serializes after our wait via the mutex), or the
     /// registration wasn't visible yet — in which case the push itself
-    /// happened before our under-mutex re-poll (queue accesses are lock
-    /// mediated on both scheduler kinds) and the re-poll finds the task.
-    /// Either way no wakeup is lost, so the wait needs no timeout crutch.
+    /// happened before our under-mutex re-poll (every queue access takes
+    /// that queue's spin lock) and the re-poll finds the task. Either way
+    /// no wakeup is lost, so the wait needs no timeout crutch.
     sleepers: AtomicUsize,
     lock: Mutex<()>,
     cv: Condvar,
@@ -180,7 +82,7 @@ struct MatchObs {
 
 struct Shared {
     net: Arc<Network>,
-    sched: Work,
+    sched: Scheduler,
     lines: Box<[LineLock]>,
     mask: u64,
     scheme: LockScheme,
@@ -188,16 +90,16 @@ struct Shared {
     /// net count. Net counting makes the output independent of task
     /// interleaving.
     cs_acc: SpinLock<FxHashMap<Instantiation, i32>>,
-    /// Global per-join memory sizes across all hash lines — the left/right
-    /// unlinking gates. Updated with relaxed atomics while the owning line's
-    /// lock is held, driven by the line outcome (count a left token only on
-    /// `PlusOutcome::Inserted`, uncount only on `MinusOutcome::Removed`), so
-    /// parked and annihilated conjugates never perturb the counts. A gate
-    /// read under a line lock can only see a stale value for entries in
-    /// *other* lines, which are never pairable with the activation at hand,
-    /// so a skip is always sound (see DESIGN.md).
-    left_counts: Box<[AtomicU32]>,
-    right_counts: Box<[AtomicU32]>,
+    /// Global per-join memory sizes across all hash lines, indexed by
+    /// [`Side`] — the left/right unlinking gates. Updated with relaxed
+    /// atomics while the owning line is held, driven by the line outcome
+    /// (count an entry only on `PlusOutcome::Inserted`, uncount only on
+    /// `MinusOutcome::Removed`), so parked and annihilated conjugates never
+    /// perturb the counts. A gate read while the line is held can only see
+    /// a stale value for entries in *other* lines, which are never pairable
+    /// with the activation at hand, so a skip is always sound (see
+    /// DESIGN.md).
+    counts: [Box<[AtomicU32]>; 2],
     parker: Parker,
     /// OS thread ids of the match processes, self-reported at startup
     /// (std exposes no portable tid). Used by per-worker CPU accounting.
@@ -209,15 +111,16 @@ struct Shared {
 }
 
 impl Shared {
-    /// Push a new task and wake any parked worker.
-    fn push(&self, task: ParTask, ctx: &mut Ctx) {
-        self.sched.push(task, ctx);
+    /// Push a new task and wake any parked worker. `cursor` is the pushing
+    /// thread's round-robin queue cursor.
+    fn push(&self, task: ParTask, cursor: &mut usize) {
+        self.sched.push(task, cursor);
         self.wake();
     }
 
     /// Re-push an MRSW-refused task (already counted) and wake.
-    fn push_requeue(&self, task: ParTask, ctx: &mut Ctx) {
-        self.sched.push_requeue(task, ctx);
+    fn push_requeue(&self, task: ParTask, cursor: &mut usize) {
+        self.sched.push_requeue(task, cursor);
         self.wake();
     }
 
@@ -234,35 +137,147 @@ impl Shared {
         }
     }
 
-    #[inline]
-    fn left_empty(&self, j: &JoinNode) -> bool {
-        self.left_counts[j.id as usize].load(Ordering::Relaxed) == 0
+    /// Takes the line for an activation arriving on `side`, booking the
+    /// spins. `None` when MRSW finds the line in use by the other side: the
+    /// task goes back on a queue, still counted in TaskCount.
+    fn take(&self, key: u64, side: Side) -> Option<Taken<'_>> {
+        let line = &self.lines[(key & self.mask) as usize];
+        let left = side == Side::Left;
+        match self.scheme {
+            LockScheme::Simple => {
+                let g = line.lock_simple();
+                self.cstats.record_hash(left, g.spins);
+                Some(Taken::Simple(g))
+            }
+            LockScheme::Mrsw => {
+                let (entered, spins) = line.try_enter(side);
+                self.cstats.record_hash(left, spins);
+                if !entered {
+                    self.cstats.requeues.fetch_add(1, Ordering::Relaxed);
+                    return None;
+                }
+                Some(Taken::Mrsw(line))
+            }
+        }
+    }
+}
+
+/// A line held for one activation: the simple scheme's exclusive guard, or
+/// an MRSW entry on the activation's side (its list mutations under the
+/// write lock, its opposite-memory scans under the read lock — the line
+/// flag keeps the other side out meanwhile). Released on drop.
+enum Taken<'a> {
+    Simple(SpinGuard<'a, ParLine>),
+    Mrsw(&'a LineLock),
+}
+
+impl Line for Taken<'_> {
+    fn write<R>(&mut self, f: impl FnOnce(&mut ParLine) -> R) -> R {
+        match self {
+            Taken::Simple(g) => f(g),
+            Taken::Mrsw(l) => f(&mut l.write()),
+        }
     }
 
-    #[inline]
-    fn right_empty(&self, j: &JoinNode) -> bool {
-        self.right_counts[j.id as usize].load(Ordering::Relaxed) == 0
+    fn read<R>(&mut self, f: impl FnOnce(&ParLine) -> R) -> R {
+        match self {
+            Taken::Simple(g) => f(g),
+            Taken::Mrsw(l) => f(&l.read()),
+        }
+    }
+}
+
+impl Drop for Taken<'_> {
+    fn drop(&mut self) {
+        if let Taken::Mrsw(l) = self {
+            l.exit();
+        }
+    }
+}
+
+/// psm's [`Effects`]: relaxed atomics, the shared queues, the node profile.
+struct Fx<'a> {
+    shared: &'a Shared,
+    cursor: &'a mut usize,
+}
+
+impl Effects for Fx<'_> {
+    fn unlinking(&self) -> bool {
+        self.shared.net.options.unlinking
     }
 
-    #[inline]
-    fn count_left(&self, j: &JoinNode, delta: i32) {
-        bump(&self.left_counts[j.id as usize], delta);
+    fn activation(&mut self, j: &JoinNode) {
+        let s = &self.shared.stats;
+        s.activations.fetch_add(1, Ordering::Relaxed);
+        s.join_activations.fetch_add(1, Ordering::Relaxed);
+        if let Some(o) = self.shared.obs.get() {
+            o.nodes.record_activation(j.id as usize);
+        }
     }
 
-    #[inline]
-    fn count_right(&self, j: &JoinNode, delta: i32) {
-        bump(&self.right_counts[j.id as usize], delta);
+    fn empty(&self, j: &JoinNode, side: Side) -> bool {
+        self.shared.counts[side as usize][j.id as usize].load(Ordering::Relaxed) == 0
+    }
+
+    fn count(&mut self, j: &JoinNode, side: Side, delta: i32) {
+        let c = &self.shared.counts[side as usize][j.id as usize];
+        if delta >= 0 {
+            c.fetch_add(delta as u32, Ordering::Relaxed);
+        } else {
+            let prev = c.fetch_sub((-delta) as u32, Ordering::Relaxed);
+            debug_assert!(prev >= (-delta) as u32, "join memory count underflow");
+        }
+    }
+
+    fn conjugate(&mut self) {
+        add(&self.shared.stats.conjugate_pairs, 1);
+    }
+
+    fn searched(&mut self, side: Side, examined: u64) {
+        let s = &self.shared.stats;
+        let (tokens, searches) = match side {
+            Side::Left => (&s.same_tokens_left, &s.same_searches_left),
+            Side::Right => (&s.same_tokens_right, &s.same_searches_right),
+        };
+        add(tokens, examined);
+        add(searches, 1);
+    }
+
+    fn null(&mut self, skipped: bool) {
+        let s = &self.shared.stats;
+        add(
+            if skipped {
+                &s.null_skipped
+            } else {
+                &s.null_activations
+            },
+            1,
+        );
+    }
+
+    fn scanned(&mut self, j: &JoinNode, side: Side, examined: u64) {
+        let s = &self.shared.stats;
+        let (tokens, nonempty) = match side {
+            Side::Left => (&s.opp_tokens_left, &s.opp_nonempty_left),
+            Side::Right => (&s.opp_tokens_right, &s.opp_nonempty_right),
+        };
+        add(tokens, examined);
+        if examined > 0 {
+            add(nonempty, 1);
+        }
+        if let Some(o) = self.shared.obs.get() {
+            o.nodes.record_scan(j.id as usize, examined);
+        }
+    }
+
+    fn push(&mut self, task: ParTask) {
+        self.shared.push(task, self.cursor);
     }
 }
 
 #[inline]
-fn bump(c: &AtomicU32, delta: i32) {
-    if delta >= 0 {
-        c.fetch_add(delta as u32, Ordering::Relaxed);
-    } else {
-        let prev = c.fetch_sub((-delta) as u32, Ordering::Relaxed);
-        debug_assert!(prev >= (-delta) as u32, "join memory count underflow");
-    }
+fn add(c: &AtomicU64, n: u64) {
+    c.fetch_add(n, Ordering::Relaxed);
 }
 
 /// PSM-E: the parallel Rete matcher.
@@ -274,7 +289,8 @@ fn bump(c: &AtomicU32, delta: i32) {
 pub struct ParMatcher {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    ctx: Ctx,
+    /// The control process's round-robin queue cursor.
+    cursor: usize,
     cfg: PsmConfig,
     delta: StatsDeltaTracker,
     cobs: Option<ContentionObs>,
@@ -326,22 +342,16 @@ impl ParMatcher {
     pub fn new(net: Arc<Network>, cfg: PsmConfig) -> ParMatcher {
         let n_lines = cfg.buckets.next_power_of_two().max(2);
         let lines: Box<[LineLock]> = (0..n_lines).map(|_| LineLock::new()).collect();
-        let sched = match cfg.scheduler {
-            SchedulerKind::SpinQueues => Work::Spin(Scheduler::new(cfg.queues)),
-            SchedulerKind::WorkStealing => {
-                Work::Steal(Box::new(StealScheduler::new(cfg.match_processes.max(1))))
-            }
-        };
-        let n_joins = net.n_joins();
+        let counts = || (0..net.n_joins()).map(|_| AtomicU32::new(0)).collect();
+        let counts = [counts(), counts()];
         let shared = Arc::new(Shared {
             net,
-            sched,
+            sched: Scheduler::new(cfg.queues),
             lines,
             mask: (n_lines - 1) as u64,
             scheme: cfg.lock_scheme,
             cs_acc: SpinLock::new(FxHashMap::default()),
-            left_counts: (0..n_joins).map(|_| AtomicU32::new(0)).collect(),
-            right_counts: (0..n_joins).map(|_| AtomicU32::new(0)).collect(),
+            counts,
             parker: Parker::default(),
             worker_tids: SpinLock::new(Vec::new()),
             stop: AtomicBool::new(false),
@@ -361,10 +371,7 @@ impl ParMatcher {
         ParMatcher {
             shared,
             workers,
-            ctx: Ctx {
-                cursor: 0,
-                local: None,
-            },
+            cursor: 0,
             cfg,
             delta: StatsDeltaTracker::default(),
             cobs: None,
@@ -470,14 +477,15 @@ impl PsmProbe {
     /// The raw TaskCount value (outstanding match tasks). Never negative;
     /// the stress suite asserts this across scheduler/lock sweeps.
     pub fn task_count(&self) -> i64 {
-        self.shared.sched.task_count()
+        self.shared.sched.task_count().value()
     }
 }
 
 impl Drop for ParMatcher {
     fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
-        // Parked workers would notice within a wait timeout; nudge them now.
+        // The parker's wait is untimed: this notify is the only thing that
+        // wakes a parked worker to see `stop`.
         {
             let _g = self.shared.parker.lock.lock().expect("parker mutex");
             self.shared.parker.cv.notify_all();
@@ -509,7 +517,7 @@ impl Matcher for ParMatcher {
                     class,
                     changes: group.to_vec(),
                 },
-                &mut self.ctx,
+                &mut self.cursor,
             );
         }
     }
@@ -644,14 +652,8 @@ fn os_tid() -> Option<u64> {
 }
 
 fn worker_loop(shared: Arc<Shared>, index: usize) {
-    let (home, local) = match &shared.sched {
-        Work::Spin(s) => (index % s.n_queues(), None),
-        Work::Steal(s) => (index, Some(s.claim_worker(index))),
-    };
-    let mut ctx = Ctx {
-        cursor: index,
-        local,
-    };
+    let home = index % shared.sched.n_queues();
+    let mut cursor = index;
     if let Some(tid) = os_tid() {
         shared.worker_tids.lock().push(tid);
     }
@@ -665,10 +667,10 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
     let mut idle_since: Option<Instant> = None;
     let mut task_seq = 0u32;
     loop {
-        if let Some(task) = shared.sched.pop(&ctx, home) {
+        if let Some(task) = shared.sched.pop(home) {
             idle = 0;
             let t0 = obs_task_start(&shared, &mut idle_since, &mut task_seq);
-            process_task(&shared, task, &mut ctx, &mut scratch);
+            process_task(&shared, task, &mut cursor, &mut scratch);
             obs_task_end(&shared, t0);
             continue;
         }
@@ -697,7 +699,7 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
             // interleaving exists, so a plain untimed wait is safe.
             let mut guard = p.lock.lock().expect("parker mutex");
             p.sleepers.fetch_add(1, Ordering::SeqCst);
-            let recheck = shared.sched.pop(&ctx, home);
+            let recheck = shared.sched.pop(home);
             if recheck.is_none() && !shared.stop.load(Ordering::Acquire) {
                 if let Some(o) = shared.obs.get() {
                     o.parks.inc();
@@ -709,89 +711,15 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
             if let Some(task) = recheck {
                 idle = 0;
                 let t0 = obs_task_start(&shared, &mut idle_since, &mut task_seq);
-                process_task(&shared, task, &mut ctx, &mut scratch);
+                process_task(&shared, task, &mut cursor, &mut scratch);
                 obs_task_end(&shared, t0);
             }
         }
     }
 }
 
-/// Feed one WME change through its class's constant-test patterns, pushing
-/// a child task per passing pattern successor.
-fn root_dispatch(shared: &Shared, sign: Sign, wme: &WmeRef, ctx: &mut Ctx) {
-    for &pid in shared.net.patterns_for_class(wme.class) {
-        let pat = shared.net.pattern(pid);
-        if !pat.tests.iter().all(|t| t.passes(wme)) {
-            continue;
-        }
-        for succ in &pat.succs {
-            match *succ {
-                AlphaSucc::JoinLeft(j) => shared.push(
-                    ParTask::Left {
-                        join: j,
-                        sign,
-                        token: Token::single(wme.clone()),
-                    },
-                    ctx,
-                ),
-                AlphaSucc::JoinRight(j) => shared.push(
-                    ParTask::Right {
-                        join: j,
-                        sign,
-                        wme: wme.clone(),
-                    },
-                    ctx,
-                ),
-                AlphaSucc::Terminal(p) => shared.push(
-                    ParTask::Terminal {
-                        prod: p,
-                        sign,
-                        token: Token::single(wme.clone()),
-                    },
-                    ctx,
-                ),
-            }
-        }
-    }
-}
-
-/// Emit a join output to every successor. With sharing off a join has one
-/// successor; with it on a shared join fans the token out to each consumer
-/// (token clones are `Arc` bumps).
-fn emit(shared: &Shared, succs: &[Succ], token: &Token, sign: Sign, ctx: &mut Ctx) {
-    for succ in succs {
-        match *succ {
-            Succ::Join(j) => shared.push(
-                ParTask::Left {
-                    join: j,
-                    sign,
-                    token: token.clone(),
-                },
-                ctx,
-            ),
-            Succ::Terminal(p) => shared.push(
-                ParTask::Terminal {
-                    prod: p,
-                    sign,
-                    token: token.clone(),
-                },
-                ctx,
-            ),
-        }
-    }
-}
-
-fn process_task(shared: &Shared, task: ParTask, ctx: &mut Ctx, scratch: &mut Scratch) {
+fn process_task(shared: &Shared, task: ParTask, cursor: &mut usize, scratch: &mut Scratch) {
     match task {
-        ParTask::Root { sign, wme } => {
-            // One grouped constant-test activation per WME change (§3.1).
-            shared
-                .stats
-                .alpha_activations
-                .fetch_add(1, Ordering::Relaxed);
-            root_dispatch(shared, sign, &wme, ctx);
-            shared.sched.task_done();
-        }
         ParTask::RootGroup { class, changes } => {
             // A whole per-class batch group under one task: the constant-test
             // chain for `class` is conceptually walked once, each change
@@ -804,89 +732,42 @@ fn process_task(shared: &Shared, task: ParTask, ctx: &mut Ctx, scratch: &mut Scr
                 .fetch_add(1, Ordering::Relaxed);
             debug_assert!(changes.iter().all(|c| c.wme.class == class));
             for change in &changes {
-                root_dispatch(shared, change.sign, &change.wme, ctx);
+                walk::constant_tests(&shared.net, change.sign, &change.wme, |t| {
+                    shared.push(t, cursor)
+                });
             }
-            shared.sched.task_done();
         }
         ParTask::Left { join, sign, token } => {
             let j = shared.net.join(join);
             let key = j.left_key(&token);
-            let line = &shared.lines[(key & shared.mask) as usize];
-            match shared.scheme {
-                LockScheme::Simple => {
-                    let mut g = line.lock_simple();
-                    shared.cstats.record_hash(true, g.spins);
-                    shared.stats.activations.fetch_add(1, Ordering::Relaxed);
-                    shared
-                        .stats
-                        .join_activations
-                        .fetch_add(1, Ordering::Relaxed);
-                    if let Some(o) = shared.obs.get() {
-                        o.nodes.record_activation(join as usize);
-                    }
-                    left_activation(shared, j, key, sign, &token, &mut g, ctx, scratch);
-                }
-                LockScheme::Mrsw => {
-                    let (entered, spins) = line.try_enter(Side::Left);
-                    shared.cstats.record_hash(true, spins);
-                    if !entered {
-                        shared.cstats.requeues.fetch_add(1, Ordering::Relaxed);
-                        shared.push_requeue(ParTask::Left { join, sign, token }, ctx);
-                        return; // task still accounted for in TaskCount
-                    }
-                    shared.stats.activations.fetch_add(1, Ordering::Relaxed);
-                    shared
-                        .stats
-                        .join_activations
-                        .fetch_add(1, Ordering::Relaxed);
-                    if let Some(o) = shared.obs.get() {
-                        o.nodes.record_activation(join as usize);
-                    }
-                    left_activation_mrsw(shared, j, key, sign, &token, line, ctx, scratch);
-                    line.exit();
-                }
-            }
-            shared.sched.task_done();
+            let Some(line) = shared.take(key, Side::Left) else {
+                return shared.push_requeue(ParTask::Left { join, sign, token }, cursor);
+            };
+            walk::left(
+                &mut Fx { shared, cursor },
+                line,
+                scratch,
+                j,
+                key,
+                sign,
+                &token,
+            );
         }
         ParTask::Right { join, sign, wme } => {
             let j = shared.net.join(join);
             let key = j.right_key(&wme);
-            let line = &shared.lines[(key & shared.mask) as usize];
-            match shared.scheme {
-                LockScheme::Simple => {
-                    let mut g = line.lock_simple();
-                    shared.cstats.record_hash(false, g.spins);
-                    shared.stats.activations.fetch_add(1, Ordering::Relaxed);
-                    shared
-                        .stats
-                        .join_activations
-                        .fetch_add(1, Ordering::Relaxed);
-                    if let Some(o) = shared.obs.get() {
-                        o.nodes.record_activation(join as usize);
-                    }
-                    right_activation(shared, j, key, sign, &wme, &mut g, ctx, scratch);
-                }
-                LockScheme::Mrsw => {
-                    let (entered, spins) = line.try_enter(Side::Right);
-                    shared.cstats.record_hash(false, spins);
-                    if !entered {
-                        shared.cstats.requeues.fetch_add(1, Ordering::Relaxed);
-                        shared.push_requeue(ParTask::Right { join, sign, wme }, ctx);
-                        return;
-                    }
-                    shared.stats.activations.fetch_add(1, Ordering::Relaxed);
-                    shared
-                        .stats
-                        .join_activations
-                        .fetch_add(1, Ordering::Relaxed);
-                    if let Some(o) = shared.obs.get() {
-                        o.nodes.record_activation(join as usize);
-                    }
-                    right_activation_mrsw(shared, j, key, sign, &wme, line, ctx, scratch);
-                    line.exit();
-                }
-            }
-            shared.sched.task_done();
+            let Some(line) = shared.take(key, Side::Right) else {
+                return shared.push_requeue(ParTask::Right { join, sign, wme }, cursor);
+            };
+            walk::right(
+                &mut Fx { shared, cursor },
+                line,
+                scratch,
+                j,
+                key,
+                sign,
+                &wme,
+            );
         }
         ParTask::Terminal { prod, sign, token } => {
             shared.stats.activations.fetch_add(1, Ordering::Relaxed);
@@ -918,513 +799,9 @@ fn process_task(shared: &Shared, task: ParTask, ctx: &mut Ctx, scratch: &mut Scr
             };
             drop(acc);
             drop(cancelled);
-            shared.sched.task_done();
         }
     }
-}
-
-/// Left activation under the simple (exclusive) line lock.
-#[allow(clippy::too_many_arguments)]
-fn left_activation(
-    shared: &Shared,
-    j: &JoinNode,
-    key: u64,
-    sign: Sign,
-    token: &Token,
-    line: &mut ParLine,
-    ctx: &mut Ctx,
-    scratch: &mut Scratch,
-) {
-    // Unlinking gate: with the join's right memory globally empty the
-    // opposite-memory scan is a null activation — skip it. Own-side
-    // insert/remove always runs, so the memories stay exact and the gate
-    // "relinks" itself the moment the opposite side gains an entry.
-    let unlink = shared.net.options.unlinking;
-    let opp_empty = shared.right_empty(j);
-    if !j.negated {
-        match sign {
-            Sign::Plus => match line.left_plus(j, key, token, 0) {
-                PlusOutcome::Annihilated => {
-                    shared.stats.conjugate_pairs.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                PlusOutcome::Inserted => shared.count_left(j, 1),
-            },
-            Sign::Minus => match line.left_minus(j, key, token) {
-                MinusOutcome::Removed { examined, .. } => {
-                    shared
-                        .stats
-                        .same_tokens_left
-                        .fetch_add(examined, Ordering::Relaxed);
-                    shared
-                        .stats
-                        .same_searches_left
-                        .fetch_add(1, Ordering::Relaxed);
-                    shared.count_left(j, -1);
-                }
-                MinusOutcome::Parked => return,
-            },
-        }
-        if unlink && opp_empty {
-            shared.stats.null_skipped.fetch_add(1, Ordering::Relaxed);
-        } else {
-            if opp_empty {
-                shared
-                    .stats
-                    .null_activations
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            let examined = line.scan_right(j, key, token, &mut scratch.wmes);
-            record_opp_left(shared, j, examined);
-            for w in scratch.wmes.drain(..) {
-                emit(shared, &j.succs, &token.extended(w), sign, ctx);
-            }
-        }
-    } else {
-        match sign {
-            Sign::Plus => {
-                let n = if unlink && opp_empty {
-                    shared.stats.null_skipped.fetch_add(1, Ordering::Relaxed);
-                    0
-                } else {
-                    if opp_empty {
-                        shared
-                            .stats
-                            .null_activations
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    let (n, examined) = line.count_right(j, key, token);
-                    record_opp_left(shared, j, examined);
-                    n
-                };
-                match line.left_plus(j, key, token, n) {
-                    PlusOutcome::Annihilated => {
-                        shared.stats.conjugate_pairs.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    PlusOutcome::Inserted => shared.count_left(j, 1),
-                }
-                if n == 0 {
-                    emit(shared, &j.succs, token, Sign::Plus, ctx);
-                }
-            }
-            Sign::Minus => match line.left_minus(j, key, token) {
-                MinusOutcome::Removed {
-                    neg_count,
-                    examined,
-                } => {
-                    shared
-                        .stats
-                        .same_tokens_left
-                        .fetch_add(examined, Ordering::Relaxed);
-                    shared
-                        .stats
-                        .same_searches_left
-                        .fetch_add(1, Ordering::Relaxed);
-                    shared.count_left(j, -1);
-                    if neg_count == 0 {
-                        emit(shared, &j.succs, token, Sign::Minus, ctx);
-                    }
-                }
-                MinusOutcome::Parked => {}
-            },
-        }
-    }
-}
-
-/// Left activation under the MRSW protocol: list mutation under the write
-/// lock, opposite-memory scan under the read lock (the line flag guarantees
-/// the right memory is stable meanwhile).
-#[allow(clippy::too_many_arguments)]
-fn left_activation_mrsw(
-    shared: &Shared,
-    j: &JoinNode,
-    key: u64,
-    sign: Sign,
-    token: &Token,
-    line: &LineLock,
-    ctx: &mut Ctx,
-    scratch: &mut Scratch,
-) {
-    // The line flag guarantees no right activation runs in this line while
-    // we are entered, so the right-count gate read cannot race a pairable
-    // insert (see the `left_counts` field doc).
-    let unlink = shared.net.options.unlinking;
-    let opp_empty = shared.right_empty(j);
-    if !j.negated {
-        match sign {
-            Sign::Plus => {
-                let outcome = line.write().left_plus(j, key, token, 0);
-                match outcome {
-                    PlusOutcome::Annihilated => {
-                        shared.stats.conjugate_pairs.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    PlusOutcome::Inserted => shared.count_left(j, 1),
-                }
-            }
-            Sign::Minus => {
-                let outcome = line.write().left_minus(j, key, token);
-                match outcome {
-                    MinusOutcome::Removed { examined, .. } => {
-                        shared
-                            .stats
-                            .same_tokens_left
-                            .fetch_add(examined, Ordering::Relaxed);
-                        shared
-                            .stats
-                            .same_searches_left
-                            .fetch_add(1, Ordering::Relaxed);
-                        shared.count_left(j, -1);
-                    }
-                    MinusOutcome::Parked => return,
-                }
-            }
-        }
-        if unlink && opp_empty {
-            shared.stats.null_skipped.fetch_add(1, Ordering::Relaxed);
-        } else {
-            if opp_empty {
-                shared
-                    .stats
-                    .null_activations
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            let examined = line.read().scan_right(j, key, token, &mut scratch.wmes);
-            record_opp_left(shared, j, examined);
-            for w in scratch.wmes.drain(..) {
-                emit(shared, &j.succs, &token.extended(w), sign, ctx);
-            }
-        }
-    } else {
-        match sign {
-            Sign::Plus => {
-                let n = if unlink && opp_empty {
-                    shared.stats.null_skipped.fetch_add(1, Ordering::Relaxed);
-                    0
-                } else {
-                    if opp_empty {
-                        shared
-                            .stats
-                            .null_activations
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    let (n, examined) = line.read().count_right(j, key, token);
-                    record_opp_left(shared, j, examined);
-                    n
-                };
-                let outcome = line.write().left_plus(j, key, token, n);
-                match outcome {
-                    PlusOutcome::Annihilated => {
-                        shared.stats.conjugate_pairs.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    PlusOutcome::Inserted => shared.count_left(j, 1),
-                }
-                if n == 0 {
-                    emit(shared, &j.succs, token, Sign::Plus, ctx);
-                }
-            }
-            Sign::Minus => {
-                let outcome = line.write().left_minus(j, key, token);
-                match outcome {
-                    MinusOutcome::Removed {
-                        neg_count,
-                        examined,
-                    } => {
-                        shared
-                            .stats
-                            .same_tokens_left
-                            .fetch_add(examined, Ordering::Relaxed);
-                        shared
-                            .stats
-                            .same_searches_left
-                            .fetch_add(1, Ordering::Relaxed);
-                        shared.count_left(j, -1);
-                        if neg_count == 0 {
-                            emit(shared, &j.succs, token, Sign::Minus, ctx);
-                        }
-                    }
-                    MinusOutcome::Parked => {}
-                }
-            }
-        }
-    }
-}
-
-/// Right activation under the simple lock.
-#[allow(clippy::too_many_arguments)]
-fn right_activation(
-    shared: &Shared,
-    j: &JoinNode,
-    key: u64,
-    sign: Sign,
-    wme: &WmeRef,
-    line: &mut ParLine,
-    ctx: &mut Ctx,
-    scratch: &mut Scratch,
-) {
-    // Unlinking gate, mirrored: an empty left memory means no token can
-    // pair with (or be count-adjusted by) this WME.
-    let unlink = shared.net.options.unlinking;
-    let opp_empty = shared.left_empty(j);
-    if !j.negated {
-        match sign {
-            Sign::Plus => match line.right_plus(j, key, wme) {
-                PlusOutcome::Annihilated => {
-                    shared.stats.conjugate_pairs.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                PlusOutcome::Inserted => shared.count_right(j, 1),
-            },
-            Sign::Minus => match line.right_minus(j, key, wme) {
-                MinusOutcome::Removed { examined, .. } => {
-                    shared
-                        .stats
-                        .same_tokens_right
-                        .fetch_add(examined, Ordering::Relaxed);
-                    shared
-                        .stats
-                        .same_searches_right
-                        .fetch_add(1, Ordering::Relaxed);
-                    shared.count_right(j, -1);
-                }
-                MinusOutcome::Parked => return,
-            },
-        }
-        if unlink && opp_empty {
-            shared.stats.null_skipped.fetch_add(1, Ordering::Relaxed);
-        } else {
-            if opp_empty {
-                shared
-                    .stats
-                    .null_activations
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            let examined = line.scan_left(j, key, wme, &mut scratch.tokens);
-            record_opp_right(shared, j, examined);
-            for t in scratch.tokens.drain(..) {
-                emit(shared, &j.succs, &t.extended(wme.clone()), sign, ctx);
-            }
-        }
-    } else {
-        match sign {
-            Sign::Plus => {
-                match line.right_plus(j, key, wme) {
-                    PlusOutcome::Annihilated => {
-                        shared.stats.conjugate_pairs.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    PlusOutcome::Inserted => shared.count_right(j, 1),
-                }
-                if unlink && opp_empty {
-                    shared.stats.null_skipped.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    if opp_empty {
-                        shared
-                            .stats
-                            .null_activations
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    let examined = line.adjust_left_counts(j, key, wme, 1, &mut scratch.tokens);
-                    record_opp_right(shared, j, examined);
-                    for t in scratch.tokens.drain(..) {
-                        emit(shared, &j.succs, &t, Sign::Minus, ctx);
-                    }
-                }
-            }
-            Sign::Minus => match line.right_minus(j, key, wme) {
-                MinusOutcome::Removed { examined, .. } => {
-                    shared
-                        .stats
-                        .same_tokens_right
-                        .fetch_add(examined, Ordering::Relaxed);
-                    shared
-                        .stats
-                        .same_searches_right
-                        .fetch_add(1, Ordering::Relaxed);
-                    shared.count_right(j, -1);
-                    if unlink && opp_empty {
-                        shared.stats.null_skipped.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        if opp_empty {
-                            shared
-                                .stats
-                                .null_activations
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        let examined =
-                            line.adjust_left_counts(j, key, wme, -1, &mut scratch.tokens);
-                        record_opp_right(shared, j, examined);
-                        for t in scratch.tokens.drain(..) {
-                            emit(shared, &j.succs, &t, Sign::Plus, ctx);
-                        }
-                    }
-                }
-                MinusOutcome::Parked => {}
-            },
-        }
-    }
-}
-
-/// Right activation under MRSW.
-#[allow(clippy::too_many_arguments)]
-fn right_activation_mrsw(
-    shared: &Shared,
-    j: &JoinNode,
-    key: u64,
-    sign: Sign,
-    wme: &WmeRef,
-    line: &LineLock,
-    ctx: &mut Ctx,
-    scratch: &mut Scratch,
-) {
-    let unlink = shared.net.options.unlinking;
-    let opp_empty = shared.left_empty(j);
-    if !j.negated {
-        match sign {
-            Sign::Plus => {
-                let outcome = line.write().right_plus(j, key, wme);
-                match outcome {
-                    PlusOutcome::Annihilated => {
-                        shared.stats.conjugate_pairs.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    PlusOutcome::Inserted => shared.count_right(j, 1),
-                }
-            }
-            Sign::Minus => {
-                let outcome = line.write().right_minus(j, key, wme);
-                match outcome {
-                    MinusOutcome::Removed { examined, .. } => {
-                        shared
-                            .stats
-                            .same_tokens_right
-                            .fetch_add(examined, Ordering::Relaxed);
-                        shared
-                            .stats
-                            .same_searches_right
-                            .fetch_add(1, Ordering::Relaxed);
-                        shared.count_right(j, -1);
-                    }
-                    MinusOutcome::Parked => return,
-                }
-            }
-        }
-        if unlink && opp_empty {
-            shared.stats.null_skipped.fetch_add(1, Ordering::Relaxed);
-        } else {
-            if opp_empty {
-                shared
-                    .stats
-                    .null_activations
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            let examined = line.read().scan_left(j, key, wme, &mut scratch.tokens);
-            record_opp_right(shared, j, examined);
-            for t in scratch.tokens.drain(..) {
-                emit(shared, &j.succs, &t.extended(wme.clone()), sign, ctx);
-            }
-        }
-    } else {
-        match sign {
-            Sign::Plus => {
-                let mut g = line.write();
-                match g.right_plus(j, key, wme) {
-                    PlusOutcome::Annihilated => {
-                        drop(g);
-                        shared.stats.conjugate_pairs.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    PlusOutcome::Inserted => shared.count_right(j, 1),
-                }
-                if unlink && opp_empty {
-                    drop(g);
-                    shared.stats.null_skipped.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    if opp_empty {
-                        shared
-                            .stats
-                            .null_activations
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    let examined = g.adjust_left_counts(j, key, wme, 1, &mut scratch.tokens);
-                    drop(g);
-                    record_opp_right(shared, j, examined);
-                    for t in scratch.tokens.drain(..) {
-                        emit(shared, &j.succs, &t, Sign::Minus, ctx);
-                    }
-                }
-            }
-            Sign::Minus => {
-                let mut g = line.write();
-                match g.right_minus(j, key, wme) {
-                    MinusOutcome::Removed { examined, .. } => {
-                        shared
-                            .stats
-                            .same_tokens_right
-                            .fetch_add(examined, Ordering::Relaxed);
-                        shared
-                            .stats
-                            .same_searches_right
-                            .fetch_add(1, Ordering::Relaxed);
-                        shared.count_right(j, -1);
-                        if unlink && opp_empty {
-                            drop(g);
-                            shared.stats.null_skipped.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            if opp_empty {
-                                shared
-                                    .stats
-                                    .null_activations
-                                    .fetch_add(1, Ordering::Relaxed);
-                            }
-                            let examined =
-                                g.adjust_left_counts(j, key, wme, -1, &mut scratch.tokens);
-                            drop(g);
-                            record_opp_right(shared, j, examined);
-                            for t in scratch.tokens.drain(..) {
-                                emit(shared, &j.succs, &t, Sign::Plus, ctx);
-                            }
-                        }
-                    }
-                    MinusOutcome::Parked => {}
-                }
-            }
-        }
-    }
-}
-
-fn record_opp_left(shared: &Shared, j: &JoinNode, examined: u64) {
-    shared
-        .stats
-        .opp_tokens_left
-        .fetch_add(examined, Ordering::Relaxed);
-    if examined > 0 {
-        shared
-            .stats
-            .opp_nonempty_left
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    if let Some(o) = shared.obs.get() {
-        o.nodes.record_scan(j.id as usize, examined);
-    }
-}
-
-fn record_opp_right(shared: &Shared, j: &JoinNode, examined: u64) {
-    shared
-        .stats
-        .opp_tokens_right
-        .fetch_add(examined, Ordering::Relaxed);
-    if examined > 0 {
-        shared
-            .stats
-            .opp_nonempty_right
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    if let Some(o) = shared.obs.get() {
-        o.nodes.record_scan(j.id as usize, examined);
-    }
+    shared.sched.task_done();
 }
 
 #[cfg(test)]
@@ -1439,7 +816,6 @@ mod tests {
             queues: 1,
             lock_scheme: LockScheme::Simple,
             buckets: 16,
-            scheduler: SchedulerKind::SpinQueues,
         };
         vec![
             base,
@@ -1459,14 +835,8 @@ mod tests {
                 ..base
             },
             PsmConfig {
-                match_processes: 3,
-                scheduler: SchedulerKind::WorkStealing,
-                ..base
-            },
-            PsmConfig {
                 match_processes: 4,
                 lock_scheme: LockScheme::Mrsw,
-                scheduler: SchedulerKind::WorkStealing,
                 ..base
             },
         ]
@@ -1665,7 +1035,6 @@ mod tests {
                 queues: 2,
                 lock_scheme: LockScheme::Simple,
                 buckets: 16,
-                scheduler: SchedulerKind::SpinQueues,
             },
         );
         // Cycle 1: only the a-wme.
@@ -1722,7 +1091,6 @@ mod tests {
                 queues: 1,
                 lock_scheme: LockScheme::Simple,
                 buckets: 16,
-                scheduler: SchedulerKind::SpinQueues,
             },
         );
         for i in 0..50i64 {
@@ -1813,7 +1181,6 @@ mod tests {
                 queues: 2,
                 lock_scheme: LockScheme::Simple,
                 buckets: 16,
-                scheduler: SchedulerKind::SpinQueues,
             },
         );
         // One real cycle so every worker is up and has seen work.
@@ -1868,7 +1235,6 @@ mod tests {
                     queues: 1,
                     lock_scheme: LockScheme::Simple,
                     buckets: 16,
-                    scheduler: SchedulerKind::SpinQueues,
                 },
             );
             par.submit(&ChangeBatch::single(WmeChange {

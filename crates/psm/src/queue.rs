@@ -21,9 +21,6 @@ use std::sync::atomic::{AtomicI64, Ordering};
 /// One schedulable unit of match work.
 #[derive(Debug, Clone)]
 pub enum ParTask {
-    /// A WME change from the control process, bound for the (grouped)
-    /// constant-test nodes.
-    Root { sign: Sign, wme: WmeRef },
     /// A whole per-class group of WME changes from one [`ops5::ChangeBatch`]:
     /// one TaskCount increment and one queue push cover every change in the
     /// group, and the worker walks the class's constant-test chain once.
@@ -178,18 +175,21 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ops5::{SymbolId, Value, Wme};
+    use ops5::{Value, Wme};
 
     fn task(tag: u64) -> ParTask {
-        ParTask::Root {
-            sign: Sign::Plus,
-            wme: Wme::new(SymbolId(1), vec![Value::Int(1)], tag),
+        ParTask::RootGroup {
+            class: SymbolId(1),
+            changes: vec![WmeChange {
+                sign: Sign::Plus,
+                wme: Wme::new(SymbolId(1), vec![Value::Int(1)], tag),
+            }],
         }
     }
 
     fn tag_of(t: &ParTask) -> u64 {
         match t {
-            ParTask::Root { wme, .. } => wme.timetag,
+            ParTask::RootGroup { changes, .. } => changes[0].wme.timetag,
             _ => unreachable!(),
         }
     }

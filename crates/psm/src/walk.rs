@@ -1,0 +1,297 @@
+//! The node activation over one hash line (§3.1–3.2), written once.
+//!
+//! psm under the simple lock, psm under MRSW and the trace recorder run the
+//! same left and right activation of a two-input (or not-) node. They differ
+//! in two policies, which are the walk's type parameters:
+//!
+//! * [`Line`] — how the line's storage is reached. An exclusive
+//!   `&mut ParLine` (the trace, and psm's simple lock) serves both kinds of
+//!   access; MRSW takes the write lock for an own-side update and the read
+//!   lock for an opposite-memory scan. A not-node right activation updates
+//!   its own side and adjusts the left counts inside one write access.
+//! * [`Effects`] — what an activation does besides touching the line: the
+//!   `MatchStats` bumps, the unlinking-gate counts, the node profile and
+//!   the push of each successor task.
+//!
+//! A `+` that annihilates a parked `−`, and a `−` that parks, end the
+//! activation: the pair cancels without propagating.
+
+use crate::line::{MinusOutcome, ParLine, PlusOutcome, Side};
+use crate::queue::ParTask;
+use ops5::{Sign, WmeRef};
+use rete::network::{AlphaSucc, JoinNode, Network, Succ};
+use rete::token::Token;
+
+/// Access to one line's storage for the length of an activation.
+pub(crate) trait Line {
+    /// Runs `f` with exclusive access (own-side updates).
+    fn write<R>(&mut self, f: impl FnOnce(&mut ParLine) -> R) -> R;
+    /// Runs `f` with shared access (opposite-memory scans).
+    fn read<R>(&mut self, f: impl FnOnce(&ParLine) -> R) -> R;
+}
+
+impl Line for &mut ParLine {
+    fn write<R>(&mut self, f: impl FnOnce(&mut ParLine) -> R) -> R {
+        f(self)
+    }
+
+    fn read<R>(&mut self, f: impl FnOnce(&ParLine) -> R) -> R {
+        f(self)
+    }
+}
+
+/// What an activation does outside its line.
+pub(crate) trait Effects {
+    /// Whether the network was compiled with unlinking on.
+    fn unlinking(&self) -> bool;
+    /// Books one activation of `j`.
+    fn activation(&mut self, j: &JoinNode);
+    /// Whether `side` of `j` is empty in every line (the unlinking gate).
+    fn empty(&self, j: &JoinNode, side: Side) -> bool;
+    /// `side` of `j` gained (`+1`) or lost (`-1`) an entry.
+    fn count(&mut self, j: &JoinNode, side: Side, delta: i32);
+    /// A `+` annihilated its parked `−`.
+    fn conjugate(&mut self);
+    /// A delete on `side` searched `examined` entries of its own memory.
+    fn searched(&mut self, side: Side, examined: u64);
+    /// A null activation: its scan skipped (`true`) or performed.
+    fn null(&mut self, skipped: bool);
+    /// An activation arriving on `side` of `j` examined `examined` entries
+    /// of the opposite memory.
+    fn scanned(&mut self, j: &JoinNode, side: Side, examined: u64);
+    /// Queues a successor task.
+    fn push(&mut self, task: ParTask);
+}
+
+/// An activation's work, as a [`crate::trace::TaskRecord`] records it.
+#[derive(Default)]
+pub(crate) struct Walked {
+    /// Entries examined in the opposite memory.
+    pub examined: u32,
+    /// Entries examined by a delete's search of its own memory.
+    pub same_examined: u32,
+    /// Successor tasks pushed.
+    pub emitted: u32,
+}
+
+/// Reusable scan buffers: a steady-state activation allocates nothing for
+/// its match lists.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    wmes: Vec<WmeRef>,
+    tokens: Vec<Token>,
+}
+
+/// Left activation of `j` by `token`, whose left key is `key`.
+pub(crate) fn left(
+    fx: &mut impl Effects,
+    mut line: impl Line,
+    scratch: &mut Scratch,
+    j: &JoinNode,
+    key: u64,
+    sign: Sign,
+    token: &Token,
+) -> Walked {
+    let mut w = Walked::default();
+    fx.activation(j);
+    // With the join's right memory empty in every line the scan is a null
+    // activation. Own-side updates always run, so the memories stay exact
+    // and the gate relinks the moment the right side gains an entry.
+    let opp_empty = fx.empty(j, Side::Right);
+    if !j.negated {
+        let stored = match sign {
+            Sign::Plus => plus(
+                fx,
+                j,
+                Side::Left,
+                line.write(|l| l.left_plus(j, key, token, 0)),
+            ),
+            Sign::Minus => {
+                let o = line.write(|l| l.left_minus(j, key, token));
+                minus(fx, j, Side::Left, o, &mut w).is_some()
+            }
+        };
+        if stored && gate(fx, opp_empty) {
+            let e = line.read(|l| l.scan_right(j, key, token, &mut scratch.wmes));
+            scanned(fx, &mut w, j, Side::Left, e);
+            for wme in scratch.wmes.drain(..) {
+                emit(fx, &mut w, &j.succs, &token.extended(wme), sign);
+            }
+        }
+        return w;
+    }
+    match sign {
+        Sign::Plus => {
+            let mut n = 0;
+            if gate(fx, opp_empty) {
+                let (count, e) = line.read(|l| l.count_right(j, key, token));
+                scanned(fx, &mut w, j, Side::Left, e);
+                n = count;
+            }
+            let o = line.write(|l| l.left_plus(j, key, token, n));
+            if plus(fx, j, Side::Left, o) && n == 0 {
+                emit(fx, &mut w, &j.succs, token, Sign::Plus);
+            }
+        }
+        Sign::Minus => {
+            let o = line.write(|l| l.left_minus(j, key, token));
+            if minus(fx, j, Side::Left, o, &mut w) == Some(0) {
+                emit(fx, &mut w, &j.succs, token, Sign::Minus);
+            }
+        }
+    }
+    w
+}
+
+/// Right activation of `j` by `wme`, whose right key is `key`.
+pub(crate) fn right(
+    fx: &mut impl Effects,
+    mut line: impl Line,
+    scratch: &mut Scratch,
+    j: &JoinNode,
+    key: u64,
+    sign: Sign,
+    wme: &WmeRef,
+) -> Walked {
+    let mut w = Walked::default();
+    fx.activation(j);
+    // The gate, mirrored: an empty left memory means no token can pair with
+    // (or be count-adjusted by) this WME.
+    let opp_empty = fx.empty(j, Side::Left);
+    let own = |l: &mut ParLine, fx: &mut _, w: &mut Walked| match sign {
+        Sign::Plus => plus(fx, j, Side::Right, l.right_plus(j, key, wme)),
+        Sign::Minus => minus(fx, j, Side::Right, l.right_minus(j, key, wme), w).is_some(),
+    };
+    if !j.negated {
+        if line.write(|l| own(l, fx, &mut w)) && gate(fx, opp_empty) {
+            let e = line.read(|l| l.scan_left(j, key, wme, &mut scratch.tokens));
+            scanned(fx, &mut w, j, Side::Right, e);
+            for t in scratch.tokens.drain(..) {
+                emit(fx, &mut w, &j.succs, &t.extended(wme.clone()), sign);
+            }
+        }
+        return w;
+    }
+    // A blocker's own update and the count adjustment it causes happen
+    // under one write access; tokens whose count crossed zero flip sign.
+    let delta = match sign {
+        Sign::Plus => 1,
+        Sign::Minus => -1,
+    };
+    let adjusted = line.write(|l| {
+        (own(l, fx, &mut w) && gate(fx, opp_empty))
+            .then(|| l.adjust_left_counts(j, key, wme, delta, &mut scratch.tokens))
+    });
+    if let Some(e) = adjusted {
+        scanned(fx, &mut w, j, Side::Right, e);
+        for t in scratch.tokens.drain(..) {
+            emit(fx, &mut w, &j.succs, &t, sign.flip());
+        }
+    }
+    w
+}
+
+/// Books a `+` outcome; false when it annihilated.
+fn plus(fx: &mut impl Effects, j: &JoinNode, side: Side, o: PlusOutcome) -> bool {
+    match o {
+        PlusOutcome::Annihilated => {
+            fx.conjugate();
+            false
+        }
+        PlusOutcome::Inserted => {
+            fx.count(j, side, 1);
+            true
+        }
+    }
+}
+
+/// Books a `−` outcome: the removed entry's not-node count, `None` when the
+/// `−` parked.
+fn minus(
+    fx: &mut impl Effects,
+    j: &JoinNode,
+    side: Side,
+    o: MinusOutcome,
+    w: &mut Walked,
+) -> Option<u32> {
+    match o {
+        MinusOutcome::Removed {
+            neg_count,
+            examined,
+        } => {
+            fx.searched(side, examined);
+            fx.count(j, side, -1);
+            w.same_examined = examined as u32;
+            Some(neg_count)
+        }
+        MinusOutcome::Parked => None,
+    }
+}
+
+/// The unlinking gate at the moment of the scan: books the null activation
+/// and says whether to scan.
+fn gate(fx: &mut impl Effects, opp_empty: bool) -> bool {
+    let skip = opp_empty && fx.unlinking();
+    if opp_empty {
+        fx.null(skip);
+    }
+    !skip
+}
+
+fn scanned(fx: &mut impl Effects, w: &mut Walked, j: &JoinNode, side: Side, examined: u64) {
+    fx.scanned(j, side, examined);
+    w.examined = examined as u32;
+}
+
+/// Hands `token` to every successor of a join: one with sharing off, each
+/// consumer of a shared join with it on (token clones are `Arc` bumps).
+fn emit(fx: &mut impl Effects, w: &mut Walked, succs: &[Succ], token: &Token, sign: Sign) {
+    for succ in succs {
+        let token = token.clone();
+        fx.push(match *succ {
+            Succ::Join(join) => ParTask::Left { join, sign, token },
+            Succ::Terminal(prod) => ParTask::Terminal { prod, sign, token },
+        });
+    }
+    w.emitted += succs.len() as u32;
+}
+
+/// Feeds one WME change through its class's constant-test patterns, pushing
+/// a task per successor of every pattern it passes. Returns the constant
+/// tests evaluated (a test-free pattern counts one) and the tasks pushed.
+pub(crate) fn constant_tests(
+    net: &Network,
+    sign: Sign,
+    wme: &WmeRef,
+    mut push: impl FnMut(ParTask),
+) -> (u32, u32) {
+    let (mut tests, mut pushed) = (0, 0);
+    for &pid in net.patterns_for_class(wme.class) {
+        let pat = net.pattern(pid);
+        tests += pat.tests.len().max(1) as u32;
+        if !pat.tests.iter().all(|t| t.passes(wme)) {
+            continue;
+        }
+        for succ in &pat.succs {
+            pushed += 1;
+            push(match *succ {
+                AlphaSucc::JoinLeft(join) => ParTask::Left {
+                    join,
+                    sign,
+                    token: Token::single(wme.clone()),
+                },
+                AlphaSucc::JoinRight(join) => ParTask::Right {
+                    join,
+                    sign,
+                    wme: wme.clone(),
+                },
+                AlphaSucc::Terminal(prod) => ParTask::Terminal {
+                    prod,
+                    sign,
+                    token: Token::single(wme.clone()),
+                },
+            });
+        }
+    }
+    (tests, pushed)
+}

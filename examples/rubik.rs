@@ -32,7 +32,6 @@ fn main() {
             queues: 4,
             lock_scheme: LockScheme::Simple,
             buckets: 1024,
-            scheduler: psm::SchedulerKind::SpinQueues,
         }),
     ] {
         let w = rubik::workload(cfg);

@@ -162,7 +162,6 @@ fn main() -> ExitCode {
                 LockScheme::Simple
             },
             buckets: 16384,
-            scheduler: psm::SchedulerKind::SpinQueues,
         }),
         Some(kind) => kind,
         None => {

@@ -30,21 +30,18 @@ fn all_choices() -> Vec<MatcherChoice> {
             queues: 1,
             lock_scheme: LockScheme::Simple,
             buckets: 64,
-            scheduler: psm::SchedulerKind::SpinQueues,
         }),
         MatcherChoice::Psm(PsmConfig {
             match_processes: 4,
             queues: 2,
             lock_scheme: LockScheme::Simple,
             buckets: 64,
-            scheduler: psm::SchedulerKind::SpinQueues,
         }),
         MatcherChoice::Psm(PsmConfig {
             match_processes: 4,
             queues: 4,
             lock_scheme: LockScheme::Mrsw,
             buckets: 64,
-            scheduler: psm::SchedulerKind::SpinQueues,
         }),
     ]
 }
@@ -280,7 +277,6 @@ fn psm_quiescence_points_are_clean() {
         queues: 2,
         lock_scheme: LockScheme::Mrsw,
         buckets: 64,
-        scheduler: psm::SchedulerKind::SpinQueues,
     };
     let mut eng = EngineBuilder::from_source(&src)
         .expect("parse")

@@ -14,7 +14,6 @@ fn psm(procs: usize, queues: usize, scheme: LockScheme) -> MatcherChoice {
         queues,
         lock_scheme: scheme,
         buckets: 256,
-        scheduler: psm::SchedulerKind::SpinQueues,
     })
 }
 

@@ -375,7 +375,7 @@ proptest! {
         for scheme in [LockScheme::Simple, LockScheme::Mrsw] {
             let mut par = ParMatcher::new(
                 net.clone(),
-                PsmConfig { match_processes: 3, queues: 2, lock_scheme: scheme, buckets: 16, scheduler: psm::SchedulerKind::SpinQueues },
+                PsmConfig { match_processes: 3, queues: 2, lock_scheme: scheme, buckets: 16 },
             );
             prop_assert_eq!(
                 final_cs(&mut par, &changes),
@@ -401,7 +401,7 @@ proptest! {
         for scheme in [LockScheme::Simple, LockScheme::Mrsw] {
             let mut par = ParMatcher::new(
                 tuned.clone(),
-                PsmConfig { match_processes: 3, queues: 2, lock_scheme: scheme, buckets: 16, scheduler: psm::SchedulerKind::SpinQueues },
+                PsmConfig { match_processes: 3, queues: 2, lock_scheme: scheme, buckets: 16 },
             );
             prop_assert_eq!(
                 final_cs(&mut par, &changes),
@@ -502,7 +502,6 @@ proptest! {
                 queues: 2,
                 lock_scheme: scheme,
                 buckets: 16,
-                scheduler: psm::SchedulerKind::SpinQueues,
             };
             let mut a = ParMatcher::new(net.clone(), cfg);
             let per_change = chunked_cs_history(&mut a, &changes, &chunk_lens, false);
@@ -738,7 +737,7 @@ proptest! {
 
         let mut par = ParMatcher::new(
             net,
-            PsmConfig { match_processes: 2, queues: 2, lock_scheme: LockScheme::Simple, buckets: 16, scheduler: psm::SchedulerKind::SpinQueues },
+            PsmConfig { match_processes: 2, queues: 2, lock_scheme: LockScheme::Simple, buckets: 16 },
         );
         let cs = final_cs(&mut par, &changes);
         prop_assert!(cs.is_empty(), "retracting all WMEs must empty the conflict set: {cs:?}");

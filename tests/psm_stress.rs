@@ -24,7 +24,6 @@ fn sweep_configs() -> Vec<(PsmConfig, NetworkOptions)> {
                         queues,
                         lock_scheme: scheme,
                         buckets: 64,
-                        scheduler: psm::SchedulerKind::SpinQueues,
                     },
                     NetworkOptions {
                         sharing: tuned,
