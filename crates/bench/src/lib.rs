@@ -147,6 +147,14 @@ pub fn secs(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
 }
 
+/// Formats milliseconds to three significant digits (all the digits of a
+/// value of 1000 ms or more).
+pub fn millis(d: Duration) -> String {
+    let ms = d.as_secs_f64() * 1e3;
+    let decimals = (2.0 - ms.log10().floor()).clamp(0.0, 9.0) as usize;
+    format!("{ms:.decimals$}")
+}
+
 /// Writes a table header in the paper's style.
 pub fn header(out: &mut dyn Write, title: &str) -> io::Result<()> {
     writeln!(out)?;

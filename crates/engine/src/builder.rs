@@ -349,10 +349,10 @@ impl EngineBuilder {
             (Some(factory), _) => factory(net),
             (None, MatcherKind::Vs1) => rete::seq::boxed_vs1(net),
             (None, MatcherKind::Vs2(cfg)) => rete::seq::boxed_vs2(net, cfg),
-            // The lisp matcher works from the parsed program (names), not
-            // the compiled network; only unlinking applies.
+            // The kernel on the shared network, its join tests interpreted
+            // over the program's names.
             (None, MatcherKind::Lisp) => {
-                lispsim::LispEngineMatcher::boxed_with(compiled.program(), compiled.options())
+                Box::new(lispsim::LispEngineMatcher::on(compiled.program(), net))
             }
             (None, MatcherKind::Psm(cfg)) => psm::ParMatcher::boxed(net, cfg),
             (None, MatcherKind::Col) => rete::colmatch::boxed_col(net),
@@ -510,6 +510,7 @@ mod tests {
         for kind in [
             MatcherKind::Vs1,
             MatcherKind::Vs2(rete::HashMemConfig { buckets: 64 }),
+            MatcherKind::Lisp,
             MatcherKind::Psm(psm::PsmConfig::default()),
             MatcherKind::Col,
         ] {

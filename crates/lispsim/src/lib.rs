@@ -2,28 +2,25 @@
 //!
 //! The paper measures its C implementation against "the standard lisp
 //! implementation distributed by Carnegie Mellon University" and reports a
-//! 10-20× gap (Table 4-4). The original Franz Lisp OPS5 is not available to
-//! this reproduction, so this crate provides the substitution: a matcher
-//! that is *functionally identical* to the compiled Rete engines (it
-//! implements the same [`ops5::Matcher`] trait and passes the same
-//! differential tests) but executes the way the lisp interpreter did:
+//! 10-20× gap (Table 4-4): one Rete algorithm, run twice. The original
+//! Franz Lisp OPS5 is not available to this reproduction, so this crate
+//! runs the sequential kernel (`rete::SeqMatcher`: alpha dispatch, the
+//! network's shared right memories, linked readers, a batch's retractions
+//! first, the node profile) over vs1's list memories, and keeps only what
+//! makes a lisp implementation slow:
 //!
 //! * values are boxed cons-cell [`LispVal`]s; every comparison is a deep,
 //!   tag-dispatched `equal` walk (symbols compare by name),
-//! * WMEs are association lists; every attribute access is a linear `assoc`
-//!   scan with deep key comparison,
-//! * variable bindings are association lists threaded through the match,
-//!   re-consed at every extension,
-//! * node memories are unshared per-production linear lists (no hashing),
-//! * every node activation goes through dynamic dispatch on an interpreted
-//!   node representation — no test is compiled away.
+//! * WMEs are association lists keyed by attribute name, tokens lists of
+//!   them, built for every memory entry and every scan's probe,
+//! * a join's tests are an interpreted list of steps ([`LispTests`]): every
+//!   pair a scan looks at pays an `nth` and two `assoc`s per test.
 //!
-//! None of this is a strawman: it is how a straightforward lisp Rete
-//! actually spends its time, and the measured gap against `rete::SeqMatcher`
-//! lands in the paper's 10-25× band (see Table 4-4 in EXPERIMENTS.md).
+//! So its `MatchStats` are vs1's, counter for counter, and only the clock
+//! tells the two apart — which is what Table 4-4 measures (EXPERIMENTS.md).
 
 pub mod matcher;
 pub mod value;
 
-pub use matcher::{LispEngineMatcher, LispMatcher};
+pub use matcher::{LispEngineMatcher, LispTests};
 pub use value::{assoc, lisp_equal, LispVal};

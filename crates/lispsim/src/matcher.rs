@@ -1,674 +1,199 @@
-//! The interpreted matcher.
+//! The interpreted join tests, and the matcher built on them.
 //!
-//! Topologically this is the same Rete as `rete::seq` — per-production join
-//! chains with alpha memories feeding right inputs — but nothing is
-//! compiled: condition elements stay as interpreted test lists over
-//! attribute *names*, WMEs are association lists, and variable bindings are
-//! association lists extended by re-consing.
+//! The algorithm is `rete::seq`'s and the memory layout vs1's `ListMem`.
+//! What this module adds is what a lisp Rete spends its time on: every
+//! memory entry carries a boxed copy of its data — a WME is an association
+//! list `((attr . value) ...)` keyed by attribute *name*, a token a list of
+//! those — and a join's tests are a list of interpreted steps, each an
+//! `nth`, two `assoc`s and a tag-dispatched comparison, walked on every
+//! pair a scan looks at.
 
-use crate::value::{acons, assoc, lisp_equal, LispVal};
-use ops5::ast::{AttrTest, TestAtom};
-use ops5::{
-    ChangeBatch, CsChange, Instantiation, MatchStats, Matcher, Pred, ProdId, Program,
-    QuiesceReport, Sign, StatsDeltaTracker, Value, WmeRef,
-};
-use rete::Token;
+use crate::value::{acons, assoc, lisp_equal, nth, num_cmp, LispVal};
+use ops5::{Matcher, Pred, Program, SymbolId, Value, Wme};
+use rete::memory::{JoinTests, ListMem};
+use rete::{JoinNode, Network, NetworkOptions, SeqMatcher, Token};
+use std::sync::Arc;
 
-/// One interpreted test of a condition element.
-#[derive(Debug, Clone)]
-enum LItem {
-    /// `^attr PRED atom`
-    Test {
-        attr: LispVal,
-        pred: Pred,
-        atom: LAtom,
-    },
-    /// `^attr << v1 v2 ... >>`
-    Disj { attr: LispVal, alts: Vec<LispVal> },
+/// One interpreted join test: `(PRED (assoc right-attr wme) (assoc
+/// left-attr (nth ce token)))`.
+struct Step {
+    pred: Pred,
+    ce: usize,
+    left_attr: LispVal,
+    right_attr: LispVal,
 }
 
-#[derive(Debug, Clone)]
-enum LAtom {
-    Const(LispVal),
-    Var(LispVal),
+/// Join tests interpreted over boxed association lists: the lisp policy of
+/// a [`ListMem`].
+pub struct LispTests {
+    /// Per join, its tests.
+    joins: Vec<Vec<Step>>,
+    /// Per class symbol, the key of each field: its attribute's name.
+    attrs: Vec<Vec<LispVal>>,
+    /// Per symbol, its name.
+    names: Vec<LispVal>,
+    /// `nil`: what an absent attribute reads as.
+    nil: LispVal,
 }
 
-/// An interpreted condition element.
-#[derive(Debug, Clone)]
-struct LCond {
-    class: LispVal,
-    negated: bool,
-    items: Vec<LItem>,
-}
-
-/// A WME boxed into lisp representation (plus the original for the conflict
-/// set).
-#[derive(Clone)]
-struct LWme {
-    orig: WmeRef,
-    /// `((attr . value) ...)` association list.
-    alist: LispVal,
-    class: LispVal,
-}
-
-/// A partial-match token: matched WMEs (parent-linked, shared with the
-/// compiled matchers) plus the binding association list.
-#[derive(Clone)]
-struct LToken {
-    wmes: Token,
-    bindings: LispVal,
-    neg_count: u32,
-}
-
-/// One production's interpreted match state.
-struct LProd {
-    conds: Vec<LCond>,
-    /// Alpha memory per condition element (unshared).
-    alpha: Vec<Vec<LWme>>,
-    /// Left token memory per *join* (index = CE index, unused for CE 0).
-    left: Vec<Vec<LToken>>,
-}
-
-enum LTask {
-    /// Token arriving at the join of CE `ce` of production `prod`.
-    Left {
-        prod: usize,
-        ce: usize,
-        sign: Sign,
-        token: LToken,
-    },
-    /// WME arriving at the right input of the join of CE `ce`.
-    Right {
-        prod: usize,
-        ce: usize,
-        sign: Sign,
-        wme: LWme,
-    },
-    Terminal {
-        prod: usize,
-        sign: Sign,
-        token: LToken,
-    },
-}
-
-/// The interpretive matcher.
-///
-/// Beta-prefix sharing does not apply here: like the lisp baseline it
-/// mirrors, every production owns its interpreted join chain. Left/right
-/// unlinking does: an activation whose opposite memory is empty skips the
-/// (null) scan when `options.unlinking` is set, and the null-activation
-/// counters are maintained either way.
-pub struct LispMatcher {
-    prods: Vec<LProd>,
-    agenda: Vec<LTask>,
-    out: Vec<CsChange>,
-    options: rete::NetworkOptions,
-    stats: MatchStats,
-}
-
-fn value_to_lisp(v: Value, prog_syms: &ops5::SymbolTable) -> LispVal {
-    match v {
-        Value::Sym(s) => LispVal::sym(prog_syms.name(s)),
-        Value::Int(i) => LispVal::Int(i),
-        Value::Float(f) => LispVal::Float(f),
-    }
-}
-
-impl LispMatcher {
-    /// Builds the interpreted network from a parsed program. Attribute names
-    /// and symbol names are captured as strings — exactly what the lisp
-    /// implementation worked with.
-    pub fn new(prog: &Program) -> LispMatcher {
-        LispMatcher::new_with(prog, rete::NetworkOptions::default())
-    }
-
-    /// As [`LispMatcher::new`], with explicit network options (only the
-    /// `unlinking` flag applies to the interpreted matcher).
-    pub fn new_with(prog: &Program, options: rete::NetworkOptions) -> LispMatcher {
-        let mut prods = Vec::with_capacity(prog.productions.len());
-        for p in prog.productions.iter() {
-            let mut conds = Vec::new();
-            for ce in &p.lhs {
-                let info = prog.classes.info(ce.class);
-                let mut items = Vec::new();
-                for (field, test) in &ce.tests {
-                    let attr_name = info
-                        .and_then(|i| i.attrs.get(*field as usize))
-                        .map(|a| prog.symbols.name(*a))
-                        .unwrap_or("?");
-                    let attr = LispVal::sym(attr_name);
-                    match test {
-                        AttrTest::Disj(vs) => items.push(LItem::Disj {
-                            attr,
-                            alts: vs
-                                .iter()
-                                .map(|v| value_to_lisp(*v, &prog.symbols))
-                                .collect(),
-                        }),
-                        AttrTest::Conj(ts) => {
-                            for vt in ts {
-                                let atom = match vt.atom {
-                                    TestAtom::Const(v) => {
-                                        LAtom::Const(value_to_lisp(v, &prog.symbols))
-                                    }
-                                    TestAtom::Var(v) => {
-                                        LAtom::Var(LispVal::sym(prog.symbols.name(v)))
-                                    }
-                                };
-                                items.push(LItem::Test {
-                                    attr: attr.clone(),
-                                    pred: vt.pred,
-                                    atom,
-                                });
-                            }
-                        }
-                    }
-                }
-                conds.push(LCond {
-                    class: LispVal::sym(prog.symbols.name(ce.class)),
-                    negated: ce.negated,
-                    items,
-                });
-            }
-            let n = conds.len();
-            prods.push(LProd {
-                conds,
-                alpha: (0..n).map(|_| Vec::new()).collect(),
-                left: (0..n).map(|_| Vec::new()).collect(),
-            });
-        }
-        LispMatcher {
-            prods,
-            agenda: Vec::new(),
-            out: Vec::new(),
-            options,
-            stats: MatchStats::default(),
-        }
-    }
-}
-
-/// Evaluates one interpreted predicate.
-fn pred_eval(pred: Pred, v: &LispVal, r: &LispVal) -> bool {
-    match pred {
-        Pred::Eq => lisp_equal(v, r),
-        Pred::Ne => !lisp_equal(v, r),
-        Pred::Lt | Pred::Le | Pred::Gt | Pred::Ge => match (v.as_f64(), r.as_f64()) {
-            (Some(a), Some(b)) => match pred {
-                Pred::Lt => a < b,
-                Pred::Le => a <= b,
-                Pred::Gt => a > b,
-                Pred::Ge => a >= b,
-                _ => unreachable!(),
-            },
-            _ => false,
-        },
-        Pred::SameType => v.is_numeric() == r.is_numeric(),
-    }
-}
-
-/// Interpreted condition-element match: walks the test list, `assoc`-ing
-/// every attribute and threading the binding alist. Returns the extended
-/// bindings on success.
-///
-/// `lenient_unbound` is set for the alpha-membership check (empty
-/// bindings): a non-equality predicate against a variable bound in another
-/// condition element cannot be evaluated yet and must pass through to the
-/// join — exactly what the compiled network does by routing it into a
-/// join test.
-fn match_ce(
-    wme: &LWme,
-    cond: &LCond,
-    bindings: &LispVal,
-    lenient_unbound: bool,
-) -> Option<LispVal> {
-    let mut b = bindings.clone();
-    let nil = LispVal::Nil;
-    for item in &cond.items {
-        match item {
-            LItem::Disj { attr, alts } => {
-                let v = assoc(attr, &wme.alist).unwrap_or(&nil);
-                if !alts.iter().any(|a| lisp_equal(v, a)) {
-                    return None;
-                }
-            }
-            LItem::Test { attr, pred, atom } => {
-                let v = assoc(attr, &wme.alist).unwrap_or(&nil).clone();
-                match atom {
-                    LAtom::Const(c) => {
-                        if !pred_eval(*pred, &v, c) {
-                            return None;
-                        }
-                    }
-                    LAtom::Var(name) => {
-                        match assoc(name, &b) {
-                            Some(bound) => {
-                                if !pred_eval(*pred, &v, &bound.clone()) {
-                                    return None;
-                                }
-                            }
-                            None => {
-                                if matches!(pred, Pred::Eq) {
-                                    b = acons(name.clone(), v, b);
-                                } else if !lenient_unbound {
-                                    // Predicate on a variable this element
-                                    // does not bind: at join time the binding
-                                    // must exist (the compiled engine rejects
-                                    // the program otherwise), so fail.
-                                    return None;
-                                }
-                                // Alpha check: defer to the join.
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Some(b)
-}
-
-impl LispMatcher {
-    fn run_agenda(&mut self) {
-        while let Some(task) = self.agenda.pop() {
-            self.stats.activations += 1;
-            match task {
-                LTask::Left {
-                    prod,
-                    ce,
-                    sign,
-                    token,
-                } => {
-                    self.stats.join_activations += 1;
-                    let unlink = self.options.unlinking;
-                    let negated = self.prods[prod].conds[ce].negated;
-                    let opp_empty = self.prods[prod].alpha[ce].is_empty();
-                    if !negated {
-                        match sign {
-                            Sign::Plus => self.prods[prod].left[ce].push(token.clone()),
-                            Sign::Minus => {
-                                let mem = &mut self.prods[prod].left[ce];
-                                if let Some(i) =
-                                    mem.iter().position(|t| t.wmes.same_wmes(&token.wmes))
-                                {
-                                    self.stats.same_tokens_left += (i + 1) as u64;
-                                    self.stats.same_searches_left += 1;
-                                    mem.swap_remove(i);
-                                }
-                            }
-                        }
-                        if unlink && opp_empty {
-                            self.stats.null_skipped += 1;
-                        } else {
-                            if opp_empty {
-                                self.stats.null_activations += 1;
-                            }
-                            // Scan the full alpha memory of this CE (linear,
-                            // in place — `emit` only touches the agenda).
-                            let alpha_len = self.prods[prod].alpha[ce].len();
-                            self.stats.opp_tokens_left += alpha_len as u64;
-                            if alpha_len > 0 {
-                                self.stats.opp_nonempty_left += 1;
-                            }
-                            for i in 0..alpha_len {
-                                let emit_tok = {
-                                    let p = &self.prods[prod];
-                                    let w = &p.alpha[ce][i];
-                                    match_ce(w, &p.conds[ce], &token.bindings, false).map(|b2| {
-                                        LToken {
-                                            wmes: token.wmes.extended(w.orig.clone()),
-                                            bindings: b2,
-                                            neg_count: 0,
-                                        }
-                                    })
-                                };
-                                if let Some(t) = emit_tok {
-                                    self.emit(prod, ce, sign, t);
-                                }
-                            }
-                        }
-                    } else {
-                        match sign {
-                            Sign::Plus => {
-                                let n = if unlink && opp_empty {
-                                    self.stats.null_skipped += 1;
-                                    0
-                                } else {
-                                    if opp_empty {
-                                        self.stats.null_activations += 1;
-                                    }
-                                    let p = &self.prods[prod];
-                                    let alpha = &p.alpha[ce];
-                                    self.stats.opp_tokens_left += alpha.len() as u64;
-                                    if !alpha.is_empty() {
-                                        self.stats.opp_nonempty_left += 1;
-                                    }
-                                    alpha
-                                        .iter()
-                                        .filter(|w| {
-                                            match_ce(w, &p.conds[ce], &token.bindings, false)
-                                                .is_some()
-                                        })
-                                        .count() as u32
-                                };
-                                let mut t = token.clone();
-                                t.neg_count = n;
-                                self.prods[prod].left[ce].push(t);
-                                if n == 0 {
-                                    self.emit(prod, ce, Sign::Plus, token);
-                                }
-                            }
-                            Sign::Minus => {
-                                let mem = &mut self.prods[prod].left[ce];
-                                if let Some(i) =
-                                    mem.iter().position(|t| t.wmes.same_wmes(&token.wmes))
-                                {
-                                    self.stats.same_tokens_left += (i + 1) as u64;
-                                    self.stats.same_searches_left += 1;
-                                    let old = mem.swap_remove(i);
-                                    if old.neg_count == 0 {
-                                        self.emit(prod, ce, Sign::Minus, token);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                LTask::Right {
-                    prod,
-                    ce,
-                    sign,
-                    wme,
-                } => {
-                    let negated = self.prods[prod].conds[ce].negated;
-                    match sign {
-                        Sign::Plus => self.prods[prod].alpha[ce].push(wme.clone()),
-                        Sign::Minus => {
-                            let mem = &mut self.prods[prod].alpha[ce];
-                            if let Some(i) =
-                                mem.iter().position(|w| w.orig.timetag == wme.orig.timetag)
-                            {
-                                self.stats.same_tokens_right += (i + 1) as u64;
-                                self.stats.same_searches_right += 1;
-                                mem.swap_remove(i);
-                            }
-                        }
-                    }
-                    if ce == 0 {
-                        // CE 0's matches become 1-wme tokens for the next
-                        // element (or the terminal).
-                        let emit_tok =
-                            match_ce(&wme, &self.prods[prod].conds[0], &LispVal::Nil, false).map(
-                                |b| LToken {
-                                    wmes: Token::empty().extended(wme.orig.clone()),
-                                    bindings: b,
-                                    neg_count: 0,
-                                },
-                            );
-                        if let Some(t) = emit_tok {
-                            self.emit(prod, 0, sign, t);
-                        }
-                        continue;
-                    }
-                    self.stats.join_activations += 1;
-                    let n_tok = self.prods[prod].left[ce].len();
-                    let opp_empty = n_tok == 0;
-                    if self.options.unlinking && opp_empty {
-                        self.stats.null_skipped += 1;
-                        continue;
-                    }
-                    if opp_empty {
-                        self.stats.null_activations += 1;
-                    }
-                    self.stats.opp_tokens_right += n_tok as u64;
-                    if n_tok > 0 {
-                        self.stats.opp_nonempty_right += 1;
-                    }
-                    if !negated {
-                        for i in 0..n_tok {
-                            let emit_tok = {
-                                let p = &self.prods[prod];
-                                let t = &p.left[ce][i];
-                                match_ce(&wme, &p.conds[ce], &t.bindings, false).map(|b2| LToken {
-                                    wmes: t.wmes.extended(wme.orig.clone()),
-                                    bindings: b2,
-                                    neg_count: 0,
-                                })
-                            };
-                            if let Some(t) = emit_tok {
-                                self.emit(prod, ce, sign, t);
-                            }
-                        }
-                    } else {
-                        // Adjust stored counters in place.
-                        let mut crossed = Vec::new();
-                        let p = &mut self.prods[prod];
-                        let (conds, left) = (&p.conds, &mut p.left);
-                        let cond = &conds[ce];
-                        for t in left[ce].iter_mut() {
-                            if match_ce(&wme, cond, &t.bindings, false).is_some() {
-                                match sign {
-                                    Sign::Plus => {
-                                        t.neg_count += 1;
-                                        if t.neg_count == 1 {
-                                            crossed.push((t.clone(), Sign::Minus));
-                                        }
-                                    }
-                                    Sign::Minus => {
-                                        t.neg_count = t.neg_count.saturating_sub(1);
-                                        if t.neg_count == 0 {
-                                            crossed.push((t.clone(), Sign::Plus));
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        for (t, s) in crossed {
-                            self.emit(prod, ce, s, t);
-                        }
-                    }
-                }
-                LTask::Terminal { prod, sign, token } => {
-                    self.stats.cs_changes += 1;
-                    let inst = Instantiation {
-                        prod: ProdId(prod as u32),
-                        wmes: token.wmes,
-                    };
-                    self.out.push(match sign {
-                        Sign::Plus => CsChange::Insert(inst),
-                        Sign::Minus => CsChange::Remove(inst),
-                    });
-                }
-            }
-        }
-    }
-
-    /// Sends a token past CE `ce` of `prod`: to the next join or terminal.
-    fn emit(&mut self, prod: usize, ce: usize, sign: Sign, token: LToken) {
-        let next = ce + 1;
-        if next >= self.prods[prod].conds.len() {
-            self.agenda.push(LTask::Terminal { prod, sign, token });
-        } else {
-            self.agenda.push(LTask::Left {
-                prod,
-                ce: next,
-                sign,
-                token,
-            });
-        }
-    }
-}
-
-/// Conversion context: per-class attribute name lists, captured at build.
-pub struct LispConverter {
-    /// class symbol id → attr-name lisp strings in field order.
-    names: std::collections::HashMap<u32, Vec<LispVal>>,
-    /// symbol id → name (for values).
-    sym_names: Vec<LispVal>,
-    class_names: std::collections::HashMap<u32, LispVal>,
-}
-
-impl LispConverter {
-    pub fn new(prog: &Program) -> LispConverter {
-        let mut names = std::collections::HashMap::new();
-        let mut class_names = std::collections::HashMap::new();
-        for (class, info) in prog.classes.classes() {
-            names.insert(
-                class.0,
-                info.attrs
-                    .iter()
-                    .map(|a| LispVal::sym(prog.symbols.name(*a)))
-                    .collect(),
-            );
-            class_names.insert(class.0, LispVal::sym(prog.symbols.name(*class)));
-        }
-        let sym_names = (0..prog.symbols.len() as u32)
-            .map(|i| LispVal::sym(prog.symbols.name(ops5::SymbolId(i))))
+impl LispTests {
+    /// Captures `prog`'s names, and `net`'s join tests as step lists over
+    /// them: the attribute of a token position is named by the class of
+    /// the positive CE it matched, in the production that built the join.
+    pub fn new(prog: &Program, net: &Network) -> LispTests {
+        let names: Vec<LispVal> = (0..prog.symbols.len() as u32)
+            .map(|i| LispVal::sym(prog.symbols.name(SymbolId(i))))
             .collect();
-        LispConverter {
-            names,
-            sym_names,
-            class_names,
+        let mut attrs = vec![Vec::new(); names.len()];
+        for (class, info) in prog.classes.classes() {
+            attrs[class.index()] = info
+                .attrs
+                .iter()
+                .map(|a| names[a.index()].clone())
+                .collect();
         }
+        let mut tests = LispTests {
+            joins: Vec::new(),
+            attrs,
+            names,
+            nil: LispVal::Nil,
+        };
+        tests.nil = tests.value(Value::NIL);
+        tests.joins = (net.joins.iter())
+            .map(|j| {
+                let lhs = &prog.production(j.prod).lhs;
+                let positive: Vec<SymbolId> = (lhs.iter())
+                    .filter(|ce| !ce.negated)
+                    .map(|ce| ce.class)
+                    .collect();
+                let right = lhs[j.ce_index as usize].class;
+                (j.tests.iter())
+                    .map(|t| Step {
+                        pred: t.pred,
+                        ce: t.left_ce as usize,
+                        left_attr: tests.attr(positive[t.left_ce as usize], t.left_field),
+                        right_attr: tests.attr(right, t.right_field),
+                    })
+                    .collect()
+            })
+            .collect();
+        tests
+    }
+
+    /// The key of `class`'s field `field`: its attribute's name, or the
+    /// field number where the class names none.
+    fn attr(&self, class: SymbolId, field: u16) -> LispVal {
+        let named = self
+            .attrs
+            .get(class.index())
+            .and_then(|a| a.get(field as usize));
+        named.cloned().unwrap_or(LispVal::Int(field as i64))
     }
 
     fn value(&self, v: Value) -> LispVal {
         match v {
-            Value::Sym(s) => self
-                .sym_names
-                .get(s.index())
-                .cloned()
-                .unwrap_or_else(|| LispVal::sym(&format!("sym{}", s.0))),
+            Value::Sym(s) => (self.names.get(s.index()).cloned())
+                .unwrap_or_else(|| LispVal::sym(&format!("#<symbol {}>", s.0))),
             Value::Int(i) => LispVal::Int(i),
             Value::Float(f) => LispVal::Float(f),
         }
     }
 
-    fn wme(&self, w: &WmeRef) -> LWme {
-        let mut alist = LispVal::Nil;
-        if let Some(attrs) = self.names.get(&w.class.0) {
-            for (i, name) in attrs.iter().enumerate() {
-                let v = w
-                    .fields
-                    .get(i)
-                    .map(|v| self.value(*v))
-                    .unwrap_or(LispVal::Nil);
-                alist = acons(name.clone(), v, alist);
+    /// `wme` boxed: `((attr . value) ...)` in field order.
+    fn alist(&self, wme: &Wme) -> LispVal {
+        let fields = wme.fields.iter().enumerate().rev();
+        fields.fold(LispVal::Nil, |list, (i, v)| {
+            acons(self.attr(wme.class, i as u16), self.value(*v), list)
+        })
+    }
+
+    /// `token` boxed: the list of its WMEs' association lists.
+    fn list(&self, token: &Token) -> LispVal {
+        let wmes = token.iter_back();
+        wmes.fold(LispVal::Nil, |list, w| LispVal::cons(self.alist(w), list))
+    }
+
+    /// Runs `j`'s steps on a boxed token and a boxed WME.
+    fn passes(&self, j: &JoinNode, token: &LispVal, wme: &LispVal) -> bool {
+        self.joins[j.id as usize].iter().all(|s| {
+            let v = assoc(&s.right_attr, wme).unwrap_or(&self.nil);
+            let r = assoc(&s.left_attr, nth(s.ce, token)).unwrap_or(&self.nil);
+            match s.pred {
+                Pred::Eq => lisp_equal(v, r),
+                Pred::Ne => !lisp_equal(v, r),
+                Pred::Lt => num_cmp(v, r).is_some_and(|o| o.is_lt()),
+                Pred::Le => num_cmp(v, r).is_some_and(|o| o.is_le()),
+                Pred::Gt => num_cmp(v, r).is_some_and(|o| o.is_gt()),
+                Pred::Ge => num_cmp(v, r).is_some_and(|o| o.is_ge()),
+                Pred::SameType => v.is_numeric() == r.is_numeric(),
             }
-        }
-        let class = self
-            .class_names
-            .get(&w.class.0)
-            .cloned()
-            .unwrap_or(LispVal::Nil);
-        LWme {
-            orig: w.clone(),
-            alist,
-            class,
-        }
+        })
     }
 }
 
-/// The complete lisp-style matcher: converter + interpreted network.
-pub struct LispEngineMatcher {
-    conv: LispConverter,
-    inner: LispMatcher,
-    delta: StatsDeltaTracker,
+impl JoinTests for LispTests {
+    const NAME: &'static str = "lispsim";
+    type Left = LispVal;
+    type Right = LispVal;
+
+    fn left(&self, token: &Token) -> LispVal {
+        self.list(token)
+    }
+
+    fn right(&self, wme: &Wme) -> LispVal {
+        self.alist(wme)
+    }
+
+    fn of_token<'a>(
+        &'a self,
+        j: &'a JoinNode,
+        token: &'a Token,
+    ) -> impl Fn(&Wme, &LispVal) -> bool + 'a {
+        let token = self.list(token);
+        move |_, wme| self.passes(j, &token, wme)
+    }
+
+    fn of_wme<'a>(
+        &'a self,
+        j: &'a JoinNode,
+        wme: &'a Wme,
+    ) -> impl Fn(&Token, &LispVal) -> bool + 'a {
+        let wme = self.alist(wme);
+        move |_, token| self.passes(j, token, &wme)
+    }
 }
+
+/// Constructors of lispsim: [`SeqMatcher`] over a [`ListMem`] with
+/// [`LispTests`].
+pub struct LispEngineMatcher;
 
 impl LispEngineMatcher {
-    pub fn new(prog: &Program) -> LispEngineMatcher {
-        LispEngineMatcher::new_with(prog, rete::NetworkOptions::default())
-    }
-
-    /// As [`LispEngineMatcher::new`] with explicit network options; only
-    /// `unlinking` applies (the interpreted chains are per-production, so
-    /// there is no prefix to share).
-    pub fn new_with(prog: &Program, options: rete::NetworkOptions) -> LispEngineMatcher {
-        LispEngineMatcher {
-            conv: LispConverter::new(prog),
-            inner: LispMatcher::new_with(prog, options),
-            delta: StatsDeltaTracker::default(),
-        }
+    /// lispsim on `net`, a compiled network of `prog`.
+    pub fn on(prog: &Program, net: Arc<Network>) -> SeqMatcher<ListMem<LispTests>> {
+        let mem = ListMem::with_tests(LispTests::new(prog, &net), &net);
+        SeqMatcher::over(net, mem)
     }
 
     pub fn boxed(prog: &Program) -> Box<dyn Matcher> {
-        Box::new(LispEngineMatcher::new(prog))
+        LispEngineMatcher::boxed_with(prog, NetworkOptions::default())
     }
 
-    pub fn boxed_with(prog: &Program, options: rete::NetworkOptions) -> Box<dyn Matcher> {
-        Box::new(LispEngineMatcher::new_with(prog, options))
-    }
-}
-
-impl Matcher for LispEngineMatcher {
-    fn submit(&mut self, batch: &ChangeBatch) {
-        self.inner.stats.conjugate_pairs += batch.annihilated();
-        for (_class, group) in batch.groups() {
-            // One grouped interpreted "constant-test" walk per class: the
-            // class-dispatch scan over every CE of every production runs
-            // once per *group*; each change in the group then only pays
-            // the interpreted element match against the surviving CEs.
-            self.inner.stats.alpha_activations += 1;
-            self.inner.stats.wme_changes += group.len() as u64;
-            let converted: Vec<(Sign, LWme)> = group
-                .iter()
-                .map(|c| (c.sign, self.conv.wme(&c.wme)))
-                .collect();
-            let class_lv = converted[0].1.class.clone();
-            let mut candidates = Vec::new();
-            for p in 0..self.inner.prods.len() {
-                for ce in 0..self.inner.prods[p].conds.len() {
-                    if lisp_equal(&self.inner.prods[p].conds[ce].class, &class_lv) {
-                        candidates.push((p, ce));
-                    }
-                }
-            }
-            for (sign, lw) in converted {
-                for &(p, ce) in &candidates {
-                    if match_ce(&lw, &self.inner.prods[p].conds[ce], &LispVal::Nil, true).is_none()
-                    {
-                        continue;
-                    }
-                    self.inner.agenda.push(LTask::Right {
-                        prod: p,
-                        ce,
-                        sign,
-                        wme: lw.clone(),
-                    });
-                }
-                // Drain per change: the linear memories rely on the
-                // one-change-at-a-time discipline.
-                self.inner.run_agenda();
-            }
-        }
-    }
-
-    fn quiesce(&mut self) -> QuiesceReport {
-        QuiesceReport {
-            cs_changes: std::mem::take(&mut self.inner.out),
-            stats_delta: self.delta.take(self.inner.stats),
-            phase: None,
-        }
-    }
-
-    fn stats(&self) -> MatchStats {
-        self.inner.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.inner.stats = MatchStats::default();
-        self.delta.reset();
-    }
-
-    fn name(&self) -> &'static str {
-        "lispsim"
+    /// lispsim on a network of `prog` compiled with `options`.
+    ///
+    /// # Panics
+    ///
+    /// If the network does not compile (a predicate on an unbound
+    /// variable).
+    pub fn boxed_with(prog: &Program, options: NetworkOptions) -> Box<dyn Matcher> {
+        let net = Network::compile_with(prog, options).expect("the program compiles");
+        Box::new(LispEngineMatcher::on(prog, Arc::new(net)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ops5::WmeChange;
+    use ops5::{ChangeBatch, CsChange, ProdId, Sign, WmeChange};
 
     fn changes(prog: &mut Program, specs: &[(&str, Vec<Value>, u64, Sign)]) -> Vec<WmeChange> {
         specs
@@ -712,8 +237,7 @@ mod tests {
                 ("b", vec![Value::Int(9)], 3, Sign::Plus),
             ],
         );
-        let mut m = LispEngineMatcher::new(&prog);
-        let out = final_set(&mut m, cs);
+        let out = final_set(LispEngineMatcher::boxed(&prog).as_mut(), cs);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].1, vec![1, 2]);
     }
@@ -729,8 +253,7 @@ mod tests {
                 ("b", vec![Value::Int(1)], 3, Sign::Plus),
             ],
         );
-        let mut m = LispEngineMatcher::new(&prog);
-        let out = final_set(&mut m, cs);
+        let out = final_set(LispEngineMatcher::boxed(&prog).as_mut(), cs);
         assert_eq!(out.len(), 1, "only the unblocked value fires");
         assert_eq!(out[0].1, vec![2]);
     }
@@ -746,29 +269,42 @@ mod tests {
                 ("a", vec![Value::Int(1)], 1, Sign::Minus),
             ],
         );
-        let mut m = LispEngineMatcher::new(&prog);
-        let out = final_set(&mut m, cs);
+        let out = final_set(LispEngineMatcher::boxed(&prog).as_mut(), cs);
         assert!(out.is_empty());
     }
 
+    /// Every predicate, against a value bound in the token's second WME, on
+    /// integers, a float and an absent field: the steps read the same as
+    /// the compiled tests.
     #[test]
-    fn intra_element_variable_consistency() {
-        let mut prog = Program::from_source("(p q (a ^x <v> ^y <v>) --> (halt))").unwrap();
+    fn predicates_read_like_the_compiled_ones() {
+        let src = "(literalize a x) (literalize b k) (literalize c y)
+             (p lt (b) (a ^x <v>) (c ^y < <v>) --> (halt))
+             (p ge (b) (a ^x <v>) (c ^y >= <v>) --> (halt))
+             (p ne (b) (a ^x <v>) (c ^y <> <v>) --> (halt))
+             (p st (b) (a ^x <v>) (c ^y <=> <v>) --> (halt))";
+        let mut prog = Program::from_source(src).unwrap();
         let cs = changes(
             &mut prog,
             &[
-                ("a", vec![Value::Int(1), Value::Int(1)], 1, Sign::Plus),
-                ("a", vec![Value::Int(1), Value::Int(2)], 2, Sign::Plus),
+                ("a", vec![Value::Int(2)], 1, Sign::Plus),
+                ("b", vec![], 2, Sign::Plus),
+                ("c", vec![Value::Int(1)], 3, Sign::Plus),
+                ("c", vec![Value::Int(2)], 4, Sign::Plus),
+                ("c", vec![Value::Float(2.5)], 5, Sign::Plus),
+                ("c", vec![], 6, Sign::Plus),
             ],
         );
-        let mut m = LispEngineMatcher::new(&prog);
-        let out = final_set(&mut m, cs);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].1, vec![1]);
+        let net = Arc::new(Network::compile(&prog).unwrap());
+        let vs1 = final_set(&mut rete::SeqMatcher::vs1(net.clone()), cs.clone());
+        let lisp = final_set(&mut LispEngineMatcher::on(&prog, net), cs);
+        assert_eq!(lisp, vs1);
+        let fired = |p: u32| lisp.iter().filter(|(id, _)| id.0 == p).count();
+        assert_eq!([0, 1, 2, 3].map(fired), [1, 2, 3, 3]);
     }
 
     #[test]
-    fn stats_populated() {
+    fn stats_and_name_are_the_kernels() {
         let mut prog = Program::from_source("(p q (a ^x <v>) (b ^y <v>) --> (halt))").unwrap();
         let cs = changes(
             &mut prog,
@@ -777,11 +313,12 @@ mod tests {
                 ("b", vec![Value::Int(1)], 2, Sign::Plus),
             ],
         );
-        let mut m = LispEngineMatcher::new(&prog);
-        final_set(&mut m, cs);
+        let mut m = LispEngineMatcher::boxed(&prog);
+        final_set(m.as_mut(), cs);
         let s = m.stats();
         assert_eq!(s.wme_changes, 2);
         assert!(s.activations > 0);
         assert_eq!(s.cs_changes, 1);
+        assert_eq!(m.name(), "lispsim");
     }
 }

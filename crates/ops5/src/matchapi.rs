@@ -341,14 +341,14 @@ pub struct MatchStats {
     pub null_skipped: u64,
 
     /// Constant tests evaluated in the alpha network (a pattern's chain
-    /// stops at its first failing test). Counted by vs1, vs2 and `col`;
-    /// psm, `psm::trace` and lispsim leave it 0.
+    /// stops at its first failing test). Counted by vs1, vs2, lispsim and
+    /// `col`; psm and `psm::trace` leave it 0.
     pub alpha_tests: u64,
     /// Readers of a shared right memory looked at when a change was stored
     /// in it, dead or live — the part of a right store that scales with the
-    /// network instead of the change. Counted by vs1, vs2 and `col` (`col`
-    /// looks once per batch group, not once per change); psm, `psm::trace`
-    /// and lispsim keep one right memory per join and leave it 0.
+    /// network instead of the change. Counted by vs1, vs2, lispsim and
+    /// `col` (`col` looks once per batch group, not once per change); psm
+    /// and `psm::trace` keep one right memory per join and leave it 0.
     pub readers_visited: u64,
 }
 
@@ -486,11 +486,11 @@ pub trait Matcher: Send {
     /// immediately.
     ///
     /// A batch is a *set* of changes to distinct WMEs ([`ChangeBatch`],
-    /// rule 3) and the order inside it is the matcher's: vs1 and vs2 take
-    /// every retraction, then every assertion, one change at a time; col
-    /// makes one pattern-major sweep; psm runs the changes in parallel
-    /// under conjugate pairs; lispsim and `psm::trace` take them as
-    /// written, which is the paper's order and the reference. What all of
+    /// rule 3) and the order inside it is the matcher's: vs1, vs2 and
+    /// lispsim take every retraction, then every assertion, one change at a
+    /// time; col makes one pattern-major sweep; psm runs the changes in
+    /// parallel under conjugate pairs; `psm::trace` takes them as written,
+    /// which is the paper's order and the reference. What all of
     /// them owe is the same folded conflict set *with its fired flags*
     /// after [`quiesce`](Self::quiesce): an instantiation leaves the set
     /// only because one of its WMEs was retracted (timetags are never

@@ -6,7 +6,8 @@
 //! pre-resolved field indices, join tests with pre-computed token positions,
 //! pre-extracted equality specs for hashing) that the matchers execute with
 //! static dispatch and no per-node interpretation. The deliberately
-//! *interpretive* counterpart lives in the `lispsim` crate.
+//! *interpretive* counterpart, the `lispsim` crate, is this crate's
+//! sequential matcher with its join tests interpreted.
 //!
 //! Contents:
 //!
@@ -16,15 +17,17 @@
 //!   and are *not* shared between productions (paper footnote 6: sharing is
 //!   impossible in the parallel implementation). The compiler also records
 //!   which joins could read one right memory, and indexes each class's
-//!   patterns on the constant they test; the sequential matchers and `col`
-//!   use both, the parallel and trace matchers and lispsim neither.
-//! * [`memory`] — token memories: linear lists (*vs1*) and the two global
+//!   patterns on the constant they test; the sequential matchers (lispsim
+//!   among them) and `col` use both, the parallel and trace matchers
+//!   neither.
+//! * [`memory`] — token memories: linear lists (*vs1*; with interpreted
+//!   join tests, lispsim's) and the two global
 //!   hash tables holding all left/right tokens for the whole network
 //!   (*vs2*, §3.2), organised in "lines" (pairs of same-index buckets) and
 //!   sized by their population unless a fixed line count is asked for.
 //!   Left memories are per join; right memories are the network's shared
 //!   ones ([`RightMemSpec`]), so each WME is stored once.
-//! * [`seq`] — the sequential matcher over either memory kind, instrumented
+//! * [`seq`] — the sequential matcher over any memory kind, instrumented
 //!   with the Table 4-1/4-2/4-3 statistics. A WME change is applied to each
 //!   right memory once and only the readers linked to it — the ones with a
 //!   non-empty left memory — are looked at.
@@ -44,7 +47,7 @@ mod readers;
 pub mod seq;
 
 pub use colmatch::ColMatcher;
-pub use memory::{HashMemConfig, MemoryKind};
+pub use memory::HashMemConfig;
 pub use network::{
     AlphaPatternId, AlphaSucc, ClassPatterns, EqSpec, JoinId, JoinNode, JoinTest, Network,
     NetworkOptions, NetworkSummary, RightMemId, RightMemSpec, Succ,

@@ -20,9 +20,9 @@
 //! Beside the paper's per-join memories the compiler also records which
 //! joins *could* read one right memory: [`RightMemSpec`] groups the right
 //! inputs of an alpha pattern by the fields their equality tests hash
-//! ([`JoinNode::right_mem`]). psm, `psm::trace` and lispsim ignore it
-//! (footnote 6 stands for them, and for the tables and traces built on
-//! them); vs1, vs2 and `col` store each WME once per group and never look
+//! ([`JoinNode::right_mem`]). psm and `psm::trace` ignore it (footnote 6
+//! stands for them, and for the tables and traces built on them); vs1, vs2,
+//! lispsim and `col` store each WME once per group and never look
 //! at a reader whose left memory is empty (each keeps the live ones on a
 //! linked list per memory; the network itself is immutable and shared by
 //! every session of a compiled program).
@@ -279,8 +279,8 @@ pub struct JoinNode {
     pub tests: Box<[JoinTest]>,
     pub eq_specs: Box<[EqSpec]>,
     /// The shared right memory whose signature is this join's `eq_specs`
-    /// right fields (read by vs1, vs2 and `col`; psm, `psm::trace` and
-    /// lispsim keep a private one per join).
+    /// right fields (read by vs1, vs2, lispsim and `col`; psm and
+    /// `psm::trace` keep a private one per join).
     pub right_mem: RightMemId,
     pub succs: Vec<Succ>,
 }
@@ -438,11 +438,11 @@ pub struct NetworkSummary {
     /// Join constructions that reused an existing join (0 with sharing off).
     pub shared_prefixes: usize,
     /// The paper's coalesced token memories: one left + one right memory
-    /// per join (footnote 6: not shared across productions) — what psm,
-    /// `psm::trace` and lispsim keep.
+    /// per join (footnote 6: not shared across productions) — what psm and
+    /// `psm::trace` keep.
     pub memory_nodes: usize,
-    /// Right memories vs1, vs2 and `col` keep instead of one per join: one
-    /// per (alpha pattern, equality signature).
+    /// Right memories vs1, vs2, lispsim and `col` keep instead of one per
+    /// join: one per (alpha pattern, equality signature).
     pub right_memories: usize,
     pub terminals: usize,
 }

@@ -83,6 +83,9 @@
 //!   193 -> 221. Every other column, `cs_changes` 984 and the digest stand:
 //!   `count`'s re-derivation after each firing is needed in any order.
 //!
+//! lispsim has no rows of its own: it is the kernel over vs1's list
+//! memories with interpreted join tests, and must read every vs1 row.
+//!
 //! [`GOLDEN_TRACE`] pins `psm::trace`'s recorder on the same four programs:
 //! its eighteen columns and an FNV-1a digest of every recorded task and
 //! every cycle's roots, which is what the Multimax simulator replays. It
@@ -507,11 +510,11 @@ fn trace_counters_and_task_graph_match_the_parent_commit() {
     assert!(same, "trace counters moved; measured:\n{table}");
 }
 
-/// vs2 on the paper's table and serial act, network options as given.
-fn vs2_stats(w: &Workload, options: NetworkOptions) -> MatchStats {
+/// `kind` with serial act, network options as given.
+fn kind_stats(w: &Workload, kind: MatcherKind, options: NetworkOptions) -> MatchStats {
     let mut eng = EngineBuilder::from_source(&w.source)
         .expect("parse")
-        .matcher(MatcherKind::Vs2(HashMemConfig::PAPER))
+        .matcher(kind)
         .network_options(options)
         .act_strategy(ActStrategy::Serial)
         .build()
@@ -520,6 +523,32 @@ fn vs2_stats(w: &Workload, options: NetworkOptions) -> MatchStats {
     eng.run(w.max_cycles).expect("run");
     (w.validate)(&eng).expect("workload validates");
     eng.match_stats()
+}
+
+/// vs2 on the paper's table.
+fn vs2_stats(w: &Workload, options: NetworkOptions) -> MatchStats {
+    kind_stats(w, MatcherKind::Vs2(HashMemConfig::PAPER), options)
+}
+
+/// lispsim is the kernel over vs1's list memories with its join tests
+/// interpreted, so it does vs1's work exactly: all eighteen columns of
+/// every vs1 row of [`GOLDEN`], unlinking off and on. Only the clock tells
+/// the two apart, which is what Table 4-4 measures.
+#[test]
+fn lispsim_counts_what_vs1_counts() {
+    for w in programs() {
+        for unlinking in [false, true] {
+            let options = NetworkOptions {
+                sharing: false,
+                unlinking,
+            };
+            let lisp = columns(&kind_stats(&w, MatcherKind::Lisp, options));
+            let vs1 = (GOLDEN.iter())
+                .find(|r| (r.0, r.1, r.2) == (w.name.as_str(), "vs1", unlinking))
+                .expect("a vs1 row");
+            assert_eq!(lisp, (vs1.3, vs1.4), "{} unlinking {unlinking}", w.name);
+        }
+    }
 }
 
 /// A Rubik change is dispatched through its class's constant index, not

@@ -6,13 +6,13 @@
 //! rewrites ~20 facelet WMEs (a burst of 40+ WME changes per cycle), the
 //! move productions have deep LHS chains (21 condition elements) with
 //! single-WME alpha memories — lots of cheap, independent node activations
-//! and no cross-products. That is what psm, `psm::trace` and lispsim see,
-//! taking the burst in RHS order as the paper did: each facelet's
-//! delete/add pair tears down and rebuilds the chain below its CE (~380 left
-//! activations and 40 conflict-set changes per firing) for an instantiation
-//! the closing `modify 1` of the step counter retracts. vs1 and vs2 take
-//! the burst's retractions first (`rete::seq`), so the chain comes down
-//! once and only the next move's instantiation goes up.
+//! and no cross-products. That is what psm and `psm::trace` see, taking
+//! the burst in RHS order as the paper did: each facelet's delete/add pair
+//! tears down and rebuilds the chain below its CE (~380 left activations
+//! and 40 conflict-set changes per firing) for an instantiation the closing
+//! `modify 1` of the step counter retracts. vs1, vs2 and lispsim take the
+//! burst's retractions first (`rete::seq`), so the chain comes down once
+//! and only the next move's instantiation goes up.
 //!
 //! The 18 move productions are *generated* from facelet permutations that
 //! are themselves derived from 3D sticker rotation (correct by
