@@ -1,19 +1,26 @@
 //! The deterministic tables, byte for byte.
 //!
-//! Tables 4-3, 4-5..4-9, `tourney_fix`, `hw_scheduler` and
+//! Tables 4-2, 4-3, 4-5..4-9, `tourney_fix`, `hw_scheduler` and
 //! `ablation_overhead` print counters and simulated Multimax times only: no
 //! wall clock, no host dependence. ROADMAP items 1 and 4 gate on them
 //! staying "byte-identical"; this test is that gate. Each table function's
-//! output is compared with `tests/golden/<name>.txt`. The first seven were
-//! captured at a809a15 (the parent of the PR that made vs1/vs2 take a
-//! batch's retractions first — none of the seven moved with it: 4-3 counts
-//! delete searches, which no order changes, and 4-5..4-9 replay
-//! `psm::trace`, which takes a batch as written); the two ablations at
-//! 9e2cd57, from the binaries the table functions replaced.
+//! output is compared with `tests/golden/<name>.txt`. Tables 4-3 and
+//! 4-5..4-9 and `tourney_fix` were captured at a809a15 (the parent of the
+//! change that made vs1/vs2 take a batch's retractions first — none of them
+//! moved with it: 4-3 counts delete searches, which no order changes, and
+//! 4-5..4-9 replay `psm::trace`, which takes a batch as written); the two
+//! ablations at 9e2cd57, from the binaries the table functions replaced.
 //!
-//! Tables 4-1, 4-2 and 4-4 are not here: 4-1 and 4-4 print wall-clock
-//! seconds, and 4-2's linear-memory cells are vs1's scan lengths, which a
-//! kernel change may move with a reason (EXPERIMENTS.md records each).
+//! Table 4-2 averages the scans of vs1 and vs2, so a kernel change that
+//! adds or removes scans moves it, and re-pins it with a reason here and in
+//! EXPERIMENTS.md, as a change to delete searches would re-pin 4-3. Pinned
+//! when vs1/vs2 stopped rescanning on a left `-` at a join that keeps its
+//! children (tree-based removal): the left cells moved, Weaver 175.1/1.6 ->
+//! 169.0/1.3, Rubik lin 4.5 -> 5.5, Tourney 92.1/7.0 -> 94.0/6.7, as
+//! predicted by not booking those scans on the parent; the right cells did
+//! not.
+//!
+//! Tables 4-1 and 4-4 are not here: they print wall-clock seconds.
 //!
 //! The tables build every engine on the paper's configuration in code, so
 //! this test runs them in-process under whatever `OPS5_*` knobs the suite
@@ -48,6 +55,7 @@ macro_rules! golden {
 }
 
 golden!(
+    table_4_2,
     table_4_3,
     table_4_5,
     table_4_6,

@@ -34,6 +34,18 @@
 //! left activation probes with [`JoinNode::shared_key`] mixed the same way
 //! ([`TokenMem::probe_key`]).
 //!
+//! A left entry of a join that keeps its children
+//! ([`JoinNode::child_succ`], `rete::seq`'s tree-based removal) holds the
+//! head of its children list where a not-node's entry holds its count of
+//! blockers. The lists of one memory live in one slab with a free list, so
+//! keeping them costs no allocation per entry or per child once the slab
+//! has grown. A right entry takes a slot when the first child is joined
+//! with it, and the slab records where each slotted entry stands in its
+//! line, updated by the `swap_remove` that moves it and by a doubling of the
+//! table. A list is appended to in the order its children are made and is
+//! sorted by those positions when a removal takes it whole: the order a
+//! scan of the line would find the children in.
+//!
 //! Hot-path contract: the caller computes a line's key once and threads it
 //! through every operation on that line, so vs2 hashes once per line
 //! touched instead of once per operation. Scans append matches into a
@@ -98,6 +110,160 @@ pub struct Removed<T> {
     pub examined: u64,
 }
 
+/// The end of a children list and the empty list; the slot of a right entry
+/// no child has been joined with.
+pub const NIL: u32 = u32::MAX;
+
+/// A token a join that keeps children ([`JoinNode::child_succ`]) sent on,
+/// kept by the left entry it extends while both its halves stand.
+#[derive(Clone)]
+pub struct Child {
+    pub token: Token,
+    /// `token`'s key in the successor's left memory.
+    pub key: u64,
+    /// The slot of the right entry holding `token`'s last WME.
+    pub(crate) slot: u32,
+}
+
+/// One link of a children list, free or in use.
+struct ChildNode {
+    token: Token,
+    key: u64,
+    slot: u32,
+    next: u32,
+}
+
+/// The children lists of one memory's left entries, all in one slab with a
+/// free list, and where each right entry a child points at stands in its
+/// line: a list is kept in the order its children were made, and taking one
+/// whole sorts it by those positions, which is the order a scan of the line
+/// would find them in whatever `swap_remove` has moved since. A right entry
+/// takes a slot when the first child is joined with it, so a WME no join
+/// that keeps children pairs with costs nothing here.
+#[derive(Default)]
+struct Children {
+    nodes: Vec<ChildNode>,
+    free_node: u32,
+    /// Per slot, its right entry's index in its line; a free slot holds the
+    /// next free one.
+    pos: Vec<u32>,
+    free_slot: u32,
+}
+
+impl Children {
+    fn new() -> Children {
+        Children {
+            free_node: NIL,
+            free_slot: NIL,
+            ..Children::default()
+        }
+    }
+
+    /// The slot of a right entry standing at `at` in its line, given one if
+    /// it has none.
+    fn slot(&mut self, slot: &mut u32, at: usize) -> u32 {
+        if *slot == NIL {
+            *slot = match self.free_slot {
+                NIL => {
+                    self.pos.push(at as u32);
+                    (self.pos.len() - 1) as u32
+                }
+                s => {
+                    self.free_slot = self.pos[s as usize];
+                    self.pos[s as usize] = at as u32;
+                    s
+                }
+            };
+        }
+        *slot
+    }
+
+    /// The entry of `slot` now stands at `at` in its line.
+    #[inline]
+    fn moved(&mut self, slot: u32, at: usize) {
+        if slot != NIL {
+            self.pos[slot as usize] = at as u32;
+        }
+    }
+
+    /// The entry of `slot` left its memory.
+    fn release(&mut self, slot: u32) {
+        if slot != NIL {
+            self.pos[slot as usize] = self.free_slot;
+            self.free_slot = slot;
+        }
+    }
+
+    fn adopt(&mut self, kids: &mut u32, child: Child) {
+        debug_assert!(child.slot != NIL, "a child of an unslotted right entry");
+        let node = ChildNode {
+            token: child.token,
+            key: child.key,
+            slot: child.slot,
+            next: *kids,
+        };
+        *kids = match self.free_node {
+            NIL => {
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            }
+            n => {
+                self.free_node = self.nodes[n as usize].next;
+                self.nodes[n as usize] = node;
+                n
+            }
+        };
+    }
+
+    /// Node `n`'s child, the node put on the free list.
+    fn free(&mut self, n: u32) -> Child {
+        let node = &mut self.nodes[n as usize];
+        let child = Child {
+            token: std::mem::replace(&mut node.token, Token::empty()),
+            key: node.key,
+            slot: node.slot,
+        };
+        node.next = self.free_node;
+        self.free_node = n;
+        child
+    }
+
+    /// Takes the child joined with right entry `slot` out of `kids`.
+    fn take(&mut self, kids: &mut u32, slot: u32) -> Option<Child> {
+        let (mut prev, mut n) = (NIL, *kids);
+        while n != NIL {
+            let node = &self.nodes[n as usize];
+            let next = node.next;
+            if node.slot == slot {
+                match prev {
+                    NIL => *kids = next,
+                    p => self.nodes[p as usize].next = next,
+                }
+                return Some(self.free(n));
+            }
+            (prev, n) = (n, next);
+        }
+        None
+    }
+
+    /// All of `kids` into `out` (cleared first), in their right entries'
+    /// line order; the list is freed.
+    fn drain(&mut self, kids: u32, out: &mut Vec<Child>) {
+        out.clear();
+        let mut n = kids;
+        while n != NIL {
+            let next = self.nodes[n as usize].next;
+            out.push(self.free(n));
+            n = next;
+        }
+        // Adopted at the head: the list runs newest first, and creation
+        // order is line order unless a removal moved an entry forward.
+        out.reverse();
+        let pos = &self.pos;
+        out.sort_unstable_by_key(|c| pos[c.slot as usize]);
+    }
+}
+
 /// Storage interface of the sequential kernel: vs1, vs2 and lispsim.
 ///
 /// `key` arguments address one line and are computed once per line touched:
@@ -125,27 +291,72 @@ pub trait TokenMem {
     /// (in `j.right_mem`).
     fn probe_key(&self, j: &JoinNode, token: &Token) -> u64;
 
-    /// Insert a token into the join's left memory. `neg_count` is the
-    /// matching-WME counter for not-nodes (0 for positive joins).
-    fn insert_left(&mut self, j: &JoinNode, key: u64, token: Token, neg_count: u32);
+    /// Insert a token into the join's left memory with `aux` beside it: a
+    /// not-node's count of the right WMEs blocking the token, a positive
+    /// join's list of the token's children ([`NIL`]: none kept).
+    fn insert_left(&mut self, j: &JoinNode, key: u64, token: Token, aux: u32);
 
     /// Remove a token (by WME identity) from the left memory, returning its
-    /// stored `neg_count`.
+    /// `aux`.
     fn remove_left(&mut self, j: &JoinNode, key: u64, token: &Token) -> Removed<u32>;
 
     /// Store a WME in a shared right memory: once, whoever reads it.
     fn insert_right(&mut self, mem: RightMemId, key: u64, wme: WmeRef);
 
-    fn remove_right(&mut self, mem: RightMemId, key: u64, wme: &Wme) -> Removed<()>;
+    /// Remove a WME from a shared right memory, returning its entry's slot
+    /// ([`NIL`]: no child was ever joined with it).
+    fn remove_right(&mut self, mem: RightMemId, key: u64, wme: &Wme) -> Removed<u32>;
 
     /// WMEs of the join's right memory pairing with `token` under the join
-    /// tests, appended to `out` (cleared first). `key` is a `probe_key`.
-    fn scan_right(&self, j: &JoinNode, key: u64, token: &Token, out: &mut Vec<WmeRef>)
-        -> ScanStats;
+    /// tests, each with its entry's index in the line (for
+    /// [`TokenMem::slot_at`]), appended to `out` (cleared first). `key` is
+    /// a `probe_key`.
+    fn scan_right(
+        &self,
+        j: &JoinNode,
+        key: u64,
+        token: &Token,
+        out: &mut Vec<(WmeRef, u32)>,
+    ) -> ScanStats;
+
+    /// The slot of the entry at `at` on `key`'s line of memory `mem`, given
+    /// one if no child was joined with it before.
+    fn slot_at(&mut self, mem: RightMemId, key: u64, at: u32) -> u32;
 
     /// Left-memory tokens pairing with `wme` under the join tests
     /// (positive joins), appended to `out` (cleared first).
     fn scan_left(&self, j: &JoinNode, key: u64, wme: &Wme, out: &mut Vec<Token>) -> ScanStats;
+
+    /// Right `+` at a join that keeps children: every left entry pairing
+    /// with `wme` (stored under `store_key` in `j.right_mem`) adopts
+    /// `token.extended(wme)`, keyed in `succ`'s left memory, and the new
+    /// children are appended to `out` (cleared first). Examines what
+    /// [`TokenMem::scan_left`] would.
+    fn extend_left(
+        &mut self,
+        j: &JoinNode,
+        succ: &JoinNode,
+        key: u64,
+        wme: &WmeRef,
+        store_key: u64,
+        out: &mut Vec<Child>,
+    ) -> ScanStats;
+
+    /// Right `-` at a join that keeps children: every left entry on `key`'s
+    /// line gives up its child joined with right entry `slot`, appended to
+    /// `out` (cleared first). No join test; examines what
+    /// [`TokenMem::scan_left`] would, and walks no list if `slot` is
+    /// [`NIL`].
+    fn take_child(&mut self, j: &JoinNode, key: u64, slot: u32, out: &mut Vec<Child>) -> ScanStats;
+
+    /// Appends `child` to the list `kids` (a left `+` builds its entry's
+    /// list before the entry is stored).
+    fn adopt(&mut self, kids: &mut u32, child: Child);
+
+    /// Left `-` at a join that keeps children: the list `kids`, taken from
+    /// the removed entry, into `out` (cleared first) in the order a scan of
+    /// the right memory would find them.
+    fn take_children(&mut self, kids: u32, out: &mut Vec<Child>);
 
     /// Not-node right activation: bump every matching left entry's counter
     /// by `delta` (+1/-1) and append the tokens whose counter crossed the
@@ -240,8 +451,15 @@ impl JoinTests for Compiled {
 
 struct ListLeftEntry<L> {
     token: Token,
-    neg_count: u32,
+    /// See [`TokenMem::insert_left`].
+    aux: u32,
     beside: L,
+}
+
+struct ListRightEntry<R> {
+    wme: WmeRef,
+    slot: u32,
+    beside: R,
 }
 
 /// vs1 memories: one vector per join (left) and per right memory (right),
@@ -249,7 +467,8 @@ struct ListLeftEntry<L> {
 pub struct ListMem<T: JoinTests = Compiled> {
     tests: T,
     left: Vec<Vec<ListLeftEntry<T::Left>>>,
-    right: Vec<Vec<(WmeRef, T::Right)>>,
+    right: Vec<Vec<ListRightEntry<T::Right>>>,
+    kids: Children,
 }
 
 impl ListMem {
@@ -264,6 +483,17 @@ impl<T: JoinTests> ListMem<T> {
             tests,
             left: (0..net.n_joins()).map(|_| Vec::new()).collect(),
             right: net.right_mems.iter().map(|_| Vec::new()).collect(),
+            kids: Children::new(),
+        }
+    }
+}
+
+impl ScanStats {
+    /// A scan of a whole list of `len` entries.
+    fn list(len: usize) -> ScanStats {
+        ScanStats {
+            examined: len as u64,
+            nonempty: len != 0,
         }
     }
 }
@@ -289,13 +519,9 @@ impl<T: JoinTests> TokenMem for ListMem<T> {
         0
     }
 
-    fn insert_left(&mut self, j: &JoinNode, _key: u64, token: Token, neg_count: u32) {
+    fn insert_left(&mut self, j: &JoinNode, _key: u64, token: Token, aux: u32) {
         let beside = self.tests.left(&token);
-        self.left[j.id as usize].push(ListLeftEntry {
-            token,
-            neg_count,
-            beside,
-        });
+        self.left[j.id as usize].push(ListLeftEntry { token, aux, beside });
     }
 
     fn remove_left(&mut self, j: &JoinNode, _key: u64, token: &Token) -> Removed<u32> {
@@ -304,7 +530,7 @@ impl<T: JoinTests> TokenMem for ListMem<T> {
             if e.token.same_wmes(token) {
                 let e = mem.swap_remove(i);
                 return Removed {
-                    entry: Some(e.neg_count),
+                    entry: Some(e.aux),
                     examined: (i + 1) as u64,
                 };
             }
@@ -317,23 +543,31 @@ impl<T: JoinTests> TokenMem for ListMem<T> {
 
     fn insert_right(&mut self, mem: RightMemId, _key: u64, wme: WmeRef) {
         let beside = self.tests.right(&wme);
-        self.right[mem as usize].push((wme, beside));
+        self.right[mem as usize].push(ListRightEntry {
+            wme,
+            slot: NIL,
+            beside,
+        });
     }
 
-    fn remove_right(&mut self, mem: RightMemId, _key: u64, wme: &Wme) -> Removed<()> {
-        let mem = &mut self.right[mem as usize];
-        for (i, (w, _)) in mem.iter().enumerate() {
-            if w.timetag == wme.timetag {
-                mem.swap_remove(i);
+    fn remove_right(&mut self, mem: RightMemId, _key: u64, wme: &Wme) -> Removed<u32> {
+        let entries = &mut self.right[mem as usize];
+        for (i, e) in entries.iter().enumerate() {
+            if e.wme.timetag == wme.timetag {
+                let e = entries.swap_remove(i);
+                if let Some(moved) = entries.get(i) {
+                    self.kids.moved(moved.slot, i);
+                }
+                self.kids.release(e.slot);
                 return Removed {
-                    entry: Some(()),
+                    entry: Some(e.slot),
                     examined: (i + 1) as u64,
                 };
             }
         }
         Removed {
             entry: None,
-            examined: mem.len() as u64,
+            examined: entries.len() as u64,
         }
     }
 
@@ -342,20 +576,22 @@ impl<T: JoinTests> TokenMem for ListMem<T> {
         j: &JoinNode,
         _key: u64,
         token: &Token,
-        out: &mut Vec<WmeRef>,
+        out: &mut Vec<(WmeRef, u32)>,
     ) -> ScanStats {
         out.clear();
         let mem = &self.right[j.right_mem as usize];
         let passes = self.tests.of_token(j, token);
-        for (w, beside) in mem {
-            if passes(w, beside) {
-                out.push(w.clone());
+        for (at, e) in mem.iter().enumerate() {
+            if passes(&e.wme, &e.beside) {
+                out.push((e.wme.clone(), at as u32));
             }
         }
-        ScanStats {
-            examined: mem.len() as u64,
-            nonempty: !mem.is_empty(),
-        }
+        ScanStats::list(mem.len())
+    }
+
+    fn slot_at(&mut self, mem: RightMemId, _key: u64, at: u32) -> u32 {
+        let e = &mut self.right[mem as usize][at as usize];
+        self.kids.slot(&mut e.slot, at as usize)
     }
 
     fn scan_left(&self, j: &JoinNode, _key: u64, wme: &Wme, out: &mut Vec<Token>) -> ScanStats {
@@ -367,10 +603,66 @@ impl<T: JoinTests> TokenMem for ListMem<T> {
                 out.push(e.token.clone());
             }
         }
-        ScanStats {
-            examined: mem.len() as u64,
-            nonempty: !mem.is_empty(),
+        ScanStats::list(mem.len())
+    }
+
+    fn extend_left(
+        &mut self,
+        j: &JoinNode,
+        _succ: &JoinNode,
+        _key: u64,
+        wme: &WmeRef,
+        _store_key: u64,
+        out: &mut Vec<Child>,
+    ) -> ScanStats {
+        out.clear();
+        let mem = &mut self.left[j.id as usize];
+        let right = &mut self.right[j.right_mem as usize];
+        let passes = self.tests.of_wme(j, wme);
+        let mut slot = NIL;
+        for e in mem.iter_mut() {
+            if passes(&e.token, &e.beside) {
+                if slot == NIL {
+                    // Stored by this change: at or near the end.
+                    let at = (right.iter().rposition(|r| r.wme.timetag == wme.timetag))
+                        .expect("a right activation's wme is in its memory");
+                    slot = self.kids.slot(&mut right[at].slot, at);
+                }
+                let token = e.token.extended(wme.clone());
+                let child = Child {
+                    token,
+                    key: 0,
+                    slot,
+                };
+                out.push(child.clone());
+                self.kids.adopt(&mut e.aux, child);
+            }
         }
+        ScanStats::list(mem.len())
+    }
+
+    fn take_child(
+        &mut self,
+        j: &JoinNode,
+        _key: u64,
+        slot: u32,
+        out: &mut Vec<Child>,
+    ) -> ScanStats {
+        out.clear();
+        let mem = &mut self.left[j.id as usize];
+        if slot != NIL {
+            let kids = &mut self.kids;
+            out.extend(mem.iter_mut().filter_map(|e| kids.take(&mut e.aux, slot)));
+        }
+        ScanStats::list(mem.len())
+    }
+
+    fn adopt(&mut self, kids: &mut u32, child: Child) {
+        self.kids.adopt(kids, child);
+    }
+
+    fn take_children(&mut self, kids: u32, out: &mut Vec<Child>) {
+        self.kids.drain(kids, out);
     }
 
     fn adjust_left_counts(
@@ -387,34 +679,27 @@ impl<T: JoinTests> TokenMem for ListMem<T> {
         for e in mem.iter_mut() {
             if passes(&e.token, &e.beside) {
                 if delta > 0 {
-                    e.neg_count += 1;
-                    if e.neg_count == 1 {
+                    e.aux += 1;
+                    if e.aux == 1 {
                         out.push(e.token.clone());
                     }
                 } else {
-                    debug_assert!(e.neg_count > 0, "not-node counter underflow");
-                    e.neg_count -= 1;
-                    if e.neg_count == 0 {
+                    debug_assert!(e.aux > 0, "not-node counter underflow");
+                    e.aux -= 1;
+                    if e.aux == 0 {
                         out.push(e.token.clone());
                     }
                 }
             }
         }
-        ScanStats {
-            examined: mem.len() as u64,
-            nonempty: !mem.is_empty(),
-        }
+        ScanStats::list(mem.len())
     }
 
     fn count_right(&self, j: &JoinNode, _key: u64, token: &Token) -> (u32, ScanStats) {
         let mem = &self.right[j.right_mem as usize];
         let passes = self.tests.of_token(j, token);
-        let n = mem.iter().filter(|(w, beside)| passes(w, beside)).count() as u32;
-        let scan = ScanStats {
-            examined: mem.len() as u64,
-            nonempty: !mem.is_empty(),
-        };
-        (n, scan)
+        let n = mem.iter().filter(|e| passes(&e.wme, &e.beside)).count() as u32;
+        (n, ScanStats::list(mem.len()))
     }
 
     fn left_count(&self, join: JoinId) -> u32 {
@@ -437,11 +722,13 @@ struct HashLeftEntry {
     join: u32,
     key: u64,
     token: Token,
-    neg_count: u32,
+    /// See [`TokenMem::insert_left`].
+    aux: u32,
 }
 
 struct HashRightEntry {
     mem: RightMemId,
+    slot: u32,
     key: u64,
     wme: WmeRef,
 }
@@ -486,6 +773,7 @@ pub struct HashMem {
     /// (`usize::MAX`: a fixed table).
     entries: usize,
     grow_above: usize,
+    kids: Children,
 }
 
 #[inline]
@@ -518,6 +806,7 @@ impl HashMem {
             right_counts: vec![0; net.right_mems.len()],
             entries: 0,
             grow_above: if grows { n * LOAD } else { usize::MAX },
+            kids: Children::new(),
         }
     }
 
@@ -552,6 +841,12 @@ impl HashMem {
                 .extend(from.left.extract_if(.., |e| e.key & bit != 0));
             to.right
                 .extend(from.right.extract_if(.., |e| e.key & bit != 0));
+            for (at, e) in from.right.iter().enumerate() {
+                self.kids.moved(e.slot, at);
+            }
+            for (at, e) in to.right.iter().enumerate() {
+                self.kids.moved(e.slot, at);
+            }
         }
         self.mask = (2 * n - 1) as u64;
         self.grow_above = 2 * n * LOAD;
@@ -579,13 +874,13 @@ impl TokenMem for HashMem {
         fxhash::mix(j.shared_key(token), j.right_mem as u64)
     }
 
-    fn insert_left(&mut self, j: &JoinNode, key: u64, token: Token, neg_count: u32) {
+    fn insert_left(&mut self, j: &JoinNode, key: u64, token: Token, aux: u32) {
         let b = self.line_of(key);
         self.lines[b].left.push(HashLeftEntry {
             join: j.id,
             key,
             token,
-            neg_count,
+            aux,
         });
         bump(&mut self.left_counts, j.id, 1);
         self.stored();
@@ -606,7 +901,7 @@ impl TokenMem for HashMem {
                 bump(&mut self.left_counts, j.id, -1);
                 self.entries -= 1;
                 return Removed {
-                    entry: Some(e.neg_count),
+                    entry: Some(e.aux),
                     examined,
                 };
             }
@@ -619,12 +914,17 @@ impl TokenMem for HashMem {
 
     fn insert_right(&mut self, mem: RightMemId, key: u64, wme: WmeRef) {
         let b = self.line_of(key);
-        self.lines[b].right.push(HashRightEntry { mem, key, wme });
+        self.lines[b].right.push(HashRightEntry {
+            mem,
+            slot: NIL,
+            key,
+            wme,
+        });
         bump(&mut self.right_counts, mem, 1);
         self.stored();
     }
 
-    fn remove_right(&mut self, mem: RightMemId, key: u64, wme: &Wme) -> Removed<()> {
+    fn remove_right(&mut self, mem: RightMemId, key: u64, wme: &Wme) -> Removed<u32> {
         let b = self.line_of(key);
         let line = &mut self.lines[b].right;
         let mut examined = 0u64;
@@ -635,11 +935,15 @@ impl TokenMem for HashMem {
             }
             examined += 1;
             if e.key == key && e.wme.timetag == wme.timetag {
-                line.swap_remove(i);
+                let e = line.swap_remove(i);
+                if let Some(moved) = line.get(i) {
+                    self.kids.moved(moved.slot, i);
+                }
+                self.kids.release(e.slot);
                 bump(&mut self.right_counts, mem, -1);
                 self.entries -= 1;
                 return Removed {
-                    entry: Some(()),
+                    entry: Some(e.slot),
                     examined,
                 };
             }
@@ -655,25 +959,104 @@ impl TokenMem for HashMem {
         j: &JoinNode,
         key: u64,
         token: &Token,
-        out: &mut Vec<WmeRef>,
+        out: &mut Vec<(WmeRef, u32)>,
     ) -> ScanStats {
         out.clear();
         let line = &self.lines[self.line_of(key)].right;
         let ops = j.resolve_left(token);
         let mut examined = 0u64;
-        for e in line {
+        for (at, e) in line.iter().enumerate() {
             if e.mem != j.right_mem {
                 continue;
             }
             examined += 1;
             if e.key == key && j.passes_resolved(&ops, token, &e.wme) {
-                out.push(e.wme.clone());
+                out.push((e.wme.clone(), at as u32));
             }
         }
         ScanStats {
             examined,
             nonempty: examined > 0,
         }
+    }
+
+    fn slot_at(&mut self, mem: RightMemId, key: u64, at: u32) -> u32 {
+        let b = self.line_of(key);
+        let e = &mut self.lines[b].right[at as usize];
+        debug_assert_eq!(e.mem, mem);
+        self.kids.slot(&mut e.slot, at as usize)
+    }
+
+    fn extend_left(
+        &mut self,
+        j: &JoinNode,
+        succ: &JoinNode,
+        key: u64,
+        wme: &WmeRef,
+        store_key: u64,
+        out: &mut Vec<Child>,
+    ) -> ScanStats {
+        out.clear();
+        let (b, mut slot) = (self.line_of(key), NIL);
+        let mut examined = 0u64;
+        for i in 0..self.lines[b].left.len() {
+            let e = &self.lines[b].left[i];
+            if e.join != j.id {
+                continue;
+            }
+            examined += 1;
+            if e.key != key || !j.passes(&e.token, wme) {
+                continue;
+            }
+            let token = e.token.extended(wme.clone());
+            if slot == NIL {
+                // Stored by this change: at or near the end of its line.
+                let r = self.line_of(store_key);
+                let line = &mut self.lines[r].right;
+                let at = (line.iter())
+                    .rposition(|r| r.mem == j.right_mem && r.wme.timetag == wme.timetag)
+                    .expect("a right activation's wme is in its memory");
+                slot = self.kids.slot(&mut line[at].slot, at);
+            }
+            let child = Child {
+                key: succ.left_key(&token),
+                token,
+                slot,
+            };
+            out.push(child.clone());
+            self.kids.adopt(&mut self.lines[b].left[i].aux, child);
+        }
+        ScanStats {
+            examined,
+            nonempty: examined > 0,
+        }
+    }
+
+    fn take_child(&mut self, j: &JoinNode, key: u64, slot: u32, out: &mut Vec<Child>) -> ScanStats {
+        out.clear();
+        let b = self.line_of(key);
+        let mut examined = 0u64;
+        for e in self.lines[b].left.iter_mut() {
+            if e.join != j.id {
+                continue;
+            }
+            examined += 1;
+            if e.key == key && slot != NIL {
+                out.extend(self.kids.take(&mut e.aux, slot));
+            }
+        }
+        ScanStats {
+            examined,
+            nonempty: examined > 0,
+        }
+    }
+
+    fn adopt(&mut self, kids: &mut u32, child: Child) {
+        self.kids.adopt(kids, child);
+    }
+
+    fn take_children(&mut self, kids: u32, out: &mut Vec<Child>) {
+        self.kids.drain(kids, out);
     }
 
     fn scan_left(&self, j: &JoinNode, key: u64, wme: &Wme, out: &mut Vec<Token>) -> ScanStats {
@@ -714,14 +1097,14 @@ impl TokenMem for HashMem {
             examined += 1;
             if e.key == key && j.passes(&e.token, wme) {
                 if delta > 0 {
-                    e.neg_count += 1;
-                    if e.neg_count == 1 {
+                    e.aux += 1;
+                    if e.aux == 1 {
                         out.push(e.token.clone());
                     }
                 } else {
-                    debug_assert!(e.neg_count > 0, "not-node counter underflow");
-                    e.neg_count -= 1;
-                    if e.neg_count == 0 {
+                    debug_assert!(e.aux > 0, "not-node counter underflow");
+                    e.aux -= 1;
+                    if e.aux == 0 {
                         out.push(e.token.clone());
                     }
                 }
@@ -819,7 +1202,7 @@ mod tests {
             let mut wmes = Vec::new();
             let s = mem.scan_right(j, mem.probe_key(j, &tok), &tok, &mut wmes);
             assert_eq!(wmes.len(), 1);
-            assert_eq!(wmes[0].timetag, 2);
+            assert_eq!(wmes[0].0.timetag, 2);
             assert!(s.nonempty);
 
             // Right scan from the matching wme finds the token.
@@ -904,7 +1287,7 @@ mod tests {
             assert_eq!(out.len(), 2, "{}: p1 reads both", mem.kind_name());
             mem.scan_right(j2, mem.probe_key(j2, &tc), &tc, &mut out);
             assert_eq!(out.len(), 1, "{}: p2 applies its own test", mem.kind_name());
-            assert_eq!(out[0].timetag, 1);
+            assert_eq!(out[0].0.timetag, 1);
             let (n, _) = mem.count_right(j2, mem.probe_key(j2, &tc), &tc);
             assert_eq!(n, 1);
 

@@ -394,6 +394,18 @@ impl JoinNode {
         })
     }
 
+    /// The successor of a positive join that feeds one join and nothing
+    /// else. Such a join's left entries keep the tokens they produced (the
+    /// sequential kernel's tree-based removal); a not-node passes its own
+    /// token on, and a terminal's outputs live in the conflict set.
+    #[inline]
+    pub fn child_succ(&self) -> Option<JoinId> {
+        match self.succs[..] {
+            [Succ::Join(s)] if !self.negated => Some(s),
+            _ => None,
+        }
+    }
+
     /// Length of tokens this join emits.
     #[inline]
     pub fn out_len(&self) -> u16 {

@@ -66,15 +66,54 @@
 //! step 2 of a change is over before its step 3 begins and after the
 //! previous change's has ended. Same set, same ascending order, same
 //! counters; debug builds assert it on every store.
+//!
+//! **A retraction costs what it removes** (Doorenbos's tree-based removal,
+//! kept in the memory policy). A positive join that feeds one join and
+//! nothing else ([`JoinNode::child_succ`]) keeps, in each left entry, the
+//! children it sent on: `token.extended(w)`, that child's key in the
+//! successor's left memory, and the slot of `w`'s right entry
+//! ([`Child`]). The lists change where the kernel already touches the
+//! entries:
+//!
+//! * step 2, right `+`: each entry the join tests pass on its line adopts
+//!   its child, and the child goes down as before;
+//! * step 2, right `-`: each entry on its line gives up the child made with
+//!   the leaving right entry, found by slot, with no join test;
+//! * step 3, left `+`: the scan's hits become the new entry's list;
+//! * step 3, left `-`: the entry is taken out and its list sent as it is,
+//!   each child under the key it carries: no probe key, no scan, no join
+//!   test, no token built.
+//!
+//! Not-nodes keep rematching (their output is the token itself, and a
+//! leaving blocker must re-test), and so do terminal joins (their outputs
+//! live in the conflict set) and joins shared by several successors.
+//!
+//! The ordering argument above still holds because a list is, whenever a
+//! removal takes from it, exactly what a rematch would find, in the order
+//! it would find it. A child joins a list when the second of its halves
+//! arrives — a right `+` runs before any left activation of its change, and
+//! a left `+` scans a memory the change is already in, so a pair whose two
+//! halves arrive together is adopted once, by the left side, as it was
+//! emitted once — and leaves when the first half leaves: a right `-` takes
+//! it in step 2, before the left `-` of the same change can send it, so a
+//! self-join WME that leaves the token and the right memory at once sends
+//! each child once. And a list taken whole is sorted by where its right
+//! entries stand in their line now (`swap_remove` moves a line's last entry
+//! forward), so the agenda receives the children in the rematch's order and
+//! everything downstream — left memory orders, Table 4-3, the CS-change
+//! order — is unchanged. Debug builds check it on every removal at such a
+//! join, as they check the reader lists on every store: the children taken
+//! are the rematch's tokens in the rematch's order under the successor's
+//! keys, and an empty right memory leaves none.
 
-use crate::memory::{HashMem, HashMemConfig, ListMem, Removed, ScanStats, TokenMem};
+use crate::memory::{Child, HashMem, HashMemConfig, ListMem, Removed, ScanStats, TokenMem, NIL};
 use crate::network::{AlphaSucc, ClassPatterns, JoinId, JoinNode, Network, RightMemId, Succ};
 use crate::profile::BufferedProfile;
 use crate::readers::LinkedReaders;
 use crate::token::Token;
 use ops5::{
     ChangeBatch, CsChange, Instantiation, MatchStats, Matcher, ProdId, QuiesceReport, Sign,
-    StatsDeltaTracker, WmeRef,
+    StatsDeltaTracker, Wme, WmeRef,
 };
 use std::sync::Arc;
 
@@ -92,6 +131,44 @@ pub enum Task {
         sign: Sign,
         token: Token,
     },
+}
+
+/// The stack of pending activations. A left task's key in its join's left
+/// memory rides on a stack of its own, pushed and popped with the task, so
+/// a [`Task`] stays two words: a key field would make every task three,
+/// terminal ones included.
+#[derive(Default)]
+struct Agenda {
+    tasks: Vec<Task>,
+    keys: Vec<u64>,
+}
+
+impl Agenda {
+    #[inline]
+    fn left(&mut self, join: JoinId, sign: Sign, token: Token, key: u64) {
+        self.tasks.push(Task::Left { join, sign, token });
+        self.keys.push(key);
+    }
+
+    #[inline]
+    fn terminal(&mut self, prod: ProdId, sign: Sign, token: Token) {
+        self.tasks.push(Task::Terminal { prod, sign, token });
+    }
+
+    /// The next task, with its key if it is a left one.
+    #[inline]
+    fn pop(&mut self) -> Option<(Task, u64)> {
+        let task = self.tasks.pop()?;
+        let key = match task {
+            Task::Left { .. } => self.keys.pop().expect("every left task pushed its key"),
+            Task::Terminal { .. } => 0,
+        };
+        Some((task, key))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.tasks.is_empty()
+    }
 }
 
 /// What the kernel counts: [`MatchStats`] plus the optional per-join
@@ -168,14 +245,17 @@ struct Kernel<M> {
     /// Per right memory, the readers whose left memory in `mem` is
     /// non-empty.
     linked: LinkedReaders,
-    agenda: Vec<Task>,
+    agenda: Agenda,
     out: Vec<CsChange>,
     tally: Tally,
-    /// The live readers of the change in flight (step 2), ascending.
-    live: Vec<JoinId>,
-    /// Reusable scan buffers: a steady-state activation allocates nothing.
-    scratch_wmes: Vec<WmeRef>,
+    /// The live readers of the change in flight (step 2), ascending, each
+    /// with the change's entry in the memory it reads: its slot (a `-`
+    /// only) and its key.
+    live: Vec<(JoinId, u32, u64)>,
+    /// Reusable buffers: a steady-state activation allocates nothing.
+    scratch_wmes: Vec<(WmeRef, u32)>,
     scratch_tokens: Vec<Token>,
+    scratch_kids: Vec<Child>,
 }
 
 /// Sequential Rete matcher over a pluggable memory implementation.
@@ -192,7 +272,7 @@ impl<M: TokenMem> SeqMatcher<M> {
             kernel: Kernel {
                 mem,
                 linked: LinkedReaders::new(&net),
-                agenda: Vec::new(),
+                agenda: Agenda::default(),
                 out: Vec::new(),
                 tally: Tally {
                     stats: MatchStats::default(),
@@ -201,6 +281,7 @@ impl<M: TokenMem> SeqMatcher<M> {
                 live: Vec::new(),
                 scratch_wmes: Vec::new(),
                 scratch_tokens: Vec::new(),
+                scratch_kids: Vec::new(),
             },
             net,
             delta: StatsDeltaTracker::default(),
@@ -239,25 +320,33 @@ pub fn boxed_vs2(net: Arc<Network>, cfg: HashMemConfig) -> Box<dyn Matcher> {
     Box::new(SeqMatcher::vs2(net, cfg))
 }
 
-/// Schedules a join output to every successor (free function so scan-buffer
-/// drains can push while the buffer is borrowed from the kernel). With
-/// sharing off every join has exactly one successor; with it on a shared
-/// join fans the token out to each consumer (token clones are `Arc` bumps).
-fn push_succs(agenda: &mut Vec<Task>, succs: &[Succ], token: &Token, sign: Sign) {
+/// Schedules a join output to every successor, a left task under its key in
+/// that successor's left memory (free function so scan-buffer drains can
+/// push while the buffer is borrowed from the kernel). With sharing off
+/// every join has exactly one successor; with it on a shared join fans the
+/// token out to each consumer (token clones are `Arc` bumps).
+fn push_succs<M: TokenMem>(
+    agenda: &mut Agenda,
+    mem: &M,
+    net: &Network,
+    succs: &[Succ],
+    token: &Token,
+    sign: Sign,
+) {
     for succ in succs {
         match *succ {
-            Succ::Join(j) => agenda.push(Task::Left {
-                join: j,
-                sign,
-                token: token.clone(),
-            }),
-            Succ::Terminal(p) => agenda.push(Task::Terminal {
-                prod: p,
-                sign,
-                token: token.clone(),
-            }),
+            Succ::Join(j) => agenda.left(j, sign, token.clone(), mem.left_key(net.join(j), token)),
+            Succ::Terminal(p) => agenda.terminal(p, sign, token.clone()),
         }
     }
+}
+
+/// Is `child` `token` extended by `w`? Compared by timetags, allocating
+/// nothing (debug checks run inside the allocation gates too).
+fn extends(child: &Token, token: &Token, w: &Wme) -> bool {
+    child.len() == token.len() + 1
+        && child.last_wme().is_some_and(|l| l.timetag == w.timetag)
+        && (child.iter_back().skip(1).zip(token.iter_back())).all(|(a, b)| a.timetag == b.timetag)
 }
 
 impl<M: TokenMem> Kernel<M> {
@@ -280,18 +369,14 @@ impl<M: TokenMem> Kernel<M> {
             }
             for succ in &pat.succs {
                 match *succ {
-                    AlphaSucc::JoinLeft(join) => self.agenda.push(Task::Left {
-                        join,
-                        sign,
-                        token: single(),
-                    }),
+                    AlphaSucc::JoinLeft(join) => {
+                        let t = single();
+                        let key = self.mem.left_key(net.join(join), &t);
+                        self.agenda.left(join, sign, t, key);
+                    }
                     // Served through the pattern's right memories below.
                     AlphaSucc::JoinRight(_) => {}
-                    AlphaSucc::Terminal(prod) => self.agenda.push(Task::Terminal {
-                        prod,
-                        sign,
-                        token: single(),
-                    }),
+                    AlphaSucc::Terminal(prod) => self.agenda.terminal(prod, sign, single()),
                 }
             }
             for &mem in &pat.right_mems {
@@ -302,11 +387,12 @@ impl<M: TokenMem> Kernel<M> {
         // has work to do when live readers come from several memories.
         self.live.sort_unstable();
         for i in 0..self.live.len() {
-            self.right_activation(net, self.live[i], wme, sign);
+            let (join, slot, key) = self.live[i];
+            self.right_activation(net, join, slot, key, wme, sign);
         }
         self.live.clear();
-        while let Some(task) = self.agenda.pop() {
-            self.run_task(net, task);
+        while let Some((task, key)) = self.agenda.pop() {
+            self.run_task(net, task, key);
         }
     }
 
@@ -317,15 +403,19 @@ impl<M: TokenMem> Kernel<M> {
     fn store(&mut self, net: &Network, mem: RightMemId, wme: &WmeRef, sign: Sign) {
         let spec = &net.right_mems[mem as usize];
         let key = self.mem.store_key(mem, spec, wme);
-        match sign {
-            Sign::Plus => self.mem.insert_right(mem, key, wme.clone()),
+        let slot = match sign {
+            Sign::Plus => {
+                self.mem.insert_right(mem, key, wme.clone());
+                NIL
+            }
             Sign::Minus => {
                 let r = self.mem.remove_right(mem, key, wme);
                 self.tally.stats.same_tokens_right += r.examined;
                 self.tally.stats.same_searches_right += 1;
                 debug_assert!(r.entry.is_some(), "sequential delete must find its wme");
+                r.entry.unwrap_or(NIL)
             }
-        }
+        };
         debug_assert!(
             self.linked
                 .is_the_filter(net, mem, |j| self.mem.left_count(j) != 0),
@@ -334,13 +424,13 @@ impl<M: TokenMem> Kernel<M> {
         let linked = self.linked.of(mem);
         self.tally
             .right_store(mem, spec.readers.len(), linked.len());
-        self.live.extend_from_slice(linked);
+        self.live.extend(linked.iter().map(|&j| (j, slot, key)));
     }
 
     /// Stores a token in `j`'s left memory; the first one links `j` to its
     /// right memory.
-    fn insert_left(&mut self, j: &JoinNode, key: u64, token: Token, neg_count: u32) {
-        self.mem.insert_left(j, key, token, neg_count);
+    fn insert_left(&mut self, j: &JoinNode, key: u64, token: Token, aux: u32) {
+        self.mem.insert_left(j, key, token, aux);
         if self.mem.left_count(j.id) == 1 {
             self.linked.link(j);
         }
@@ -358,18 +448,46 @@ impl<M: TokenMem> Kernel<M> {
         r
     }
 
+    /// A left activation's scan of `j`'s right memory for `token`, into
+    /// `scratch_wmes`; returns the probe key.
+    fn scan_right(&mut self, j: &JoinNode, token: &Token) -> u64 {
+        let probe = self.mem.probe_key(j, token);
+        let scan = self.mem.scan_right(j, probe, token, &mut self.scratch_wmes);
+        self.tally.scan_from_left(j.id, scan);
+        probe
+    }
+
+    /// Sends `token` extended by each WME in `scratch_wmes` to `j`'s
+    /// successors: a left activation's rematch.
+    fn send_extended(&mut self, net: &Network, j: &JoinNode, token: &Token, sign: Sign) {
+        for (w, _) in self.scratch_wmes.drain(..) {
+            let token = token.extended(w);
+            push_succs(&mut self.agenda, &self.mem, net, &j.succs, &token, sign);
+        }
+    }
+
+    /// Sends the children in `scratch_kids` to `succ`.
+    fn push_kids(&mut self, succ: JoinId, sign: Sign) {
+        for c in self.scratch_kids.drain(..) {
+            self.agenda.left(succ, sign, c.token, c.key);
+        }
+    }
+
     /// The right activation of a live reader: the change is already in (or
-    /// out of) the memory it shares, so only the left scan remains.
-    fn right_activation(&mut self, net: &Network, join: JoinId, wme: &WmeRef, sign: Sign) {
+    /// out of) the memory it shares, as the entry with `slot` (a `-` only)
+    /// under `store_key`, so only the left side remains.
+    fn right_activation(
+        &mut self,
+        net: &Network,
+        join: JoinId,
+        slot: u32,
+        store_key: u64,
+        wme: &WmeRef,
+        sign: Sign,
+    ) {
         let j = net.join(join);
         let key = self.mem.right_key(j, wme);
-        if !j.negated {
-            let scan = self.mem.scan_left(j, key, wme, &mut self.scratch_tokens);
-            self.tally.scan_from_right(join, scan);
-            for t in self.scratch_tokens.drain(..) {
-                push_succs(&mut self.agenda, &j.succs, &t.extended(wme.clone()), sign);
-            }
-        } else {
+        if j.negated {
             // Not-node: a new blocker takes the support of the tokens it
             // moves 0→1, a removed one returns it to those it moves 1→0.
             let delta = match sign {
@@ -381,41 +499,92 @@ impl<M: TokenMem> Kernel<M> {
                 .adjust_left_counts(j, key, wme, delta, &mut self.scratch_tokens);
             self.tally.scan_from_right(join, scan);
             for t in self.scratch_tokens.drain(..) {
-                push_succs(&mut self.agenda, &j.succs, &t, sign.flip());
+                push_succs(&mut self.agenda, &self.mem, net, &j.succs, &t, sign.flip());
+            }
+        } else if let Some(s) = j.child_succ() {
+            // The pairing entries adopt the new child, or give up the one
+            // made with the leaving entry.
+            let succ = net.join(s);
+            let scan = match sign {
+                Sign::Plus => {
+                    let kids = &mut self.scratch_kids;
+                    self.mem.extend_left(j, succ, key, wme, store_key, kids)
+                }
+                Sign::Minus => self.mem.take_child(j, key, slot, &mut self.scratch_kids),
+            };
+            self.tally.scan_from_right(join, scan);
+            debug_assert!(
+                sign == Sign::Plus || self.kids_rematch_right(j, succ, key, wme),
+                "join {join}: the children taken for -{} are not the rematch's",
+                wme.timetag
+            );
+            self.push_kids(s, sign);
+        } else {
+            let scan = self.mem.scan_left(j, key, wme, &mut self.scratch_tokens);
+            self.tally.scan_from_right(join, scan);
+            for t in self.scratch_tokens.drain(..) {
+                let token = t.extended(wme.clone());
+                push_succs(&mut self.agenda, &self.mem, net, &j.succs, &token, sign);
             }
         }
     }
 
-    /// One left or terminal activation. The node is borrowed from the
-    /// network for the whole activation and nothing here allocates beyond
-    /// what the memories and the agenda have to keep.
-    fn run_task(&mut self, net: &Network, task: Task) {
+    /// One left or terminal activation; `key` is a left task's key in its
+    /// join's left memory. The node is borrowed from the network for the
+    /// whole activation and nothing here allocates beyond what the memories
+    /// and the agenda have to keep.
+    fn run_task(&mut self, net: &Network, task: Task, key: u64) {
         let unlinking = net.options.unlinking;
         match task {
             Task::Left { join, sign, token } => {
                 self.tally.join_activation(join);
                 let j = net.join(join);
-                let key = self.mem.left_key(j, &token);
                 let opp_empty = self.mem.right_count(j.right_mem) == 0;
                 match (j.negated, sign) {
-                    (false, _) => {
-                        match sign {
-                            Sign::Plus => self.insert_left(j, key, token.clone(), 0),
-                            Sign::Minus => {
-                                self.remove_left(j, key, &token);
-                            }
-                        }
+                    (false, Sign::Plus) => {
+                        // The entry's children, listed before it is stored.
+                        let mut kids = NIL;
                         if opp_empty {
                             self.tally.null(unlinking);
                         } else {
-                            let probe = self.mem.probe_key(j, &token);
-                            let scan =
-                                self.mem
-                                    .scan_right(j, probe, &token, &mut self.scratch_wmes);
-                            self.tally.scan_from_left(join, scan);
-                            for w in self.scratch_wmes.drain(..) {
-                                push_succs(&mut self.agenda, &j.succs, &token.extended(w), sign);
+                            let probe = self.scan_right(j, &token);
+                            match j.child_succ() {
+                                Some(s) => {
+                                    let succ = net.join(s);
+                                    for (w, at) in self.scratch_wmes.drain(..) {
+                                        let slot = self.mem.slot_at(j.right_mem, probe, at);
+                                        let token = token.extended(w);
+                                        let key = self.mem.left_key(succ, &token);
+                                        self.agenda.left(s, sign, token.clone(), key);
+                                        self.mem.adopt(&mut kids, Child { token, key, slot });
+                                    }
+                                }
+                                None => self.send_extended(net, j, &token, sign),
                             }
+                        }
+                        self.insert_left(j, key, token, kids);
+                    }
+                    (false, Sign::Minus) => {
+                        let kids = self.remove_left(j, key, &token).entry.unwrap_or(NIL);
+                        if opp_empty {
+                            self.tally.null(unlinking);
+                        }
+                        match j.child_succ() {
+                            // Tree-based removal: the entry's children go
+                            // on as they are, under the keys they carry.
+                            Some(s) => {
+                                self.mem.take_children(kids, &mut self.scratch_kids);
+                                debug_assert!(
+                                    self.kids_rematch_left(j, net.join(s), &token, opp_empty),
+                                    "join {join}: the children of -{token:?} are not the rematch's"
+                                );
+                                self.push_kids(s, sign);
+                            }
+                            None if !opp_empty => {
+                                self.scan_right(j, &token);
+                                self.send_extended(net, j, &token, sign);
+                            }
+                            None => {}
                         }
                     }
                     (true, Sign::Plus) => {
@@ -429,15 +598,15 @@ impl<M: TokenMem> Kernel<M> {
                             self.tally.scan_from_left(join, scan);
                             n
                         };
-                        self.insert_left(j, key, token.clone(), n);
                         if n == 0 {
-                            push_succs(&mut self.agenda, &j.succs, &token, Sign::Plus);
+                            push_succs(&mut self.agenda, &self.mem, net, &j.succs, &token, sign);
                         }
+                        self.insert_left(j, key, token, n);
                     }
                     (true, Sign::Minus) => {
                         let r = self.remove_left(j, key, &token);
                         if r.entry == Some(0) {
-                            push_succs(&mut self.agenda, &j.succs, &token, Sign::Minus);
+                            push_succs(&mut self.agenda, &self.mem, net, &j.succs, &token, sign);
                         }
                     }
                 }
@@ -452,6 +621,48 @@ impl<M: TokenMem> Kernel<M> {
                 });
             }
         }
+    }
+
+    /// Are the children just taken from `token`'s entry at `j` (in
+    /// `scratch_kids`) what the rematch they replace would have sent:
+    /// `token` extended by each WME a scan of `j`'s right memory finds, in
+    /// the scan's order, each under its key in `succ`'s left memory? An
+    /// empty right memory leaves no child. Debug builds check every left
+    /// removal at a join that keeps children, as they check the reader
+    /// lists on every store.
+    fn kids_rematch_left(
+        &mut self,
+        j: &JoinNode,
+        succ: &JoinNode,
+        token: &Token,
+        opp_empty: bool,
+    ) -> bool {
+        if opp_empty {
+            return self.scratch_kids.is_empty();
+        }
+        let probe = self.mem.probe_key(j, token);
+        self.mem.scan_right(j, probe, token, &mut self.scratch_wmes);
+        let kids = &self.scratch_kids;
+        let same = self.scratch_wmes.len() == kids.len()
+            && (self.scratch_wmes.iter().zip(kids)).all(|((w, _), c)| {
+                extends(&c.token, token, w) && c.key == self.mem.left_key(succ, &c.token)
+            });
+        self.scratch_wmes.clear();
+        same
+    }
+
+    /// The right-side twin: are the children taken for `-wme` from `j`'s
+    /// left line (in `scratch_kids`) `wme` appended to each token a scan of
+    /// that line finds, in the scan's order, each under its key in `succ`?
+    fn kids_rematch_right(&mut self, j: &JoinNode, succ: &JoinNode, key: u64, wme: &Wme) -> bool {
+        self.mem.scan_left(j, key, wme, &mut self.scratch_tokens);
+        let kids = &self.scratch_kids;
+        let same = self.scratch_tokens.len() == kids.len()
+            && (self.scratch_tokens.iter().zip(kids)).all(|(t, c)| {
+                extends(&c.token, t, wme) && c.key == self.mem.left_key(succ, &c.token)
+            });
+        self.scratch_tokens.clear();
+        same
     }
 }
 

@@ -318,6 +318,57 @@ fn a_firing_that_modifies_all_it_matched_costs_its_depth_not_its_square() {
     }
 }
 
+/// Tree-based removal: retracting the head of a chain of joins that keep
+/// their children allocates nothing but the change's one-WME token. The
+/// head `h` of `(h ^x <v>) (b ^x <v>) (c ^x <v>) (t ^x <v>)`, with four
+/// `b`s, four `c`s and no `t`, takes 4 + 16 tokens down through J0 and J1,
+/// which send on what their entries kept, and ends in 16 null left
+/// activations of the terminal join J2: 21 join activations. The parent
+/// commit, which rematched every removal, made 21 allocations for the same
+/// retraction on vs1 and on vs2: the change's token and the 20 it rebuilt
+/// to find what to delete.
+#[test]
+fn retracting_the_head_of_a_chain_allocates_only_its_own_token() {
+    let src = "(p chain (h ^x <v>) (b ^x <v>) (c ^x <v>) (t ^x <v>) --> (halt))";
+    let mut prog = Program::from_source(src).unwrap();
+    let net = Arc::new(Network::compile(&prog).unwrap());
+    let keeps: Vec<_> = (0..3).map(|j| net.join(j).child_succ()).collect();
+    assert_eq!(keeps, [Some(1), Some(2), None]);
+    let [h, b, c] = ["h", "b", "c"].map(|s| prog.symbols.intern(s));
+    let mut tag = 0;
+    let mut wme = |class| {
+        tag += 1;
+        Wme::new(class, vec![Value::Int(1)], tag)
+    };
+    let head = wme(h);
+    let body: ChangeBatch = (0..4).flat_map(|_| [wme(b), wme(c)]).map(plus).collect();
+    let [add_head, retract_head] = [Sign::Plus, Sign::Minus].map(|sign| {
+        ChangeBatch::single(WmeChange {
+            sign,
+            wme: head.clone(),
+        })
+    });
+    for mut m in matchers(&net) {
+        m.submit(&body);
+        m.quiesce();
+        // The first lap sizes the agenda, the scratch buffers and the slab.
+        for lap in 0..2 {
+            m.submit(&add_head);
+            m.quiesce();
+            m.reset_stats();
+            let before = ALLOCS.with(Cell::get);
+            m.submit(&retract_head);
+            assert!(m.quiesce().cs_changes.is_empty());
+            let allocs = ALLOCS.with(Cell::get) - before;
+            let s = m.stats();
+            assert_eq!((s.join_activations, s.null_activations), (21, 16));
+            if lap == 1 {
+                assert_eq!(allocs, 1, "{}: -h allocated {allocs}", m.name());
+            }
+        }
+    }
+}
+
 fn plus(wme: WmeRef) -> WmeChange {
     WmeChange {
         sign: Sign::Plus,

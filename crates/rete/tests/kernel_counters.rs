@@ -83,6 +83,21 @@
 //!   193 -> 221. Every other column, `cs_changes` 984 and the digest stand:
 //!   `count`'s re-derivation after each firing is needed in any order.
 //!
+//! vs1/vs2 were re-pinned a fourth time when a positive join feeding one
+//! join began to keep, in each left entry, the children it sent on, and to
+//! take them from there on a left `-` instead of scanning its right memory
+//! again (tree-based removal). Exactly two columns moved, `opp_tokens_left`
+//! and `opp_nonempty_left`: the scans those removals no longer make. Weaver
+//! vs1 32205/1513 -> 17640/832, vs2 1100/757 -> 509/432; Tourney vs1
+//! 5435/1048 -> 5118/942, vs2 1839/708 -> 1522/602; negated vs1 54/38 ->
+//! 48/34 (vs2's 18/18 stand: its removed tokens met an empty line);
+//! carousel 64/64 -> 39/39 on both. The rows were predicted before the
+//! change by not booking those scans on the parent, and matched. A right
+//! `-` at such a join still examines its left line (no join test, but the
+//! same entries), every other column, every col row and all four CS-order
+//! digests are the parent's: the children go out in the order the scan
+//! would have found them.
+//!
 //! lispsim has no rows of its own: it is the kernel over vs1's list
 //! memories with interpreted join tests, and must read every vs1 row.
 //!
@@ -278,28 +293,28 @@ type Row = (
 
 #[rustfmt::skip]
 const GOLDEN: &[Row] = &[
-    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs1", false, [361, 8816, 295, 8565, 109, 5754, 32205, 1513, 1809, 1094, 4642, 857, 2174, 244, 251, 0], [367, 1094]),
-    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs1", true, [361, 8816, 295, 8565, 0, 5863, 32205, 1513, 1809, 1094, 4642, 857, 2174, 244, 251, 0], [367, 1094]),
-    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs2", false, [361, 8816, 295, 8565, 109, 5754, 1100, 757, 778, 778, 858, 857, 674, 244, 251, 0], [367, 1094]),
-    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs2", true, [361, 8816, 295, 8565, 0, 5863, 1100, 757, 778, 778, 858, 857, 674, 244, 251, 0], [367, 1094]),
+    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs1", false, [361, 8816, 295, 8565, 109, 5754, 17640, 832, 1809, 1094, 4642, 857, 2174, 244, 251, 0], [367, 1094]),
+    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs1", true, [361, 8816, 295, 8565, 0, 5863, 17640, 832, 1809, 1094, 4642, 857, 2174, 244, 251, 0], [367, 1094]),
+    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs2", false, [361, 8816, 295, 8565, 109, 5754, 509, 432, 778, 778, 858, 857, 674, 244, 251, 0], [367, 1094]),
+    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs2", true, [361, 8816, 295, 8565, 0, 5863, 509, 432, 778, 778, 858, 857, 674, 244, 251, 0], [367, 1094]),
     ("weaver(5x4x2, 2 nets, 2 kinds)", "col", false, [361, 8898, 295, 8593, 93, 5743, 9257, 1555, 1686, 1105, 871, 871, 359, 244, 305, 0], [367, 875]),
     ("weaver(5x4x2, 2 nets, 2 kinds)", "col", true, [361, 8898, 295, 8593, 0, 5836, 9257, 1555, 1686, 1105, 871, 871, 359, 244, 305, 0], [367, 875]),
-    ("tourney(6 teams, pathological)", "vs1", false, [263, 3065, 137, 2081, 95, 221, 5435, 1048, 305, 164, 4099, 844, 249, 99, 984, 0], [203, 164]),
-    ("tourney(6 teams, pathological)", "vs1", true, [263, 3065, 137, 2081, 0, 316, 5435, 1048, 305, 164, 4099, 844, 249, 99, 984, 0], [203, 164]),
-    ("tourney(6 teams, pathological)", "vs2", false, [263, 3065, 137, 2081, 95, 221, 1839, 708, 305, 164, 1546, 844, 249, 99, 984, 0], [203, 164]),
-    ("tourney(6 teams, pathological)", "vs2", true, [263, 3065, 137, 2081, 0, 316, 1839, 708, 305, 164, 1546, 844, 249, 99, 984, 0], [203, 164]),
+    ("tourney(6 teams, pathological)", "vs1", false, [263, 3065, 137, 2081, 95, 221, 5118, 942, 305, 164, 4099, 844, 249, 99, 984, 0], [203, 164]),
+    ("tourney(6 teams, pathological)", "vs1", true, [263, 3065, 137, 2081, 0, 316, 5118, 942, 305, 164, 4099, 844, 249, 99, 984, 0], [203, 164]),
+    ("tourney(6 teams, pathological)", "vs2", false, [263, 3065, 137, 2081, 95, 221, 1522, 602, 305, 164, 1546, 844, 249, 99, 984, 0], [203, 164]),
+    ("tourney(6 teams, pathological)", "vs2", true, [263, 3065, 137, 2081, 0, 316, 1522, 602, 305, 164, 1546, 844, 249, 99, 984, 0], [203, 164]),
     ("tourney(6 teams, pathological)", "col", false, [263, 3065, 137, 2081, 98, 184, 4061, 1045, 575, 201, 2152, 844, 118, 99, 984, 0], [203, 156]),
     ("tourney(6 teams, pathological)", "col", true, [263, 3065, 137, 2081, 0, 282, 4061, 1045, 575, 201, 2152, 844, 118, 99, 984, 0], [203, 156]),
-    ("negated", "vs1", false, [66, 246, 54, 198, 25, 60, 54, 38, 132, 48, 90, 45, 24, 15, 48, 0], [36, 48]),
-    ("negated", "vs1", true, [66, 246, 54, 198, 0, 85, 54, 38, 132, 48, 90, 45, 24, 15, 48, 0], [36, 48]),
+    ("negated", "vs1", false, [66, 246, 54, 198, 25, 60, 48, 34, 132, 48, 90, 45, 24, 15, 48, 0], [36, 48]),
+    ("negated", "vs1", true, [66, 246, 54, 198, 0, 85, 48, 34, 132, 48, 90, 45, 24, 15, 48, 0], [36, 48]),
     ("negated", "vs2", false, [66, 246, 54, 198, 25, 60, 18, 18, 18, 18, 45, 45, 15, 15, 48, 0], [36, 48]),
     ("negated", "vs2", true, [66, 246, 54, 198, 0, 85, 18, 18, 18, 18, 45, 45, 15, 15, 48, 0], [36, 48]),
     ("negated", "col", false, [66, 258, 54, 198, 29, 46, 54, 34, 156, 62, 90, 45, 15, 15, 60, 0], [36, 62]),
     ("negated", "col", true, [66, 258, 54, 198, 0, 75, 54, 34, 156, 62, 90, 45, 15, 15, 60, 0], [36, 62]),
-    ("synth-carousel(8 CEs, 5 turns)", "vs1", false, [88, 158, 18, 147, 6, 71, 64, 64, 6, 6, 35, 35, 35, 35, 11, 0], [99, 6]),
-    ("synth-carousel(8 CEs, 5 turns)", "vs1", true, [88, 158, 18, 147, 0, 77, 64, 64, 6, 6, 35, 35, 35, 35, 11, 0], [99, 6]),
-    ("synth-carousel(8 CEs, 5 turns)", "vs2", false, [88, 158, 18, 147, 6, 71, 64, 64, 6, 6, 35, 35, 35, 35, 11, 0], [99, 6]),
-    ("synth-carousel(8 CEs, 5 turns)", "vs2", true, [88, 158, 18, 147, 0, 77, 64, 64, 6, 6, 35, 35, 35, 35, 11, 0], [99, 6]),
+    ("synth-carousel(8 CEs, 5 turns)", "vs1", false, [88, 158, 18, 147, 6, 71, 39, 39, 6, 6, 35, 35, 35, 35, 11, 0], [99, 6]),
+    ("synth-carousel(8 CEs, 5 turns)", "vs1", true, [88, 158, 18, 147, 0, 77, 39, 39, 6, 6, 35, 35, 35, 35, 11, 0], [99, 6]),
+    ("synth-carousel(8 CEs, 5 turns)", "vs2", false, [88, 158, 18, 147, 6, 71, 39, 39, 6, 6, 35, 35, 35, 35, 11, 0], [99, 6]),
+    ("synth-carousel(8 CEs, 5 turns)", "vs2", true, [88, 158, 18, 147, 0, 77, 39, 39, 6, 6, 35, 35, 35, 35, 11, 0], [99, 6]),
     ("synth-carousel(8 CEs, 5 turns)", "col", false, [88, 438, 18, 357, 1, 6, 279, 279, 71, 71, 140, 140, 35, 35, 81, 0], [99, 36]),
     ("synth-carousel(8 CEs, 5 turns)", "col", true, [88, 438, 18, 357, 0, 7, 279, 279, 71, 71, 140, 140, 35, 35, 81, 0], [99, 36]),
 ];

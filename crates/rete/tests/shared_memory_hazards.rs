@@ -1,23 +1,30 @@
-//! The ordering hazards of one shared right memory per signature, folded
-//! against a per-join reference.
+//! The ordering hazards of one shared right memory per signature, and of
+//! the children a join keeps, folded against a per-join reference.
 //!
-//! vs1 and vs2 store a WME once per right memory and let every reader of it
-//! see the change (`rete::seq` module docs, steps 0-3). These programs put
-//! both sides of a pair in one change, or a reader below another reader of
-//! the same memory, and check the folded conflict set after every change
-//! against `psm::trace::TraceMatcher`: it keeps footnote 6's private right
-//! memory per join, runs on one thread, takes a batch as written and shares
-//! no code with `rete::seq`. vs1 and vs2 run with their debug assertions (a
-//! delete must find its token) and fold strictly: an insert of a present
-//! instantiation or a remove of an absent one fails the test.
+//! vs1, vs2 and lispsim (the sequential kernel over three memory policies)
+//! store a WME once per right memory and let every reader of it see the
+//! change (`rete::seq` module docs, steps 0-3), and a positive join feeding
+//! one join keeps, in each left entry, the children it sent on, so that a
+//! removal sends them again without rematching. These programs put both
+//! sides of a pair in one change, a reader below another reader of the same
+//! memory, or a child whose two halves leave at different times, and check
+//! the folded conflict set after every change against
+//! `psm::trace::TraceMatcher`: it keeps footnote 6's private right memory
+//! per join, rematches every removal, runs on one thread, takes a batch as
+//! written and shares no code with `rete::seq`. The sequential matchers run
+//! with their debug assertions (a delete must find its token; the children a
+//! removal takes are what a rematch would find, in its order) and fold
+//! strictly: an insert of a present instantiation or a remove of an absent
+//! one fails the test.
 //!
 //! These are integration tests because a unit test of `rete` cannot hand a
 //! `rete::Network` to psm: through the dev-dependency cycle the two would be
 //! different builds of the crate.
 
+use lispsim::LispEngineMatcher;
 use ops5::{ChangeBatch, CsChange, Matcher, Program, Sign, Value, Wme, WmeChange, WmeRef};
 use psm::trace::{RunTrace, TraceMatcher};
-use rete::{HashMemConfig, Network, SeqMatcher};
+use rete::{HashMemConfig, Network, NetworkOptions, SeqMatcher};
 use std::sync::{Arc, Mutex};
 
 fn net_of(src: &str) -> (Program, Arc<Network>) {
@@ -45,13 +52,19 @@ fn del(m: &mut dyn Matcher, w: WmeRef) {
     }));
 }
 
-/// vs1 and vs2 (a 16-line table) on `src`'s network.
-fn both(src: &str) -> Vec<Box<dyn Matcher>> {
-    let net = net_of(src).1;
+/// vs1, vs2 (a 16-line table) and lispsim on `net`, a network of `prog`.
+fn seq_matchers(prog: &Program, net: &Arc<Network>) -> Vec<Box<dyn Matcher>> {
     vec![
-        rete::seq::boxed_vs1(net.clone()),
-        rete::seq::boxed_vs2(net, HashMemConfig { buckets: 16 }),
+        Box::new(SeqMatcher::vs1(net.clone())),
+        Box::new(SeqMatcher::vs2(net.clone(), HashMemConfig { buckets: 16 })),
+        Box::new(LispEngineMatcher::on(prog, net.clone())),
     ]
+}
+
+/// [`seq_matchers`] on `src`'s network.
+fn all_three(src: &str) -> Vec<Box<dyn Matcher>> {
+    let (prog, net) = net_of(src);
+    seq_matchers(&prog, &net)
 }
 
 /// The per-join reference on `net`.
@@ -101,17 +114,33 @@ fn fold_history(m: &mut dyn Matcher, steps: &[Step], strict: bool) -> Vec<Folded
     history
 }
 
-/// Drives `steps` through vs1 and vs2 (strict fold) and through the trace
-/// matcher, the per-join reference: the folded conflict sets must agree
-/// after every change. Returns vs1's and vs2's final memory populations.
-fn fold_against_the_trace(src: &str, prog: &Program, steps: &[Step]) -> [usize; 2] {
-    let net = Arc::new(Network::compile(prog).unwrap());
+/// Drives `steps` through vs1, vs2 and lispsim (strict fold) and through
+/// the trace matcher, the per-join reference, on a network of `prog`
+/// compiled with `options`: the folded conflict sets must agree after every
+/// change. Returns the three matchers' final memory populations.
+fn fold_with(src: &str, prog: &Program, options: NetworkOptions, steps: &[Step]) -> [usize; 3] {
+    let net = Arc::new(Network::compile_with(prog, options).unwrap());
     let mut vs1 = SeqMatcher::vs1(net.clone());
     let mut vs2 = SeqMatcher::vs2(net.clone(), HashMemConfig { buckets: 16 });
+    let mut lisp = LispEngineMatcher::on(prog, net.clone());
     let reference = fold_history(&mut reference(net), steps, false);
     assert_eq!(fold_history(&mut vs1, steps, true), reference, "vs1: {src}");
     assert_eq!(fold_history(&mut vs2, steps, true), reference, "vs2: {src}");
-    [vs1.memory_entries(), vs2.memory_entries()]
+    assert_eq!(
+        fold_history(&mut lisp, steps, true),
+        reference,
+        "lispsim: {src}"
+    );
+    [
+        vs1.memory_entries(),
+        vs2.memory_entries(),
+        lisp.memory_entries(),
+    ]
+}
+
+/// [`fold_with`] on the paper's network: no sharing, no unlinking.
+fn fold_against_the_trace(src: &str, prog: &Program, steps: &[Step]) -> [usize; 3] {
+    fold_with(src, prog, NetworkOptions::default(), steps)
 }
 
 /// Adds `wmes` in order, then removes them in order, then adds and
@@ -139,7 +168,7 @@ fn a_self_join_pairs_a_wme_with_itself_exactly_once() {
         ints(&mut prog, "a", &[1], 2),
         ints(&mut prog, "a", &[2], 3),
     ];
-    assert_eq!(fold_against_the_trace(src, &prog, &churn(&ws)), [0, 0]);
+    assert_eq!(fold_against_the_trace(src, &prog, &churn(&ws)), [0, 0, 0]);
 
     let mut m = SeqMatcher::vs2(net_of(src).1, HashMemConfig { buckets: 16 });
     add(&mut m, ws[0].clone());
@@ -169,9 +198,9 @@ fn a_reader_downstream_of_another_reader_emits_each_pair_once() {
         ints(&mut prog, "b", &[2], 4),
         ints(&mut prog, "a", &[2], 5),
     ];
-    assert_eq!(fold_against_the_trace(src, &prog, &churn(&ws)), [0, 0]);
+    assert_eq!(fold_against_the_trace(src, &prog, &churn(&ws)), [0, 0, 0]);
 
-    for mut m in both(src) {
+    for mut m in all_three(src) {
         add(m.as_mut(), ws[0].clone());
         add(m.as_mut(), ws[1].clone());
         let cs = m.quiesce().cs_changes;
@@ -200,9 +229,9 @@ fn a_blocker_that_is_its_own_token_passes_plus_before_minus() {
     let c1 = ints(&mut prog, "c", &[1], 4);
     let c2 = ints(&mut prog, "c", &[2], 5);
     let ws = [c1.clone(), own.clone(), free, other, c2];
-    assert_eq!(fold_against_the_trace(src, &prog, &churn(&ws)), [0, 0]);
+    assert_eq!(fold_against_the_trace(src, &prog, &churn(&ws)), [0, 0, 0]);
 
-    for mut m in both(src) {
+    for mut m in all_three(src) {
         add(m.as_mut(), c1.clone());
         add(m.as_mut(), own.clone());
         assert!(m.quiesce().cs_changes.is_empty(), "blocked by itself");
@@ -237,9 +266,9 @@ fn a_blocker_inside_its_token_passes_plus_before_minus() {
     let own = ints(&mut prog, "b", &[1, 1], 3); // joins `a`, then blocks (a, own)
     let free = ints(&mut prog, "b", &[1, 2], 4); // joins `a`, blocks nothing
     let ws = [a.clone(), c.clone(), own.clone(), free];
-    assert_eq!(fold_against_the_trace(src, &prog, &churn(&ws)), [0, 0]);
+    assert_eq!(fold_against_the_trace(src, &prog, &churn(&ws)), [0, 0, 0]);
 
-    for mut m in both(src) {
+    for mut m in all_three(src) {
         add(m.as_mut(), a.clone());
         add(m.as_mut(), c.clone());
         add(m.as_mut(), own.clone());
@@ -285,9 +314,9 @@ fn a_reader_that_comes_alive_late_scans_the_shared_memory() {
         (Sign::Plus, a.clone()),
     ]);
     // b0 b1 b4 b5 under three signatures, `a` in four left memories.
-    assert_eq!(fold_against_the_trace(src, &prog, &steps), [16, 16]);
+    assert_eq!(fold_against_the_trace(src, &prog, &steps), [16, 16, 16]);
 
-    for mut m in both(src) {
+    for mut m in all_three(src) {
         for (sign, w) in &steps[..8] {
             m.submit(&ChangeBatch::single(WmeChange {
                 sign: *sign,
@@ -369,4 +398,327 @@ fn a_table_that_doubles_mid_run_agrees_with_the_fixed_ones() {
     assert_eq!(vs2.each_ref().map(|m| m.memory_entries()), [0, 0, 0]);
     assert!(vs2[0].table_lines() >= 8 * start);
     assert_eq!(vs2[1].table_lines(), 16);
+}
+
+/// `(p q (a ^x <v>) (b ^y <v>) (c ^z <v>))`: J0 keeps its children, J1,
+/// whose outputs are instantiations, keeps none.
+const CHAIN: &str = "(p q (a ^x <v>) (b ^y <v>) (c ^z <v>) --> (halt))";
+
+/// A matcher's counters since `before`: (join activations, non-empty left
+/// scans).
+fn since(m: &dyn Matcher, before: ops5::MatchStats) -> (u64, u64) {
+    let s = m.stats();
+    (
+        s.join_activations - before.join_activations,
+        s.opp_nonempty_left - before.opp_nonempty_left,
+    )
+}
+
+/// Children, hazard 1: a child whose right WME leaves before its parent.
+/// `-b1` takes `(a, b1)` out of `a`'s list at J0's right activation, so the
+/// `-a` that follows sends only `(a, b2)` on: no second `-` for `(a, b1)`
+/// (the strict fold would catch it, and so would J1's delete search), and
+/// J0's own removal scans nothing.
+#[test]
+fn a_child_whose_right_wme_leaves_first_is_not_sent_twice() {
+    let (mut prog, net) = net_of(CHAIN);
+    assert_eq!(net.join(0).child_succ(), Some(1));
+    assert_eq!(net.join(1).child_succ(), None);
+    let a = ints(&mut prog, "a", &[1], 1);
+    let b1 = ints(&mut prog, "b", &[1], 2);
+    let b2 = ints(&mut prog, "b", &[1], 3);
+    let c = ints(&mut prog, "c", &[1], 4);
+    let steps: Vec<Step> = [
+        (Sign::Plus, &a),
+        (Sign::Plus, &b1),
+        (Sign::Plus, &b2),
+        (Sign::Plus, &c),
+        (Sign::Minus, &b1),
+        (Sign::Minus, &a),
+        (Sign::Plus, &a),
+        (Sign::Minus, &c),
+        (Sign::Minus, &b2),
+        (Sign::Minus, &a),
+    ]
+    .map(|(sign, w)| (sign, w.clone()))
+    .into();
+    assert_eq!(fold_against_the_trace(CHAIN, &prog, &steps), [0, 0, 0]);
+
+    for mut m in seq_matchers(&prog, &net) {
+        for w in [&a, &b1, &b2, &c] {
+            add(m.as_mut(), w.clone());
+        }
+        assert_eq!(m.quiesce().cs_changes.len(), 2);
+        del(m.as_mut(), b1.clone());
+        assert_eq!(m.quiesce().cs_changes.len(), 1, "{}: (a b1 c)", m.name());
+        let before = m.stats();
+        del(m.as_mut(), a.clone());
+        let cs = m.quiesce().cs_changes;
+        assert!(
+            matches!(&cs[..], [CsChange::Remove(r)] if r.wmes.timetags() == [1, 3, 4]),
+            "{}: {cs:?}",
+            m.name()
+        );
+        // J0's removal and the one child it still held; J1 rematches it.
+        assert_eq!(since(m.as_ref(), before), (2, 1), "{}", m.name());
+    }
+}
+
+/// Children, hazard 2: a self-join WME inside the token and on the right
+/// input, retracted in one change. J0's right activation takes every child
+/// made with `w` — `(w, w)` out of `w`'s own entry among them — and the
+/// left activation that follows sends the rest of `w`'s list, `(w, w')`:
+/// each child once.
+#[test]
+fn a_self_join_wme_in_its_token_and_on_the_right_leaves_in_one_change() {
+    let src = "(p q (a ^x <v>) (a ^x <v>) (c ^z <v>) --> (halt))";
+    let (mut prog, net) = net_of(src);
+    assert_eq!(net.join(0).child_succ(), Some(1));
+    let a1 = ints(&mut prog, "a", &[1], 1);
+    let a2 = ints(&mut prog, "a", &[1], 2);
+    let ws = [
+        a1.clone(),
+        ints(&mut prog, "c", &[1], 3),
+        a2.clone(),
+        ints(&mut prog, "a", &[2], 4),
+        ints(&mut prog, "c", &[2], 5),
+    ];
+    assert_eq!(fold_against_the_trace(src, &prog, &churn(&ws)), [0, 0, 0]);
+
+    for mut m in seq_matchers(&prog, &net) {
+        for w in &ws[..3] {
+            add(m.as_mut(), w.clone());
+        }
+        assert_eq!(m.quiesce().cs_changes.len(), 4, "(a1|a2, a1|a2, c)");
+        del(m.as_mut(), a1.clone());
+        let cs = m.quiesce().cs_changes;
+        let mut gone: Vec<_> = (cs.iter())
+            .map(|c| match c {
+                CsChange::Remove(r) => r.wmes.timetags(),
+                CsChange::Insert(i) => panic!("{}: insert {i:?}", m.name()),
+            })
+            .collect();
+        gone.sort();
+        assert_eq!(gone, [[1, 1, 3], [1, 2, 3], [2, 1, 3]], "{}", m.name());
+    }
+}
+
+/// Children under `sharing`: J0 (a × b) feeds J1 alone and keeps its
+/// children; J1 (ab × c) is shared by three productions, feeding two joins
+/// and a terminal, so it keeps none and rematches. Removals through both,
+/// from either side, fold as the per-join reference does.
+#[test]
+fn a_join_with_two_successors_under_sharing_rematches_below_one_that_keeps() {
+    let src = "(p p1 (a ^x <v>) (b ^y <v>) (c ^z <v>) --> (halt))
+         (p p2 (a ^x <v>) (b ^y <v>) (c ^z <v>) (d ^w <v>) --> (halt))
+         (p p3 (a ^x <v>) (b ^y <v>) (c ^z <v>) (e ^w <v>) --> (halt))";
+    let mut prog = Program::from_source(src).unwrap();
+    let sharing = NetworkOptions {
+        sharing: true,
+        unlinking: true,
+    };
+    let net = Network::compile_with(&prog, sharing).unwrap();
+    assert_eq!(net.n_joins(), 4);
+    assert_eq!(net.join(0).child_succ(), Some(1));
+    assert_eq!(
+        (net.join(1).succs.len(), net.join(1).child_succ()),
+        (3, None)
+    );
+    let ws: Vec<WmeRef> = [("a", 1), ("b", 1), ("c", 1), ("d", 1), ("b", 1)]
+        .into_iter()
+        .chain([("e", 1), ("a", 1), ("c", 1), ("a", 2), ("e", 2)])
+        .zip(1..)
+        .map(|((class, v), tag)| ints(&mut prog, class, &[v], tag))
+        .collect();
+    assert_eq!(fold_with(src, &prog, sharing, &churn(&ws)), [0, 0, 0]);
+}
+
+/// Children across a vs2 table that doubles between a child's insert and
+/// its removal. A child carries its key in the successor's left memory;
+/// after the table has doubled twice, that key must still address the
+/// child's line (a key is a whole hash, a line its low bits), on both
+/// removal paths: `-b` takes one child out at a right activation, `-a`
+/// sends a whole list.
+#[test]
+fn a_child_keyed_before_the_table_doubled_is_removed_after() {
+    let src = "(p q (a ^x <v>) (b ^y <v>) (c ^z <v>) --> (halt))
+         (p fill (f ^x <v>) (g ^y <v>) --> (halt))";
+    let (mut prog, net) = net_of(src);
+    let mut tag = 0;
+    let mut wme = |class, v| {
+        tag += 1;
+        ints(&mut prog, class, &[v], tag)
+    };
+    // Per value: a, b, c, b'.
+    let chain: Vec<WmeRef> = (0..4)
+        .flat_map(|v| ["a", "b", "c", "b"].map(|class| (class, v)))
+        .map(|(class, v)| wme(class, v))
+        .collect();
+    let fill: Vec<WmeRef> = (0..200).map(|v| wme("f", v)).collect();
+    let (built, filled) = (chain.len(), chain.len() + fill.len());
+    // Each value's first b (a right removal), then each a (its list still
+    // holds (a, b')), then the rest.
+    let leaving = ([1, 0, 3, 2].into_iter())
+        .flat_map(|k| chain.iter().skip(k).step_by(4))
+        .chain(&fill);
+    let steps: Vec<Step> = (chain.iter().chain(&fill).map(|w| (Sign::Plus, w.clone())))
+        .chain(leaving.map(|w| (Sign::Minus, w.clone())))
+        .collect();
+    assert_eq!(fold_against_the_trace(src, &prog, &steps), [0, 0, 0]);
+
+    let reference = fold_history(&mut reference(net.clone()), &steps, false);
+    let mut grown = SeqMatcher::vs2(net, HashMemConfig::default());
+    let (mut state, mut history, mut lines) = (Folded::new(), Vec::new(), Vec::new());
+    for (i, (sign, w)) in steps.iter().enumerate() {
+        if i == built || i == filled {
+            lines.push(grown.table_lines());
+        }
+        grown.submit(&ChangeBatch::single(WmeChange {
+            sign: *sign,
+            wme: w.clone(),
+        }));
+        fold_into(
+            &mut state,
+            grown.quiesce().cs_changes,
+            true,
+            &format!("step {i}"),
+        );
+        history.push(state.clone());
+    }
+    assert_eq!(history, reference);
+    assert!(
+        lines[1] >= 4 * lines[0],
+        "the table did not double twice: {lines:?}"
+    );
+    assert_eq!(grown.memory_entries(), 0);
+}
+
+/// A terminal join below a join that keeps children: `-a` sends `a`'s two
+/// children without scanning J0's right memory, and each of them rematches
+/// J1's, so the only left scans are J1's two and the four instantiations
+/// are removed once each.
+#[test]
+fn a_terminal_join_below_a_join_that_keeps_children_rematches() {
+    let (mut prog, net) = net_of(CHAIN);
+    let ws: Vec<WmeRef> = [("a", 1), ("b", 1), ("b", 1), ("c", 1), ("c", 1)]
+        .into_iter()
+        .chain([("a", 2), ("b", 2), ("c", 2)])
+        .zip(1..)
+        .map(|((class, v), tag)| ints(&mut prog, class, &[v], tag))
+        .collect();
+    assert_eq!(fold_against_the_trace(CHAIN, &prog, &churn(&ws)), [0, 0, 0]);
+
+    for mut m in seq_matchers(&prog, &net) {
+        for w in &ws {
+            add(m.as_mut(), w.clone());
+        }
+        assert_eq!(m.quiesce().cs_changes.len(), 5);
+        let before = m.stats();
+        del(m.as_mut(), ws[0].clone());
+        let cs = m.quiesce().cs_changes;
+        assert_eq!(cs.len(), 4, "{}: {cs:?}", m.name());
+        assert!(cs.iter().all(|c| matches!(c, CsChange::Remove(_))));
+        assert_eq!(since(m.as_ref(), before), (3, 2), "{}", m.name());
+    }
+}
+
+/// Children leave in the order a rescan would find them, after a right
+/// removal has moved one forward. `b`s pair with `a` by `>` alone, so all
+/// of them share one line (vs1's vector, vs2's id-only line): `[b0 b1 b2]`,
+/// `a` keeping `(a, b1) (a, b2)`. `-b0` moves `b2` into its place, `[b2
+/// b1]`, so `-a` must send `(a, b2)` then `(a, b1)`, as the rematch did: the
+/// stack pops `(a, b1)` first and its instantiation is removed first. A
+/// list sent in the order it was made reverses the two.
+#[test]
+fn children_leave_in_line_order_after_a_removal_moved_one_forward() {
+    let src = "(p q (a ^x <v>) (b ^y > <v>) (c ^z <v>) --> (halt))";
+    let (mut prog, net) = net_of(src);
+    assert_eq!(net.join(0).child_succ(), Some(1));
+    let a = ints(&mut prog, "a", &[1], 1);
+    let b0 = ints(&mut prog, "b", &[0], 2);
+    let b1 = ints(&mut prog, "b", &[5], 3);
+    let b2 = ints(&mut prog, "b", &[6], 4);
+    let c = ints(&mut prog, "c", &[1], 5);
+    let ws = [b0.clone(), b1, b2, a.clone(), c];
+    assert_eq!(fold_against_the_trace(src, &prog, &churn(&ws)), [0, 0, 0]);
+
+    for mut m in seq_matchers(&prog, &net) {
+        for w in &ws {
+            add(m.as_mut(), w.clone());
+        }
+        assert_eq!(m.quiesce().cs_changes.len(), 2);
+        del(m.as_mut(), b0.clone());
+        assert!(m.quiesce().cs_changes.is_empty());
+        del(m.as_mut(), a.clone());
+        let gone: Vec<_> = (m.quiesce().cs_changes.iter())
+            .map(|c| match c {
+                CsChange::Remove(r) => r.wmes.timetags(),
+                CsChange::Insert(i) => panic!("{}: insert {i:?}", m.name()),
+            })
+            .collect();
+        assert_eq!(gone, [[1, 3, 5], [1, 4, 5]], "{}", m.name());
+    }
+}
+
+/// Children leave in line order after the table doubled under them. `b`s
+/// pair with `a` by `>` alone, so they share one key, and `f`s of another
+/// memory are picked to share their line at 16 lines and leave it at 32.
+/// `a` adopts `(a, b0) .. (a, b3)` while the line reads `[b0 f f b1 f f b2
+/// f f b3]`; fillers double the table, which packs the line to `[b0 b1 b2
+/// b3]`; `-b2` then moves `b3` into the hole. The positions a list is
+/// sorted by must have followed the doubling: `-a` sends `(a, b0) (a, b1)
+/// (a, b3)`, so the stack removes `(a, b3, c)` first and `(a, b0, c)` last,
+/// as the rematch did.
+#[test]
+fn children_leave_in_line_order_after_the_table_doubled() {
+    let src = "(p q (a ^x <v>) (b ^y > <v>) (c ^z <v>) --> (halt))
+         (p fill (g ^x <v>) (f ^y <v>) --> (halt))";
+    let (mut prog, net) = net_of(src);
+    let (mb, mf) = (net.join(0).right_mem, net.join(2).right_mem);
+    assert_eq!(net.join(0).child_succ(), Some(1));
+    let store_key =
+        |mem: u32, w: &Wme| rete::fxhash::mix(net.right_mems[mem as usize].key(w), mem as u64);
+    let mut tag = 0;
+    let mut wme = |class, v| {
+        tag += 1;
+        ints(&mut prog, class, &[v], tag)
+    };
+    let bs: Vec<WmeRef> = (5..9).map(|v| wme("b", v)).collect();
+    let kb = store_key(mb, &bs[0]);
+    let fs: Vec<WmeRef> = (0..)
+        .map(|v| wme("f", v))
+        .filter(|f| {
+            let k = store_key(mf, f);
+            k & 15 == kb & 15 && k & 16 != kb & 16
+        })
+        .take(6)
+        .collect();
+    let (a, c) = (wme("a", 1), wme("c", 1));
+    let fillers: Vec<WmeRef> = (0..60).map(|v| wme("g", 1000 + v)).collect();
+
+    let mut m = SeqMatcher::vs2(net.clone(), HashMemConfig::default());
+    assert_eq!(m.table_lines(), 16);
+    let line = [&bs[0], &fs[0], &fs[1], &bs[1], &fs[2], &fs[3], &bs[2]];
+    for w in line.into_iter().chain([&fs[4], &fs[5], &bs[3], &c, &a]) {
+        add(&mut m, w.clone());
+    }
+    assert_eq!(m.quiesce().cs_changes.len(), 4);
+    for w in &fillers {
+        if m.table_lines() > 16 {
+            break;
+        }
+        add(&mut m, w.clone());
+    }
+    assert_eq!(m.table_lines(), 32, "the fillers doubled the table once");
+    del(&mut m, bs[2].clone());
+    assert_eq!(m.quiesce().cs_changes.len(), 1);
+    del(&mut m, a.clone());
+    let gone: Vec<_> = (m.quiesce().cs_changes.iter())
+        .map(|ch| match ch {
+            CsChange::Remove(r) => r.wmes.timetags(),
+            CsChange::Insert(i) => panic!("insert {i:?}"),
+        })
+        .collect();
+    let tags = |b: &WmeRef| vec![a.timetag, b.timetag, c.timetag];
+    assert_eq!(gone, [tags(&bs[3]), tags(&bs[1]), tags(&bs[0])]);
 }
