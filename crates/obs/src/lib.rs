@@ -107,8 +107,7 @@ pub fn bucket_bound(i: usize) -> u64 {
 }
 
 /// The bucket a value of `v` lands in: 0 and 1 in bucket 0, otherwise
-/// `floor(log2(v))`, capped at the catch-all. Public so recorders can
-/// pre-bucket locally and fold in bulk via [`Histogram::record_bucketed`].
+/// `floor(log2(v))`, capped at the catch-all.
 #[inline]
 pub fn bucket_index(v: u64) -> usize {
     let lg = (63 - (v | 1).leading_zeros()) as usize;
@@ -149,16 +148,6 @@ impl Histogram {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Fold `n` pre-bucketed observations (value sum `sum`) into `bucket`.
-    /// Lets hot paths keep plain per-bucket counters locally and pay three
-    /// atomic adds per bucket per flush instead of three per observation.
-    #[inline]
-    pub fn record_bucketed(&self, bucket: usize, n: u64, sum: u64) {
-        self.buckets[bucket].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum.fetch_add(sum, Ordering::Relaxed);
     }
 
     pub fn snapshot(&self) -> HistogramSnapshot {

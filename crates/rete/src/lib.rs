@@ -31,11 +31,10 @@
 //!   with the Table 4-1/4-2/4-3 statistics. A WME change is applied to each
 //!   right memory once and only the readers linked to it — the ones with a
 //!   non-empty left memory — are looked at.
-//! * [`colmatch`] — the columnar set-at-a-time matcher (*col*):
-//!   value-bucketed struct-of-arrays memories scanned a whole batch at a
-//!   time, with tombstone deletes and inline compaction. Left memories are
-//!   per join; right memories are shared, one per alpha pattern and
-//!   equality signature, so each WME is stored once.
+//! * [`colmatch`] — the set-at-a-time matcher (*col*): vs2's memories,
+//!   swept a whole batch at a time — a pattern-major alpha walk, then one
+//!   ascending pass over the joins with queued left deltas. It keeps no
+//!   memory layout of its own.
 //! * [`dot`] — Graphviz/ASCII rendering of the network (Figure 2-2).
 
 pub mod colmatch;

@@ -31,8 +31,8 @@
 //! configuration keeps the chains linear), identical join-chain *prefixes*
 //! are deduped across productions exactly like alpha patterns, turning the
 //! beta layer into a DAG of multi-successor joins;
-//! [`NetworkOptions::unlinking`] additionally lets the matchers skip null
-//! activations (two-input activations whose opposite memory is empty).
+//! [`NetworkOptions::unlinking`] additionally lets psm and `psm::trace` skip
+//! null activations (two-input activations whose opposite memory is empty).
 //!
 //! All variable occurrences are resolved at compile time into either
 //! intra-element field comparisons (alpha) or inter-element [`JoinTest`]s
@@ -424,17 +424,18 @@ impl JoinNode {
 ///   (same left input, same right alpha pattern, same tests, same sign),
 ///   the way alpha patterns are already deduped. Joins become
 ///   multi-successor nodes and the beta layer turns into a DAG.
-/// * `unlinking` — matchers skip the opposite-memory scan of a two-input
-///   activation when that memory is globally empty (a *null activation*)
-///   and book it as `null_skipped`: Doorenbos-style unlinking expressed as
-///   an emptiness gate, which is all the parallel matcher can do safely
-///   under per-line locks. For vs1, vs2 and `col` the option only moves
-///   *left* nulls between the two counters. Their right-unlinking is
-///   physical and unconditional: each matcher keeps, per shared right
-///   memory, the list of readers whose left memory is non-empty, a join
-///   links and unlinks itself as that memory fills and empties, and a
-///   right store never visits the rest — per matcher, with the compiled
-///   network untouched.
+/// * `unlinking` — psm and `psm::trace` skip the opposite-memory scan of a
+///   two-input activation when that memory is globally empty (a *null
+///   activation*) and book it as `null_skipped`: Doorenbos-style unlinking
+///   expressed as an emptiness gate, which is all the parallel matcher can
+///   do safely under per-line locks. vs1, vs2, lispsim and `col` do not
+///   read the option. Their right-unlinking is physical and unconditional:
+///   each matcher keeps, per shared right memory, the list of readers whose
+///   left memory is non-empty, a join links and unlinks itself as that
+///   memory fills and empties, and a right store never visits the rest —
+///   per matcher, with the compiled network untouched. A left activation
+///   whose right memory is empty makes no scan either way, and is booked
+///   as a null activation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetworkOptions {
     pub sharing: bool,
@@ -487,8 +488,8 @@ pub struct Network {
     pub prod_sizes: Vec<u16>,
     /// Production names (for traces and dot output).
     pub prod_names: Vec<String>,
-    /// The options this network was compiled with; matchers read the
-    /// `unlinking` toggle from here at run time.
+    /// The options this network was compiled with; psm and `psm::trace`
+    /// read the `unlinking` toggle from here at run time.
     pub options: NetworkOptions,
     /// How many join constructions were satisfied by an existing join.
     pub shared_prefixes: usize,

@@ -1,5 +1,5 @@
-//! The locally-buffered per-join profile of the sequential and columnar
-//! matchers.
+//! The locally-buffered per-join profile of the sequential and
+//! set-at-a-time matchers.
 //!
 //! The hot path does plain `u64` increments; the buffered counts fold into
 //! the shared atomic [`obs::NodeProfile`] once per quiesce. On

@@ -9,8 +9,8 @@
 //! 1 → 0 — Doorenbos right-unlinking done on a per-matcher successor list,
 //! the compiled [`Network`] untouched and shared — so a right store runs
 //! `linked(mem)` and books the rest as `null_skipped` by subtraction: it
-//! never looks at a dead reader. vs1/vs2 ([`crate::seq`]) and `col`
-//! ([`crate::colmatch`]) both use this one structure.
+//! never looks at a dead reader. vs1/vs2 ([`crate::seq`]) and the
+//! set-at-a-time `col` ([`crate::colmatch`]) both use this one structure.
 //!
 //! The lists are ascending, like `RightMemSpec::readers`, so the live
 //! readers of a store are met in the order the filter over `readers` met

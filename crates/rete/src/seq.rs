@@ -173,51 +173,56 @@ impl Agenda {
 
 /// What the kernel counts: [`MatchStats`] plus the optional per-join
 /// profile. One field of the kernel, so an activation can book its work
-/// while it holds a node borrowed from the network.
-struct Tally {
-    stats: MatchStats,
+/// while it holds a node borrowed from the network; `col` counts through
+/// it too.
+#[derive(Default)]
+pub(crate) struct Tally {
+    pub(crate) stats: MatchStats,
     /// `None` (the default) keeps the hot path free of recording.
-    profile: Option<BufferedProfile>,
+    pub(crate) profile: Option<BufferedProfile>,
 }
 
 impl Tally {
+    /// `n` left activations of `join`.
     #[inline]
-    fn join_activation(&mut self, join: JoinId) {
-        self.stats.activations += 1;
-        self.stats.join_activations += 1;
+    pub(crate) fn join_activations(&mut self, join: JoinId, n: u64) {
+        self.stats.activations += n;
+        self.stats.join_activations += n;
         if let Some(p) = &mut self.profile {
-            p.activations(join, 1);
+            p.activations(join, n);
         }
     }
 
-    /// A memory change delivered to all `readers` of `mem`: the `linked`
-    /// ones will run, the dead rest is retired here without being visited.
+    /// `changes` memory changes delivered to all `readers` of `mem`: the
+    /// `linked` ones will run, each visited once for the whole set, and the
+    /// dead rest is retired here without being visited.
     #[inline]
-    fn right_store(&mut self, mem: RightMemId, readers: usize, linked: usize) {
-        self.stats.activations += readers as u64;
-        self.stats.join_activations += readers as u64;
-        self.stats.null_skipped += (readers - linked) as u64;
+    pub(crate) fn right_store(
+        &mut self,
+        mem: RightMemId,
+        changes: u64,
+        readers: usize,
+        linked: usize,
+    ) {
+        self.stats.activations += changes * readers as u64;
+        self.stats.join_activations += changes * readers as u64;
+        self.stats.null_skipped += changes * (readers - linked) as u64;
         self.stats.readers_visited += linked as u64;
         if let Some(p) = &mut self.profile {
-            p.right_stores(mem, 1);
+            p.right_stores(mem, changes);
         }
     }
 
     /// A left activation whose right memory is empty network-wide: the scan
-    /// would examine nothing and emit nothing, so none is made. `unlinking`
-    /// only selects which counter the activation lands in.
+    /// would examine nothing and emit nothing, so none is made.
     #[inline]
-    fn null(&mut self, unlinking: bool) {
-        if unlinking {
-            self.stats.null_skipped += 1;
-        } else {
-            self.stats.null_activations += 1;
-        }
+    pub(crate) fn null(&mut self) {
+        self.stats.null_activations += 1;
     }
 
     /// A left activation's scan of the right memory.
     #[inline]
-    fn scan_from_left(&mut self, join: JoinId, scan: ScanStats) {
+    pub(crate) fn scan_from_left(&mut self, join: JoinId, scan: ScanStats) {
         self.stats.opp_tokens_left += scan.examined;
         self.stats.opp_nonempty_left += scan.nonempty as u64;
         if let Some(p) = &mut self.profile {
@@ -227,7 +232,7 @@ impl Tally {
 
     /// A right activation's scan of the left memory.
     #[inline]
-    fn scan_from_right(&mut self, join: JoinId, scan: ScanStats) {
+    pub(crate) fn scan_from_right(&mut self, join: JoinId, scan: ScanStats) {
         self.stats.opp_tokens_right += scan.examined;
         self.stats.opp_nonempty_right += scan.nonempty as u64;
         if let Some(p) = &mut self.profile {
@@ -274,10 +279,7 @@ impl<M: TokenMem> SeqMatcher<M> {
                 linked: LinkedReaders::new(&net),
                 agenda: Agenda::default(),
                 out: Vec::new(),
-                tally: Tally {
-                    stats: MatchStats::default(),
-                    profile: None,
-                },
+                tally: Tally::default(),
                 live: Vec::new(),
                 scratch_wmes: Vec::new(),
                 scratch_tokens: Vec::new(),
@@ -423,7 +425,7 @@ impl<M: TokenMem> Kernel<M> {
         );
         let linked = self.linked.of(mem);
         self.tally
-            .right_store(mem, spec.readers.len(), linked.len());
+            .right_store(mem, 1, spec.readers.len(), linked.len());
         self.live.extend(linked.iter().map(|&j| (j, slot, key)));
     }
 
@@ -534,10 +536,9 @@ impl<M: TokenMem> Kernel<M> {
     /// whole activation and nothing here allocates beyond what the memories
     /// and the agenda have to keep.
     fn run_task(&mut self, net: &Network, task: Task, key: u64) {
-        let unlinking = net.options.unlinking;
         match task {
             Task::Left { join, sign, token } => {
-                self.tally.join_activation(join);
+                self.tally.join_activations(join, 1);
                 let j = net.join(join);
                 let opp_empty = self.mem.right_count(j.right_mem) == 0;
                 match (j.negated, sign) {
@@ -545,7 +546,7 @@ impl<M: TokenMem> Kernel<M> {
                         // The entry's children, listed before it is stored.
                         let mut kids = NIL;
                         if opp_empty {
-                            self.tally.null(unlinking);
+                            self.tally.null();
                         } else {
                             let probe = self.scan_right(j, &token);
                             match j.child_succ() {
@@ -567,7 +568,7 @@ impl<M: TokenMem> Kernel<M> {
                     (false, Sign::Minus) => {
                         let kids = self.remove_left(j, key, &token).entry.unwrap_or(NIL);
                         if opp_empty {
-                            self.tally.null(unlinking);
+                            self.tally.null();
                         }
                         match j.child_succ() {
                             // Tree-based removal: the entry's children go
@@ -590,7 +591,7 @@ impl<M: TokenMem> Kernel<M> {
                     (true, Sign::Plus) => {
                         // No right WME at all: the count is 0 without looking.
                         let n = if opp_empty {
-                            self.tally.null(unlinking);
+                            self.tally.null();
                             0
                         } else {
                             let probe = self.mem.probe_key(j, &token);
@@ -983,13 +984,12 @@ mod tests {
         assert!(m1.stats().opp_tokens_left > m2.stats().opp_tokens_left * 3);
     }
 
-    /// Unlinking gate lifecycle: a left activation whose right memory is
-    /// empty skips its scan (unlinked), scans again the moment the memory
-    /// becomes non-empty (relinked), and survives a conjugate add/delete
-    /// pair that empties the memory again — producing exactly the CS changes
-    /// of an unlinking-off matcher throughout. The option only moves *left*
-    /// nulls between the two counters: a right change never runs a reader
-    /// whose left memory is empty, gate or no gate.
+    /// Unlink and relink lifecycle: a left activation whose right memory is
+    /// empty makes no scan, scans again the moment the memory becomes
+    /// non-empty, and survives a conjugate add/delete pair that empties the
+    /// memory again; a right change never runs a reader whose left memory
+    /// is empty. The network's `unlinking` option moves nothing here: CS
+    /// changes and every counter are the option-off matcher's throughout.
     #[test]
     fn unlinking_gate_relinks_after_conjugate_add_delete() {
         let src = "(p q (a ^x <v>) (b ^y <v>) --> (halt))";
@@ -1030,7 +1030,7 @@ mod tests {
         };
         let nulls = |m: &SeqMatcher<HashMem>| (m.stats().null_skipped, m.stats().null_activations);
 
-        // Right memory empty: both left activations are gated.
+        // Right memory empty: both left activations are null.
         step(&mut m_on, &mut m_off, Sign::Plus, &wa, "add a (unlinked)");
         step(
             &mut m_on,
@@ -1039,8 +1039,8 @@ mod tests {
             &wa,
             "remove a (unlinked)",
         );
-        assert_eq!((nulls(&m_on), nulls(&m_off)), ((2, 0), (0, 2)));
-        // Left memory empty: the reader is dead, whatever the option says.
+        assert_eq!((nulls(&m_on), nulls(&m_off)), ((0, 2), (0, 2)));
+        // Left memory empty: the reader is dead.
         step(
             &mut m_on,
             &mut m_off,
@@ -1048,10 +1048,10 @@ mod tests {
             &wb,
             "add b (dead reader)",
         );
-        assert_eq!((nulls(&m_on), nulls(&m_off)), ((3, 0), (1, 2)));
-        // Non-empty right memory: the gate must relink and find the pair.
+        assert_eq!((nulls(&m_on), nulls(&m_off)), ((1, 2), (1, 2)));
+        // Non-empty right memory: the join must relink and find the pair.
         step(&mut m_on, &mut m_off, Sign::Plus, &wa, "add a (relinked)");
-        assert_eq!(nulls(&m_on), (3, 0), "relinked scan performed");
+        assert_eq!(nulls(&m_on), (1, 2), "relinked scan performed");
         // Conjugate pair through the (now populated) join.
         step(&mut m_on, &mut m_off, Sign::Plus, &wb2, "conjugate add");
         step(&mut m_on, &mut m_off, Sign::Minus, &wb2, "conjugate delete");
@@ -1064,9 +1064,9 @@ mod tests {
             &wb,
             "remove b (dead reader)",
         );
-        assert_eq!((nulls(&m_on), nulls(&m_off)), ((4, 0), (2, 2)));
+        assert_eq!((nulls(&m_on), nulls(&m_off)), ((2, 2), (2, 2)));
+        assert_eq!(m_on.stats(), m_off.stats());
         assert_eq!(m_on.stats().join_activations, 8);
-        assert_eq!(m_off.stats().join_activations, 8);
         assert_eq!(m_on.memory_entries(), 0);
         assert_eq!(m_off.memory_entries(), 0);
     }

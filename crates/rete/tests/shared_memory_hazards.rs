@@ -5,17 +5,19 @@
 //! store a WME once per right memory and let every reader of it see the
 //! change (`rete::seq` module docs, steps 0-3), and a positive join feeding
 //! one join keeps, in each left entry, the children it sent on, so that a
-//! removal sends them again without rematching. These programs put both
+//! removal sends them again without rematching. col runs the set-at-a-time
+//! schedule (`rete::colmatch` module docs, passes 1 and 2) over vs2's hash
+//! lines, so the same hazards apply to it. These programs put both
 //! sides of a pair in one change, a reader below another reader of the same
 //! memory, or a child whose two halves leave at different times, and check
 //! the folded conflict set after every change against
 //! `psm::trace::TraceMatcher`: it keeps footnote 6's private right memory
 //! per join, rematches every removal, runs on one thread, takes a batch as
-//! written and shares no code with `rete::seq`. The sequential matchers run
-//! with their debug assertions (a delete must find its token; the children a
-//! removal takes are what a rematch would find, in its order) and fold
-//! strictly: an insert of a present instantiation or a remove of an absent
-//! one fails the test.
+//! written and shares no code with `rete::seq`. The sequential matchers and
+//! col run with their debug assertions (a delete must find its token; the
+//! children a removal takes are what a rematch would find, in its order) and
+//! fold strictly: an insert of a present instantiation or a remove of an
+//! absent one fails the test.
 //!
 //! These are integration tests because a unit test of `rete` cannot hand a
 //! `rete::Network` to psm: through the dev-dependency cycle the two would be
@@ -24,7 +26,7 @@
 use lispsim::LispEngineMatcher;
 use ops5::{ChangeBatch, CsChange, Matcher, Program, Sign, Value, Wme, WmeChange, WmeRef};
 use psm::trace::{RunTrace, TraceMatcher};
-use rete::{HashMemConfig, Network, NetworkOptions, SeqMatcher};
+use rete::{ColMatcher, HashMemConfig, Network, NetworkOptions, SeqMatcher};
 use std::sync::{Arc, Mutex};
 
 fn net_of(src: &str) -> (Program, Arc<Network>) {
@@ -114,15 +116,16 @@ fn fold_history(m: &mut dyn Matcher, steps: &[Step], strict: bool) -> Vec<Folded
     history
 }
 
-/// Drives `steps` through vs1, vs2 and lispsim (strict fold) and through
-/// the trace matcher, the per-join reference, on a network of `prog`
-/// compiled with `options`: the folded conflict sets must agree after every
-/// change. Returns the three matchers' final memory populations.
-fn fold_with(src: &str, prog: &Program, options: NetworkOptions, steps: &[Step]) -> [usize; 3] {
+/// Drives `steps` through vs1, vs2, lispsim and col (strict fold) and
+/// through the trace matcher, the per-join reference, on a network of
+/// `prog` compiled with `options`: the folded conflict sets must agree after
+/// every change. Returns the four matchers' final memory populations.
+fn fold_with(src: &str, prog: &Program, options: NetworkOptions, steps: &[Step]) -> [usize; 4] {
     let net = Arc::new(Network::compile_with(prog, options).unwrap());
     let mut vs1 = SeqMatcher::vs1(net.clone());
     let mut vs2 = SeqMatcher::vs2(net.clone(), HashMemConfig { buckets: 16 });
     let mut lisp = LispEngineMatcher::on(prog, net.clone());
+    let mut col = ColMatcher::new(net.clone());
     let reference = fold_history(&mut reference(net), steps, false);
     assert_eq!(fold_history(&mut vs1, steps, true), reference, "vs1: {src}");
     assert_eq!(fold_history(&mut vs2, steps, true), reference, "vs2: {src}");
@@ -131,15 +134,17 @@ fn fold_with(src: &str, prog: &Program, options: NetworkOptions, steps: &[Step])
         reference,
         "lispsim: {src}"
     );
+    assert_eq!(fold_history(&mut col, steps, true), reference, "col: {src}");
     [
         vs1.memory_entries(),
         vs2.memory_entries(),
         lisp.memory_entries(),
+        col.memory_entries(),
     ]
 }
 
 /// [`fold_with`] on the paper's network: no sharing, no unlinking.
-fn fold_against_the_trace(src: &str, prog: &Program, steps: &[Step]) -> [usize; 3] {
+fn fold_against_the_trace(src: &str, prog: &Program, steps: &[Step]) -> [usize; 4] {
     fold_with(src, prog, NetworkOptions::default(), steps)
 }
 
@@ -168,7 +173,10 @@ fn a_self_join_pairs_a_wme_with_itself_exactly_once() {
         ints(&mut prog, "a", &[1], 2),
         ints(&mut prog, "a", &[2], 3),
     ];
-    assert_eq!(fold_against_the_trace(src, &prog, &churn(&ws)), [0, 0, 0]);
+    assert_eq!(
+        fold_against_the_trace(src, &prog, &churn(&ws)),
+        [0, 0, 0, 0]
+    );
 
     let mut m = SeqMatcher::vs2(net_of(src).1, HashMemConfig { buckets: 16 });
     add(&mut m, ws[0].clone());
@@ -198,7 +206,10 @@ fn a_reader_downstream_of_another_reader_emits_each_pair_once() {
         ints(&mut prog, "b", &[2], 4),
         ints(&mut prog, "a", &[2], 5),
     ];
-    assert_eq!(fold_against_the_trace(src, &prog, &churn(&ws)), [0, 0, 0]);
+    assert_eq!(
+        fold_against_the_trace(src, &prog, &churn(&ws)),
+        [0, 0, 0, 0]
+    );
 
     for mut m in all_three(src) {
         add(m.as_mut(), ws[0].clone());
@@ -229,7 +240,10 @@ fn a_blocker_that_is_its_own_token_passes_plus_before_minus() {
     let c1 = ints(&mut prog, "c", &[1], 4);
     let c2 = ints(&mut prog, "c", &[2], 5);
     let ws = [c1.clone(), own.clone(), free, other, c2];
-    assert_eq!(fold_against_the_trace(src, &prog, &churn(&ws)), [0, 0, 0]);
+    assert_eq!(
+        fold_against_the_trace(src, &prog, &churn(&ws)),
+        [0, 0, 0, 0]
+    );
 
     for mut m in all_three(src) {
         add(m.as_mut(), c1.clone());
@@ -266,7 +280,10 @@ fn a_blocker_inside_its_token_passes_plus_before_minus() {
     let own = ints(&mut prog, "b", &[1, 1], 3); // joins `a`, then blocks (a, own)
     let free = ints(&mut prog, "b", &[1, 2], 4); // joins `a`, blocks nothing
     let ws = [a.clone(), c.clone(), own.clone(), free];
-    assert_eq!(fold_against_the_trace(src, &prog, &churn(&ws)), [0, 0, 0]);
+    assert_eq!(
+        fold_against_the_trace(src, &prog, &churn(&ws)),
+        [0, 0, 0, 0]
+    );
 
     for mut m in all_three(src) {
         add(m.as_mut(), a.clone());
@@ -314,7 +331,7 @@ fn a_reader_that_comes_alive_late_scans_the_shared_memory() {
         (Sign::Plus, a.clone()),
     ]);
     // b0 b1 b4 b5 under three signatures, `a` in four left memories.
-    assert_eq!(fold_against_the_trace(src, &prog, &steps), [16, 16, 16]);
+    assert_eq!(fold_against_the_trace(src, &prog, &steps), [16, 16, 16, 16]);
 
     for mut m in all_three(src) {
         for (sign, w) in &steps[..8] {
@@ -335,12 +352,13 @@ fn a_reader_that_comes_alive_late_scans_the_shared_memory() {
 }
 
 /// vs2 sized by its population against vs2 at a fixed 16 and at the
-/// paper's 16 384 lines, and the trace matcher: a Tourney-shaped program (a
-/// cross product, an equality join and a not-node off one first CE) fed
-/// and then drained in chunks. After every chunk the folded conflict sets
-/// are identical and the three tables hold the same number of entries; the
-/// growing one doubles at least three times on the way up, and every line
-/// it splits keeps each of its entries exactly once.
+/// paper's 16 384 lines, col (whose table is vs2's sized by its population,
+/// taking each chunk set-at-a-time), and the trace matcher: a
+/// Tourney-shaped program (a cross product, an equality join and a not-node
+/// off one first CE) fed and then drained in chunks. After every chunk the
+/// folded conflict sets are identical and the four tables hold the same
+/// number of entries; the growing one doubles at least three times on the
+/// way up, and every line it splits keeps each of its entries exactly once.
 #[test]
 fn a_table_that_doubles_mid_run_agrees_with_the_fixed_ones() {
     let src = "(p cross (a ^x <v>) (b ^y <w>) --> (halt))
@@ -362,10 +380,11 @@ fn a_table_that_doubles_mid_run_agrees_with_the_fixed_ones() {
     let grown = HashMemConfig::default();
     let mut vs2 = [grown, HashMemConfig { buckets: 16 }, HashMemConfig::PAPER]
         .map(|cfg| SeqMatcher::vs2(net.clone(), cfg));
+    let mut col = ColMatcher::new(net.clone());
     let mut trace = reference(net);
     let start = vs2[0].table_lines();
     assert_eq!((start, vs2[1].table_lines()), (16, 16));
-    let mut sets = vec![Folded::new(); 4];
+    let mut sets = vec![Folded::new(); 5];
     let mut peak = 0;
     for (i, chunk) in steps.chunks(7).enumerate() {
         let batch: ChangeBatch = (chunk.iter())
@@ -375,20 +394,21 @@ fn a_table_that_doubles_mid_run_agrees_with_the_fixed_ones() {
             })
             .collect();
         let ms = vs2.iter_mut().map(|m| m as &mut dyn Matcher);
-        let trace: &mut dyn Matcher = &mut trace;
-        for (k, (m, set)) in ms.chain([trace]).zip(&mut sets).enumerate() {
+        let others: [&mut dyn Matcher; 2] = [&mut col, &mut trace];
+        for (k, (m, set)) in ms.chain(others).zip(&mut sets).enumerate() {
             m.submit(&batch);
-            // The trace is the reference; the three vs2 fold strictly.
-            fold_into(set, m.quiesce().cs_changes, k < 3, &format!("chunk {i}"));
+            // The trace is the reference; the three vs2 and col fold strictly.
+            fold_into(set, m.quiesce().cs_changes, k < 4, &format!("chunk {i}"));
         }
         assert!(
-            sets.iter().all(|s| *s == sets[3]),
+            sets.iter().all(|s| *s == sets[4]),
             "chunk {i}: folds differ"
         );
         let entries = vs2.each_ref().map(|m| m.memory_entries());
         assert!(
-            entries.iter().all(|&n| n == entries[0]),
-            "chunk {i}: {entries:?}"
+            entries.iter().all(|&n| n == col.memory_entries()),
+            "chunk {i}: {entries:?} against col's {}",
+            col.memory_entries()
         );
         peak = peak.max(entries[0]);
     }
@@ -396,6 +416,7 @@ fn a_table_that_doubles_mid_run_agrees_with_the_fixed_ones() {
     assert!(peak > 4 * rete::memory::LOAD * start, "peak {peak}");
     // Drained: nothing left, and the table keeps the size it grew to.
     assert_eq!(vs2.each_ref().map(|m| m.memory_entries()), [0, 0, 0]);
+    assert_eq!(col.memory_entries(), 0);
     assert!(vs2[0].table_lines() >= 8 * start);
     assert_eq!(vs2[1].table_lines(), 16);
 }
@@ -442,7 +463,7 @@ fn a_child_whose_right_wme_leaves_first_is_not_sent_twice() {
     ]
     .map(|(sign, w)| (sign, w.clone()))
     .into();
-    assert_eq!(fold_against_the_trace(CHAIN, &prog, &steps), [0, 0, 0]);
+    assert_eq!(fold_against_the_trace(CHAIN, &prog, &steps), [0, 0, 0, 0]);
 
     for mut m in seq_matchers(&prog, &net) {
         for w in [&a, &b1, &b2, &c] {
@@ -483,7 +504,10 @@ fn a_self_join_wme_in_its_token_and_on_the_right_leaves_in_one_change() {
         ints(&mut prog, "a", &[2], 4),
         ints(&mut prog, "c", &[2], 5),
     ];
-    assert_eq!(fold_against_the_trace(src, &prog, &churn(&ws)), [0, 0, 0]);
+    assert_eq!(
+        fold_against_the_trace(src, &prog, &churn(&ws)),
+        [0, 0, 0, 0]
+    );
 
     for mut m in seq_matchers(&prog, &net) {
         for w in &ws[..3] {
@@ -530,7 +554,7 @@ fn a_join_with_two_successors_under_sharing_rematches_below_one_that_keeps() {
         .zip(1..)
         .map(|((class, v), tag)| ints(&mut prog, class, &[v], tag))
         .collect();
-    assert_eq!(fold_with(src, &prog, sharing, &churn(&ws)), [0, 0, 0]);
+    assert_eq!(fold_with(src, &prog, sharing, &churn(&ws)), [0, 0, 0, 0]);
 }
 
 /// Children across a vs2 table that doubles between a child's insert and
@@ -564,7 +588,7 @@ fn a_child_keyed_before_the_table_doubled_is_removed_after() {
     let steps: Vec<Step> = (chain.iter().chain(&fill).map(|w| (Sign::Plus, w.clone())))
         .chain(leaving.map(|w| (Sign::Minus, w.clone())))
         .collect();
-    assert_eq!(fold_against_the_trace(src, &prog, &steps), [0, 0, 0]);
+    assert_eq!(fold_against_the_trace(src, &prog, &steps), [0, 0, 0, 0]);
 
     let reference = fold_history(&mut reference(net.clone()), &steps, false);
     let mut grown = SeqMatcher::vs2(net, HashMemConfig::default());
@@ -606,7 +630,10 @@ fn a_terminal_join_below_a_join_that_keeps_children_rematches() {
         .zip(1..)
         .map(|((class, v), tag)| ints(&mut prog, class, &[v], tag))
         .collect();
-    assert_eq!(fold_against_the_trace(CHAIN, &prog, &churn(&ws)), [0, 0, 0]);
+    assert_eq!(
+        fold_against_the_trace(CHAIN, &prog, &churn(&ws)),
+        [0, 0, 0, 0]
+    );
 
     for mut m in seq_matchers(&prog, &net) {
         for w in &ws {
@@ -640,7 +667,10 @@ fn children_leave_in_line_order_after_a_removal_moved_one_forward() {
     let b2 = ints(&mut prog, "b", &[6], 4);
     let c = ints(&mut prog, "c", &[1], 5);
     let ws = [b0.clone(), b1, b2, a.clone(), c];
-    assert_eq!(fold_against_the_trace(src, &prog, &churn(&ws)), [0, 0, 0]);
+    assert_eq!(
+        fold_against_the_trace(src, &prog, &churn(&ws)),
+        [0, 0, 0, 0]
+    );
 
     for mut m in seq_matchers(&prog, &net) {
         for w in &ws {

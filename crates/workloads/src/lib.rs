@@ -95,7 +95,7 @@ pub enum MatcherChoice {
     Lisp,
     /// PSM-E with real threads.
     Psm(PsmConfig),
-    /// col: columnar set-at-a-time matcher.
+    /// col: set-at-a-time matcher over vs2's memories.
     Col,
     /// Sequential trace recorder (feeds the Multimax simulator).
     Trace(Arc<Mutex<RunTrace>>),

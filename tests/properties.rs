@@ -681,15 +681,14 @@ proptest! {
     }
 
     #[test]
-    fn col_compaction_bounds_tombstone_ratio(
+    fn col_agrees_with_vs1_under_random_chunk_lengths(
         genp in gen_program(),
         stream in gen_stream(),
         chunk_lens in proptest::collection::vec(1usize..6, 1..8),
     ) {
         // Random assert/retract interleavings, quiesced at random chunk
-        // boundaries, must never leave any columnar bucket with a tombstone
-        // ratio at or above the compaction threshold — and a col matcher
-        // must agree with vs1 on the final conflict set while doing it.
+        // boundaries: col, taking each chunk set-at-a-time, must end on
+        // vs1's final conflict set, and so must col fed one change at a time.
         let src = render(&genp);
         let prog = Program::from_source(&src).expect("generated source parses");
         let net = Arc::new(Network::compile(&prog).expect("network compiles"));
@@ -697,30 +696,15 @@ proptest! {
         let changes = build_changes(&prog, &stream);
 
         let mut col = rete::ColMatcher::new(net.clone());
-        let mut i = 0;
-        let mut ci = 0;
-        while i < changes.len() {
-            let n = chunk_lens[ci % chunk_lens.len()];
-            ci += 1;
-            let batch: ChangeBatch = changes[i..(i + n).min(changes.len())].iter().cloned().collect();
-            i += n;
-            col.submit(&batch);
-            col.quiesce();
-            prop_assert!(
-                col.max_tombstone_ratio() < rete::colmatch::COMPACT_TOMBSTONE_RATIO,
-                "tombstone ratio {} reached the compaction threshold after quiesce",
-                col.max_tombstone_ratio()
-            );
-        }
-        let mut vs1 = rete::seq::boxed_vs1(net);
-        let reference = final_cs(vs1.as_mut(), &changes);
         let mut col_state = BTreeSet::new();
-        let mut col2 = rete::ColMatcher::new(Arc::new(Network::compile(&prog).unwrap()));
-        for c in &changes {
-            col2.submit(&ChangeBatch::single(c.clone()));
+        for chunk in chunks(&changes, &chunk_lens) {
+            feed_chunk(&mut col, chunk, true, &mut col_state);
         }
-        apply_cs(&mut col_state, col2.quiesce().cs_changes);
-        prop_assert_eq!(col_state, reference, "col disagrees with vs1");
+        let mut vs1 = rete::seq::boxed_vs1(net.clone());
+        let reference = final_cs(vs1.as_mut(), &changes);
+        prop_assert_eq!(&col_state, &reference, "col in chunks disagrees with vs1");
+        let mut col2 = rete::ColMatcher::new(net);
+        prop_assert_eq!(final_cs(&mut col2, &changes), reference, "col disagrees with vs1");
     }
 
     #[test]
