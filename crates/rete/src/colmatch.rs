@@ -21,12 +21,12 @@
 //!   pattern's right memories, and runs *pass 1* — each right change
 //!   against the reader's left line — for the linked readers only.
 //! * **Bitset worklist.** Left-side deltas (alpha tokens and join
-//!   emissions) are queued per join and the join is flagged in a bitset; a
-//!   single ascending sweep (*pass 2*) then drains each flagged join's
-//!   deltas against its settled post-batch right memory. The compiler
-//!   numbers successors after their predecessors, so an emission only sets
-//!   a bit ahead of the cursor and every join has all its deltas when the
-//!   sweep reaches it.
+//!   emissions) are queued per join, each under its key in the join's left
+//!   memory, and the join is flagged in a bitset; a single ascending sweep
+//!   (*pass 2*) then drains each flagged join's deltas against its settled
+//!   post-batch right memory. The compiler numbers successors after their
+//!   predecessors, so an emission only sets a bit ahead of the cursor and
+//!   every join has all its deltas when the sweep reaches it.
 //!
 //! Why the two passes count every (left, right) pair exactly once on shared
 //! hash lines: the lines hold entries of many memories, but every operation
@@ -45,17 +45,63 @@
 //! re-entry impossible, so the support of any instantiation changes
 //! monotonically inside a batch.
 //!
-//! A left entry's `aux` is its not-node's blocker count; a positive join's
-//! entry holds [`NIL`], since col rematches every removal and keeps no
-//! children. The observable contract is the per-cycle conflict-set key
-//! history: the differential suite holds it byte-identical to vs2 across
-//! the corpus.
+//! **A retraction costs what it removes**, as in `rete::seq` (Doorenbos's
+//! tree-based removal, kept in the memory policy). A positive join that
+//! feeds one join and nothing else ([`JoinNode::child_succ`]) keeps, in
+//! each left entry, the children it sent on: the entry's `aux` is the head
+//! of its list, where a not-node's is its blocker count and any other
+//! join's is [`NIL`]. The lists change where the passes already touch the
+//! entries, through the calls vs2's kernel makes:
+//!
+//! * pass 1, right `+`: each pre-batch entry the WME pairs with adopts its
+//!   child ([`TokenMem::extend_left`], given the change's store key);
+//! * pass 1, right `-`: each entry on the WME's line gives up the child
+//!   made with the leaving right entry, found by the slot its removal
+//!   returned ([`TokenMem::take_child`]), with no join test;
+//! * pass 2, left `+`: each hit of the scan of the settled right memory
+//!   becomes a child of the new entry ([`TokenMem::slot_at`],
+//!   [`TokenMem::adopt`]);
+//! * pass 2, left `-`: the entry's list is sent as it is
+//!   ([`TokenMem::take_children`]): no probe key, no scan, no join test, no
+//!   token built.
+//!
+//! Children enter the successor's queue under the key they carry, as they
+//! enter vs2's agenda. Each is sent once, by the argument that counts each
+//! pair once:
+//!
+//! * a child whose two halves arrive in one batch is adopted once, by pass
+//!   2: pass 1's right `+` walks the pre-batch entries, which do not hold
+//!   the new token, and pass 2's left `+` scans a memory the WME is in;
+//! * a child whose two halves leave in one batch is sent once, by pass 1's
+//!   `take_child`: it leaves the list then, so the left `-` of pass 2 no
+//!   longer holds it, as the rematch it replaces met a memory the WME had
+//!   left;
+//! * a pre-batch token that gains a child in pass 1 and leaves in pass 2
+//!   sends it once: the `+` went to the successor's queue in pass 1 and the
+//!   `-` follows it from the list in pass 2, as the rematch of the settled
+//!   memory found it.
+//!
+//! A self-join WME that is both halves is the first two cases at once. A
+//! list is, whenever a removal takes from it, exactly what a rematch would
+//! find, in the order it would find it (taken whole, it is sorted by where
+//! its right entries stand now), so the queues, the left memory orders and
+//! the CS-change order are the rematch's; debug builds check every removal
+//! at such a join with the check `rete::seq` runs. One constraint is col's
+//! own: a removal frees its right entry's slot, which the memory may give
+//! to the next entry a child is joined with, so the readers that keep
+//! children take each change of a group before the memory takes the next
+//! one. The other readers still run reader by reader after the whole group
+//! is applied; only they reach the conflict set in pass 1, and each join's
+//! queue is fed by its one left input, so nothing can see the difference.
+//!
+//! The observable contract is the per-cycle conflict-set key history: the
+//! differential suite holds it byte-identical to vs2 across the corpus.
 
-use crate::memory::{HashMem, HashMemConfig, TokenMem, NIL};
+use crate::memory::{Child, HashMem, HashMemConfig, TokenMem, NIL};
 use crate::network::{AlphaSucc, ClassPatterns, JoinId, JoinNode, Network, RightMemId, Succ};
 use crate::profile::BufferedProfile;
 use crate::readers::LinkedReaders;
-use crate::seq::Tally;
+use crate::seq::{kids_are_the_rematch, Removal, Tally};
 use crate::token::Token;
 use ops5::{
     ChangeBatch, CsChange, Instantiation, MatchStats, Matcher, QuiesceReport, Sign,
@@ -87,17 +133,18 @@ struct Sweep {
     /// Reusable scan buffers.
     scratch_wmes: Vec<(WmeRef, u32)>,
     scratch_tokens: Vec<Token>,
+    scratch_kids: Vec<Child>,
 }
 
 /// Where a join's outputs go: downstream joins' queued left deltas, or the
 /// conflict set.
 struct Outbox {
-    /// Signed per-join left-input deltas for the current sweep: alpha-
-    /// produced 1-WME tokens and upstream join emissions, in emission
-    /// order. Right (alpha) deltas are not queued — they are processed
-    /// eagerly during the alpha walk, which sees the identical pre-batch
-    /// left memories pass 1 requires.
-    left_deltas: Vec<Vec<(Sign, Token)>>,
+    /// Signed per-join left-input deltas for the current sweep, each with
+    /// its key in the join's left memory: alpha-produced 1-WME tokens and
+    /// upstream join emissions, in emission order. Right (alpha) deltas are
+    /// not queued — they are processed eagerly during the alpha walk, which
+    /// sees the identical pre-batch left memories pass 1 requires.
+    left_deltas: Vec<Vec<(Sign, Token, u64)>>,
     /// Worklist of joins with pending deltas: one bit per join id, walked
     /// ascending via `trailing_zeros`. Submits never pay for the hundreds
     /// of joins a small batch doesn't touch, and marking is a branch-free
@@ -107,15 +154,30 @@ struct Outbox {
 }
 
 impl Outbox {
+    /// Queues a left delta on join `j` under `key` and flags `j`.
+    #[inline]
+    fn left(&mut self, j: JoinId, sign: Sign, token: Token, key: u64) {
+        self.left_deltas[j as usize].push((sign, token, key));
+        self.dirty[(j >> 6) as usize] |= 1u64 << (j & 63);
+    }
+
     /// Fans an output out to its successors: a downstream join gets a left
-    /// delta and its dirty bit, a terminal a conflict-set change (token
+    /// delta under its key there, a terminal a conflict-set change (token
     /// clones are `Arc` bumps).
-    fn emit(&mut self, succs: &[Succ], sign: Sign, token: &Token, stats: &mut MatchStats) {
+    fn emit(
+        &mut self,
+        net: &Network,
+        mem: &HashMem,
+        succs: &[Succ],
+        sign: Sign,
+        token: &Token,
+        stats: &mut MatchStats,
+    ) {
         for succ in succs {
             match *succ {
                 Succ::Join(j) => {
-                    self.left_deltas[j as usize].push((sign, token.clone()));
-                    self.dirty[(j >> 6) as usize] |= 1u64 << (j & 63);
+                    let key = mem.left_key(net.join(j), token);
+                    self.left(j, sign, token.clone(), key);
                 }
                 Succ::Terminal(prod) => {
                     stats.activations += 1;
@@ -130,6 +192,13 @@ impl Outbox {
                     });
                 }
             }
+        }
+    }
+
+    /// Sends `kids` (drained) to `succ`, each under the key it carries.
+    fn send_kids(&mut self, succ: JoinId, sign: Sign, kids: &mut Vec<Child>) {
+        for c in kids.drain(..) {
+            self.left(succ, sign, c.token, c.key);
         }
     }
 }
@@ -162,6 +231,7 @@ impl ColMatcher {
                 tally: Tally::default(),
                 scratch_wmes: Vec::new(),
                 scratch_tokens: Vec::new(),
+                scratch_kids: Vec::new(),
             },
             alpha: AlphaScratch::default(),
             delta: StatsDeltaTracker::default(),
@@ -248,7 +318,8 @@ impl Sweep {
                     let t = singles[ci as usize]
                         .get_or_insert_with(|| Token::single(change.wme.clone()));
                     let to = std::slice::from_ref(&to);
-                    self.outbox.emit(to, change.sign, t, &mut self.tally.stats);
+                    let stats = &mut self.tally.stats;
+                    self.outbox.emit(net, &self.mem, to, change.sign, t, stats);
                 }
             }
         }
@@ -257,7 +328,7 @@ impl Sweep {
     }
 
     /// A pattern's passing set against one of its right memories: apply
-    /// every change to the memory once, then run pass 1 for the readers
+    /// every change to the memory once and run pass 1 for the readers
     /// linked to it. The left memories — and with them the linked lists,
     /// which only [`Sweep::process_join`] updates — are frozen for the
     /// entire alpha walk, so the list read here is the filter
@@ -272,19 +343,6 @@ impl Sweep {
         passing: &[u32],
     ) {
         let spec = &net.right_mems[mem as usize];
-        for &ci in passing {
-            let change = &group[ci as usize];
-            let key = self.mem.store_key(mem, spec, &change.wme);
-            match change.sign {
-                Sign::Plus => self.mem.insert_right(mem, key, change.wme.clone()),
-                Sign::Minus => {
-                    let r = self.mem.remove_right(mem, key, &change.wme);
-                    self.tally.stats.same_tokens_right += r.examined;
-                    self.tally.stats.same_searches_right += 1;
-                    debug_assert!(r.entry.is_some(), "col delete must find its wme");
-                }
-            }
-        }
         debug_assert!(
             self.linked
                 .is_the_filter(net, mem, |j| self.mem.left_count(j) != 0),
@@ -295,20 +353,88 @@ impl Sweep {
         self.tally
             .right_store(mem, changes, spec.readers.len(), linked);
         // Pass 1 mutates no left memory's population, so the list cannot
-        // change under the loop; indexing keeps `self` free for the call.
+        // change under the loops; indexing keeps `self` free for the calls.
+        // The readers that keep children take each change before the
+        // memory takes the next: a slot the removal frees may go to the
+        // next entry a child is joined with (module docs).
+        for &ci in passing {
+            let change = &group[ci as usize];
+            let key = self.mem.store_key(mem, spec, &change.wme);
+            let slot = match change.sign {
+                Sign::Plus => {
+                    self.mem.insert_right(mem, key, change.wme.clone());
+                    NIL
+                }
+                Sign::Minus => {
+                    let r = self.mem.remove_right(mem, key, &change.wme);
+                    self.tally.stats.same_tokens_right += r.examined;
+                    self.tally.stats.same_searches_right += 1;
+                    debug_assert!(r.entry.is_some(), "col delete must find its wme");
+                    r.entry.unwrap_or(NIL)
+                }
+            };
+            for i in 0..linked {
+                let j = net.join(self.linked.of(mem)[i]);
+                if let Some(s) = j.child_succ() {
+                    self.right_keep(j, net.join(s), change.sign, &change.wme, key, slot);
+                }
+            }
+        }
         for i in 0..linked {
             let j = net.join(self.linked.of(mem)[i]);
+            if j.child_succ().is_some() {
+                continue;
+            }
             for &ci in passing {
                 let change = &group[ci as usize];
-                self.right_delta(j, change.sign, &change.wme);
+                self.right_delta(net, j, change.sign, &change.wme);
             }
         }
     }
 
-    /// Pass 1: one right (alpha) delta against the pre-batch left memory.
-    /// A positive join emits each pair; a not-node adjusts the frozen
-    /// entries' blocker counts and emits each 0-boundary crossing.
-    fn right_delta(&mut self, j: &JoinNode, sign: Sign, w: &WmeRef) {
+    /// Pass 1 at a join that keeps children: a right `+` (stored under
+    /// `store_key`) is adopted by each pre-batch entry it pairs with, a
+    /// right `-` takes the child made with its entry (`slot`) out of each
+    /// entry on its line; the children go to `succ`'s queue.
+    fn right_keep(
+        &mut self,
+        j: &JoinNode,
+        succ: &JoinNode,
+        sign: Sign,
+        w: &WmeRef,
+        store_key: u64,
+        slot: u32,
+    ) {
+        let key = self.mem.right_key(j, w);
+        let kids = &mut self.scratch_kids;
+        let scan = match sign {
+            Sign::Plus => self.mem.extend_left(j, succ, key, w, store_key, kids),
+            Sign::Minus => self.mem.take_child(j, key, slot, kids),
+        };
+        self.tally.scan_from_right(j.id, scan);
+        debug_assert!(
+            sign == Sign::Plus
+                || kids_are_the_rematch(
+                    &self.mem,
+                    j,
+                    succ,
+                    Removal::Right(key, w),
+                    &self.scratch_kids,
+                    &mut self.scratch_wmes,
+                    &mut self.scratch_tokens,
+                ),
+            "join {}: the children taken for -{} are not the rematch's",
+            j.id,
+            w.timetag
+        );
+        self.outbox.send_kids(succ.id, sign, &mut self.scratch_kids);
+    }
+
+    /// Pass 1 at any other reader: one right (alpha) delta against the
+    /// pre-batch left memory. A positive join emits each pair; a not-node
+    /// adjusts the frozen entries' blocker counts and emits each 0-boundary
+    /// crossing.
+    fn right_delta(&mut self, net: &Network, j: &JoinNode, sign: Sign, w: &WmeRef) {
         let key = self.mem.right_key(j, w);
         let Sweep {
             mem,
@@ -324,13 +450,14 @@ impl Sweep {
             };
             let scan = mem.adjust_left_counts(j, key, w, delta, scratch_tokens);
             for t in scratch_tokens.drain(..) {
-                outbox.emit(&j.succs, sign.flip(), &t, &mut tally.stats);
+                outbox.emit(net, mem, &j.succs, sign.flip(), &t, &mut tally.stats);
             }
             scan
         } else {
             let scan = mem.scan_left(j, key, w, scratch_tokens);
             for t in scratch_tokens.drain(..) {
-                outbox.emit(&j.succs, sign, &t.extended(w.clone()), &mut tally.stats);
+                let t = t.extended(w.clone());
+                outbox.emit(net, mem, &j.succs, sign, &t, &mut tally.stats);
             }
             scan
         };
@@ -359,16 +486,18 @@ impl Sweep {
     /// Pass 2: the join's accumulated left deltas (alpha 1-WME tokens and
     /// upstream emissions), in emission order, against the post-batch
     /// (settled) right memory it shares. A not-node's token is stored with
-    /// its final blocker count directly.
+    /// its final blocker count directly, a token at a join that keeps
+    /// children with the children the scan found, and such a token's `-`
+    /// sends its list without scanning.
     fn process_join(&mut self, net: &Network, jid: usize) {
         let j = net.join(jid as JoinId);
+        let keeps = j.child_succ().map(|s| net.join(s));
         let mut deltas = std::mem::take(&mut self.outbox.left_deltas[jid]);
         // The sweep never mutates right memories, so emptiness is invariant
         // across every delta queued for this join.
         let opp_empty = self.mem.right_count(j.right_mem) == 0;
         self.tally.join_activations(j.id, deltas.len() as u64);
-        for (sign, t) in deltas.drain(..) {
-            let key = self.mem.left_key(j, &t);
+        for (sign, t, key) in deltas.drain(..) {
             if sign == Sign::Minus {
                 let r = self.mem.remove_left(j, key, &t);
                 self.tally.stats.same_tokens_left += r.examined;
@@ -380,12 +509,37 @@ impl Sweep {
                 if j.negated {
                     // The stored count says whether the token was passed on.
                     if r.entry == Some(0) {
-                        self.outbox.emit(&j.succs, sign, &t, &mut self.tally.stats);
+                        let stats = &mut self.tally.stats;
+                        self.outbox.emit(net, &self.mem, &j.succs, sign, &t, stats);
                     }
                     continue;
                 }
+                if let Some(succ) = keeps {
+                    // Tree-based removal: the entry's children go on as
+                    // they are, under the keys they carry.
+                    if opp_empty {
+                        self.tally.null();
+                    }
+                    let kids = r.entry.unwrap_or(NIL);
+                    self.mem.take_children(kids, &mut self.scratch_kids);
+                    debug_assert!(
+                        kids_are_the_rematch(
+                            &self.mem,
+                            j,
+                            succ,
+                            Removal::Left(&t, opp_empty),
+                            &self.scratch_kids,
+                            &mut self.scratch_wmes,
+                            &mut self.scratch_tokens,
+                        ),
+                        "join {jid}: the children of -{t:?} are not the rematch's"
+                    );
+                    self.outbox.send_kids(succ.id, sign, &mut self.scratch_kids);
+                    continue;
+                }
             }
-            let mut blockers = 0;
+            // A not-node's blocker count, a keeping join's children list.
+            let (mut blockers, mut kids) = (0, NIL);
             if opp_empty {
                 self.tally.null();
             } else {
@@ -396,10 +550,21 @@ impl Sweep {
                     scan
                 } else {
                     let scan = self.mem.scan_right(j, probe, &t, &mut self.scratch_wmes);
-                    for (w, _) in self.scratch_wmes.drain(..) {
+                    for (w, at) in self.scratch_wmes.drain(..) {
                         let token = t.extended(w);
-                        self.outbox
-                            .emit(&j.succs, sign, &token, &mut self.tally.stats);
+                        match keeps {
+                            Some(succ) => {
+                                let slot = self.mem.slot_at(j.right_mem, probe, at);
+                                let key = self.mem.left_key(succ, &token);
+                                self.outbox.left(succ.id, sign, token.clone(), key);
+                                self.mem.adopt(&mut kids, Child { token, key, slot });
+                            }
+                            None => {
+                                let stats = &mut self.tally.stats;
+                                self.outbox
+                                    .emit(net, &self.mem, &j.succs, sign, &token, stats);
+                            }
+                        }
                     }
                     scan
                 };
@@ -407,9 +572,10 @@ impl Sweep {
             }
             if sign == Sign::Plus {
                 if j.negated && blockers == 0 {
-                    self.outbox.emit(&j.succs, sign, &t, &mut self.tally.stats);
+                    let stats = &mut self.tally.stats;
+                    self.outbox.emit(net, &self.mem, &j.succs, sign, &t, stats);
                 }
-                let aux = if j.negated { blockers } else { NIL };
+                let aux = if j.negated { blockers } else { kids };
                 self.mem.insert_left(j, key, t, aux);
                 if self.mem.left_count(j.id) == 1 {
                     self.linked.link(j);
@@ -676,6 +842,223 @@ mod tests {
         assert_eq!(cs.len(), 1, "exactly one Remove: {cs:?}");
         assert!(matches!(cs[0], CsChange::Remove(_)));
         assert_eq!(m.memory_entries(), 0);
+    }
+
+    /// `a ⋈ b` feeds `(a b) ⋈ c` and nothing else, so J0 keeps its
+    /// children; J1, whose outputs are instantiations, keeps none.
+    const KEEPING: &str = "(literalize a x) (literalize b y z) (literalize c u)
+         (p q (a ^x <v>) (b ^y <v> ^z <w>) (c ^u <w>) --> (halt))";
+
+    /// `cycles` through col against vs2 ([`assert_agrees`]), then col's raw
+    /// conflict-set changes per cycle, as (+1 | -1, timetags).
+    fn cs_of(src: &str, cycles: &[Vec<WmeChange>]) -> Vec<Vec<(i8, Vec<u64>)>> {
+        assert_agrees(src, cycles);
+        let (_prog, net) = net_of(src);
+        assert_eq!(net.join(0).child_succ(), Some(1));
+        let mut m = ColMatcher::new(net);
+        let out = cycles.iter().map(|cycle| {
+            m.submit(&cycle.iter().cloned().collect());
+            let cs = m.quiesce().cs_changes.into_iter();
+            cs.map(|c| match c {
+                CsChange::Insert(i) => (1, i.wmes.timetags()),
+                CsChange::Remove(i) => (-1, i.wmes.timetags()),
+            })
+            .collect()
+        });
+        let out = out.collect();
+        assert_eq!(m.memory_entries(), 0, "the cycles leave the memories empty");
+        out
+    }
+
+    fn ints(prog: &mut Program, class: &str, vals: &[i64], tag: u64) -> WmeRef {
+        wme(
+            prog,
+            class,
+            vals.iter().map(|&v| Value::Int(v)).collect(),
+            tag,
+        )
+    }
+
+    /// Kept children, batch case 1: `+a1` and `+b` in one batch. Pass 1's
+    /// `+b` walks J0's pre-batch entries (`a0`, linking J0, pairs with
+    /// nothing), which do not hold `a1`; pass 2's `+a1` finds `b` and adopts
+    /// `(a1, b)`. Adopted twice, `-a1` would send two `-`s and J1's second
+    /// delete search would fail.
+    #[test]
+    fn a_child_whose_halves_arrive_in_one_batch_is_adopted_once() {
+        let (mut prog, _net) = net_of(KEEPING);
+        let a0 = ints(&mut prog, "a", &[2], 1);
+        let c = ints(&mut prog, "c", &[9], 2);
+        let a1 = ints(&mut prog, "a", &[1], 3);
+        let b = ints(&mut prog, "b", &[1, 9], 4);
+        let cs = cs_of(
+            KEEPING,
+            &[
+                vec![
+                    change(Sign::Plus, a0.clone()),
+                    change(Sign::Plus, c.clone()),
+                ],
+                vec![
+                    change(Sign::Plus, b.clone()),
+                    change(Sign::Plus, a1.clone()),
+                ],
+                vec![change(Sign::Minus, a1)],
+                vec![change(Sign::Minus, b)],
+                vec![change(Sign::Minus, a0), change(Sign::Minus, c)],
+            ],
+        );
+        assert_eq!(
+            cs,
+            [
+                vec![],
+                vec![(1, vec![3, 4, 2])],
+                vec![(-1, vec![3, 4, 2])],
+                vec![],
+                vec![]
+            ]
+        );
+    }
+
+    /// Kept children, batch case 2: `-a1` and `-b` in one batch, in either
+    /// order. Pass 1's `-b` takes `(a1, b)` out of `a1`'s list, so pass 2's
+    /// `-a1` sends only `(a1, b2)`: each child once.
+    #[test]
+    fn a_child_whose_halves_leave_in_one_batch_is_sent_once() {
+        let (mut prog, _net) = net_of(KEEPING);
+        let a1 = ints(&mut prog, "a", &[1], 1);
+        let b = ints(&mut prog, "b", &[1, 9], 2);
+        let b2 = ints(&mut prog, "b", &[1, 9], 3);
+        let c = ints(&mut prog, "c", &[9], 4);
+        let build = vec![
+            change(Sign::Plus, a1.clone()),
+            change(Sign::Plus, b.clone()),
+            change(Sign::Plus, b2.clone()),
+            change(Sign::Plus, c.clone()),
+        ];
+        let leave = [change(Sign::Minus, a1), change(Sign::Minus, b)];
+        for order in [leave.to_vec(), leave.iter().rev().cloned().collect()] {
+            let cs = cs_of(
+                KEEPING,
+                &[
+                    build.clone(),
+                    order,
+                    vec![
+                        change(Sign::Minus, b2.clone()),
+                        change(Sign::Minus, c.clone()),
+                    ],
+                ],
+            );
+            assert_eq!(cs[0].len(), 2);
+            let mut gone = cs[1].clone();
+            gone.sort();
+            assert_eq!(gone, [(-1, vec![1, 2, 4]), (-1, vec![1, 3, 4])]);
+            assert!(cs[2].is_empty());
+        }
+    }
+
+    /// Kept children, batch case 3: `+b` and `-a1` in one batch. `a1` is a
+    /// pre-batch token: pass 1's `+b` gives it the child `(a1, b)` and sends
+    /// the `+`, and pass 2's `-a1` sends the `-` from its list, once.
+    #[test]
+    fn a_token_that_gains_a_child_and_leaves_in_one_batch_sends_it_once() {
+        let (mut prog, _net) = net_of(KEEPING);
+        let a1 = ints(&mut prog, "a", &[1], 1);
+        let c = ints(&mut prog, "c", &[9], 2);
+        let b = ints(&mut prog, "b", &[1, 9], 3);
+        let cs = cs_of(
+            KEEPING,
+            &[
+                vec![
+                    change(Sign::Plus, a1.clone()),
+                    change(Sign::Plus, c.clone()),
+                ],
+                vec![change(Sign::Plus, b.clone()), change(Sign::Minus, a1)],
+                vec![change(Sign::Minus, b), change(Sign::Minus, c)],
+            ],
+        );
+        let made = vec![1, 3, 2];
+        assert_eq!(cs, [vec![], vec![(1, made.clone()), (-1, made)], vec![]]);
+    }
+
+    /// Kept children, a self-join WME that is both halves: `a ^x` on J0's
+    /// left, `a ^y` on its right. `+w1 +w2` in one batch make all four pairs
+    /// in pass 2 (pass 1 walks only `w0`, which pairs with neither); `-w1`
+    /// takes `(w1, w1)` and `(w2, w1)` in pass 1 and sends the rest of
+    /// `w1`'s list, `(w1, w2)`, in pass 2: each once.
+    #[test]
+    fn a_self_join_wme_that_is_both_halves_keeps_each_child_once() {
+        let src = "(literalize a x y z) (literalize c u)
+             (p q (a ^x <v>) (a ^y <v> ^z <w>) (c ^u <w>) --> (halt))";
+        let (mut prog, _net) = net_of(src);
+        let w0 = ints(&mut prog, "a", &[5, 6, 9], 1);
+        let c = ints(&mut prog, "c", &[9], 2);
+        let w1 = ints(&mut prog, "a", &[1, 1, 9], 3);
+        let w2 = ints(&mut prog, "a", &[1, 1, 9], 4);
+        let cs = cs_of(
+            src,
+            &[
+                vec![
+                    change(Sign::Plus, w0.clone()),
+                    change(Sign::Plus, c.clone()),
+                ],
+                vec![
+                    change(Sign::Plus, w1.clone()),
+                    change(Sign::Plus, w2.clone()),
+                ],
+                vec![change(Sign::Minus, w1)],
+                vec![change(Sign::Minus, w2), change(Sign::Minus, w0)],
+                vec![change(Sign::Minus, c)],
+            ],
+        );
+        let sorted = |mut v: Vec<(i8, Vec<u64>)>| {
+            v.sort();
+            v
+        };
+        let pairs = [[3, 3], [3, 4], [4, 3], [4, 4]].map(|[l, r]| vec![l, r, 2]);
+        assert_eq!(sorted(cs[1].clone()), pairs.clone().map(|t| (1, t)));
+        assert_eq!(
+            sorted(cs[2].clone()),
+            pairs[..3]
+                .iter()
+                .map(|t| (-1, t.clone()))
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(cs[3], [(-1, pairs[3].clone())]);
+    }
+
+    /// A removal frees its right entry's slot, and the next entry a child is
+    /// joined with may be given it. `+b2` comes before `-b1` in one group,
+    /// and `a1` pairs with both: `b2` must not get `b1`'s slot while `a1`
+    /// still holds `(a1, b1)`, or `-b1` takes `(a1, b2)` in its place.
+    #[test]
+    fn a_slot_a_removal_frees_is_not_given_out_before_its_child_leaves() {
+        let (mut prog, _net) = net_of(KEEPING);
+        let a1 = ints(&mut prog, "a", &[1], 1);
+        let b1 = ints(&mut prog, "b", &[1, 9], 2);
+        let c = ints(&mut prog, "c", &[9], 3);
+        let b2 = ints(&mut prog, "b", &[1, 9], 4);
+        let cs = cs_of(
+            KEEPING,
+            &[
+                vec![
+                    change(Sign::Plus, a1.clone()),
+                    change(Sign::Plus, b1.clone()),
+                    change(Sign::Plus, c.clone()),
+                ],
+                vec![change(Sign::Plus, b2.clone()), change(Sign::Minus, b1)],
+                vec![change(Sign::Minus, a1)],
+                vec![change(Sign::Minus, b2), change(Sign::Minus, c)],
+            ],
+        );
+        assert_eq!(
+            cs,
+            [
+                vec![(1, vec![1, 2, 3])],
+                vec![(1, vec![1, 4, 3]), (-1, vec![1, 2, 3])],
+                vec![(-1, vec![1, 4, 3])],
+                vec![],
+            ]
+        );
     }
 
     /// One test-free `b` pattern read under three signatures (`[y]`,

@@ -34,7 +34,8 @@
 //! * [`colmatch`] — the set-at-a-time matcher (*col*): vs2's memories,
 //!   swept a whole batch at a time — a pattern-major alpha walk, then one
 //!   ascending pass over the joins with queued left deltas. It keeps no
-//!   memory layout of its own.
+//!   memory layout of its own, and removes through kept children as
+//!   [`seq`] does.
 //! * [`dot`] — Graphviz/ASCII rendering of the network (Figure 2-2).
 
 pub mod colmatch;

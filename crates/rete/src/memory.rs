@@ -35,9 +35,12 @@
 //! ([`TokenMem::probe_key`]).
 //!
 //! A left entry of a join that keeps its children
-//! ([`JoinNode::child_succ`], `rete::seq`'s tree-based removal) holds the
-//! head of its children list where a not-node's entry holds its count of
-//! blockers. The lists of one memory live in one slab with a free list, so
+//! ([`JoinNode::child_succ`], tree-based removal) holds the head of its
+//! children list where a not-node's entry holds its count of blockers. The
+//! lists serve both schedules through the same calls: `rete::seq`'s
+//! token-at-a-time kernel over every memory here, and `rete::colmatch`'s
+//! set-at-a-time sweep over a [`HashMem`], which adopts and takes children
+//! in its two passes. The lists of one memory live in one slab with a free list, so
 //! keeping them costs no allocation per entry or per child once the slab
 //! has grown. A right entry takes a slot when the first child is joined
 //! with it, and the slab records where each slotted entry stands in its
@@ -264,7 +267,8 @@ impl Children {
     }
 }
 
-/// Storage interface of the sequential kernel: vs1, vs2 and lispsim.
+/// Storage interface of the sequential kernel (vs1, vs2 and lispsim) and of
+/// col's sweep over vs2's tables.
 ///
 /// `key` arguments address one line and are computed once per line touched:
 /// [`TokenMem::left_key`] / [`TokenMem::right_key`] give the line of a

@@ -351,6 +351,53 @@ fn extends(child: &Token, token: &Token, w: &Wme) -> bool {
         && (child.iter_back().skip(1).zip(token.iter_back())).all(|(a, b)| a.timetag == b.timetag)
 }
 
+/// A removal at a join that keeps children, as the rematch it replaces
+/// would see it.
+pub(crate) enum Removal<'a> {
+    /// A left `-` of a token; `true`: the join's right memory is empty.
+    Left(&'a Token, bool),
+    /// A right `-` of a WME, with the key of its line in the join's left
+    /// memory.
+    Right(u64, &'a Wme),
+}
+
+/// Are `kids`, just taken at `j` for `removal`, what the rematch they
+/// replace would have sent: for each (token, WME) pair a scan finds — of
+/// `j`'s right memory for a left `-`, of its left line for a right `-` — in
+/// the scan's order, the token extended by the WME, under its key in
+/// `succ`'s left memory? An empty right memory leaves no child. Both
+/// kernels check every removal at a join that keeps children in debug
+/// builds, as they check the reader lists on every store. The scans go into
+/// the caller's scratch buffers, left empty, so the check allocates nothing
+/// inside the allocation gates.
+pub(crate) fn kids_are_the_rematch<M: TokenMem>(
+    mem: &M,
+    j: &JoinNode,
+    succ: &JoinNode,
+    removal: Removal<'_>,
+    kids: &[Child],
+    wmes: &mut Vec<(WmeRef, u32)>,
+    tokens: &mut Vec<Token>,
+) -> bool {
+    let made = |c: &Child, token: &Token, w: &Wme| {
+        extends(&c.token, token, w) && c.key == mem.left_key(succ, &c.token)
+    };
+    let same = match removal {
+        Removal::Left(_, true) => kids.is_empty(),
+        Removal::Left(token, false) => {
+            mem.scan_right(j, mem.probe_key(j, token), token, wmes);
+            wmes.len() == kids.len() && (wmes.iter().zip(kids)).all(|((w, _), c)| made(c, token, w))
+        }
+        Removal::Right(key, wme) => {
+            mem.scan_left(j, key, wme, tokens);
+            tokens.len() == kids.len() && (tokens.iter().zip(kids)).all(|(t, c)| made(c, t, wme))
+        }
+    };
+    wmes.clear();
+    tokens.clear();
+    same
+}
+
 impl<M: TokenMem> Kernel<M> {
     /// One WME change against its class's patterns, start to quiescence
     /// (module docs, steps 0-3).
@@ -516,7 +563,16 @@ impl<M: TokenMem> Kernel<M> {
             };
             self.tally.scan_from_right(join, scan);
             debug_assert!(
-                sign == Sign::Plus || self.kids_rematch_right(j, succ, key, wme),
+                sign == Sign::Plus
+                    || kids_are_the_rematch(
+                        &self.mem,
+                        j,
+                        succ,
+                        Removal::Right(key, wme),
+                        &self.scratch_kids,
+                        &mut self.scratch_wmes,
+                        &mut self.scratch_tokens,
+                    ),
                 "join {join}: the children taken for -{} are not the rematch's",
                 wme.timetag
             );
@@ -576,7 +632,15 @@ impl<M: TokenMem> Kernel<M> {
                             Some(s) => {
                                 self.mem.take_children(kids, &mut self.scratch_kids);
                                 debug_assert!(
-                                    self.kids_rematch_left(j, net.join(s), &token, opp_empty),
+                                    kids_are_the_rematch(
+                                        &self.mem,
+                                        j,
+                                        net.join(s),
+                                        Removal::Left(&token, opp_empty),
+                                        &self.scratch_kids,
+                                        &mut self.scratch_wmes,
+                                        &mut self.scratch_tokens,
+                                    ),
                                     "join {join}: the children of -{token:?} are not the rematch's"
                                 );
                                 self.push_kids(s, sign);
@@ -622,48 +686,6 @@ impl<M: TokenMem> Kernel<M> {
                 });
             }
         }
-    }
-
-    /// Are the children just taken from `token`'s entry at `j` (in
-    /// `scratch_kids`) what the rematch they replace would have sent:
-    /// `token` extended by each WME a scan of `j`'s right memory finds, in
-    /// the scan's order, each under its key in `succ`'s left memory? An
-    /// empty right memory leaves no child. Debug builds check every left
-    /// removal at a join that keeps children, as they check the reader
-    /// lists on every store.
-    fn kids_rematch_left(
-        &mut self,
-        j: &JoinNode,
-        succ: &JoinNode,
-        token: &Token,
-        opp_empty: bool,
-    ) -> bool {
-        if opp_empty {
-            return self.scratch_kids.is_empty();
-        }
-        let probe = self.mem.probe_key(j, token);
-        self.mem.scan_right(j, probe, token, &mut self.scratch_wmes);
-        let kids = &self.scratch_kids;
-        let same = self.scratch_wmes.len() == kids.len()
-            && (self.scratch_wmes.iter().zip(kids)).all(|((w, _), c)| {
-                extends(&c.token, token, w) && c.key == self.mem.left_key(succ, &c.token)
-            });
-        self.scratch_wmes.clear();
-        same
-    }
-
-    /// The right-side twin: are the children taken for `-wme` from `j`'s
-    /// left line (in `scratch_kids`) `wme` appended to each token a scan of
-    /// that line finds, in the scan's order, each under its key in `succ`?
-    fn kids_rematch_right(&mut self, j: &JoinNode, succ: &JoinNode, key: u64, wme: &Wme) -> bool {
-        self.mem.scan_left(j, key, wme, &mut self.scratch_tokens);
-        let kids = &self.scratch_kids;
-        let same = self.scratch_tokens.len() == kids.len()
-            && (self.scratch_tokens.iter().zip(kids)).all(|(t, c)| {
-                extends(&c.token, t, wme) && c.key == self.mem.left_key(succ, &c.token)
-            });
-        self.scratch_tokens.clear();
-        same
     }
 }
 

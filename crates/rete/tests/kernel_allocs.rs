@@ -494,7 +494,8 @@ fn replay_on_vs2_and_col(w: &Workload, vs2_budget: f64, col_budget: f64) -> Matc
 
 /// The benchmark Weaver (600-rule networks, where one alpha pattern feeds
 /// hundreds of joins): 3455 changes. Budgets are the measured allocations
-/// per change plus two: vs2 6.13 (3.90 since tree-based removal), col 7.87.
+/// per change plus two: vs2 6.13 (3.90 since tree-based removal), col 7.87
+/// (4.97 since col keeps children too).
 /// vs2 retires a dead reader without running or even visiting it, so what
 /// it performs as null activations is the left side's share, 0.35 % of
 /// 1 612 585 join activations, and the readers it looks at are 0.56 % of
@@ -510,7 +511,7 @@ fn weaver_replayed_at_batch_64_folds_alike_and_runs_no_dead_reader() {
         blocked_pct: 8,
         seed: 42,
     });
-    let s = replay_on_vs2_and_col(&w, 8.2, 9.9);
+    let s = replay_on_vs2_and_col(&w, 8.2, 7.0);
     let share = |n: u64| n as f64 / s.join_activations as f64;
     assert!(
         share(s.null_activations) <= 0.01,
@@ -532,8 +533,8 @@ fn weaver_replayed_at_batch_64_folds_alike_and_runs_no_dead_reader() {
 /// batch of 64 merging several firings' changes. Budgets are the measured
 /// allocations per change plus two: vs2 24.68 (22.44 since tree-based
 /// removal; it takes a batch's retractions first, so 64 merged changes
-/// build fewer transients), col 56.92; what is left per conflict-set change
-/// is its token node. The benchmark binary's gate, which counted its own
+/// build fewer transients), col 56.92 (51.33 since col keeps children too);
+/// what is left per conflict-set change is its token node. The benchmark binary's gate, which counted its own
 /// fold too, read 46.38 and 106.67 against 48.4 and 108.8.
 #[test]
 fn tourney_replayed_at_batch_64_folds_alike_within_budget() {
@@ -541,5 +542,5 @@ fn tourney_replayed_at_batch_64_folds_alike_within_budget() {
         teams: 24,
         variant: tourney::Variant::Pathological,
     });
-    replay_on_vs2_and_col(&w, 26.7, 58.9);
+    replay_on_vs2_and_col(&w, 26.7, 53.4);
 }

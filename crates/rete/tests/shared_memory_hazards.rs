@@ -10,10 +10,11 @@
 //! lines, so the same hazards apply to it. These programs put both
 //! sides of a pair in one change, a reader below another reader of the same
 //! memory, or a child whose two halves leave at different times, and check
-//! the folded conflict set after every change against
-//! `psm::trace::TraceMatcher`: it keeps footnote 6's private right memory
-//! per join, rematches every removal, runs on one thread, takes a batch as
-//! written and shares no code with `rete::seq`. The sequential matchers and
+//! the folded conflict set after every change (and, for the kept children,
+//! after every batch of several changes too, where col's hazards are)
+//! against `psm::trace::TraceMatcher`: it keeps footnote 6's private right
+//! memory per join, rematches every removal, runs on one thread, takes a
+//! batch as written and shares no code with `rete::seq`. The sequential matchers and
 //! col run with their debug assertions (a delete must find its token; the
 //! children a removal takes are what a rematch would find, in its order) and
 //! fold strictly: an insert of a present instantiation or a remove of an
@@ -99,48 +100,65 @@ fn fold_into(state: &mut Folded, cs: Vec<CsChange>, strict: bool, at: &str) {
     }
 }
 
-/// Feeds `steps` one change per quiescence and returns the folded
-/// conflict set after each ([`fold_into`]'s `strict`).
-fn fold_history(m: &mut dyn Matcher, steps: &[Step], strict: bool) -> Vec<Folded> {
+/// Feeds `steps` in batches of `len` changes, one quiescence each, and
+/// returns the folded conflict set after each ([`fold_into`]'s `strict`).
+fn fold_chunks(m: &mut dyn Matcher, steps: &[Step], len: usize, strict: bool) -> Vec<Folded> {
     let mut state = Folded::new();
     let mut history = Vec::new();
-    for (i, (sign, w)) in steps.iter().enumerate() {
-        m.submit(&ChangeBatch::single(WmeChange {
-            sign: *sign,
-            wme: w.clone(),
-        }));
-        let at = format!("{} step {i}", m.name());
+    for (i, chunk) in steps.chunks(len).enumerate() {
+        let batch: ChangeBatch = (chunk.iter())
+            .map(|(sign, w)| WmeChange {
+                sign: *sign,
+                wme: w.clone(),
+            })
+            .collect();
+        m.submit(&batch);
+        let at = format!("{} chunk {i} of {len}", m.name());
         fold_into(&mut state, m.quiesce().cs_changes, strict, &at);
         history.push(state.clone());
     }
     history
 }
 
-/// Drives `steps` through vs1, vs2, lispsim and col (strict fold) and
-/// through the trace matcher, the per-join reference, on a network of
-/// `prog` compiled with `options`: the folded conflict sets must agree after
-/// every change. Returns the four matchers' final memory populations.
-fn fold_with(src: &str, prog: &Program, options: NetworkOptions, steps: &[Step]) -> [usize; 4] {
+/// [`fold_chunks`] one change per quiescence.
+fn fold_history(m: &mut dyn Matcher, steps: &[Step], strict: bool) -> Vec<Folded> {
+    fold_chunks(m, steps, 1, strict)
+}
+
+/// Drives `steps` in batches of `len` changes through vs1, vs2, lispsim and
+/// col (strict fold) and through the trace matcher, the per-join reference,
+/// on a network of `prog` compiled with `options`: the folded conflict sets
+/// must agree after every batch. Returns the four matchers' final memory
+/// populations.
+fn fold_in_chunks(
+    src: &str,
+    prog: &Program,
+    options: NetworkOptions,
+    steps: &[Step],
+    len: usize,
+) -> [usize; 4] {
     let net = Arc::new(Network::compile_with(prog, options).unwrap());
     let mut vs1 = SeqMatcher::vs1(net.clone());
     let mut vs2 = SeqMatcher::vs2(net.clone(), HashMemConfig { buckets: 16 });
     let mut lisp = LispEngineMatcher::on(prog, net.clone());
     let mut col = ColMatcher::new(net.clone());
-    let reference = fold_history(&mut reference(net), steps, false);
-    assert_eq!(fold_history(&mut vs1, steps, true), reference, "vs1: {src}");
-    assert_eq!(fold_history(&mut vs2, steps, true), reference, "vs2: {src}");
-    assert_eq!(
-        fold_history(&mut lisp, steps, true),
-        reference,
-        "lispsim: {src}"
-    );
-    assert_eq!(fold_history(&mut col, steps, true), reference, "col: {src}");
+    let reference = fold_chunks(&mut reference(net), steps, len, false);
+    let ms: [&mut dyn Matcher; 4] = [&mut vs1, &mut vs2, &mut lisp, &mut col];
+    for m in ms {
+        let folds = fold_chunks(m, steps, len, true);
+        assert_eq!(folds, reference, "{} in chunks of {len}: {src}", m.name());
+    }
     [
         vs1.memory_entries(),
         vs2.memory_entries(),
         lisp.memory_entries(),
         col.memory_entries(),
     ]
+}
+
+/// [`fold_in_chunks`] one change per quiescence.
+fn fold_with(src: &str, prog: &Program, options: NetworkOptions, steps: &[Step]) -> [usize; 4] {
+    fold_in_chunks(src, prog, options, steps, 1)
 }
 
 /// [`fold_with`] on the paper's network: no sharing, no unlinking.
@@ -751,4 +769,79 @@ fn children_leave_in_line_order_after_the_table_doubled() {
         .collect();
     let tags = |b: &WmeRef| vec![a.timetag, b.timetag, c.timetag];
     assert_eq!(gone, [tags(&bs[3]), tags(&bs[1]), tags(&bs[0])]);
+}
+
+/// col's kept-children hazards are batch-level: a child whose two halves
+/// arrive in one batch, leave in one batch, or whose token gains it in pass
+/// 1 and leaves in pass 2, and a right entry whose slot a removal frees
+/// while a later insertion of the same batch is joined with a child. The
+/// kept-children programs above submit one change at a time; here the same
+/// programs, and a carousel of `b`s under a changing `a` (each `+b` joins
+/// the `a` that still holds the child of the `b` leaving next), go in
+/// batches of 2 to 7 changes, so every such pair meets inside some batch.
+/// vs1, vs2 and lispsim take each batch retractions first, col
+/// set-at-a-time, the trace matcher as written; all fold alike after every
+/// batch.
+#[test]
+fn kept_children_fold_alike_when_changes_arrive_in_batches() {
+    let (mut prog, net) = net_of(CHAIN);
+    assert_eq!(net.join(0).child_succ(), Some(1));
+    let mut tag = 0;
+    let mut wme = |class, v| {
+        tag += 1;
+        ints(&mut prog, class, &[v], tag)
+    };
+    let c = wme("c", 1);
+    let a: Vec<WmeRef> = (0..3).map(|_| wme("a", 1)).collect();
+    let b: Vec<WmeRef> = (0..8).map(|_| wme("b", 1)).collect();
+    let (plus, minus) = (
+        |w: &WmeRef| (Sign::Plus, w.clone()),
+        |w: &WmeRef| (Sign::Minus, w.clone()),
+    );
+    let mut carousel = vec![plus(&c), plus(&a[0]), plus(&b[0])];
+    for i in 0..7 {
+        carousel.extend([plus(&b[i + 1]), minus(&b[i])]);
+        if i % 3 == 1 {
+            carousel.extend([minus(&a[i / 3]), plus(&a[i / 3 + 1])]);
+        }
+    }
+    carousel.extend([minus(&b[7]), minus(&a[2]), minus(&c)]);
+
+    let self_join = "(p q (a ^x <v>) (a ^x <v>) (c ^z <v>) --> (halt))";
+    let line_order = "(p q (a ^x <v>) (b ^y > <v>) (c ^z <v>) --> (halt))";
+    let mut programs = vec![(CHAIN, prog, carousel)];
+    for (src, ws) in [
+        (
+            self_join,
+            &[("a", 1), ("c", 1), ("a", 1), ("a", 2), ("c", 2)][..],
+        ),
+        (
+            line_order,
+            &[("b", 0), ("b", 5), ("b", 6), ("a", 1), ("c", 1)],
+        ),
+        (
+            CHAIN,
+            &[
+                ("a", 1),
+                ("b", 1),
+                ("b", 1),
+                ("c", 1),
+                ("c", 1),
+                ("a", 2),
+                ("b", 2),
+            ],
+        ),
+    ] {
+        let mut prog = Program::from_source(src).unwrap();
+        let ws: Vec<WmeRef> = (ws.iter().zip(1..))
+            .map(|(&(class, v), tag)| ints(&mut prog, class, &[v], tag))
+            .collect();
+        programs.push((src, prog, churn(&ws)));
+    }
+    for (src, prog, steps) in &programs {
+        for len in 2..=7 {
+            let options = NetworkOptions::default();
+            assert_eq!(fold_in_chunks(src, prog, options, steps, len), [0, 0, 0, 0]);
+        }
+    }
 }
