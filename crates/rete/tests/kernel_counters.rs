@@ -2,8 +2,8 @@
 //!
 //! vs1/vs2 are the baseline every other matcher and every table is read
 //! against, so a kernel change must leave the *work* it reports exactly
-//! where it was: all of [`MatchStats`] and, for vs2, the conflict-set
-//! changes of every quiescence in emission order. The literals below were
+//! where it was: all of [`MatchStats`] and, for vs2 and col, the
+//! conflict-set changes of every quiescence in emission order. The literals below were
 //! captured on the commit before the borrowed kernel landed; on a mismatch
 //! the test prints the whole measured table in the layout of [`GOLDEN`].
 //! Only change a row together with a reason the counter should have moved.
@@ -129,6 +129,11 @@
 //! to `null_skipped`, and nothing else; now it moves nothing for them (it
 //! is psm's and `psm::trace`'s alone), and the test asserts that every
 //! counter and the CS-change sequence read the same with it on.
+//!
+//! col's four CS-order digests were added, as captured on the commit before
+//! col and vs1/vs2 came to share one node activation, so that the sharing
+//! could not reorder col's emissions unnoticed. Before that only vs2's order
+//! was pinned.
 //!
 //! lispsim has no rows of its own: it is the kernel over vs1's list
 //! memories with interpreted join tests, and must read every vs1 row.
@@ -334,19 +339,24 @@ const GOLDEN: &[Row] = &[
     ("synth-carousel(8 CEs, 5 turns)", "col", [88, 438, 18, 357, 1, 6, 174, 174, 71, 71, 140, 140, 35, 35, 81, 0], [99, 36]),
 ];
 
-/// vs2's CS-change digest per program; identical with unlinking off and on.
+/// vs2's and col's CS-change digest per program; identical with unlinking
+/// off and on.
 #[rustfmt::skip]
-const GOLDEN_CS: &[(&str, CsDigest)] = &[
-    ("weaver(5x4x2, 2 nets, 2 kinds)", CsDigest { hash: 0xacbedc7a38366a7f, quiescences: 114 }),
-    ("tourney(6 teams, pathological)", CsDigest { hash: 0xe008df502d996622, quiescences: 67 }),
-    ("negated", CsDigest { hash: 0x4954e9356e0baa65, quiescences: 22 }),
-    ("synth-carousel(8 CEs, 5 turns)", CsDigest { hash: 0xbb09e5a53c681956, quiescences: 6 }),
+const GOLDEN_CS: &[(&str, &str, CsDigest)] = &[
+    ("weaver(5x4x2, 2 nets, 2 kinds)", "vs2", CsDigest { hash: 0xacbedc7a38366a7f, quiescences: 114 }),
+    ("weaver(5x4x2, 2 nets, 2 kinds)", "col", CsDigest { hash: 0x21610ba4d5a4fafc, quiescences: 114 }),
+    ("tourney(6 teams, pathological)", "vs2", CsDigest { hash: 0xe008df502d996622, quiescences: 67 }),
+    ("tourney(6 teams, pathological)", "col", CsDigest { hash: 0x945c72442f68cec2, quiescences: 67 }),
+    ("negated", "vs2", CsDigest { hash: 0x4954e9356e0baa65, quiescences: 22 }),
+    ("negated", "col", CsDigest { hash: 0x7acbbf6c5da99105, quiescences: 22 }),
+    ("synth-carousel(8 CEs, 5 turns)", "vs2", CsDigest { hash: 0xbb09e5a53c681956, quiescences: 6 }),
+    ("synth-carousel(8 CEs, 5 turns)", "col", CsDigest { hash: 0xd9296c3f3394b7f5, quiescences: 6 }),
 ];
 
 #[test]
 fn counters_and_cs_order_match_the_parent_commit() {
     let mut rows: Vec<(String, &'static str, Measured)> = Vec::new();
-    let mut digests: Vec<(String, CsDigest)> = Vec::new();
+    let mut digests: Vec<(String, &'static str, CsDigest)> = Vec::new();
     for w in programs() {
         for label in ["vs1", "vs2", "col"] {
             let off = run(&w, label, false);
@@ -357,8 +367,8 @@ fn counters_and_cs_order_match_the_parent_commit() {
                 w.name
             );
             rows.push((w.name.clone(), label, off.0));
-            if label == "vs2" {
-                digests.push((w.name.clone(), off.1));
+            if label != "vs1" {
+                digests.push((w.name.clone(), label, off.1));
             }
         }
     }
@@ -366,10 +376,10 @@ fn counters_and_cs_order_match_the_parent_commit() {
     for (name, label, (stats, touched)) in &rows {
         table += &format!("    ({name:?}, {label:?}, {stats:?}, {touched:?}),\n");
     }
-    table += "];\nconst GOLDEN_CS: &[(&str, CsDigest)] = &[\n";
-    for (name, d) in &digests {
+    table += "];\nconst GOLDEN_CS: &[(&str, &str, CsDigest)] = &[\n";
+    for (name, label, d) in &digests {
         table += &format!(
-            "    ({name:?}, CsDigest {{ hash: {:#x}, quiescences: {} }}),\n",
+            "    ({name:?}, {label:?}, CsDigest {{ hash: {:#x}, quiescences: {} }}),\n",
             d.hash, d.quiescences
         );
     }
@@ -383,7 +393,7 @@ fn counters_and_cs_order_match_the_parent_commit() {
         && digests
             .iter()
             .zip(GOLDEN_CS)
-            .all(|(a, b)| a.0 == b.0 && a.1 == b.1);
+            .all(|(a, b)| (a.0.as_str(), a.1, a.2) == *b);
     assert!(
         same_rows && same_cs,
         "kernel counters moved; measured:\n{table}"
