@@ -3,11 +3,9 @@
 //! The paper compares four match engines over the same control process
 //! (lisp interpreter baseline, vs1 linear memories, vs2 hash memories, and
 //! the parallel PSM-E matcher); [`EngineBuilder`] is the single construction
-//! path that picks between them, replacing the old scatter of ad-hoc
-//! `Engine::vs1` / `Engine::vs2` / `Engine::with_matcher` call sites.
-//! Building is two steps — compile the program into an immutable
-//! [`CompiledProgram`] (skipped when the builder was handed one), then
-//! instantiate an engine from it:
+//! path that picks between them. Building is two steps — compile the
+//! program into an immutable [`CompiledProgram`] (skipped when the builder
+//! was handed one), then instantiate an engine from it:
 //!
 //! ```
 //! use engine::{EngineBuilder, MatcherKind};
@@ -145,9 +143,9 @@ impl EngineBuilder {
         EngineBuilder::with_source(Source::Parsed(program))
     }
 
-    /// Starts a builder from a shared compiled program: [`build`]
-    /// (Self::build) skips parse and compile and only instantiates. The
-    /// network options are the artefact's; asking for different ones via
+    /// Starts a builder from a shared compiled program:
+    /// [`build`](Self::build) skips parse and compile and only instantiates.
+    /// The network options are the artefact's; asking for different ones via
     /// [`network_options`](Self::network_options) makes `build` fail
     /// rather than silently recompile or run on a mismatched network.
     pub fn from_compiled(compiled: Arc<CompiledProgram>) -> EngineBuilder {
@@ -492,8 +490,7 @@ mod tests {
         }
         assert!(MatcherKind::from_name("trace").is_none(), "needs a sink");
         assert!(MatcherKind::from_name("frob").is_none());
-        // Each kind's built matcher reports a distinct name too (vs1 and
-        // vs2 used to both say "seq", which forced special cases upstream).
+        // Each kind's built matcher reports a distinct name too.
         for name in ["vs1", "vs2", "col"] {
             let kind = MatcherKind::from_name(name).unwrap();
             let eng = run_counter(EngineBuilder::from_source(COUNTER).unwrap().matcher(kind));

@@ -705,9 +705,10 @@ impl Engine {
         }
     }
 
-    /// The change log accumulated since [`enable_journal`]
-    /// (Self::enable_journal) or the last [`drain_journal`]
-    /// (Self::drain_journal) / [`clear_journal`](Self::clear_journal).
+    /// The change log accumulated since
+    /// [`enable_journal`](Self::enable_journal) or the last
+    /// [`drain_journal`](Self::drain_journal) /
+    /// [`clear_journal`](Self::clear_journal).
     pub fn journal(&self) -> Option<&ChangeLog> {
         self.journal.as_ref()
     }

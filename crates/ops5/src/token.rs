@@ -14,7 +14,7 @@
 //! keys on the hash cached below.
 //!
 //! Representation: a parent-linked persistent list. Each join output shares
-//! its parent's chain and allocates exactly one [`TokenNode`], so
+//! its parent's chain and allocates exactly one `TokenNode`, so
 //! `extended()` is O(1) instead of O(depth) — the paper's point that match
 //! tasks are only 100–700 instructions makes token materialization the
 //! dominant per-task cost otherwise. The identity hash is the Fx left fold

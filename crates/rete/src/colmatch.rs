@@ -1,32 +1,30 @@
 //! The set-at-a-time matcher — *col*.
 //!
-//! The paper's matchers (and `seq`/`psm` here) are tuple-at-a-time Rete:
+//! The paper's matchers (and vs1/vs2/`psm` here) are tuple-at-a-time Rete:
 //! every WME change walks the network one token at a time, paying pointer
 //! chases and per-activation bookkeeping per tuple. `ColMatcher` processes
-//! the same [`ChangeBatch`] groups set-at-a-time instead, over vs2's
-//! memories: one [`HashMem`], the two global hash tables of §3.2, used only
-//! through [`TokenMem`]. It keeps no memory layout of its own; what it adds
-//! is the schedule.
+//! the same [`ChangeBatch`] groups set-at-a-time instead. It is
+//! [`rete::seq`](crate::seq)'s kernel — vs2's memories (one [`HashMem`],
+//! the two global hash tables of §3.2, used only through [`TokenMem`]), the
+//! linked reader lists, the counters and the node activations, kept
+//! children included — under a schedule of its own, [`Sweep`]:
 //!
-//! * **Each WME stored once, dead joins never looked at** — as in
-//!   `rete::seq`. A right memory belongs to the network, one per (alpha
-//!   pattern, equality signature) ([`crate::network::RightMemSpec`]), and a
-//!   right change runs only the readers *linked* to it
-//!   (`readers::LinkedReaders`: left memory non-empty), retiring the rest
-//!   as `null_skipped` by subtraction.
 //! * **Pattern-major alpha walk.** Per class group a submit buckets the
 //!   changes by candidate pattern (the class's constant index,
 //!   [`ClassPatterns::candidates`]) and sweeps the patterns ascending: per
 //!   pattern it computes the passing subset once, applies it to each of the
-//!   pattern's right memories, and runs *pass 1* — each right change
-//!   against the reader's left line — for the linked readers only.
-//! * **Bitset worklist.** Left-side deltas (alpha tokens and join
+//!   pattern's right memories, and runs *pass 1* — each right change's
+//!   right activation against the reader's left line — for the linked
+//!   readers only.
+//! * **Bitset worklist.** Left activations (alpha tokens and join
 //!   emissions) are queued per join, each under its key in the join's left
-//!   memory, and the join is flagged in a bitset; a single ascending sweep
-//!   (*pass 2*) then drains each flagged join's deltas against its settled
-//!   post-batch right memory. The compiler numbers successors after their
-//!   predecessors, so an emission only sets a bit ahead of the cursor and
-//!   every join has all its deltas when the sweep reaches it.
+//!   memory, and the join is flagged in a bitset; terminals go straight to
+//!   the conflict set. A single ascending sweep (*pass 2*) then runs each
+//!   flagged join's queue against its settled post-batch right memory, so
+//!   whether that memory is empty is read once per join. The compiler
+//!   numbers successors after their predecessors, so an emission only sets
+//!   a bit ahead of the cursor and every join has all its deltas when the
+//!   sweep reaches it.
 //!
 //! Why the two passes count every (left, right) pair exactly once on shared
 //! hash lines: the lines hold entries of many memories, but every operation
@@ -34,39 +32,21 @@
 //! what a private memory would hold. Right memories change only in the
 //! alpha walk, left memories only in the sweep. Pass 1 runs during the walk
 //! and so meets the *pre-batch* left memories, and the linked lists, which
-//! only the sweep updates, are the filter `readers.filter(left_count != 0)`
-//! for every change of the set. Pass 2 runs after the walk and so meets the
-//! *post-batch* right memories. A pair whose right side changed is seen by
-//! pass 1 if its left side is old, by pass 2 if its left side is new, and a
-//! pair whose right side left in this batch only by pass 1. A table that
-//! doubles between two operations is invisible: callers hold keys, never
-//! line indices. Within one batch the net-delta emission is equivalent to
-//! the per-change cascade because conjugate-pair annihilation makes WME
-//! re-entry impossible, so the support of any instantiation changes
-//! monotonically inside a batch.
+//! only the sweep updates, are frozen: the filter
+//! `readers.filter(left_count != 0)` for every change of the set. Pass 2
+//! runs after the walk and so meets the *post-batch* right memories. A pair
+//! whose right side changed is seen by pass 1 if its left side is old, by
+//! pass 2 if its left side is new, and a pair whose right side left in this
+//! batch only by pass 1. A table that doubles between two operations is
+//! invisible: callers hold keys, never line indices. Within one batch the
+//! net-delta emission is equivalent to the per-change cascade because
+//! conjugate-pair annihilation makes WME re-entry impossible, so the
+//! support of any instantiation changes monotonically inside a batch.
 //!
-//! **A retraction costs what it removes**, as in `rete::seq` (Doorenbos's
-//! tree-based removal, kept in the memory policy). A positive join that
-//! feeds one join and nothing else ([`JoinNode::child_succ`]) keeps, in
-//! each left entry, the children it sent on: the entry's `aux` is the head
-//! of its list, where a not-node's is its blocker count and any other
-//! join's is [`NIL`]. The lists change where the passes already touch the
-//! entries, through the calls vs2's kernel makes:
-//!
-//! * pass 1, right `+`: each pre-batch entry the WME pairs with adopts its
-//!   child ([`TokenMem::extend_left`], given the change's store key);
-//! * pass 1, right `-`: each entry on the WME's line gives up the child
-//!   made with the leaving right entry, found by the slot its removal
-//!   returned ([`TokenMem::take_child`]), with no join test;
-//! * pass 2, left `+`: each hit of the scan of the settled right memory
-//!   becomes a child of the new entry ([`TokenMem::slot_at`],
-//!   [`TokenMem::adopt`]);
-//! * pass 2, left `-`: the entry's list is sent as it is
-//!   ([`TokenMem::take_children`]): no probe key, no scan, no join test, no
-//!   token built.
-//!
-//! Children enter the successor's queue under the key they carry, as they
-//! enter vs2's agenda. Each is sent once, by the argument that counts each
+//! **Kept children** (the activations' half is in [`crate::seq`]: where a
+//! child is adopted and taken, and in which order a list leaves). Pass 1's
+//! right activations adopt and take children, pass 2's left ones list and
+//! send them, and each child is sent once, by the argument that counts each
 //! pair once:
 //!
 //! * a child whose two halves arrive in one batch is adopted once, by pass
@@ -81,64 +61,32 @@
 //!   `-` follows it from the list in pass 2, as the rematch of the settled
 //!   memory found it.
 //!
-//! A self-join WME that is both halves is the first two cases at once. A
-//! list is, whenever a removal takes from it, exactly what a rematch would
-//! find, in the order it would find it (taken whole, it is sorted by where
-//! its right entries stand now), so the queues, the left memory orders and
-//! the CS-change order are the rematch's; debug builds check every removal
-//! at such a join with the check `rete::seq` runs. One constraint is col's
-//! own: a removal frees its right entry's slot, which the memory may give
-//! to the next entry a child is joined with, so the readers that keep
-//! children take each change of a group before the memory takes the next
-//! one. The other readers still run reader by reader after the whole group
-//! is applied; only they reach the conflict set in pass 1, and each join's
-//! queue is fed by its one left input, so nothing can see the difference.
+//! A self-join WME that is both halves is the first two cases at once. One
+//! constraint is col's own: a removal frees its right entry's slot, which
+//! the memory may give to the next entry a child is joined with, so the
+//! readers that keep children take each change of a group before the memory
+//! takes the next one. The other readers still run reader by reader after
+//! the whole group is applied; only they reach the conflict set in pass 1,
+//! and each join's queue is fed by its one left input, so nothing can see
+//! the difference.
 //!
 //! The observable contract is the per-cycle conflict-set key history: the
 //! differential suite holds it byte-identical to vs2 across the corpus.
 
-use crate::memory::{Child, HashMem, HashMemConfig, TokenMem, NIL};
-use crate::network::{AlphaSucc, ClassPatterns, JoinId, JoinNode, Network, RightMemId, Succ};
-use crate::profile::BufferedProfile;
-use crate::readers::LinkedReaders;
-use crate::seq::{kids_are_the_rematch, Removal, Tally};
+use crate::memory::{HashMem, HashMemConfig, TokenMem, NIL};
+use crate::network::{ClassPatterns, JoinId, Network, RightMemId};
+use crate::seq::{fire, Kernel, Schedule, SeqMatcher};
 use crate::token::Token;
-use ops5::{
-    ChangeBatch, CsChange, Instantiation, MatchStats, Matcher, QuiesceReport, Sign,
-    StatsDeltaTracker, WmeChange, WmeRef,
-};
+use ops5::{ChangeBatch, CsChange, MatchStats, Matcher, ProdId, Sign, WmeChange};
 use std::sync::Arc;
 
-/// The set-at-a-time matcher.
-pub struct ColMatcher {
-    net: Arc<Network>,
-    sweep: Sweep,
-    /// Scratch of the alpha walk, kept across submits so a small batch
-    /// does not pay for it.
-    alpha: AlphaScratch,
-    delta: StatsDeltaTracker,
-}
+/// The set-at-a-time matcher: the sequential kernel over vs2's memories,
+/// under col's schedule.
+pub type ColMatcher = SeqMatcher<HashMem, Sweep>;
 
-/// Everything a match mutates but the alpha scratch. The network it walks
-/// is passed in, so [`ColMatcher`] lends out `net` and its state as
-/// disjoint fields and a submit never touches the `Arc`'s count, as
-/// `SeqMatcher` does.
-struct Sweep {
-    mem: HashMem,
-    /// Per right memory, the readers whose left memory in `mem` is
-    /// non-empty.
-    linked: LinkedReaders,
-    outbox: Outbox,
-    tally: Tally,
-    /// Reusable scan buffers.
-    scratch_wmes: Vec<(WmeRef, u32)>,
-    scratch_tokens: Vec<Token>,
-    scratch_kids: Vec<Child>,
-}
-
-/// Where a join's outputs go: downstream joins' queued left deltas, or the
-/// conflict set.
-struct Outbox {
+/// col's schedule (module docs): per-join queues of left activations,
+/// swept ascending once the alpha walk is over.
+pub struct Sweep {
     /// Signed per-join left-input deltas for the current sweep, each with
     /// its key in the join's left memory: alpha-produced 1-WME tokens and
     /// upstream join emissions, in emission order. Right (alpha) deltas are
@@ -150,57 +98,9 @@ struct Outbox {
     /// of joins a small batch doesn't touch, and marking is a branch-free
     /// word OR.
     dirty: Vec<u64>,
-    out: Vec<CsChange>,
-}
-
-impl Outbox {
-    /// Queues a left delta on join `j` under `key` and flags `j`.
-    #[inline]
-    fn left(&mut self, j: JoinId, sign: Sign, token: Token, key: u64) {
-        self.left_deltas[j as usize].push((sign, token, key));
-        self.dirty[(j >> 6) as usize] |= 1u64 << (j & 63);
-    }
-
-    /// Fans an output out to its successors: a downstream join gets a left
-    /// delta under its key there, a terminal a conflict-set change (token
-    /// clones are `Arc` bumps).
-    fn emit(
-        &mut self,
-        net: &Network,
-        mem: &HashMem,
-        succs: &[Succ],
-        sign: Sign,
-        token: &Token,
-        stats: &mut MatchStats,
-    ) {
-        for succ in succs {
-            match *succ {
-                Succ::Join(j) => {
-                    let key = mem.left_key(net.join(j), token);
-                    self.left(j, sign, token.clone(), key);
-                }
-                Succ::Terminal(prod) => {
-                    stats.activations += 1;
-                    stats.cs_changes += 1;
-                    let inst = Instantiation {
-                        prod,
-                        wmes: token.clone(),
-                    };
-                    self.out.push(match sign {
-                        Sign::Plus => CsChange::Insert(inst),
-                        Sign::Minus => CsChange::Remove(inst),
-                    });
-                }
-            }
-        }
-    }
-
-    /// Sends `kids` (drained) to `succ`, each under the key it carries.
-    fn send_kids(&mut self, succ: JoinId, sign: Sign, kids: &mut Vec<Child>) {
-        for c in kids.drain(..) {
-            self.left(succ, sign, c.token, c.key);
-        }
-    }
+    /// Scratch of the alpha walk, kept across submits so a small batch
+    /// does not pay for it.
+    alpha: AlphaScratch,
 }
 
 /// Scratch of one class group's alpha walk.
@@ -219,49 +119,73 @@ struct AlphaScratch {
 impl ColMatcher {
     pub fn new(net: Arc<Network>) -> ColMatcher {
         let n = net.n_joins();
-        ColMatcher {
-            sweep: Sweep {
-                mem: HashMem::new(HashMemConfig::default(), &net),
-                linked: LinkedReaders::new(&net),
-                outbox: Outbox {
-                    left_deltas: (0..n).map(|_| Vec::new()).collect(),
-                    dirty: vec![0u64; n.div_ceil(64)],
-                    out: Vec::new(),
-                },
-                tally: Tally::default(),
-                scratch_wmes: Vec::new(),
-                scratch_tokens: Vec::new(),
-                scratch_kids: Vec::new(),
-            },
+        let sweep = Sweep {
+            left_deltas: (0..n).map(|_| Vec::new()).collect(),
+            dirty: vec![0u64; n.div_ceil(64)],
             alpha: AlphaScratch::default(),
-            delta: StatsDeltaTracker::default(),
-            net,
-        }
-    }
-
-    pub fn network(&self) -> &Arc<Network> {
-        &self.net
-    }
-
-    /// Total memory entries (invariant checks in tests).
-    pub fn memory_entries(&self) -> usize {
-        self.sweep.mem.total_entries()
-    }
-
-    /// Per right memory, the readers linked to it, and the entries of one
-    /// join's left memory: tests hold the lists to the filter they replaced.
-    #[doc(hidden)]
-    pub fn linked_readers(&self) -> &[Vec<JoinId>] {
-        self.sweep.linked.lists()
-    }
-
-    #[doc(hidden)]
-    pub fn left_entries(&self, join: JoinId) -> u32 {
-        self.sweep.mem.left_count(join)
+        };
+        let mem = HashMem::new(HashMemConfig::default(), &net);
+        SeqMatcher::with(net, mem, sweep)
     }
 }
 
-impl Sweep {
+/// Factory helper returning a boxed matcher (table-driven harnesses).
+pub fn boxed_col(net: Arc<Network>) -> Box<dyn Matcher> {
+    Box::new(ColMatcher::new(net))
+}
+
+impl Schedule for Sweep {
+    fn name<M: TokenMem>(_: &M) -> &'static str {
+        "col"
+    }
+
+    /// Queues a left delta on join `join` under `key` and flags `join`.
+    #[inline]
+    fn left(&mut self, join: JoinId, sign: Sign, token: Token, key: u64) {
+        self.left_deltas[join as usize].push((sign, token, key));
+        self.dirty[(join >> 6) as usize] |= 1u64 << (join & 63);
+    }
+
+    #[inline]
+    fn terminal(
+        &mut self,
+        prod: ProdId,
+        sign: Sign,
+        token: Token,
+        out: &mut Vec<CsChange>,
+        stats: &mut MatchStats,
+    ) {
+        fire(out, stats, prod, sign, token);
+    }
+
+    fn submit<M: TokenMem>(k: &mut Kernel<M, Sweep>, net: &Network, batch: &ChangeBatch) {
+        k.tally.stats.conjugate_pairs += batch.annihilated();
+        // Alpha network, whole batch, pattern-major: the group's passing
+        // changes are resolved once per pattern, then each right memory
+        // and each successor consumes the whole set while its state is
+        // cache-hot. Right deltas run pass 1 in place (left memories stay
+        // untouched until the sweep); left deltas and emissions queue on
+        // their join for the pass-2 sweep. Per-join delta order stays
+        // submission order — only interleaving across joins changes,
+        // which folding cannot observe.
+        let mut alpha = std::mem::take(&mut k.sched.alpha);
+        for (class, group) in batch.groups() {
+            k.tally.stats.alpha_activations += 1;
+            k.tally.stats.wme_changes += group.len() as u64;
+            if let Some(patterns) = net.class_patterns(class) {
+                k.alpha_group(net, patterns, group, &mut alpha);
+            }
+        }
+        k.sched.alpha = alpha;
+        k.drain(net);
+    }
+
+    fn is_idle(&self) -> bool {
+        self.left_deltas.iter().all(Vec::is_empty)
+    }
+}
+
+impl<M: TokenMem> Kernel<M, Sweep> {
     /// The alpha walk of one class group. Each change asks the class's
     /// constant index for its candidate patterns; the (pattern, change)
     /// pairs, sorted, are the pattern-major sweep: patterns ascending, each
@@ -306,20 +230,12 @@ impl Sweep {
             for &mem in &pat.right_mems {
                 self.right_group(net, mem, group, passing);
             }
-            for succ in &pat.succs {
-                let to = match *succ {
-                    AlphaSucc::JoinLeft(j) => Succ::Join(j),
-                    AlphaSucc::Terminal(p) => Succ::Terminal(p),
-                    // Served through the pattern's right memories above.
-                    AlphaSucc::JoinRight(_) => continue,
-                };
+            for succ in pat.succs.iter().filter_map(|s| s.left_input()) {
                 for &ci in passing.iter() {
                     let change = &group[ci as usize];
                     let t = singles[ci as usize]
                         .get_or_insert_with(|| Token::single(change.wme.clone()));
-                    let to = std::slice::from_ref(&to);
-                    let stats = &mut self.tally.stats;
-                    self.outbox.emit(net, &self.mem, to, change.sign, t, stats);
+                    self.emit(net, succ, change.sign, t.clone());
                 }
             }
         }
@@ -330,11 +246,10 @@ impl Sweep {
     /// A pattern's passing set against one of its right memories: apply
     /// every change to the memory once and run pass 1 for the readers
     /// linked to it. The left memories — and with them the linked lists,
-    /// which only [`Sweep::process_join`] updates — are frozen for the
-    /// entire alpha walk, so the list read here is the filter
-    /// `readers.filter(left_count != 0)` for every change of the set: same
-    /// readers, same ascending order. A dead reader is not looked at; the
-    /// dead are retired by count.
+    /// which only the sweep updates — are frozen for the entire alpha walk,
+    /// so the list read here is the filter `readers.filter(left_count !=
+    /// 0)` for every change of the set: same readers, same ascending order.
+    /// A dead reader is not looked at; the dead are retired by count.
     fn right_group(
         &mut self,
         net: &Network,
@@ -342,41 +257,19 @@ impl Sweep {
         group: &[WmeChange],
         passing: &[u32],
     ) {
-        let spec = &net.right_mems[mem as usize];
-        debug_assert!(
-            self.linked
-                .is_the_filter(net, mem, |j| self.mem.left_count(j) != 0),
-            "memory {mem}: linked readers are not the live ones"
-        );
-        let linked = self.linked.of(mem).len();
-        let changes = passing.len() as u64;
-        self.tally
-            .right_store(mem, changes, spec.readers.len(), linked);
+        let linked = self.book_readers(net, mem, passing.len() as u64);
         // Pass 1 mutates no left memory's population, so the list cannot
         // change under the loops; indexing keeps `self` free for the calls.
         // The readers that keep children take each change before the
         // memory takes the next: a slot the removal frees may go to the
         // next entry a child is joined with (module docs).
         for &ci in passing {
-            let change = &group[ci as usize];
-            let key = self.mem.store_key(mem, spec, &change.wme);
-            let slot = match change.sign {
-                Sign::Plus => {
-                    self.mem.insert_right(mem, key, change.wme.clone());
-                    NIL
-                }
-                Sign::Minus => {
-                    let r = self.mem.remove_right(mem, key, &change.wme);
-                    self.tally.stats.same_tokens_right += r.examined;
-                    self.tally.stats.same_searches_right += 1;
-                    debug_assert!(r.entry.is_some(), "col delete must find its wme");
-                    r.entry.unwrap_or(NIL)
-                }
-            };
+            let WmeChange { sign, wme } = &group[ci as usize];
+            let (key, slot) = self.store(net, mem, wme, *sign);
             for i in 0..linked {
                 let j = net.join(self.linked.of(mem)[i]);
-                if let Some(s) = j.child_succ() {
-                    self.right_keep(j, net.join(s), change.sign, &change.wme, key, slot);
+                if j.child_succ().is_some() {
+                    self.right_activation(net, j, wme, *sign, key, slot);
                 }
             }
         }
@@ -386,82 +279,11 @@ impl Sweep {
                 continue;
             }
             for &ci in passing {
-                let change = &group[ci as usize];
-                self.right_delta(net, j, change.sign, &change.wme);
+                // A reader that keeps no children reads no entry.
+                let WmeChange { sign, wme } = &group[ci as usize];
+                self.right_activation(net, j, wme, *sign, 0, NIL);
             }
         }
-    }
-
-    /// Pass 1 at a join that keeps children: a right `+` (stored under
-    /// `store_key`) is adopted by each pre-batch entry it pairs with, a
-    /// right `-` takes the child made with its entry (`slot`) out of each
-    /// entry on its line; the children go to `succ`'s queue.
-    fn right_keep(
-        &mut self,
-        j: &JoinNode,
-        succ: &JoinNode,
-        sign: Sign,
-        w: &WmeRef,
-        store_key: u64,
-        slot: u32,
-    ) {
-        let key = self.mem.right_key(j, w);
-        let kids = &mut self.scratch_kids;
-        let scan = match sign {
-            Sign::Plus => self.mem.extend_left(j, succ, key, w, store_key, kids),
-            Sign::Minus => self.mem.take_child(j, key, slot, kids),
-        };
-        self.tally.scan_from_right(j.id, scan);
-        debug_assert!(
-            sign == Sign::Plus
-                || kids_are_the_rematch(
-                    &self.mem,
-                    j,
-                    succ,
-                    Removal::Right(key, w),
-                    &self.scratch_kids,
-                    &mut self.scratch_wmes,
-                    &mut self.scratch_tokens,
-                ),
-            "join {}: the children taken for -{} are not the rematch's",
-            j.id,
-            w.timetag
-        );
-        self.outbox.send_kids(succ.id, sign, &mut self.scratch_kids);
-    }
-
-    /// Pass 1 at any other reader: one right (alpha) delta against the
-    /// pre-batch left memory. A positive join emits each pair; a not-node
-    /// adjusts the frozen entries' blocker counts and emits each 0-boundary
-    /// crossing.
-    fn right_delta(&mut self, net: &Network, j: &JoinNode, sign: Sign, w: &WmeRef) {
-        let key = self.mem.right_key(j, w);
-        let Sweep {
-            mem,
-            outbox,
-            tally,
-            scratch_tokens,
-            ..
-        } = self;
-        let scan = if j.negated {
-            let delta = match sign {
-                Sign::Plus => 1,
-                Sign::Minus => -1,
-            };
-            let scan = mem.adjust_left_counts(j, key, w, delta, scratch_tokens);
-            for t in scratch_tokens.drain(..) {
-                outbox.emit(net, mem, &j.succs, sign.flip(), &t, &mut tally.stats);
-            }
-            scan
-        } else {
-            let scan = mem.scan_left(j, key, w, scratch_tokens);
-            for t in scratch_tokens.drain(..) {
-                let t = t.extended(w.clone());
-                outbox.emit(net, mem, &j.succs, sign, &t, &mut tally.stats);
-            }
-            scan
-        };
-        tally.scan_from_right(j.id, scan);
     }
 
     /// One forward sweep over the dirty joins in ascending id order
@@ -470,190 +292,40 @@ impl Sweep {
     /// re-reading the current word after a join picks them up).
     fn drain(&mut self, net: &Network) {
         let mut wi = 0;
-        while wi < self.outbox.dirty.len() {
-            let word = self.outbox.dirty[wi];
+        while wi < self.sched.dirty.len() {
+            let word = self.sched.dirty[wi];
             if word == 0 {
                 wi += 1;
                 continue;
             }
             let bit = word.trailing_zeros() as usize;
-            self.outbox.dirty[wi] &= !(1u64 << bit);
+            self.sched.dirty[wi] &= !(1u64 << bit);
             self.process_join(net, wi * 64 + bit);
         }
-        debug_assert!(self.outbox.left_deltas.iter().all(Vec::is_empty));
     }
 
     /// Pass 2: the join's accumulated left deltas (alpha 1-WME tokens and
-    /// upstream emissions), in emission order, against the post-batch
-    /// (settled) right memory it shares. A not-node's token is stored with
-    /// its final blocker count directly, a token at a join that keeps
-    /// children with the children the scan found, and such a token's `-`
-    /// sends its list without scanning.
+    /// upstream emissions), in emission order, each a left activation
+    /// against the post-batch (settled) right memory it shares.
     fn process_join(&mut self, net: &Network, jid: usize) {
         let j = net.join(jid as JoinId);
-        let keeps = j.child_succ().map(|s| net.join(s));
-        let mut deltas = std::mem::take(&mut self.outbox.left_deltas[jid]);
+        let mut deltas = std::mem::take(&mut self.sched.left_deltas[jid]);
         // The sweep never mutates right memories, so emptiness is invariant
         // across every delta queued for this join.
         let opp_empty = self.mem.right_count(j.right_mem) == 0;
         self.tally.join_activations(j.id, deltas.len() as u64);
         for (sign, t, key) in deltas.drain(..) {
-            if sign == Sign::Minus {
-                let r = self.mem.remove_left(j, key, &t);
-                self.tally.stats.same_tokens_left += r.examined;
-                self.tally.stats.same_searches_left += 1;
-                debug_assert!(r.entry.is_some(), "col delete must find its token");
-                if r.entry.is_some() && self.mem.left_count(j.id) == 0 {
-                    self.linked.unlink(j);
-                }
-                if j.negated {
-                    // The stored count says whether the token was passed on.
-                    if r.entry == Some(0) {
-                        let stats = &mut self.tally.stats;
-                        self.outbox.emit(net, &self.mem, &j.succs, sign, &t, stats);
-                    }
-                    continue;
-                }
-                if let Some(succ) = keeps {
-                    // Tree-based removal: the entry's children go on as
-                    // they are, under the keys they carry.
-                    if opp_empty {
-                        self.tally.null();
-                    }
-                    let kids = r.entry.unwrap_or(NIL);
-                    self.mem.take_children(kids, &mut self.scratch_kids);
-                    debug_assert!(
-                        kids_are_the_rematch(
-                            &self.mem,
-                            j,
-                            succ,
-                            Removal::Left(&t, opp_empty),
-                            &self.scratch_kids,
-                            &mut self.scratch_wmes,
-                            &mut self.scratch_tokens,
-                        ),
-                        "join {jid}: the children of -{t:?} are not the rematch's"
-                    );
-                    self.outbox.send_kids(succ.id, sign, &mut self.scratch_kids);
-                    continue;
-                }
-            }
-            // A not-node's blocker count, a keeping join's children list.
-            let (mut blockers, mut kids) = (0, NIL);
-            if opp_empty {
-                self.tally.null();
-            } else {
-                let probe = self.mem.probe_key(j, &t);
-                let scan = if j.negated {
-                    let (n, scan) = self.mem.count_right(j, probe, &t);
-                    blockers = n;
-                    scan
-                } else {
-                    let scan = self.mem.scan_right(j, probe, &t, &mut self.scratch_wmes);
-                    for (w, at) in self.scratch_wmes.drain(..) {
-                        let token = t.extended(w);
-                        match keeps {
-                            Some(succ) => {
-                                let slot = self.mem.slot_at(j.right_mem, probe, at);
-                                let key = self.mem.left_key(succ, &token);
-                                self.outbox.left(succ.id, sign, token.clone(), key);
-                                self.mem.adopt(&mut kids, Child { token, key, slot });
-                            }
-                            None => {
-                                let stats = &mut self.tally.stats;
-                                self.outbox
-                                    .emit(net, &self.mem, &j.succs, sign, &token, stats);
-                            }
-                        }
-                    }
-                    scan
-                };
-                self.tally.scan_from_left(j.id, scan);
-            }
-            if sign == Sign::Plus {
-                if j.negated && blockers == 0 {
-                    let stats = &mut self.tally.stats;
-                    self.outbox.emit(net, &self.mem, &j.succs, sign, &t, stats);
-                }
-                let aux = if j.negated { blockers } else { kids };
-                self.mem.insert_left(j, key, t, aux);
-                if self.mem.left_count(j.id) == 1 {
-                    self.linked.link(j);
-                }
-            }
+            self.left_activation(net, j, sign, t, key, opp_empty);
         }
-        self.outbox.left_deltas[jid] = deltas;
+        self.sched.left_deltas[jid] = deltas;
     }
 }
 
-impl Matcher for ColMatcher {
-    fn submit(&mut self, batch: &ChangeBatch) {
-        let (net, sweep) = (&*self.net, &mut self.sweep);
-        sweep.tally.stats.conjugate_pairs += batch.annihilated();
-        // Alpha network, whole batch, pattern-major: the group's passing
-        // changes are resolved once per pattern, then each right memory
-        // and each successor consumes the whole set while its state is
-        // cache-hot. Right deltas run pass 1 in place (left memories stay
-        // untouched until the sweep); left deltas and emissions queue on
-        // their join for the pass-2 sweep. Per-join delta order stays
-        // submission order — only interleaving across joins changes,
-        // which folding cannot observe.
-        for (class, group) in batch.groups() {
-            sweep.tally.stats.alpha_activations += 1;
-            sweep.tally.stats.wme_changes += group.len() as u64;
-            if let Some(patterns) = net.class_patterns(class) {
-                sweep.alpha_group(net, patterns, group, &mut self.alpha);
-            }
-        }
-        sweep.drain(net);
-    }
-
-    fn quiesce(&mut self) -> QuiesceReport {
-        let s = &mut self.sweep;
-        debug_assert!(s.outbox.left_deltas.iter().all(Vec::is_empty));
-        if let Some(p) = &mut s.tally.profile {
-            p.flush(&self.net);
-        }
-        QuiesceReport {
-            cs_changes: std::mem::take(&mut s.outbox.out),
-            stats_delta: self.delta.take(s.tally.stats),
-            phase: None,
-        }
-    }
-
-    fn stats(&self) -> MatchStats {
-        self.sweep.tally.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.sweep.tally.stats = MatchStats::default();
-        self.delta.reset();
-    }
-
-    fn name(&self) -> &'static str {
-        "col"
-    }
-
-    fn enable_obs(&mut self, _registry: &Arc<obs::Registry>) {
-        if self.sweep.tally.profile.is_none() {
-            self.sweep.tally.profile = Some(BufferedProfile::new(&self.net));
-        }
-    }
-
-    fn node_profile(&self) -> Option<Arc<obs::NodeProfile>> {
-        self.sweep.tally.profile.as_ref().map(|p| p.shared.clone())
-    }
-}
-
-/// Factory helper returning a boxed matcher (table-driven harnesses).
-pub fn boxed_col(net: Arc<Network>) -> Box<dyn Matcher> {
-    Box::new(ColMatcher::new(net))
-}
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::seq::boxed_vs2;
-    use ops5::{Program, Sign, Value, Wme, WmeChange};
+    use ops5::{Program, Sign, Value, Wme, WmeChange, WmeRef};
 
     fn net_of(src: &str) -> (Program, Arc<Network>) {
         let prog = Program::from_source(src).unwrap();

@@ -28,14 +28,14 @@
 //!   Left memories are per join; right memories are the network's shared
 //!   ones ([`RightMemSpec`]), so each WME is stored once.
 //! * [`seq`] — the sequential matcher over any memory kind, instrumented
-//!   with the Table 4-1/4-2/4-3 statistics. A WME change is applied to each
-//!   right memory once and only the readers linked to it — the ones with a
-//!   non-empty left memory — are looked at.
-//! * [`colmatch`] — the set-at-a-time matcher (*col*): vs2's memories,
-//!   swept a whole batch at a time — a pattern-major alpha walk, then one
-//!   ascending pass over the joins with queued left deltas. It keeps no
-//!   memory layout of its own, and removes through kept children as
-//!   [`seq`] does.
+//!   with the Table 4-1/4-2/4-3 statistics: the node activations, written
+//!   once, and vs1/vs2's depth-first agenda. A WME change is applied to
+//!   each right memory once and only the readers linked to it — the ones
+//!   with a non-empty left memory — are looked at.
+//! * [`colmatch`] — the set-at-a-time matcher (*col*): [`seq`]'s kernel
+//!   over vs2's memories under another schedule, a whole batch at a time —
+//!   a pattern-major alpha walk, then one ascending pass over the joins
+//!   with queued left deltas.
 //! * [`dot`] — Graphviz/ASCII rendering of the network (Figure 2-2).
 
 pub mod colmatch;

@@ -1,19 +1,90 @@
-//! The sequential matcher — the paper's uniprocessor C implementations.
+//! The sequential matcher — the paper's uniprocessor C implementations —
+//! and the one node activation every sequential schedule runs.
 //!
 //! `SeqMatcher<ListMem>` is *vs1*, `SeqMatcher<HashMem>` is *vs2*
 //! (Table 4-1), and the `lispsim` crate's matcher is a `SeqMatcher` over a
 //! `ListMem` whose join tests are interpreted (Table 4-4): three memory
-//! policies of one algorithm. Node activations are processed depth-first
-//! off an explicit stack; each activation updates the memories and
-//! schedules successor activations, exactly the task structure the
-//! parallel matcher distributes across match processes.
+//! policies of one algorithm. The set-at-a-time *col*
+//! ([`ColMatcher`](crate::ColMatcher)) is the same kernel under another
+//! schedule: a `SeqMatcher<M, S>` is a memory policy `M` and a schedule
+//! `S`, and the kernel between them is written once.
 //!
-//! Where it departs from the paper: a right memory belongs to the network,
-//! not to a join ([`Network::right_mems`], one per alpha pattern × equality
-//! signature), so a WME change is stored **once** per memory and only the
-//! readers that can pair with something are activated. And a batch is
-//! taken as the *set* it is ([`ChangeBatch`]), not in the order the RHS
-//! wrote it:
+//! # The node activation
+//!
+//! The paper's unit of match work is one node activation (§3.1). The kernel
+//! has four, generic over where their outputs go:
+//!
+//! * the **right store** applies one change to one right memory, once. A
+//!   right memory belongs to the network, not to a join
+//!   ([`Network::right_mems`], one per alpha pattern × equality signature).
+//!   All its readers are booked as join activations; the ones *linked* to
+//!   it — left memory non-empty, `readers::LinkedReaders` — run their right
+//!   activation, and the rest are retired as `null_skipped` by subtraction,
+//!   never looked at;
+//! * a linked reader's **right activation** meets the change already in (or
+//!   out of) the memory it shares, so only its left side remains: a
+//!   positive join pairs the WME with its left line, a not-node adjusts the
+//!   blocker counts there and passes on each token that crosses zero;
+//! * the **left activation** of a positive join or a not-node, `+` or `-`,
+//!   stores or removes the token and scans (or counts) the right memory; a
+//!   join whose left memory goes 0 → 1 or 1 → 0 links or unlinks itself;
+//! * the **fan-out** sends an output to every successor: a downstream
+//!   join's left input under its key in that join's left memory, or a
+//!   terminal.
+//!
+//! The schedule decides where the outputs wait and so in which order the
+//! activations run. vs1 and vs2 stack them on an [`Agenda`] (terminals as
+//! [`Task::Terminal`]) and run it depth-first, below. col queues them per
+//! join and sends terminals straight to the conflict set
+//! ([`crate::colmatch`]).
+//!
+//! **A retraction costs what it removes** (Doorenbos's tree-based removal,
+//! kept in the memory policy). A positive join that feeds one join and
+//! nothing else ([`JoinNode::child_succ`]) keeps, in each left entry, the
+//! children it sent on: `token.extended(w)`, that child's key in the
+//! successor's left memory, and the slot of `w`'s right entry ([`Child`]).
+//! The entry's `aux` is the head of its list, where a not-node's is its
+//! blocker count. The activations change the lists where they already touch
+//! the entries:
+//!
+//! * right `+`: each entry the join tests pass on its line adopts its child
+//!   ([`TokenMem::extend_left`], given the change's store key), and the
+//!   child goes down as before;
+//! * right `-`: each entry on its line gives up the child made with the
+//!   leaving right entry, found by the slot its removal returned, with no
+//!   join test ([`TokenMem::take_child`]);
+//! * left `+`: the scan's hits become the new entry's list
+//!   ([`TokenMem::slot_at`], [`TokenMem::adopt`]);
+//! * left `-`: the entry is taken out and its list sent as it is, each child
+//!   under the key it carries ([`TokenMem::take_children`]): no probe key,
+//!   no scan, no join test, no token built.
+//!
+//! Not-nodes keep rematching (their output is the token itself, and a
+//! leaving blocker must re-test), and so do terminal joins (their outputs
+//! live in the conflict set) and joins shared by several successors.
+//!
+//! A list stands in for the rematch it replaces only if, whenever a removal
+//! takes from it, it is exactly what the rematch would find, in the order
+//! it would find it. The order is the activation's: a list taken whole is
+//! sorted by where its right entries stand in their line now (`swap_remove`
+//! moves a line's last entry forward), so the children leave in the
+//! rematch's order and everything downstream — left memory orders, Table
+//! 4-3, the CS-change order — is unchanged. The set is the schedule's: each
+//! child must join a list once, when the second of its halves arrives, and
+//! leave it once, when the first half leaves (the agenda's argument is
+//! below, col's in [`crate::colmatch`]). Debug builds check every removal at
+//! such a join, as they check the reader lists on every store: the children
+//! taken are the rematch's tokens in the rematch's order under the
+//! successor's keys, and an empty right memory leaves none.
+//!
+//! # vs1 and vs2: the agenda
+//!
+//! Node activations are processed depth-first off an explicit stack; each
+//! activation updates the memories and schedules successor activations,
+//! exactly the task structure the parallel matcher distributes across match
+//! processes. Where it departs from the paper, besides the shared right
+//! memories: a batch is taken as the *set* it is ([`ChangeBatch`]), not in
+//! the order the RHS wrote it:
 //!
 //! −1. `submit` dispatches every retraction of the batch (all classes, group
 //!    order, order within a group kept) before any assertion, each change
@@ -37,14 +108,11 @@
 //!    ascending, as the linear chain met them) and run their test lists;
 //! 1. the passing patterns' alpha-direct left tokens and terminals go to the
 //!    *bottom* of the agenda;
-//! 2. every right memory of a passing pattern takes the change and books
-//!    all its readers as join activations; the ones *linked* to it — left
-//!    memory non-empty, `readers::LinkedReaders` — run their right activation in
+//! 2. every right memory of a passing pattern takes the change (the right
+//!    store), and its linked readers run their right activation in
 //!    ascending join order (no own-side insert, against left memories
-//!    nothing of this change has touched yet) and the rest are retired as
-//!    `null_skipped` by subtraction, never looked at;
-//! 3. the agenda drains, and a join whose left memory goes 0 → 1 or 1 → 0
-//!    links or unlinks itself.
+//!    nothing of this change has touched yet);
+//! 3. the agenda drains, one left or terminal activation at a time.
 //!
 //! That order is what makes one shared memory equivalent to a private one
 //! per join. Every right activation of a change runs before any left
@@ -67,47 +135,17 @@
 //! previous change's has ended. Same set, same ascending order, same
 //! counters; debug builds assert it on every store.
 //!
-//! **A retraction costs what it removes** (Doorenbos's tree-based removal,
-//! kept in the memory policy). A positive join that feeds one join and
-//! nothing else ([`JoinNode::child_succ`]) keeps, in each left entry, the
-//! children it sent on: `token.extended(w)`, that child's key in the
-//! successor's left memory, and the slot of `w`'s right entry
-//! ([`Child`]). The lists change where the kernel already touches the
-//! entries:
-//!
-//! * step 2, right `+`: each entry the join tests pass on its line adopts
-//!   its child, and the child goes down as before;
-//! * step 2, right `-`: each entry on its line gives up the child made with
-//!   the leaving right entry, found by slot, with no join test;
-//! * step 3, left `+`: the scan's hits become the new entry's list;
-//! * step 3, left `-`: the entry is taken out and its list sent as it is,
-//!   each child under the key it carries: no probe key, no scan, no join
-//!   test, no token built.
-//!
-//! Not-nodes keep rematching (their output is the token itself, and a
-//! leaving blocker must re-test), and so do terminal joins (their outputs
-//! live in the conflict set) and joins shared by several successors.
-//!
-//! The ordering argument above still holds because a list is, whenever a
-//! removal takes from it, exactly what a rematch would find, in the order
-//! it would find it. A child joins a list when the second of its halves
-//! arrives — a right `+` runs before any left activation of its change, and
-//! a left `+` scans a memory the change is already in, so a pair whose two
-//! halves arrive together is adopted once, by the left side, as it was
-//! emitted once — and leaves when the first half leaves: a right `-` takes
-//! it in step 2, before the left `-` of the same change can send it, so a
-//! self-join WME that leaves the token and the right memory at once sends
-//! each child once. And a list taken whole is sorted by where its right
-//! entries stand in their line now (`swap_remove` moves a line's last entry
-//! forward), so the agenda receives the children in the rematch's order and
-//! everything downstream — left memory orders, Table 4-3, the CS-change
-//! order — is unchanged. Debug builds check it on every removal at such a
-//! join, as they check the reader lists on every store: the children taken
-//! are the rematch's tokens in the rematch's order under the successor's
-//! keys, and an empty right memory leaves none.
+//! And it is why each kept child is sent once. A child joins a list when the
+//! second of its halves arrives — a right `+` runs before any left
+//! activation of its change, and a left `+` scans a memory the change is
+//! already in, so a pair whose two halves arrive together is adopted once,
+//! by the left side, as it was emitted once — and leaves when the first half
+//! leaves: a right `-` takes it in step 2, before the left `-` of the same
+//! change can send it, so a self-join WME that leaves the token and the
+//! right memory at once sends each child once.
 
 use crate::memory::{Child, HashMem, HashMemConfig, ListMem, Removed, ScanStats, TokenMem, NIL};
-use crate::network::{AlphaSucc, ClassPatterns, JoinId, JoinNode, Network, RightMemId, Succ};
+use crate::network::{ClassPatterns, JoinId, JoinNode, Network, RightMemId, Succ};
 use crate::profile::BufferedProfile;
 use crate::readers::LinkedReaders;
 use crate::token::Token;
@@ -133,28 +171,21 @@ pub enum Task {
     },
 }
 
-/// The stack of pending activations. A left task's key in its join's left
-/// memory rides on a stack of its own, pushed and popped with the task, so
-/// a [`Task`] stays two words: a key field would make every task three,
-/// terminal ones included.
+/// vs1 and vs2's schedule: the stack of pending activations (module docs).
+/// A left task's key in its join's left memory rides on a stack of its
+/// own, pushed and popped with the task, so a [`Task`] stays two words: a
+/// key field would make every task three, terminal ones included.
 #[derive(Default)]
-struct Agenda {
+pub struct Agenda {
     tasks: Vec<Task>,
     keys: Vec<u64>,
+    /// The live readers of the change in flight (step 2), ascending, each
+    /// with the change's entry in the memory it reads: its slot (a `-`
+    /// only) and its key.
+    live: Vec<(JoinId, u32, u64)>,
 }
 
 impl Agenda {
-    #[inline]
-    fn left(&mut self, join: JoinId, sign: Sign, token: Token, key: u64) {
-        self.tasks.push(Task::Left { join, sign, token });
-        self.keys.push(key);
-    }
-
-    #[inline]
-    fn terminal(&mut self, prod: ProdId, sign: Sign, token: Token) {
-        self.tasks.push(Task::Terminal { prod, sign, token });
-    }
-
     /// The next task, with its key if it is a left one.
     #[inline]
     fn pop(&mut self) -> Option<(Task, u64)> {
@@ -165,21 +196,117 @@ impl Agenda {
         };
         Some((task, key))
     }
+}
 
-    fn is_empty(&self) -> bool {
+/// A schedule of the kernel: where the outputs of a node activation wait,
+/// and so the order in which a batch's activations run. The activations
+/// themselves are the kernel's.
+pub(crate) trait Schedule: Sized + Send {
+    /// The matcher's name over the memories `mem`.
+    fn name<M: TokenMem>(mem: &M) -> &'static str;
+
+    /// `token` is to enter `join`'s left input, under `key` in its left
+    /// memory.
+    fn left(&mut self, join: JoinId, sign: Sign, token: Token, key: u64);
+
+    /// `token` has reached `prod`'s terminal: a conflict-set change, which
+    /// [`fire`] books into `out`, now or when its turn comes.
+    fn terminal(
+        &mut self,
+        prod: ProdId,
+        sign: Sign,
+        token: Token,
+        out: &mut Vec<CsChange>,
+        stats: &mut MatchStats,
+    );
+
+    /// One batch, start to quiescence.
+    fn submit<M: TokenMem>(k: &mut Kernel<M, Self>, net: &Network, batch: &ChangeBatch);
+
+    /// Nothing waits (checked at every quiesce in debug builds).
+    fn is_idle(&self) -> bool;
+}
+
+/// A terminal activation: one conflict-set change into `out`.
+pub(crate) fn fire(
+    out: &mut Vec<CsChange>,
+    stats: &mut MatchStats,
+    prod: ProdId,
+    sign: Sign,
+    token: Token,
+) {
+    stats.activations += 1;
+    stats.cs_changes += 1;
+    let inst = Instantiation { prod, wmes: token };
+    out.push(match sign {
+        Sign::Plus => CsChange::Insert(inst),
+        Sign::Minus => CsChange::Remove(inst),
+    });
+}
+
+impl Schedule for Agenda {
+    fn name<M: TokenMem>(mem: &M) -> &'static str {
+        mem.kind_name()
+    }
+
+    #[inline]
+    fn left(&mut self, join: JoinId, sign: Sign, token: Token, key: u64) {
+        self.tasks.push(Task::Left { join, sign, token });
+        self.keys.push(key);
+    }
+
+    #[inline]
+    fn terminal(
+        &mut self,
+        prod: ProdId,
+        sign: Sign,
+        token: Token,
+        _: &mut Vec<CsChange>,
+        _: &mut MatchStats,
+    ) {
+        self.tasks.push(Task::Terminal { prod, sign, token });
+    }
+
+    fn submit<M: TokenMem>(k: &mut Kernel<M, Agenda>, net: &Network, batch: &ChangeBatch) {
+        // Pairs already annihilated inside the batch never reach the
+        // network; account for them like the parallel matcher does.
+        k.tally.stats.conjugate_pairs += batch.annihilated();
+        // Step −1: the batch's retractions, then its assertions.
+        for pass in [Sign::Minus, Sign::Plus] {
+            for (class, group) in batch.groups() {
+                if pass == Sign::Minus {
+                    // One grouped constant-test task per class (§3.1),
+                    // booked once whatever the group's signs are.
+                    k.tally.stats.alpha_activations += 1;
+                    k.tally.stats.wme_changes += group.len() as u64;
+                }
+                let Some(patterns) = net.class_patterns(class) else {
+                    continue;
+                };
+                // Each change's cascade completes before the next change's
+                // begins: the sequential memories rely on the
+                // one-change-at-a-time discipline (no conjugate-pair parking
+                // here, unlike the parallel matcher).
+                for change in group.iter().filter(|c| c.sign == pass) {
+                    k.change(net, patterns, &change.wme, pass);
+                }
+            }
+        }
+    }
+
+    fn is_idle(&self) -> bool {
         self.tasks.is_empty()
     }
 }
 
 /// What the kernel counts: [`MatchStats`] plus the optional per-join
 /// profile. One field of the kernel, so an activation can book its work
-/// while it holds a node borrowed from the network; `col` counts through
-/// it too.
+/// while it holds a node borrowed from the network.
 #[derive(Default)]
 pub(crate) struct Tally {
     pub(crate) stats: MatchStats,
     /// `None` (the default) keeps the hot path free of recording.
-    pub(crate) profile: Option<BufferedProfile>,
+    profile: Option<BufferedProfile>,
 }
 
 impl Tally {
@@ -197,13 +324,7 @@ impl Tally {
     /// `linked` ones will run, each visited once for the whole set, and the
     /// dead rest is retired here without being visited.
     #[inline]
-    pub(crate) fn right_store(
-        &mut self,
-        mem: RightMemId,
-        changes: u64,
-        readers: usize,
-        linked: usize,
-    ) {
+    fn right_store(&mut self, mem: RightMemId, changes: u64, readers: usize, linked: usize) {
         self.stats.activations += changes * readers as u64;
         self.stats.join_activations += changes * readers as u64;
         self.stats.null_skipped += changes * (readers - linked) as u64;
@@ -216,13 +337,13 @@ impl Tally {
     /// A left activation whose right memory is empty network-wide: the scan
     /// would examine nothing and emit nothing, so none is made.
     #[inline]
-    pub(crate) fn null(&mut self) {
+    fn null(&mut self) {
         self.stats.null_activations += 1;
     }
 
     /// A left activation's scan of the right memory.
     #[inline]
-    pub(crate) fn scan_from_left(&mut self, join: JoinId, scan: ScanStats) {
+    fn scan_from_left(&mut self, join: JoinId, scan: ScanStats) {
         self.stats.opp_tokens_left += scan.examined;
         self.stats.opp_nonempty_left += scan.nonempty as u64;
         if let Some(p) = &mut self.profile {
@@ -232,7 +353,7 @@ impl Tally {
 
     /// A right activation's scan of the left memory.
     #[inline]
-    pub(crate) fn scan_from_right(&mut self, join: JoinId, scan: ScanStats) {
+    fn scan_from_right(&mut self, join: JoinId, scan: ScanStats) {
         self.stats.opp_tokens_right += scan.examined;
         self.stats.opp_nonempty_right += scan.nonempty as u64;
         if let Some(p) = &mut self.profile {
@@ -245,42 +366,41 @@ impl Tally {
 /// [`SeqMatcher`] lends out `net` and `kernel` as two disjoint fields and a
 /// submit never touches the `Arc`'s count — a cache line every session of
 /// one compiled program shares.
-struct Kernel<M> {
-    mem: M,
+pub(crate) struct Kernel<M, S> {
+    pub(crate) mem: M,
     /// Per right memory, the readers whose left memory in `mem` is
     /// non-empty.
-    linked: LinkedReaders,
-    agenda: Agenda,
+    pub(crate) linked: LinkedReaders,
+    pub(crate) tally: Tally,
+    /// Where the activations' outputs wait.
+    pub(crate) sched: S,
     out: Vec<CsChange>,
-    tally: Tally,
-    /// The live readers of the change in flight (step 2), ascending, each
-    /// with the change's entry in the memory it reads: its slot (a `-`
-    /// only) and its key.
-    live: Vec<(JoinId, u32, u64)>,
     /// Reusable buffers: a steady-state activation allocates nothing.
     scratch_wmes: Vec<(WmeRef, u32)>,
     scratch_tokens: Vec<Token>,
     scratch_kids: Vec<Child>,
 }
 
-/// Sequential Rete matcher over a pluggable memory implementation.
-pub struct SeqMatcher<M: TokenMem> {
+/// Sequential Rete matcher over a pluggable memory implementation, under
+/// a schedule: vs1/vs2's agenda by default, col's sweep in
+/// [`ColMatcher`](crate::ColMatcher).
+pub struct SeqMatcher<M: TokenMem, S = Agenda> {
     net: Arc<Network>,
-    kernel: Kernel<M>,
+    kernel: Kernel<M, S>,
     delta: StatsDeltaTracker,
 }
 
-impl<M: TokenMem> SeqMatcher<M> {
-    /// The kernel on `net` over the memories `mem` (built for `net`).
-    pub fn over(net: Arc<Network>, mem: M) -> Self {
+impl<M: TokenMem, S> SeqMatcher<M, S> {
+    /// The kernel on `net` over the memories `mem` (built for `net`), under
+    /// the schedule `sched`.
+    pub(crate) fn with(net: Arc<Network>, mem: M, sched: S) -> Self {
         SeqMatcher {
             kernel: Kernel {
                 mem,
                 linked: LinkedReaders::new(&net),
-                agenda: Agenda::default(),
-                out: Vec::new(),
                 tally: Tally::default(),
-                live: Vec::new(),
+                sched,
+                out: Vec::new(),
                 scratch_wmes: Vec::new(),
                 scratch_tokens: Vec::new(),
                 scratch_kids: Vec::new(),
@@ -288,6 +408,35 @@ impl<M: TokenMem> SeqMatcher<M> {
             net,
             delta: StatsDeltaTracker::default(),
         }
+    }
+
+    /// Direct access to the network (tests, tooling).
+    pub fn network(&self) -> &Arc<Network> {
+        &self.net
+    }
+
+    /// Total memory entries (invariant checks in tests).
+    pub fn memory_entries(&self) -> usize {
+        self.kernel.mem.total_entries()
+    }
+
+    /// Per right memory, the readers linked to it, and the entries of one
+    /// join's left memory: tests hold the lists to the filter they replaced.
+    #[doc(hidden)]
+    pub fn linked_readers(&self) -> &[Vec<JoinId>] {
+        self.kernel.linked.lists()
+    }
+
+    #[doc(hidden)]
+    pub fn left_entries(&self, join: JoinId) -> u32 {
+        self.kernel.mem.left_count(join)
+    }
+}
+
+impl<M: TokenMem> SeqMatcher<M> {
+    /// The kernel on `net` over the memories `mem` (built for `net`).
+    pub fn over(net: Arc<Network>, mem: M) -> Self {
+        SeqMatcher::with(net, mem, Agenda::default())
     }
 }
 
@@ -322,27 +471,6 @@ pub fn boxed_vs2(net: Arc<Network>, cfg: HashMemConfig) -> Box<dyn Matcher> {
     Box::new(SeqMatcher::vs2(net, cfg))
 }
 
-/// Schedules a join output to every successor, a left task under its key in
-/// that successor's left memory (free function so scan-buffer drains can
-/// push while the buffer is borrowed from the kernel). With sharing off
-/// every join has exactly one successor; with it on a shared join fans the
-/// token out to each consumer (token clones are `Arc` bumps).
-fn push_succs<M: TokenMem>(
-    agenda: &mut Agenda,
-    mem: &M,
-    net: &Network,
-    succs: &[Succ],
-    token: &Token,
-    sign: Sign,
-) {
-    for succ in succs {
-        match *succ {
-            Succ::Join(j) => agenda.left(j, sign, token.clone(), mem.left_key(net.join(j), token)),
-            Succ::Terminal(p) => agenda.terminal(p, sign, token.clone()),
-        }
-    }
-}
-
 /// Is `child` `token` extended by `w`? Compared by timetags, allocating
 /// nothing (debug checks run inside the allocation gates too).
 fn extends(child: &Token, token: &Token, w: &Wme) -> bool {
@@ -353,7 +481,7 @@ fn extends(child: &Token, token: &Token, w: &Wme) -> bool {
 
 /// A removal at a join that keeps children, as the rematch it replaces
 /// would see it.
-pub(crate) enum Removal<'a> {
+enum Removal<'a> {
     /// A left `-` of a token; `true`: the join's right memory is empty.
     Left(&'a Token, bool),
     /// A right `-` of a WME, with the key of its line in the join's left
@@ -365,12 +493,10 @@ pub(crate) enum Removal<'a> {
 /// replace would have sent: for each (token, WME) pair a scan finds — of
 /// `j`'s right memory for a left `-`, of its left line for a right `-` — in
 /// the scan's order, the token extended by the WME, under its key in
-/// `succ`'s left memory? An empty right memory leaves no child. Both
-/// kernels check every removal at a join that keeps children in debug
-/// builds, as they check the reader lists on every store. The scans go into
-/// the caller's scratch buffers, left empty, so the check allocates nothing
-/// inside the allocation gates.
-pub(crate) fn kids_are_the_rematch<M: TokenMem>(
+/// `succ`'s left memory? An empty right memory leaves no child. The scans
+/// go into the caller's scratch buffers, left empty, so the check allocates
+/// nothing inside the allocation gates.
+fn kids_are_the_rematch<M: TokenMem>(
     mem: &M,
     j: &JoinNode,
     succ: &JoinNode,
@@ -398,60 +524,58 @@ pub(crate) fn kids_are_the_rematch<M: TokenMem>(
     same
 }
 
-impl<M: TokenMem> Kernel<M> {
-    /// One WME change against its class's patterns, start to quiescence
-    /// (module docs, steps 0-3).
-    fn change(&mut self, net: &Network, class: &ClassPatterns, wme: &WmeRef, sign: Sign) {
-        debug_assert!(self.agenda.is_empty() && self.live.is_empty());
-        debug_assert!(net.index_covers(wme), "alpha index dropped a pattern");
-        // One 1-WME token per change, shared by every alpha-direct
-        // successor it feeds (token clones are `Arc` bumps).
-        let mut token: Option<Token> = None;
-        let mut single = || {
-            let token = token.get_or_insert_with(|| Token::single(wme.clone()));
-            token.clone()
-        };
-        for pid in class.candidates(wme) {
-            let pat = net.pattern(pid);
-            if !pat.passes(wme, &mut self.tally.stats.alpha_tests) {
-                continue;
-            }
-            for succ in &pat.succs {
-                match *succ {
-                    AlphaSucc::JoinLeft(join) => {
-                        let t = single();
-                        let key = self.mem.left_key(net.join(join), &t);
-                        self.agenda.left(join, sign, t, key);
-                    }
-                    // Served through the pattern's right memories below.
-                    AlphaSucc::JoinRight(_) => {}
-                    AlphaSucc::Terminal(prod) => self.agenda.terminal(prod, sign, single()),
-                }
-            }
-            for &mem in &pat.right_mems {
-                self.store(net, mem, wme, sign);
-            }
-        }
-        // Each memory lists its readers in ascending order, so this only
-        // has work to do when live readers come from several memories.
-        self.live.sort_unstable();
-        for i in 0..self.live.len() {
-            let (join, slot, key) = self.live[i];
-            self.right_activation(net, join, slot, key, wme, sign);
-        }
-        self.live.clear();
-        while let Some((task, key)) = self.agenda.pop() {
-            self.run_task(net, task, key);
+impl<M: TokenMem, S: Schedule> Kernel<M, S> {
+    /// Sends `token` to every successor in `succs`. With sharing off every
+    /// join has exactly one successor; with it on a shared join fans the
+    /// token out to each consumer (token clones are `Arc` bumps).
+    fn send(&mut self, net: &Network, succs: &[Succ], token: &Token, sign: Sign) {
+        for &succ in succs {
+            self.emit(net, succ, sign, token.clone());
         }
     }
 
-    /// Applies a change to one right memory, once, and queues the readers
-    /// linked to it. The dead ones — with an empty left memory a reader has
-    /// nothing to pair or count-adjust — are not on the list, and are
-    /// retired by count without being looked at.
-    fn store(&mut self, net: &Network, mem: RightMemId, wme: &WmeRef, sign: Sign) {
-        let spec = &net.right_mems[mem as usize];
-        let key = self.mem.store_key(mem, spec, wme);
+    /// Sends `token` to one successor: a downstream join's left input under
+    /// its key in that join's left memory, or a terminal.
+    pub(crate) fn emit(&mut self, net: &Network, succ: Succ, sign: Sign, token: Token) {
+        match succ {
+            Succ::Join(j) => {
+                let key = self.mem.left_key(net.join(j), &token);
+                self.sched.left(j, sign, token, key);
+            }
+            Succ::Terminal(p) => {
+                let (out, stats) = (&mut self.out, &mut self.tally.stats);
+                self.sched.terminal(p, sign, token, out, stats);
+            }
+        }
+    }
+
+    /// Books the readers of right memory `mem` for `changes` changes, each
+    /// a join activation of every one of them; returns how many are linked.
+    /// Those will run, each visited once for the whole set; the dead rest
+    /// is retired by count without being looked at.
+    pub(crate) fn book_readers(&mut self, net: &Network, mem: RightMemId, changes: u64) -> usize {
+        debug_assert!(
+            self.linked
+                .is_the_filter(net, mem, |j| self.mem.left_count(j) != 0),
+            "memory {mem}: linked readers are not the live ones"
+        );
+        let linked = self.linked.of(mem).len();
+        let readers = net.right_mems[mem as usize].readers.len();
+        self.tally.right_store(mem, changes, readers, linked);
+        linked
+    }
+
+    /// The right store: applies one change to right memory `mem`, once.
+    /// Returns the change's entry there: its key and, for a `-`, the slot it
+    /// left.
+    pub(crate) fn store(
+        &mut self,
+        net: &Network,
+        mem: RightMemId,
+        wme: &WmeRef,
+        sign: Sign,
+    ) -> (u64, u32) {
+        let key = self.mem.store_key(mem, &net.right_mems[mem as usize], wme);
         let slot = match sign {
             Sign::Plus => {
                 self.mem.insert_right(mem, key, wme.clone());
@@ -465,15 +589,171 @@ impl<M: TokenMem> Kernel<M> {
                 r.entry.unwrap_or(NIL)
             }
         };
-        debug_assert!(
-            self.linked
-                .is_the_filter(net, mem, |j| self.mem.left_count(j) != 0),
-            "memory {mem}: linked readers are not the live ones"
-        );
-        let linked = self.linked.of(mem);
-        self.tally
-            .right_store(mem, 1, spec.readers.len(), linked.len());
-        self.live.extend(linked.iter().map(|&j| (j, slot, key)));
+        (key, slot)
+    }
+
+    /// The right activation of `j`, a reader linked to the memory that has
+    /// just taken (or given up) `wme` under `store_key` — in `slot`, for a
+    /// `-`; only a join that keeps children reads the entry. The change is
+    /// already in (or out of) the memory `j` shares, so only the left side
+    /// remains.
+    pub(crate) fn right_activation(
+        &mut self,
+        net: &Network,
+        j: &JoinNode,
+        wme: &WmeRef,
+        sign: Sign,
+        store_key: u64,
+        slot: u32,
+    ) {
+        let key = self.mem.right_key(j, wme);
+        if j.negated {
+            // Not-node: a new blocker takes the support of the tokens it
+            // moves 0→1, a removed one returns it to those it moves 1→0.
+            let delta = match sign {
+                Sign::Plus => 1,
+                Sign::Minus => -1,
+            };
+            let mut tokens = std::mem::take(&mut self.scratch_tokens);
+            let scan = self.mem.adjust_left_counts(j, key, wme, delta, &mut tokens);
+            self.tally.scan_from_right(j.id, scan);
+            for t in tokens.drain(..) {
+                self.send(net, &j.succs, &t, sign.flip());
+            }
+            self.scratch_tokens = tokens;
+        } else if let Some(s) = j.child_succ() {
+            // The pairing entries adopt the new child, or give up the one
+            // made with the leaving entry.
+            let succ = net.join(s);
+            let scan = match sign {
+                Sign::Plus => {
+                    let kids = &mut self.scratch_kids;
+                    self.mem.extend_left(j, succ, key, wme, store_key, kids)
+                }
+                Sign::Minus => self.mem.take_child(j, key, slot, &mut self.scratch_kids),
+            };
+            self.tally.scan_from_right(j.id, scan);
+            debug_assert!(
+                sign == Sign::Plus
+                    || kids_are_the_rematch(
+                        &self.mem,
+                        j,
+                        succ,
+                        Removal::Right(key, wme),
+                        &self.scratch_kids,
+                        &mut self.scratch_wmes,
+                        &mut self.scratch_tokens,
+                    ),
+                "join {}: the children taken for -{} are not the rematch's",
+                j.id,
+                wme.timetag
+            );
+            self.send_kids(s, sign);
+        } else {
+            let mut tokens = std::mem::take(&mut self.scratch_tokens);
+            let scan = self.mem.scan_left(j, key, wme, &mut tokens);
+            self.tally.scan_from_right(j.id, scan);
+            for t in tokens.drain(..) {
+                self.send(net, &j.succs, &t.extended(wme.clone()), sign);
+            }
+            self.scratch_tokens = tokens;
+        }
+    }
+
+    /// The left activation of `j` for `token`, to be stored under `key` in
+    /// `j`'s left memory (`+`) or taken out of it (`-`); `opp_empty`: `j`'s
+    /// right memory is empty network-wide. The caller books the activation.
+    /// The node is borrowed from the network for the whole activation and
+    /// nothing here allocates beyond what the memories and the schedule
+    /// have to keep.
+    pub(crate) fn left_activation(
+        &mut self,
+        net: &Network,
+        j: &JoinNode,
+        sign: Sign,
+        token: Token,
+        key: u64,
+        opp_empty: bool,
+    ) {
+        match (j.negated, sign) {
+            (false, Sign::Plus) => {
+                // The entry's children, listed before it is stored.
+                let mut kids = NIL;
+                if opp_empty {
+                    self.tally.null();
+                } else {
+                    let probe = self.scan_right(j, &token);
+                    match j.child_succ() {
+                        Some(s) => {
+                            let succ = net.join(s);
+                            for (w, at) in self.scratch_wmes.drain(..) {
+                                let slot = self.mem.slot_at(j.right_mem, probe, at);
+                                let token = token.extended(w);
+                                let key = self.mem.left_key(succ, &token);
+                                self.sched.left(s, sign, token.clone(), key);
+                                self.mem.adopt(&mut kids, Child { token, key, slot });
+                            }
+                        }
+                        None => self.send_extended(net, j, &token, sign),
+                    }
+                }
+                self.insert_left(j, key, token, kids);
+            }
+            (false, Sign::Minus) => {
+                let kids = self.remove_left(j, key, &token).entry.unwrap_or(NIL);
+                if opp_empty {
+                    self.tally.null();
+                }
+                match j.child_succ() {
+                    // Tree-based removal: the entry's children go on as
+                    // they are, under the keys they carry.
+                    Some(s) => {
+                        self.mem.take_children(kids, &mut self.scratch_kids);
+                        debug_assert!(
+                            kids_are_the_rematch(
+                                &self.mem,
+                                j,
+                                net.join(s),
+                                Removal::Left(&token, opp_empty),
+                                &self.scratch_kids,
+                                &mut self.scratch_wmes,
+                                &mut self.scratch_tokens,
+                            ),
+                            "join {}: the children of -{token:?} are not the rematch's",
+                            j.id
+                        );
+                        self.send_kids(s, sign);
+                    }
+                    None if !opp_empty => {
+                        self.scan_right(j, &token);
+                        self.send_extended(net, j, &token, sign);
+                    }
+                    None => {}
+                }
+            }
+            (true, Sign::Plus) => {
+                // No right WME at all: the count is 0 without looking.
+                let n = if opp_empty {
+                    self.tally.null();
+                    0
+                } else {
+                    let probe = self.mem.probe_key(j, &token);
+                    let (n, scan) = self.mem.count_right(j, probe, &token);
+                    self.tally.scan_from_left(j.id, scan);
+                    n
+                };
+                if n == 0 {
+                    self.send(net, &j.succs, &token, sign);
+                }
+                self.insert_left(j, key, token, n);
+            }
+            (true, Sign::Minus) => {
+                let r = self.remove_left(j, key, &token);
+                if r.entry == Some(0) {
+                    self.send(net, &j.succs, &token, sign);
+                }
+            }
+        }
     }
 
     /// Stores a token in `j`'s left memory; the first one links `j` to its
@@ -509,242 +789,79 @@ impl<M: TokenMem> Kernel<M> {
     /// Sends `token` extended by each WME in `scratch_wmes` to `j`'s
     /// successors: a left activation's rematch.
     fn send_extended(&mut self, net: &Network, j: &JoinNode, token: &Token, sign: Sign) {
-        for (w, _) in self.scratch_wmes.drain(..) {
-            let token = token.extended(w);
-            push_succs(&mut self.agenda, &self.mem, net, &j.succs, &token, sign);
+        let mut wmes = std::mem::take(&mut self.scratch_wmes);
+        for (w, _) in wmes.drain(..) {
+            self.send(net, &j.succs, &token.extended(w), sign);
         }
+        self.scratch_wmes = wmes;
     }
 
-    /// Sends the children in `scratch_kids` to `succ`.
-    fn push_kids(&mut self, succ: JoinId, sign: Sign) {
+    /// Sends the children in `scratch_kids` to `succ`, each under the key it
+    /// carries.
+    fn send_kids(&mut self, succ: JoinId, sign: Sign) {
         for c in self.scratch_kids.drain(..) {
-            self.agenda.left(succ, sign, c.token, c.key);
+            self.sched.left(succ, sign, c.token, c.key);
         }
     }
+}
 
-    /// The right activation of a live reader: the change is already in (or
-    /// out of) the memory it shares, as the entry with `slot` (a `-` only)
-    /// under `store_key`, so only the left side remains.
-    fn right_activation(
-        &mut self,
-        net: &Network,
-        join: JoinId,
-        slot: u32,
-        store_key: u64,
-        wme: &WmeRef,
-        sign: Sign,
-    ) {
-        let j = net.join(join);
-        let key = self.mem.right_key(j, wme);
-        if j.negated {
-            // Not-node: a new blocker takes the support of the tokens it
-            // moves 0→1, a removed one returns it to those it moves 1→0.
-            let delta = match sign {
-                Sign::Plus => 1,
-                Sign::Minus => -1,
-            };
-            let scan = self
-                .mem
-                .adjust_left_counts(j, key, wme, delta, &mut self.scratch_tokens);
-            self.tally.scan_from_right(join, scan);
-            for t in self.scratch_tokens.drain(..) {
-                push_succs(&mut self.agenda, &self.mem, net, &j.succs, &t, sign.flip());
+impl<M: TokenMem> Kernel<M, Agenda> {
+    /// One WME change against its class's patterns, start to quiescence
+    /// (module docs, steps 0-3).
+    fn change(&mut self, net: &Network, class: &ClassPatterns, wme: &WmeRef, sign: Sign) {
+        debug_assert!(self.sched.is_idle() && self.sched.live.is_empty());
+        debug_assert!(net.index_covers(wme), "alpha index dropped a pattern");
+        // One 1-WME token per change, shared by every alpha-direct
+        // successor it feeds (token clones are `Arc` bumps).
+        let mut single: Option<Token> = None;
+        for pid in class.candidates(wme) {
+            let pat = net.pattern(pid);
+            if !pat.passes(wme, &mut self.tally.stats.alpha_tests) {
+                continue;
             }
-        } else if let Some(s) = j.child_succ() {
-            // The pairing entries adopt the new child, or give up the one
-            // made with the leaving entry.
-            let succ = net.join(s);
-            let scan = match sign {
-                Sign::Plus => {
-                    let kids = &mut self.scratch_kids;
-                    self.mem.extend_left(j, succ, key, wme, store_key, kids)
-                }
-                Sign::Minus => self.mem.take_child(j, key, slot, &mut self.scratch_kids),
-            };
-            self.tally.scan_from_right(join, scan);
-            debug_assert!(
-                sign == Sign::Plus
-                    || kids_are_the_rematch(
-                        &self.mem,
-                        j,
-                        succ,
-                        Removal::Right(key, wme),
-                        &self.scratch_kids,
-                        &mut self.scratch_wmes,
-                        &mut self.scratch_tokens,
-                    ),
-                "join {join}: the children taken for -{} are not the rematch's",
-                wme.timetag
-            );
-            self.push_kids(s, sign);
-        } else {
-            let scan = self.mem.scan_left(j, key, wme, &mut self.scratch_tokens);
-            self.tally.scan_from_right(join, scan);
-            for t in self.scratch_tokens.drain(..) {
-                let token = t.extended(wme.clone());
-                push_succs(&mut self.agenda, &self.mem, net, &j.succs, &token, sign);
+            for succ in pat.succs.iter().filter_map(|s| s.left_input()) {
+                let token = single.get_or_insert_with(|| Token::single(wme.clone()));
+                self.emit(net, succ, sign, token.clone());
+            }
+            for &mem in &pat.right_mems {
+                self.book_readers(net, mem, 1);
+                let (key, slot) = self.store(net, mem, wme, sign);
+                let linked = self.linked.of(mem).iter();
+                self.sched.live.extend(linked.map(|&j| (j, slot, key)));
             }
         }
-    }
-
-    /// One left or terminal activation; `key` is a left task's key in its
-    /// join's left memory. The node is borrowed from the network for the
-    /// whole activation and nothing here allocates beyond what the memories
-    /// and the agenda have to keep.
-    fn run_task(&mut self, net: &Network, task: Task, key: u64) {
-        match task {
-            Task::Left { join, sign, token } => {
-                self.tally.join_activations(join, 1);
-                let j = net.join(join);
-                let opp_empty = self.mem.right_count(j.right_mem) == 0;
-                match (j.negated, sign) {
-                    (false, Sign::Plus) => {
-                        // The entry's children, listed before it is stored.
-                        let mut kids = NIL;
-                        if opp_empty {
-                            self.tally.null();
-                        } else {
-                            let probe = self.scan_right(j, &token);
-                            match j.child_succ() {
-                                Some(s) => {
-                                    let succ = net.join(s);
-                                    for (w, at) in self.scratch_wmes.drain(..) {
-                                        let slot = self.mem.slot_at(j.right_mem, probe, at);
-                                        let token = token.extended(w);
-                                        let key = self.mem.left_key(succ, &token);
-                                        self.agenda.left(s, sign, token.clone(), key);
-                                        self.mem.adopt(&mut kids, Child { token, key, slot });
-                                    }
-                                }
-                                None => self.send_extended(net, j, &token, sign),
-                            }
-                        }
-                        self.insert_left(j, key, token, kids);
-                    }
-                    (false, Sign::Minus) => {
-                        let kids = self.remove_left(j, key, &token).entry.unwrap_or(NIL);
-                        if opp_empty {
-                            self.tally.null();
-                        }
-                        match j.child_succ() {
-                            // Tree-based removal: the entry's children go
-                            // on as they are, under the keys they carry.
-                            Some(s) => {
-                                self.mem.take_children(kids, &mut self.scratch_kids);
-                                debug_assert!(
-                                    kids_are_the_rematch(
-                                        &self.mem,
-                                        j,
-                                        net.join(s),
-                                        Removal::Left(&token, opp_empty),
-                                        &self.scratch_kids,
-                                        &mut self.scratch_wmes,
-                                        &mut self.scratch_tokens,
-                                    ),
-                                    "join {join}: the children of -{token:?} are not the rematch's"
-                                );
-                                self.push_kids(s, sign);
-                            }
-                            None if !opp_empty => {
-                                self.scan_right(j, &token);
-                                self.send_extended(net, j, &token, sign);
-                            }
-                            None => {}
-                        }
-                    }
-                    (true, Sign::Plus) => {
-                        // No right WME at all: the count is 0 without looking.
-                        let n = if opp_empty {
-                            self.tally.null();
-                            0
-                        } else {
-                            let probe = self.mem.probe_key(j, &token);
-                            let (n, scan) = self.mem.count_right(j, probe, &token);
-                            self.tally.scan_from_left(join, scan);
-                            n
-                        };
-                        if n == 0 {
-                            push_succs(&mut self.agenda, &self.mem, net, &j.succs, &token, sign);
-                        }
-                        self.insert_left(j, key, token, n);
-                    }
-                    (true, Sign::Minus) => {
-                        let r = self.remove_left(j, key, &token);
-                        if r.entry == Some(0) {
-                            push_succs(&mut self.agenda, &self.mem, net, &j.succs, &token, sign);
-                        }
-                    }
+        // Each memory lists its readers in ascending order, so this only
+        // has work to do when live readers come from several memories.
+        self.sched.live.sort_unstable();
+        for i in 0..self.sched.live.len() {
+            let (join, slot, key) = self.sched.live[i];
+            self.right_activation(net, net.join(join), wme, sign, key, slot);
+        }
+        self.sched.live.clear();
+        while let Some((task, key)) = self.sched.pop() {
+            match task {
+                Task::Left { join, sign, token } => {
+                    self.tally.join_activations(join, 1);
+                    let j = net.join(join);
+                    let opp_empty = self.mem.right_count(j.right_mem) == 0;
+                    self.left_activation(net, j, sign, token, key, opp_empty);
                 }
-            }
-            Task::Terminal { prod, sign, token } => {
-                self.tally.stats.activations += 1;
-                self.tally.stats.cs_changes += 1;
-                let inst = Instantiation { prod, wmes: token };
-                self.out.push(match sign {
-                    Sign::Plus => CsChange::Insert(inst),
-                    Sign::Minus => CsChange::Remove(inst),
-                });
+                Task::Terminal { prod, sign, token } => {
+                    fire(&mut self.out, &mut self.tally.stats, prod, sign, token)
+                }
             }
         }
     }
 }
 
-impl<M: TokenMem> SeqMatcher<M> {
-    /// Direct access to the network (tests, tooling).
-    pub fn network(&self) -> &Arc<Network> {
-        &self.net
-    }
-
-    /// Total memory entries (invariant checks in tests).
-    pub fn memory_entries(&self) -> usize {
-        self.kernel.mem.total_entries()
-    }
-
-    /// Per right memory, the readers linked to it, and the entries of one
-    /// join's left memory: tests hold the lists to the filter they replaced.
-    #[doc(hidden)]
-    pub fn linked_readers(&self) -> &[Vec<JoinId>] {
-        self.kernel.linked.lists()
-    }
-
-    #[doc(hidden)]
-    pub fn left_entries(&self, join: JoinId) -> u32 {
-        self.kernel.mem.left_count(join)
-    }
-}
-
-impl<M: TokenMem + Send> Matcher for SeqMatcher<M> {
+impl<M: TokenMem + Send, S: Schedule> Matcher for SeqMatcher<M, S> {
     fn submit(&mut self, batch: &ChangeBatch) {
-        let (net, k) = (&*self.net, &mut self.kernel);
-        // Pairs already annihilated inside the batch never reach the
-        // network; account for them like the parallel matcher does.
-        k.tally.stats.conjugate_pairs += batch.annihilated();
-        // Step −1: the batch's retractions, then its assertions.
-        for pass in [Sign::Minus, Sign::Plus] {
-            for (class, group) in batch.groups() {
-                if pass == Sign::Minus {
-                    // One grouped constant-test task per class (§3.1),
-                    // booked once whatever the group's signs are.
-                    k.tally.stats.alpha_activations += 1;
-                    k.tally.stats.wme_changes += group.len() as u64;
-                }
-                let Some(patterns) = net.class_patterns(class) else {
-                    continue;
-                };
-                // Each change's cascade completes before the next change's
-                // begins: the sequential memories rely on the
-                // one-change-at-a-time discipline (no conjugate-pair parking
-                // here, unlike the parallel matcher).
-                for change in group.iter().filter(|c| c.sign == pass) {
-                    k.change(net, patterns, &change.wme, pass);
-                }
-            }
-        }
+        S::submit(&mut self.kernel, &self.net, batch);
     }
 
     fn quiesce(&mut self) -> QuiesceReport {
         let k = &mut self.kernel;
-        debug_assert!(k.agenda.is_empty());
+        debug_assert!(k.sched.is_idle());
         if let Some(p) = &mut k.tally.profile {
             p.flush(&self.net);
         }
@@ -765,7 +882,7 @@ impl<M: TokenMem + Send> Matcher for SeqMatcher<M> {
     }
 
     fn name(&self) -> &'static str {
-        self.kernel.mem.kind_name()
+        S::name(&self.kernel.mem)
     }
 
     fn enable_obs(&mut self, _registry: &Arc<obs::Registry>) {

@@ -30,8 +30,8 @@
 //! **Priority classes.** The run queue is three queues, one per
 //! [`Priority`] class (`high`/`normal`/`batch`), chosen at
 //! `OPEN ... PRIO=<p>` and adjustable with the `PRIO` verb. Dequeue is
-//! weighted ([`CLASS_WEIGHTS`] credits per refill round) with aging
-//! ([`AGE_PROMOTE`]) as a backstop, so a loaded `batch` class is served at
+//! weighted (`CLASS_WEIGHTS` credits per refill round) with aging
+//! (`AGE_PROMOTE`) as a backstop, so a loaded `batch` class is served at
 //! least once per credit round and can never starve outright.
 //!
 //! **Deadline preemption.** When the server runs with a slice budget
