@@ -94,7 +94,7 @@ impl AlphaSucc {
     /// The successor a passing WME reaches as a 1-WME token; `None` for a
     /// right input, which the pattern's right memories serve.
     #[inline]
-    pub fn left_input(self) -> Option<Succ> {
+    pub(crate) fn left_input(self) -> Option<Succ> {
         match self {
             AlphaSucc::JoinLeft(j) => Some(Succ::Join(j)),
             AlphaSucc::Terminal(p) => Some(Succ::Terminal(p)),
