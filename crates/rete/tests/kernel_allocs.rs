@@ -122,7 +122,7 @@ fn matchers(net: &Arc<Network>) -> Vec<Box<dyn Matcher>> {
 #[test]
 fn null_activations_stay_within_their_allocation_budget() {
     let mut prog = Program::from_source(SRC).unwrap();
-    let net = Arc::new(Network::compile(&prog).unwrap());
+    let net = Arc::new(Network::compile_with(&prog, NetworkOptions::PAPER).unwrap());
     let [a, b, c] = ["a", "b", "c"].map(|s| prog.symbols.intern(s));
     let wme = |class, v: i64, tag: u64| Wme::new(class, vec![Value::Int(v)], tag);
 

@@ -11,7 +11,7 @@ use ops5::{ChangeBatch, CsChange, Matcher, Program, Sign, Value, Wme, WmeChange,
 use proptest::prelude::*;
 use psm::{LockScheme, ParMatcher, PsmConfig};
 use rete::network::Network;
-use rete::HashMemConfig;
+use rete::{HashMemConfig, NetworkOptions};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -356,7 +356,7 @@ proptest! {
     fn engines_agree_on_random_programs(genp in gen_program(), stream in gen_stream()) {
         let src = render(&genp);
         let prog = Program::from_source(&src).expect("generated source parses");
-        let net = Arc::new(Network::compile(&prog).expect("network compiles"));
+        let net = Arc::new(Network::compile_with(&prog, NetworkOptions::PAPER).expect("network compiles"));
 
         let changes = build_changes(&prog, &stream);
 
@@ -366,7 +366,7 @@ proptest! {
         let mut vs2 = rete::seq::boxed_vs2(net.clone(), HashMemConfig { buckets: 16 });
         prop_assert_eq!(final_cs(vs2.as_mut(), &changes), reference.clone(), "vs2 disagrees");
 
-        let mut lisp = lispsim::LispEngineMatcher::boxed(&prog);
+        let mut lisp = lispsim::LispEngineMatcher::boxed_with(&prog, NetworkOptions::PAPER);
         prop_assert_eq!(final_cs(lisp.as_mut(), &changes), reference.clone(), "lisp disagrees");
 
         let mut col = rete::colmatch::boxed_col(net.clone());
@@ -388,7 +388,7 @@ proptest! {
 
         // Beta-prefix sharing + unlinking must be invisible: matchers on the
         // tuned network agree with the unshared baseline on the same stream.
-        let opts = rete::NetworkOptions { sharing: true, unlinking: true };
+        let opts = NetworkOptions { sharing: true, unlinking: true };
         let tuned = Arc::new(Network::compile_with(&prog, opts).expect("tuned network compiles"));
         let mut vs1t = rete::seq::boxed_vs1(tuned.clone());
         prop_assert_eq!(final_cs(vs1t.as_mut(), &changes), reference.clone(), "tuned vs1 disagrees");
@@ -532,7 +532,7 @@ proptest! {
         // non-empty, ascending.
         let src = render(&genp);
         let prog = Program::from_source(&src).expect("generated source parses");
-        let net = Arc::new(Network::compile(&prog).expect("network compiles"));
+        let net = Arc::new(Network::compile_with(&prog, NetworkOptions::PAPER).expect("network compiles"));
         let c0 = net.patterns.iter().find(|p| p.tests.is_empty() && !p.right_mems.is_empty());
         let shared = c0.expect("the common CE compiles to one test-free pattern");
         let mut sigs: Vec<Vec<u16>> = net.joins.iter()
@@ -549,7 +549,7 @@ proptest! {
         let mut trace = psm::TraceMatcher::new(net.clone(), 16, sink);
         let reference = chunked_cs_history(&mut trace, &changes, &chunk_lens, false);
 
-        let opts = rete::NetworkOptions { sharing: true, unlinking: true };
+        let opts = NetworkOptions { sharing: true, unlinking: true };
         let tuned = Arc::new(Network::compile_with(&prog, opts).expect("tuned network compiles"));
         for (label, net) in [("paper", net), ("tuned", tuned)] {
             let mut vs1 = rete::SeqMatcher::vs1(net.clone());

@@ -36,13 +36,13 @@ fn sweep_configs() -> Vec<(PsmConfig, NetworkOptions)> {
     configs
 }
 
-/// Per-cycle conflict-set history on the vs2 reference (paper-faithful
-/// network options).
+/// Per-cycle conflict-set history on the vs2 reference (the paper's
+/// network).
 fn vs2_history(src: &str) -> Vec<u8> {
     let mut eng = EngineBuilder::from_source(src)
         .expect("parse")
         .vs2()
-        .network_options(NetworkOptions::default())
+        .network_options(NetworkOptions::PAPER)
         .build()
         .expect("build vs2");
     eng.load_startup().expect("startup");
