@@ -1117,7 +1117,8 @@ mod tests {
     #[test]
     fn unlinking_and_sharing_match_baseline() {
         // Compiled with sharing+unlinking, the parallel matcher must reach
-        // the same net conflict set as the plain sequential baseline, while
+        // the same net conflict set as the sequential baseline on the
+        // paper's network, while
         // never performing a scan it classified as null.
         use rete::NetworkOptions;
         let srcs = [
@@ -1133,7 +1134,7 @@ mod tests {
         for src in srcs {
             for cfg in configs() {
                 let mut prog = Program::from_source(src).unwrap();
-                let base = Arc::new(Network::compile(&prog).unwrap());
+                let base = Arc::new(Network::compile_with(&prog, NetworkOptions::PAPER).unwrap());
                 let tuned = Arc::new(Network::compile_with(&prog, opts).unwrap());
                 let mut changes = Vec::new();
                 let mut tag = 1u64;
