@@ -119,24 +119,6 @@ pub struct EngineBuilder {
     factory: Option<Box<dyn FnOnce(Arc<Network>) -> Box<dyn Matcher>>>,
 }
 
-/// Reads the `OPS5_NETWORK_SHARING` / `OPS5_NETWORK_UNLINKING` environment
-/// knobs (any of `1`, `true`, `on`, `yes`, case-insensitive, enables). This
-/// is how CI runs the whole test suite in the tuned configuration without
-/// touching call sites. Public for hosts that compile a
-/// [`CompiledProgram`] themselves and want the process-wide options a
-/// plain [`EngineBuilder::build`] would have used.
-pub fn network_options_from_env() -> rete::NetworkOptions {
-    fn flag(name: &str) -> bool {
-        std::env::var(name)
-            .map(|v| matches!(v.to_ascii_lowercase().as_str(), "1" | "true" | "on" | "yes"))
-            .unwrap_or(false)
-    }
-    rete::NetworkOptions {
-        sharing: flag("OPS5_NETWORK_SHARING"),
-        unlinking: flag("OPS5_NETWORK_UNLINKING"),
-    }
-}
-
 impl EngineBuilder {
     /// Starts a builder from an already-parsed program.
     pub fn new(program: Program) -> EngineBuilder {
@@ -257,12 +239,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Network compile options: beta-prefix sharing and left/right
-    /// unlinking. When not set explicitly, non-trace matchers read the
-    /// `OPS5_NETWORK_SHARING` / `OPS5_NETWORK_UNLINKING` environment knobs
-    /// (both default off, the paper-faithful configuration); the trace
-    /// matcher is pinned to the defaults so the Tables 4-5..4-9 harnesses
-    /// stay reproducible regardless of environment.
+    /// Network compile options (default: [`rete::NetworkOptions::default`],
+    /// beta-prefix sharing without unlinking, whatever the matcher).
     pub fn network_options(mut self, options: rete::NetworkOptions) -> Self {
         self.network_options = Some(options);
         self
@@ -282,8 +260,8 @@ impl EngineBuilder {
     pub fn build(self) -> Result<Engine> {
         // The `OPS5_MATCHER` environment knob re-points builders that kept
         // the default matcher (no explicit `.matcher()` call, no custom
-        // factory), the same CI lever as the network-option knobs. A typo'd
-        // name is an error, not a silent fall-through.
+        // factory), a CI lever. A typo'd name is an error, not a silent
+        // fall-through.
         let matcher = match std::env::var("OPS5_MATCHER") {
             Ok(name) if !self.matcher_set && self.factory.is_none() && !name.is_empty() => {
                 MatcherKind::from_name(&name).ok_or_else(|| {
@@ -325,22 +303,10 @@ impl EngineBuilder {
                 }
                 _ => c,
             },
-            Source::Parsed(program) => {
-                let opts = match self.network_options {
-                    Some(o) => o,
-                    // Pin the trace matcher to the paper-faithful defaults
-                    // unless the caller opted in explicitly: the simulator
-                    // tables must not shift under a CI-wide environment
-                    // override.
-                    None if matches!(matcher, MatcherKind::Trace { .. })
-                        && self.factory.is_none() =>
-                    {
-                        rete::NetworkOptions::default()
-                    }
-                    None => network_options_from_env(),
-                };
-                Arc::new(CompiledProgram::compile(program, opts)?)
-            }
+            Source::Parsed(program) => Arc::new(CompiledProgram::compile(
+                program,
+                self.network_options.unwrap_or_default(),
+            )?),
         };
         let net = compiled.network().clone();
         let installed: Box<dyn Matcher> = match (self.factory, matcher) {
@@ -433,14 +399,22 @@ mod tests {
         assert!(eng.network().options.sharing);
         assert!(eng.network().options.unlinking);
 
-        // A pair of productions with an identical two-CE prefix must share it.
+        // A pair of productions with an identical two-CE prefix shares it
+        // by default, whatever the matcher.
         let shared_src = "(p p1 (a) (b) (c) --> (halt)) (p p2 (a) (b) (d) --> (halt))";
-        let eng2 = EngineBuilder::from_source(shared_src)
-            .unwrap()
-            .network_options(opts)
-            .build()
-            .unwrap();
-        assert!(eng2.network().summary().shared_prefixes >= 1);
+        let sink = Arc::new(Mutex::new(RunTrace::default()));
+        for kind in [
+            MatcherKind::Vs2(rete::HashMemConfig::default()),
+            MatcherKind::Trace { buckets: 64, sink },
+        ] {
+            let eng2 = EngineBuilder::from_source(shared_src)
+                .unwrap()
+                .matcher(kind)
+                .build()
+                .unwrap();
+            assert_eq!(eng2.network().options, rete::NetworkOptions::default());
+            assert!(eng2.network().summary().shared_prefixes >= 1);
+        }
     }
 
     #[test]

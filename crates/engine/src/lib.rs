@@ -33,7 +33,7 @@ pub mod state;
 pub mod wm;
 
 pub use act::{ActStats, ActStrategy};
-pub use builder::{network_options_from_env, EngineBuilder, MatcherKind};
+pub use builder::{EngineBuilder, MatcherKind};
 pub use compiled::CompiledProgram;
 pub use cr::order_dominates;
 pub use cs::ConflictSet;

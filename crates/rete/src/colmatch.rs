@@ -913,8 +913,8 @@ mod tests {
         let wb = wme(&mut prog, "b", vec![Value::Int(1)], 2);
         let stats = [false, true].map(|unlinking| {
             let options = crate::network::NetworkOptions {
-                sharing: false,
                 unlinking,
+                ..Default::default()
             };
             let net = Arc::new(Network::compile_with(&prog, options).unwrap());
             let mut m = ColMatcher::new(net);

@@ -192,20 +192,12 @@ mod tests {
 
     #[test]
     fn shared_join_renders_once_with_multiple_successor_edges() {
-        use crate::network::NetworkOptions;
         let prog = Program::from_source(
             "(p p1 (a ^x <v>) (b ^y <v>) (c ^z <v>) --> (halt))
              (p p2 (a ^x <v>) (b ^y <v>) (d ^w <v>) --> (halt))",
         )
         .unwrap();
-        let net = Network::compile_with(
-            &prog,
-            NetworkOptions {
-                sharing: true,
-                unlinking: false,
-            },
-        )
-        .unwrap();
+        let net = Network::compile(&prog).unwrap();
         let dot = to_dot(&net, &prog.symbols);
         // One shared (a,b) join node, drawn once...
         assert_eq!(dot.matches("j0 [shape=ellipse").count(), 1);

@@ -525,9 +525,9 @@ fn kids_are_the_rematch<M: TokenMem>(
 }
 
 impl<M: TokenMem, S: Schedule> Kernel<M, S> {
-    /// Sends `token` to every successor in `succs`. With sharing off every
-    /// join has exactly one successor; with it on a shared join fans the
-    /// token out to each consumer (token clones are `Arc` bumps).
+    /// Sends `token` to every successor in `succs`: a shared join fans it
+    /// out to each consumer (token clones are `Arc` bumps); on the paper's
+    /// network every join has exactly one successor.
     fn send(&mut self, net: &Network, succs: &[Succ], token: &Token, sign: Sign) {
         for &succ in succs {
             self.emit(net, succ, sign, token.clone());
@@ -1137,8 +1137,8 @@ mod tests {
             Network::compile_with(
                 &prog,
                 crate::network::NetworkOptions {
-                    sharing: false,
                     unlinking: true,
+                    ..Default::default()
                 },
             )
             .unwrap(),

@@ -50,14 +50,14 @@ impl ProgramSpec {
     }
 
     /// The shared compiled program, parsed and compiled on first use with
-    /// the process-wide network options. Threads racing on a never-built
-    /// spec all wait for the one compile and share its result.
+    /// the default network options. Threads racing on a never-built spec
+    /// all wait for the one compile and share its result.
     fn compiled(&self) -> Result<Arc<CompiledProgram>> {
         self.compiled
             .get_or_init(|| {
                 self.compiles.fetch_add(1, Ordering::Relaxed);
                 let program = Program::from_source(&self.source)?;
-                CompiledProgram::compile(program, engine::network_options_from_env()).map(Arc::new)
+                CompiledProgram::compile(program, Default::default()).map(Arc::new)
             })
             .clone()
     }

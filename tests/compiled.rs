@@ -59,7 +59,7 @@ fn load_and_run(mut eng: Engine, spec: &ProgramSpec) -> Engine {
 
 fn compile(spec: &ProgramSpec) -> Arc<CompiledProgram> {
     let program = Program::from_source(&spec.source).unwrap();
-    Arc::new(CompiledProgram::compile(program, engine::network_options_from_env()).unwrap())
+    Arc::new(CompiledProgram::compile(program, NetworkOptions::default()).unwrap())
 }
 
 /// Every corpus program + the registry's rubik, on five matchers: the 1st,
@@ -230,8 +230,7 @@ fn mismatched_network_options_are_refused() {
         .err()
         .expect("mismatch must not build");
     assert!(err.to_string().contains("network options"), "{err}");
-    // Agreeing (or saying nothing) instantiates on the artefact's network,
-    // whatever the environment knobs say.
+    // Agreeing (or saying nothing) instantiates on the artefact's network.
     for b in [
         EngineBuilder::from_compiled(compiled.clone()).network_options(tuned),
         EngineBuilder::from_compiled(compiled.clone()),
