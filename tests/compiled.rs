@@ -4,8 +4,8 @@
 //! other.
 
 use engine::{
-    program_fingerprint, CompiledProgram, Engine, EngineBuilder, EngineLimits, MatcherKind,
-    Snapshot,
+    program_fingerprint, ActStrategy, CompiledProgram, Engine, EngineBuilder, EngineLimits,
+    MatcherKind, Snapshot,
 };
 use ops5::{wire, Program, Value};
 use rete::NetworkOptions;
@@ -64,7 +64,9 @@ fn compile(spec: &ProgramSpec) -> Arc<CompiledProgram> {
 
 /// Every corpus program + the registry's rubik, on five matchers: the 1st,
 /// 2nd and 3rd engine instantiated from one artefact each equal the engine
-/// built from source, and snapshots cross between the two kinds.
+/// built from source, and snapshots cross between the two kinds. The
+/// instantiated engines fire parallel act groups, the ones built from
+/// source fire serially.
 #[test]
 fn cached_engines_equal_fresh_ones() {
     let reg = Registry::with_builtins(Some("programs".as_ref()));
@@ -83,6 +85,7 @@ fn cached_engines_equal_fresh_ones() {
             let cached = || {
                 EngineBuilder::from_compiled(compiled.clone())
                     .matcher(kind())
+                    .act_strategy(ActStrategy::parallel())
                     .build()
                     .unwrap()
             };

@@ -135,16 +135,18 @@ const CORPUS: [&str; 6] = [
 ];
 
 /// The corpus must also fire identically everywhere, and leave the same
-/// working memory and `write` output behind. These load their startup forms
-/// from source, unlike the generated workloads above.
+/// working memory and `write` output behind, under either act strategy.
+/// These load their startup forms from source, unlike the generated
+/// workloads above.
 #[test]
 fn corpus_programs_identical_on_all_matchers() {
     for name in CORPUS {
         let src = std::fs::read_to_string(format!("programs/{name}.ops")).expect("read corpus");
-        let log = |choice: &MatcherChoice| {
+        let log = |choice: &MatcherChoice, act: ActStrategy| {
             let mut eng = EngineBuilder::from_source(&src)
                 .expect("parse")
                 .matcher(choice.kind())
+                .act_strategy(act)
                 .build()
                 .expect("build");
             eng.load_startup().expect("startup");
@@ -156,15 +158,18 @@ fn corpus_programs_identical_on_all_matchers() {
             wm.sort();
             (fired, wm, eng.output().to_vec())
         };
-        let reference = log(&MatcherChoice::Vs2);
+        let reference = log(&MatcherChoice::Vs2, ActStrategy::Serial);
         assert!(!reference.0.is_empty(), "{name} did nothing");
         for choice in all_choices() {
-            assert_eq!(
-                log(&choice),
-                reference,
-                "firing log, working memory or output mismatch: {name} under {}",
-                choice.label()
-            );
+            for act in [ActStrategy::Serial, ActStrategy::parallel()] {
+                assert_eq!(
+                    log(&choice, act),
+                    reference,
+                    "firing log, working memory or output mismatch: {name} under {} ({})",
+                    choice.label(),
+                    act.name()
+                );
+            }
         }
     }
 }
