@@ -81,8 +81,8 @@ pub fn programs() -> Vec<ProgramEntry> {
 /// environment says: the matcher is explicit, the network is the paper's
 /// ([`rete::NetworkOptions::PAPER`]: one unshared join chain per
 /// production, no unlinking), and the act phase fires one instantiation per
-/// cycle. (The matcher and the act phase opt the builder out of their
-/// `OPS5_*` knobs.)
+/// cycle. (The explicit matcher opts the builder out of the
+/// `OPS5_MATCHER` knob.)
 pub(crate) fn paper_engine(w: &Workload, kind: MatcherKind) -> Result<Engine> {
     let mut eng = EngineBuilder::from_source(&w.source)?
         .matcher(kind)

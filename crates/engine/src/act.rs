@@ -1,11 +1,12 @@
-//! Parallel act: non-interfering multi-firing.
+//! Parallel act: several firings per match pass.
 //!
 //! The paper parallelizes match only; conflict resolution and firing stay
-//! sequential. This module lifts that restriction *without changing
-//! observable semantics*: each cycle it walks the conflict set in LEX/MEA
-//! dominance order and greedily selects a prefix of pairwise
-//! non-interfering instantiations, evaluates their (pure) RHSes
-//! concurrently, and merges the emissions in conflict-set order into one
+//! sequential. This module finds the parallelism that is left among the
+//! firings themselves *without changing observable semantics*: each cycle
+//! it walks the conflict set in LEX/MEA dominance order and greedily
+//! selects a prefix of pairwise non-interfering instantiations. The engine
+//! then fires them one after another, in that order, on its own thread,
+//! and ships their effects to the matcher as one
 //! [`ChangeBatch`](ops5::ChangeBatch) — k firings, one match pass.
 //!
 //! ## Serial-equivalence rules
@@ -34,14 +35,14 @@
 //!   serial execution fires nothing after a halt.
 //!
 //! Members of a closed group are therefore exactly the firings a serial
-//! engine would perform next, in the same order; the merge path in
-//! [`Engine`](crate::Engine) replays their effects in that order, so
-//! timetag and gensym assignment — and hence the firing log, working
-//! memory, and durability journal — are byte-identical to `Serial`.
+//! engine would perform next, in the same order. The
+//! [`Engine`](crate::Engine) fires them in that order through the same
+//! code as a serial firing, so timetags, gensyms, the firing log, working
+//! memory, and the durability journal are byte-identical to `Serial`, and
+//! an error or a halt stops the group where a serial run would stop.
 
 use crate::cr;
-use crate::rhs::{self, RhsEffect, RhsProgram};
-use ops5::{ActFootprints, Instantiation, Result, Strategy, SymbolId, SymbolTable, WmeRef};
+use ops5::{ActFootprints, Instantiation, Strategy, SymbolId};
 
 /// How the act phase fires the conflict set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -55,8 +56,7 @@ pub enum ActStrategy {
 }
 
 impl ActStrategy {
-    /// Default group cap for [`ActStrategy::parallel`] and the
-    /// `OPS5_ACT=parallel` knob.
+    /// Default group cap for [`ActStrategy::parallel`] and `--act parallel`.
     pub const DEFAULT_MAX_GROUP: usize = 8;
 
     /// `Parallel` with the default group cap.
@@ -87,7 +87,7 @@ impl ActStrategy {
 }
 
 /// Always-on act-phase counters (plain integers — no obs layer required),
-/// the deterministic perf surface for the `act_perf` gate: on a fixed
+/// the deterministic perf surface of `tests/act.rs`: on a fixed
 /// program, `match_passes` and `act_submits` shrink in proportion to the
 /// mean group size while `fired` stays constant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -105,7 +105,7 @@ pub struct ActStats {
     pub doomed_skips: u64,
     /// RHS-effect batches submitted to the matcher.
     pub act_submits: u64,
-    /// Matcher quiesce passes taken by `step`/`step_group` (excludes
+    /// Matcher quiesce passes taken by the recognize-act cycle (excludes
     /// `settle`, which fires nothing).
     pub match_passes: u64,
 }
@@ -195,62 +195,4 @@ pub(crate) fn select_group<'a>(
         }
     }
     group
-}
-
-/// One group member's evaluation: the effects it emitted (in order, up to
-/// any interpreter error) and the interpreter's verdict (`Ok(halted)` or
-/// the error).
-pub(crate) type EvalOut = (Vec<RhsEffect>, Result<bool>);
-
-/// Upper bound on concurrent RHS evaluators per group. Small and per-group
-/// (scoped threads) so a serve host multiplexing hundreds of engines never
-/// accumulates idle act workers.
-const MAX_EVAL_WORKERS: usize = 4;
-
-fn eval_one(rhs: &RhsProgram, wmes: &[WmeRef], pre: &[SymbolId], syms: &SymbolTable) -> EvalOut {
-    let mut fx = Vec::new();
-    let res = rhs::execute_prealloc(rhs, wmes, syms, pre, |e| fx.push(e));
-    (fx, res)
-}
-
-/// Evaluates every group member's RHS concurrently against the immutable
-/// symbol table, with gensyms pre-interned per member. `wmes[i]` is member
-/// `i`'s matched WMEs (its token walked once). Results come back indexed
-/// like `group` (conflict-set order) for the serial-order merge.
-pub(crate) fn eval_group(
-    rhs: &[RhsProgram],
-    group: &[Instantiation],
-    wmes: &[Vec<WmeRef>],
-    pre: &[Vec<SymbolId>],
-    syms: &SymbolTable,
-) -> Vec<EvalOut> {
-    let n = group.len();
-    let workers = n.min(MAX_EVAL_WORKERS);
-    let eval = |i: usize| eval_one(&rhs[group[i].prod.index()], &wmes[i], &pre[i], syms);
-    if workers <= 1 {
-        return (0..n).map(eval).collect();
-    }
-    let mut out: Vec<Option<EvalOut>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers - 1);
-        for stripe in 1..workers {
-            handles.push(scope.spawn(move || {
-                (stripe..n)
-                    .step_by(workers)
-                    .map(|i| (i, eval(i)))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        for i in (0..n).step_by(workers) {
-            out[i] = Some(eval(i));
-        }
-        for h in handles {
-            for (i, r) in h.join().expect("act eval worker panicked") {
-                out[i] = Some(r);
-            }
-        }
-    });
-    out.into_iter()
-        .map(|o| o.expect("act eval stripe missed a member"))
-        .collect()
 }

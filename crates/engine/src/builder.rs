@@ -109,7 +109,6 @@ pub struct EngineBuilder {
     matcher_set: bool,
     strategy: Option<Strategy>,
     act: ActStrategy,
-    act_set: bool,
     echo_writes: bool,
     keep_fired_log: bool,
     limits: crate::interp::EngineLimits,
@@ -141,7 +140,6 @@ impl EngineBuilder {
             matcher_set: false,
             strategy: None,
             act: ActStrategy::Serial,
-            act_set: false,
             echo_writes: false,
             keep_fired_log: true,
             limits: crate::interp::EngineLimits::default(),
@@ -212,11 +210,9 @@ impl EngineBuilder {
     }
 
     /// Picks the act-phase strategy (default: [`ActStrategy::Serial`], the
-    /// paper-faithful one-firing-per-cycle loop). An explicit choice also
-    /// opts the builder out of the `OPS5_ACT` environment override.
+    /// paper-faithful one-firing-per-cycle loop).
     pub fn act_strategy(mut self, act: ActStrategy) -> Self {
         self.act = act;
-        self.act_set = true;
         self
     }
 
@@ -273,26 +269,6 @@ impl EngineBuilder {
             }
             _ => self.matcher,
         };
-        // Same lever for the act phase: `OPS5_ACT` (`serial`, `parallel`,
-        // or `parallel:<max_group>`) re-points builders that kept the
-        // default. The trace matcher stays pinned to the paper-faithful
-        // serial act unless the caller opted in explicitly — grouped
-        // submissions would change the recorded task batches and shift the
-        // simulator tables.
-        let act = match std::env::var("OPS5_ACT") {
-            Ok(name)
-                if !self.act_set
-                    && !name.is_empty()
-                    && !matches!(matcher, MatcherKind::Trace { .. }) =>
-            {
-                ActStrategy::from_name(&name).ok_or_else(|| {
-                    ops5::Ops5Error::Runtime(format!(
-                        "OPS5_ACT={name} is not `serial`, `parallel`, or `parallel:<max_group>`"
-                    ))
-                })?
-            }
-            _ => self.act,
-        };
         let compiled = match self.source {
             Source::Compiled(c) => match self.network_options {
                 Some(asked) if asked != c.options() => {
@@ -333,7 +309,7 @@ impl EngineBuilder {
         eng.echo_writes = self.echo_writes;
         eng.keep_fired_log = self.keep_fired_log;
         eng.limits = self.limits;
-        eng.set_act_strategy(act);
+        eng.set_act_strategy(self.act);
         eng.enable_obs(self.obs);
         Ok(eng)
     }

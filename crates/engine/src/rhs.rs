@@ -207,86 +207,20 @@ pub fn compile_rhs(
     Ok(RhsProgram { code, n_locals })
 }
 
-/// Where `GensymLocal` draws fresh symbols from.
-///
-/// The serial act path hands the interpreter the mutable symbol table; the
-/// parallel act path pre-interns every gensym a group will need (in
-/// conflict-set order, so the counter advances exactly as a serial run
-/// would) and evaluates RHSes against a shared immutable table.
-enum GensymSource<'a> {
-    Table(&'a mut SymbolTable),
-    Pre {
-        syms: &'a SymbolTable,
-        pre: &'a [SymbolId],
-        next: usize,
-    },
-}
-
-impl GensymSource<'_> {
-    fn next(&mut self) -> Result<SymbolId> {
-        match self {
-            GensymSource::Table(t) => Ok(t.gensym()),
-            GensymSource::Pre { pre, next, .. } => {
-                let id = pre.get(*next).copied().ok_or_else(|| {
-                    Ops5Error::Runtime("pre-allocated gensym pool exhausted".into())
-                })?;
-                *next += 1;
-                Ok(id)
-            }
-        }
-    }
-
-    fn syms(&self) -> &SymbolTable {
-        match self {
-            GensymSource::Table(t) => t,
-            GensymSource::Pre { syms, .. } => syms,
-        }
-    }
-}
-
 /// Interprets a compiled RHS for one instantiation, given as the slice of
 /// its matched WMEs in CE order (the engine walks the instantiation's token
 /// once per firing; the code below indexes it once per binding).
 ///
-/// Effects are delivered to `sink` in order, which lets the engine pipeline
-/// WME changes into the matcher the moment they are computed. Returns `true`
-/// if a `halt` was executed. Code that names a CE the instantiation does
-/// not have is a runtime error from every opcode, never a panic.
+/// Effects are delivered to `sink` in order, and the engine applies each
+/// as it comes: working memory at once, the matcher's half into the
+/// cycle's one batch. Gensyms are drawn from `syms` as the code reaches
+/// them. Returns `true` if a `halt` was executed. Code that names a CE the
+/// instantiation does not have is a runtime error from every opcode, never
+/// a panic.
 pub fn execute(
     prog: &RhsProgram,
     wmes: &[WmeRef],
     syms: &mut SymbolTable,
-    sink: impl FnMut(RhsEffect),
-) -> Result<bool> {
-    execute_core(prog, wmes, &mut GensymSource::Table(syms), sink)
-}
-
-/// [`execute`] against an immutable symbol table, drawing gensyms from a
-/// pre-interned pool. This variant is pure (no engine state is touched), so
-/// group members can be evaluated concurrently.
-pub fn execute_prealloc(
-    prog: &RhsProgram,
-    wmes: &[WmeRef],
-    syms: &SymbolTable,
-    gensyms: &[SymbolId],
-    sink: impl FnMut(RhsEffect),
-) -> Result<bool> {
-    execute_core(
-        prog,
-        wmes,
-        &mut GensymSource::Pre {
-            syms,
-            pre: gensyms,
-            next: 0,
-        },
-        sink,
-    )
-}
-
-fn execute_core(
-    prog: &RhsProgram,
-    wmes: &[WmeRef],
-    gensyms: &mut GensymSource<'_>,
     mut sink: impl FnMut(RhsEffect),
 ) -> Result<bool> {
     let matched = |ce: u16, what: &str| {
@@ -357,11 +291,11 @@ fn execute_core(
                 locals[*i as usize] = v;
             }
             Instr::GensymLocal(i) => {
-                locals[*i as usize] = Value::Sym(gensyms.next()?);
+                locals[*i as usize] = Value::Sym(syms.gensym());
             }
             Instr::Write => {
                 let v = stack.pop().ok_or_else(stack_underflow)?;
-                sink(RhsEffect::Write(format!("{}", v.display(gensyms.syms()))));
+                sink(RhsEffect::Write(format!("{}", v.display(syms))));
             }
             Instr::WriteCrlf => sink(RhsEffect::Crlf),
             Instr::Halt => halted = true,
@@ -518,8 +452,6 @@ mod tests {
                 Ops5Error::Runtime(format!("{what} references missing CE")).to_string()
             );
             assert!(fx.is_empty(), "no effect before the error: {fx:?}");
-            let pre = execute_prealloc(&rhs, &[], &syms, &[], |_| {});
-            assert!(pre.is_err(), "{what}: the pure variant shares the check");
         }
     }
 }

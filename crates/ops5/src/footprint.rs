@@ -8,8 +8,7 @@
 //! * which classes it asserts (`make`, plus the make half of `modify`),
 //! * which positive CEs it consumes (`remove`, plus the remove half of
 //!   `modify`) — at fire time these resolve to exact timetags, because
-//!   removals always target matched-CE WMEs,
-//! * how many gensyms it draws (`bind` with no expression), and
+//!   removals always target matched-CE WMEs, and
 //! * whether it halts.
 //!
 //! On the read side each production's LHS contributes the classes (and
@@ -44,8 +43,6 @@ pub struct ProdFootprint {
     /// every field, including implicit `nil`s), but the attribute set is
     /// kept for diagnostics and finer-grained future policies.
     pub read_attrs: Vec<(SymbolId, u16)>,
-    /// Number of gensyms the RHS draws (`bind` without an expression).
-    pub gensyms: usize,
     /// Whether the RHS contains `(halt)`.
     pub has_halt: bool,
 }
@@ -85,7 +82,6 @@ impl ProdFootprint {
                         fp.retract_classes.push(class);
                     }
                 }
-                Action::Bind { expr: None, .. } => fp.gensyms += 1,
                 Action::Halt => fp.has_halt = true,
                 Action::Write { .. } | Action::Bind { .. } => {}
             }
@@ -176,7 +172,6 @@ mod tests {
         assert_eq!(fp.retract_classes, vec![t]);
         assert_eq!(fp.pos_reads, vec![t]);
         assert!(!fp.has_halt);
-        assert_eq!(fp.gensyms, 0);
         assert!(!fps.fertile[0], "no production reads what r writes");
     }
 
@@ -213,14 +208,12 @@ mod tests {
     }
 
     #[test]
-    fn gensym_count_and_halt_flag() {
+    fn halt_flag() {
         let (_, fps) = footprints(
             "(literalize t a)\n\
              (p g (t ^a <x>) --> (bind <g1>) (bind <g2>) (bind <e> (compute <x> + 1)) (halt))",
         );
-        let fp = &fps.prods[0];
-        assert_eq!(fp.gensyms, 2);
-        assert!(fp.has_halt);
+        assert!(fps.prods[0].has_halt);
     }
 
     #[test]

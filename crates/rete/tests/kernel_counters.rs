@@ -309,8 +309,8 @@ fn run(w: &Workload, matcher: &'static str, options: NetworkOptions) -> (Measure
             digest: sink,
         })
     };
-    // Everything an environment knob could re-point is pinned: the matcher
-    // (factory) and the act strategy.
+    // Everything an environment knob could re-point is pinned (the matcher,
+    // by the factory), and the act strategy is the paper's.
     let mut eng = EngineBuilder::from_source(&w.source)
         .expect("parse")
         .custom_matcher(factory)

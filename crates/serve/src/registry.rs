@@ -70,8 +70,8 @@ impl ProgramSpec {
     }
 
     /// A builder that instantiates from the shared compiled program.
-    /// `act` pins the act strategy; `None` keeps the builder default (and
-    /// with it the `OPS5_ACT` environment knob).
+    /// `act` pins the act strategy; `None` keeps the builder default
+    /// (serial).
     fn builder(
         &self,
         kind: MatcherKind,

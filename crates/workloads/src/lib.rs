@@ -133,8 +133,8 @@ impl MatcherChoice {
 
 /// Builds an engine for a workload: parses the source, compiles the network,
 /// installs the chosen matcher, and loads the initial working memory.
-/// The network options and the act phase are the builder's defaults, so
-/// the `OPS5_ACT` environment knob applies.
+/// The network options and the act phase are the builder's defaults: the
+/// shared network, serial act.
 pub fn build_engine(w: &Workload, choice: &MatcherChoice) -> Result<Engine> {
     let mut eng = EngineBuilder::from_source(&w.source)?
         .matcher(choice.kind())

@@ -22,7 +22,7 @@
 //!   --max-total-cycles N     per-session lifetime cycle budget
 //!   --matcher vs1|vs2|lisp|psm   default session matcher (default vs2)
 //!   --act serial|parallel[:k]    act-phase strategy for session engines
-//!                            (default: serial, or the OPS5_ACT env knob)
+//!                            (default: serial)
 //!   --write-buf N            per-connection cap in bytes on replies not
 //!                            yet written to the socket, before a slow
 //!                            client is disconnected (default 262144)
@@ -90,9 +90,9 @@ fn parse_args() -> Result<(String, ServeConfig), String> {
             "--matcher" => cfg.matcher = matcher_kind(&next_val(&mut args, "--matcher")?)?,
             "--act" => {
                 let name = next_val(&mut args, "--act")?;
-                cfg.act = Some(engine::ActStrategy::from_name(&name).ok_or_else(|| {
+                cfg.act = engine::ActStrategy::from_name(&name).ok_or_else(|| {
                     format!("--act {name} is not serial, parallel, or parallel:<max_group>")
-                })?)
+                })?
             }
             "--write-buf" => {
                 cfg.write_buf_cap =
