@@ -18,7 +18,13 @@
 //! children (tree-based removal): the left cells moved, Weaver 175.1/1.6 ->
 //! 169.0/1.3, Rubik lin 4.5 -> 5.5, Tourney 92.1/7.0 -> 94.0/6.7, as
 //! predicted by not booking those scans on the parent; the right cells did
-//! not.
+//! not. Re-pinned when every positive join came to keep its children, the
+//! joins that feed a terminal or several successors too, so that no left
+//! `-` at a positive join scans: the left cells moved again, Weaver lin
+//! 169.0 -> 167.9, Rubik lin 5.5 -> 5.6, Tourney 94.0/6.7 -> 111.1/5.7 (a
+//! mean per non-empty scan: the scans dropped were shorter than the lin
+//! mean and longer than the hash one), predicted the same way; the right
+//! cells did not.
 //!
 //! Tables 4-1 and 4-4 are not here: they print wall-clock seconds.
 //!
