@@ -128,52 +128,66 @@ fn select_over_a_thousand_candidates_allocates_nothing() {
     }
 }
 
+/// A terminal `+` allocates the one token node that extends the resident
+/// token, and the conflict set keeps that very token; the terminal join's
+/// left entry keeps it too, so a terminal `-` hands the conflict set the
+/// same `Arc` and allocates nothing (the rematch it replaced built a fresh
+/// node per removal: 64 for 64). vs2 and col, one node activation under two
+/// schedules.
 #[test]
 fn a_vs2_terminal_activation_allocates_its_token_node_only() {
     const N: usize = 64;
     let mut prog = Program::from_source("(p pos (a ^x <v>) (b ^y <v>) --> (halt))").unwrap();
     let net = Arc::new(Network::compile(&prog).unwrap());
     let [a, b] = ["a", "b"].map(|s| prog.symbols.intern(s));
-    let mut m = rete::seq::boxed_vs2(net, HashMemConfig::default());
-    let mut resident = ChangeBatch::new();
-    resident.add(Wme::new(a, vec![Value::Int(1)], 1));
-    m.submit(&resident);
-    m.quiesce();
+    let matchers = [
+        rete::seq::boxed_vs2(net.clone(), HashMemConfig::default()),
+        rete::colmatch::boxed_col(net),
+    ];
+    for mut m in matchers {
+        let mut resident = ChangeBatch::new();
+        resident.add(Wme::new(a, vec![Value::Int(1)], 1));
+        m.submit(&resident);
+        m.quiesce();
 
-    // With one `a` resident, each `b` is one right activation that extends
-    // the resident token by a node and hands that token to the terminal.
-    let mut adds = ChangeBatch::new();
-    let mut deletes = ChangeBatch::new();
-    for tag in 0..N as u64 {
-        let w = Wme::new(b, vec![Value::Int(1)], 10 + tag);
-        adds.add(w.clone());
-        deletes.delete(w);
-    }
-    // What the report's `Vec<CsChange>` costs to grow to N entries is the
-    // report's, not the activations'.
-    let placeholder = inst(0, &[1]);
-    let (report_vec, _) = allocs_in(|| {
-        let mut out = Vec::new();
-        for _ in 0..N {
-            out.push(CsChange::Insert(placeholder.clone()));
+        // With one `a` resident, each `b` is one right activation that
+        // extends the resident token by a node and hands that token to the
+        // terminal, or takes it back.
+        let mut adds = ChangeBatch::new();
+        let mut deletes = ChangeBatch::new();
+        for tag in 0..N as u64 {
+            let w = Wme::new(b, vec![Value::Int(1)], 10 + tag);
+            adds.add(w.clone());
+            deletes.delete(w);
         }
-        out
-    });
-    // A warm-up lap sizes the agenda and the memory lines.
-    for lap in 0..3 {
-        for (batch, sign) in [(&adds, "insert"), (&deletes, "remove")] {
-            let (allocs, report) = allocs_in(|| {
-                m.submit(batch);
-                m.quiesce()
-            });
-            assert_eq!(report.cs_changes.len(), N);
-            assert_eq!(report.stats_delta.cs_changes, N as u64);
-            if lap > 0 {
-                assert_eq!(
-                    allocs - report_vec,
-                    N as u64,
-                    "{sign}: one TokenNode per terminal activation and nothing else"
-                );
+        // What the report's `Vec<CsChange>` costs to grow to N entries is
+        // the report's, not the activations'.
+        let placeholder = inst(0, &[1]);
+        let (report_vec, _) = allocs_in(|| {
+            let mut out = Vec::new();
+            for _ in 0..N {
+                out.push(CsChange::Insert(placeholder.clone()));
+            }
+            out
+        });
+        // A warm-up lap sizes the agenda, the memory lines and the slab of
+        // kept children.
+        for lap in 0..3 {
+            for (batch, sign, nodes) in [(&adds, "insert", N as u64), (&deletes, "remove", 0)] {
+                let (allocs, report) = allocs_in(|| {
+                    m.submit(batch);
+                    m.quiesce()
+                });
+                assert_eq!(report.cs_changes.len(), N);
+                assert_eq!(report.stats_delta.cs_changes, N as u64);
+                if lap > 0 {
+                    assert_eq!(
+                        allocs - report_vec,
+                        nodes,
+                        "{} {sign}: one TokenNode per terminal `+`, none per `-`",
+                        m.name()
+                    );
+                }
             }
         }
     }

@@ -407,11 +407,11 @@ impl JoinNode {
     }
 
     /// The successor of a positive join that feeds one join and nothing
-    /// else. Such a join's left entries keep the tokens they produced (the
-    /// sequential kernel's tree-based removal); a not-node passes its own
-    /// token on, and a terminal's outputs live in the conflict set.
+    /// else. Every positive join's left entries keep the tokens they
+    /// produced (the sequential kernel's tree-based removal); only this
+    /// one's children carry their key in the successor's left memory.
     #[inline]
-    pub fn child_succ(&self) -> Option<JoinId> {
+    pub fn sole_join_succ(&self) -> Option<JoinId> {
         match self.succs[..] {
             [Succ::Join(s)] if !self.negated => Some(s),
             _ => None,

@@ -3,9 +3,11 @@
 //!
 //! vs1, vs2 and lispsim (the sequential kernel over three memory policies)
 //! store a WME once per right memory and let every reader of it see the
-//! change (`rete::seq` module docs, steps 0-3), and a positive join feeding
-//! one join keeps, in each left entry, the children it sent on, so that a
-//! removal sends them again without rematching. col runs the set-at-a-time
+//! change (`rete::seq` module docs, steps 0-3), and every positive join
+//! keeps, in each left entry, the children it sent on, so that a removal
+//! sends them again without rematching: to one join under the key each
+//! carries, to a terminal as the token the conflict set holds, to each
+//! successor of a shared join. col runs the set-at-a-time
 //! schedule (`rete::colmatch` module docs, passes 1 and 2) over vs2's hash
 //! lines, so the same hazards apply to it. These programs put both
 //! sides of a pair in one change, a reader below another reader of the same
@@ -439,8 +441,8 @@ fn a_table_that_doubles_mid_run_agrees_with_the_fixed_ones() {
     assert_eq!(vs2[1].table_lines(), 16);
 }
 
-/// `(p q (a ^x <v>) (b ^y <v>) (c ^z <v>))`: J0 keeps its children, J1,
-/// whose outputs are instantiations, keeps none.
+/// `(p q (a ^x <v>) (b ^y <v>) (c ^z <v>))`: J0's children carry their key
+/// in J1's left memory; J1's are instantiations.
 const CHAIN: &str = "(p q (a ^x <v>) (b ^y <v>) (c ^z <v>) --> (halt))";
 
 /// A matcher's counters since `before`: (join activations, non-empty left
@@ -457,12 +459,12 @@ fn since(m: &dyn Matcher, before: ops5::MatchStats) -> (u64, u64) {
 /// `-b1` takes `(a, b1)` out of `a`'s list at J0's right activation, so the
 /// `-a` that follows sends only `(a, b2)` on: no second `-` for `(a, b1)`
 /// (the strict fold would catch it, and so would J1's delete search), and
-/// J0's own removal scans nothing.
+/// neither J0's removal nor J1's scans anything.
 #[test]
 fn a_child_whose_right_wme_leaves_first_is_not_sent_twice() {
     let (mut prog, net) = net_of(CHAIN);
-    assert_eq!(net.join(0).child_succ(), Some(1));
-    assert_eq!(net.join(1).child_succ(), None);
+    assert_eq!(net.join(0).sole_join_succ(), Some(1));
+    assert_eq!(net.join(1).sole_join_succ(), None);
     let a = ints(&mut prog, "a", &[1], 1);
     let b1 = ints(&mut prog, "b", &[1], 2);
     let b2 = ints(&mut prog, "b", &[1], 3);
@@ -498,8 +500,8 @@ fn a_child_whose_right_wme_leaves_first_is_not_sent_twice() {
             "{}: {cs:?}",
             m.name()
         );
-        // J0's removal and the one child it still held; J1 rematches it.
-        assert_eq!(since(m.as_ref(), before), (2, 1), "{}", m.name());
+        // J0's removal and the one child it still held; J1 sends its own.
+        assert_eq!(since(m.as_ref(), before), (2, 0), "{}", m.name());
     }
 }
 
@@ -512,7 +514,7 @@ fn a_child_whose_right_wme_leaves_first_is_not_sent_twice() {
 fn a_self_join_wme_in_its_token_and_on_the_right_leaves_in_one_change() {
     let src = "(p q (a ^x <v>) (a ^x <v>) (c ^z <v>) --> (halt))";
     let (mut prog, net) = net_of(src);
-    assert_eq!(net.join(0).child_succ(), Some(1));
+    assert_eq!(net.join(0).sole_join_succ(), Some(1));
     let a1 = ints(&mut prog, "a", &[1], 1);
     let a2 = ints(&mut prog, "a", &[1], 2);
     let ws = [
@@ -545,12 +547,12 @@ fn a_self_join_wme_in_its_token_and_on_the_right_leaves_in_one_change() {
     }
 }
 
-/// Children under `sharing`: J0 (a × b) feeds J1 alone and keeps its
-/// children; J1 (ab × c) is shared by three productions, feeding two joins
-/// and a terminal, so it keeps none and rematches. Removals through both,
-/// from either side, fold as the per-join reference does.
+/// Children under `sharing`: J0 (a × b) feeds J1 alone; J1 (ab × c) is
+/// shared by three productions, feeding two joins and a terminal, and sends
+/// each child it kept to all three. Removals through both, from either
+/// side, fold as the per-join reference does.
 #[test]
-fn a_join_with_two_successors_under_sharing_rematches_below_one_that_keeps() {
+fn a_join_with_two_successors_under_sharing_sends_its_children_to_each() {
     let src = "(p p1 (a ^x <v>) (b ^y <v>) (c ^z <v>) --> (halt))
          (p p2 (a ^x <v>) (b ^y <v>) (c ^z <v>) (d ^w <v>) --> (halt))
          (p p3 (a ^x <v>) (b ^y <v>) (c ^z <v>) (e ^w <v>) --> (halt))";
@@ -561,9 +563,9 @@ fn a_join_with_two_successors_under_sharing_rematches_below_one_that_keeps() {
     };
     let net = Network::compile_with(&prog, sharing).unwrap();
     assert_eq!(net.n_joins(), 4);
-    assert_eq!(net.join(0).child_succ(), Some(1));
+    assert_eq!(net.join(0).sole_join_succ(), Some(1));
     assert_eq!(
-        (net.join(1).succs.len(), net.join(1).child_succ()),
+        (net.join(1).succs.len(), net.join(1).sole_join_succ()),
         (3, None)
     );
     let ws: Vec<WmeRef> = [("a", 1), ("b", 1), ("c", 1), ("d", 1), ("b", 1)]
@@ -636,11 +638,11 @@ fn a_child_keyed_before_the_table_doubled_is_removed_after() {
 }
 
 /// A terminal join below a join that keeps children: `-a` sends `a`'s two
-/// children without scanning J0's right memory, and each of them rematches
-/// J1's, so the only left scans are J1's two and the four instantiations
-/// are removed once each.
+/// children without scanning J0's right memory, and each of them sends the
+/// instantiations J1 kept without scanning its, so no left activation
+/// scans and the four instantiations are removed once each.
 #[test]
-fn a_terminal_join_below_a_join_that_keeps_children_rematches() {
+fn a_terminal_join_below_a_join_that_keeps_children_keeps_its_own() {
     let (mut prog, net) = net_of(CHAIN);
     let ws: Vec<WmeRef> = [("a", 1), ("b", 1), ("b", 1), ("c", 1), ("c", 1)]
         .into_iter()
@@ -663,7 +665,7 @@ fn a_terminal_join_below_a_join_that_keeps_children_rematches() {
         let cs = m.quiesce().cs_changes;
         assert_eq!(cs.len(), 4, "{}: {cs:?}", m.name());
         assert!(cs.iter().all(|c| matches!(c, CsChange::Remove(_))));
-        assert_eq!(since(m.as_ref(), before), (3, 2), "{}", m.name());
+        assert_eq!(since(m.as_ref(), before), (3, 0), "{}", m.name());
     }
 }
 
@@ -678,7 +680,7 @@ fn a_terminal_join_below_a_join_that_keeps_children_rematches() {
 fn children_leave_in_line_order_after_a_removal_moved_one_forward() {
     let src = "(p q (a ^x <v>) (b ^y > <v>) (c ^z <v>) --> (halt))";
     let (mut prog, net) = net_of(src);
-    assert_eq!(net.join(0).child_succ(), Some(1));
+    assert_eq!(net.join(0).sole_join_succ(), Some(1));
     let a = ints(&mut prog, "a", &[1], 1);
     let b0 = ints(&mut prog, "b", &[0], 2);
     let b1 = ints(&mut prog, "b", &[5], 3);
@@ -723,7 +725,7 @@ fn children_leave_in_line_order_after_the_table_doubled() {
          (p fill (g ^x <v>) (f ^y <v>) --> (halt))";
     let (mut prog, net) = net_of(src);
     let (mb, mf) = (net.join(0).right_mem, net.join(2).right_mem);
-    assert_eq!(net.join(0).child_succ(), Some(1));
+    assert_eq!(net.join(0).sole_join_succ(), Some(1));
     let store_key =
         |mem: u32, w: &Wme| rete::fxhash::mix(net.right_mems[mem as usize].key(w), mem as u64);
     let mut tag = 0;
@@ -785,7 +787,7 @@ fn children_leave_in_line_order_after_the_table_doubled() {
 #[test]
 fn kept_children_fold_alike_when_changes_arrive_in_batches() {
     let (mut prog, net) = net_of(CHAIN);
-    assert_eq!(net.join(0).child_succ(), Some(1));
+    assert_eq!(net.join(0).sole_join_succ(), Some(1));
     let mut tag = 0;
     let mut wme = |class, v| {
         tag += 1;
@@ -843,5 +845,334 @@ fn kept_children_fold_alike_when_changes_arrive_in_batches() {
             let options = NetworkOptions::default();
             assert_eq!(fold_in_chunks(src, prog, options, steps, len), [0, 0, 0, 0]);
         }
+    }
+}
+
+/// vs1, vs2 (a 16-line table), lispsim and col on `net`, a network of
+/// `prog`.
+fn all_four(prog: &Program, net: &Arc<Network>) -> Vec<Box<dyn Matcher>> {
+    let mut ms = seq_matchers(prog, net);
+    ms.push(Box::new(ColMatcher::new(net.clone())));
+    ms
+}
+
+/// The timetags of each instantiation `cs` removes, in emission order; an
+/// insert fails the test.
+fn removed(name: &str, cs: Vec<CsChange>) -> Vec<Vec<u64>> {
+    (cs.into_iter())
+        .map(|c| match c {
+            CsChange::Remove(r) => r.wmes.timetags(),
+            CsChange::Insert(i) => panic!("{name}: insert {i:?}"),
+        })
+        .collect()
+}
+
+/// The order the rematch emitted removals in: the agenda pops a list's
+/// terminal tasks last first, col fires them as they come.
+fn in_emission_order(name: &str, mut scan_order: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
+    if name != "col" {
+        scan_order.reverse();
+    }
+    scan_order
+}
+
+/// `(p q (a ^x <v>) (b ^y <v>))`: J0 feeds a terminal, so its children are
+/// instantiations.
+const PAIR: &str = "(p q (a ^x <v>) (b ^y <v>) --> (halt))";
+
+/// Terminal children, hazard 1: a right WME that leaves first. `-b1` takes
+/// `(a, b1)` out of `a`'s list and removes that instantiation, so the `-a`
+/// that follows removes only `(a, b2)`, and scans nothing.
+#[test]
+fn a_terminal_child_whose_right_wme_leaves_first_is_removed_once() {
+    let (mut prog, net) = net_of(PAIR);
+    assert_eq!((net.n_joins(), net.join(0).sole_join_succ()), (1, None));
+    let a = ints(&mut prog, "a", &[1], 1);
+    let b1 = ints(&mut prog, "b", &[1], 2);
+    let b2 = ints(&mut prog, "b", &[1], 3);
+    let steps: Vec<Step> = [
+        (Sign::Plus, &a),
+        (Sign::Plus, &b1),
+        (Sign::Plus, &b2),
+        (Sign::Minus, &b1),
+        (Sign::Minus, &a),
+        (Sign::Plus, &a),
+        (Sign::Minus, &b2),
+        (Sign::Minus, &a),
+    ]
+    .map(|(sign, w)| (sign, w.clone()))
+    .into();
+    assert_eq!(fold_against_the_trace(PAIR, &prog, &steps), [0, 0, 0, 0]);
+
+    for mut m in all_four(&prog, &net) {
+        for w in [&a, &b1, &b2] {
+            add(m.as_mut(), w.clone());
+        }
+        assert_eq!(m.quiesce().cs_changes.len(), 2);
+        del(m.as_mut(), b1.clone());
+        assert_eq!(removed(m.name(), m.quiesce().cs_changes), [[1, 2]]);
+        let before = m.stats();
+        del(m.as_mut(), a.clone());
+        assert_eq!(removed(m.name(), m.quiesce().cs_changes), [[1, 3]]);
+        assert_eq!(since(m.as_ref(), before), (1, 0), "{}", m.name());
+    }
+}
+
+/// Terminal children, hazard 2: a self-join WME in the token and on the
+/// right input leaves both in one change. J0's right activation removes
+/// every instantiation made with `a1` on the right, `(a1, a1)` among them,
+/// and the left activation that follows removes the rest of `a1`'s list,
+/// `(a1, a2)`: each once, no scan.
+#[test]
+fn a_self_join_wme_leaving_both_inputs_of_a_terminal_join_removes_each_once() {
+    let src = "(p q (a ^x <v>) (a ^x <v>) --> (halt))";
+    let (mut prog, net) = net_of(src);
+    let ws = [
+        ints(&mut prog, "a", &[1], 1),
+        ints(&mut prog, "a", &[1], 2),
+        ints(&mut prog, "a", &[2], 3),
+    ];
+    assert_eq!(
+        fold_against_the_trace(src, &prog, &churn(&ws)),
+        [0, 0, 0, 0]
+    );
+
+    for mut m in all_four(&prog, &net) {
+        add(m.as_mut(), ws[0].clone());
+        add(m.as_mut(), ws[1].clone());
+        assert_eq!(m.quiesce().cs_changes.len(), 4, "{}", m.name());
+        let before = m.stats();
+        del(m.as_mut(), ws[0].clone());
+        let mut gone = removed(m.name(), m.quiesce().cs_changes);
+        gone.sort();
+        assert_eq!(gone, [[1, 1], [1, 2], [2, 1]], "{}", m.name());
+        // One right and one left activation of J0.
+        assert_eq!(since(m.as_ref(), before), (2, 0), "{}", m.name());
+    }
+}
+
+/// Terminal children leave in the order the rematch found them, before and
+/// after a right removal moved one forward. `b`s pair with `a` by `>` alone,
+/// so they share one line: `[b0 b1 b2]`, `a` keeping `(a, b1) (a, b2)`. The
+/// first `-a` sends them in that order (a list sent newest first reverses
+/// the two); after `-b0` has moved `b2` into its place, `[b2 b1]`, the
+/// second `-a` sends `(a, b2)` first (a list sent in the order it was made
+/// reverses the two).
+#[test]
+fn terminal_removals_leave_in_line_order_after_a_swap_remove() {
+    let src = "(p q (a ^x <v>) (b ^y > <v>) --> (halt))";
+    let (mut prog, net) = net_of(src);
+    let a = ints(&mut prog, "a", &[1], 1);
+    let b0 = ints(&mut prog, "b", &[0], 2);
+    let b1 = ints(&mut prog, "b", &[5], 3);
+    let b2 = ints(&mut prog, "b", &[6], 4);
+    let ws = [b0.clone(), b1, b2, a.clone()];
+    let mut steps: Vec<Step> = ws.iter().map(|w| (Sign::Plus, w.clone())).collect();
+    steps.extend([
+        (Sign::Minus, a.clone()),
+        (Sign::Plus, a.clone()),
+        (Sign::Minus, b0.clone()),
+        (Sign::Minus, a.clone()),
+    ]);
+    assert_eq!(fold_against_the_trace(src, &prog, &steps), [2, 2, 2, 2]);
+
+    for mut m in all_four(&prog, &net) {
+        let name = m.name();
+        for w in &ws {
+            add(m.as_mut(), w.clone());
+        }
+        assert_eq!(m.quiesce().cs_changes.len(), 2);
+        del(m.as_mut(), a.clone());
+        let gone = removed(name, m.quiesce().cs_changes);
+        let lined = vec![vec![1, 3], vec![1, 4]];
+        assert_eq!(gone, in_emission_order(name, lined.clone()), "{name}");
+        add(m.as_mut(), a.clone());
+        del(m.as_mut(), b0.clone());
+        assert_eq!(m.quiesce().cs_changes.len(), 2, "{name}: only the inserts");
+        del(m.as_mut(), a.clone());
+        let gone = removed(name, m.quiesce().cs_changes);
+        let moved = lined.into_iter().rev().collect();
+        assert_eq!(gone, in_emission_order(name, moved), "{name}");
+    }
+}
+
+/// Terminal children leave in line order after the table doubled under
+/// them: the terminal twin of
+/// [`children_leave_in_line_order_after_the_table_doubled`]. `a` keeps the
+/// instantiations `(a, b0) .. (a, b3)` while their line reads `[b0 f f b1 f
+/// f b2 f f b3]`; fillers double the table, which packs it to `[b0 b1 b2
+/// b3]`; `-b2` moves `b3` into the hole, so `-a` sends `(a, b0) (a, b1)
+/// (a, b3)`, as the rematch did.
+#[test]
+fn terminal_removals_leave_in_line_order_after_the_table_doubled() {
+    let src = "(p q (a ^x <v>) (b ^y > <v>) --> (halt))
+         (p fill (g ^x <v>) (f ^y <v>) --> (halt))";
+    let (mut prog, net) = net_of(src);
+    let (mb, mf) = (net.join(0).right_mem, net.join(1).right_mem);
+    let store_key =
+        |mem: u32, w: &Wme| rete::fxhash::mix(net.right_mems[mem as usize].key(w), mem as u64);
+    let mut tag = 0;
+    let mut wme = |class, v| {
+        tag += 1;
+        ints(&mut prog, class, &[v], tag)
+    };
+    let bs: Vec<WmeRef> = (5..9).map(|v| wme("b", v)).collect();
+    let kb = store_key(mb, &bs[0]);
+    let fs: Vec<WmeRef> = (0..)
+        .map(|v| wme("f", v))
+        .filter(|f| {
+            let k = store_key(mf, f);
+            k & 15 == kb & 15 && k & 16 != kb & 16
+        })
+        .take(6)
+        .collect();
+    let a = wme("a", 1);
+    let fillers: Vec<WmeRef> = (0..60).map(|v| wme("g", 1000 + v)).collect();
+    let line = [&bs[0], &fs[0], &fs[1], &bs[1], &fs[2], &fs[3], &bs[2]];
+    let built: Vec<&WmeRef> = line
+        .into_iter()
+        .chain([&fs[4], &fs[5], &bs[3], &a])
+        .collect();
+
+    // vs2 finds how many fillers double its table; col's is the same
+    // table, fed the same entries.
+    let mut vs2 = SeqMatcher::vs2(net.clone(), HashMemConfig::default());
+    for w in &built {
+        add(&mut vs2, (*w).clone());
+    }
+    let mut fill = 0;
+    while vs2.table_lines() == 16 {
+        add(&mut vs2, fillers[fill].clone());
+        fill += 1;
+    }
+    assert_eq!(vs2.table_lines(), 32, "the fillers doubled the table once");
+    let mut steps: Vec<Step> = (built.iter().copied().chain(&fillers[..fill]))
+        .map(|w| (Sign::Plus, w.clone()))
+        .collect();
+    steps.extend([(Sign::Minus, bs[2].clone()), (Sign::Minus, a.clone())]);
+    fold_against_the_trace(src, &prog, &steps);
+
+    let col = ColMatcher::new(net.clone());
+    let fresh_vs2 = SeqMatcher::vs2(net.clone(), HashMemConfig::default());
+    let ms: [Box<dyn Matcher>; 2] = [Box::new(fresh_vs2), Box::new(col)];
+    let tags = |b: &WmeRef| vec![a.timetag, b.timetag];
+    for mut m in ms {
+        let name = m.name();
+        for (sign, w) in &steps[..steps.len() - 2] {
+            m.submit(&ChangeBatch::single(WmeChange {
+                sign: *sign,
+                wme: w.clone(),
+            }));
+        }
+        assert_eq!(m.quiesce().cs_changes.len(), 4, "{name}");
+        del(m.as_mut(), bs[2].clone());
+        assert_eq!(removed(name, m.quiesce().cs_changes), [tags(&bs[2])]);
+        del(m.as_mut(), a.clone());
+        let lined = vec![tags(&bs[0]), tags(&bs[1]), tags(&bs[3])];
+        let gone = removed(name, m.quiesce().cs_changes);
+        assert_eq!(gone, in_emission_order(name, lined), "{name}");
+    }
+}
+
+/// A join shared by two productions feeds a join and a terminal, and sends
+/// each child it kept to both: `-b1` (a right removal) and `-a` (a left
+/// one) remove `p1`'s instantiation at J0's terminal and `p2`'s through J1,
+/// with no left activation scanning. A child sent to one successor only
+/// would leave the other's behind, which the folds catch.
+#[test]
+fn a_shared_join_feeding_a_join_and_a_terminal_sends_its_children_to_both() {
+    let src = "(p p1 (a ^x <v>) (b ^y <v>) --> (halt))
+         (p p2 (a ^x <v>) (b ^y <v>) (c ^z <v>) --> (halt))";
+    let (mut prog, net) = net_of(src);
+    assert_eq!(net.n_joins(), 2);
+    assert_eq!(
+        (net.join(0).succs.len(), net.join(0).sole_join_succ()),
+        (2, None)
+    );
+    let ws: Vec<WmeRef> = [("a", 1), ("b", 1), ("b", 1), ("c", 1), ("a", 2)]
+        .into_iter()
+        .chain([("b", 2), ("c", 2), ("c", 1)])
+        .zip(1..)
+        .map(|((class, v), tag)| ints(&mut prog, class, &[v], tag))
+        .collect();
+    assert_eq!(
+        fold_against_the_trace(src, &prog, &churn(&ws)),
+        [0, 0, 0, 0]
+    );
+
+    for mut m in all_four(&prog, &net) {
+        let name = m.name();
+        for w in &ws[..4] {
+            add(m.as_mut(), w.clone());
+        }
+        assert_eq!(
+            m.quiesce().cs_changes.len(),
+            4,
+            "{name}: p1 twice, p2 twice"
+        );
+        let before = m.stats();
+        del(m.as_mut(), ws[1].clone());
+        let mut gone = removed(name, m.quiesce().cs_changes);
+        gone.sort();
+        assert_eq!(gone, [vec![1, 2], vec![1, 2, 4]], "{name}");
+        // J0's right activation and J1's left one.
+        assert_eq!(since(m.as_ref(), before), (2, 0), "{name}");
+        let before = m.stats();
+        del(m.as_mut(), ws[0].clone());
+        let mut gone = removed(name, m.quiesce().cs_changes);
+        gone.sort();
+        assert_eq!(gone, [vec![1, 3], vec![1, 3, 4]], "{name}");
+        assert_eq!(since(m.as_ref(), before), (2, 0), "{name}");
+    }
+}
+
+/// A terminal join below a not-node, with a blocker in and a blocker out in
+/// one batch: `[+b2 -b1]` blocks `a2` and frees `a1`, `[+b1 -b2]` the other
+/// way round, and `[+b3 -b1]` blocks and frees `a1` at once. Whatever the
+/// not-node lets through or takes back reaches J1, which removes from what
+/// it kept. vs1, vs2 and lispsim take each batch retractions first, col
+/// set-at-a-time; all fold as the trace does after every batch.
+#[test]
+fn a_terminal_join_below_a_not_node_folds_alike_with_blockers_in_and_out_in_one_batch() {
+    let src = "(p q (a ^x <v>) - (b ^y <v>) (c ^z <v>) --> (halt))";
+    let mut prog = Program::from_source(src).unwrap();
+    let mut tag = 0;
+    let mut wme = |class, v| {
+        tag += 1;
+        ints(&mut prog, class, &[v], tag)
+    };
+    let (a1, a2) = (wme("a", 1), wme("a", 2));
+    let (c1, c2, c3) = (wme("c", 1), wme("c", 2), wme("c", 1));
+    let (b1, b2, b3) = (wme("b", 1), wme("b", 2), wme("b", 1));
+    let (plus, minus) = (
+        |w: &WmeRef| (Sign::Plus, w.clone()),
+        |w: &WmeRef| (Sign::Minus, w.clone()),
+    );
+    let steps = vec![
+        plus(&a1),
+        plus(&a2),
+        plus(&c1),
+        plus(&c2),
+        plus(&b1),
+        plus(&c3),
+        plus(&b2),
+        minus(&b1),
+        plus(&b1),
+        minus(&b2),
+        plus(&b3),
+        minus(&b1),
+        minus(&b3),
+        minus(&a1),
+        minus(&a2),
+        minus(&c1),
+        minus(&c2),
+        minus(&c3),
+    ];
+    for len in [1, 2, 3, 4, 6] {
+        let options = NetworkOptions::default();
+        assert_eq!(
+            fold_in_chunks(src, &prog, options, &steps, len),
+            [0, 0, 0, 0]
+        );
     }
 }
