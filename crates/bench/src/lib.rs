@@ -12,7 +12,7 @@
 
 pub mod tables;
 
-use engine::{ActStrategy, Engine, EngineBuilder, MatcherKind};
+use engine::{Engine, EngineBuilder, MatcherKind};
 use multimax::{simulate, SimConfig, SimResult};
 use ops5::Result;
 use psm::line::LockScheme;
@@ -87,7 +87,6 @@ pub(crate) fn paper_engine(w: &Workload, kind: MatcherKind) -> Result<Engine> {
     let mut eng = EngineBuilder::from_source(&w.source)?
         .matcher(kind)
         .network_options(rete::NetworkOptions::PAPER)
-        .act_strategy(ActStrategy::Serial)
         .build()?;
     workloads::load_setup(&mut eng, &w.setup)?;
     Ok(eng)

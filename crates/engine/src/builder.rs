@@ -21,7 +21,6 @@
 //! assert_eq!(r.cycles, 1);
 //! ```
 
-use crate::act::ActStrategy;
 use crate::compiled::CompiledProgram;
 use crate::interp::Engine;
 use ops5::{Matcher, Ops5Error, Program, Result, Strategy};
@@ -108,7 +107,6 @@ pub struct EngineBuilder {
     matcher: MatcherKind,
     matcher_set: bool,
     strategy: Option<Strategy>,
-    act: ActStrategy,
     echo_writes: bool,
     keep_fired_log: bool,
     limits: crate::interp::EngineLimits,
@@ -139,7 +137,6 @@ impl EngineBuilder {
             matcher: MatcherKind::default(),
             matcher_set: false,
             strategy: None,
-            act: ActStrategy::Serial,
             echo_writes: false,
             keep_fired_log: true,
             limits: crate::interp::EngineLimits::default(),
@@ -206,13 +203,6 @@ impl EngineBuilder {
     /// Overrides the program's conflict-resolution strategy directive.
     pub fn strategy(mut self, s: Strategy) -> Self {
         self.strategy = Some(s);
-        self
-    }
-
-    /// Picks the act-phase strategy (default: [`ActStrategy::Serial`], the
-    /// paper-faithful one-firing-per-cycle loop).
-    pub fn act_strategy(mut self, act: ActStrategy) -> Self {
-        self.act = act;
         self
     }
 
@@ -309,7 +299,6 @@ impl EngineBuilder {
         eng.echo_writes = self.echo_writes;
         eng.keep_fired_log = self.keep_fired_log;
         eng.limits = self.limits;
-        eng.set_act_strategy(self.act);
         eng.enable_obs(self.obs);
         Ok(eng)
     }

@@ -4,9 +4,8 @@
 //! PSM-E runs one control process and k match processes over "a single
 //! shared Rete network", and compiles RHSs "once, at load time" (§3, §3.3).
 //! [`CompiledProgram`] is that load-time product: the parsed program, the
-//! Rete network, the RHS threaded code, each production's specificity, and
-//! the static act footprints. It is
-//! `Send + Sync` and never mutated after construction, so one
+//! Rete network, the RHS threaded code and each production's specificity.
+//! It is `Send + Sync` and never mutated after construction, so one
 //! `Arc<CompiledProgram>` can back any number of engines on any threads.
 //!
 //! What stays per engine is what a run mutates: a clone of the symbol and
@@ -18,10 +17,10 @@
 //! same name in all of them.
 
 use crate::rhs::{self, RhsProgram};
-use ops5::{ActFootprints, Program, Result};
+use ops5::{Program, Result};
 use rete::network::Network;
 use rete::NetworkOptions;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A parsed program plus everything compiled from it. Construct with
 /// [`CompiledProgram::compile`]; instantiate engines from it with
@@ -33,7 +32,6 @@ pub struct CompiledProgram {
     pub(crate) rhs: Arc<[RhsProgram]>,
     /// Conflict resolution's tie-breaker, per production.
     pub(crate) specificity: Box<[u32]>,
-    footprints: OnceLock<ActFootprints>,
 }
 
 // One artefact is shared across pool workers and reactor threads.
@@ -58,7 +56,6 @@ impl CompiledProgram {
             program,
             net,
             rhs,
-            footprints: OnceLock::new(),
         })
     }
 
@@ -74,12 +71,5 @@ impl CompiledProgram {
     /// The options the network was compiled with.
     pub fn options(&self) -> NetworkOptions {
         self.net.options
-    }
-
-    /// Static act footprints (a function of the productions alone),
-    /// computed on first use by a parallel-act engine.
-    pub(crate) fn footprints(&self) -> &ActFootprints {
-        self.footprints
-            .get_or_init(|| ActFootprints::new(&self.program))
     }
 }

@@ -1,6 +1,5 @@
 //! The recognize-act interpreter — the paper's control process.
 
-use crate::act::{self, ActStats, ActStrategy};
 use crate::compiled::CompiledProgram;
 use crate::cr;
 use crate::cs::ConflictSet;
@@ -60,7 +59,7 @@ pub struct Engine {
     /// interns symbols and auto-extends classes) over the shared
     /// productions.
     pub prog: Program,
-    /// The shared immutable half: network, RHS code, act footprints.
+    /// The shared immutable half: network, RHS code, specificities.
     compiled: Arc<CompiledProgram>,
     pub(crate) matcher: Box<dyn Matcher>,
     pub(crate) wm: WorkingMemory,
@@ -85,10 +84,6 @@ pub struct Engine {
     /// Observability instruments; `None` (the default) costs one branch per
     /// step and zero allocation.
     obs: Option<EngineObs>,
-    /// Act-phase strategy (see [`ActStrategy`]); `Serial` by default.
-    act: ActStrategy,
-    /// Always-on act-phase counters (see [`ActStats`]).
-    act_stats: ActStats,
 }
 
 /// The engine's slice of the observability layer: a per-engine registry
@@ -101,11 +96,6 @@ struct EngineObs {
     resolve_ns: Arc<obs::Histogram>,
     act_ns: Arc<obs::Histogram>,
     firings: Arc<obs::Counter>,
-    /// Members per grouped cycle (a cap above 1; serial cycles record
-    /// nothing).
-    act_group_size: Arc<obs::Histogram>,
-    /// Group extensions refused by the interference checks.
-    act_rejects: Arc<obs::Counter>,
     last_phase: Option<PhaseNanos>,
 }
 
@@ -146,8 +136,6 @@ impl Engine {
             staged: ChangeBatch::new(),
             journal: None,
             obs: None,
-            act: ActStrategy::Serial,
-            act_stats: ActStats::default(),
         }
     }
 
@@ -177,8 +165,6 @@ impl Engine {
             resolve_ns: registry.histogram("engine_resolve_ns", vec![]),
             act_ns: registry.histogram("engine_act_ns", vec![]),
             firings: registry.counter("engine_firings_total", vec![]),
-            act_group_size: registry.histogram("engine_act_group_size", vec![]),
-            act_rejects: registry.counter("act_interference_rejects", vec![]),
             registry,
             last_phase: None,
         });
@@ -221,28 +207,6 @@ impl Engine {
 
     pub fn cycles(&self) -> u64 {
         self.cycles
-    }
-
-    /// The act-phase strategy this engine runs with.
-    pub fn act_strategy(&self) -> ActStrategy {
-        self.act
-    }
-
-    /// Switches the act-phase strategy. Safe at any point between runs —
-    /// `Parallel` is serial-equivalent by construction, so mixing
-    /// strategies over an engine's lifetime changes nothing observable.
-    pub fn set_act_strategy(&mut self, act: ActStrategy) {
-        if matches!(act, ActStrategy::Parallel { .. }) {
-            // Computed once per compiled program, here rather than inside
-            // the first grouped cycle.
-            self.compiled.footprints();
-        }
-        self.act = act;
-    }
-
-    /// Always-on act-phase counters.
-    pub fn act_stats(&self) -> ActStats {
-        self.act_stats
     }
 
     pub fn fired_log(&self) -> &[(ProdId, Vec<u64>)] {
@@ -436,84 +400,52 @@ impl Engine {
         if self.halted || self.budget_exhausted() {
             return Ok(None);
         }
-        self.cycle(1)
+        self.cycle()
     }
 
     /// The recognize-act cycle behind [`step`](Self::step) and
-    /// [`run`](Self::run): one match phase, then up to `cap` firings fired
-    /// in conflict-set order on this thread, their matcher changes shipped
-    /// as one batch. With `cap == 1` the winner is [`cr::select`]'s;
-    /// otherwise [`act::select_group`] picks a prefix of the conflict set
-    /// whose members cannot change what a later one does, so a group is k
-    /// serial firings with the k − 1 match passes between them left out.
-    /// Stops at an error or a halt. Returns the first firing, or `None` at
-    /// quiescence.
-    fn cycle(&mut self, cap: usize) -> Result<Option<Instantiation>> {
+    /// [`run`](Self::run): one match phase, then [`cr::select`]'s winner
+    /// fires on this thread and its matcher changes ship as one batch. The
+    /// paper's act phase: one firing per cycle, on the control process
+    /// (§3.1). Returns the firing, or `None` at quiescence.
+    fn cycle(&mut self) -> Result<Option<Instantiation>> {
         // Phase clock marks (all `None` unless observability is enabled).
         let t_start = self.obs.as_ref().map(|_| Instant::now());
         self.match_phase();
-        self.act_stats.match_passes += 1;
         let t_match = t_start.map(|_| Instant::now());
-        let rejects_before = self.act_stats.interference_rejects;
-        let (mut single, mut group) = (None, Vec::new());
-        let members: &[Instantiation] = if cap == 1 {
-            single = cr::select(
-                self.prog.strategy,
-                self.cs.candidates(),
-                &self.compiled.specificity,
-            )
-            .cloned();
-            single.as_slice()
-        } else {
-            group = act::select_group(
-                self.prog.strategy,
-                self.cs.candidates(),
-                &self.compiled.specificity,
-                self.compiled.footprints(),
-                cap,
-                &mut self.act_stats,
-            );
-            &group
-        };
+        let winner = cr::select(
+            self.prog.strategy,
+            self.cs.candidates(),
+            &self.compiled.specificity,
+        )
+        .cloned();
         let t_resolve = t_start.map(|_| Instant::now());
 
-        // One firing ships one batch, and so does a group: RHS effects reach
-        // working memory as they are computed and the matcher in a single
-        // `submit`. A `modify` is still two changes (its add carries a new
-        // timetag, so the pair never annihilates; only a `make` the same
-        // RHS `remove`s does). What the batch buys: the matcher resolves
-        // each class's patterns once per cycle, and it sees the cycle's
-        // changes as a *set* whose order is its own (`Matcher::submit`) —
-        // vs1/vs2 retract before they assert, so what an early action would
-        // derive and a later one retract is not built.
+        // One firing ships one batch: RHS effects reach working memory as
+        // they are computed and the matcher in a single `submit`. A
+        // `modify` is still two changes (its add carries a new timetag, so
+        // the pair never annihilates; only a `make` the same RHS `remove`s
+        // does). What the batch buys: the matcher resolves each class's
+        // patterns once per cycle, and it sees the cycle's changes as a
+        // *set* whose order is its own (`Matcher::submit`) — vs1/vs2
+        // retract before they assert, so what an early action would derive
+        // and a later one retract is not built.
         let mut batch = ChangeBatch::new();
-        let mut outcome = Ok(());
-        let cycles_before = self.cycles;
-        for w in members {
-            // The one chain walk of this firing: refraction wants the
-            // token, the fired log and the RHS want to index its WMEs.
-            let wmes = w.wmes.wme_vec();
-            self.record_firing(w, &wmes);
-            match self.fire(w.prod, &wmes, &mut batch) {
-                Ok(false) => {}
-                Ok(true) => {
-                    self.halted = true;
-                    break;
-                }
-                Err(e) => {
-                    outcome = Err(e);
-                    break;
-                }
+        let outcome = match &winner {
+            Some(w) => {
+                // The one chain walk of this firing: refraction wants the
+                // token, the fired log and the RHS want to index its WMEs.
+                let wmes = w.wmes.wme_vec();
+                self.record_firing(w, &wmes);
+                self.fire(w.prod, &wmes, &mut batch)
+                    .map(|halted| self.halted |= halted)
             }
-        }
-        if !members.is_empty() {
-            self.act_stats.groups += 1;
-        }
+            None => Ok(()),
+        };
         // Working memory already reflects every effect applied before an
         // error, so the batch still goes out even on the error path.
         if !batch.is_empty() {
             self.matcher.submit(&batch);
-            self.act_stats.act_submits += 1;
         }
         if let (Some(o), Some(t0), Some(t1), Some(t2)) =
             (self.obs.as_mut(), t_start, t_match, t_resolve)
@@ -523,32 +455,19 @@ impl Engine {
                 resolve_ns: (t2 - t1).as_nanos() as u64,
                 act_ns: t2.elapsed().as_nanos() as u64,
             });
-            let fired = self.cycles - cycles_before;
-            if fired > 0 {
-                o.firings.add(fired);
-            }
-            if cap > 1 {
-                let rejected = self.act_stats.interference_rejects - rejects_before;
-                if rejected > 0 {
-                    o.act_rejects.add(rejected);
-                }
-                if !members.is_empty() {
-                    o.act_group_size.record(members.len() as u64);
-                }
+            if winner.is_some() {
+                o.firings.add(1);
             }
         }
         outcome?;
-        Ok(single.or_else(|| group.into_iter().next()))
+        Ok(winner)
     }
 
     /// Refraction-marks, counts, logs, and journals one firing — everything
-    /// about a firing except its effects. Called in conflict-set order, so
-    /// the fired log and the durability journal read as a serial run's
-    /// whatever the group size.
+    /// about a firing except its effects.
     fn record_firing(&mut self, w: &Instantiation, wmes: &[WmeRef]) {
         self.cs.mark_fired(w);
         self.cycles += 1;
-        self.act_stats.fired += 1;
         if self.keep_fired_log {
             self.fired_log
                 .push((w.prod, wmes.iter().map(|w| w.timetag).collect()));
@@ -617,19 +536,7 @@ impl Engine {
             if ran >= max_cycles {
                 break StopReason::CycleLimit;
             }
-            // A k-firing group counts as k cycles, so the group cap folds
-            // in both the caller's limit and the lifetime budget — `RUN n`
-            // stops on the same cycle and with the same reason under either
-            // strategy.
-            let mut cap = match self.act {
-                ActStrategy::Serial => 1,
-                ActStrategy::Parallel { max_group } => max_group.max(1) as u64,
-            };
-            cap = cap.min(max_cycles - ran);
-            if let Some(m) = self.limits.max_cycles {
-                cap = cap.min(m - self.cycles);
-            }
-            if self.cycle(cap as usize)?.is_none() {
+            if self.cycle()?.is_none() {
                 break StopReason::Quiescent;
             }
         };
@@ -667,12 +574,6 @@ mod tests {
             EngineBuilder::from_source(src)
                 .unwrap()
                 .vs2()
-                .build()
-                .unwrap(),
-            EngineBuilder::from_source(src)
-                .unwrap()
-                .vs2()
-                .act_strategy(ActStrategy::parallel())
                 .build()
                 .unwrap(),
         ]

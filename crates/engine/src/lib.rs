@@ -20,7 +20,6 @@
 //! hosts that open many engines on one program compile it once and hand
 //! the builder the shared artefact.
 
-pub mod act;
 pub mod builder;
 pub mod compiled;
 pub mod cr;
@@ -32,7 +31,6 @@ pub mod rhs;
 pub mod state;
 pub mod wm;
 
-pub use act::{ActStats, ActStrategy};
 pub use builder::{EngineBuilder, MatcherKind};
 pub use compiled::CompiledProgram;
 pub use cr::order_dominates;

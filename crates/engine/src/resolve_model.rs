@@ -1,15 +1,14 @@
 //! Model test of the fold → resolve path: [`ConflictSet`], [`cr::select`]
-//! and [`act::select_group`] against a reference that keys on
+//! and the whole order [`cr::order_dominates`] puts on the unfired set,
+//! against a reference that keys on
 //! `(ProdId, Vec<u64>)` and orders with the allocating comparison this crate
 //! used while an instantiation was a `Vec<WmeRef>`, kept here verbatim as
 //! the oracle.
 
-use crate::act::{self, ActStats};
 use crate::cr;
 use crate::cs::ConflictSet;
 use ops5::{
-    ActFootprints, CsChange, Instantiation, ProdId, Production, Program, Strategy, SymbolId, Value,
-    Wme, WmeRef,
+    CsChange, Instantiation, ProdId, Production, Program, Strategy, SymbolId, Value, Wme, WmeRef,
 };
 use proptest::prelude::*;
 use std::cmp::Ordering;
@@ -99,8 +98,8 @@ const CES: [(usize, bool); 10] = [
     (40, false),
 ];
 
-/// Write-only right-hand sides: no production interferes with another or is
-/// fertile, so an uncapped act group is the whole dominance order.
+/// Write-only right-hand sides: the productions differ only in what
+/// conflict resolution reads, their CE counts and specificities.
 fn program() -> Program {
     let mut src = String::new();
     for (i, (ces, specific)) in CES.iter().enumerate() {
@@ -162,7 +161,6 @@ proptest! {
     ) {
         let prog = program();
         let specificity = cr::specificities(&prog.productions);
-        let fps = ActFootprints::new(&prog);
         let mut cs = ConflictSet::new();
         let mut model: BTreeMap<(ProdId, Vec<u64>), bool> = BTreeMap::new();
 
@@ -214,19 +212,12 @@ proptest! {
                 let best = cr::select(strategy, cs.candidates(), &specificity);
                 prop_assert_eq!(best.map(Instantiation::key).as_ref(), expect.first().copied());
 
-                for cap in [1, 3, usize::MAX] {
-                    let group = act::select_group(
-                        strategy,
-                        cs.candidates(),
-                        &specificity,
-                        &fps,
-                        cap,
-                        &mut ActStats::default(),
-                    );
-                    let got: Vec<_> = group.iter().map(Instantiation::key).collect();
-                    let want: Vec<_> = expect.iter().take(cap).map(|k| (*k).clone()).collect();
-                    prop_assert_eq!(got, want, "{:?} cap {}", strategy, cap);
-                }
+                // The whole dominance order, not only its head.
+                let mut got: Vec<&Instantiation> = cs.candidates().collect();
+                got.sort_by(|a, b| cr::order_dominates(strategy, b, a, &specificity));
+                let got: Vec<_> = got.into_iter().map(Instantiation::key).collect();
+                let want: Vec<_> = expect.iter().map(|k| (*k).clone()).collect();
+                prop_assert_eq!(got, want, "{:?}", strategy);
             }
         }
     }

@@ -19,7 +19,7 @@
 //! reads 23.8 against 18.0 on Weaver, one per col bucket scan 21.6 against
 //! 13.1).
 
-use engine::{ActStrategy, EngineBuilder, MatcherKind};
+use engine::{EngineBuilder, MatcherKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use workloads::{rubik, tourney, weaver, Workload};
@@ -57,7 +57,6 @@ fn allocs_per_change(w: &Workload, kind: MatcherKind, obs: obs::ObsConfig) -> f6
         .expect("parse")
         .matcher(kind)
         .network_options(rete::NetworkOptions::default())
-        .act_strategy(ActStrategy::Serial)
         .obs(obs)
         .build()
         .expect("build");

@@ -24,7 +24,6 @@
 
 pub mod ast;
 pub mod error;
-pub mod footprint;
 pub mod fxhash;
 pub mod lexer;
 pub mod matchapi;
@@ -39,7 +38,6 @@ pub mod wme;
 
 pub use ast::{Action, AttrTest, CondElem, Production, RhsExpr, RhsValue, WriteItem};
 pub use error::{Ops5Error, Result};
-pub use footprint::{ActFootprints, ProdFootprint};
 pub use matchapi::{
     ChangeBatch, CsChange, Instantiation, MatchStats, Matcher, PhaseNanos, QuiesceReport, Sign,
     StatsDeltaTracker, WmeChange,

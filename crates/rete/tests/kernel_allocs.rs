@@ -14,7 +14,7 @@
 //! must fold to the same conflict set, each within an allocation budget per
 //! change.
 
-use engine::{ActStrategy, EngineBuilder};
+use engine::EngineBuilder;
 use ops5::{
     ChangeBatch, CsChange, MatchStats, Matcher, ProdId, Program, QuiesceReport, Sign, Value, Wme,
     WmeChange, WmeRef,
@@ -531,7 +531,6 @@ fn record_stream(w: &Workload) -> (Arc<Network>, Vec<WmeChange>) {
             })
         })
         .network_options(NetworkOptions::default())
-        .act_strategy(ActStrategy::Serial)
         .build()
         .expect("build");
     workloads::load_setup(&mut eng, &w.setup).expect("setup");

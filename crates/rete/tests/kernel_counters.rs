@@ -171,7 +171,7 @@
 //! rows are compared with nothing but themselves. Unlinking moves only
 //! `null_activations`/`null_skipped`; the trace is the same either way.
 
-use engine::{ActStrategy, EngineBuilder, MatcherKind};
+use engine::{EngineBuilder, MatcherKind};
 use ops5::{ChangeBatch, CsChange, MatchStats, Matcher, QuiesceReport};
 use psm::trace::{RunTrace, TaskKind, TaskRecord};
 use rete::{HashMemConfig, Network, NetworkOptions};
@@ -331,7 +331,6 @@ fn run(w: &Workload, matcher: &'static str, options: NetworkOptions) -> (Measure
         .expect("parse")
         .custom_matcher(factory)
         .network_options(options)
-        .act_strategy(ActStrategy::Serial)
         .build()
         .expect("build");
     workloads::load_setup(&mut eng, &w.setup).expect("setup");
@@ -566,7 +565,6 @@ fn trace_run(w: &Workload, unlinking: bool) -> (Measured, TraceDigest) {
             unlinking,
             ..NetworkOptions::PAPER
         })
-        .act_strategy(ActStrategy::Serial)
         .build()
         .expect("build");
     workloads::load_setup(&mut eng, &w.setup).expect("setup");
@@ -633,7 +631,6 @@ fn kind_stats(w: &Workload, kind: MatcherKind, options: NetworkOptions) -> Match
         .expect("parse")
         .matcher(kind)
         .network_options(options)
-        .act_strategy(ActStrategy::Serial)
         .build()
         .expect("build");
     workloads::load_setup(&mut eng, &w.setup).expect("setup");

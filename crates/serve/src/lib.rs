@@ -115,11 +115,9 @@ mod tests {
     /// Two connections get fully independent sessions of the same program.
     #[test]
     fn sessions_are_isolated() {
-        let cfg = ServeConfig {
-            act: engine::ActStrategy::parallel(),
-            ..ServeConfig::default()
-        };
-        let handle = Server::bind("127.0.0.1:0", cfg).unwrap().spawn();
+        let handle = Server::bind("127.0.0.1:0", ServeConfig::default())
+            .unwrap()
+            .spawn();
         let src = "(literalize x v)\n(p r (x ^v <v>) --> (remove 1))";
         let mut a = Client::connect(handle.addr).unwrap();
         let mut b = Client::connect(handle.addr).unwrap();
@@ -397,12 +395,9 @@ mod tests {
     /// BATCH stages everything as one command and replies once.
     #[test]
     fn batch_is_one_command() {
-        // The five firings of the `RUN` form one parallel act group.
-        let cfg = ServeConfig {
-            act: engine::ActStrategy::parallel(),
-            ..ServeConfig::default()
-        };
-        let handle = Server::bind("127.0.0.1:0", cfg).unwrap().spawn();
+        let handle = Server::bind("127.0.0.1:0", ServeConfig::default())
+            .unwrap()
+            .spawn();
         let mut c = Client::connect(handle.addr).unwrap();
         c.open_source("(literalize x v)\n(p r (x ^v <v>) --> (remove 1))", None)
             .unwrap()

@@ -799,12 +799,7 @@ mod tests {
     #[test]
     fn commands_on_one_session_execute_in_order() {
         let pool = Pool::new(2, 64, 64, None);
-        // The closing `RUN` fires its ten items as parallel act groups.
-        let eng = EngineBuilder::from_source(SRC)
-            .unwrap()
-            .act_strategy(engine::ActStrategy::parallel())
-            .build()
-            .unwrap();
+        let eng = EngineBuilder::from_source(SRC).unwrap().build().unwrap();
         let s = SessionSlot::new(Session::new(1, "t", eng, MatcherKind::default(), 1000));
         let rxs: Vec<_> = (0..10)
             .map(|i| submit_ok(&pool, &s, Command::Assert(format!("item ^n {i}"))))

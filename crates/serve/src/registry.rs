@@ -14,9 +14,10 @@
 //! the server's sessions exercise both hand-written corpus programs and the
 //! paper's benchmark generator.
 
-use engine::{ActStrategy, CompiledProgram, Engine, EngineBuilder, EngineLimits, MatcherKind};
+use engine::{CompiledProgram, Engine, EngineBuilder, EngineLimits, MatcherKind};
 use ops5::{Program, Result};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -69,34 +70,18 @@ impl ProgramSpec {
         self.compiles.load(Ordering::Relaxed)
     }
 
-    /// A builder that instantiates from the shared compiled program.
-    /// `act` pins the act strategy; `None` keeps the builder default
-    /// (serial).
-    fn builder(
-        &self,
-        kind: MatcherKind,
-        limits: EngineLimits,
-        act: Option<ActStrategy>,
-    ) -> Result<EngineBuilder> {
-        let b = EngineBuilder::from_compiled(self.compiled()?)
-            .matcher(kind)
-            .limits(limits);
-        Ok(match act {
-            Some(act) => b.act_strategy(act),
-            None => b,
-        })
-    }
-
     /// Builds a fresh engine for this spec: instantiate from the compiled
     /// program, install the matcher, load the source's startup forms, then
-    /// the setup WMEs.
+    /// the setup WMEs. The third argument can only be `None`: it once
+    /// picked how the act phase fires, and stays until the ledger's callers
+    /// stop passing it.
     pub fn build(
         &self,
         kind: MatcherKind,
         limits: EngineLimits,
-        act: Option<ActStrategy>,
+        _: Option<Infallible>,
     ) -> Result<Engine> {
-        let mut eng = self.builder(kind, limits, act)?.build()?;
+        let mut eng = self.build_empty(kind, limits)?;
         eng.load_startup()?;
         workloads::load_setup(&mut eng, &self.setup)?;
         Ok(eng)
@@ -106,13 +91,11 @@ impl ProgramSpec {
     /// NOT load startup forms or setup WMEs. This is the `RESTORE` path:
     /// the snapshot carries every WME (startup and setup included), so
     /// loading them here would double them up.
-    pub fn build_empty(
-        &self,
-        kind: MatcherKind,
-        limits: EngineLimits,
-        act: Option<ActStrategy>,
-    ) -> Result<Engine> {
-        self.builder(kind, limits, act)?.build()
+    pub fn build_empty(&self, kind: MatcherKind, limits: EngineLimits) -> Result<Engine> {
+        EngineBuilder::from_compiled(self.compiled()?)
+            .matcher(kind)
+            .limits(limits)
+            .build()
     }
 }
 

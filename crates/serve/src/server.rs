@@ -42,8 +42,6 @@ pub struct ServeConfig {
     pub limits: EngineLimits,
     /// Matcher used when `OPEN` names none.
     pub matcher: MatcherKind,
-    /// Act-phase strategy for every session engine (default: serial).
-    pub act: engine::ActStrategy,
     /// Corpus directory for [`Registry::with_builtins`].
     pub programs_dir: Option<PathBuf>,
     /// Observability: when enabled every session engine gets a metrics
@@ -87,7 +85,6 @@ impl Default for ServeConfig {
             max_cycles_per_run: 10_000,
             limits: EngineLimits::default(),
             matcher: MatcherKind::default(),
-            act: engine::ActStrategy::Serial,
             programs_dir: None,
             obs: obs::ObsConfig::default(),
             metrics_port: None,
@@ -345,8 +342,8 @@ pub(crate) fn open_session(
     };
     let snapshot = body.as_deref().map(split_snapshot).transpose()?;
     let mut engine = match snapshot {
-        None => spec.build(kind.clone(), cfg.limits, Some(cfg.act)),
-        Some(_) => spec.build_empty(kind.clone(), cfg.limits, Some(cfg.act)),
+        None => spec.build(kind.clone(), cfg.limits, None),
+        Some(_) => spec.build_empty(kind.clone(), cfg.limits),
     }
     .map_err(|e| e.to_string())?;
     if shared.obs.is_some() {

@@ -425,7 +425,6 @@ impl Session {
         let mut next = EngineBuilder::from_compiled(self.engine.compiled().clone())
             .matcher(kind.clone())
             .limits(self.engine.limits)
-            .act_strategy(self.engine.act_strategy())
             .build()
             .map_err(|e| e.to_string())?;
         // The successor continues this session's tables, not the

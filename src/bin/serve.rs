@@ -20,9 +20,7 @@
 //!                            default: the OPS5_RUN_SLICE env knob, else 0)
 //!   --max-wm N               per-session working-memory cap
 //!   --max-total-cycles N     per-session lifetime cycle budget
-//!   --matcher vs1|vs2|lisp|psm   default session matcher (default vs2)
-//!   --act serial|parallel[:k]    act-phase strategy for session engines
-//!                            (default: serial)
+//!   --matcher vs1|vs2|lisp|psm|col   default session matcher (default vs2)
 //!   --write-buf N            per-connection cap in bytes on replies not
 //!                            yet written to the socket, before a slow
 //!                            client is disconnected (default 262144)
@@ -88,12 +86,6 @@ fn parse_args() -> Result<(String, ServeConfig), String> {
                 )?)
             }
             "--matcher" => cfg.matcher = matcher_kind(&next_val(&mut args, "--matcher")?)?,
-            "--act" => {
-                let name = next_val(&mut args, "--act")?;
-                cfg.act = engine::ActStrategy::from_name(&name).ok_or_else(|| {
-                    format!("--act {name} is not serial, parallel, or parallel:<max_group>")
-                })?
-            }
             "--write-buf" => {
                 cfg.write_buf_cap =
                     parse(next_val(&mut args, "--write-buf")?, "--write-buf")? as usize

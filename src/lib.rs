@@ -57,9 +57,7 @@ pub use workloads;
 
 /// Common imports for applications.
 pub mod prelude {
-    pub use engine::{
-        ActStats, ActStrategy, Engine, EngineBuilder, MatcherKind, RunResult, StopReason,
-    };
+    pub use engine::{Engine, EngineBuilder, MatcherKind, RunResult, StopReason};
     pub use multimax::{simulate, SimConfig, SimResult};
     pub use obs::ObsConfig;
     pub use ops5::{

@@ -189,3 +189,48 @@ fn fibonacci_computes() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("fib 20 is 6765"), "{stdout}");
 }
+
+/// A removed flag fails closed: `ops5-serve` names it, exits non-zero, and
+/// never reaches its bind.
+#[test]
+fn serve_refuses_the_removed_act_flag() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ops5-serve"))
+        .args(["--addr", "127.0.0.1:0", "--act", "parallel"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("run ops5-serve");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            child.kill().unwrap();
+            child.wait().unwrap();
+            panic!("ops5-serve --act did not exit: it is serving");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert!(!status.success(), "stderr: {stderr}");
+    assert!(
+        stderr.contains("unknown option `--act`"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("listening"), "it bound a port: {stderr}");
+}
+
+/// Both binaries' usage text lists every matcher `--matcher` accepts.
+#[test]
+fn usage_lists_every_matcher() {
+    let names = engine::MatcherKind::NAMES.join("|");
+    for bin in ["src/bin/ops5.rs", "src/bin/serve.rs"] {
+        let text = std::fs::read_to_string(bin).unwrap();
+        assert!(
+            text.contains(&format!("--matcher {names} ")),
+            "{bin}: usage does not list --matcher {names}"
+        );
+    }
+}

@@ -4,8 +4,8 @@
 //! other.
 
 use engine::{
-    program_fingerprint, ActStrategy, CompiledProgram, Engine, EngineBuilder, EngineLimits,
-    MatcherKind, Snapshot,
+    program_fingerprint, CompiledProgram, Engine, EngineBuilder, EngineLimits, MatcherKind,
+    Snapshot,
 };
 use ops5::{wire, Program, Value};
 use rete::NetworkOptions;
@@ -64,9 +64,7 @@ fn compile(spec: &ProgramSpec) -> Arc<CompiledProgram> {
 
 /// Every corpus program + the registry's rubik, on five matchers: the 1st,
 /// 2nd and 3rd engine instantiated from one artefact each equal the engine
-/// built from source, and snapshots cross between the two kinds. The
-/// instantiated engines fire parallel act groups, the ones built from
-/// source fire serially.
+/// built from source, and snapshots cross between the two kinds.
 #[test]
 fn cached_engines_equal_fresh_ones() {
     let reg = Registry::with_builtins(Some("programs".as_ref()));
@@ -85,7 +83,6 @@ fn cached_engines_equal_fresh_ones() {
             let cached = || {
                 EngineBuilder::from_compiled(compiled.clone())
                     .matcher(kind())
-                    .act_strategy(ActStrategy::parallel())
                     .build()
                     .unwrap()
             };
@@ -139,7 +136,7 @@ fn spec_compiles_once_and_shares_the_network() {
                 .unwrap()
         })
         .chain(std::iter::once(
-            spec.build_empty(MatcherKind::default(), EngineLimits::default(), None)
+            spec.build_empty(MatcherKind::default(), EngineLimits::default())
                 .unwrap(),
         ))
         .collect();
@@ -204,7 +201,7 @@ fn a_broken_program_fails_the_same_way_every_time() {
                 let built = if i % 2 == 0 {
                     spec.build(MatcherKind::default(), EngineLimits::default(), None)
                 } else {
-                    spec.build_empty(MatcherKind::Col, EngineLimits::default(), None)
+                    spec.build_empty(MatcherKind::Col, EngineLimits::default())
                 };
                 built.err().expect("must not build").to_string()
             })

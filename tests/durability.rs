@@ -13,15 +13,10 @@
 //!   uninterrupted engine.
 //! * **Journal replay** — an initial snapshot plus the change/firing log
 //!   journaled during the run reconstructs the final state exactly.
-//!
-//! Both properties take the act strategy as an input too: a run under
-//! `ActStrategy::parallel()` fires groups, while the journal it writes is
-//! replayed one serial `step` at a time.
 
-use engine::{ActStrategy, Engine, EngineBuilder, MatcherKind, Snapshot};
+use engine::{Engine, EngineBuilder, MatcherKind, Snapshot};
 use ops5::{wire, Value};
 use proptest::prelude::*;
-use proptest::strategy::Just;
 
 /// A random condition element over classes c0..c2, fields f0..f2.
 #[derive(Debug, Clone)]
@@ -158,15 +153,10 @@ fn kinds() -> Vec<(&'static str, MatcherKind)> {
     ]
 }
 
-fn acts() -> impl Strategy<Value = ActStrategy> {
-    prop_oneof![Just(ActStrategy::Serial), Just(ActStrategy::parallel())]
-}
-
-fn build(src: &str, kind: &MatcherKind, act: ActStrategy) -> Engine {
+fn build(src: &str, kind: &MatcherKind) -> Engine {
     EngineBuilder::from_source(src)
         .expect("generated source parses")
         .matcher(kind.clone())
-        .act_strategy(act)
         .build()
         .expect("engine builds")
 }
@@ -257,14 +247,13 @@ proptest! {
         genp in gen_program(),
         cmds in gen_cmds(),
         cut_seed in 0usize..64,
-        act in acts(),
     ) {
         let src = render(&genp);
         let kinds = kinds();
         let cut = cut_seed % (cmds.len() + 1);
         for (i, (_, kind)) in kinds.iter().enumerate() {
             // Uninterrupted reference.
-            let mut a = build(&src, kind, act);
+            let mut a = build(&src, kind);
             let mut tags_a = Vec::new();
             let mut trace_a = Vec::new();
             apply(&mut a, &cmds, &mut tags_a, &mut trace_a);
@@ -272,13 +261,13 @@ proptest! {
             // Same prefix, snapshot at the cut, restore onto the next
             // matcher kind, continue with the suffix.
             let (_, kind_c) = &kinds[(i + 1) % kinds.len()];
-            let mut b = build(&src, kind, act);
+            let mut b = build(&src, kind);
             let mut tags_bc = Vec::new();
             let mut trace_bc = Vec::new();
             apply(&mut b, &cmds[..cut], &mut tags_bc, &mut trace_bc);
             let text = b.snapshot().to_text();
             let snap = Snapshot::parse(&text).expect("snapshot text parses");
-            let mut c = build(&src, kind_c, act);
+            let mut c = build(&src, kind_c);
             c.restore(&snap).expect("restore");
             apply(&mut c, &cmds[cut..], &mut tags_bc, &mut trace_bc);
 
@@ -288,17 +277,15 @@ proptest! {
     }
 
     /// An initial snapshot plus the journaled change/firing log replays to
-    /// the exact final state, on every matcher. The replaying engine runs
-    /// serial whatever strategy wrote the journal.
+    /// the exact final state, on every matcher.
     #[test]
     fn journal_replay_reconstructs_state(
         genp in gen_program(),
         cmds in gen_cmds(),
-        act in acts(),
     ) {
         let src = render(&genp);
         for (_, kind) in kinds() {
-            let mut j = build(&src, &kind, act);
+            let mut j = build(&src, &kind);
             let snap0 = Snapshot::parse(&j.snapshot().to_text()).expect("snapshot parses");
             j.enable_journal();
             let mut tags = Vec::new();
@@ -306,7 +293,7 @@ proptest! {
             apply(&mut j, &cmds, &mut tags, &mut trace);
             let log_text = j.journal().expect("journal on").to_text();
 
-            let mut k = build(&src, &kind, ActStrategy::Serial);
+            let mut k = build(&src, &kind);
             k.restore(&snap0).expect("restore initial snapshot");
             let log = engine::ChangeLog::parse(&log_text).expect("log parses");
             log.replay(&mut k).expect("replay");
@@ -343,7 +330,7 @@ fn tourney_sized_conflict_set_survives_a_snapshot_cut() {
     );
     let kinds = kinds();
     for (i, (name, kind)) in kinds.iter().enumerate() {
-        let mut a = build(&src, kind, ActStrategy::Serial);
+        let mut a = build(&src, kind);
         workloads::load_setup(&mut a, &w.setup).expect("setup loads");
         assert_eq!(a.run(2).expect("run").cycles, 2);
         let probe = a.prog.symbols.get("probe").expect("class interned");
@@ -357,7 +344,7 @@ fn tourney_sized_conflict_set_survives_a_snapshot_cut() {
         assert_eq!(snap.fired_cs[0].0, "probe-seen");
 
         let (name_b, kind_b) = &kinds[(i + 1) % kinds.len()];
-        let mut b = build(&src, kind_b, ActStrategy::Serial);
+        let mut b = build(&src, kind_b);
         b.restore(&snap).expect("restore");
         let cs = a.conflict_set();
         assert!(cs.len() >= 1000, "{name}: {} entries", cs.len());

@@ -25,7 +25,7 @@ const SRC: &str = "(literalize item n)
 
 fn fresh_session(id: u64) -> Session {
     let eng = ProgramSpec::from_source(SRC)
-        .build_empty(matcher_kind("vs2").unwrap(), Default::default(), None)
+        .build_empty(matcher_kind("vs2").unwrap(), Default::default())
         .unwrap();
     Session::new(id, "adder", eng, matcher_kind("vs2").unwrap(), 10_000)
 }
@@ -63,7 +63,7 @@ fn recover(dir: &Path, id: u64) -> (Session, usize) {
     let snap = fs::read_to_string(Session::snap_path(dir, id)).unwrap();
     let log = fs::read_to_string(Session::log_path(dir, id)).unwrap_or_default();
     let eng = ProgramSpec::from_source(SRC)
-        .build_empty(matcher_kind("vs2").unwrap(), Default::default(), None)
+        .build_empty(matcher_kind("vs2").unwrap(), Default::default())
         .unwrap();
     Session::restore(
         id,
@@ -338,16 +338,12 @@ fn run_to_end(c: &mut Client) {
 /// recovered is the snapshot written at `OPEN` plus a log holding every
 /// firing since; a mid-run checkpoint is
 /// `failed_checkpoint_degrades_then_recovers_with_zero_lost_records`'s.
-/// The server fires parallel act groups, so the journal records grouped
-/// runs and `RESTORE` replays them one serial `step` at a time; the
-/// reference run is serial.
 #[test]
 fn a_session_dropped_mid_run_recovers_over_the_wire() {
     let _disk = big_writes();
     let dir = tmp_dir("wire");
     let cfg = ServeConfig {
         workers: 2,
-        act: engine::ActStrategy::parallel(),
         durability_dir: Some(dir.clone()),
         checkpoint_every: 32,
         programs_dir: Some("programs".into()),

@@ -2,16 +2,14 @@
 //! in-process backends must behave exactly like direct sessions, and a
 //! drained backend's sessions must live-migrate without losing state.
 
-use engine::ActStrategy;
 use serve::{matcher_kind, Client, Registry, Router, RouterConfig, ServeConfig, Server};
 use std::net::SocketAddr;
 
-fn backend(act: ActStrategy) -> serve::ServerHandle {
+fn backend() -> serve::ServerHandle {
     let cfg = ServeConfig {
         workers: 2,
         queue_depth: 512,
         programs_dir: Some("programs".into()),
-        act,
         ..ServeConfig::default()
     };
     Server::bind("127.0.0.1:0", cfg).unwrap().spawn()
@@ -70,12 +68,10 @@ fn ring_field(lines: &[String], backend: usize, key: &str) -> Option<u64> {
 
 /// Sessions routed through a 2-backend shard set fire exactly like direct
 /// engine runs; `ADMIN SHUTDOWN` stops the router and both backends.
-/// Backend 0 fires parallel act groups, backend 1 and the reference fire
-/// serially.
 #[test]
 fn routed_sessions_match_direct_runs() {
-    let b0 = backend(ActStrategy::parallel());
-    let b1 = backend(ActStrategy::Serial);
+    let b0 = backend();
+    let b1 = backend();
     let router = Router::bind("127.0.0.1:0", RouterConfig::new(vec![b0.addr, b1.addr]))
         .unwrap()
         .spawn();
@@ -118,13 +114,11 @@ fn routed_sessions_match_direct_runs() {
 
 /// The tentpole property: drain a backend while sessions hold open state
 /// on it, and every session finishes with a firing log identical to an
-/// uninterrupted direct run — the migration was invisible. The drained
-/// backend groups firings and the one that takes its sessions over does
-/// not.
+/// uninterrupted direct run — the migration was invisible.
 #[test]
 fn drain_live_migrates_sessions_without_losing_state() {
-    let b0 = backend(ActStrategy::parallel());
-    let b1 = backend(ActStrategy::Serial);
+    let b0 = backend();
+    let b1 = backend();
     let router = Router::bind("127.0.0.1:0", RouterConfig::new(vec![b0.addr, b1.addr]))
         .unwrap()
         .spawn();
@@ -192,7 +186,7 @@ fn drain_live_migrates_sessions_without_losing_state() {
 /// live backend is refused, and unknown admin commands error.
 #[test]
 fn router_guardrails() {
-    let b0 = backend(ActStrategy::Serial);
+    let b0 = backend();
     let router = Router::bind("127.0.0.1:0", RouterConfig::new(vec![b0.addr]))
         .unwrap()
         .spawn();
@@ -237,8 +231,8 @@ fn router_guardrails() {
 /// never reached the backend and the connection hung forever.
 #[test]
 fn drain_mid_batch_completes_then_migrates() {
-    let b0 = backend(ActStrategy::Serial);
-    let b1 = backend(ActStrategy::Serial);
+    let b0 = backend();
+    let b1 = backend();
     let router = Router::bind("127.0.0.1:0", RouterConfig::new(vec![b0.addr, b1.addr]))
         .unwrap()
         .spawn();
@@ -302,7 +296,7 @@ fn drain_mid_batch_completes_then_migrates() {
 fn half_closed_client_still_receives_pipelined_replies() {
     use std::io::{BufRead, BufReader, Write};
 
-    let b0 = backend(ActStrategy::Serial);
+    let b0 = backend();
     let router = Router::bind("127.0.0.1:0", RouterConfig::new(vec![b0.addr]))
         .unwrap()
         .spawn();
@@ -357,8 +351,8 @@ fn half_closed_client_still_receives_pipelined_replies() {
 /// next request is answered as itself, and a drain finds a clean safe point.
 #[test]
 fn refused_inline_open_draws_one_reply_and_drains_cleanly() {
-    let b0 = backend(ActStrategy::Serial);
-    let b1 = backend(ActStrategy::Serial);
+    let b0 = backend();
+    let b1 = backend();
     let router = Router::bind("127.0.0.1:0", RouterConfig::new(vec![b0.addr, b1.addr]))
         .unwrap()
         .spawn();

@@ -44,9 +44,7 @@ fn drive(addr: std::net::SocketAddr, program: &str, prio: &str) -> (Vec<String>,
 /// A sliced server (every RUN preempted into 37-cycle sub-runs, an odd
 /// size so slice boundaries never align with chunk boundaries) must be
 /// byte-identical to an unsliced server on every reply, and both must
-/// match the direct engine's firing log — at every priority level. The
-/// sliced server fires parallel act groups, so a slice also cuts groups;
-/// the unsliced one and the direct engine are serial.
+/// match the direct engine's firing log — at every priority level.
 #[test]
 fn sliced_runs_are_byte_identical_to_unsliced_and_direct() {
     let sliced = Server::bind(
@@ -55,7 +53,6 @@ fn sliced_runs_are_byte_identical_to_unsliced_and_direct() {
             workers: 2,
             queue_depth: 64,
             run_slice_cycles: 37,
-            act: ActStrategy::parallel(),
             programs_dir: Some("programs".into()),
             ..ServeConfig::default()
         },

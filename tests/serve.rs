@@ -13,27 +13,18 @@ use std::sync::OnceLock;
 /// backpressure.
 fn server_addr() -> SocketAddr {
     static SERVER: OnceLock<SocketAddr> = OnceLock::new();
-    *SERVER.get_or_init(|| spawn_leaked(ActStrategy::Serial))
-}
-
-/// [`server_addr`]'s twin whose sessions fire parallel act groups.
-fn grouped_server_addr() -> SocketAddr {
-    static SERVER: OnceLock<SocketAddr> = OnceLock::new();
-    *SERVER.get_or_init(|| spawn_leaked(ActStrategy::parallel()))
-}
-
-fn spawn_leaked(act: ActStrategy) -> SocketAddr {
-    let cfg = ServeConfig {
-        workers: 2,
-        queue_depth: 512,
-        programs_dir: Some("programs".into()),
-        act,
-        ..ServeConfig::default()
-    };
-    let handle = Server::bind("127.0.0.1:0", cfg).unwrap().spawn();
-    let addr = handle.addr;
-    std::mem::forget(handle);
-    addr
+    *SERVER.get_or_init(|| {
+        let cfg = ServeConfig {
+            workers: 2,
+            queue_depth: 512,
+            programs_dir: Some("programs".into()),
+            ..ServeConfig::default()
+        };
+        let handle = Server::bind("127.0.0.1:0", cfg).unwrap().spawn();
+        let addr = handle.addr;
+        std::mem::forget(handle);
+        addr
+    })
 }
 
 fn fired_lines(eng: &Engine) -> Vec<String> {
@@ -58,8 +49,7 @@ fn cs_lines(eng: &Engine) -> Vec<String> {
 }
 
 /// Every corpus program, served on a PSM session and run in bounded `RUN`
-/// chunks, fires exactly like a direct (serial) engine run of the same
-/// profile, on a serial server and on a grouping one.
+/// chunks, fires exactly like a direct engine run of the same profile.
 #[test]
 fn served_corpus_matches_direct_runs() {
     let reg = Registry::with_builtins(Some("programs".as_ref()));
@@ -73,25 +63,22 @@ fn served_corpus_matches_direct_runs() {
         let reference = fired_lines(&eng);
         assert!(!reference.is_empty(), "{program} did nothing");
 
-        for addr in [server_addr(), grouped_server_addr()] {
-            let mut c = serve::Client::connect(addr).unwrap();
-            c.open(program, Some("psm")).unwrap().expect_ok().unwrap();
-            for _ in 0..400 {
-                let payload = c.run(1000).unwrap().expect_ok().unwrap();
-                if !payload.contains("reason=limit") {
-                    break;
-                }
+        let mut c = serve::Client::connect(server_addr()).unwrap();
+        c.open(program, Some("psm")).unwrap().expect_ok().unwrap();
+        for _ in 0..400 {
+            let payload = c.run(1000).unwrap().expect_ok().unwrap();
+            if !payload.contains("reason=limit") {
+                break;
             }
-            let fired = c.fired().unwrap().expect_lines().unwrap();
-            assert_eq!(fired, reference, "served {program} diverged");
-            c.close().unwrap().expect_ok().unwrap();
         }
+        let fired = c.fired().unwrap().expect_lines().unwrap();
+        assert_eq!(fired, reference, "served {program} diverged");
+        c.close().unwrap().expect_ok().unwrap();
     }
 }
 
 /// Several concurrent connections of mixed corpus programs, all equal to
-/// their direct references: each program's first session on the serial
-/// server, its second on the grouping one.
+/// their direct references.
 #[test]
 fn concurrent_mixed_sessions_all_agree() {
     let reg = Registry::with_builtins(Some("programs".as_ref()));
@@ -108,13 +95,11 @@ fn concurrent_mixed_sessions_all_agree() {
             fired_lines(&eng)
         })
         .collect();
-    let addrs = [server_addr(), grouped_server_addr()];
+    let addr = server_addr();
     let threads: Vec<_> = programs
         .into_iter()
         .zip(refs)
-        .enumerate()
-        .map(|(i, (program, reference))| {
-            let addr = addrs[i / 3];
+        .map(|(program, reference)| {
             std::thread::spawn(move || {
                 let mut c = serve::Client::connect(addr).unwrap();
                 c.open(program, Some("psm")).unwrap().expect_ok().unwrap();
@@ -492,7 +477,7 @@ fn fragmented_restore_parses_identically_at_every_chunking() {
     let engine = Registry::with_builtins(Some("programs".as_ref()))
         .get("blocks")
         .unwrap()
-        .build_empty(kind.clone(), Default::default(), None)
+        .build_empty(kind.clone(), Default::default())
         .unwrap();
     let (mut session, replayed) = Session::restore(
         0,
@@ -754,55 +739,32 @@ proptest! {
     }
 }
 
-/// `RUN n` budgets count every member of a parallel act group: a server
-/// configured with the parallel act strategy reports the same cycles,
-/// stop reason, and firing log as a serial one, command for command.
+/// `RUN n` consumes exactly `n` firings: a served `triage` session run in
+/// `RUN 5` steps reports five cycles per step until it quiesces, and fires
+/// exactly like a direct engine run.
 #[test]
-fn served_run_budget_counts_parallel_group_members() {
-    let mut replies: Vec<Vec<String>> = Vec::new();
-    let mut fired: Vec<Vec<String>> = Vec::new();
-    for act in [ActStrategy::Serial, ActStrategy::parallel()] {
-        let cfg = ServeConfig {
-            workers: 2,
-            queue_depth: 512,
-            programs_dir: Some("programs".into()),
-            act,
-            ..ServeConfig::default()
-        };
-        let handle = Server::bind("127.0.0.1:0", cfg).unwrap().spawn();
-        let mut c = serve::Client::connect(handle.addr).unwrap();
-        c.open("triage", None).unwrap().expect_ok().unwrap();
-        let mut log = Vec::new();
-        // RUN 5 must consume exactly 5 firings even when the engine groups
-        // several non-interfering instantiations into one act phase.
-        let first = c.run(5).unwrap().expect_ok().unwrap();
-        assert!(
-            first.contains("cycles=5 reason=limit total=5"),
-            "act={}: {first}",
-            act.name()
-        );
-        log.push(first);
-        loop {
-            let payload = c.run(5).unwrap().expect_ok().unwrap();
-            let done = !payload.contains("reason=limit");
-            log.push(payload);
-            if done {
-                break;
-            }
+fn served_run_budget_stops_on_the_requested_cycle() {
+    let mut eng = Registry::with_builtins(Some("programs".as_ref()))
+        .get("triage")
+        .unwrap()
+        .build(MatcherKind::default(), Default::default(), None)
+        .unwrap();
+    eng.run(100_000).unwrap();
+    let reference = fired_lines(&eng);
+    let mut c = serve::Client::connect(server_addr()).unwrap();
+    c.open("triage", None).unwrap().expect_ok().unwrap();
+    let first = c.run(5).unwrap().expect_ok().unwrap();
+    assert!(first.contains("cycles=5 reason=limit total=5"), "{first}");
+    for step in 2.. {
+        let payload = c.run(5).unwrap().expect_ok().unwrap();
+        if !payload.contains("reason=limit") {
+            break;
         }
-        fired.push(c.fired().unwrap().expect_lines().unwrap());
-        replies.push(log);
-        c.close().unwrap().expect_ok().unwrap();
-        std::mem::forget(handle);
+        let want = format!("cycles=5 reason=limit total={}", 5 * step);
+        assert!(payload.contains(&want), "{payload}");
     }
-    assert_eq!(
-        replies[0], replies[1],
-        "RUN replies diverged across act strategies"
-    );
-    assert_eq!(
-        fired[0], fired[1],
-        "firing logs diverged across act strategies"
-    );
+    assert_eq!(c.fired().unwrap().expect_lines().unwrap(), reference);
+    c.close().unwrap().expect_ok().unwrap();
 }
 
 /// A throw-away corpus directory holding exactly the given programs.
@@ -1195,11 +1157,9 @@ fn a_crowd_of_connections_each_draws_the_reply_stream_of_one() {
         "FIRED?\n",
         "CLOSE\n",
     ];
-    // Its three pings fire as one parallel act group.
     let cfg = ServeConfig {
         workers: 2,
         obs: ObsConfig::enabled(),
-        act: ActStrategy::parallel(),
         ..ServeConfig::default()
     };
     let handle = Server::bind("127.0.0.1:0", cfg).unwrap().spawn();
