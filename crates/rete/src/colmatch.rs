@@ -323,6 +323,7 @@ impl<M: TokenMem> Kernel<M, Sweep> {
 mod tests {
     use super::*;
     use crate::seq::boxed_vs2;
+    use crate::Succ;
     use ops5::{Program, Sign, Value, Wme, WmeChange, WmeRef};
 
     fn net_of(src: &str) -> (Program, Arc<Network>) {
@@ -514,8 +515,8 @@ mod tests {
         assert_eq!(m.memory_entries(), 0);
     }
 
-    /// `a ⋈ b` feeds `(a b) ⋈ c` and nothing else, so J0's children carry
-    /// their key in J1's left memory; J1's are instantiations.
+    /// `a ⋈ b` feeds `(a b) ⋈ c` and nothing else, so J0's children are
+    /// J1's left tokens; J1's are instantiations.
     const KEEPING: &str = "(literalize a x) (literalize b y z) (literalize c u)
          (p q (a ^x <v>) (b ^y <v> ^z <w>) (c ^u <w>) --> (halt))";
 
@@ -524,7 +525,7 @@ mod tests {
     fn cs_of(src: &str, cycles: &[Vec<WmeChange>]) -> Vec<Vec<(i8, Vec<u64>)>> {
         assert_agrees(src, cycles);
         let (_prog, net) = net_of(src);
-        assert_eq!(net.join(0).sole_join_succ(), Some(1));
+        assert_eq!(net.join(0).succs, [Succ::Join(1)]);
         let mut m = ColMatcher::new(net);
         let out = cycles.iter().map(|cycle| {
             m.submit(&cycle.iter().cloned().collect());

@@ -36,7 +36,9 @@
 //!
 //! A left entry of a positive join keeps its children (tree-based
 //! removal): it holds the head of its children list where a not-node's
-//! entry holds its count of blockers. The lists serve both schedules
+//! entry holds its count of blockers. A child is a token and the slot of
+//! its right half ([`Child`]); the key it is sent on under belongs to the
+//! successor that stores it. The lists serve both schedules
 //! through the same calls: `rete::seq`'s token-at-a-time kernel over every
 //! memory here, and `rete::colmatch`'s set-at-a-time sweep over a
 //! [`HashMem`], which adopts and takes children in its two passes. The
@@ -119,14 +121,12 @@ pub struct Removed<T> {
 pub const NIL: u32 = u32::MAX;
 
 /// A token a positive join sent on, kept by the left entry it extends
-/// while both its halves stand: what a terminal removes is the token it
-/// inserted.
+/// while both its halves stand: the token and the slot of its right half.
+/// What a terminal removes is the token it inserted; a successor's key is
+/// the successor's to compute.
 #[derive(Clone)]
 pub struct Child {
     pub token: Token,
-    /// `token`'s key in the left memory of the join's
-    /// [`JoinNode::sole_join_succ`]; 0 where it has none.
-    pub key: u64,
     /// The slot of the right entry holding `token`'s last WME.
     pub(crate) slot: u32,
 }
@@ -134,7 +134,6 @@ pub struct Child {
 /// One link of a children list, free or in use.
 struct ChildNode {
     token: Token,
-    key: u64,
     slot: u32,
     next: u32,
 }
@@ -204,7 +203,6 @@ impl Children {
         debug_assert!(child.slot != NIL, "a child of an unslotted right entry");
         let node = ChildNode {
             token: child.token,
-            key: child.key,
             slot: child.slot,
             next: *kids,
         };
@@ -226,7 +224,6 @@ impl Children {
         let node = &mut self.nodes[n as usize];
         let child = Child {
             token: std::mem::replace(&mut node.token, Token::empty()),
-            key: node.key,
             slot: node.slot,
         };
         node.next = self.free_node;
@@ -339,14 +336,13 @@ pub trait TokenMem {
     fn scan_left(&self, j: &JoinNode, key: u64, wme: &Wme, out: &mut Vec<Token>) -> ScanStats;
 
     /// Right `+` at a positive join: every left entry pairing with `wme`
-    /// (stored under `store_key` in `j.right_mem`) adopts
-    /// `token.extended(wme)`, keyed in `succ`'s left memory if there is
-    /// one, and the new children are appended to `out` (cleared first).
-    /// Examines what [`TokenMem::scan_left`] would.
+    /// (stored under `store_key` in `j.right_mem`) adopts the child
+    /// `token.extended(wme)` with `wme`'s slot, and the new children are
+    /// appended to `out` (cleared first). Examines what
+    /// [`TokenMem::scan_left`] would.
     fn extend_left(
         &mut self,
         j: &JoinNode,
-        succ: Option<&JoinNode>,
         key: u64,
         wme: &WmeRef,
         store_key: u64,
@@ -619,7 +615,6 @@ impl<T: JoinTests> TokenMem for ListMem<T> {
     fn extend_left(
         &mut self,
         j: &JoinNode,
-        _succ: Option<&JoinNode>,
         _key: u64,
         wme: &WmeRef,
         _store_key: u64,
@@ -638,10 +633,8 @@ impl<T: JoinTests> TokenMem for ListMem<T> {
                         .expect("a right activation's wme is in its memory");
                     slot = self.kids.slot(&mut right[at].slot, at);
                 }
-                let token = e.token.extended(wme.clone());
                 let child = Child {
-                    token,
-                    key: 0,
+                    token: e.token.extended(wme.clone()),
                     slot,
                 };
                 out.push(child.clone());
@@ -1003,7 +996,6 @@ impl TokenMem for HashMem {
     fn extend_left(
         &mut self,
         j: &JoinNode,
-        succ: Option<&JoinNode>,
         key: u64,
         wme: &WmeRef,
         store_key: u64,
@@ -1031,11 +1023,7 @@ impl TokenMem for HashMem {
                     .expect("a right activation's wme is in its memory");
                 slot = self.kids.slot(&mut line[at].slot, at);
             }
-            let child = Child {
-                key: succ.map_or(0, |s| s.left_key(&token)),
-                token,
-                slot,
-            };
+            let child = Child { token, slot };
             out.push(child.clone());
             self.kids.adopt(&mut self.lines[b].left[i].aux, child);
         }
@@ -1195,6 +1183,14 @@ mod tests {
         let key = mem.store_key(j.right_mem, spec, w);
         mem.insert_right(j.right_mem, key, w.clone());
         key
+    }
+
+    /// A kept child is a token and a slot: a slab node is the token's one
+    /// pointer and two `u32` links, 16 bytes on every memory policy. Its
+    /// successor's key is computed when it is sent.
+    #[test]
+    fn a_kept_child_is_a_token_and_a_slot() {
+        assert_eq!(std::mem::size_of::<ChildNode>(), 16);
     }
 
     #[test]

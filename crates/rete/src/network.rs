@@ -406,18 +406,6 @@ impl JoinNode {
         })
     }
 
-    /// The successor of a positive join that feeds one join and nothing
-    /// else. Every positive join's left entries keep the tokens they
-    /// produced (the sequential kernel's tree-based removal); only this
-    /// one's children carry their key in the successor's left memory.
-    #[inline]
-    pub fn sole_join_succ(&self) -> Option<JoinId> {
-        match self.succs[..] {
-            [Succ::Join(s)] if !self.negated => Some(s),
-            _ => None,
-        }
-    }
-
     /// Length of tokens this join emits.
     #[inline]
     pub fn out_len(&self) -> u16 {

@@ -40,11 +40,10 @@
 //!
 //! **A retraction costs what it removes** (Doorenbos's tree-based removal,
 //! kept in the memory policy). Every positive join keeps, in each left
-//! entry, the children it sent on: `token.extended(w)`, the slot of `w`'s
-//! right entry and, where the join feeds one join and nothing else
-//! ([`JoinNode::sole_join_succ`]), the child's key in that join's left
-//! memory ([`Child`]). The entry's `aux` is the head of its list, where a
-//! not-node's is its blocker count. The activations change the lists where
+//! entry, the children it sent on: a child is a token and a slot,
+//! `token.extended(w)` and the slot of `w`'s right entry ([`Child`]). The
+//! entry's `aux` is the head of its list, where a not-node's is its blocker
+//! count. The activations change the lists where
 //! they already touch the entries:
 //!
 //! * right `+`: each entry the join tests pass on its line adopts its child
@@ -59,11 +58,11 @@
 //!   ([`TokenMem::take_children`]): no probe key, no scan, no join test, no
 //!   token built.
 //!
-//! A kept child goes to a sole join successor under the key it carries, to
-//! a terminal as the very token the conflict set holds (a removal finds its
-//! entry at `Arc::ptr_eq`), and to each successor of a shared join under
-//! the key the fan-out computes. Only not-nodes rematch: their output
-//! is the token itself, and a leaving blocker must re-test.
+//! A kept child leaves through the fan-out like any output: to a join under
+//! the key the fan-out computes in that join's left memory, and to a
+//! terminal as the very token the conflict set holds (a removal finds its
+//! entry at `Arc::ptr_eq`). Only not-nodes rematch: their output is the
+//! token itself, and a leaving blocker must re-test.
 //!
 //! A list stands in for the rematch it replaces only if, whenever a removal
 //! takes from it, it is exactly what the rematch would find, in the order
@@ -76,8 +75,8 @@
 //! leave it once, when the first half leaves (the agenda's argument is
 //! below, col's in [`crate::colmatch`]). Debug builds check every removal at
 //! a positive join, as they check the reader lists on every store: the
-//! children taken are the rematch's tokens in the rematch's order under the
-//! successor's keys, and an empty right memory leaves none.
+//! children taken are the rematch's tokens in the rematch's order, and an
+//! empty right memory leaves none.
 //!
 //! # vs1 and vs2: the agenda
 //!
@@ -494,32 +493,28 @@ enum Removal<'a> {
 /// Are `kids`, just taken at `j` for `removal`, what the rematch they
 /// replace would have sent: for each (token, WME) pair a scan finds — of
 /// `j`'s right memory for a left `-`, of its left line for a right `-` — in
-/// the scan's order, the token extended by the WME, under its key in the
-/// left memory of `j`'s sole join successor if it has one? An empty right
-/// memory leaves no child. The scans go into the caller's scratch buffers,
-/// left empty, so the check allocates nothing inside the allocation gates.
+/// the scan's order, the token extended by the WME? An empty right memory
+/// leaves no child. The scans go into the caller's scratch buffers, left
+/// empty, so the check allocates nothing inside the allocation gates.
 fn kids_are_the_rematch<M: TokenMem>(
     mem: &M,
-    net: &Network,
     j: &JoinNode,
     removal: Removal<'_>,
     kids: &[Child],
     wmes: &mut Vec<(WmeRef, u32)>,
     tokens: &mut Vec<Token>,
 ) -> bool {
-    let succ = j.sole_join_succ().map(|s| net.join(s));
-    let made = |c: &Child, token: &Token, w: &Wme| {
-        extends(&c.token, token, w) && succ.is_none_or(|s| c.key == mem.left_key(s, &c.token))
-    };
     let same = match removal {
         Removal::Left(_, true) => kids.is_empty(),
         Removal::Left(token, false) => {
             mem.scan_right(j, mem.probe_key(j, token), token, wmes);
-            wmes.len() == kids.len() && (wmes.iter().zip(kids)).all(|((w, _), c)| made(c, token, w))
+            wmes.len() == kids.len()
+                && (wmes.iter().zip(kids)).all(|((w, _), c)| extends(&c.token, token, w))
         }
         Removal::Right(key, wme) => {
             mem.scan_left(j, key, wme, tokens);
-            tokens.len() == kids.len() && (tokens.iter().zip(kids)).all(|(t, c)| made(c, t, wme))
+            tokens.len() == kids.len()
+                && (tokens.iter().zip(kids)).all(|(t, c)| extends(&c.token, t, wme))
         }
     };
     wmes.clear();
@@ -631,9 +626,8 @@ impl<M: TokenMem, S: Schedule> Kernel<M, S> {
             // made with the leaving entry.
             let scan = match sign {
                 Sign::Plus => {
-                    let succ = j.sole_join_succ().map(|s| net.join(s));
                     let kids = &mut self.scratch_kids;
-                    self.mem.extend_left(j, succ, key, wme, store_key, kids)
+                    self.mem.extend_left(j, key, wme, store_key, kids)
                 }
                 Sign::Minus => self.mem.take_child(j, key, slot, &mut self.scratch_kids),
             };
@@ -642,7 +636,6 @@ impl<M: TokenMem, S: Schedule> Kernel<M, S> {
                 sign == Sign::Plus
                     || kids_are_the_rematch(
                         &self.mem,
-                        net,
                         j,
                         Removal::Right(key, wme),
                         &self.scratch_kids,
@@ -653,7 +646,7 @@ impl<M: TokenMem, S: Schedule> Kernel<M, S> {
                 j.id,
                 wme.timetag
             );
-            self.send_kids(net, j, sign);
+            self.send_children(net, j, sign);
         }
     }
 
@@ -680,14 +673,12 @@ impl<M: TokenMem, S: Schedule> Kernel<M, S> {
                     self.tally.null();
                 } else {
                     let probe = self.scan_right(j, &token);
-                    let succ = j.sole_join_succ().map(|s| net.join(s));
                     let mut wmes = std::mem::take(&mut self.scratch_wmes);
                     for (w, at) in wmes.drain(..) {
                         let slot = self.mem.slot_at(j.right_mem, probe, at);
                         let token = token.extended(w);
-                        let key = succ.map_or(0, |s| self.mem.left_key(s, &token));
-                        self.send_kid(net, j, sign, token.clone(), key);
-                        self.mem.adopt(&mut kids, Child { token, key, slot });
+                        self.send(net, &j.succs, token.clone(), sign);
+                        self.mem.adopt(&mut kids, Child { token, slot });
                     }
                     self.scratch_wmes = wmes;
                 }
@@ -704,7 +695,6 @@ impl<M: TokenMem, S: Schedule> Kernel<M, S> {
                 debug_assert!(
                     kids_are_the_rematch(
                         &self.mem,
-                        net,
                         j,
                         Removal::Left(&token, opp_empty),
                         &self.scratch_kids,
@@ -714,7 +704,7 @@ impl<M: TokenMem, S: Schedule> Kernel<M, S> {
                     "join {}: the children of -{token:?} are not the rematch's",
                     j.id
                 );
-                self.send_kids(net, j, sign);
+                self.send_children(net, j, sign);
             }
             (true, Sign::Plus) => {
                 // No right WME at all: the count is 0 without looking.
@@ -771,20 +761,11 @@ impl<M: TokenMem, S: Schedule> Kernel<M, S> {
         probe
     }
 
-    /// Sends a child of positive join `j` on: under `key` to a sole join
-    /// successor, through [`Kernel::send`] to any other successors.
-    fn send_kid(&mut self, net: &Network, j: &JoinNode, sign: Sign, token: Token, key: u64) {
-        match j.sole_join_succ() {
-            Some(s) => self.sched.left(s, sign, token, key),
-            None => self.send(net, &j.succs, token, sign),
-        }
-    }
-
     /// Sends the children in `scratch_kids`, kept by `j`, on.
-    fn send_kids(&mut self, net: &Network, j: &JoinNode, sign: Sign) {
+    fn send_children(&mut self, net: &Network, j: &JoinNode, sign: Sign) {
         let mut kids = std::mem::take(&mut self.scratch_kids);
         for c in kids.drain(..) {
-            self.send_kid(net, j, sign, c.token, c.key);
+            self.send(net, &j.succs, c.token, sign);
         }
         self.scratch_kids = kids;
     }

@@ -20,7 +20,7 @@ use ops5::{
     WmeChange, WmeRef,
 };
 use rete::seq::{boxed_vs1, boxed_vs2};
-use rete::{HashMemConfig, Network, NetworkOptions};
+use rete::{HashMemConfig, Network, NetworkOptions, Succ};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
@@ -331,8 +331,11 @@ fn retracting_the_head_of_a_chain_allocates_only_its_own_token() {
     let src = "(p chain (h ^x <v>) (b ^x <v>) (c ^x <v>) (t ^x <v>) --> (halt))";
     let mut prog = Program::from_source(src).unwrap();
     let net = Arc::new(Network::compile(&prog).unwrap());
-    let keeps: Vec<_> = (0..3).map(|j| net.join(j).sole_join_succ()).collect();
-    assert_eq!(keeps, [Some(1), Some(2), None]);
+    let succs: Vec<_> = (0..3).map(|j| &net.join(j).succs[..]).collect();
+    assert!(matches!(
+        succs[..],
+        [[Succ::Join(1)], [Succ::Join(2)], [Succ::Terminal(_)]]
+    ));
     let [h, b, c] = ["h", "b", "c"].map(|s| prog.symbols.intern(s));
     let mut tag = 0;
     let mut wme = |class| {
@@ -437,8 +440,8 @@ fn retracting_the_head_of_a_chain_into_a_cross_product_allocates_only_its_own_to
     let src = "(p chain (h ^x <v>) (b ^x <v>) (t ^y <w>) --> (halt))";
     let mut prog = Program::from_source(src).unwrap();
     let net = Arc::new(Network::compile(&prog).unwrap());
-    let keyed: Vec<_> = (0..2).map(|j| net.join(j).sole_join_succ()).collect();
-    assert_eq!(keyed, [Some(1), None]);
+    let succs: Vec<_> = (0..2).map(|j| &net.join(j).succs[..]).collect();
+    assert!(matches!(succs[..], [[Succ::Join(1)], [Succ::Terminal(_)]]));
     let [h, b, t] = ["h", "b", "t"].map(|s| prog.symbols.intern(s));
     let mut tag = 0;
     let mut wme = |class, v| {
@@ -464,10 +467,7 @@ fn retracting_the_head_of_a_chain_through_a_shared_join_allocates_only_its_own_t
     let mut prog = Program::from_source(src).unwrap();
     let net = Arc::new(Network::compile(&prog).unwrap());
     assert_eq!(net.n_joins(), 3);
-    assert_eq!(
-        (net.join(0).succs.len(), net.join(0).sole_join_succ()),
-        (2, None)
-    );
+    assert_eq!(net.join(0).succs, [Succ::Join(1), Succ::Join(2)]);
     let [h, b, c, d] = ["h", "b", "c", "d"].map(|s| prog.symbols.intern(s));
     let mut tag = 0;
     let mut wme = |class| {

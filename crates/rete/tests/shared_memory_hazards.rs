@@ -5,9 +5,9 @@
 //! store a WME once per right memory and let every reader of it see the
 //! change (`rete::seq` module docs, steps 0-3), and every positive join
 //! keeps, in each left entry, the children it sent on, so that a removal
-//! sends them again without rematching: to one join under the key each
-//! carries, to a terminal as the token the conflict set holds, to each
-//! successor of a shared join. col runs the set-at-a-time
+//! sends them again without rematching: to a join under the key the
+//! fan-out computes, to a terminal as the token the conflict set holds, to
+//! each successor of a shared join. col runs the set-at-a-time
 //! schedule (`rete::colmatch` module docs, passes 1 and 2) over vs2's hash
 //! lines, so the same hazards apply to it. These programs put both
 //! sides of a pair in one change, a reader below another reader of the same
@@ -29,7 +29,7 @@
 use lispsim::LispEngineMatcher;
 use ops5::{ChangeBatch, CsChange, Matcher, Program, Sign, Value, Wme, WmeChange, WmeRef};
 use psm::trace::{RunTrace, TraceMatcher};
-use rete::{ColMatcher, HashMemConfig, Network, NetworkOptions, SeqMatcher};
+use rete::{ColMatcher, HashMemConfig, Network, NetworkOptions, SeqMatcher, Succ};
 use std::sync::{Arc, Mutex};
 
 fn net_of(src: &str) -> (Program, Arc<Network>) {
@@ -441,8 +441,9 @@ fn a_table_that_doubles_mid_run_agrees_with_the_fixed_ones() {
     assert_eq!(vs2[1].table_lines(), 16);
 }
 
-/// `(p q (a ^x <v>) (b ^y <v>) (c ^z <v>))`: J0's children carry their key
-/// in J1's left memory; J1's are instantiations.
+/// `(p q (a ^x <v>) (b ^y <v>) (c ^z <v>))`: J0 feeds J1 alone, J1 a
+/// terminal, so J0's children are J1's left tokens and J1's are
+/// instantiations.
 const CHAIN: &str = "(p q (a ^x <v>) (b ^y <v>) (c ^z <v>) --> (halt))";
 
 /// A matcher's counters since `before`: (join activations, non-empty left
@@ -463,8 +464,8 @@ fn since(m: &dyn Matcher, before: ops5::MatchStats) -> (u64, u64) {
 #[test]
 fn a_child_whose_right_wme_leaves_first_is_not_sent_twice() {
     let (mut prog, net) = net_of(CHAIN);
-    assert_eq!(net.join(0).sole_join_succ(), Some(1));
-    assert_eq!(net.join(1).sole_join_succ(), None);
+    assert!(matches!(net.join(0).succs[..], [Succ::Join(1)]));
+    assert!(matches!(net.join(1).succs[..], [Succ::Terminal(_)]));
     let a = ints(&mut prog, "a", &[1], 1);
     let b1 = ints(&mut prog, "b", &[1], 2);
     let b2 = ints(&mut prog, "b", &[1], 3);
@@ -514,7 +515,7 @@ fn a_child_whose_right_wme_leaves_first_is_not_sent_twice() {
 fn a_self_join_wme_in_its_token_and_on_the_right_leaves_in_one_change() {
     let src = "(p q (a ^x <v>) (a ^x <v>) (c ^z <v>) --> (halt))";
     let (mut prog, net) = net_of(src);
-    assert_eq!(net.join(0).sole_join_succ(), Some(1));
+    assert!(matches!(net.join(0).succs[..], [Succ::Join(1)]));
     let a1 = ints(&mut prog, "a", &[1], 1);
     let a2 = ints(&mut prog, "a", &[1], 2);
     let ws = [
@@ -563,11 +564,8 @@ fn a_join_with_two_successors_under_sharing_sends_its_children_to_each() {
     };
     let net = Network::compile_with(&prog, sharing).unwrap();
     assert_eq!(net.n_joins(), 4);
-    assert_eq!(net.join(0).sole_join_succ(), Some(1));
-    assert_eq!(
-        (net.join(1).succs.len(), net.join(1).sole_join_succ()),
-        (3, None)
-    );
+    assert!(matches!(net.join(0).succs[..], [Succ::Join(1)]));
+    assert_eq!(net.join(1).succs.len(), 3);
     let ws: Vec<WmeRef> = [("a", 1), ("b", 1), ("c", 1), ("d", 1), ("b", 1)]
         .into_iter()
         .chain([("e", 1), ("a", 1), ("c", 1), ("a", 2), ("e", 2)])
@@ -578,10 +576,10 @@ fn a_join_with_two_successors_under_sharing_sends_its_children_to_each() {
 }
 
 /// Children across a vs2 table that doubles between a child's insert and
-/// its removal. A child carries its key in the successor's left memory;
-/// after the table has doubled twice, that key must still address the
-/// child's line (a key is a whole hash, a line its low bits), on both
-/// removal paths: `-b` takes one child out at a right activation, `-a`
+/// its removal. A child leaves under its key in the successor's left
+/// memory, computed when it is sent; after the table has doubled twice,
+/// that key must still address the line the child was stored on (a key is
+/// a whole hash, a line its low bits), on both removal paths: `-b` takes one child out at a right activation, `-a`
 /// sends a whole list.
 #[test]
 fn a_child_keyed_before_the_table_doubled_is_removed_after() {
@@ -680,7 +678,7 @@ fn a_terminal_join_below_a_join_that_keeps_children_keeps_its_own() {
 fn children_leave_in_line_order_after_a_removal_moved_one_forward() {
     let src = "(p q (a ^x <v>) (b ^y > <v>) (c ^z <v>) --> (halt))";
     let (mut prog, net) = net_of(src);
-    assert_eq!(net.join(0).sole_join_succ(), Some(1));
+    assert!(matches!(net.join(0).succs[..], [Succ::Join(1)]));
     let a = ints(&mut prog, "a", &[1], 1);
     let b0 = ints(&mut prog, "b", &[0], 2);
     let b1 = ints(&mut prog, "b", &[5], 3);
@@ -725,7 +723,7 @@ fn children_leave_in_line_order_after_the_table_doubled() {
          (p fill (g ^x <v>) (f ^y <v>) --> (halt))";
     let (mut prog, net) = net_of(src);
     let (mb, mf) = (net.join(0).right_mem, net.join(2).right_mem);
-    assert_eq!(net.join(0).sole_join_succ(), Some(1));
+    assert!(matches!(net.join(0).succs[..], [Succ::Join(1)]));
     let store_key =
         |mem: u32, w: &Wme| rete::fxhash::mix(net.right_mems[mem as usize].key(w), mem as u64);
     let mut tag = 0;
@@ -787,7 +785,7 @@ fn children_leave_in_line_order_after_the_table_doubled() {
 #[test]
 fn kept_children_fold_alike_when_changes_arrive_in_batches() {
     let (mut prog, net) = net_of(CHAIN);
-    assert_eq!(net.join(0).sole_join_succ(), Some(1));
+    assert!(matches!(net.join(0).succs[..], [Succ::Join(1)]));
     let mut tag = 0;
     let mut wme = |class, v| {
         tag += 1;
@@ -886,7 +884,8 @@ const PAIR: &str = "(p q (a ^x <v>) (b ^y <v>) --> (halt))";
 #[test]
 fn a_terminal_child_whose_right_wme_leaves_first_is_removed_once() {
     let (mut prog, net) = net_of(PAIR);
-    assert_eq!((net.n_joins(), net.join(0).sole_join_succ()), (1, None));
+    assert_eq!(net.n_joins(), 1);
+    assert!(matches!(net.join(0).succs[..], [Succ::Terminal(_)]));
     let a = ints(&mut prog, "a", &[1], 1);
     let b1 = ints(&mut prog, "b", &[1], 2);
     let b2 = ints(&mut prog, "b", &[1], 3);
@@ -1085,10 +1084,10 @@ fn a_shared_join_feeding_a_join_and_a_terminal_sends_its_children_to_both() {
          (p p2 (a ^x <v>) (b ^y <v>) (c ^z <v>) --> (halt))";
     let (mut prog, net) = net_of(src);
     assert_eq!(net.n_joins(), 2);
-    assert_eq!(
-        (net.join(0).succs.len(), net.join(0).sole_join_succ()),
-        (2, None)
-    );
+    let succs = &net.join(0).succs;
+    assert_eq!(succs.len(), 2);
+    assert!(succs.contains(&Succ::Join(1)));
+    assert!(succs.iter().any(|s| matches!(s, Succ::Terminal(_))));
     let ws: Vec<WmeRef> = [("a", 1), ("b", 1), ("b", 1), ("c", 1), ("a", 2)]
         .into_iter()
         .chain([("b", 2), ("c", 2), ("c", 1)])
