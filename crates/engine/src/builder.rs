@@ -58,9 +58,9 @@ impl Default for MatcherKind {
 
 impl MatcherKind {
     /// The canonical stable name of this kind. This is the single
-    /// name table shared by the serve registry, the CLI, and the
-    /// `OPS5_MATCHER` environment knob; [`MatcherKind::from_name`] is its
-    /// inverse for every kind constructible from a name alone.
+    /// name table shared by the serve registry and the CLI;
+    /// [`MatcherKind::from_name`] is its inverse for every kind
+    /// constructible from a name alone.
     pub fn name(&self) -> &'static str {
         match self {
             MatcherKind::Vs1 => "vs1",
@@ -105,7 +105,6 @@ enum Source {
 pub struct EngineBuilder {
     source: Source,
     matcher: MatcherKind,
-    matcher_set: bool,
     strategy: Option<Strategy>,
     echo_writes: bool,
     keep_fired_log: bool,
@@ -135,7 +134,6 @@ impl EngineBuilder {
         EngineBuilder {
             source,
             matcher: MatcherKind::default(),
-            matcher_set: false,
             strategy: None,
             echo_writes: false,
             keep_fired_log: true,
@@ -151,11 +149,9 @@ impl EngineBuilder {
         Ok(EngineBuilder::new(Program::from_source(src)?))
     }
 
-    /// Picks the match engine (default: vs2). An explicit choice also opts
-    /// the builder out of the `OPS5_MATCHER` environment override.
+    /// Picks the match engine (default: vs2).
     pub fn matcher(mut self, kind: MatcherKind) -> Self {
         self.matcher = kind;
-        self.matcher_set = true;
         self.factory = None;
         self
     }
@@ -244,21 +240,6 @@ impl EngineBuilder {
     /// [`CompiledProgram`]), instantiates an engine from it around the
     /// chosen matcher, and returns the engine.
     pub fn build(self) -> Result<Engine> {
-        // The `OPS5_MATCHER` environment knob re-points builders that kept
-        // the default matcher (no explicit `.matcher()` call, no custom
-        // factory), a CI lever. A typo'd name is an error, not a silent
-        // fall-through.
-        let matcher = match std::env::var("OPS5_MATCHER") {
-            Ok(name) if !self.matcher_set && self.factory.is_none() && !name.is_empty() => {
-                MatcherKind::from_name(&name).ok_or_else(|| {
-                    ops5::Ops5Error::Runtime(format!(
-                        "OPS5_MATCHER={name} is not one of {:?}",
-                        MatcherKind::NAMES
-                    ))
-                })?
-            }
-            _ => self.matcher,
-        };
         let compiled = match self.source {
             Source::Compiled(c) => match self.network_options {
                 Some(asked) if asked != c.options() => {
@@ -275,7 +256,7 @@ impl EngineBuilder {
             )?),
         };
         let net = compiled.network().clone();
-        let installed: Box<dyn Matcher> = match (self.factory, matcher) {
+        let installed: Box<dyn Matcher> = match (self.factory, self.matcher) {
             (Some(factory), _) => factory(net),
             (None, MatcherKind::Vs1) => rete::seq::boxed_vs1(net),
             (None, MatcherKind::Vs2(cfg)) => rete::seq::boxed_vs2(net, cfg),
@@ -386,17 +367,20 @@ mod tests {
     fn strategy_override_wins() {
         // MEA on a program with no directive: first-CE recency decides.
         let src = "(p pick (goal ^id <g>) (item ^v <v>) --> (write <g> <v>) (remove 2))";
-        let mut eng = EngineBuilder::from_source(src)
-            .unwrap()
-            .strategy(Strategy::Mea)
-            .build()
-            .unwrap();
-        assert_eq!(eng.prog.strategy, Strategy::Mea);
-        eng.make_wme("goal", &[("id", Value::Int(1))]).unwrap();
-        eng.make_wme("item", &[("v", Value::Int(10))]).unwrap();
-        eng.make_wme("goal", &[("id", Value::Int(2))]).unwrap();
-        eng.run(10).unwrap();
-        assert_eq!(eng.output()[0], "2 10");
+        for kind in [MatcherKind::default(), MatcherKind::Col] {
+            let mut eng = EngineBuilder::from_source(src)
+                .unwrap()
+                .matcher(kind)
+                .strategy(Strategy::Mea)
+                .build()
+                .unwrap();
+            assert_eq!(eng.prog.strategy, Strategy::Mea);
+            eng.make_wme("goal", &[("id", Value::Int(1))]).unwrap();
+            eng.make_wme("item", &[("v", Value::Int(10))]).unwrap();
+            eng.make_wme("goal", &[("id", Value::Int(2))]).unwrap();
+            eng.run(10).unwrap();
+            assert_eq!(eng.output()[0], "2 10");
+        }
     }
 
     #[test]

@@ -733,7 +733,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::EngineBuilder;
+    use crate::builder::{EngineBuilder, MatcherKind};
     use ops5::Value;
 
     const SRC: &str = "(literalize item n tag)
@@ -743,165 +743,183 @@ mod tests {
                        (p report (sum ^total <t>) - (item)
                           --> (write sum is <t> (crlf)) (halt))";
 
-    fn fresh() -> Engine {
-        EngineBuilder::from_source(SRC).unwrap().build().unwrap()
+    /// Every test runs on vs2, the default matcher, and on col.
+    const MATCHERS: [&str; 2] = ["vs2", "col"];
+
+    fn fresh(matcher: &str) -> Engine {
+        EngineBuilder::from_source(SRC)
+            .unwrap()
+            .matcher(MatcherKind::from_name(matcher).unwrap())
+            .build()
+            .unwrap()
     }
 
     #[test]
     fn snapshot_text_roundtrip_is_exact() {
-        let mut eng = fresh();
-        eng.make_wme("sum", &[("total", Value::Int(0))]).unwrap();
-        let pi = Value::Float(3.5e-300);
-        let sym = eng.sym("weird:sym.2");
-        eng.make_wme("item", &[("n", Value::Int(2)), ("tag", pi)])
-            .unwrap();
-        eng.make_wme("item", &[("n", Value::Int(3)), ("tag", sym)])
-            .unwrap();
-        eng.run(2).unwrap();
-        // Leave something staged so that path serializes too.
-        let item = eng.prog.symbols.get("item").unwrap();
-        let w = eng.stage(item, vec![Value::Int(9), Value::NIL]).unwrap();
-        eng.stage(item, vec![Value::Int(8), Value::NIL]).unwrap();
-        eng.stage_retract(w.timetag).unwrap();
-        let snap = eng.snapshot();
-        let parsed = Snapshot::parse(&snap.to_text()).unwrap();
-        assert_eq!(snap, parsed);
+        for m in MATCHERS {
+            let mut eng = fresh(m);
+            eng.make_wme("sum", &[("total", Value::Int(0))]).unwrap();
+            let pi = Value::Float(3.5e-300);
+            let sym = eng.sym("weird:sym.2");
+            eng.make_wme("item", &[("n", Value::Int(2)), ("tag", pi)])
+                .unwrap();
+            eng.make_wme("item", &[("n", Value::Int(3)), ("tag", sym)])
+                .unwrap();
+            eng.run(2).unwrap();
+            // Leave something staged so that path serializes too.
+            let item = eng.prog.symbols.get("item").unwrap();
+            let w = eng.stage(item, vec![Value::Int(9), Value::NIL]).unwrap();
+            eng.stage(item, vec![Value::Int(8), Value::NIL]).unwrap();
+            eng.stage_retract(w.timetag).unwrap();
+            let snap = eng.snapshot();
+            let parsed = Snapshot::parse(&snap.to_text()).unwrap();
+            assert_eq!(snap, parsed);
+        }
     }
 
     #[test]
     fn restore_reproduces_wm_cs_and_future_behaviour() {
-        let mut a = fresh();
-        a.make_wme("sum", &[("total", Value::Int(0))]).unwrap();
-        for n in 1..=4 {
-            a.make_wme("item", &[("n", Value::Int(n))]).unwrap();
-        }
-        a.run(2).unwrap();
-        let snap = a.snapshot();
+        for m in MATCHERS {
+            let mut a = fresh(m);
+            a.make_wme("sum", &[("total", Value::Int(0))]).unwrap();
+            for n in 1..=4 {
+                a.make_wme("item", &[("n", Value::Int(n))]).unwrap();
+            }
+            a.run(2).unwrap();
+            let snap = a.snapshot();
 
-        let mut b = fresh();
-        b.restore(&snap).unwrap();
-        assert_eq!(b.cycles(), a.cycles());
-        assert_eq!(b.wm().len(), a.wm().len());
-        assert_eq!(
-            b.conflict_set().sorted_keys(),
-            a.conflict_set().sorted_keys()
-        );
-        // Both engines continue identically to completion.
-        let ra = a.run(100).unwrap();
-        let rb = b.run(100).unwrap();
-        assert_eq!(ra.cycles, rb.cycles);
-        assert_eq!(ra.reason, rb.reason);
-        assert_eq!(a.output(), b.output());
-        let names = |e: &Engine| {
-            e.fired_log()
-                .iter()
-                .map(|(p, t)| (e.prog.prod_name(*p).to_string(), t.clone()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(names(&a), names(&b));
+            let mut b = fresh(m);
+            b.restore(&snap).unwrap();
+            assert_eq!(b.cycles(), a.cycles());
+            assert_eq!(b.wm().len(), a.wm().len());
+            assert_eq!(
+                b.conflict_set().sorted_keys(),
+                a.conflict_set().sorted_keys()
+            );
+            // Both engines continue identically to completion.
+            let ra = a.run(100).unwrap();
+            let rb = b.run(100).unwrap();
+            assert_eq!(ra.cycles, rb.cycles);
+            assert_eq!(ra.reason, rb.reason);
+            assert_eq!(a.output(), b.output());
+            let names = |e: &Engine| {
+                e.fired_log()
+                    .iter()
+                    .map(|(p, t)| (e.prog.prod_name(*p).to_string(), t.clone()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(names(&a), names(&b));
+        }
     }
 
     #[test]
     fn restore_refuses_dirty_engine_and_bad_fingerprint() {
-        let mut a = fresh();
-        a.make_wme("sum", &[("total", Value::Int(0))]).unwrap();
-        let snap = a.snapshot();
+        for m in MATCHERS {
+            let mut a = fresh(m);
+            a.make_wme("sum", &[("total", Value::Int(0))]).unwrap();
+            let snap = a.snapshot();
 
-        let mut dirty = fresh();
-        dirty.make_wme("sum", &[("total", Value::Int(1))]).unwrap();
-        assert!(dirty.restore(&snap).is_err(), "dirty engine must refuse");
+            let mut dirty = fresh(m);
+            dirty.make_wme("sum", &[("total", Value::Int(1))]).unwrap();
+            assert!(dirty.restore(&snap).is_err(), "dirty engine must refuse");
 
-        let mut other = EngineBuilder::from_source("(p r (a ^x 1) --> (halt))")
-            .unwrap()
-            .build()
-            .unwrap();
-        let err = other.restore(&snap).unwrap_err().to_string();
-        assert!(err.contains("fingerprint"), "{err}");
+            let mut other = EngineBuilder::from_source("(p r (a ^x 1) --> (halt))")
+                .unwrap()
+                .build()
+                .unwrap();
+            let err = other.restore(&snap).unwrap_err().to_string();
+            assert!(err.contains("fingerprint"), "{err}");
+        }
     }
 
     #[test]
     fn journal_replays_to_identical_state() {
-        let mut a = fresh();
-        a.enable_journal();
-        a.make_wme("sum", &[("total", Value::Int(0))]).unwrap();
-        let base = a.snapshot(); // checkpoint before any staged traffic
-        let item = a.prog.symbols.get("item").unwrap();
-        a.stage(item, vec![Value::Int(5), Value::NIL]).unwrap();
-        let w = a.stage(item, vec![Value::Int(6), Value::NIL]).unwrap();
-        a.stage_retract(w.timetag).unwrap();
-        a.step().unwrap();
-        a.stage(item, vec![Value::Int(7), Value::NIL]).unwrap();
-        a.step().unwrap();
-        let log = a.journal().unwrap().clone();
-        let reparsed = ChangeLog::parse(&log.to_text()).unwrap();
-        assert_eq!(log, reparsed);
+        for m in MATCHERS {
+            let mut a = fresh(m);
+            a.enable_journal();
+            a.make_wme("sum", &[("total", Value::Int(0))]).unwrap();
+            let base = a.snapshot(); // checkpoint before any staged traffic
+            let item = a.prog.symbols.get("item").unwrap();
+            a.stage(item, vec![Value::Int(5), Value::NIL]).unwrap();
+            let w = a.stage(item, vec![Value::Int(6), Value::NIL]).unwrap();
+            a.stage_retract(w.timetag).unwrap();
+            a.step().unwrap();
+            a.stage(item, vec![Value::Int(7), Value::NIL]).unwrap();
+            a.step().unwrap();
+            let log = a.journal().unwrap().clone();
+            let reparsed = ChangeLog::parse(&log.to_text()).unwrap();
+            assert_eq!(log, reparsed);
 
-        let mut b = fresh();
-        b.restore(&base).unwrap();
-        let fires = reparsed.replay(&mut b).unwrap();
-        assert_eq!(fires, 2);
-        assert_eq!(b.cycles(), a.cycles());
-        assert_eq!(b.wm().clock(), a.wm().clock());
-        assert_eq!(
-            b.conflict_set().sorted_keys(),
-            a.conflict_set().sorted_keys()
-        );
-        let ra = a.run(100).unwrap();
-        let rb = b.run(100).unwrap();
-        assert_eq!((ra.cycles, ra.reason), (rb.cycles, rb.reason));
-        assert_eq!(a.output(), b.output());
+            let mut b = fresh(m);
+            b.restore(&base).unwrap();
+            let fires = reparsed.replay(&mut b).unwrap();
+            assert_eq!(fires, 2);
+            assert_eq!(b.cycles(), a.cycles());
+            assert_eq!(b.wm().clock(), a.wm().clock());
+            assert_eq!(
+                b.conflict_set().sorted_keys(),
+                a.conflict_set().sorted_keys()
+            );
+            let ra = a.run(100).unwrap();
+            let rb = b.run(100).unwrap();
+            assert_eq!((ra.cycles, ra.reason), (rb.cycles, rb.reason));
+            assert_eq!(a.output(), b.output());
+        }
     }
 
     #[test]
     fn replay_detects_divergence() {
-        let mut a = fresh();
-        a.make_wme("sum", &[("total", Value::Int(0))]).unwrap();
-        let base = a.snapshot();
-        // A log that fires a production the engine cannot fire.
-        let log = ChangeLog {
-            records: vec![LogRecord::Fire {
-                prod: "add".into(),
-                tags: vec![99, 1],
-            }],
-        };
-        let mut b = fresh();
-        b.restore(&base).unwrap();
-        let err = log.replay(&mut b).unwrap_err().to_string();
-        assert!(
-            err.contains("quiescent") || err.contains("divergence"),
-            "{err}"
-        );
+        for m in MATCHERS {
+            let mut a = fresh(m);
+            a.make_wme("sum", &[("total", Value::Int(0))]).unwrap();
+            let base = a.snapshot();
+            // A log that fires a production the engine cannot fire.
+            let log = ChangeLog {
+                records: vec![LogRecord::Fire {
+                    prod: "add".into(),
+                    tags: vec![99, 1],
+                }],
+            };
+            let mut b = fresh(m);
+            b.restore(&base).unwrap();
+            let err = log.replay(&mut b).unwrap_err().to_string();
+            assert!(
+                err.contains("quiescent") || err.contains("divergence"),
+                "{err}"
+            );
+        }
     }
 
     #[test]
     fn snapshot_restores_across_matchers() {
-        use crate::builder::MatcherKind;
-        let mut a = fresh();
-        a.make_wme("sum", &[("total", Value::Int(0))]).unwrap();
-        for n in 1..=3 {
-            a.make_wme("item", &[("n", Value::Int(n))]).unwrap();
-        }
-        a.run(1).unwrap();
-        let snap = a.snapshot();
-        let final_a = {
-            let mut c = fresh();
-            c.restore(&snap).unwrap();
-            c.run(100).unwrap();
-            (c.cycles(), c.output().to_vec())
-        };
-        for kind in [
-            MatcherKind::Vs1,
-            MatcherKind::Lisp,
-            MatcherKind::Psm(psm::PsmConfig::default()),
-        ] {
-            let mut b = EngineBuilder::from_source(SRC)
-                .unwrap()
-                .matcher(kind)
-                .build()
-                .unwrap();
-            b.restore(&snap).unwrap();
-            b.run(100).unwrap();
-            assert_eq!((b.cycles(), b.output().to_vec()), final_a);
+        for m in MATCHERS {
+            let mut a = fresh(m);
+            a.make_wme("sum", &[("total", Value::Int(0))]).unwrap();
+            for n in 1..=3 {
+                a.make_wme("item", &[("n", Value::Int(n))]).unwrap();
+            }
+            a.run(1).unwrap();
+            let snap = a.snapshot();
+            let final_a = {
+                let mut c = fresh(m);
+                c.restore(&snap).unwrap();
+                c.run(100).unwrap();
+                (c.cycles(), c.output().to_vec())
+            };
+            for kind in [
+                MatcherKind::Vs1,
+                MatcherKind::Lisp,
+                MatcherKind::Psm(psm::PsmConfig::default()),
+            ] {
+                let mut b = EngineBuilder::from_source(SRC)
+                    .unwrap()
+                    .matcher(kind)
+                    .build()
+                    .unwrap();
+                b.restore(&snap).unwrap();
+                b.run(100).unwrap();
+                assert_eq!((b.cycles(), b.output().to_vec()), final_a);
+            }
         }
     }
 }

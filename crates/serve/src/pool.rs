@@ -765,9 +765,22 @@ mod tests {
     const SRC: &str = "(literalize item n)
                        (p consume (item ^n <n>) --> (remove 1))";
 
+    /// The matcher of session `id`: col for odd ids, vs2 for even ones, so
+    /// every test with two sessions schedules both.
+    fn kind(id: u64) -> MatcherKind {
+        match id % 2 {
+            1 => MatcherKind::Col,
+            _ => MatcherKind::default(),
+        }
+    }
+
     fn slot(id: u64) -> Arc<SessionSlot> {
-        let eng = EngineBuilder::from_source(SRC).unwrap().build().unwrap();
-        SessionSlot::new(Session::new(id, "t", eng, MatcherKind::default(), 1000))
+        let eng = EngineBuilder::from_source(SRC)
+            .unwrap()
+            .matcher(kind(id))
+            .build()
+            .unwrap();
+        SessionSlot::new(Session::new(id, "t", eng, kind(id), 1000))
     }
 
     /// A session whose `RUN` spins for thousands of cycles — used to wedge
@@ -776,15 +789,13 @@ mod tests {
     fn spinner(id: u64) -> Arc<SessionSlot> {
         let src = "(literalize c n)
                    (p spin (c ^n <n>) --> (modify 1 ^n (compute <n> + 1)))";
-        let mut eng = EngineBuilder::from_source(src).unwrap().build().unwrap();
+        let mut eng = EngineBuilder::from_source(src)
+            .unwrap()
+            .matcher(kind(id))
+            .build()
+            .unwrap();
         eng.make_wme("c", &[("n", ops5::Value::Int(0))]).unwrap();
-        SessionSlot::new(Session::new(
-            id,
-            "spin",
-            eng,
-            MatcherKind::default(),
-            20_000,
-        ))
+        SessionSlot::new(Session::new(id, "spin", eng, kind(id), 20_000))
     }
 
     fn submit_ok(pool: &Pool, slot: &Arc<SessionSlot>, cmd: Command) -> mpsc::Receiver<Reply> {
@@ -799,23 +810,23 @@ mod tests {
     #[test]
     fn commands_on_one_session_execute_in_order() {
         let pool = Pool::new(2, 64, 64, None);
-        let eng = EngineBuilder::from_source(SRC).unwrap().build().unwrap();
-        let s = SessionSlot::new(Session::new(1, "t", eng, MatcherKind::default(), 1000));
-        let rxs: Vec<_> = (0..10)
-            .map(|i| submit_ok(&pool, &s, Command::Assert(format!("item ^n {i}"))))
-            .collect();
-        let tags: Vec<u64> = rxs
-            .iter()
-            .map(|rx| match rx.recv().unwrap() {
-                Reply::Ok(t) => t.parse().unwrap(),
-                other => panic!("{other:?}"),
-            })
-            .collect();
-        let mut sorted = tags.clone();
-        sorted.sort_unstable();
-        assert_eq!(tags, sorted, "timetags issued in submission order");
-        let rx = submit_ok(&pool, &s, Command::Run(100));
-        assert!(rx.recv().unwrap().is_ok());
+        for s in [slot(1), slot(2)] {
+            let rxs: Vec<_> = (0..10)
+                .map(|i| submit_ok(&pool, &s, Command::Assert(format!("item ^n {i}"))))
+                .collect();
+            let tags: Vec<u64> = rxs
+                .iter()
+                .map(|rx| match rx.recv().unwrap() {
+                    Reply::Ok(t) => t.parse().unwrap(),
+                    other => panic!("{other:?}"),
+                })
+                .collect();
+            let mut sorted = tags.clone();
+            sorted.sort_unstable();
+            assert_eq!(tags, sorted, "timetags issued in submission order");
+            let rx = submit_ok(&pool, &s, Command::Run(100));
+            assert!(rx.recv().unwrap().is_ok());
+        }
     }
 
     #[test]
@@ -1113,8 +1124,13 @@ mod tests {
     /// `scheduled` and the submitter waits for the worker's command.)
     #[test]
     fn a_command_behind_a_running_one_is_never_run_inline() {
+        for id in [1, 2] {
+            a_command_behind_a_running_one_on(slot(id));
+        }
+    }
+
+    fn a_command_behind_a_running_one_on(s: Arc<SessionSlot>) {
         let pool = Arc::new(Pool::new(1, 64, 64, None));
-        let s = slot(1);
         let second = with_worker_wedged(&pool, &s, || {
             let (pool, s) = (pool.clone(), s.clone());
             let (done_tx, done_rx) = mpsc::channel();

@@ -70,9 +70,8 @@ pub struct ServeConfig {
     pub write_buf_cap: usize,
     /// Deadline preemption: a `RUN n` executes in slices of at most this
     /// many cycles, requeueing the session between slices so one long run
-    /// cannot monopolize a worker. `0` disables slicing (a `RUN` occupies
-    /// its worker until it finishes, as before). The default honors the
-    /// `OPS5_RUN_SLICE` environment variable.
+    /// cannot monopolize a worker. `0`, the default, disables slicing (a
+    /// `RUN` occupies its worker until it finishes).
     pub run_slice_cycles: u64,
 }
 
@@ -91,10 +90,7 @@ impl Default for ServeConfig {
             durability_dir: None,
             checkpoint_every: 256,
             write_buf_cap: 256 * 1024,
-            run_slice_cycles: std::env::var("OPS5_RUN_SLICE")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
+            run_slice_cycles: 0,
         }
     }
 }

@@ -930,22 +930,25 @@ mod tests {
 
     #[test]
     fn wm_limit_produces_err_not_panic() {
-        let mut eng = EngineBuilder::from_source(SRC)
-            .unwrap()
-            .limits(EngineLimits {
-                max_wm: Some(2),
-                max_cycles: None,
-            })
-            .build()
-            .unwrap();
-        eng.make_wme("sum", &[("total", ops5::Value::Int(0))])
-            .unwrap();
-        let mut s = Session::new(1, "adder", eng, MatcherKind::default(), 1000);
-        assert!(s.execute(Command::Assert("item ^n 1".into())).is_ok());
-        assert!(matches!(
-            s.execute(Command::Assert("item ^n 2".into())),
-            Reply::Err(_)
-        ));
+        for kind in [MatcherKind::default(), MatcherKind::Col] {
+            let mut eng = EngineBuilder::from_source(SRC)
+                .unwrap()
+                .matcher(kind.clone())
+                .limits(EngineLimits {
+                    max_wm: Some(2),
+                    max_cycles: None,
+                })
+                .build()
+                .unwrap();
+            eng.make_wme("sum", &[("total", ops5::Value::Int(0))])
+                .unwrap();
+            let mut s = Session::new(1, "adder", eng, kind, 1000);
+            assert!(s.execute(Command::Assert("item ^n 1".into())).is_ok());
+            assert!(matches!(
+                s.execute(Command::Assert("item ^n 2".into())),
+                Reply::Err(_)
+            ));
+        }
     }
 
     #[test]

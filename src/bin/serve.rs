@@ -16,8 +16,8 @@
 //!   --max-cycles-per-run N   RUN clamp per command (default 10000)
 //!   --run-slice N            preemption slice: a RUN executes at most N
 //!                            cycles before its session is requeued behind
-//!                            higher-priority work (0 = no slicing;
-//!                            default: the OPS5_RUN_SLICE env knob, else 0)
+//!                            higher-priority work; 0 = no slicing
+//!                            (default 0)
 //!   --max-wm N               per-session working-memory cap
 //!   --max-total-cycles N     per-session lifetime cycle budget
 //!   --matcher vs1|vs2|lisp|psm|col   default session matcher (default vs2)

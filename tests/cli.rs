@@ -25,7 +25,7 @@ fn runs_blocks_program() {
 
 #[test]
 fn all_matchers_agree_on_blocks() {
-    for matcher in ["vs1", "vs2", "lisp", "psm"] {
+    for &matcher in engine::MatcherKind::NAMES {
         let out = ops5()
             .args(["programs/blocks.ops", "--matcher", matcher])
             .output()
@@ -138,7 +138,7 @@ fn monkey_plan_is_matcher_independent() {
         .output()
         .unwrap()
         .stdout;
-    for matcher in ["vs1", "lisp", "psm"] {
+    for &matcher in engine::MatcherKind::NAMES {
         let out = ops5()
             .args(["programs/monkey.ops", "--matcher", matcher])
             .output()
@@ -170,7 +170,7 @@ fn hanoi_solves_four_disks() {
 #[test]
 fn hanoi_is_matcher_independent() {
     let reference = ops5().args(["programs/hanoi.ops"]).output().unwrap().stdout;
-    for matcher in ["vs1", "lisp", "psm"] {
+    for &matcher in engine::MatcherKind::NAMES {
         let out = ops5()
             .args(["programs/hanoi.ops", "--matcher", matcher])
             .output()
@@ -220,6 +220,60 @@ fn serve_refuses_the_removed_act_flag() {
         "stderr: {stderr}"
     );
     assert!(!stderr.contains("listening"), "it bound a port: {stderr}");
+}
+
+/// The environment picks no run slice: `ops5-serve` started with
+/// `OPS5_RUN_SLICE=1` in its environment runs a 100-cycle `RUN` whole, and
+/// its metrics count no preemption. Slicing is `--run-slice` alone.
+#[test]
+fn serve_ignores_a_run_slice_in_the_environment() {
+    use std::io::{BufRead, BufReader, Write};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ops5-serve"))
+        .args(["--addr", "127.0.0.1:0", "--metrics"])
+        .env("OPS5_RUN_SLICE", "1")
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("run ops5-serve");
+    let mut stderr = BufReader::new(child.stderr.take().unwrap());
+    let mut line = String::new();
+    let addr = loop {
+        line.clear();
+        if stderr.read_line(&mut line).unwrap() == 0 {
+            child.kill().unwrap();
+            child.wait().unwrap();
+            panic!("ops5-serve exited before it listened");
+        }
+        if let Some(addr) = line.trim().strip_prefix("ops5-serve: listening on ") {
+            break addr.to_string();
+        }
+    };
+    let stream = std::net::TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut reply = BufReader::new(stream.try_clone().unwrap());
+    // One reply: a line, or a `METRICS` block through its `END`.
+    let mut ask = |request: &str| {
+        (&stream).write_all(request.as_bytes()).unwrap();
+        let mut text = String::new();
+        while reply.read_line(&mut text).unwrap() != 0 {
+            if !text.starts_with("METRICS") || text.ends_with("\nEND\n") {
+                break;
+            }
+        }
+        text
+    };
+    assert!(ask("OPEN hanoi\n").starts_with("OK"));
+    let run = ask("RUN 100\n");
+    assert!(run.starts_with("OK"), "{run}");
+    let metrics = ask("METRICS?\n");
+    assert!(ask("SHUTDOWN\n").starts_with("OK"));
+    child.wait().unwrap();
+    assert!(
+        metrics.lines().any(|l| l == "serve_preemptions_total 0"),
+        "{metrics}"
+    );
 }
 
 /// Both binaries' usage text lists every matcher `--matcher` accepts.
