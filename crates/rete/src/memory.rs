@@ -45,8 +45,9 @@
 //! lists of one memory live in one slab with a free list, so keeping them
 //! costs no allocation per entry or per child once the slab has grown. A
 //! right entry takes a slot when the first child is joined with it and
-//! gives it back only when the schedule says its removal's readers are done
-//! ([`TokenMem::release`]). The slab records where each slotted entry
+//! gives it back when it is removed; the readers of the removal still find
+//! its children by the slot, because the kernel gives no entry a slot
+//! before they have run. The slab records where each slotted entry
 //! stands in its line, updated by the `swap_remove` that moves it and by a
 //! doubling of the table. A list is appended to in the order its children
 //! are made and is sorted by those positions when a removal takes it whole:
@@ -308,12 +309,10 @@ pub trait TokenMem {
     fn insert_right(&mut self, mem: RightMemId, key: u64, wme: WmeRef);
 
     /// Remove a WME from a shared right memory, returning its entry's slot
-    /// ([`NIL`]: no child was ever joined with it), held until
-    /// [`TokenMem::release`].
+    /// ([`NIL`]: no child was ever joined with it), by which the memory's
+    /// readers take the children made with it. The slot is free again: the
+    /// kernel gives no entry a slot before those readers have run.
     fn remove_right(&mut self, mem: RightMemId, key: u64, wme: &Wme) -> Removed<u32>;
-
-    /// The slot a removal returned may go to another entry.
-    fn release(&mut self, slot: u32);
 
     /// WMEs of the join's right memory pairing with `token` under the join
     /// tests, each with its entry's index in the line (for
@@ -565,6 +564,7 @@ impl<T: JoinTests> TokenMem for ListMem<T> {
                 if let Some(moved) = entries.get(i) {
                     self.kids.moved(moved.slot, i);
                 }
+                self.kids.release(e.slot);
                 return Removed {
                     entry: Some(e.slot),
                     examined: (i + 1) as u64,
@@ -662,10 +662,6 @@ impl<T: JoinTests> TokenMem for ListMem<T> {
 
     fn adopt(&mut self, kids: &mut u32, child: Child) {
         self.kids.adopt(kids, child);
-    }
-
-    fn release(&mut self, slot: u32) {
-        self.kids.release(slot);
     }
 
     fn take_children(&mut self, kids: u32, out: &mut Vec<Child>) {
@@ -946,6 +942,7 @@ impl TokenMem for HashMem {
                 if let Some(moved) = line.get(i) {
                     self.kids.moved(moved.slot, i);
                 }
+                self.kids.release(e.slot);
                 bump(&mut self.right_counts, mem, -1);
                 self.entries -= 1;
                 return Removed {
@@ -1054,10 +1051,6 @@ impl TokenMem for HashMem {
 
     fn adopt(&mut self, kids: &mut u32, child: Child) {
         self.kids.adopt(kids, child);
-    }
-
-    fn release(&mut self, slot: u32) {
-        self.kids.release(slot);
     }
 
     fn take_children(&mut self, kids: u32, out: &mut Vec<Child>) {
