@@ -91,15 +91,16 @@ pub fn __run_cases(name: &str, config: &ProptestConfig, mut case: impl FnMut(u64
 
 /// Defines property tests.
 ///
-/// ```ignore
+/// ```
 /// use proptest::prelude::*;
 /// proptest! {
 ///     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
-///     #[test]
 ///     fn addition_commutes(a in 0u32..1000, b in 0u32..1000) {
 ///         prop_assert_eq!(a + b, b + a);
 ///     }
 /// }
+/// // In a test module each property carries `#[test]`; here it is called.
+/// addition_commutes();
 /// ```
 #[macro_export]
 macro_rules! proptest {
