@@ -419,3 +419,38 @@ fn refused_inline_open_draws_one_reply_and_drains_cleanly() {
     b0.join().unwrap();
     b1.join().unwrap();
 }
+
+/// A router-originated reply takes its request's place in the reply
+/// stream. Pipelined behind an `OPEN` and a `RUN` that are still on the
+/// backend, the refusal of a client `SHUTDOWN` must come back third, not
+/// first: a client that reads in order would otherwise take it for the
+/// `OPEN`'s answer.
+#[test]
+fn a_pipelined_refusal_comes_back_in_request_order() {
+    let b0 = backend();
+    let router = Router::bind("127.0.0.1:0", RouterConfig::new(vec![b0.addr]))
+        .unwrap()
+        .spawn();
+
+    let mut c = Client::connect(router.addr).unwrap();
+    for l in ["OPEN hanoi vs2", "RUN 1000", "SHUTDOWN", "STATS?"] {
+        c.send_line(l).unwrap();
+    }
+    let open = c.read_reply().unwrap().expect_ok().unwrap();
+    assert!(open.starts_with("session "), "{open}");
+    let run = c.read_reply().unwrap().expect_ok().unwrap();
+    assert!(run.starts_with("cycles="), "{run}");
+    match c.read_reply().unwrap() {
+        serve::ClientReply::Err(msg) => assert!(msg.contains("ADMIN"), "{msg}"),
+        other => panic!("expected the SHUTDOWN refusal, got {other:?}"),
+    }
+    let stats = c.read_reply().unwrap().expect_ok().unwrap();
+    assert!(stats.contains("program=hanoi"), "{stats}");
+    c.close().unwrap().expect_ok().unwrap();
+
+    let mut admin = Client::connect(router.addr).unwrap();
+    admin.request("ADMIN").unwrap().expect_ok().unwrap();
+    admin.request("SHUTDOWN").unwrap().expect_ok().unwrap();
+    router.join().unwrap();
+    b0.join().unwrap();
+}
