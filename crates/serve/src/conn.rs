@@ -1,12 +1,12 @@
 //! The connection core: one client connection's protocol state, with no
 //! socket in it.
 //!
-//! Bytes in ([`Conn::read_from`], [`Conn::process`]) become pool
+//! Bytes in ([`Core::read_from`], [`Conn::process`]) become pool
 //! submissions and direct replies; completions in ([`Conn::complete`])
-//! become ordered bytes out ([`Conn::write_to`]). Whoever owns the socket —
-//! [`crate::server_nb`] in production, a byte slice in the tests below —
-//! only moves bytes and asks [`wants_read`](Conn::wants_read) /
-//! [`wants_write`](Conn::wants_write) / [`finished`](Conn::finished).
+//! become ordered bytes out ([`Core::write_to`]). Whoever owns the socket —
+//! [`crate::driver`] in production, a byte slice in the tests below — only
+//! moves bytes and asks the [`Core`] questions (`wants_read`,
+//! `wants_write`, `finished`).
 //!
 //! **Who executes.** A session command that runs the matcher, rebuilds the
 //! engine or closes the session is submitted to the pool and its reply
@@ -34,6 +34,7 @@
 //! slots parked behind a command still executing — by
 //! [`ServeConfig::write_buf_cap`](crate::server::ServeConfig::write_buf_cap).
 
+use crate::driver::{Core, Side};
 use crate::pool::{Completions, ReplyTx, SessionSlot, SubmitOutcome, Submitted};
 use crate::protocol::{Framed, Framer, Reply, Request};
 use crate::server::{self, Shared};
@@ -54,6 +55,7 @@ enum ReplySlot {
     Filled(String),
 }
 
+#[derive(Default)]
 pub(crate) struct Conn {
     /// Process-unique id; completions are tagged with it so replies for a
     /// closed connection are recognizably stale and dropped.
@@ -76,52 +78,6 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    pub(crate) fn new(id: u64) -> Conn {
-        Conn {
-            id,
-            framer: Framer::new(),
-            session: None,
-            replies: VecDeque::new(),
-            first_seq: 0,
-            parked_bytes: 0,
-            out: WriteBuf::new(),
-            stop_input: false,
-            overloaded: false,
-        }
-    }
-
-    /// One read from `r` into the input buffer (0 = EOF).
-    pub(crate) fn read_from(&mut self, r: &mut impl io::Read) -> io::Result<usize> {
-        self.framer.read_from(r)
-    }
-
-    /// Writes as much of the out buffer as `w` accepts without blocking.
-    pub(crate) fn write_to(&mut self, w: &mut impl io::Write) -> io::Result<usize> {
-        self.out.write_to(w)
-    }
-
-    pub(crate) fn wants_read(&self) -> bool {
-        !self.stop_input
-    }
-
-    pub(crate) fn wants_write(&self) -> bool {
-        !self.out.is_empty()
-    }
-
-    /// Stops parsing input: the peer sent EOF, or the server is draining.
-    pub(crate) fn close_input(&mut self) {
-        self.stop_input = true;
-    }
-
-    pub(crate) fn is_overloaded(&self) -> bool {
-        self.overloaded
-    }
-
-    /// Nothing left to do: every owed reply has been written out.
-    pub(crate) fn finished(&self) -> bool {
-        self.out.is_empty() && (self.overloaded || (self.stop_input && self.replies.is_empty()))
-    }
-
     /// Frames and acts on every complete request buffered so far.
     pub(crate) fn process(&mut self, shared: &Shared, completions: &Arc<Completions>) {
         while !self.stop_input {
@@ -290,6 +246,47 @@ impl Conn {
     }
 }
 
+/// A connection core speaks for its client socket only: `side` is always
+/// [`Side::Client`].
+impl Core for Conn {
+    fn new(id: u64) -> Conn {
+        Conn {
+            id,
+            ..Conn::default()
+        }
+    }
+
+    fn read_from(&mut self, _: Side, r: &mut impl io::Read) -> io::Result<usize> {
+        self.framer.read_from(r)
+    }
+
+    fn write_to(&mut self, _: Side, w: &mut impl io::Write) -> io::Result<usize> {
+        self.out.write_to(w)
+    }
+
+    fn wants_read(&self, _: Side) -> bool {
+        !self.stop_input
+    }
+
+    fn wants_write(&self, _: Side) -> bool {
+        !self.out.is_empty()
+    }
+
+    /// Stops parsing input: the peer sent EOF, or the server is draining.
+    fn close_input(&mut self) {
+        self.stop_input = true;
+    }
+
+    fn is_overloaded(&self) -> bool {
+        self.overloaded
+    }
+
+    /// Every owed reply has been written out.
+    fn finished(&self) -> bool {
+        self.out.is_empty() && (self.overloaded || (self.stop_input && self.replies.is_empty()))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,10 +329,10 @@ mod tests {
         /// acts on them.
         fn send(&mut self, mut bytes: &[u8]) {
             while !bytes.is_empty() {
-                self.conn.read_from(&mut bytes).unwrap();
+                self.conn.read_from(Side::Client, &mut bytes).unwrap();
             }
             self.conn.process(&self.shared, &self.completions);
-            self.conn.write_to(&mut self.written).unwrap();
+            self.conn.write_to(Side::Client, &mut self.written).unwrap();
         }
 
         /// Routes completions to the core until `n` whole replies have been
@@ -362,7 +359,7 @@ mod tests {
                     assert_eq!(conn, self.conn.id);
                     self.conn.complete(seq, reply, &self.shared);
                 }
-                self.conn.write_to(&mut self.written).unwrap();
+                self.conn.write_to(Side::Client, &mut self.written).unwrap();
             }
         }
 
@@ -440,7 +437,7 @@ mod tests {
         rig.open();
         rig.send(b"STATS?\n");
         rig.send(&vec![b'x'; MAX_LINE_BYTES + 2]);
-        assert!(!rig.conn.wants_read());
+        assert!(!rig.conn.wants_read(Side::Client));
         let got = rig.replies(2);
         assert!(got[0].is_ok(), "{got:?}");
         assert_eq!(err(&got[1]), "line too long; closing");
@@ -460,7 +457,7 @@ mod tests {
         assert!(err(&got[0]).starts_with("BATCH body too large"), "{got:?}");
         let stats = got[1].clone().expect_ok().unwrap();
         assert!(stats.contains("staged=0"), "{stats}");
-        assert!(rig.conn.wants_read());
+        assert!(rig.conn.wants_read(Side::Client));
     }
 
     /// Replies parked behind a command that is still executing count toward
@@ -488,14 +485,14 @@ mod tests {
             rig.send(b"NOSUCHVERB\n");
         }
         assert!(rig.conn.is_overloaded());
-        assert!(!rig.conn.wants_read());
+        assert!(!rig.conn.wants_read(Side::Client));
         let text = String::from_utf8(std::mem::take(&mut rig.written)).unwrap();
         assert_eq!(text, "ERR overloaded: outbound buffer full; closing\n");
         assert!(rig.conn.finished());
         assert_eq!(closes(&rig), 1);
         // The wedged command's late completion finds no slot and is dropped.
         rig.conn.complete(1, Reply::Ok("1".into()), &rig.shared);
-        assert!(!rig.conn.wants_write());
+        assert!(!rig.conn.wants_write(Side::Client));
     }
 
     /// Ticket triage in the shape of the ledger's serve-steady program.
@@ -886,9 +883,9 @@ mod tests {
             let mut other_out = Vec::new();
             let mut other_says = |rig: &mut Rig, wire: &[u8]| {
                 let mut bytes = wire;
-                other.read_from(&mut bytes).unwrap();
+                other.read_from(Side::Client, &mut bytes).unwrap();
                 other.process(&rig.shared, &rig.completions);
-                while !other.wants_write() {
+                while !other.wants_write(Side::Client) {
                     rig.woken.recv_timeout(Duration::from_secs(30)).unwrap();
                     for (conn, seq, reply) in rig.completions.drain() {
                         assert_eq!(conn, 2);
@@ -896,7 +893,7 @@ mod tests {
                     }
                 }
                 other_out.clear();
-                other.write_to(&mut other_out).unwrap();
+                other.write_to(Side::Client, &mut other_out).unwrap();
                 String::from_utf8(other_out.clone()).unwrap()
             };
             let opened = other_says(&mut rig, format!("OPEN - vs2\n{COUNTER}\nEND\n").as_bytes());

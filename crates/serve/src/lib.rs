@@ -22,33 +22,37 @@
 //!   (one command per pop) and two-level backpressure: a full per-session
 //!   inbox replies `OVERLOADED`, a saturated global run queue replies
 //!   `BUSY`. Shutdown drains every queued command before workers exit.
-//! * [`protocol`] — the wire grammar, and the two framers that are the only
-//!   code knowing where a request ([`protocol::Framer`]) or a reply
-//!   ([`protocol::ReplyFramer`]) starts and ends. Both are socket-free: bytes
-//!   or lines in, decisions out.
+//! * [`protocol`] — the wire grammar, and the only code knowing where a
+//!   request ([`protocol::Framer`]) or a reply ([`protocol::ReplyCounter`])
+//!   starts and ends. Both are socket-free: bytes or lines in, decisions
+//!   out. [`protocol::ReplyFramer`] is the counter plus the lines it keeps.
 //! * `conn` — the socket-free connection core over the request framer: the
 //!   session slot, reply ordering under pipelining, and every per-connection
 //!   bound. Bytes in become pool submissions and direct replies; completions
 //!   in become ordered bytes out.
+//! * `driver` — the single epoll thread (the vendored `reactor` crate),
+//!   generic over the socket-free core it drives: one loop for both
+//!   binaries, woken by work finished on other threads.
 //! * [`server`] — configuration, shared state, session construction, the
-//!   metrics exposition, and (in `server_nb`) the single epoll thread that
-//!   drives every connection core over the vendored `reactor` crate.
+//!   metrics exposition, and the server as the driver sees it: a `conn`
+//!   core per connection, pool completions as its results.
 //! * [`router`] — `ops5-router`: a consistent-hash session-sharding proxy
 //!   that spreads sessions across several `ops5-serve` backends and
-//!   live-migrates them (`SNAPSHOT?`/`RESTORE`) when a backend drains. It
-//!   frames client requests and backend replies with the same two framers.
+//!   live-migrates them (`SNAPSHOT?`/`RESTORE`) when a backend drains. Its
+//!   core is socket-free like `conn`, frames both directions with the
+//!   protocol's own code, and keeps every reply in request order.
 //! * [`client`] — a blocking client used by the integration tests.
 //!
 //! See [`protocol`] for the wire grammar.
 
 pub mod client;
 mod conn;
+mod driver;
 pub mod pool;
 pub mod protocol;
 pub mod registry;
 pub mod router;
 pub mod server;
-mod server_nb;
 pub mod session;
 
 pub use client::{Client, ClientReply};

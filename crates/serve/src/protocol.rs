@@ -598,15 +598,52 @@ impl fmt::Display for Reply {
     }
 }
 
-/// Reply framing, the inverse of [`Reply`]'s `Display`: reply lines in,
-/// whole replies out. A multi-line head declares its body length
-/// (`SNAPSHOT <n>`, `METRICS <n>`, ...), so the body is counted, not scanned:
-/// a body line that happens to read `END` cannot end the reply early. Only a
-/// head with no parsable count falls back to scanning for `END`.
+/// Where a reply ends, and nothing else: reply lines in, "this line
+/// completed a reply" out. A multi-line head declares its body length
+/// (`SNAPSHOT <n>`, `METRICS <n>`, ...), so the body is counted, not
+/// scanned: a body line that happens to read `END` cannot end the reply
+/// early. Only a head with no parsable count falls back to scanning for
+/// `END`. It keeps no line, so a relay that only needs to know where each
+/// reply ends holds nothing of the body it passes on.
+#[derive(Default, Debug, PartialEq, Eq)]
+pub struct ReplyCounter {
+    /// Inside a multi-line reply: the body length its head declared, and
+    /// the body lines seen so far.
+    body: Option<(Option<usize>, usize)>,
+}
+
+impl ReplyCounter {
+    /// Takes the next reply line (terminator stripped). `Some(ok)` when it
+    /// completes a reply, `ok` being whether that reply was a one-line `OK`.
+    pub fn push(&mut self, line: &str) -> Option<bool> {
+        let Some((declared, seen)) = &mut self.body else {
+            let (tag, rest) = line.split_once(' ').unwrap_or((line, ""));
+            if one_line(tag).is_some() {
+                return Some(tag == "OK");
+            }
+            let declared = rest.split_whitespace().next().and_then(|n| n.parse().ok());
+            self.body = Some((declared, 0));
+            return None;
+        };
+        let end = match *declared {
+            Some(n) => *seen == n,
+            None => line == "END",
+        };
+        if end {
+            self.body = None;
+            return Some(false);
+        }
+        *seen += 1;
+        None
+    }
+}
+
+/// Reply framing, the inverse of [`Reply`]'s `Display`: a [`ReplyCounter`]
+/// that also keeps the lines, so whole replies come out.
 #[derive(Default)]
 pub struct ReplyFramer {
+    counter: ReplyCounter,
     head: Option<String>,
-    declared: Option<usize>,
     lines: Vec<String>,
 }
 
@@ -618,33 +655,34 @@ impl ReplyFramer {
     /// Takes the next reply line (terminator stripped); returns the reply
     /// it completes, if any.
     pub fn push(&mut self, line: String) -> Option<Reply> {
-        if self.head.is_none() {
-            let (tag, rest) = line.split_once(' ').unwrap_or((&line, ""));
-            let single = match tag {
-                "OK" => Reply::Ok,
-                "ERR" => Reply::Err,
-                "BUSY" => Reply::Busy,
-                "OVERLOADED" => Reply::Overloaded,
-                _ => {
-                    self.declared = rest.split_whitespace().next().and_then(|n| n.parse().ok());
-                    self.head = Some(line);
-                    return None;
-                }
-            };
-            return Some(single(rest.to_string()));
-        }
-        let terminator = match self.declared {
-            Some(n) => self.lines.len() == n,
-            None => line == "END",
-        };
-        if !terminator {
-            self.lines.push(line);
+        if self.counter.push(&line).is_none() {
+            match self.head {
+                None => self.head = Some(line),
+                Some(_) => self.lines.push(line),
+            }
             return None;
         }
-        Some(Reply::Multi {
-            head: self.head.take()?,
-            lines: std::mem::take(&mut self.lines),
-        })
+        match self.head.take() {
+            Some(head) => Some(Reply::Multi {
+                head,
+                lines: std::mem::take(&mut self.lines),
+            }),
+            None => {
+                let (tag, rest) = line.split_once(' ').unwrap_or((&line, ""));
+                one_line(tag).map(|make| make(rest.to_string()))
+            }
+        }
+    }
+}
+
+/// The reply a one-line tag stands for; `None` for a multi-line head.
+fn one_line(tag: &str) -> Option<fn(String) -> Reply> {
+    match tag {
+        "OK" => Some(Reply::Ok),
+        "ERR" => Some(Reply::Err),
+        "BUSY" => Some(Reply::Busy),
+        "OVERLOADED" => Some(Reply::Overloaded),
+        _ => None,
     }
 }
 

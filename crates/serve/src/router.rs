@@ -5,28 +5,40 @@
 //! router is the next scaling step out: it spreads client connections
 //! across *several* `ops5-serve` backends. Placement is a consistent-hash
 //! ring (FNV-1a over virtual nodes, [`RouterConfig::replicas`] points per
-//! backend) keyed by a router-assigned per-connection session key, so
-//! adding or draining a backend moves only the sessions that must move.
+//! backend) keyed by the connection's id, so adding or draining a backend
+//! moves only the sessions that must move.
 //!
-//! The router is a line-level proxy on a single reactor thread. For each
-//! client connection it tracks just enough protocol state to stay honest:
+//! The router is a line-level proxy on the server's own epoll driver. Each
+//! client connection is a `Pair`: a socket-free core, like the server's
+//! connection core, that takes bytes from the client side or the backend
+//! side and returns bytes to write to either. It tracks just enough
+//! protocol state to stay honest:
 //!
-//! * client→backend request framing and a count of requests in flight. The
-//!   router runs the server's own [`Framer`] over the client's bytes, so
-//!   "this line completes a request, which draws exactly one reply" is
-//!   decided by the same code on both sides of the relay; the router just
-//!   forwards each framed line as it goes;
-//! * backend→client reply framing ([`ReplyFramer`]), which is how in-flight
-//!   drops;
+//! * client→backend request framing. The router runs the server's own
+//!   [`Framer`] over the client's bytes, so "this line completes a request,
+//!   which draws exactly one reply" is decided by the same code on both
+//!   sides of the relay; the router forwards each framed line as it goes;
+//! * the replies owed to the client, in request order. Every reply leaves
+//!   in request order, routed or router-originated: a reply the router
+//!   makes itself (the `SHUTDOWN` refusal, `ERR line too long`) waits in
+//!   that queue, carrying its text, until every earlier reply has been
+//!   relayed;
+//! * where each backend reply ends ([`ReplyCounter`]). The relay counts a
+//!   reply's body and passes it on; it never keeps a line of it;
 //! * the session's registry program and matcher, sniffed from the `OPEN`/
 //!   `RESTORE` the client sent (confirmed against the backend's `OK`), so
 //!   the session can be reconstructed elsewhere.
+//!
+//! What a pair cannot do without sockets or the other pairs it hands to
+//! the router as an `Action`: connect to a backend, move to another, run
+//! an admin command. The router's service carries it out, attaching and
+//! detaching backend sockets through the driver.
 //!
 //! **Drain / rebalance.** A connection whose first line is `ADMIN` speaks
 //! the admin dialect instead: `RING?` (backend liveness + load), `DRAIN
 //! <i>` (mark backend `i` dead on the ring and migrate its sessions away),
 //! `STATS?`, and `SHUTDOWN`. Migration happens at each connection's safe
-//! point — no requests in flight, top-level framing — and replays the
+//! point — no replies owed, top-level framing — and replays the
 //! durable-session machinery over the wire: `SNAPSHOT?` on the old
 //! backend, `CLOSE`, then `RESTORE <program> [matcher]` + snapshot + `END`
 //! on the ring's new target. A pair that is mid command when the drain
@@ -46,29 +58,19 @@
 //! down a shared backend); `ADMIN SHUTDOWN` stops the router and forwards
 //! the shutdown to every live backend.
 
-use crate::protocol::{Framed, Framer, Origin, Reply, ReplyFramer, Request};
+use crate::driver::{self, Core, Cores, Service, Side};
+use crate::protocol::{Framed, Framer, Origin, Reply, ReplyCounter, ReplyFramer, Request};
 use crate::session::Command;
-use reactor::{Events, Interest, LineBuf, Poll, Token, Waker, WriteBuf};
+use reactor::{LineBuf, Waker, WriteBuf};
 use std::collections::VecDeque;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::unix::io::AsRawFd;
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-const LISTENER: Token = Token(0);
-/// Migration helper threads kick the poll loop through this token.
-const MIG_WAKER: Token = Token(1);
-/// Pair tokens start here: client = `BASE + 2*idx`, backend = `+1`.
-const PAIR_BASE: usize = 2;
-
-/// Poll tick (stop-flag and drain checks).
-const TICK: Duration = Duration::from_millis(100);
 /// Read/write timeout for the blocking migration conversation.
 const MIGRATE_IO: Duration = Duration::from_secs(5);
-/// After `ADMIN SHUTDOWN`, how long pairs get to flush.
-const STOP_GRACE: Duration = Duration::from_secs(5);
 /// Per-direction buffer cap: past it a write buffer's peer is cut off, and
 /// the client's read side is paused until the backlog is routed.
 const BUF_CAP: usize = 4 * 1024 * 1024;
@@ -181,198 +183,293 @@ impl Router {
         RouterHandle { addr, join }
     }
 
-    /// The reactor loop; returns after `ADMIN SHUTDOWN` once pairs flush.
+    /// Runs the router on the driver; returns after `ADMIN SHUTDOWN` once
+    /// pairs flush.
     pub fn run(self) -> io::Result<()> {
-        let _ = reactor::raise_nofile_limit(65536);
-        self.listener.set_nonblocking(true)?;
-        let poll = Poll::new()?;
-        poll.register(self.listener.as_raw_fd(), LISTENER, Interest::READABLE)?;
-        let mig_waker = Arc::new(Waker::new(&poll, MIG_WAKER)?);
-        let (mig_tx, mig_rx) = mpsc::channel::<MigDone>();
-        let mut state = State {
-            ring: HashRing::new(self.cfg.backends.len(), self.cfg.replicas.max(1)),
-            live: vec![true; self.cfg.backends.len()],
-            addrs: self.cfg.backends.clone(),
-            next_key: 1,
-            migrations: 0,
-            migration_failures: 0,
-            stop: false,
-            mig_tx,
-            mig_waker: mig_waker.clone(),
-        };
-        let mut events = Events::with_capacity(256);
-        let mut pairs: Vec<Option<Pair>> = Vec::new();
-        let mut free: Vec<usize> = Vec::new();
-        let mut stopping: Option<Instant> = None;
-
-        loop {
-            poll.poll(&mut events, Some(TICK))?;
-            let mut touched: Vec<usize> = Vec::new();
-
-            for ev in events.iter() {
-                match ev.token() {
-                    LISTENER => {
-                        if stopping.is_some() {
-                            continue;
-                        }
-                        loop {
-                            let (stream, _) = match self.listener.accept() {
-                                Ok(a) => a,
-                                Err(_) => break,
-                            };
-                            let _ = stream.set_nodelay(true);
-                            if stream.set_nonblocking(true).is_err() {
-                                continue;
-                            }
-                            let idx = free.pop().unwrap_or_else(|| {
-                                pairs.push(None);
-                                pairs.len() - 1
-                            });
-                            if poll
-                                .register(
-                                    stream.as_raw_fd(),
-                                    Token(PAIR_BASE + 2 * idx),
-                                    Interest::READABLE,
-                                )
-                                .is_err()
-                            {
-                                free.push(idx);
-                                continue;
-                            }
-                            let key = state.next_key;
-                            state.next_key += 1;
-                            pairs[idx] = Some(Pair::new(key, stream));
-                        }
-                    }
-                    MIG_WAKER => mig_waker.drain(),
-                    Token(t) => {
-                        let idx = (t - PAIR_BASE) / 2;
-                        let is_backend = (t - PAIR_BASE) % 2 == 1;
-                        let Some(pair) = pairs.get_mut(idx).and_then(Option::as_mut) else {
-                            continue;
-                        };
-                        if is_backend {
-                            if ev.is_readable() {
-                                backend_read(pair);
-                            }
-                        } else if ev.is_readable() && !pair.stop_input && !pair.client_eof {
-                            client_read(pair);
-                        }
-                        touched.push(idx);
-                    }
-                }
+        let cfg = self.cfg;
+        driver::run(self.listener, None, move |waker| {
+            let (mig_tx, mig_rx) = mpsc::channel();
+            Shards {
+                ring: HashRing::new(cfg.backends.len(), cfg.replicas.max(1)),
+                live: vec![true; cfg.backends.len()],
+                addrs: cfg.backends,
+                migrations: 0,
+                migration_failures: 0,
+                stop: false,
+                mig_tx,
+                mig_rx,
+                waker,
             }
-
-            // Collect backends rebuilt by migration helper threads. The
-            // (idx, key) pair guards against slot reuse: a result for a
-            // connection that died mid-migration is silently dropped.
-            while let Ok(done) = mig_rx.try_recv() {
-                let Some(pair) = pairs.get_mut(done.idx).and_then(Option::as_mut) else {
-                    continue;
-                };
-                if pair.key != done.key || !pair.migrating {
-                    continue;
-                }
-                pair.migrating = false;
-                match done.result {
-                    Ok((stream, rd)) => {
-                        let b = Backend {
-                            stream,
-                            rd,
-                            wr: WriteBuf::new(),
-                            interest: Interest::READABLE,
-                        };
-                        if poll
-                            .register(
-                                b.stream.as_raw_fd(),
-                                Token(PAIR_BASE + 2 * done.idx + 1),
-                                Interest::READABLE,
-                            )
-                            .is_ok()
-                        {
-                            pair.backend = Some(b);
-                            pair.backend_idx = done.target;
-                            state.migrations += 1;
-                        } else {
-                            fail_migration(pair, &mut state, "register migrated backend");
-                        }
-                    }
-                    Err(e) => fail_migration(pair, &mut state, &e),
-                }
-                touched.push(done.idx);
-            }
-
-            if state.stop && stopping.is_none() {
-                stopping = Some(Instant::now());
-                for (idx, p) in pairs.iter_mut().enumerate() {
-                    if let Some(pair) = p {
-                        pair.stop_input = true;
-                        pair.backend_gone = true;
-                        touched.push(idx);
-                    }
-                }
-            }
-
-            // Service every touched pair: parse admin/routed lines, relay
-            // replies, attempt pending migrations, flush, fix interest.
-            let mut i = 0;
-            while i < touched.len() {
-                let idx = touched[i];
-                i += 1;
-                if pairs.get(idx).map(|p| p.is_none()).unwrap_or(true) {
-                    continue;
-                }
-                service_pair(&mut pairs, idx, &mut state, &poll);
-                let Some(pair) = pairs[idx].as_mut() else {
-                    continue;
-                };
-                pump_pair(pair, idx, &poll);
-                if pair.finished() {
-                    let _ = poll.deregister(pair.client.as_raw_fd());
-                    if let Some(b) = &pair.backend {
-                        let _ = poll.deregister(b.stream.as_raw_fd());
-                    }
-                    pairs[idx] = None;
-                    free.push(idx);
-                }
-            }
-
-            if let Some(since) = stopping {
-                let alive = pairs.iter().any(Option::is_some);
-                if !alive || since.elapsed() > STOP_GRACE {
-                    break;
-                }
-            }
-        }
-        Ok(())
+        })
     }
 }
 
-struct State {
+/// The router as the driver sees it: a [`Pair`] per connection, the ring,
+/// and the migrations in flight as the results made elsewhere.
+struct Shards {
     ring: HashRing,
     live: Vec<bool>,
     addrs: Vec<SocketAddr>,
-    next_key: u64,
     migrations: u64,
     migration_failures: u64,
     stop: bool,
     /// Helper threads report rebuilt backends here…
     mig_tx: mpsc::Sender<MigDone>,
+    mig_rx: mpsc::Receiver<MigDone>,
     /// …and kick the poll loop so the result is collected promptly.
-    mig_waker: Arc<Waker>,
+    waker: Arc<Waker>,
 }
 
 /// Result of one off-reactor migration conversation.
 struct MigDone {
-    idx: usize,
-    /// The pair's connection key at spawn time; stale results for a
-    /// recycled slot must not be delivered.
+    /// The pair's connection id. Ids are never reused, so a result for a
+    /// connection that closed mid-migration finds no pair and is dropped.
     key: u64,
     target: usize,
     result: Result<(TcpStream, LineBuf), String>,
 }
 
-/// What an in-flight request will tell us when its reply lands.
+impl Service for Shards {
+    type Core = Pair;
+    /// After `ADMIN SHUTDOWN`, how long pairs get to flush.
+    const GRACE: Duration = Duration::from_secs(5);
+
+    fn input(&mut self, cores: &mut Cores<'_, Pair>, idx: usize, client_eof: bool) {
+        if let Some(pair) = cores.get_mut(idx) {
+            pair.client_eof |= client_eof;
+        }
+        self.service(cores, idx);
+    }
+
+    /// Collects backends rebuilt by migration helper threads.
+    fn external(&mut self, cores: &mut Cores<'_, Pair>) {
+        while let Ok(done) = self.mig_rx.try_recv() {
+            let Some(idx) = cores.find(done.key) else {
+                continue;
+            };
+            if !cores.get_mut(idx).is_some_and(|p| p.moving()) {
+                continue;
+            }
+            let landed = done.result.and_then(|(stream, rd)| {
+                cores
+                    .attach(idx, stream)
+                    .map_err(|e| format!("register migrated backend: {e}"))?;
+                Ok(rd)
+            });
+            match landed {
+                Ok(rd) => {
+                    if let Some(pair) = cores.get_mut(idx) {
+                        pair.link = Link::Up(done.target);
+                        pair.b_rd = rd;
+                    }
+                    self.migrations += 1;
+                }
+                Err(e) => self.fail_migration(cores, idx, &e),
+            }
+            self.service(cores, idx);
+            cores.touch(idx);
+        }
+    }
+
+    fn stopping(&self) -> bool {
+        self.stop
+    }
+}
+
+impl Shards {
+    /// The live backend that owns connection `key`.
+    fn owner(&self, key: u64) -> Option<usize> {
+        self.ring.lookup(fnv1a(&key.to_le_bytes()), &self.live)
+    }
+
+    /// Steps pair `idx` until it waits on bytes or on a helper thread,
+    /// carrying out each action it asks for.
+    fn service(&mut self, cores: &mut Cores<'_, Pair>, idx: usize) {
+        while let Some(action) = cores.get_mut(idx).and_then(Pair::step) {
+            match action {
+                Action::Connect => self.connect(cores, idx),
+                Action::Migrate => self.migrate(cores, idx),
+                Action::Admin(line) => {
+                    let reply = self.admin(cores, idx, &line);
+                    if let Some(pair) = cores.get_mut(idx) {
+                        pair.reply(&reply);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Connects a routed pair to its ring-assigned backend. On failure the
+    /// client gets a final `ERR` and the pair winds down.
+    fn connect(&mut self, cores: &mut Cores<'_, Pair>, idx: usize) {
+        let Some(key) = cores.get_mut(idx).map(|p| p.key) else {
+            return;
+        };
+        let result = match self.owner(key) {
+            None => Err("no live backend".to_string()),
+            Some(target) => open_backend(self.addrs[target])
+                .and_then(|stream| cores.attach(idx, stream))
+                .map(|()| target)
+                .map_err(|_| format!("backend {} unavailable", self.addrs[target])),
+        };
+        if let Some(pair) = cores.get_mut(idx) {
+            match result {
+                Ok(target) => pair.link = Link::Up(target),
+                Err(why) => pair.fail(&why),
+            }
+        }
+    }
+
+    /// Pair `idx` is at its safe point with a drain pending. Either nothing
+    /// needs to move, or the snapshot/restore conversation goes to a helper
+    /// thread (the result comes back through the waker), or the migration
+    /// fails: the client gets a final `ERR` and the pair winds down —
+    /// losing state silently would be worse than losing the connection
+    /// loudly.
+    fn migrate(&mut self, cores: &mut Cores<'_, Pair>, idx: usize) {
+        let Some(pair) = cores.get_mut(idx) else {
+            return;
+        };
+        let Some(target) = self.owner(pair.key) else {
+            return self.fail_migration(cores, idx, "no live backend");
+        };
+        pair.migrate_pending = false;
+        let Link::Up(old) = pair.link else {
+            return;
+        };
+        if target == old {
+            return;
+        }
+        if pair.session_open && pair.info.is_none() {
+            let why = "session has no registry program (inline OPEN -); cannot migrate";
+            return self.fail_migration(cores, idx, why);
+        }
+        pair.link = Link::Moving(old);
+        pair.b_wr = WriteBuf::new();
+        let old_rd = std::mem::take(&mut pair.b_rd);
+        let (key, session_open, info) = (pair.key, pair.session_open, pair.info.clone());
+        let Some(old_stream) = cores.detach(idx) else {
+            return self.fail_migration(cores, idx, "backend gone");
+        };
+        // The blocking conversation (SNAPSHOT?/CLOSE on the old backend,
+        // RESTORE on the new) runs off-reactor, one thread per migrating
+        // pair: a slow backend stalls only its own pair, and concurrent
+        // drains proceed in parallel. The result returns via the waker.
+        let tx = self.mig_tx.clone();
+        let waker = self.waker.clone();
+        let target_addr = self.addrs[target];
+        std::thread::spawn(move || {
+            let result = migrate_conversation(old_stream, old_rd, session_open, info, target_addr);
+            let _ = tx.send(MigDone {
+                key,
+                target,
+                result,
+            });
+            let _ = waker.wake();
+        });
+    }
+
+    fn fail_migration(&mut self, cores: &mut Cores<'_, Pair>, idx: usize, why: &str) {
+        self.migration_failures += 1;
+        cores.detach(idx);
+        if let Some(pair) = cores.get_mut(idx) {
+            pair.fail(&format!("migration failed: {why}"));
+        }
+    }
+
+    /// One admin command; returns its reply. Takes the whole pair table
+    /// because `RING?` reports per-backend load and `DRAIN` walks every
+    /// routed pair.
+    fn admin(&mut self, cores: &mut Cores<'_, Pair>, idx: usize, line: &str) -> String {
+        let upper = line.to_ascii_uppercase();
+        if upper == "RING?" {
+            let mut out = format!("RING {}", self.addrs.len());
+            for (b, addr) in self.addrs.iter().enumerate() {
+                // A pair whose backend is in transit still counts against
+                // its old backend: `DRAIN` pollers must not see the ring
+                // empty before every migration has actually resolved.
+                let (mut pairs, mut sessions) = (0, 0);
+                for (_, p) in cores.iter() {
+                    if matches!(p.link, Link::Up(x) | Link::Moving(x) if x == b) {
+                        pairs += 1;
+                        sessions += usize::from(p.session_open);
+                    }
+                }
+                let live = self.live[b];
+                out += &format!(
+                    "\nbackend {b} addr={addr} live={live} pairs={pairs} sessions={sessions}"
+                );
+            }
+            out + "\nEND"
+        } else if let Some(arg) = upper.strip_prefix("DRAIN ") {
+            let Ok(b) = arg.trim().parse::<usize>() else {
+                return "ERR DRAIN wants a backend index".into();
+            };
+            if b >= self.live.len() {
+                return format!("ERR no backend {b} (have {})", self.live.len());
+            }
+            if self.live.iter().filter(|&&l| l).count() <= 1 && self.live[b] {
+                return "ERR cannot drain the last live backend".into();
+            }
+            self.live[b] = false;
+            let to_move: Vec<usize> = (cores.iter())
+                .filter(|&(j, p)| j != idx && p.link == Link::Up(b))
+                .map(|(j, _)| j)
+                .collect();
+            // Idle pairs start migrating right now (each on its own helper
+            // thread); busy ones follow at their next safe point.
+            for &j in &to_move {
+                if let Some(p) = cores.get_mut(j) {
+                    p.migrate_pending = true;
+                }
+                self.service(cores, j);
+                cores.touch(j);
+            }
+            format!("OK draining backend {b} pairs={}", to_move.len())
+        } else if upper == "STATS?" {
+            format!(
+                "RSTATS 3\npairs {}\nmigrations {}\nmigration_failures {}\nEND",
+                cores.iter().count(),
+                self.migrations,
+                self.migration_failures
+            )
+        } else if upper == "SHUTDOWN" {
+            // Forward to every backend — drained ones included; a dead ring
+            // entry is still a running process — then stop the router.
+            for addr in self.addrs.iter() {
+                if let Ok(mut s) = TcpStream::connect(addr) {
+                    let _ = s.set_write_timeout(Some(MIGRATE_IO));
+                    let _ = s.write_all(b"SHUTDOWN\n");
+                }
+            }
+            self.stop = true;
+            "OK router shutting down".into()
+        } else {
+            format!("ERR unknown admin command `{line}` (RING?|DRAIN <i>|STATS?|SHUTDOWN)")
+        }
+    }
+}
+
+fn open_backend(addr: SocketAddr) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    let _ = stream.set_nodelay(true);
+    stream.set_nonblocking(true)?;
+    Ok(stream)
+}
+
+/// What a pair asks of the router when it cannot go on by itself.
+#[derive(Debug, PartialEq, Eq)]
+enum Action {
+    /// The first routed line is queued for a backend: connect one.
+    Connect,
+    /// A drain is pending and the pair is at its safe point: move it.
+    Migrate,
+    /// An admin command, to be run against the whole pair table.
+    Admin(String),
+}
+
+/// One entry of the replies owed to the client, in request order.
+#[derive(Debug)]
 enum Tag {
     /// `OPEN`/`RESTORE`: on `OK`, a session exists; `Some` carries the
     /// registry program + matcher needed to migrate it, `None` marks an
@@ -381,508 +478,286 @@ enum Tag {
     /// `CLOSE`: on `OK`, the session is gone.
     Close,
     Other,
+    /// A router-originated reply, text and terminator: it leaves once
+    /// every reply owed before it has been relayed.
+    Reply(String),
 }
 
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 struct SessionInfo {
     program: String,
     matcher: Option<String>,
 }
 
+#[derive(Default)]
 enum PairKind {
     /// Nothing received yet: the first line picks admin or routed.
+    #[default]
     New,
     Admin,
     Routed,
 }
 
-struct Backend {
-    stream: TcpStream,
-    rd: LineBuf,
-    wr: WriteBuf,
-    interest: Interest,
+/// Where a pair's backend side is.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+enum Link {
+    /// No backend socket: not routed yet, or let go.
+    #[default]
+    Down,
+    /// A socket to backend `b` is attached.
+    Up(usize),
+    /// In transit from backend `b` on a helper thread; input waits in the
+    /// framer until the rebuilt backend lands.
+    Moving(usize),
 }
 
-struct Pair {
-    /// Ring key for placement; assigned at accept, stable for the
-    /// connection's life so migration lands deterministically.
+/// One client connection of the router, with no socket in it: client
+/// bytes in become framed lines for the backend, backend bytes in become
+/// relayed replies, both in order.
+#[derive(Default)]
+pub(crate) struct Pair {
+    /// Ring key for placement: the connection's id, stable for its life so
+    /// migration lands deterministically.
     key: u64,
     kind: PairKind,
-    client: TcpStream,
     /// Client→backend request framing (and the client's read buffer).
     framer: Framer,
     c_wr: WriteBuf,
-    c_interest: Interest,
-    backend: Option<Backend>,
-    backend_idx: usize,
-    /// Backend→client reply framing.
-    replies: ReplyFramer,
-    /// Requests forwarded whose replies have not yet fully returned.
-    in_flight: u64,
-    tags: VecDeque<Tag>,
+    link: Link,
+    b_rd: LineBuf,
+    b_wr: WriteBuf,
+    /// Where each backend reply ends.
+    relay: ReplyCounter,
+    /// Replies owed to the client: one per request forwarded, and the
+    /// router's own replies queued behind them. Empty at a safe point.
+    owed: VecDeque<Tag>,
     /// A session is open on the backend.
     session_open: bool,
     /// How to rebuild it elsewhere (`None` = non-migratable).
     info: Option<SessionInfo>,
-    /// Set by `DRAIN`; cleared when the session lands on a live backend.
+    /// Set by `DRAIN`; cleared at the safe point.
     migrate_pending: bool,
-    /// A helper thread is rebuilding the backend elsewhere; input waits
-    /// in `framer` until the result comes back through the waker.
-    migrating: bool,
     /// Client half-closed its write side: read no more, but keep routing
     /// the lines already buffered and flush their replies before closing.
     client_eof: bool,
-    /// Stop parsing client input (buffered lines drained after EOF,
-    /// migration failure, or router stop).
+    /// Stop parsing client input (buffered lines drained after EOF, a
+    /// failure, or router stop).
     stop_input: bool,
-    /// Backend side is gone; close after the client buffer flushes.
+    /// No more replies will come: close once the client buffer flushes.
     backend_gone: bool,
+    /// A buffer outgrew [`BUF_CAP`]: close without flushing.
     dead: bool,
 }
 
 impl Pair {
-    fn new(key: u64, client: TcpStream) -> Pair {
-        Pair {
-            key,
-            kind: PairKind::New,
-            client,
-            framer: Framer::new(),
-            c_wr: WriteBuf::new(),
-            c_interest: Interest::READABLE,
-            backend: None,
-            backend_idx: usize::MAX,
-            replies: ReplyFramer::new(),
-            in_flight: 0,
-            tags: VecDeque::new(),
-            session_open: false,
-            info: None,
-            migrate_pending: false,
-            migrating: false,
-            client_eof: false,
-            stop_input: false,
-            backend_gone: false,
-            dead: false,
+    fn moving(&self) -> bool {
+        matches!(self.link, Link::Moving(_))
+    }
+
+    /// Relays what the backend sent, then frames and routes what the
+    /// client sent, until the pair needs what only the router can do.
+    /// `None` once it waits on bytes (or on a migration).
+    fn step(&mut self) -> Option<Action> {
+        self.relay();
+        while !self.dead && !self.stop_input && !self.moving() {
+            if self.migrate_pending && self.framer.at_top() {
+                // Safe point: move before routing more. Short of it, hold
+                // new commands so the owed replies can drain and the safe
+                // point converges. (Mid multi-line body the lines keep
+                // flowing below so the command completes — holding its
+                // terminator would deadlock the drain against the
+                // backend's reply.)
+                return self.owed.is_empty().then_some(Action::Migrate);
+            }
+            let (line, request) = self.next_line()?;
+            match self.kind {
+                PairKind::New if line.trim().eq_ignore_ascii_case("ADMIN") => {
+                    self.kind = PairKind::Admin;
+                    self.reply("OK admin");
+                }
+                PairKind::New => {
+                    self.kind = PairKind::Routed;
+                    self.route(line, request);
+                    return Some(Action::Connect);
+                }
+                PairKind::Routed => self.route(line, request),
+                // The admin dialect only borrows the line splitting (and
+                // its length bound); what the framer makes of the line is
+                // not its business.
+                PairKind::Admin if line.trim().is_empty() => {}
+                PairKind::Admin => return Some(Action::Admin(line.trim().to_string())),
+            }
+        }
+        None
+    }
+
+    /// The next framed client line, if a whole one is buffered. Winds the
+    /// pair down when the client is done sending, or has sent a line over
+    /// the protocol's length cap.
+    fn next_line(&mut self) -> Option<(String, Option<Request>)> {
+        match self.framer.next_frame() {
+            Some(Framed::Line { line, request }) => Some((line, request)),
+            Some(Framed::TooLong) => {
+                self.reply("ERR line too long; closing");
+                self.stop_input = true;
+                None
+            }
+            None => {
+                if self.client_eof {
+                    self.stop_input = true;
+                }
+                None
+            }
         }
     }
 
-    /// Queues a router-originated reply to the client. Only used where no
-    /// backend replies are pending, so ordering holds.
-    fn reply(&mut self, line: &str) {
-        self.c_wr.push(line.as_bytes());
-        self.c_wr.push(b"\n");
+    /// Forwards one client line to the backend. `request` is what the line
+    /// completed, by the same framing the backend will apply to it: each
+    /// complete request is one reply owed, so the owed queue and the
+    /// session sniff stay in step with the server by construction.
+    fn route(&mut self, line: String, request: Option<Request>) {
+        let tag = match request {
+            // Part of a body still open, or a blank line: no reply owed.
+            None => None,
+            // One tenant must not kill every session on a shared backend.
+            Some(Request::Shutdown) => {
+                return self.reply("ERR SHUTDOWN not allowed through router (use ADMIN)");
+            }
+            // An inline program has no registry name to RESTORE from.
+            Some(Request::Open {
+                origin: Origin::Inline(_),
+                ..
+            }) => Some(Tag::Open(None)),
+            Some(Request::Open {
+                program, matcher, ..
+            }) => Some(Tag::Open(Some(SessionInfo { program, matcher }))),
+            Some(Request::Session(Command::Close)) => Some(Tag::Close),
+            Some(_) => Some(Tag::Other),
+        };
+        self.owed.extend(tag);
+        if self.b_wr.len() > BUF_CAP {
+            self.dead = true;
+            return;
+        }
+        self.b_wr.push(line.as_bytes());
+        self.b_wr.push(b"\n");
+    }
+
+    /// Passes every whole line the backend sent on to the client, keeping
+    /// none: the counter says where each reply ends.
+    fn relay(&mut self) {
+        while let Some(line) = self.b_rd.next_line() {
+            if self.c_wr.len() > BUF_CAP {
+                // Client is not draining; cut it off rather than buffer
+                // without bound.
+                self.dead = true;
+                return;
+            }
+            self.c_wr.push(line.as_bytes());
+            self.c_wr.push(b"\n");
+            if let Some(ok) = self.relay.push(&line) {
+                self.settle(ok);
+            }
+        }
+    }
+
+    /// One backend reply has been relayed: the oldest owed entry resolves
+    /// session state, and the router's replies queued behind it go out.
+    fn settle(&mut self, ok: bool) {
+        match self.owed.pop_front() {
+            Some(Tag::Open(info)) if ok => {
+                self.session_open = true;
+                self.info = info;
+            }
+            Some(Tag::Close) if ok => {
+                self.session_open = false;
+                self.info = None;
+            }
+            _ => {}
+        }
+        while let Some(Tag::Reply(_)) = self.owed.front() {
+            if let Some(Tag::Reply(text)) = self.owed.pop_front() {
+                self.c_wr.push(text.as_bytes());
+            }
+        }
+    }
+
+    /// A router-originated reply, in request order: straight out when
+    /// nothing is owed, otherwise behind every reply owed before it.
+    fn reply(&mut self, text: &str) {
+        if self.owed.is_empty() {
+            self.c_wr.push(text.as_bytes());
+            self.c_wr.push(b"\n");
+        } else {
+            self.owed.push_back(Tag::Reply(format!("{text}\n")));
+        }
+    }
+
+    /// Winds the pair down loudly: `ERR <why>` after the replies already
+    /// relayed, then close. The replies still owed will not come.
+    fn fail(&mut self, why: &str) {
+        self.owed.clear();
+        self.reply(&format!("ERR {why}"));
+        self.link = Link::Down;
+        self.migrate_pending = false;
+        self.stop_input = true;
+        self.backend_gone = true;
+    }
+}
+
+impl Core for Pair {
+    fn new(key: u64) -> Pair {
+        Pair {
+            key,
+            ..Pair::default()
+        }
+    }
+
+    fn read_from(&mut self, side: Side, r: &mut impl Read) -> io::Result<usize> {
+        match side {
+            Side::Client => self.framer.read_from(r),
+            Side::Backend => self.b_rd.read_from(r),
+        }
+    }
+
+    fn write_to(&mut self, side: Side, w: &mut impl Write) -> io::Result<usize> {
+        match side {
+            Side::Client => self.c_wr.write_to(w),
+            Side::Backend => self.b_wr.write_to(w),
+        }
+    }
+
+    fn wants_read(&self, side: Side) -> bool {
+        match side {
+            Side::Client => {
+                !self.stop_input && !self.client_eof && self.framer.buffered() <= BUF_CAP
+            }
+            Side::Backend => true,
+        }
+    }
+
+    fn wants_write(&self, side: Side) -> bool {
+        match side {
+            Side::Client => !self.c_wr.is_empty(),
+            Side::Backend => !self.b_wr.is_empty(),
+        }
+    }
+
+    fn close_input(&mut self) {
+        self.stop_input = true;
+    }
+
+    /// The lines already read are still relayed (the next [`Pair::step`]).
+    fn backend_lost(&mut self) {
+        self.link = Link::Down;
+        self.stop_input = true;
+        self.backend_gone = true;
     }
 
     fn finished(&self) -> bool {
         self.dead
-            || (self.stop_input && self.c_wr.is_empty() && self.in_flight == 0)
-            || (self.backend_gone && self.backend.is_none() && self.c_wr.is_empty())
-    }
-}
-
-/// Drains readable client bytes into the pair's line buffer.
-fn client_read(pair: &mut Pair) {
-    for _ in 0..8 {
-        if pair.framer.buffered() > BUF_CAP {
-            break;
-        }
-        match pair.framer.read_from(&mut pair.client) {
-            Ok(0) => {
-                // Client finished sending. Commands already buffered
-                // still execute and their replies still flush — a
-                // pipelining client that half-closes its write side gets
-                // everything it would get on a direct connection; the
-                // pair winds down afterwards (service_pair/finished).
-                pair.client_eof = true;
-                break;
-            }
-            Ok(n) => {
-                if n < 4096 {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                pair.dead = true;
-                break;
-            }
-        }
-    }
-}
-
-/// Drains readable backend bytes and relays completed reply lines.
-fn backend_read(pair: &mut Pair) {
-    let Some(b) = pair.backend.as_mut() else {
-        return;
-    };
-    for _ in 0..8 {
-        match b.rd.read_from(&mut b.stream) {
-            Ok(0) => {
-                pair.backend_gone = true;
-                break;
-            }
-            Ok(n) => {
-                if n < 4096 {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                pair.backend_gone = true;
-                break;
-            }
-        }
-    }
-    while let Some(line) = pair.backend.as_mut().and_then(|b| b.rd.next_line()) {
-        if pair.c_wr.len() > BUF_CAP {
-            // Client is not draining; cut it off rather than buffer
-            // without bound.
-            pair.dead = true;
-            return;
-        }
-        pair.c_wr.push(line.as_bytes());
-        pair.c_wr.push(b"\n");
-        if let Some(reply) = pair.replies.push(line) {
-            complete_reply(pair, &reply);
-        }
-    }
-    if pair.backend_gone {
-        // Drop the dead backend; the pair closes once the client buffer
-        // flushes (finished()).
-        pair.backend = None;
-    }
-}
-
-/// Bookkeeping when one full reply has been relayed: the in-flight count
-/// drops and the oldest tag resolves session state.
-fn complete_reply(pair: &mut Pair, reply: &Reply) {
-    pair.in_flight = pair.in_flight.saturating_sub(1);
-    let ok = matches!(reply, Reply::Ok(_));
-    match pair.tags.pop_front() {
-        Some(Tag::Open(info)) => {
-            if ok {
-                pair.session_open = true;
-                pair.info = info;
-            }
-        }
-        Some(Tag::Close) => {
-            if ok {
-                pair.session_open = false;
-                pair.info = None;
-            }
-        }
-        Some(Tag::Other) | None => {}
-    }
-}
-
-/// Parses whatever complete lines a pair has buffered. Routed pairs
-/// forward with framing; admin pairs execute commands against the ring.
-fn service_pair(pairs: &mut [Option<Pair>], idx: usize, state: &mut State, poll: &Poll) {
-    // First line decides the dialect.
-    {
-        let Some(pair) = pairs[idx].as_mut() else {
-            return;
-        };
-        if matches!(pair.kind, PairKind::New) {
-            let Some((line, request)) = next_line(pair) else {
-                return;
-            };
-            if line.trim().eq_ignore_ascii_case("ADMIN") {
-                pair.kind = PairKind::Admin;
-                pair.reply("OK admin");
-            } else {
-                pair.kind = PairKind::Routed;
-                if !connect_backend(pair, idx, state, poll) {
-                    return;
-                }
-                route(pair, line, request);
-            }
-        }
-    }
-    loop {
-        let Some(pair) = pairs[idx].as_mut() else {
-            return;
-        };
-        if pair.dead || pair.stop_input {
-            return;
-        }
-        match pair.kind {
-            PairKind::New => return,
-            PairKind::Routed => {
-                // Backend in transit on a helper thread: lines wait in
-                // the read buffer until the rebuilt backend lands.
-                if pair.migrating {
-                    return;
-                }
-                if pair.migrate_pending {
-                    let at_top = pair.framer.at_top();
-                    if at_top && pair.in_flight == 0 {
-                        // Safe point: hand the backend to a helper thread
-                        // (or resolve trivially) before routing more.
-                        if !try_migrate(pair, idx, state, poll) {
-                            return;
-                        }
-                    } else if at_top {
-                        // Hold new commands so the in-flight replies can
-                        // drain and the safe point converges.
-                        return;
-                    }
-                    // Mid multi-line body: keep forwarding below so the
-                    // command completes — holding its terminator would
-                    // deadlock the drain against the backend's reply.
-                }
-                let Some((line, request)) = next_line(pair) else {
-                    return;
-                };
-                route(pair, line, request);
-            }
-            PairKind::Admin => {
-                // The admin dialect only borrows the line splitting (and
-                // its length bound); what the framer makes of the line is
-                // not its business.
-                let Some((line, _)) = next_line(pair) else {
-                    return;
-                };
-                admin_line(pairs, idx, state, poll, line);
-            }
-        }
-    }
-}
-
-/// Connects a routed pair to its ring-assigned backend. On failure the
-/// client gets a final `ERR` and the pair winds down.
-fn connect_backend(pair: &mut Pair, idx: usize, state: &mut State, poll: &Poll) -> bool {
-    let Some(target) = state
-        .ring
-        .lookup(fnv1a(&pair.key.to_le_bytes()), &state.live)
-    else {
-        pair.reply("ERR no live backend");
-        pair.stop_input = true;
-        pair.backend_gone = true;
-        return false;
-    };
-    match open_backend(state.addrs[target]) {
-        Ok(b) => {
-            if poll
-                .register(
-                    b.stream.as_raw_fd(),
-                    Token(PAIR_BASE + 2 * idx + 1),
-                    Interest::READABLE,
-                )
-                .is_err()
-            {
-                pair.reply("ERR backend unavailable");
-                pair.stop_input = true;
-                pair.backend_gone = true;
-                return false;
-            }
-            pair.backend = Some(b);
-            pair.backend_idx = target;
-            true
-        }
-        Err(_) => {
-            pair.reply(&format!("ERR backend {} unavailable", state.addrs[target]));
-            pair.stop_input = true;
-            pair.backend_gone = true;
-            false
-        }
-    }
-}
-
-fn open_backend(addr: SocketAddr) -> io::Result<Backend> {
-    let stream = TcpStream::connect(addr)?;
-    let _ = stream.set_nodelay(true);
-    stream.set_nonblocking(true)?;
-    Ok(Backend {
-        stream,
-        rd: LineBuf::new(),
-        wr: WriteBuf::new(),
-        interest: Interest::READABLE,
-    })
-}
-
-/// The next framed client line, if a whole one is buffered. Winds the
-/// pair down when the client is done sending, or has sent a line over the
-/// protocol's length cap. (That `ERR` is router-originated, so like the
-/// `SHUTDOWN` refusal it can overtake replies still in flight.)
-fn next_line(pair: &mut Pair) -> Option<(String, Option<Request>)> {
-    match pair.framer.next_frame() {
-        Some(Framed::Line { line, request }) => Some((line, request)),
-        Some(Framed::TooLong) => {
-            pair.reply("ERR line too long; closing");
-            pair.stop_input = true;
-            None
-        }
-        None => {
-            if pair.client_eof {
-                pair.stop_input = true;
-            }
-            None
-        }
-    }
-}
-
-/// Forwards one client line to the backend. `request` is what the line
-/// completed, by the same framing the backend will apply to it: each
-/// complete request is one reply owed, so the in-flight count and the
-/// session sniff stay in step with the server by construction.
-fn route(pair: &mut Pair, line: String, request: Option<Request>) {
-    let tag = match request {
-        // Part of a body still open, or a blank line: no reply owed.
-        None => None,
-        Some(Request::Shutdown) => {
-            // One tenant must not kill every session on a shared
-            // backend. (Router-originated reply: safe only because
-            // a well-behaved client has drained earlier replies;
-            // a pipelined SHUTDOWN may see it early.)
-            pair.reply("ERR SHUTDOWN not allowed through router (use ADMIN)");
-            return;
-        }
-        // An inline program has no registry name to RESTORE from.
-        Some(Request::Open {
-            origin: Origin::Inline(_),
-            ..
-        }) => Some(Tag::Open(None)),
-        Some(Request::Open {
-            program, matcher, ..
-        }) => Some(Tag::Open(Some(SessionInfo { program, matcher }))),
-        Some(Request::Session(Command::Close)) => Some(Tag::Close),
-        Some(_) => Some(Tag::Other),
-    };
-    if let Some(tag) = tag {
-        pair.in_flight += 1;
-        pair.tags.push_back(tag);
-    }
-    forward(pair, &line);
-}
-
-fn forward(pair: &mut Pair, line: &str) {
-    if let Some(b) = pair.backend.as_mut() {
-        if b.wr.len() > BUF_CAP {
-            pair.dead = true;
-            return;
-        }
-        b.wr.push(line.as_bytes());
-        b.wr.push(b"\n");
-    }
-}
-
-/// One admin command. Takes the whole pair table because `RING?` reports
-/// per-backend load and `DRAIN` walks every routed pair.
-fn admin_line(
-    pairs: &mut [Option<Pair>],
-    idx: usize,
-    state: &mut State,
-    poll: &Poll,
-    line: String,
-) {
-    let line = line.trim().to_string();
-    if line.is_empty() {
-        return;
-    }
-    let upper = line.to_ascii_uppercase();
-    if upper == "RING?" {
-        let mut out: Vec<String> = Vec::new();
-        for (b, addr) in state.addrs.iter().enumerate() {
-            let mut pairs_on = 0usize;
-            let mut sessions_on = 0usize;
-            for p in pairs.iter().flatten() {
-                // A pair whose backend is in transit still counts against
-                // its old backend: `DRAIN` pollers must not see the ring
-                // empty before every migration has actually resolved.
-                if (p.backend.is_some() || p.migrating) && p.backend_idx == b {
-                    pairs_on += 1;
-                    if p.session_open {
-                        sessions_on += 1;
-                    }
-                }
-            }
-            out.push(format!(
-                "backend {b} addr={addr} live={} pairs={pairs_on} sessions={sessions_on}",
-                state.live[b]
-            ));
-        }
-        let pair = pairs[idx].as_mut().expect("admin pair");
-        pair.reply(&format!("RING {}", out.len()));
-        for l in &out {
-            pair.reply(l);
-        }
-        pair.reply("END");
-    } else if let Some(arg) = upper.strip_prefix("DRAIN ") {
-        let Ok(b) = arg.trim().parse::<usize>() else {
-            pairs[idx]
-                .as_mut()
-                .unwrap()
-                .reply("ERR DRAIN wants a backend index");
-            return;
-        };
-        if b >= state.live.len() {
-            pairs[idx]
-                .as_mut()
-                .unwrap()
-                .reply(&format!("ERR no backend {b} (have {})", state.live.len()));
-            return;
-        }
-        if state.live.iter().filter(|&&l| l).count() <= 1 && state.live[b] {
-            pairs[idx]
-                .as_mut()
-                .unwrap()
-                .reply("ERR cannot drain the last live backend");
-            return;
-        }
-        state.live[b] = false;
-        let mut marked = 0usize;
-        let to_move: Vec<usize> = pairs
-            .iter()
-            .enumerate()
-            .filter_map(|(j, p)| {
-                let p = p.as_ref()?;
-                (j != idx && p.backend.is_some() && p.backend_idx == b).then_some(j)
-            })
-            .collect();
-        for j in &to_move {
-            if let Some(p) = pairs[*j].as_mut() {
-                p.migrate_pending = true;
-                marked += 1;
-            }
-        }
-        pairs[idx]
-            .as_mut()
-            .unwrap()
-            .reply(&format!("OK draining backend {b} pairs={marked}"));
-        // Idle pairs start migrating right now (each on its own helper
-        // thread); busy ones follow at their next safe point.
-        for j in to_move {
-            let Some(p) = pairs[j].as_mut() else { continue };
-            if p.migrate_pending {
-                try_migrate(p, j, state, poll);
-            }
-        }
-    } else if upper == "STATS?" {
-        let open = pairs.iter().flatten().count();
-        let pair = pairs[idx].as_mut().expect("admin pair");
-        pair.reply("RSTATS 3");
-        pair.reply(&format!("pairs {open}"));
-        pair.reply(&format!("migrations {}", state.migrations));
-        pair.reply(&format!("migration_failures {}", state.migration_failures));
-        pair.reply("END");
-    } else if upper == "SHUTDOWN" {
-        // Forward to every backend — drained ones included; a dead ring
-        // entry is still a running process — then stop the router.
-        for addr in state.addrs.iter() {
-            if let Ok(mut s) = TcpStream::connect(addr) {
-                let _ = s.set_write_timeout(Some(MIGRATE_IO));
-                let _ = s.write_all(b"SHUTDOWN\n");
-            }
-        }
-        let pair = pairs[idx].as_mut().expect("admin pair");
-        pair.reply("OK router shutting down");
-        state.stop = true;
-    } else {
-        pairs[idx].as_mut().unwrap().reply(&format!(
-            "ERR unknown admin command `{line}` (RING?|DRAIN <i>|STATS?|SHUTDOWN)"
-        ));
+            || (self.c_wr.is_empty()
+                && (self.backend_gone || (self.stop_input && self.owed.is_empty())))
     }
 }
 
@@ -901,68 +776,6 @@ fn blocking_reply(stream: &mut TcpStream, buf: &mut LineBuf) -> Result<Reply, St
             Err(e) => return Err(format!("backend read: {e}")),
         }
     }
-}
-
-/// Attempts the pending migration at a safe point (no requests in flight,
-/// top-level framing). Returns true when the pending flag cleared without
-/// leaving the reactor — nothing needed to move. Otherwise returns false:
-/// either the snapshot/restore conversation was handed to a helper thread
-/// (`migrating` set; the result comes back through the waker) or the
-/// migration failed, the client got a final `ERR`, and the pair winds
-/// down — losing state silently would be worse than losing the
-/// connection loudly.
-fn try_migrate(pair: &mut Pair, idx: usize, state: &mut State, poll: &Poll) -> bool {
-    if pair.in_flight > 0 || !pair.framer.at_top() || pair.migrating {
-        return false;
-    }
-    let Some(target) = state
-        .ring
-        .lookup(fnv1a(&pair.key.to_le_bytes()), &state.live)
-    else {
-        fail_migration(pair, state, "no live backend");
-        return false;
-    };
-    let Some(old) = pair.backend.take() else {
-        pair.migrate_pending = false;
-        return true;
-    };
-    if target == pair.backend_idx {
-        pair.backend = Some(old);
-        pair.migrate_pending = false;
-        return true;
-    }
-    if pair.session_open && pair.info.is_none() {
-        fail_migration(
-            pair,
-            state,
-            "session has no registry program (inline OPEN -); cannot migrate",
-        );
-        return false;
-    }
-    let _ = poll.deregister(old.stream.as_raw_fd());
-    pair.migrate_pending = false;
-    pair.migrating = true;
-    // The blocking conversation (SNAPSHOT?/CLOSE on the old backend,
-    // RESTORE on the new) runs off-reactor, one thread per migrating
-    // pair: a slow backend stalls only its own pair, and concurrent
-    // drains proceed in parallel. The result returns via the waker.
-    let tx = state.mig_tx.clone();
-    let waker = state.mig_waker.clone();
-    let target_addr = state.addrs[target];
-    let session_open = pair.session_open;
-    let info = pair.info.clone();
-    let key = pair.key;
-    std::thread::spawn(move || {
-        let result = migrate_conversation(old.stream, old.rd, session_open, info, target_addr);
-        let _ = tx.send(MigDone {
-            idx,
-            key,
-            target,
-            result,
-        });
-        let _ = waker.wake();
-    });
-    false
 }
 
 /// The blocking half of a migration: capture the session from the
@@ -1004,13 +817,11 @@ fn migrate_conversation(
     let mut nrd = LineBuf::new();
     if let Some(body) = snapshot {
         let info = info.as_ref().expect("checked migratable");
-        let mut req = format!("RESTORE {}", info.program);
-        if let Some(m) = &info.matcher {
-            req.push(' ');
-            req.push_str(m);
-        }
-        req.push('\n');
-        let mut payload = req;
+        let matcher = info
+            .matcher
+            .as_ref()
+            .map_or(String::new(), |m| format!(" {m}"));
+        let mut payload = format!("RESTORE {}{matcher}\n", info.program);
         for l in &body {
             payload.push_str(l);
             payload.push('\n');
@@ -1030,62 +841,170 @@ fn migrate_conversation(
     Ok((ns, nrd))
 }
 
-fn fail_migration(pair: &mut Pair, state: &mut State, why: &str) {
-    state.migration_failures += 1;
-    pair.migrating = false;
-    pair.reply(&format!("ERR migration failed: {why}"));
-    pair.migrate_pending = false;
-    pair.stop_input = true;
-    pair.backend_gone = true;
-    pair.backend = None;
-}
-
-/// Flushes both write buffers and keeps epoll interest in sync.
-fn pump_pair(pair: &mut Pair, idx: usize, poll: &Poll) {
-    if !pair.c_wr.is_empty() && pair.c_wr.write_to(&mut pair.client).is_err() {
-        pair.dead = true;
-    }
-    if let Some(b) = pair.backend.as_mut() {
-        if !b.wr.is_empty() && b.wr.write_to(&mut b.stream).is_err() {
-            pair.backend_gone = true;
-            pair.backend = None;
-        }
-    }
-    if pair.dead {
-        return;
-    }
-    let mut want = Interest::NONE;
-    if !pair.stop_input && !pair.client_eof && pair.framer.buffered() <= BUF_CAP {
-        want = want | Interest::READABLE;
-    }
-    if !pair.c_wr.is_empty() {
-        want = want | Interest::WRITABLE;
-    }
-    if want != pair.c_interest
-        && poll
-            .reregister(pair.client.as_raw_fd(), Token(PAIR_BASE + 2 * idx), want)
-            .is_ok()
-    {
-        pair.c_interest = want;
-    }
-    if let Some(b) = pair.backend.as_mut() {
-        let mut want = Interest::READABLE;
-        if !b.wr.is_empty() {
-            want = want | Interest::WRITABLE;
-        }
-        if want != b.interest
-            && poll
-                .reregister(b.stream.as_raw_fd(), Token(PAIR_BASE + 2 * idx + 1), want)
-                .is_ok()
-        {
-            b.interest = want;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Delivers `bytes` to `side` of a socket-free pair, then steps it,
+    /// standing in for the router: a `Connect` attaches backend 0, and a
+    /// `Migrate` is returned, not carried out. Returns the actions asked for.
+    fn feed(p: &mut Pair, side: Side, mut bytes: &[u8]) -> Vec<Action> {
+        while !bytes.is_empty() {
+            p.read_from(side, &mut bytes).unwrap();
+        }
+        let mut actions = Vec::new();
+        while let Some(action) = p.step() {
+            if action == Action::Connect {
+                p.link = Link::Up(0);
+            }
+            let migrate = action == Action::Migrate;
+            actions.push(action);
+            if migrate {
+                break;
+            }
+        }
+        actions
+    }
+
+    /// The bytes the pair would write to `side` now.
+    fn sent(p: &mut Pair, side: Side) -> String {
+        let mut out = Vec::new();
+        p.write_to(side, &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    const OPENED: &str = "OK session 1 program=blocks matcher=psm\n";
+
+    #[test]
+    fn a_pipelined_refusal_comes_back_in_request_order() {
+        let mut p = Pair::new(1);
+        let wire = b"OPEN hanoi vs2\nRUN 1000\nSHUTDOWN\nSTATS?\n";
+        assert_eq!(feed(&mut p, Side::Client, wire), [Action::Connect]);
+        assert_eq!(
+            sent(&mut p, Side::Backend),
+            "OPEN hanoi vs2\nRUN 1000\nSTATS?\n"
+        );
+        // The refusal waits for the two replies owed before it.
+        assert_eq!(sent(&mut p, Side::Client), "");
+        feed(
+            &mut p,
+            Side::Backend,
+            b"OK session 1 program=hanoi matcher=vs2\n",
+        );
+        assert_eq!(
+            sent(&mut p, Side::Client),
+            "OK session 1 program=hanoi matcher=vs2\n"
+        );
+        feed(&mut p, Side::Backend, b"OK cycles=5 reason=halt\n");
+        assert_eq!(
+            sent(&mut p, Side::Client),
+            "OK cycles=5 reason=halt\nERR SHUTDOWN not allowed through router (use ADMIN)\n"
+        );
+        feed(&mut p, Side::Backend, b"OK program=hanoi\n");
+        assert_eq!(sent(&mut p, Side::Client), "OK program=hanoi\n");
+        assert!(p.owed.is_empty() && p.session_open);
+
+        // `ERR line too long` is router-originated too.
+        let mut p = Pair::new(2);
+        let mut wire = b"OPEN hanoi vs2\n".to_vec();
+        wire.extend(std::iter::repeat_n(
+            b'x',
+            crate::protocol::MAX_LINE_BYTES + 1,
+        ));
+        wire.push(b'\n');
+        assert_eq!(feed(&mut p, Side::Client, &wire), [Action::Connect]);
+        assert_eq!(sent(&mut p, Side::Client), "");
+        assert!(!p.finished(), "the OPEN's reply is still owed");
+        feed(&mut p, Side::Backend, OPENED.as_bytes());
+        assert_eq!(
+            sent(&mut p, Side::Client),
+            "OK session 1 program=blocks matcher=psm\nERR line too long; closing\n"
+        );
+        assert!(p.finished());
+    }
+
+    #[test]
+    fn a_long_body_is_relayed_without_being_kept() {
+        let mut p = Pair::new(1);
+        feed(&mut p, Side::Client, b"OPEN blocks psm\nFIRED?\nSHUTDOWN\n");
+        feed(&mut p, Side::Backend, OPENED.as_bytes());
+        sent(&mut p, Side::Client);
+        // Body lines that read like a terminator or a reply are counted,
+        // not taken for one.
+        let mut body = "FIRED 10000\n".to_string();
+        for i in 0..10_000 {
+            body += [&format!("{i} r 1 2"), "END", "OK 3"][i % 3];
+            body.push('\n');
+        }
+        body += "END\n";
+        let mut relayed = String::new();
+        for chunk in body.as_bytes().chunks(4096) {
+            assert_eq!(p.owed.len(), 2, "FIRED? and the refusal are owed");
+            feed(&mut p, Side::Backend, chunk);
+            relayed += &sent(&mut p, Side::Client);
+        }
+        let refusal = "ERR SHUTDOWN not allowed through router (use ADMIN)\n";
+        assert_eq!(relayed, body + refusal);
+        assert!(p.owed.is_empty());
+        assert_eq!(p.relay, ReplyCounter::default());
+        assert!(p.b_rd.is_empty());
+    }
+
+    #[test]
+    fn a_drain_mid_batch_reaches_its_safe_point_after_end_and_its_reply() {
+        let mut p = Pair::new(1);
+        feed(&mut p, Side::Client, b"OPEN blocks psm\n");
+        feed(&mut p, Side::Backend, OPENED.as_bytes());
+        assert!(p.session_open);
+        feed(&mut p, Side::Client, b"BATCH\nASSERT block ^name a\n");
+        p.migrate_pending = true;
+        // Mid-body: the body keeps flowing, and `END` with it.
+        assert_eq!(feed(&mut p, Side::Client, b"END\nRUN 5\n"), []);
+        assert_eq!(
+            sent(&mut p, Side::Backend),
+            "OPEN blocks psm\nBATCH\nASSERT block ^name a\nEND\n"
+        );
+        // The next command is held until the batch's reply is relayed.
+        assert_eq!(feed(&mut p, Side::Backend, b"OK 1\n"), [Action::Migrate]);
+        assert_eq!(sent(&mut p, Side::Client), format!("{OPENED}OK 1\n"));
+        assert_eq!(sent(&mut p, Side::Backend), "");
+        // Nothing had to move: routing resumes where it stopped.
+        p.migrate_pending = false;
+        assert_eq!(feed(&mut p, Side::Client, b""), []);
+        assert_eq!(sent(&mut p, Side::Backend), "RUN 5\n");
+    }
+
+    #[test]
+    fn a_half_closed_client_still_gets_its_pipelined_replies() {
+        let mut p = Pair::new(1);
+        feed(
+            &mut p,
+            Side::Client,
+            b"OPEN blocks psm\nRUN 0\nSTATS?\nCLOSE\n",
+        );
+        p.client_eof = true;
+        feed(&mut p, Side::Client, b"");
+        assert!(!p.wants_read(Side::Client));
+        assert_eq!(p.owed.len(), 4);
+        assert!(!p.finished());
+        let replies = "OK session 1 program=blocks matcher=psm\nOK cycles=0 reason=settled\n\
+                       OK program=blocks\nOK closed\n";
+        feed(&mut p, Side::Backend, replies.as_bytes());
+        assert_eq!(sent(&mut p, Side::Client), replies);
+        assert!(p.finished() && !p.session_open);
+    }
+
+    #[test]
+    fn a_refused_inline_open_counts_as_one_reply() {
+        let mut p = Pair::new(1);
+        let wire = b"OPEN - nosuch\n(literalize a x)\nRUN 1\nEND\nSTATS?\n";
+        assert_eq!(feed(&mut p, Side::Client, wire), [Action::Connect]);
+        assert_eq!(p.owed.len(), 2, "the OPEN with its body, and STATS?");
+        let replies = "ERR unknown matcher `nosuch`\nERR no open session\n";
+        feed(&mut p, Side::Backend, replies.as_bytes());
+        assert_eq!(sent(&mut p, Side::Client), replies);
+        assert!(p.owed.is_empty() && !p.session_open);
+    }
 
     #[test]
     fn ring_is_deterministic_and_covers_all_backends() {

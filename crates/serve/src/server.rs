@@ -3,15 +3,17 @@
 //!
 //! A connection's protocol state lives in the socket-free core (`conn`,
 //! over [`crate::protocol::Framer`]); the one epoll thread that moves bytes
-//! between sockets and cores is `server_nb`. What is left here is what they
-//! both need: session construction for `OPEN`/`RESTORE` and the `METRICS?`
-//! text.
+//! between sockets and cores is the `driver`, which this module plugs the
+//! core into. What is left here is what they both need: session
+//! construction for `OPEN`/`RESTORE` and the `METRICS?` text.
 //!
 //! Shutdown: `SHUTDOWN` stops the accept loop, connections wind down after
 //! flushing queued replies, and the pool drains every queued command
 //! before its workers exit.
 
-use crate::pool::{Pool, PoolStats, Priority, SessionSlot};
+use crate::conn::Conn;
+use crate::driver::{self, Core, Cores, Service};
+use crate::pool::{Completions, Pool, PoolStats, Priority, SessionSlot};
 use crate::protocol::{Origin, Reply};
 use crate::registry::{matcher_kind, ProgramSpec, Registry};
 use crate::session::{JournalCounters, Session};
@@ -255,7 +257,20 @@ impl Server {
             let shared = self.shared.clone();
             std::thread::spawn(move || serve_metrics_http(l, &shared))
         });
-        let result = crate::server_nb::run(self.listener, &self.shared);
+        let shared = &self.shared;
+        let result = driver::run(self.listener, shared.counters.as_ref(), |waker| {
+            let writes = shared.counters.as_ref().map(|c| c.eventfd_writes.clone());
+            Front {
+                shared,
+                // Workers hand replies back through the waker.
+                completions: Arc::new(Completions::new(move || {
+                    if let Some(w) = &writes {
+                        w.inc();
+                    }
+                    let _ = waker.wake();
+                })),
+            }
+        });
         // The metrics responder polls the stop flag; set it on the error
         // path too.
         self.shared.stop.store(true, Ordering::SeqCst);
@@ -280,6 +295,44 @@ impl Server {
 
     pub fn pool_stats(&self) -> PoolStats {
         self.shared.pool.stats()
+    }
+}
+
+/// The server as the driver sees it: a [`Conn`] per connection, pool
+/// completions as the results made elsewhere.
+struct Front<'a> {
+    shared: &'a Shared,
+    completions: Arc<Completions>,
+}
+
+impl Service for Front<'_> {
+    type Core = Conn;
+    /// After `SHUTDOWN`, how long connections get to flush queued replies.
+    const GRACE: Duration = Duration::from_secs(10);
+
+    fn input(&mut self, cores: &mut Cores<'_, Conn>, idx: usize, client_eof: bool) {
+        if let Some(conn) = cores.get_mut(idx) {
+            conn.process(self.shared, &self.completions);
+            if client_eof {
+                conn.close_input();
+            }
+        }
+    }
+
+    /// Routes worker replies to the cores that are waiting for them.
+    fn external(&mut self, cores: &mut Cores<'_, Conn>) {
+        for (cid, seq, reply) in self.completions.drain() {
+            if let Some(idx) = cores.find(cid) {
+                if let Some(conn) = cores.get_mut(idx) {
+                    conn.complete(seq, reply, self.shared);
+                    cores.touch(idx);
+                }
+            }
+        }
+    }
+
+    fn stopping(&self) -> bool {
+        self.shared.stop.load(Ordering::SeqCst)
     }
 }
 
