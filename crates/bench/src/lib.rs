@@ -20,7 +20,7 @@ use psm::trace::RunTrace;
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use workloads::{rubik, tourney, weaver, MatcherChoice, Workload};
+use workloads::{rubik, tourney, weaver, Workload};
 
 /// The paper's process counts ("1+k" columns of Tables 4-5..4-8).
 pub const PROC_COLUMNS: [usize; 6] = [1, 3, 5, 7, 11, 13];
@@ -102,8 +102,8 @@ fn run_validated(w: &Workload, eng: &mut Engine) -> Result<Duration> {
 
 /// Runs a workload under a matcher, returning wall-clock time and the
 /// engine (for statistics).
-pub fn timed_run(w: &Workload, choice: &MatcherChoice) -> Result<(Duration, Engine)> {
-    let mut eng = paper_engine(w, choice.kind())?;
+pub fn timed_run(w: &Workload, kind: &MatcherKind) -> Result<(Duration, Engine)> {
+    let mut eng = paper_engine(w, kind.clone())?;
     let elapsed = run_validated(w, &mut eng)?;
     Ok((elapsed, eng))
 }

@@ -17,12 +17,14 @@ use crate::{
     header, millis, paper_engine, programs, record_trace, record_trace_with_lines, secs, sim,
     timed_run, tourney_bench, tourney_fixed_bench, PROC_COLUMNS, QUEUE_COLUMNS,
 };
+use engine::MatcherKind;
 use multimax::{simulate, SimConfig};
 use psm::line::LockScheme;
 use psm::trace::CostModel;
+use rete::HashMemConfig;
 use std::io::{self, Write};
 use std::time::Instant;
-use workloads::{MatcherChoice, Workload};
+use workloads::Workload;
 
 /// A table: writes itself to `out`.
 pub type Table = fn(&mut dyn Write) -> io::Result<()>;
@@ -76,8 +78,9 @@ pub fn table_4_1(out: &mut dyn Write) -> io::Result<()> {
         "PROGRAM", "VS1 (s)", "VS2 (s)", "vs1/vs2", "WM-changes", "activations", "avg-task(op)"
     )?;
     for (name, make) in programs() {
-        let (t1, _e1) = timed_run(&make(), &MatcherChoice::Vs1).expect("vs1 run");
-        let (t2, e2) = timed_run(&make(), &MatcherChoice::Vs2).expect("vs2 run");
+        let (t1, _e1) = timed_run(&make(), &MatcherKind::Vs1).expect("vs1 run");
+        let (t2, e2) =
+            timed_run(&make(), &MatcherKind::Vs2(HashMemConfig::PAPER)).expect("vs2 run");
         let stats = e2.match_stats();
         // §5: "average length of the individual tasks ... varies between
         // 100-700 machine instructions"; we report the cost-model units.
@@ -125,8 +128,8 @@ fn memory_table(
         "PROGRAM", "lin mem", "hash mem", "lin mem", "hash mem"
     )?;
     for (name, make) in programs() {
-        let (_t, e1) = timed_run(&make(), &MatcherChoice::Vs1).expect("vs1");
-        let (_t, e2) = timed_run(&make(), &MatcherChoice::Vs2).expect("vs2");
+        let (_t, e1) = timed_run(&make(), &MatcherKind::Vs1).expect("vs1");
+        let (_t, e2) = timed_run(&make(), &MatcherKind::Vs2(HashMemConfig::PAPER)).expect("vs2");
         let (l1, r1) = cells(&e1.match_stats());
         let (l2, r2) = cells(&e2.match_stats());
         writeln!(
@@ -184,8 +187,8 @@ pub fn table_4_4(out: &mut dyn Write) -> io::Result<()> {
     /// Runs per cell; the fastest is reported (hosts have slow phases, and
     /// a vs2 run of Rubik takes about a millisecond).
     const RUNS: usize = 5;
-    fn best(make: fn() -> Workload, choice: MatcherChoice) -> std::time::Duration {
-        let run = || timed_run(&make(), &choice).expect("table 4-4 run").0;
+    fn best(make: fn() -> Workload, kind: MatcherKind) -> std::time::Duration {
+        let run = || timed_run(&make(), &kind).expect("table 4-4 run").0;
         (0..RUNS).map(|_| run()).min().expect("RUNS > 0")
     }
 
@@ -199,8 +202,8 @@ pub fn table_4_4(out: &mut dyn Write) -> io::Result<()> {
         "PROGRAM", "VS-lisp (ms)", "VS2 (ms)", "speed-up"
     )?;
     for (name, make) in programs() {
-        let tl = best(make, MatcherChoice::Lisp);
-        let t2 = best(make, MatcherChoice::Vs2);
+        let tl = best(make, MatcherKind::Lisp);
+        let t2 = best(make, MatcherKind::Vs2(HashMemConfig::PAPER));
         writeln!(
             out,
             "{:<10} {:>13} {:>10} {:>10.1}",

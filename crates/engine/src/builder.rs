@@ -40,8 +40,8 @@ pub enum MatcherKind {
     /// PSM-E: the parallel matcher (threads, queues, and line locks per the
     /// config).
     Psm(psm::PsmConfig),
-    /// col: the set-at-a-time matcher (whole-batch join sweeps over vs2's
-    /// hash-line memories).
+    /// col: vs2's kernel with the default table under its own name
+    /// (`rete::colmatch`).
     Col,
     /// The sequential trace recorder feeding the Multimax simulator.
     Trace {

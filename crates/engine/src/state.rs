@@ -9,8 +9,8 @@
 //! matcher internals: Rete memories are a pure function of the
 //! matcher-visible WM contents, so [`Engine::restore`] re-feeds those WMEs
 //! as one [`ChangeBatch`], quiesces, and re-marks the fired keys — valid
-//! under any of the four matchers, which is what makes a snapshot taken
-//! under one matcher restorable under another (time-travel replay).
+//! under every matcher, which is what makes a snapshot taken under one
+//! matcher restorable under another (time-travel replay).
 //!
 //! A [`ChangeLog`] is the tail since the last checkpoint: `stage` /
 //! `stage_retract` / `fire` records in execution order. Replay re-applies
@@ -577,7 +577,7 @@ impl Engine {
 
     /// Restores a snapshot into this engine, which must be *fresh*: built
     /// from the same program (fingerprint-checked) with nothing inserted,
-    /// staged, or fired yet. Any of the four matchers works — match state
+    /// staged, or fired yet. Every matcher works — match state
     /// is reconstructed by re-feeding the matcher-visible WMEs as one
     /// batch and quiescing, then re-marking the fired conflict-set keys.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<()> {

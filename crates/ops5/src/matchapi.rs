@@ -325,9 +325,10 @@ pub struct MatchStats {
 
     /// Two-input (join) node activations: every Left/Right task delivered
     /// to a join, whether or not its scan was performed. With beta-prefix
-    /// sharing this is the counter that shrinks. `col` counts a right
-    /// change once per reader of the shared right memory it entered, run or
-    /// not, so the number stays comparable with the per-join matchers'.
+    /// sharing this is the counter that shrinks. vs1, vs2, lispsim and
+    /// `col` count a right change once per reader of the shared right
+    /// memory it entered, run or not, so the number stays comparable with
+    /// the per-join matchers'.
     pub join_activations: u64,
     /// Join activations *performed* whose opposite memory was empty
     /// network-wide (null activations). vs1, vs2, lispsim and `col` book
@@ -350,8 +351,8 @@ pub struct MatchStats {
     /// Readers of a shared right memory looked at when a change was stored
     /// in it, dead or live — the part of a right store that scales with the
     /// network instead of the change. Counted by vs1, vs2, lispsim and
-    /// `col` (`col` looks once per batch group, not once per change); psm
-    /// and `psm::trace` keep one right memory per join and leave it 0.
+    /// `col`; psm and `psm::trace` keep one right memory per join and leave
+    /// it 0.
     pub readers_visited: u64,
 }
 
@@ -489,9 +490,9 @@ pub trait Matcher: Send {
     /// immediately.
     ///
     /// A batch is a *set* of changes to distinct WMEs ([`ChangeBatch`],
-    /// rule 3) and the order inside it is the matcher's: vs1, vs2 and
-    /// lispsim take every retraction, then every assertion, one change at a
-    /// time; col makes one pattern-major sweep; psm runs the changes in
+    /// rule 3) and the order inside it is the matcher's: vs1, vs2, lispsim
+    /// and col take every retraction, then every assertion, one change at a
+    /// time; psm runs the changes in
     /// parallel under conjugate pairs; `psm::trace` takes them as written,
     /// which is the paper's order and the reference. What all of
     /// them owe is the same folded conflict set *with its fired flags*

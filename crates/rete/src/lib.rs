@@ -20,7 +20,7 @@
 //!   implementation) is [`NetworkOptions::PAPER`], which the tables
 //!   compile. The compiler also records which joins could read one right
 //!   memory, and indexes each class's patterns on the constant they test;
-//!   the sequential matchers (lispsim among them) and `col` use both, the
+//!   the sequential matchers (lispsim and col among them) use both, the
 //!   parallel and trace matchers neither.
 //! * [`memory`] — token memories: linear lists (*vs1*; with interpreted
 //!   join tests, lispsim's) and the two global
@@ -34,10 +34,8 @@
 //!   once, and vs1/vs2's depth-first agenda. A WME change is applied to
 //!   each right memory once and only the readers linked to it — the ones
 //!   with a non-empty left memory — are looked at.
-//! * [`colmatch`] — the set-at-a-time matcher (*col*): [`seq`]'s kernel
-//!   over vs2's memories under another schedule, a whole batch at a time —
-//!   a pattern-major alpha walk, then one ascending pass over the joins
-//!   with queued left deltas.
+//! * [`colmatch`] — *col*: vs2's kernel under its own name, kept because the
+//!   benchmark measures `changes_per_s.col`.
 //! * [`dot`] — Graphviz/ASCII rendering of the network (Figure 2-2).
 
 pub mod colmatch;
@@ -48,7 +46,6 @@ mod profile;
 mod readers;
 pub mod seq;
 
-pub use colmatch::ColMatcher;
 pub use memory::HashMemConfig;
 pub use network::{
     AlphaPatternId, AlphaSucc, ClassPatterns, EqSpec, JoinId, JoinNode, JoinTest, Network,

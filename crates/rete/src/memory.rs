@@ -38,11 +38,8 @@
 //! removal): it holds the head of its children list where a not-node's
 //! entry holds its count of blockers. A child is a token and the slot of
 //! its right half ([`Child`]); the key it is sent on under belongs to the
-//! successor that stores it. The lists serve both schedules
-//! through the same calls: `rete::seq`'s token-at-a-time kernel over every
-//! memory here, and `rete::colmatch`'s set-at-a-time sweep over a
-//! [`HashMem`], which adopts and takes children in its two passes. The
-//! lists of one memory live in one slab with a free list, so keeping them
+//! successor that stores it. `rete::seq`'s kernel keeps them through the
+//! same calls over every memory here. The lists of one memory live in one slab with a free list, so keeping them
 //! costs no allocation per entry or per child once the slab has grown. A
 //! right entry takes a slot when the first child is joined with it and
 //! gives it back when it is removed; the readers of the removal still find
@@ -268,8 +265,7 @@ impl Children {
     }
 }
 
-/// Storage interface of the sequential kernel (vs1, vs2 and lispsim) and of
-/// col's sweep over vs2's tables.
+/// Storage interface of the sequential kernel (vs1, vs2, lispsim and col).
 ///
 /// `key` arguments address one line and are computed once per line touched:
 /// [`TokenMem::left_key`] / [`TokenMem::right_key`] give the line of a

@@ -1,11 +1,10 @@
-//! The locally-buffered per-join profile of the sequential and
-//! set-at-a-time matchers.
+//! The locally-buffered per-join profile of the sequential matcher.
 //!
 //! The hot path does plain `u64` increments; the buffered counts fold into
 //! the shared atomic [`obs::NodeProfile`] once per quiesce. On
 //! null-activation-dominated workloads an activation does so little work
 //! that even one relaxed RMW per record costs several percent of wall, and
-//! neither matcher has concurrent readers mid-cycle to serve.
+//! the matcher has no concurrent readers mid-cycle to serve.
 //!
 //! A right store is an activation of every reader of its memory, dead ones
 //! included, and is buffered as one count per *memory*: the walk over the
@@ -35,16 +34,16 @@ impl BufferedProfile {
         }
     }
 
-    /// `n` activations of `join` itself (left activations).
+    /// An activation of `join` itself (a left activation).
     #[inline]
-    pub(crate) fn activations(&mut self, join: JoinId, n: u64) {
-        self.acts[join as usize] += n;
+    pub(crate) fn activation(&mut self, join: JoinId) {
+        self.acts[join as usize] += 1;
     }
 
-    /// `n` changes stored in `mem`: `n` activations of each of its readers.
+    /// A change stored in `mem`: an activation of each of its readers.
     #[inline]
-    pub(crate) fn right_stores(&mut self, mem: RightMemId, n: u64) {
-        self.stores[mem as usize] += n;
+    pub(crate) fn right_store(&mut self, mem: RightMemId) {
+        self.stores[mem as usize] += 1;
     }
 
     #[inline]

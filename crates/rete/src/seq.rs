@@ -1,13 +1,11 @@
 //! The sequential matcher — the paper's uniprocessor C implementations —
-//! and the one node activation every sequential schedule runs.
+//! and the one node activation it runs.
 //!
 //! `SeqMatcher<ListMem>` is *vs1*, `SeqMatcher<HashMem>` is *vs2*
 //! (Table 4-1), and the `lispsim` crate's matcher is a `SeqMatcher` over a
 //! `ListMem` whose join tests are interpreted (Table 4-4): three memory
-//! policies of one algorithm. The set-at-a-time *col*
-//! ([`ColMatcher`](crate::ColMatcher)) is the same kernel under another
-//! schedule: a `SeqMatcher<M, S>` is a memory policy `M` and a schedule
-//! `S`, and the kernel between them is written once.
+//! policies of one algorithm. *col* ([`crate::colmatch`]) is vs2 under its
+//! own name. All of them run one schedule, the agenda below.
 //!
 //! # The node activation
 //!
@@ -32,17 +30,14 @@
 //!   join's left input under its key in that join's left memory, or a
 //!   terminal.
 //!
-//! The schedule decides where the outputs wait and so in which order the
-//! activations run. vs1 and vs2 stack them on an [`Agenda`] (terminals as
-//! [`Task::Terminal`]) and run it depth-first, below. col queues them per
-//! join and sends terminals straight to the conflict set
-//! ([`crate::colmatch`]).
+//! The outputs wait on an [`Agenda`] (terminals as [`Task::Terminal`]),
+//! which runs them depth-first, below.
 //!
 //! **A firing retracts before it asserts.** A batch is the *set* it is
 //! ([`ChangeBatch`]), not the order the RHS wrote it in, and
-//! [`SeqMatcher::submit`] fixes one order for every schedule: it hands the
-//! schedule the batch's retractions (all classes, group order, order within
-//! a group kept), run to quiescence, and then its assertions. The paper's
+//! [`SeqMatcher::submit`] fixes one order: the batch's retractions (all
+//! classes, group order, order within a group kept), run to quiescence, and
+//! then its assertions. The paper's
 //! `modify` is "a delete followed by an add", so a firing that modifies the
 //! k WMEs it matched would, as written, tear down and rebuild the chain
 //! below each CE in turn, k times, for an instantiation its last action
@@ -88,21 +83,21 @@
 //! sorted by where its right entries stand in their line now (`swap_remove`
 //! moves a line's last entry forward), so the children leave in the
 //! rematch's order and everything downstream — left memory orders, Table
-//! 4-3, the CS-change order — is unchanged. The set is the schedule's: each
+//! 4-3, the CS-change order — is unchanged. The set is the agenda's: each
 //! child must join a list once, when the second of its halves arrives, and
-//! leave it once, when the first half leaves (the agenda's argument is
-//! below, col's in [`crate::colmatch`]). Debug builds check every removal at
+//! leave it once, when the first half leaves (the argument is below).
+//! Debug builds check every removal at
 //! a positive join, as they check the reader lists on every store: the
 //! children taken are the rematch's tokens in the rematch's order, and an
 //! empty right memory leaves none.
 //!
-//! # vs1 and vs2: the agenda
+//! # The agenda
 //!
 //! Node activations are processed depth-first off an explicit stack; each
 //! activation updates the memories and schedules successor activations,
 //! exactly the task structure the parallel matcher distributes across match
 //! processes. Where it departs from the paper, besides the shared right
-//! memories, is the batch order above, which is the kernel's. Within one
+//! memories, is the batch order above. Within one
 //! sign each change goes alone through steps 0-3, to quiescence before the
 //! next:
 //!
@@ -174,10 +169,10 @@ pub enum Task {
     },
 }
 
-/// vs1 and vs2's schedule: the stack of pending activations (module docs).
-/// A left task's key in its join's left memory rides on a stack of its
-/// own, pushed and popped with the task, so a [`Task`] stays two words: a
-/// key field would make every task three, terminal ones included.
+/// The schedule: the stack of pending activations (module docs). A left
+/// task's key in its join's left memory rides on a stack of its own, pushed
+/// and popped with the task, so a [`Task`] stays two words: a key field
+/// would make every task three, terminal ones included.
 #[derive(Default)]
 pub struct Agenda {
     tasks: Vec<Task>,
@@ -189,6 +184,14 @@ pub struct Agenda {
 }
 
 impl Agenda {
+    /// `token` is to enter `join`'s left input, under `key` in its left
+    /// memory.
+    #[inline]
+    fn left(&mut self, join: JoinId, sign: Sign, token: Token, key: u64) {
+        self.tasks.push(Task::Left { join, sign, token });
+        self.keys.push(key);
+    }
+
     /// The next task, with its key if it is a left one.
     #[inline]
     fn pop(&mut self) -> Option<(Task, u64)> {
@@ -201,132 +204,37 @@ impl Agenda {
     }
 }
 
-/// A schedule of the kernel: where the outputs of a node activation wait,
-/// and so the order in which a batch's activations run. The activations
-/// themselves are the kernel's.
-pub(crate) trait Schedule: Sized + Send {
-    /// The matcher's name over the memories `mem`.
-    fn name<M: TokenMem>(mem: &M) -> &'static str;
-
-    /// `token` is to enter `join`'s left input, under `key` in its left
-    /// memory.
-    fn left(&mut self, join: JoinId, sign: Sign, token: Token, key: u64);
-
-    /// `token` has reached `prod`'s terminal: a conflict-set change, which
-    /// [`fire`] books into `out`, now or when its turn comes.
-    fn terminal(
-        &mut self,
-        prod: ProdId,
-        sign: Sign,
-        token: Token,
-        out: &mut Vec<CsChange>,
-        stats: &mut MatchStats,
-    );
-
-    /// The changes of `batch` whose sign is `sign`, start to quiescence:
-    /// [`SeqMatcher::submit`] runs the retractions, then the assertions,
-    /// and books the batch itself (module docs).
-    fn submit<M: TokenMem>(k: &mut Kernel<M, Self>, net: &Network, batch: &ChangeBatch, sign: Sign);
-
-    /// Nothing waits (checked at every quiesce in debug builds).
-    fn is_idle(&self) -> bool;
-}
-
-/// A terminal activation: one conflict-set change into `out`.
-pub(crate) fn fire(
-    out: &mut Vec<CsChange>,
-    stats: &mut MatchStats,
-    prod: ProdId,
-    sign: Sign,
-    token: Token,
-) {
-    stats.activations += 1;
-    stats.cs_changes += 1;
-    let inst = Instantiation { prod, wmes: token };
-    out.push(match sign {
-        Sign::Plus => CsChange::Insert(inst),
-        Sign::Minus => CsChange::Remove(inst),
-    });
-}
-
-impl Schedule for Agenda {
-    fn name<M: TokenMem>(mem: &M) -> &'static str {
-        mem.kind_name()
-    }
-
-    #[inline]
-    fn left(&mut self, join: JoinId, sign: Sign, token: Token, key: u64) {
-        self.tasks.push(Task::Left { join, sign, token });
-        self.keys.push(key);
-    }
-
-    #[inline]
-    fn terminal(
-        &mut self,
-        prod: ProdId,
-        sign: Sign,
-        token: Token,
-        _: &mut Vec<CsChange>,
-        _: &mut MatchStats,
-    ) {
-        self.tasks.push(Task::Terminal { prod, sign, token });
-    }
-
-    fn submit<M: TokenMem>(
-        k: &mut Kernel<M, Agenda>,
-        net: &Network,
-        batch: &ChangeBatch,
-        sign: Sign,
-    ) {
-        for (class, group) in batch.groups() {
-            let Some(patterns) = net.class_patterns(class) else {
-                continue;
-            };
-            // One change at a time, each cascade to its end (no
-            // conjugate-pair parking, unlike the parallel matcher).
-            for change in group.iter().filter(|c| c.sign == sign) {
-                k.change(net, patterns, &change.wme, sign);
-            }
-        }
-    }
-
-    fn is_idle(&self) -> bool {
-        self.tasks.is_empty()
-    }
-}
-
 /// What the kernel counts: [`MatchStats`] plus the optional per-join
 /// profile. One field of the kernel, so an activation can book its work
 /// while it holds a node borrowed from the network.
 #[derive(Default)]
-pub(crate) struct Tally {
-    pub(crate) stats: MatchStats,
+struct Tally {
+    stats: MatchStats,
     /// `None` (the default) keeps the hot path free of recording.
     profile: Option<BufferedProfile>,
 }
 
 impl Tally {
-    /// `n` left activations of `join`.
+    /// A left activation of `join`.
     #[inline]
-    pub(crate) fn join_activations(&mut self, join: JoinId, n: u64) {
-        self.stats.activations += n;
-        self.stats.join_activations += n;
+    fn join_activation(&mut self, join: JoinId) {
+        self.stats.activations += 1;
+        self.stats.join_activations += 1;
         if let Some(p) = &mut self.profile {
-            p.activations(join, n);
+            p.activation(join);
         }
     }
 
-    /// `changes` memory changes delivered to all `readers` of `mem`: the
-    /// `linked` ones will run, each visited once for the whole set, and the
-    /// dead rest is retired here without being visited.
+    /// A change delivered to all `readers` of `mem`: the `linked` ones will
+    /// run, and the dead rest is retired here without being visited.
     #[inline]
-    fn right_store(&mut self, mem: RightMemId, changes: u64, readers: usize, linked: usize) {
-        self.stats.activations += changes * readers as u64;
-        self.stats.join_activations += changes * readers as u64;
-        self.stats.null_skipped += changes * (readers - linked) as u64;
+    fn right_store(&mut self, mem: RightMemId, readers: usize, linked: usize) {
+        self.stats.activations += readers as u64;
+        self.stats.join_activations += readers as u64;
+        self.stats.null_skipped += (readers - linked) as u64;
         self.stats.readers_visited += linked as u64;
         if let Some(p) = &mut self.profile {
-            p.right_stores(mem, changes);
+            p.right_store(mem);
         }
     }
 
@@ -362,14 +270,14 @@ impl Tally {
 /// [`SeqMatcher`] lends out `net` and `kernel` as two disjoint fields and a
 /// submit never touches the `Arc`'s count — a cache line every session of
 /// one compiled program shares.
-pub(crate) struct Kernel<M, S> {
-    pub(crate) mem: M,
+struct Kernel<M> {
+    mem: M,
     /// Per right memory, the readers whose left memory in `mem` is
     /// non-empty.
-    pub(crate) linked: LinkedReaders,
-    pub(crate) tally: Tally,
+    linked: LinkedReaders,
+    tally: Tally,
     /// Where the activations' outputs wait.
-    pub(crate) sched: S,
+    agenda: Agenda,
     out: Vec<CsChange>,
     /// Reusable buffers: a steady-state activation allocates nothing.
     scratch_wmes: Vec<(WmeRef, u32)>,
@@ -377,25 +285,26 @@ pub(crate) struct Kernel<M, S> {
     scratch_kids: Vec<Child>,
 }
 
-/// Sequential Rete matcher over a pluggable memory implementation, under
-/// a schedule: vs1/vs2's agenda by default, col's sweep in
-/// [`ColMatcher`](crate::ColMatcher).
-pub struct SeqMatcher<M: TokenMem, S = Agenda> {
+/// Sequential Rete matcher over a pluggable memory implementation.
+pub struct SeqMatcher<M: TokenMem> {
     net: Arc<Network>,
-    kernel: Kernel<M, S>,
+    kernel: Kernel<M>,
     delta: StatsDeltaTracker,
+    /// [`Matcher::name`]: the memory policy's, or col's
+    /// ([`crate::colmatch`]).
+    pub(crate) name: &'static str,
 }
 
-impl<M: TokenMem, S> SeqMatcher<M, S> {
-    /// The kernel on `net` over the memories `mem` (built for `net`), under
-    /// the schedule `sched`.
-    pub(crate) fn with(net: Arc<Network>, mem: M, sched: S) -> Self {
+impl<M: TokenMem> SeqMatcher<M> {
+    /// The kernel on `net` over the memories `mem` (built for `net`).
+    pub fn over(net: Arc<Network>, mem: M) -> Self {
         SeqMatcher {
+            name: mem.kind_name(),
             kernel: Kernel {
                 mem,
                 linked: LinkedReaders::new(&net),
                 tally: Tally::default(),
-                sched,
+                agenda: Agenda::default(),
                 out: Vec::new(),
                 scratch_wmes: Vec::new(),
                 scratch_tokens: Vec::new(),
@@ -426,13 +335,6 @@ impl<M: TokenMem, S> SeqMatcher<M, S> {
     #[doc(hidden)]
     pub fn left_entries(&self, join: JoinId) -> u32 {
         self.kernel.mem.left_count(join)
-    }
-}
-
-impl<M: TokenMem> SeqMatcher<M> {
-    /// The kernel on `net` over the memories `mem` (built for `net`).
-    pub fn over(net: Arc<Network>, mem: M) -> Self {
-        SeqMatcher::with(net, mem, Agenda::default())
     }
 }
 
@@ -517,7 +419,7 @@ fn kids_are_the_rematch<M: TokenMem>(
     same
 }
 
-impl<M: TokenMem, S: Schedule> Kernel<M, S> {
+impl<M: TokenMem> Kernel<M> {
     /// Sends `token` to every successor in `succs`: a shared join fans it
     /// out to each consumer (token clones are `Arc` bumps); on the paper's
     /// network every join has exactly one successor.
@@ -532,24 +434,20 @@ impl<M: TokenMem, S: Schedule> Kernel<M, S> {
 
     /// Sends `token` to one successor: a downstream join's left input under
     /// its key in that join's left memory, or a terminal.
-    pub(crate) fn emit(&mut self, net: &Network, succ: Succ, sign: Sign, token: Token) {
+    fn emit(&mut self, net: &Network, succ: Succ, sign: Sign, token: Token) {
         match succ {
             Succ::Join(j) => {
                 let key = self.mem.left_key(net.join(j), &token);
-                self.sched.left(j, sign, token, key);
+                self.agenda.left(j, sign, token, key);
             }
-            Succ::Terminal(p) => {
-                let (out, stats) = (&mut self.out, &mut self.tally.stats);
-                self.sched.terminal(p, sign, token, out, stats);
-            }
+            Succ::Terminal(prod) => self.agenda.tasks.push(Task::Terminal { prod, sign, token }),
         }
     }
 
-    /// Books the readers of right memory `mem` for `changes` changes, each
-    /// a join activation of every one of them; returns how many are linked.
-    /// Those will run, each visited once for the whole set; the dead rest
-    /// is retired by count without being looked at.
-    pub(crate) fn book_readers(&mut self, net: &Network, mem: RightMemId, changes: u64) -> usize {
+    /// Books a change to right memory `mem` as a join activation of every
+    /// one of its readers. The linked ones will run; the dead rest is
+    /// retired by count without being looked at.
+    fn book_readers(&mut self, net: &Network, mem: RightMemId) {
         debug_assert!(
             self.linked
                 .is_the_filter(net, mem, |j| self.mem.left_count(j) != 0),
@@ -557,22 +455,15 @@ impl<M: TokenMem, S: Schedule> Kernel<M, S> {
         );
         let linked = self.linked.of(mem).len();
         let readers = net.right_mems[mem as usize].readers.len();
-        self.tally.right_store(mem, changes, readers, linked);
-        linked
+        self.tally.right_store(mem, readers, linked);
     }
 
     /// The right store: applies one change to right memory `mem`, once.
     /// Returns the change's entry there: its key and, for a `-`, the slot it
     /// left, by which the readers take the children made with it. No entry
     /// is given a slot before they have: a change's right activations run
-    /// before its left ones, and a sweep stores one sign.
-    pub(crate) fn store(
-        &mut self,
-        net: &Network,
-        mem: RightMemId,
-        wme: &WmeRef,
-        sign: Sign,
-    ) -> (u64, u32) {
+    /// before its left ones.
+    fn store(&mut self, net: &Network, mem: RightMemId, wme: &WmeRef, sign: Sign) -> (u64, u32) {
         let key = self.mem.store_key(mem, &net.right_mems[mem as usize], wme);
         let slot = match sign {
             Sign::Plus => {
@@ -594,7 +485,7 @@ impl<M: TokenMem, S: Schedule> Kernel<M, S> {
     /// just taken (or given up) `wme` under `store_key` — in `slot`, for a
     /// `-`; a not-node reads neither. The change is already in (or out of)
     /// the memory `j` shares, so only the left side remains.
-    pub(crate) fn right_activation(
+    fn right_activation(
         &mut self,
         net: &Network,
         j: &JoinNode,
@@ -651,9 +542,9 @@ impl<M: TokenMem, S: Schedule> Kernel<M, S> {
     /// `j`'s left memory (`+`) or taken out of it (`-`); `opp_empty`: `j`'s
     /// right memory is empty network-wide. The caller books the activation.
     /// The node is borrowed from the network for the whole activation and
-    /// nothing here allocates beyond what the memories and the schedule
-    /// have to keep.
-    pub(crate) fn left_activation(
+    /// nothing here allocates beyond what the memories and the agenda have
+    /// to keep.
+    fn left_activation(
         &mut self,
         net: &Network,
         j: &JoinNode,
@@ -766,13 +657,11 @@ impl<M: TokenMem, S: Schedule> Kernel<M, S> {
         }
         self.scratch_kids = kids;
     }
-}
 
-impl<M: TokenMem> Kernel<M, Agenda> {
     /// One WME change against its class's patterns, start to quiescence
     /// (module docs, steps 0-3).
     fn change(&mut self, net: &Network, class: &ClassPatterns, wme: &WmeRef, sign: Sign) {
-        debug_assert!(self.sched.is_idle() && self.sched.live.is_empty());
+        debug_assert!(self.agenda.tasks.is_empty() && self.agenda.live.is_empty());
         debug_assert!(net.index_covers(wme), "alpha index dropped a pattern");
         // One 1-WME token per change, shared by every alpha-direct
         // successor it feeds (token clones are `Arc` bumps).
@@ -787,37 +676,44 @@ impl<M: TokenMem> Kernel<M, Agenda> {
                 self.emit(net, succ, sign, token.clone());
             }
             for &mem in &pat.right_mems {
-                self.book_readers(net, mem, 1);
+                self.book_readers(net, mem);
                 let (key, slot) = self.store(net, mem, wme, sign);
                 let linked = self.linked.of(mem).iter();
-                self.sched.live.extend(linked.map(|&j| (j, slot, key)));
+                self.agenda.live.extend(linked.map(|&j| (j, slot, key)));
             }
         }
         // Each memory lists its readers in ascending order, so this only
         // has work to do when live readers come from several memories.
-        self.sched.live.sort_unstable();
-        for i in 0..self.sched.live.len() {
-            let (join, slot, key) = self.sched.live[i];
+        self.agenda.live.sort_unstable();
+        for i in 0..self.agenda.live.len() {
+            let (join, slot, key) = self.agenda.live[i];
             self.right_activation(net, net.join(join), wme, sign, key, slot);
         }
-        self.sched.live.clear();
-        while let Some((task, key)) = self.sched.pop() {
+        self.agenda.live.clear();
+        while let Some((task, key)) = self.agenda.pop() {
             match task {
                 Task::Left { join, sign, token } => {
-                    self.tally.join_activations(join, 1);
+                    self.tally.join_activation(join);
                     let j = net.join(join);
                     let opp_empty = self.mem.right_count(j.right_mem) == 0;
                     self.left_activation(net, j, sign, token, key, opp_empty);
                 }
                 Task::Terminal { prod, sign, token } => {
-                    fire(&mut self.out, &mut self.tally.stats, prod, sign, token)
+                    let stats = &mut self.tally.stats;
+                    stats.activations += 1;
+                    stats.cs_changes += 1;
+                    let inst = Instantiation { prod, wmes: token };
+                    self.out.push(match sign {
+                        Sign::Plus => CsChange::Insert(inst),
+                        Sign::Minus => CsChange::Remove(inst),
+                    });
                 }
             }
         }
     }
 }
 
-impl<M: TokenMem + Send, S: Schedule> Matcher for SeqMatcher<M, S> {
+impl<M: TokenMem + Send> Matcher for SeqMatcher<M> {
     fn submit(&mut self, batch: &ChangeBatch) {
         let k = &mut self.kernel;
         // Pairs annihilated in the batch, as the parallel matcher books them,
@@ -827,15 +723,24 @@ impl<M: TokenMem + Send, S: Schedule> Matcher for SeqMatcher<M, S> {
             k.tally.stats.alpha_activations += 1;
             k.tally.stats.wme_changes += group.len() as u64;
         }
-        // The batch's retractions, then its assertions (module docs).
+        // The batch's retractions, then its assertions (module docs), one
+        // change at a time, each cascade to its end (no conjugate-pair
+        // parking, unlike the parallel matcher).
         for sign in [Sign::Minus, Sign::Plus] {
-            S::submit(k, &self.net, batch, sign);
+            for (class, group) in batch.groups() {
+                let Some(patterns) = self.net.class_patterns(class) else {
+                    continue;
+                };
+                for change in group.iter().filter(|c| c.sign == sign) {
+                    k.change(&self.net, patterns, &change.wme, sign);
+                }
+            }
         }
     }
 
     fn quiesce(&mut self) -> QuiesceReport {
         let k = &mut self.kernel;
-        debug_assert!(k.sched.is_idle());
+        debug_assert!(k.agenda.tasks.is_empty());
         if let Some(p) = &mut k.tally.profile {
             p.flush(&self.net);
         }
@@ -856,7 +761,7 @@ impl<M: TokenMem + Send, S: Schedule> Matcher for SeqMatcher<M, S> {
     }
 
     fn name(&self) -> &'static str {
-        S::name(&self.kernel.mem)
+        self.name
     }
 
     fn enable_obs(&mut self, _registry: &Arc<obs::Registry>) {
@@ -1198,6 +1103,28 @@ mod tests {
             del(m.as_mut(), wa1);
             let cs = m.quiesce().cs_changes;
             assert_eq!(cs.len(), 1, "only the instantiation with wa1 retracts");
+        }
+    }
+
+    /// The per-join profile accounts for every join activation and every
+    /// token a scan examined.
+    #[test]
+    fn obs_profile_reconciles_with_stats() {
+        let (mut prog, _net, ms) = both("(p q (a ^x <v>) (b ^y <v>) --> (halt))");
+        for mut m in ms {
+            m.enable_obs(&Arc::new(obs::Registry::new()));
+            let mut b = ChangeBatch::new();
+            for i in 0..8 {
+                b.add(wme(&mut prog, "a", vec![Value::Int(i % 3)], i as u64 + 1));
+                b.add(wme(&mut prog, "b", vec![Value::Int(i % 3)], i as u64 + 100));
+            }
+            m.submit(&b);
+            m.quiesce();
+            let p = m.node_profile().unwrap();
+            let s = m.stats();
+            assert_eq!(p.total_activations(), s.join_activations, "{}", m.name());
+            let scanned = s.opp_tokens_left + s.opp_tokens_right;
+            assert_eq!(p.total_scanned(), scanned, "{}", m.name());
         }
     }
 

@@ -9,10 +9,10 @@
 //! thread, so concurrently running tests cannot disturb it.
 //!
 //! The last two tests replay a benchmark program's recorded change stream
-//! into vs2 and col in batches of 64 (several firings merged, as run
-//! slices, parallel-act groups and a staged `BATCH` merge them): the two
-//! must fold to the same conflict set, each within an allocation budget per
-//! change.
+//! into vs2 in batches of 64 (several firings merged, as run slices,
+//! parallel-act groups and a staged `BATCH` merge them): it must fold to
+//! the conflict set one change at a time reaches, within an allocation
+//! budget per change.
 
 use engine::EngineBuilder;
 use ops5::{
@@ -256,8 +256,7 @@ fn a_fibonacci_vs2_session_allocates_at_most_2_kib() {
 /// `+turn` builds: 4k - 4 join activations, one `Remove` and one `Insert`,
 /// and two token nodes per level. Taken as written the batch rebuilds the
 /// chain below each CE in turn, (k + 2)(k - 1) join activations and 2k
-/// conflict-set changes, which fails every bound below from k = 4 on. col
-/// runs it too: its sweep takes the retractions, then the assertions.
+/// conflict-set changes, which fails every bound below from k = 4 on.
 #[test]
 fn a_firing_that_modifies_all_it_matched_costs_its_depth_not_its_square() {
     for k in [4u64, 8, 16] {
@@ -272,8 +271,7 @@ fn a_firing_that_modifies_all_it_matched_costs_its_depth_not_its_square() {
         let net = Arc::new(Network::compile(&prog).unwrap());
         assert_eq!(net.n_joins() as u64, k - 1);
         let [turn, slot] = ["turn", "slot"].map(|s| prog.symbols.intern(s));
-        let col = rete::colmatch::boxed_col(net.clone());
-        for mut m in matchers(&net).into_iter().chain([col]) {
+        for mut m in matchers(&net) {
             let mut tag = 0;
             let mut fresh = |class, vals: &[i64]| {
                 tag += 1;
@@ -552,16 +550,16 @@ struct Replayed {
     stats: MatchStats,
 }
 
-/// Replays `stream` in batches of [`REPLAY_BATCH`], quiescing after each.
-/// Raw conflict-set changes are not comparable across matchers at batch >
-/// 1 (an instantiation built and retracted inside one batch may or may not
-/// be emitted), so the check is the folded set after every batch — what
-/// the engine observes.
-fn replay(mut m: Box<dyn Matcher>, stream: &[WmeChange]) -> Replayed {
+/// Replays `stream` in batches of `len` changes, quiescing after each.
+/// Raw conflict-set changes are not comparable across batch lengths (an
+/// instantiation built and retracted inside one batch may or may not be
+/// emitted), so the check is the folded set after every [`REPLAY_BATCH`]
+/// changes — what the engine observes.
+fn replay(mut m: Box<dyn Matcher>, stream: &[WmeChange], len: usize) -> Replayed {
     let mut allocs = 0;
     let mut state: BTreeSet<(ProdId, Vec<u64>)> = BTreeSet::new();
     let mut fold = DefaultHasher::new();
-    for chunk in stream.chunks(REPLAY_BATCH) {
+    for (i, chunk) in stream.chunks(len).enumerate() {
         let batch: ChangeBatch = chunk.iter().cloned().collect();
         let before = ALLOCS.with(Cell::get);
         m.submit(&batch);
@@ -573,7 +571,10 @@ fn replay(mut m: Box<dyn Matcher>, stream: &[WmeChange]) -> Replayed {
                 CsChange::Remove(i) => state.remove(&i.key()),
             };
         }
-        state.hash(&mut fold);
+        let done = (i + 1) * len;
+        if done.is_multiple_of(REPLAY_BATCH) || done >= stream.len() {
+            state.hash(&mut fold);
+        }
     }
     Replayed {
         allocs_per_change: allocs as f64 / stream.len() as f64,
@@ -582,34 +583,32 @@ fn replay(mut m: Box<dyn Matcher>, stream: &[WmeChange]) -> Replayed {
     }
 }
 
-/// Records `w`'s change stream and replays it into fresh vs2 and col
-/// matchers at [`REPLAY_BATCH`]: the folded conflict sets agree after every
-/// batch and each matcher stays inside its allocation budget per change.
-fn replay_on_vs2_and_col(w: &Workload, vs2_budget: f64, col_budget: f64) -> MatchStats {
+/// Records `w`'s change stream and replays it into a fresh vs2 at
+/// [`REPLAY_BATCH`]: the folded conflict set after every batch is the one
+/// another vs2 reaches one change at a time, and the batched one stays
+/// inside `budget` allocations per change.
+fn replay_on_vs2(w: &Workload, budget: f64) -> MatchStats {
     let (net, stream) = record_stream(w);
     assert!(stream.len() > 100, "{}: recorded stream too small", w.name);
-    let vs2 = replay(boxed_vs2(net.clone(), HashMemConfig::default()), &stream);
-    let col = replay(rete::colmatch::boxed_col(net), &stream);
+    let vs2 = || boxed_vs2(net.clone(), HashMemConfig::default());
+    let batched = replay(vs2(), &stream, REPLAY_BATCH);
     assert!(
-        vs2.fold == col.fold,
-        "{}: vs2 and col disagree on the folded conflict set",
+        batched.fold == replay(vs2(), &stream, 1).fold,
+        "{}: vs2 folds batches of {REPLAY_BATCH} to another conflict set",
         w.name
     );
-    for (name, r, budget) in [("vs2", &vs2, vs2_budget), ("col", &col, col_budget)] {
-        assert!(
-            r.allocs_per_change <= budget,
-            "{}: {name} made {:.2} allocations per change, over its budget {budget}",
-            w.name,
-            r.allocs_per_change
-        );
-    }
-    vs2.stats
+    assert!(
+        batched.allocs_per_change <= budget,
+        "{}: vs2 made {:.2} allocations per change, over its budget {budget}",
+        w.name,
+        batched.allocs_per_change
+    );
+    batched.stats
 }
 
 /// The benchmark Weaver (600-rule networks, where one alpha pattern feeds
 /// hundreds of joins): 3455 changes. Budgets are the measured allocations
-/// per change plus two: vs2 2.60, col 2.81 (3.17 before col, too, took a
-/// batch's retractions first).
+/// per change plus two: vs2 2.60.
 /// vs2 retires a dead reader without running or even visiting it, so what
 /// it performs as null activations is the left side's share, 0.35 % of
 /// 1 612 585 join activations, and the readers it looks at are 0.56 % of
@@ -625,7 +624,7 @@ fn weaver_replayed_at_batch_64_folds_alike_and_runs_no_dead_reader() {
         blocked_pct: 8,
         seed: 42,
     });
-    let s = replay_on_vs2_and_col(&w, 4.6, 4.9);
+    let s = replay_on_vs2(&w, 4.6);
     let share = |n: u64| n as f64 / s.join_activations as f64;
     assert!(
         share(s.null_activations) <= 0.01,
@@ -644,17 +643,16 @@ fn weaver_replayed_at_batch_64_folds_alike_and_runs_no_dead_reader() {
 }
 
 /// The benchmark Tourney (24 teams, pathological): 4526 changes, each
-/// batch of 64 merging several firings' changes. Budgets are the measured
-/// allocations per change plus two: vs2 12.52, col 12.53. A terminal
-/// removal hands back the token it inserted, so what is left is one token
-/// node per conflict-set insertion; both take a batch's retractions first,
-/// so 64 merged changes build no transients (col read 28.66 when it took
-/// them as written).
+/// batch of 64 merging several firings' changes. The budget is the measured
+/// allocations per change plus two: vs2 12.52. A terminal removal hands
+/// back the token it inserted, so what is left is one token node per
+/// conflict-set insertion; vs2 takes a batch's retractions first, so 64
+/// merged changes build no transients.
 #[test]
 fn tourney_replayed_at_batch_64_folds_alike_within_budget() {
     let w = tourney::workload(tourney::TourneyConfig {
         teams: 24,
         variant: tourney::Variant::Pathological,
     });
-    replay_on_vs2_and_col(&w, 14.6, 14.6);
+    replay_on_vs2(&w, 14.6);
 }

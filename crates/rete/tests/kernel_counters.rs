@@ -2,17 +2,15 @@
 //!
 //! vs1/vs2 are the baseline every other matcher and every table is read
 //! against, so a kernel change must leave the *work* it reports exactly
-//! where it was: all of [`MatchStats`] and, for vs2 and col, the
-//! conflict-set changes of every quiescence in emission order. The literals below were
+//! where it was: all of [`MatchStats`] and, for vs2, the conflict-set
+//! changes of every quiescence in emission order. The literals below were
 //! captured on the commit before the borrowed kernel landed; on a mismatch
 //! the test prints the whole measured table in the layout of [`GOLDEN`].
 //! Only change a row together with a reason the counter should have moved.
 //!
-//! The `col` rows pin the same columns for the set-at-a-time matcher,
-//! captured when its right memories became shared: `same_searches_right`
-//! counts one delete search per right *memory*, and a right activation of a
-//! reader with an empty left memory is `null_skipped` with unlinking off as
-//! well.
+//! col has no rows of its own: it is vs2 with a table sized by its
+//! population (`rete::colmatch`), and must read that vs2's row and CS order.
+//! Its rows and digests went with its set-at-a-time schedule.
 //!
 //! vs1/vs2 were re-pinned once, when their right memories became the
 //! network's shared ones too (one per alpha pattern x equality signature
@@ -99,41 +97,11 @@
 //! digests are the parent's: the children go out in the order the scan
 //! would have found them.
 //!
-//! The col rows were re-pinned once, when col dropped its own columnar
-//! lines for vs2's `HashMem` (same schedule, vs2's line geometry). Only the
-//! six columns that count entries examined on a line moved:
-//! `opp_tokens_left`/`opp_nonempty_left`, `opp_tokens_right`/
-//! `opp_nonempty_right` and `same_tokens_left`/`same_tokens_right`. A vs2
-//! line holds every memory's entries but a scan examines only its own
-//! memory's, where a columnar line held one memory's entries of every key
-//! (Weaver 9257/1555, 1686/1105, 871/359 -> 1170/823, 820/820, 872/674;
-//! Tourney 4061/1045, 575/201, 2152/118 -> 1837/776, 471/201, 1550/249;
-//! negated 54/34, 156/62, 90/15 -> 18/18, 42/42, 45/15). Every other column
-//! and the whole carousel row are the parent's.
-//!
-//! The col rows were re-pinned a second time when col, too, began to keep
-//! children at a positive join feeding one join and to send them on a left
-//! `-` instead of rescanning its right memory (tree-based removal in both
-//! passes). Exactly two columns moved, `opp_tokens_left` and
-//! `opp_nonempty_left`: the scans those removals no longer make. Weaver
-//! 1170/823 -> 550/471, Tourney 1837/776 -> 1535/671, carousel 279/279 ->
-//! 174/174; negated's 18/18 stand, as vs2's did (no removal at such a join
-//! examined anything there). The rows were predicted before the change by not
-//! booking those scans on the parent, and matched. Pass 1's right `-` at
-//! such a join still examines its left line (the same entries, no join
-//! test); every other column, every vs1/vs2 row and all four CS-order
-//! digests are the parent's.
-//!
 //! At the same time the `unlinking = true` rows were dropped. The option
 //! used to move the left nulls of vs1, vs2 and col from `null_activations`
 //! to `null_skipped`, and nothing else; now it moves nothing for them (it
 //! is psm's and `psm::trace`'s alone), and the test asserts that every
 //! counter and the CS-change sequence read the same with it on.
-//!
-//! col's four CS-order digests were added, as captured on the commit before
-//! col and vs1/vs2 came to share one node activation, so that the sharing
-//! could not reorder col's emissions unnoticed. Before that only vs2's order
-//! was pinned.
 //!
 //! Every vs1, vs2 and col row was re-pinned when every positive join came
 //! to keep its children — a join that feeds a terminal, or several
@@ -151,40 +119,15 @@
 //! rescan found, and col still runs each reader over a group's changes
 //! before the next reader.
 //!
-//! The col rows and digests were re-pinned when the order of a batch moved
-//! from vs1/vs2's agenda into `SeqMatcher::submit`, so that col's sweep,
-//! too, runs once over a batch's retractions and then once over its
-//! assertions. They were predicted on the parent by splitting every batch
-//! at the caller into its retractions and its assertions, two submits, with
-//! the per-batch bookings (`alpha_activations` per class group,
-//! `conjugate_pairs`) put back as one batch books them, and matched. col
-//! builds no transient vs2 does not: its `cs_changes` is vs2's on every
-//! program (Weaver 305 -> 251, negated 60 -> 48, carousel 81 -> 11, Tourney
-//! 984), which the test asserts beside the literals, and its digests on
-//! negated and carousel are vs2's. carousel's `join_activations` went 357 ->
-//! 147 and `opp_tokens_left` 139 -> 34, vs2's; what still differs there is
-//! the sweep's and not the order: a retraction sweep's alpha walk runs every
-//! `-slot` against the pre-batch reader lists, so each meets its reader
-//! linked where vs2's cascade had already emptied it (`readers_visited` and
-//! the right scans 36 against 6, `null_skipped` 41 against 71), and the
-//! left `-`s that follow meet right memories the walk emptied
-//! (`null_activations` 36 against 6). On Weaver the join activations and
-//! left delete searches fell with the transients to vs2's (paper 8593 ->
-//! 8565 and 871 -> 857, shared 6803 -> 6795); on Tourney they stand, and
-//! `same_tokens_left` rose 1550 -> 1586 (the entries leave their lines in
-//! another order, so a delete search walks past others). The null and
-//! right-scan columns moved on all four as on carousel. Every vs1/vs2 row
-//! and digest is the parent's.
-//!
 //! [`GOLDEN`] and [`GOLDEN_CS`] are the paper's network
 //! ([`NetworkOptions::PAPER`]: one unshared join chain per production).
-//! [`GOLDEN_SHARED`] and [`GOLDEN_CS_SHARED`] pin vs2 and col on the network
+//! [`GOLDEN_SHARED`] and [`GOLDEN_CS_SHARED`] pin vs2 on the network
 //! with beta-prefix sharing, captured on the commit before sharing became
 //! the compiled default. Only Weaver has a shareable prefix: the other three
 //! programs compile the same network either way and read their paper rows.
-//! On Weaver the shared joins cut `join_activations` 8565 -> 6795 (vs2) and
-//! 8593 -> 6803 (col); vs2's CS changes come out in another order (its
-//! digest differs, the folded set does not), col's in the same.
+//! On Weaver the shared joins cut vs2's `join_activations` 8565 -> 6795;
+//! its CS changes come out in another order (its digest differs, the
+//! folded set does not).
 //!
 //! lispsim has no rows of its own: it is the kernel over vs1's list
 //! memories with interpreted join tests, and must read every vs1 row.
@@ -343,6 +286,7 @@ fn run(w: &Workload, matcher: &'static str, options: NetworkOptions) -> (Measure
         let inner = match matcher {
             "vs1" => rete::seq::boxed_vs1(net),
             "vs2" => rete::seq::boxed_vs2(net, HashMemConfig::PAPER),
+            "vs2 sized" => rete::seq::boxed_vs2(net, HashMemConfig::default()),
             _ => rete::colmatch::boxed_col(net),
         };
         Box::new(Recorded {
@@ -374,30 +318,22 @@ type Row = (&'static str, &'static str, [u64; COLUMNS], [u64; TOUCHED]);
 const GOLDEN: &[Row] = &[
     ("weaver(5x4x2, 2 nets, 2 kinds)", "vs1", [361, 8816, 295, 8565, 109, 5754, 16519, 802, 1809, 1094, 4642, 857, 2174, 244, 251, 0], [367, 1094]),
     ("weaver(5x4x2, 2 nets, 2 kinds)", "vs2", [361, 8816, 295, 8565, 109, 5754, 479, 402, 778, 778, 858, 857, 674, 244, 251, 0], [367, 1094]),
-    ("weaver(5x4x2, 2 nets, 2 kinds)", "col", [361, 8816, 295, 8565, 77, 5784, 520, 441, 779, 779, 858, 857, 674, 244, 251, 0], [367, 1064]),
     ("tourney(6 teams, pathological)", "vs1", [263, 3065, 137, 2081, 95, 221, 4728, 778, 305, 164, 4099, 844, 249, 99, 984, 0], [203, 164]),
     ("tourney(6 teams, pathological)", "vs2", [263, 3065, 137, 2081, 95, 221, 1132, 438, 305, 164, 1546, 844, 249, 99, 984, 0], [203, 164]),
-    ("tourney(6 teams, pathological)", "col", [263, 3065, 137, 2081, 98, 214, 1259, 509, 434, 171, 1586, 844, 249, 99, 984, 0], [203, 141]),
     ("negated", "vs1", [66, 246, 54, 198, 25, 60, 36, 24, 132, 48, 90, 45, 24, 15, 48, 0], [36, 48]),
     ("negated", "vs2", [66, 246, 54, 198, 25, 60, 12, 12, 18, 18, 45, 45, 15, 15, 48, 0], [36, 48]),
-    ("negated", "col", [66, 246, 54, 198, 31, 54, 12, 12, 24, 24, 45, 45, 15, 15, 48, 0], [36, 54]),
     ("synth-carousel(8 CEs, 5 turns)", "vs1", [88, 158, 18, 147, 6, 71, 34, 34, 6, 6, 35, 35, 35, 35, 11, 0], [99, 6]),
     ("synth-carousel(8 CEs, 5 turns)", "vs2", [88, 158, 18, 147, 6, 71, 34, 34, 6, 6, 35, 35, 35, 35, 11, 0], [99, 6]),
-    ("synth-carousel(8 CEs, 5 turns)", "col", [88, 158, 18, 147, 36, 41, 34, 34, 36, 36, 35, 35, 35, 35, 11, 0], [99, 36]),
 ];
 
-/// vs2's and col's CS-change digest per program; identical with unlinking
+/// vs2's CS-change digest per program; identical with unlinking
 /// off and on.
 #[rustfmt::skip]
 const GOLDEN_CS: &[CsRow] = &[
     ("weaver(5x4x2, 2 nets, 2 kinds)", "vs2", CsDigest { hash: 0xacbedc7a38366a7f, quiescences: 114 }),
-    ("weaver(5x4x2, 2 nets, 2 kinds)", "col", CsDigest { hash: 0xa567ab8b9a457d1f, quiescences: 114 }),
     ("tourney(6 teams, pathological)", "vs2", CsDigest { hash: 0xe008df502d996622, quiescences: 67 }),
-    ("tourney(6 teams, pathological)", "col", CsDigest { hash: 0xdb354447c297fa02, quiescences: 67 }),
     ("negated", "vs2", CsDigest { hash: 0x4954e9356e0baa65, quiescences: 22 }),
-    ("negated", "col", CsDigest { hash: 0x4954e9356e0baa65, quiescences: 22 }),
     ("synth-carousel(8 CEs, 5 turns)", "vs2", CsDigest { hash: 0xbb09e5a53c681956, quiescences: 6 }),
-    ("synth-carousel(8 CEs, 5 turns)", "col", CsDigest { hash: 0xbb09e5a53c681956, quiescences: 6 }),
 ];
 
 /// A pinned CS-change digest: (program, matcher, digest).
@@ -460,12 +396,21 @@ fn check_kernel(
         same_rows && same_cs,
         "kernel counters moved; measured:\n{table}"
     );
-    // col takes a batch's retractions first as vs2 does, so it builds no
-    // transient instantiation vs2 does not.
-    for (name, _, (col, _)) in rows.iter().filter(|r| r.1 == "col") {
-        let vs2 = rows.iter().find(|r| r.0 == *name && r.1 == "vs2");
-        let vs2 = vs2.expect("vs2 runs beside col").2 .0;
-        assert_eq!(col[14], vs2[14], "{name}: col's cs_changes is not vs2's");
+    // col is vs2 on a table sized by its population, under its own name:
+    // its row and CS order are that vs2's, built through `MatcherKind::Col`
+    // as through `rete::colmatch`. The table's geometry moves the columns
+    // that count entries examined on a line, so the row is not the pinned
+    // one on the paper's table.
+    for w in programs() {
+        let col = run(&w, "col", shape);
+        assert_eq!(
+            col,
+            run(&w, "vs2 sized", shape),
+            "{}: col is not vs2",
+            w.name
+        );
+        let kind = columns(&kind_stats(&w, MatcherKind::Col, shape));
+        assert_eq!(kind, col.0, "{}: MatcherKind::Col is not col", w.name);
     }
     // The programs must actually reach the arms the kernel special-cases:
     // left nulls are performed, and the dead readers of a right memory are
@@ -477,37 +422,29 @@ fn check_kernel(
     }
 }
 
-/// vs2 and col on the network with beta-prefix sharing, the one an engine
+/// vs2 on the network with beta-prefix sharing, the one an engine
 /// compiles by default: every program's row and CS-change digest.
 #[rustfmt::skip]
 const GOLDEN_SHARED: &[Row] = &[
     ("weaver(5x4x2, 2 nets, 2 kinds)", "vs2", [361, 7046, 295, 6795, 35, 4672, 453, 376, 238, 238, 784, 783, 674, 244, 251, 0], [367, 554]),
-    ("weaver(5x4x2, 2 nets, 2 kinds)", "col", [361, 7046, 295, 6795, 25, 4680, 550, 431, 261, 261, 785, 783, 677, 244, 251, 0], [367, 546]),
     ("tourney(6 teams, pathological)", "vs2", [263, 3065, 137, 2081, 95, 221, 1132, 438, 305, 164, 1546, 844, 249, 99, 984, 0], [203, 164]),
-    ("tourney(6 teams, pathological)", "col", [263, 3065, 137, 2081, 98, 214, 1259, 509, 434, 171, 1586, 844, 249, 99, 984, 0], [203, 141]),
     ("negated", "vs2", [66, 246, 54, 198, 25, 60, 12, 12, 18, 18, 45, 45, 15, 15, 48, 0], [36, 48]),
-    ("negated", "col", [66, 246, 54, 198, 31, 54, 12, 12, 24, 24, 45, 45, 15, 15, 48, 0], [36, 54]),
     ("synth-carousel(8 CEs, 5 turns)", "vs2", [88, 158, 18, 147, 6, 71, 34, 34, 6, 6, 35, 35, 35, 35, 11, 0], [99, 6]),
-    ("synth-carousel(8 CEs, 5 turns)", "col", [88, 158, 18, 147, 36, 41, 34, 34, 36, 36, 35, 35, 35, 35, 11, 0], [99, 36]),
 ];
 
 #[rustfmt::skip]
 const GOLDEN_CS_SHARED: &[CsRow] = &[
     ("weaver(5x4x2, 2 nets, 2 kinds)", "vs2", CsDigest { hash: 0xedecc035ca03cf7f, quiescences: 114 }),
-    ("weaver(5x4x2, 2 nets, 2 kinds)", "col", CsDigest { hash: 0xa567ab8b9a457d1f, quiescences: 114 }),
     ("tourney(6 teams, pathological)", "vs2", CsDigest { hash: 0xe008df502d996622, quiescences: 67 }),
-    ("tourney(6 teams, pathological)", "col", CsDigest { hash: 0xdb354447c297fa02, quiescences: 67 }),
     ("negated", "vs2", CsDigest { hash: 0x4954e9356e0baa65, quiescences: 22 }),
-    ("negated", "col", CsDigest { hash: 0x4954e9356e0baa65, quiescences: 22 }),
     ("synth-carousel(8 CEs, 5 turns)", "vs2", CsDigest { hash: 0xbb09e5a53c681956, quiescences: 6 }),
-    ("synth-carousel(8 CEs, 5 turns)", "col", CsDigest { hash: 0xbb09e5a53c681956, quiescences: 6 }),
 ];
 
 #[test]
 fn counters_and_cs_order_match_the_parent_commit() {
     check_kernel(
         NetworkOptions::PAPER,
-        &["vs1", "vs2", "col"],
+        &["vs1", "vs2"],
         ("GOLDEN", GOLDEN),
         ("GOLDEN_CS", GOLDEN_CS),
     );
@@ -518,7 +455,7 @@ fn counters_and_cs_order_on_the_shared_network_match_their_pins() {
     assert!(NetworkOptions::default().sharing);
     check_kernel(
         NetworkOptions::default(),
-        &["vs2", "col"],
+        &["vs2"],
         ("GOLDEN_SHARED", GOLDEN_SHARED),
         ("GOLDEN_CS_SHARED", GOLDEN_CS_SHARED),
     );
@@ -722,7 +659,7 @@ fn a_rubik_change_evaluates_at_most_four_constant_tests() {
 /// cuts Weaver's vs2 join activations against the paper's by at least a
 /// fifth. Measured on this 6x6 grid: 23.2 % (68 153 -> 52 350); the 5x4
 /// grid of [`programs`] reads 20.7 %, too close to the bound to gate on.
-/// The cut is sharing's: for vs1, vs2 and col the unlinking option moves no
+/// The cut is sharing's: for vs1 and vs2 the unlinking option moves no
 /// counter ([`check_kernel`]).
 #[test]
 fn the_default_network_cuts_weaver_join_activations_by_a_fifth_against_the_papers() {

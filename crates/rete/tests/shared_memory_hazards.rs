@@ -7,20 +7,19 @@
 //! keeps, in each left entry, the children it sent on, so that a removal
 //! sends them again without rematching: to a join under the key the
 //! fan-out computes, to a terminal as the token the conflict set holds, to
-//! each successor of a shared join. col runs the set-at-a-time
-//! schedule (`rete::colmatch` module docs, passes 1 and 2) over vs2's hash
-//! lines, so the same hazards apply to it. These programs put both
-//! sides of a pair in one change, a reader below another reader of the same
-//! memory, or a child whose two halves leave at different times, and check
-//! the folded conflict set after every change (and, for the kept children,
-//! after every batch of several changes too, where col's hazards are)
-//! against `psm::trace::TraceMatcher`: it keeps footnote 6's private right
-//! memory per join, rematches every removal, runs on one thread, takes a
-//! batch as written and shares no code with `rete::seq`. The sequential matchers and
-//! col run with their debug assertions (a delete must find its token; the
-//! children a removal takes are what a rematch would find, in its order) and
-//! fold strictly: an insert of a present instantiation or a remove of an
-//! absent one fails the test.
+//! each successor of a shared join. These programs put both sides of a
+//! pair in one change, a reader below another reader of the same memory,
+//! or a child whose two halves leave at different times, and check the
+//! folded conflict set after every change (and, for the kept children and
+//! the not-nodes, after every batch of several changes too, which the
+//! kernel takes retractions first) against `psm::trace::TraceMatcher`: it
+//! keeps footnote 6's private right memory per join, rematches every
+//! removal, runs on one thread, takes a batch as written and shares no code
+//! with `rete::seq`. The sequential matchers run with their debug
+//! assertions (a delete must find its token; the children a removal takes
+//! are what a rematch would find, in its order) and fold strictly: an
+//! insert of a present instantiation or a remove of an absent one fails the
+//! test.
 //!
 //! These are integration tests because a unit test of `rete` cannot hand a
 //! `rete::Network` to psm: through the dev-dependency cycle the two would be
@@ -29,7 +28,7 @@
 use lispsim::LispEngineMatcher;
 use ops5::{ChangeBatch, CsChange, Matcher, Program, Sign, Value, Wme, WmeChange, WmeRef};
 use psm::trace::{RunTrace, TraceMatcher};
-use rete::{ColMatcher, HashMemConfig, Network, NetworkOptions, SeqMatcher, Succ};
+use rete::{HashMemConfig, Network, NetworkOptions, SeqMatcher, Succ};
 use std::sync::{Arc, Mutex};
 
 fn net_of(src: &str) -> (Program, Arc<Network>) {
@@ -102,70 +101,125 @@ fn fold_into(state: &mut Folded, cs: Vec<CsChange>, strict: bool, at: &str) {
     }
 }
 
-/// Feeds `steps` in batches of `len` changes, one quiescence each, and
-/// returns the folded conflict set after each ([`fold_into`]'s `strict`).
-fn fold_chunks(m: &mut dyn Matcher, steps: &[Step], len: usize, strict: bool) -> Vec<Folded> {
+/// Feeds `batches`, one quiescence each, and returns the folded conflict
+/// set after each ([`fold_into`]'s `strict`).
+fn fold_batches(m: &mut dyn Matcher, batches: &[Vec<Step>], strict: bool) -> Vec<Folded> {
     let mut state = Folded::new();
     let mut history = Vec::new();
-    for (i, chunk) in steps.chunks(len).enumerate() {
-        let batch: ChangeBatch = (chunk.iter())
+    for (i, steps) in batches.iter().enumerate() {
+        let batch: ChangeBatch = (steps.iter())
             .map(|(sign, w)| WmeChange {
                 sign: *sign,
                 wme: w.clone(),
             })
             .collect();
         m.submit(&batch);
-        let at = format!("{} chunk {i} of {len}", m.name());
+        let at = format!("{} batch {i}", m.name());
         fold_into(&mut state, m.quiesce().cs_changes, strict, &at);
         history.push(state.clone());
     }
     history
 }
 
-/// [`fold_chunks`] one change per quiescence.
-fn fold_history(m: &mut dyn Matcher, steps: &[Step], strict: bool) -> Vec<Folded> {
-    fold_chunks(m, steps, 1, strict)
+/// `steps` in batches of `len` changes.
+fn chunks(steps: &[Step], len: usize) -> Vec<Vec<Step>> {
+    steps.chunks(len).map(<[Step]>::to_vec).collect()
 }
 
-/// Drives `steps` in batches of `len` changes through vs1, vs2, lispsim and
-/// col (strict fold) and through the trace matcher, the per-join reference,
-/// on a network of `prog` compiled with `options`: the folded conflict sets
-/// must agree after every batch. Returns the four matchers' final memory
-/// populations.
+/// [`fold_batches`] one change per quiescence.
+fn fold_history(m: &mut dyn Matcher, steps: &[Step], strict: bool) -> Vec<Folded> {
+    fold_batches(m, &chunks(steps, 1), strict)
+}
+
+/// Drives `batches` through vs1, vs2 and lispsim (strict fold) and through
+/// the trace matcher, the per-join reference, on a network of `prog`
+/// compiled with `options`: the folded conflict sets must agree after
+/// every batch. Returns the three matchers' final memory populations.
+fn fold_in_batches(
+    src: &str,
+    prog: &Program,
+    options: NetworkOptions,
+    batches: &[Vec<Step>],
+) -> [usize; 3] {
+    let net = Arc::new(Network::compile_with(prog, options).unwrap());
+    let mut vs1 = SeqMatcher::vs1(net.clone());
+    let mut vs2 = SeqMatcher::vs2(net.clone(), HashMemConfig { buckets: 16 });
+    let mut lisp = LispEngineMatcher::on(prog, net.clone());
+    let reference = fold_batches(&mut reference(net), batches, false);
+    let ms: [&mut dyn Matcher; 3] = [&mut vs1, &mut vs2, &mut lisp];
+    for m in ms {
+        let folds = fold_batches(m, batches, true);
+        let lens: Vec<usize> = batches.iter().map(Vec::len).collect();
+        assert_eq!(
+            folds,
+            reference,
+            "{} in batches of {lens:?}: {src}",
+            m.name()
+        );
+    }
+    [
+        vs1.memory_entries(),
+        vs2.memory_entries(),
+        lisp.memory_entries(),
+    ]
+}
+
+/// [`fold_in_batches`] in batches of `len` changes.
 fn fold_in_chunks(
     src: &str,
     prog: &Program,
     options: NetworkOptions,
     steps: &[Step],
     len: usize,
-) -> [usize; 4] {
-    let net = Arc::new(Network::compile_with(prog, options).unwrap());
-    let mut vs1 = SeqMatcher::vs1(net.clone());
-    let mut vs2 = SeqMatcher::vs2(net.clone(), HashMemConfig { buckets: 16 });
-    let mut lisp = LispEngineMatcher::on(prog, net.clone());
-    let mut col = ColMatcher::new(net.clone());
-    let reference = fold_chunks(&mut reference(net), steps, len, false);
-    let ms: [&mut dyn Matcher; 4] = [&mut vs1, &mut vs2, &mut lisp, &mut col];
-    for m in ms {
-        let folds = fold_chunks(m, steps, len, true);
-        assert_eq!(folds, reference, "{} in chunks of {len}: {src}", m.name());
-    }
-    [
-        vs1.memory_entries(),
-        vs2.memory_entries(),
-        lisp.memory_entries(),
-        col.memory_entries(),
-    ]
+) -> [usize; 3] {
+    fold_in_batches(src, prog, options, &chunks(steps, len))
 }
 
 /// [`fold_in_chunks`] one change per quiescence.
-fn fold_with(src: &str, prog: &Program, options: NetworkOptions, steps: &[Step]) -> [usize; 4] {
+fn fold_with(src: &str, prog: &Program, options: NetworkOptions, steps: &[Step]) -> [usize; 3] {
     fold_in_chunks(src, prog, options, steps, 1)
 }
 
 /// [`fold_with`] on the paper's network: no sharing, no unlinking.
-fn fold_against_the_trace(src: &str, prog: &Program, steps: &[Step]) -> [usize; 4] {
+fn fold_against_the_trace(src: &str, prog: &Program, steps: &[Step]) -> [usize; 3] {
     fold_with(src, prog, NetworkOptions::default(), steps)
+}
+
+/// A batch case: a program, its WMEs (class and values; the i-th has
+/// timetag i + 1), and its batches, `|`-separated, each change `+i` or
+/// `-i` of the i-th WME.
+type Case = (
+    &'static str,
+    &'static [(&'static str, &'static [i64])],
+    &'static str,
+);
+
+/// Folds each case's batches against the trace ([`fold_in_batches`], the
+/// paper's network); every case leaves the memories empty.
+fn fold_cases(cases: &[Case]) {
+    for &(src, wmes, spec) in cases {
+        let mut prog = Program::from_source(src).unwrap();
+        let ws: Vec<WmeRef> = (wmes.iter().zip(1..))
+            .map(|(&(class, vals), tag)| ints(&mut prog, class, vals, tag))
+            .collect();
+        let batches: Vec<Vec<Step>> = (spec.split('|'))
+            .map(|batch| {
+                (batch.split_whitespace())
+                    .map(|c| {
+                        let sign = if c.starts_with('+') {
+                            Sign::Plus
+                        } else {
+                            Sign::Minus
+                        };
+                        (sign, ws[c[1..].parse::<usize>().unwrap()].clone())
+                    })
+                    .collect()
+            })
+            .collect();
+        let options = NetworkOptions::default();
+        let left = fold_in_batches(src, &prog, options, &batches);
+        assert_eq!(left, [0, 0, 0], "{spec}: {src}");
+    }
 }
 
 /// Adds `wmes` in order, then removes them in order, then adds and
@@ -193,10 +247,7 @@ fn a_self_join_pairs_a_wme_with_itself_exactly_once() {
         ints(&mut prog, "a", &[1], 2),
         ints(&mut prog, "a", &[2], 3),
     ];
-    assert_eq!(
-        fold_against_the_trace(src, &prog, &churn(&ws)),
-        [0, 0, 0, 0]
-    );
+    assert_eq!(fold_against_the_trace(src, &prog, &churn(&ws)), [0, 0, 0]);
 
     let mut m = SeqMatcher::vs2(net_of(src).1, HashMemConfig { buckets: 16 });
     add(&mut m, ws[0].clone());
@@ -226,10 +277,7 @@ fn a_reader_downstream_of_another_reader_emits_each_pair_once() {
         ints(&mut prog, "b", &[2], 4),
         ints(&mut prog, "a", &[2], 5),
     ];
-    assert_eq!(
-        fold_against_the_trace(src, &prog, &churn(&ws)),
-        [0, 0, 0, 0]
-    );
+    assert_eq!(fold_against_the_trace(src, &prog, &churn(&ws)), [0, 0, 0]);
 
     for mut m in all_three(src) {
         add(m.as_mut(), ws[0].clone());
@@ -260,10 +308,7 @@ fn a_blocker_that_is_its_own_token_passes_plus_before_minus() {
     let c1 = ints(&mut prog, "c", &[1], 4);
     let c2 = ints(&mut prog, "c", &[2], 5);
     let ws = [c1.clone(), own.clone(), free, other, c2];
-    assert_eq!(
-        fold_against_the_trace(src, &prog, &churn(&ws)),
-        [0, 0, 0, 0]
-    );
+    assert_eq!(fold_against_the_trace(src, &prog, &churn(&ws)), [0, 0, 0]);
 
     for mut m in all_three(src) {
         add(m.as_mut(), c1.clone());
@@ -300,10 +345,7 @@ fn a_blocker_inside_its_token_passes_plus_before_minus() {
     let own = ints(&mut prog, "b", &[1, 1], 3); // joins `a`, then blocks (a, own)
     let free = ints(&mut prog, "b", &[1, 2], 4); // joins `a`, blocks nothing
     let ws = [a.clone(), c.clone(), own.clone(), free];
-    assert_eq!(
-        fold_against_the_trace(src, &prog, &churn(&ws)),
-        [0, 0, 0, 0]
-    );
+    assert_eq!(fold_against_the_trace(src, &prog, &churn(&ws)), [0, 0, 0]);
 
     for mut m in all_three(src) {
         add(m.as_mut(), a.clone());
@@ -320,21 +362,22 @@ fn a_blocker_inside_its_token_passes_plus_before_minus() {
     }
 }
 
-/// The relink case (col's twin): `b`s arrive and leave while every
+/// One test-free `b` pattern read under three signatures (`[y]`, `[y u]`,
+/// `[]`) by five joins, one of them a not-node.
+const SHARED_B: &str = "(literalize a x z) (literalize b y u) (literalize c x)
+     (p p1 (a ^x <v>) (b ^y <v>) --> (halt))
+     (p p2 (a ^x <v> ^z <w>) (b ^y <v> ^u <w>) --> (halt))
+     (p p3 (a ^x <v>) (b ^y <q>) --> (halt))
+     (p p4 (a ^x <v>) - (b ^y <v>) --> (halt))
+     (p p5 (c ^x <v>) (b ^y <v>) --> (halt))";
+
+/// The relink case: `b`s arrive and leave while every
 /// reader's left memory is empty — stored once per signature, no reader
 /// run — then the token arrives, pairs with exactly the survivors, and
 /// leaves again.
 #[test]
 fn a_reader_that_comes_alive_late_scans_the_shared_memory() {
-    // One test-free `b` pattern read under three signatures (`[y]`,
-    // `[y u]`, `[]`) by five joins, one of them a not-node.
-    let src = "(literalize a x z) (literalize b y u) (literalize c x)
-         (p p1 (a ^x <v>) (b ^y <v>) --> (halt))
-         (p p2 (a ^x <v> ^z <w>) (b ^y <v> ^u <w>) --> (halt))
-         (p p3 (a ^x <v>) (b ^y <q>) --> (halt))
-         (p p4 (a ^x <v>) - (b ^y <v>) --> (halt))
-         (p p5 (c ^x <v>) (b ^y <v>) --> (halt))";
-    let (mut prog, net) = net_of(src);
+    let (mut prog, net) = net_of(SHARED_B);
     assert_eq!((net.n_joins(), net.right_mems.len()), (5, 3));
     let bs: Vec<WmeRef> = (0..6)
         .map(|i| ints(&mut prog, "b", &[i % 2, 2], i as u64 + 1))
@@ -351,9 +394,12 @@ fn a_reader_that_comes_alive_late_scans_the_shared_memory() {
         (Sign::Plus, a.clone()),
     ]);
     // b0 b1 b4 b5 under three signatures, `a` in four left memories.
-    assert_eq!(fold_against_the_trace(src, &prog, &steps), [16, 16, 16, 16]);
+    assert_eq!(
+        fold_against_the_trace(SHARED_B, &prog, &steps),
+        [16, 16, 16]
+    );
 
-    for mut m in all_three(src) {
+    for mut m in all_three(SHARED_B) {
         for (sign, w) in &steps[..8] {
             m.submit(&ChangeBatch::single(WmeChange {
                 sign: *sign,
@@ -372,12 +418,10 @@ fn a_reader_that_comes_alive_late_scans_the_shared_memory() {
 }
 
 /// vs2 sized by its population against vs2 at a fixed 16 and at the
-/// paper's 16 384 lines, col (whose table is vs2's sized by its population,
-/// taking each chunk set-at-a-time), and the trace matcher: a
-/// Tourney-shaped program (a cross product, an equality join and a not-node
-/// off one first CE) fed and then drained in chunks. After every chunk the
-/// folded conflict sets are identical and the four tables hold the same
-/// number of entries; the growing one doubles at least three times on the
+/// paper's 16 384 lines, and the trace matcher: a Tourney-shaped program (a
+/// cross product, an equality join and a not-node off one first CE) fed
+/// and then drained in chunks. After every chunk the folded conflict sets
+/// are identical and the three tables hold the same number of entries; the growing one doubles at least three times on the
 /// way up, and every line it splits keeps each of its entries exactly once.
 #[test]
 fn a_table_that_doubles_mid_run_agrees_with_the_fixed_ones() {
@@ -400,11 +444,10 @@ fn a_table_that_doubles_mid_run_agrees_with_the_fixed_ones() {
     let grown = HashMemConfig::default();
     let mut vs2 = [grown, HashMemConfig { buckets: 16 }, HashMemConfig::PAPER]
         .map(|cfg| SeqMatcher::vs2(net.clone(), cfg));
-    let mut col = ColMatcher::new(net.clone());
     let mut trace = reference(net);
     let start = vs2[0].table_lines();
     assert_eq!((start, vs2[1].table_lines()), (16, 16));
-    let mut sets = vec![Folded::new(); 5];
+    let mut sets = vec![Folded::new(); 4];
     let mut peak = 0;
     for (i, chunk) in steps.chunks(7).enumerate() {
         let batch: ChangeBatch = (chunk.iter())
@@ -414,21 +457,20 @@ fn a_table_that_doubles_mid_run_agrees_with_the_fixed_ones() {
             })
             .collect();
         let ms = vs2.iter_mut().map(|m| m as &mut dyn Matcher);
-        let others: [&mut dyn Matcher; 2] = [&mut col, &mut trace];
-        for (k, (m, set)) in ms.chain(others).zip(&mut sets).enumerate() {
+        let trace: &mut dyn Matcher = &mut trace;
+        for (k, (m, set)) in ms.chain([trace]).zip(&mut sets).enumerate() {
             m.submit(&batch);
-            // The trace is the reference; the three vs2 and col fold strictly.
-            fold_into(set, m.quiesce().cs_changes, k < 4, &format!("chunk {i}"));
+            // The trace is the reference; the three vs2 fold strictly.
+            fold_into(set, m.quiesce().cs_changes, k < 3, &format!("chunk {i}"));
         }
         assert!(
-            sets.iter().all(|s| *s == sets[4]),
+            sets.iter().all(|s| *s == sets[3]),
             "chunk {i}: folds differ"
         );
         let entries = vs2.each_ref().map(|m| m.memory_entries());
         assert!(
-            entries.iter().all(|&n| n == col.memory_entries()),
-            "chunk {i}: {entries:?} against col's {}",
-            col.memory_entries()
+            entries.iter().all(|&n| n == entries[0]),
+            "chunk {i}: {entries:?}"
         );
         peak = peak.max(entries[0]);
     }
@@ -436,7 +478,6 @@ fn a_table_that_doubles_mid_run_agrees_with_the_fixed_ones() {
     assert!(peak > 4 * rete::memory::LOAD * start, "peak {peak}");
     // Drained: nothing left, and the table keeps the size it grew to.
     assert_eq!(vs2.each_ref().map(|m| m.memory_entries()), [0, 0, 0]);
-    assert_eq!(col.memory_entries(), 0);
     assert!(vs2[0].table_lines() >= 8 * start);
     assert_eq!(vs2[1].table_lines(), 16);
 }
@@ -484,7 +525,7 @@ fn a_child_whose_right_wme_leaves_first_is_not_sent_twice() {
     ]
     .map(|(sign, w)| (sign, w.clone()))
     .into();
-    assert_eq!(fold_against_the_trace(CHAIN, &prog, &steps), [0, 0, 0, 0]);
+    assert_eq!(fold_against_the_trace(CHAIN, &prog, &steps), [0, 0, 0]);
 
     for mut m in seq_matchers(&prog, &net) {
         for w in [&a, &b1, &b2, &c] {
@@ -525,10 +566,7 @@ fn a_self_join_wme_in_its_token_and_on_the_right_leaves_in_one_change() {
         ints(&mut prog, "a", &[2], 4),
         ints(&mut prog, "c", &[2], 5),
     ];
-    assert_eq!(
-        fold_against_the_trace(src, &prog, &churn(&ws)),
-        [0, 0, 0, 0]
-    );
+    assert_eq!(fold_against_the_trace(src, &prog, &churn(&ws)), [0, 0, 0]);
 
     for mut m in seq_matchers(&prog, &net) {
         for w in &ws[..3] {
@@ -572,7 +610,7 @@ fn a_join_with_two_successors_under_sharing_sends_its_children_to_each() {
         .zip(1..)
         .map(|((class, v), tag)| ints(&mut prog, class, &[v], tag))
         .collect();
-    assert_eq!(fold_with(src, &prog, sharing, &churn(&ws)), [0, 0, 0, 0]);
+    assert_eq!(fold_with(src, &prog, sharing, &churn(&ws)), [0, 0, 0]);
 }
 
 /// Children across a vs2 table that doubles between a child's insert and
@@ -606,7 +644,7 @@ fn a_child_keyed_before_the_table_doubled_is_removed_after() {
     let steps: Vec<Step> = (chain.iter().chain(&fill).map(|w| (Sign::Plus, w.clone())))
         .chain(leaving.map(|w| (Sign::Minus, w.clone())))
         .collect();
-    assert_eq!(fold_against_the_trace(src, &prog, &steps), [0, 0, 0, 0]);
+    assert_eq!(fold_against_the_trace(src, &prog, &steps), [0, 0, 0]);
 
     let reference = fold_history(&mut reference(net.clone()), &steps, false);
     let mut grown = SeqMatcher::vs2(net, HashMemConfig::default());
@@ -648,10 +686,7 @@ fn a_terminal_join_below_a_join_that_keeps_children_keeps_its_own() {
         .zip(1..)
         .map(|((class, v), tag)| ints(&mut prog, class, &[v], tag))
         .collect();
-    assert_eq!(
-        fold_against_the_trace(CHAIN, &prog, &churn(&ws)),
-        [0, 0, 0, 0]
-    );
+    assert_eq!(fold_against_the_trace(CHAIN, &prog, &churn(&ws)), [0, 0, 0]);
 
     for mut m in seq_matchers(&prog, &net) {
         for w in &ws {
@@ -685,10 +720,7 @@ fn children_leave_in_line_order_after_a_removal_moved_one_forward() {
     let b2 = ints(&mut prog, "b", &[6], 4);
     let c = ints(&mut prog, "c", &[1], 5);
     let ws = [b0.clone(), b1, b2, a.clone(), c];
-    assert_eq!(
-        fold_against_the_trace(src, &prog, &churn(&ws)),
-        [0, 0, 0, 0]
-    );
+    assert_eq!(fold_against_the_trace(src, &prog, &churn(&ws)), [0, 0, 0]);
 
     for mut m in seq_matchers(&prog, &net) {
         for w in &ws {
@@ -771,17 +803,112 @@ fn children_leave_in_line_order_after_the_table_doubled() {
     assert_eq!(gone, [tags(&bs[3]), tags(&bs[1]), tags(&bs[0])]);
 }
 
-/// col's kept-children hazards are batch-level: a child whose two halves
-/// arrive in one batch, leave in one batch, or whose token gains it in pass
-/// 1 and leaves in pass 2, and a right entry whose slot a removal frees
-/// while a later insertion of the same batch is joined with a child. The
-/// kept-children programs above submit one change at a time; here the same
-/// programs, and a carousel of `b`s under a changing `a` (each `+b` joins
-/// the `a` that still holds the child of the `b` leaving next), go in
-/// batches of 2 to 7 changes, so every such pair meets inside some batch.
-/// vs1, vs2 and lispsim take each batch retractions first, col
-/// set-at-a-time, the trace matcher as written; all fold alike after every
-/// batch.
+/// `a ⋈ b` feeds `(a b) ⋈ c` and nothing else, so J0's children are J1's
+/// left tokens; J1's are instantiations.
+const KEEPING: &str = "(literalize a x) (literalize b y z) (literalize c u)
+     (p q (a ^x <v>) (b ^y <v> ^z <w>) (c ^u <w>) --> (halt))";
+
+/// [`KEEPING`] below a not-node: J0 is `- (n ^x <v>)`, J1 `⋈ b` keeps its
+/// children for J2 `⋈ c`.
+const BLOCKED: &str = "(literalize a x) (literalize n x) (literalize b y z)
+     (literalize c u)
+     (p q (a ^x <v>) - (n ^x <v>) (b ^y <v> ^z <w>) (c ^u <w>) --> (halt))";
+
+/// Batches in which two changes meet at one join.
+const BATCHED: &[Case] = &[
+    // A pair made in one batch, and both its sides deleted in one.
+    (
+        PAIR,
+        &[("a", &[1]), ("b", &[1])],
+        "+0 +1 | -0 | -1 | +0 +1 | -0 -1",
+    ),
+    // A cross product made in one batch, then one side of it deleted.
+    (
+        "(p q (a ^x <v>) (b ^y <w>) --> (halt))",
+        &[
+            ("a", &[0]),
+            ("a", &[1]),
+            ("a", &[2]),
+            ("b", &[0]),
+            ("b", &[1]),
+            ("b", &[2]),
+            ("b", &[3]),
+        ],
+        "+0 +1 +2 +3 +4 +5 +6 | -0 | -1 -2 -3 -4 -5 -6",
+    ),
+    // A three-CE chain built in one batch, its middle out and back.
+    (
+        KEEPING,
+        &[("a", &[1]), ("b", &[1, 9]), ("c", &[9])],
+        "+2 +1 +0 | -1 | +1 | -0 -2 | -1",
+    ),
+    // A child whose two halves (`a1`, `b`) arrive in one batch, beside a
+    // token that pairs with neither.
+    (
+        KEEPING,
+        &[("a", &[2]), ("c", &[9]), ("a", &[1]), ("b", &[1, 9])],
+        "+0 +1 | +3 +2 | -2 | -3 | -0 -1",
+    ),
+    // A child whose two halves leave in one batch, in either order.
+    (
+        KEEPING,
+        &[("a", &[1]), ("b", &[1, 9]), ("b", &[1, 9]), ("c", &[9])],
+        "+0 +1 +2 +3 | -0 -1 | -2 -3",
+    ),
+    (
+        KEEPING,
+        &[("a", &[1]), ("b", &[1, 9]), ("b", &[1, 9]), ("c", &[9])],
+        "+0 +1 +2 +3 | -1 -0 | -2 -3",
+    ),
+    // A token that would gain a child and leaves in the same batch; below
+    // a not-node, a blocker arriving with the child's right half takes the
+    // token away.
+    (
+        KEEPING,
+        &[("a", &[1]), ("c", &[9]), ("b", &[1, 9])],
+        "+0 +1 | +2 -0 | -2 -1",
+    ),
+    (
+        BLOCKED,
+        &[("a", &[1]), ("c", &[9]), ("b", &[1, 9]), ("n", &[1])],
+        "+0 +1 | +2 +3 | -2 -1 -3 -0",
+    ),
+    // A self-join WME that is both halves, `a ^x` on J0's left and `a ^y`
+    // on its right, two of them arriving in one batch.
+    (
+        "(literalize a x y z) (literalize c u)
+         (p q (a ^x <v>) (a ^y <v> ^z <w>) (c ^u <w>) --> (halt))",
+        &[
+            ("a", &[5, 6, 9]),
+            ("c", &[9]),
+            ("a", &[1, 1, 9]),
+            ("a", &[1, 1, 9]),
+        ],
+        "+0 +1 | +2 +3 | -2 | -3 -0 | -1",
+    ),
+    // One memory's WMEs under three signatures and a token of its readers
+    // in and out together.
+    (
+        SHARED_B,
+        &[
+            ("a", &[1, 2]),
+            ("a", &[3, 2]),
+            ("c", &[1]),
+            ("b", &[1, 2]),
+            ("b", &[1, 3]),
+            ("b", &[3, 2]),
+        ],
+        "+0 +3 | +4 +2 | +1 -3 | +5 -0 | -4 -2 | -1 -5",
+    ),
+];
+
+/// The kept-children programs above submit one change at a time; here the
+/// same programs, and a carousel of `b`s under a changing `a` (each `+b`
+/// joins the `a` that still holds the child of the `b` leaving next), go in
+/// batches of 2 to 7 changes, so every such pair meets inside some batch,
+/// and the cases of [`BATCHED`] go in the batches they name. vs1, vs2 and
+/// lispsim take each batch retractions first, the trace matcher as written;
+/// all fold alike after every batch.
 #[test]
 fn kept_children_fold_alike_when_changes_arrive_in_batches() {
     let (mut prog, net) = net_of(CHAIN);
@@ -841,17 +968,10 @@ fn kept_children_fold_alike_when_changes_arrive_in_batches() {
     for (src, prog, steps) in &programs {
         for len in 2..=7 {
             let options = NetworkOptions::default();
-            assert_eq!(fold_in_chunks(src, prog, options, steps, len), [0, 0, 0, 0]);
+            assert_eq!(fold_in_chunks(src, prog, options, steps, len), [0, 0, 0]);
         }
     }
-}
-
-/// vs1, vs2 (a 16-line table), lispsim and col on `net`, a network of
-/// `prog`.
-fn all_four(prog: &Program, net: &Arc<Network>) -> Vec<Box<dyn Matcher>> {
-    let mut ms = seq_matchers(prog, net);
-    ms.push(Box::new(ColMatcher::new(net.clone())));
-    ms
+    fold_cases(BATCHED);
 }
 
 /// The timetags of each instantiation `cs` removes, in emission order; an
@@ -863,15 +983,6 @@ fn removed(name: &str, cs: Vec<CsChange>) -> Vec<Vec<u64>> {
             CsChange::Insert(i) => panic!("{name}: insert {i:?}"),
         })
         .collect()
-}
-
-/// The order the rematch emitted removals in: the agenda pops a list's
-/// terminal tasks last first, col fires them as they come.
-fn in_emission_order(name: &str, mut scan_order: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
-    if name != "col" {
-        scan_order.reverse();
-    }
-    scan_order
 }
 
 /// `(p q (a ^x <v>) (b ^y <v>))`: J0 feeds a terminal, so its children are
@@ -901,9 +1012,9 @@ fn a_terminal_child_whose_right_wme_leaves_first_is_removed_once() {
     ]
     .map(|(sign, w)| (sign, w.clone()))
     .into();
-    assert_eq!(fold_against_the_trace(PAIR, &prog, &steps), [0, 0, 0, 0]);
+    assert_eq!(fold_against_the_trace(PAIR, &prog, &steps), [0, 0, 0]);
 
-    for mut m in all_four(&prog, &net) {
+    for mut m in seq_matchers(&prog, &net) {
         for w in [&a, &b1, &b2] {
             add(m.as_mut(), w.clone());
         }
@@ -931,12 +1042,9 @@ fn a_self_join_wme_leaving_both_inputs_of_a_terminal_join_removes_each_once() {
         ints(&mut prog, "a", &[1], 2),
         ints(&mut prog, "a", &[2], 3),
     ];
-    assert_eq!(
-        fold_against_the_trace(src, &prog, &churn(&ws)),
-        [0, 0, 0, 0]
-    );
+    assert_eq!(fold_against_the_trace(src, &prog, &churn(&ws)), [0, 0, 0]);
 
-    for mut m in all_four(&prog, &net) {
+    for mut m in seq_matchers(&prog, &net) {
         add(m.as_mut(), ws[0].clone());
         add(m.as_mut(), ws[1].clone());
         assert_eq!(m.quiesce().cs_changes.len(), 4, "{}", m.name());
@@ -973,25 +1081,25 @@ fn terminal_removals_leave_in_line_order_after_a_swap_remove() {
         (Sign::Minus, b0.clone()),
         (Sign::Minus, a.clone()),
     ]);
-    assert_eq!(fold_against_the_trace(src, &prog, &steps), [2, 2, 2, 2]);
+    assert_eq!(fold_against_the_trace(src, &prog, &steps), [2, 2, 2]);
 
-    for mut m in all_four(&prog, &net) {
+    for mut m in seq_matchers(&prog, &net) {
         let name = m.name();
         for w in &ws {
             add(m.as_mut(), w.clone());
         }
         assert_eq!(m.quiesce().cs_changes.len(), 2);
         del(m.as_mut(), a.clone());
+        // The agenda pops a list's terminal tasks last first: line order
+        // `(a, b1) (a, b2)` is removed `(a, b2)` first.
         let gone = removed(name, m.quiesce().cs_changes);
-        let lined = vec![vec![1, 3], vec![1, 4]];
-        assert_eq!(gone, in_emission_order(name, lined.clone()), "{name}");
+        assert_eq!(gone, [[1, 4], [1, 3]], "{name}");
         add(m.as_mut(), a.clone());
         del(m.as_mut(), b0.clone());
         assert_eq!(m.quiesce().cs_changes.len(), 2, "{name}: only the inserts");
         del(m.as_mut(), a.clone());
         let gone = removed(name, m.quiesce().cs_changes);
-        let moved = lined.into_iter().rev().collect();
-        assert_eq!(gone, in_emission_order(name, moved), "{name}");
+        assert_eq!(gone, [[1, 3], [1, 4]], "{name}");
     }
 }
 
@@ -1033,8 +1141,7 @@ fn terminal_removals_leave_in_line_order_after_the_table_doubled() {
         .chain([&fs[4], &fs[5], &bs[3], &a])
         .collect();
 
-    // vs2 finds how many fillers double its table; col's is the same
-    // table, fed the same entries.
+    // vs2 finds how many fillers double its table.
     let mut vs2 = SeqMatcher::vs2(net.clone(), HashMemConfig::default());
     for w in &built {
         add(&mut vs2, (*w).clone());
@@ -1051,26 +1158,14 @@ fn terminal_removals_leave_in_line_order_after_the_table_doubled() {
     steps.extend([(Sign::Minus, bs[2].clone()), (Sign::Minus, a.clone())]);
     fold_against_the_trace(src, &prog, &steps);
 
-    let col = ColMatcher::new(net.clone());
-    let fresh_vs2 = SeqMatcher::vs2(net.clone(), HashMemConfig::default());
-    let ms: [Box<dyn Matcher>; 2] = [Box::new(fresh_vs2), Box::new(col)];
     let tags = |b: &WmeRef| vec![a.timetag, b.timetag];
-    for mut m in ms {
-        let name = m.name();
-        for (sign, w) in &steps[..steps.len() - 2] {
-            m.submit(&ChangeBatch::single(WmeChange {
-                sign: *sign,
-                wme: w.clone(),
-            }));
-        }
-        assert_eq!(m.quiesce().cs_changes.len(), 4, "{name}");
-        del(m.as_mut(), bs[2].clone());
-        assert_eq!(removed(name, m.quiesce().cs_changes), [tags(&bs[2])]);
-        del(m.as_mut(), a.clone());
-        let lined = vec![tags(&bs[0]), tags(&bs[1]), tags(&bs[3])];
-        let gone = removed(name, m.quiesce().cs_changes);
-        assert_eq!(gone, in_emission_order(name, lined), "{name}");
-    }
+    assert_eq!(vs2.quiesce().cs_changes.len(), 4);
+    del(&mut vs2, bs[2].clone());
+    assert_eq!(removed("vs2", vs2.quiesce().cs_changes), [tags(&bs[2])]);
+    del(&mut vs2, a.clone());
+    // Line order `b0 b1 b3`, popped last first.
+    let gone = removed("vs2", vs2.quiesce().cs_changes);
+    assert_eq!(gone, [tags(&bs[3]), tags(&bs[1]), tags(&bs[0])]);
 }
 
 /// A join shared by two productions feeds a join and a terminal, and sends
@@ -1094,12 +1189,9 @@ fn a_shared_join_feeding_a_join_and_a_terminal_sends_its_children_to_both() {
         .zip(1..)
         .map(|((class, v), tag)| ints(&mut prog, class, &[v], tag))
         .collect();
-    assert_eq!(
-        fold_against_the_trace(src, &prog, &churn(&ws)),
-        [0, 0, 0, 0]
-    );
+    assert_eq!(fold_against_the_trace(src, &prog, &churn(&ws)), [0, 0, 0]);
 
-    for mut m in all_four(&prog, &net) {
+    for mut m in seq_matchers(&prog, &net) {
         let name = m.name();
         for w in &ws[..4] {
             add(m.as_mut(), w.clone());
@@ -1129,8 +1221,10 @@ fn a_shared_join_feeding_a_join_and_a_terminal_sends_its_children_to_both() {
 /// one batch: `[+b2 -b1]` blocks `a2` and frees `a1`, `[+b1 -b2]` the other
 /// way round, and `[+b3 -b1]` blocks and frees `a1` at once. Whatever the
 /// not-node lets through or takes back reaches J1, which removes from what
-/// it kept. vs1, vs2 and lispsim take each batch retractions first, col
-/// set-at-a-time; all fold as the trace does after every batch.
+/// it kept. The cases of [`BLOCKERS`] put a blocker and a token it blocks,
+/// or a blocker of a not-node and of a positive join, into one batch. vs1,
+/// vs2 and lispsim take each batch retractions first; all fold as the trace
+/// does after every batch.
 #[test]
 fn a_terminal_join_below_a_not_node_folds_alike_with_blockers_in_and_out_in_one_batch() {
     let src = "(p q (a ^x <v>) - (b ^y <v>) (c ^z <v>) --> (halt))";
@@ -1169,9 +1263,29 @@ fn a_terminal_join_below_a_not_node_folds_alike_with_blockers_in_and_out_in_one_
     ];
     for len in [1, 2, 3, 4, 6] {
         let options = NetworkOptions::default();
-        assert_eq!(
-            fold_in_chunks(src, &prog, options, &steps, len),
-            [0, 0, 0, 0]
-        );
+        assert_eq!(fold_in_chunks(src, &prog, options, &steps, len), [0, 0, 0]);
     }
+    fold_cases(BLOCKERS);
 }
+
+/// `(p q (a ^x <v>) - (b ^y <v>))` over `a1`, `b1`, `b2`, all of value 1.
+const NOT_B: &str = "(p q (a ^x <v>) - (b ^y <v>) --> (halt))";
+
+/// Batches in which a blocker meets a token it blocks.
+const BLOCKERS: &[Case] = &[
+    // Two blockers arriving in one batch.
+    (
+        NOT_B,
+        &[("a", &[1]), ("b", &[1]), ("b", &[1])],
+        "+0 | +1 +2 | -1 | -2 | -0",
+    ),
+    // A blocker and its token in one batch.
+    (NOT_B, &[("a", &[1]), ("b", &[1])], "+0 +1 | -1 | -0"),
+    // A blocker shared by a not-node and a positive join.
+    (
+        "(p pos (a ^x <v>) (b ^y <v>) --> (halt))
+         (p neg (a ^x <v>) - (b ^y <v>) --> (halt))",
+        &[("a", &[1]), ("b", &[1]), ("b", &[1])],
+        "+1 +0 | -1 | +1 +2 | -2 | -0 -1",
+    ),
+];

@@ -34,9 +34,6 @@ pub mod weaver;
 
 use engine::{Engine, EngineBuilder, MatcherKind};
 use ops5::{Result, Value};
-use psm::trace::RunTrace;
-use psm::PsmConfig;
-use std::sync::{Arc, Mutex};
 
 /// A setup value (pre-symbol-table).
 #[derive(Debug, Clone, PartialEq)]
@@ -84,60 +81,13 @@ pub struct Workload {
     pub validate: Validator,
 }
 
-/// Which match engine to drive a workload with.
-#[derive(Clone)]
-pub enum MatcherChoice {
-    /// vs1: sequential, linear-list memories.
-    Vs1,
-    /// vs2: sequential, global hash-table memories.
-    Vs2,
-    /// The interpretive lisp-style baseline.
-    Lisp,
-    /// PSM-E with real threads.
-    Psm(PsmConfig),
-    /// col: set-at-a-time matcher over vs2's memories.
-    Col,
-    /// Sequential trace recorder (feeds the Multimax simulator).
-    Trace(Arc<Mutex<RunTrace>>),
-}
-
-impl MatcherChoice {
-    pub fn label(&self) -> &'static str {
-        match self {
-            MatcherChoice::Vs1 => "vs1",
-            MatcherChoice::Vs2 => "vs2",
-            MatcherChoice::Lisp => "lisp",
-            MatcherChoice::Psm(_) => "psm-e",
-            MatcherChoice::Col => "col",
-            MatcherChoice::Trace(_) => "trace",
-        }
-    }
-
-    /// The [`MatcherKind`] this choice maps to.
-    pub fn kind(&self) -> MatcherKind {
-        match self.clone() {
-            MatcherChoice::Vs1 => MatcherKind::Vs1,
-            // The paper's vs2: the tables reproduce its fixed
-            // 16 384-line table, not one sized by its population.
-            MatcherChoice::Vs2 => MatcherKind::Vs2(rete::HashMemConfig::PAPER),
-            MatcherChoice::Lisp => MatcherKind::Lisp,
-            MatcherChoice::Psm(cfg) => MatcherKind::Psm(cfg),
-            MatcherChoice::Col => MatcherKind::Col,
-            MatcherChoice::Trace(sink) => MatcherKind::Trace {
-                buckets: 32768,
-                sink,
-            },
-        }
-    }
-}
-
 /// Builds an engine for a workload: parses the source, compiles the network,
 /// installs the chosen matcher, and loads the initial working memory.
 /// The network options and the act phase are the builder's defaults: the
 /// shared network, serial act.
-pub fn build_engine(w: &Workload, choice: &MatcherChoice) -> Result<Engine> {
+pub fn build_engine(w: &Workload, kind: &MatcherKind) -> Result<Engine> {
     let mut eng = EngineBuilder::from_source(&w.source)?
-        .matcher(choice.kind())
+        .matcher(kind.clone())
         .build()?;
     load_setup(&mut eng, &w.setup)?;
     Ok(eng)
@@ -165,14 +115,14 @@ pub fn load_setup(eng: &mut Engine, setup: &[SetupWme]) -> Result<()> {
 
 /// Runs a workload to completion and validates the outcome. Returns the
 /// engine (for stats inspection) and the run result.
-pub fn run_workload(w: &Workload, choice: &MatcherChoice) -> Result<(Engine, engine::RunResult)> {
-    let mut eng = build_engine(w, choice)?;
+pub fn run_workload(w: &Workload, kind: &MatcherKind) -> Result<(Engine, engine::RunResult)> {
+    let mut eng = build_engine(w, kind)?;
     let res = eng.run(w.max_cycles)?;
     if let Err(e) = (w.validate)(&eng) {
         return Err(ops5::Ops5Error::Runtime(format!(
             "workload {} failed validation under {}: {}",
             w.name,
-            choice.label(),
+            kind.name(),
             e
         )));
     }
@@ -182,6 +132,9 @@ pub fn run_workload(w: &Workload, choice: &MatcherChoice) -> Result<(Engine, eng
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psm::trace::RunTrace;
+    use psm::PsmConfig;
+    use std::sync::{Arc, Mutex};
 
     fn counter_workload() -> Workload {
         Workload {
@@ -208,14 +161,14 @@ mod tests {
     fn run_workload_all_engines() {
         let w = counter_workload();
         for choice in [
-            MatcherChoice::Vs1,
-            MatcherChoice::Vs2,
-            MatcherChoice::Lisp,
-            MatcherChoice::Psm(PsmConfig::default()),
-            MatcherChoice::Col,
+            MatcherKind::Vs1,
+            MatcherKind::Vs2(rete::HashMemConfig::PAPER),
+            MatcherKind::Lisp,
+            MatcherKind::Psm(PsmConfig::default()),
+            MatcherKind::Col,
         ] {
             let (eng, res) = run_workload(&w, &choice).unwrap();
-            assert_eq!(res.cycles, 5, "engine {}", choice.label());
+            assert_eq!(res.cycles, 5, "engine {}", choice.name());
             assert_eq!(eng.cycles(), 5);
         }
     }
@@ -224,7 +177,14 @@ mod tests {
     fn trace_choice_records() {
         let w = counter_workload();
         let sink = Arc::new(Mutex::new(RunTrace::default()));
-        let (_eng, res) = run_workload(&w, &MatcherChoice::Trace(sink.clone())).unwrap();
+        let (_eng, res) = run_workload(
+            &w,
+            &MatcherKind::Trace {
+                buckets: 32768,
+                sink: sink.clone(),
+            },
+        )
+        .unwrap();
         assert_eq!(res.cycles, 5);
         let t = sink.lock().unwrap();
         assert!(t.total_tasks() > 5);
@@ -234,6 +194,6 @@ mod tests {
     fn validation_failure_reported() {
         let mut w = counter_workload();
         w.validate = Box::new(|_| Err("always fails".into()));
-        assert!(run_workload(&w, &MatcherChoice::Vs2).is_err());
+        assert!(run_workload(&w, &MatcherKind::Vs2(rete::HashMemConfig::PAPER)).is_err());
     }
 }

@@ -444,7 +444,8 @@ fn validate_solved(e: &Engine) -> std::result::Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_workload, MatcherChoice};
+    use crate::run_workload;
+    use engine::MatcherKind;
 
     #[test]
     #[allow(clippy::needless_range_loop)]
@@ -530,7 +531,7 @@ mod tests {
             plan: PlanMode::Inverse,
         };
         let w = workload(cfg);
-        let (eng, res) = run_workload(&w, &MatcherChoice::Vs2).unwrap();
+        let (eng, res) = run_workload(&w, &MatcherKind::Vs2(rete::HashMemConfig::PAPER)).unwrap();
         assert_eq!(res.reason, engine::StopReason::Halt);
         assert!(eng.output().iter().any(|l| l.contains("cube solved")));
     }
@@ -543,7 +544,7 @@ mod tests {
             plan: PlanMode::Iddfs { max_depth: 3 },
         };
         let w = workload(cfg);
-        let (_eng, res) = run_workload(&w, &MatcherChoice::Vs2).unwrap();
+        let (_eng, res) = run_workload(&w, &MatcherKind::Vs2(rete::HashMemConfig::PAPER)).unwrap();
         assert_eq!(res.reason, engine::StopReason::Halt);
     }
 }

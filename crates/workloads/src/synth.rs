@@ -242,13 +242,14 @@ pub fn carousel(k: usize, turns: usize) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_workload, MatcherChoice};
+    use crate::run_workload;
+    use engine::MatcherKind;
     use psm::PsmConfig;
 
     #[test]
     fn cross_product_completes() {
         let w = cross_product(4);
-        let (_e, res) = run_workload(&w, &MatcherChoice::Vs2).unwrap();
+        let (_e, res) = run_workload(&w, &MatcherKind::Vs2(rete::HashMemConfig::PAPER)).unwrap();
         assert_eq!(res.reason, engine::StopReason::Halt);
         assert_eq!(res.cycles, 17, "16 pairs + done");
     }
@@ -256,14 +257,14 @@ mod tests {
     #[test]
     fn wide_completes_under_parallel_matcher() {
         let w = wide_independent(12);
-        let (_e, res) = run_workload(&w, &MatcherChoice::Psm(PsmConfig::default())).unwrap();
+        let (_e, res) = run_workload(&w, &MatcherKind::Psm(PsmConfig::default())).unwrap();
         assert_eq!(res.reason, engine::StopReason::Halt);
     }
 
     #[test]
     fn chain_completes() {
         let w = long_chain(25);
-        let (_e, res) = run_workload(&w, &MatcherChoice::Vs1).unwrap();
+        let (_e, res) = run_workload(&w, &MatcherKind::Vs1).unwrap();
         assert_eq!(res.reason, engine::StopReason::Halt);
         assert_eq!(res.cycles, 26);
     }
@@ -271,7 +272,7 @@ mod tests {
     #[test]
     fn carousel_turns_and_halts() {
         let w = carousel(6, 7);
-        let (e, res) = run_workload(&w, &MatcherChoice::Vs2).unwrap();
+        let (e, res) = run_workload(&w, &MatcherKind::Vs2(rete::HashMemConfig::PAPER)).unwrap();
         assert_eq!(res.reason, engine::StopReason::Halt);
         assert_eq!(res.cycles, 8, "7 turns + done");
         // Each firing: k deletes and k adds, in one batch.
@@ -281,16 +282,16 @@ mod tests {
     #[test]
     fn fat_memories_completes() {
         let w = fat_memories(5, 20);
-        let (_e, res) = run_workload(&w, &MatcherChoice::Vs2).unwrap();
+        let (_e, res) = run_workload(&w, &MatcherKind::Vs2(rete::HashMemConfig::PAPER)).unwrap();
         assert_eq!(res.reason, engine::StopReason::Halt);
     }
 
     #[test]
     fn vs1_examines_more_than_vs2_on_fat_memories() {
         let w = fat_memories(8, 30);
-        let (e1, _) = run_workload(&w, &MatcherChoice::Vs1).unwrap();
+        let (e1, _) = run_workload(&w, &MatcherKind::Vs1).unwrap();
         let w = fat_memories(8, 30);
-        let (e2, _) = run_workload(&w, &MatcherChoice::Vs2).unwrap();
+        let (e2, _) = run_workload(&w, &MatcherKind::Vs2(rete::HashMemConfig::PAPER)).unwrap();
         let s1 = e1.match_stats();
         let s2 = e2.match_stats();
         assert!(

@@ -309,7 +309,8 @@ fn validate_schedule(e: &Engine, n: usize) -> std::result::Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_workload, MatcherChoice};
+    use crate::run_workload;
+    use engine::MatcherKind;
 
     #[test]
     fn circle_schedule_covers_all_pairs_once() {
@@ -338,7 +339,7 @@ mod tests {
             teams: 6,
             variant: Variant::Pathological,
         });
-        let (_eng, res) = run_workload(&w, &MatcherChoice::Vs2).unwrap();
+        let (_eng, res) = run_workload(&w, &MatcherKind::Vs2(rete::HashMemConfig::PAPER)).unwrap();
         assert_eq!(res.reason, engine::StopReason::Halt);
     }
 
@@ -348,7 +349,7 @@ mod tests {
             teams: 6,
             variant: Variant::Fixed,
         });
-        let (_eng, res) = run_workload(&w, &MatcherChoice::Vs2).unwrap();
+        let (_eng, res) = run_workload(&w, &MatcherKind::Vs2(rete::HashMemConfig::PAPER)).unwrap();
         assert_eq!(res.reason, engine::StopReason::Halt);
     }
 

@@ -482,7 +482,8 @@ fn connected(board: &Board, cells: &HashSet<i64>, src: i64, dst: i64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_workload, MatcherChoice};
+    use crate::run_workload;
+    use engine::MatcherKind;
 
     fn small() -> WeaverConfig {
         WeaverConfig {
@@ -520,7 +521,7 @@ mod tests {
     #[test]
     fn routes_small_board() {
         let w = workload(small());
-        let (eng, res) = run_workload(&w, &MatcherChoice::Vs2).unwrap();
+        let (eng, res) = run_workload(&w, &MatcherKind::Vs2(rete::HashMemConfig::PAPER)).unwrap();
         assert_eq!(
             res.reason,
             engine::StopReason::Halt,
@@ -536,7 +537,7 @@ mod tests {
         cfg.blocked_pct = 10;
         cfg.seed = 9;
         let w = workload(cfg);
-        let (_eng, res) = run_workload(&w, &MatcherChoice::Vs2).unwrap();
+        let (_eng, res) = run_workload(&w, &MatcherKind::Vs2(rete::HashMemConfig::PAPER)).unwrap();
         assert_eq!(res.reason, engine::StopReason::Halt);
     }
 

@@ -25,9 +25,9 @@ fn main() {
     println!("scramble length: {scramble_len}");
 
     for choice in [
-        MatcherChoice::Vs1,
-        MatcherChoice::Vs2,
-        MatcherChoice::Psm(PsmConfig {
+        MatcherKind::Vs1,
+        MatcherKind::Vs2(HashMemConfig::PAPER),
+        MatcherKind::Psm(PsmConfig {
             match_processes: 3,
             queues: 4,
             lock_scheme: LockScheme::Simple,
@@ -41,7 +41,7 @@ fn main() {
         let stats = engine.match_stats();
         println!(
             "[{:>6}] {:>5} cycles, {:>6} wme-changes, {:>8} activations, {:?} ({:.1?})",
-            choice.label(),
+            choice.name(),
             result.cycles,
             stats.wme_changes,
             stats.activations,
@@ -49,7 +49,7 @@ fn main() {
             elapsed,
         );
         for line in engine.output() {
-            println!("[{:>6}]   rule output: {line}", choice.label());
+            println!("[{:>6}]   rule output: {line}", choice.name());
         }
     }
 

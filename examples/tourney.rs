@@ -19,7 +19,8 @@ fn main() {
 
     for variant in [Variant::Pathological, Variant::Fixed] {
         let w = tourney::workload(TourneyConfig { teams, variant });
-        let (engine, result) = run_workload(&w, &MatcherChoice::Vs2).expect("tourney");
+        let (engine, result) =
+            run_workload(&w, &MatcherKind::Vs2(HashMemConfig::PAPER)).expect("tourney");
         let stats = engine.match_stats();
         println!(
             "[{:?}] {} teams: {} cycles, {} wme-changes, {} activations",

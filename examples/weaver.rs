@@ -28,7 +28,8 @@ fn main() {
         p.productions.len()
     });
 
-    let (engine, result) = run_workload(&w, &MatcherChoice::Vs2).expect("weaver run");
+    let (engine, result) =
+        run_workload(&w, &MatcherKind::Vs2(HashMemConfig::PAPER)).expect("weaver run");
     let stats = engine.match_stats();
     println!(
         "{} cycles, {} wme-changes, {} node activations ({:?})",

@@ -68,7 +68,7 @@ pub mod prelude {
     pub use rete::network::Network;
     pub use rete::{HashMemConfig, NetworkOptions, NetworkSummary, SeqMatcher};
     pub use serve::{Client, ServeConfig, Server};
-    pub use workloads::{build_engine, run_workload, MatcherChoice, Workload};
+    pub use workloads::{build_engine, run_workload, Workload};
 }
 
 #[cfg(test)]

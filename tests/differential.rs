@@ -8,9 +8,9 @@
 //! timetags, in firing order) is the strongest observable.
 
 use parallel_ops5::prelude::*;
-use workloads::{build_engine, rubik, synth, tourney, weaver, MatcherChoice, Workload};
+use workloads::{build_engine, rubik, synth, tourney, weaver, Workload};
 
-fn firing_log(w: &Workload, choice: &MatcherChoice) -> Vec<(u32, Vec<u64>)> {
+fn firing_log(w: &Workload, choice: &MatcherKind) -> Vec<(u32, Vec<u64>)> {
     let mut eng = build_engine(w, choice).expect("build engine");
     eng.run(w.max_cycles).expect("run");
     eng.fired_log()
@@ -19,25 +19,25 @@ fn firing_log(w: &Workload, choice: &MatcherChoice) -> Vec<(u32, Vec<u64>)> {
         .collect()
 }
 
-fn all_choices() -> Vec<MatcherChoice> {
+fn all_choices() -> Vec<MatcherKind> {
     vec![
-        MatcherChoice::Vs1,
-        MatcherChoice::Vs2,
-        MatcherChoice::Lisp,
-        MatcherChoice::Col,
-        MatcherChoice::Psm(PsmConfig {
+        MatcherKind::Vs1,
+        MatcherKind::Vs2(HashMemConfig::PAPER),
+        MatcherKind::Lisp,
+        MatcherKind::Col,
+        MatcherKind::Psm(PsmConfig {
             match_processes: 1,
             queues: 1,
             lock_scheme: LockScheme::Simple,
             buckets: 64,
         }),
-        MatcherChoice::Psm(PsmConfig {
+        MatcherKind::Psm(PsmConfig {
             match_processes: 4,
             queues: 2,
             lock_scheme: LockScheme::Simple,
             buckets: 64,
         }),
-        MatcherChoice::Psm(PsmConfig {
+        MatcherKind::Psm(PsmConfig {
             match_processes: 4,
             queues: 4,
             lock_scheme: LockScheme::Mrsw,
@@ -47,7 +47,7 @@ fn all_choices() -> Vec<MatcherChoice> {
 }
 
 fn assert_all_engines_agree(w: Workload) {
-    let reference = firing_log(&w, &MatcherChoice::Vs2);
+    let reference = firing_log(&w, &MatcherKind::Vs2(HashMemConfig::PAPER));
     assert!(!reference.is_empty(), "workload {} did nothing", w.name);
     for choice in all_choices() {
         let log = firing_log(&w, &choice);
@@ -56,7 +56,7 @@ fn assert_all_engines_agree(w: Workload) {
             reference,
             "firing log mismatch: {} under {}",
             w.name,
-            choice.label()
+            choice.name()
         );
     }
 }
@@ -141,10 +141,10 @@ const CORPUS: [&str; 6] = [
 fn corpus_programs_identical_on_all_matchers() {
     for name in CORPUS {
         let src = std::fs::read_to_string(format!("programs/{name}.ops")).expect("read corpus");
-        let log = |choice: &MatcherChoice| {
+        let log = |choice: &MatcherKind| {
             let mut eng = EngineBuilder::from_source(&src)
                 .expect("parse")
-                .matcher(choice.kind())
+                .matcher(choice.clone())
                 .build()
                 .expect("build");
             eng.load_startup().expect("startup");
@@ -156,14 +156,14 @@ fn corpus_programs_identical_on_all_matchers() {
             wm.sort();
             (fired, wm, eng.output().to_vec())
         };
-        let reference = log(&MatcherChoice::Vs2);
+        let reference = log(&MatcherKind::Vs2(HashMemConfig::PAPER));
         assert!(!reference.0.is_empty(), "{name} did nothing");
         for choice in all_choices() {
             assert_eq!(
                 log(&choice),
                 reference,
                 "firing log, working memory or output mismatch: {name} under {}",
-                choice.label()
+                choice.name()
             );
         }
     }
@@ -177,10 +177,10 @@ fn corpus_programs_identical_on_all_matchers() {
 fn corpus_cs_history_identical_on_all_matchers() {
     for name in CORPUS {
         let src = std::fs::read_to_string(format!("programs/{name}.ops")).expect("read corpus");
-        let history = |choice: &MatcherChoice| -> Vec<u8> {
+        let history = |choice: &MatcherKind| -> Vec<u8> {
             let mut eng = EngineBuilder::from_source(&src)
                 .expect("parse")
-                .matcher(choice.kind())
+                .matcher(choice.clone())
                 .build()
                 .expect("build");
             eng.load_startup().expect("startup");
@@ -197,7 +197,7 @@ fn corpus_cs_history_identical_on_all_matchers() {
             }
             out
         };
-        let reference = history(&MatcherChoice::Vs2);
+        let reference = history(&MatcherKind::Vs2(HashMemConfig::PAPER));
         assert!(
             reference.len() > 4,
             "{name} produced no conflict-set history"
@@ -207,7 +207,7 @@ fn corpus_cs_history_identical_on_all_matchers() {
                 history(&choice),
                 reference,
                 "CS history mismatch: {name} under {}",
-                choice.label()
+                choice.name()
             );
         }
     }
@@ -228,10 +228,10 @@ fn corpus_cs_history_identical_with_sharing_and_unlinking() {
     };
     for name in CORPUS {
         let src = std::fs::read_to_string(format!("programs/{name}.ops")).expect("read corpus");
-        let history = |choice: &MatcherChoice, options: NetworkOptions| -> Vec<u8> {
+        let history = |choice: &MatcherKind, options: NetworkOptions| -> Vec<u8> {
             let mut eng = EngineBuilder::from_source(&src)
                 .expect("parse")
-                .matcher(choice.kind())
+                .matcher(choice.clone())
                 .network_options(options)
                 .build()
                 .expect("build");
@@ -249,7 +249,10 @@ fn corpus_cs_history_identical_with_sharing_and_unlinking() {
             }
             out
         };
-        let reference = history(&MatcherChoice::Vs2, NetworkOptions::PAPER);
+        let reference = history(
+            &MatcherKind::Vs2(HashMemConfig::PAPER),
+            NetworkOptions::PAPER,
+        );
         assert!(
             reference.len() > 4,
             "{name} produced no conflict-set history"
@@ -260,7 +263,7 @@ fn corpus_cs_history_identical_with_sharing_and_unlinking() {
                     history(&choice, options),
                     reference,
                     "CS history diverges on {options:?}: {name} under {}",
-                    choice.label()
+                    choice.name()
                 );
             }
         }
@@ -318,9 +321,15 @@ fn trace_matcher_agrees_too() {
         scramble_len: 4,
         plan: rubik::PlanMode::Inverse,
     });
-    let reference = firing_log(&w, &MatcherChoice::Vs2);
+    let reference = firing_log(&w, &MatcherKind::Vs2(HashMemConfig::PAPER));
     let sink = std::sync::Arc::new(std::sync::Mutex::new(psm::trace::RunTrace::default()));
-    let log = firing_log(&w, &MatcherChoice::Trace(sink.clone()));
+    let log = firing_log(
+        &w,
+        &MatcherKind::Trace {
+            buckets: 32768,
+            sink: sink.clone(),
+        },
+    );
     assert_eq!(log, reference);
     assert!(sink.lock().unwrap().total_tasks() > 100);
 }
@@ -331,14 +340,14 @@ fn assert_serial_output_on_all_matchers(src: &str, want: &[&str]) {
     for choice in all_choices() {
         let mut eng = EngineBuilder::from_source(src)
             .unwrap()
-            .matcher(choice.kind())
+            .matcher(choice.clone())
             .build()
             .unwrap();
         eng.load_startup().unwrap();
         let r = eng.run(1_000).unwrap();
-        assert_eq!(r.reason, StopReason::Quiescent, "{}", choice.label());
-        assert_eq!(r.cycles, want.len() as u64, "{}", choice.label());
-        assert_eq!(eng.output(), want, "{}", choice.label());
+        assert_eq!(r.reason, StopReason::Quiescent, "{}", choice.name());
+        assert_eq!(r.cycles, want.len() as u64, "{}", choice.name());
+        assert_eq!(eng.output(), want, "{}", choice.name());
     }
 }
 
@@ -401,10 +410,10 @@ fn a_failing_firing_leaves_the_next_gensym_undrawn() {
                (make item ^id a)\n\
                (make bad ^v 1)";
     for choice in all_choices() {
-        let label = choice.label();
+        let label = choice.name();
         let mut eng = EngineBuilder::from_source(src)
             .unwrap()
-            .matcher(choice.kind())
+            .matcher(choice.clone())
             .build()
             .unwrap();
         eng.load_startup().unwrap();
@@ -420,10 +429,10 @@ fn a_failing_firing_leaves_the_next_gensym_undrawn() {
 #[test]
 fn run_caps_and_the_lifetime_budget_stop_on_their_cycle() {
     let src = std::fs::read_to_string("programs/triage.ops").expect("read corpus");
-    let build = |choice: &MatcherChoice, limits: engine::EngineLimits| {
+    let build = |choice: &MatcherKind, limits: engine::EngineLimits| {
         let mut eng = EngineBuilder::from_source(&src)
             .unwrap()
-            .matcher(choice.kind())
+            .matcher(choice.clone())
             .limits(limits)
             .build()
             .unwrap();
@@ -438,7 +447,7 @@ fn run_caps_and_the_lifetime_budget_stop_on_their_cycle() {
             assert_eq!((r.cycles, r.reason), (cap, StopReason::CycleLimit));
             let snap = eng.snapshot().to_text();
             let reference = reference.get_or_insert_with(|| snap.clone());
-            assert_eq!(&snap, reference, "cap {cap} under {}", choice.label());
+            assert_eq!(&snap, reference, "cap {cap} under {}", choice.name());
         }
     }
     let limits = engine::EngineLimits {

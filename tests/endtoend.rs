@@ -6,10 +6,10 @@ use multimax::{simulate, SimConfig};
 use parallel_ops5::prelude::*;
 use psm::trace::RunTrace;
 use std::sync::{Arc, Mutex};
-use workloads::{rubik, run_workload, tourney, weaver, MatcherChoice};
+use workloads::{rubik, run_workload, tourney, weaver};
 
-fn psm(procs: usize, queues: usize, scheme: LockScheme) -> MatcherChoice {
-    MatcherChoice::Psm(PsmConfig {
+fn psm(procs: usize, queues: usize, scheme: LockScheme) -> MatcherKind {
+    MatcherKind::Psm(PsmConfig {
         match_processes: procs,
         queues,
         lock_scheme: scheme,
@@ -20,9 +20,9 @@ fn psm(procs: usize, queues: usize, scheme: LockScheme) -> MatcherChoice {
 #[test]
 fn rubik_validates_under_all_engines() {
     for choice in [
-        MatcherChoice::Vs1,
-        MatcherChoice::Vs2,
-        MatcherChoice::Lisp,
+        MatcherKind::Vs1,
+        MatcherKind::Vs2(HashMemConfig::PAPER),
+        MatcherKind::Lisp,
         psm(2, 1, LockScheme::Simple),
         psm(3, 2, LockScheme::Mrsw),
     ] {
@@ -32,7 +32,7 @@ fn rubik_validates_under_all_engines() {
             plan: rubik::PlanMode::Inverse,
         });
         let (_e, res) = run_workload(&w, &choice).unwrap();
-        assert_eq!(res.reason, StopReason::Halt, "engine {}", choice.label());
+        assert_eq!(res.reason, StopReason::Halt, "engine {}", choice.name());
     }
 }
 
@@ -62,7 +62,14 @@ fn weaver_validates_under_parallel_mrsw() {
 /// Records a trace for a workload.
 fn record(w: &workloads::Workload) -> RunTrace {
     let sink = Arc::new(Mutex::new(RunTrace::default()));
-    let (_e, _res) = run_workload(w, &MatcherChoice::Trace(sink.clone())).unwrap();
+    let (_e, _res) = run_workload(
+        w,
+        &MatcherKind::Trace {
+            buckets: 32768,
+            sink: sink.clone(),
+        },
+    )
+    .unwrap();
     let trace = sink.lock().unwrap().clone();
     trace
 }
@@ -176,7 +183,7 @@ fn real_threads_show_no_loss_vs_sequential_results() {
         scramble_len: 8,
         plan: rubik::PlanMode::Inverse,
     });
-    let (e_seq, _) = run_workload(&w, &MatcherChoice::Vs2).unwrap();
+    let (e_seq, _) = run_workload(&w, &MatcherKind::Vs2(HashMemConfig::PAPER)).unwrap();
     let w = rubik::workload(rubik::RubikConfig {
         seed: 5,
         scramble_len: 8,

@@ -369,8 +369,6 @@ proptest! {
         let mut lisp = lispsim::LispEngineMatcher::boxed_with(&prog, NetworkOptions::PAPER);
         prop_assert_eq!(final_cs(lisp.as_mut(), &changes), reference.clone(), "lisp disagrees");
 
-        let mut col = rete::colmatch::boxed_col(net.clone());
-        prop_assert_eq!(final_cs(col.as_mut(), &changes), reference.clone(), "col disagrees");
 
         for scheme in [LockScheme::Simple, LockScheme::Mrsw] {
             let mut par = ParMatcher::new(
@@ -396,8 +394,6 @@ proptest! {
         prop_assert_eq!(final_cs(vs2t.as_mut(), &changes), reference.clone(), "tuned vs2 disagrees");
         let mut lispt = lispsim::LispEngineMatcher::boxed_with(&prog, opts);
         prop_assert_eq!(final_cs(lispt.as_mut(), &changes), reference.clone(), "tuned lisp disagrees");
-        let mut colt = rete::colmatch::boxed_col(tuned.clone());
-        prop_assert_eq!(final_cs(colt.as_mut(), &changes), reference.clone(), "tuned col disagrees");
         for scheme in [LockScheme::Simple, LockScheme::Mrsw] {
             let mut par = ParMatcher::new(
                 tuned.clone(),
@@ -486,10 +482,6 @@ proptest! {
                 let prog = prog.clone();
                 move || lispsim::LispEngineMatcher::boxed(&prog)
             })),
-            ("col", Box::new({
-                let net = net.clone();
-                move || rete::colmatch::boxed_col(net.clone())
-            })),
         ];
         for (name, mk) in &factories {
             let per_change = chunked_cs_history(mk().as_mut(), &changes, &chunk_lens, false);
@@ -519,12 +511,12 @@ proptest! {
         stream in gen_stream(),
         chunk_lens in proptest::collection::vec(1usize..6, 1..8),
     ) {
-        // One common second CE across all productions: vs1, vs2, col and
-        // lispsim keep one right memory per distinct signature and every
+        // One common second CE across all productions: vs1, vs2 and lispsim
+        // keep one right memory per distinct signature and every
         // production reads it. Under arbitrary chunking their CS history must
         // equal the per-change one of the trace matcher, which keeps footnote
         // 6's private right memory per join — on the paper network and on the
-        // shared-prefix + unlinking one — and vs1, vs2 and col must hold the
+        // shared-prefix + unlinking one — and vs1 and vs2 must hold the
         // same number of entries after every chunk: each WME once per
         // signature, not once per join. And after every chunk, adds and
         // removes alike, each matcher's linked reader lists are the filter
@@ -555,22 +547,17 @@ proptest! {
             let mut vs1 = rete::SeqMatcher::vs1(net.clone());
             let mut vs2 = rete::SeqMatcher::vs2(net.clone(), HashMemConfig { buckets: 16 });
             let mut lisp = lispsim::LispEngineMatcher::boxed_with(&prog, net.options);
-            let mut col = rete::ColMatcher::new(net);
-            let mut sets = [BTreeSet::new(), BTreeSet::new(), BTreeSet::new(), BTreeSet::new()];
+            let mut sets = [BTreeSet::new(), BTreeSet::new(), BTreeSet::new()];
             for (i, chunk) in chunks(&changes, &chunk_lens).into_iter().enumerate() {
                 feed_chunk(&mut vs1, chunk, true, &mut sets[0]);
                 feed_chunk(&mut vs2, chunk, true, &mut sets[1]);
-                feed_chunk(&mut col, chunk, true, &mut sets[2]);
-                feed_chunk(lisp.as_mut(), chunk, true, &mut sets[3]);
-                for (name, set) in ["vs1", "vs2", "col", "lisp"].iter().zip(&sets) {
+                feed_chunk(lisp.as_mut(), chunk, true, &mut sets[2]);
+                for (name, set) in ["vs1", "vs2", "lisp"].iter().zip(&sets) {
                     prop_assert_eq!(set, &reference[i], "{} {} disagrees with the trace matcher at chunk {}", label, name, i);
                 }
-                prop_assert_eq!(vs1.memory_entries(), col.memory_entries(), "{} vs1 entries, chunk {}", label, i);
-                prop_assert_eq!(vs2.memory_entries(), col.memory_entries(), "{} vs2 entries, chunk {}", label, i);
-                let net = col.network();
-                prop_assert_eq!(vs1.linked_readers(), rete::live_readers(net, |j| vs1.left_entries(j) != 0), "{} vs1 lists, chunk {}", label, i);
-                prop_assert_eq!(vs2.linked_readers(), rete::live_readers(net, |j| vs2.left_entries(j) != 0), "{} vs2 lists, chunk {}", label, i);
-                prop_assert_eq!(col.linked_readers(), rete::live_readers(net, |j| col.left_entries(j) != 0), "{} col lists, chunk {}", label, i);
+                prop_assert_eq!(vs1.memory_entries(), vs2.memory_entries(), "{} entries, chunk {}", label, i);
+                prop_assert_eq!(vs1.linked_readers(), rete::live_readers(&net, |j| vs1.left_entries(j) != 0), "{} vs1 lists, chunk {}", label, i);
+                prop_assert_eq!(vs2.linked_readers(), rete::live_readers(&net, |j| vs2.left_entries(j) != 0), "{} vs2 lists, chunk {}", label, i);
             }
         }
     }
@@ -584,7 +571,7 @@ proptest! {
     ) {
         // One recorded input, N executors (`Matcher::submit`'s contract): a
         // batch is a set of changes to distinct WMEs and the order inside it
-        // is the matcher's, so vs1, vs2, col and lispsim, each fed the batch
+        // is the matcher's, so vs1, vs2 and lispsim, each fed the batch
         // as written, assertions first, in three shuffles and as the paper's
         // stream of single changes, must fold to the same conflict set
         // *with the same fired flags* after every quiesce as the trace
@@ -616,11 +603,10 @@ proptest! {
         let mut executors: Vec<(String, Order, Box<dyn Matcher>, engine::ConflictSet)> =
             vec![("trace".into(), Order::Singles, trace, engine::ConflictSet::new())];
         for order in orders {
-            let ms: [(&str, Box<dyn Matcher>); 4] = [
+            let ms: [(&str, Box<dyn Matcher>); 3] = [
                 ("lisp", lispsim::LispEngineMatcher::boxed(&prog)),
                 ("vs1", rete::seq::boxed_vs1(net.clone())),
                 ("vs2", rete::seq::boxed_vs2(net.clone(), HashMemConfig { buckets: 16 })),
-                ("col", rete::colmatch::boxed_col(net.clone())),
             ];
             for (name, m) in ms {
                 executors.push((format!("{name} {order:?}"), order, m, engine::ConflictSet::new()));
@@ -687,15 +673,16 @@ proptest! {
         chunk_lens in proptest::collection::vec(1usize..6, 1..8),
     ) {
         // Random assert/retract interleavings, quiesced at random chunk
-        // boundaries: col, taking each chunk set-at-a-time, must end on
-        // vs1's final conflict set, and so must col fed one change at a time.
+        // boundaries: col (vs2 on a table sized by its population), taking
+        // the chunks as batches, must end on vs1's final conflict set, and
+        // so must col fed one change at a time.
         let src = render(&genp);
         let prog = Program::from_source(&src).expect("generated source parses");
         let net = Arc::new(Network::compile(&prog).expect("network compiles"));
 
         let changes = build_changes(&prog, &stream);
 
-        let mut col = rete::ColMatcher::new(net.clone());
+        let mut col = rete::colmatch::col(net.clone());
         let mut col_state = BTreeSet::new();
         for chunk in chunks(&changes, &chunk_lens) {
             feed_chunk(&mut col, chunk, true, &mut col_state);
@@ -703,7 +690,7 @@ proptest! {
         let mut vs1 = rete::seq::boxed_vs1(net.clone());
         let reference = final_cs(vs1.as_mut(), &changes);
         prop_assert_eq!(&col_state, &reference, "col in chunks disagrees with vs1");
-        let mut col2 = rete::ColMatcher::new(net);
+        let mut col2 = rete::colmatch::col(net);
         prop_assert_eq!(final_cs(&mut col2, &changes), reference, "col disagrees with vs1");
     }
 
