@@ -1,14 +1,10 @@
-//! *col*: vs2's kernel under its own name.
+//! *col*: vs2 under its own name.
 //!
-//! col was a second schedule of [`crate::seq`]'s kernel: a batch taken
-//! set-at-a-time, as a pattern-major alpha walk, per-join queues of left
-//! deltas and one ascending pass over the joins. Once both ran the same
-//! node activations, that sweep lost to vs2's agenda on three of the four
-//! benchmark workloads it was measured on, and it went (DESIGN.md §9; its
-//! last version is `crates/rete/src/colmatch.rs` at commit c69de5d). The
-//! name stays: a col matcher is [`SeqMatcher::vs2`] with a table sized by
-//! its population, and reports `"col"`, which the server's `OPEN` reply and
-//! the benchmark's `changes_per_s.col` read.
+//! A col matcher is [`SeqMatcher::vs2`] with a table sized by its
+//! population, reporting `"col"`; it runs no code vs2 does not. The name is
+//! kept because the benchmark measures `changes_per_s.col` and the
+//! server's `OPEN` reply names the matcher. DESIGN.md §9 says what col was
+//! and why it went.
 
 use crate::memory::{HashMem, HashMemConfig};
 use crate::network::Network;

@@ -39,8 +39,12 @@
 //! here was recorded with: inside a line `swap_remove` moves the line's last
 //! entry, which may belong to another memory, so the order of a memory's own
 //! entries — and with it `same_tokens_*` and the CS-change order the digests
-//! hash — depends on which memories share a line, i.e. on the geometry. The
-//! folded conflict set, every `opp_*` counter and every firing do not.
+//! hash — depends on which memories share a line, i.e. on the geometry, and
+//! so do the `opp_tokens_*` and `opp_nonempty_*` counters: a scan examines
+//! its join's entries on the line whatever their key (the small
+//! Weaver's `opp_tokens_left`/`opp_nonempty_left` read 479/402 on the paper's
+//! table and 494/415 on one sized by its population). The folded conflict
+//! set and every firing do not.
 //!
 //! vs1/vs2 were re-pinned a third time when `SeqMatcher::submit` began to
 //! take a batch's retractions before its assertions, and the fourth program

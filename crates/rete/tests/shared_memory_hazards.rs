@@ -11,8 +11,8 @@
 //! pair in one change, a reader below another reader of the same memory,
 //! or a child whose two halves leave at different times, and check the
 //! folded conflict set after every change (and, for the kept children and
-//! the not-nodes, after every batch of several changes too, which the
-//! kernel takes retractions first) against `psm::trace::TraceMatcher`: it
+//! the not-nodes, after every batch of several changes too: the kernel
+//! takes a batch's retractions first) against `psm::trace::TraceMatcher`: it
 //! keeps footnote 6's private right memory per join, rematches every
 //! removal, runs on one thread, takes a batch as written and shares no code
 //! with `rete::seq`. The sequential matchers run with their debug
