@@ -444,27 +444,23 @@ impl<M: TokenMem> Kernel<M> {
         }
     }
 
-    /// Books a change to right memory `mem` as a join activation of every
-    /// one of its readers. The linked ones will run; the dead rest is
-    /// retired by count without being looked at.
-    fn book_readers(&mut self, net: &Network, mem: RightMemId) {
+    /// The right store: applies one change to right memory `mem`, once, and
+    /// books it as a join activation of every reader of `mem`. The linked
+    /// readers join `agenda.live` with the change's entry there: its key
+    /// and, for a `-`, the slot it left, by which they take the children
+    /// made with it; the dead rest is retired by count without being looked
+    /// at. No entry is given a slot before they have run: a change's right
+    /// activations run before its left ones.
+    fn store(&mut self, net: &Network, mem: RightMemId, wme: &WmeRef, sign: Sign) {
         debug_assert!(
             self.linked
                 .is_the_filter(net, mem, |j| self.mem.left_count(j) != 0),
             "memory {mem}: linked readers are not the live ones"
         );
-        let linked = self.linked.of(mem).len();
-        let readers = net.right_mems[mem as usize].readers.len();
-        self.tally.right_store(mem, readers, linked);
-    }
-
-    /// The right store: applies one change to right memory `mem`, once.
-    /// Returns the change's entry there: its key and, for a `-`, the slot it
-    /// left, by which the readers take the children made with it. No entry
-    /// is given a slot before they have: a change's right activations run
-    /// before its left ones.
-    fn store(&mut self, net: &Network, mem: RightMemId, wme: &WmeRef, sign: Sign) -> (u64, u32) {
-        let key = self.mem.store_key(mem, &net.right_mems[mem as usize], wme);
+        let spec = &net.right_mems[mem as usize];
+        let (readers, linked) = (spec.readers.len(), self.linked.of(mem));
+        self.tally.right_store(mem, readers, linked.len());
+        let key = self.mem.store_key(mem, spec, wme);
         let slot = match sign {
             Sign::Plus => {
                 self.mem.insert_right(mem, key, wme.clone());
@@ -478,7 +474,8 @@ impl<M: TokenMem> Kernel<M> {
                 r.entry.unwrap_or(NIL)
             }
         };
-        (key, slot)
+        let live = linked.iter().map(|&j| (j, slot, key));
+        self.agenda.live.extend(live);
     }
 
     /// The right activation of `j`, a reader linked to the memory that has
@@ -676,10 +673,7 @@ impl<M: TokenMem> Kernel<M> {
                 self.emit(net, succ, sign, token.clone());
             }
             for &mem in &pat.right_mems {
-                self.book_readers(net, mem);
-                let (key, slot) = self.store(net, mem, wme, sign);
-                let linked = self.linked.of(mem).iter();
-                self.agenda.live.extend(linked.map(|&j| (j, slot, key)));
+                self.store(net, mem, wme, sign);
             }
         }
         // Each memory lists its readers in ascending order, so this only
