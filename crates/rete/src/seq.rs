@@ -444,23 +444,27 @@ impl<M: TokenMem> Kernel<M> {
         }
     }
 
-    /// The right store: applies one change to right memory `mem`, once, and
-    /// books it as a join activation of every reader of `mem`. The linked
-    /// readers join `agenda.live` with the change's entry there: its key
-    /// and, for a `-`, the slot it left, by which they take the children
-    /// made with it; the dead rest is retired by count without being looked
-    /// at. No entry is given a slot before they have run: a change's right
-    /// activations run before its left ones.
-    fn store(&mut self, net: &Network, mem: RightMemId, wme: &WmeRef, sign: Sign) {
+    /// Books a change to right memory `mem` as a join activation of every
+    /// one of its readers. The linked ones will run; the dead rest is
+    /// retired by count without being looked at.
+    fn book_readers(&mut self, net: &Network, mem: RightMemId) {
         debug_assert!(
             self.linked
                 .is_the_filter(net, mem, |j| self.mem.left_count(j) != 0),
             "memory {mem}: linked readers are not the live ones"
         );
-        let spec = &net.right_mems[mem as usize];
-        let (readers, linked) = (spec.readers.len(), self.linked.of(mem));
-        self.tally.right_store(mem, readers, linked.len());
-        let key = self.mem.store_key(mem, spec, wme);
+        let linked = self.linked.of(mem).len();
+        let readers = net.right_mems[mem as usize].readers.len();
+        self.tally.right_store(mem, readers, linked);
+    }
+
+    /// The right store: applies one change to right memory `mem`, once.
+    /// Returns the change's entry there: its key and, for a `-`, the slot it
+    /// left, by which the readers take the children made with it. No entry
+    /// is given a slot before they have: a change's right activations run
+    /// before its left ones.
+    fn store(&mut self, net: &Network, mem: RightMemId, wme: &WmeRef, sign: Sign) -> (u64, u32) {
+        let key = self.mem.store_key(mem, &net.right_mems[mem as usize], wme);
         let slot = match sign {
             Sign::Plus => {
                 self.mem.insert_right(mem, key, wme.clone());
@@ -474,8 +478,7 @@ impl<M: TokenMem> Kernel<M> {
                 r.entry.unwrap_or(NIL)
             }
         };
-        let live = linked.iter().map(|&j| (j, slot, key));
-        self.agenda.live.extend(live);
+        (key, slot)
     }
 
     /// The right activation of `j`, a reader linked to the memory that has
@@ -673,7 +676,10 @@ impl<M: TokenMem> Kernel<M> {
                 self.emit(net, succ, sign, token.clone());
             }
             for &mem in &pat.right_mems {
-                self.store(net, mem, wme, sign);
+                self.book_readers(net, mem);
+                let (key, slot) = self.store(net, mem, wme, sign);
+                let linked = self.linked.of(mem).iter();
+                self.agenda.live.extend(linked.map(|&j| (j, slot, key)));
             }
         }
         // Each memory lists its readers in ascending order, so this only
