@@ -10,7 +10,7 @@
 //! # The node activation
 //!
 //! The paper's unit of match work is one node activation (§3.1). The kernel
-//! has four, generic over where their outputs go:
+//! has four:
 //!
 //! * the **right store** applies one change to one right memory, once. A
 //!   right memory belongs to the network, not to a join
@@ -37,8 +37,8 @@
 //! ([`ChangeBatch`]), not the order the RHS wrote it in, and
 //! [`SeqMatcher::submit`] fixes one order: the batch's retractions (all
 //! classes, group order, order within a group kept), run to quiescence, and
-//! then its assertions. The paper's
-//! `modify` is "a delete followed by an add", so a firing that modifies the
+//! then its assertions. The paper's `modify` is "a delete followed by an
+//! add", so a firing that modifies the
 //! k WMEs it matched would, as written, tear down and rebuild the chain
 //! below each CE in turn, k times, for an instantiation its last action
 //! retracts anyway. With the deletes first the chain comes down once and
@@ -86,10 +86,9 @@
 //! 4-3, the CS-change order — is unchanged. The set is the agenda's: each
 //! child must join a list once, when the second of its halves arrives, and
 //! leave it once, when the first half leaves (the argument is below).
-//! Debug builds check every removal at
-//! a positive join, as they check the reader lists on every store: the
-//! children taken are the rematch's tokens in the rematch's order, and an
-//! empty right memory leaves none.
+//! Debug builds check every removal at a positive join, as they check the
+//! reader lists on every store: the children taken are the rematch's tokens
+//! in the rematch's order, and an empty right memory leaves none.
 //!
 //! # The agenda
 //!
@@ -97,9 +96,8 @@
 //! activation updates the memories and schedules successor activations,
 //! exactly the task structure the parallel matcher distributes across match
 //! processes. Where it departs from the paper, besides the shared right
-//! memories, is the batch order above. Within one
-//! sign each change goes alone through steps 0-3, to quiescence before the
-//! next:
+//! memories, is the batch order above. Within one sign each change goes
+//! alone through steps 0-3, to quiescence before the next:
 //!
 //! 0. the change's candidate patterns come out of the class's constant
 //!    index ([`ClassPatterns::candidates`](crate::network::ClassPatterns),
