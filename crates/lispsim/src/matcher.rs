@@ -132,7 +132,7 @@ impl LispTests {
 }
 
 impl JoinTests for LispTests {
-    const NAME: &'static str = "lispsim";
+    const NAME: &'static str = "lisp";
     type Left = LispVal;
     type Right = LispVal;
 
@@ -319,6 +319,6 @@ mod tests {
         assert_eq!(s.wme_changes, 2);
         assert!(s.activations > 0);
         assert_eq!(s.cs_changes, 1);
-        assert_eq!(m.name(), "lispsim");
+        assert_eq!(m.name(), "lisp");
     }
 }

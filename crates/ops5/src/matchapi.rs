@@ -332,16 +332,15 @@ pub struct MatchStats {
     pub join_activations: u64,
     /// Join activations *performed* whose opposite memory was empty
     /// network-wide (null activations). vs1, vs2, lispsim and `col` book
-    /// every left activation that meets an empty right memory here, whatever
-    /// the network's `unlinking` option says; with it on, psm and
-    /// `psm::trace` book theirs as `null_skipped` instead.
+    /// every left activation that meets an empty right memory here; psm and
+    /// `psm::trace`, which perform every activation, book every null one.
     pub null_activations: u64,
-    /// Opposite-memory scans skipped because that memory was empty: by
-    /// psm's and `psm::trace`'s unlinking emptiness gate, and — for vs1,
-    /// vs2, lispsim and `col`, whatever `unlinking` says — every right
-    /// activation of a join whose left memory is empty. Those matchers keep
-    /// the right memory for the alpha pattern, not for the join, so such a
-    /// join is never run at all.
+    /// Opposite-memory scans skipped because that memory was empty: for
+    /// vs1, vs2, lispsim and `col`, every right activation of a join whose
+    /// left memory is empty (the join is off its memory's linked reader
+    /// list). Those matchers keep the right memory for the alpha pattern,
+    /// not for the join, so such a join is never run at all. psm and
+    /// `psm::trace` skip no scan and leave it 0.
     pub null_skipped: u64,
 
     /// Constant tests evaluated in the alpha network (a pattern's chain

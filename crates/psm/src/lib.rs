@@ -27,8 +27,9 @@
 //!
 //! The node activation over a line is written once (the private `walk`
 //! module), generic over how the line is held — the simple lock, an MRSW
-//! entry, or the trace's exclusive line — and over its effects: atomic
-//! counters and the shared queues, or plain counters and the trace's FIFO.
+//! entry, or the trace's exclusive line — and over its effects: the shared
+//! queues or the trace's FIFO. The walk books the counters itself, into the
+//! match process's own `MatchStats` or the trace's.
 //!
 //! The [`trace`] module records a deterministic task trace (task graph,
 //! per-task work counters, hash-line footprint) that the `multimax` crate

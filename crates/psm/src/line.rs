@@ -20,7 +20,7 @@
 //! parks on the line's extra-deletes list; the matching `+` annihilates it
 //! without inserting or propagating (§3.2).
 
-use crate::sync::{RwReadGuard, RwSpinLock, RwWriteGuard, SpinGuard, SpinLock};
+use crate::sync::{RwReadGuard, RwSpinLock, RwWriteGuard, SpinLock};
 use ops5::{Wme, WmeRef};
 use rete::network::JoinNode;
 use rete::token::Token;
@@ -277,24 +277,42 @@ struct EntryState {
     count: u32,
 }
 
-/// A line plus its lock structures (both schemes are always allocated; the
-/// matcher's configuration decides which protocol is exercised).
-pub struct LineLock {
-    simple: SpinLock<ParLine>,
+/// A line and its lock, in the configured scheme only.
+pub enum LineLock {
+    /// One exclusive spin lock, held for the whole activation.
+    Simple(SpinLock<ParLine>),
+    /// The multiple-reader-single-writer protocol.
+    Mrsw(MrswLine),
+}
+
+impl LineLock {
+    pub fn new(scheme: LockScheme) -> LineLock {
+        match scheme {
+            LockScheme::Simple => LineLock::Simple(SpinLock::new(ParLine::default())),
+            LockScheme::Mrsw => LineLock::Mrsw(MrswLine::default()),
+        }
+    }
+
+    /// Entries stored and parked on the line (tests / invariant checks).
+    pub fn peek_entries(&self) -> (usize, usize) {
+        let count = |l: &ParLine| (l.entries(), l.parked());
+        match self {
+            LineLock::Simple(l) => count(&l.lock()),
+            LineLock::Mrsw(l) => count(&l.read()),
+        }
+    }
+}
+
+/// An MRSW line: the entry lock over the side flag and user count, and the
+/// reader-writer lock over the lists.
+pub struct MrswLine {
     entry: SpinLock<EntryState>,
     data: RwSpinLock<ParLine>,
 }
 
-impl Default for LineLock {
+impl Default for MrswLine {
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LineLock {
-    pub fn new() -> LineLock {
-        LineLock {
-            simple: SpinLock::new(ParLine::default()),
+        MrswLine {
             entry: SpinLock::new(EntryState {
                 flag: FLAG_UNUSED,
                 count: 0,
@@ -302,16 +320,9 @@ impl LineLock {
             data: RwSpinLock::new(ParLine::default()),
         }
     }
+}
 
-    // -- simple scheme ------------------------------------------------------
-
-    /// Exclusive whole-activation lock (simple scheme).
-    pub fn lock_simple(&self) -> SpinGuard<'_, ParLine> {
-        self.simple.lock()
-    }
-
-    // -- MRSW scheme --------------------------------------------------------
-
+impl MrswLine {
     /// First phase of the MRSW protocol: try to claim the line for `side`.
     /// Returns `(entered, spins_on_entry_lock)`; on `false` the caller must
     /// requeue the token.
@@ -352,28 +363,6 @@ impl LineLock {
     /// Shared read access for scanning the opposite memory.
     pub fn read(&self) -> RwReadGuard<'_, ParLine> {
         self.data.read()
-    }
-
-    /// The line storage used by a scheme (tests / invariant checks).
-    pub fn peek_entries(&self, scheme: LockScheme) -> (usize, usize) {
-        match scheme {
-            LockScheme::Simple => {
-                let g = self.simple.lock();
-                (g.entries(), g.parked())
-            }
-            LockScheme::Mrsw => {
-                let g = self.data.read();
-                (g.entries(), g.parked())
-            }
-        }
-    }
-
-    /// Contention counters of the lock relevant to `scheme`.
-    pub fn contention(&self, scheme: LockScheme) -> (u64, u64) {
-        match scheme {
-            LockScheme::Simple => self.simple.contention(),
-            LockScheme::Mrsw => self.entry.contention(),
-        }
     }
 }
 
@@ -451,7 +440,7 @@ mod tests {
 
     #[test]
     fn mrsw_same_side_concurrent_opposite_requeued() {
-        let l = LineLock::new();
+        let l = MrswLine::default();
         let (ok, _) = l.try_enter(Side::Left);
         assert!(ok);
         let (ok2, _) = l.try_enter(Side::Left);
@@ -469,10 +458,12 @@ mod tests {
 
     #[test]
     fn simple_lock_is_exclusive() {
-        let l = LineLock::new();
-        let g = l.lock_simple();
+        let LineLock::Simple(l) = LineLock::new(LockScheme::Simple) else {
+            panic!("the simple scheme builds a simple line");
+        };
+        let g = l.lock();
         drop(g);
-        let _g2 = l.lock_simple();
+        let _g2 = l.lock();
     }
 
     #[test]

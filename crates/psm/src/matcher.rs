@@ -1,18 +1,18 @@
 //! The parallel match engine: k match processes cooperating through shared
 //! task queues and the global token hash tables (§3.1–3.2).
 
-use crate::line::{LineLock, LockScheme, ParLine, Side};
+use crate::line::{LineLock, LockScheme, MrswLine, ParLine, Side};
 use crate::queue::{ParTask, Scheduler};
-use crate::stats::{AtomicMatchStats, ContentionReport, ContentionStats};
+use crate::stats::{ContentionReport, ContentionStats};
 use crate::sync::{SpinGuard, SpinLock};
-use crate::walk::{self, Effects, Line, Scratch};
+use crate::walk::{self, Effects, Line, Scratch, Walked};
 use ops5::{
     ChangeBatch, CsChange, Instantiation, MatchStats, Matcher, QuiesceReport, Sign,
     StatsDeltaTracker,
 };
 use rete::fxhash::FxHashMap;
 use rete::network::{JoinNode, Network};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -85,27 +85,26 @@ struct Shared {
     sched: Scheduler,
     lines: Box<[LineLock]>,
     mask: u64,
-    scheme: LockScheme,
     /// Net conflict-set deltas for the current match phase: instantiation →
     /// net count. Net counting makes the output independent of task
     /// interleaving.
     cs_acc: SpinLock<FxHashMap<Instantiation, i32>>,
     /// Global per-join memory sizes across all hash lines, indexed by
-    /// [`Side`] — the left/right unlinking gates. Updated with relaxed
-    /// atomics while the owning line is held, driven by the line outcome
-    /// (count an entry only on `PlusOutcome::Inserted`, uncount only on
-    /// `MinusOutcome::Removed`), so parked and annihilated conjugates never
-    /// perturb the counts. A gate read while the line is held can only see
-    /// a stale value for entries in *other* lines, which are never pairable
-    /// with the activation at hand, so a skip is always sound (see
-    /// DESIGN.md).
+    /// [`Side`]: an activation whose opposite side reads 0 is booked as a
+    /// null activation. Updated with relaxed atomics while the owning line
+    /// is held, driven by the line outcome (count an entry only on
+    /// `PlusOutcome::Inserted`, uncount only on `MinusOutcome::Removed`),
+    /// so parked and annihilated conjugates never perturb the counts.
     counts: [Box<[AtomicU32]>; 2],
     parker: Parker,
     /// OS thread ids of the match processes, self-reported at startup
     /// (std exposes no portable tid). Used by per-worker CPU accounting.
     worker_tids: SpinLock<Vec<u64>>,
     stop: AtomicBool,
-    stats: AtomicMatchStats,
+    /// One slot per match process, booked while it runs a task and before
+    /// the task leaves TaskCount, so the control thread reads every task's
+    /// counts once it sees quiescence.
+    stats: Box<[SpinLock<MatchStats>]>,
     cstats: ContentionStats,
     obs: OnceLock<MatchObs>,
 }
@@ -141,15 +140,14 @@ impl Shared {
     /// spins. `None` when MRSW finds the line in use by the other side: the
     /// task goes back on a queue, still counted in TaskCount.
     fn take(&self, key: u64, side: Side) -> Option<Taken<'_>> {
-        let line = &self.lines[(key & self.mask) as usize];
         let left = side == Side::Left;
-        match self.scheme {
-            LockScheme::Simple => {
-                let g = line.lock_simple();
+        match &self.lines[(key & self.mask) as usize] {
+            LineLock::Simple(line) => {
+                let g = line.lock();
                 self.cstats.record_hash(left, g.spins);
                 Some(Taken::Simple(g))
             }
-            LockScheme::Mrsw => {
+            LineLock::Mrsw(line) => {
                 let (entered, spins) = line.try_enter(side);
                 self.cstats.record_hash(left, spins);
                 if !entered {
@@ -168,7 +166,7 @@ impl Shared {
 /// flag keeps the other side out meanwhile). Released on drop.
 enum Taken<'a> {
     Simple(SpinGuard<'a, ParLine>),
-    Mrsw(&'a LineLock),
+    Mrsw(&'a MrswLine),
 }
 
 impl Line for Taken<'_> {
@@ -195,24 +193,17 @@ impl Drop for Taken<'_> {
     }
 }
 
-/// psm's [`Effects`]: relaxed atomics, the shared queues, the node profile.
+/// psm's [`Effects`]: the match process's own counters, the shared
+/// population counts and the shared queues.
 struct Fx<'a> {
     shared: &'a Shared,
     cursor: &'a mut usize,
+    stats: &'a mut MatchStats,
 }
 
 impl Effects for Fx<'_> {
-    fn unlinking(&self) -> bool {
-        self.shared.net.options.unlinking
-    }
-
-    fn activation(&mut self, j: &JoinNode) {
-        let s = &self.shared.stats;
-        s.activations.fetch_add(1, Ordering::Relaxed);
-        s.join_activations.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = self.shared.obs.get() {
-            o.nodes.record_activation(j.id as usize);
-        }
+    fn stats(&mut self) -> &mut MatchStats {
+        self.stats
     }
 
     fn empty(&self, j: &JoinNode, side: Side) -> bool {
@@ -229,55 +220,9 @@ impl Effects for Fx<'_> {
         }
     }
 
-    fn conjugate(&mut self) {
-        add(&self.shared.stats.conjugate_pairs, 1);
-    }
-
-    fn searched(&mut self, side: Side, examined: u64) {
-        let s = &self.shared.stats;
-        let (tokens, searches) = match side {
-            Side::Left => (&s.same_tokens_left, &s.same_searches_left),
-            Side::Right => (&s.same_tokens_right, &s.same_searches_right),
-        };
-        add(tokens, examined);
-        add(searches, 1);
-    }
-
-    fn null(&mut self, skipped: bool) {
-        let s = &self.shared.stats;
-        add(
-            if skipped {
-                &s.null_skipped
-            } else {
-                &s.null_activations
-            },
-            1,
-        );
-    }
-
-    fn scanned(&mut self, j: &JoinNode, side: Side, examined: u64) {
-        let s = &self.shared.stats;
-        let (tokens, nonempty) = match side {
-            Side::Left => (&s.opp_tokens_left, &s.opp_nonempty_left),
-            Side::Right => (&s.opp_tokens_right, &s.opp_nonempty_right),
-        };
-        add(tokens, examined);
-        if examined > 0 {
-            add(nonempty, 1);
-        }
-        if let Some(o) = self.shared.obs.get() {
-            o.nodes.record_scan(j.id as usize, examined);
-        }
-    }
-
     fn push(&mut self, task: ParTask) {
         self.shared.push(task, self.cursor);
     }
-}
-
-#[inline]
-fn add(c: &AtomicU64, n: u64) {
-    c.fetch_add(n, Ordering::Relaxed);
 }
 
 /// PSM-E: the parallel Rete matcher.
@@ -291,6 +236,9 @@ pub struct ParMatcher {
     workers: Vec<JoinHandle<()>>,
     /// The control process's round-robin queue cursor.
     cursor: usize,
+    /// What the control process books: WME changes, and conjugate pairs a
+    /// batch annihilated before they became tasks.
+    control: MatchStats,
     cfg: PsmConfig,
     delta: StatsDeltaTracker,
     cobs: Option<ContentionObs>,
@@ -341,25 +289,29 @@ impl ContentionObs {
 impl ParMatcher {
     pub fn new(net: Arc<Network>, cfg: PsmConfig) -> ParMatcher {
         let n_lines = cfg.buckets.next_power_of_two().max(2);
-        let lines: Box<[LineLock]> = (0..n_lines).map(|_| LineLock::new()).collect();
+        let lines = (0..n_lines)
+            .map(|_| LineLock::new(cfg.lock_scheme))
+            .collect();
         let counts = || (0..net.n_joins()).map(|_| AtomicU32::new(0)).collect();
         let counts = [counts(), counts()];
+        let processes = cfg.match_processes.max(1);
         let shared = Arc::new(Shared {
             net,
             sched: Scheduler::new(cfg.queues),
             lines,
             mask: (n_lines - 1) as u64,
-            scheme: cfg.lock_scheme,
             cs_acc: SpinLock::new(FxHashMap::default()),
             counts,
             parker: Parker::default(),
             worker_tids: SpinLock::new(Vec::new()),
             stop: AtomicBool::new(false),
-            stats: AtomicMatchStats::default(),
+            stats: (0..processes)
+                .map(|_| SpinLock::new(MatchStats::default()))
+                .collect(),
             cstats: ContentionStats::default(),
             obs: OnceLock::new(),
         });
-        let workers = (0..cfg.match_processes.max(1))
+        let workers = (0..processes)
             .map(|i| {
                 let sh = shared.clone();
                 std::thread::Builder::new()
@@ -372,6 +324,7 @@ impl ParMatcher {
             shared,
             workers,
             cursor: 0,
+            control: MatchStats::default(),
             cfg,
             delta: StatsDeltaTracker::default(),
             cobs: None,
@@ -449,11 +402,7 @@ impl ParMatcher {
 }
 
 fn parked_tokens(shared: &Shared) -> usize {
-    shared
-        .lines
-        .iter()
-        .map(|l| l.peek_entries(shared.scheme).1)
-        .sum()
+    shared.lines.iter().map(|l| l.peek_entries().1).sum()
 }
 
 /// Read-only view of a [`ParMatcher`]'s shared state for test harnesses.
@@ -500,18 +449,12 @@ impl Matcher for ParMatcher {
     fn submit(&mut self, batch: &ChangeBatch) {
         // Conjugate pairs the batch annihilated never became tasks at all —
         // the cheapest possible handling (§3.2).
-        self.shared
-            .stats
-            .conjugate_pairs
-            .fetch_add(batch.annihilated(), Ordering::Relaxed);
+        self.control.conjugate_pairs += batch.annihilated();
         // One TaskCount increment and one queue push per per-class group;
         // the worker that pops the group walks the class's constant-test
         // chain once for every change in it.
         for (class, group) in batch.groups() {
-            self.shared
-                .stats
-                .wme_changes
-                .fetch_add(group.len() as u64, Ordering::Relaxed);
+            self.control.wme_changes += group.len() as u64;
             self.shared.push(
                 ParTask::RootGroup {
                     class,
@@ -554,22 +497,25 @@ impl Matcher for ParMatcher {
         }
         QuiesceReport {
             cs_changes: out,
-            stats_delta: self.delta.take(self.shared.stats.snapshot()),
+            stats_delta: self.delta.take(self.stats()),
             phase: None,
         }
     }
 
     fn stats(&self) -> MatchStats {
-        self.shared.stats.snapshot()
+        (self.shared.stats.iter()).fold(self.control, |sum, s| sum + *s.lock())
     }
 
     fn reset_stats(&mut self) {
-        self.shared.stats.reset();
+        self.control = MatchStats::default();
+        for s in &self.shared.stats {
+            *s.lock() = MatchStats::default();
+        }
         self.delta.reset();
     }
 
     fn name(&self) -> &'static str {
-        "psm-e"
+        "psm"
     }
 
     fn enable_obs(&mut self, registry: &Arc<obs::Registry>) {
@@ -670,7 +616,7 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
         if let Some(task) = shared.sched.pop(home) {
             idle = 0;
             let t0 = obs_task_start(&shared, &mut idle_since, &mut task_seq);
-            process_task(&shared, task, &mut cursor, &mut scratch);
+            process_task(&shared, index, task, &mut cursor, &mut scratch);
             obs_task_end(&shared, t0);
             continue;
         }
@@ -711,14 +657,22 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
             if let Some(task) = recheck {
                 idle = 0;
                 let t0 = obs_task_start(&shared, &mut idle_since, &mut task_seq);
-                process_task(&shared, task, &mut cursor, &mut scratch);
+                process_task(&shared, index, task, &mut cursor, &mut scratch);
                 obs_task_end(&shared, t0);
             }
         }
     }
 }
 
-fn process_task(shared: &Shared, task: ParTask, cursor: &mut usize, scratch: &mut Scratch) {
+/// Runs one task of match process `index`, booking into its slot.
+fn process_task(
+    shared: &Shared,
+    index: usize,
+    task: ParTask,
+    cursor: &mut usize,
+    scratch: &mut Scratch,
+) {
+    let mut stats = shared.stats[index].lock();
     match task {
         ParTask::RootGroup { class, changes } => {
             // A whole per-class batch group under one task: the constant-test
@@ -726,10 +680,7 @@ fn process_task(shared: &Shared, task: ParTask, cursor: &mut usize, scratch: &mu
             // tested against it in turn. The join cascade below still sees
             // one child task per surviving (change, pattern-successor) pair,
             // so conjugate parking handles any out-of-order arrivals.
-            shared
-                .stats
-                .alpha_activations
-                .fetch_add(1, Ordering::Relaxed);
+            stats.alpha_activations += 1;
             debug_assert!(changes.iter().all(|c| c.wme.class == class));
             for change in &changes {
                 walk::constant_tests(&shared.net, change.sign, &change.wme, |t| {
@@ -743,15 +694,13 @@ fn process_task(shared: &Shared, task: ParTask, cursor: &mut usize, scratch: &mu
             let Some(line) = shared.take(key, Side::Left) else {
                 return shared.push_requeue(ParTask::Left { join, sign, token }, cursor);
             };
-            walk::left(
-                &mut Fx { shared, cursor },
-                line,
-                scratch,
-                j,
-                key,
-                sign,
-                &token,
-            );
+            let fx = &mut Fx {
+                shared,
+                cursor,
+                stats: &mut stats,
+            };
+            let w = walk::left(fx, line, scratch, j, key, sign, &token);
+            profile(shared, j, &w);
         }
         ParTask::Right { join, sign, wme } => {
             let j = shared.net.join(join);
@@ -759,19 +708,17 @@ fn process_task(shared: &Shared, task: ParTask, cursor: &mut usize, scratch: &mu
             let Some(line) = shared.take(key, Side::Right) else {
                 return shared.push_requeue(ParTask::Right { join, sign, wme }, cursor);
             };
-            walk::right(
-                &mut Fx { shared, cursor },
-                line,
-                scratch,
-                j,
-                key,
-                sign,
-                &wme,
-            );
+            let fx = &mut Fx {
+                shared,
+                cursor,
+                stats: &mut stats,
+            };
+            let w = walk::right(fx, line, scratch, j, key, sign, &wme);
+            profile(shared, j, &w);
         }
         ParTask::Terminal { prod, sign, token } => {
-            shared.stats.activations.fetch_add(1, Ordering::Relaxed);
-            shared.stats.cs_changes.fetch_add(1, Ordering::Relaxed);
+            stats.activations += 1;
+            stats.cs_changes += 1;
             let inst = Instantiation { prod, wmes: token };
             let delta = match sign {
                 Sign::Plus => 1,
@@ -801,7 +748,18 @@ fn process_task(shared: &Shared, task: ParTask, cursor: &mut usize, scratch: &mu
             drop(cancelled);
         }
     }
+    // The counts are in the slot before the task leaves TaskCount, whose
+    // decrement `quiesce` acquires.
+    drop(stats);
     shared.sched.task_done();
+}
+
+/// Books a join activation and its scan in the node profile, when on.
+fn profile(shared: &Shared, j: &JoinNode, w: &Walked) {
+    if let Some(o) = shared.obs.get() {
+        o.nodes.record_activation(j.id as usize);
+        o.nodes.record_scan(j.id as usize, w.examined as u64);
+    }
 }
 
 #[cfg(test)]
@@ -1115,11 +1073,10 @@ mod tests {
     }
 
     #[test]
-    fn unlinking_and_sharing_match_baseline() {
-        // Compiled with sharing+unlinking, the parallel matcher must reach
+    fn a_shared_network_matches_the_paper_baseline() {
+        // Compiled with beta-prefix sharing, the parallel matcher must reach
         // the same net conflict set as the sequential baseline on the
-        // paper's network, while
-        // never performing a scan it classified as null.
+        // paper's network.
         use rete::NetworkOptions;
         let srcs = [
             "(p q (a ^x <v>) (b ^y <v>) --> (halt))",
@@ -1127,15 +1084,11 @@ mod tests {
             "(p p1 (a ^x <v>) (b ^y <v>) (c ^z <v>) --> (halt))
              (p p2 (a ^x <v>) (b ^y <v>) (d ^w <v>) --> (halt))",
         ];
-        let opts = NetworkOptions {
-            sharing: true,
-            unlinking: true,
-        };
         for src in srcs {
             for cfg in configs() {
                 let mut prog = Program::from_source(src).unwrap();
                 let base = Arc::new(Network::compile_with(&prog, NetworkOptions::PAPER).unwrap());
-                let tuned = Arc::new(Network::compile_with(&prog, opts).unwrap());
+                let shared = Arc::new(Network::compile(&prog).unwrap());
                 let mut changes = Vec::new();
                 let mut tag = 1u64;
                 let mut first = None;
@@ -1158,13 +1111,58 @@ mod tests {
                 });
                 let mut seq = rete::seq::boxed_vs2(base, rete::HashMemConfig { buckets: 16 });
                 let expect = final_cs(seq.as_mut(), changes.clone());
-                let mut par = ParMatcher::new(tuned, cfg);
+                let mut par = ParMatcher::new(shared, cfg);
                 let got = final_cs(&mut par, changes);
                 assert_eq!(got, expect, "config {cfg:?} on {src:?}");
                 assert_eq!(par.parked_tokens(), 0);
-                let s = par.stats();
-                assert_eq!(s.null_activations, 0, "unlinking leaves no null scans");
             }
+        }
+    }
+
+    #[test]
+    fn per_process_counters_sum_to_stats_and_reset_to_zero() {
+        // Four match processes book into four slots and the control process
+        // into its own: at every quiescence the deltas add up to `stats()`,
+        // and `reset_stats()` zeroes every slot.
+        let src = "(p q (a ^x <v>) (b ^y <v>) --> (halt))
+                   (p r (a ^x <v>) - (b ^y <v>) --> (halt))";
+        let (mut prog, net) = net_of(src);
+        let ca = prog.symbols.intern("a");
+        let cb = prog.symbols.intern("b");
+        for lock_scheme in [LockScheme::Simple, LockScheme::Mrsw] {
+            let cfg = PsmConfig {
+                match_processes: 4,
+                queues: 2,
+                lock_scheme,
+                buckets: 16,
+            };
+            let mut par = ParMatcher::new(net.clone(), cfg);
+            let mut sum = MatchStats::default();
+            for round in 0..3i64 {
+                let batch: ChangeBatch = (0..20i64)
+                    .flat_map(|i| {
+                        let (tag, v) = (round as u64 * 100 + i as u64 * 2, Value::Int(i % 5));
+                        [
+                            WmeChange {
+                                sign: Sign::Plus,
+                                wme: Wme::new(ca, vec![v], tag + 1),
+                            },
+                            WmeChange {
+                                sign: Sign::Plus,
+                                wme: Wme::new(cb, vec![v], tag + 2),
+                            },
+                        ]
+                    })
+                    .collect();
+                par.submit(&batch);
+                sum += par.quiesce().stats_delta;
+                assert_eq!(sum, par.stats(), "{lock_scheme:?} round {round}");
+            }
+            assert_eq!(sum.wme_changes, 120);
+            assert!(sum.join_activations > 0 && sum.cs_changes > 0);
+            par.reset_stats();
+            assert_eq!(par.stats(), MatchStats::default(), "{lock_scheme:?}");
+            assert_eq!(par.quiesce().stats_delta, MatchStats::default());
         }
     }
 

@@ -1,74 +1,7 @@
-//! Shared atomic statistics for the parallel matcher.
+//! Contention counters for the parallel matcher's locks (Tables 4-7 and
+//! 4-9). Match counters are plain `MatchStats`, one per match process.
 
-use ops5::MatchStats;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Match statistics maintained with relaxed atomics by all match processes.
-#[derive(Default)]
-pub struct AtomicMatchStats {
-    pub wme_changes: AtomicU64,
-    pub activations: AtomicU64,
-    pub alpha_activations: AtomicU64,
-    pub opp_tokens_left: AtomicU64,
-    pub opp_nonempty_left: AtomicU64,
-    pub opp_tokens_right: AtomicU64,
-    pub opp_nonempty_right: AtomicU64,
-    pub same_tokens_left: AtomicU64,
-    pub same_searches_left: AtomicU64,
-    pub same_tokens_right: AtomicU64,
-    pub same_searches_right: AtomicU64,
-    pub cs_changes: AtomicU64,
-    pub conjugate_pairs: AtomicU64,
-    pub join_activations: AtomicU64,
-    pub null_activations: AtomicU64,
-    pub null_skipped: AtomicU64,
-}
-
-impl AtomicMatchStats {
-    pub fn snapshot(&self) -> MatchStats {
-        let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        MatchStats {
-            wme_changes: g(&self.wme_changes),
-            activations: g(&self.activations),
-            alpha_activations: g(&self.alpha_activations),
-            opp_tokens_left: g(&self.opp_tokens_left),
-            opp_nonempty_left: g(&self.opp_nonempty_left),
-            opp_tokens_right: g(&self.opp_tokens_right),
-            opp_nonempty_right: g(&self.opp_nonempty_right),
-            same_tokens_left: g(&self.same_tokens_left),
-            same_searches_left: g(&self.same_searches_left),
-            same_tokens_right: g(&self.same_tokens_right),
-            same_searches_right: g(&self.same_searches_right),
-            cs_changes: g(&self.cs_changes),
-            conjugate_pairs: g(&self.conjugate_pairs),
-            join_activations: g(&self.join_activations),
-            null_activations: g(&self.null_activations),
-            null_skipped: g(&self.null_skipped),
-            // `alpha_tests`, `readers_visited`: vs1/vs2/col only.
-            ..MatchStats::default()
-        }
-    }
-
-    pub fn reset(&self) {
-        let z = |a: &AtomicU64| a.store(0, Ordering::Relaxed);
-        z(&self.wme_changes);
-        z(&self.activations);
-        z(&self.alpha_activations);
-        z(&self.opp_tokens_left);
-        z(&self.opp_nonempty_left);
-        z(&self.opp_tokens_right);
-        z(&self.opp_nonempty_right);
-        z(&self.same_tokens_left);
-        z(&self.same_searches_left);
-        z(&self.same_tokens_right);
-        z(&self.same_searches_right);
-        z(&self.cs_changes);
-        z(&self.conjugate_pairs);
-        z(&self.join_activations);
-        z(&self.null_activations);
-        z(&self.null_skipped);
-    }
-}
 
 /// Contention counters for the shared structures (Tables 4-7 and 4-9).
 #[derive(Default)]
@@ -156,18 +89,6 @@ fn avg(num: u64, den: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn snapshot_roundtrip() {
-        let s = AtomicMatchStats::default();
-        s.activations.fetch_add(5, Ordering::Relaxed);
-        s.cs_changes.fetch_add(2, Ordering::Relaxed);
-        let snap = s.snapshot();
-        assert_eq!(snap.activations, 5);
-        assert_eq!(snap.cs_changes, 2);
-        s.reset();
-        assert_eq!(s.snapshot().activations, 0);
-    }
 
     #[test]
     fn contention_attribution() {

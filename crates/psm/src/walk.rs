@@ -10,15 +10,17 @@
 //!   lock for an opposite-memory scan. A not-node right activation updates
 //!   its own side and adjusts the left counts inside one write access.
 //! * [`Effects`] — what an activation does besides touching the line: the
-//!   `MatchStats` bumps, the unlinking-gate counts, the node profile and
+//!   `MatchStats` it books into (one per match process in psm, the trace's
+//!   own), the per-join population counts that tell a null activation, and
 //!   the push of each successor task.
 //!
+//! The walk books every counter itself, so psm and the trace count alike.
 //! A `+` that annihilates a parked `−`, and a `−` that parks, end the
 //! activation: the pair cancels without propagating.
 
 use crate::line::{MinusOutcome, ParLine, PlusOutcome, Side};
 use crate::queue::ParTask;
-use ops5::{Sign, WmeRef};
+use ops5::{MatchStats, Sign, WmeRef};
 use rete::network::{AlphaSucc, JoinNode, Network, Succ};
 use rete::token::Token;
 
@@ -42,23 +44,13 @@ impl Line for &mut ParLine {
 
 /// What an activation does outside its line.
 pub(crate) trait Effects {
-    /// Whether the network was compiled with unlinking on.
-    fn unlinking(&self) -> bool;
-    /// Books one activation of `j`.
-    fn activation(&mut self, j: &JoinNode);
-    /// Whether `side` of `j` is empty in every line (the unlinking gate).
+    /// The counters this activation books into.
+    fn stats(&mut self) -> &mut MatchStats;
+    /// Whether `side` of `j` is empty in every line: a scan of it is a null
+    /// activation.
     fn empty(&self, j: &JoinNode, side: Side) -> bool;
     /// `side` of `j` gained (`+1`) or lost (`-1`) an entry.
     fn count(&mut self, j: &JoinNode, side: Side, delta: i32);
-    /// A `+` annihilated its parked `−`.
-    fn conjugate(&mut self);
-    /// A delete on `side` searched `examined` entries of its own memory.
-    fn searched(&mut self, side: Side, examined: u64);
-    /// A null activation: its scan skipped (`true`) or performed.
-    fn null(&mut self, skipped: bool);
-    /// An activation arriving on `side` of `j` examined `examined` entries
-    /// of the opposite memory.
-    fn scanned(&mut self, j: &JoinNode, side: Side, examined: u64);
     /// Queues a successor task.
     fn push(&mut self, task: ParTask);
 }
@@ -93,11 +85,10 @@ pub(crate) fn left(
     token: &Token,
 ) -> Walked {
     let mut w = Walked::default();
-    fx.activation(j);
+    activation(fx.stats());
     // With the join's right memory empty in every line the scan is a null
-    // activation. Own-side updates always run, so the memories stay exact
-    // and the gate relinks the moment the right side gains an entry.
-    let opp_empty = fx.empty(j, Side::Right);
+    // activation; it is still performed.
+    let null = fx.empty(j, Side::Right);
     if !j.negated {
         let stored = match sign {
             Sign::Plus => plus(
@@ -111,9 +102,9 @@ pub(crate) fn left(
                 minus(fx, j, Side::Left, o, &mut w).is_some()
             }
         };
-        if stored && gate(fx, opp_empty) {
+        if stored {
             let e = line.read(|l| l.scan_right(j, key, token, &mut scratch.wmes));
-            scanned(fx, &mut w, j, Side::Left, e);
+            scanned(fx, &mut w, Side::Left, e, null);
             for wme in scratch.wmes.drain(..) {
                 emit(fx, &mut w, &j.succs, &token.extended(wme), sign);
             }
@@ -122,12 +113,8 @@ pub(crate) fn left(
     }
     match sign {
         Sign::Plus => {
-            let mut n = 0;
-            if gate(fx, opp_empty) {
-                let (count, e) = line.read(|l| l.count_right(j, key, token));
-                scanned(fx, &mut w, j, Side::Left, e);
-                n = count;
-            }
+            let (n, e) = line.read(|l| l.count_right(j, key, token));
+            scanned(fx, &mut w, Side::Left, e, null);
             let o = line.write(|l| l.left_plus(j, key, token, n));
             if plus(fx, j, Side::Left, o) && n == 0 {
                 emit(fx, &mut w, &j.succs, token, Sign::Plus);
@@ -154,18 +141,18 @@ pub(crate) fn right(
     wme: &WmeRef,
 ) -> Walked {
     let mut w = Walked::default();
-    fx.activation(j);
-    // The gate, mirrored: an empty left memory means no token can pair with
-    // (or be count-adjusted by) this WME.
-    let opp_empty = fx.empty(j, Side::Left);
+    activation(fx.stats());
+    // Mirrored: an empty left memory means no token can pair with (or be
+    // count-adjusted by) this WME.
+    let null = fx.empty(j, Side::Left);
     let own = |l: &mut ParLine, fx: &mut _, w: &mut Walked| match sign {
         Sign::Plus => plus(fx, j, Side::Right, l.right_plus(j, key, wme)),
         Sign::Minus => minus(fx, j, Side::Right, l.right_minus(j, key, wme), w).is_some(),
     };
     if !j.negated {
-        if line.write(|l| own(l, fx, &mut w)) && gate(fx, opp_empty) {
+        if line.write(|l| own(l, fx, &mut w)) {
             let e = line.read(|l| l.scan_left(j, key, wme, &mut scratch.tokens));
-            scanned(fx, &mut w, j, Side::Right, e);
+            scanned(fx, &mut w, Side::Right, e, null);
             for t in scratch.tokens.drain(..) {
                 emit(fx, &mut w, &j.succs, &t.extended(wme.clone()), sign);
             }
@@ -179,11 +166,10 @@ pub(crate) fn right(
         Sign::Minus => -1,
     };
     let adjusted = line.write(|l| {
-        (own(l, fx, &mut w) && gate(fx, opp_empty))
-            .then(|| l.adjust_left_counts(j, key, wme, delta, &mut scratch.tokens))
+        own(l, fx, &mut w).then(|| l.adjust_left_counts(j, key, wme, delta, &mut scratch.tokens))
     });
     if let Some(e) = adjusted {
-        scanned(fx, &mut w, j, Side::Right, e);
+        scanned(fx, &mut w, Side::Right, e, null);
         for t in scratch.tokens.drain(..) {
             emit(fx, &mut w, &j.succs, &t, sign.flip());
         }
@@ -191,11 +177,17 @@ pub(crate) fn right(
     w
 }
 
+/// Books one join activation, performed or not.
+fn activation(s: &mut MatchStats) {
+    s.activations += 1;
+    s.join_activations += 1;
+}
+
 /// Books a `+` outcome; false when it annihilated.
 fn plus(fx: &mut impl Effects, j: &JoinNode, side: Side, o: PlusOutcome) -> bool {
     match o {
         PlusOutcome::Annihilated => {
-            fx.conjugate();
+            fx.stats().conjugate_pairs += 1;
             false
         }
         PlusOutcome::Inserted => {
@@ -205,8 +197,8 @@ fn plus(fx: &mut impl Effects, j: &JoinNode, side: Side, o: PlusOutcome) -> bool
     }
 }
 
-/// Books a `−` outcome: the removed entry's not-node count, `None` when the
-/// `−` parked.
+/// Books a `−` outcome and its search of the own memory: the removed
+/// entry's not-node count, `None` when the `−` parked.
 fn minus(
     fx: &mut impl Effects,
     j: &JoinNode,
@@ -219,7 +211,13 @@ fn minus(
             neg_count,
             examined,
         } => {
-            fx.searched(side, examined);
+            let s = fx.stats();
+            let (tokens, searches) = match side {
+                Side::Left => (&mut s.same_tokens_left, &mut s.same_searches_left),
+                Side::Right => (&mut s.same_tokens_right, &mut s.same_searches_right),
+            };
+            *tokens += examined;
+            *searches += 1;
             fx.count(j, side, -1);
             w.same_examined = examined as u32;
             Some(neg_count)
@@ -228,18 +226,18 @@ fn minus(
     }
 }
 
-/// The unlinking gate at the moment of the scan: books the null activation
-/// and says whether to scan.
-fn gate(fx: &mut impl Effects, opp_empty: bool) -> bool {
-    let skip = opp_empty && fx.unlinking();
-    if opp_empty {
-        fx.null(skip);
-    }
-    !skip
-}
-
-fn scanned(fx: &mut impl Effects, w: &mut Walked, j: &JoinNode, side: Side, examined: u64) {
-    fx.scanned(j, side, examined);
+/// Books the opposite-memory scan of an activation arriving on `side`:
+/// `examined` entries, and a null activation when that memory was empty in
+/// every line as the activation began.
+fn scanned(fx: &mut impl Effects, w: &mut Walked, side: Side, examined: u64, null: bool) {
+    let s = fx.stats();
+    let (tokens, nonempty) = match side {
+        Side::Left => (&mut s.opp_tokens_left, &mut s.opp_nonempty_left),
+        Side::Right => (&mut s.opp_tokens_right, &mut s.opp_nonempty_right),
+    };
+    *tokens += examined;
+    *nonempty += (examined > 0) as u64;
+    s.null_activations += null as u64;
     w.examined = examined as u32;
 }
 

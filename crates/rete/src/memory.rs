@@ -274,7 +274,7 @@ impl Children {
 /// side. [`ListMem`] has no buckets and returns 0.
 pub trait TokenMem {
     /// The canonical matcher-variant name this memory kind implements
-    /// ("vs1" or "lispsim" for linear lists, "vs2" for the hashed lines).
+    /// ("vs1" or "lisp" for linear lists, "vs2" for the hashed lines).
     /// Surfaced as `SeqMatcher::name()` so every matcher kind reports a
     /// distinct name.
     fn kind_name(&self) -> &'static str;

@@ -30,9 +30,10 @@
 //! linked list per memory; the network itself is immutable and shared by
 //! every session of a compiled program).
 //!
-//! [`NetworkOptions::unlinking`] (off by default) lets psm and `psm::trace`
-//! skip null activations (two-input activations whose opposite memory is
-//! empty).
+//! Null activations (two-input activations whose opposite memory is empty)
+//! are not a network option: vs1, vs2, lispsim and `col` never run a reader
+//! whose left memory is empty (their linked reader lists), and psm and
+//! `psm::trace` perform every activation and count the null ones.
 //!
 //! All variable occurrences are resolved at compile time into either
 //! intra-element field comparisons (alpha) or inter-element [`JoinTest`]s
@@ -415,50 +416,36 @@ impl JoinNode {
 
 /// Compile/runtime options for the match network.
 ///
-/// The default shares beta prefixes and leaves unlinking off. The paper
-/// keeps one linear, unshared join chain per production (§3.1, footnote 6)
-/// and performs every activation: that is [`NetworkOptions::PAPER`], which
-/// the table-reproduction paths compile.
+/// The default shares beta prefixes. The paper keeps one linear, unshared
+/// join chain per production (§3.1, footnote 6): that is
+/// [`NetworkOptions::PAPER`], which the table-reproduction paths compile.
 ///
 /// * `sharing` (default on) — dedup identical join-chain *prefixes* across
 ///   productions (same left input, same right alpha pattern, same tests,
 ///   same sign), the way alpha patterns are already deduped. Joins become
 ///   multi-successor nodes and the beta layer turns into a DAG.
-/// * `unlinking` (default off) — psm and `psm::trace` skip the opposite-memory scan of a
-///   two-input activation when that memory is globally empty (a *null
-///   activation*) and book it as `null_skipped`: Doorenbos-style unlinking
-///   expressed as an emptiness gate, which is all the parallel matcher can
-///   do safely under per-line locks. vs1, vs2, lispsim and `col` do not
-///   read the option. Their right-unlinking is physical and unconditional:
-///   each matcher keeps, per shared right memory, the list of readers whose
-///   left memory is non-empty, a join links and unlinks itself as that
-///   memory fills and empties, and a right store never visits the rest —
-///   per matcher, with the compiled network untouched. A left activation
-///   whose right memory is empty makes no scan either way, and is booked
-///   as a null activation.
+///
+/// Right-unlinking is not an option: vs1, vs2, lispsim and `col` each keep,
+/// per shared right memory, the list of readers whose left memory is
+/// non-empty, a join links and unlinks itself as that memory fills and
+/// empties, and a right store never visits the rest — per matcher, with the
+/// compiled network untouched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetworkOptions {
     pub sharing: bool,
-    pub unlinking: bool,
 }
 
 impl Default for NetworkOptions {
     fn default() -> NetworkOptions {
-        NetworkOptions {
-            sharing: true,
-            unlinking: false,
-        }
+        NetworkOptions { sharing: true }
     }
 }
 
 impl NetworkOptions {
     /// The paper's network: one unshared join chain per production (§3.1,
-    /// footnote 6), every activation performed. The tables and the pins of
-    /// the paper's network compile it; nothing else should.
-    pub const PAPER: NetworkOptions = NetworkOptions {
-        sharing: false,
-        unlinking: false,
-    };
+    /// footnote 6). The tables and the pins of the paper's network compile
+    /// it; nothing else should.
+    pub const PAPER: NetworkOptions = NetworkOptions { sharing: false };
 }
 
 /// Node and sharing counts for a compiled network (CLI `summary` output).
@@ -507,8 +494,7 @@ pub struct Network {
     pub prod_sizes: Vec<u16>,
     /// Production names (for traces and dot output).
     pub prod_names: Vec<String>,
-    /// The options this network was compiled with; psm and `psm::trace`
-    /// read the `unlinking` toggle from here at run time.
+    /// The options this network was compiled with.
     pub options: NetworkOptions,
     /// How many join constructions were satisfied by an existing join.
     pub shared_prefixes: usize,
@@ -721,7 +707,7 @@ impl Network {
     }
 
     /// Compiles a program's productions into a network with the default
-    /// options (beta-prefix sharing, no unlinking).
+    /// options (beta-prefix sharing).
     pub fn compile(prog: &Program) -> Result<Network, Ops5Error> {
         Network::compile_with(prog, NetworkOptions::default())
     }

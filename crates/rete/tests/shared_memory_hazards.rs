@@ -180,7 +180,7 @@ fn fold_with(src: &str, prog: &Program, options: NetworkOptions, steps: &[Step])
     fold_in_chunks(src, prog, options, steps, 1)
 }
 
-/// [`fold_with`] on the paper's network: no sharing, no unlinking.
+/// [`fold_with`] on the default network, with beta-prefix sharing.
 fn fold_against_the_trace(src: &str, prog: &Program, steps: &[Step]) -> [usize; 3] {
     fold_with(src, prog, NetworkOptions::default(), steps)
 }
@@ -596,10 +596,7 @@ fn a_join_with_two_successors_under_sharing_sends_its_children_to_each() {
          (p p2 (a ^x <v>) (b ^y <v>) (c ^z <v>) (d ^w <v>) --> (halt))
          (p p3 (a ^x <v>) (b ^y <v>) (c ^z <v>) (e ^w <v>) --> (halt))";
     let mut prog = Program::from_source(src).unwrap();
-    let sharing = NetworkOptions {
-        sharing: true,
-        unlinking: true,
-    };
+    let sharing = NetworkOptions::default();
     let net = Network::compile_with(&prog, sharing).unwrap();
     assert_eq!(net.n_joins(), 4);
     assert!(matches!(net.join(0).succs[..], [Succ::Join(1)]));

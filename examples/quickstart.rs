@@ -70,5 +70,5 @@ fn main() {
         .psm(cfg)
         .build()
         .expect("build psm");
-    run(eng, "psm-e 1+3");
+    run(eng, "psm 1+3");
 }

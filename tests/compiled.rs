@@ -217,13 +217,10 @@ fn a_broken_program_fails_the_same_way_every_time() {
 #[test]
 fn mismatched_network_options_are_refused() {
     let src = "(p p1 (a) (b) (c) --> (halt)) (p p2 (a) (b) (d) --> (halt))";
-    let tuned = NetworkOptions {
-        sharing: true,
-        unlinking: true,
-    };
+    let paper = NetworkOptions::PAPER;
     let compiled =
-        Arc::new(CompiledProgram::compile(Program::from_source(src).unwrap(), tuned).unwrap());
-    assert_eq!(compiled.options(), tuned);
+        Arc::new(CompiledProgram::compile(Program::from_source(src).unwrap(), paper).unwrap());
+    assert_eq!(compiled.options(), paper);
     let err = EngineBuilder::from_compiled(compiled.clone())
         .network_options(NetworkOptions::default())
         .build()
@@ -232,12 +229,12 @@ fn mismatched_network_options_are_refused() {
     assert!(err.to_string().contains("network options"), "{err}");
     // Agreeing (or saying nothing) instantiates on the artefact's network.
     for b in [
-        EngineBuilder::from_compiled(compiled.clone()).network_options(tuned),
+        EngineBuilder::from_compiled(compiled.clone()).network_options(paper),
         EngineBuilder::from_compiled(compiled.clone()),
     ] {
         let eng = b.build().unwrap();
-        assert_eq!(eng.network().options, tuned);
-        assert!(eng.network().summary().shared_prefixes >= 1);
+        assert_eq!(eng.network().options, paper);
+        assert_eq!(eng.network().summary().shared_prefixes, 0);
     }
 }
 

@@ -384,9 +384,9 @@ proptest! {
             prop_assert_eq!(par.parked_tokens(), 0, "conjugate tokens parked at quiescence");
         }
 
-        // Beta-prefix sharing + unlinking must be invisible: matchers on the
-        // tuned network agree with the unshared baseline on the same stream.
-        let opts = NetworkOptions { sharing: true, unlinking: true };
+        // Beta-prefix sharing must be invisible: matchers on the tuned
+        // network agree with the unshared baseline on the same stream.
+        let opts = NetworkOptions::default();
         let tuned = Arc::new(Network::compile_with(&prog, opts).expect("tuned network compiles"));
         let mut vs1t = rete::seq::boxed_vs1(tuned.clone());
         prop_assert_eq!(final_cs(vs1t.as_mut(), &changes), reference.clone(), "tuned vs1 disagrees");
@@ -516,7 +516,7 @@ proptest! {
         // production reads it. Under arbitrary chunking their CS history must
         // equal the per-change one of the trace matcher, which keeps footnote
         // 6's private right memory per join — on the paper network and on the
-        // shared-prefix + unlinking one — and vs1 and vs2 must hold the
+        // shared-prefix one — and vs1 and vs2 must hold the
         // same number of entries after every chunk: each WME once per
         // signature, not once per join. And after every chunk, adds and
         // removes alike, each matcher's linked reader lists are the filter
@@ -541,8 +541,7 @@ proptest! {
         let mut trace = psm::TraceMatcher::new(net.clone(), 16, sink);
         let reference = chunked_cs_history(&mut trace, &changes, &chunk_lens, false);
 
-        let opts = NetworkOptions { sharing: true, unlinking: true };
-        let tuned = Arc::new(Network::compile_with(&prog, opts).expect("tuned network compiles"));
+        let tuned = Arc::new(Network::compile(&prog).expect("tuned network compiles"));
         for (label, net) in [("paper", net), ("tuned", tuned)] {
             let mut vs1 = rete::SeqMatcher::vs1(net.clone());
             let mut vs2 = rete::SeqMatcher::vs2(net.clone(), HashMemConfig { buckets: 16 });

@@ -122,6 +122,28 @@ fn concurrent_mixed_sessions_all_agree() {
 
 /// `WM?` with a name that is not a class — never interned, or interned as
 /// an attribute — must be an explicit error over the wire, not `WM 0`.
+/// The `matcher=` an `OPEN` answers is a name `OPEN` and `MIGRATE` take:
+/// a session migrates to exactly the matcher it was opened on.
+#[test]
+fn a_session_migrates_to_the_matcher_name_it_was_opened_with() {
+    for m in MatcherKind::NAMES {
+        let mut c = serve::Client::connect(server_addr()).unwrap();
+        let open = c.open("blocks", Some(m)).unwrap().expect_ok().unwrap();
+        let named = open
+            .split_whitespace()
+            .find_map(|w| w.strip_prefix("matcher="))
+            .unwrap_or_else(|| panic!("OPEN {m}: no matcher= in {open:?}"));
+        let migrated = (c.migrate(Some(named)).unwrap().expect_ok())
+            .unwrap_or_else(|e| panic!("MIGRATE {named}, as OPEN {m} answered: {e}"));
+        assert!(
+            migrated.starts_with(&format!("matcher={named} ")),
+            "MIGRATE {named}: {migrated:?}"
+        );
+        assert_eq!(named, *m, "OPEN {m} answered {open:?}");
+        c.close().unwrap().expect_ok().unwrap();
+    }
+}
+
 #[test]
 fn wm_unknown_class_errors_over_wire() {
     let addr = server_addr();
@@ -242,7 +264,7 @@ fn metrics_roundtrip_and_endpoint_scrape() {
     let text = lines.join("\n");
     // Every matcher kind reports a distinct name; all five sessions must
     // show up individually.
-    for m in ["vs1", "vs2", "lispsim", "psm-e", "col"] {
+    for m in ["vs1", "vs2", "lisp", "psm", "col"] {
         assert!(
             text.contains(&format!("matcher=\"{m}\"")),
             "exposition missing matcher {m}:\n{text}"
