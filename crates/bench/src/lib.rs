@@ -79,8 +79,8 @@ pub fn programs() -> Vec<ProgramEntry> {
 
 /// Builds `w` on `kind` in the paper's configuration: the matcher is
 /// explicit, the network is the paper's ([`rete::NetworkOptions::PAPER`]:
-/// one unshared join chain per production, no unlinking), and the act phase
-/// fires one instantiation per cycle.
+/// one unshared join chain per production), and the act phase fires one
+/// instantiation per cycle.
 pub(crate) fn paper_engine(w: &Workload, kind: MatcherKind) -> Result<Engine> {
     let mut eng = EngineBuilder::from_source(&w.source)?
         .matcher(kind)
