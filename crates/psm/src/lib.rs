@@ -25,16 +25,18 @@
 //! a `−` token arriving before its `+` parks on the line's extra-deletes
 //! list; when the `+` arrives, both annihilate without propagating.
 //!
-//! The node activation over a line is written once (the private `walk`
-//! module), generic over how the line is held — the simple lock, an MRSW
-//! entry, or the trace's exclusive line — and over its effects: the shared
-//! queues or the trace's FIFO. The walk books the counters itself, into the
-//! match process's own `MatchStats` or the trace's.
+//! Every task runs through one `process_task` and the node activation over
+//! a line is written once (the private `walk` module), generic over how the
+//! line is held — the simple lock or an MRSW entry — and over where a
+//! successor goes: the shared queues, or, with no match process
+//! (`match_processes: 0`), a FIFO the control thread drains itself, root by
+//! root. The walk books the counters itself, into the running process's own
+//! `MatchStats`.
 //!
-//! The [`trace`] module records a deterministic task trace (task graph,
-//! per-task work counters, hash-line footprint) that the `multimax` crate
-//! replays on a simulated Encore Multimax to regenerate the paper's
-//! speed-up and contention tables on any host.
+//! The [`trace`] module is that inline driver recording a deterministic
+//! task trace (task graph, per-task work counters, hash-line footprint)
+//! that the `multimax` crate replays on a simulated Encore Multimax to
+//! regenerate the paper's speed-up and contention tables on any host.
 
 pub mod line;
 pub mod matcher;

@@ -12,10 +12,10 @@
 //! or a child whose two halves leave at different times, and check the
 //! folded conflict set after every change (and, for the kept children and
 //! the not-nodes, after every batch of several changes too: the kernel
-//! takes a batch's retractions first) against `psm::trace::TraceMatcher`: it
-//! keeps footnote 6's private right memory per join, rematches every
-//! removal, runs on one thread, takes a batch as written and shares no code
-//! with `rete::seq`. The sequential matchers run with their debug
+//! takes a batch's retractions first) against psm's inline driver
+//! (`psm::trace::TraceMatcher`): it keeps footnote 6's private right memory
+//! per join, rematches every removal, runs on one thread, takes a batch as
+//! written and shares no code with `rete::seq`. The sequential matchers run with their debug
 //! assertions (a delete must find its token; the children a removal takes
 //! are what a rematch would find, in its order) and fold strictly: an
 //! insert of a present instantiation or a remove of an absent one fails the
@@ -28,6 +28,7 @@
 use lispsim::LispEngineMatcher;
 use ops5::{ChangeBatch, CsChange, Matcher, Program, Sign, Value, Wme, WmeChange, WmeRef};
 use psm::trace::{RunTrace, TraceMatcher};
+use psm::ParMatcher;
 use rete::{HashMemConfig, Network, NetworkOptions, SeqMatcher, Succ};
 use std::sync::{Arc, Mutex};
 
@@ -72,7 +73,7 @@ fn all_three(src: &str) -> Vec<Box<dyn Matcher>> {
 }
 
 /// The per-join reference on `net`.
-fn reference(net: Arc<Network>) -> TraceMatcher {
+fn reference(net: Arc<Network>) -> ParMatcher {
     TraceMatcher::new(net, 16, Arc::new(Mutex::new(RunTrace::default())))
 }
 

@@ -8,7 +8,8 @@
 //! Usage: ops5 <file.ops> [options]
 //!
 //!   --matcher vs1|vs2|lisp|psm|col   match engine (default vs2)
-//!   --procs N                    psm: match processes (default 4)
+//!   --procs N                    psm: match processes (default 4; 0 runs
+//!                                the match on the control thread)
 //!   --queues N                   psm: task queues (default 2)
 //!   --mrsw                       psm: MRSW hash-line locks
 //!   --max-cycles N               cycle budget (default 100000)

@@ -26,6 +26,12 @@ fn all_choices() -> Vec<MatcherKind> {
         MatcherKind::Lisp,
         MatcherKind::Col,
         MatcherKind::Psm(PsmConfig {
+            match_processes: 0,
+            queues: 1,
+            lock_scheme: LockScheme::Simple,
+            buckets: 64,
+        }),
+        MatcherKind::Psm(PsmConfig {
             match_processes: 1,
             queues: 1,
             lock_scheme: LockScheme::Simple,

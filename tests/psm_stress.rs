@@ -17,12 +17,13 @@ const PROGRAMS: [&str; 2] = ["blocks", "monkey"];
 
 fn sweep_configs() -> Vec<(PsmConfig, NetworkOptions)> {
     let mut configs = Vec::new();
-    for queues in [1usize, 4] {
+    // No match process: the control thread runs every task itself.
+    for (match_processes, queues) in [(4, 1usize), (4, 4), (0, 1)] {
         for scheme in [LockScheme::Simple, LockScheme::Mrsw] {
             for options in [NetworkOptions::PAPER, NetworkOptions::default()] {
                 configs.push((
                     PsmConfig {
-                        match_processes: 4,
+                        match_processes,
                         queues,
                         lock_scheme: scheme,
                         buckets: 64,
@@ -117,8 +118,8 @@ fn psm_sweep_keeps_invariants_and_matches_vs2() {
         );
         for (cfg, opts) in sweep_configs() {
             let label = format!(
-                "{name} q{} {:?} sharing={}",
-                cfg.queues, cfg.lock_scheme, opts.sharing
+                "{name} k{} q{} {:?} sharing={}",
+                cfg.match_processes, cfg.queues, cfg.lock_scheme, opts.sharing
             );
             let probe_slot: Arc<Mutex<Option<PsmProbe>>> = Arc::new(Mutex::new(None));
             let slot = probe_slot.clone();
@@ -141,8 +142,9 @@ fn psm_sweep_keeps_invariants_and_matches_vs2() {
 
             // Contention counters were absorbed into the registry at
             // quiescence; the spin-queue scheduler must have recorded
-            // acquisitions, and every histogram must be internally
-            // consistent.
+            // acquisitions (none without a match process: the control
+            // thread runs its tasks off its own FIFO), and every histogram
+            // must be internally consistent.
             let snap = eng.obs_registry().expect("registry").snapshot();
             for (hname, h) in snap.histograms() {
                 h.validate()
@@ -154,9 +156,11 @@ fn psm_sweep_keeps_invariants_and_matches_vs2() {
                 .find(|m| m.name == "psm_queue_lock_acquisitions_total")
                 .expect("queue acquisition counter registered");
             match acqs.data {
-                obs::MetricData::Counter(v) => {
-                    assert!(v > 0, "{label}: no queue-lock acquisitions recorded")
-                }
+                obs::MetricData::Counter(v) => assert_eq!(
+                    v > 0,
+                    cfg.match_processes > 0,
+                    "{label}: {v} queue-lock acquisitions recorded"
+                ),
                 ref other => panic!("{label}: unexpected metric shape {other:?}"),
             }
         }
