@@ -135,12 +135,11 @@
 //! lispsim has no rows of its own: it is the kernel over vs1's list
 //! memories with interpreted join tests, and must read every vs1 row.
 //!
-//! [`GOLDEN_TRACE`] pins `psm::trace`'s recorder on the same four programs:
-//! its eighteen columns and an FNV-1a digest of every recorded task and
-//! every cycle's roots, which is what the Multimax simulator replays. It
-//! keeps footnote 6's per-join memories and its own line geometry, so its
-//! rows are compared with nothing but themselves. Unlinking moves only
-//! `null_activations`/`null_skipped`; the trace is the same either way.
+//! [`GOLDEN_TRACE`] pins `psm::trace`, psm's inline driver, on the same four
+//! programs: its eighteen columns and an FNV-1a digest of every recorded
+//! task and every cycle's roots, which is what the Multimax simulator
+//! replays. It keeps footnote 6's per-join memories and its own line
+//! geometry, so its rows are compared with nothing but themselves.
 
 use engine::{EngineBuilder, MatcherKind};
 use ops5::{ChangeBatch, CsChange, MatchStats, Matcher, QuiesceReport};
@@ -538,10 +537,10 @@ type TraceRow = (&'static str, [u64; COLUMNS], [u64; TOUCHED], TraceDigest);
 
 #[rustfmt::skip]
 const GOLDEN_TRACE: &[TraceRow] = &[
-    ("weaver(5x4x2, 2 nets, 2 kinds)", [361, 8844, 295, 8593, 5840, 0, 1114, 771, 792, 792, 871, 871, 10137, 2843, 251, 0], [0, 0], TraceDigest { hash: 0x9b7a3b66cfbfdc97, tasks: 9139 }),
-    ("tourney(6 teams, pathological)", [263, 3065, 137, 2081, 289, 0, 1824, 707, 320, 164, 1505, 844, 447, 168, 984, 0], [0, 0], TraceDigest { hash: 0xe8fde6645681ab99, tasks: 3202 }),
-    ("negated", [66, 258, 54, 198, 81, 0, 24, 24, 30, 30, 45, 45, 54, 54, 60, 0], [0, 0], TraceDigest { hash: 0xa613ebe94116fb9a, tasks: 312 }),
-    ("synth-carousel(8 CEs, 5 turns)", [88, 438, 18, 357, 7, 0, 279, 279, 71, 71, 140, 140, 35, 35, 81, 0], [0, 0], TraceDigest { hash: 0x73a5ca925c3fe462, tasks: 456 }),
+    ("weaver(5x4x2, 2 nets, 2 kinds)", [361, 8844, 361, 8593, 5840, 0, 1114, 771, 792, 792, 871, 871, 10137, 2843, 251, 0], [0, 0], TraceDigest { hash: 0x7648211c3ad6259e, tasks: 9205 }),
+    ("tourney(6 teams, pathological)", [263, 3065, 263, 2081, 288, 0, 1839, 708, 305, 164, 1550, 844, 447, 168, 984, 0], [0, 0], TraceDigest { hash: 0x4338d3f6b93412ea, tasks: 3328 }),
+    ("negated", [66, 258, 66, 198, 81, 0, 24, 24, 30, 30, 45, 45, 54, 54, 60, 0], [0, 0], TraceDigest { hash: 0x5640570a624d6d7f, tasks: 324 }),
+    ("synth-carousel(8 CEs, 5 turns)", [88, 438, 88, 357, 7, 0, 279, 279, 71, 71, 140, 140, 35, 35, 81, 0], [0, 0], TraceDigest { hash: 0xf3b860e880c46db8, tasks: 526 }),
 ];
 
 /// The trace recorder feeds every simulated table (4-5..4-9), so its work
@@ -549,8 +548,20 @@ const GOLDEN_TRACE: &[TraceRow] = &[
 /// four programs. Each program had a second row, with the network's
 /// `unlinking` option on, that read the same task count, digest and scan
 /// columns and only moved `null_activations` to `null_skipped`; those rows
-/// went with the option, and the four left are byte for byte the ones they
-/// were.
+/// went with the option.
+///
+/// Re-pinned when a root task came to carry one WME change instead of a
+/// batch's whole per-class group (the grain of §3.1's "small groups of
+/// constant-test node activations", DESIGN §2): `alpha_activations` now
+/// equals `wme_changes` in every row, and the task counts rise by the
+/// roots added (9139 -> 9205, 3202 -> 3328, 312 -> 324, 456 -> 526), which
+/// moves every digest. Each change's cascade now drains before the next
+/// change's root runs, so where a firing changes several WMEs the scans
+/// see other memory contents: Tourney's `null_activations` 289 -> 288,
+/// `opp_tokens_left` 1824 -> 1839 (`opp_nonempty_left` 707 -> 708),
+/// `opp_tokens_right` 320 -> 305 and `same_tokens_left` 1505 -> 1550. No
+/// other column moved. The rows were predicted on a copy of the edit and
+/// committed before it.
 #[test]
 fn trace_counters_and_task_graph_match_the_parent_commit() {
     let rows: Vec<_> = (programs().into_iter())
