@@ -198,9 +198,9 @@ fn simulate_cycle(
     let mut match_end = start;
     let mut control_end = start;
 
-    // Kick off the control process: a root task covering a group of g WME
-    // changes is pushed after g RHS-evaluation quanta (the control process
-    // computes every change in the group before the single queue push).
+    // Kick off the control process: a root task carrying g WME changes is
+    // pushed after g RHS-evaluation quanta (psm records g = 1: each root is
+    // pushed as RHS evaluation computes its change, §3.1).
     if cyc.roots.is_empty() {
         return CycleEnd {
             match_end: start,

@@ -12,7 +12,7 @@
 //! finished, so it reaches zero exactly when the match phase is complete.
 
 use crate::sync::SpinLock;
-use ops5::{ProdId, Sign, SymbolId, WmeChange, WmeRef};
+use ops5::{ProdId, Sign, WmeRef};
 use rete::network::JoinId;
 use rete::token::Token;
 use std::collections::VecDeque;
@@ -21,13 +21,8 @@ use std::sync::atomic::{AtomicI64, Ordering};
 /// One schedulable unit of match work.
 #[derive(Debug, Clone)]
 pub enum ParTask {
-    /// A whole per-class group of WME changes from one [`ops5::ChangeBatch`]:
-    /// one TaskCount increment and one queue push cover every change in the
-    /// group, and the worker walks the class's constant-test chain once.
-    RootGroup {
-        class: SymbolId,
-        changes: Vec<WmeChange>,
-    },
+    /// One WME change, bound for its class's constant-test patterns.
+    Root { sign: Sign, wme: WmeRef },
     /// Token bound for the left input of a two-input node.
     Left {
         join: JoinId,
@@ -175,21 +170,18 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ops5::{Value, Wme};
+    use ops5::{SymbolId, Value, Wme};
 
     fn task(tag: u64) -> ParTask {
-        ParTask::RootGroup {
-            class: SymbolId(1),
-            changes: vec![WmeChange {
-                sign: Sign::Plus,
-                wme: Wme::new(SymbolId(1), vec![Value::Int(1)], tag),
-            }],
+        ParTask::Root {
+            sign: Sign::Plus,
+            wme: Wme::new(SymbolId(1), vec![Value::Int(1)], tag),
         }
     }
 
     fn tag_of(t: &ParTask) -> u64 {
         match t {
-            ParTask::RootGroup { changes, .. } => changes[0].wme.timetag,
+            ParTask::Root { wme, .. } => wme.timetag,
             _ => unreachable!(),
         }
     }
