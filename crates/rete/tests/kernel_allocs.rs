@@ -205,10 +205,10 @@ fn a_wme_entering_a_memory_with_50_dead_readers_allocates_at_most_its_line_slot(
     }
 }
 
-/// A small program's session is not its vs2 table (ROADMAP, one-kernel
-/// decision (a)): building a vs2 matcher over the 2-rule `fibonacci`, loading
-/// its start state and dropping it allocates at most 2 KiB (measured:
-/// 1696 B). At the fixed 16 384 lines it is 768 KiB.
+/// A small program's session is not its vs2 table (DESIGN §2: vs2's table
+/// is sized by what is in it): building a vs2 matcher over the 2-rule
+/// `fibonacci`, loading its start state and dropping it allocates at most
+/// 2 KiB (measured: 1696 B). At the fixed 16 384 lines it is 768 KiB.
 #[test]
 fn a_fibonacci_vs2_session_allocates_at_most_2_kib() {
     let src = std::fs::read_to_string(concat!(

@@ -724,7 +724,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// The language front end fails closed (ROADMAP 6.2): whatever bytes reach
+// The language front end fails closed (DESIGN §2): whatever bytes reach
 // `Program::from_source`, it answers `Ok` or a positioned `Lex`/`Parse`
 // error. 2000 cases each in release (CI's Match-perf smoke job), a tenth of
 // that in the debug run of tier 1.
@@ -868,7 +868,7 @@ fn deep_nesting_fails_closed_without_recursion() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(FRONT_END_CASES))]
 
-    /// One definition of a value literal (ROADMAP 6.4): a delimiter-free run
+    /// One definition of a value literal (DESIGN §2): a delimiter-free run
     /// is the same value as a constant in a rule and as a value on the wire,
     /// and both follow the rule as the wire always stated it. A leading `-`
     /// not followed by a digit is the parser's (negation or subtraction).
