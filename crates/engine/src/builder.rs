@@ -43,7 +43,8 @@ pub enum MatcherKind {
     /// col: vs2's kernel with the default table under its own name
     /// (`rete::colmatch`).
     Col,
-    /// The sequential trace recorder feeding the Multimax simulator.
+    /// psm's inline driver recording the task trace that feeds the Multimax
+    /// simulator; its matcher name is `"trace"`.
     Trace {
         buckets: usize,
         sink: Arc<Mutex<RunTrace>>,

@@ -68,13 +68,13 @@ pub struct WmeChange {
 ///    The number of cancelled pairs is reported by [`annihilated`] and
 ///    rolled into the matcher's `conjugate_pairs` statistic.
 /// 2. **Per-class grouping.** Changes are bucketed by WME class so that
-///    one batch entry drives one alpha-chain walk: a matcher visits the
-///    constant-test patterns of a class once per *group*, not once per
-///    change — the paper's "small groups of constant-test node
-///    activations constitute a task". Groups list classes by first
-///    appearance and a group its changes as pushed (except where an
-///    annihilation back-fills a hole): how the batch is stored, not an
-///    order a matcher owes anyone — rule 3.
+///    one batch entry drives one alpha-chain walk: a sequential matcher
+///    resolves the constant-test patterns of a class once per *group*, not
+///    once per change (psm pushes a root task per change, the paper's
+///    "small groups of constant-test node activations"). Groups list
+///    classes by first appearance and a group its changes as pushed
+///    (except where an annihilation back-fills a hole): how the batch is
+///    stored, not an order a matcher owes anyone — rule 3.
 /// 3. **A batch is a set.** After rule 1 it holds changes to *distinct*
 ///    WMEs, and those commute in the final match state; that is what made
 ///    regrouping by class sound, and it makes every other order sound too.
@@ -491,9 +491,10 @@ pub trait Matcher: Send {
     /// A batch is a *set* of changes to distinct WMEs ([`ChangeBatch`],
     /// rule 3) and the order inside it is the matcher's: vs1, vs2, lispsim
     /// and col take every retraction, then every assertion, one change at a
-    /// time; psm runs the changes in
-    /// parallel under conjugate pairs; `psm::trace` takes them as written,
-    /// which is the paper's order and the reference. What all of
+    /// time; psm takes them as written, a root task per change: its match
+    /// processes run them in parallel under conjugate pairs, and its inline
+    /// driver (`psm::trace`) one after another, which is the paper's order
+    /// and the reference. What all of
     /// them owe is the same folded conflict set *with its fired flags*
     /// after [`quiesce`](Self::quiesce): an instantiation leaves the set
     /// only because one of its WMEs was retracted (timetags are never

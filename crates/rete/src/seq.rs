@@ -715,7 +715,7 @@ impl<M: TokenMem + Send> Matcher for SeqMatcher<M> {
     fn submit(&mut self, batch: &ChangeBatch) {
         let k = &mut self.kernel;
         // Pairs annihilated in the batch, as the parallel matcher books them,
-        // and one constant-test task per class group (§3.1), whatever its signs.
+        // and one alpha activation per class group, whatever its signs.
         k.tally.stats.conjugate_pairs += batch.annihilated();
         for (_, group) in batch.groups() {
             k.tally.stats.alpha_activations += 1;
