@@ -56,12 +56,6 @@ pub struct SimResult {
     pub requeues: u64,
     /// Σ processor busy time (work conservation checks).
     pub busy: u64,
-    /// Diagnostic: queue wait attributed to pops vs pushes.
-    pub pop_wait: u64,
-    pub push_wait: u64,
-    /// Diagnostic: pops that had to fall back to a locked queue.
-    pub pop_fallback: u64,
-    pub pop_free: u64,
 }
 
 impl SimResult {
@@ -198,20 +192,19 @@ fn simulate_cycle(
     let mut match_end = start;
     let mut control_end = start;
 
-    // Kick off the control process: a root task carrying g WME changes is
-    // pushed after g RHS-evaluation quanta (psm records g = 1: each root is
-    // pushed as RHS evaluation computes its change, §3.1).
+    // Kick off the control process: each root task carries one WME change
+    // and is pushed after one RHS-evaluation quantum, as RHS evaluation
+    // computes its change (§3.1).
     if cyc.roots.is_empty() {
         return CycleEnd {
             match_end: start,
             control_end: start,
         };
     }
-    let rhs_cost =
-        |idx: u32| cm.rhs_per_change as u64 * cyc.tasks[idx as usize].group.max(1) as u64;
+    let rhs_cost = cm.rhs_per_change as u64;
     push_ev(
         &mut heap,
-        start + rhs_cost(cyc.roots[0]),
+        start + rhs_cost,
         Ev::RootPush(cyc.roots[0]),
         &mut seq,
     );
@@ -238,7 +231,6 @@ fn simulate_cycle(
             }
             let a = ($t).max(q_free[q]);
             res.queue_spins += (a - $t) / SPIN_UNIT;
-            res.push_wait += a - $t;
             res.queue_acqs += 1;
             q_free[q] = a + push_hold;
             let done = a + push_hold;
@@ -256,7 +248,7 @@ fn simulate_cycle(
                 if next_root < cyc.roots.len() {
                     let r = cyc.roots[next_root];
                     next_root += 1;
-                    push_ev(&mut heap, done + rhs_cost(r), Ev::RootPush(r), &mut seq);
+                    push_ev(&mut heap, done + rhs_cost, Ev::RootPush(r), &mut seq);
                 }
             }
             Ev::Avail(idx, q) => {
@@ -284,11 +276,6 @@ fn simulate_cycle(
                         break;
                     }
                 }
-                if found.is_some() {
-                    res.pop_free += 1;
-                } else if fallback.is_some() {
-                    res.pop_fallback += 1;
-                }
                 let Some(q) = found.or(fallback) else {
                     idle.push(p);
                     continue;
@@ -296,7 +283,6 @@ fn simulate_cycle(
                 // Pop protocol.
                 let a = t.max(q_free[q]);
                 res.queue_spins += (a - t) / SPIN_UNIT;
-                res.pop_wait += a - t;
                 res.queue_acqs += 1;
                 q_free[q] = a + pop_hold;
                 let idx = q_items[q].pop_front().expect("checked non-empty");
@@ -310,11 +296,7 @@ fn simulate_cycle(
                 // Process the task.
                 let mut requeued = false;
                 let e = match task.kind {
-                    TaskKind::Root => {
-                        s + cm.root_base as u64
-                            + cm.root_per_change as u64 * task.group as u64
-                            + cm.per_alpha_test as u64 * task.alpha_tests as u64
-                    }
+                    TaskKind::Root => s + cm.task_cost(task),
                     TaskKind::Terminal => {
                         let a2 = s.max(cs_free);
                         // Conflict-set lock waits count as queue-side
@@ -360,7 +342,6 @@ fn simulate_cycle(
                                         proc_cursor[p as usize].wrapping_add(1);
                                     let a3 = rt.max(q_free[q2]);
                                     res.queue_spins += (a3 - rt) / SPIN_UNIT;
-                                    res.push_wait += a3 - rt;
                                     res.queue_acqs += 1;
                                     q_free[q2] = a3 + push_hold;
                                     push_ev(
@@ -455,7 +436,6 @@ mod tests {
             same_examined: 0,
             emitted,
             alpha_tests: 4,
-            group: 1,
         }
     }
 
@@ -473,7 +453,6 @@ mod tests {
             same_examined: 0,
             emitted: 0,
             alpha_tests: 0,
-            group: 1,
         }
     }
 

@@ -17,9 +17,10 @@
 //! * a conflict-set accumulator.
 //!
 //! Synchronization uses test-and-test-and-set spin locks built on atomics
-//! (§3.2 — OS primitives are too heavy for 100-700-instruction tasks); every
-//! lock counts how often a process spins before acquiring it, reproducing
-//! the paper's contention metric (Tables 4-7 and 4-9).
+//! (§3.2 — OS primitives are too heavy for 100-700-instruction tasks). A
+//! lock holds only its state word; each acquisition reports how often the
+//! process spun before getting it, and the process books that — the
+//! paper's contention metric (Tables 4-7 and 4-9) — into its own counters.
 //!
 //! Out-of-order token processing is handled with **conjugate token pairs**:
 //! a `−` token arriving before its `+` parks on the line's extra-deletes
@@ -30,8 +31,9 @@
 //! line is held — the simple lock or an MRSW entry — and over where a
 //! successor goes: the shared queues, or, with no match process
 //! (`match_processes: 0`), a FIFO the control thread drains itself, root by
-//! root. The walk books the counters itself, into the running process's own
-//! `MatchStats`.
+//! root. The walk books the match counters itself, into the running
+//! process's own `MatchStats`; the same slot takes the process's queue and
+//! line acquisitions and its idle transitions ([`stats`]).
 //!
 //! The [`trace`] module is that inline driver recording a deterministic
 //! task trace (task graph, per-task work counters, hash-line footprint)
@@ -49,6 +51,5 @@ mod walk;
 pub use line::{LineLock, LockScheme, ParLine, Side};
 pub use matcher::{ParMatcher, PsmConfig, PsmProbe};
 pub use queue::{Scheduler, TaskCount};
-pub use stats::ContentionStats;
 pub use sync::{RwSpinLock, SpinLock};
 pub use trace::{CycleTrace, RunTrace, TaskKind, TaskRecord, TraceMatcher};

@@ -5,7 +5,7 @@
 
 use crate::line::{LineLock, LockScheme, MrswLine, ParLine, Side};
 use crate::queue::{ParTask, Scheduler};
-use crate::stats::{ContentionReport, ContentionStats};
+use crate::stats::{ContentionReport, Slot, COUNTERS};
 use crate::sync::{SpinGuard, SpinLock};
 use crate::trace::{CycleTrace, RunTrace, TaskKind, TaskRecord, NO_LINE};
 use crate::walk::{self, Effects, Line, Scratch, Walked};
@@ -79,11 +79,6 @@ struct MatchObs {
     /// Wall time a worker sat idle between finding the queues empty and the
     /// next successful pop.
     queue_wait_ns: Arc<obs::Histogram>,
-    /// Backoff transitions: spin→yield escalations and condvar parks.
-    spin_to_yield: Arc<obs::Counter>,
-    parks: Arc<obs::Counter>,
-    /// Pushes that found a registered sleeper and notified the condvar.
-    wakes: Arc<obs::Counter>,
 }
 
 struct Shared {
@@ -110,48 +105,47 @@ struct Shared {
     /// One slot per match process, booked while it runs a task and before
     /// the task leaves TaskCount, so the control thread reads every task's
     /// counts once it sees quiescence.
-    stats: Box<[SpinLock<MatchStats>]>,
-    cstats: ContentionStats,
+    slots: Box<[SpinLock<Slot>]>,
     obs: OnceLock<MatchObs>,
 }
 
 impl Shared {
-    /// Push a new task and wake any parked worker. `cursor` is the pushing
-    /// thread's round-robin queue cursor.
-    fn push(&self, task: ParTask, cursor: &mut usize) {
-        self.sched.push(task, cursor);
-        self.wake();
+    /// Push a new task and wake any parked worker, booking both into the
+    /// pusher's own `slot`. `cursor` is the pusher's round-robin queue
+    /// cursor.
+    fn push(&self, task: ParTask, cursor: &mut usize, slot: &mut Slot) {
+        slot.locks.queue(self.sched.push(task, cursor));
+        self.wake(slot);
     }
 
     #[inline]
-    fn wake(&self) {
+    fn wake(&self, slot: &mut Slot) {
         if self.parker.sleepers.load(Ordering::SeqCst) > 0 {
             // Taking the mutex orders this notify after any in-flight
             // register→recheck sequence, so the wakeup cannot be lost.
             let _g = self.parker.lock.lock().expect("parker mutex");
-            if let Some(o) = self.obs.get() {
-                o.wakes.inc();
-            }
+            slot.wakes += 1;
             self.parker.cv.notify_all();
         }
     }
 
     /// Takes the line for an activation arriving on `side`, booking the
-    /// spins. `None` when MRSW finds the line in use by the other side: the
-    /// task goes back on a queue, still counted in TaskCount.
-    fn take(&self, key: u64, side: Side) -> Option<Taken<'_>> {
+    /// acquisition into `locks`. `None` when MRSW finds the line in use by
+    /// the other side: the task goes back on a queue, still counted in
+    /// TaskCount.
+    fn take(&self, key: u64, side: Side, locks: &mut ContentionReport) -> Option<Taken<'_>> {
         let left = side == Side::Left;
         match &self.lines[(key & self.mask) as usize] {
             LineLock::Simple(line) => {
                 let g = line.lock();
-                self.cstats.record_hash(left, g.spins);
+                locks.line(left, g.spins);
                 Some(Taken::Simple(g))
             }
             LineLock::Mrsw(line) => {
                 let (entered, spins) = line.try_enter(side);
-                self.cstats.record_hash(left, spins);
+                locks.line(left, spins);
                 if !entered {
-                    self.cstats.requeues.fetch_add(1, Ordering::Relaxed);
+                    locks.requeues += 1;
                     return None;
                 }
                 Some(Taken::Mrsw(line))
@@ -198,13 +192,13 @@ impl Drop for Taken<'_> {
 /// queues (a match process) or the inline FIFO (the control thread).
 struct Fx<'a, P> {
     shared: &'a Shared,
-    stats: &'a mut MatchStats,
+    slot: &'a mut Slot,
     push: P,
 }
 
-impl<P: FnMut(ParTask)> Effects for Fx<'_, P> {
+impl<P: FnMut(ParTask, &mut Slot)> Effects for Fx<'_, P> {
     fn stats(&mut self) -> &mut MatchStats {
-        self.stats
+        &mut self.slot.stats
     }
 
     fn empty(&self, j: &JoinNode, side: Side) -> bool {
@@ -222,7 +216,7 @@ impl<P: FnMut(ParTask)> Effects for Fx<'_, P> {
     }
 
     fn push(&mut self, task: ParTask) {
-        (self.push)(task)
+        (self.push)(task, self.slot)
     }
 }
 
@@ -241,14 +235,14 @@ struct Inline {
 
 impl Inline {
     /// Runs `root` and every task it causes, in FIFO order, recording each.
-    fn run(&mut self, shared: &Shared, stats: &mut MatchStats, root: ParTask) {
+    fn run(&mut self, shared: &Shared, slot: &mut Slot, root: ParTask) {
         self.fifo.push_back((None, root));
         while let Some((parent, task)) = self.fifo.pop_front() {
             let id = self.next_id;
             self.next_id += 1;
             let fifo = &mut self.fifo;
-            let push = |t| fifo.push_back((Some(id), t));
-            let Ok(rec) = process_task(shared, task, stats, &mut self.scratch, push) else {
+            let push = |t, _: &mut Slot| fifo.push_back((Some(id), t));
+            let Ok(rec) = process_task(shared, task, slot, &mut self.scratch, push) else {
                 unreachable!("MRSW refused the only process on its line")
             };
             if parent.is_none() {
@@ -273,53 +267,30 @@ pub struct ParMatcher {
     inline: Option<Inline>,
     /// The control process's round-robin queue cursor.
     cursor: usize,
-    /// What the control process books: WME changes, and conjugate pairs a
-    /// batch annihilated before they became tasks.
-    control: MatchStats,
+    /// What the control process books: WME changes, conjugate pairs a
+    /// batch annihilated before they became tasks, and its root pushes —
+    /// or, on the inline driver, every task it runs.
+    control: Slot,
     cfg: PsmConfig,
     delta: StatsDeltaTracker,
     cobs: Option<ContentionObs>,
 }
 
-/// Registry counters mirroring the contention plumbing. The control thread
-/// folds the delta since the previous quiescence point into them at every
-/// `quiesce()` — the only moment the spin counters are stable.
+/// The registry counters of [`COUNTERS`]. The control thread adds what the
+/// slots booked since the previous quiescence at every `quiesce()`, the
+/// point where every task's counts are in.
 struct ContentionObs {
-    queue_spins: Arc<obs::Counter>,
-    queue_acqs: Arc<obs::Counter>,
-    hash_spins_left: Arc<obs::Counter>,
-    hash_acqs_left: Arc<obs::Counter>,
-    hash_spins_right: Arc<obs::Counter>,
-    hash_acqs_right: Arc<obs::Counter>,
-    requeues: Arc<obs::Counter>,
-    last: ContentionReport,
+    counters: [Arc<obs::Counter>; COUNTERS.len()],
+    /// The slot sums already added.
+    last: [u64; COUNTERS.len()],
 }
 
 impl ContentionObs {
-    fn absorb(&mut self, now: ContentionReport) {
-        // saturating: a reset_contention() between quiescence points may
-        // rewind the raw counters below the previous snapshot.
-        self.queue_spins
-            .add(now.queue_spins.saturating_sub(self.last.queue_spins));
-        self.queue_acqs
-            .add(now.queue_acqs.saturating_sub(self.last.queue_acqs));
-        self.hash_spins_left.add(
-            now.hash_spins_left
-                .saturating_sub(self.last.hash_spins_left),
-        );
-        self.hash_acqs_left
-            .add(now.hash_acqs_left.saturating_sub(self.last.hash_acqs_left));
-        self.hash_spins_right.add(
-            now.hash_spins_right
-                .saturating_sub(self.last.hash_spins_right),
-        );
-        self.hash_acqs_right.add(
-            now.hash_acqs_right
-                .saturating_sub(self.last.hash_acqs_right),
-        );
-        self.requeues
-            .add(now.requeues.saturating_sub(self.last.requeues));
-        self.last = now;
+    fn absorb(&mut self, now: [u64; COUNTERS.len()]) {
+        for ((counter, last), now) in self.counters.iter().zip(&mut self.last).zip(now) {
+            counter.add(now - *last);
+            *last = now;
+        }
     }
 }
 
@@ -355,10 +326,9 @@ impl ParMatcher {
             parker: Parker::default(),
             worker_tids: SpinLock::new(Vec::new()),
             stop: AtomicBool::new(false),
-            stats: (0..processes)
-                .map(|_| SpinLock::new(MatchStats::default()))
+            slots: (0..processes)
+                .map(|_| SpinLock::new(Slot::default()))
                 .collect(),
-            cstats: ContentionStats::default(),
             obs: OnceLock::new(),
         });
         let workers = (0..processes)
@@ -381,7 +351,7 @@ impl ParMatcher {
                 sink,
             }),
             cursor: 0,
-            control: MatchStats::default(),
+            control: Slot::default(),
             cfg,
             delta: StatsDeltaTracker::default(),
             cobs: None,
@@ -397,25 +367,19 @@ impl ParMatcher {
         self.cfg
     }
 
-    /// Contention report: queue-lock and hash-line-lock spin averages.
+    /// Lock contention since the last `reset_stats`: every process's
+    /// booking, summed like [`Matcher::stats`] and complete at quiescence.
     pub fn contention(&self) -> ContentionReport {
-        let mut r = self.shared.cstats.snapshot();
-        let (qs, qa) = self.shared.sched.contention();
-        r.queue_spins = qs;
-        r.queue_acqs = qa;
-        r
+        self.sum().locks
     }
 
-    /// Zero the contention counters. Only legal at quiescence: while match
-    /// processes are draining tasks they bump these counters concurrently,
-    /// and a mid-phase reset would tear the spins/acquisitions ratio.
-    pub fn reset_contention(&self) {
-        debug_assert!(
-            self.shared.sched.quiescent(),
-            "reset_contention called while match processes are active"
-        );
-        self.shared.cstats.reset();
-        self.shared.sched.reset_contention();
+    /// Every process's slot, summed.
+    fn sum(&self) -> Slot {
+        let mut sum = self.control;
+        for slot in &self.shared.slots {
+            sum += *slot.lock();
+        }
+        sum
     }
 
     /// Total entries parked on extra-deletes lists (must be 0 when quiescent).
@@ -506,19 +470,19 @@ impl Matcher for ParMatcher {
     fn submit(&mut self, batch: &ChangeBatch) {
         // Conjugate pairs the batch annihilated never became tasks at all —
         // the cheapest possible handling (§3.2).
-        self.control.conjugate_pairs += batch.annihilated();
+        self.control.stats.conjugate_pairs += batch.annihilated();
         // One root task per change, pushed as the change is computed (§3.1):
         // the match processes start on it while the control process is
         // still evaluating the rest of the firing.
         for change in batch.iter() {
-            self.control.wme_changes += 1;
+            self.control.stats.wme_changes += 1;
             let root = ParTask::Root {
                 sign: change.sign,
                 wme: change.wme.clone(),
             };
             match &mut self.inline {
                 Some(inline) => inline.run(&self.shared, &mut self.control, root),
-                None => self.shared.push(root, &mut self.cursor),
+                None => self.shared.push(root, &mut self.cursor, &mut self.control),
             }
         }
     }
@@ -552,31 +516,31 @@ impl Matcher for ParMatcher {
                 sink.lock().unwrap().cycles.push(cycle);
             }
         }
-        // Quiescence is the one point where the contention counters are
-        // stable; fold the delta since the last snapshot into the registry.
-        if self.cobs.is_some() {
-            let now = self.contention();
-            if let Some(cobs) = &mut self.cobs {
-                cobs.absorb(now);
-            }
+        // Every task's counts are in the slots now.
+        let sum = self.sum();
+        if let Some(cobs) = &mut self.cobs {
+            cobs.absorb(sum.counts());
         }
         QuiesceReport {
             cs_changes: out,
-            stats_delta: self.delta.take(self.stats()),
+            stats_delta: self.delta.take(sum.stats),
             phase: None,
         }
     }
 
     fn stats(&self) -> MatchStats {
-        (self.shared.stats.iter()).fold(self.control, |sum, s| sum + *s.lock())
+        self.sum().stats
     }
 
     fn reset_stats(&mut self) {
-        self.control = MatchStats::default();
-        for s in &self.shared.stats {
-            *s.lock() = MatchStats::default();
+        self.control = Slot::default();
+        for slot in &self.shared.slots {
+            *slot.lock() = Slot::default();
         }
         self.delta.reset();
+        if let Some(cobs) = &mut self.cobs {
+            cobs.last = Default::default();
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -587,29 +551,21 @@ impl Matcher for ParMatcher {
     }
 
     fn enable_obs(&mut self, registry: &Arc<obs::Registry>) {
-        let side = |s: &str| vec![("side".to_string(), s.to_string())];
         self.shared.obs.get_or_init(|| MatchObs {
             nodes: Arc::new(obs::NodeProfile::new(self.shared.net.n_joins())),
             task_latency_ns: registry.histogram("psm_task_latency_ns", vec![]),
             queue_wait_ns: registry.histogram("psm_queue_wait_ns", vec![]),
-            spin_to_yield: registry.counter("psm_spin_to_yield_total", vec![]),
-            parks: registry.counter("psm_parks_total", vec![]),
-            wakes: registry.counter("psm_wakes_total", vec![]),
         });
         if self.cobs.is_none() {
+            let counters = COUNTERS.map(|(name, side)| {
+                let side = (!side.is_empty()).then(|| ("side".to_string(), side.to_string()));
+                registry.counter(name, side.into_iter().collect())
+            });
             self.cobs = Some(ContentionObs {
-                queue_spins: registry.counter("psm_queue_lock_spins_total", vec![]),
-                queue_acqs: registry.counter("psm_queue_lock_acquisitions_total", vec![]),
-                hash_spins_left: registry.counter("psm_line_lock_spins_total", side("left")),
-                hash_acqs_left: registry.counter("psm_line_lock_acquisitions_total", side("left")),
-                hash_spins_right: registry.counter("psm_line_lock_spins_total", side("right")),
-                hash_acqs_right: registry
-                    .counter("psm_line_lock_acquisitions_total", side("right")),
-                requeues: registry.counter("psm_requeues_total", vec![]),
-                // Absorb from the current totals forward, not from zero:
-                // contention accrued before profiling was enabled belongs
-                // to the unprofiled epoch.
-                last: self.contention(),
+                counters,
+                // Counts booked before profiling was enabled belong to the
+                // unprofiled epoch.
+                last: self.sum().counts(),
             });
         }
     }
@@ -680,41 +636,43 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
     // empty — consumed into the queue-wait histogram by the next pop.
     let mut idle_since: Option<Instant> = None;
     let mut task_seq = 0u32;
-    let mut run = |task: ParTask, idle_since: &mut Option<Instant>| {
+    let mut run = |task: ParTask, spins: u64, idle_since: &mut Option<Instant>| {
         let t0 = obs_task_start(&shared, idle_since, &mut task_seq);
-        let mut stats = shared.stats[index].lock();
-        let push = |t| shared.push(t, &mut cursor);
-        let done = process_task(&shared, task, &mut stats, &mut scratch, push);
-        // The counts are in the slot before the task leaves TaskCount,
-        // whose decrement `quiesce` acquires; a refused task goes back on a
-        // queue, still counted.
-        drop(stats);
-        match done {
-            Ok(_) => shared.sched.task_done(),
+        // The pop, the task's counts and the locks it took are in the slot
+        // before the task leaves TaskCount, whose decrement `quiesce`
+        // acquires. A refused task goes back on a queue, still counted, and
+        // the slot stays held until that push is booked too.
+        let mut slot = shared.slots[index].lock();
+        slot.locks.queue(spins);
+        let push = |t, slot: &mut Slot| shared.push(t, &mut cursor, slot);
+        match process_task(&shared, task, &mut slot, &mut scratch, push) {
+            Ok(_) => {
+                drop(slot);
+                shared.sched.task_done();
+            }
             Err(task) => {
-                shared.sched.push_requeue(task, &mut cursor);
-                shared.wake();
+                let spins = shared.sched.push_requeue(task, &mut cursor);
+                slot.locks.queue(spins);
+                shared.wake(&mut slot);
             }
         }
         obs_task_end(&shared, t0);
     };
     loop {
-        if let Some(task) = shared.sched.pop(home) {
+        if let Some((task, spins)) = shared.sched.pop(home) {
             idle = 0;
-            run(task, &mut idle_since);
+            run(task, spins, &mut idle_since);
             continue;
         }
         if shared.stop.load(Ordering::Acquire) {
             return;
         }
         idle += 1;
-        if let Some(o) = shared.obs.get() {
-            if idle_since.is_none() {
-                idle_since = Some(Instant::now());
-            }
-            if idle == 65 {
-                o.spin_to_yield.inc();
-            }
+        if idle == 65 {
+            shared.slots[index].lock().spin_to_yield += 1;
+        }
+        if idle_since.is_none() && shared.obs.get().is_some() {
+            idle_since = Some(Instant::now());
         }
         if idle <= 64 {
             std::hint::spin_loop();
@@ -730,32 +688,33 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
             let mut guard = p.lock.lock().expect("parker mutex");
             p.sleepers.fetch_add(1, Ordering::SeqCst);
             let recheck = shared.sched.pop(home);
-            if recheck.is_none() && !shared.stop.load(Ordering::Acquire) {
-                if let Some(o) = shared.obs.get() {
-                    o.parks.inc();
-                }
+            let park = recheck.is_none() && !shared.stop.load(Ordering::Acquire);
+            if park {
                 guard = p.cv.wait(guard).expect("parker condvar");
             }
             p.sleepers.fetch_sub(1, Ordering::SeqCst);
             drop(guard);
-            if let Some(task) = recheck {
+            if park {
+                shared.slots[index].lock().parks += 1;
+            }
+            if let Some((task, spins)) = recheck {
                 idle = 0;
-                run(task, &mut idle_since);
+                run(task, spins, &mut idle_since);
             }
         }
     }
 }
 
-/// Runs one task on either driver, booking into `stats` and handing each
-/// successor to `push`. Returns what the trace records of the task (its id
-/// and parent are the driver's), or the task itself when MRSW found its
-/// line in use by the other side.
+/// Runs one task on either driver, booking into `slot` and handing each
+/// successor to `push` with it. Returns what the trace records of the task
+/// (its id and parent are the driver's), or the task itself when MRSW found
+/// its line in use by the other side.
 fn process_task(
     shared: &Shared,
     task: ParTask,
-    stats: &mut MatchStats,
+    slot: &mut Slot,
     scratch: &mut Scratch,
-    mut push: impl FnMut(ParTask),
+    mut push: impl FnMut(ParTask, &mut Slot),
 ) -> Result<TaskRecord, ParTask> {
     let record = |kind, line, w: Walked| TaskRecord {
         id: 0,
@@ -766,27 +725,22 @@ fn process_task(
         same_examined: w.same_examined,
         emitted: w.emitted,
         alpha_tests: w.alpha_tests,
-        group: 1,
     };
     match task {
         ParTask::Root { sign, wme } => {
             // One change's constant-test node activations: the grain of the
             // paper's "small groups" (DESIGN §2).
-            stats.alpha_activations += 1;
-            let w = walk::constant_tests(&shared.net, sign, &wme, &mut push);
+            slot.stats.alpha_activations += 1;
+            let w = walk::constant_tests(&shared.net, sign, &wme, |t| push(t, slot));
             Ok(record(TaskKind::Root, NO_LINE, w))
         }
         ParTask::Left { join, sign, token } => {
             let j = shared.net.join(join);
             let key = j.left_key(&token);
-            let Some(line) = shared.take(key, Side::Left) else {
+            let Some(line) = shared.take(key, Side::Left, &mut slot.locks) else {
                 return Err(ParTask::Left { join, sign, token });
             };
-            let fx = &mut Fx {
-                shared,
-                stats,
-                push,
-            };
+            let fx = &mut Fx { shared, slot, push };
             let w = walk::left(fx, line, scratch, j, key, sign, &token);
             profile(shared, j, &w);
             let kind = TaskKind::Left { negated: j.negated };
@@ -795,22 +749,18 @@ fn process_task(
         ParTask::Right { join, sign, wme } => {
             let j = shared.net.join(join);
             let key = j.right_key(&wme);
-            let Some(line) = shared.take(key, Side::Right) else {
+            let Some(line) = shared.take(key, Side::Right, &mut slot.locks) else {
                 return Err(ParTask::Right { join, sign, wme });
             };
-            let fx = &mut Fx {
-                shared,
-                stats,
-                push,
-            };
+            let fx = &mut Fx { shared, slot, push };
             let w = walk::right(fx, line, scratch, j, key, sign, &wme);
             profile(shared, j, &w);
             let kind = TaskKind::Right { negated: j.negated };
             Ok(record(kind, (key & shared.mask) as u32, w))
         }
         ParTask::Terminal { prod, sign, token } => {
-            stats.activations += 1;
-            stats.cs_changes += 1;
+            slot.stats.activations += 1;
+            slot.stats.cs_changes += 1;
             let inst = Instantiation { prod, wmes: token };
             let delta = match sign {
                 Sign::Plus => 1,
@@ -1214,48 +1164,77 @@ mod tests {
 
     #[test]
     fn per_process_counters_sum_to_stats_and_reset_to_zero() {
-        // Four match processes book into four slots and the control process
-        // into its own: at every quiescence the deltas add up to `stats()`,
-        // and `reset_stats()` zeroes every slot.
+        // Every process books into its own slot, the control process too:
+        // at every quiescence the deltas add up to `stats()`, the lock
+        // counts obey the identities of `assert_identities`, and
+        // `reset_stats()` zeroes every slot.
         let src = "(p q (a ^x <v>) (b ^y <v>) --> (halt))
                    (p r (a ^x <v>) - (b ^y <v>) --> (halt))";
         let (mut prog, net) = net_of(src);
         let ca = prog.symbols.intern("a");
         let cb = prog.symbols.intern("b");
-        for lock_scheme in [LockScheme::Simple, LockScheme::Mrsw] {
-            let cfg = PsmConfig {
-                match_processes: 4,
-                queues: 2,
-                lock_scheme,
-                buckets: 16,
-            };
-            let mut par = ParMatcher::new(net.clone(), cfg);
-            let mut sum = MatchStats::default();
-            for round in 0..3i64 {
-                let batch: ChangeBatch = (0..20i64)
-                    .flat_map(|i| {
-                        let (tag, v) = (round as u64 * 100 + i as u64 * 2, Value::Int(i % 5));
-                        [
-                            WmeChange {
-                                sign: Sign::Plus,
-                                wme: Wme::new(ca, vec![v], tag + 1),
-                            },
-                            WmeChange {
-                                sign: Sign::Plus,
-                                wme: Wme::new(cb, vec![v], tag + 2),
-                            },
-                        ]
-                    })
-                    .collect();
-                par.submit(&batch);
-                sum += par.quiesce().stats_delta;
-                assert_eq!(sum, par.stats(), "{lock_scheme:?} round {round}");
+        for (match_processes, queues) in [(4, 2), (1, 1), (0, 1)] {
+            for lock_scheme in [LockScheme::Simple, LockScheme::Mrsw] {
+                let cfg = PsmConfig {
+                    match_processes,
+                    queues,
+                    lock_scheme,
+                    buckets: 16,
+                };
+                let label = format!("{match_processes}x{queues} {lock_scheme:?}");
+                let mut par = ParMatcher::new(net.clone(), cfg);
+                let mut sum = MatchStats::default();
+                for round in 0..3i64 {
+                    let batch: ChangeBatch = (0..20i64)
+                        .flat_map(|i| {
+                            let (tag, v) = (round as u64 * 100 + i as u64 * 2, Value::Int(i % 5));
+                            [
+                                WmeChange {
+                                    sign: Sign::Plus,
+                                    wme: Wme::new(ca, vec![v], tag + 1),
+                                },
+                                WmeChange {
+                                    sign: Sign::Plus,
+                                    wme: Wme::new(cb, vec![v], tag + 2),
+                                },
+                            ]
+                        })
+                        .collect();
+                    par.submit(&batch);
+                    sum += par.quiesce().stats_delta;
+                    assert_eq!(sum, par.stats(), "{label} round {round}");
+                    let label = format!("{label} round {round}");
+                    assert_identities(&sum, &par.contention(), cfg, &label);
+                }
+                assert_eq!(sum.wme_changes, 120);
+                assert!(sum.join_activations > 0 && sum.cs_changes > 0);
+                par.reset_stats();
+                assert_eq!(par.stats(), MatchStats::default(), "{label}");
+                assert_eq!(par.contention(), ContentionReport::default(), "{label}");
+                assert_eq!(par.quiesce().stats_delta, MatchStats::default());
             }
-            assert_eq!(sum.wme_changes, 120);
-            assert!(sum.join_activations > 0 && sum.cs_changes > 0);
-            par.reset_stats();
-            assert_eq!(par.stats(), MatchStats::default(), "{lock_scheme:?}");
-            assert_eq!(par.quiesce().stats_delta, MatchStats::default());
+        }
+    }
+
+    /// What a quiescent matcher's lock counts must be for the tasks it ran.
+    /// A task is pushed once and popped once, and an MRSW requeue pushes
+    /// and pops it once more; the inline driver takes no queue lock. A join
+    /// activation takes its line once, and a claim MRSW refused took the
+    /// entry lock once more.
+    fn assert_identities(s: &MatchStats, c: &ContentionReport, cfg: PsmConfig, label: &str) {
+        let tasks = s.alpha_activations + s.activations;
+        let queue_acqs = match cfg.match_processes {
+            0 => 0,
+            _ => 2 * (tasks + c.requeues),
+        };
+        assert_eq!(c.queue_acqs, queue_acqs, "{label}: queue acquisitions");
+        assert_eq!(
+            c.hash_acqs_left + c.hash_acqs_right,
+            s.join_activations + c.requeues,
+            "{label}: line acquisitions"
+        );
+        if cfg.lock_scheme == LockScheme::Simple {
+            assert_eq!(c.requeues, 0, "{label}: the simple lock never requeues");
         }
     }
 

@@ -2,9 +2,11 @@
 //!
 //! A task is one schedulable node activation, represented — as in the paper
 //! — by the token itself plus its destination (node id and input side). The
-//! queues are plain deques behind instrumented spin locks; using 1 queue
-//! reproduces Table 4-5, multiple queues Table 4-6, and the spin counters
-//! feed Table 4-7.
+//! queues are plain deques behind spin locks; using 1 queue reproduces
+//! Table 4-5, multiple queues Table 4-6. A push or a pop hands back the
+//! spins of the one acquisition that moved its task, for the caller to book
+//! (Table 4-7): a queue acquisition is a lock that pushes or pops a task,
+//! and an idle poll of an empty queue is none.
 //!
 //! **TaskCount** holds (tokens in queues) + (tokens being processed): it is
 //! incremented *before* a task is pushed and decremented only after the
@@ -96,38 +98,35 @@ impl Scheduler {
         &self.count
     }
 
-    /// Pushes a new task. `cursor` is the caller's rotating queue cursor
-    /// (each process distributes its pushes round-robin over the queues).
-    pub fn push(&self, task: ParTask, cursor: &mut usize) {
+    /// Pushes a new task; returns the spins of the queue lock that took it.
+    /// `cursor` is the caller's rotating queue cursor (each process
+    /// distributes its pushes round-robin over the queues).
+    pub fn push(&self, task: ParTask, cursor: &mut usize) -> u64 {
         self.count.inc();
-        self.push_raw(task, cursor);
+        self.push_requeue(task, cursor)
     }
 
     /// Re-pushes a task that was popped but could not run (MRSW line busy
     /// from the other side, §3.2). The task is still accounted for in
     /// TaskCount, so no increment.
-    pub fn push_requeue(&self, task: ParTask, cursor: &mut usize) {
-        self.push_raw(task, cursor);
-    }
-
-    fn push_raw(&self, task: ParTask, cursor: &mut usize) {
+    pub fn push_requeue(&self, task: ParTask, cursor: &mut usize) -> u64 {
         let q = *cursor % self.queues.len();
         *cursor = cursor.wrapping_add(1);
-        self.queues[q].lock().push_back(task);
+        let mut queue = self.queues[q].lock();
+        queue.push_back(task);
+        queue.spins
     }
 
     /// Pops a task: the home queue first, then the others round-robin.
-    /// Returns `None` when every queue is empty (the caller spins on
-    /// TaskCount).
-    pub fn pop(&self, home: usize) -> Option<ParTask> {
+    /// Returns it with the spins of the acquisition that moved it, or
+    /// `None` when every queue is empty (the caller spins on TaskCount).
+    pub fn pop(&self, home: usize) -> Option<(ParTask, u64)> {
         let n = self.queues.len();
-        for i in 0..n {
-            let q = (home + i) % n;
-            if let Some(t) = self.queues[q].lock().pop_front() {
-                return Some(t);
-            }
-        }
-        None
+        (0..n).find_map(|i| {
+            let mut queue = self.queues[(home + i) % n].lock();
+            let spins = queue.spins;
+            queue.pop_front().map(|task| (task, spins))
+        })
     }
 
     /// Marks a popped task fully processed (children already pushed).
@@ -140,30 +139,6 @@ impl Scheduler {
     #[inline]
     pub fn quiescent(&self) -> bool {
         self.count.is_zero()
-    }
-
-    /// Aggregate queue-lock contention: (spins, acquisitions).
-    pub fn contention(&self) -> (u64, u64) {
-        let mut spins = 0;
-        let mut acqs = 0;
-        for q in &self.queues {
-            let (s, a) = q.contention();
-            spins += s;
-            acqs += a;
-        }
-        (spins, acqs)
-    }
-
-    /// Zero the per-queue spin counters. Only legal while quiescent —
-    /// workers draining tasks would race the reset and tear the ratio.
-    pub fn reset_contention(&self) {
-        debug_assert!(
-            self.quiescent(),
-            "reset_contention called with tasks outstanding"
-        );
-        for q in &self.queues {
-            q.reset_contention();
-        }
     }
 }
 
@@ -193,8 +168,8 @@ mod tests {
         s.push(task(1), &mut cur);
         s.push(task(2), &mut cur);
         assert_eq!(s.task_count().value(), 2);
-        assert_eq!(tag_of(&s.pop(0).unwrap()), 1);
-        assert_eq!(tag_of(&s.pop(0).unwrap()), 2);
+        assert_eq!(tag_of(&s.pop(0).unwrap().0), 1);
+        assert_eq!(tag_of(&s.pop(0).unwrap().0), 2);
         assert!(s.pop(0).is_none());
         // Still 2: pops don't decrement; processing completion does.
         assert_eq!(s.task_count().value(), 2);
@@ -211,7 +186,7 @@ mod tests {
             s.push(task(i), &mut cur);
         }
         // Each queue got 2 tasks; popping from home=1 drains queue 1 first.
-        let t = s.pop(1).unwrap();
+        let (t, _) = s.pop(1).unwrap();
         assert_eq!(tag_of(&t), 1);
     }
 
@@ -220,7 +195,7 @@ mod tests {
         let s = Scheduler::new(4);
         let mut cur = 2; // push lands in queue 2
         s.push(task(7), &mut cur);
-        let t = s.pop(0).unwrap();
+        let (t, _) = s.pop(0).unwrap();
         assert_eq!(tag_of(&t), 7);
     }
 
@@ -229,7 +204,7 @@ mod tests {
         let s = Scheduler::new(1);
         let mut cur = 0;
         s.push(task(1), &mut cur);
-        let t = s.pop(0).unwrap();
+        let (t, _) = s.pop(0).unwrap();
         s.push_requeue(t, &mut cur);
         assert_eq!(s.task_count().value(), 1);
         let _ = s.pop(0).unwrap();
@@ -243,6 +218,7 @@ mod tests {
         use std::sync::Arc;
         let s = Arc::new(Scheduler::new(4));
         let consumed = Arc::new(AtomicU64::new(0));
+        // Each thread books its own acquisitions, as a match process does.
         let mut handles = Vec::new();
         for p in 0..2 {
             let s = s.clone();
@@ -251,28 +227,30 @@ mod tests {
                 for i in 0..1000 {
                     s.push(task(i), &mut cur);
                 }
+                1000
             }));
         }
         for c in 0..2 {
             let s = s.clone();
             let consumed = consumed.clone();
-            handles.push(std::thread::spawn(move || loop {
-                if let Some(_t) = s.pop(c) {
-                    consumed.fetch_add(1, Ordering::Relaxed);
-                    s.task_done();
-                } else if consumed.load(Ordering::Relaxed) == 2000 {
-                    break;
-                } else {
-                    std::hint::spin_loop();
+            handles.push(std::thread::spawn(move || {
+                let mut acqs = 0;
+                loop {
+                    if let Some(_t) = s.pop(c) {
+                        acqs += 1;
+                        consumed.fetch_add(1, Ordering::Relaxed);
+                        s.task_done();
+                    } else if consumed.load(Ordering::Relaxed) == 2000 {
+                        return acqs;
+                    } else {
+                        std::hint::spin_loop();
+                    }
                 }
             }));
         }
-        for h in handles {
-            h.join().unwrap();
-        }
+        let acqs: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
         assert_eq!(consumed.load(Ordering::Relaxed), 2000);
         assert!(s.quiescent());
-        let (_, acqs) = s.contention();
-        assert!(acqs >= 4000, "every push and successful pop takes a lock");
+        assert_eq!(acqs, 4000, "one acquisition per push and per pop");
     }
 }

@@ -1,4 +1,4 @@
-//! Test-and-test-and-set spin locks with contention instrumentation.
+//! Test-and-test-and-set spin locks.
 //!
 //! The paper (§3.2): synchronization is handled with interlocked
 //! instructions rather than OS primitives, and spinning processes use
@@ -7,76 +7,32 @@
 //! the bus. The `AtomicBool` load/compare-exchange pair below is the direct
 //! Rust translation (Rust Atomics and Locks, ch. 4).
 //!
-//! Every lock counts the *spins before acquisition* — the exact contention
-//! metric of Tables 4-7 and 4-9 ("the number of times a process spins on the
-//! lock before it gets access").
+//! A lock is its state word and its data, nothing else. Every guard reports
+//! the *spins before acquisition* it cost — the contention metric of Tables
+//! 4-7 and 4-9 ("the number of times a process spins on the lock before it
+//! gets access") — and the process that took the lock books them into its
+//! own counters, so the instrument adds no shared write to the lock.
 
 use std::cell::UnsafeCell;
 use std::hint;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
-/// The raw TTAS lock. Returns the number of spins each acquisition cost.
-#[derive(Default)]
-pub struct RawSpin {
-    locked: AtomicBool,
-}
-
-impl RawSpin {
-    pub const fn new() -> Self {
-        RawSpin {
-            locked: AtomicBool::new(false),
-        }
-    }
-
-    /// Acquires the lock; returns how many times we observed it busy.
-    #[inline]
-    pub fn lock(&self) -> u64 {
-        let mut spins = 0u64;
-        loop {
-            // Test-and-set attempt.
-            if self
-                .locked
-                .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                return spins;
-            }
-            // Busy: spin on plain reads (stay in cache, off the bus). On an
-            // oversubscribed host the holder may not even be running — yield
-            // after a while so it can make progress.
-            while self.locked.load(Ordering::Relaxed) {
-                spins += 1;
-                if spins.is_multiple_of(256) {
-                    std::thread::yield_now();
-                } else {
-                    hint::spin_loop();
-                }
-            }
-        }
-    }
-
-    /// Non-blocking attempt.
-    #[inline]
-    pub fn try_lock(&self) -> bool {
-        !self.locked.load(Ordering::Relaxed)
-            && self
-                .locked
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-    }
-
-    #[inline]
-    pub fn unlock(&self) {
-        self.locked.store(false, Ordering::Release);
+/// One busy observation: count it, and on an oversubscribed host, where the
+/// holder may not even be running, yield now and then so it can progress.
+#[inline]
+fn spin(spins: &mut u64) {
+    *spins += 1;
+    if spins.is_multiple_of(256) {
+        std::thread::yield_now();
+    } else {
+        hint::spin_loop();
     }
 }
 
-/// An instrumented TTAS spin lock guarding `T`.
+/// A TTAS spin lock guarding `T`.
 pub struct SpinLock<T> {
-    raw: RawSpin,
-    spins: AtomicU64,
-    acquisitions: AtomicU64,
+    locked: AtomicBool,
     data: UnsafeCell<T>,
 }
 
@@ -86,33 +42,27 @@ unsafe impl<T: Send> Sync for SpinLock<T> {}
 impl<T> SpinLock<T> {
     pub const fn new(value: T) -> Self {
         SpinLock {
-            raw: RawSpin::new(),
-            spins: AtomicU64::new(0),
-            acquisitions: AtomicU64::new(0),
+            locked: AtomicBool::new(false),
             data: UnsafeCell::new(value),
         }
     }
 
-    /// Acquires the lock. The guard reports the spins this acquisition cost.
+    /// Acquires the lock. The guard reports how many times it was seen busy.
     #[inline]
     pub fn lock(&self) -> SpinGuard<'_, T> {
-        let spins = self.raw.lock();
-        self.spins.fetch_add(spins, Ordering::Relaxed);
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
+        let mut spins = 0u64;
+        // Test-and-set; while busy, spin on plain reads (stay in cache, off
+        // the bus).
+        while self
+            .locked
+            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            while self.locked.load(Ordering::Relaxed) {
+                spin(&mut spins);
+            }
+        }
         SpinGuard { lock: self, spins }
-    }
-
-    /// Cumulative (spins, acquisitions) counters.
-    pub fn contention(&self) -> (u64, u64) {
-        (
-            self.spins.load(Ordering::Relaxed),
-            self.acquisitions.load(Ordering::Relaxed),
-        )
-    }
-
-    pub fn reset_contention(&self) {
-        self.spins.store(0, Ordering::Relaxed);
-        self.acquisitions.store(0, Ordering::Relaxed);
     }
 
     pub fn into_inner(self) -> T {
@@ -123,7 +73,7 @@ impl<T> SpinLock<T> {
 /// RAII guard for [`SpinLock`].
 pub struct SpinGuard<'a, T> {
     lock: &'a SpinLock<T>,
-    /// Spins this acquisition cost (for per-side attribution by callers).
+    /// Spins this acquisition cost, for the caller to book.
     pub spins: u64,
 }
 
@@ -147,7 +97,7 @@ impl<T> DerefMut for SpinGuard<'_, T> {
 impl<T> Drop for SpinGuard<'_, T> {
     #[inline]
     fn drop(&mut self) {
-        self.lock.raw.unlock();
+        self.lock.locked.store(false, Ordering::Release);
     }
 }
 
@@ -157,8 +107,6 @@ impl<T> Drop for SpinGuard<'_, T> {
 /// State word: bit 31 = writer held, bits 0..31 = reader count.
 pub struct RwSpinLock<T> {
     state: AtomicU32,
-    spins: AtomicU64,
-    acquisitions: AtomicU64,
     data: UnsafeCell<T>,
 }
 
@@ -171,8 +119,6 @@ impl<T> RwSpinLock<T> {
     pub const fn new(value: T) -> Self {
         RwSpinLock {
             state: AtomicU32::new(0),
-            spins: AtomicU64::new(0),
-            acquisitions: AtomicU64::new(0),
             data: UnsafeCell::new(value),
         }
     }
@@ -188,50 +134,25 @@ impl<T> RwSpinLock<T> {
                     .compare_exchange_weak(s, s + 1, Ordering::Acquire, Ordering::Relaxed)
                     .is_ok()
             {
-                break;
+                return RwReadGuard { lock: self, spins };
             }
-            spins += 1;
-            if spins.is_multiple_of(256) {
-                std::thread::yield_now();
-            } else {
-                hint::spin_loop();
-            }
+            spin(&mut spins);
         }
-        self.spins.fetch_add(spins, Ordering::Relaxed);
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        RwReadGuard { lock: self, spins }
     }
 
     #[inline]
     pub fn write(&self) -> RwWriteGuard<'_, T> {
         let mut spins = 0u64;
-        loop {
-            if self
-                .state
-                .compare_exchange_weak(0, WRITER, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                break;
-            }
+        while self
+            .state
+            .compare_exchange_weak(0, WRITER, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
             while self.state.load(Ordering::Relaxed) != 0 {
-                spins += 1;
-                if spins.is_multiple_of(256) {
-                    std::thread::yield_now();
-                } else {
-                    hint::spin_loop();
-                }
+                spin(&mut spins);
             }
         }
-        self.spins.fetch_add(spins, Ordering::Relaxed);
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
         RwWriteGuard { lock: self, spins }
-    }
-
-    pub fn contention(&self) -> (u64, u64) {
-        (
-            self.spins.load(Ordering::Relaxed),
-            self.acquisitions.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -305,36 +226,13 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*lock.lock(), 40_000);
-        let (_spins, acqs) = lock.contention();
-        assert_eq!(acqs, 40_001);
-    }
-
-    #[test]
-    fn try_lock_fails_when_held() {
-        let lock = RawSpin::new();
-        assert!(lock.try_lock());
-        assert!(!lock.try_lock());
-        lock.unlock();
-        assert!(lock.try_lock());
-        lock.unlock();
     }
 
     #[test]
     fn uncontended_lock_spins_zero() {
         let lock = SpinLock::new(());
-        let g = lock.lock();
-        assert_eq!(g.spins, 0);
-        drop(g);
-        let (spins, acqs) = lock.contention();
-        assert_eq!((spins, acqs), (0, 1));
-    }
-
-    #[test]
-    fn contention_counter_reset() {
-        let lock = SpinLock::new(());
-        drop(lock.lock());
-        lock.reset_contention();
-        assert_eq!(lock.contention(), (0, 0));
+        assert_eq!(lock.lock().spins, 0);
+        assert_eq!(RwSpinLock::new(()).write().spins, 0);
     }
 
     #[test]
