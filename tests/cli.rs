@@ -288,3 +288,27 @@ fn usage_lists_every_matcher() {
         );
     }
 }
+
+/// README names the matchers `--matcher` and `OPEN` take, all of them and
+/// only them: the matcher table's first column and the `OPEN` synopsis.
+#[test]
+fn readme_lists_every_matcher() {
+    let readme = std::fs::read_to_string("README.md").unwrap();
+    let table: Vec<&str> = readme
+        .lines()
+        .skip_while(|l| !l.starts_with("| matcher |"))
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .map(|l| l.split('|').nth(1).unwrap().trim().trim_matches('`'))
+        .collect();
+    assert_eq!(table, engine::MatcherKind::NAMES, "README's matcher table");
+    let open = (readme.lines())
+        .find_map(|l| l.strip_prefix("OPEN <program> ["))
+        .and_then(|l| l.split(']').next())
+        .expect("README's OPEN synopsis");
+    assert_eq!(
+        open.split('|').collect::<Vec<_>>(),
+        engine::MatcherKind::NAMES,
+        "README's OPEN synopsis"
+    );
+}
