@@ -6,7 +6,7 @@
 //! Franz Lisp OPS5 is not available to this reproduction, so this crate
 //! runs the sequential kernel (`rete::SeqMatcher`: alpha dispatch, the
 //! network's shared right memories, linked readers, a batch's retractions
-//! first, the node profile) over vs1's list memories, and keeps only what
+//! first, the node profile) on vs1's line per memory, and keeps only what
 //! makes a lisp implementation slow:
 //!
 //! * values are boxed cons-cell [`LispVal`]s; every comparison is a deep,

@@ -1,6 +1,6 @@
 //! The interpreted join tests, and the matcher built on them.
 //!
-//! The algorithm is `rete::seq`'s and the memory layout vs1's `ListMem`.
+//! The algorithm is `rete::seq`'s and the memory layout vs1's line per memory.
 //! What this module adds is what a lisp Rete spends its time on: every
 //! memory entry carries a boxed copy of its data — a WME is an association
 //! list `((attr . value) ...)` keyed by attribute *name*, a token a list of
@@ -10,7 +10,7 @@
 
 use crate::value::{acons, assoc, lisp_equal, nth, num_cmp, LispVal};
 use ops5::{Matcher, Pred, Program, SymbolId, Value, Wme};
-use rete::memory::{JoinTests, ListMem};
+use rete::memory::{HashMem, JoinTests};
 use rete::{JoinNode, Network, NetworkOptions, SeqMatcher, Token};
 use std::sync::Arc;
 
@@ -23,8 +23,8 @@ struct Step {
     right_attr: LispVal,
 }
 
-/// Join tests interpreted over boxed association lists: the lisp policy of
-/// a [`ListMem`].
+/// Join tests interpreted over boxed association lists, on vs1's line per
+/// memory: the lisp policy of a [`HashMem`].
 pub struct LispTests {
     /// Per join, its tests.
     joins: Vec<Vec<Step>>,
@@ -163,14 +163,14 @@ impl JoinTests for LispTests {
     }
 }
 
-/// Constructors of lispsim: [`SeqMatcher`] over a [`ListMem`] with
+/// Constructors of lispsim: [`SeqMatcher`] over a line per memory with
 /// [`LispTests`].
 pub struct LispEngineMatcher;
 
 impl LispEngineMatcher {
     /// lispsim on `net`, a compiled network of `prog`.
-    pub fn on(prog: &Program, net: Arc<Network>) -> SeqMatcher<ListMem<LispTests>> {
-        let mem = ListMem::with_tests(LispTests::new(prog, &net), &net);
+    pub fn on(prog: &Program, net: Arc<Network>) -> SeqMatcher<LispTests> {
+        let mem = HashMem::lists(LispTests::new(prog, &net), &net);
         SeqMatcher::over(net, mem)
     }
 

@@ -6,14 +6,14 @@
 //! server's `OPEN` reply names the matcher. DESIGN.md §9 says what col was
 //! and why it went.
 
-use crate::memory::{HashMem, HashMemConfig};
+use crate::memory::{HashMemConfig, Hashed};
 use crate::network::Network;
 use crate::seq::SeqMatcher;
 use ops5::Matcher;
 use std::sync::Arc;
 
 /// col: vs2 with the default table, named `"col"`.
-pub fn col(net: Arc<Network>) -> SeqMatcher<HashMem> {
+pub fn col(net: Arc<Network>) -> SeqMatcher<Hashed> {
     let mut m = SeqMatcher::vs2(net, HashMemConfig::default());
     m.name = "col";
     m

@@ -22,14 +22,14 @@
 //!   memory, and indexes each class's patterns on the constant they test;
 //!   the sequential matchers (lispsim and col among them) use both, the
 //!   parallel and trace matchers neither.
-//! * [`memory`] — token memories: linear lists (*vs1*; with interpreted
-//!   join tests, lispsim's) and the two global
-//!   hash tables holding all left/right tokens for the whole network
-//!   (*vs2*, §3.2), organised in "lines" (pairs of same-index buckets) and
-//!   sized by their population unless a fixed line count is asked for.
+//! * [`memory`] — token memories: the two global hash tables holding all
+//!   left/right tokens for the whole network (*vs2*, §3.2), organised in
+//!   "lines" (pairs of same-index buckets) and sized by their population
+//!   unless a fixed line count is asked for; with a line per memory they
+//!   are vs1's linear lists (with interpreted join tests, lispsim's).
 //!   Left memories are per join; right memories are the network's shared
 //!   ones ([`RightMemSpec`]), so each WME is stored once.
-//! * [`seq`] — the sequential matcher over any memory kind, instrumented
+//! * [`seq`] — the sequential matcher over any memory policy, instrumented
 //!   with the Table 4-1/4-2/4-3 statistics: the node activations, written
 //!   once, and vs1/vs2's depth-first agenda. A WME change is applied to
 //!   each right memory once and only the readers linked to it — the ones
