@@ -10,12 +10,15 @@
 //!   condition element (means-ends analysis on the goal element), then fall
 //!   back to the LEX ordering.
 //!
-//! Resolution rescans the conflict set every cycle, so a comparison builds
-//! nothing on the heap: sorted recency goes into a buffer on the stack,
-//! specificity is read from a table computed once per program, and the raw
-//! tie-break walks the two token chains in place.
+//! The conflict set builds each instantiation's [`Key`] once, the first
+//! time a [`ConflictSet::select`](crate::ConflictSet::select) sees it
+//! unfired: three words that head the order. A larger key dominates; only equal keys fall back to the
+//! whole order, [`order_dominates`], which builds nothing on the heap:
+//! sorted recency goes into a buffer on the stack, specificity is read from
+//! a table computed once per program, and the raw tie-break walks the two
+//! token chains in place.
 
-use ops5::{Instantiation, Production, Strategy};
+use ops5::{Instantiation, Production, Strategy, Token};
 use std::cmp::Ordering;
 
 /// Timetags a [`Recency`] holds on the stack (Rubik's productions match 22
@@ -27,8 +30,7 @@ const INLINE_TAGS: usize = 32;
 /// descending order, and the first CE's (MEA).
 struct Recency {
     inline: [u64; INLINE_TAGS],
-    /// The tags instead, when there are more than `INLINE_TAGS`. Keeps its
-    /// capacity across [`load`](Recency::load)s.
+    /// The tags instead, when there are more than `INLINE_TAGS`.
     spill: Vec<u64>,
     len: usize,
     /// Timetag of the WME matching the first CE (0 for an empty token).
@@ -36,36 +38,26 @@ struct Recency {
 }
 
 impl Recency {
-    fn empty() -> Recency {
-        Recency {
+    fn of(token: &Token) -> Recency {
+        let mut r = Recency {
             inline: [0; INLINE_TAGS],
             spill: Vec::new(),
-            len: 0,
+            len: token.len(),
             first: 0,
-        }
-    }
-
-    fn of(inst: &Instantiation) -> Recency {
-        let mut r = Recency::empty();
-        r.load(inst);
-        r
-    }
-
-    fn load(&mut self, inst: &Instantiation) {
-        self.len = inst.wmes.len();
-        let tags = inst.wmes.iter_back().map(|w| w.timetag);
-        let buf = if self.len <= INLINE_TAGS {
-            let buf = &mut self.inline[..self.len];
+        };
+        let tags = token.iter_back().map(|w| w.timetag);
+        let buf = if r.len <= INLINE_TAGS {
+            let buf = &mut r.inline[..r.len];
             buf.iter_mut().zip(tags).for_each(|(slot, t)| *slot = t);
             buf
         } else {
-            self.spill.clear();
-            self.spill.extend(tags);
-            &mut self.spill[..]
+            r.spill.extend(tags);
+            &mut r.spill[..]
         };
         // The chain runs back to front: the last tag read is the first CE's.
-        self.first = buf.last().copied().unwrap_or(0);
+        r.first = buf.last().copied().unwrap_or(0);
         buf.sort_unstable_by(|a, b| b.cmp(a));
+        r
     }
 
     fn tags(&self) -> &[u64] {
@@ -90,10 +82,49 @@ fn lex_recency(a: &[u64], b: &[u64]) -> Ordering {
 }
 
 /// Each production's [`Production::specificity`], indexed by `ProdId`: the
-/// table [`order_dominates`] and [`select`] read instead of walking the AST
-/// on every recency tie.
+/// table [`order_dominates`] reads instead of walking the AST on every
+/// recency tie.
 pub fn specificities(prods: &[Production]) -> Box<[u32]> {
     prods.iter().map(Production::specificity).collect()
+}
+
+/// The head of an instantiation's place in the order, read off its token in
+/// one walk: under LEX its three largest timetags, under MEA the first CE's
+/// timetag and then the two largest; the largest descending, padded with 0.
+///
+/// Keys compare as arrays. A larger key dominates under [`order_dominates`]:
+/// the first word that differs is the first recency entry that differs, and
+/// a padding 0 against a real tag is a shorter list against a longer one
+/// with an equal prefix. Equal keys say nothing, and the whole order
+/// decides.
+pub type Key = [u64; 3];
+
+/// `token`'s [`Key`] under `strategy`: one chain walk, nothing sorted.
+pub fn key(strategy: Strategy, token: &Token) -> Key {
+    let mut top = [0u64; 3];
+    let mut first = 0;
+    for w in token.iter_back() {
+        let t = w.timetag;
+        // The chain runs back to front: the last tag read is the first CE's.
+        first = t;
+        if t > top[2] {
+            if t > top[1] {
+                top[2] = top[1];
+                if t > top[0] {
+                    top[1] = top[0];
+                    top[0] = t;
+                } else {
+                    top[1] = t;
+                }
+            } else {
+                top[2] = t;
+            }
+        }
+    }
+    match strategy {
+        Strategy::Lex => top,
+        Strategy::Mea => [first, top[0], top[1]],
+    }
 }
 
 /// Full ordering for one strategy. `specificity` is [`specificities`] of
@@ -105,21 +136,7 @@ pub fn order_dominates(
     b: &Instantiation,
     specificity: &[u32],
 ) -> Ordering {
-    dominates(
-        strategy,
-        (a, &Recency::of(a)),
-        (b, &Recency::of(b)),
-        specificity,
-    )
-}
-
-/// [`order_dominates`] over instantiations whose recency is already sorted.
-fn dominates(
-    strategy: Strategy,
-    (a, ra): (&Instantiation, &Recency),
-    (b, rb): (&Instantiation, &Recency),
-    specificity: &[u32],
-) -> Ordering {
+    let (ra, rb) = (Recency::of(&a.wmes), Recency::of(&b.wmes));
     if let Strategy::Mea = strategy {
         match ra.first.cmp(&rb.first) {
             Ordering::Equal => {}
@@ -146,31 +163,11 @@ fn dominates(
     a.wmes.cmp_timetags(&b.wmes)
 }
 
-/// Selects the dominant instantiation among candidates. The incumbent's
-/// recency is sorted once, when it takes the lead, not once per challenger.
-pub fn select<'a>(
-    strategy: Strategy,
-    mut candidates: impl Iterator<Item = &'a Instantiation>,
-    specificity: &[u32],
-) -> Option<&'a Instantiation> {
-    let mut best = candidates.next()?;
-    let mut best_recency = Recency::of(best);
-    let mut recency = Recency::empty();
-    for c in candidates {
-        recency.load(c);
-        let order = dominates(strategy, (c, &recency), (best, &best_recency), specificity);
-        if order == Ordering::Greater {
-            best = c;
-            std::mem::swap(&mut best_recency, &mut recency);
-        }
-    }
-    Some(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ops5::{ProdId, Program, SymbolId, Value, Wme};
+    use crate::ConflictSet;
+    use ops5::{CsChange, ProdId, Program, SymbolId, Value, Wme};
 
     fn inst(prod: u32, tags: &[u64]) -> Instantiation {
         Instantiation {
@@ -180,6 +177,15 @@ mod tests {
                 .map(|&t| Wme::new(SymbolId(1), vec![Value::Int(0)], t))
                 .collect(),
         }
+    }
+
+    /// The winner of a conflict set holding `insts`.
+    fn select(strategy: Strategy, insts: &[&Instantiation], ps: &[u32]) -> Option<Instantiation> {
+        let mut cs = ConflictSet::new();
+        for i in insts {
+            cs.apply(CsChange::Insert((*i).clone()));
+        }
+        cs.select(strategy, ps).cloned()
     }
 
     fn prods(n: usize, extra_tests_on_last: bool) -> Box<[u32]> {
@@ -204,7 +210,7 @@ mod tests {
             order_dominates(Strategy::Lex, &new, &old, &ps),
             Ordering::Greater
         );
-        let sel = select(Strategy::Lex, [&old, &new].into_iter(), &ps).unwrap();
+        let sel = select(Strategy::Lex, &[&old, &new], &ps).unwrap();
         assert_eq!(sel.prod, ProdId(1));
     }
 
@@ -295,7 +301,7 @@ mod tests {
                     "{n} tags"
                 );
                 assert_eq!(order_dominates(strategy, &lo, &hi, &ps), Ordering::Less);
-                let sel = select(strategy, [&lo, &hi, &lo].into_iter(), &ps).unwrap();
+                let sel = select(strategy, &[&lo, &hi, &lo], &ps).unwrap();
                 assert_eq!(sel.wmes.timetags(), hi.wmes.timetags(), "{n} tags");
             }
             // One tag more on an equal prefix dominates, across the boundary.
@@ -312,6 +318,43 @@ mod tests {
     #[test]
     fn select_empty_is_none() {
         let ps = prods(1, false);
-        assert!(select(Strategy::Lex, std::iter::empty(), &ps).is_none());
+        assert!(select(Strategy::Lex, &[], &ps).is_none());
+    }
+
+    /// Every pair of short tokens over a small tag pool: a larger key
+    /// dominates, and a smaller one is dominated. Tags repeat and include 0,
+    /// so padding and duplicates meet real tags.
+    #[test]
+    fn a_larger_key_dominates() {
+        let ps = prods(2, true);
+        let mut insts = vec![inst(0, &[])];
+        for len in 1..=4u32 {
+            for code in 0..4u64.pow(len) {
+                let tags: Vec<u64> = (0..len).map(|i| code / 4u64.pow(i) % 4).collect();
+                insts.push(inst(len % 2, &tags));
+            }
+        }
+        for strategy in [Strategy::Lex, Strategy::Mea] {
+            let keys: Vec<Key> = insts.iter().map(|i| key(strategy, &i.wmes)).collect();
+            for (a, ka) in insts.iter().zip(&keys) {
+                for (b, kb) in insts.iter().zip(&keys) {
+                    let order = order_dominates(strategy, a, b, &ps);
+                    if ka != kb {
+                        assert_eq!(ka.cmp(kb), order, "{strategy:?}: {a:?} against {b:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn keys_read_the_largest_tags_and_the_first_ce() {
+        let t = inst(0, &[4, 9, 1, 9, 7]).wmes;
+        assert_eq!(key(Strategy::Lex, &t), [9, 9, 7]);
+        assert_eq!(key(Strategy::Mea, &t), [4, 9, 9]);
+        let one = inst(0, &[6]).wmes;
+        assert_eq!(key(Strategy::Lex, &one), [6, 0, 0]);
+        assert_eq!(key(Strategy::Mea, &one), [6, 6, 0]);
+        assert_eq!(key(Strategy::Mea, &Token::empty()), [0, 0, 0]);
     }
 }

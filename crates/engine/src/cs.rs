@@ -1,8 +1,19 @@
-//! The conflict set: satisfied instantiations plus refraction state.
+//! The conflict set: satisfied instantiations plus refraction state, and
+//! conflict resolution over them.
+//!
+//! Resolution costs what changed since the last cycle, not what the set
+//! holds: each unfired instantiation sits in a dense array beside its
+//! [`cr::Key`], built the first time a [`select`](ConflictSet::select) sees
+//! it, and a select compares keys. Only two instantiations with equal keys
+//! are compared in full, by [`cr::order_dominates`]: a key build and such a
+//! fallback are the only chain walks a select makes.
 
-use ops5::{fxhash, CsChange, Instantiation, ProdId, SymbolId, Wme};
-use std::collections::HashMap;
+use crate::cr::{self, Key};
+use ops5::{fxhash, CsChange, Instantiation, ProdId, Strategy, SymbolId, Wme};
+use std::cmp::Ordering;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::mem::ManuallyDrop;
 
 /// Key identifying an instantiation: production + matched timetags. The
 /// table below keys on the instantiation itself; this form survives in the
@@ -36,21 +47,79 @@ impl Hasher for OneWord {
     }
 }
 
+/// A table entry's place: its index in [`ConflictSet::keyed`], or this
+/// when it has fired.
+const FIRED: u32 = u32::MAX;
+
+/// The key of an entry no select has seen yet. No built key has its third
+/// word above its second (both strategies put the largest tags there in
+/// descending order), so a built key never reads as this.
+const UNBUILT: Key = [0, 0, 1];
+
+/// An unfired instantiation and its order key.
+///
+/// `inst` is the table's own key copied bit for bit, not cloned: a clone
+/// would add an atomic increment of the token's count to every insert and a
+/// decrement to every removal, which left Weaver's cycles after a burst of
+/// 170–250 inserts about a fifth slower (EXPERIMENTS.md, "Order keys built
+/// once").
+/// The copy is never dropped, and it is valid while its table entry is:
+/// nothing takes an entry out of the table before its `Keyed` has left
+/// [`ConflictSet::keyed`].
+struct Keyed {
+    key: Key,
+    inst: ManuallyDrop<Instantiation>,
+}
+
+impl Keyed {
+    /// A key-less `Keyed` for the table entry whose key is `inst`.
+    ///
+    /// # Safety
+    ///
+    /// `inst` must be a key in [`ConflictSet::entries`], and stay there
+    /// while the result is in [`ConflictSet::keyed`].
+    unsafe fn alias(inst: &Instantiation) -> Keyed {
+        Keyed {
+            key: UNBUILT,
+            // SAFETY: the caller keeps the original alive; the copy shares
+            // its token without counting it, and is never dropped.
+            inst: ManuallyDrop::new(unsafe { std::ptr::read(inst) }),
+        }
+    }
+}
+
+/// What selects have cost since the conflict set was made: every chain walk
+/// (a key build or an equal-key fallback to the whole order), and every
+/// candidate a select compared.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ResolveStats {
+    pub chain_walks: u64,
+    pub candidates: u64,
+}
+
 /// The conflict set.
 ///
-/// One table from instantiation to its `fired` flag, which implements OPS5
+/// One table from instantiation to its place, which implements OPS5
 /// refraction: an instantiation fires at most once while it remains
 /// continuously in the conflict set; if the match phase retracts it and
-/// later re-derives it, it becomes eligible again.
+/// later re-derives it, it becomes eligible again. An unfired entry's place
+/// is its index in the dense array of candidates, which removal and firing
+/// take it out of; a fired entry stays in the table alone.
 ///
-/// Folding a match-phase delta allocates nothing and hashes nothing: the
-/// entry *is* the token the matcher emitted, found through the word that
-/// token has carried since the join that built it. Two instantiations whose
-/// words collide are still two entries, because equality is production and
-/// timetag sequence (a chain walk), never the word.
+/// Folding a match-phase delta allocates nothing once the storage has grown
+/// and hashes nothing: the entry *is* the token the matcher emitted, found
+/// through the word that token has carried since the join that built it.
+/// Two instantiations whose words collide are still two entries, because
+/// equality is production and timetag sequence (a chain walk), never the
+/// word.
 #[derive(Default)]
 pub struct ConflictSet {
-    entries: HashMap<Instantiation, bool, BuildHasherDefault<OneWord>>,
+    entries: HashMap<Instantiation, u32, BuildHasherDefault<OneWord>>,
+    /// The unfired instantiations, in no order.
+    keyed: Vec<Keyed>,
+    /// The strategy the built keys were built for.
+    keys_for: Option<Strategy>,
+    stats: ResolveStats,
 }
 
 impl ConflictSet {
@@ -61,15 +130,31 @@ impl ConflictSet {
     /// Applies one match-phase delta.
     pub fn apply(&mut self, change: CsChange) {
         match change {
-            CsChange::Insert(inst) => {
+            // SAFETY (both aliases): the entry stays in the table until a
+            // `Remove`, which takes its `Keyed` out first.
+            CsChange::Insert(inst) => match self.entries.entry(inst) {
                 // Re-inserting an identical live instantiation is a matcher
                 // bug in the sequential engines; the parallel matcher never
                 // emits it either (conjugate pairs are annihilated before
                 // the terminal). The entry stays, fired state resets.
-                self.entries.insert(inst, false);
-            }
+                Entry::Occupied(mut e) => {
+                    if *e.get() == FIRED {
+                        e.insert(self.keyed.len() as u32);
+                        self.keyed.push(unsafe { Keyed::alias(e.key()) });
+                    }
+                }
+                Entry::Vacant(e) => {
+                    let place = self.keyed.len() as u32;
+                    self.keyed
+                        .push(unsafe { Keyed::alias(e.insert_entry(place).key()) });
+                }
+            },
             CsChange::Remove(inst) => {
-                self.entries.remove(&inst);
+                if let Some((key, place)) = self.entries.remove_entry(&inst) {
+                    // The table's key outlives its alias in `keyed`.
+                    self.take(place);
+                    drop(key);
+                }
             }
         }
     }
@@ -80,19 +165,75 @@ impl ConflictSet {
         }
     }
 
+    /// Takes the unfired entry at `place` out of the keyed array (nothing
+    /// for [`FIRED`]); the last entry moves into its place.
+    fn take(&mut self, place: u32) {
+        if place == FIRED {
+            return;
+        }
+        let i = place as usize;
+        self.keyed.swap_remove(i);
+        if let Some(moved) = self.keyed.get(i) {
+            *self
+                .entries
+                .get_mut(&moved.inst)
+                .expect("a keyed instantiation is in the table") = place;
+        }
+    }
+
+    /// The dominant unfired instantiation under `strategy` (`specificity`
+    /// is [`cr::specificities`] of the program), or `None` when every entry
+    /// has fired. Builds the keys of the entries that arrived since the
+    /// last select, or all of them if the strategy changed.
+    pub fn select(&mut self, strategy: Strategy, specificity: &[u32]) -> Option<&Instantiation> {
+        if self.keys_for != Some(strategy) {
+            self.keys_for = Some(strategy);
+            self.keyed.iter_mut().for_each(|k| k.key = UNBUILT);
+        }
+        let mut walks = 0;
+        let mut best = 0;
+        for i in 0..self.keyed.len() {
+            let c = &mut self.keyed[i];
+            if c.key == UNBUILT {
+                c.key = cr::key(strategy, &c.inst.wmes);
+                walks += 1;
+            }
+            if i == 0 {
+                continue;
+            }
+            let (c, b) = (&self.keyed[i], &self.keyed[best]);
+            let wins = match c.key.cmp(&b.key) {
+                Ordering::Equal => {
+                    walks += 1;
+                    cr::order_dominates(strategy, &c.inst, &b.inst, specificity).is_gt()
+                }
+                order => order.is_gt(),
+            };
+            if wins {
+                best = i;
+            }
+        }
+        self.stats.chain_walks += walks;
+        self.stats.candidates += self.keyed.len() as u64;
+        self.keyed.get(best).map(|k| &*k.inst)
+    }
+
+    /// What selects have cost so far.
+    pub fn resolve_stats(&self) -> ResolveStats {
+        self.stats
+    }
+
     /// All unfired instantiations (candidates for conflict resolution).
     pub fn candidates(&self) -> impl Iterator<Item = &Instantiation> {
-        self.entries
-            .iter()
-            .filter(|(_, fired)| !**fired)
-            .map(|(inst, _)| inst)
+        self.keyed.iter().map(|k| &*k.inst)
     }
 
     /// Marks an instantiation fired (refraction).
     pub fn mark_fired(&mut self, inst: &Instantiation) -> bool {
         match self.entries.get_mut(inst) {
-            Some(fired) => {
-                *fired = true;
+            Some(place) => {
+                let was = std::mem::replace(place, FIRED);
+                self.take(was);
                 true
             }
             None => false,
@@ -113,7 +254,7 @@ impl ConflictSet {
         let mut v: Vec<InstKey> = self
             .entries
             .iter()
-            .filter(|(_, fired)| **fired)
+            .filter(|(_, place)| **place == FIRED)
             .map(|(inst, _)| inst.key())
             .collect();
         v.sort();

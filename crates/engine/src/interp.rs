@@ -1,7 +1,6 @@
 //! The recognize-act interpreter — the paper's control process.
 
 use crate::compiled::CompiledProgram;
-use crate::cr;
 use crate::cs::ConflictSet;
 use crate::rhs::{self, RhsEffect};
 use crate::wm::WorkingMemory;
@@ -94,6 +93,10 @@ struct EngineObs {
     /// The conflict-set fold's share of `match_ns`, one sample per cycle.
     fold_ns: Arc<obs::Histogram>,
     resolve_ns: Arc<obs::Histogram>,
+    /// Chain walks (key builds and equal-key fallbacks) and candidates
+    /// compared by conflict resolution, one sample per cycle.
+    cr_chain_walks: Arc<obs::Histogram>,
+    cr_candidates: Arc<obs::Histogram>,
     act_ns: Arc<obs::Histogram>,
     firings: Arc<obs::Counter>,
     last_phase: Option<PhaseNanos>,
@@ -163,6 +166,8 @@ impl Engine {
             match_ns: registry.histogram("engine_match_ns", vec![]),
             fold_ns: registry.histogram("engine_fold_ns", vec![]),
             resolve_ns: registry.histogram("engine_resolve_ns", vec![]),
+            cr_chain_walks: registry.histogram("engine_cr_chain_walks", vec![]),
+            cr_candidates: registry.histogram("engine_cr_candidates", vec![]),
             act_ns: registry.histogram("engine_act_ns", vec![]),
             firings: registry.counter("engine_firings_total", vec![]),
             registry,
@@ -404,21 +409,21 @@ impl Engine {
     }
 
     /// The recognize-act cycle behind [`step`](Self::step) and
-    /// [`run`](Self::run): one match phase, then [`cr::select`]'s winner
-    /// fires on this thread and its matcher changes ship as one batch. The
-    /// paper's act phase: one firing per cycle, on the control process
-    /// (§3.1). Returns the firing, or `None` at quiescence.
+    /// [`run`](Self::run): one match phase, then the winner of the conflict
+    /// set's [`select`](ConflictSet::select) fires on this thread and its
+    /// matcher changes ship as one batch. The paper's act phase: one firing
+    /// per cycle, on the control process (§3.1). Returns the firing, or
+    /// `None` at quiescence.
     fn cycle(&mut self) -> Result<Option<Instantiation>> {
         // Phase clock marks (all `None` unless observability is enabled).
         let t_start = self.obs.as_ref().map(|_| Instant::now());
         self.match_phase();
         let t_match = t_start.map(|_| Instant::now());
-        let winner = cr::select(
-            self.prog.strategy,
-            self.cs.candidates(),
-            &self.compiled.specificity,
-        )
-        .cloned();
+        let resolved_before = self.cs.resolve_stats();
+        let winner = self
+            .cs
+            .select(self.prog.strategy, &self.compiled.specificity)
+            .cloned();
         let t_resolve = t_start.map(|_| Instant::now());
 
         // One firing ships one batch: RHS effects reach working memory as
@@ -458,6 +463,11 @@ impl Engine {
             if winner.is_some() {
                 o.firings.add(1);
             }
+            let resolved = self.cs.resolve_stats();
+            o.cr_chain_walks
+                .record(resolved.chain_walks - resolved_before.chain_walks);
+            o.cr_candidates
+                .record(resolved.candidates - resolved_before.candidates);
         }
         outcome?;
         Ok(winner)
@@ -787,6 +797,44 @@ mod tests {
             // MEA: goal 2 (more recent first CE) wins both firings.
             assert_eq!(r.cycles, 1);
             assert_eq!(e.output()[0], "2 10");
+        }
+    }
+
+    /// The resolve counters on vs2, per cycle, pinned for two corpus
+    /// programs: `triage` (LEX, a backlog of tickets that each wait several
+    /// cycles, so 30 keys serve 384 candidates) and `hanoi` (MEA, whose
+    /// instantiations tie on their keys). One sample per select, the one at
+    /// quiescence included, and the samples sum to the conflict set's own
+    /// tally.
+    #[test]
+    fn resolve_counters_per_cycle() {
+        // (program, cycles, selects, chain walks, candidates)
+        for (name, cycles, selects, walks, candidates) in
+            [("triage", 30, 31, 30, 384), ("hanoi", 23, 23, 48, 74)]
+        {
+            let path = format!("{}/../../programs/{name}.ops", env!("CARGO_MANIFEST_DIR"));
+            let src = std::fs::read_to_string(path).unwrap();
+            let mut e = EngineBuilder::from_source(&src)
+                .unwrap()
+                .vs2()
+                .obs(obs::ObsConfig::enabled())
+                .build()
+                .unwrap();
+            e.load_startup().unwrap();
+            assert_eq!(e.run(100_000).unwrap().cycles, cycles, "{name}");
+            let snap = e.obs_registry().unwrap().snapshot();
+            let samples = |metric: &str| {
+                let (_, h) = snap.histograms().find(|(m, _)| *m == metric).unwrap();
+                (h.count, h.sum)
+            };
+            assert_eq!(samples("engine_cr_chain_walks"), (selects, walks), "{name}");
+            assert_eq!(
+                samples("engine_cr_candidates"),
+                (selects, candidates),
+                "{name}"
+            );
+            let tally = e.conflict_set().resolve_stats();
+            assert_eq!((tally.chain_walks, tally.candidates), (walks, candidates));
         }
     }
 }

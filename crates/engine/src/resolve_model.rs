@@ -1,9 +1,9 @@
-//! Model test of the fold → resolve path: [`ConflictSet`], [`cr::select`]
-//! and the whole order [`cr::order_dominates`] puts on the unfired set,
-//! against a reference that keys on
-//! `(ProdId, Vec<u64>)` and orders with the allocating comparison this crate
-//! used while an instantiation was a `Vec<WmeRef>`, kept here verbatim as
-//! the oracle.
+//! Model test of the fold → resolve path: [`ConflictSet`]'s fold, its
+//! keyed [`select`](ConflictSet::select) and firing, and the whole order
+//! [`cr::order_dominates`] puts on the unfired set, against a reference
+//! that keys on `(ProdId, Vec<u64>)` and orders with the allocating
+//! comparison this crate used while an instantiation was a `Vec<WmeRef>`,
+//! kept here verbatim as the oracle.
 
 use crate::cr;
 use crate::cs::ConflictSet;
@@ -122,16 +122,52 @@ fn wme(tag: u64) -> WmeRef {
 /// `(kind, production, which live entry, tag seed)`.
 type Op = (u8, usize, usize, u64);
 
-/// Timetags from a pool of twelve: the same multiset turns up in several
-/// orders and under several productions, so every tier of the order down to
-/// the raw-sequence tie-break decides some comparison.
+/// The generator's next word.
+fn next(seed: &mut u64) -> u64 {
+    *seed = seed
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *seed >> 33
+}
+
+/// Timetags from a pool of thirteen, 0 included: the same multiset turns up
+/// in several orders and under several productions, so every tier of the
+/// order down to the raw-sequence tie-break decides some comparison.
 fn tags_for(prod: usize, mut seed: u64) -> Vec<u64> {
-    (0..CES[prod].0)
+    (0..CES[prod].0).map(|_| next(&mut seed) % 13).collect()
+}
+
+/// Four to seven instantiations whose three largest timetags are the same
+/// three, above the pool, at positions of their own; under a production of
+/// three CEs they are its whole token, in some order. Half the groups share
+/// the first CE's timetag too, so MEA's keys tie as well as LEX's.
+fn tie_group(mut seed: u64) -> Vec<(ProdId, Vec<u64>)> {
+    let top = [13 + next(&mut seed) % 3, 16, 17 + next(&mut seed) % 2];
+    let first = next(&mut seed)
+        .is_multiple_of(2)
+        .then_some(next(&mut seed) % 13);
+    let n = 4 + next(&mut seed) as usize % 4;
+    (0..n)
         .map(|_| {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            1 + (seed >> 33) % 12
+            // Production 4 has three CEs; 5..=9 have 31 to 40.
+            let prod = 4 + next(&mut seed) as usize % 6;
+            let mut tags = tags_for(prod, next(&mut seed));
+            let len = tags.len();
+            let at = next(&mut seed) as usize;
+            if len == 3 {
+                for (j, t) in top.into_iter().enumerate() {
+                    tags[(at + j) % 3] = t;
+                }
+            } else {
+                // Past the first CE, which is the group's when it shares one.
+                for (j, t) in top.into_iter().enumerate() {
+                    tags[1 + (at + j) % (len - 1)] = t;
+                }
+                if let Some(f) = first {
+                    tags[0] = f;
+                }
+            }
+            (ProdId(prod as u32), tags)
         })
         .collect()
 }
@@ -152,71 +188,97 @@ fn new(key: &(ProdId, Vec<u64>)) -> Instantiation {
     }
 }
 
+/// The model's unfired entries, dominant first, as a serial run would fire
+/// them.
+fn oracle_order(
+    strategy: Strategy,
+    model: &BTreeMap<(ProdId, Vec<u64>), bool>,
+    prods: &[Production],
+) -> Vec<(ProdId, Vec<u64>)> {
+    let mut unfired: Vec<_> = model
+        .iter()
+        .filter(|(_, f)| !**f)
+        .map(|(k, _)| (k, old(k)))
+        .collect();
+    unfired.sort_by(|a, b| oracle::order_dominates(strategy, &b.1, &a.1, prods));
+    unfired.into_iter().map(|(k, _)| k.clone()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
+    /// One conflict set per strategy takes the same operations, and after
+    /// every one its contents, its refraction state, its select and the
+    /// order on its candidates agree with the model. Firing the winner
+    /// fires each strategy's own, so the two sets' fired flags part.
     #[test]
     fn fold_and_resolve_agree_with_the_vec_keyed_model(
-        ops in proptest::collection::vec((0u8..6, 0usize..CES.len(), 0usize..64, any::<u64>()), 1..120)
+        ops in proptest::collection::vec((0u8..8, 0usize..CES.len(), 0usize..64, any::<u64>()), 1..120)
     ) {
         let prog = program();
         let specificity = cr::specificities(&prog.productions);
-        let mut cs = ConflictSet::new();
-        let mut model: BTreeMap<(ProdId, Vec<u64>), bool> = BTreeMap::new();
-
         let ops: Vec<Op> = ops;
-        for (kind, prod, pick, seed) in ops {
-            let live = model.keys().nth(pick % model.len().max(1)).cloned();
-            match (kind, live) {
-                // Insert: new, or (small pool) a re-insert that resets `fired`.
-                (0..=2, _) | (_, None) => {
-                    let key = (ProdId(prod as u32), tags_for(prod, seed));
-                    cs.apply(CsChange::Insert(new(&key)));
-                    model.insert(key, false);
-                }
-                (3, Some(key)) => {
-                    cs.apply(CsChange::Remove(new(&key)));
-                    model.remove(&key);
-                }
-                (4, Some(key)) => {
-                    cs.apply(CsChange::Insert(new(&key)));
-                    model.insert(key, false);
-                }
-                (_, Some(key)) => {
-                    // Alternately the two ways in: the winner's own token,
-                    // and a snapshot's key.
-                    if seed % 2 == 0 {
-                        prop_assert!(cs.mark_fired(&new(&key)));
-                    } else {
-                        prop_assert!(cs.mark_fired_key(&key));
+        for strategy in [Strategy::Lex, Strategy::Mea] {
+            let mut cs = ConflictSet::new();
+            let mut model: BTreeMap<(ProdId, Vec<u64>), bool> = BTreeMap::new();
+            for &(kind, prod, pick, seed) in &ops {
+                let live = model.keys().nth(pick % model.len().max(1)).cloned();
+                match (kind, live) {
+                    // Insert: new, or (small pool) a re-insert that resets `fired`.
+                    (0..=1, _) | (_, None) => {
+                        let key = (ProdId(prod as u32), tags_for(prod, seed));
+                        cs.apply(CsChange::Insert(new(&key)));
+                        model.insert(key, false);
                     }
-                    model.insert(key, true);
+                    (2, _) => {
+                        for key in tie_group(seed) {
+                            cs.apply(CsChange::Insert(new(&key)));
+                            model.insert(key, false);
+                        }
+                    }
+                    (3, Some(key)) => {
+                        cs.apply(CsChange::Remove(new(&key)));
+                        model.remove(&key);
+                    }
+                    (4, Some(key)) => {
+                        cs.apply(CsChange::Insert(new(&key)));
+                        model.insert(key, false);
+                    }
+                    (5, _) => {
+                        // Fire the winner, as a cycle does.
+                        let want = oracle_order(strategy, &model, &prog.productions);
+                        let got = cs.select(strategy, &specificity).cloned();
+                        prop_assert_eq!(got.as_ref().map(Instantiation::key).as_ref(), want.first());
+                        if let Some(w) = got {
+                            prop_assert!(cs.mark_fired(&w));
+                            model.insert(w.key(), true);
+                        }
+                    }
+                    (_, Some(key)) => {
+                        // Alternately the two ways in: the entry's own token,
+                        // and a snapshot's key.
+                        if seed % 2 == 0 {
+                            prop_assert!(cs.mark_fired(&new(&key)));
+                        } else {
+                            prop_assert!(cs.mark_fired_key(&key));
+                        }
+                        model.insert(key, true);
+                    }
                 }
-            }
 
-            prop_assert_eq!(cs.len(), model.len());
-            prop_assert_eq!(cs.sorted_keys(), model.keys().cloned().collect::<Vec<_>>());
-            let fired: Vec<_> = model.iter().filter(|(_, f)| **f).map(|(k, _)| k.clone()).collect();
-            prop_assert_eq!(cs.fired_keys(), fired);
+                prop_assert_eq!(cs.len(), model.len());
+                prop_assert_eq!(cs.sorted_keys(), model.keys().cloned().collect::<Vec<_>>());
+                let fired: Vec<_> = model.iter().filter(|(_, f)| **f).map(|(k, _)| k.clone()).collect();
+                prop_assert_eq!(cs.fired_keys(), fired);
 
-            let unfired: Vec<(&(ProdId, Vec<u64>), OldInstantiation)> =
-                model.iter().filter(|(_, f)| !**f).map(|(k, _)| (k, old(k))).collect();
-            for strategy in [Strategy::Lex, Strategy::Mea] {
-                // Dominant first, as a serial run would fire them.
-                let mut expect: Vec<_> = unfired.iter().collect();
-                expect.sort_by(|a, b| {
-                    oracle::order_dominates(strategy, &b.1, &a.1, &prog.productions)
-                });
-                let expect: Vec<&(ProdId, Vec<u64>)> = expect.iter().map(|e| e.0).collect();
-
-                let best = cr::select(strategy, cs.candidates(), &specificity);
-                prop_assert_eq!(best.map(Instantiation::key).as_ref(), expect.first().copied());
+                let want = oracle_order(strategy, &model, &prog.productions);
+                let best = cs.select(strategy, &specificity).map(Instantiation::key);
+                prop_assert_eq!(best.as_ref(), want.first(), "{:?}", strategy);
 
                 // The whole dominance order, not only its head.
                 let mut got: Vec<&Instantiation> = cs.candidates().collect();
                 got.sort_by(|a, b| cr::order_dominates(strategy, b, a, &specificity));
                 let got: Vec<_> = got.into_iter().map(Instantiation::key).collect();
-                let want: Vec<_> = expect.iter().map(|k| (*k).clone()).collect();
                 prop_assert_eq!(got, want, "{:?}", strategy);
             }
         }

@@ -1,12 +1,13 @@
 //! Allocation budget of the control process's share of a cycle: terminal
 //! emission, the conflict-set fold and conflict resolution.
 //!
-//! Tourney makes ~145 conflict-set changes per WME change and rescans a
-//! 6 000-entry conflict set every cycle, so the budget per change and per
-//! comparison is exact: the instantiation is the token the terminal already
-//! holds, the conflict set keys on it, and a comparison sorts on the stack.
-//! The allocator below counts per thread, so concurrently running tests
-//! cannot disturb it.
+//! Tourney makes ~145 conflict-set changes per WME change and holds up to
+//! 6 600 entries, so the budget per change and per comparison is exact: the
+//! instantiation is the token the terminal already holds, the conflict set
+//! keys on it and keeps its unfired entries in an array that has grown, a
+//! key is built on the stack, and an equal-key comparison sorts there. The
+//! allocator below counts per thread, so concurrently running tests cannot
+//! disturb it.
 
 use engine::cr;
 use engine::ConflictSet;
@@ -115,16 +116,70 @@ fn select_over_a_thousand_candidates_allocates_nothing() {
     assert_eq!(cs.len(), 1_000);
     let specificity = [3, 3, 5, 3];
     for strategy in [Strategy::Lex, Strategy::Mea] {
-        let (allocs, best) = allocs_in(|| cr::select(strategy, cs.candidates(), &specificity));
+        let (allocs, best) = allocs_in(|| cs.select(strategy, &specificity).cloned());
         let best = best.expect("a non-empty conflict set has a winner");
         assert_eq!(allocs, 0, "{strategy:?} select allocated");
         for c in cs.candidates() {
             assert_ne!(
-                cr::order_dominates(strategy, c, best, &specificity),
+                cr::order_dominates(strategy, c, &best, &specificity),
                 std::cmp::Ordering::Greater,
                 "{strategy:?}: {c:?} dominates the winner {best:?}"
             );
         }
+    }
+}
+
+/// A cycle's conflict-set work at its steady state: a match phase's
+/// inserts and removes, one select, one firing. Once the table and the
+/// keyed array have grown to the churn's high-water mark, none of it
+/// allocates: keys live in the array, the array reuses its capacity, and
+/// refraction only rewrites a table entry.
+#[test]
+fn fold_and_select_churn_on_a_warmed_conflict_set_allocates_nothing() {
+    const CYCLES: u64 = 2_000;
+    let specificity = [3, 3, 5, 3];
+    // Each cycle's eight newcomers outrank the 500 that stand (their tags
+    // are below 41), and come in two groups of four under the four
+    // productions with equal keys, so every select falls back to the whole
+    // order too.
+    let fresh = |c: u64, j: u64| inst((j % 4) as u32, &[42 + 2 * c, 41 + 2 * c, 1 + j / 4]);
+    for strategy in [Strategy::Lex, Strategy::Mea] {
+        let mut cs = ConflictSet::new();
+        for t in 0..500u64 {
+            cs.apply(CsChange::Insert(inst(
+                (t % 4) as u32,
+                &[t % 40, t / 40, 1 + t % 39],
+            )));
+        }
+        let cycles: Vec<Vec<Instantiation>> = (0..CYCLES)
+            .map(|c| (0..8).map(|j| fresh(c, j)).collect())
+            .collect();
+        let run = |cs: &mut ConflictSet| {
+            for insts in &cycles {
+                cs.apply_all(insts.iter().cloned().map(CsChange::Insert));
+                let w = cs
+                    .select(strategy, &specificity)
+                    .cloned()
+                    .expect("a winner");
+                assert!(cs.mark_fired(&w));
+                cs.apply_all(insts.iter().cloned().map(CsChange::Remove));
+            }
+        };
+        run(&mut cs);
+        let before = cs.resolve_stats();
+        let (allocs, ()) = allocs_in(|| run(&mut cs));
+        assert_eq!(
+            allocs, 0,
+            "{strategy:?}: {CYCLES} cycles of fold, select and fire allocated"
+        );
+        assert_eq!(cs.len(), 500);
+        assert_eq!(cs.candidates().count(), 500);
+        let after = cs.resolve_stats();
+        assert_eq!(after.candidates - before.candidates, 508 * CYCLES);
+        assert!(
+            after.chain_walks - before.chain_walks > 8 * CYCLES,
+            "{strategy:?}: no equal-key fallback ran"
+        );
     }
 }
 

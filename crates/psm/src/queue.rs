@@ -6,7 +6,8 @@
 //! Table 4-5, multiple queues Table 4-6. A push or a pop hands back the
 //! spins of the one acquisition that moved its task, for the caller to book
 //! (Table 4-7): a queue acquisition is a lock that pushes or pops a task,
-//! and an idle poll of an empty queue is none.
+//! and an idle poll of an empty queue is none: it reads the queue's length
+//! and leaves the lock to the pushers.
 //!
 //! **TaskCount** holds (tokens in queues) + (tokens being processed): it is
 //! incremented *before* a task is pushed and decremented only after the
@@ -18,7 +19,7 @@ use ops5::{ProdId, Sign, WmeRef};
 use rete::network::JoinId;
 use rete::token::Token;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 
 /// One schedulable unit of match work.
 #[derive(Debug, Clone)]
@@ -75,9 +76,16 @@ impl TaskCount {
     }
 }
 
+/// One task queue, and its length as of the last push or pop, written
+/// under the lock so that a poll can pass an empty queue without taking it.
+struct TaskQueue {
+    tasks: SpinLock<VecDeque<ParTask>>,
+    len: AtomicUsize,
+}
+
 /// `k` task queues plus the TaskCount.
 pub struct Scheduler {
-    queues: Vec<SpinLock<VecDeque<ParTask>>>,
+    queues: Vec<TaskQueue>,
     count: TaskCount,
 }
 
@@ -85,7 +93,12 @@ impl Scheduler {
     pub fn new(n_queues: usize) -> Scheduler {
         let n = n_queues.max(1);
         Scheduler {
-            queues: (0..n).map(|_| SpinLock::new(VecDeque::new())).collect(),
+            queues: (0..n)
+                .map(|_| TaskQueue {
+                    tasks: SpinLock::new(VecDeque::new()),
+                    len: AtomicUsize::new(0),
+                })
+                .collect(),
             count: TaskCount::new(),
         }
     }
@@ -112,20 +125,30 @@ impl Scheduler {
     pub fn push_requeue(&self, task: ParTask, cursor: &mut usize) -> u64 {
         let q = *cursor % self.queues.len();
         *cursor = cursor.wrapping_add(1);
-        let mut queue = self.queues[q].lock();
-        queue.push_back(task);
-        queue.spins
+        let q = &self.queues[q];
+        let mut tasks = q.tasks.lock();
+        tasks.push_back(task);
+        q.len.store(tasks.len(), Ordering::Relaxed);
+        tasks.spins
     }
 
     /// Pops a task: the home queue first, then the others round-robin.
     /// Returns it with the spins of the acquisition that moved it, or
     /// `None` when every queue is empty (the caller spins on TaskCount).
+    /// A queue whose length reads zero is passed without its lock; a push
+    /// that read misses is found on the caller's next poll, and TaskCount
+    /// keeps the match phase open until then.
     pub fn pop(&self, home: usize) -> Option<(ParTask, u64)> {
         let n = self.queues.len();
         (0..n).find_map(|i| {
-            let mut queue = self.queues[(home + i) % n].lock();
-            let spins = queue.spins;
-            queue.pop_front().map(|task| (task, spins))
+            let q = &self.queues[(home + i) % n];
+            if q.len.load(Ordering::Relaxed) == 0 {
+                return None;
+            }
+            let mut tasks = q.tasks.lock();
+            let task = tasks.pop_front()?;
+            q.len.store(tasks.len(), Ordering::Relaxed);
+            Some((task, tasks.spins))
         })
     }
 
@@ -210,6 +233,25 @@ mod tests {
         let _ = s.pop(0).unwrap();
         s.task_done();
         assert!(s.quiescent());
+    }
+
+    /// An idle poll takes no lock: while another thread holds an empty
+    /// queue's lock, `pop` passes that queue and returns at once.
+    #[test]
+    fn pop_passes_an_empty_queue_without_its_lock() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let s = std::sync::Arc::new(Scheduler::new(2));
+        let held = s.queues[0].tasks.lock();
+        let (tx, rx) = mpsc::channel();
+        let poller = {
+            let s = s.clone();
+            std::thread::spawn(move || tx.send(s.pop(0).is_none()).unwrap())
+        };
+        let empty = rx.recv_timeout(Duration::from_secs(10));
+        drop(held);
+        poller.join().unwrap();
+        assert_eq!(empty, Ok(true), "pop waited for an empty queue's lock");
     }
 
     #[test]

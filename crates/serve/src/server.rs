@@ -208,6 +208,7 @@ pub struct ServerHandle {
     pub addr: SocketAddr,
     /// Address of the HTTP metrics endpoint, when `metrics_port` was set.
     pub metrics_addr: Option<SocketAddr>,
+    shared: Arc<Shared>,
     join: JoinHandle<io::Result<()>>,
 }
 
@@ -217,6 +218,13 @@ impl ServerHandle {
         self.join
             .join()
             .map_err(|_| io::Error::other("server thread panicked"))?
+    }
+
+    /// The pool's counters, read without a lock and without the reactor
+    /// thread (`METRICS?` locks every live session in turn, so it waits
+    /// for a running slice to end).
+    pub fn pool_stats(&self) -> PoolStats {
+        self.shared.pool.stats()
     }
 }
 
@@ -285,10 +293,12 @@ impl Server {
     pub fn spawn(self) -> ServerHandle {
         let addr = self.addr;
         let metrics_addr = self.metrics_addr;
+        let shared = self.shared.clone();
         let join = std::thread::spawn(move || self.run());
         ServerHandle {
             addr,
             metrics_addr,
+            shared,
             join,
         }
     }

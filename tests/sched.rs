@@ -103,20 +103,23 @@ fn sliced_runs_are_byte_identical_to_unsliced_and_direct() {
     }
 }
 
-/// `serve_preemptions_total` in `c`'s `METRICS?` reply (0 if absent), and
-/// the reply.
-fn preemptions(c: &mut serve::Client) -> (u64, Vec<String>) {
+/// `serve_preemptions_total` in `c`'s `METRICS?` reply (0 if absent).
+fn preemptions_metric(c: &mut serve::Client) -> u64 {
     let metrics = c.metrics().unwrap().expect_lines().unwrap();
-    let n = (metrics.iter())
+    (metrics.iter())
         .find_map(|l| l.strip_prefix("serve_preemptions_total "))
         .and_then(|v| v.trim().parse::<f64>().ok())
-        .map_or(0, |v| v as u64);
-    (n, metrics)
+        .map_or(0, |v| v as u64)
 }
 
 /// With one worker and slicing on, a long batch RUN cannot monopolize the
 /// pool: a high-priority session opened mid-run gets served between its
-/// slices, and the preemption counter proves the long run actually yielded.
+/// slices. The high session's `RUN` and `CLOSE` must run on the one worker
+/// (the pool's worker-executed count rises by two), not on the connection
+/// core; the preemption count rises during that lifecycle; and the
+/// spinner's RUN is still in flight when it ends. The counts are the
+/// pool's, read off the handle: `METRICS?` would wait for the spinner's
+/// session between slices.
 #[test]
 fn preemption_lets_high_priority_through_a_wedged_worker() {
     let cfg = ServeConfig {
@@ -128,6 +131,11 @@ fn preemption_lets_high_priority_through_a_wedged_worker() {
         ..ServeConfig::default()
     };
     let handle = Server::bind("127.0.0.1:0", cfg).unwrap().spawn();
+    let preempted = || handle.pool_stats().preempted;
+    let on_worker = || {
+        let s = handle.pool_stats();
+        s.executed - s.inline
+    };
 
     // The wedge: a batch-class spinner holding a 2M-cycle sliced RUN.
     let mut a = serve::Client::connect(handle.addr).unwrap();
@@ -141,24 +149,20 @@ fn preemption_lets_high_priority_through_a_wedged_worker() {
     a.send_line("RUN 2000000").unwrap();
 
     // Wait until the spinner has yielded a slice, so the one worker is in
-    // its RUN before the high session arrives. `METRICS?` needs no session:
-    // the connection core answers it without the worker.
-    let mut b = serve::Client::connect(handle.addr).unwrap();
+    // its RUN before the high session arrives.
     let deadline = Instant::now() + Duration::from_secs(30);
-    let started = loop {
-        let (n, _) = preemptions(&mut b);
-        if n >= 1 {
-            break n;
-        }
+    while preempted() == 0 {
         assert!(
             Instant::now() < deadline,
             "the spinner yielded no slice in 30 s"
         );
         std::thread::sleep(Duration::from_millis(1));
-    };
+    }
 
     // The only worker is busy with the spinner; a high session must still
     // complete a full lifecycle while that RUN is in flight.
+    let mut b = serve::Client::connect(handle.addr).unwrap();
+    let (before, ran_before) = (preempted(), on_worker());
     b.open_source(
         "(literalize x v)\n(p r (x ^v <v>) --> (remove 1))",
         Some("vs2"),
@@ -170,6 +174,14 @@ fn preemption_lets_high_priority_through_a_wedged_worker() {
     b.assert_wme("x ^v 1").unwrap().unwrap();
     let run = b.run(10).unwrap().expect_ok().unwrap();
     assert!(run.contains("cycles=1"), "{run}");
+    b.close().unwrap().expect_ok().unwrap();
+    let ran = on_worker() - ran_before;
+    assert!(ran >= 2, "{ran} of b's commands ran on the worker");
+    let after = preempted();
+    assert!(
+        after > before,
+        "b's lifecycle spanned no slice boundary: {before} -> {after}"
+    );
 
     // The spinner is still running (cancel it to unwedge), so b's whole
     // lifecycle above was interleaved between its slices.
@@ -180,16 +192,8 @@ fn preemption_lets_high_priority_through_a_wedged_worker() {
     );
     a.read_reply().unwrap().expect_ok().unwrap(); // CANCEL's own reply
 
-    // CANCEL cut the RUN at a slice boundary, so the spinner yielded again
-    // after `started` was read. (Not read right after b's RUN: with every
-    // run queue empty while the worker runs a slice, b's bounded commands
-    // may run inline on the connection core, between no two slices.)
-    let (preempted, metrics) = preemptions(&mut b);
-    assert!(preempted > 0, "no preemptions recorded: {metrics:?}");
-    assert!(
-        preempted > started,
-        "no slice after b arrived: {started} -> {preempted}"
-    );
+    // Nothing runs now: the exposition reads the pool's own count.
+    assert_eq!(preemptions_metric(&mut b), preempted());
 
     b.shutdown().unwrap().expect_ok().unwrap();
     handle.join().unwrap();
