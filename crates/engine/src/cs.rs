@@ -301,6 +301,15 @@ mod tests {
         }
     }
 
+    /// A table bucket is the instantiation and its place: 24 bytes, the
+    /// same as with a `bool` flag, because the place fills alignment
+    /// padding.
+    #[test]
+    fn a_bucket_stays_24_bytes() {
+        assert_eq!(std::mem::size_of::<(Instantiation, u32)>(), 24);
+        assert_eq!(std::mem::size_of::<(Instantiation, bool)>(), 24);
+    }
+
     #[test]
     fn insert_remove_roundtrip() {
         let mut cs = ConflictSet::new();
